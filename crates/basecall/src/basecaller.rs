@@ -120,16 +120,6 @@ impl ReadDecoder {
         self.chunks_called += 1;
         chunk
     }
-
-    /// Advances the cursor past a chunk that was basecalled out of band —
-    /// e.g. by a lane-batched prefetch ([`LaneDecoder::call_batch`]) that
-    /// decoded the chunk from this cursor's current carry. Bookkeeping is
-    /// exactly [`ReadDecoder::call_next`]'s: the cursor adopts the chunk's
-    /// carry and counts it as called.
-    pub fn adopt(&mut self, chunk: &BasecalledChunk) {
-        self.carry = chunk.carry;
-        self.chunks_called += 1;
-    }
 }
 
 /// One chunk job for [`LaneDecoder::call_batch`]: the raw samples plus the
@@ -204,9 +194,8 @@ impl LaneDecoder {
     /// Panics with a typed [`SignalFault`] if any job contains a non-finite
     /// sample. Unlike the scalar path — which faults when the offending
     /// chunk is reached — the batch checks every job up front, before any
-    /// decoding; batching callers that need per-read fault attribution
-    /// (the `Session` engine) pre-screen jobs and route corrupt chunks to
-    /// the scalar path so the fault fires inside the owning read's task.
+    /// decoding; a caller that needs per-read fault attribution must
+    /// pre-screen its jobs and route corrupt chunks to the scalar path.
     pub fn call_batch(
         &self,
         caller: &Basecaller,
@@ -818,6 +807,51 @@ mod tests {
     }
 
     #[test]
+    fn lane_batch_mixes_chunk_geometries_from_different_reads() {
+        // One batch holding chunks cut at two different chunk sizes plus the
+        // short tails both leave behind, interleaved read by read — what a
+        // caller batching across sources with different `chunk_bases` hands
+        // the kernel. Widths 3 (divides nothing here) and 8.
+        let (synth, caller) = setup();
+        let long = synth.synthesize(&truth(1_100, 31), 1.0, 32).samples;
+        let short = synth.synthesize(&truth(260, 33), 1.0, 34).samples;
+        let mut scratch = CallScratch::new();
+        let mut per_read: Vec<Vec<ChunkJob>> = Vec::new();
+        for (sig, chunk_samples) in [(&long, 2_400usize), (&short, 3_200), (&long, 3_200)] {
+            let mut carry = None;
+            let mut jobs = Vec::new();
+            for chunk in sig.chunks(chunk_samples) {
+                jobs.push(ChunkJob {
+                    samples: chunk,
+                    carry,
+                });
+                carry = caller.call_chunk_with(chunk, carry, &mut scratch).carry;
+            }
+            per_read.push(jobs);
+        }
+        let deepest = per_read.iter().map(Vec::len).max().expect("three reads");
+        let jobs: Vec<ChunkJob> = (0..deepest)
+            .flat_map(|i| per_read.iter().filter_map(move |r| r.get(i).copied()))
+            .collect();
+        let lengths: std::collections::BTreeSet<usize> =
+            jobs.iter().map(|j| j.samples.len()).collect();
+        assert!(
+            lengths.len() >= 4,
+            "want mixed job lengths, got {lengths:?}"
+        );
+        let expected: Vec<BasecalledChunk> = jobs
+            .iter()
+            .map(|j| caller.call_chunk_with(j.samples, j.carry, &mut scratch))
+            .collect();
+        let mut lanes = LaneScratch::new();
+        let mut got = Vec::new();
+        for width in [3usize, 8] {
+            LaneDecoder::new(width).call_batch(&caller, &jobs, &mut lanes, &mut got);
+            assert_eq!(got, expected, "width {width}");
+        }
+    }
+
+    #[test]
     fn lane_decoder_clamps_width() {
         assert_eq!(LaneDecoder::new(0).width(), 1);
         assert_eq!(LaneDecoder::new(7).width(), 7);
@@ -852,25 +886,6 @@ mod tests {
                 .map(|f| f.sample_index),
             Some(11)
         );
-    }
-
-    #[test]
-    fn adopting_a_prefetched_chunk_matches_call_next() {
-        let (synth, caller) = setup();
-        let sig = synth.synthesize(&truth(900, 19), 1.0, 20);
-        let mut scratch = CallScratch::new();
-
-        let mut via_call = ReadDecoder::new();
-        let mut via_adopt = ReadDecoder::new();
-        for chunk_samples in sig.samples.chunks(700) {
-            // Prefetch: decode out of band from the cursor's current carry.
-            let prefetched = caller.call_chunk_with(chunk_samples, via_adopt.carry(), &mut scratch);
-            let called = via_call.call_next(&caller, chunk_samples, &mut scratch);
-            assert_eq!(prefetched, called);
-            via_adopt.adopt(&prefetched);
-            assert_eq!(via_adopt, via_call);
-        }
-        assert!(via_adopt.chunks_called() > 1);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! These measure the *real* wall-clock cost of this reproduction's
 //! implementations (not the modelled hardware times): the MVM emission
 //! kernel, CAM search, Viterbi chunk decoding (allocation-free scratch
-//! path), the lane-batched SoA Viterbi kernel at widths 1/4/8 (scalar
-//! bit-identity asserted in-bench) plus the pipeline throughput at decode
-//! lane widths, minimizer extraction, chaining DP, sharded fan-out seeding at
+//! path), the lane-batched SoA Viterbi kernel at widths 1/4/8 (a
+//! library-level option of `genpip_basecall`; scalar bit-identity asserted
+//! in-bench), minimizer extraction, chaining DP, sharded fan-out seeding at
 //! 1/2/4 index shards (with a shard-vs-monolithic bit-identity check),
 //! pan-genome mapping against 1 vs 3 named references (one shared sketch,
 //! per-reference seeding, deterministic merge; set-vs-solo bit-identity
@@ -38,7 +38,7 @@ use genpip_core::engine::{AttachSpec, Flow, Session, SessionControl};
 use genpip_core::pipeline::{ErMode, ReadRun};
 use genpip_core::scheduler::Schedule;
 use genpip_core::stream::{StreamEvent, StreamOptions};
-use genpip_core::{GenPipConfig, Lanes, Parallelism};
+use genpip_core::{GenPipConfig, Parallelism};
 use genpip_datasets::{DatasetProfile, FaultInjector, SimulatedDataset, StreamingSimulator};
 use genpip_genomics::GenomeBuilder;
 use genpip_io::{pack_source, GscReadSource};
@@ -167,10 +167,10 @@ fn main() {
 
     // --- Lane-batched Viterbi decode: W chunks in lockstep (SoA kernel) ---
     // The same chunk decode, batched W-wide through the structure-of-arrays
-    // lane kernel. Chunks share one base count — the engine's lane batches
-    // are chunk tasks cut at a fixed `chunk_bases`, so equal-sized chunks
-    // are the representative load — while dwell noise still staggers the
-    // exact sample counts, so the tail exercises lane drain. Every width's
+    // lane kernel. Chunks share one base count — chunk tasks are cut at a
+    // fixed `chunk_bases`, so equal-sized chunks are the representative
+    // load — while dwell noise still staggers the exact sample counts, so
+    // the tail exercises lane drain. Every width's
     // outputs are asserted bit-identical to the scalar decoder on the same
     // jobs, and the W>1 rows report per-sample speedup over the W=1
     // (scalar-path) row.
@@ -546,57 +546,6 @@ fn main() {
     assert!(
         bit_identical,
         "parallel pipeline diverged from serial output"
-    );
-
-    // --- Pipeline at decode lane widths: lanes 1 vs auto, same 4 workers ---
-    // The end-to-end effect of worker-side lane batching: lanes=1 disables
-    // batch draining (every chunk decodes through the scalar path), the
-    // auto width lets each worker drain queued chunk tasks into one SoA
-    // batch. Same session, same threads — only the decode width moves —
-    // and the outputs must stay bit-identical to the serial reference.
-    // Each row is the median of 3 runs: end-to-end seconds on a shared
-    // host swing more than the decode-width effect being measured.
-    println!("\n=== lane-batched pipeline bench (4 threads) ===");
-    {
-        let lane_reference = &serial_reads.as_ref().expect("serial pass ran").0;
-        let mut lanes1_seconds = None;
-        for decode_lanes in [1usize, Lanes::Auto.width()] {
-            let config = GenPipConfig::for_dataset(&dataset.profile)
-                .with_parallelism(Parallelism::Threads(4))
-                .with_lanes(Lanes::Width(decode_lanes));
-            let _ = batch_via_session(&dataset, &config, ErMode::Full);
-            let mut trials: Vec<(Vec<_>, f64)> = (0..3)
-                .map(|_| time_once(|| batch_via_session(&dataset, &config, ErMode::Full)))
-                .collect();
-            trials.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite timings"));
-            for (reads, _) in &trials {
-                lane_batch_matches_scalar &= reads == lane_reference;
-            }
-            let (reads, seconds) = trials.swap_remove(1);
-            if decode_lanes == 1 {
-                lanes1_seconds = Some(seconds);
-            }
-            let speedup = lanes1_seconds.expect("lanes-1 row ran first") / seconds;
-            println!(
-                "lanes {decode_lanes}: {seconds:.3} s  {:>8.1} reads/s  \
-                 speedup vs lanes-1 {speedup:.2}x",
-                reads.len() as f64 / seconds
-            );
-            lane_rows.push(Json::obj([
-                ("kind", Json::Str("pipeline".into())),
-                ("width", Json::Num(decode_lanes as f64)),
-                ("threads", Json::Num(4.0)),
-                ("seconds", Json::Num(seconds)),
-                ("reads_per_s", Json::Num(reads.len() as f64 / seconds)),
-                ("samples_per_s", Json::Num(total_samples as f64 / seconds)),
-                ("speedup_vs_lanes1", Json::Num(speedup)),
-            ]));
-        }
-    }
-    println!("lane-batched outputs bit-identical to scalar: {lane_batch_matches_scalar}");
-    assert!(
-        lane_batch_matches_scalar,
-        "lane-batched decode diverged from the scalar path"
     );
 
     // --- Streaming pipeline: lazy source → bounded queue → in-order sink ---
@@ -1254,7 +1203,8 @@ fn main() {
             Json::Num(Parallelism::Auto.workers() as f64),
         ),
         ("host_simd", Json::Str(host_simd().into())),
-        ("host_lanes_auto", Json::Num(Lanes::Auto.width() as f64)),
+        // The widest lane-kernel row above.
+        ("host_lanes_auto", Json::Num(8.0)),
         ("host_lanes_max", Json::Num(LaneDecoder::MAX_WIDTH as f64)),
         ("dataset_scale", Json::Num(scale)),
         ("dataset_reads", Json::Num(dataset.reads.len() as f64)),

@@ -280,15 +280,16 @@ pub fn accuracy_retention(er_run: &PipelineRun, oracle: &PipelineRun) -> Accurac
 mod tests {
     use super::*;
     use crate::config::GenPipConfig;
-    use crate::pipeline::{batch_conventional, batch_genpip, ErMode};
+    use crate::engine::Flow;
+    use crate::pipeline::{ErMode, PipelineRun};
     use genpip_datasets::DatasetProfile;
     use genpip_datasets::SimulatedDataset;
 
     fn setup() -> (SimulatedDataset, PipelineRun, PipelineRun) {
         let d = DatasetProfile::ecoli().scaled(0.15).generate();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let oracle = batch_conventional(&d, &config);
-        let er = batch_genpip(&d, &config, ErMode::Full);
+        let oracle = PipelineRun::collect(&d, &config, Flow::Conventional);
+        let er = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         (d, oracle, er)
     }
 

@@ -58,65 +58,6 @@ impl Parallelism {
     }
 }
 
-/// How many decode lanes the engine's workers batch basecall chunk tasks
-/// into ([`genpip_basecall::LaneDecoder`]): W independent chunks advance in
-/// lockstep through one structure-of-arrays Viterbi kernel.
-///
-/// Like [`Parallelism`], this is a pure throughput knob: lane-batched
-/// output is **bit-identical** to scalar decode for every width (the
-/// scalar path is the `W = 1` fallback and oracle), so the setting only
-/// trades memory-system efficiency for per-batch working-set size.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Lanes {
-    /// A sensible multi-lane default for this build
-    /// ([`Lanes::AUTO_WIDTH`]).
-    #[default]
-    Auto,
-    /// A fixed lane width (clamped to `1..=`[`genpip_basecall::MAX_LANES`]).
-    Width(usize),
-}
-
-impl Lanes {
-    /// The width [`Lanes::Auto`] resolves to: wide enough to fill a SIMD
-    /// register of f32 scores on current hardware, small enough that the
-    /// interleaved DP rows stay cache-resident.
-    pub const AUTO_WIDTH: usize = 8;
-
-    /// The concrete lane width this setting resolves to.
-    pub fn width(self) -> usize {
-        match self {
-            Lanes::Auto => Self::AUTO_WIDTH,
-            Lanes::Width(n) => n.clamp(1, genpip_basecall::MAX_LANES),
-        }
-    }
-
-    /// Parses a lane spelling: `"auto"` or a width ≥ 1 (e.g. `"4"` →
-    /// `Width(4)`). `None` for `"0"` and anything else unparseable — a
-    /// zero width is a user error, not a clamp.
-    pub fn parse(s: &str) -> Option<Lanes> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(Lanes::Auto),
-            n => match n.parse::<usize>().ok()? {
-                0 => None,
-                w => Some(Lanes::Width(w)),
-            },
-        }
-    }
-
-    /// The setting named by the `GENPIP_LANES` environment variable (same
-    /// spellings as [`Lanes::parse`]), or `None` when unset or unparseable.
-    /// CI's test matrix sets this to force distinct lane widths through
-    /// every test that consults it.
-    pub fn from_env() -> Option<Lanes> {
-        Lanes::parse(&std::env::var("GENPIP_LANES").ok()?)
-    }
-
-    /// [`Lanes::from_env`] with a fallback.
-    pub fn from_env_or(default: Lanes) -> Lanes {
-        Lanes::from_env().unwrap_or(default)
-    }
-}
-
 /// What the engine does with a read whose chunk task faults (panics or
 /// trips a signal-integrity check) mid-chain.
 ///
@@ -192,12 +133,9 @@ pub struct GenPipConfig {
     pub theta_cm: f64,
     /// Read-mapper parameters.
     pub mapper: MapperParams,
-    /// Software worker threading of the pipeline drivers (never changes
+    /// Software worker threading of the session engine (never changes
     /// results, only wall-clock time).
     pub parallelism: Parallelism,
-    /// Lane width of the workers' batched Viterbi decode (never changes
-    /// results, only throughput; see [`Lanes`]).
-    pub lanes: Lanes,
     /// Keep each fully-basecalled read's sequence and per-base qualities on
     /// its [`crate::pipeline::ReadRun`] (`ReadRun::called`), so sinks can
     /// serialize real output (e.g. FASTQ) instead of counters. Off by
@@ -254,17 +192,9 @@ impl GenPipConfig {
         self
     }
 
-    /// Overrides the threading of the pipeline drivers.
+    /// Overrides the threading of the session engine.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> GenPipConfig {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Overrides the decode lane width (see [`Lanes`]). Like
-    /// [`GenPipConfig::with_parallelism`], this never changes results —
-    /// lane-batched decode is bit-identical to scalar for every width.
-    pub fn with_lanes(mut self, lanes: Lanes) -> GenPipConfig {
-        self.lanes = lanes;
         self
     }
 
@@ -320,7 +250,6 @@ impl Default for GenPipConfig {
             theta_cm: 55.0,
             mapper: MapperParams::default(),
             parallelism: Parallelism::default(),
-            lanes: Lanes::default(),
             keep_bases: false,
             fault_policy: FaultPolicy::default(),
             extra_references: Vec::new(),
@@ -397,23 +326,6 @@ mod tests {
         assert_eq!(FaultPolicy::Fail.retry_attempts(), 0);
         assert_eq!(FaultPolicy::Quarantine.retry_attempts(), 0);
         assert_eq!(FaultPolicy::Retry { attempts: 3 }.retry_attempts(), 3);
-    }
-
-    #[test]
-    fn lanes_parse_and_clamp() {
-        assert_eq!(Lanes::parse("auto"), Some(Lanes::Auto));
-        assert_eq!(Lanes::parse(" 4 "), Some(Lanes::Width(4)));
-        assert_eq!(Lanes::parse("0"), None, "zero width is a user error");
-        assert_eq!(Lanes::parse("bogus"), None);
-        assert_eq!(Lanes::parse(""), None);
-        assert_eq!(Lanes::default(), Lanes::Auto);
-        assert_eq!(Lanes::Auto.width(), Lanes::AUTO_WIDTH);
-        assert_eq!(Lanes::Width(3).width(), 3);
-        assert_eq!(Lanes::Width(10_000).width(), genpip_basecall::MAX_LANES);
-        const { assert!(Lanes::AUTO_WIDTH <= genpip_basecall::MAX_LANES) };
-        let c = GenPipConfig::default().with_lanes(Lanes::Width(2));
-        assert_eq!(c.lanes, Lanes::Width(2));
-        assert_eq!(GenPipConfig::default().lanes, Lanes::Auto);
     }
 
     #[test]

@@ -139,14 +139,15 @@ impl Default for GenPipController {
 mod tests {
     use super::*;
     use crate::config::GenPipConfig;
-    use crate::pipeline::{batch_genpip, ErMode};
+    use crate::engine::Flow;
+    use crate::pipeline::{ErMode, PipelineRun};
     use genpip_datasets::DatasetProfile;
 
     #[test]
     fn paper_buffer_sizes_suffice_for_the_datasets() {
         let d = DatasetProfile::ecoli().scaled(0.1).generate();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let run = batch_genpip(&d, &config, ErMode::Full);
+        let run = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         let report = GenPipController::new().replay(&run);
         assert_eq!(report.read_queue_overflows, 0);
         assert_eq!(report.chunk_buffer_overflows, 0);
@@ -159,7 +160,7 @@ mod tests {
     fn er_signal_counts_match_outcomes() {
         let d = DatasetProfile::ecoli().scaled(0.1).generate();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let run = batch_genpip(&d, &config, ErMode::Full);
+        let run = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         let report = GenPipController::new().replay(&run);
         let qsr = run.count_outcomes(|o| matches!(o, ReadOutcome::RejectedQsr { .. }));
         let cmr = run.count_outcomes(|o| matches!(o, ReadOutcome::RejectedCmr { .. }));
@@ -172,7 +173,7 @@ mod tests {
     fn high_water_tracks_longest_read() {
         let d = DatasetProfile::ecoli().scaled(0.1).generate();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let run = batch_genpip(&d, &config, ErMode::None);
+        let run = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None));
         let report = GenPipController::new().replay(&run);
         let longest_raw = run.reads.iter().map(|r| r.raw_bytes()).max().unwrap();
         assert_eq!(report.read_queue_high_water, longest_raw);
@@ -182,7 +183,7 @@ mod tests {
     fn report_renders() {
         let d = DatasetProfile::ecoli().scaled(0.05).generate();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let run = batch_genpip(&d, &config, ErMode::Full);
+        let run = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         let s = GenPipController::new().replay(&run).to_string();
         assert!(s.contains("read queue"));
         assert!(s.contains("ER signals"));

@@ -1,11 +1,9 @@
 //! The `Session` engine: one execution core serving any number of read
 //! sources, scheduling **chunks**, not reads.
 //!
-//! Every driver in this crate — batch ([`crate::pipeline::run_genpip`] /
-//! [`crate::pipeline::run_conventional`]), streaming
-//! ([`crate::stream::run_genpip_streaming`] /
-//! [`crate::stream::run_conventional_streaming`]), the CLI, and the bench
-//! harness — is a thin wrapper over the [`Session`] built here. A session
+//! Everything that runs reads — [`crate::PipelineRun::collect`], the CLI,
+//! the examples, and the bench harness — goes through the [`Session`] built
+//! here. A session
 //! is *configured*, not called: you register named sources, attach
 //! per-source sinks, pick a [`Flow`] and a [`Schedule`], and run. GenPIP's
 //! end-to-end gain comes from tight integration at **chunk granularity**
@@ -77,10 +75,12 @@
 //! * **Per-source bit-identity** — a source's per-read output in a
 //!   multi-source session is bit-identical to running that source alone,
 //!   and chunk-granular execution is bit-identical to read-granular
-//!   execution ([`Granularity::Read`]), for every [`Schedule`],
-//!   [`crate::Parallelism`], [`ErMode`], and shard count
-//!   (`tests/session.rs` and `tests/chunk_granularity.rs` assert this).
-//!   Scheduling changes latency, never results.
+//!   execution ([`Granularity::Read`] steps the same chain to completion
+//!   inside one task), for every [`Schedule`], [`crate::Parallelism`],
+//!   [`ErMode`], and shard count (`tests/session.rs` and
+//!   `tests/chunk_granularity.rs` assert this against the independent
+//!   serial oracle in `tests/common`). Scheduling changes latency, never
+//!   results.
 //! * **Bounded residency** — at most `queue_capacity + workers` read
 //!   chains are resident (live decode/chain state), no matter how many
 //!   sources are registered ([`SessionReport::max_in_flight`] proves the
@@ -143,10 +143,12 @@ impl Flow {
 /// The schedulable unit of a [`Session`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Granularity {
-    /// Schedule whole reads: every read is one task, permits are held from
-    /// pull to emission. The pre-chunk-granular engine's behaviour, kept for
-    /// comparison (the kernels bench measures both) and as a reference
-    /// execution — output is bit-identical to [`Granularity::Chunk`].
+    /// Schedule whole reads: every read's chain is stepped to completion
+    /// inside one task, and permits are held from pull to emission (an ER
+    /// verdict does not release early). The pre-chunk-granular engine's
+    /// scheduling, kept for comparison (the kernels bench measures both) —
+    /// it runs the very same chain, so output is bit-identical to
+    /// [`Granularity::Chunk`] by construction.
     Read,
     /// Schedule chunk tasks: each read is a sequential chain, the
     /// [`Schedule`] applies per chunk pulled, and ER verdicts cancel a
@@ -530,7 +532,7 @@ pub enum SourceConfigIssue {
     /// index would be empty and every read unmappable. Only raised for
     /// explicit [`Session::source_with_config`] overrides — the session
     /// config keeps the historical lenient behaviour (empty index ⇒
-    /// unmapped reads) that the never-fail legacy wrappers rely on.
+    /// unmapped reads).
     KmerExceedsReference {
         /// Configured minimizer k-mer length.
         k: usize,
@@ -818,7 +820,7 @@ struct SourceSlot<'a> {
 }
 
 /// A configured execution of the pipeline over one or more named read
-/// sources — the one public execution API behind every `run_*` wrapper.
+/// sources — the one public execution API.
 ///
 /// Build with [`Session::new`], register sources with [`Session::source`]
 /// (or [`Session::source_with_config`] for per-source operating points, and
@@ -1028,7 +1030,7 @@ impl<'a> Session<'a> {
         // the k-vs-reference check applies to explicit per-source overrides
         // only — a degenerate *session* config (k longer than the
         // reference ⇒ empty index ⇒ every read unmapped) has always been
-        // accepted by the never-fail legacy wrappers, and stays so.
+        // accepted, and stays so.
         let uses_qsr = matches!(self.flow, Flow::GenPip(ErMode::QsrOnly | ErMode::Full));
         for slot in &self.slots {
             let config = slot.config.as_ref().unwrap_or(&self.config);
@@ -1098,12 +1100,6 @@ impl<'a> Session<'a> {
         let er = flow.er();
         let uses_qsr = matches!(flow, Flow::GenPip(ErMode::QsrOnly | ErMode::Full));
         let workers = config.parallelism.workers().max(1);
-        // The Viterbi lane width: how many dispatchable chunk tasks a worker
-        // may drain into one lane-batched decode. Captured here because
-        // `config` moves into the feed below. Per-source overrides narrow
-        // this inside the prefetch hook; the session-level width only caps
-        // the worker's batch drain.
-        let decode_lanes = config.lanes.width();
         // The engine's resident-chain bound, mirrored here so detach-time
         // summaries can carry it before the engine returns.
         let in_flight_limit = if workers <= 1 {
@@ -1151,7 +1147,6 @@ impl<'a> Session<'a> {
         let feed = SessionFeed {
             sources,
             er,
-            granularity,
             control: Arc::clone(&control_state),
             registry: Arc::clone(&registry),
             contexts: Arc::clone(&contexts),
@@ -1189,7 +1184,6 @@ impl<'a> Session<'a> {
 
         let stats = {
             let step_contexts = Arc::clone(&contexts);
-            let prefetch_contexts = Arc::clone(&contexts);
             let emit_registry = Arc::clone(&registry);
             let emit_control = Arc::clone(&control_state);
             let per_outcomes = &mut per_outcomes;
@@ -1210,7 +1204,6 @@ impl<'a> Session<'a> {
                     queue_capacity: options.queue_capacity,
                     reject_backlog: options.reject_backlog,
                     lanes: n,
-                    decode_lanes,
                     schedule: &schedule,
                     policies: &policies,
                     control,
@@ -1229,21 +1222,28 @@ impl<'a> Session<'a> {
                         scratch.resize_with(lane + 1, || None);
                     }
                     let slot = scratch[lane].get_or_insert_with(|| WorkerScratch::new(&ctx));
-                    match chain.step(&ctx, slot) {
-                        ChainStep::Parked { units } => ChainStep::Parked { units },
-                        ChainStep::Finished {
-                            output,
-                            units,
-                            cancelled,
-                        } => ChainStep::Finished {
-                            output: ChainOutput::Run(output),
-                            units,
-                            cancelled,
-                        },
+                    // Read granularity is the same chain stepped to
+                    // completion inside this one task, its permit held to
+                    // emission (never reported as cancelled).
+                    let whole_read = granularity == Granularity::Read;
+                    let mut done = 0u64;
+                    loop {
+                        match chain.step(&ctx, slot) {
+                            ChainStep::Parked { units } if whole_read => done += units,
+                            ChainStep::Parked { units } => break ChainStep::Parked { units },
+                            ChainStep::Finished {
+                                output,
+                                units,
+                                cancelled,
+                            } => {
+                                break ChainStep::Finished {
+                                    output: ChainOutput::Run(output),
+                                    units: done + units,
+                                    cancelled: cancelled && !whole_read,
+                                }
+                            }
+                        }
                     }
-                },
-                move |scratch, batch: &mut [Task<ReadChain>]| {
-                    crate::pipeline::prefetch_lane_batch(&prefetch_contexts, scratch, batch);
                 },
                 move |_lane, chain: ReadChain| {
                     retry_retried.fetch_add(1, Ordering::Relaxed);
@@ -1455,7 +1455,6 @@ type AttachedSink = Box<dyn FnMut(StreamEvent) + Send>;
 struct SessionFeed<'a> {
     sources: Vec<Box<dyn ReadSource + Send + 'a>>,
     er: Option<ErMode>,
-    granularity: Granularity,
     control: Arc<ControlState>,
     registry: Arc<Mutex<Registry>>,
     contexts: Arc<RwLock<Vec<Arc<RunContext>>>>,
@@ -1568,7 +1567,7 @@ impl LaneFeed<ReadChain> for SessionFeed<'_> {
     fn pull(&mut self, lane: usize) -> Option<ReadChain> {
         self.sources[lane]
             .next_read()
-            .map(|read| ReadChain::new(self.er, self.granularity, read))
+            .map(|read| ReadChain::new(self.er, read))
     }
 
     fn poll(&mut self) -> Vec<EngineCommand> {
@@ -1900,13 +1899,12 @@ impl LaneCounters {
 
 /// A chunk task in flight to a worker. Carries its lane's fault policy so
 /// workers never index shared per-lane state (which grows when lanes
-/// attach mid-run). Visible to [`crate::pipeline`] so the lane-batch
-/// prefetch hook can inspect a worker's drained batch in place.
-pub(crate) struct Task<C> {
-    pub(crate) token: usize,
-    pub(crate) lane: usize,
-    pub(crate) policy: FaultPolicy,
-    pub(crate) chain: C,
+/// attach mid-run).
+struct Task<C> {
+    token: usize,
+    lane: usize,
+    policy: FaultPolicy,
+    chain: C,
 }
 
 /// What a worker sends back after running one task. `Faulted` is a
@@ -1971,11 +1969,6 @@ pub(crate) struct EngineConfig<'s> {
     pub(crate) queue_capacity: usize,
     pub(crate) reject_backlog: usize,
     pub(crate) lanes: usize,
-    /// How many dispatchable chunk tasks a worker may drain into one decode
-    /// batch before calling `prefetch` (the Viterbi lane width, W). `1`
-    /// disables batching: every task is received and stepped one at a time,
-    /// exactly the pre-lane worker loop.
-    pub(crate) decode_lanes: usize,
     pub(crate) schedule: &'s Schedule,
     pub(crate) policies: &'s [FaultPolicy],
     pub(crate) control: &'s SessionControl,
@@ -2073,13 +2066,11 @@ fn step_contained<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn std::any::Any +
 /// Before concluding an idle session the engine waits for the emitter to
 /// catch up and polls once more, so commands raised by the final
 /// emissions (a sink attaching the next flowcell) still revive the run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn session_engine<C, O, S, B, L, F, P, R, Q, G>(
+pub(crate) fn session_engine<C, O, S, B, L, F, R, Q, G>(
     cfg: EngineConfig<'_>,
     worker_state: B,
     mut feed: L,
     step: F,
-    prefetch: P,
     mut retry: R,
     mut fault: Q,
     mut emit: G,
@@ -2090,7 +2081,6 @@ where
     B: Fn() -> S + Sync,
     L: LaneFeed<C>,
     F: Fn(&mut S, usize, &mut C) -> ChainStep<O> + Sync,
-    P: Fn(&mut S, &mut [Task<C>]) + Sync,
     R: FnMut(usize, C) -> C + Send,
     Q: FnMut(usize, C, FaultInfo) -> O + Send,
     G: FnMut(usize, LaneEvent<O>),
@@ -2100,7 +2090,6 @@ where
         queue_capacity,
         reject_backlog,
         lanes,
-        decode_lanes,
         schedule,
         policies,
         control,
@@ -2275,7 +2264,6 @@ where
             let counters = &counters;
             let worker_state = &worker_state;
             let step = &step;
-            let prefetch = &prefetch;
             let task_rx = &task_rx;
             let feed = &mut feed;
             let retry = &mut retry;
@@ -2432,102 +2420,68 @@ where
                             let msg_tx = msg_tx.clone();
                             scope.spawn(move || {
                                 let mut state = worker_state();
-                                let mut batch: Vec<Task<C>> = Vec::new();
-                                'worker: loop {
-                                    // Drain up to `decode_lanes` dispatchable
-                                    // tasks into one lane batch: one blocking
-                                    // recv (the worker is idle anyway), then
-                                    // whatever is already queued, without ever
-                                    // blocking mid-batch — so a lone task
-                                    // proceeds immediately and batching never
-                                    // adds latency, only amortizes work that
-                                    // had already piled up.
-                                    batch.clear();
-                                    {
-                                        let rx = task_rx.lock().expect("queue poisoned");
-                                        match rx.recv() {
-                                            Ok(task) => batch.push(task),
-                                            Err(_) => break 'worker,
-                                        }
-                                        while batch.len() < decode_lanes {
-                                            match rx.try_recv() {
-                                                Ok(task) => batch.push(task),
-                                                Err(_) => break,
-                                            }
-                                        }
-                                    }
-                                    if batch.len() > 1 {
-                                        // Best-effort lane-batched decode
-                                        // across the batch's chains. Contained
-                                        // so a prefetch bug can never take
-                                        // down chains that `step` would have
-                                        // processed fine — any panic here is
-                                        // swallowed and every task simply
-                                        // falls through to its own scalar
-                                        // step (which re-faults in the
-                                        // faulting task's own context, with
-                                        // correct attribution).
-                                        let _ = step_contained(|| prefetch(&mut state, &mut batch));
-                                    }
-                                    for task in batch.drain(..) {
-                                        let Task {
+                                loop {
+                                    let received = task_rx.lock().expect("queue poisoned").recv();
+                                    let Ok(Task {
+                                        token,
+                                        lane,
+                                        policy,
+                                        mut chain,
+                                    }) = received
+                                    else {
+                                        break;
+                                    };
+                                    // A panicking `step` would otherwise
+                                    // strand this chain's permit and deadlock
+                                    // the dispatcher: catch it. Under a
+                                    // containing policy the chain survives
+                                    // and the dispatcher decides its fate;
+                                    // under `Fail`, tell the dispatcher to
+                                    // abort, then rethrow so the scope
+                                    // propagates it after teardown.
+                                    let contain = policy != FaultPolicy::Fail;
+                                    let outcome = if contain {
+                                        step_contained(|| step(&mut state, lane, &mut chain))
+                                    } else {
+                                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                                            || step(&mut state, lane, &mut chain),
+                                        ))
+                                    };
+                                    let msg = match outcome {
+                                        Ok(ChainStep::Parked { units }) => WorkerMsg::Parked {
                                             token,
-                                            lane,
-                                            policy,
-                                            mut chain,
-                                        } = task;
-                                        // A panicking `step` would otherwise
-                                        // strand this chain's permit and deadlock
-                                        // the dispatcher: catch it. Under a
-                                        // containing policy the chain survives
-                                        // and the dispatcher decides its fate;
-                                        // under `Fail`, tell the dispatcher to
-                                        // abort, then rethrow so the scope
-                                        // propagates it after teardown.
-                                        let contain = policy != FaultPolicy::Fail;
-                                        let outcome = if contain {
-                                            step_contained(|| step(&mut state, lane, &mut chain))
-                                        } else {
-                                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                                || step(&mut state, lane, &mut chain),
-                                            ))
-                                        };
-                                        let msg = match outcome {
-                                            Ok(ChainStep::Parked { units }) => WorkerMsg::Parked {
+                                            chain,
+                                            units,
+                                        },
+                                        Ok(ChainStep::Finished {
+                                            output,
+                                            units,
+                                            cancelled,
+                                        }) => WorkerMsg::Finished {
+                                            token,
+                                            output,
+                                            units,
+                                            cancelled,
+                                        },
+                                        Err(panic) if contain => {
+                                            // The closure only borrowed the
+                                            // chain, so it survived the
+                                            // unwind intact.
+                                            let (kind, message) = classify_panic(panic);
+                                            WorkerMsg::Faulted {
                                                 token,
                                                 chain,
-                                                units,
-                                            },
-                                            Ok(ChainStep::Finished {
-                                                output,
-                                                units,
-                                                cancelled,
-                                            }) => WorkerMsg::Finished {
-                                                token,
-                                                output,
-                                                units,
-                                                cancelled,
-                                            },
-                                            Err(panic) if contain => {
-                                                // The closure only borrowed the
-                                                // chain, so it survived the
-                                                // unwind intact.
-                                                let (kind, message) = classify_panic(panic);
-                                                WorkerMsg::Faulted {
-                                                    token,
-                                                    chain,
-                                                    kind,
-                                                    message,
-                                                }
+                                                kind,
+                                                message,
                                             }
-                                            Err(panic) => {
-                                                let _ = msg_tx.send(WorkerMsg::Panicked);
-                                                std::panic::resume_unwind(panic);
-                                            }
-                                        };
-                                        if msg_tx.send(msg).is_err() {
-                                            break 'worker;
                                         }
+                                        Err(panic) => {
+                                            let _ = msg_tx.send(WorkerMsg::Panicked);
+                                            std::panic::resume_unwind(panic);
+                                        }
+                                    };
+                                    if msg_tx.send(msg).is_err() {
+                                        break;
                                     }
                                 }
                             });
@@ -2828,7 +2782,7 @@ fn aggregate_latency(lane_samples: &mut [Vec<u64>]) -> LatencyStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{process_read, ErMode};
+    use crate::pipeline::{ErMode, PipelineRun};
     use genpip_datasets::{DatasetProfile, SimulatedDataset, StreamingSimulator};
 
     fn dataset() -> SimulatedDataset {
@@ -3112,8 +3066,7 @@ mod tests {
     #[test]
     fn qsr_free_flows_accept_zero_qsr_samples() {
         // `n_qs` is only consulted by QSR, so flows that never run QSR must
-        // keep accepting configs with n_qs = 0 — the legacy never-fail
-        // wrappers depend on this leniency.
+        // keep accepting configs with n_qs = 0.
         let profile = DatasetProfile::ecoli().scaled(0.03);
         let mut config = GenPipConfig::for_dataset(&profile);
         config.n_qs = 0;
@@ -3200,7 +3153,7 @@ mod tests {
         let d = dataset();
         let config =
             GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Threads(2));
-        let batch = crate::pipeline::batch_genpip(&d, &config, ErMode::Full);
+        let batch = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         let mut reads = Vec::new();
         let report = Session::new(config)
             .flow(Flow::GenPip(ErMode::Full))
@@ -3273,55 +3226,63 @@ mod tests {
 
     #[test]
     fn transient_faults_succeed_on_retry() {
-        // A step that panics on its first attempt per read but succeeds on
-        // the retry: under `Retry { attempts: 1 }` every read must come out
-        // exactly once, with the retry counter recording one attempt each.
-        // This is the transient-fault path the injector (whose faults are
-        // permanent, baked into the data) cannot exercise.
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        // A step that panics on each read's second task, first pass only:
+        // under `Retry { attempts: 1 }` the chain is rewound mid-read,
+        // replayed from scratch, and every read comes out exactly once,
+        // bit-identical to a fault-free run. This is the transient-fault
+        // path the injector (whose faults are permanent, baked into the
+        // data) cannot exercise.
         let d = dataset();
         let config =
             GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Threads(2));
         let ctx = RunContext::from_source(&d.stream(), &config);
-        let first_attempts = std::sync::Mutex::new(std::collections::HashSet::new());
+        let tasks_run = std::sync::Mutex::new(std::collections::HashMap::new());
         let mut pending = d.reads.iter();
         let control = SessionControl::new();
-        let emitted = AtomicUsize::new(0);
+        let mut emitted = Vec::new();
         let stats = session_engine(
             EngineConfig {
                 workers: 2,
                 queue_capacity: 2,
                 reject_backlog: 256,
                 lanes: 1,
-                decode_lanes: 1,
                 schedule: &Schedule::Sequential,
                 policies: &[FaultPolicy::Retry { attempts: 1 }],
                 control: &control,
             },
             || WorkerScratch::new(&ctx),
-            |_| pending.next().cloned(),
-            |scratch, _lane, read: &mut genpip_datasets::SimulatedRead| {
-                if first_attempts.lock().unwrap().insert(read.id) {
-                    panic!("transient fault on read {}", read.id);
-                }
-                let run = process_read(&ctx, Some(ErMode::Full), read, scratch);
-                ChainStep::Finished {
-                    units: run.chunks.len() as u64,
-                    cancelled: false,
-                    output: run,
-                }
+            |_| {
+                let read = pending.next()?.clone();
+                Some(ReadChain::new(Some(ErMode::Full), read))
             },
-            |_, _: &mut [Task<_>]| {},
-            |_lane, chain| chain,
+            |scratch, _lane, chain: &mut ReadChain| {
+                let nth = {
+                    let mut tasks_run = tasks_run.lock().unwrap();
+                    let nth = tasks_run.entry(chain.read_id()).or_insert(0u32);
+                    *nth += 1;
+                    *nth
+                };
+                if nth == 2 {
+                    panic!("transient fault on read {}", chain.read_id());
+                }
+                chain.step(&ctx, scratch)
+            },
+            |_lane, chain| chain.retry(),
             |_lane, _chain, info: FaultInfo| -> crate::pipeline::ReadRun {
                 unreachable!("no read should exhaust its retry budget: {}", info.message)
             },
-            |_, _run| {
-                emitted.fetch_add(1, Ordering::Relaxed);
+            |_, event| {
+                if let LaneEvent::Output(run) = event {
+                    emitted.push(run);
+                }
             },
         );
-        assert_eq!(emitted.load(Ordering::Relaxed), d.reads.len());
-        assert_eq!(stats.retried, d.reads.len());
+        let clean = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
+        assert_eq!(emitted, clean.reads);
+        // Every read with a second task faulted there once.
+        let multi_task = clean.reads.iter().filter(|r| r.chunks.len() > 1).count();
+        assert!(multi_task > 0);
+        assert_eq!(stats.retried, multi_task);
     }
 
     #[test]
@@ -3345,23 +3306,19 @@ mod tests {
                         queue_capacity: 1,
                         reject_backlog: 256,
                         lanes: 1,
-                        decode_lanes: 1,
                         schedule: &Schedule::Sequential,
                         policies: &[FaultPolicy::Fail],
                         control: &control,
                     },
                     || WorkerScratch::new(&ctx),
-                    |_| pending.next().cloned(),
-                    |scratch, _lane, read| {
-                        assert!(read.id != 3, "injected failure on read 3");
-                        let run = process_read(&ctx, Some(ErMode::Full), read, scratch);
-                        ChainStep::Finished {
-                            units: run.chunks.len() as u64,
-                            cancelled: false,
-                            output: run,
-                        }
+                    |_| {
+                        let read = pending.next()?.clone();
+                        Some(ReadChain::new(Some(ErMode::Full), read))
                     },
-                    |_, _: &mut [Task<_>]| {},
+                    |scratch, _lane, chain: &mut ReadChain| {
+                        assert!(chain.read_id() != 3, "injected failure on read 3");
+                        chain.step(&ctx, scratch)
+                    },
                     |_lane, chain| chain,
                     |_lane, _chain, _info| -> crate::pipeline::ReadRun {
                         unreachable!("FaultPolicy::Fail never quarantines")

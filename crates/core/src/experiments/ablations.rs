@@ -15,8 +15,9 @@
 //!   matters more than mapping-side tuning.
 
 use crate::config::GenPipConfig;
+use crate::engine::Flow;
 use crate::experiments::FigureTable;
-use crate::pipeline::{batch_conventional, batch_genpip, ErMode, PipelineRun, ReadOutcome};
+use crate::pipeline::{ErMode, PipelineRun, ReadOutcome};
 use crate::systems::hardware::evaluate_genpip;
 use crate::systems::software::{evaluate_software, BasecallDevice};
 use crate::systems::SystemCosts;
@@ -48,8 +49,8 @@ pub fn chunk_size_sweep(scale: f64) -> Vec<ChunkSizePoint> {
         .iter()
         .map(|&chunk| {
             let config = GenPipConfig::for_dataset(&profile).with_chunk_bases(chunk);
-            let conventional = batch_conventional(&dataset, &config);
-            let er = batch_genpip(&dataset, &config, ErMode::Full);
+            let conventional = PipelineRun::collect(&dataset, &config, Flow::Conventional);
+            let er = PipelineRun::collect(&dataset, &config, Flow::GenPip(ErMode::Full));
             let cpu = evaluate_software(&conventional, &costs.software, BasecallDevice::Cpu, false);
             let genpip = evaluate_genpip(&er, &costs.software, &costs.tech);
             ChunkSizePoint {
@@ -79,7 +80,7 @@ pub struct HardwarePoint {
 /// functional run happens once; only the schedule is recomputed.
 pub fn dp_unit_sweep(dataset: &SimulatedDataset, units: &[usize]) -> Vec<HardwarePoint> {
     let config = GenPipConfig::for_dataset(&dataset.profile);
-    let run = batch_genpip(dataset, &config, ErMode::Full);
+    let run = PipelineRun::collect(dataset, &config, Flow::GenPip(ErMode::Full));
     let costs = SystemCosts::default();
     units
         .iter()
@@ -97,7 +98,7 @@ pub fn dp_unit_sweep(dataset: &SimulatedDataset, units: &[usize]) -> Vec<Hardwar
 /// Sweeps the basecaller initiation interval on a fixed full-ER workload.
 pub fn basecaller_ii_sweep(dataset: &SimulatedDataset, intervals: &[usize]) -> Vec<HardwarePoint> {
     let config = GenPipConfig::for_dataset(&dataset.profile);
-    let run = batch_genpip(dataset, &config, ErMode::Full);
+    let run = PipelineRun::collect(dataset, &config, Flow::GenPip(ErMode::Full));
     let costs = SystemCosts::default();
     intervals
         .iter()

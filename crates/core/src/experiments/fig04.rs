@@ -1,8 +1,9 @@
 //! Figure 4: the potential study (Systems A–D).
 
 use crate::config::GenPipConfig;
+use crate::engine::Flow;
 use crate::experiments::FigureTable;
-use crate::pipeline::batch_conventional;
+use crate::pipeline::PipelineRun;
 use crate::systems::potential::{potential_study, PotentialRow};
 use crate::systems::SystemCosts;
 use genpip_datasets::DatasetProfile;
@@ -22,7 +23,7 @@ pub struct Fig04 {
 pub fn run(scale: f64) -> Fig04 {
     let dataset = DatasetProfile::ecoli().scaled(scale).generate();
     let config = GenPipConfig::for_dataset(&dataset.profile);
-    let conventional = batch_conventional(&dataset, &config);
+    let conventional = PipelineRun::collect(&dataset, &config, Flow::Conventional);
     let costs = SystemCosts::default();
     Fig04 {
         rows: potential_study(&conventional, &costs.software, &costs.tech),

@@ -5,8 +5,9 @@
 
 use crate::analysis::{qsr_analysis, RejectionAnalysis};
 use crate::config::GenPipConfig;
+use crate::engine::Flow;
 use crate::experiments::FigureTable;
-use crate::pipeline::{batch_conventional, batch_genpip, ErMode};
+use crate::pipeline::{ErMode, PipelineRun};
 use genpip_datasets::DatasetProfile;
 use std::fmt;
 
@@ -36,12 +37,12 @@ pub fn run(scale: f64) -> Fig12 {
         let profile = profile.scaled(scale);
         let dataset = profile.generate();
         let base_config = GenPipConfig::for_dataset(&profile);
-        let oracle = batch_conventional(&dataset, &base_config);
+        let oracle = PipelineRun::collect(&dataset, &base_config, Flow::Conventional);
         let mut points = Vec::new();
         for n_qs in N_QS_RANGE {
             let mut config = base_config.clone();
             config.n_qs = n_qs;
-            let er = batch_genpip(&dataset, &config, ErMode::QsrOnly);
+            let er = PipelineRun::collect(&dataset, &config, Flow::GenPip(ErMode::QsrOnly));
             points.push((n_qs, qsr_analysis(&er, &oracle, config.theta_qs)));
         }
         sweeps.push(QsrSweep {

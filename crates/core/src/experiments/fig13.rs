@@ -6,8 +6,9 @@
 
 use crate::analysis::{cmr_analysis, RejectionAnalysis};
 use crate::config::GenPipConfig;
+use crate::engine::Flow;
 use crate::experiments::FigureTable;
-use crate::pipeline::{batch_conventional, batch_genpip, ErMode};
+use crate::pipeline::{ErMode, PipelineRun};
 use genpip_datasets::DatasetProfile;
 use std::fmt;
 
@@ -37,12 +38,12 @@ pub fn run(scale: f64) -> Fig13 {
         let profile = profile.scaled(scale);
         let dataset = profile.generate();
         let base_config = GenPipConfig::for_dataset(&profile);
-        let oracle = batch_conventional(&dataset, &base_config);
+        let oracle = PipelineRun::collect(&dataset, &base_config, Flow::Conventional);
         let mut points = Vec::new();
         for n_cm in N_CM_RANGE {
             let mut config = base_config.clone();
             config.n_cm = n_cm;
-            let er = batch_genpip(&dataset, &config, ErMode::Full);
+            let er = PipelineRun::collect(&dataset, &config, Flow::GenPip(ErMode::Full));
             points.push((n_cm, cmr_analysis(&er, &oracle)));
         }
         sweeps.push(CmrSweep {

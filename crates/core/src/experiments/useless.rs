@@ -8,8 +8,9 @@
 
 use crate::analysis::{false_negative_audit, FalseNegativeAudit, UselessReadStats};
 use crate::config::GenPipConfig;
+use crate::engine::Flow;
 use crate::experiments::FigureTable;
-use crate::pipeline::{batch_conventional, batch_genpip, ErMode};
+use crate::pipeline::{ErMode, PipelineRun};
 use genpip_datasets::DatasetProfile;
 use std::fmt;
 
@@ -33,10 +34,10 @@ pub fn run(scale: f64) -> UselessReads {
         let profile = profile.scaled(scale);
         let dataset = profile.generate();
         let config = GenPipConfig::for_dataset(&profile);
-        let oracle = batch_conventional(&dataset, &config);
+        let oracle = PipelineRun::collect(&dataset, &config, Flow::Conventional);
         rows.push((profile.name.to_string(), UselessReadStats::of(&oracle)));
         if profile.name == "ecoli" {
-            let er = batch_genpip(&dataset, &config, ErMode::Full);
+            let er = PipelineRun::collect(&dataset, &config, Flow::GenPip(ErMode::Full));
             audit = Some(false_negative_audit(&er, &oracle));
         }
     }

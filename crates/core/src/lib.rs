@@ -9,20 +9,18 @@
 //!   (QSR, the paper's Algorithm 1) and Chunk-Mapping-based Rejection (CMR);
 //! * [`pipeline`] — the *functional* execution of both the conventional
 //!   pipeline (Figure 5a) and GenPIP's chunk-based pipeline with optional
-//!   ER (Figures 5b and 6), producing per-read outcomes and the workload
-//!   counters every hardware model consumes;
+//!   ER (Figures 5b and 6) as one per-read chain of chunk tasks, producing
+//!   per-read outcomes and the workload counters every hardware model
+//!   consumes; [`PipelineRun::collect`] is the batch spelling;
 //! * [`engine`] — the [`Session`] execution API: one bounded-memory worker
 //!   pool serving any number of named read sources, each with its own sink
 //!   and in-order emission, interleaved by a [`scheduler::Schedule`], with
 //!   a live control plane ([`SessionControl`]) that can attach and detach
-//!   sources on a running session. Every deprecated `run_*` driver is a
-//!   thin single-source wrapper over it;
+//!   sources on a running session. It is the only way reads run;
 //! * [`scheduler`] — the source-interleaving policies (`Sequential`,
 //!   `FairShare`, weighted `Priority`, and feedback-driven `Deadline`);
 //! * [`stream`] — streaming vocabulary ([`StreamOptions`], [`StreamEvent`],
-//!   [`StreamSummary`]) and the legacy single-source streaming drivers,
-//!   bit-identical to the batch drivers with O(workers + queue) peak
-//!   memory;
+//!   [`StreamSummary`]) and the [`FastqSink`] consumer;
 //! * [`systems`] — the ten evaluated system configurations (CPU, CPU-CP,
 //!   CPU-GP, GPU, GPU-CP, GPU-GP, PIM, GenPIP-CP, GenPIP-CP-QSR, GenPIP)
 //!   plus the Figure 4 potential study (Systems A–D), as timing/energy cost
@@ -71,7 +69,7 @@ pub mod scheduler;
 pub mod stream;
 pub mod systems;
 
-pub use config::{FaultPolicy, GenPipConfig, Lanes, Parallelism};
+pub use config::{FaultPolicy, GenPipConfig, Parallelism};
 pub use engine::{
     AttachSpec, Flow, Granularity, PendingAttach, PendingDetach, Session, SessionCheckpoint,
     SessionControl, SessionError, SessionReport, SessionStats, SourceCheckpoint, SourceConfigIssue,
@@ -81,8 +79,6 @@ pub use genpip_datasets::SourceId;
 pub use genpip_mapping::Shards;
 pub use pipeline::{CalledBases, ChunkWork, ErMode, PipelineRun, ReadOutcome, ReadRun};
 pub use scheduler::Schedule;
-#[allow(deprecated)]
-pub use stream::{run_conventional_streaming, run_genpip_streaming};
 pub use stream::{
     FastqSink, FaultKind, LatencyStats, ProgressSnapshot, ReadFault, StreamEvent, StreamOptions,
     StreamSummary,

@@ -1,34 +1,35 @@
 //! Functional execution of the genome-analysis pipeline.
 //!
-//! Two flows are implemented:
+//! Two flows are implemented, selected by [`Flow`]:
 //!
-//! * [`run_conventional`] — the paper's Figure 5(a): basecall the whole read
-//!   (chunk by chunk with carried decoder state), read quality control on
-//!   the full-read average quality, then whole-read mapping. This is the
+//! * [`Flow::Conventional`] — the paper's Figure 5(a): basecall the whole
+//!   read (chunk by chunk with carried decoder state), read quality control
+//!   on the full-read average quality, then whole-read mapping. This is the
 //!   workload of the CPU, GPU and PIM baselines.
-//! * [`run_genpip`] — the chunk-based pipeline of Figure 5(b), optionally
+//! * [`Flow::GenPip`] — the chunk-based pipeline of Figure 5(b), optionally
 //!   with early rejection (Figure 6): every basecalled chunk immediately
 //!   flows through quality accumulation, seeding, and incremental chaining;
 //!   QSR samples evenly-spaced chunks first, CMR checks the chaining score
 //!   after the first `N_cm` chunks, and rejected reads stop consuming
 //!   resources.
 //!
-//! Both produce a [`PipelineRun`]: per-read outcomes plus the workload
-//! counters (samples, MVMs, seeding shifts, anchors, DP cells, bytes) that
-//! the system cost models in [`crate::systems`] consume. Nothing about
+//! Both produce [`ReadRun`]s: per-read outcomes plus the workload counters
+//! (samples, MVMs, seeding shifts, anchors, DP cells, bytes) that the
+//! system cost models in [`crate::systems`] consume;
+//! [`PipelineRun::collect`] gathers a whole dataset's worth. Nothing about
 //! rejection behaviour is modelled analytically — every decision replays the
 //! real algorithms on the synthetic signals.
 //!
 //! # Threading model
 //!
-//! Both drivers are thin single-source wrappers over the [`Session`] engine
-//! in [`crate::engine`], which schedules **chunk tasks**: each read becomes
-//! a read chain — a sequential chain of per-chunk tasks (the decoder's
-//! carry state forces chunk order within a read) that can be parked between
-//! tasks and resumed on any worker. Workers are scoped threads spawned
-//! lazily up to [`GenPipConfig::parallelism`] ([`crate::Parallelism`]), and
-//! results are re-emitted in admission order. Cross-task read state lives
-//! in the chain (decoder cursor, basecalled chunks, incremental chainers);
+//! There is one way to run a read: the [`Session`] engine in
+//! [`crate::engine`] schedules **chunk tasks**. Each read becomes a read
+//! chain — a sequential chain of per-chunk tasks (the decoder's carry state
+//! forces chunk order within a read) that can be parked between tasks and
+//! resumed on any worker. Workers are scoped threads spawned lazily up to
+//! [`GenPipConfig::parallelism`] ([`crate::Parallelism`]), and results are
+//! re-emitted in admission order. Cross-task read state lives in the chain
+//! (decoder cursor, basecalled chunks, incremental chainers);
 //! **worker-local scratch** holds only stateless buffers (decode, sketch,
 //! seed — so the hot path stays allocation-free in steady state). The
 //! shared state ([`Basecaller`], [`ReferenceSet`] with its `Arc`-shared
@@ -40,18 +41,16 @@
 //! other reads, which makes the output **bit-identical** for every
 //! `Parallelism` setting, for streaming vs batch execution, and for
 //! chunk-granular vs read-granular scheduling
-//! ([`crate::engine::Granularity`]) — asserted by this module's tests and
-//! `tests/chunk_granularity.rs` across all [`ErMode`]s.
+//! ([`crate::engine::Granularity`] — the same chain, stepped one task at a
+//! time or to completion inside one task) — asserted against the
+//! independent serial oracle in `tests/common` across all [`ErMode`]s.
 
-use crate::config::GenPipConfig;
+use crate::config::{GenPipConfig, Parallelism};
 use crate::early_reject::{cmr_check, qsr_check, qsr_sample_indices};
-use crate::engine::{ChainStep, Flow, Granularity, Session};
+use crate::engine::{ChainStep, Flow, Session};
 use crate::scheduler::Schedule;
 use crate::stream::{StreamEvent, StreamOptions};
-use genpip_basecall::{
-    BasecalledChunk, Basecaller, CallScratch, CarryState, ChunkJob, LaneDecoder, LaneScratch,
-    MAX_LANES,
-};
+use genpip_basecall::{BasecalledChunk, Basecaller, CallScratch, CarryState};
 use genpip_datasets::{ReadSource, SimulatedDataset, SimulatedRead};
 use genpip_genomics::quality::AqsAccumulator;
 use genpip_genomics::{DnaSeq, Genome, Phred};
@@ -61,7 +60,7 @@ use genpip_mapping::{
 };
 use genpip_signal::{chunk_boundaries, PoreModel};
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Which early-rejection stages are active on top of CP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,8 +230,8 @@ pub struct PipelineRun {
     /// Which ER stages were active (`None` marks the conventional flow too;
     /// see [`PipelineRun::chunked`]).
     pub er: ErMode,
-    /// `true` if produced by [`run_genpip`] (chunk-granularity seeding and
-    /// chaining), `false` for [`run_conventional`].
+    /// `true` if produced by [`Flow::GenPip`] (chunk-granularity seeding
+    /// and chaining), `false` for [`Flow::Conventional`].
     pub chunked: bool,
     /// Per-read results, id-ordered.
     pub reads: Vec<ReadRun>,
@@ -269,7 +268,7 @@ pub struct WorkloadTotals {
 
 impl WorkloadTotals {
     /// Folds one read's counters into the totals — the unit both
-    /// [`PipelineRun::totals`] and the streaming drivers (which never hold
+    /// [`PipelineRun::totals`] and a session's report (which never holds
     /// the whole run in memory) are built from.
     ///
     /// Basecalling quantities come from the chunk work entries; mapping
@@ -297,6 +296,57 @@ impl WorkloadTotals {
 }
 
 impl PipelineRun {
+    /// Runs `flow` over a materialized dataset as a single-source
+    /// [`Session`] and collects the in-order emissions — the one batch
+    /// spelling, for callers that want every [`ReadRun`] of a dataset in
+    /// hand (cost models, experiments, tests) rather than a sink and a
+    /// [`crate::engine::SessionReport`]. Reads quarantined under a containing
+    /// [`crate::FaultPolicy`] are left out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` cannot drive the dataset (anything
+    /// [`Session::run`] reports as a [`crate::engine::SessionError`]: zero
+    /// chunk size, zero `N_qs` under a QSR flow, duplicate reference names
+    /// in the pan-genome panel).
+    pub fn collect(dataset: &SimulatedDataset, config: &GenPipConfig, flow: Flow) -> PipelineRun {
+        // `Threads(0)` resolves to one worker here rather than failing. The
+        // engine spawns workers lazily from chunk-level occupancy, so a tiny
+        // dataset never materializes an idle pool.
+        let workers = config.parallelism.workers();
+        let session_config = config
+            .clone()
+            .with_parallelism(Parallelism::Threads(workers));
+        let mut reads: Vec<ReadRun> = Vec::with_capacity(dataset.reads.len());
+        Session::new(session_config)
+            .flow(flow)
+            .schedule(Schedule::Sequential)
+            .options(StreamOptions {
+                // The dataset is already resident, so a roomy queue costs
+                // only the in-flight clones and keeps workers from ever
+                // starving.
+                queue_capacity: 4 * workers,
+                ..StreamOptions::default()
+            })
+            .source("batch", dataset.stream())
+            .sink("batch", |event| {
+                if let StreamEvent::Read(run) = event {
+                    reads.push(run);
+                }
+            })
+            .run()
+            .unwrap_or_else(|e| panic!("PipelineRun::collect: {e}"));
+        PipelineRun {
+            config: Arc::new(config.clone()),
+            er: match flow {
+                Flow::GenPip(er) => er,
+                Flow::Conventional => ErMode::None,
+            },
+            chunked: matches!(flow, Flow::GenPip(_)),
+            reads,
+        }
+    }
+
     /// Sums the workload counters (see [`WorkloadTotals::accumulate`]).
     pub fn totals(&self) -> WorkloadTotals {
         let mut t = WorkloadTotals::default();
@@ -381,12 +431,6 @@ pub(crate) struct WorkerScratch {
     seed: SeedScratch,
     batches: Vec<SeedBatch>,
     pairs: Vec<(IncrementalChainer, IncrementalChainer)>,
-    /// Lane-batched decode buffers for [`prefetch_lane_batch`]: the SoA
-    /// Viterbi scratch plus the per-batch output staging vector. Both reach
-    /// steady state after the first full batch and are then reused
-    /// allocation-free by the decode kernel.
-    lanes: LaneScratch,
-    lane_chunks: Vec<BasecalledChunk>,
 }
 
 impl WorkerScratch {
@@ -396,8 +440,6 @@ impl WorkerScratch {
             seed: SeedScratch::new(),
             batches: Vec::new(),
             pairs: ctx.refs.new_chainer_pairs(),
-            lanes: LaneScratch::new(),
-            lane_chunks: Vec::new(),
         }
     }
 }
@@ -411,24 +453,8 @@ fn best_pair_score(pairs: &[(IncrementalChainer, IncrementalChainer)]) -> f64 {
     })
 }
 
-/// Runs one read through the flow selected by `er`: `None` is the
-/// conventional whole-read pipeline, `Some(er)` is GenPIP's chunk-based
-/// pipeline with that ER mode. This is the single per-read worker function
-/// behind every driver, batch and streaming alike.
-pub(crate) fn process_read(
-    ctx: &RunContext,
-    er: Option<ErMode>,
-    read: &SimulatedRead,
-    scratch: &mut WorkerScratch,
-) -> ReadRun {
-    match er {
-        Some(er) => genpip_read(ctx, read.id, &read.signal.samples, er, scratch),
-        None => conventional_read(ctx, read.id, &read.signal.samples, scratch),
-    }
-}
-
 /// One read as a sequential chain of chunk tasks — the schedulable unit of
-/// the chunk-granular engine.
+/// the engine and the only per-read code in this crate.
 ///
 /// The decoder's [`CarryState`] forces chunk order *within* a read, so a
 /// chain runs one task at a time; between tasks the chain is parked and may
@@ -438,48 +464,33 @@ pub(crate) fn process_read(
 /// mapping of another — the system-level pipeline of the paper's
 /// Figure 5(b).
 ///
-/// Stepping a chain to completion is bit-identical to the corresponding
-/// read-granular function ([`ReadChain::Whole`] wraps [`process_read`]
-/// itself), which the cross-granularity suites assert for every `ErMode`.
+/// Read-granular execution ([`crate::engine::Granularity::Read`]) steps the
+/// same chain to completion inside one task, so the two granularities are
+/// bit-identical by construction.
 pub(crate) enum ReadChain {
-    /// Read-granular execution: the whole read as a single task
-    /// ([`crate::engine::Granularity::Read`]).
-    Whole {
-        /// The read to process.
-        read: SimulatedRead,
-        /// ER mode (`None` = conventional flow).
-        er: Option<ErMode>,
-    },
-    /// A chunk-granular chain awaiting its first task. Construction (chunk
-    /// geometry, chainer allocation) happens on the worker that runs that
-    /// task, so the dispatcher thread only ever moves raw reads.
+    /// A chain awaiting its first task. Construction (chunk geometry,
+    /// chainer allocation) happens on the worker that runs that task, so
+    /// the dispatcher thread only ever moves raw reads.
     Pending {
         /// The read, taken when the chain materializes.
         read: Option<SimulatedRead>,
         /// ER mode (`None` = conventional flow).
         er: Option<ErMode>,
     },
-    /// Chunk-granular GenPIP flow (Figure 5b / Figure 6).
+    /// GenPIP flow (Figure 5b / Figure 6).
     GenPip(Box<GenPipChain>),
-    /// Chunk-granular conventional flow (Figure 5a): basecalling is still
-    /// per-chunk work, only QC and mapping wait for the whole read.
+    /// Conventional flow (Figure 5a): basecalling is still per-chunk work,
+    /// only QC and mapping wait for the whole read.
     Conventional(Box<ConvChain>),
 }
 
 impl ReadChain {
-    /// Builds the chain for one read under the given flow and granularity.
-    /// Cheap by design (no per-read setup) — it runs on the dispatcher.
-    pub(crate) fn new(
-        er: Option<ErMode>,
-        granularity: Granularity,
-        read: SimulatedRead,
-    ) -> ReadChain {
-        match granularity {
-            Granularity::Read => ReadChain::Whole { read, er },
-            Granularity::Chunk => ReadChain::Pending {
-                read: Some(read),
-                er,
-            },
+    /// Builds the chain for one read under the given flow. Cheap by design
+    /// (no per-read setup) — it runs on the dispatcher.
+    pub(crate) fn new(er: Option<ErMode>, read: SimulatedRead) -> ReadChain {
+        ReadChain::Pending {
+            read: Some(read),
+            er,
         }
     }
 
@@ -490,14 +501,6 @@ impl ReadChain {
         scratch: &mut WorkerScratch,
     ) -> ChainStep<ReadRun> {
         match self {
-            ReadChain::Whole { read, er } => {
-                let run = process_read(ctx, *er, read, scratch);
-                ChainStep::Finished {
-                    units: run.chunks.len() as u64,
-                    cancelled: false,
-                    output: run,
-                }
-            }
             ReadChain::Pending { read, er } => {
                 let read = read.take().expect("pending chain materialized once");
                 *self = match er {
@@ -514,7 +517,6 @@ impl ReadChain {
     /// The id of the read this chain carries, whatever its state.
     pub(crate) fn read_id(&self) -> u32 {
         match self {
-            ReadChain::Whole { read, .. } => read.id,
             ReadChain::Pending { read, .. } => {
                 read.as_ref().expect("pending chain holds its read").id
             }
@@ -530,24 +532,18 @@ impl ReadChain {
     /// a fault-free run would have.
     pub(crate) fn retry(self) -> ReadChain {
         match self {
-            ReadChain::Whole { .. } | ReadChain::Pending { .. } => self,
-            ReadChain::GenPip(chain) => ReadChain::Pending {
-                read: Some(chain.read),
-                er: Some(chain.er),
-            },
-            ReadChain::Conventional(chain) => ReadChain::Pending {
-                read: Some(chain.read),
-                er: None,
-            },
+            ReadChain::Pending { .. } => self,
+            ReadChain::GenPip(chain) => ReadChain::new(Some(chain.er), chain.read),
+            ReadChain::Conventional(chain) => ReadChain::new(None, chain.read),
         }
     }
 
     /// The chunk index whose task faulted, when the chain knows it: the
-    /// chunk a mid-step panic interrupted. `None` for read-granular chains
-    /// (the whole read is one task) and chains that never materialized.
+    /// chunk a mid-step panic interrupted. `None` for chains that never
+    /// materialized.
     pub(crate) fn fault_chunk(&self) -> Option<usize> {
         match self {
-            ReadChain::Whole { .. } | ReadChain::Pending { .. } => None,
+            ReadChain::Pending { .. } => None,
             ReadChain::GenPip(chain) => match &chain.phase {
                 GenPipPhase::Empty => None,
                 GenPipPhase::Qsr { samples, next } => samples.get(*next).copied(),
@@ -556,110 +552,6 @@ impl ReadChain {
             ReadChain::Conventional(chain) => (chain.idx < chain.specs.len()).then_some(chain.idx),
         }
     }
-
-    /// Describes the basecall the chain's *next* task will perform, if that
-    /// task starts with one — the contract [`prefetch_lane_batch`] batches
-    /// against. Materializes a [`ReadChain::Pending`] chain exactly as
-    /// [`ReadChain::step`] would have (same construction, same worker), so
-    /// peeking never changes what the chain computes. Returns `None` when
-    /// the next task does no basecalling (verdict/mapping tasks, chunks
-    /// already basecalled by QSR, undelivered earlier prefetches).
-    fn peek_basecall(&mut self, ctx: &RunContext) -> Option<PrefetchSpec> {
-        match self {
-            ReadChain::Whole { .. } => None,
-            ReadChain::Pending { read, er } => {
-                let read = read.take().expect("pending chain materialized once");
-                *self = match er {
-                    Some(er) => ReadChain::GenPip(Box::new(GenPipChain::new(ctx, *er, read))),
-                    None => ReadChain::Conventional(Box::new(ConvChain::new(ctx, read))),
-                };
-                self.peek_basecall(ctx)
-            }
-            ReadChain::GenPip(chain) => {
-                if chain.prefetched.is_some() {
-                    return None;
-                }
-                match &chain.phase {
-                    GenPipPhase::Empty => None,
-                    GenPipPhase::Qsr { samples, next } => {
-                        // QSR samples decode from scratch: no carry.
-                        let idx = samples[*next];
-                        let spec = chain.specs[idx];
-                        Some(PrefetchSpec {
-                            idx,
-                            start: spec.start,
-                            end: spec.end,
-                            carry: None,
-                        })
-                    }
-                    GenPipPhase::Sequential { idx } => {
-                        let idx = *idx;
-                        if chain.called.contains_key(&idx) {
-                            return None; // reuses a QSR-sampled chunk
-                        }
-                        let carry = if idx == 0 {
-                            None
-                        } else {
-                            chain.called[&(idx - 1)].carry
-                        };
-                        let spec = chain.specs[idx];
-                        Some(PrefetchSpec {
-                            idx,
-                            start: spec.start,
-                            end: spec.end,
-                            carry,
-                        })
-                    }
-                }
-            }
-            ReadChain::Conventional(chain) => {
-                if chain.prefetched.is_some() || chain.idx >= chain.specs.len() {
-                    return None;
-                }
-                let spec = chain.specs[chain.idx];
-                Some(PrefetchSpec {
-                    idx: chain.idx,
-                    start: spec.start,
-                    end: spec.end,
-                    carry: chain.decoder.carry(),
-                })
-            }
-        }
-    }
-
-    /// The read's raw signal, for slicing a peeked chunk's samples. `None`
-    /// until the chain has materialized (peek materializes first).
-    fn prefetch_signal(&self) -> Option<&[f32]> {
-        match self {
-            ReadChain::Whole { .. } | ReadChain::Pending { .. } => None,
-            ReadChain::GenPip(chain) => Some(&chain.read.signal.samples),
-            ReadChain::Conventional(chain) => Some(&chain.read.signal.samples),
-        }
-    }
-
-    /// Hands the chain a chunk basecalled ahead of time for chunk `idx`.
-    /// The chain's next task consumes it via [`basecall_chunk`]'s
-    /// `prefetched` path (adopting the decoder state it would have computed
-    /// itself); an index mismatch is dropped there, falling back to the
-    /// scalar decode — delivery is an optimization, never a correctness
-    /// dependency.
-    fn accept_prefetch(&mut self, idx: usize, chunk: BasecalledChunk) {
-        match self {
-            ReadChain::Whole { .. } | ReadChain::Pending { .. } => {}
-            ReadChain::GenPip(chain) => chain.prefetched = Some((idx, chunk)),
-            ReadChain::Conventional(chain) => chain.prefetched = Some((idx, chunk)),
-        }
-    }
-}
-
-/// What [`ReadChain::peek_basecall`] promises the chain's next task will
-/// decode: chunk `idx`, over `samples[start..end]`, resuming from `carry`.
-#[derive(Debug, Clone, Copy)]
-struct PrefetchSpec {
-    idx: usize,
-    start: usize,
-    end: usize,
-    carry: Option<CarryState>,
 }
 
 /// Where a [`GenPipChain`] is in the Figure 6 flow.
@@ -680,10 +572,9 @@ enum GenPipPhase {
     },
 }
 
-/// The parked state of one read in GenPIP's chunk-based pipeline: a direct
-/// decomposition of [`genpip_read`]'s locals into a movable struct, one loop
-/// iteration per task. Every mutation mirrors that function line for line —
-/// the cross-granularity bit-identity suites keep the two in lock-step.
+/// The parked state of one read in GenPIP's chunk-based pipeline (Figure 6):
+/// the flow's loop variables as a movable struct, one loop iteration per
+/// task.
 pub(crate) struct GenPipChain {
     read: SimulatedRead,
     er: ErMode,
@@ -697,10 +588,6 @@ pub(crate) struct GenPipChain {
     pairs: Vec<(IncrementalChainer, IncrementalChainer)>,
     cmr_checked: bool,
     phase: GenPipPhase,
-    /// A chunk basecalled ahead of time by [`prefetch_lane_batch`], waiting
-    /// for the chain's next task to consume it (keyed by chunk index so a
-    /// stale prefetch can never be mistaken for the right chunk).
-    prefetched: Option<(usize, BasecalledChunk)>,
 }
 
 impl GenPipChain {
@@ -746,7 +633,6 @@ impl GenPipChain {
             pairs,
             cmr_checked: false,
             phase,
-            prefetched: None,
         }
     }
 
@@ -776,14 +662,9 @@ impl GenPipChain {
                 next,
             } => {
                 // ER-QSR phase (Figure 6 ➊➋): one sample chunk per task,
-                // basecalled without carried state, exactly as in
-                // `genpip_read`.
+                // basecalled without carried state.
                 let run = self.run.as_mut().expect("chain not finished");
                 let idx = sample_idx[*next];
-                let prefetched = match self.prefetched.take() {
-                    Some((pidx, chunk)) if pidx == idx => Some(chunk),
-                    _ => None,
-                };
                 basecall_chunk(
                     ctx,
                     samples,
@@ -791,7 +672,6 @@ impl GenPipChain {
                     idx,
                     &mut self.decoder,
                     None,
-                    prefetched,
                     &mut self.called,
                     &mut run.chunks,
                     &mut scratch.call,
@@ -831,10 +711,6 @@ impl GenPipChain {
                     } else {
                         self.called[&(idx - 1)].carry
                     };
-                    let prefetched = match self.prefetched.take() {
-                        Some((pidx, chunk)) if pidx == idx => Some(chunk),
-                        _ => None,
-                    };
                     basecall_chunk(
                         ctx,
                         samples,
@@ -842,7 +718,6 @@ impl GenPipChain {
                         idx,
                         &mut self.decoder,
                         carry,
-                        prefetched,
                         &mut self.called,
                         &mut run.chunks,
                         &mut scratch.call,
@@ -947,8 +822,7 @@ impl GenPipChain {
 
 /// The parked state of one read in the conventional flow: basecalling split
 /// into per-chunk tasks (the decoder cursor still forces order), with QC and
-/// whole-read mapping folded into the final task — a direct decomposition of
-/// [`conventional_read`].
+/// whole-read mapping folded into the final task.
 pub(crate) struct ConvChain {
     read: SimulatedRead,
     specs: Vec<genpip_signal::ChunkSpec>,
@@ -958,8 +832,6 @@ pub(crate) struct ConvChain {
     quals: Vec<Phred>,
     aqs: AqsAccumulator,
     idx: usize,
-    /// See [`GenPipChain::prefetched`].
-    prefetched: Option<(usize, BasecalledChunk)>,
 }
 
 impl ConvChain {
@@ -974,7 +846,6 @@ impl ConvChain {
             quals: Vec::new(),
             aqs: AqsAccumulator::new(),
             idx: 0,
-            prefetched: None,
         }
     }
 
@@ -982,17 +853,11 @@ impl ConvChain {
         let mut units = 0u64;
         if self.idx < self.specs.len() {
             let spec = self.specs[self.idx];
-            let called = match self.prefetched.take() {
-                Some((pidx, chunk)) if pidx == self.idx => {
-                    self.decoder.adopt(&chunk);
-                    chunk
-                }
-                _ => self.decoder.call_next(
-                    &ctx.caller,
-                    &self.read.signal.samples[spec.start..spec.end],
-                    &mut scratch.call,
-                ),
-            };
+            let called = self.decoder.call_next(
+                &ctx.caller,
+                &self.read.signal.samples[spec.start..spec.end],
+                &mut scratch.call,
+            );
             self.aqs.add_chunk_sum(called.sqs, called.quals.len());
             self.chunks.push(ChunkWork {
                 index: spec.index,
@@ -1073,229 +938,10 @@ impl ConvChain {
     }
 }
 
-/// Runs a batch flow over a materialized dataset as a single-source
-/// [`Session`] and collects the in-order emissions into a preallocated
-/// vector — there is exactly one execution core, the session engine.
-fn run_batch(
-    dataset: &SimulatedDataset,
-    config: &GenPipConfig,
-    er: Option<ErMode>,
-) -> Vec<ReadRun> {
-    let mut config = config.clone();
-    // The legacy signatures never fail: clamp what Session would reject
-    // with SessionError::ZeroWorkers. The old `min(workers, reads)` clamp
-    // is gone — the engine spawns workers lazily from chunk-level
-    // occupancy, so a tiny dataset never materializes an idle pool.
-    let workers = config.parallelism.workers().max(1);
-    config.parallelism = crate::Parallelism::Threads(workers);
-    let flow = match er {
-        Some(er) => Flow::GenPip(er),
-        None => Flow::Conventional,
-    };
-    let mut reads: Vec<ReadRun> = Vec::with_capacity(dataset.reads.len());
-    Session::new(config)
-        .flow(flow)
-        .schedule(Schedule::Sequential)
-        .options(StreamOptions {
-            // The dataset is already resident, so a roomy queue costs only
-            // the in-flight clones and keeps workers from ever starving.
-            queue_capacity: 4 * workers,
-            ..StreamOptions::default()
-        })
-        .source("batch", dataset.stream())
-        .sink("batch", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads.push(run);
-            }
-        })
-        .run()
-        .expect("single-source batch session over clamped inputs is valid");
-    debug_assert!(reads.len() == dataset.reads.len());
-    reads
-}
-
-/// Runs the conventional pipeline (Figure 5a) over a dataset.
-///
-/// # Deprecated in favor of `Session`
-///
-/// This is a fixed single-source spelling of [`crate::engine::Session`]
-/// with [`Flow::Conventional`] and a `Vec` sink; prefer the builder for new
-/// code:
-///
-/// ```no_run
-/// use genpip_core::engine::{Flow, Session};
-/// use genpip_core::stream::StreamEvent;
-/// use genpip_core::GenPipConfig;
-/// use genpip_datasets::DatasetProfile;
-///
-/// let dataset = DatasetProfile::ecoli().scaled(0.05).generate();
-/// let mut reads = Vec::new();
-/// Session::new(GenPipConfig::for_dataset(&dataset.profile))
-///     .flow(Flow::Conventional)
-///     .source("batch", dataset.stream())
-///     .sink("batch", |event| {
-///         if let StreamEvent::Read(run) = event {
-///             reads.push(run);
-///         }
-///     })
-///     .run()
-///     .expect("valid session");
-/// ```
-#[deprecated(note = "use Session")]
-pub fn run_conventional(dataset: &SimulatedDataset, config: &GenPipConfig) -> PipelineRun {
-    batch_conventional(dataset, config)
-}
-
-/// Internal spelling of [`run_conventional`] for in-repo callers (systems
-/// models, experiments, calibration) that want a [`PipelineRun`] without
-/// tripping the deprecation lint.
-pub(crate) fn batch_conventional(dataset: &SimulatedDataset, config: &GenPipConfig) -> PipelineRun {
-    PipelineRun {
-        config: Arc::new(config.clone()),
-        er: ErMode::None,
-        chunked: false,
-        reads: run_batch(dataset, config, None),
-    }
-}
-
-fn conventional_read(
-    ctx: &RunContext,
-    id: u32,
-    samples: &[f32],
-    scratch: &mut WorkerScratch,
-) -> ReadRun {
-    let specs = chunk_boundaries(samples.len(), ctx.samples_per_chunk);
-    let mut chunks = Vec::with_capacity(specs.len());
-    let mut seq = DnaSeq::new();
-    let mut quals: Vec<Phred> = Vec::new();
-    let mut aqs = AqsAccumulator::new();
-    let mut decoder = genpip_basecall::ReadDecoder::new();
-    for spec in &specs {
-        let called = decoder.call_next(
-            &ctx.caller,
-            &samples[spec.start..spec.end],
-            &mut scratch.call,
-        );
-        aqs.add_chunk_sum(called.sqs, called.quals.len());
-        chunks.push(ChunkWork {
-            index: spec.index,
-            samples: called.stats.samples,
-            mvm_ops: called.stats.mvm_ops,
-            bases_called: called.bases.len(),
-            ..Default::default()
-        });
-        if ctx.config.keep_bases {
-            quals.extend_from_slice(&called.quals);
-        }
-        seq.extend_from_seq(&called.bases);
-    }
-
-    let full_aqs = aqs.average();
-    let mut run = ReadRun {
-        id,
-        outcome: ReadOutcome::FilteredQc { aqs: full_aqs },
-        total_chunks: specs.len(),
-        chunks,
-        signal_samples: samples.len(),
-        called_len: seq.len(),
-        full_aqs: Some(full_aqs),
-        best_chain_score: 0.0,
-        align_query_len: 0,
-        align_cells: 0,
-        map_counters: MappingCounters::default(),
-        called: None,
-        per_reference: Vec::new(),
-    };
-    if ctx.config.keep_bases {
-        run.called = Some(CalledBases {
-            seq: seq.clone(),
-            quals,
-        });
-    }
-    if full_aqs < ctx.config.theta_qs {
-        return run; // QC filters the read before mapping.
-    }
-
-    let result = ctx.refs.map_with(
-        &seq,
-        &mut scratch.seed,
-        &mut scratch.batches,
-        &mut scratch.pairs,
-    );
-    run.map_counters = result.counters;
-    run.best_chain_score = result.best_chain_score;
-    run.align_cells = result.counters.align_cells;
-    run.align_query_len = if result.counters.align_cells > 0 {
-        seq.len()
-    } else {
-        0
-    };
-    if ctx.refs.len() > 1 {
-        run.per_reference = result.per_reference;
-    }
-    run.outcome = match result.best {
-        Some(m) => ReadOutcome::Mapped(m),
-        None => ReadOutcome::Unmapped {
-            chain_score: result.best_chain_score,
-        },
-    };
-    run
-}
-
-/// Runs GenPIP's chunk-based pipeline (Figure 5b / Figure 6) over a dataset.
-///
-/// # Deprecated in favor of `Session`
-///
-/// This is a fixed single-source spelling of [`crate::engine::Session`]
-/// with [`Flow::GenPip`] and a `Vec` sink; the builder additionally serves
-/// multiple named sources over one worker pool with per-source sinks and a
-/// [`crate::scheduler::Schedule`]:
-///
-/// ```no_run
-/// use genpip_core::engine::{Flow, Session};
-/// use genpip_core::{ErMode, GenPipConfig};
-/// use genpip_datasets::DatasetProfile;
-///
-/// let dataset = DatasetProfile::ecoli().scaled(0.05).generate();
-/// let report = Session::new(GenPipConfig::for_dataset(&dataset.profile))
-///     .flow(Flow::GenPip(ErMode::Full))
-///     .source("batch", dataset.stream())
-///     .run()
-///     .expect("valid session");
-/// assert_eq!(report.outcomes.reads_emitted, dataset.reads.len());
-/// ```
-#[deprecated(note = "use Session")]
-pub fn run_genpip(dataset: &SimulatedDataset, config: &GenPipConfig, er: ErMode) -> PipelineRun {
-    batch_genpip(dataset, config, er)
-}
-
-/// Internal spelling of [`run_genpip`] for in-repo callers (systems models,
-/// experiments, calibration) that want a [`PipelineRun`] without tripping
-/// the deprecation lint.
-pub(crate) fn batch_genpip(
-    dataset: &SimulatedDataset,
-    config: &GenPipConfig,
-    er: ErMode,
-) -> PipelineRun {
-    PipelineRun {
-        config: Arc::new(config.clone()),
-        er,
-        chunked: true,
-        reads: run_batch(dataset, config, Some(er)),
-    }
-}
-
 /// Basecalls chunk `idx` of a read (one QSR sample or one sequential step)
-/// and records its work entry — the one basecall-bookkeeping path shared by
-/// [`genpip_read`] and [`GenPipChain`], so the chunk-vs-read bit-identity
-/// guarantee is structural, not coincidental. The decoder is repositioned
-/// to `carry` first (QSR samples decode from scratch; sequential chunks
-/// stitch to their predecessor).
-///
-/// When a lane batch already basecalled this chunk ([`prefetch_lane_batch`]),
-/// the decoded chunk arrives via `prefetched` and the decoder *adopts* it —
-/// same cursor state, zero recompute. The lane kernel is bit-identical to
-/// the scalar decode, so everything downstream is too.
+/// and records its work entry. The decoder is repositioned to `carry` first
+/// (QSR samples decode from scratch; sequential chunks stitch to their
+/// predecessor).
 #[allow(clippy::too_many_arguments)]
 fn basecall_chunk(
     ctx: &RunContext,
@@ -1304,20 +950,13 @@ fn basecall_chunk(
     idx: usize,
     decoder: &mut genpip_basecall::ReadDecoder,
     carry: Option<CarryState>,
-    prefetched: Option<BasecalledChunk>,
     called: &mut BTreeMap<usize, BasecalledChunk>,
     chunks: &mut Vec<ChunkWork>,
     call_scratch: &mut CallScratch,
 ) {
     decoder.resume_from(carry);
     let spec = specs[idx];
-    let chunk = match prefetched {
-        Some(chunk) => {
-            decoder.adopt(&chunk);
-            chunk
-        }
-        None => decoder.call_next(&ctx.caller, &samples[spec.start..spec.end], call_scratch),
-    };
+    let chunk = decoder.call_next(&ctx.caller, &samples[spec.start..spec.end], call_scratch);
     chunks.push(ChunkWork {
         index: idx,
         samples: chunk.stats.samples,
@@ -1326,296 +965,6 @@ fn basecall_chunk(
         ..Default::default()
     });
     called.insert(idx, chunk);
-}
-
-/// The engine's lane-batch hook: a worker drained up to W dispatchable
-/// chunk tasks into one batch; decode their next chunks *together* through
-/// the SoA lane-batched Viterbi kernel and hand each chain its finished
-/// chunk before the tasks are stepped one by one. Pure optimization —
-/// bit-identity is the lane kernel's contract (asserted by the basecall
-/// crate's suites and the cross-width suites over this path), and any task
-/// that cannot join a batch (its next task does no basecalling, its samples
-/// are non-finite, its source's lane width is 1) simply falls through to
-/// its unchanged scalar step.
-pub(crate) fn prefetch_lane_batch(
-    contexts: &RwLock<Vec<Arc<RunContext>>>,
-    scratch: &mut Vec<Option<WorkerScratch>>,
-    tasks: &mut [crate::engine::Task<ReadChain>],
-) {
-    // Group tasks per engine lane (source): each source has its own context
-    // — basecaller, chunk geometry, lane-width override — so chunks only
-    // batch within one. Everything is stack-bounded: the engine never
-    // drains more than the session lane width ≤ MAX_LANES tasks.
-    let n = tasks.len().min(MAX_LANES);
-    let mut lanes_seen = [usize::MAX; MAX_LANES];
-    let mut n_seen = 0usize;
-    for task in tasks[..n].iter() {
-        if !lanes_seen[..n_seen].contains(&task.lane) {
-            lanes_seen[n_seen] = task.lane;
-            n_seen += 1;
-        }
-    }
-    for &lane in &lanes_seen[..n_seen] {
-        let ctx = Arc::clone(&contexts.read().expect("contexts poisoned")[lane]);
-        let width = ctx.config.lanes.width();
-        if width < 2 {
-            continue;
-        }
-        // Pass A (one mutable chain at a time): peek what each of the
-        // lane's tasks would basecall next.
-        let mut members = [usize::MAX; MAX_LANES];
-        let mut specs = [None::<PrefetchSpec>; MAX_LANES];
-        let mut n_members = 0usize;
-        for (i, task) in tasks[..n].iter_mut().enumerate() {
-            if task.lane != lane {
-                continue;
-            }
-            if n_members == width {
-                break;
-            }
-            specs[n_members] = task.chain.peek_basecall(&ctx);
-            members[n_members] = i;
-            n_members += 1;
-        }
-        // Pass B (simultaneous shared borrows): assemble the lane jobs over
-        // the chains' signal slices. Non-finite samples are excluded here —
-        // not faulted — so a corrupt chunk panics inside its *own* task's
-        // scalar step and the engine attributes the fault to the right read.
-        let mut jobs = [ChunkJob::default(); MAX_LANES];
-        let mut job_member = [usize::MAX; MAX_LANES];
-        let mut eligible = 0usize;
-        for m in 0..n_members {
-            let Some(spec) = specs[m] else { continue };
-            let Some(signal) = tasks[members[m]].chain.prefetch_signal() else {
-                continue;
-            };
-            let samples = &signal[spec.start..spec.end];
-            if samples.iter().any(|x| !x.is_finite()) {
-                continue;
-            }
-            jobs[eligible] = ChunkJob {
-                samples,
-                carry: spec.carry,
-            };
-            job_member[eligible] = m;
-            eligible += 1;
-        }
-        if eligible < 2 {
-            continue; // a lone chunk gains nothing over its scalar step
-        }
-        if scratch.len() <= lane {
-            scratch.resize_with(lane + 1, || None);
-        }
-        let slot = scratch[lane].get_or_insert_with(|| WorkerScratch::new(&ctx));
-        LaneDecoder::new(width).call_batch(
-            &ctx.caller,
-            &jobs[..eligible],
-            &mut slot.lanes,
-            &mut slot.lane_chunks,
-        );
-        // Pass C (mutable again): deliver the decoded chunks, in job order.
-        for (j, chunk) in slot.lane_chunks.drain(..).enumerate() {
-            let m = job_member[j];
-            let spec = specs[m].expect("eligible job had a spec");
-            tasks[members[m]].chain.accept_prefetch(spec.idx, chunk);
-        }
-    }
-}
-
-fn genpip_read(
-    ctx: &RunContext,
-    id: u32,
-    samples: &[f32],
-    er: ErMode,
-    scratch: &mut WorkerScratch,
-) -> ReadRun {
-    let specs = chunk_boundaries(samples.len(), ctx.samples_per_chunk);
-    let total = specs.len();
-    let mut run = ReadRun {
-        id,
-        outcome: ReadOutcome::FilteredQc { aqs: 0.0 },
-        total_chunks: total,
-        chunks: Vec::new(),
-        signal_samples: samples.len(),
-        called_len: 0,
-        full_aqs: None,
-        best_chain_score: 0.0,
-        align_query_len: 0,
-        align_cells: 0,
-        map_counters: MappingCounters::default(),
-        called: None,
-        per_reference: Vec::new(),
-    };
-    if total == 0 {
-        run.outcome = match er {
-            ErMode::None => ReadOutcome::FilteredQc { aqs: 0.0 },
-            _ => ReadOutcome::RejectedQsr { sampled_aqs: 0.0 },
-        };
-        return run;
-    }
-
-    // Chunks basecalled so far, by index.
-    let mut called: BTreeMap<usize, BasecalledChunk> = BTreeMap::new();
-    let mut decoder = genpip_basecall::ReadDecoder::new();
-
-    // ER-QSR phase: basecall the evenly-spaced sample chunks and check their
-    // quality (paper Figure 6 ➊➋).
-    if er != ErMode::None {
-        let sample_idx = qsr_sample_indices(total, ctx.config.n_qs);
-        for &idx in &sample_idx {
-            basecall_chunk(
-                ctx,
-                samples,
-                &specs,
-                idx,
-                &mut decoder,
-                None,
-                None,
-                &mut called,
-                &mut run.chunks,
-                &mut scratch.call,
-            );
-        }
-        let sampled: Vec<(f64, usize)> = sample_idx
-            .iter()
-            .map(|idx| {
-                let c = &called[idx];
-                (c.sqs, c.quals.len())
-            })
-            .collect();
-        let decision = qsr_check(&sampled, ctx.config.theta_qs);
-        run.called_len = called.values().map(|c| c.bases.len()).sum();
-        if decision.reject {
-            run.outcome = ReadOutcome::RejectedQsr {
-                sampled_aqs: decision.sampled_aqs,
-            };
-            return run;
-        }
-    }
-
-    // Sequential CP pass: basecall (or reuse) chunks in order; every chunk
-    // immediately goes through quality accumulation, seeding, and
-    // incremental chaining. The chainer pairs (one per reference) are
-    // worker-local and reset per read, so steady-state chaining reuses
-    // their buffers.
-    for (fwd, rev) in scratch.pairs.iter_mut() {
-        fwd.reset();
-        rev.reset();
-    }
-    let mut seq = DnaSeq::new();
-    let mut quals: Vec<Phred> = Vec::new();
-    let mut aqs = AqsAccumulator::new();
-    let mut cmr_checked = false;
-    for idx in 0..total {
-        if !called.contains_key(&idx) {
-            let carry = if idx == 0 {
-                None
-            } else {
-                called[&(idx - 1)].carry
-            };
-            basecall_chunk(
-                ctx,
-                samples,
-                &specs,
-                idx,
-                &mut decoder,
-                carry,
-                None,
-                &mut called,
-                &mut run.chunks,
-                &mut scratch.call,
-            );
-        }
-        let offset = seq.len() as u64;
-        let chunk = &called[&idx];
-        let n_mins = ctx.refs.sketch_and_seed_into(
-            &chunk.bases,
-            offset,
-            &mut scratch.seed,
-            &mut scratch.batches,
-        );
-        let mut queries = 0usize;
-        let mut anchors = 0usize;
-        let mut chain_evals = 0usize;
-        for (batch, (fwd, rev)) in scratch.batches.iter().zip(scratch.pairs.iter_mut()) {
-            let evals_before = fwd.dp_evaluations() + rev.dp_evaluations();
-            fwd.extend(&batch.forward);
-            rev.extend(&batch.reverse);
-            chain_evals += fwd.dp_evaluations() + rev.dp_evaluations() - evals_before;
-            queries += batch.queries;
-            anchors += batch.hits;
-        }
-        run.chunks.push(ChunkWork {
-            index: idx,
-            seed_bases: chunk.bases.len(),
-            minimizers: n_mins,
-            anchors,
-            chain_evals,
-            ..Default::default()
-        });
-        run.map_counters.minimizers += n_mins;
-        run.map_counters.seed_queries += queries;
-        run.map_counters.anchors += anchors;
-        run.map_counters.chain_evals += chain_evals;
-        aqs.add_chunk_sum(chunk.sqs, chunk.quals.len());
-        if ctx.config.keep_bases {
-            quals.extend_from_slice(&chunk.quals);
-        }
-        seq.extend_from_seq(&chunk.bases);
-
-        // ER-CMR: after the first N_cm chunks are chained, check whether the
-        // accumulated chaining score says the read will map (Figure 6 ➍➎).
-        // Short reads with ≤ N_cm chunks fall through to the whole-read
-        // check instead.
-        if er == ErMode::Full
-            && !cmr_checked
-            && idx + 1 == ctx.config.n_cm
-            && total > ctx.config.n_cm
-        {
-            cmr_checked = true;
-            let score = best_pair_score(&scratch.pairs);
-            let decision = cmr_check(score, ctx.config.theta_cm);
-            if decision.reject {
-                run.called_len = called.values().map(|c| c.bases.len()).sum();
-                run.best_chain_score = score;
-                run.outcome = ReadOutcome::RejectedCmr { chain_score: score };
-                return run;
-            }
-        }
-    }
-
-    run.called_len = seq.len();
-    if ctx.config.keep_bases {
-        run.called = Some(CalledBases {
-            seq: seq.clone(),
-            quals,
-        });
-    }
-    let full_aqs = aqs.average();
-    run.full_aqs = Some(full_aqs);
-    run.best_chain_score = best_pair_score(&scratch.pairs);
-    if full_aqs < ctx.config.theta_qs {
-        // Whole-read quality control (the AQS calculator's final check).
-        run.outcome = ReadOutcome::FilteredQc { aqs: full_aqs };
-        return run;
-    }
-
-    let (per_reference, mapping, best_score, align_cells) =
-        ctx.refs.finalize_mapping(&seq, &scratch.pairs);
-    if ctx.refs.len() > 1 {
-        run.per_reference = per_reference;
-    }
-    run.best_chain_score = best_score;
-    run.align_cells = align_cells;
-    run.map_counters.align_cells = align_cells;
-    run.align_query_len = if align_cells > 0 { seq.len() } else { 0 };
-    run.outcome = match mapping {
-        Some(m) => ReadOutcome::Mapped(m),
-        None => ReadOutcome::Unmapped {
-            chain_score: best_score,
-        },
-    };
-    run
 }
 
 #[cfg(test)]
@@ -1637,14 +986,14 @@ mod tests {
         let threads = base.clone().with_parallelism(Parallelism::Threads(4));
         let auto = base.with_parallelism(Parallelism::Auto);
         for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
-            let a = batch_genpip(&d, &serial, er);
-            let b = batch_genpip(&d, &threads, er);
-            let c = batch_genpip(&d, &auto, er);
+            let a = PipelineRun::collect(&d, &serial, Flow::GenPip(er));
+            let b = PipelineRun::collect(&d, &threads, Flow::GenPip(er));
+            let c = PipelineRun::collect(&d, &auto, Flow::GenPip(er));
             assert_eq!(a.reads, b.reads, "serial vs 4 threads, {er:?}");
             assert_eq!(a.reads, c.reads, "serial vs auto, {er:?}");
         }
-        let a = batch_conventional(&d, &serial);
-        let b = batch_conventional(&d, &threads);
+        let a = PipelineRun::collect(&d, &serial, Flow::Conventional);
+        let b = PipelineRun::collect(&d, &threads, Flow::Conventional);
         assert_eq!(a.reads, b.reads, "conventional serial vs 4 threads");
     }
 
@@ -1656,16 +1005,15 @@ mod tests {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Serial);
         let ctx = RunContext::from_source(&d.stream(), &config);
-        let shared = batch_genpip(&d, &config, ErMode::Full);
+        let shared = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         for (read, run) in d.reads.iter().zip(&shared.reads) {
             let mut fresh = WorkerScratch::new(&ctx);
-            let alone = genpip_read(
-                &ctx,
-                read.id,
-                &read.signal.samples,
-                ErMode::Full,
-                &mut fresh,
-            );
+            let mut chain = ReadChain::new(Some(ErMode::Full), read.clone());
+            let alone = loop {
+                if let ChainStep::Finished { output, .. } = chain.step(&ctx, &mut fresh) {
+                    break output;
+                }
+            };
             assert_eq!(&alone, run, "read {}", read.id);
         }
     }
@@ -1674,7 +1022,7 @@ mod tests {
     fn conventional_processes_every_chunk() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let run = batch_conventional(&d, &config);
+        let run = PipelineRun::collect(&d, &config, Flow::Conventional);
         assert_eq!(run.reads.len(), d.reads.len());
         for r in &run.reads {
             assert_eq!(r.chunks.len(), r.total_chunks);
@@ -1688,7 +1036,7 @@ mod tests {
     fn conventional_outcomes_are_sane() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let run = batch_conventional(&d, &config);
+        let run = PipelineRun::collect(&d, &config, Flow::Conventional);
         let t = run.totals();
         // Most reference-origin, good-quality reads must map.
         let mut mappable = 0usize;
@@ -1717,7 +1065,7 @@ mod tests {
     fn mapped_reads_land_on_their_true_origin() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let run = batch_conventional(&d, &config);
+        let run = PipelineRun::collect(&d, &config, Flow::Conventional);
         let mut checked = 0usize;
         let mut correct = 0usize;
         for (rr, sr) in run.reads.iter().zip(&d.reads) {
@@ -1742,8 +1090,8 @@ mod tests {
     fn cp_without_er_matches_conventional_outcomes() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let conv = batch_conventional(&d, &config);
-        let cp = batch_genpip(&d, &config, ErMode::None);
+        let conv = PipelineRun::collect(&d, &config, Flow::Conventional);
+        let cp = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None));
         assert!(cp.chunked);
         let mut agree = 0usize;
         for (a, b) in conv.reads.iter().zip(&cp.reads) {
@@ -1773,7 +1121,7 @@ mod tests {
     fn cp_basecalls_everything_once() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let cp = batch_genpip(&d, &config, ErMode::None);
+        let cp = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None));
         for r in &cp.reads {
             assert_eq!(r.basecalled_samples(), r.signal_samples, "read {}", r.id);
             // Every chunk appears exactly twice: one basecall entry and one
@@ -1786,8 +1134,8 @@ mod tests {
     fn qsr_saves_work_on_low_quality_reads() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let full = batch_genpip(&d, &config, ErMode::None);
-        let qsr = batch_genpip(&d, &config, ErMode::QsrOnly);
+        let full = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None));
+        let qsr = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::QsrOnly));
         let rejected = qsr.count_outcomes(ReadOutcome::is_early_rejected);
         assert!(rejected > 0, "no reads rejected by QSR");
         let full_samples = full.totals().samples;
@@ -1809,7 +1157,7 @@ mod tests {
     fn cmr_rejects_contaminants() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let run = batch_genpip(&d, &config, ErMode::Full);
+        let run = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         let mut cmr_rejected = 0usize;
         let mut cmr_rejected_contaminant = 0usize;
         for (rr, sr) in run.reads.iter().zip(&d.reads) {
@@ -1831,8 +1179,8 @@ mod tests {
     fn er_only_removes_reads_never_changes_survivors() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let cp = batch_genpip(&d, &config, ErMode::None);
-        let er = batch_genpip(&d, &config, ErMode::Full);
+        let cp = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None));
+        let er = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         for (a, b) in cp.reads.iter().zip(&er.reads) {
             if !b.outcome.is_early_rejected() {
                 // A survivor must map to the same place. Sampled chunks are
@@ -1865,7 +1213,7 @@ mod tests {
     fn totals_are_internally_consistent() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let run = batch_genpip(&d, &config, ErMode::Full);
+        let run = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         let t = run.totals();
         assert_eq!(t.reads, d.reads.len());
         assert!(t.samples <= d.total_samples());

@@ -18,8 +18,8 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Schedule {
     /// Drain sources one at a time, in registration order — source 1 pulls
-    /// nothing until source 0 is exhausted. The single-source behaviour of
-    /// the legacy `run_*` drivers, generalized.
+    /// nothing until source 0 is exhausted. What
+    /// [`crate::PipelineRun::collect`] uses for its one source.
     Sequential,
     /// Round-robin over the non-exhausted sources: every source gets one
     /// pull per cycle, so N equally long sources finish together.

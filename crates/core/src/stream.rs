@@ -1,27 +1,12 @@
-//! Streaming vocabulary and the legacy single-source streaming drivers.
-//!
-//! This module owns the types every streaming consumer speaks —
-//! [`StreamOptions`], [`StreamEvent`], [`ProgressSnapshot`],
-//! [`StreamSummary`] — plus the original single-source entry points
-//! [`run_genpip_streaming`] and [`run_conventional_streaming`]. Since the
-//! `Session` redesign these drivers are one-expression wrappers over
-//! [`crate::engine::Session`]: they register the caller's source under a
-//! single id, forward every event to the caller's sink, and flatten the
-//! [`crate::engine::SessionReport`] back into the original
-//! [`StreamSummary`]. All of their guarantees (bounded memory, in-order
-//! emission, bit-identity with the batch drivers for every [`ErMode`] and
-//! [`crate::Parallelism`]) are now *session* guarantees — see the
+//! Streaming vocabulary: the types every [`crate::engine::Session`]
+//! consumer speaks — [`StreamOptions`], [`StreamEvent`],
+//! [`ProgressSnapshot`], [`StreamSummary`] — plus [`FastqSink`], the
+//! on-disk half of a streaming session. The guarantees these types describe
+//! (bounded memory, in-order emission, bit-identity across every
+//! [`crate::Parallelism`]) are *session* guarantees — see the
 //! [`crate::engine`] module docs for the execution model.
-//!
-//! New code should build a [`crate::engine::Session`] directly: it accepts
-//! multiple named sources with per-source sinks and a scheduling policy,
-//! which these fixed signatures cannot express.
 
-use crate::config::{GenPipConfig, Parallelism};
-use crate::engine::{Flow, Session};
-use crate::pipeline::{ErMode, ReadOutcome, ReadRun, WorkloadTotals};
-use crate::scheduler::Schedule;
-use genpip_datasets::ReadSource;
+use crate::pipeline::{ReadOutcome, ReadRun, WorkloadTotals};
 use genpip_genomics::fastx::FastqWriter;
 use std::io;
 
@@ -35,9 +20,7 @@ pub struct StreamOptions {
     /// whole pipeline rather than each channel separately, and an
     /// early-rejected read leaves the bound at its verdict (see
     /// [`StreamSummary::max_in_flight`]). A `Session` rejects 0 with a
-    /// typed error ([`crate::engine::SessionError::ZeroQueueCapacity`]);
-    /// the legacy `run_*` wrappers clamp it to 1 instead, as they always
-    /// did.
+    /// typed error ([`crate::engine::SessionError::ZeroQueueCapacity`]).
     pub queue_capacity: usize,
     /// Emit a [`ProgressSnapshot`] through the sink every this many reads
     /// (0 disables snapshots). In a multi-source session the cadence is per
@@ -53,8 +36,7 @@ pub struct StreamOptions {
     /// drains. Peak backlog can transiently exceed the bound by at most the
     /// in-flight limit (already-resident chains may each add one record
     /// after admission stops). A `Session` rejects 0 with a typed error
-    /// ([`crate::engine::SessionError::ZeroRejectBacklog`]); the legacy
-    /// wrappers clamp it to 1.
+    /// ([`crate::engine::SessionError::ZeroRejectBacklog`]).
     pub reject_backlog: usize,
     /// Admission control for live sessions: the most sources that may be
     /// attached (builder-registered plus control-plane
@@ -139,8 +121,8 @@ pub struct ReadFault {
     pub kind: FaultKind,
     /// The panic payload, rendered as a string.
     pub message: String,
-    /// Chunk index the fault struck at, when the chain knows (whole-read
-    /// granularity reports `None`).
+    /// Chunk index the fault struck at, when the chain knows (`None` only
+    /// for a read that faulted before its chunk geometry was built).
     pub chunk: Option<usize>,
     /// Attempts consumed before quarantine (1 = failed on first try with no
     /// retry budget; `1 + n` under `FaultPolicy::Retry { attempts: n }`).
@@ -258,54 +240,6 @@ pub struct StreamSummary {
     pub retried: usize,
     /// Read-residency percentiles (see [`LatencyStats`]).
     pub latency: LatencyStats,
-}
-
-/// The id the legacy wrappers register their single source under.
-const LEGACY_SOURCE: &str = "stream";
-
-/// Preserves the legacy drivers' never-fail semantics: inputs a `Session`
-/// rejects with a typed error are clamped to the nearest valid value, as
-/// the pre-`Session` engine always did.
-fn clamp_legacy(config: &GenPipConfig, opts: &StreamOptions) -> (GenPipConfig, StreamOptions) {
-    let mut config = config.clone();
-    if matches!(config.parallelism, Parallelism::Threads(0)) {
-        config.parallelism = Parallelism::Threads(1);
-    }
-    let opts = StreamOptions {
-        queue_capacity: opts.queue_capacity.max(1),
-        reject_backlog: opts.reject_backlog.max(1),
-        max_sources: opts.max_sources.max(1),
-        ..*opts
-    };
-    (config, opts)
-}
-
-fn run_streaming<S: ReadSource + Send>(
-    source: &mut S,
-    config: &GenPipConfig,
-    flow: Flow,
-    opts: &StreamOptions,
-    sink: &mut dyn FnMut(StreamEvent),
-) -> StreamSummary {
-    let (config, opts) = clamp_legacy(config, opts);
-    let workers = config.parallelism.workers().max(1);
-    let report = Session::new(config)
-        .flow(flow)
-        .schedule(Schedule::Sequential)
-        .options(opts)
-        .source(LEGACY_SOURCE, &mut *source)
-        .sink(LEGACY_SOURCE, sink)
-        .run()
-        .expect("legacy streaming inputs are pre-clamped to valid values");
-    StreamSummary {
-        outcomes: report.outcomes,
-        totals: report.totals,
-        workers,
-        in_flight_limit: report.in_flight_limit,
-        max_in_flight: report.max_in_flight,
-        retried: report.retried,
-        latency: report.latency,
-    }
 }
 
 /// A [`StreamEvent`] consumer that writes every fully-basecalled read as a
@@ -435,113 +369,31 @@ impl<W: io::Write> FastqSink<W> {
     }
 }
 
-/// Streams GenPIP's chunk-based pipeline (Figure 5b / Figure 6) over any
-/// [`ReadSource`], delivering each [`ReadRun`] through `sink` in read order
-/// the moment it (and every earlier read) is done.
-///
-/// Produces bit-identical `ReadRun`s — and therefore bit-identical
-/// [`ReadOutcome`]s — to [`crate::pipeline::run_genpip`] on the same reads,
-/// for every [`ErMode`] and [`crate::Parallelism`] setting, while keeping at
-/// most `queue_capacity + workers` reads in memory.
-///
-/// # Deprecated in favor of `Session`
-///
-/// This is a fixed single-source spelling of [`crate::engine::Session`];
-/// prefer the builder, which also handles multiple sources, per-source
-/// sinks, and scheduling policies:
-///
-/// ```no_run
-/// use genpip_core::engine::{Flow, Session};
-/// use genpip_core::stream::StreamEvent;
-/// use genpip_core::{ErMode, GenPipConfig};
-/// use genpip_datasets::{DatasetProfile, StreamingSimulator};
-///
-/// let profile = DatasetProfile::ecoli().scaled(0.05);
-/// let report = Session::new(GenPipConfig::for_dataset(&profile))
-///     .flow(Flow::GenPip(ErMode::Full))
-///     .source("run", StreamingSimulator::new(&profile))
-///     .sink("run", |event| {
-///         if let StreamEvent::Read(run) = event {
-///             println!("read {} done", run.id);
-///         }
-///     })
-///     .run()
-///     .expect("valid session");
-/// assert!(report.max_in_flight <= report.in_flight_limit);
-/// ```
-#[deprecated(note = "use Session")]
-pub fn run_genpip_streaming<S: ReadSource + Send>(
-    source: &mut S,
-    config: &GenPipConfig,
-    er: ErMode,
-    opts: &StreamOptions,
-    mut sink: impl FnMut(StreamEvent),
-) -> StreamSummary {
-    run_streaming(source, config, Flow::GenPip(er), opts, &mut sink)
-}
-
-/// Streams the conventional whole-read pipeline (Figure 5a) over any
-/// [`ReadSource`] — the streaming twin of
-/// [`crate::pipeline::run_conventional`], with the same bit-identity and
-/// memory-bound guarantees as [`run_genpip_streaming`].
-///
-/// # Deprecated in favor of `Session`
-///
-/// Equivalent to a single-source [`crate::engine::Session`] with
-/// [`Flow::Conventional`]:
-///
-/// ```no_run
-/// use genpip_core::engine::{Flow, Session};
-/// use genpip_core::GenPipConfig;
-/// use genpip_datasets::{DatasetProfile, StreamingSimulator};
-///
-/// let profile = DatasetProfile::ecoli().scaled(0.05);
-/// let report = Session::new(GenPipConfig::for_dataset(&profile))
-///     .flow(Flow::Conventional)
-///     .source("run", StreamingSimulator::new(&profile))
-///     .run()
-///     .expect("valid session");
-/// assert_eq!(report.sources.len(), 1);
-/// ```
-#[deprecated(note = "use Session")]
-pub fn run_conventional_streaming<S: ReadSource + Send>(
-    source: &mut S,
-    config: &GenPipConfig,
-    opts: &StreamOptions,
-    mut sink: impl FnMut(StreamEvent),
-) -> StreamSummary {
-    run_streaming(source, config, Flow::Conventional, opts, &mut sink)
-}
-
-// The identity oracle below deliberately exercises the deprecated wrappers
-// against the batch path: they stay the frozen reference spellings until
-// they are removed.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::config::Parallelism;
-    use crate::pipeline::run_genpip;
-    use genpip_datasets::{DatasetProfile, SimulatedDataset};
+    use crate::config::{GenPipConfig, Parallelism};
+    use crate::engine::{Flow, Session, SessionReport};
+    use crate::pipeline::{ErMode, PipelineRun};
+    use genpip_datasets::{DatasetProfile, ReadSource, SimulatedDataset};
 
     fn dataset() -> SimulatedDataset {
         DatasetProfile::ecoli().scaled(0.03).generate()
     }
 
     fn collect_streaming(
-        dataset: &SimulatedDataset,
+        source: impl ReadSource + Send,
         config: &GenPipConfig,
-        er: ErMode,
-        opts: &StreamOptions,
-    ) -> (Vec<ReadRun>, StreamSummary) {
-        let mut reads = Vec::new();
-        let mut source = dataset.stream();
-        let summary = run_genpip_streaming(&mut source, config, er, opts, |event| {
-            if let StreamEvent::Read(run) = event {
-                reads.push(run);
-            }
-        });
-        (reads, summary)
+        opts: StreamOptions,
+        mut sink: impl FnMut(StreamEvent),
+    ) -> SessionReport {
+        Session::new(config.clone())
+            .flow(Flow::GenPip(ErMode::Full))
+            .options(opts)
+            .source("stream", source)
+            .sink("stream", &mut sink)
+            .run()
+            .expect("valid session")
     }
 
     #[test]
@@ -550,20 +402,25 @@ mod tests {
         let base = GenPipConfig::for_dataset(&d.profile);
         for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
             let config = base.clone().with_parallelism(parallelism);
-            let batch = run_genpip(&d, &config, ErMode::Full);
+            let batch = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
             let opts = StreamOptions {
                 queue_capacity: 2,
                 ..StreamOptions::default()
             };
-            let (reads, summary) = collect_streaming(&d, &config, ErMode::Full, &opts);
+            let mut reads = Vec::new();
+            let report = collect_streaming(d.stream(), &config, opts, |event| {
+                if let StreamEvent::Read(run) = event {
+                    reads.push(run);
+                }
+            });
             assert_eq!(reads, batch.reads, "{parallelism:?}");
-            assert_eq!(summary.totals, batch.totals(), "{parallelism:?}");
-            assert_eq!(summary.outcomes.reads_emitted, d.reads.len());
+            assert_eq!(report.totals, batch.totals(), "{parallelism:?}");
+            assert_eq!(report.outcomes.reads_emitted, d.reads.len());
             assert!(
-                summary.max_in_flight <= summary.in_flight_limit,
+                report.max_in_flight <= report.in_flight_limit,
                 "{parallelism:?}: {} in flight, limit {}",
-                summary.max_in_flight,
-                summary.in_flight_limit
+                report.max_in_flight,
+                report.in_flight_limit
             );
         }
     }
@@ -572,28 +429,10 @@ mod tests {
     fn serial_streaming_keeps_one_read_in_flight() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Serial);
-        let (_, summary) = collect_streaming(&d, &config, ErMode::Full, &StreamOptions::default());
-        assert_eq!(summary.workers, 1);
-        assert_eq!(summary.in_flight_limit, 1);
-        assert_eq!(summary.max_in_flight, 1);
-    }
-
-    #[test]
-    fn legacy_wrappers_clamp_invalid_inputs_instead_of_erroring() {
-        // The Session API rejects these with a typed error; the legacy
-        // signatures (which cannot return errors) keep their historical
-        // clamping behaviour.
-        let d = dataset();
-        let config =
-            GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Threads(0));
-        let opts = StreamOptions {
-            queue_capacity: 0,
-            reject_backlog: 0,
-            ..StreamOptions::default()
-        };
-        let (reads, summary) = collect_streaming(&d, &config, ErMode::Full, &opts);
-        assert_eq!(reads.len(), d.reads.len());
-        assert_eq!(summary.workers, 1);
+        let report = collect_streaming(d.stream(), &config, StreamOptions::default(), |_| {});
+        assert_eq!(report.workers, 1);
+        assert_eq!(report.in_flight_limit, 1);
+        assert_eq!(report.max_in_flight, 1);
     }
 
     #[test]
@@ -609,30 +448,22 @@ mod tests {
         };
         let mut snapshots = Vec::new();
         let mut reads_seen = 0usize;
-        let mut source = d.stream();
-        let summary =
-            run_genpip_streaming(
-                &mut source,
-                &config,
-                ErMode::Full,
-                &opts,
-                |event| match event {
-                    StreamEvent::Read(_) => reads_seen += 1,
-                    StreamEvent::Progress(snap) => {
-                        assert_eq!(snap.reads_emitted, reads_seen, "snapshot lags its read");
-                        snapshots.push(snap);
-                    }
-                    StreamEvent::Failed { fault, .. } => {
-                        panic!("fault-free run emitted a failure: {fault}")
-                    }
-                },
-            );
+        let report = collect_streaming(d.stream(), &config, opts, |event| match event {
+            StreamEvent::Read(_) => reads_seen += 1,
+            StreamEvent::Progress(snap) => {
+                assert_eq!(snap.reads_emitted, reads_seen, "snapshot lags its read");
+                snapshots.push(snap);
+            }
+            StreamEvent::Failed { fault, .. } => {
+                panic!("fault-free run emitted a failure: {fault}")
+            }
+        });
         assert_eq!(snapshots.len(), d.reads.len() / every);
         for pair in snapshots.windows(2) {
             assert!(pair[1].reads_emitted == pair[0].reads_emitted + every);
             assert!(pair[1].samples_basecalled >= pair[0].samples_basecalled);
         }
-        let f = summary.outcomes;
+        let f = report.outcomes;
         assert_eq!(
             f.mapped + f.rejected_qsr + f.rejected_cmr + f.filtered_qc + f.unmapped,
             f.reads_emitted
@@ -660,20 +491,16 @@ mod tests {
                 None
             }
         }
-        let mut source = Empty(d.stream());
         let mut events = 0usize;
-        let summary = run_genpip_streaming(
-            &mut source,
-            &config,
-            ErMode::Full,
-            &StreamOptions::default(),
-            |_| events += 1,
-        );
+        let report =
+            collect_streaming(Empty(d.stream()), &config, StreamOptions::default(), |_| {
+                events += 1
+            });
         assert_eq!(events, 0);
-        assert_eq!(summary.outcomes, ProgressSnapshot::default());
+        assert_eq!(report.outcomes, ProgressSnapshot::default());
         // The feeder holds one permit while probing the (empty) source — a
         // read being pulled counts as in flight — so the high-water mark is
         // at most the probe itself.
-        assert!(summary.max_in_flight <= 1);
+        assert!(report.max_in_flight <= 1);
     }
 }

@@ -246,7 +246,8 @@ pub fn evaluate_pim_baseline(
 mod tests {
     use super::*;
     use crate::config::GenPipConfig;
-    use crate::pipeline::{batch_conventional, batch_genpip, ErMode};
+    use crate::engine::Flow;
+    use crate::pipeline::{ErMode, PipelineRun};
     use genpip_datasets::DatasetProfile;
 
     struct Setup {
@@ -261,9 +262,9 @@ mod tests {
         let d = DatasetProfile::ecoli().scaled(0.08).generate();
         let config = GenPipConfig::for_dataset(&d.profile);
         Setup {
-            conventional: batch_conventional(&d, &config),
-            cp: batch_genpip(&d, &config, ErMode::None),
-            full: batch_genpip(&d, &config, ErMode::Full),
+            conventional: PipelineRun::collect(&d, &config, Flow::Conventional),
+            cp: PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None)),
+            full: PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full)),
             costs: SoftwareCosts::calibrated(),
             tech: PimTech::paper_32nm(),
         }

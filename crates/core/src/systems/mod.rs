@@ -8,8 +8,8 @@
 //!
 //! | workload | produced by | consumed by |
 //! |---|---|---|
-//! | conventional | [`crate::pipeline::run_conventional`] | CPU, GPU, PIM |
-//! | CP | [`crate::pipeline::run_genpip`] + [`ErMode::None`] | CPU-CP, GPU-CP, GenPIP-CP |
+//! | conventional | [`crate::engine::Flow::Conventional`] | CPU, GPU, PIM |
+//! | CP | [`crate::engine::Flow::GenPip`] + [`ErMode::None`] | CPU-CP, GPU-CP, GenPIP-CP |
 //! | CP+QSR | [`ErMode::QsrOnly`] | GenPIP-CP-QSR |
 //! | CP+ER | [`ErMode::Full`] | CPU-GP, GPU-GP, GenPIP |
 
@@ -19,7 +19,8 @@ pub mod potential;
 pub mod software;
 
 use crate::config::GenPipConfig;
-use crate::pipeline::{batch_conventional, batch_genpip, ErMode, PipelineRun};
+use crate::engine::Flow;
+use crate::pipeline::{ErMode, PipelineRun};
 use genpip_datasets::SimulatedDataset;
 use genpip_pim::PimTech;
 use genpip_sim::{EnergyMeter, SimTime};
@@ -108,10 +109,10 @@ impl WorkloadSet {
     /// Runs all four functional pipelines over a dataset.
     pub fn build(dataset: &SimulatedDataset, config: &GenPipConfig) -> WorkloadSet {
         WorkloadSet {
-            conventional: batch_conventional(dataset, config),
-            cp_only: batch_genpip(dataset, config, ErMode::None),
-            cp_qsr: batch_genpip(dataset, config, ErMode::QsrOnly),
-            cp_full: batch_genpip(dataset, config, ErMode::Full),
+            conventional: PipelineRun::collect(dataset, config, Flow::Conventional),
+            cp_only: PipelineRun::collect(dataset, config, Flow::GenPip(ErMode::None)),
+            cp_qsr: PipelineRun::collect(dataset, config, Flow::GenPip(ErMode::QsrOnly)),
+            cp_full: PipelineRun::collect(dataset, config, Flow::GenPip(ErMode::Full)),
         }
     }
 }

@@ -67,13 +67,14 @@ pub fn potential_study(
 mod tests {
     use super::*;
     use crate::config::GenPipConfig;
-    use crate::pipeline::batch_conventional;
+    use crate::engine::Flow;
+    use crate::pipeline::PipelineRun;
     use genpip_datasets::DatasetProfile;
 
     fn study() -> Vec<PotentialRow> {
         let d = DatasetProfile::ecoli().scaled(0.08).generate();
         let config = GenPipConfig::for_dataset(&d.profile);
-        let conv = batch_conventional(&d, &config);
+        let conv = PipelineRun::collect(&d, &config, Flow::Conventional);
         potential_study(&conv, &SoftwareCosts::calibrated(), &PimTech::paper_32nm())
     }
 

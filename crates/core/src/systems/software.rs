@@ -146,16 +146,17 @@ pub fn evaluate_software(
 mod tests {
     use super::*;
     use crate::config::GenPipConfig;
-    use crate::pipeline::{batch_conventional, batch_genpip, ErMode};
+    use crate::engine::Flow;
+    use crate::pipeline::{ErMode, PipelineRun};
     use genpip_datasets::DatasetProfile;
 
     fn workloads() -> (PipelineRun, PipelineRun, PipelineRun) {
         let d = DatasetProfile::ecoli().scaled(0.05).generate();
         let config = GenPipConfig::for_dataset(&d.profile);
         (
-            batch_conventional(&d, &config),
-            batch_genpip(&d, &config, ErMode::None),
-            batch_genpip(&d, &config, ErMode::Full),
+            PipelineRun::collect(&d, &config, Flow::Conventional),
+            PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None)),
+            PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full)),
         )
     }
 

@@ -11,36 +11,8 @@
 //! how an operator would pick an operating point for a new chemistry.
 
 use genpip::core::analysis::{cmr_analysis, qsr_analysis};
-use genpip::core::pipeline::{ErMode, PipelineRun};
-use genpip::core::stream::StreamEvent;
-use genpip::core::{Flow, GenPipConfig, Session};
-use genpip::datasets::{DatasetProfile, SimulatedDataset};
-use std::sync::Arc;
-
-/// One batch run through the `Session` engine, packaged as the
-/// [`PipelineRun`] the analysis helpers consume.
-fn run_flow(dataset: &SimulatedDataset, config: &GenPipConfig, flow: Flow) -> PipelineRun {
-    let mut reads = Vec::new();
-    Session::new(config.clone())
-        .flow(flow)
-        .source("sweep", dataset.stream())
-        .sink("sweep", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads.push(run);
-            }
-        })
-        .run()
-        .expect("valid session");
-    PipelineRun {
-        config: Arc::new(config.clone()),
-        er: match flow {
-            Flow::GenPip(er) => er,
-            Flow::Conventional => ErMode::None,
-        },
-        chunked: matches!(flow, Flow::GenPip(_)),
-        reads,
-    }
-}
+use genpip::core::{ErMode, Flow, GenPipConfig, PipelineRun};
+use genpip::datasets::DatasetProfile;
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -50,7 +22,7 @@ fn main() {
     let profile = DatasetProfile::ecoli().scaled(scale);
     let dataset = profile.generate();
     let base = GenPipConfig::for_dataset(&profile);
-    let oracle = run_flow(&dataset, &base, Flow::Conventional);
+    let oracle = PipelineRun::collect(&dataset, &base, Flow::Conventional);
 
     println!("θ_qs sweep (QSR only, N_qs = {}):", base.n_qs);
     println!(
@@ -60,7 +32,7 @@ fn main() {
     for theta in [5.0, 6.0, 7.0, 8.0, 9.0] {
         let mut config = base.clone();
         config.theta_qs = theta;
-        let run = run_flow(&dataset, &config, Flow::GenPip(ErMode::QsrOnly));
+        let run = PipelineRun::collect(&dataset, &config, Flow::GenPip(ErMode::QsrOnly));
         let a = qsr_analysis(&run, &oracle, theta);
         let saved = 1.0 - run.totals().samples as f64 / oracle.totals().samples as f64;
         println!(
@@ -79,7 +51,7 @@ fn main() {
     for theta in [15.0, 55.0, 150.0, 400.0, 800.0] {
         let mut config = base.clone();
         config.theta_cm = theta;
-        let run = run_flow(&dataset, &config, Flow::GenPip(ErMode::Full));
+        let run = PipelineRun::collect(&dataset, &config, Flow::GenPip(ErMode::Full));
         let a = cmr_analysis(&run, &oracle);
         let saved = 1.0 - run.totals().samples as f64 / oracle.totals().samples as f64;
         println!(

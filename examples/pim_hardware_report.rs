@@ -5,16 +5,13 @@
 //! cargo run --release --example pim_hardware_report
 //! ```
 
-use genpip::core::pipeline::{ErMode, PipelineRun};
-use genpip::core::stream::StreamEvent;
 use genpip::core::systems::costs::SoftwareCosts;
 use genpip::core::systems::hardware::evaluate_genpip;
-use genpip::core::{Flow, GenPipConfig, Session};
+use genpip::core::{ErMode, Flow, GenPipConfig, PipelineRun};
 use genpip::datasets::DatasetProfile;
 use genpip::mapping::{ShardedReferenceIndex, Shards};
 use genpip::pim::area_power::genpip_table2;
 use genpip::pim::{BasecallModule, DpModule, PimTech, SeedingModule, SeedingUnitMap};
-use std::sync::Arc;
 
 fn main() {
     let tech = PimTech::paper_32nm();
@@ -52,23 +49,7 @@ fn main() {
 
     println!("\n== GenPIP schedule on a sample workload ==");
     let config = GenPipConfig::for_dataset(&dataset.profile);
-    let mut reads = Vec::new();
-    Session::new(config.clone())
-        .flow(Flow::GenPip(ErMode::Full))
-        .source("sample", dataset.stream())
-        .sink("sample", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads.push(run);
-            }
-        })
-        .run()
-        .expect("valid session");
-    let run = PipelineRun {
-        config: Arc::new(config),
-        er: ErMode::Full,
-        chunked: true,
-        reads,
-    };
+    let run = PipelineRun::collect(&dataset, &config, Flow::GenPip(ErMode::Full));
     let eval = evaluate_genpip(&run, &SoftwareCosts::calibrated(), &tech);
     println!("makespan: {}", eval.time);
     for (stage, util) in &eval.stage_utilization {

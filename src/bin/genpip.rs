@@ -38,7 +38,7 @@ use genpip::core::experiments;
 use genpip::core::pipeline::{ErMode, PipelineRun, ReadOutcome};
 use genpip::core::scheduler::Schedule;
 use genpip::core::stream::{FastqSink, StreamEvent, StreamOptions};
-use genpip::core::{FaultPolicy, GenPipConfig, Lanes, Parallelism};
+use genpip::core::{FaultPolicy, GenPipConfig, Parallelism};
 use genpip::datasets::{DatasetProfile, FaultInjector, ReadSource, StreamingSimulator};
 use genpip::genomics::fastx;
 use genpip::genomics::{Genome, GenomeBuilder};
@@ -55,35 +55,86 @@ use std::process::ExitCode;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
+/// One subcommand: its name, the options it accepts (anything else is an
+/// error, never a silently ignored typo), and its entry point.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Parsed) -> Result<(), String>,
+);
+
+const COMMANDS: &[Command] = &[
+    ("simulate", &["profile", "scale", "out"], cmd_simulate),
+    ("map", &["reference", "reads", "paf", "shards"], cmd_map),
+    (
+        "run",
+        &["profile", "scale", "er", "shards", "on-fault", "reference"],
+        cmd_run,
+    ),
+    (
+        "stream",
+        &[
+            "profile",
+            "scale",
+            "er",
+            "source",
+            "signal-in",
+            "schedule",
+            "queue",
+            "progress",
+            "threads",
+            "shards",
+            "fastq-out",
+            "on-fault",
+            "inject-faults",
+            "checkpoint",
+            "checkpoint-every",
+            "resume",
+            "drain-after",
+        ],
+        cmd_stream,
+    ),
+    (
+        "serve",
+        &[
+            "script",
+            "scale",
+            "er",
+            "schedule",
+            "queue",
+            "threads",
+            "shards",
+            "max-sources",
+        ],
+        cmd_serve,
+    ),
+    ("pack", &["profile", "scale", "out", "verify"], cmd_pack),
+    ("inspect", &["reads", "verify"], cmd_inspect),
+    ("experiment", &["scale"], cmd_experiment),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_options(rest) {
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some((_, accepted, run)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        eprintln!("error: unknown command {command:?}");
+        return ExitCode::FAILURE;
+    };
+    let opts = match parse_options(command, accepted, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
-        "simulate" => cmd_simulate(&opts),
-        "map" => cmd_map(&opts),
-        "run" => cmd_run(&opts),
-        "stream" => cmd_stream(&opts),
-        "serve" => cmd_serve(&opts),
-        "pack" => cmd_pack(&opts),
-        "inspect" => cmd_inspect(&opts),
-        "experiment" => cmd_experiment(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match result {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -99,29 +150,34 @@ USAGE:
   genpip map --reference <ref.fasta>... --reads <reads.fastq> [--paf <out.paf>]
              [--shards <single|auto|N>]
   genpip run [--profile <ecoli|human>] [--scale F] [--er <full|qsr|cp|off>]
-             [--shards <single|auto|N>] [--lanes <auto|N>]
+             [--shards <single|auto|N>]
              [--on-fault <fail|quarantine|retry[:N]>]
              [--reference SPEC]...
   genpip stream [--profile <ecoli|human>] [--scale F] [--er <full|qsr|cp|off>]
                [--source SPEC]... [--signal-in SPEC]...
                [--schedule <fair|sequential|priority>]
                [--queue N] [--progress N] [--threads <serial|auto|N>]
-               [--shards <single|auto|N>] [--lanes <auto|N>]
+               [--shards <single|auto|N>]
                [--fastq-out PATH]
                [--on-fault <fail|quarantine|retry[:N]>] [--inject-faults RATE]
                [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
                [--drain-after N]
   genpip pack [--profile <ecoli|human>] [--scale F] --out <file.gsc> [--verify]
   genpip inspect <file.gsc> [--reads N] [--verify]
-  genpip serve --script <FILE> [--er <full|qsr|cp|off>]
+  genpip serve --script <FILE> [--scale F] [--er <full|qsr|cp|off>]
                [--schedule <fair|sequential|priority|deadline>]
                [--queue N] [--threads <serial|auto|N>] [--shards <single|auto|N>]
-               [--lanes <auto|N>] [--max-sources N]
+               [--max-sources N]
   genpip experiment <fig04|fig07|fig10|fig11|fig12|fig13|tab01|tab02|useless|ablations> [--scale F]
+
+Each subcommand accepts only the options listed for it above; anything
+else is an error.
 
 OPTIONS:
   --profile   dataset profile (default ecoli)
-  --scale     dataset scale factor in (0,1] (default 0.1 for simulate/run/stream, 1.0 for experiment)
+  --scale     dataset scale factor in (0,1] (default 0.1 for simulate/run/stream,
+              1.0 for experiment; for `serve`, the default scale of scripted
+              profile= sources, 0.05)
   --er        early-rejection mode for `run`/`stream` (default full)
   --out       output file prefix for `simulate`
   --paf       PAF output path for `map` (default: stdout)
@@ -172,12 +228,6 @@ OPTIONS:
   --threads   `stream` worker threads (default: GENPIP_PARALLELISM env or auto)
   --shards    reference-index shard count for `map`/`run`/`stream`; results
               are bit-identical for every setting (default single)
-  --lanes     Viterbi lane-batch width for `run`/`stream`/`serve`: how many
-              chunks a worker decodes in lockstep through the SoA kernel.
-              auto picks the default width; N >= 1 fixes it (1 = scalar
-              decode, widths above the kernel maximum clamp); 0 is an
-              error. Results are bit-identical for every setting.
-              Default: GENPIP_LANES env, then auto
   --on-fault  what a faulting read does to the run (default fail):
               fail aborts the process, quarantine contains the read and
               keeps going, retry[:N] re-runs the read up to N times
@@ -215,12 +265,15 @@ type Options = HashMap<String, Vec<String>>;
 /// Options that are bare flags: present or absent, never consuming a value.
 const FLAG_OPTIONS: &[&str] = &["verify"];
 
-fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), String> {
+fn parse_options(command: &str, accepted: &[&str], args: &[String]) -> Result<Parsed, String> {
     let mut opts: Options = HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if let Some(key) = arg.strip_prefix("--") {
+            if !accepted.contains(&key) {
+                return Err(format!("unknown option --{key} for '{command}'"));
+            }
             let value = if FLAG_OPTIONS.contains(&key) {
                 "true".to_string()
             } else {
@@ -485,18 +538,6 @@ fn shards_from(parsed: &Parsed) -> Result<Shards, String> {
     }
 }
 
-/// `--lanes`: the Viterbi lane-batch width for `run`/`stream`/`serve`.
-/// Defaults to the `GENPIP_LANES` environment variable, then auto. `0` and
-/// unparsable widths are user errors (exit nonzero), not silent clamps —
-/// only widths above the kernel maximum clamp.
-fn lanes_from(parsed: &Parsed) -> Result<Lanes, String> {
-    match opt(parsed, "lanes") {
-        None => Ok(Lanes::from_env_or(Lanes::Auto)),
-        Some(s) => Lanes::parse(s)
-            .ok_or_else(|| format!("invalid --lanes {s:?} (use auto or a width ≥ 1)")),
-    }
-}
-
 /// `--on-fault`: the policy, plus whether the user asked for it explicitly
 /// (an explicit quarantine/retry request means quarantined reads are an
 /// expected outcome, not a failure exit).
@@ -576,12 +617,22 @@ fn parse_reference_spec(spec: &str, index: usize) -> Result<Arc<Genome>, String>
     ))
 }
 
-fn extra_references_from(parsed: &Parsed) -> Result<Vec<Arc<Genome>>, String> {
-    opt_all(parsed, "reference")
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| parse_reference_spec(spec, i))
-        .collect()
+/// The `run` pan-genome panel. Names must be unique across the profile's
+/// own reference (`own`) and every `--reference`, as per-reference
+/// attribution keys results by name.
+fn extra_references_from(parsed: &Parsed, own: &str) -> Result<Vec<Arc<Genome>>, String> {
+    let mut panel: Vec<Arc<Genome>> = Vec::new();
+    for (i, spec) in opt_all(parsed, "reference").iter().enumerate() {
+        let genome = parse_reference_spec(spec, i)?;
+        if genome.name() == own || panel.iter().any(|g| g.name() == genome.name()) {
+            return Err(format!(
+                "duplicate reference name {:?} in the pan-genome panel",
+                genome.name()
+            ));
+        }
+        panel.push(genome);
+    }
+    Ok(panel)
 }
 
 fn cmd_run(parsed: &Parsed) -> Result<(), String> {
@@ -589,8 +640,7 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
     let er = er_from(parsed)?;
     let shards = shards_from(parsed)?;
     let (fault_policy, explicit_fault) = fault_policy_from(parsed)?;
-    let lanes = lanes_from(parsed)?;
-    let extra_references = extra_references_from(parsed)?;
+    let extra_references = extra_references_from(parsed, profile.name)?;
     println!(
         "running GenPIP ({:?}) on {} ({} index shard(s))…",
         er,
@@ -608,26 +658,9 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
     let dataset = profile.generate();
     let config = GenPipConfig::for_dataset(&profile)
         .with_shards(shards)
-        .with_lanes(lanes)
         .with_fault_policy(fault_policy)
         .with_extra_references(extra_references);
-    let mut reads = Vec::new();
-    Session::new(config.clone())
-        .flow(Flow::GenPip(er))
-        .source(profile.name, dataset.stream())
-        .sink(profile.name, |event| {
-            if let StreamEvent::Read(run) = event {
-                reads.push(run);
-            }
-        })
-        .run()
-        .map_err(|e| e.to_string())?;
-    let run = PipelineRun {
-        config: Arc::new(config),
-        er,
-        chunked: true,
-        reads,
-    };
+    let run = PipelineRun::collect(&dataset, &config, Flow::GenPip(er));
     let totals = run.totals();
     let count = |pred: fn(&ReadOutcome) -> bool| run.count_outcomes(pred);
     println!("reads:          {}", run.reads.len());
@@ -792,7 +825,6 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     let queue = usize_opt("queue", 8)?.max(1);
     let progress = usize_opt("progress", 50)?;
     let shards = shards_from(parsed)?;
-    let lanes = lanes_from(parsed)?;
     let (mut fault_policy, explicit_fault) = fault_policy_from(parsed)?;
     let inject_rate = match opt(parsed, "inject-faults") {
         None => 0.0,
@@ -910,7 +942,6 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     let source_config = |base: GenPipConfig| {
         base.with_parallelism(parallelism)
             .with_shards(shards)
-            .with_lanes(lanes)
             .with_keep_bases(keep_bases)
             .with_fault_policy(fault_policy)
     };
@@ -1418,7 +1449,6 @@ struct ServeDriver {
     control: SessionControl,
     parallelism: Parallelism,
     shards: Shards,
-    lanes: Lanes,
     attaches: Vec<(String, PendingAttach)>,
     detaches: Vec<(String, PendingDetach)>,
     /// Error handles of every GSC container source, checked after the run.
@@ -1458,10 +1488,7 @@ fn serve_fire(d: &mut ServeDriver, driver: &Arc<Mutex<ServeDriver>>, step: Scrip
                 "  [script] at {} reads: attach {:?} ({desc}, {expected} reads)",
                 step.after, spec.name
             );
-            let config = base
-                .with_parallelism(d.parallelism)
-                .with_shards(d.shards)
-                .with_lanes(d.lanes);
+            let config = base.with_parallelism(d.parallelism).with_shards(d.shards);
             let mut attach = AttachSpec::new().config(config).weight(spec.weight);
             if let Some(target) = spec.target {
                 attach = attach.deadline_target(target);
@@ -1510,7 +1537,6 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
     };
     let queue = usize_opt("queue", 8)?.max(1);
     let max_sources = usize_opt("max-sources", 64)?;
-    let lanes = lanes_from(parsed)?;
     let parallelism = match opt(parsed, "threads") {
         None => Parallelism::from_env_or(Parallelism::Auto),
         Some(s) => Parallelism::parse(s).ok_or_else(|| format!("invalid --threads {s:?}"))?,
@@ -1549,19 +1575,13 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
         control: control.clone(),
         parallelism,
         shards,
-        lanes,
         attaches: Vec::new(),
         detaches: Vec::new(),
         statuses: Vec::new(),
         errors: Vec::new(),
     }));
 
-    let tune = |config: GenPipConfig| {
-        config
-            .with_parallelism(parallelism)
-            .with_shards(shards)
-            .with_lanes(lanes)
-    };
+    let tune = |config: GenPipConfig| config.with_parallelism(parallelism).with_shards(shards);
     // Open every initial source before the session starts: a bad container
     // in the script header should fail the invocation outright.
     let mut initial_inputs = Vec::with_capacity(initial.len());

@@ -21,13 +21,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use genpip::core::{pipeline, GenPipConfig};
+//! use genpip::core::{ErMode, Flow, GenPipConfig, PipelineRun};
 //! use genpip::datasets::DatasetProfile;
 //!
 //! // A miniature E. coli-like run: raw signals in, mapped reads out.
 //! let dataset = DatasetProfile::ecoli().scaled(0.02).generate();
 //! let config = GenPipConfig::for_dataset(&dataset.profile);
-//! let run = pipeline::run_genpip(&dataset, &config, pipeline::ErMode::Full);
+//! let run = PipelineRun::collect(&dataset, &config, Flow::GenPip(ErMode::Full));
 //! let mapped = run.reads.iter().filter(|r| r.outcome.is_mapped()).count();
 //! assert!(mapped > 0);
 //! ```

@@ -1,22 +1,22 @@
-//! Cross-crate properties of the chunk-granular engine: read-granular vs
-//! chunk-granular bit-identity, the cancellation guarantee (no chunk work
-//! past an ER verdict, witnessed by `ChunkWork` counters), per-source
-//! config overrides, head-of-line latency on mixed workloads, and the
-//! FASTQ sink.
+//! Cross-crate properties of the chunk-granular engine: read-granular and
+//! chunk-granular sessions against the independent oracle
+//! (`common::reference_read`), what read granularity means now that it
+//! shares the chain, the cancellation guarantee (no chunk work past an ER
+//! verdict, witnessed by `ChunkWork` counters), per-source config
+//! overrides, head-of-line latency on mixed workloads, and the FASTQ sink.
 //!
 //! The parallelism sweep includes `GENPIP_PARALLELISM` (when set), which CI
 //! uses to force both threading paths through this suite.
 
-// Identity oracle: the deprecated `run_*` wrappers are the frozen reference
-// the Session engine is compared against.
-#![allow(deprecated)]
+mod common;
 
+use common::{keep_reads, reference_run, totals};
 use genpip::core::early_reject::qsr_sample_indices;
 use genpip::core::engine::{Flow, Granularity, Session};
-use genpip::core::pipeline::{run_genpip, ErMode, ReadOutcome, ReadRun};
+use genpip::core::pipeline::{ErMode, PipelineRun, ReadOutcome, ReadRun};
 use genpip::core::scheduler::Schedule;
 use genpip::core::stream::{FastqSink, StreamEvent, StreamOptions};
-use genpip::core::{GenPipConfig, Parallelism};
+use genpip::core::{GenPipConfig, Parallelism, SessionReport};
 use genpip::datasets::{DatasetProfile, SimulatedDataset, StreamingSimulator};
 
 fn dataset() -> SimulatedDataset {
@@ -36,39 +36,78 @@ fn parallelism_sweep() -> Vec<Parallelism> {
 fn collect_with_granularity(
     dataset: &SimulatedDataset,
     config: &GenPipConfig,
-    er: ErMode,
+    flow: Flow,
     granularity: Granularity,
-) -> Vec<ReadRun> {
+) -> (Vec<ReadRun>, SessionReport) {
     let mut reads = Vec::new();
-    Session::new(config.clone())
-        .flow(Flow::GenPip(er))
+    let report = Session::new(config.clone())
+        .flow(flow)
         .granularity(granularity)
         .source("s", dataset.stream())
-        .sink("s", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads.push(run);
-            }
-        })
+        .sink("s", keep_reads(&mut reads))
         .run()
         .expect("valid session");
-    reads
+    (reads, report)
 }
 
+/// The headline oracle: every flow × threading path × granularity emits
+/// exactly what the naive serial replay computes, read for read.
 #[test]
 fn chunk_granularity_is_bit_identical_to_read_granularity() {
     let d = dataset();
     let base = GenPipConfig::for_dataset(&d.profile);
-    for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
+    for flow in [
+        Flow::GenPip(ErMode::None),
+        Flow::GenPip(ErMode::QsrOnly),
+        Flow::GenPip(ErMode::Full),
+        Flow::Conventional,
+    ] {
+        let oracle = reference_run(&d, &base, flow);
         for parallelism in parallelism_sweep() {
             let config = base.clone().with_parallelism(parallelism);
-            let by_read = collect_with_granularity(&d, &config, er, Granularity::Read);
-            let by_chunk = collect_with_granularity(&d, &config, er, Granularity::Chunk);
-            assert_eq!(by_read, by_chunk, "{er:?} / {parallelism:?}");
-            // And both match the batch driver (itself chunk-granular now).
-            let batch = run_genpip(&d, &config, er);
-            assert_eq!(by_chunk, batch.reads, "{er:?} / {parallelism:?} vs batch");
+            for granularity in [Granularity::Read, Granularity::Chunk] {
+                let (reads, _) = collect_with_granularity(&d, &config, flow, granularity);
+                assert_eq!(
+                    reads, oracle,
+                    "{flow:?} / {parallelism:?} / {granularity:?}"
+                );
+            }
         }
     }
+}
+
+/// Read granularity is the same chain stepped to completion inside one
+/// task: a read's work lands on the engine's clock as one lump equal to its
+/// `ChunkWork` count, and its permit is held to emission — an ER verdict
+/// never enters the reject backlog, unlike under chunk granularity.
+#[test]
+fn read_granularity_is_one_task_per_read_holding_its_permit_to_emission() {
+    let d = dataset();
+    let base = GenPipConfig::for_dataset(&d.profile);
+    let flow = Flow::GenPip(ErMode::Full);
+
+    let serial = base.clone().with_parallelism(Parallelism::Serial);
+    let (reads, report) = collect_with_granularity(&d, &serial, flow, Granularity::Read);
+    let mut units: Vec<u64> = reads.iter().map(|r| r.chunks.len() as u64).collect();
+    units.sort_unstable();
+    assert_eq!(report.latency.max, *units.last().expect("reads exist"));
+    assert_eq!(report.latency.p50, units[reads.len().div_ceil(2) - 1]);
+
+    let threaded = base.with_parallelism(Parallelism::Threads(4));
+    let (reads, by_read) = collect_with_granularity(&d, &threaded, flow, Granularity::Read);
+    let rejected = reads
+        .iter()
+        .filter(|r| r.outcome.is_early_rejected())
+        .count();
+    assert!(rejected > 0, "workload must exercise ER verdicts");
+    assert_eq!(
+        by_read.max_reject_backlog, 0,
+        "verdicts must not release early"
+    );
+    assert!(by_read.max_in_flight <= by_read.in_flight_limit);
+    // The same verdicts under chunk granularity do release at the verdict.
+    let (_, by_chunk) = collect_with_granularity(&d, &threaded, flow, Granularity::Chunk);
+    assert!(by_chunk.max_reject_backlog > 0);
 }
 
 /// The cancellation guarantee: for every ER-rejected read, no chunk beyond
@@ -82,7 +121,8 @@ fn cancellation_schedules_no_post_verdict_chunk_work() {
     let base = GenPipConfig::for_dataset(&d.profile);
     for parallelism in parallelism_sweep() {
         let config = base.clone().with_parallelism(parallelism);
-        let runs = collect_with_granularity(&d, &config, ErMode::Full, Granularity::Chunk);
+        let flow = Flow::GenPip(ErMode::Full);
+        let (runs, _) = collect_with_granularity(&d, &config, flow, Granularity::Chunk);
         let mut qsr_seen = 0usize;
         let mut cmr_seen = 0usize;
         for run in &runs {
@@ -232,10 +272,10 @@ fn per_source_config_overrides_match_their_solo_runs() {
         .with_chunk_bases(400);
     config_b.n_qs = 5;
     config_b.n_cm = 3;
-    let solo_a = run_genpip(&da, &config_a, ErMode::Full);
-    let solo_b = run_genpip(&db, &config_b, ErMode::Full);
+    let solo_a = reference_run(&da, &config_a, Flow::GenPip(ErMode::Full));
+    let solo_b = reference_run(&db, &config_b, Flow::GenPip(ErMode::Full));
     assert!(
-        !solo_a.reads.is_empty() && !solo_b.reads.is_empty(),
+        !solo_a.is_empty() && !solo_b.is_empty(),
         "sanity: runs are non-trivial"
     );
 
@@ -246,23 +286,15 @@ fn per_source_config_overrides_match_their_solo_runs() {
         .schedule(Schedule::FairShare)
         .source("a", StreamingSimulator::new(&pa))
         .source_with_config("b", StreamingSimulator::new(&pb), config_b.clone())
-        .sink("a", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads_a.push(run);
-            }
-        })
-        .sink("b", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads_b.push(run);
-            }
-        })
+        .sink("a", keep_reads(&mut reads_a))
+        .sink("b", keep_reads(&mut reads_b))
         .run()
         .expect("valid session");
-    assert_eq!(reads_a, solo_a.reads, "session config source diverged");
-    assert_eq!(reads_b, solo_b.reads, "override config source diverged");
+    assert_eq!(reads_a, solo_a, "session config source diverged");
+    assert_eq!(reads_b, solo_b, "override config source diverged");
     assert_eq!(
         report.source("b").expect("b").summary.totals,
-        solo_b.totals()
+        totals(&solo_b)
     );
 }
 
@@ -310,7 +342,11 @@ fn fastq_sink_writes_every_fully_basecalled_read() {
 
     // Without keep_bases, no read carries its sequence (and the sink would
     // skip everything).
-    let plain = run_genpip(&d, &GenPipConfig::for_dataset(&d.profile), ErMode::Full);
+    let plain = PipelineRun::collect(
+        &d,
+        &GenPipConfig::for_dataset(&d.profile),
+        Flow::GenPip(ErMode::Full),
+    );
     assert!(plain.reads.iter().all(|r| r.called.is_none()));
 }
 

@@ -1,12 +1,8 @@
 //! Cross-crate integration tests: the full flow from raw synthetic signal
 //! to mapped reads, across both pipeline organizations.
 
-// Identity oracle: the deprecated `run_*` wrappers are the frozen reference
-// spelling of both pipeline organizations.
-#![allow(deprecated)]
-
-use genpip::core::pipeline::{run_conventional, run_genpip, ErMode, ReadOutcome};
-use genpip::core::{GenPipConfig, Parallelism};
+use genpip::core::pipeline::{ErMode, PipelineRun, ReadOutcome};
+use genpip::core::{Flow, GenPipConfig, Parallelism};
 use genpip::datasets::DatasetProfile;
 use genpip::genomics::ReadOrigin;
 
@@ -26,8 +22,8 @@ fn whole_flow_is_deterministic() {
     let d1 = dataset();
     let d2 = dataset();
     let config = config_for(&d1.profile);
-    let a = run_genpip(&d1, &config, ErMode::Full);
-    let b = run_genpip(&d2, &config, ErMode::Full);
+    let a = PipelineRun::collect(&d1, &config, Flow::GenPip(ErMode::Full));
+    let b = PipelineRun::collect(&d2, &config, Flow::GenPip(ErMode::Full));
     assert_eq!(a, b, "same seed must give identical runs");
 }
 
@@ -35,7 +31,7 @@ fn whole_flow_is_deterministic() {
 fn high_quality_reference_reads_map_to_their_origin() {
     let d = dataset();
     let config = config_for(&d.profile);
-    let run = run_conventional(&d, &config);
+    let run = PipelineRun::collect(&d, &config, Flow::Conventional);
     let mut eligible = 0;
     let mut correct = 0;
     for (rr, sr) in run.reads.iter().zip(&d.reads) {
@@ -81,9 +77,9 @@ fn contaminants_never_map_in_any_mode() {
     let d = dataset();
     let config = config_for(&d.profile);
     for run in [
-        run_conventional(&d, &config),
-        run_genpip(&d, &config, ErMode::None),
-        run_genpip(&d, &config, ErMode::Full),
+        PipelineRun::collect(&d, &config, Flow::Conventional),
+        PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None)),
+        PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full)),
     ] {
         for (rr, sr) in run.reads.iter().zip(&d.reads) {
             if sr.origin == ReadOrigin::Contaminant {
@@ -102,9 +98,9 @@ fn contaminants_never_map_in_any_mode() {
 fn er_is_strictly_work_saving_and_never_adds_mappings() {
     let d = dataset();
     let config = config_for(&d.profile);
-    let cp = run_genpip(&d, &config, ErMode::None);
-    let qsr = run_genpip(&d, &config, ErMode::QsrOnly);
-    let full = run_genpip(&d, &config, ErMode::Full);
+    let cp = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None));
+    let qsr = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::QsrOnly));
+    let full = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
     let (s_cp, s_qsr, s_full) = (
         cp.totals().samples,
         qsr.totals().samples,
@@ -136,7 +132,7 @@ fn chunk_size_changes_do_not_change_conclusions() {
     let d = dataset();
     for chunk in [300, 400, 500] {
         let config = config_for(&d.profile).with_chunk_bases(chunk);
-        let run = run_genpip(&d, &config, ErMode::Full);
+        let run = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         let mapped = run.count_outcomes(ReadOutcome::is_mapped);
         let frac = mapped as f64 / run.reads.len() as f64;
         assert!(
@@ -150,7 +146,7 @@ fn chunk_size_changes_do_not_change_conclusions() {
 fn chunk_accounting_is_exact() {
     let d = dataset();
     let config = config_for(&d.profile);
-    let run = run_genpip(&d, &config, ErMode::Full);
+    let run = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
     for (rr, sr) in run.reads.iter().zip(&d.reads) {
         // No chunk is basecalled twice.
         let mut seen = std::collections::HashSet::new();

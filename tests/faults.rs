@@ -13,7 +13,7 @@ use genpip::core::engine::{Flow, Granularity, Session, SessionControl};
 use genpip::core::pipeline::ErMode;
 use genpip::core::stream::{FastqSink, StreamEvent, StreamOptions};
 use genpip::core::{FaultPolicy, GenPipConfig, Parallelism, ReadRun, SessionReport};
-use genpip::datasets::{DatasetProfile, FaultInjector, StreamingSimulator};
+use genpip::datasets::{DatasetProfile, FaultInjector, ReadSource, StreamingSimulator};
 
 const INJECT_RATE: f64 = 0.15;
 const SEED: u64 = 2026;
@@ -202,6 +202,72 @@ fn retry_spends_its_budget_then_quarantines_permanent_faults() {
             report.retried,
             injected.len() * attempts as usize,
             "{label}: every injected read should retry exactly {attempts} times"
+        );
+        let expected: Vec<ReadRun> = reference
+            .into_iter()
+            .filter(|run| !injected.contains(&run.id))
+            .collect();
+        assert_eq!(survivors, expected, "{label}: survivors diverged");
+    }
+}
+
+/// Read granularity steps the shared chain, so a mid-read fault knows its
+/// chunk, and every retry rebuilds the chain and replays it bit-identically
+/// — up to the very same chunk.
+#[test]
+fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
+    let attempts = 2u32;
+    let mean_dwell = StreamingSimulator::new(&profile()).mean_dwell();
+    let lengths: Vec<usize> = profile()
+        .generate()
+        .reads
+        .iter()
+        .map(|r| r.signal.samples.len())
+        .collect();
+    for parallelism in parallelism_sweep() {
+        let label = format!("{parallelism:?}");
+        let config = GenPipConfig::for_dataset(&profile())
+            .with_parallelism(parallelism)
+            .with_fault_policy(FaultPolicy::Retry { attempts });
+        let spc = config.samples_per_chunk(mean_dwell);
+        let reference = baseline(&config, ErMode::None, Granularity::Read);
+        // One bad sample at the start of chunk 2 (or the last sample of a
+        // shorter read): the sequential pass decodes chunks 0 and 1 first.
+        let mut injector =
+            FaultInjector::new(StreamingSimulator::new(&profile()), INJECT_RATE, SEED)
+                .chunk(2)
+                .samples_per_chunk(spc);
+        let mut survivors = Vec::new();
+        let mut faults = Vec::new();
+        let report = Session::new(config)
+            .flow(Flow::GenPip(ErMode::None))
+            .granularity(Granularity::Read)
+            .source("s", &mut injector)
+            .sink("s", |event| match event {
+                StreamEvent::Read(run) => survivors.push(run),
+                StreamEvent::Failed { read_id, fault } => faults.push((read_id, fault)),
+                _ => {}
+            })
+            .run()
+            .expect("faulted session is valid");
+        let injected = injector.injected_ids().to_vec();
+        assert!(!injected.is_empty(), "{label}");
+        let failed: Vec<u32> = faults.iter().map(|(id, _)| *id).collect();
+        assert_eq!(failed, injected, "{label}: quarantined != injected");
+        for (id, fault) in &faults {
+            let len = lengths[*id as usize];
+            let struck = (2 * spc).min(len - 1) / spc;
+            assert_eq!(fault.chunk, Some(struck), "{label}: read {id}");
+            assert_eq!(fault.attempts, 1 + attempts, "{label}: read {id}");
+        }
+        assert!(
+            faults.iter().any(|(_, f)| f.chunk == Some(2)),
+            "{label}: no fault struck mid-read"
+        );
+        assert_eq!(
+            report.retried,
+            injected.len() * attempts as usize,
+            "{label}"
         );
         let expected: Vec<ReadRun> = reference
             .into_iter()

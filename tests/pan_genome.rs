@@ -8,12 +8,11 @@
 //! The single-reference path is the frozen oracle: an empty panel must
 //! leave every `ReadRun` byte-for-byte what it always was.
 
-// Identity oracle: the deprecated `run_*` wrappers are the frozen reference
-// the pan-genome runs are compared against.
-#![allow(deprecated)]
+mod common;
 
-use genpip::core::pipeline::{run_genpip, ErMode, ReadOutcome};
-use genpip::core::{GenPipConfig, Parallelism, Shards};
+use common::reference_run;
+use genpip::core::pipeline::{ErMode, PipelineRun, ReadOutcome};
+use genpip::core::{Flow, GenPipConfig, Parallelism, Shards};
 use genpip::datasets::{DatasetProfile, SimulatedDataset};
 use genpip::genomics::{DnaSeq, Genome, GenomeBuilder};
 use std::sync::Arc;
@@ -54,18 +53,13 @@ fn two_reference_runs_are_bit_identical_across_er_parallelism_and_shards() {
     let base =
         GenPipConfig::for_dataset(&d.profile).with_extra_references(vec![half_copy_panel(&d)]);
     for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
-        let baseline_config = base
-            .clone()
-            .with_parallelism(Parallelism::Serial)
-            .with_shards(Shards::Single);
-        let baseline = run_genpip(&d, &baseline_config, er);
-        let mapped = baseline
-            .reads
-            .iter()
-            .filter(|r| r.outcome.is_mapped())
-            .count();
+        // The baseline is the independent oracle's serial, single-shard
+        // replay over the same two-member panel.
+        let baseline_config = base.clone().with_shards(Shards::Single);
+        let baseline = reference_run(&d, &baseline_config, Flow::GenPip(er));
+        let mapped = baseline.iter().filter(|r| r.outcome.is_mapped()).count();
         assert!(mapped > 0, "{er:?}: no read mapped");
-        for run in &baseline.reads {
+        for run in &baseline {
             if let ReadOutcome::Mapped(m) = &run.outcome {
                 assert_eq!(run.per_reference.len(), 2, "read {}", run.id);
                 assert!(
@@ -87,9 +81,9 @@ fn two_reference_runs_are_bit_identical_across_er_parallelism_and_shards() {
                     .clone()
                     .with_parallelism(parallelism)
                     .with_shards(shards);
-                let run = run_genpip(&d, &config, er);
+                let run = PipelineRun::collect(&d, &config, Flow::GenPip(er));
                 assert_eq!(
-                    run.reads, baseline.reads,
+                    run.reads, baseline,
                     "{er:?} / {parallelism:?} / {shards:?} diverged from the serial single-shard baseline"
                 );
             }
@@ -103,8 +97,8 @@ fn empty_panel_leaves_single_reference_runs_byte_identical() {
     let plain = GenPipConfig::for_dataset(&d.profile);
     let with_empty_panel = plain.clone().with_extra_references(Vec::new());
     for er in [ErMode::None, ErMode::Full] {
-        let a = run_genpip(&d, &plain, er);
-        let b = run_genpip(&d, &with_empty_panel, er);
+        let a = PipelineRun::collect(&d, &plain, Flow::GenPip(er));
+        let b = PipelineRun::collect(&d, &with_empty_panel, Flow::GenPip(er));
         assert_eq!(a.reads, b.reads, "{er:?}: empty panel changed output");
         for run in &a.reads {
             assert!(run.per_reference.is_empty(), "read {}", run.id);
@@ -137,9 +131,9 @@ fn per_reference_candidates_are_independent_of_the_rest_of_the_panel() {
         .with_extra_references(vec![panel, decoy]);
     // ErMode::None: no early rejection, so every non-QC-filtered read
     // reaches final mapping in all three runs over identical basecalls.
-    let solo = run_genpip(&d, &solo_config, ErMode::None);
-    let two = run_genpip(&d, &two_config, ErMode::None);
-    let three = run_genpip(&d, &three_config, ErMode::None);
+    let solo = PipelineRun::collect(&d, &solo_config, Flow::GenPip(ErMode::None));
+    let two = PipelineRun::collect(&d, &two_config, Flow::GenPip(ErMode::None));
+    let three = PipelineRun::collect(&d, &three_config, Flow::GenPip(ErMode::None));
     assert_eq!(solo.reads.len(), two.reads.len());
     assert_eq!(solo.reads.len(), three.reads.len());
     for ((s, a), b) in solo.reads.iter().zip(&two.reads).zip(&three.reads) {
@@ -204,7 +198,7 @@ fn exact_score_ties_resolve_by_reference_name_ascending() {
     let twin: DnaSeq = d.reference.sequence().clone();
     let config = GenPipConfig::for_dataset(&d.profile)
         .with_extra_references(vec![Arc::new(Genome::from_seq("aa_twin", twin))]);
-    let run = run_genpip(&d, &config, ErMode::None);
+    let run = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None));
     let mapped = run.reads.iter().filter(|r| r.outcome.is_mapped()).count();
     assert!(mapped > 0, "no read mapped");
     for r in &run.reads {

@@ -1,17 +1,17 @@
 //! Cross-crate properties of the `Session` engine: per-source bit-identity
-//! with solo runs under every scheduling policy, across `ErMode` ×
+//! with the independent oracle's solo replay (`common::reference_read`)
+//! under every scheduling policy, across `ErMode` ×
 //! `Parallelism` × shard counts; the shared in-flight bound with N sources;
 //! and starvation-freedom of the `Priority` schedule.
 //!
 //! The parallelism sweep includes `GENPIP_PARALLELISM` (when set), which CI
 //! uses to force both threading paths through this suite.
 
-// Identity oracle: the deprecated `run_*` wrappers are the frozen reference
-// the Session engine is compared against.
-#![allow(deprecated)]
+mod common;
 
+use common::{keep_reads, reference_run, totals};
 use genpip::core::engine::{Flow, Session};
-use genpip::core::pipeline::{run_genpip, ErMode};
+use genpip::core::pipeline::{ErMode, PipelineRun};
 use genpip::core::scheduler::Schedule;
 use genpip::core::stream::{StreamEvent, StreamOptions};
 use genpip::core::{GenPipConfig, Parallelism, ReadRun, SessionReport, Shards};
@@ -60,16 +60,8 @@ fn run_two_source_session(
         .options(*opts)
         .source("a", StreamingSimulator::new(a))
         .source("b", StreamingSimulator::new(b))
-        .sink("a", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads_a.push(run);
-            }
-        })
-        .sink("b", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads_b.push(run);
-            }
-        })
+        .sink("a", keep_reads(&mut reads_a))
+        .sink("b", keep_reads(&mut reads_b))
         .run()
         .expect("two-source session inputs are valid");
     (reads_a, reads_b, report)
@@ -86,24 +78,26 @@ fn interleaved_sources_are_bit_identical_to_solo_runs() {
         ..StreamOptions::default()
     };
     for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
+        // Neither threading nor sharding may show in the output, so one
+        // serial, unsharded replay per source is the oracle for all of them.
+        let solo_a = reference_run(&da, &base, Flow::GenPip(er));
+        let solo_b = reference_run(&db, &base, Flow::GenPip(er));
         for parallelism in parallelism_sweep() {
             for shards in [Shards::Single, Shards::Fixed(2)] {
                 let config = base
                     .clone()
                     .with_parallelism(parallelism)
                     .with_shards(shards);
-                let solo_a = run_genpip(&da, &config, er);
-                let solo_b = run_genpip(&db, &config, er);
                 for schedule in [Schedule::FairShare, Schedule::Priority(vec![3, 1])] {
                     let label = format!("{er:?} / {parallelism:?} / {shards:?} / {schedule:?}");
                     let (reads_a, reads_b, report) =
                         run_two_source_session(&pa, &pb, &config, er, schedule, &opts);
-                    assert_eq!(reads_a, solo_a.reads, "source a diverged: {label}");
-                    assert_eq!(reads_b, solo_b.reads, "source b diverged: {label}");
+                    assert_eq!(reads_a, solo_a, "source a diverged: {label}");
+                    assert_eq!(reads_b, solo_b, "source b diverged: {label}");
                     let sa = report.source("a").expect("source a reported");
                     let sb = report.source("b").expect("source b reported");
-                    assert_eq!(sa.summary.totals, solo_a.totals(), "{label}");
-                    assert_eq!(sb.summary.totals, solo_b.totals(), "{label}");
+                    assert_eq!(sa.summary.totals, totals(&solo_a), "{label}");
+                    assert_eq!(sb.summary.totals, totals(&solo_b), "{label}");
                     assert_eq!(
                         report.outcomes.reads_emitted,
                         da.reads.len() + db.reads.len(),
@@ -123,13 +117,12 @@ fn interleaved_sources_are_bit_identical_to_solo_runs() {
 
 #[test]
 fn conventional_flow_sessions_match_solo_runs_too() {
-    use genpip::core::pipeline::run_conventional;
     let (pa, pb) = profiles();
     let (da, db) = (pa.generate(), pb.generate());
     let config = GenPipConfig::for_dataset(&pa)
         .with_parallelism(Parallelism::from_env_or(Parallelism::Threads(3)));
-    let solo_a = run_conventional(&da, &config);
-    let solo_b = run_conventional(&db, &config);
+    let solo_a = reference_run(&da, &config, Flow::Conventional);
+    let solo_b = reference_run(&db, &config, Flow::Conventional);
     let mut reads_a = Vec::new();
     let mut reads_b = Vec::new();
     Session::new(config)
@@ -137,20 +130,12 @@ fn conventional_flow_sessions_match_solo_runs_too() {
         .schedule(Schedule::FairShare)
         .source("a", StreamingSimulator::new(&pa))
         .source("b", StreamingSimulator::new(&pb))
-        .sink("a", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads_a.push(run);
-            }
-        })
-        .sink("b", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads_b.push(run);
-            }
-        })
+        .sink("a", keep_reads(&mut reads_a))
+        .sink("b", keep_reads(&mut reads_b))
         .run()
         .expect("valid session");
-    assert_eq!(reads_a, solo_a.reads);
-    assert_eq!(reads_b, solo_b.reads);
+    assert_eq!(reads_a, solo_a);
+    assert_eq!(reads_b, solo_b);
 }
 
 /// Wraps a source and counts pulls into a shared counter, so tests can
@@ -196,7 +181,7 @@ fn in_flight_reads_stay_bounded_across_n_sources() {
     // bound. Each source pulls the same dataset in id order, so the
     // rejections among its first p pulls are a prefix sum of the solo
     // run's outcome tape — slack never covers reads not yet pulled.
-    let solo = run_genpip(&dataset, &config, ErMode::Full);
+    let solo = PipelineRun::collect(&dataset, &config, Flow::GenPip(ErMode::Full));
     let mut prefix_rejected = vec![0usize; solo.reads.len() + 1];
     for (i, run) in solo.reads.iter().enumerate() {
         prefix_rejected[i + 1] = prefix_rejected[i] + usize::from(run.outcome.is_early_rejected());

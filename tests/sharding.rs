@@ -7,13 +7,12 @@
 //! The parallelism sweep includes `GENPIP_PARALLELISM` (when set), which CI
 //! uses to force both threading paths through this suite.
 
-// Identity oracle: the deprecated `run_*` wrappers are the frozen reference
-// the sharded runs are compared against.
-#![allow(deprecated)]
+mod common;
 
-use genpip::core::pipeline::{run_genpip, ErMode};
-use genpip::core::stream::{run_genpip_streaming, StreamEvent, StreamOptions};
-use genpip::core::{GenPipConfig, Parallelism, ReadRun, Shards};
+use common::{keep_reads, reference_run};
+use genpip::core::pipeline::{ErMode, PipelineRun};
+use genpip::core::stream::StreamOptions;
+use genpip::core::{Flow, GenPipConfig, Parallelism, ReadRun, Session, Shards};
 use genpip::datasets::{DatasetProfile, SimulatedDataset};
 use genpip::genomics::{DnaSeq, Genome, GenomeBuilder};
 use genpip::mapping::{Mapper, MapperParams};
@@ -41,20 +40,19 @@ fn pipeline_output_is_bit_identical_for_every_shard_count() {
     let d = dataset();
     let base = GenPipConfig::for_dataset(&d.profile);
     for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
+        // The unsharded serial oracle replay is the reference for every
+        // sharded, threaded run.
+        let single = base.clone().with_shards(Shards::Single);
+        let reference = reference_run(&d, &single, Flow::GenPip(er));
         for parallelism in parallelism_sweep() {
-            let single = base
-                .clone()
-                .with_parallelism(parallelism)
-                .with_shards(Shards::Single);
-            let reference = run_genpip(&d, &single, er);
             for shards in shard_sweep() {
                 let config = base
                     .clone()
                     .with_parallelism(parallelism)
                     .with_shards(shards);
-                let run = run_genpip(&d, &config, er);
+                let run = PipelineRun::collect(&d, &config, Flow::GenPip(er));
                 assert_eq!(
-                    run.reads, reference.reads,
+                    run.reads, reference,
                     "{er:?} / {parallelism:?} / {shards:?} diverged from Shards::Single"
                 );
             }
@@ -134,17 +132,18 @@ fn streaming_with_sharded_mappers_matches_batch_and_keeps_the_memory_bound() {
     let config = GenPipConfig::for_dataset(&d.profile)
         .with_parallelism(Parallelism::Threads(workers))
         .with_shards(Shards::Fixed(3));
-    let batch = run_genpip(&d, &config, ErMode::Full);
-    let opts = StreamOptions {
-        queue_capacity,
-        ..StreamOptions::default()
-    };
+    let batch = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
     let mut reads: Vec<ReadRun> = Vec::new();
-    let summary = run_genpip_streaming(&mut d.stream(), &config, ErMode::Full, &opts, |event| {
-        if let StreamEvent::Read(run) = event {
-            reads.push(run);
-        }
-    });
+    let summary = Session::new(config)
+        .flow(Flow::GenPip(ErMode::Full))
+        .options(StreamOptions {
+            queue_capacity,
+            ..StreamOptions::default()
+        })
+        .source("stream", d.stream())
+        .sink("stream", keep_reads(&mut reads))
+        .run()
+        .expect("valid session");
     assert_eq!(reads, batch.reads, "sharded streaming diverged from batch");
     assert_eq!(summary.totals, batch.totals());
     assert_eq!(summary.in_flight_limit, queue_capacity + workers);

@@ -1,19 +1,17 @@
-//! Cross-crate properties of the streaming executor: bit-identity with the
-//! batch drivers across `ErMode` × `Parallelism` × queue capacity, and the
+//! Cross-crate properties of streaming sessions: bit-identity with the
+//! independent oracle (`common::reference_read`) and with the batch
+//! spelling across `ErMode` × `Parallelism` × queue capacity, and the
 //! bounded-memory guarantee.
 //!
 //! The parallelism sweep includes `GENPIP_PARALLELISM` (when set), which CI
 //! uses to force both threading paths through this suite.
 
-// Identity oracle: the deprecated `run_*` wrappers are the frozen reference
-// the streaming executor is compared against.
-#![allow(deprecated)]
+mod common;
 
-use genpip::core::pipeline::{run_conventional, run_genpip, ErMode};
-use genpip::core::stream::{
-    run_conventional_streaming, run_genpip_streaming, StreamEvent, StreamOptions, StreamSummary,
-};
-use genpip::core::{GenPipConfig, Parallelism, ReadRun};
+use common::{keep_reads, reference_run};
+use genpip::core::pipeline::{ErMode, PipelineRun};
+use genpip::core::stream::{StreamEvent, StreamOptions};
+use genpip::core::{Flow, GenPipConfig, Parallelism, ReadRun, Session, SessionReport};
 use genpip::datasets::{DatasetProfile, ReadSource, SimulatedDataset, SimulatedRead};
 use genpip::genomics::Genome;
 use genpip::signal::PoreModel;
@@ -34,19 +32,32 @@ fn parallelism_sweep() -> Vec<Parallelism> {
     sweep
 }
 
-fn collect(
-    source: &mut (impl ReadSource + Send),
+/// One single-source streaming session, every event through `sink`.
+fn stream(
+    source: impl ReadSource + Send,
     config: &GenPipConfig,
-    er: ErMode,
-    opts: &StreamOptions,
-) -> (Vec<ReadRun>, StreamSummary) {
+    flow: Flow,
+    opts: StreamOptions,
+    sink: impl FnMut(StreamEvent),
+) -> SessionReport {
+    Session::new(config.clone())
+        .flow(flow)
+        .options(opts)
+        .source("stream", source)
+        .sink("stream", sink)
+        .run()
+        .expect("valid session")
+}
+
+fn collect(
+    source: impl ReadSource + Send,
+    config: &GenPipConfig,
+    flow: Flow,
+    opts: StreamOptions,
+) -> (Vec<ReadRun>, SessionReport) {
     let mut reads = Vec::new();
-    let summary = run_genpip_streaming(source, config, er, opts, |event| {
-        if let StreamEvent::Read(run) = event {
-            reads.push(run);
-        }
-    });
-    (reads, summary)
+    let report = stream(source, config, flow, opts, keep_reads(&mut reads));
+    (reads, report)
 }
 
 #[test]
@@ -54,17 +65,22 @@ fn streaming_matches_batch_across_er_parallelism_and_queue_capacity() {
     let d = dataset();
     let base = GenPipConfig::for_dataset(&d.profile);
     for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
+        let oracle = reference_run(&d, &base, Flow::GenPip(er));
         for parallelism in parallelism_sweep() {
             let config = base.clone().with_parallelism(parallelism);
-            let batch = run_genpip(&d, &config, er);
+            let batch = PipelineRun::collect(&d, &config, Flow::GenPip(er));
+            assert_eq!(
+                batch.reads, oracle,
+                "{er:?} / {parallelism:?}: batch vs oracle"
+            );
             for queue_capacity in [1usize, 8] {
                 let opts = StreamOptions {
                     queue_capacity,
                     ..StreamOptions::default()
                 };
-                let (reads, summary) = collect(&mut d.stream(), &config, er, &opts);
+                let (reads, summary) = collect(d.stream(), &config, Flow::GenPip(er), opts);
                 let label = format!("{er:?} / {parallelism:?} / queue {queue_capacity}");
-                assert_eq!(reads, batch.reads, "{label}");
+                assert_eq!(reads, oracle, "{label}");
                 assert_eq!(summary.totals, batch.totals(), "{label}");
                 assert!(
                     summary.max_in_flight <= summary.in_flight_limit,
@@ -82,18 +98,14 @@ fn conventional_streaming_matches_batch() {
     let d = dataset();
     let config = GenPipConfig::for_dataset(&d.profile)
         .with_parallelism(Parallelism::from_env_or(Parallelism::Threads(3)));
-    let batch = run_conventional(&d, &config);
-    let mut reads = Vec::new();
-    let summary = run_conventional_streaming(
-        &mut d.stream(),
+    let batch = PipelineRun::collect(&d, &config, Flow::Conventional);
+    let (reads, summary) = collect(
+        d.stream(),
         &config,
-        &StreamOptions::default(),
-        |event| {
-            if let StreamEvent::Read(run) = event {
-                reads.push(run);
-            }
-        },
+        Flow::Conventional,
+        StreamOptions::default(),
     );
+    assert_eq!(reads, reference_run(&d, &config, Flow::Conventional));
     assert_eq!(reads, batch.reads);
     assert_eq!(summary.totals, batch.totals());
 }
@@ -104,14 +116,14 @@ fn lazy_generator_streams_bit_identically_to_the_materialized_dataset() {
     let d = profile.generate();
     let config = GenPipConfig::for_dataset(&profile)
         .with_parallelism(Parallelism::from_env_or(Parallelism::Auto));
-    let batch = run_genpip(&d, &config, ErMode::Full);
+    let oracle = reference_run(&d, &config, Flow::GenPip(ErMode::Full));
     let opts = StreamOptions {
         queue_capacity: 4,
         ..StreamOptions::default()
     };
-    let mut lazy = genpip::datasets::StreamingSimulator::new(&profile);
-    let (reads, _) = collect(&mut lazy, &config, ErMode::Full, &opts);
-    assert_eq!(reads, batch.reads);
+    let lazy = genpip::datasets::StreamingSimulator::new(&profile);
+    let (reads, _) = collect(lazy, &config, Flow::GenPip(ErMode::Full), opts);
+    assert_eq!(reads, oracle);
 }
 
 /// Wraps a source and counts pulls, so the test can observe in-flight reads
@@ -155,14 +167,14 @@ fn in_flight_reads_never_exceed_the_configured_bound() {
     // where rejected_pending counts rejections among the reads *pulled so
     // far* (pull order is id order), not the whole run — slack never
     // covers reads that have not even been pulled.
-    let solo = run_genpip(&d, &config, ErMode::Full);
+    let solo = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
     // prefix_rejected[i] = ER rejections among the first i reads.
     let mut prefix_rejected = vec![0usize; solo.reads.len() + 1];
     for (i, run) in solo.reads.iter().enumerate() {
         prefix_rejected[i + 1] = prefix_rejected[i] + usize::from(run.outcome.is_early_rejected());
     }
     let pulled = Arc::new(AtomicUsize::new(0));
-    let mut source = CountingSource {
+    let source = CountingSource {
         inner: d.stream(),
         pulled: Arc::clone(&pulled),
     };
@@ -173,7 +185,7 @@ fn in_flight_reads_never_exceed_the_configured_bound() {
     let mut emitted = 0usize;
     let mut rejected_emitted = 0usize;
     let mut overshoot = 0usize;
-    let summary = run_genpip_streaming(&mut source, &config, ErMode::Full, &opts, |event| {
+    let summary = stream(source, &config, Flow::GenPip(ErMode::Full), opts, |event| {
         if let StreamEvent::Read(run) = event {
             // Reads pulled from the source but not yet emitted. Sampling at
             // emission time is conservative: pulls strictly precede this
