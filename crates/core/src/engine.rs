@@ -55,20 +55,31 @@
 //!  sink "a"/"b"/"c" ◀── emit in global admission order (per-source = read order)
 //! ```
 //!
-//! A dispatcher thread owns the sources and a pool of **resident chains**
-//! — reads whose next chunk may run. For every chunk task it consults the
-//! [`Schedule`] to pick a source, then either advances that source's oldest
-//! parked chain or admits a new read under a flow-gate permit. Within a
-//! read, chunks are strictly sequential (the decoder's
+//! The engine behind a session is three named parts. A **dispatcher** owns
+//! the sources and a pool of **resident chains** — reads whose next chunk
+//! may run. For every chunk task it consults the [`Schedule`] to pick a
+//! source, then either advances that source's oldest parked chain or admits
+//! a new read under a flow-gate permit. A **worker** runs one task: one
+//! step of a chain (the whole chain under [`Granularity::Read`]). An
+//! **emitter** reorders retired chains into admission order and feeds the
+//! sinks on the calling thread.
+//!
+//! Within a read, chunks are strictly sequential (the decoder's
 //! [`genpip_basecall::CarryState`] forces it); across reads, chunks
 //! interleave freely — chunk *i*'s mapping overlaps chunk *i+1*'s
 //! basecalling at the system level, and a long read no longer monopolizes a
 //! worker. An early-rejection verdict ends a chain **before its next chunk
 //! is scheduled**, and the cancelled read's permit is released at the
 //! verdict rather than at emission, so a doomed read stops consuming
-//! resources the moment QSR/CMR fires. Worker threads are spawned lazily,
-//! one per unit of concurrent chunk work actually reached, up to the
-//! configured count.
+//! resources the moment QSR/CMR fires.
+//!
+//! The worker count selects how the parts are driven. With several, the
+//! dispatcher runs on a thread of its own and feeds worker threads spawned
+//! lazily, one per unit of concurrent chunk work actually reached, up to
+//! the configured count. With one ([`crate::Parallelism::Serial`]) nothing
+//! is spawned: the calling thread dispatches, runs and emits in turn, one
+//! read resident at a time and stepped to completion in its one task — so
+//! the schedule's pick sequence *is* the emission order.
 //!
 //! # Guarantees
 //!
@@ -107,6 +118,9 @@
 //!   resident chain, and returns normally — the graceful-shutdown
 //!   primitive for long-lived sessions.
 
+// Keeps the engine in named, reviewable parts (threshold in `clippy.toml`).
+#![deny(clippy::too_many_lines)]
+
 use crate::config::{FaultPolicy, GenPipConfig, Parallelism};
 use crate::pipeline::{ErMode, ReadChain, ReadRun, RunContext, WorkerScratch, WorkloadTotals};
 use crate::scheduler::{Schedule, SchedulerState};
@@ -114,10 +128,9 @@ use crate::stream::{
     FaultKind, LatencyStats, ProgressSnapshot, ReadFault, StreamEvent, StreamOptions, StreamSummary,
 };
 use genpip_datasets::{ReadSource, SourceId};
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, Once, RwLock};
 
@@ -138,14 +151,19 @@ impl Flow {
             Flow::Conventional => None,
         }
     }
+
+    /// Whether the flow runs QSR, the only consumer of `n_qs`.
+    fn uses_qsr(self) -> bool {
+        matches!(self, Flow::GenPip(ErMode::QsrOnly | ErMode::Full))
+    }
 }
 
 /// The schedulable unit of a [`Session`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Granularity {
     /// Schedule whole reads: every read's chain is stepped to completion
-    /// inside one task, and permits are held from pull to emission (an ER
-    /// verdict does not release early). The pre-chunk-granular engine's
+    /// inside one task, and permits are held from pull to emission (neither
+    /// an ER verdict nor a quarantine releases early). The pre-chunk-granular engine's
     /// scheduling, kept for comparison (the kernels bench measures both) —
     /// it runs the very same chain, so output is bit-identical to
     /// [`Granularity::Chunk`] by construction.
@@ -478,12 +496,11 @@ impl ControlState {
     /// the builder-registered sources. The draining flag is deliberately
     /// *not* reset: a drain requested before the run starts is honored by
     /// draining immediately.
-    fn begin_run(&self, ids: &[SourceId]) {
+    fn begin_run<'i>(&self, ids: impl Iterator<Item = &'i SourceId>) {
         let mut inner = self.inner.lock().expect("control poisoned");
         inner.closed = false;
         inner.stats = SessionStats {
             sources: ids
-                .iter()
                 .map(|id| SourceStats {
                     id: id.clone(),
                     outcomes: ProgressSnapshot::default(),
@@ -497,9 +514,12 @@ impl ControlState {
 
     /// Closes the control at the end of a run: marks it not-live and
     /// refuses every command still queued (enqueued after the session's
-    /// last poll) with [`SessionError::SessionClosed`].
+    /// last poll) with [`SessionError::SessionClosed`]. Runs from a drop
+    /// guard, possibly mid-unwind, so a poisoned lock is entered rather
+    /// than panicked on: every update of the inner state is a plain store
+    /// or push, valid at every step.
     fn close(&self) {
-        let mut inner = self.inner.lock().expect("control poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.closed = true;
         inner.stats.live = false;
         for command in inner.commands.drain(..) {
@@ -584,6 +604,45 @@ fn duplicate_reference_name(
         .windows(2)
         .find(|pair| pair[0] == pair[1])
         .map(|pair| pair[0].to_string())
+}
+
+/// Whether a source's effective config — its `own` override, else the
+/// `session` config — can drive that source's reference and chemistry: the
+/// one per-source check, run at startup for builder sources and at attach
+/// time for live ones. Only conditions this run would actually trip are
+/// errors: `n_qs` is consulted solely by QSR, and the k-vs-reference check
+/// applies to explicit per-source overrides only — a degenerate *session*
+/// config (k longer than the reference ⇒ empty index ⇒ every read
+/// unmapped) has always been accepted, and stays so.
+fn check_source_config(
+    id: &SourceId,
+    source: &dyn ReadSource,
+    own: Option<&GenPipConfig>,
+    session: &GenPipConfig,
+    uses_qsr: bool,
+) -> Result<(), SessionError> {
+    let config = own.unwrap_or(session);
+    let dwell = source.mean_dwell();
+    let issue = if config.chunk_bases == 0 {
+        SourceConfigIssue::ZeroChunkBases
+    } else if uses_qsr && config.n_qs == 0 {
+        SourceConfigIssue::ZeroQsrSamples
+    } else if !(dwell > 0.0 && dwell.is_finite()) {
+        SourceConfigIssue::NonPositiveDwell
+    } else if own.is_some() && config.mapper.k > source.reference().len() {
+        SourceConfigIssue::KmerExceedsReference {
+            k: config.mapper.k,
+            reference_len: source.reference().len(),
+        }
+    } else if let Some(name) = duplicate_reference_name(config, source.reference()) {
+        SourceConfigIssue::DuplicateReferenceName { name }
+    } else {
+        return Ok(());
+    };
+    Err(SessionError::IncompatibleSourceConfig {
+        id: id.clone(),
+        issue,
+    })
 }
 
 /// Why a [`Session`] refused to run. All variants are detected up front,
@@ -738,7 +797,8 @@ pub struct SessionReport {
     /// used fewer).
     pub workers: usize,
     /// The enforced bound on resident read chains across **all** sources
-    /// (`queue_capacity + workers`; 1 for the serial in-line path).
+    /// (`queue_capacity + workers`; 1 with a single worker, where the
+    /// calling thread runs each read to completion before the next pull).
     pub in_flight_limit: usize,
     /// High-water mark of resident read chains, summed over sources.
     /// Always ≤ `in_flight_limit`. See [`StreamSummary::max_in_flight`] for
@@ -1024,37 +1084,14 @@ impl<'a> Session<'a> {
                 return Err(SessionError::ZeroDeadlineTarget(self.slots[i].id.clone()));
             }
         }
-        // Each source's effective config must be able to drive that
-        // source's reference and chemistry. Only conditions this run would
-        // actually trip are errors: `n_qs` is consulted solely by QSR, and
-        // the k-vs-reference check applies to explicit per-source overrides
-        // only — a degenerate *session* config (k longer than the
-        // reference ⇒ empty index ⇒ every read unmapped) has always been
-        // accepted, and stays so.
-        let uses_qsr = matches!(self.flow, Flow::GenPip(ErMode::QsrOnly | ErMode::Full));
         for slot in &self.slots {
-            let config = slot.config.as_ref().unwrap_or(&self.config);
-            let issue = if config.chunk_bases == 0 {
-                Some(SourceConfigIssue::ZeroChunkBases)
-            } else if uses_qsr && config.n_qs == 0 {
-                Some(SourceConfigIssue::ZeroQsrSamples)
-            } else if !(slot.source.mean_dwell() > 0.0 && slot.source.mean_dwell().is_finite()) {
-                Some(SourceConfigIssue::NonPositiveDwell)
-            } else if slot.config.is_some() && config.mapper.k > slot.source.reference().len() {
-                Some(SourceConfigIssue::KmerExceedsReference {
-                    k: config.mapper.k,
-                    reference_len: slot.source.reference().len(),
-                })
-            } else {
-                duplicate_reference_name(config, slot.source.reference())
-                    .map(|name| SourceConfigIssue::DuplicateReferenceName { name })
-            };
-            if let Some(issue) = issue {
-                return Err(SessionError::IncompatibleSourceConfig {
-                    id: slot.id.clone(),
-                    issue,
-                });
-            }
+            check_source_config(
+                &slot.id,
+                &*slot.source,
+                slot.config.as_ref(),
+                &self.config,
+                self.flow.uses_qsr(),
+            )?;
         }
         Ok(())
     }
@@ -1097,26 +1134,20 @@ impl<'a> Session<'a> {
             ..
         } = self;
         let n = slots.len();
-        let er = flow.er();
-        let uses_qsr = matches!(flow, Flow::GenPip(ErMode::QsrOnly | ErMode::Full));
         let workers = config.parallelism.workers().max(1);
-        // The engine's resident-chain bound, mirrored here so detach-time
-        // summaries can carry it before the engine returns.
-        let in_flight_limit = if workers <= 1 {
-            1
-        } else {
-            options.queue_capacity.max(1) + workers
-        };
 
-        let mut ids = Vec::with_capacity(n);
+        let mut registry: Registry = Vec::with_capacity(n);
         let mut sources = Vec::with_capacity(n);
         let mut configs = Vec::with_capacity(n);
-        let mut sinks: Vec<Option<BoxedSink<'a>>> = Vec::with_capacity(n);
+        let mut lanes = Vec::with_capacity(n);
         for slot in slots {
-            ids.push(slot.id);
+            registry.push(Registered::new(slot.id, None));
             configs.push(slot.config.unwrap_or_else(|| config.clone()));
             sources.push(slot.source);
-            sinks.push(slot.sink);
+            lanes.push(SinkLane {
+                sink: slot.sink,
+                ..SinkLane::default()
+            });
         }
         // One immutable context per source (its reference index, basecaller,
         // chunk geometry, effective config), shared by every worker. The
@@ -1130,91 +1161,66 @@ impl<'a> Session<'a> {
                 .collect(),
         ));
         let policies: Vec<FaultPolicy> = configs.iter().map(|c| c.fault_policy).collect();
-        let default_target = match &schedule {
-            Schedule::Deadline(targets) => targets.iter().copied().max().unwrap_or(1),
-            _ => 1,
+        let engine = EngineConfig {
+            workers,
+            queue_capacity: options.queue_capacity,
+            reject_backlog: options.reject_backlog,
+            whole_reads: granularity == Granularity::Read,
+            schedule: &schedule,
+            policies: &policies,
+            control,
         };
 
         let control_state = Arc::clone(&control.state);
-        control_state.begin_run(&ids);
-        let registry = Arc::new(Mutex::new(Registry {
-            ids,
-            detach_requested: vec![false; n],
-            detaching: (0..n).map(|_| None).collect(),
-            pending_sinks: (0..n).map(|_| None).collect(),
-        }));
-
+        control_state.begin_run(registry.iter().map(|r| &r.id));
+        let registry = Arc::new(Mutex::new(registry));
         let feed = SessionFeed {
             sources,
-            er,
+            er: flow.er(),
             control: Arc::clone(&control_state),
             registry: Arc::clone(&registry),
             contexts: Arc::clone(&contexts),
             session_config: config,
-            uses_qsr,
+            uses_qsr: flow.uses_qsr(),
             max_sources: options.max_sources,
             priority: matches!(schedule, Schedule::Priority(_)),
             deadline: matches!(schedule, Schedule::Deadline(_)),
-            default_target,
+            default_target: match &schedule {
+                Schedule::Deadline(targets) => targets.iter().copied().max().unwrap_or(1),
+                _ => 1,
+            },
+        };
+        // The retry counter is the one number the emitter can't see locally
+        // (retries happen on the dispatcher), so it crosses over atomically.
+        let retried = Arc::new(AtomicUsize::new(0));
+        let mut emitter = SessionEmitter {
+            lanes,
+            outcomes: ProgressSnapshot::default(),
+            totals: WorkloadTotals::default(),
+            workers,
+            in_flight_limit: engine.in_flight_limit(),
+            progress_every: options.progress_every,
+            checkpoint,
+            emitted: 0,
+            registry,
+            control: Arc::clone(&control_state),
+            retried: Arc::clone(&retried),
         };
 
-        let mut per_outcomes = vec![ProgressSnapshot::default(); n];
-        let mut per_totals = vec![WorkloadTotals::default(); n];
-        let mut outcomes = ProgressSnapshot::default();
-        let mut totals = WorkloadTotals::default();
-
-        // Checkpoint plumbing. The sink is shared (Rc) between the emit
-        // closure (periodic cuts) and the post-run code (the final,
-        // `complete` cut) — both run on the calling thread. The retry
-        // counter is the one number the emitter can't see locally (retries
-        // happen on the dispatcher), so it crosses over atomically.
-        let checkpoint = checkpoint.map(|(every, sink)| (every, Rc::new(RefCell::new(sink))));
-        let retried_live = Arc::new(AtomicUsize::new(0));
-
-        /// What a retired chain hands the emitter: a normal result or a
-        /// quarantined fault, both delivered in-order through the sink.
-        /// `Run` dwarfs `Faulted` but is also the overwhelmingly common
-        /// case, so boxing it would cost an allocation per emitted read
-        /// to shrink the rare variant.
-        #[allow(clippy::large_enum_variant)]
-        enum ChainOutput {
-            Run(ReadRun),
-            Failed { id: u32, fault: ReadFault },
-        }
-
         let stats = {
-            let step_contexts = Arc::clone(&contexts);
-            let emit_registry = Arc::clone(&registry);
-            let emit_control = Arc::clone(&control_state);
-            let per_outcomes = &mut per_outcomes;
-            let per_totals = &mut per_totals;
-            let outcomes = &mut outcomes;
-            let totals = &mut totals;
-            let mut sinks = sinks;
-            let emit_checkpoint = checkpoint
-                .as_ref()
-                .map(|(every, sink)| (*every, Rc::clone(sink)));
-            let emit_retried = Arc::clone(&retried_live);
-            let retry_retried = Arc::clone(&retried_live);
-            let mut checkpoint_emitted = 0usize;
-            let mut lane_done: Vec<bool> = vec![false; n];
+            // However the engine returns — a panic unwinding through here
+            // included — commands still queued resolve to `SessionClosed`
+            // instead of leaving their waiters blocked.
+            let _close = OnDrop(|| control_state.close());
             session_engine(
-                EngineConfig {
-                    workers,
-                    queue_capacity: options.queue_capacity,
-                    reject_backlog: options.reject_backlog,
-                    lanes: n,
-                    schedule: &schedule,
-                    policies: &policies,
-                    control,
-                },
+                engine,
                 || -> Vec<Option<WorkerScratch>> { Vec::new() },
                 feed,
                 move |scratch, lane, chain: &mut ReadChain| {
                     // Per-chunk context lookup: a cheap read-lock + Arc
                     // clone, because attached lanes may grow the vector
                     // while this worker runs.
-                    let ctx = Arc::clone(&step_contexts.read().expect("contexts poisoned")[lane]);
+                    let ctx = Arc::clone(&contexts.read().expect("contexts poisoned")[lane]);
                     // Scratch is per (worker, source): lazily built because
                     // a worker may never see some sources' chunks, and
                     // grown on demand for attached lanes.
@@ -1222,225 +1228,224 @@ impl<'a> Session<'a> {
                         scratch.resize_with(lane + 1, || None);
                     }
                     let slot = scratch[lane].get_or_insert_with(|| WorkerScratch::new(&ctx));
-                    // Read granularity is the same chain stepped to
-                    // completion inside this one task, its permit held to
-                    // emission (never reported as cancelled).
-                    let whole_read = granularity == Granularity::Read;
-                    let mut done = 0u64;
-                    loop {
-                        match chain.step(&ctx, slot) {
-                            ChainStep::Parked { units } if whole_read => done += units,
-                            ChainStep::Parked { units } => break ChainStep::Parked { units },
-                            ChainStep::Finished {
-                                output,
-                                units,
-                                cancelled,
-                            } => {
-                                break ChainStep::Finished {
-                                    output: ChainOutput::Run(output),
-                                    units: done + units,
-                                    cancelled: cancelled && !whole_read,
-                                }
-                            }
-                        }
-                    }
+                    chain.step(&ctx, slot).map(Ok)
                 },
                 move |_lane, chain: ReadChain| {
-                    retry_retried.fetch_add(1, Ordering::Relaxed);
+                    retried.fetch_add(1, Ordering::Relaxed);
                     chain.retry()
                 },
-                |_lane, chain: ReadChain, info: FaultInfo| ChainOutput::Failed {
-                    id: chain.read_id(),
-                    fault: ReadFault {
+                |_lane, chain: ReadChain, info: FaultInfo| {
+                    let fault = ReadFault {
                         kind: info.kind,
                         message: info.message,
                         chunk: chain.fault_chunk(),
                         attempts: info.attempts,
-                    },
+                    };
+                    Err((chain.read_id(), fault))
                 },
-                move |lane, event: LaneEvent<ChainOutput>| {
-                    // Attached lanes grow the per-lane state on first
-                    // contact (their Attached marker precedes any output).
-                    if per_outcomes.len() <= lane {
-                        per_outcomes.resize_with(lane + 1, Default::default);
-                        per_totals.resize_with(lane + 1, Default::default);
-                    }
-                    if sinks.len() <= lane {
-                        sinks.resize_with(lane + 1, || None);
-                    }
-                    match event {
-                        LaneEvent::Attached => {
-                            let pending = emit_registry
-                                .lock()
-                                .expect("registry poisoned")
-                                .pending_sinks[lane]
-                                .take();
-                            if let Some(sink) = pending {
-                                sinks[lane] = Some(sink);
-                            }
-                        }
-                        LaneEvent::Detached(lane_stats) => {
-                            if lane_done.len() <= lane {
-                                lane_done.resize(lane + 1, false);
-                            }
-                            lane_done[lane] = true;
-                            // The lane's last output has been emitted:
-                            // finalize and deliver its summary.
-                            let summary = StreamSummary {
-                                outcomes: per_outcomes[lane],
-                                totals: per_totals[lane],
-                                workers,
-                                in_flight_limit,
-                                max_in_flight: lane_stats.max_in_flight,
-                                retried: lane_stats.retried,
-                                latency: lane_stats.latency,
-                            };
-                            let responder =
-                                emit_registry.lock().expect("registry poisoned").detaching[lane]
-                                    .take();
-                            if let Some(responder) = responder {
-                                let _ = responder.send(Ok(summary));
-                            }
-                            let mut inner = emit_control.inner.lock().expect("control poisoned");
-                            if let Some(stats) = inner.stats.sources.get_mut(lane) {
-                                stats.detached = true;
-                            }
-                        }
-                        LaneEvent::Output(output) => {
-                            let event = match output {
-                                ChainOutput::Run(run) => {
-                                    totals.accumulate(&run);
-                                    outcomes.observe(&run);
-                                    per_totals[lane].accumulate(&run);
-                                    per_outcomes[lane].observe(&run);
-                                    StreamEvent::Read(run)
-                                }
-                                ChainOutput::Failed { id, fault } => {
-                                    outcomes.observe_failed();
-                                    per_outcomes[lane].observe_failed();
-                                    StreamEvent::Failed { read_id: id, fault }
-                                }
-                            };
-                            let snapshot_due = options.progress_every > 0
-                                && per_outcomes[lane].reads_emitted % options.progress_every == 0;
-                            if let Some(sink) = sinks[lane].as_mut() {
-                                sink(event);
-                                if snapshot_due {
-                                    sink(StreamEvent::Progress(per_outcomes[lane]));
-                                }
-                            }
-                            {
-                                let mut inner =
-                                    emit_control.inner.lock().expect("control poisoned");
-                                if let Some(stats) = inner.stats.sources.get_mut(lane) {
-                                    stats.outcomes = per_outcomes[lane];
-                                }
-                            }
-                            if let Some((every, sink)) = &emit_checkpoint {
-                                checkpoint_emitted += 1;
-                                if checkpoint_emitted.is_multiple_of(*every) {
-                                    let ids = emit_registry
-                                        .lock()
-                                        .expect("registry poisoned")
-                                        .ids
-                                        .clone();
-                                    let cut = SessionCheckpoint {
-                                        sources: ids
-                                            .into_iter()
-                                            .enumerate()
-                                            .map(|(s, id)| SourceCheckpoint {
-                                                id,
-                                                outcomes: per_outcomes
-                                                    .get(s)
-                                                    .copied()
-                                                    .unwrap_or_default(),
-                                                done: lane_done.get(s).copied().unwrap_or(false),
-                                            })
-                                            .collect(),
-                                        outcomes: *outcomes,
-                                        retried: emit_retried.load(Ordering::Relaxed),
-                                        complete: false,
-                                    };
-                                    (sink.borrow_mut())(&cut);
-                                }
-                            }
-                        }
-                    }
-                },
+                |lane, event| emitter.on_event(lane, event),
             )
         };
-        control_state.close();
-        debug_assert_eq!(stats.in_flight_limit, in_flight_limit);
+        Ok(emitter.finish(stats))
+    }
+}
 
-        let ids: Vec<SourceId> = registry.lock().expect("registry poisoned").ids.clone();
-        per_outcomes.resize_with(ids.len(), Default::default);
-        per_totals.resize_with(ids.len(), Default::default);
-        // The final checkpoint: every lane has retired (run dry, detached,
-        // or drained), all results are through the sinks, and the engine's
-        // exact retry total is in hand.
-        if let Some((_, sink)) = &checkpoint {
-            let cut = SessionCheckpoint {
-                sources: ids
-                    .iter()
-                    .cloned()
-                    .enumerate()
-                    .map(|(s, id)| SourceCheckpoint {
-                        id,
-                        outcomes: per_outcomes[s],
-                        done: true,
-                    })
-                    .collect(),
-                outcomes,
-                retried: stats.retried,
-                complete: true,
-            };
-            (sink.borrow_mut())(&cut);
+/// What a retired chain hands the session's emitter: a normal result, or a
+/// quarantined read's id and fault.
+type ChainOutput = Result<ReadRun, (u32, ReadFault)>;
+
+/// One source's emitter-side record. Builder sources get theirs at
+/// startup; an attached source's is pushed at its in-order
+/// [`LaneEvent::Attached`] marker, which precedes every output of the lane.
+#[derive(Default)]
+struct SinkLane<'a> {
+    outcomes: ProgressSnapshot,
+    totals: WorkloadTotals,
+    sink: Option<BoxedSink<'a>>,
+    /// The lane was detached and its summary delivered.
+    done: bool,
+}
+
+/// The session's half of in-order emission, on the calling thread: feeds
+/// the per-source sinks, keeps the per-source and aggregate counters, cuts
+/// checkpoints between deliveries, and assembles the final report.
+struct SessionEmitter<'a> {
+    lanes: Vec<SinkLane<'a>>,
+    outcomes: ProgressSnapshot,
+    totals: WorkloadTotals,
+    workers: usize,
+    in_flight_limit: usize,
+    progress_every: usize,
+    /// Checkpoint cadence and sink, if checkpointing was requested.
+    checkpoint: Option<(usize, BoxedCheckpointSink<'a>)>,
+    /// Outputs delivered so far, across all sources.
+    emitted: usize,
+    registry: Arc<Mutex<Registry>>,
+    control: Arc<ControlState>,
+    retried: Arc<AtomicUsize>,
+}
+
+impl SessionEmitter<'_> {
+    fn on_event(&mut self, lane: usize, event: LaneEvent<ChainOutput>) {
+        match event {
+            LaneEvent::Attached => {
+                let pending = self.registry.lock().expect("registry poisoned")[lane]
+                    .pending_sink
+                    .take();
+                debug_assert_eq!(lane, self.lanes.len(), "markers arrive in lane order");
+                self.lanes.push(SinkLane {
+                    sink: pending.map(|sink| sink as BoxedSink<'_>),
+                    ..SinkLane::default()
+                });
+            }
+            LaneEvent::Detached(stats) => {
+                // The lane's last output has been emitted: finalize and
+                // deliver its summary.
+                self.lanes[lane].done = true;
+                let summary = self.summary(lane, &stats);
+                let responder = self.registry.lock().expect("registry poisoned")[lane]
+                    .detaching
+                    .take();
+                if let Some(responder) = responder {
+                    let _ = responder.send(Ok(summary));
+                }
+                let mut inner = self.control.inner.lock().expect("control poisoned");
+                if let Some(stats) = inner.stats.sources.get_mut(lane) {
+                    stats.detached = true;
+                }
+            }
+            LaneEvent::Output(output) => self.deliver(lane, output),
         }
-        let sources = ids
-            .into_iter()
-            .enumerate()
-            .map(|(s, id)| SourceReport {
-                id,
-                summary: StreamSummary {
-                    outcomes: per_outcomes[s],
-                    totals: per_totals[s],
-                    workers,
-                    in_flight_limit: stats.in_flight_limit,
-                    max_in_flight: stats.lanes[s].max_in_flight,
-                    retried: stats.lanes[s].retried,
-                    latency: stats.lanes[s].latency,
-                },
-            })
-            .collect();
-        Ok(SessionReport {
-            sources,
-            outcomes,
-            totals,
-            workers,
-            in_flight_limit: stats.in_flight_limit,
+    }
+
+    fn deliver(&mut self, lane: usize, output: ChainOutput) {
+        let record = &mut self.lanes[lane];
+        let event = match output {
+            Ok(run) => {
+                self.totals.accumulate(&run);
+                self.outcomes.observe(&run);
+                record.totals.accumulate(&run);
+                record.outcomes.observe(&run);
+                StreamEvent::Read(run)
+            }
+            Err((read_id, fault)) => {
+                self.outcomes.observe_failed();
+                record.outcomes.observe_failed();
+                StreamEvent::Failed { read_id, fault }
+            }
+        };
+        let outcomes = record.outcomes;
+        if let Some(sink) = record.sink.as_mut() {
+            sink(event);
+            if self.progress_every > 0 && outcomes.reads_emitted.is_multiple_of(self.progress_every)
+            {
+                sink(StreamEvent::Progress(outcomes));
+            }
+        }
+        {
+            let mut inner = self.control.inner.lock().expect("control poisoned");
+            if let Some(stats) = inner.stats.sources.get_mut(lane) {
+                stats.outcomes = outcomes;
+            }
+        }
+        self.emitted += 1;
+        if matches!(&self.checkpoint, Some((every, _)) if self.emitted.is_multiple_of(*every)) {
+            self.cut(false);
+        }
+    }
+
+    /// Hands the checkpoint sink (if any) a cut of the session as of now: a
+    /// periodic one between deliveries, or the final `complete` one — every
+    /// lane retired (run dry, detached, or drained), all results delivered.
+    fn cut(&mut self, complete: bool) {
+        let Some((_, sink)) = &mut self.checkpoint else {
+            return;
+        };
+        let registry = self.registry.lock().expect("registry poisoned");
+        let sources = registry.iter().enumerate().map(|(s, registered)| {
+            // The registry can be a lane ahead of the emitter: an attach
+            // accepted on the dispatcher whose marker is still in flight.
+            let record = self.lanes.get(s);
+            SourceCheckpoint {
+                id: registered.id.clone(),
+                outcomes: record.map(|r| r.outcomes).unwrap_or_default(),
+                done: complete || record.is_some_and(|r| r.done),
+            }
+        });
+        sink(&SessionCheckpoint {
+            sources: sources.collect(),
+            outcomes: self.outcomes,
+            retried: self.retried.load(Ordering::Relaxed),
+            complete,
+        });
+    }
+
+    /// `lane`'s summary: its own counters plus the engine's observations of
+    /// it. `workers` and `in_flight_limit` are the session-wide values.
+    fn summary(&self, lane: usize, stats: &LaneStats) -> StreamSummary {
+        StreamSummary {
+            outcomes: self.lanes[lane].outcomes,
+            totals: self.lanes[lane].totals,
+            workers: self.workers,
+            in_flight_limit: self.in_flight_limit,
+            max_in_flight: stats.max_in_flight,
+            retried: stats.retried,
+            latency: stats.latency,
+        }
+    }
+
+    /// The final checkpoint and the report, once the engine has returned.
+    fn finish(mut self, stats: EngineStats) -> SessionReport {
+        self.cut(true);
+        let registry = self.registry.lock().expect("registry poisoned");
+        SessionReport {
+            sources: (registry.iter().zip(&stats.lanes).enumerate())
+                .map(|(lane, (registered, lane_stats))| SourceReport {
+                    id: registered.id.clone(),
+                    summary: self.summary(lane, lane_stats),
+                })
+                .collect(),
+            outcomes: self.outcomes,
+            totals: self.totals,
+            workers: self.workers,
+            in_flight_limit: self.in_flight_limit,
             max_in_flight: stats.max_in_flight,
             retried: stats.retried,
             max_reject_backlog: stats.max_reject_backlog,
             latency: stats.latency,
-        })
+        }
     }
 }
 
 /// The session-layer registry shared between the dispatcher-side
-/// [`SessionFeed`] and the emitting thread: the authoritative id↔lane map
-/// (ids are never reused, even after detach), pending detach responders,
-/// and sinks for attached lanes awaiting their in-order install.
-struct Registry {
-    ids: Vec<SourceId>,
+/// [`SessionFeed`] and the emitting thread, one record per lane: the
+/// authoritative id↔lane map (ids are never reused, even after detach),
+/// pending detach responders, and sinks for attached lanes awaiting their
+/// in-order install.
+type Registry = Vec<Registered>;
+
+struct Registered {
+    id: SourceId,
     /// `true` from the moment a detach is accepted; never reset, so a
     /// second detach of the same id is refused as unknown.
-    detach_requested: Vec<bool>,
+    detach_requested: bool,
     /// The detach responder, taken by the emitter when the lane's summary
     /// is finalized.
-    detaching: Vec<Option<mpsc::Sender<Result<StreamSummary, SessionError>>>>,
-    /// Sinks for attached lanes, installed by the emitter at the lane's
+    detaching: Option<mpsc::Sender<Result<StreamSummary, SessionError>>>,
+    /// An attached lane's sink, installed by the emitter at the lane's
     /// in-order [`LaneEvent::Attached`] marker — before its first output.
-    pending_sinks: Vec<Option<AttachedSink>>,
+    pending_sink: Option<AttachedSink>,
+}
+
+impl Registered {
+    fn new(id: SourceId, pending_sink: Option<AttachedSink>) -> Registered {
+        Registered {
+            id,
+            detach_requested: false,
+            detaching: None,
+            pending_sink,
+        }
+    }
 }
 
 /// A sink supplied with a live attach: unlike builder sinks it must be
@@ -1469,16 +1474,16 @@ struct SessionFeed<'a> {
 }
 
 impl SessionFeed<'_> {
-    /// The attach-time twin of [`Session::validate`]'s per-slot checks,
-    /// plus the live-session admission rules (unique-forever ids,
-    /// [`StreamOptions::max_sources`], schedule parameters).
+    /// The live-session admission rules (unique-forever ids,
+    /// [`StreamOptions::max_sources`], schedule parameters), then the same
+    /// per-source config check [`Session::validate`] runs at startup.
     fn validate_attach(&self, request: &AttachRequest) -> Result<(), SessionError> {
         {
             let registry = self.registry.lock().expect("registry poisoned");
-            if registry.ids.contains(&request.id) {
+            if registry.iter().any(|r| r.id == request.id) {
                 return Err(SessionError::DuplicateSource(request.id.clone()));
             }
-            let live = registry.detach_requested.iter().filter(|d| !**d).count();
+            let live = registry.iter().filter(|r| !r.detach_requested).count();
             if live >= self.max_sources {
                 return Err(SessionError::TooManySources {
                     limit: self.max_sources,
@@ -1491,30 +1496,13 @@ impl SessionFeed<'_> {
         if self.deadline && request.target == Some(0) {
             return Err(SessionError::ZeroDeadlineTarget(request.id.clone()));
         }
-        let config = request.config.as_ref().unwrap_or(&self.session_config);
-        let dwell = request.source.mean_dwell();
-        let issue = if config.chunk_bases == 0 {
-            Some(SourceConfigIssue::ZeroChunkBases)
-        } else if self.uses_qsr && config.n_qs == 0 {
-            Some(SourceConfigIssue::ZeroQsrSamples)
-        } else if !(dwell > 0.0 && dwell.is_finite()) {
-            Some(SourceConfigIssue::NonPositiveDwell)
-        } else if request.config.is_some() && config.mapper.k > request.source.reference().len() {
-            Some(SourceConfigIssue::KmerExceedsReference {
-                k: config.mapper.k,
-                reference_len: request.source.reference().len(),
-            })
-        } else {
-            duplicate_reference_name(config, request.source.reference())
-                .map(|name| SourceConfigIssue::DuplicateReferenceName { name })
-        };
-        match issue {
-            Some(issue) => Err(SessionError::IncompatibleSourceConfig {
-                id: request.id.clone(),
-                issue,
-            }),
-            None => Ok(()),
-        }
+        check_source_config(
+            &request.id,
+            &*request.source,
+            request.config.as_ref(),
+            &self.session_config,
+            self.uses_qsr,
+        )
     }
 
     /// Validates and registers one attach, answering its responder either
@@ -1524,41 +1512,32 @@ impl SessionFeed<'_> {
             let _ = request.responder.send(Err(error));
             return None;
         }
-        let AttachRequest {
-            id,
-            source,
-            config,
-            sink,
-            weight,
-            target,
-            responder,
-        } = request;
-        let effective = config.unwrap_or_else(|| self.session_config.clone());
-        {
-            let mut registry = self.registry.lock().expect("registry poisoned");
-            registry.ids.push(id.clone());
-            registry.detach_requested.push(false);
-            registry.detaching.push(None);
-            registry.pending_sinks.push(sink);
-        }
+        let effective = (request.config).unwrap_or_else(|| self.session_config.clone());
+        self.registry
+            .lock()
+            .expect("registry poisoned")
+            .push(Registered::new(request.id.clone(), request.sink));
         self.contexts
             .write()
             .expect("contexts poisoned")
-            .push(Arc::new(RunContext::from_source(&*source, &effective)));
-        self.sources.push(source);
+            .push(Arc::new(RunContext::from_source(
+                &*request.source,
+                &effective,
+            )));
+        self.sources.push(request.source);
         {
             let mut inner = self.control.inner.lock().expect("control poisoned");
             inner.stats.sources.push(SourceStats {
-                id,
+                id: request.id,
                 outcomes: ProgressSnapshot::default(),
                 detached: false,
             });
         }
-        let _ = responder.send(Ok(()));
+        let _ = request.responder.send(Ok(()));
         Some(EngineCommand::AddLane {
             policy: effective.fault_policy,
-            weight,
-            target: target.unwrap_or(self.default_target),
+            weight: request.weight,
+            target: request.target.unwrap_or(self.default_target),
         })
     }
 }
@@ -1585,10 +1564,10 @@ impl LaneFeed<ReadChain> for SessionFeed<'_> {
                 }
                 Command::Detach { id, responder } => {
                     let mut registry = self.registry.lock().expect("registry poisoned");
-                    match registry.ids.iter().position(|i| *i == id) {
-                        Some(lane) if !registry.detach_requested[lane] => {
-                            registry.detach_requested[lane] = true;
-                            registry.detaching[lane] = Some(responder);
+                    match registry.iter().position(|r| r.id == id) {
+                        Some(lane) if !registry[lane].detach_requested => {
+                            registry[lane].detach_requested = true;
+                            registry[lane].detaching = Some(responder);
                             commands.push(EngineCommand::DrainLane { lane });
                         }
                         _ => {
@@ -1632,29 +1611,25 @@ struct FlowGate {
     freed: Condvar,
     limit: usize,
     backlog_limit: usize,
-    high: AtomicUsize,
-    backlog_high: AtomicUsize,
 }
 
+#[derive(Default)]
 struct GateState {
     used: usize,
     backlog: usize,
+    /// High-water marks of `used` and `backlog`.
+    high: usize,
+    backlog_high: usize,
     open: bool,
 }
 
 impl FlowGate {
     fn new(limit: usize, backlog_limit: usize) -> FlowGate {
         FlowGate {
-            state: Mutex::new(GateState {
-                used: 0,
-                backlog: 0,
-                open: false,
-            }),
+            state: Mutex::new(GateState::default()),
             freed: Condvar::new(),
             limit,
             backlog_limit,
-            high: AtomicUsize::new(0),
-            backlog_high: AtomicUsize::new(0),
         }
     }
 
@@ -1674,7 +1649,7 @@ impl FlowGate {
             return false;
         }
         state.used += 1;
-        self.high.fetch_max(state.used, Ordering::Relaxed);
+        state.high = state.high.max(state.used);
         true
     }
 
@@ -1700,8 +1675,7 @@ impl FlowGate {
     fn push_backlog(&self) {
         let mut state = self.state.lock().expect("gate poisoned");
         state.backlog += 1;
-        self.backlog_high
-            .fetch_max(state.backlog, Ordering::Relaxed);
+        state.backlog_high = state.backlog_high.max(state.backlog);
     }
 
     /// Records one verdict-released result leaving the backlog at its
@@ -1711,10 +1685,6 @@ impl FlowGate {
         state.backlog -= 1;
         drop(state);
         self.freed.notify_one();
-    }
-
-    fn backlog_high_water(&self) -> usize {
-        self.backlog_high.load(Ordering::Relaxed)
     }
 
     /// Blocks until every permit is back and the emission backlog is empty
@@ -1740,20 +1710,20 @@ impl FlowGate {
         self.freed.notify_all();
     }
 
-    fn high_water(&self) -> usize {
-        self.high.load(Ordering::Relaxed)
+    /// The most permits ever out at once, and the deepest the backlog got.
+    fn high_waters(&self) -> (usize, usize) {
+        let state = self.state.lock().expect("gate poisoned");
+        (state.high, state.backlog_high)
     }
 }
 
-/// Opens the gate when dropped — normally after the emit loop (harmless:
-/// the dispatcher has already exited), and crucially during unwinding, so a
-/// panicking sink or worker pool releases the dispatcher instead of
-/// deadlocking the scope join.
-struct OpenOnDrop<'a>(&'a FlowGate);
+/// Runs its closure when dropped — on the normal path and, crucially,
+/// during unwinding. The closure must not panic.
+struct OnDrop<F: FnMut()>(F);
 
-impl Drop for OpenOnDrop<'_> {
+impl<F: FnMut()> Drop for OnDrop<F> {
     fn drop(&mut self) {
-        self.0.open();
+        (self.0)();
     }
 }
 
@@ -1778,6 +1748,24 @@ pub(crate) enum ChainStep<O> {
     },
 }
 
+impl<O> ChainStep<O> {
+    /// The same step with its output (if it has one) converted by `f`.
+    pub(crate) fn map<T>(self, f: impl FnOnce(O) -> T) -> ChainStep<T> {
+        match self {
+            ChainStep::Parked { units } => ChainStep::Parked { units },
+            ChainStep::Finished {
+                output,
+                units,
+                cancelled,
+            } => ChainStep::Finished {
+                output: f(output),
+                units,
+                cancelled,
+            },
+        }
+    }
+}
+
 /// Per-lane engine observations.
 pub(crate) struct LaneStats {
     /// High-water mark of this lane's resident chains (plus
@@ -1789,19 +1777,15 @@ pub(crate) struct LaneStats {
     pub(crate) latency: LatencyStats,
 }
 
-/// What the engine enforced and observed: the single source of truth for
-/// the in-flight bound and the latency percentiles, so callers never
-/// re-derive them.
+/// What the engine observed, so callers never re-derive it. (The bound it
+/// enforced is [`EngineConfig::in_flight_limit`].)
 pub(crate) struct EngineStats {
-    /// The enforced bound on resident chains (`queue_capacity + workers`,
-    /// or 1 for the serial in-line path).
-    pub(crate) in_flight_limit: usize,
     /// High-water mark of resident chains across all lanes.
     pub(crate) max_in_flight: usize,
     /// Fault retries across all lanes.
     pub(crate) retried: usize,
-    /// High-water mark of the verdict-released emission backlog (0 on the
-    /// serial path, where emission is immediate).
+    /// High-water mark of the verdict-released emission backlog (0 when
+    /// every task is a whole read, whose permit is held to emission).
     pub(crate) max_reject_backlog: usize,
     /// Aggregate residency percentiles.
     pub(crate) latency: LatencyStats,
@@ -1863,69 +1847,85 @@ pub(crate) enum EngineCommand {
     DrainLane { lane: usize },
 }
 
-/// Per-lane permit attribution and retry counts, shared between the
-/// dispatcher (admission, cancellation, retries) and the emitter (permit
-/// release at emission, detach-marker stats). One mutex instead of
-/// per-lane atomics because the vectors must grow when lanes attach
-/// mid-run.
-struct LaneCounters {
-    inflight: Vec<usize>,
-    high: Vec<usize>,
-    retried: Vec<usize>,
+/// The per-lane record the dispatcher (admission, early release, retries)
+/// and the emitter (release at emission, samples, detach-marker stats)
+/// share. The dispatcher pushes a lane's record before sending its
+/// `Attached` marker, so every later index is in bounds on both sides. The
+/// *global* bound is the gate's; `high` only attributes high-waters.
+#[derive(Default)]
+struct LaneTally {
+    inflight: usize,
+    high: usize,
+    retried: usize,
+    samples: Vec<u64>,
 }
 
-impl LaneCounters {
-    fn new(lanes: usize) -> LaneCounters {
-        LaneCounters {
-            inflight: vec![0; lanes],
-            high: vec![0; lanes],
-            retried: vec![0; lanes],
+impl LaneTally {
+    /// The lane's stats as of now (final once its last output is emitted).
+    fn stats(&mut self) -> LaneStats {
+        LaneStats {
+            max_in_flight: self.high,
+            retried: self.retried,
+            latency: LatencyStats::from_samples(&mut self.samples),
         }
-    }
-
-    fn ensure(&mut self, lane: usize) {
-        if self.inflight.len() <= lane {
-            self.inflight.resize(lane + 1, 0);
-            self.high.resize(lane + 1, 0);
-            self.retried.resize(lane + 1, 0);
-        }
-    }
-
-    fn admitted(&mut self, lane: usize) {
-        self.inflight[lane] += 1;
-        self.high[lane] = self.high[lane].max(self.inflight[lane]);
     }
 }
 
-/// A chunk task in flight to a worker. Carries its lane's fault policy so
-/// workers never index shared per-lane state (which grows when lanes
-/// attach mid-run).
+/// What the dispatcher and the emitter share: the gate and the per-lane
+/// tallies (one mutex rather than per-lane atomics, because the vector
+/// grows when lanes attach mid-run).
+struct Shared {
+    gate: FlowGate,
+    tallies: Mutex<Vec<LaneTally>>,
+}
+
+impl Shared {
+    fn tallies(&self) -> std::sync::MutexGuard<'_, Vec<LaneTally>> {
+        self.tallies.lock().expect("tallies poisoned")
+    }
+
+    /// What the finished engine observed.
+    fn into_stats(self) -> EngineStats {
+        let mut tallies = self.tallies.into_inner().expect("tallies poisoned");
+        let mut all: Vec<u64> = tallies.iter().flat_map(|t| &t.samples).copied().collect();
+        let (max_in_flight, max_reject_backlog) = self.gate.high_waters();
+        EngineStats {
+            max_in_flight,
+            retried: tallies.iter().map(|t| t.retried).sum(),
+            max_reject_backlog,
+            latency: LatencyStats::from_samples(&mut all),
+            lanes: tallies.iter_mut().map(LaneTally::stats).collect(),
+        }
+    }
+}
+
+/// A chunk task on its way to a worker. `token` is its chain's admission
+/// seq. The task carries its lane's fault policy so workers never index
+/// per-lane state (which grows when lanes attach mid-run).
 struct Task<C> {
-    token: usize,
+    token: u64,
     lane: usize,
     policy: FaultPolicy,
     chain: C,
 }
 
-/// What a worker sends back after running one task. `Faulted` is a
+/// What [`run_task`] reports back to the dispatcher. `Faulted` is a
 /// contained panic — the chain survived and the dispatcher decides retry
-/// vs. quarantine. `Panicked` is a worker's dying gasp under
+/// vs. quarantine. `Panicked` is a pool worker's dying gasp under
 /// [`FaultPolicy::Fail`]: "I panicked on this task — abort."
 enum WorkerMsg<C, O> {
     Parked {
-        token: usize,
-        chain: C,
+        task: Task<C>,
         units: u64,
     },
     Finished {
-        token: usize,
+        token: u64,
         output: O,
         units: u64,
         cancelled: bool,
     },
     Faulted {
-        token: usize,
-        chain: C,
+        task: Task<C>,
         kind: FaultKind,
         message: String,
     },
@@ -1952,26 +1952,45 @@ enum EmitKind<O> {
     Detached,
 }
 
-/// A resident chain's dispatcher-side bookkeeping. `chain` is `Some` while
-/// parked here, `None` while its task is on a worker.
-struct ChainSlot<C> {
+/// A resident chain's dispatcher-side bookkeeping. (The chain itself is in
+/// its [`Task`]: out on a worker, or parked in its lane's `ready` queue.)
+struct Resident {
     lane: usize,
-    seq: u64,
     start_tick: u64,
     attempts: u32,
-    chain: Option<C>,
 }
 
 /// The engine's scalar knobs, bundled so the closure parameters stay
-/// readable at the call site.
+/// readable at the call site. There is one lane per entry of `policies`.
 pub(crate) struct EngineConfig<'s> {
     pub(crate) workers: usize,
     pub(crate) queue_capacity: usize,
     pub(crate) reject_backlog: usize,
-    pub(crate) lanes: usize,
+    /// Step every chain to completion inside one task
+    /// ([`Granularity::Read`]). Always the case with one worker.
+    pub(crate) whole_reads: bool,
     pub(crate) schedule: &'s Schedule,
     pub(crate) policies: &'s [FaultPolicy],
     pub(crate) control: &'s SessionControl,
+}
+
+impl EngineConfig<'_> {
+    /// The enforced bound on resident chains: `queue_capacity + workers`
+    /// on the pool, 1 when the caller's thread is the only worker.
+    pub(crate) fn in_flight_limit(&self) -> usize {
+        if self.workers == 1 {
+            1
+        } else {
+            self.queue_capacity.max(1) + self.workers
+        }
+    }
+
+    /// Whether a task is a whole read. Such a task holds its permit to
+    /// emission — verdicts and quarantines alike — so nothing it retires
+    /// enters the reject backlog.
+    fn whole_reads(&self) -> bool {
+        self.whole_reads || self.workers == 1
+    }
 }
 
 /// What the engine learned about a contained fault, handed to the caller's
@@ -2011,9 +2030,10 @@ thread_local! {
 static QUIET_HOOK: Once = Once::new();
 
 /// Installs (once, process-wide) a panic hook that stays silent for panics
-/// raised inside [`step_contained`] and defers to the previous hook for
-/// everything else. Only called when some lane's policy actually contains
-/// faults, so `FaultPolicy::Fail` runs keep the stock hook untouched.
+/// raised inside a contained [`run_task`] and defers to the previous hook
+/// for everything else. Only called when some lane's policy actually
+/// contains faults, so `FaultPolicy::Fail` runs keep the stock hook
+/// untouched.
 fn install_quiet_hook() {
     QUIET_HOOK.call_once(|| {
         let previous = std::panic::take_hook();
@@ -2026,35 +2046,457 @@ fn install_quiet_hook() {
     });
 }
 
-/// Runs `f` with panic output suppressed, returning the payload on panic.
-fn step_contained<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn std::any::Any + Send>> {
-    SUPPRESS_PANIC_OUTPUT.with(|c| c.set(true));
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+/// Runs one task — the only place a chain's `step` is called and its
+/// panics are caught (a panicking `step` would otherwise strand the
+/// chain's permit and deadlock the dispatcher), whichever thread runs it.
+/// A whole-read task loops the chain to completion, its units summed and
+/// its permit held to emission (never reported as cancelled). Under a
+/// containing policy a panicking chain survives (the closure only borrowed
+/// it) and comes back `Faulted`, the panic report suppressed; under
+/// [`FaultPolicy::Fail`] the payload is returned for the caller to rethrow.
+fn run_task<C, O, S>(
+    step: &impl Fn(&mut S, usize, &mut C) -> ChainStep<O>,
+    state: &mut S,
+    whole_read: bool,
+    mut task: Task<C>,
+) -> Result<WorkerMsg<C, O>, Box<dyn std::any::Any + Send>> {
+    let (token, lane) = (task.token, task.lane);
+    let contain = task.policy != FaultPolicy::Fail;
+    SUPPRESS_PANIC_OUTPUT.with(|c| c.set(contain));
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut done = 0u64;
+        loop {
+            match step(state, lane, &mut task.chain) {
+                ChainStep::Parked { units } if whole_read => done += units,
+                ChainStep::Parked { units } => break (None, units),
+                ChainStep::Finished {
+                    output,
+                    units,
+                    cancelled,
+                } => break (Some((output, cancelled && !whole_read)), done + units),
+            }
+        }
+    }));
     SUPPRESS_PANIC_OUTPUT.with(|c| c.set(false));
-    outcome
+    match outcome {
+        Ok((None, units)) => Ok(WorkerMsg::Parked { task, units }),
+        Ok((Some((output, cancelled)), units)) => Ok(WorkerMsg::Finished {
+            token,
+            output,
+            units,
+            cancelled,
+        }),
+        Err(panic) if contain => {
+            let (kind, message) = classify_panic(panic);
+            Ok(WorkerMsg::Faulted {
+                task,
+                kind,
+                message,
+            })
+        }
+        Err(panic) => Err(panic),
+    }
 }
 
-/// The one execution core behind every driver: admits chains from `pull`
-/// (one per read, per lane), schedules their tasks one at a time — the
-/// `schedule` picks the lane of every task — onto up to `workers` lazily
-/// spawned threads (each with its own state from `worker_state`), and calls
-/// `emit` with chain outputs **in global admission order** (which makes
-/// each lane's emission order its own pull order). At most
-/// `queue_capacity + workers` chains are resident; cancelled chains leave
-/// the bound at their verdict.
+/// A pool worker: runs tasks off the shared queue until the dispatcher
+/// hangs up. A panic under [`FaultPolicy::Fail`] tells the dispatcher to
+/// abort, then rethrows so the scope propagates it after teardown.
+fn worker_loop<C, O, S>(
+    step: &impl Fn(&mut S, usize, &mut C) -> ChainStep<O>,
+    mut state: S,
+    whole_reads: bool,
+    tasks: &Mutex<mpsc::Receiver<Task<C>>>,
+    results: mpsc::Sender<WorkerMsg<C, O>>,
+) {
+    loop {
+        let received = tasks.lock().expect("queue poisoned").recv();
+        let Ok(task) = received else { break };
+        match run_task(step, &mut state, whole_reads, task) {
+            Ok(msg) => {
+                if results.send(msg).is_err() {
+                    break;
+                }
+            }
+            Err(panic) => {
+                let _ = results.send(WorkerMsg::Panicked);
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+}
+
+/// One lane's dispatcher-side state.
+struct DispatchLane<C> {
+    policy: FaultPolicy,
+    /// No more pulls: the source ran dry, or lane or session is draining.
+    dry: bool,
+    /// A detach is pending: the lane's retirement sends its marker.
+    detaching: bool,
+    /// Resident chains of this lane (parked here or out on a task).
+    live: usize,
+    /// Parked chains ready to advance, oldest first.
+    ready: VecDeque<Task<C>>,
+}
+
+impl<C> DispatchLane<C> {
+    fn new(policy: FaultPolicy) -> Self {
+        DispatchLane {
+            policy,
+            dry: false,
+            detaching: false,
+            live: 0,
+            ready: VecDeque::new(),
+        }
+    }
+}
+
+/// The engine's scheduling half: owns the feed (sources plus control
+/// plane), the schedule, and every resident chain. Retired outputs and
+/// lane markers go to `out` — the [`Emitter`] itself, or its channel when
+/// the dispatcher has its own thread; `false` means the emitter is gone.
+struct Dispatcher<'e, C, L, R, Q, X> {
+    shared: &'e Shared,
+    control: &'e SessionControl,
+    feed: L,
+    retry: R,
+    fault: Q,
+    out: X,
+    sched: SchedulerState,
+    lanes: Vec<DispatchLane<C>>,
+    /// Resident chains by admission seq.
+    residents: HashMap<u64, Resident>,
+    hold_permits: bool,
+    tick: u64,
+    next_seq: u64,
+    /// Tasks handed out by `next_task` and not yet `complete`d.
+    outstanding: usize,
+    /// Teardown is underway (gate opened, emitter or pool gone).
+    shutdown: bool,
+}
+
+impl<'e, C, O, L, R, Q, X> Dispatcher<'e, C, L, R, Q, X>
+where
+    L: LaneFeed<C>,
+    R: FnMut(usize, C) -> C,
+    Q: FnMut(usize, C, FaultInfo) -> O,
+    X: FnMut(EmitMsg<O>) -> bool,
+{
+    fn new(
+        cfg: &EngineConfig<'e>,
+        shared: &'e Shared,
+        feed: L,
+        retry: R,
+        fault: Q,
+        out: X,
+    ) -> Self {
+        Dispatcher {
+            shared,
+            control: cfg.control,
+            feed,
+            retry,
+            fault,
+            out,
+            sched: SchedulerState::new(cfg.schedule, cfg.policies.len()),
+            lanes: (cfg.policies.iter().copied())
+                .map(DispatchLane::new)
+                .collect(),
+            residents: HashMap::new(),
+            hold_permits: cfg.whole_reads(),
+            tick: 0,
+            next_seq: 0,
+            outstanding: 0,
+            shutdown: false,
+        }
+    }
+
+    fn send(&mut self, seq: u64, lane: usize, kind: EmitKind<O>) {
+        if !(self.out)(EmitMsg { seq, lane, kind }) {
+            self.shutdown = true;
+        }
+    }
+
+    /// Sends a lane marker under the next seq — allocated here, on the
+    /// dispatcher: an `Attached` marker's before any admission of the new
+    /// lane, a `Detached` one's after the lane's last.
+    fn send_marker(&mut self, lane: usize, kind: EmitKind<O>) {
+        self.next_seq += 1;
+        self.send(self.next_seq - 1, lane, kind);
+    }
+
+    /// Stops pulling from `lane` and, once its last resident chain is gone,
+    /// retires it: exhausted in the schedule and, if it is being detached,
+    /// its in-order `Detached` marker sent. Idempotent, so a drain racing a
+    /// natural exhaustion is fine.
+    fn dry_up(&mut self, lane: usize) {
+        let state = &mut self.lanes[lane];
+        state.dry = true;
+        if state.live == 0 {
+            self.sched.exhausted(lane);
+            if std::mem::take(&mut state.detaching) {
+                self.send_marker(lane, EmitKind::Detached);
+            }
+        }
+    }
+
+    /// The control plane, applied before a dispatch round: attach new
+    /// lanes, start per-lane drains, honor a session-wide drain (every
+    /// source running dry at once — resident chains still retire). `true`
+    /// if the feed had any command.
+    fn apply_commands(&mut self) -> bool {
+        let commands = self.feed.poll();
+        let any = !commands.is_empty();
+        for command in commands {
+            match command {
+                EngineCommand::AddLane {
+                    policy,
+                    weight,
+                    target,
+                } => {
+                    if policy != FaultPolicy::Fail {
+                        install_quiet_hook();
+                    }
+                    self.sched.add_lane(weight, target);
+                    self.lanes.push(DispatchLane::new(policy));
+                    self.shared.tallies().push(LaneTally::default());
+                    self.send_marker(self.lanes.len() - 1, EmitKind::Attached);
+                }
+                EngineCommand::DrainLane { lane } => {
+                    self.lanes[lane].detaching = true;
+                    self.dry_up(lane);
+                }
+            }
+        }
+        if self.control.is_draining() {
+            for lane in 0..self.lanes.len() {
+                self.dry_up(lane);
+            }
+        }
+        any
+    }
+
+    /// The next task in schedule order, or `None` when nothing is
+    /// dispatchable right now. A lane is available if it has a parked
+    /// chain to advance or a new read can be admitted under a fresh permit.
+    fn next_task(&mut self) -> Option<Task<C>> {
+        while !self.shutdown {
+            let (lanes, gate) = (&self.lanes, &self.shared.gate);
+            let lane = self
+                .sched
+                .next_where(|l| !lanes[l].ready.is_empty() || (!lanes[l].dry && gate.has_room()))?;
+            let parked = self.lanes[lane].ready.pop_front();
+            if let Some(task) = parked.or_else(|| self.admit(lane)) {
+                self.outstanding += 1;
+                return Some(task);
+            }
+        }
+        None
+    }
+
+    /// Pulls `lane`'s next read under a fresh permit and makes it resident;
+    /// `None` when the source turned out dry or the gate was opened.
+    fn admit(&mut self, lane: usize) -> Option<Task<C>> {
+        if !self.shared.gate.acquire() {
+            self.shutdown = true;
+            return None;
+        }
+        let Some(chain) = self.feed.pull(lane) else {
+            self.shared.gate.release();
+            self.dry_up(lane);
+            return None;
+        };
+        let tally = &mut self.shared.tallies()[lane];
+        tally.inflight += 1;
+        tally.high = tally.high.max(tally.inflight);
+        self.lanes[lane].live += 1;
+        let resident = Resident {
+            lane,
+            start_tick: self.tick,
+            attempts: 0,
+        };
+        let token = self.next_seq;
+        self.next_seq += 1;
+        self.residents.insert(token, resident);
+        Some(Task {
+            token,
+            lane,
+            policy: self.lanes[lane].policy,
+            chain,
+        })
+    }
+
+    /// Takes back a task: parks the chain, retires it, or — on a contained
+    /// fault — rewinds it while the lane's policy has retry budget left and
+    /// quarantines it otherwise.
+    fn complete(&mut self, msg: WorkerMsg<C, O>) {
+        self.outstanding -= 1;
+        match msg {
+            WorkerMsg::Parked { task, units } => {
+                self.tick += units;
+                self.lanes[task.lane].ready.push_back(task);
+            }
+            WorkerMsg::Finished {
+                token,
+                output,
+                units,
+                cancelled,
+            } => {
+                self.tick += units;
+                self.retire(token, output, cancelled);
+            }
+            WorkerMsg::Faulted {
+                mut task,
+                kind,
+                message,
+            } => {
+                let resident = self.residents.get_mut(&task.token);
+                let resident = resident.expect("resident chain");
+                resident.attempts += 1;
+                let (lane, attempts) = (task.lane, resident.attempts);
+                if attempts <= task.policy.retry_attempts() {
+                    // The schedule picks the rewound chain back up like any
+                    // other parked chain.
+                    self.shared.tallies()[lane].retried += 1;
+                    task.chain = (self.retry)(lane, task.chain);
+                    self.lanes[lane].ready.push_back(task);
+                } else {
+                    let info = FaultInfo {
+                        kind,
+                        message,
+                        attempts,
+                    };
+                    let output = (self.fault)(lane, task.chain, info);
+                    self.retire(task.token, output, true);
+                }
+            }
+            WorkerMsg::Panicked => self.shutdown = true,
+        }
+    }
+
+    /// Retires a chain with its output. `verdict` marks an ER cancellation
+    /// or a quarantine: the read's remaining chunks were never scheduled
+    /// and — unless tasks are whole reads — its permit goes back *now*, not
+    /// at emission, its result joining the soft-gated backlog until its
+    /// in-order slot.
+    fn retire(&mut self, token: u64, output: O, verdict: bool) {
+        let resident = self.residents.remove(&token).expect("resident chain");
+        let lane = resident.lane;
+        self.lanes[lane].live -= 1;
+        // Residency feedback for Schedule::Deadline: the same number that
+        // becomes this read's latency sample.
+        let resident_units = self.tick - resident.start_tick;
+        self.sched.observe(lane, resident_units);
+        let holds_permit = !verdict || self.hold_permits;
+        if !holds_permit {
+            self.shared.tallies()[lane].inflight -= 1;
+            self.shared.gate.release();
+            self.shared.gate.push_backlog();
+        }
+        let kind = EmitKind::Output {
+            output,
+            holds_permit,
+            resident_units,
+        };
+        self.send(token, lane, kind);
+        if self.lanes[lane].dry {
+            self.dry_up(lane);
+        }
+    }
+
+    /// Called with nothing dispatchable and no task out; `true` means go
+    /// round again, `false` that the engine is done (or tearing down).
+    fn settle(&mut self) -> bool {
+        if self.shutdown {
+            return false;
+        }
+        if self.sched.all_exhausted() {
+            // Every source drained, every chain retired. Let the emitter
+            // catch up — its sinks run and may enqueue control commands (a
+            // sink attaching the next flowcell) — then poll once more
+            // before concluding.
+            return self.shared.gate.await_idle() && self.apply_commands();
+        }
+        // No chain is live, yet the gate is full: every permit is held by
+        // finished reads awaiting in-order emission. Wait for the emitter
+        // to free one.
+        let freed = self.shared.gate.acquire();
+        if freed {
+            self.shared.gate.release();
+        }
+        freed
+    }
+}
+
+/// The engine's delivering half, on the caller's thread. Chains retire out
+/// of order; outputs wait in the map until every earlier-admitted read has
+/// been emitted. Surviving reads hold their permit to this point;
+/// verdict-released reads gave theirs back at the verdict, so their share
+/// of the map is the backlog the early release bought.
+struct Emitter<'e, O, G> {
+    shared: &'e Shared,
+    pending: BTreeMap<u64, EmitMsg<O>>,
+    next_emit: u64,
+    emit: G,
+}
+
+impl<O, G: FnMut(usize, LaneEvent<O>)> Emitter<'_, O, G> {
+    fn accept(&mut self, msg: EmitMsg<O>) {
+        self.pending.insert(msg.seq, msg);
+        while let Some(EmitMsg { lane, kind, .. }) = self.pending.remove(&self.next_emit) {
+            self.next_emit += 1;
+            match kind {
+                EmitKind::Output {
+                    output,
+                    holds_permit,
+                    resident_units,
+                } => {
+                    (self.emit)(lane, LaneEvent::Output(output));
+                    let tally = &mut self.shared.tallies()[lane];
+                    tally.samples.push(resident_units);
+                    if holds_permit {
+                        tally.inflight -= 1;
+                        self.shared.gate.release();
+                    } else {
+                        self.shared.gate.pop_backlog();
+                    }
+                }
+                EmitKind::Attached => (self.emit)(lane, LaneEvent::Attached),
+                EmitKind::Detached => {
+                    // The lane's last output was emitted above (lower
+                    // seq): its stats are final.
+                    let stats = self.shared.tallies()[lane].stats();
+                    (self.emit)(lane, LaneEvent::Detached(stats));
+                }
+            }
+        }
+    }
+}
+
+/// The one execution core behind every driver, in three named parts. A
+/// [`Dispatcher`] admits chains from `feed` (one per read, per lane) under
+/// the gate — at most [`EngineConfig::in_flight_limit`] are resident, and
+/// a cancelled chain leaves the bound at its verdict — and consults
+/// `cfg.schedule` for the lane of every task. [`run_task`] runs a task: one
+/// `step` of its chain, or the whole chain when `cfg.whole_reads`. An
+/// [`Emitter`] calls `emit` with chain outputs **in global admission
+/// order** (which makes each lane's emission order its own pull order).
 ///
-/// With one worker the engine degenerates to the in-line serial loop — the
-/// reference execution: one chain at a time, stepped to completion, with
-/// the schedule consulted per admission.
+/// `cfg.workers` selects how they are driven. With one worker the caller's
+/// thread is all three in turn — nothing is spawned, no channel exists, one
+/// chain is resident and is stepped to completion in its one task, so the
+/// schedule is consulted once per admission and each output is emitted
+/// before the next pull: the reference execution. With more, the same
+/// dispatcher runs on a thread of its own, feeding up to `workers` lazily
+/// spawned [`worker_loop`]s (each with its own state from `worker_state`),
+/// and the same emitter drains a channel on the caller's thread.
 ///
 /// A panic in a chain task is *contained* when the lane's
 /// [`FaultPolicy`] is not `Fail`: the chain survives the unwind, the
-/// dispatcher re-enqueues it (`retry`, up to the policy's attempts) or
+/// dispatcher parks it again (`retry`, up to the policy's attempts) or
 /// retires it through `fault` as a quarantined output, and the run keeps
 /// going. Under `Fail` — and for panics outside chain tasks (source,
 /// sink) — the engine tears the pipeline down (gate opened, channels
-/// closed) and propagates out of the scope join rather than deadlocking;
-/// already-finished earlier items may still be emitted first.
+/// closed) and propagates rather than deadlocking; already-finished
+/// earlier items may still be emitted first.
 ///
 /// `cfg.control` is the cooperative drain switch: once `drain()` is
 /// observed, no new reads are pulled, resident chains run to their
@@ -2063,17 +2505,14 @@ fn step_contained<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn std::any::Any +
 /// announced through the in-order [`LaneEvent::Attached`] marker) and
 /// drained individually ([`EngineCommand::DrainLane`], concluded by the
 /// in-order [`LaneEvent::Detached`] marker carrying the lane's stats).
-/// Before concluding an idle session the engine waits for the emitter to
-/// catch up and polls once more, so commands raised by the final
-/// emissions (a sink attaching the next flowcell) still revive the run.
 pub(crate) fn session_engine<C, O, S, B, L, F, R, Q, G>(
     cfg: EngineConfig<'_>,
     worker_state: B,
-    mut feed: L,
+    feed: L,
     step: F,
-    mut retry: R,
-    mut fault: Q,
-    mut emit: G,
+    retry: R,
+    fault: Q,
+    emit: G,
 ) -> EngineStats
 where
     C: Send,
@@ -2085,698 +2524,101 @@ where
     Q: FnMut(usize, C, FaultInfo) -> O + Send,
     G: FnMut(usize, LaneEvent<O>),
 {
-    let EngineConfig {
-        workers,
-        queue_capacity,
-        reject_backlog,
-        lanes,
-        schedule,
-        policies,
-        control,
-    } = cfg;
-    debug_assert_eq!(policies.len(), lanes);
-    if policies.iter().any(|p| *p != FaultPolicy::Fail) {
+    if cfg.policies.iter().any(|p| *p != FaultPolicy::Fail) {
         install_quiet_hook();
     }
-    let mut lane_samples: Vec<Vec<u64>> = vec![Vec::new(); lanes];
-
-    if workers <= 1 {
-        let mut sched = SchedulerState::new(schedule, lanes);
-        let mut policies = policies.to_vec();
-        let mut state = worker_state();
-        let mut lane_any = vec![false; lanes];
-        let mut lane_retried = vec![0usize; lanes];
-        let mut pending_commands: VecDeque<EngineCommand> = VecDeque::new();
-        let mut tick = 0u64;
-        let mut any = false;
-        loop {
-            // Control plane first. The serial path applies commands
-            // inline: an attach joins the schedule before the next pick, a
-            // detach retires its lane immediately (nothing is ever
-            // resident between picks here).
-            pending_commands.extend(feed.poll());
-            while let Some(command) = pending_commands.pop_front() {
-                match command {
-                    EngineCommand::AddLane {
-                        policy,
-                        weight,
-                        target,
-                    } => {
-                        if policy != FaultPolicy::Fail {
-                            install_quiet_hook();
-                        }
-                        let lane = lane_any.len();
-                        sched.add_lane(weight, target);
-                        policies.push(policy);
-                        lane_any.push(false);
-                        lane_retried.push(0);
-                        lane_samples.push(Vec::new());
-                        emit(lane, LaneEvent::Attached);
-                    }
-                    EngineCommand::DrainLane { lane } => {
-                        sched.exhausted(lane);
-                        let latency = LatencyStats::from_samples(&mut lane_samples[lane]);
-                        emit(
-                            lane,
-                            LaneEvent::Detached(LaneStats {
-                                max_in_flight: usize::from(lane_any[lane]),
-                                retried: lane_retried[lane],
-                                latency,
-                            }),
-                        );
-                    }
-                }
-            }
-            // A drain request is equivalent to every source running dry at
-            // once. `exhausted` is idempotent, so racing a natural
-            // exhaustion is fine.
-            if control.is_draining() {
-                for lane in 0..lane_any.len() {
-                    sched.exhausted(lane);
-                }
-            }
-            let Some(lane) = sched.next() else {
-                // Every lane exhausted — but the last emission may have
-                // enqueued a command (a sink attaching the next
-                // flowcell). One final poll decides.
-                pending_commands.extend(feed.poll());
-                if pending_commands.is_empty() {
-                    break;
-                }
-                continue;
-            };
-            match feed.pull(lane) {
-                None => sched.exhausted(lane),
-                Some(mut chain) => {
-                    any = true;
-                    lane_any[lane] = true;
-                    let contain = policies[lane] != FaultPolicy::Fail;
-                    let max_retry = policies[lane].retry_attempts();
-                    let mut attempts = 0u32;
-                    let start = tick;
-                    let output = loop {
-                        if contain {
-                            match step_contained(|| step(&mut state, lane, &mut chain)) {
-                                Ok(ChainStep::Parked { units }) => tick += units,
-                                Ok(ChainStep::Finished { output, units, .. }) => {
-                                    tick += units;
-                                    break output;
-                                }
-                                Err(payload) => {
-                                    let (kind, message) = classify_panic(payload);
-                                    attempts += 1;
-                                    if attempts <= max_retry {
-                                        lane_retried[lane] += 1;
-                                        chain = retry(lane, chain);
-                                    } else {
-                                        break fault(
-                                            lane,
-                                            chain,
-                                            FaultInfo {
-                                                kind,
-                                                message,
-                                                attempts,
-                                            },
-                                        );
-                                    }
-                                }
-                            }
-                        } else {
-                            match step(&mut state, lane, &mut chain) {
-                                ChainStep::Parked { units } => tick += units,
-                                ChainStep::Finished { output, units, .. } => {
-                                    tick += units;
-                                    break output;
-                                }
-                            }
-                        }
-                    };
-                    lane_samples[lane].push(tick - start);
-                    sched.observe(lane, tick - start);
-                    emit(lane, LaneEvent::Output(output));
-                }
-            }
-        }
-        return EngineStats {
-            in_flight_limit: 1,
-            max_in_flight: usize::from(any),
-            retried: lane_retried.iter().sum(),
-            max_reject_backlog: 0,
-            latency: aggregate_latency(&mut lane_samples),
-            lanes: lane_samples
-                .iter_mut()
-                .zip(lane_any)
-                .zip(lane_retried)
-                .map(|((samples, any), retried)| LaneStats {
-                    max_in_flight: usize::from(any),
-                    retried,
-                    latency: LatencyStats::from_samples(samples),
-                })
-                .collect(),
+    let lanes = cfg.policies.len();
+    let shared = Shared {
+        gate: FlowGate::new(cfg.in_flight_limit(), cfg.reject_backlog.max(1)),
+        tallies: Mutex::new((0..lanes).map(|_| LaneTally::default()).collect()),
+    };
+    let mut emitter = Emitter {
+        shared: &shared,
+        pending: BTreeMap::new(),
+        next_emit: 0,
+        emit,
+    };
+    if cfg.workers == 1 {
+        // The caller's thread is dispatcher, worker and emitter in turn.
+        let out = |msg| {
+            emitter.accept(msg);
+            true
         };
-    }
-
-    let capacity = queue_capacity.max(1);
-    let limit = capacity + workers;
-    let gate = FlowGate::new(limit, reject_backlog.max(1));
-    // Per-lane permit attribution (admitted on the dispatcher, released on
-    // the dispatcher at cancellation or on the emitting thread otherwise);
-    // the *global* bound is the gate's, these only attribute high-waters.
-    let counters = Mutex::new(LaneCounters::new(lanes));
-
-    // All channels are unbounded; the gate alone bounds what can be in them
-    // (≤ `limit` chains exist, each with at most one task or emit message
-    // outstanding, plus the cancelled-result backlog which is the early
-    // release working as intended).
-    let (task_tx, task_rx) = mpsc::channel::<Task<C>>();
-    let task_rx = Mutex::new(task_rx);
-    let (msg_tx, msg_rx) = mpsc::channel::<WorkerMsg<C, O>>();
-    let (emit_tx, emit_rx) = mpsc::channel::<EmitMsg<O>>();
-
-    std::thread::scope(|scope| {
-        let _shutdown = OpenOnDrop(&gate);
-
-        // Dispatcher: owns the feed (sources plus control plane) and every
-        // parked chain; consults the schedule once per chunk task; spawns
-        // workers lazily as concurrent chunk work actually materializes.
-        {
-            let gate = &gate;
-            let counters = &counters;
-            let worker_state = &worker_state;
-            let step = &step;
-            let task_rx = &task_rx;
-            let feed = &mut feed;
-            let retry = &mut retry;
-            let fault = &mut fault;
-            scope.spawn(move || {
-                let mut sched = SchedulerState::new(schedule, lanes);
-                let mut policies: Vec<FaultPolicy> = policies.to_vec();
-                let mut src_dry = vec![false; lanes];
-                let mut detaching = vec![false; lanes];
-                let mut live = vec![0usize; lanes];
-                let mut ready: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
-                let mut slots: Vec<ChainSlot<C>> = Vec::new();
-                let mut free_tokens: Vec<usize> = Vec::new();
-                let mut pending_commands: VecDeque<EngineCommand> = VecDeque::new();
-                let mut tick = 0u64;
-                let mut next_seq = 0u64;
-                let mut outstanding = 0usize;
-                let mut spawned = 0usize;
-
-                'run: loop {
-                    // Control plane: attach new lanes, start per-lane
-                    // drains. The Attached marker's seq is allocated here —
-                    // before any admission of the new lane — which is what
-                    // orders it ahead of the lane's first output.
-                    pending_commands.extend(feed.poll());
-                    while let Some(command) = pending_commands.pop_front() {
-                        match command {
-                            EngineCommand::AddLane {
-                                policy,
-                                weight,
-                                target,
-                            } => {
-                                if policy != FaultPolicy::Fail {
-                                    install_quiet_hook();
-                                }
-                                let lane = src_dry.len();
-                                sched.add_lane(weight, target);
-                                policies.push(policy);
-                                src_dry.push(false);
-                                detaching.push(false);
-                                live.push(0);
-                                ready.push(VecDeque::new());
-                                counters.lock().expect("counters poisoned").ensure(lane);
-                                let seq = next_seq;
-                                next_seq += 1;
-                                let sent = emit_tx.send(EmitMsg {
-                                    seq,
-                                    lane,
-                                    kind: EmitKind::Attached,
-                                });
-                                if sent.is_err() {
-                                    break 'run; // emitter gone (sink panicked)
-                                }
-                            }
-                            EngineCommand::DrainLane { lane } => {
-                                detaching[lane] = true;
-                                src_dry[lane] = true;
-                                if live[lane] == 0
-                                    && !retire_lane(
-                                        &mut sched,
-                                        &mut detaching,
-                                        &emit_tx,
-                                        &mut next_seq,
-                                        lane,
-                                    )
-                                {
-                                    break 'run;
-                                }
-                            }
-                        }
-                    }
-
-                    // A drain request is equivalent to every source running
-                    // dry at once: stop pulling, let resident chains retire.
-                    // `exhausted` is idempotent, so racing a natural
-                    // exhaustion is fine.
-                    if control.is_draining() {
-                        for lane in 0..src_dry.len() {
-                            if !src_dry[lane] {
-                                src_dry[lane] = true;
-                                if live[lane] == 0
-                                    && !retire_lane(
-                                        &mut sched,
-                                        &mut detaching,
-                                        &emit_tx,
-                                        &mut next_seq,
-                                        lane,
-                                    )
-                                {
-                                    break 'run;
-                                }
-                            }
-                        }
-                    }
-
-                    // Dispatch everything dispatchable, in schedule order: a
-                    // lane is available if it has a parked chain to advance
-                    // or a new read can be admitted under a fresh permit.
-                    loop {
-                        let picked = sched.next_where(|l| {
-                            !ready[l].is_empty() || (!src_dry[l] && gate.has_room())
-                        });
-                        let Some(lane) = picked else { break };
-                        let token = match ready[lane].pop_front() {
-                            Some(token) => token,
-                            None => {
-                                if !gate.acquire() {
-                                    break 'run; // shutdown
-                                }
-                                let Some(chain) = feed.pull(lane) else {
-                                    gate.release();
-                                    src_dry[lane] = true;
-                                    if live[lane] == 0
-                                        && !retire_lane(
-                                            &mut sched,
-                                            &mut detaching,
-                                            &emit_tx,
-                                            &mut next_seq,
-                                            lane,
-                                        )
-                                    {
-                                        break 'run;
-                                    }
-                                    continue;
-                                };
-                                counters.lock().expect("counters poisoned").admitted(lane);
-                                live[lane] += 1;
-                                let slot = ChainSlot {
-                                    lane,
-                                    seq: next_seq,
-                                    start_tick: tick,
-                                    attempts: 0,
-                                    chain: Some(chain),
-                                };
-                                next_seq += 1;
-                                match free_tokens.pop() {
-                                    Some(token) => {
-                                        slots[token] = slot;
-                                        token
-                                    }
-                                    None => {
-                                        slots.push(slot);
-                                        slots.len() - 1
-                                    }
-                                }
-                            }
-                        };
-                        let chain = slots[token].chain.take().expect("parked chain present");
-                        outstanding += 1;
-                        if outstanding > spawned && spawned < workers {
-                            // One more unit of concurrent chunk work than
-                            // workers to run it: grow the pool.
-                            spawned += 1;
-                            let msg_tx = msg_tx.clone();
-                            scope.spawn(move || {
-                                let mut state = worker_state();
-                                loop {
-                                    let received = task_rx.lock().expect("queue poisoned").recv();
-                                    let Ok(Task {
-                                        token,
-                                        lane,
-                                        policy,
-                                        mut chain,
-                                    }) = received
-                                    else {
-                                        break;
-                                    };
-                                    // A panicking `step` would otherwise
-                                    // strand this chain's permit and deadlock
-                                    // the dispatcher: catch it. Under a
-                                    // containing policy the chain survives
-                                    // and the dispatcher decides its fate;
-                                    // under `Fail`, tell the dispatcher to
-                                    // abort, then rethrow so the scope
-                                    // propagates it after teardown.
-                                    let contain = policy != FaultPolicy::Fail;
-                                    let outcome = if contain {
-                                        step_contained(|| step(&mut state, lane, &mut chain))
-                                    } else {
-                                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                            || step(&mut state, lane, &mut chain),
-                                        ))
-                                    };
-                                    let msg = match outcome {
-                                        Ok(ChainStep::Parked { units }) => WorkerMsg::Parked {
-                                            token,
-                                            chain,
-                                            units,
-                                        },
-                                        Ok(ChainStep::Finished {
-                                            output,
-                                            units,
-                                            cancelled,
-                                        }) => WorkerMsg::Finished {
-                                            token,
-                                            output,
-                                            units,
-                                            cancelled,
-                                        },
-                                        Err(panic) if contain => {
-                                            // The closure only borrowed the
-                                            // chain, so it survived the
-                                            // unwind intact.
-                                            let (kind, message) = classify_panic(panic);
-                                            WorkerMsg::Faulted {
-                                                token,
-                                                chain,
-                                                kind,
-                                                message,
-                                            }
-                                        }
-                                        Err(panic) => {
-                                            let _ = msg_tx.send(WorkerMsg::Panicked);
-                                            std::panic::resume_unwind(panic);
-                                        }
-                                    };
-                                    if msg_tx.send(msg).is_err() {
-                                        break;
-                                    }
-                                }
-                            });
-                        }
-                        let lane = slots[token].lane;
-                        let policy = policies[lane];
-                        if task_tx
-                            .send(Task {
-                                token,
-                                lane,
-                                policy,
-                                chain,
-                            })
-                            .is_err()
-                        {
-                            break 'run; // workers gone: shutdown underway
-                        }
-                    }
-
-                    if outstanding == 0 {
-                        if sched.all_exhausted() {
-                            // Every source drained, every chain retired.
-                            // Let the emitter catch up — its sinks run and
-                            // may enqueue control commands — then poll once
-                            // more before concluding.
-                            if !gate.await_idle() {
-                                break 'run; // shutdown
-                            }
-                            pending_commands.extend(feed.poll());
-                            if pending_commands.is_empty() {
-                                break 'run; // truly done
-                            }
-                            continue 'run;
-                        }
-                        // No chain is live, yet the gate is full: every
-                        // permit is held by finished reads awaiting in-order
-                        // emission. Wait for the emitter to free one.
-                        if !gate.acquire() {
-                            break 'run; // shutdown
-                        }
-                        gate.release();
-                        continue;
-                    }
-
-                    // Wait for a worker to park or retire a chain.
-                    let Ok(msg) = msg_rx.recv() else { break 'run };
-                    match msg {
-                        WorkerMsg::Parked {
-                            token,
-                            chain,
-                            units,
-                        } => {
-                            outstanding -= 1;
-                            tick += units;
-                            slots[token].chain = Some(chain);
-                            ready[slots[token].lane].push_back(token);
-                        }
-                        WorkerMsg::Finished {
-                            token,
-                            output,
-                            units,
-                            cancelled,
-                        } => {
-                            outstanding -= 1;
-                            tick += units;
-                            let lane = slots[token].lane;
-                            let seq = slots[token].seq;
-                            let start_tick = slots[token].start_tick;
-                            free_tokens.push(token);
-                            live[lane] -= 1;
-                            // Residency feedback for Schedule::Deadline: the
-                            // same number that becomes this read's latency
-                            // sample.
-                            sched.observe(lane, tick - start_tick);
-                            if src_dry[lane]
-                                && live[lane] == 0
-                                && !retire_lane(
-                                    &mut sched,
-                                    &mut detaching,
-                                    &emit_tx,
-                                    &mut next_seq,
-                                    lane,
-                                )
-                            {
-                                break 'run;
-                            }
-                            if cancelled {
-                                // The ER verdict: the read's remaining
-                                // chunks were never scheduled, and its
-                                // permit goes back *now*, not at emission.
-                                // Its result joins the soft-gated backlog
-                                // until its in-order emission slot.
-                                counters.lock().expect("counters poisoned").inflight[lane] -= 1;
-                                gate.release();
-                                gate.push_backlog();
-                            }
-                            let sent = emit_tx.send(EmitMsg {
-                                seq,
-                                lane,
-                                kind: EmitKind::Output {
-                                    output,
-                                    holds_permit: !cancelled,
-                                    resident_units: tick - start_tick,
-                                },
-                            });
-                            if sent.is_err() {
-                                break 'run; // emitter gone (sink panicked)
-                            }
-                        }
-                        WorkerMsg::Faulted {
-                            token,
-                            chain,
-                            kind,
-                            message,
-                        } => {
-                            outstanding -= 1;
-                            slots[token].attempts += 1;
-                            let lane = slots[token].lane;
-                            let attempts = slots[token].attempts;
-                            if attempts <= policies[lane].retry_attempts() {
-                                // Transient budget left: rewind the chain
-                                // and park it; the schedule will pick it
-                                // back up like any other resident chain.
-                                counters.lock().expect("counters poisoned").retried[lane] += 1;
-                                slots[token].chain = Some(retry(lane, chain));
-                                ready[lane].push_back(token);
-                            } else {
-                                // Quarantine: retire the chain like a
-                                // cancelled read — permit back now, result
-                                // into the backlog for in-order emission.
-                                let seq = slots[token].seq;
-                                let start_tick = slots[token].start_tick;
-                                free_tokens.push(token);
-                                live[lane] -= 1;
-                                sched.observe(lane, tick - start_tick);
-                                if src_dry[lane]
-                                    && live[lane] == 0
-                                    && !retire_lane(
-                                        &mut sched,
-                                        &mut detaching,
-                                        &emit_tx,
-                                        &mut next_seq,
-                                        lane,
-                                    )
-                                {
-                                    break 'run;
-                                }
-                                counters.lock().expect("counters poisoned").inflight[lane] -= 1;
-                                gate.release();
-                                gate.push_backlog();
-                                let output = fault(
-                                    lane,
-                                    chain,
-                                    FaultInfo {
-                                        kind,
-                                        message,
-                                        attempts,
-                                    },
-                                );
-                                let sent = emit_tx.send(EmitMsg {
-                                    seq,
-                                    lane,
-                                    kind: EmitKind::Output {
-                                        output,
-                                        holds_permit: false,
-                                        resident_units: tick - start_tick,
-                                    },
-                                });
-                                if sent.is_err() {
-                                    break 'run; // emitter gone (sink panicked)
-                                }
-                            }
-                        }
-                        WorkerMsg::Panicked => break 'run,
-                    }
-                }
-                // `task_tx`, `msg_rx`, and `emit_tx` drop here: workers and
-                // the emit loop wind down with the dispatcher.
-            });
-        }
-
-        // Reorder + emit on the calling thread, in global admission order.
-        // Chains retire out of order; outputs wait in the map until every
-        // earlier-admitted read has been emitted. Surviving reads hold
-        // their permit to this point; cancelled reads released theirs at
-        // the verdict, so this backlog is what the early release bought.
-        let mut pending: BTreeMap<u64, EmitMsg<O>> = BTreeMap::new();
-        let mut next_emit = 0u64;
-        for msg in emit_rx.iter() {
-            pending.insert(msg.seq, msg);
-            while let Some(m) = pending.remove(&next_emit) {
-                next_emit += 1;
-                match m.kind {
-                    EmitKind::Output {
-                        output,
-                        holds_permit,
-                        resident_units,
-                    } => {
-                        lane_samples[m.lane].push(resident_units);
-                        emit(m.lane, LaneEvent::Output(output));
-                        if holds_permit {
-                            counters.lock().expect("counters poisoned").inflight[m.lane] -= 1;
-                            gate.release();
-                        } else {
-                            gate.pop_backlog();
-                        }
-                    }
-                    EmitKind::Attached => {
-                        // The marker precedes the lane's first output, so
-                        // growing here keeps every later Output index in
-                        // bounds.
-                        if lane_samples.len() <= m.lane {
-                            lane_samples.resize_with(m.lane + 1, Vec::new);
-                        }
-                        emit(m.lane, LaneEvent::Attached);
-                    }
-                    EmitKind::Detached => {
-                        // The lane's last output was emitted above (lower
-                        // seq): its stats are final.
-                        let (max_in_flight, retried) = {
-                            let counters = counters.lock().expect("counters poisoned");
-                            (counters.high[m.lane], counters.retried[m.lane])
-                        };
-                        let latency = LatencyStats::from_samples(&mut lane_samples[m.lane]);
-                        emit(
-                            m.lane,
-                            LaneEvent::Detached(LaneStats {
-                                max_in_flight,
-                                retried,
-                                latency,
-                            }),
-                        );
-                    }
-                }
+        let mut dispatcher = Dispatcher::new(&cfg, &shared, feed, retry, fault, out);
+        let mut state = worker_state();
+        loop {
+            dispatcher.apply_commands();
+            match dispatcher.next_task() {
+                Some(task) => match run_task(&step, &mut state, true, task) {
+                    Ok(msg) => dispatcher.complete(msg),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                },
+                None if dispatcher.settle() => {}
+                None => break,
             }
         }
-    });
-
-    let mut counters = counters.into_inner().expect("counters poisoned");
-    // Attached lanes grew the sample map (on the emitter) and the counters
-    // (on the dispatcher) independently; normalize to one final width.
-    let final_lanes = lane_samples.len().max(counters.high.len());
-    lane_samples.resize_with(final_lanes, Vec::new);
-    if final_lanes > 0 {
-        counters.ensure(final_lanes - 1);
+    } else {
+        // The channels are unbounded; the gate alone bounds what can be in
+        // them (≤ limit chains exist, each with at most one task or emit
+        // message outstanding, plus the verdict-released backlog which is
+        // the early release working as intended).
+        let (emit_tx, emit_rx) = mpsc::channel();
+        let out = move |msg| emit_tx.send(msg).is_ok();
+        let mut dispatcher = Dispatcher::new(&cfg, &shared, feed, retry, fault, out);
+        let (task_tx, task_rx) = mpsc::channel();
+        let task_rx = &Mutex::new(task_rx);
+        let (msg_tx, msg_rx) = mpsc::channel();
+        let (workers, whole_reads) = (cfg.workers, cfg.whole_reads());
+        let (worker_state, step) = (&worker_state, &step);
+        std::thread::scope(|scope| {
+            // Opening the gate after the emit loop is harmless (the
+            // dispatcher has exited); opening it while a sink's or the
+            // pool's panic unwinds releases the dispatcher instead of
+            // deadlocking the scope join.
+            let _shutdown = OnDrop(|| shared.gate.open());
+            scope.spawn(move || {
+                let mut spawned = 0usize;
+                loop {
+                    dispatcher.apply_commands();
+                    // Dispatch everything dispatchable, growing the pool by
+                    // one worker per unit of concurrent chunk work reached.
+                    while let Some(task) = dispatcher.next_task() {
+                        if dispatcher.outstanding > spawned && spawned < workers {
+                            spawned += 1;
+                            let results = msg_tx.clone();
+                            scope.spawn(move || {
+                                worker_loop(step, worker_state(), whole_reads, task_rx, results)
+                            });
+                        }
+                        if task_tx.send(task).is_err() {
+                            dispatcher.shutdown = true; // workers gone
+                        }
+                    }
+                    if dispatcher.shutdown {
+                        break;
+                    }
+                    if dispatcher.outstanding == 0 {
+                        if dispatcher.settle() {
+                            continue;
+                        }
+                        break;
+                    }
+                    // Wait for a worker to park or retire a chain.
+                    match msg_rx.recv() {
+                        Ok(msg) => dispatcher.complete(msg),
+                        Err(_) => break,
+                    }
+                }
+                // `task_tx`, `msg_rx` and the dispatcher's emit sender drop
+                // here: workers and the emit loop wind down with it.
+            });
+            for msg in emit_rx.iter() {
+                emitter.accept(msg);
+            }
+        });
     }
-    EngineStats {
-        in_flight_limit: limit,
-        max_in_flight: gate.high_water(),
-        retried: counters.retried.iter().sum(),
-        max_reject_backlog: gate.backlog_high_water(),
-        latency: aggregate_latency(&mut lane_samples),
-        lanes: lane_samples
-            .iter_mut()
-            .zip(&counters.high)
-            .zip(&counters.retried)
-            .map(|((samples, high), retried)| LaneStats {
-                max_in_flight: *high,
-                retried: *retried,
-                latency: LatencyStats::from_samples(samples),
-            })
-            .collect(),
-    }
-}
-
-/// Retires a lane on the dispatcher: marks it exhausted in the schedule
-/// and, if the lane is being detached, sends its in-order
-/// [`EmitKind::Detached`] marker. `false` means the emitter is gone and
-/// the dispatcher must shut down.
-fn retire_lane<O>(
-    sched: &mut SchedulerState,
-    detaching: &mut [bool],
-    emit_tx: &mpsc::Sender<EmitMsg<O>>,
-    next_seq: &mut u64,
-    lane: usize,
-) -> bool {
-    sched.exhausted(lane);
-    if std::mem::replace(&mut detaching[lane], false) {
-        let seq = *next_seq;
-        *next_seq += 1;
-        return emit_tx
-            .send(EmitMsg {
-                seq,
-                lane,
-                kind: EmitKind::Detached,
-            })
-            .is_ok();
-    }
-    true
-}
-
-/// The percentile summary of all lanes' residency samples together.
-fn aggregate_latency(lane_samples: &mut [Vec<u64>]) -> LatencyStats {
-    let mut all: Vec<u64> = lane_samples.iter().flatten().copied().collect();
-    LatencyStats::from_samples(&mut all)
+    drop(emitter);
+    shared.into_stats()
 }
 
 #[cfg(test)]
@@ -2784,6 +2626,8 @@ mod tests {
     use super::*;
     use crate::pipeline::{ErMode, PipelineRun};
     use genpip_datasets::{DatasetProfile, SimulatedDataset, StreamingSimulator};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn dataset() -> SimulatedDataset {
         DatasetProfile::ecoli().scaled(0.03).generate()
@@ -3245,7 +3089,7 @@ mod tests {
                 workers: 2,
                 queue_capacity: 2,
                 reject_backlog: 256,
-                lanes: 1,
+                whole_reads: false,
                 schedule: &Schedule::Sequential,
                 policies: &[FaultPolicy::Retry { attempts: 1 }],
                 control: &control,
@@ -3305,7 +3149,7 @@ mod tests {
                         workers: 2,
                         queue_capacity: 1,
                         reject_backlog: 256,
-                        lanes: 1,
+                        whole_reads: false,
                         schedule: &Schedule::Sequential,
                         policies: &[FaultPolicy::Fail],
                         control: &control,
@@ -3332,5 +3176,366 @@ mod tests {
             Ok(panicked) => assert!(panicked, "engine swallowed the worker panic"),
             Err(_) => panic!("engine deadlocked on a worker panic"),
         }
+    }
+
+    /// What a toy chain does, scripted by its index in its lane.
+    #[derive(Clone, Copy)]
+    enum Plan {
+        /// Park this many times, then finish.
+        Parks(u32),
+        /// Park this many times, then finish early (an ER verdict).
+        CancelAfter(u32),
+        /// Panic on the second task, first pass only.
+        FaultOnce,
+        /// Panic on every first task.
+        FaultAlways,
+    }
+
+    fn plan(index: u32) -> Plan {
+        match index % 13 {
+            7 => Plan::FaultAlways,
+            5 => Plan::FaultOnce,
+            3 => Plan::CancelAfter(index % 3),
+            _ => Plan::Parks(index % 5),
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum ToyOutput {
+        Done,
+        Cancelled,
+        Quarantined { attempts: u32 },
+    }
+
+    /// How read `index` of a lane under `policy` must come out, and the
+    /// retries it must cost.
+    fn scripted(policy: FaultPolicy, index: u32) -> (ToyOutput, usize) {
+        let budget = policy.retry_attempts();
+        match plan(index) {
+            Plan::Parks(_) => (ToyOutput::Done, 0),
+            Plan::CancelAfter(_) => (ToyOutput::Cancelled, 0),
+            Plan::FaultOnce if budget >= 1 => (ToyOutput::Done, 1),
+            Plan::FaultOnce | Plan::FaultAlways => (
+                ToyOutput::Quarantined {
+                    attempts: budget + 1,
+                },
+                budget as usize,
+            ),
+        }
+    }
+
+    /// An allocation-free chain: a few integers, no basecalling.
+    struct Toy {
+        index: u32,
+        task: u32,
+        rewound: bool,
+    }
+
+    fn toy_step(chain: &mut Toy) -> ChainStep<ToyOutput> {
+        let at = chain.task;
+        chain.task += 1;
+        let (parks, output) = match plan(chain.index) {
+            Plan::Parks(n) => (n, ToyOutput::Done),
+            Plan::CancelAfter(n) => (n, ToyOutput::Cancelled),
+            Plan::FaultOnce if at == 1 && !chain.rewound => panic!("toy transient fault"),
+            Plan::FaultOnce => (2, ToyOutput::Done),
+            Plan::FaultAlways => panic!("toy permanent fault"),
+        };
+        if at < parks {
+            ChainStep::Parked { units: 1 }
+        } else {
+            ChainStep::Finished {
+                output,
+                units: 1,
+                cancelled: output == ToyOutput::Cancelled,
+            }
+        }
+    }
+
+    /// Three lanes at startup; lane 3 attaches once 300 reads were pulled
+    /// overall, and lane 1 — which never runs dry on its own — is drained
+    /// once it has pulled [`DRAIN_LANE_1_AT`].
+    struct ToyFeed<'a> {
+        len: Vec<u32>,
+        pulled: &'a Mutex<Vec<u32>>,
+        attached: bool,
+        drained: bool,
+    }
+
+    const DRAIN_LANE_1_AT: u32 = 700;
+    const TOY_POLICIES: [FaultPolicy; 4] = [
+        FaultPolicy::Retry { attempts: 2 },
+        FaultPolicy::Retry { attempts: 1 },
+        FaultPolicy::Quarantine,
+        FaultPolicy::Retry { attempts: 2 },
+    ];
+
+    impl LaneFeed<Toy> for ToyFeed<'_> {
+        fn pull(&mut self, lane: usize) -> Option<Toy> {
+            let mut pulled = self.pulled.lock().unwrap();
+            if pulled[lane] == self.len[lane] {
+                return None;
+            }
+            pulled[lane] += 1;
+            Some(Toy {
+                index: pulled[lane] - 1,
+                task: 0,
+                rewound: false,
+            })
+        }
+
+        fn poll(&mut self) -> Vec<EngineCommand> {
+            let mut pulled = self.pulled.lock().unwrap();
+            let mut commands = Vec::new();
+            if !self.attached && pulled.iter().sum::<u32>() >= 300 {
+                self.attached = true;
+                self.len.push(600);
+                pulled.push(0);
+                commands.push(EngineCommand::AddLane {
+                    policy: TOY_POLICIES[3],
+                    weight: 2,
+                    target: 1,
+                });
+            }
+            if !self.drained && pulled[1] >= DRAIN_LANE_1_AT {
+                self.drained = true;
+                commands.push(EngineCommand::DrainLane { lane: 1 });
+            }
+            commands
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum ToyEvent {
+        Attached,
+        Output(u32, ToyOutput),
+        Detached { retried: usize },
+    }
+
+    /// Drives the generic core over the toy lanes with `workers` workers,
+    /// checks every per-driver invariant, and returns each lane's outputs.
+    fn drive_toys(workers: usize) -> Vec<Vec<ToyOutput>> {
+        let caller = std::thread::current().id();
+        let pulled = Mutex::new(vec![0u32; 3]);
+        let control = SessionControl::new();
+        let cfg = EngineConfig {
+            workers,
+            queue_capacity: 4,
+            reject_backlog: 8,
+            whole_reads: false,
+            schedule: &Schedule::Priority(vec![3, 1, 2]),
+            policies: &TOY_POLICIES[..3],
+            control: &control,
+        };
+        let limit = cfg.in_flight_limit();
+        let mut events: Vec<(usize, ToyEvent)> = Vec::new();
+        let stats = session_engine(
+            cfg,
+            || (),
+            ToyFeed {
+                len: vec![1200, u32::MAX, 900],
+                pulled: &pulled,
+                attached: false,
+                drained: false,
+            },
+            |_, _lane, chain: &mut Toy| {
+                if workers == 1 {
+                    assert_eq!(std::thread::current().id(), caller, "step left the caller");
+                }
+                let index = chain.index;
+                toy_step(chain).map(|output| (index, output))
+            },
+            |_lane, chain| Toy {
+                task: 0,
+                rewound: true,
+                ..chain
+            },
+            |_lane, chain, info: FaultInfo| {
+                let attempts = info.attempts;
+                (chain.index, ToyOutput::Quarantined { attempts })
+            },
+            |lane, event| {
+                assert_eq!(std::thread::current().id(), caller, "emit left the caller");
+                events.push((
+                    lane,
+                    match event {
+                        LaneEvent::Attached => ToyEvent::Attached,
+                        LaneEvent::Output((index, output)) => ToyEvent::Output(index, output),
+                        LaneEvent::Detached(stats) => ToyEvent::Detached {
+                            retried: stats.retried,
+                        },
+                    },
+                ));
+            },
+        );
+        let label = format!("workers = {workers}");
+        assert!(stats.max_in_flight <= limit, "{label}");
+        if workers == 1 {
+            assert_eq!((limit, stats.max_reject_backlog), (1, 0), "{label}");
+        }
+
+        let pulled = pulled.into_inner().unwrap();
+        assert_eq!(pulled.len(), 4, "{label}: lane 3 attached");
+        assert!(
+            pulled[1] >= DRAIN_LANE_1_AT && pulled[1] < u32::MAX,
+            "{label}"
+        );
+        let mut outputs: Vec<Vec<ToyOutput>> = vec![Vec::new(); 4];
+        for (lane, policy) in TOY_POLICIES.iter().enumerate() {
+            let of_lane: Vec<&ToyEvent> = events
+                .iter()
+                .filter(|(l, _)| *l == lane)
+                .map(|(_, e)| e)
+                .collect();
+            let mut retried = 0;
+            for (i, event) in of_lane.iter().enumerate() {
+                // Markers bracket the lane's outputs: Attached (lane 3
+                // only) first, Detached (lane 1 only) last.
+                match event {
+                    ToyEvent::Attached => assert_eq!((lane, i), (3, 0), "{label}"),
+                    ToyEvent::Detached { retried: reported } => {
+                        assert_eq!((lane, i), (1, of_lane.len() - 1), "{label}");
+                        assert_eq!(*reported, retried, "{label}");
+                    }
+                    ToyEvent::Output(index, output) => {
+                        // In pull order, each exactly once, as scripted.
+                        assert_eq!(*index as usize, outputs[lane].len(), "{label}: lane {lane}");
+                        let (expected, retries) = scripted(*policy, *index);
+                        assert_eq!(*output, expected, "{label}: lane {lane} read {index}");
+                        retried += retries;
+                        outputs[lane].push(*output);
+                    }
+                }
+            }
+            assert_eq!(
+                of_lane.first() == Some(&&ToyEvent::Attached),
+                lane == 3,
+                "{label}"
+            );
+            assert_eq!(
+                matches!(of_lane.last(), Some(ToyEvent::Detached { .. })),
+                lane == 1,
+                "{label}"
+            );
+            assert_eq!(
+                outputs[lane].len(),
+                pulled[lane] as usize,
+                "{label}: lane {lane}"
+            );
+            assert_eq!(stats.lanes[lane].retried, retried, "{label}: lane {lane}");
+            assert_eq!(
+                stats.lanes[lane].latency.reads,
+                outputs[lane].len(),
+                "{label}"
+            );
+        }
+        assert_eq!(
+            stats.retried,
+            stats.lanes.iter().map(|l| l.retried).sum::<usize>(),
+            "{label}"
+        );
+        outputs
+    }
+
+    #[test]
+    fn toy_chains_agree_across_both_drivers() {
+        let serial = drive_toys(1);
+        let pooled = drive_toys(3);
+        assert!(serial.iter().map(Vec::len).sum::<usize>() > 3000);
+        // Serial polls before every pull, so lane 1 stops exactly at its
+        // drain point; the pool dispatches a round per poll and may pull a
+        // few more. Where both pulled, they agree.
+        assert_eq!(serial[1].len(), DRAIN_LANE_1_AT as usize);
+        assert_eq!(serial[1], pooled[1][..serial[1].len()]);
+        for lane in [0, 2, 3] {
+            assert_eq!(serial[lane], pooled[lane], "lane {lane}");
+        }
+    }
+
+    /// A source that records which threads pulled from it.
+    struct PullSpy<S> {
+        inner: S,
+        pullers: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl<S: ReadSource> ReadSource for PullSpy<S> {
+        fn reference(&self) -> &genpip_genomics::Genome {
+            self.inner.reference()
+        }
+        fn pore_model(&self) -> &genpip_signal::PoreModel {
+            self.inner.pore_model()
+        }
+        fn mean_dwell(&self) -> f64 {
+            self.inner.mean_dwell()
+        }
+        fn next_read(&mut self) -> Option<genpip_datasets::SimulatedRead> {
+            self.pullers
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            self.inner.next_read()
+        }
+    }
+
+    #[test]
+    fn serial_sessions_run_on_the_calling_thread() {
+        // With one worker nothing is spawned: pulls, sinks and checkpoint
+        // callbacks all happen on the caller (chain steps are pinned by the
+        // toy-chain test), and sinks may hold non-`Send` state.
+        let profile = DatasetProfile::ecoli().scaled(0.03);
+        let caller = std::thread::current().id();
+        let pullers = Arc::new(Mutex::new(Vec::new()));
+        let sink_threads = Rc::new(RefCell::new(Vec::new()));
+        let cut_threads = Rc::new(RefCell::new(Vec::new()));
+        let (sink_log, cut_log) = (Rc::clone(&sink_threads), Rc::clone(&cut_threads));
+        let config = GenPipConfig::for_dataset(&profile).with_parallelism(Parallelism::Serial);
+        let source = PullSpy {
+            inner: StreamingSimulator::new(&profile),
+            pullers: Arc::clone(&pullers),
+        };
+        let report = Session::new(config)
+            .source("a", source)
+            .sink("a", move |_| {
+                sink_log.borrow_mut().push(std::thread::current().id())
+            })
+            .checkpoint(4, move |_| {
+                cut_log.borrow_mut().push(std::thread::current().id())
+            })
+            .run()
+            .expect("valid session");
+        assert_eq!((report.in_flight_limit, report.max_reject_backlog), (1, 0));
+        let pullers = pullers.lock().unwrap();
+        assert_eq!(pullers.len(), profile.n_reads + 1);
+        assert!(sink_threads.borrow().len() >= profile.n_reads);
+        assert!(cut_threads.borrow().len() > profile.n_reads / 4);
+        let all = pullers
+            .iter()
+            .chain(sink_threads.borrow().iter())
+            .chain(cut_threads.borrow().iter())
+            .all(|id| *id == caller);
+        assert!(all, "a serial session left the calling thread");
+    }
+
+    #[test]
+    fn a_torn_down_session_still_closes_its_control() {
+        // The sink queues a detach, then panics. The unwinding session must
+        // still refuse the queued command, or its waiter would block forever.
+        let profile = DatasetProfile::ecoli().scaled(0.03);
+        let control = SessionControl::new();
+        let handle: RefCell<Option<PendingDetach>> = RefCell::new(None);
+        let config = GenPipConfig::for_dataset(&profile).with_parallelism(Parallelism::Serial);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Session::new(config)
+                .source("a", StreamingSimulator::new(&profile))
+                .sink("a", |_| {
+                    *handle.borrow_mut() = Some(control.detach("a"));
+                    panic!("sink failed");
+                })
+                .run_with_control(&control)
+        }));
+        assert!(run.is_err(), "the sink's panic propagates");
+        let handle = handle.into_inner().expect("the sink ran");
+        assert_eq!(handle.try_result(), Some(Err(SessionError::SessionClosed)));
+        assert!(!control.stats().live);
     }
 }

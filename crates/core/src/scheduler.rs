@@ -197,6 +197,7 @@ impl SchedulerState {
     }
 
     /// The source to pull from next, or `None` when all are exhausted.
+    #[cfg(test)]
     pub(crate) fn next(&mut self) -> Option<usize> {
         self.next_where(|_| true)
     }

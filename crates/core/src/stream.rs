@@ -223,7 +223,7 @@ pub struct StreamSummary {
     /// Worker threads used.
     pub workers: usize,
     /// The enforced bound on resident read chains (`queue_capacity +
-    /// workers`; 1 for the serial in-line path).
+    /// workers`; 1 with a single worker).
     pub in_flight_limit: usize,
     /// High-water mark of **resident read chains**: reads admitted and not
     /// yet retired. A surviving read is resident from its pull until its

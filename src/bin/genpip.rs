@@ -155,7 +155,7 @@ USAGE:
              [--reference SPEC]...
   genpip stream [--profile <ecoli|human>] [--scale F] [--er <full|qsr|cp|off>]
                [--source SPEC]... [--signal-in SPEC]...
-               [--schedule <fair|sequential|priority>]
+               [--schedule <fair|sequential|priority|deadline>]
                [--queue N] [--progress N] [--threads <serial|auto|N>]
                [--shards <single|auto|N>]
                [--fastq-out PATH]
@@ -189,16 +189,18 @@ OPTIONS:
               profile's own, repeatable. SPEC is comma-joined key=value
               pairs: len=N (required), name=ID (default refN), seed=S
   --source    one read source for `stream`, repeatable. SPEC is comma-joined
-              key=value pairs: profile=<ecoli|human> (required),
-              scale=F (default: --scale), name=ID (default: profileN),
-              weight=N (priority schedule share, default 1).
+              key=value pairs, the same grammar a `serve` script's attach
+              steps use: profile=<ecoli|human>[,scale=F] (simulated; scale
+              defaults to --scale) or file=PATH[,offset=K] (an on-disk GSC
+              container replayed from read index K), then name=ID
+              (default: profileN, or the file stem), weight=N (priority
+              schedule share, default 1), target=T (deadline schedule
+              residency goal in chunk-work units, default 64).
               Without --source, one source is built from --profile/--scale.
   --signal-in one on-disk GSC signal container streamed as a read source,
-              repeatable (after every --source). SPEC is a path followed by
-              optional comma-joined key=value pairs:
-              PATH[,name=ID][,offset=K][,weight=N]. offset=K starts the
-              replay at read index K; output is bit-identical to streaming
-              the same dataset from memory
+              repeatable (after every --source): PATH[,key=value]... is
+              --source file=PATH[,key=value]... Output is bit-identical to
+              streaming the same dataset from memory
   --checkpoint
               `stream` writes a resumable checkpoint to PATH (atomically,
               via rename) every --checkpoint-every reads and once more when
@@ -219,7 +221,8 @@ OPTIONS:
   --schedule  how `stream` interleaves its sources over the one worker
               pool: fair (round-robin, default), sequential (drain in
               registration order), priority (weighted by each source's
-              weight=)
+              weight=), deadline (re-weighted by each source's observed
+              residency against its target=)
   --queue     `stream` work-queue capacity; resident read chains across
               all sources <= queue + workers (default 8)
   --fastq-out write every fully-basecalled read as FASTQ. One source
@@ -244,15 +247,13 @@ OPTIONS:
               record checksum
   --reads     for `inspect`: also dump the first N per-read records
   --script    `serve` driver script, one step per line (# starts a comment):
-                attach NAME profile=<ecoli|human>[,scale=F][,weight=N][,target=T]
-                attach NAME file=PATH[,offset=K][,weight=N][,target=T]
-                at COUNT attach NAME profile=...|file=...
+                attach NAME SPEC        (a --source SPEC without name=)
+                at COUNT attach NAME SPEC
                 at COUNT detach NAME
                 at COUNT drain
               Steps without `at` register before the run; `at COUNT` steps
               fire through the live control plane once COUNT reads have
-              been emitted across all sources. target= is the source's
-              deadline-schedule residency goal in chunk-work units
+              been emitted across all sources
   --max-sources
               `serve` admission bound: a live attach beyond this many
               concurrently-attached sources is refused (default 64)";
@@ -435,10 +436,7 @@ fn cmd_inspect(parsed: &Parsed) -> Result<(), String> {
         ),
         _ => println!("records:    0"),
     }
-    let dump: usize = match opt(parsed, "reads") {
-        None => 0,
-        Some(s) => s.parse().map_err(|_| format!("invalid --reads {s:?}"))?,
-    };
+    let dump = usize_from(parsed, "reads", 0)?;
     for index in 0..dump.min(reader.read_count()) {
         let read = reader
             .read_at(index)
@@ -571,49 +569,75 @@ fn er_from(parsed: &Parsed) -> Result<ErMode, String> {
     }
 }
 
+/// A comma-joined `key=value` spec — the one grammar behind `--reference`,
+/// `--source`, `--signal-in` and the `attach` steps of a `serve` script.
+/// Every part must be `key=value` with a key the surface accepts; errors
+/// name the surface (`flag`) and quote the offending spec.
+struct Spec<'a> {
+    flag: &'a str,
+    text: &'a str,
+    pairs: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Spec<'a> {
+    fn parse(flag: &'a str, text: &'a str, keys: &[&str]) -> Result<Spec<'a>, String> {
+        let mut spec = Spec {
+            flag,
+            text,
+            pairs: Vec::new(),
+        };
+        for part in text.split(',') {
+            let (key, value) = part
+                .split_once('=')
+                .ok_or_else(|| spec.err(format!("part {part:?} is not key=value")))?;
+            if !keys.contains(&key) {
+                return Err(spec.err(format!("unknown key {key:?} (use {})", keys.join(", "))));
+            }
+            spec.pairs.push((key, value));
+        }
+        Ok(spec)
+    }
+
+    fn err(&self, msg: impl std::fmt::Display) -> String {
+        format!("{} {:?}: {msg}", self.flag, self.text)
+    }
+
+    /// The last value given for `key`.
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.pairs
+            .iter()
+            .rev()
+            .find(|(k, _)| *k == key)
+            .map(|p| p.1)
+    }
+
+    /// `key`'s value parsed as a number, if the key was given.
+    fn number<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|value| {
+                value
+                    .parse()
+                    .map_err(|_| self.err(format!("invalid {key} {value:?}")))
+            })
+            .transpose()
+    }
+}
+
 /// One `run` `--reference` spec, parsed into a synthetic extra reference:
 /// `name=ID,len=N[,seed=S]`. Every spec becomes one additional pan-genome
 /// reference mapped alongside the profile's own.
-fn parse_reference_spec(spec: &str, index: usize) -> Result<Arc<Genome>, String> {
-    let mut name = None;
-    let mut len = None;
-    let mut seed = None;
-    for part in spec.split(',') {
-        let (key, value) = part
-            .split_once('=')
-            .ok_or_else(|| format!("--reference part {part:?} is not key=value (in {spec:?})"))?;
-        match key {
-            "name" => name = Some(value.to_string()),
-            "len" => {
-                len = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("--reference {spec:?}: invalid len {value:?}"))?,
-                )
-            }
-            "seed" => {
-                seed = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("--reference {spec:?}: invalid seed {value:?}"))?,
-                )
-            }
-            other => {
-                return Err(format!(
-                    "--reference {spec:?}: unknown key {other:?} (use name, len, seed)"
-                ))
-            }
-        }
-    }
-    let len = len.ok_or_else(|| format!("--reference {spec:?} needs len="))?;
+fn parse_reference_spec(text: &str, index: usize) -> Result<Arc<Genome>, String> {
+    let spec = Spec::parse("--reference", text, &["name", "len", "seed"])?;
+    let len: usize = spec.number("len")?.ok_or_else(|| spec.err("needs len="))?;
     if len == 0 {
-        return Err(format!("--reference {spec:?}: len must be positive"));
+        return Err(spec.err("len must be positive"));
     }
+    let seed = spec.number("seed")?.unwrap_or(1_000 + index as u64);
+    let name = spec
+        .get("name")
+        .map_or_else(|| format!("ref{index}"), str::to_string);
     Ok(Arc::new(
-        GenomeBuilder::new(len)
-            .seed(seed.unwrap_or(1_000 + index as u64))
-            .name(name.unwrap_or_else(|| format!("ref{index}")))
-            .build(),
+        GenomeBuilder::new(len).seed(seed).name(name).build(),
     ))
 }
 
@@ -698,132 +722,169 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
     fault_exit(failed, explicit_fault && fault_policy != FaultPolicy::Fail)
 }
 
-/// Where a `stream` source's reads come from.
+/// Where a source's reads come from.
 enum SourceKind {
-    /// Simulated on the fly from a dataset profile (`--source`).
+    /// Simulated on the fly from a dataset profile (`profile=`).
     Simulated(DatasetProfile),
-    /// Replayed from an on-disk GSC signal container (`--signal-in`),
-    /// starting at read index `offset`.
+    /// Replayed from an on-disk GSC signal container (`file=`), starting at
+    /// read index `offset`.
     Container { path: String, offset: usize },
 }
 
-/// One `--source` spec (`profile=<ecoli|human>[,scale=F][,name=ID]
-/// [,weight=N]`) or `--signal-in` spec (`PATH[,name=ID][,offset=K]
-/// [,weight=N]`), parsed.
+/// One read source as the command line or a `serve` script spells it:
+/// `profile=<ecoli|human>[,scale=F]` or `file=PATH[,offset=K]`, plus
+/// `[,weight=N][,target=T][,name=ID]`. `--signal-in PATH[,...]` is
+/// `file=PATH[,...]`; a script's `attach NAME SPEC` names the source
+/// itself, so its specs take no `name=`.
 struct SourceSpec {
     name: String,
     kind: SourceKind,
+    /// Priority-schedule share.
     weight: u32,
+    /// Deadline-schedule residency goal in chunk-work units.
+    target: Option<u64>,
 }
 
-fn parse_source_spec(spec: &str, index: usize, default_scale: f64) -> Result<SourceSpec, String> {
-    let mut profile_name = None;
-    let mut scale = default_scale;
-    let mut name = None;
-    let mut weight = 1u32;
-    for part in spec.split(',') {
-        let (key, value) = part
-            .split_once('=')
-            .ok_or_else(|| format!("--source part {part:?} is not key=value (in {spec:?})"))?;
-        match key {
-            "profile" => profile_name = Some(value),
-            "scale" => scale = parse_scale(value).map_err(|e| format!("--source {spec:?}: {e}"))?,
-            "name" => name = Some(value.to_string()),
-            "weight" => {
-                weight = value
-                    .parse()
-                    .map_err(|_| format!("--source {spec:?}: invalid weight {value:?}"))?
-            }
-            other => {
-                return Err(format!(
-                    "--source {spec:?}: unknown key {other:?} \
-                     (use profile, scale, name, weight)"
-                ))
-            }
+/// Deadline-schedule residency goal (chunk-work units) for sources that do
+/// not spell their own `target=`.
+const DEFAULT_TARGET: u64 = 64;
+
+/// The keys of a source spec; `name` is last so surfaces that name the
+/// source positionally can leave it out.
+const SOURCE_KEYS: &[&str] = &[
+    "profile", "file", "scale", "offset", "weight", "target", "name",
+];
+
+fn parse_source_spec(
+    flag: &str,
+    text: &str,
+    positional_name: Option<&str>,
+    index: usize,
+    default_scale: f64,
+) -> Result<SourceSpec, String> {
+    let keys = match positional_name {
+        Some(_) => &SOURCE_KEYS[..SOURCE_KEYS.len() - 1],
+        None => SOURCE_KEYS,
+    };
+    let spec = Spec::parse(flag, text, keys)?;
+    let (kind, default_name) = match (spec.get("profile"), spec.get("file")) {
+        (Some(profile), None) => {
+            let scale = spec.get("scale").map(parse_scale).transpose();
+            let scale = scale.map_err(|e| spec.err(e))?.unwrap_or(default_scale);
+            let profile = profile_by_name(profile).map_err(|e| spec.err(e))?;
+            let name = format!("{}{index}", profile.name);
+            (SourceKind::Simulated(profile.scaled(scale)), name)
         }
-    }
-    let profile_name = profile_name.ok_or_else(|| format!("--source {spec:?} needs profile="))?;
-    let profile = profile_by_name(profile_name)?.scaled(scale);
+        (None, Some(path)) => {
+            let kind = SourceKind::Container {
+                path: path.to_string(),
+                offset: spec.number("offset")?.unwrap_or(0),
+            };
+            let stem = std::path::Path::new(path).file_stem();
+            let stem = stem.and_then(|s| s.to_str());
+            (
+                kind,
+                stem.map_or_else(|| format!("gsc{index}"), str::to_string),
+            )
+        }
+        (Some(_), Some(_)) => return Err(spec.err("has both profile= and file=")),
+        (None, None) => return Err(spec.err("needs profile= or file=")),
+    };
     Ok(SourceSpec {
-        name: name.unwrap_or_else(|| format!("{profile_name}{index}")),
-        kind: SourceKind::Simulated(profile),
-        weight,
+        name: positional_name
+            .or(spec.get("name"))
+            .map_or(default_name, str::to_string),
+        kind,
+        weight: spec.number("weight")?.unwrap_or(1),
+        target: spec.number("target")?,
     })
 }
 
-/// One `--signal-in` spec: a GSC container path, then optional comma-joined
-/// `name=`/`offset=`/`weight=` pairs. The default name is the file stem.
-fn parse_signal_spec(spec: &str, index: usize) -> Result<SourceSpec, String> {
-    let mut parts = spec.split(',');
-    let path = parts
-        .next()
-        .filter(|p| !p.is_empty() && !p.contains('='))
-        .ok_or_else(|| format!("--signal-in {spec:?} must start with a container path"))?;
-    let mut name = None;
-    let mut offset = 0usize;
-    let mut weight = 1u32;
-    for part in parts {
-        let (key, value) = part
-            .split_once('=')
-            .ok_or_else(|| format!("--signal-in part {part:?} is not key=value (in {spec:?})"))?;
-        match key {
-            "name" => name = Some(value.to_string()),
-            "offset" => {
-                offset = value
-                    .parse()
-                    .map_err(|_| format!("--signal-in {spec:?}: invalid offset {value:?}"))?
-            }
-            "weight" => {
-                weight = value
-                    .parse()
-                    .map_err(|_| format!("--signal-in {spec:?}: invalid weight {value:?}"))?
-            }
-            other => {
-                return Err(format!(
-                    "--signal-in {spec:?}: unknown key {other:?} \
-                     (use name, offset, weight)"
-                ))
-            }
-        }
-    }
-    let name = name.unwrap_or_else(|| {
-        std::path::Path::new(path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("gsc{index}"))
-    });
-    Ok(SourceSpec {
-        name,
-        kind: SourceKind::Container {
-            path: path.to_string(),
-            offset,
-        },
-        weight,
-    })
+/// A source opened and ready to register or attach.
+struct OpenedSource {
+    source: Box<dyn ReadSource + Send>,
+    /// The source's untuned operating point: `N_qs`/`N_cm` follow its
+    /// profile, or a container's embedded reference name.
+    config: GenPipConfig,
+    /// Reads it will deliver.
+    expected: usize,
+    /// Banner description.
+    desc: String,
+    reference_len: usize,
+    /// A container's error handle, checked after the run.
+    status: Option<GscStatus>,
 }
 
-fn schedule_from(parsed: &Parsed, weights: Vec<u32>) -> Result<Schedule, String> {
+/// Opens a spec's read source; a container starts `resumed` reads past its
+/// `offset=` (what a checkpointed run had already delivered).
+fn open_source(spec: &SourceSpec, resumed: usize) -> Result<OpenedSource, String> {
+    match &spec.kind {
+        SourceKind::Simulated(profile) => Ok(OpenedSource {
+            source: Box::new(StreamingSimulator::new(profile)),
+            config: GenPipConfig::for_dataset(profile),
+            expected: profile.n_reads,
+            desc: format!("{}, {} bp genome", profile.name, profile.genome_len),
+            reference_len: profile.genome_len,
+            status: None,
+        }),
+        SourceKind::Container { path, offset } => {
+            let start = offset + resumed;
+            let source = GscReadSource::open_at(path, start).map_err(|e| format!("{path}: {e}"))?;
+            let reader = source.reader();
+            Ok(OpenedSource {
+                config: GenPipConfig::for_reference_name(reader.reference().name()),
+                expected: reader.read_count().saturating_sub(start),
+                desc: format!("{path}, reads {start}..{}", reader.read_count()),
+                reference_len: reader.reference().len(),
+                status: Some(source.status()),
+                source: Box::new(source),
+            })
+        }
+    }
+}
+
+/// `--schedule`, with `priority` weights and `deadline` targets taken from
+/// the sources registered at startup.
+fn schedule_from(parsed: &Parsed, specs: &[SourceSpec]) -> Result<Schedule, String> {
     let spelled = opt(parsed, "schedule").unwrap_or("fair");
     match Schedule::parse(spelled) {
-        Some(Schedule::Priority(_)) => Ok(Schedule::Priority(weights)),
+        Some(Schedule::Priority(_)) => {
+            Ok(Schedule::Priority(specs.iter().map(|s| s.weight).collect()))
+        }
+        Some(Schedule::Deadline(_)) => Ok(Schedule::Deadline(
+            specs
+                .iter()
+                .map(|s| s.target.unwrap_or(DEFAULT_TARGET))
+                .collect(),
+        )),
         Some(schedule) => Ok(schedule),
         None => Err(format!(
-            "invalid --schedule {spelled:?} (use fair, sequential, or priority)"
+            "invalid --schedule {spelled:?} (use fair, sequential, priority, or deadline)"
         )),
+    }
+}
+
+fn usize_opt(parsed: &Parsed, key: &str) -> Result<Option<usize>, String> {
+    opt(parsed, key)
+        .map(|s| s.parse().map_err(|_| format!("invalid --{key} {s:?}")))
+        .transpose()
+}
+
+fn usize_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, String> {
+    Ok(usize_opt(parsed, key)?.unwrap_or(default))
+}
+
+fn parallelism_from(parsed: &Parsed) -> Result<Parallelism, String> {
+    match opt(parsed, "threads") {
+        None => Ok(Parallelism::from_env_or(Parallelism::Auto)),
+        Some(s) => Parallelism::parse(s).ok_or_else(|| format!("invalid --threads {s:?}")),
     }
 }
 
 fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     let er = er_from(parsed)?;
-    let usize_opt = |key: &str, default: usize| -> Result<usize, String> {
-        match opt(parsed, key) {
-            None => Ok(default),
-            Some(s) => s.parse().map_err(|_| format!("invalid --{key} {s:?}")),
-        }
-    };
-    let queue = usize_opt("queue", 8)?.max(1);
-    let progress = usize_opt("progress", 50)?;
+    let queue = usize_from(parsed, "queue", 8)?.max(1);
+    let progress = usize_from(parsed, "progress", 50)?;
     let shards = shards_from(parsed)?;
     let (mut fault_policy, explicit_fault) = fault_policy_from(parsed)?;
     let inject_rate = match opt(parsed, "inject-faults") {
@@ -845,31 +906,37 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     if inject_rate > 0.0 && !explicit_fault {
         fault_policy = FaultPolicy::Quarantine;
     }
-    let parallelism = match opt(parsed, "threads") {
-        None => Parallelism::from_env_or(Parallelism::Auto),
-        Some(s) => Parallelism::parse(s).ok_or_else(|| format!("invalid --threads {s:?}"))?,
-    };
+    let parallelism = parallelism_from(parsed)?;
 
-    // Sources: repeated --source (simulated) and --signal-in (on-disk GSC
-    // container) specs, or a single simulated one synthesized from
-    // --profile/--scale for the classic one-run invocation.
+    // Sources: repeated --source specs and --signal-in containers (a path,
+    // then the same key=value pairs), or a single simulated one synthesized
+    // from --profile/--scale for the classic one-run invocation.
     let default_scale = scale_from(parsed, 0.1)?;
-    let mut specs: Vec<SourceSpec> = opt_all(parsed, "source")
+    let mut texts: Vec<(&str, String)> = opt_all(parsed, "source")
         .iter()
-        .enumerate()
-        .map(|(i, spec)| parse_source_spec(spec, i, default_scale))
-        .collect::<Result<_, _>>()?;
-    let n_sim = specs.len();
-    for (i, spec) in opt_all(parsed, "signal-in").iter().enumerate() {
-        specs.push(parse_signal_spec(spec, n_sim + i)?);
+        .map(|text| ("--source", text.clone()))
+        .collect();
+    for text in opt_all(parsed, "signal-in") {
+        if text.is_empty() || text.split(',').next().is_some_and(|p| p.contains('=')) {
+            return Err(format!(
+                "--signal-in {text:?} must start with a container path"
+            ));
+        }
+        texts.push(("--signal-in", format!("file={text}")));
     }
-    if specs.is_empty() {
-        let profile = profile_from(parsed)?;
-        specs.push(SourceSpec {
-            name: profile.name.to_string(),
-            kind: SourceKind::Simulated(profile),
-            weight: 1,
-        });
+    if texts.is_empty() {
+        let profile = opt(parsed, "profile").unwrap_or("ecoli");
+        texts.push(("--profile", format!("profile={profile},name={profile}")));
+    }
+    let mut specs: Vec<SourceSpec> = Vec::new();
+    for (flag, text) in &texts {
+        specs.push(parse_source_spec(
+            flag,
+            text,
+            None,
+            specs.len(),
+            default_scale,
+        )?);
     }
     // Session::run would reject duplicates too, but catching them here
     // keeps the error ahead of the session banner.
@@ -878,21 +945,15 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
             return Err(format!("duplicate source name {:?}", spec.name));
         }
     }
-    let schedule = schedule_from(parsed, specs.iter().map(|s| s.weight).collect())?;
+    let schedule = schedule_from(parsed, &specs)?;
 
     // Checkpoint/resume plumbing. A checkpoint records, per source, how
     // many reads were delivered in order (the index to reseek a container
     // to) and, with --fastq-out, the flushed byte size of every output
     // file (the length to truncate back to before appending).
     let checkpoint_path = opt(parsed, "checkpoint").map(str::to_string);
-    let checkpoint_every = usize_opt("checkpoint-every", 25)?.max(1);
-    let drain_after = match opt(parsed, "drain-after") {
-        None => None,
-        Some(s) => Some(
-            s.parse::<usize>()
-                .map_err(|_| format!("invalid --drain-after {s:?}"))?,
-        ),
-    };
+    let checkpoint_every = usize_from(parsed, "checkpoint-every", 25)?.max(1);
+    let drain_after = usize_opt(parsed, "drain-after")?;
     let resume = match opt(parsed, "resume") {
         None => None,
         Some(path) => {
@@ -945,57 +1006,26 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
             .with_keep_bases(keep_bases)
             .with_fault_policy(fault_policy)
     };
-    // Open container sources up front: the session needs the handles, the
-    // embedded reference name picks each one's operating point, and a bad
-    // file should fail the invocation before the session banner.
-    enum SourceInput {
-        Sim(DatasetProfile),
-        File(GscReadSource),
-    }
-    let mut inputs: Vec<SourceInput> = Vec::with_capacity(specs.len());
-    let mut configs: Vec<GenPipConfig> = Vec::with_capacity(specs.len());
-    let mut expected: Vec<usize> = Vec::with_capacity(specs.len());
-    let mut descs: Vec<String> = Vec::with_capacity(specs.len());
-    let mut shard_counts: Vec<usize> = Vec::with_capacity(specs.len());
-    let mut statuses: Vec<(String, GscStatus)> = Vec::new();
+    // Open every source up front: the session needs the handles, a
+    // container's embedded reference name picks its operating point, and a
+    // bad file should fail the invocation before the session banner.
+    let mut opened = Vec::with_capacity(specs.len());
     for (spec, &(base_emitted, _)) in specs.iter().zip(&base_marks) {
-        match &spec.kind {
-            SourceKind::Simulated(profile) => {
-                configs.push(source_config(GenPipConfig::for_dataset(profile)));
-                expected.push(profile.n_reads);
-                descs.push(format!(
-                    "{}, {} bp genome",
-                    profile.name, profile.genome_len
-                ));
-                shard_counts.push(shards.resolve(profile.genome_len));
-                inputs.push(SourceInput::Sim(profile.clone()));
-            }
-            SourceKind::Container { path, offset } => {
-                let start = offset + base_emitted as usize;
-                let source =
-                    GscReadSource::open_at(path, start).map_err(|e| format!("{path}: {e}"))?;
-                let reader = source.reader();
-                configs.push(source_config(GenPipConfig::for_reference_name(
-                    reader.reference().name(),
-                )));
-                expected.push(reader.read_count().saturating_sub(start));
-                descs.push(format!("{path}, reads {start}..{}", reader.read_count()));
-                shard_counts.push(shards.resolve(reader.reference().len()));
-                statuses.push((spec.name.clone(), source.status()));
-                inputs.push(SourceInput::File(source));
-            }
-        }
+        let mut source = open_source(spec, base_emitted as usize)?;
+        source.config = source_config(source.config);
+        opened.push(source);
     }
-    if configs
+    let mut statuses: Vec<(String, GscStatus)> = Vec::new();
+    let config = opened[0].config.clone();
+    if opened
         .iter()
-        .any(|c| (c.n_qs, c.n_cm) != (configs[0].n_qs, configs[0].n_cm))
+        .any(|o| (o.config.n_qs, o.config.n_cm) != (config.n_qs, config.n_cm))
     {
         eprintln!(
             "note: mixed profiles in one session — each source runs its own \
              early-rejection operating point (N_qs, N_cm)"
         );
     }
-    let config = configs[0].clone();
     let opts = StreamOptions {
         queue_capacity: queue,
         progress_every: progress,
@@ -1061,32 +1091,28 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     let control = SessionControl::new();
     let emitted_total = Rc::new(Cell::new(0usize));
     let name_width = specs.iter().map(|s| s.name.len()).max().unwrap_or(0);
-    for (i, ((spec, input), fastq)) in specs.iter().zip(inputs).zip(&fastq_sinks).enumerate() {
+    for (i, ((spec, input), fastq)) in specs.iter().zip(opened).zip(&fastq_sinks).enumerate() {
         println!(
             "  source {:<name_width$}  {} reads ({}, weight {}, {} index shard(s))",
-            spec.name, expected[i], descs[i], spec.weight, shard_counts[i],
+            spec.name,
+            input.expected,
+            input.desc,
+            spec.weight,
+            shards.resolve(input.reference_len),
         );
         let name = spec.name.clone();
         let fastq = fastq.as_ref();
         let control_for_sink = control.clone();
         let emitted_total = Rc::clone(&emitted_total);
-        let source_expected = expected[i];
-        let config = configs[i].clone();
+        let source_expected = input.expected;
+        statuses.extend(input.status.map(|status| (spec.name.clone(), status)));
         // Rate 0 makes the injector a transparent wrapper, so every source
-        // goes through it and the per-kind types stay uniform.
-        let seed = 0x9E1F + i as u64;
-        session = match input {
-            SourceInput::Sim(profile) => session.source_with_config(
-                spec.name.as_str(),
-                FaultInjector::new(StreamingSimulator::new(&profile), inject_rate, seed),
-                config,
-            ),
-            SourceInput::File(source) => session.source_with_config(
-                spec.name.as_str(),
-                FaultInjector::new(source, inject_rate, seed),
-                config,
-            ),
-        };
+        // goes through it.
+        session = session.source_with_config(
+            spec.name.as_str(),
+            FaultInjector::new(input.source, inject_rate, 0x9E1F + i as u64),
+            input.config,
+        );
         session = session.sink(spec.name.as_str(), move |event| {
             if let Some(sink) = fastq {
                 sink.borrow_mut().handle(&event);
@@ -1240,13 +1266,7 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     if let Some(e) = ckpt_error.borrow_mut().take() {
         return Err(format!("checkpoint write failed: {e}"));
     }
-    // A container error (corruption, truncation, a failed read) ended its
-    // source early; the session completed, but the invocation must not
-    // claim success.
-    let container_errors: Vec<String> = statuses
-        .iter()
-        .filter_map(|(name, status)| status.error().map(|e| format!("source {name:?}: {e}")))
-        .collect();
+    let container_errors = container_errors(&statuses);
     if !container_errors.is_empty() {
         return Err(container_errors.join("; "));
     }
@@ -1254,6 +1274,16 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
         o.failed,
         explicit_fault && fault_policy != FaultPolicy::Fail,
     )
+}
+
+/// A container error (corruption, truncation, a failed read) ended its
+/// source early; the session completed, but the invocation must not claim
+/// success. One message per such source.
+fn container_errors(statuses: &[(String, GscStatus)]) -> Vec<String> {
+    statuses
+        .iter()
+        .filter_map(|(name, status)| status.error().map(|e| format!("source {name:?}: {e}")))
+        .collect()
 }
 
 /// Counts one emitted read toward `--drain-after`, draining the session
@@ -1270,51 +1300,9 @@ fn note_emitted(count: &Cell<usize>, drain_after: Option<usize>, control: &Sessi
     }
 }
 
-/// Deadline-schedule residency goal (chunk-work units) for scripted sources
-/// that do not spell their own `target=`.
-const SERVE_DEFAULT_TARGET: u64 = 64;
-
-/// A source named in a `serve` script attach step: simulated from a
-/// profile, or replayed from an on-disk GSC container.
-struct ServeSpec {
-    name: String,
-    kind: SourceKind,
-    weight: u32,
-    target: Option<u64>,
-}
-
-/// A serve source opened and ready to register or attach.
-enum ServeInput {
-    Sim(DatasetProfile),
-    File(Box<GscReadSource>),
-}
-
-/// Opens a serve spec's read source. Returns the input, its untuned
-/// operating point, the number of reads it will deliver, and a banner
-/// description.
-fn serve_input(spec: &ServeSpec) -> Result<(ServeInput, GenPipConfig, usize, String), String> {
-    match &spec.kind {
-        SourceKind::Simulated(profile) => Ok((
-            ServeInput::Sim(profile.clone()),
-            GenPipConfig::for_dataset(profile),
-            profile.n_reads,
-            profile.name.to_string(),
-        )),
-        SourceKind::Container { path, offset } => {
-            let source =
-                GscReadSource::open_at(path, *offset).map_err(|e| format!("{path}: {e}"))?;
-            let reader = source.reader();
-            let config = GenPipConfig::for_reference_name(reader.reference().name());
-            let expected = reader.read_count().saturating_sub(*offset);
-            let desc = format!("{path}, reads {offset}..{}", reader.read_count());
-            Ok((ServeInput::File(Box::new(source)), config, expected, desc))
-        }
-    }
-}
-
 /// What a `serve` script step does when it fires.
 enum ServeAction {
-    Attach(Box<ServeSpec>),
+    Attach(Box<SourceSpec>),
     Detach(String),
     Drain,
 }
@@ -1327,65 +1315,12 @@ struct ScriptStep {
     action: ServeAction,
 }
 
-fn parse_serve_spec(name: &str, spec: &str, default_scale: f64) -> Result<ServeSpec, String> {
-    let mut profile_name = None;
-    let mut file = None;
-    let mut offset = 0usize;
-    let mut scale = default_scale;
-    let mut weight = 1u32;
-    let mut target = None;
-    for part in spec.split(',') {
-        let (key, value) = part
-            .split_once('=')
-            .ok_or_else(|| format!("spec part {part:?} is not key=value"))?;
-        match key {
-            "profile" => profile_name = Some(value),
-            "file" => file = Some(value.to_string()),
-            "offset" => {
-                offset = value
-                    .parse()
-                    .map_err(|_| format!("invalid offset {value:?}"))?
-            }
-            "scale" => scale = parse_scale(value)?,
-            "weight" => {
-                weight = value
-                    .parse()
-                    .map_err(|_| format!("invalid weight {value:?}"))?
-            }
-            "target" => {
-                target = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid target {value:?}"))?,
-                )
-            }
-            other => {
-                return Err(format!(
-                    "unknown key {other:?} (use profile, file, offset, scale, weight, target)"
-                ))
-            }
-        }
-    }
-    let kind = match (profile_name, file) {
-        (Some(profile), None) => SourceKind::Simulated(profile_by_name(profile)?.scaled(scale)),
-        (None, Some(path)) => SourceKind::Container { path, offset },
-        (Some(_), Some(_)) => return Err("attach spec has both profile= and file=".into()),
-        (None, None) => return Err("attach spec needs profile= or file=".into()),
-    };
-    Ok(ServeSpec {
-        name: name.to_string(),
-        kind,
-        weight,
-        target,
-    })
-}
-
 /// Parses a `serve` script into the sources registered before the run and
 /// the steps fired through the live control plane.
 fn parse_script(
     text: &str,
     default_scale: f64,
-) -> Result<(Vec<ServeSpec>, Vec<ScriptStep>), String> {
+) -> Result<(Vec<SourceSpec>, Vec<ScriptStep>), String> {
     let mut initial = Vec::new();
     let mut steps: Vec<ScriptStep> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -1407,7 +1342,7 @@ fn parse_script(
         };
         let action = match *rest {
             ["attach", name, spec] => ServeAction::Attach(Box::new(
-                parse_serve_spec(name, spec, default_scale).map_err(err)?,
+                parse_source_spec("attach", spec, Some(name), 0, default_scale).map_err(err)?,
             )),
             ["detach", name] => ServeAction::Detach(name.to_string()),
             ["drain"] => ServeAction::Drain,
@@ -1473,7 +1408,7 @@ fn serve_note_read(driver: &Arc<Mutex<ServeDriver>>) {
 fn serve_fire(d: &mut ServeDriver, driver: &Arc<Mutex<ServeDriver>>, step: ScriptStep) {
     match step.action {
         ServeAction::Attach(spec) => {
-            let (input, base, expected, desc) = match serve_input(&spec) {
+            let input = match open_source(&spec, 0) {
                 Ok(opened) => opened,
                 Err(e) => {
                     println!(
@@ -1485,10 +1420,13 @@ fn serve_fire(d: &mut ServeDriver, driver: &Arc<Mutex<ServeDriver>>, step: Scrip
                 }
             };
             println!(
-                "  [script] at {} reads: attach {:?} ({desc}, {expected} reads)",
-                step.after, spec.name
+                "  [script] at {} reads: attach {:?} ({}, {} reads)",
+                step.after, spec.name, input.desc, input.expected
             );
-            let config = base.with_parallelism(d.parallelism).with_shards(d.shards);
+            let config = input
+                .config
+                .with_parallelism(d.parallelism)
+                .with_shards(d.shards);
             let mut attach = AttachSpec::new().config(config).weight(spec.weight);
             if let Some(target) = spec.target {
                 attach = attach.deadline_target(target);
@@ -1499,17 +1437,11 @@ fn serve_fire(d: &mut ServeDriver, driver: &Arc<Mutex<ServeDriver>>, step: Scrip
                     serve_note_read(&observer);
                 }
             });
-            let handle = match input {
-                ServeInput::Sim(profile) => d.control.attach_with(
-                    spec.name.as_str(),
-                    StreamingSimulator::new(&profile),
-                    attach,
-                ),
-                ServeInput::File(source) => {
-                    d.statuses.push((spec.name.clone(), source.status()));
-                    d.control.attach_with(spec.name.as_str(), *source, attach)
-                }
-            };
+            d.statuses
+                .extend(input.status.map(|status| (spec.name.clone(), status)));
+            let handle = d
+                .control
+                .attach_with(spec.name.as_str(), input.source, attach);
             d.attaches.push((spec.name, handle));
         }
         ServeAction::Detach(name) => {
@@ -1529,37 +1461,12 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
     let script = std::fs::read_to_string(script_path).map_err(|e| format!("{script_path}: {e}"))?;
     let er = er_from(parsed)?;
     let shards = shards_from(parsed)?;
-    let usize_opt = |key: &str, default: usize| -> Result<usize, String> {
-        match opt(parsed, key) {
-            None => Ok(default),
-            Some(s) => s.parse().map_err(|_| format!("invalid --{key} {s:?}")),
-        }
-    };
-    let queue = usize_opt("queue", 8)?.max(1);
-    let max_sources = usize_opt("max-sources", 64)?;
-    let parallelism = match opt(parsed, "threads") {
-        None => Parallelism::from_env_or(Parallelism::Auto),
-        Some(s) => Parallelism::parse(s).ok_or_else(|| format!("invalid --threads {s:?}"))?,
-    };
+    let queue = usize_from(parsed, "queue", 8)?.max(1);
+    let max_sources = usize_from(parsed, "max-sources", 64)?;
+    let parallelism = parallelism_from(parsed)?;
     let default_scale = scale_from(parsed, 0.05)?;
     let (initial, steps) = parse_script(&script, default_scale)?;
-
-    let schedule = match opt(parsed, "schedule").unwrap_or("fair") {
-        "fair" => Schedule::FairShare,
-        "sequential" => Schedule::Sequential,
-        "priority" => Schedule::Priority(initial.iter().map(|s| s.weight).collect()),
-        "deadline" => Schedule::Deadline(
-            initial
-                .iter()
-                .map(|s| s.target.unwrap_or(SERVE_DEFAULT_TARGET))
-                .collect(),
-        ),
-        other => {
-            return Err(format!(
-                "invalid --schedule {other:?} (use fair, sequential, priority, or deadline)"
-            ))
-        }
-    };
+    let schedule = schedule_from(parsed, &initial)?;
 
     println!(
         "serve: GenPIP ({er:?}) under {schedule:?}, {} worker(s), queue {queue}, \
@@ -1586,9 +1493,9 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
     // in the script header should fail the invocation outright.
     let mut initial_inputs = Vec::with_capacity(initial.len());
     for spec in &initial {
-        initial_inputs.push(serve_input(spec)?);
+        initial_inputs.push(open_source(spec, 0)?);
     }
-    let first_config = tune(initial_inputs[0].1.clone());
+    let first_config = tune(initial_inputs[0].config.clone());
     let mut session = Session::new(first_config)
         .flow(Flow::GenPip(er))
         .schedule(schedule)
@@ -1598,12 +1505,12 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
             progress_every: 0,
             ..StreamOptions::default()
         });
-    for (spec, (input, base, expected, desc)) in initial.iter().zip(initial_inputs) {
+    for (spec, input) in initial.iter().zip(initial_inputs) {
         println!(
             "  source {:?}: {} reads ({}, weight {}{})",
             spec.name,
-            expected,
-            desc,
+            input.expected,
+            input.desc,
             spec.weight,
             match spec.target {
                 Some(t) => format!(", target {t}"),
@@ -1611,22 +1518,12 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
             },
         );
         let observer = Arc::clone(&driver);
-        let config = tune(base);
-        session = match input {
-            ServeInput::Sim(profile) => session.source_with_config(
-                spec.name.as_str(),
-                StreamingSimulator::new(&profile),
-                config,
-            ),
-            ServeInput::File(source) => {
-                driver
-                    .lock()
-                    .expect("serve driver poisoned")
-                    .statuses
-                    .push((spec.name.clone(), source.status()));
-                session.source_with_config(spec.name.as_str(), *source, config)
-            }
-        };
+        driver
+            .lock()
+            .expect("serve driver poisoned")
+            .statuses
+            .extend(input.status.map(|status| (spec.name.clone(), status)));
+        session = session.source_with_config(spec.name.as_str(), input.source, tune(input.config));
         session = session.sink(spec.name.as_str(), move |event| {
             if let StreamEvent::Read(_) = event {
                 serve_note_read(&observer);
@@ -1656,11 +1553,7 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
         .map(|step| format!("script step never fired ({step}) — only {emitted} reads emitted"))
         .collect::<Vec<_>>();
     failures.extend(step_errors);
-    for (name, status) in &statuses {
-        if let Some(e) = status.error() {
-            failures.push(format!("source {name:?}: {e}"));
-        }
-    }
+    failures.extend(container_errors(&statuses));
     for (name, handle) in attaches {
         if let Err(e) = handle.wait() {
             failures.push(format!("attach {name:?} refused: {e}"));

@@ -62,3 +62,102 @@ fn the_removed_lanes_option_is_rejected_everywhere() {
         );
     }
 }
+
+#[test]
+fn stream_accepts_the_deadline_schedule_like_serve_does() {
+    let (ok, stderr) = genpip(&[
+        "stream",
+        "--scale",
+        "0.02",
+        "--progress",
+        "0",
+        "--schedule",
+        "deadline",
+        "--source",
+        "profile=ecoli,target=40",
+        "--source",
+        "profile=ecoli,name=b,target=200",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let (ok, stderr) = genpip(&["stream", "--scale", "0.02", "--schedule", "bogus"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("invalid --schedule \"bogus\"") && stderr.contains("deadline"),
+        "stderr: {stderr}"
+    );
+}
+
+/// Every spec surface shares one `key=value` grammar and rejects the same
+/// mistakes: each bad spec exits nonzero naming the surface, quoting the
+/// spec, and saying what is wrong with it.
+#[test]
+fn bad_specs_fail_naming_the_flag_and_the_spec() {
+    // (spec, what stderr must say about it)
+    let reference: &[(&str, &str)] = &[
+        ("len", "is not key=value"),
+        (
+            "len=500,colour=red",
+            "unknown key \"colour\" (use name, len, seed)",
+        ),
+        ("name=x,len=many", "invalid len \"many\""),
+        ("name=x", "needs len="),
+    ];
+    let source: &[(&str, &str)] = &[
+        ("profile=ecoli,heavy", "is not key=value"),
+        (
+            "profile=ecoli,wieght=2",
+            "unknown key \"wieght\" (use profile, file, scale, offset, weight, target, name)",
+        ),
+        ("profile=ecoli,weight=two", "invalid weight \"two\""),
+        ("profile=ecoli,target=soon", "invalid target \"soon\""),
+        ("file=x.gsc,offset=-1", "invalid offset \"-1\""),
+        ("profile=ecoli,file=x.gsc", "both profile= and file="),
+        ("name=x,weight=2", "needs profile= or file="),
+    ];
+    let signal_in: &[(&str, &str)] = &[
+        ("x.gsc,heavy", "is not key=value"),
+        ("x.gsc,wieght=2", "unknown key \"wieght\""),
+        ("x.gsc,weight=two", "invalid weight \"two\""),
+        ("x.gsc,offset=k", "invalid offset \"k\""),
+        ("x.gsc,target=soon", "invalid target \"soon\""),
+        ("x.gsc,profile=ecoli", "both profile= and file="),
+        ("name=x", "must start with a container path"),
+    ];
+    let attach: &[(&str, &str)] = &[
+        ("profile=ecoli,heavy", "is not key=value"),
+        (
+            "profile=ecoli,name=b",
+            "unknown key \"name\" (use profile, file, scale, offset, weight, target)",
+        ),
+        ("profile=ecoli,weight=two", "invalid weight \"two\""),
+        ("file=x.gsc,offset=k", "invalid offset \"k\""),
+        ("profile=ecoli,target=soon", "invalid target \"soon\""),
+        ("profile=ecoli,file=x.gsc", "both profile= and file="),
+        ("weight=2", "needs profile= or file="),
+    ];
+    let script = std::env::temp_dir().join(format!("genpip-cli-{}.script", std::process::id()));
+    let script_path = script.to_str().expect("utf-8 temp path");
+    for (flag, command, table) in [
+        ("--reference", "run", reference),
+        ("--source", "stream", source),
+        ("--signal-in", "stream", signal_in),
+        ("attach", "serve", attach),
+    ] {
+        for (spec, complaint) in table {
+            let (ok, stderr) = if flag == "attach" {
+                std::fs::write(&script, format!("attach a {spec}\n")).expect("write script");
+                genpip(&[command, "--script", script_path])
+            } else {
+                genpip(&[command, "--scale", "0.02", flag, spec])
+            };
+            assert!(!ok, "{flag} {spec:?} must exit nonzero");
+            for needle in [flag, spec, complaint] {
+                assert!(
+                    stderr.contains(needle),
+                    "{flag} {spec:?}: no {needle:?} in stderr: {stderr}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&script);
+}
