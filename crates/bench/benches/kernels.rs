@@ -6,11 +6,11 @@
 //! kernel, CAM search, Viterbi chunk decoding (allocation-free scratch
 //! path), the lane-batched SoA Viterbi kernel at widths 1/4/8 (a
 //! library-level option of `genpip_basecall`; scalar bit-identity asserted
-//! in-bench), minimizer extraction, chaining DP, sharded fan-out seeding at
-//! 1/2/4 index shards (with a shard-vs-monolithic bit-identity check),
-//! pan-genome mapping against 1 vs 3 named references (one shared sketch,
-//! per-reference seeding, deterministic merge; set-vs-solo bit-identity
-//! check), banded alignment, end-to-end single-read processing, the batch
+//! in-bench), minimizer extraction, chaining DP, the seed path (sketch,
+//! index lookup, chain) on one query, pan-genome mapping against 1 vs 3
+//! named references (one shared sketch, per-reference seeding,
+//! deterministic merge; set-vs-solo bit-identity check), banded
+//! alignment, end-to-end single-read processing, the batch
 //! pipeline (one `Session` source) at 1/2/4 worker threads with a
 //! serial-vs-parallel bit-identity check, the streaming executor (a
 //! `Session` over a lazy `StreamingSimulator` source) across worker/queue
@@ -44,7 +44,7 @@ use genpip_genomics::GenomeBuilder;
 use genpip_io::{pack_source, GscReadSource};
 use genpip_mapping::{
     minimizers_into, Anchor, ChainParams, IncrementalChainer, Mapper, MapperParams,
-    MinimizerScratch, ReferenceSet, SeedBatch, SeedScratch, Shards,
+    MinimizerScratch, ReferenceSet, SeedBatch, SeedScratch,
 };
 use genpip_pim::{CamBank, CrossbarArray};
 use genpip_signal::{PoreModel, SignalSynthesizer};
@@ -293,64 +293,26 @@ fn main() {
         ));
     }
 
-    // --- Sharded seeding: fan-out lookup + chain at 1/2/4 shards ---
-    // Measures the whole seed path (sketch, per-shard hash lookups, anchor
-    // merge, chaining DP) as the index is split into more shards, and
-    // asserts the headline property: mapping output is bit-identical to the
-    // monolithic index at every shard count.
-    let mut sharded_rows = Vec::new();
-    let sharding_matches_monolithic;
+    // --- Seeding: sketch + index lookup + chain on one 4 kb query ---
     {
         let genome = GenomeBuilder::new(200_000).seed(21).build();
         let query = genome.sequence().subseq(80_000, 4_000);
-        let mut monolithic_result = None;
-        let mut bitwise_equal = true;
-        for shards in [1usize, 2, 4] {
-            let params = MapperParams {
-                shards: if shards == 1 {
-                    Shards::Single
-                } else {
-                    Shards::Fixed(shards)
-                },
-                ..MapperParams::default()
-            };
-            let mapper = Mapper::build(&genome, params);
-            let mut scratch = SeedScratch::new();
-            let mut batch = SeedBatch::default();
-            let (mut fwd, mut rev) = mapper.new_chainers();
-            let r = bench(
-                &format!("seed/lookup_chain_{shards}_shards"),
-                Some((query.len() as f64, "bases")),
-                || {
-                    fwd.reset();
-                    rev.reset();
-                    let n =
-                        mapper.sketch_and_seed_into(black_box(&query), 0, &mut scratch, &mut batch);
-                    fwd.extend(&batch.forward);
-                    rev.extend(&batch.reverse);
-                    (n, fwd.best_score().max(rev.best_score()))
-                },
-            );
-            let mapping = mapper.map(&query);
-            match &monolithic_result {
-                None => monolithic_result = Some(mapping),
-                Some(reference) => bitwise_equal &= reference == &mapping,
-            }
-            sharded_rows.push(Json::obj([
-                ("shards", Json::Num(shards as f64)),
-                ("ns_per_iter", Json::Num(r.ns_per_iter)),
-                (
-                    "index_entries_largest_shard",
-                    Json::Num(mapper.index().max_shard_entries() as f64),
-                ),
-            ]));
-            results.push(r);
-        }
-        sharding_matches_monolithic = bitwise_equal;
-        assert!(
-            sharding_matches_monolithic,
-            "sharded mapping diverged from the monolithic index"
-        );
+        let mapper = Mapper::build(&genome, MapperParams::default());
+        let mut scratch = SeedScratch::new();
+        let mut batch = SeedBatch::default();
+        let (mut fwd, mut rev) = mapper.new_chainers();
+        results.push(bench(
+            "seed/lookup_chain",
+            Some((query.len() as f64, "bases")),
+            || {
+                fwd.reset();
+                rev.reset();
+                let n = mapper.sketch_and_seed_into(black_box(&query), 0, &mut scratch, &mut batch);
+                fwd.extend(&batch.forward);
+                rev.extend(&batch.reverse);
+                (n, fwd.best_score().max(rev.best_score()))
+            },
+        ));
     }
 
     // --- Pan-genome seeding: one read against 1 vs 3 named references ---
@@ -1229,11 +1191,6 @@ fn main() {
         (
             "file_streaming_matches_memory",
             Json::Bool(file_streaming_matches_memory),
-        ),
-        ("sharded_seeding", Json::Arr(sharded_rows)),
-        (
-            "sharding_matches_monolithic",
-            Json::Bool(sharding_matches_monolithic),
         ),
         ("pan_genome", Json::Arr(pan_rows)),
         ("pan_genome_matches_solo", Json::Bool(pan_matches_solo)),

@@ -2,7 +2,7 @@
 
 use genpip_datasets::DatasetProfile;
 use genpip_genomics::Genome;
-use genpip_mapping::{MapperParams, Shards};
+use genpip_mapping::MapperParams;
 use std::sync::Arc;
 
 /// How many software worker threads the [`Session`](crate::engine::Session)
@@ -15,7 +15,10 @@ use std::sync::Arc;
 pub enum Parallelism {
     /// One thread, no pool — the reference execution.
     Serial,
-    /// A fixed worker count (clamped to ≥ 1).
+    /// A fixed worker count. `Threads(0)` is not clamped:
+    /// [`Session`](crate::engine::Session) refuses it with
+    /// [`SessionError::ZeroWorkers`](crate::engine::SessionError::ZeroWorkers),
+    /// and [`Parallelism::parse`] never produces it.
     Threads(usize),
     /// One worker per available hardware thread.
     #[default]
@@ -23,7 +26,8 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// The concrete worker count this setting resolves to on this machine.
+    /// The concrete worker count this setting resolves to on this machine
+    /// (at least 1, also for the `Threads(0)` a session would refuse).
     pub fn workers(self) -> usize {
         match self {
             Parallelism::Serial => 1,
@@ -35,12 +39,16 @@ impl Parallelism {
     }
 
     /// Parses a parallelism spelling: `"serial"`, `"auto"`, or a worker
-    /// count (e.g. `"4"` → `Threads(4)`). `None` for anything else.
+    /// count (e.g. `"4"` → `Threads(4)`). `None` for anything else,
+    /// including `"0"`.
     pub fn parse(s: &str) -> Option<Parallelism> {
         match s.trim().to_ascii_lowercase().as_str() {
             "serial" => Some(Parallelism::Serial),
             "auto" => Some(Parallelism::Auto),
-            n => n.parse::<usize>().ok().map(Parallelism::Threads),
+            n => match n.parse::<usize>() {
+                Ok(count) if count > 0 => Some(Parallelism::Threads(count)),
+                _ => None,
+            },
         }
     }
 
@@ -198,17 +206,6 @@ impl GenPipConfig {
         self
     }
 
-    /// Overrides how many position-range shards the reference minimizer
-    /// index is split into ([`Shards`]). Like
-    /// [`GenPipConfig::with_parallelism`], this never changes results —
-    /// mapping output is bit-identical for every shard count; the knob
-    /// bounds per-shard index memory and maps shards onto the PIM seeding
-    /// unit's CAM subarray groups.
-    pub fn with_shards(mut self, shards: Shards) -> GenPipConfig {
-        self.mapper.shards = shards;
-        self
-    }
-
     /// Enables or disables retaining basecalled sequences on emitted reads
     /// (see [`GenPipConfig::keep_bases`]). Never changes outcomes or
     /// counters — only whether `ReadRun::called` is populated.
@@ -299,13 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_override_reaches_the_mapper_params() {
-        let c = GenPipConfig::default().with_shards(Shards::Fixed(6));
-        assert_eq!(c.mapper.shards, Shards::Fixed(6));
-        assert_eq!(GenPipConfig::default().mapper.shards, Shards::Single);
-    }
-
-    #[test]
     fn fault_policy_parses_the_cli_spellings() {
         assert_eq!(FaultPolicy::parse("fail"), Some(FaultPolicy::Fail));
         assert_eq!(
@@ -333,6 +323,7 @@ mod tests {
         assert_eq!(Parallelism::parse("serial"), Some(Parallelism::Serial));
         assert_eq!(Parallelism::parse("  AUTO "), Some(Parallelism::Auto));
         assert_eq!(Parallelism::parse("4"), Some(Parallelism::Threads(4)));
+        assert_eq!(Parallelism::parse("0"), None);
         assert_eq!(Parallelism::parse("bogus"), None);
         assert_eq!(Parallelism::parse(""), None);
     }

@@ -87,8 +87,8 @@
 //!   multi-source session is bit-identical to running that source alone,
 //!   and chunk-granular execution is bit-identical to read-granular
 //!   execution ([`Granularity::Read`] steps the same chain to completion
-//!   inside one task), for every [`Schedule`], [`crate::Parallelism`],
-//!   [`ErMode`], and shard count (`tests/session.rs` and
+//!   inside one task), for every [`Schedule`], [`crate::Parallelism`]
+//!   and [`ErMode`] (`tests/session.rs` and
 //!   `tests/chunk_granularity.rs` assert this against the independent
 //!   serial oracle in `tests/common`). Scheduling changes latency, never
 //!   results.
@@ -966,7 +966,7 @@ impl<'a> Session<'a> {
 
     /// Registers a source under `id` with its **own** [`GenPipConfig`], so
     /// different sources can run different operating points (`N_qs`,
-    /// `N_cm`, thresholds, chunk size, shards) in one session — e.g. an
+    /// `N_cm`, thresholds, chunk size) in one session — e.g. an
     /// E. coli flowcell next to a human one. Transport-level knobs on the
     /// override are ignored: `parallelism` (the pool is session-wide) comes
     /// from the session config. The override is validated against the

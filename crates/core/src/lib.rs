@@ -76,7 +76,6 @@ pub use engine::{
     SourceReport, SourceStats,
 };
 pub use genpip_datasets::SourceId;
-pub use genpip_mapping::Shards;
 pub use pipeline::{CalledBases, ChunkWork, ErMode, PipelineRun, ReadOutcome, ReadRun};
 pub use scheduler::Schedule;
 pub use stream::{

@@ -33,11 +33,9 @@
 //! **worker-local scratch** holds only stateless buffers (decode, sketch,
 //! seed — so the hot path stays allocation-free in steady state). The
 //! shared state ([`Basecaller`], [`ReferenceSet`] with its `Arc`-shared
-//! reference genomes and `Arc`-shared sharded minimizer indexes) is
-//! immutable, therefore
-//! one set of index shards serves every worker — workers never clone
-//! whole-genome index state, no matter the shard count
-//! ([`GenPipConfig::with_shards`]). Per-read computation never depends on
+//! reference genomes and `Arc`-shared minimizer indexes) is immutable,
+//! therefore one index per reference serves every worker — workers never
+//! clone whole-genome index state. Per-read computation never depends on
 //! other reads, which makes the output **bit-identical** for every
 //! `Parallelism` setting, for streaming vs batch execution, and for
 //! chunk-granular vs read-granular scheduling

@@ -78,6 +78,31 @@ const DEADLINE_NEUTRAL: i64 = 8;
 /// far past its target it is, so one hopeless target cannot starve the rest.
 const DEADLINE_MAX: i64 = 16 * DEADLINE_NEUTRAL;
 
+/// One smooth-weighted-round-robin pick (the nginx algorithm) among the
+/// lanes `up` admits: every such lane earns `weight_of(lane)` in credit, the
+/// richest is picked and pays the round's total back. Deterministic,
+/// proportional and burst-free; ties break to the lowest index. `None` when
+/// no lane is up.
+fn swrr_pick(
+    credit: &mut [i64],
+    up: impl Fn(usize) -> bool,
+    weight_of: impl Fn(usize) -> i64,
+) -> Option<usize> {
+    let mut total = 0i64;
+    let mut best: Option<usize> = None;
+    for i in (0..credit.len()).filter(|&i| up(i)) {
+        let weight = weight_of(i);
+        credit[i] += weight;
+        total += weight;
+        if best.is_none_or(|b| credit[i] > credit[b]) {
+            best = Some(i);
+        }
+    }
+    let pick = best?;
+    credit[pick] -= total;
+    Some(pick)
+}
+
 /// The SWRR weight a deadline lane earns this round: `neutral × ewma /
 /// target`, clamped to `[1, DEADLINE_MAX]`. Integer arithmetic keeps the
 /// whole policy deterministic.
@@ -226,58 +251,15 @@ impl SchedulerState {
                 *cursor = (pick + 1) % n;
                 pick
             }
-            Kind::Priority { weights, credit } => {
-                // Smooth weighted round-robin (the nginx algorithm): every
-                // available source earns its weight in credit, the richest
-                // source is picked and pays the total back. Deterministic,
-                // proportional, and burst-free; ties break to the lowest
-                // index.
-                let mut total = 0i64;
-                let mut best = None;
-                for i in 0..active.len() {
-                    if !up(i) {
-                        continue;
-                    }
-                    credit[i] += i64::from(weights[i]);
-                    total += i64::from(weights[i]);
-                    match best {
-                        Some(b) if credit[i] <= credit[b as usize] => {}
-                        _ => best = Some(i as u32),
-                    }
-                }
-                let pick = best? as usize;
-                credit[pick] -= total;
-                pick
-            }
+            Kind::Priority { weights, credit } => swrr_pick(credit, up, |i| i64::from(weights[i]))?,
+            // `Priority` with dynamic weights: the weight is recomputed from
+            // the residency EWMA every round, so lanes drifting past their
+            // target automatically earn a larger share.
             Kind::Deadline {
                 targets,
                 ewma,
                 credit,
-            } => {
-                // SWRR with dynamic weights: each available lane earns its
-                // current urgency in credit, the richest lane is picked and
-                // pays the total back. Identical mechanics to `Priority`,
-                // except the weight is recomputed from the residency EWMA
-                // every round, so lanes drifting past their target
-                // automatically earn a larger share.
-                let mut total = 0i64;
-                let mut best = None;
-                for i in 0..active.len() {
-                    if !up(i) {
-                        continue;
-                    }
-                    let urgency = deadline_urgency(ewma[i], targets[i]);
-                    credit[i] += urgency;
-                    total += urgency;
-                    match best {
-                        Some(b) if credit[i] <= credit[b as usize] => {}
-                        _ => best = Some(i as u32),
-                    }
-                }
-                let pick = best? as usize;
-                credit[pick] -= total;
-                pick
-            }
+            } => swrr_pick(credit, up, |i| deadline_urgency(ewma[i], targets[i]))?,
         };
         Some(pick)
     }

@@ -10,7 +10,6 @@ use crate::minimizer::{minimizers, Minimizer};
 use crate::RefPos;
 use genpip_genomics::Genome;
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// One reference hit: where a minimizer occurs in the genome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +24,11 @@ pub struct RefHit {
 }
 
 /// Hash table from minimizer hash to reference locations.
+///
+/// Each key's hit list is in ascending position order (the sketch is walked
+/// left to right), so any contiguous position range of the reference owns a
+/// sub-slice of every hit list — the property the `genpip-pim` seeding
+/// loader uses to lay this one table out across CAM subarray groups.
 #[derive(Debug, Clone)]
 pub struct ReferenceIndex {
     k: usize,
@@ -52,9 +56,8 @@ impl ReferenceIndex {
 
     /// Builds the index of `genome` with its coordinate space starting at
     /// `base_offset` instead of 0: every stored hit position is
-    /// `base_offset + position-in-genome`. This is how a sharded build places
-    /// each slice of a long reference into one global `u64` coordinate space
-    /// without ever materializing the whole sequence.
+    /// `base_offset + position-in-genome`. This is how coordinate spaces
+    /// beyond 4 Gbp are exercised without materializing 4 GB of sequence.
     pub fn build_at(genome: &Genome, k: usize, w: usize, base_offset: RefPos) -> ReferenceIndex {
         let mut table: HashMap<u64, Vec<RefHit>> = HashMap::new();
         for m in minimizers(genome.sequence(), k, w) {
@@ -62,65 +65,6 @@ impl ReferenceIndex {
                 pos: base_offset + m.pos,
                 reverse: m.reverse,
             });
-        }
-        ReferenceIndex {
-            k,
-            w,
-            genome_len: genome.len(),
-            base_offset,
-            table,
-            max_occurrences: Self::DEFAULT_MAX_OCCURRENCES,
-        }
-    }
-
-    /// Builds the index over only the minimizers **owned** by `span`
-    /// (a position range of the genome) — one shard of a
-    /// [`crate::ShardedReferenceIndex`].
-    ///
-    /// The sketched subsequence extends `w + k - 1` bases beyond each end of
-    /// `span` (clamped to the genome), so every winnowing window that could
-    /// witness an owned position exists in the shard exactly as it does in a
-    /// whole-genome sketch; hits are then filtered to `span`. The union of
-    /// the indexes built from a partition of `0..genome.len()` therefore
-    /// holds precisely the whole-genome minimizer set, each hit exactly
-    /// once.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`ReferenceIndex::build`], or if
-    /// `span` exceeds the genome.
-    pub fn build_span(genome: &Genome, k: usize, w: usize, span: Range<usize>) -> ReferenceIndex {
-        Self::build_span_at(genome, k, w, span, 0)
-    }
-
-    /// [`ReferenceIndex::build_span`] with the genome's coordinate space
-    /// starting at `base_offset`: `span` stays a range of positions within
-    /// the genome, while stored hits carry `base_offset + position`.
-    pub fn build_span_at(
-        genome: &Genome,
-        k: usize,
-        w: usize,
-        span: Range<usize>,
-        base_offset: RefPos,
-    ) -> ReferenceIndex {
-        assert!(
-            span.start <= span.end && span.end <= genome.len(),
-            "shard span {span:?} exceeds genome of {} bases",
-            genome.len()
-        );
-        let halo = w + k - 1;
-        let ext_start = span.start.saturating_sub(halo);
-        let ext_end = (span.end + halo).min(genome.len());
-        let sub = genome.sequence().subseq(ext_start, ext_end - ext_start);
-        let mut table: HashMap<u64, Vec<RefHit>> = HashMap::new();
-        for m in minimizers(&sub, k, w) {
-            let pos = ext_start + m.pos as usize;
-            if span.contains(&pos) {
-                table.entry(m.hash).or_default().push(RefHit {
-                    pos: base_offset + pos as RefPos,
-                    reverse: m.reverse,
-                });
-            }
         }
         ReferenceIndex {
             k,
@@ -159,7 +103,7 @@ impl ReferenceIndex {
     }
 
     /// First coordinate of the index's position space (0 unless built with
-    /// [`ReferenceIndex::build_at`]/[`ReferenceIndex::build_span_at`]).
+    /// [`ReferenceIndex::build_at`]).
     pub fn base_offset(&self) -> RefPos {
         self.base_offset
     }
@@ -200,10 +144,7 @@ impl ReferenceIndex {
     /// slice if the key is absent **or** more frequent than the repetitive
     /// cap.
     pub fn lookup(&self, m: &Minimizer) -> &[RefHit] {
-        match self.table.get(&m.hash) {
-            Some(hits) if hits.len() <= self.max_occurrences => hits,
-            _ => &[],
-        }
+        self.lookup_hash(m.hash)
     }
 
     /// Looks up by raw hash (used by the PIM CAM model, which stores hashes
@@ -331,50 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn span_shards_partition_the_whole_genome_sketch() {
-        use std::collections::HashSet;
-        let g = genome(10_000, 7);
-        let (k, w) = (15, 10);
-        let whole = ReferenceIndex::build(&g, k, w);
-        let mut whole_entries: HashSet<(u64, RefPos, bool)> = HashSet::new();
-        for (hash, hits) in whole.iter() {
-            for h in hits {
-                whole_entries.insert((*hash, h.pos, h.reverse));
-            }
-        }
-        for n in [2usize, 3, 7] {
-            let step = g.len().div_ceil(n);
-            let mut seen: HashSet<(u64, RefPos, bool)> = HashSet::new();
-            for s in 0..n {
-                let span = (s * step).min(g.len())..((s + 1) * step).min(g.len());
-                let shard = ReferenceIndex::build_span(&g, k, w, span.clone());
-                for (hash, hits) in shard.iter() {
-                    for h in hits {
-                        assert!(
-                            span.contains(&(h.pos as usize)),
-                            "hit {} escaped span {span:?}",
-                            h.pos
-                        );
-                        assert!(
-                            seen.insert((*hash, h.pos, h.reverse)),
-                            "duplicate hit at {} across shards",
-                            h.pos
-                        );
-                    }
-                }
-            }
-            assert_eq!(seen, whole_entries, "{n} shards lost or invented hits");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds genome")]
-    fn out_of_range_span_rejected() {
-        let g = genome(1_000, 8);
-        let _ = ReferenceIndex::build_span(&g, 15, 10, 500..2_000);
-    }
-
-    #[test]
     fn base_offset_shifts_every_hit_past_the_u32_horizon() {
         // An index whose coordinate space starts beyond 4 Gbp: every stored
         // hit is the plain-index hit plus the offset, nothing truncates.
@@ -394,25 +291,5 @@ mod tests {
                 assert_eq!(b.reverse, a.reverse);
             }
         }
-    }
-
-    #[test]
-    fn span_shards_agree_with_whole_index_under_offset() {
-        let g = genome(4_000, 10);
-        let offset: RefPos = (u32::MAX as RefPos) - 1_000; // straddles the boundary
-        let whole = ReferenceIndex::build_at(&g, 15, 10, offset);
-        let mut seen = 0usize;
-        for span in [0..2_000usize, 2_000..4_000] {
-            let shard = ReferenceIndex::build_span_at(&g, 15, 10, span.clone(), offset);
-            for (hash, hits) in shard.iter() {
-                for h in hits {
-                    let local = (h.pos - offset) as usize;
-                    assert!(span.contains(&local), "hit {local} escaped span {span:?}");
-                    assert!(whole.lookup_hash(*hash).contains(h));
-                    seen += 1;
-                }
-            }
-        }
-        assert_eq!(seen, whole.total_entries());
     }
 }

@@ -3,16 +3,15 @@
 //! The paper's read-mapping step (Section 2.1, Figure 1 ➌) runs in four
 //! phases, each implemented here as its own module:
 //!
-//! 1. **Indexing** ([`index`], [`shard`]) — extract `(w, k)` minimizers from
-//!    the reference genome and store them in a hash table keyed by minimizer
-//!    hash, valued by reference positions. GenPIP holds this table in its
-//!    ReRAM CAM/RAM seeding unit (paper Section 4.4); the table is
-//!    partitioned into position-range shards ([`ShardedReferenceIndex`]) so
-//!    no single allocation — and no single CAM subarray group — holds the
-//!    whole genome's index, with results bit-identical for every shard
-//!    count.
+//! 1. **Indexing** ([`index`]) — extract `(w, k)` minimizers from the
+//!    reference genome and store them in one hash table ([`ReferenceIndex`])
+//!    keyed by minimizer hash, valued by reference positions in ascending
+//!    order. GenPIP holds this table in its ReRAM CAM/RAM seeding unit (paper
+//!    Section 4.4); how the table is spread over CAM subarray groups is a
+//!    storage layout computed by `genpip-pim`'s seeding loader, not a
+//!    property of the index.
 //! 2. **Seeding** ([`seed`]) — query the read's minimizers against the table
-//!    (fanning out across shards) to produce *anchors* (query-position,
+//!    (one probe each) to produce *anchors* (query-position,
 //!    reference-position pairs).
 //! 3. **Chaining** ([`chain`]) — a dynamic-programming pass that finds
 //!    colinear anchor chains with minimap2's gap-cost scoring. The chaining
@@ -49,15 +48,14 @@ pub mod minimizer;
 pub mod paf;
 pub mod refset;
 pub mod seed;
-pub mod shard;
 
 /// Repo-wide reference coordinate type.
 ///
 /// Every position that names a base in a reference coordinate space —
 /// [`Minimizer::pos`], [`RefHit::pos`], [`Anchor::{qpos,rpos}`](Anchor),
-/// chain spans, index span ranges, PAF target coordinates — is 64-bit, so
-/// references (and sharded coordinate spaces assembled from per-shard
-/// offsets) are not capped at the 4 Gbp `u32` horizon.
+/// chain spans, PAF target coordinates — is 64-bit, so references (and
+/// coordinate spaces placed at a nonzero base offset) are not capped at the
+/// 4 Gbp `u32` horizon.
 pub type RefPos = u64;
 
 pub use align::{Alignment, AlignmentParams, CigarOp};
@@ -67,4 +65,3 @@ pub use mapper::{Mapper, MapperParams, Mapping, MappingCounters, MappingResult, 
 pub use minimizer::{minimizers, minimizers_into, Minimizer, MinimizerScratch};
 pub use refset::{ReferenceMapping, ReferenceSet, SetMappingResult};
 pub use seed::{Anchor, SeedBatch, Strand};
-pub use shard::{ShardedReferenceIndex, Shards};

@@ -8,9 +8,9 @@
 
 use crate::align::{banded_global, Alignment, AlignmentParams, CigarOp};
 use crate::chain::{ChainParams, IncrementalChainer};
+use crate::index::ReferenceIndex;
 use crate::minimizer::{minimizers_into, Minimizer, MinimizerScratch};
 use crate::seed::{seed_batch_into, SeedBatch, Strand};
-use crate::shard::{ShardedReferenceIndex, Shards};
 use crate::RefPos;
 use genpip_genomics::{DnaSeq, Genome};
 use std::sync::Arc;
@@ -22,11 +22,6 @@ pub struct MapperParams {
     pub k: usize,
     /// Minimizer window size.
     pub w: usize,
-    /// How many position-range shards the reference index is split into
-    /// ([`Shards`]). Results are **bit-identical** for every setting; the
-    /// knob only bounds per-shard index memory and maps shards onto the PIM
-    /// seeding unit's CAM subarray groups.
-    pub shards: Shards,
     /// Chaining parameters.
     pub chain: ChainParams,
     /// Alignment scoring.
@@ -52,7 +47,6 @@ impl Default for MapperParams {
         MapperParams {
             k,
             w: 10,
-            shards: Shards::Single,
             chain: ChainParams::for_k(k),
             align: AlignmentParams::default(),
             min_chain_score: 30.0,
@@ -146,17 +140,16 @@ impl SeedScratch {
 
 /// The read mapper.
 ///
-/// The reference genome **and** the sharded minimizer index are held behind
+/// The reference genome **and** the minimizer index are held behind
 /// [`Arc`]s, so cloning a `Mapper` (or constructing one via
 /// [`Mapper::build_shared`]) shares one copy of the reference data and one
-/// set of index shards; a single mapper instance serves all worker threads
-/// of the parallel/streaming pipeline by shared reference (`Mapper` is
-/// `Sync`), and even cloned mappers never duplicate whole-genome index
-/// state.
+/// index; a single mapper instance serves all worker threads of the
+/// parallel/streaming pipeline by shared reference (`Mapper` is `Sync`),
+/// and even cloned mappers never duplicate whole-genome index state.
 #[derive(Debug, Clone)]
 pub struct Mapper {
     genome: Arc<Genome>,
-    index: Arc<ShardedReferenceIndex>,
+    index: Arc<ReferenceIndex>,
     params: MapperParams,
 }
 
@@ -169,14 +162,12 @@ impl Mapper {
     }
 
     /// Builds the reference index over an already-shared genome, without
-    /// copying the reference data. The index is sharded per
-    /// [`MapperParams::shards`] and shared behind an [`Arc`].
+    /// copying the reference data. The index is shared behind an [`Arc`].
     pub fn build_shared(genome: Arc<Genome>, params: MapperParams) -> Mapper {
-        let index = Arc::new(ShardedReferenceIndex::build_at(
+        let index = Arc::new(ReferenceIndex::build_at(
             &genome,
             params.k,
             params.w,
-            params.shards,
             params.base_offset,
         ));
         Mapper {
@@ -191,15 +182,9 @@ impl Mapper {
         &self.params
     }
 
-    /// The underlying sharded reference index.
-    pub fn index(&self) -> &ShardedReferenceIndex {
+    /// The underlying reference index.
+    pub fn index(&self) -> &ReferenceIndex {
         &self.index
-    }
-
-    /// A shared handle to the index (for hardware loaders that outlive the
-    /// mapper borrow).
-    pub fn index_shared(&self) -> Arc<ShardedReferenceIndex> {
-        Arc::clone(&self.index)
     }
 
     /// The reference genome.
@@ -573,76 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn mapping_results_are_bit_identical_across_shard_counts() {
-        let genome = GenomeBuilder::new(60_000).seed(20).build();
-        let single = Mapper::build(&genome, MapperParams::default());
-        let mut rng = seeded(21);
-        let mut queries: Vec<DnaSeq> = Vec::new();
-        for start in [0usize, 14_000, 31_000, 58_000] {
-            let len = 1_000.min(60_000 - start);
-            let truth = genome.sequence().subseq(start, len);
-            queries.push(truth.clone());
-            queries.push(truth.reverse_complement());
-            let (noisy, _) = ErrorModel::with_total_rate(0.1).apply(&truth, &mut rng);
-            queries.push(noisy);
-        }
-        queries.push(GenomeBuilder::new(900).seed(555).build().sequence().clone());
-        for shards in [Shards::Fixed(2), Shards::Fixed(7), Shards::Auto] {
-            let params = MapperParams {
-                shards,
-                ..MapperParams::default()
-            };
-            let sharded = Mapper::build(&genome, params);
-            for (i, q) in queries.iter().enumerate() {
-                assert_eq!(
-                    sharded.map(q),
-                    single.map(q),
-                    "{shards:?}: query {i} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn global_masking_keeps_sharded_mapping_identical_on_heavy_repeats() {
-        // A 400 bp unit repeated 140× exceeds the default cap of 128
-        // globally, while each of 7 shards holds only ~20 occurrences: a
-        // per-shard mask would resurrect anchors the monolithic index
-        // suppresses, changing mapping results.
-        let unit = GenomeBuilder::new(400)
-            .seed(22)
-            .repeat_fraction(0.0)
-            .build();
-        let mut seq = genpip_genomics::DnaSeq::new();
-        for _ in 0..140 {
-            seq.extend_from_seq(unit.sequence());
-        }
-        seq.extend_from_seq(
-            GenomeBuilder::new(20_000)
-                .seed(23)
-                .repeat_fraction(0.0)
-                .build()
-                .sequence(),
-        );
-        let genome = genpip_genomics::Genome::from_seq("heavy-repeats", seq);
-        let single = Mapper::build(&genome, MapperParams::default());
-        let params = MapperParams {
-            shards: Shards::Fixed(7),
-            ..MapperParams::default()
-        };
-        let sharded = Mapper::build(&genome, params);
-        assert!(
-            sharded.index().masked_keys() > 0,
-            "repeat genome must mask minimizers globally"
-        );
-        let repeat_read = unit.sequence().subseq(20, 360);
-        let unique_read = genome.sequence().subseq(140 * 400 + 5_000, 900);
-        for q in [&repeat_read, &unique_read] {
-            assert_eq!(sharded.map(q), single.map(q));
-        }
-    }
-
-    #[test]
     fn beyond_4gbp_offset_reference_builds_and_maps() {
         // The acceptance scenario for genuinely unbounded references: a
         // coordinate space starting past 4 Gbp builds, and every mapping —
@@ -655,7 +570,6 @@ mod tests {
             &genome,
             MapperParams {
                 base_offset: offset,
-                shards: Shards::Fixed(3),
                 ..MapperParams::default()
             },
         );

@@ -1,8 +1,8 @@
 //! Multi-reference (pan-genome) mapping.
 //!
 //! A [`ReferenceSet`] holds several named references — each with its own
-//! sharded minimizer index, its own coordinate space, and (on the hardware
-//! side) its own CAM subarray group — and fans one read across all of them.
+//! minimizer index, its own coordinate space, and (on the hardware side) its
+//! own family of CAM subarray groups — and fans one read across all of them.
 //! The query is sketched **once** (minimizers depend only on the sequence
 //! and the shared `(k, w)`), seeded against every reference's index, chained
 //! and finalized per reference, and the per-reference candidates are merged
@@ -14,8 +14,7 @@
 //!    position (ascending).
 //!
 //! The merge is a pure function of the per-reference results, so the winner
-//! is identical for every shard count, parallelism level, and evaluation
-//! order. With a single reference the set computes exactly what [`Mapper`]
+//! is identical for every parallelism level and evaluation order. With a single reference the set computes exactly what [`Mapper`]
 //! computes — same counters, same mapping, `ref_name` left `None` — so
 //! single-reference output stays byte-for-byte what it always was; only
 //! multi-reference winners carry a `Some(name)` attribution.
@@ -64,7 +63,7 @@ pub struct SetMappingResult {
 /// A set of named references mapped as one pan-genome.
 ///
 /// All references share one [`MapperParams`]; each gets its own [`Mapper`]
-/// (genome + sharded index). Cloning the set shares the underlying genomes
+/// (genome + index). Cloning the set shares the underlying genomes
 /// and indexes ([`Mapper`] is cheaply clonable).
 #[derive(Debug, Clone)]
 pub struct ReferenceSet {

@@ -6,13 +6,11 @@
 //! this lookup inside its in-memory seeding unit; this module is the
 //! functional behaviour, with counters for the hardware model.
 //!
-//! Lookups go through a [`ShardedReferenceIndex`]: each query minimizer fans
-//! out to every shard and the per-shard hit streams arrive pre-merged in
-//! global position order, so the anchors — and everything downstream — are
-//! bit-identical for every shard count.
+//! Lookups go through the one [`ReferenceIndex`]: one hash probe per query
+//! minimizer, whose hit list arrives in ascending reference position.
 
+use crate::index::ReferenceIndex;
 use crate::minimizer::Minimizer;
-use crate::shard::ShardedReferenceIndex;
 use crate::RefPos;
 
 /// Mapping strand.
@@ -71,11 +69,7 @@ pub struct SeedBatch {
 /// `qpos_offset` is added to every minimizer position — GenPIP's chunk-based
 /// pipeline sketches each basecalled chunk locally and offsets by the bases
 /// already emitted for the read.
-pub fn seed_batch(
-    index: &ShardedReferenceIndex,
-    mins: &[Minimizer],
-    qpos_offset: RefPos,
-) -> SeedBatch {
+pub fn seed_batch(index: &ReferenceIndex, mins: &[Minimizer], qpos_offset: RefPos) -> SeedBatch {
     let mut batch = SeedBatch::default();
     seed_batch_into(index, mins, qpos_offset, &mut batch);
     batch
@@ -85,7 +79,7 @@ pub fn seed_batch(
 /// clearing it first — the anchor vectors keep their capacity, so a reused
 /// batch seeds without allocating in steady state.
 pub fn seed_batch_into(
-    index: &ShardedReferenceIndex,
+    index: &ReferenceIndex,
     mins: &[Minimizer],
     qpos_offset: RefPos,
     batch: &mut SeedBatch,
@@ -126,7 +120,6 @@ pub fn seed_batch_into(
 mod tests {
     use super::*;
     use crate::minimizer::minimizers;
-    use crate::shard::Shards;
     use genpip_genomics::{Genome, GenomeBuilder};
 
     const K: usize = 15;
@@ -136,8 +129,8 @@ mod tests {
         GenomeBuilder::new(n).seed(seed).build()
     }
 
-    fn index(g: &Genome) -> ShardedReferenceIndex {
-        ShardedReferenceIndex::build(g, K, W, Shards::Single)
+    fn index(g: &Genome) -> ReferenceIndex {
+        ReferenceIndex::build(g, K, W)
     }
 
     #[test]
@@ -224,21 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_seeding_is_bit_identical_across_shard_counts() {
-        let g = genome(30_000, 6);
-        let single = index(&g);
-        let query = g.sequence().subseq(9_000, 1_200);
-        let mins = minimizers(&query, K, W);
-        let reference = seed_batch(&single, &mins, 0);
-        assert!(reference.hits > 10);
-        for n in [2usize, 5, 16] {
-            let sharded = ShardedReferenceIndex::build(&g, K, W, Shards::Fixed(n));
-            let batch = seed_batch(&sharded, &mins, 0);
-            assert_eq!(batch, reference, "{n} shards diverged");
-        }
-    }
-
-    #[test]
     fn reverse_complement_positions_survive_the_u32_boundary() {
         // Regression for the old `rc_base = genome_len as u32 - k`, which
         // silently truncated once the coordinate space crossed 4 Gbp. A
@@ -249,7 +227,7 @@ mod tests {
         let g = genome(20_000, 7);
         let offset: RefPos = (u32::MAX as RefPos) - 10_000; // end > u32::MAX
         let at_zero = index(&g);
-        let at_offset = ShardedReferenceIndex::build_at(&g, K, W, Shards::Fixed(3), offset);
+        let at_offset = ReferenceIndex::build_at(&g, K, W, offset);
         assert!(at_offset.coord_end() > u32::MAX as RefPos);
         let start = 12_000; // forward positions of this window cross u32::MAX
         let fwd_query = g.sequence().subseq(start, 800);

@@ -15,9 +15,9 @@
 //!   PIM-CQS, in-memory seeding, DP units) as *cost models*: they convert the
 //!   measured workload counters of the functional pipeline into service times
 //!   and energies;
-//! * [`seeding`] — the seeding unit's CAM image: loads a sharded reference
-//!   index one shard per CAM subarray group, programming only the entries
-//!   the functional model can actually query (globally-unmasked keys);
+//! * [`seeding`] — the seeding unit's CAM image: lays the one reference
+//!   index out across position-range CAM subarray groups, programming only
+//!   the entries the functional model can actually query (unmasked keys);
 //! * [`area_power`] — the Table 2 area/power breakdown.
 //!
 //! # Example

@@ -1,32 +1,37 @@
-//! Loading the sharded reference index into the seeding unit's CAM arrays.
+//! Laying the reference index out across the seeding unit's CAM arrays.
 //!
 //! The paper's Figure 9 seeding unit stores minimizer hashes in ReRAM CAM
-//! subarrays and their reference-location lists in adjacent ReRAM RAM. With
-//! the reference index partitioned into position-range shards
-//! ([`ShardedReferenceIndex`]), each shard maps onto its own **CAM subarray
-//! group**: a query minimizer is broadcast to every group in parallel —
-//! exactly the fan-out the functional seeding path performs in software.
+//! subarrays and their reference-location lists in adjacent ReRAM RAM. It is
+//! **one** table: the functional model keeps it as one [`ReferenceIndex`],
+//! and this module — the only code that knows the layout — spreads it over
+//! **CAM subarray groups**, one per contiguous reference position range,
+//! with a query minimizer broadcast to every group in parallel.
 //!
-//! Two invariants keep the hardware image honest:
+//! The layout is a view, not a second index. A key's hits are stored in
+//! ascending position order and the groups' spans are contiguous, so group
+//! `g`'s rows for a key are a sub-slice of that key's hit list, found with
+//! two binary searches. Two invariants keep the hardware image honest:
 //!
-//! * only **globally unmasked** entries are programmed
-//!   ([`ShardedReferenceIndex::shard_iter_unmasked`]): a repetitive
-//!   minimizer the functional model refuses to query must not occupy CAM
-//!   rows or RAM words, or the cost models would charge for storage no
-//!   lookup can reach;
+//! * only **unmasked** entries are programmed
+//!   ([`ReferenceIndex::iter_unmasked`]): a repetitive minimizer the
+//!   functional model refuses to query must not occupy CAM rows or RAM
+//!   words, or the cost models would charge for storage no lookup can reach.
+//!   The index's per-key cap counts a key's occurrences over the whole
+//!   reference, so it already is the mask every group shares — nothing is
+//!   recomputed per group;
 //! * keys are programmed in sorted order, so the CAM image (row assignment
 //!   included) is deterministic run to run despite hash-map iteration.
 
 use crate::arrays::CamBank;
-use genpip_mapping::{RefPos, ReferenceSet, ShardedReferenceIndex};
+use genpip_mapping::{RefHit, RefPos, ReferenceIndex, ReferenceSet};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// One shard's CAM subarray group: the programmed bank plus its load
-/// statistics for the hardware report.
+/// One CAM subarray group: the programmed bank plus its load statistics for
+/// the hardware report.
 #[derive(Debug, Clone)]
 pub struct ShardGroup {
-    /// Shard number (index into [`ShardedReferenceIndex::spans`]).
+    /// Group number (position in [`SeedingUnitMap::groups`]).
     pub shard: usize,
     /// The reference position range this group serves (global [`RefPos`]
     /// coordinates — the index's base offset included, so spans past the
@@ -40,7 +45,8 @@ pub struct ShardGroup {
     pub bank: CamBank,
 }
 
-/// The whole seeding unit's CAM image: one [`ShardGroup`] per index shard.
+/// The whole seeding unit's CAM image: the reference index laid out over
+/// position-range [`ShardGroup`]s.
 #[derive(Debug, Clone)]
 pub struct SeedingUnitMap {
     rows_per_array: usize,
@@ -54,36 +60,50 @@ impl SeedingUnitMap {
     /// (832×128-bit arrays).
     pub const PAPER_ROWS_PER_ARRAY: usize = 832;
 
-    /// Programs `index` into per-shard CAM groups, `rows_per_array` keys per
-    /// CAM subarray.
+    /// Upper bound on the group count — Table 2's 4096 seeding units, one
+    /// CAM subarray group each.
+    pub const MAX_GROUPS: usize = 4096;
+
+    /// Programs `index` into `groups` CAM subarray groups (clamped to
+    /// `1..=`[`SeedingUnitMap::MAX_GROUPS`]) of near-equal contiguous
+    /// position spans, `rows_per_array` keys per CAM subarray. A key whose
+    /// hits straddle a span boundary is programmed into every group that
+    /// holds one of its hits; each hit lands in exactly one group.
     ///
     /// # Panics
     ///
     /// Panics if `rows_per_array` is 0.
-    pub fn load(index: &ShardedReferenceIndex, rows_per_array: usize) -> SeedingUnitMap {
-        let groups = (0..index.shard_count())
-            .map(|s| {
-                let mut keys: Vec<u64> = Vec::new();
-                let mut entries = 0usize;
-                for (hash, hits) in index.shard_iter_unmasked(s) {
-                    keys.push(*hash);
-                    entries += hits.len();
-                }
+    pub fn load(index: &ReferenceIndex, groups: usize, rows_per_array: usize) -> SeedingUnitMap {
+        let spans = group_spans(index, groups);
+        // Per group: the keys to program and the RAM entries behind them.
+        let mut programmed: Vec<(Vec<u64>, usize)> = vec![(Vec::new(), 0); spans.len()];
+        let mut unmasked_keys = 0usize;
+        for (hash, hits) in index.iter_unmasked() {
+            unmasked_keys += 1;
+            for (g, rows) in split_by_span(hits, &spans) {
+                programmed[g].0.push(*hash);
+                programmed[g].1 += rows.len();
+            }
+        }
+        let groups = spans
+            .into_iter()
+            .zip(programmed)
+            .enumerate()
+            .map(|(shard, (span, (mut keys, entries)))| {
                 keys.sort_unstable();
-                let bank = CamBank::build(keys.iter().copied(), rows_per_array);
                 ShardGroup {
-                    shard: s,
-                    span: index.spans()[s].clone(),
+                    shard,
+                    span,
                     keys: keys.len(),
                     entries,
-                    bank,
+                    bank: CamBank::build(keys, rows_per_array),
                 }
             })
             .collect();
         SeedingUnitMap {
             rows_per_array,
             groups,
-            masked_keys: index.masked_keys(),
+            masked_keys: index.distinct_minimizers() - unmasked_keys,
             masked_entries: index.masked_entries(),
         }
     }
@@ -93,7 +113,7 @@ impl SeedingUnitMap {
         self.rows_per_array
     }
 
-    /// The per-shard CAM groups, in shard order.
+    /// The CAM groups, in ascending span order.
     pub fn groups(&self) -> &[ShardGroup] {
         &self.groups
     }
@@ -123,7 +143,7 @@ impl SeedingUnitMap {
         self.masked_entries
     }
 
-    /// A per-shard load table for the hardware report.
+    /// A per-group load table for the hardware report.
     pub fn report(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -158,27 +178,62 @@ impl SeedingUnitMap {
     }
 }
 
+/// Splits the index's coordinate space into `groups` (clamped to
+/// `1..=`[`SeedingUnitMap::MAX_GROUPS`]) near-equal contiguous spans; the
+/// first `genome_len % groups` spans are one base longer, and trailing spans
+/// are empty when there are more groups than bases.
+fn group_spans(index: &ReferenceIndex, groups: usize) -> Vec<Range<RefPos>> {
+    let n = groups.clamp(1, SeedingUnitMap::MAX_GROUPS);
+    let (base, extra) = (index.genome_len() / n, index.genome_len() % n);
+    let mut start = index.base_offset();
+    (0..n)
+        .map(|g| {
+            let end = start + (base + usize::from(g < extra)) as RefPos;
+            let span = start..end;
+            start = end;
+            span
+        })
+        .collect()
+}
+
+/// Splits one key's position-ordered hit list along `spans`, yielding
+/// `(group, rows)` for every group holding at least one hit, in ascending
+/// group order; the yielded slices concatenate back to `hits`.
+fn split_by_span<'a>(
+    hits: &'a [RefHit],
+    spans: &'a [Range<RefPos>],
+) -> impl Iterator<Item = (usize, &'a [RefHit])> {
+    let mut rest = hits;
+    std::iter::from_fn(move || {
+        let first = rest.first()?;
+        let g = spans.partition_point(|span| span.end <= first.pos);
+        let (rows, tail) = rest.split_at(rest.partition_point(|hit| hit.pos < spans[g].end));
+        rest = tail;
+        Some((g, rows))
+    })
+}
+
 /// The CAM image of a whole pan-genome [`ReferenceSet`]: one
 /// [`SeedingUnitMap`] per reference.
 ///
-/// Each reference keeps its own sharded index, so each gets its own family
-/// of CAM subarray groups; a query minimizer broadcast fans out across
-/// *every* reference's groups in parallel, exactly mirroring the functional
-/// model's seed-once-per-reference fan-out in
-/// [`ReferenceSet::sketch_and_seed_into`].
+/// Each reference keeps its own index, so each gets its own family of CAM
+/// subarray groups; a query minimizer broadcast fans out across *every*
+/// reference's groups in parallel, exactly mirroring the functional model's
+/// seed-once-per-reference fan-out in [`ReferenceSet::sketch_and_seed_into`].
 #[derive(Debug, Clone)]
 pub struct ReferenceSeedingImage {
     references: Vec<(Arc<str>, SeedingUnitMap)>,
 }
 
 impl ReferenceSeedingImage {
-    /// Programs every reference of `set` into its own CAM image,
-    /// `rows_per_array` keys per CAM subarray.
+    /// Programs every reference of `set` into its own CAM image of `groups`
+    /// subarray groups ([`SeedingUnitMap::load`]), `rows_per_array` keys per
+    /// CAM subarray.
     ///
     /// # Panics
     ///
     /// Panics if `rows_per_array` is 0.
-    pub fn load(set: &ReferenceSet, rows_per_array: usize) -> ReferenceSeedingImage {
+    pub fn load(set: &ReferenceSet, groups: usize, rows_per_array: usize) -> ReferenceSeedingImage {
         ReferenceSeedingImage {
             references: set
                 .names()
@@ -187,7 +242,7 @@ impl ReferenceSeedingImage {
                 .map(|(name, mapper)| {
                     (
                         Arc::clone(name),
-                        SeedingUnitMap::load(mapper.index(), rows_per_array),
+                        SeedingUnitMap::load(mapper.index(), groups, rows_per_array),
                     )
                 })
                 .collect(),
@@ -241,89 +296,176 @@ impl ReferenceSeedingImage {
 mod tests {
     use super::*;
     use genpip_genomics::{DnaSeq, Genome, GenomeBuilder};
-    use genpip_mapping::Shards;
 
+    /// 40 copies of one unit (above the cap of 16 used below), 8 copies of
+    /// another (below it, so its keys stay programmed and span several
+    /// groups), and unique sequence.
     fn repeat_heavy_genome() -> Genome {
-        let unit = GenomeBuilder::new(400)
-            .seed(50)
-            .repeat_fraction(0.0)
-            .build();
-        let mut seq = DnaSeq::new();
-        for _ in 0..40 {
-            seq.extend_from_seq(unit.sequence());
-        }
-        seq.extend_from_seq(
-            GenomeBuilder::new(12_000)
-                .seed(51)
+        let part = |len, seed| {
+            GenomeBuilder::new(len)
+                .seed(seed)
                 .repeat_fraction(0.0)
                 .build()
-                .sequence(),
-        );
+        };
+        let mut seq = DnaSeq::new();
+        for _ in 0..40 {
+            seq.extend_from_seq(part(400, 50).sequence());
+        }
+        seq.extend_from_seq(part(6_000, 51).sequence());
+        for _ in 0..8 {
+            seq.extend_from_seq(part(400, 58).sequence());
+        }
+        seq.extend_from_seq(part(6_000, 59).sequence());
         Genome::from_seq("repeats+unique", seq)
     }
 
-    #[test]
-    fn cam_image_counts_match_the_unmasked_index() {
-        let g = repeat_heavy_genome();
-        let index =
-            ShardedReferenceIndex::build_with_max_occurrences(&g, 15, 10, Shards::Fixed(4), 16);
+    fn repeat_heavy_index() -> ReferenceIndex {
+        let index = ReferenceIndex::build(&repeat_heavy_genome(), 15, 10).with_max_occurrences(16);
         assert!(index.masked_entries() > 0, "genome must mask something");
-        let map = SeedingUnitMap::load(&index, 128);
-        // The regression the loader exists for: RAM entry counts equal the
-        // index total *minus* the globally-masked entries, never the raw
-        // table size. (Entries are exact: every hit lives in exactly one
-        // shard.)
-        assert_eq!(
-            map.total_entries(),
-            index.total_entries() - index.masked_entries()
+        assert!(
+            index.iter_unmasked().any(|(_, hits)| hits.len() > 1),
+            "genome must keep a multi-hit key below the cap"
         );
-        // CAM keys are exact *per shard*; summed across shards they may
-        // exceed the global distinct count, because an unmasked hash whose
-        // hits straddle a shard boundary is programmed into every group
-        // that owns one of its hits.
-        for (s, group) in map.groups().iter().enumerate() {
-            assert_eq!(group.keys, index.shard_iter_unmasked(s).count());
-        }
-        assert!(map.total_keys() >= index.distinct_minimizers() - index.masked_keys());
-        assert_eq!(map.masked_keys(), index.masked_keys());
-        assert_eq!(map.masked_entries(), index.masked_entries());
+        index
+    }
+
+    /// The group a position belongs to, by linear scan — independent of the
+    /// loader's binary searches.
+    fn owner(spans: &[Range<RefPos>], pos: RefPos) -> usize {
+        let owners: Vec<usize> = (0..spans.len())
+            .filter(|&g| spans[g].contains(&pos))
+            .collect();
+        assert_eq!(owners.len(), 1, "position {pos} owned by {owners:?}");
+        owners[0]
     }
 
     #[test]
-    fn one_group_per_shard_with_matching_spans() {
+    fn every_unmasked_hit_lands_in_exactly_one_group_in_index_order() {
+        let big = repeat_heavy_index();
+        // 2 kb reference: 4096 groups is also "more groups than bases".
+        let small = ReferenceIndex::build(&GenomeBuilder::new(2_000).seed(56).build(), 15, 10);
+        for (index, counts) in [
+            (&big, &[1usize, 3, 5, 4096, 1_000_000][..]),
+            (&small, &[3usize, 4096][..]),
+        ] {
+            for &n in counts {
+                let spans = group_spans(index, n);
+                assert_eq!(spans.len(), n.min(SeedingUnitMap::MAX_GROUPS));
+                assert_eq!(spans[0].start, index.base_offset());
+                assert_eq!(spans[spans.len() - 1].end, index.coord_end());
+                assert!(spans.windows(2).all(|p| p[0].end == p[1].start));
+                for (hash, hits) in index.iter_unmasked() {
+                    let mut rejoined: Vec<RefHit> = Vec::new();
+                    let mut last_group = None;
+                    for (g, rows) in split_by_span(hits, &spans) {
+                        assert!(last_group < Some(g), "{hash:#x}: group {g} repeated");
+                        last_group = Some(g);
+                        assert!(!rows.is_empty());
+                        for hit in rows {
+                            assert_eq!(owner(&spans, hit.pos), g, "{n} groups, {hash:#x}");
+                        }
+                        rejoined.extend_from_slice(rows);
+                    }
+                    assert_eq!(&rejoined, hits, "{n} groups reordered or lost {hash:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn totals_depend_on_the_group_count_only_through_split_keys() {
+        let index = repeat_heavy_index();
+        let unmasked_keys = index.iter_unmasked().count();
+        for n in [1usize, 3, 5, 4096] {
+            let map = SeedingUnitMap::load(&index, n, 128);
+            let spans: Vec<Range<RefPos>> = map.groups().iter().map(|g| g.span.clone()).collect();
+            // Entries are exact (every hit lives in exactly one group) and
+            // the mask is the index's own, whatever the layout.
+            assert_eq!(
+                map.total_entries(),
+                index.total_entries() - index.masked_entries()
+            );
+            assert_eq!(map.masked_entries(), index.masked_entries());
+            assert_eq!(
+                map.masked_keys(),
+                index.distinct_minimizers() - unmasked_keys
+            );
+            // A key counts once per group holding one of its hits.
+            let mut keys_per_group = vec![0usize; spans.len()];
+            for (_, hits) in index.iter_unmasked() {
+                let mut owners: Vec<usize> = hits.iter().map(|h| owner(&spans, h.pos)).collect();
+                owners.dedup();
+                for g in owners {
+                    keys_per_group[g] += 1;
+                }
+            }
+            for (group, expected) in map.groups().iter().zip(&keys_per_group) {
+                assert_eq!(group.keys, *expected, "{n} groups, group {}", group.shard);
+            }
+            match n {
+                1 => assert_eq!(map.total_keys(), unmasked_keys),
+                // ~7-base spans: every multi-hit key is split.
+                4096 => assert!(map.total_keys() > unmasked_keys),
+                _ => assert!(map.total_keys() >= unmasked_keys),
+            }
+        }
+    }
+
+    #[test]
+    fn one_group_per_span_with_consistent_banks() {
         let g = GenomeBuilder::new(20_000).seed(52).build();
-        let index = ShardedReferenceIndex::build(&g, 15, 10, Shards::Fixed(5));
-        let map = SeedingUnitMap::load(&index, SeedingUnitMap::PAPER_ROWS_PER_ARRAY);
+        let index = ReferenceIndex::build(&g, 15, 10);
+        let map = SeedingUnitMap::load(&index, 5, SeedingUnitMap::PAPER_ROWS_PER_ARRAY);
         assert_eq!(map.groups().len(), 5);
-        for (g, span) in map.groups().iter().zip(index.spans()) {
-            assert_eq!(&g.span, span);
+        for (i, g) in map.groups().iter().enumerate() {
+            assert_eq!(g.shard, i);
+            assert_eq!(g.span, (i as RefPos * 4_000)..((i as RefPos + 1) * 4_000));
             assert_eq!(g.bank.key_count(), g.keys);
             assert!(g.bank.array_count() <= g.keys.div_ceil(map.rows_per_array()) + 1);
         }
+        assert_eq!(SeedingUnitMap::load(&index, 0, 128).groups().len(), 1);
     }
 
     #[test]
     fn programmed_banks_answer_unmasked_keys_and_reject_masked_ones() {
-        let g = repeat_heavy_genome();
-        let index =
-            ShardedReferenceIndex::build_with_max_occurrences(&g, 15, 10, Shards::Fixed(3), 16);
-        let map = SeedingUnitMap::load(&index, 128);
+        let index = repeat_heavy_index();
+        let map = SeedingUnitMap::load(&index, 3, 128);
         let mut groups: Vec<ShardGroup> = map.groups().to_vec();
         let mut checked_hit = false;
         let mut checked_miss = false;
-        for s in 0..index.shard_count() {
-            for (hash, _) in index.shard(s).iter() {
-                let found = groups[s].bank.search(*hash).is_some();
-                if index.is_masked(*hash) {
-                    assert!(!found, "masked key {hash:#x} programmed into shard {s}");
-                    checked_miss = true;
-                } else {
-                    assert!(found, "unmasked key {hash:#x} missing from shard {s}");
-                    checked_hit = true;
+        for (hash, hits) in index.iter() {
+            if index.lookup_hash(*hash).is_empty() {
+                // Above the cap: programmed into no group at all.
+                for group in &mut groups {
+                    assert!(group.bank.search(*hash).is_none(), "masked key {hash:#x}");
                 }
+                checked_miss = true;
+            } else {
+                for group in &mut groups {
+                    let holds = hits.iter().any(|h| group.span.contains(&h.pos));
+                    assert_eq!(group.bank.search(*hash).is_some(), holds, "key {hash:#x}");
+                }
+                checked_hit = true;
             }
         }
         assert!(checked_hit && checked_miss);
+    }
+
+    #[test]
+    fn base_offset_past_the_u32_horizon_programs_spans_and_hits() {
+        let g = GenomeBuilder::new(15_000).seed(57).build();
+        let offset: RefPos = 5_000_000_000; // > u32::MAX
+        let plain = SeedingUnitMap::load(&ReferenceIndex::build(&g, 15, 10), 3, 128);
+        let shifted_index = ReferenceIndex::build_at(&g, 15, 10, offset);
+        let shifted = SeedingUnitMap::load(&shifted_index, 3, 128);
+        assert_eq!(shifted.groups()[0].span.start, offset);
+        assert_eq!(shifted.groups()[2].span.end, shifted_index.coord_end());
+        for (a, b) in plain.groups().iter().zip(shifted.groups()) {
+            assert_eq!(b.span, (a.span.start + offset)..(a.span.end + offset));
+            assert!(b.span.start > u32::MAX as RefPos);
+            assert_eq!((b.keys, b.entries), (a.keys, a.entries));
+        }
+        assert_eq!(shifted.total_entries(), shifted_index.total_entries());
     }
 
     #[test]
@@ -331,17 +473,13 @@ mod tests {
         use genpip_mapping::{MapperParams, ReferenceSet};
         let a = GenomeBuilder::new(18_000).seed(54).name("panel_a").build();
         let b = GenomeBuilder::new(12_000).seed(55).name("panel_b").build();
-        let params = MapperParams {
-            shards: Shards::Fixed(3),
-            ..MapperParams::default()
-        };
-        let set = ReferenceSet::build(&[a, b], params);
-        let image = ReferenceSeedingImage::load(&set, 128);
+        let set = ReferenceSet::build(&[a, b], MapperParams::default());
+        let image = ReferenceSeedingImage::load(&set, 3, 128);
         assert_eq!(image.references().len(), 2);
         // Each reference's image is exactly what loading its index alone
         // produces.
         for name in ["panel_a", "panel_b"] {
-            let solo = SeedingUnitMap::load(set.get(name).unwrap().index(), 128);
+            let solo = SeedingUnitMap::load(set.get(name).unwrap().index(), 3, 128);
             let in_set = image.get(name).expect("reference present");
             assert_eq!(in_set.total_keys(), solo.total_keys());
             assert_eq!(in_set.total_entries(), solo.total_entries());
@@ -364,12 +502,11 @@ mod tests {
     }
 
     #[test]
-    fn report_lists_every_shard() {
+    fn report_lists_every_group() {
         let g = GenomeBuilder::new(15_000).seed(53).build();
-        let index = ShardedReferenceIndex::build(&g, 15, 10, Shards::Fixed(3));
-        let map = SeedingUnitMap::load(&index, 128);
+        let map = SeedingUnitMap::load(&ReferenceIndex::build(&g, 15, 10), 3, 128);
         let report = map.report();
-        assert_eq!(report.lines().count(), 1 + 3 + 1, "header + shards + total");
+        assert_eq!(report.lines().count(), 1 + 3 + 1, "header + groups + total");
         assert!(report.contains("masked:"));
     }
 }

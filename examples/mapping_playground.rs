@@ -11,7 +11,7 @@
 use genpip::genomics::rng::seeded;
 use genpip::genomics::{DnaSeq, ErrorModel, GenomeBuilder};
 use genpip::mapping::align::cigar_string;
-use genpip::mapping::{Mapper, MapperParams, Shards};
+use genpip::mapping::{Mapper, MapperParams};
 
 fn describe(name: &str, mapper: &Mapper, query: &DnaSeq) {
     let result = mapper.map(query);
@@ -44,19 +44,12 @@ fn describe(name: &str, mapper: &Mapper, query: &DnaSeq) {
 
 fn main() {
     let genome = GenomeBuilder::new(80_000).seed(42).name("toy-ref").build();
-    let params = MapperParams {
-        shards: Shards::Fixed(4),
-        ..MapperParams::default()
-    };
-    let mapper = Mapper::build(&genome, params);
+    let mapper = Mapper::build(&genome, MapperParams::default());
     println!(
-        "indexed {}: {} distinct minimizers, {} entries across {} shards \
-         (largest shard {} entries)\n",
+        "indexed {}: {} distinct minimizers, {} entries\n",
         genome,
         mapper.index().distinct_minimizers(),
-        mapper.index().total_entries(),
-        mapper.index().shard_count(),
-        mapper.index().max_shard_entries()
+        mapper.index().total_entries()
     );
 
     let exact = genome.sequence().subseq(30_000, 1_200);

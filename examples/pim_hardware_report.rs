@@ -9,7 +9,7 @@ use genpip::core::systems::costs::SoftwareCosts;
 use genpip::core::systems::hardware::evaluate_genpip;
 use genpip::core::{ErMode, Flow, GenPipConfig, PipelineRun};
 use genpip::datasets::DatasetProfile;
-use genpip::mapping::{ShardedReferenceIndex, Shards};
+use genpip::mapping::ReferenceIndex;
 use genpip::pim::area_power::genpip_table2;
 use genpip::pim::{BasecallModule, DpModule, PimTech, SeedingModule, SeedingUnitMap};
 
@@ -40,12 +40,12 @@ fn main() {
     println!("chaining (60 anchors):   {}", dp.chain_service(60));
     println!("alignment (9 kb read):   {}", dp.align_service(9_000));
 
-    println!("\n== Seeding-unit CAM image (sharded reference index) ==");
+    println!("\n== Seeding-unit CAM image (reference index over 4 subarray groups) ==");
     let dataset = DatasetProfile::ecoli().scaled(0.1).generate();
-    let index = ShardedReferenceIndex::build(&dataset.reference, 15, 10, Shards::Fixed(4));
-    let cam_image = SeedingUnitMap::load(&index, SeedingUnitMap::PAPER_ROWS_PER_ARRAY);
+    let index = ReferenceIndex::build(&dataset.reference, 15, 10);
+    let cam_image = SeedingUnitMap::load(&index, 4, SeedingUnitMap::PAPER_ROWS_PER_ARRAY);
     print!("{}", cam_image.report());
-    println!("(one shard per CAM subarray group; a query fans out to all groups in parallel)");
+    println!("(one position span per CAM subarray group; a query is broadcast to all groups)");
 
     println!("\n== GenPIP schedule on a sample workload ==");
     let config = GenPipConfig::for_dataset(&dataset.profile);

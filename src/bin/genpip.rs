@@ -46,7 +46,7 @@ use genpip::io::{
     pack_source, CheckpointFile, FastqMark, GscReadSource, GscReader, GscStatus, SourceMark,
 };
 use genpip::mapping::paf::{write_paf, PafRecord};
-use genpip::mapping::{MapperParams, ReferenceSet, Shards};
+use genpip::mapping::{MapperParams, ReferenceSet};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -65,10 +65,10 @@ type Command = (
 
 const COMMANDS: &[Command] = &[
     ("simulate", &["profile", "scale", "out"], cmd_simulate),
-    ("map", &["reference", "reads", "paf", "shards"], cmd_map),
+    ("map", &["reference", "reads", "paf"], cmd_map),
     (
         "run",
-        &["profile", "scale", "er", "shards", "on-fault", "reference"],
+        &["profile", "scale", "er", "on-fault", "reference"],
         cmd_run,
     ),
     (
@@ -83,7 +83,6 @@ const COMMANDS: &[Command] = &[
             "queue",
             "progress",
             "threads",
-            "shards",
             "fastq-out",
             "on-fault",
             "inject-faults",
@@ -103,7 +102,6 @@ const COMMANDS: &[Command] = &[
             "schedule",
             "queue",
             "threads",
-            "shards",
             "max-sources",
         ],
         cmd_serve,
@@ -148,16 +146,13 @@ const USAGE: &str = "genpip — in-memory genome analysis (GenPIP reproduction)
 USAGE:
   genpip simulate --profile <ecoli|human> [--scale F] --out <prefix>
   genpip map --reference <ref.fasta>... --reads <reads.fastq> [--paf <out.paf>]
-             [--shards <single|auto|N>]
   genpip run [--profile <ecoli|human>] [--scale F] [--er <full|qsr|cp|off>]
-             [--shards <single|auto|N>]
              [--on-fault <fail|quarantine|retry[:N]>]
              [--reference SPEC]...
   genpip stream [--profile <ecoli|human>] [--scale F] [--er <full|qsr|cp|off>]
                [--source SPEC]... [--signal-in SPEC]...
                [--schedule <fair|sequential|priority|deadline>]
                [--queue N] [--progress N] [--threads <serial|auto|N>]
-               [--shards <single|auto|N>]
                [--fastq-out PATH]
                [--on-fault <fail|quarantine|retry[:N]>] [--inject-faults RATE]
                [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
@@ -166,8 +161,7 @@ USAGE:
   genpip inspect <file.gsc> [--reads N] [--verify]
   genpip serve --script <FILE> [--scale F] [--er <full|qsr|cp|off>]
                [--schedule <fair|sequential|priority|deadline>]
-               [--queue N] [--threads <serial|auto|N>] [--shards <single|auto|N>]
-               [--max-sources N]
+               [--queue N] [--threads <serial|auto|N>] [--max-sources N]
   genpip experiment <fig04|fig07|fig10|fig11|fig12|fig13|tab01|tab02|useless|ablations> [--scale F]
 
 Each subcommand accepts only the options listed for it above; anything
@@ -229,8 +223,6 @@ OPTIONS:
               writes PATH verbatim; N sources write PATH.<name> each
   --progress  `stream` per-source progress line cadence in reads (default 50, 0 = off)
   --threads   `stream` worker threads (default: GENPIP_PARALLELISM env or auto)
-  --shards    reference-index shard count for `map`/`run`/`stream`; results
-              are bit-identical for every setting (default single)
   --on-fault  what a faulting read does to the run (default fail):
               fail aborts the process, quarantine contains the read and
               keeps going, retry[:N] re-runs the read up to N times
@@ -484,19 +476,9 @@ fn cmd_map(parsed: &Parsed) -> Result<(), String> {
         File::open(reads_path).map_err(|e| format!("{reads_path}: {e}"))?,
     ))
     .map_err(|e| e.to_string())?;
-    let shards = shards_from(parsed)?;
-    let params = MapperParams {
-        shards,
-        ..MapperParams::default()
-    };
-    let set = ReferenceSet::build(&genomes, params);
+    let set = ReferenceSet::build(&genomes, MapperParams::default());
     for (name, mapper) in set.names().iter().zip(set.mappers()) {
-        eprintln!(
-            "indexed {name}: {} shard(s), {} entries (largest shard {})",
-            mapper.index().shard_count(),
-            mapper.index().total_entries(),
-            mapper.index().max_shard_entries()
-        );
+        eprintln!("indexed {name}: {} entries", mapper.index().total_entries());
     }
 
     let mut records = Vec::new();
@@ -527,13 +509,6 @@ fn cmd_map(parsed: &Parsed) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn shards_from(parsed: &Parsed) -> Result<Shards, String> {
-    match opt(parsed, "shards") {
-        None => Ok(Shards::Single),
-        Some(s) => Shards::parse(s).ok_or_else(|| format!("invalid --shards {s:?}")),
-    }
 }
 
 /// `--on-fault`: the policy, plus whether the user asked for it explicitly
@@ -662,15 +637,9 @@ fn extra_references_from(parsed: &Parsed, own: &str) -> Result<Vec<Arc<Genome>>,
 fn cmd_run(parsed: &Parsed) -> Result<(), String> {
     let profile = profile_from(parsed)?;
     let er = er_from(parsed)?;
-    let shards = shards_from(parsed)?;
     let (fault_policy, explicit_fault) = fault_policy_from(parsed)?;
     let extra_references = extra_references_from(parsed, profile.name)?;
-    println!(
-        "running GenPIP ({:?}) on {} ({} index shard(s))…",
-        er,
-        profile.name,
-        shards.resolve(profile.genome_len)
-    );
+    println!("running GenPIP ({:?}) on {}…", er, profile.name);
     if !extra_references.is_empty() {
         let names: Vec<&str> = extra_references.iter().map(|g| g.name()).collect();
         println!(
@@ -681,7 +650,6 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
     }
     let dataset = profile.generate();
     let config = GenPipConfig::for_dataset(&profile)
-        .with_shards(shards)
         .with_fault_policy(fault_policy)
         .with_extra_references(extra_references);
     let run = PipelineRun::collect(&dataset, &config, Flow::GenPip(er));
@@ -810,7 +778,6 @@ struct OpenedSource {
     expected: usize,
     /// Banner description.
     desc: String,
-    reference_len: usize,
     /// A container's error handle, checked after the run.
     status: Option<GscStatus>,
 }
@@ -824,7 +791,6 @@ fn open_source(spec: &SourceSpec, resumed: usize) -> Result<OpenedSource, String
             config: GenPipConfig::for_dataset(profile),
             expected: profile.n_reads,
             desc: format!("{}, {} bp genome", profile.name, profile.genome_len),
-            reference_len: profile.genome_len,
             status: None,
         }),
         SourceKind::Container { path, offset } => {
@@ -835,7 +801,6 @@ fn open_source(spec: &SourceSpec, resumed: usize) -> Result<OpenedSource, String
                 config: GenPipConfig::for_reference_name(reader.reference().name()),
                 expected: reader.read_count().saturating_sub(start),
                 desc: format!("{path}, reads {start}..{}", reader.read_count()),
-                reference_len: reader.reference().len(),
                 status: Some(source.status()),
                 source: Box::new(source),
             })
@@ -874,6 +839,14 @@ fn usize_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, Strin
     Ok(usize_opt(parsed, key)?.unwrap_or(default))
 }
 
+/// A count the session refuses at 0 (`--queue`, `--checkpoint-every`).
+fn positive_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, String> {
+    match usize_from(parsed, key, default)? {
+        0 => Err(format!("invalid --{key} \"0\" (must be at least 1)")),
+        n => Ok(n),
+    }
+}
+
 fn parallelism_from(parsed: &Parsed) -> Result<Parallelism, String> {
     match opt(parsed, "threads") {
         None => Ok(Parallelism::from_env_or(Parallelism::Auto)),
@@ -883,9 +856,8 @@ fn parallelism_from(parsed: &Parsed) -> Result<Parallelism, String> {
 
 fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     let er = er_from(parsed)?;
-    let queue = usize_from(parsed, "queue", 8)?.max(1);
+    let queue = positive_from(parsed, "queue", 8)?;
     let progress = usize_from(parsed, "progress", 50)?;
-    let shards = shards_from(parsed)?;
     let (mut fault_policy, explicit_fault) = fault_policy_from(parsed)?;
     let inject_rate = match opt(parsed, "inject-faults") {
         None => 0.0,
@@ -952,7 +924,7 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     // to) and, with --fastq-out, the flushed byte size of every output
     // file (the length to truncate back to before appending).
     let checkpoint_path = opt(parsed, "checkpoint").map(str::to_string);
-    let checkpoint_every = usize_from(parsed, "checkpoint-every", 25)?.max(1);
+    let checkpoint_every = positive_from(parsed, "checkpoint-every", 25)?;
     let drain_after = usize_opt(parsed, "drain-after")?;
     let resume = match opt(parsed, "resume") {
         None => None,
@@ -1002,7 +974,6 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     let keep_bases = fastq_out.is_some();
     let source_config = |base: GenPipConfig| {
         base.with_parallelism(parallelism)
-            .with_shards(shards)
             .with_keep_bases(keep_bases)
             .with_fault_policy(fault_policy)
     };
@@ -1093,12 +1064,8 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     let name_width = specs.iter().map(|s| s.name.len()).max().unwrap_or(0);
     for (i, ((spec, input), fastq)) in specs.iter().zip(opened).zip(&fastq_sinks).enumerate() {
         println!(
-            "  source {:<name_width$}  {} reads ({}, weight {}, {} index shard(s))",
-            spec.name,
-            input.expected,
-            input.desc,
-            spec.weight,
-            shards.resolve(input.reference_len),
+            "  source {:<name_width$}  {} reads ({}, weight {})",
+            spec.name, input.expected, input.desc, spec.weight,
         );
         let name = spec.name.clone();
         let fastq = fastq.as_ref();
@@ -1383,7 +1350,6 @@ struct ServeDriver {
     steps: VecDeque<ScriptStep>,
     control: SessionControl,
     parallelism: Parallelism,
-    shards: Shards,
     attaches: Vec<(String, PendingAttach)>,
     detaches: Vec<(String, PendingDetach)>,
     /// Error handles of every GSC container source, checked after the run.
@@ -1423,10 +1389,7 @@ fn serve_fire(d: &mut ServeDriver, driver: &Arc<Mutex<ServeDriver>>, step: Scrip
                 "  [script] at {} reads: attach {:?} ({}, {} reads)",
                 step.after, spec.name, input.desc, input.expected
             );
-            let config = input
-                .config
-                .with_parallelism(d.parallelism)
-                .with_shards(d.shards);
+            let config = input.config.with_parallelism(d.parallelism);
             let mut attach = AttachSpec::new().config(config).weight(spec.weight);
             if let Some(target) = spec.target {
                 attach = attach.deadline_target(target);
@@ -1460,8 +1423,7 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
     let script_path = opt(parsed, "script").ok_or("serve needs --script <FILE>")?;
     let script = std::fs::read_to_string(script_path).map_err(|e| format!("{script_path}: {e}"))?;
     let er = er_from(parsed)?;
-    let shards = shards_from(parsed)?;
-    let queue = usize_from(parsed, "queue", 8)?.max(1);
+    let queue = positive_from(parsed, "queue", 8)?;
     let max_sources = usize_from(parsed, "max-sources", 64)?;
     let parallelism = parallelism_from(parsed)?;
     let default_scale = scale_from(parsed, 0.05)?;
@@ -1481,21 +1443,22 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
         steps: steps.into(),
         control: control.clone(),
         parallelism,
-        shards,
         attaches: Vec::new(),
         detaches: Vec::new(),
         statuses: Vec::new(),
         errors: Vec::new(),
     }));
 
-    let tune = |config: GenPipConfig| config.with_parallelism(parallelism).with_shards(shards);
     // Open every initial source before the session starts: a bad container
     // in the script header should fail the invocation outright.
     let mut initial_inputs = Vec::with_capacity(initial.len());
     for spec in &initial {
         initial_inputs.push(open_source(spec, 0)?);
     }
-    let first_config = tune(initial_inputs[0].config.clone());
+    let first_config = initial_inputs[0]
+        .config
+        .clone()
+        .with_parallelism(parallelism);
     let mut session = Session::new(first_config)
         .flow(Flow::GenPip(er))
         .schedule(schedule)
@@ -1523,7 +1486,11 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
             .expect("serve driver poisoned")
             .statuses
             .extend(input.status.map(|status| (spec.name.clone(), status)));
-        session = session.source_with_config(spec.name.as_str(), input.source, tune(input.config));
+        session = session.source_with_config(
+            spec.name.as_str(),
+            input.source,
+            input.config.with_parallelism(parallelism),
+        );
         session = session.sink(spec.name.as_str(), move |event| {
             if let StreamEvent::Read(_) = event {
                 serve_note_read(&observer);

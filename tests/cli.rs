@@ -64,6 +64,59 @@ fn the_removed_lanes_option_is_rejected_everywhere() {
 }
 
 #[test]
+fn the_removed_shards_option_is_rejected_everywhere() {
+    for command in ["map", "run", "stream", "serve"] {
+        let (ok, stderr) = genpip(&[command, "--shards", "3"]);
+        assert!(!ok, "{command} --shards 3 must exit nonzero");
+        assert!(
+            stderr.contains(&format!("unknown option --shards for '{command}'")),
+            "stderr: {stderr}"
+        );
+    }
+}
+
+/// Counts the session would refuse are refused by the option readers, with
+/// the flag named and before any banner reaches stdout.
+#[test]
+fn zero_counts_fail_naming_the_flag_before_any_banner() {
+    let script =
+        std::env::temp_dir().join(format!("genpip-cli-zero-{}.script", std::process::id()));
+    std::fs::write(&script, "attach a profile=ecoli\n").expect("write script");
+    let script_path = script.to_str().expect("utf-8 temp path");
+    let stream = ["stream", "--scale", "0.02"];
+    let serve = ["serve", "--script", script_path];
+    for (command, flag) in [
+        (&stream[..], "--threads"),
+        (&stream[..], "--queue"),
+        (&stream[..], "--checkpoint-every"),
+        (&serve[..], "--threads"),
+        (&serve[..], "--queue"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_genpip"))
+            .args(command)
+            .args([flag, "0"])
+            .env_remove("GENPIP_PARALLELISM")
+            .output()
+            .expect("spawn genpip");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{command:?} {flag} 0 must exit nonzero"
+        );
+        assert!(
+            stderr.contains(&format!("invalid {flag} \"0\"")),
+            "{command:?} {flag} 0: stderr: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{command:?} {flag} 0 printed a banner: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    let _ = std::fs::remove_file(&script);
+}
+
+#[test]
 fn stream_accepts_the_deadline_schedule_like_serve_does() {
     let (ok, stderr) = genpip(&[
         "stream",

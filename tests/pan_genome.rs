@@ -1,6 +1,6 @@
 //! Pan-genome sessions: mapping every read against a panel of named
-//! references must be deterministic — bit-identical across `ErMode`,
-//! `Parallelism`, and `Shards` — and each per-reference candidate must be
+//! references must be deterministic — bit-identical across `ErMode` and
+//! `Parallelism` — and each per-reference candidate must be
 //! exactly what a standalone mapper over that reference would report. The
 //! merged winner follows the documented rule: higher chain score first,
 //! then reference name ascending, then position ascending.
@@ -12,7 +12,7 @@ mod common;
 
 use common::reference_run;
 use genpip::core::pipeline::{ErMode, PipelineRun, ReadOutcome};
-use genpip::core::{Flow, GenPipConfig, Parallelism, Shards};
+use genpip::core::{Flow, GenPipConfig, Parallelism};
 use genpip::datasets::{DatasetProfile, SimulatedDataset};
 use genpip::genomics::{DnaSeq, Genome, GenomeBuilder};
 use std::sync::Arc;
@@ -48,15 +48,14 @@ fn parallelism_sweep() -> Vec<Parallelism> {
 }
 
 #[test]
-fn two_reference_runs_are_bit_identical_across_er_parallelism_and_shards() {
+fn two_reference_runs_are_bit_identical_across_er_and_parallelism() {
     let d = dataset();
     let base =
         GenPipConfig::for_dataset(&d.profile).with_extra_references(vec![half_copy_panel(&d)]);
     for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
-        // The baseline is the independent oracle's serial, single-shard
-        // replay over the same two-member panel.
-        let baseline_config = base.clone().with_shards(Shards::Single);
-        let baseline = reference_run(&d, &baseline_config, Flow::GenPip(er));
+        // The baseline is the independent oracle's serial replay over the
+        // same two-member panel.
+        let baseline = reference_run(&d, &base, Flow::GenPip(er));
         let mapped = baseline.iter().filter(|r| r.outcome.is_mapped()).count();
         assert!(mapped > 0, "{er:?}: no read mapped");
         for run in &baseline {
@@ -71,22 +70,12 @@ fn two_reference_runs_are_bit_identical_across_er_parallelism_and_shards() {
             }
         }
         for parallelism in parallelism_sweep() {
-            for shards in [
-                Shards::Single,
-                Shards::Fixed(2),
-                Shards::Fixed(7),
-                Shards::Auto,
-            ] {
-                let config = base
-                    .clone()
-                    .with_parallelism(parallelism)
-                    .with_shards(shards);
-                let run = PipelineRun::collect(&d, &config, Flow::GenPip(er));
-                assert_eq!(
-                    run.reads, baseline,
-                    "{er:?} / {parallelism:?} / {shards:?} diverged from the serial single-shard baseline"
-                );
-            }
+            let config = base.clone().with_parallelism(parallelism);
+            let run = PipelineRun::collect(&d, &config, Flow::GenPip(er));
+            assert_eq!(
+                run.reads, baseline,
+                "{er:?} / {parallelism:?} diverged from the serial baseline"
+            );
         }
     }
 }

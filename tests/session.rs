@@ -1,7 +1,7 @@
 //! Cross-crate properties of the `Session` engine: per-source bit-identity
 //! with the independent oracle's solo replay (`common::reference_read`)
-//! under every scheduling policy, across `ErMode` ×
-//! `Parallelism` × shard counts; the shared in-flight bound with N sources;
+//! under every scheduling policy, across `ErMode` × `Parallelism`; the
+//! shared in-flight bound with N sources;
 //! and starvation-freedom of the `Priority` schedule.
 //!
 //! The parallelism sweep includes `GENPIP_PARALLELISM` (when set), which CI
@@ -14,7 +14,7 @@ use genpip::core::engine::{Flow, Session};
 use genpip::core::pipeline::{ErMode, PipelineRun};
 use genpip::core::scheduler::Schedule;
 use genpip::core::stream::{StreamEvent, StreamOptions};
-use genpip::core::{GenPipConfig, Parallelism, ReadRun, SessionReport, Shards};
+use genpip::core::{GenPipConfig, Parallelism, ReadRun, SessionReport};
 use genpip::datasets::{
     DatasetProfile, ReadSource, SimulatedDataset, SimulatedRead, StreamingSimulator,
 };
@@ -78,38 +78,33 @@ fn interleaved_sources_are_bit_identical_to_solo_runs() {
         ..StreamOptions::default()
     };
     for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
-        // Neither threading nor sharding may show in the output, so one
-        // serial, unsharded replay per source is the oracle for all of them.
+        // Threading may not show in the output, so one serial replay per
+        // source is the oracle for every parallelism setting.
         let solo_a = reference_run(&da, &base, Flow::GenPip(er));
         let solo_b = reference_run(&db, &base, Flow::GenPip(er));
         for parallelism in parallelism_sweep() {
-            for shards in [Shards::Single, Shards::Fixed(2)] {
-                let config = base
-                    .clone()
-                    .with_parallelism(parallelism)
-                    .with_shards(shards);
-                for schedule in [Schedule::FairShare, Schedule::Priority(vec![3, 1])] {
-                    let label = format!("{er:?} / {parallelism:?} / {shards:?} / {schedule:?}");
-                    let (reads_a, reads_b, report) =
-                        run_two_source_session(&pa, &pb, &config, er, schedule, &opts);
-                    assert_eq!(reads_a, solo_a, "source a diverged: {label}");
-                    assert_eq!(reads_b, solo_b, "source b diverged: {label}");
-                    let sa = report.source("a").expect("source a reported");
-                    let sb = report.source("b").expect("source b reported");
-                    assert_eq!(sa.summary.totals, totals(&solo_a), "{label}");
-                    assert_eq!(sb.summary.totals, totals(&solo_b), "{label}");
-                    assert_eq!(
-                        report.outcomes.reads_emitted,
-                        da.reads.len() + db.reads.len(),
-                        "{label}"
-                    );
-                    assert!(
-                        report.max_in_flight <= report.in_flight_limit,
-                        "{label}: {} in flight exceeds bound {}",
-                        report.max_in_flight,
-                        report.in_flight_limit
-                    );
-                }
+            let config = base.clone().with_parallelism(parallelism);
+            for schedule in [Schedule::FairShare, Schedule::Priority(vec![3, 1])] {
+                let label = format!("{er:?} / {parallelism:?} / {schedule:?}");
+                let (reads_a, reads_b, report) =
+                    run_two_source_session(&pa, &pb, &config, er, schedule, &opts);
+                assert_eq!(reads_a, solo_a, "source a diverged: {label}");
+                assert_eq!(reads_b, solo_b, "source b diverged: {label}");
+                let sa = report.source("a").expect("source a reported");
+                let sb = report.source("b").expect("source b reported");
+                assert_eq!(sa.summary.totals, totals(&solo_a), "{label}");
+                assert_eq!(sb.summary.totals, totals(&solo_b), "{label}");
+                assert_eq!(
+                    report.outcomes.reads_emitted,
+                    da.reads.len() + db.reads.len(),
+                    "{label}"
+                );
+                assert!(
+                    report.max_in_flight <= report.in_flight_limit,
+                    "{label}: {} in flight exceeds bound {}",
+                    report.max_in_flight,
+                    report.in_flight_limit
+                );
             }
         }
     }
