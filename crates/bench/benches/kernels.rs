@@ -43,7 +43,7 @@ use genpip_datasets::{DatasetProfile, FaultInjector, SimulatedDataset, Streaming
 use genpip_genomics::GenomeBuilder;
 use genpip_io::{pack_source, GscReadSource};
 use genpip_mapping::{
-    minimizers_into, Anchor, ChainParams, IncrementalChainer, Mapper, MapperParams,
+    minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, Mapper, MapperParams,
     MinimizerScratch, ReferenceSet, SeedBatch, SeedScratch,
 };
 use genpip_pim::{CamBank, CrossbarArray};
@@ -343,12 +343,19 @@ fn main() {
             let mut scratch = SeedScratch::new();
             let mut batches = Vec::new();
             let mut pairs = set.new_chainer_pairs();
+            let mut align = AlignScratch::new();
             let r = bench(
                 &format!("pan_genome/map_{n_refs}_references"),
                 Some((query.len() as f64, "bases")),
                 || {
-                    set.map_with(black_box(&query), &mut scratch, &mut batches, &mut pairs)
-                        .best_chain_score
+                    set.map_with(
+                        black_box(&query),
+                        &mut scratch,
+                        &mut batches,
+                        &mut pairs,
+                        &mut align,
+                    )
+                    .best_chain_score
                 },
             );
             let result = set.map(&query);
@@ -389,6 +396,44 @@ fn main() {
             "align/banded_2kb_hw64",
             Some((q.len() as f64, "bases")),
             || banded_global(black_box(&q), black_box(&r), &params, 0, 64).score,
+        ));
+
+        // The geometry `finalize_mapping` produces for a typical read: 3.5 kb
+        // at 4 % error, `hw = band_margin + n / 20`. Elements are DP cells,
+        // so ns_per_iter / elements_per_iter is ns/cell.
+        let genome = GenomeBuilder::new(5_000).seed(14).build();
+        let truth = genome.sequence().subseq(500, 3_500);
+        let mut rng = genpip_genomics::rng::seeded(15);
+        let (q, _) = genpip_genomics::ErrorModel::with_total_rate(0.04).apply(&truth, &mut rng);
+        let hw = MapperParams::default().band_margin + q.len() / 20;
+        let cells = banded_global(&q, &truth, &params, 0, hw).cells;
+        results.push(bench(
+            "align/banded_3p5kb_pipeline_band",
+            Some((cells as f64, "cells")),
+            || banded_global(black_box(&q), black_box(&truth), &params, 0, hw).score,
+        ));
+
+        // The same step as the pipeline runs it: window extraction, band
+        // placement and the kernel on a warmed per-worker scratch.
+        let genome = GenomeBuilder::new(100_000).seed(16).build();
+        let mapper = Mapper::build(&genome, MapperParams::default());
+        let truth = genome.sequence().subseq(40_000, 3_000);
+        let (q, _) = genpip_genomics::ErrorModel::with_total_rate(0.04).apply(&truth, &mut rng);
+        let (mut fwd, mut rev) = mapper.new_chainers();
+        let (batch, _) = mapper.sketch_and_seed(&q, 0);
+        fwd.extend(&batch.forward);
+        rev.extend(&batch.reverse);
+        let mut align = AlignScratch::new();
+        let (mapping, _, cells) = mapper.finalize_mapping_with(&q, &fwd, &rev, &mut align);
+        assert!(mapping.is_some(), "the bench read must map");
+        results.push(bench(
+            "align/finalize_mapping_3kb",
+            Some((cells as f64, "cells")),
+            || {
+                mapper
+                    .finalize_mapping_with(black_box(&q), &fwd, &rev, &mut align)
+                    .2
+            },
         ));
     }
 

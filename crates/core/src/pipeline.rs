@@ -53,8 +53,8 @@ use genpip_datasets::{ReadSource, SimulatedDataset, SimulatedRead};
 use genpip_genomics::quality::AqsAccumulator;
 use genpip_genomics::{DnaSeq, Genome, Phred};
 use genpip_mapping::{
-    IncrementalChainer, Mapping, MappingCounters, ReferenceMapping, ReferenceSet, SeedBatch,
-    SeedScratch,
+    AlignScratch, IncrementalChainer, Mapping, MappingCounters, ReferenceMapping, ReferenceSet,
+    SeedBatch, SeedScratch,
 };
 use genpip_signal::{chunk_boundaries, PoreModel};
 use std::collections::BTreeMap;
@@ -422,13 +422,14 @@ impl RunContext {
 }
 
 /// Worker-local working memory: every buffer a read needs on its way through
-/// basecalling, sketching, seeding and chaining. One instance per worker
-/// thread; steady-state processing reuses it without heap allocation.
+/// basecalling, sketching, seeding, chaining and alignment. One instance per
+/// worker thread; steady-state processing reuses it without heap allocation.
 pub(crate) struct WorkerScratch {
     call: CallScratch,
     seed: SeedScratch,
     batches: Vec<SeedBatch>,
     pairs: Vec<(IncrementalChainer, IncrementalChainer)>,
+    align: AlignScratch,
 }
 
 impl WorkerScratch {
@@ -438,6 +439,7 @@ impl WorkerScratch {
             seed: SeedScratch::new(),
             batches: Vec::new(),
             pairs: ctx.refs.new_chainer_pairs(),
+            align: AlignScratch::new(),
         }
     }
 }
@@ -797,8 +799,9 @@ impl GenPipChain {
                     run.outcome = ReadOutcome::FilteredQc { aqs: full_aqs };
                     return self.finish(false, units);
                 }
-                let (per_reference, mapping, best_score, align_cells) =
-                    ctx.refs.finalize_mapping(&self.seq, &self.pairs);
+                let (per_reference, mapping, best_score, align_cells) = ctx
+                    .refs
+                    .finalize_mapping_with(&self.seq, &self.pairs, &mut scratch.align);
                 if ctx.refs.len() > 1 {
                     run.per_reference = per_reference;
                 }
@@ -910,6 +913,7 @@ impl ConvChain {
             &mut scratch.seed,
             &mut scratch.batches,
             &mut scratch.pairs,
+            &mut scratch.align,
         );
         run.map_counters = result.counters;
         run.best_chain_score = result.best_chain_score;

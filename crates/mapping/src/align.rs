@@ -11,6 +11,7 @@
 
 use genpip_genomics::{Base, DnaSeq};
 use std::fmt;
+use std::ops::Range;
 
 /// Alignment scoring parameters (minimap2-like defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,11 +90,376 @@ impl Alignment {
     }
 }
 
+/// Score of a cell no path reaches: far below any real score, and far
+/// enough above `i32::MIN` that penalties add to it without wrapping.
+const NEG: i32 = i32::MIN / 4;
+
+/// Pad byte in front of the window's base codes; equals no 2-bit code.
+const PAD: u8 = 0xFF;
+
+/// Reusable working memory of the banded-alignment kernel: the unpacked
+/// query and reference window, the rolling DP rows and the traceback's run
+/// stack. One instance per worker thread; a warmed scratch leaves the
+/// traceback matrix and the returned CIGAR as an alignment's only
+/// allocations. (The matrix, one byte per band cell, is megabytes for a long
+/// read; it is allocated per call so that no worker pins its largest one.)
+#[derive(Debug, Clone, Default)]
+pub struct AlignScratch {
+    /// Query base codes.
+    q: Vec<u8>,
+    /// Window base codes behind one [`PAD`] byte: `r[j]` is the base that DP
+    /// column `j` consumes, and column 0 (which consumes none) matches nothing.
+    r: Vec<u8>,
+    // Band-relative rows of `width + 1` cells: cell `c` of row `i` is column
+    // `j = i + band_center - hw + c`, so a cell's diagonal neighbour is
+    // `prev[c]` and its upper neighbour `prev[c + 1]`; the extra cell is the
+    // upper neighbour of the band's right edge and stays `NEG`.
+    h_prev: Vec<i32>,
+    h_curr: Vec<i32>,
+    ix_prev: Vec<i32>,
+    ix_curr: Vec<i32>,
+    /// Pass B's gap-open candidates, slope removed.
+    v: Vec<i32>,
+    /// Pass B's running maximum over `v`.
+    u: Vec<i32>,
+    /// Traceback runs, last column first: (0 = M, 1 = I, 2 = D, length).
+    ops: Vec<(u8, u32)>,
+}
+
+impl AlignScratch {
+    /// Creates an empty workspace; buffers are sized lazily on first use.
+    pub fn new() -> AlignScratch {
+        AlignScratch::default()
+    }
+
+    /// Unpacks the two sequences to align: `query`, and the `window` of
+    /// `reference`, reverse complemented when `reverse` is set.
+    pub(crate) fn load(
+        &mut self,
+        query: &DnaSeq,
+        reference: &DnaSeq,
+        window: Range<usize>,
+        reverse: bool,
+    ) {
+        self.q.clear();
+        self.q.extend(query.iter().map(Base::code));
+        self.r.clear();
+        self.r.push(PAD);
+        let codes = window.map(|i| reference.get(i).code());
+        if reverse {
+            self.r.extend(codes.rev().map(|code| 3 - code));
+        } else {
+            self.r.extend(codes);
+        }
+    }
+
+    /// Aligns the sequences last [`load`](AlignScratch::load)ed; see
+    /// [`banded_global`] for the band's definition.
+    pub(crate) fn align(
+        &mut self,
+        params: &AlignmentParams,
+        band_center: i64,
+        band_halfwidth: usize,
+    ) -> Alignment {
+        let band = self.prepare(band_center, band_halfwidth);
+        let mut tb = band.traceback_matrix(self.q.len());
+        let cells = fill_dispatch(self, &mut tb, params, &band);
+        self.finish(&tb, &band, cells)
+    }
+
+    /// Widens the band to keep (0,0) and (n,m) inside it and sizes the rows
+    /// for it.
+    fn prepare(&mut self, band_center: i64, band_halfwidth: usize) -> Band {
+        let (n, m) = (self.q.len(), self.r.len() - 1);
+        let need_start = band_center.unsigned_abs() as usize;
+        let need_end = (m as i64 - n as i64 - band_center).unsigned_abs() as usize;
+        let hw = band_halfwidth.max(need_start).max(need_end) + 1;
+        let band = Band {
+            m,
+            width: 2 * hw + 1,
+            shift: hw as i64 - band_center,
+        };
+        for row in [
+            &mut self.h_prev,
+            &mut self.h_curr,
+            &mut self.ix_prev,
+            &mut self.ix_curr,
+            &mut self.v,
+            &mut self.u,
+        ] {
+            row.clear();
+            row.resize(band.width + 1, NEG);
+        }
+        band
+    }
+
+    /// Reads the score off the filled last row and walks the traceback flags
+    /// from `(n, m)` to the origin.
+    fn finish(&mut self, tb: &[u8], band: &Band, cells: usize) -> Alignment {
+        let (q, r) = (&self.q, &self.r);
+        let score = self.h_prev[(band.m as i64 - band.base(q.len())) as usize];
+        let ops = &mut self.ops;
+        ops.clear();
+        let mut push = |kind: u8| match ops.last_mut() {
+            Some(last) if last.0 == kind => last.1 += 1,
+            _ => ops.push((kind, 1)),
+        };
+        let mut matches = 0usize;
+        let (mut i, mut j) = (q.len(), band.m);
+        // Which matrix we are currently in: 0=H, 1=Ix, 2=Iy.
+        let mut state = 0u8;
+        while i > 0 || j > 0 {
+            let flags = tb[i * band.width + (j as i64 - band.base(i)) as usize];
+            match state {
+                0 => match flags & 0b11 {
+                    0 => {
+                        // Diagonal step.
+                        push(0);
+                        if q[i - 1] == r[j] {
+                            matches += 1;
+                        }
+                        i -= 1;
+                        j -= 1;
+                    }
+                    1 => state = 1,
+                    2 => state = 2,
+                    _ => break, // origin
+                },
+                1 => {
+                    push(1);
+                    i -= 1;
+                    state = if flags & 0b0100 != 0 { 1 } else { 0 };
+                }
+                _ => {
+                    push(2);
+                    j -= 1;
+                    state = if flags & 0b1000 != 0 { 2 } else { 0 };
+                }
+            }
+        }
+        let mut columns = 0usize;
+        let cigar = ops
+            .iter()
+            .rev()
+            .map(|&(kind, len)| {
+                columns += len as usize;
+                match kind {
+                    0 => CigarOp::Match(len),
+                    1 => CigarOp::Ins(len),
+                    _ => CigarOp::Del(len),
+                }
+            })
+            .collect();
+        Alignment {
+            score,
+            cigar,
+            matches,
+            columns,
+            cells,
+        }
+    }
+}
+
+/// The widened band of one alignment: row `i` covers columns
+/// `base(i) ..= base(i) + width - 1`, clipped to `0..=m`.
+struct Band {
+    m: usize,
+    width: usize,
+    /// `hw - band_center`, at least 1.
+    shift: i64,
+}
+
+impl Band {
+    /// Zeroed traceback flags for query rows `0..=n`, `width` per row: bits
+    /// 0..1 = H source (0 diag, 1 Ix, 2 Iy, 3 origin), bit 2 = Ix extended,
+    /// bit 3 = Iy extended.
+    fn traceback_matrix(&self, n: usize) -> Vec<u8> {
+        vec![0; (n + 1) * self.width]
+    }
+
+    /// Column of row `i`'s band-relative cell 0 (negative above the diagonal).
+    fn base(&self, i: usize) -> i64 {
+        i as i64 - self.shift
+    }
+}
+
+/// Pass A. Ix: consume a query base (gap in reference); extend beats open
+/// only when greater. T (left in `h`): the diagonal unless Ix is greater.
+/// Also lays down pass B's gap-open candidates,
+/// `v[k + 1] = T[k] + o + e - e·(k + 1)`. `h_prev` and `ix_prev` hold the
+/// previous row from the row's first diagonal neighbour on, one cell longer
+/// than the row.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn pass_a(
+    p: &AlignmentParams,
+    qb: u8,
+    r: &[u8],
+    h_prev: &[i32],
+    ix_prev: &[i32],
+    ix: &mut [i32],
+    h: &mut [i32],
+    v: &mut [i32],
+    flags: &mut [u8],
+) {
+    let len = h.len();
+    let (extend, open_extend) = (p.gap_extend, p.gap_open + p.gap_extend);
+    let (match_score, mismatch) = (p.match_score, p.mismatch);
+    let (h_diag, h_up, ix_up) = (&h_prev[..len], &h_prev[1..len + 1], &ix_prev[1..len + 1]);
+    let (r, ix, flags) = (&r[..len], &mut ix[..len], &mut flags[..len]);
+    v[0] = NEG;
+    let v = &mut v[1..len + 1];
+    for k in 0..len {
+        let open = h_up[k] + open_extend;
+        let ext = ix_up[k] + extend;
+        let gap = ext.max(open);
+        let diag = h_diag[k] + if r[k] == qb { match_score } else { mismatch };
+        ix[k] = gap;
+        h[k] = gap.max(diag);
+        v[k] = h[k] + open_extend - extend * (k + 1) as i32;
+        flags[k] = ((ext > open) as u8) << 2 | (gap > diag) as u8;
+    }
+}
+
+/// Pass B for `gap_open <= 0` (see [`fill`]): `u` is the running maximum of
+/// `v`, and everything else is elementwise. Turns `h` from T into H.
+#[inline(always)]
+fn pass_b_running_max(
+    p: &AlignmentParams,
+    v: &[i32],
+    u: &mut [i32],
+    h: &mut [i32],
+    flags: &mut [u8],
+) {
+    let len = h.len();
+    let (v, u, flags) = (&v[..len], &mut u[..len], &mut flags[..len]);
+    let mut run = NEG;
+    for k in 0..len {
+        run = run.max(v[k]);
+        u[k] = run;
+    }
+    for k in 0..len {
+        let iy = u[k] + p.gap_extend * k as i32;
+        // From Iy: source 2, keeping only the Ix-extended bit.
+        let from_iy = (iy > h[k]) as u8;
+        let iy_extends = (u[k] > v[k]) as u8;
+        h[k] = iy.max(h[k]);
+        flags[k] = flags[k] & (0b0100 | (from_iy ^ 1)) | from_iy << 1 | iy_extends << 3;
+    }
+}
+
+/// Pass B for any scoring: the textbook left-to-right scan over `h`.
+#[inline(always)]
+fn pass_b_scan(p: &AlignmentParams, h: &mut [i32], flags: &mut [u8]) {
+    let (extend, open_extend) = (p.gap_extend, p.gap_open + p.gap_extend);
+    let mut iy = NEG;
+    for k in 0..h.len() {
+        if k > 0 {
+            let open = h[k - 1] + open_extend;
+            let ext = iy + extend;
+            if ext > open {
+                flags[k] |= 0b1000;
+            }
+            iy = ext.max(open);
+        }
+        if iy > h[k] {
+            h[k] = iy;
+            flags[k] = flags[k] & 0b1100 | 2;
+        }
+    }
+}
+
+/// Fills the DP rows and the traceback matrix; returns the cells computed.
+///
+/// Each row runs two passes over the band-relative cells `c`. **Pass A**
+/// needs only the previous row — `Ix[c]` from `prev[c + 1]`, the diagonal
+/// from `prev[c]`, `T[c] = max(diag, Ix)` and their traceback bits — so it is
+/// branch-free selects over contiguous slices. **Pass B** resolves the
+/// horizontal recurrence `Iy[c] = max(H[c-1] + o + e, Iy[c-1] + e)`,
+/// `H[c] = max(T[c], Iy[c])`. With `o <= 0`, `H[c-1]` can be replaced by
+/// `T[c-1]` (its other arm, `Iy[c-1] + o + e`, never beats extending), and
+/// `u[c] = Iy[c] - e·c` is the running maximum of `v[c] = T[c-1] + o + e -
+/// e·c`: one dependent `max` per cell, everything around it elementwise.
+/// The strict `>` of every tie rule carries over: extending beats opening
+/// from `T[c-1]` iff `u[c-1] > v[c]`, i.e. `u[c] > v[c]`. (With `o == 0`
+/// the scan would instead re-open from `H[c-1] = Iy[c-1]`; that is the same
+/// path, so the traceback cannot tell the two apart.)
+#[inline(always)]
+fn fill(s: &mut AlignScratch, tb: &mut [u8], p: &AlignmentParams, band: &Band) -> usize {
+    let (n, m, width) = (s.q.len(), band.m, band.width);
+
+    // Row 0: leading deletions.
+    let origin = band.shift as usize;
+    let hi = ((width - 1) as i64 - band.shift).min(m as i64) as usize;
+    s.h_prev[origin] = 0;
+    tb[origin] = 3;
+    for j in 1..=hi {
+        s.h_prev[origin + j] = p.gap_open + p.gap_extend * j as i32;
+        // H from Iy, which extends from the second column on.
+        tb[origin + j] = if j > 1 { 0b1010 } else { 0b0010 };
+    }
+    let mut cells = hi;
+
+    for i in 1..=n {
+        let base = band.base(i);
+        let lo = base.max(0) as usize;
+        let hi = (base + (width - 1) as i64).min(m as i64) as usize;
+        let clo = (lo as i64 - base) as usize;
+        let len = hi - lo + 1;
+        cells += len;
+
+        let (h_prev, ix_prev) = (
+            &s.h_prev[clo..clo + len + 1],
+            &s.ix_prev[clo..clo + len + 1],
+        );
+        let (h, ix) = (
+            &mut s.h_curr[clo..clo + len],
+            &mut s.ix_curr[clo..clo + len],
+        );
+        let flags = &mut tb[i * width + clo..][..len];
+        let (qb, r) = (s.q[i - 1], &s.r[lo..lo + len]);
+        pass_a(p, qb, r, h_prev, ix_prev, ix, h, &mut s.v, flags);
+        if p.gap_open <= 0 {
+            pass_b_running_max(p, &s.v, &mut s.u, h, flags);
+        } else {
+            pass_b_scan(p, h, flags);
+        }
+        std::mem::swap(&mut s.h_prev, &mut s.h_curr);
+        std::mem::swap(&mut s.ix_prev, &mut s.ix_curr);
+    }
+    cells
+}
+
+/// [`fill`], compiled for the widest integer vectors the host has.
+fn fill_dispatch(s: &mut AlignScratch, tb: &mut [u8], p: &AlignmentParams, band: &Band) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn fill_avx2(
+            s: &mut AlignScratch,
+            tb: &mut [u8],
+            p: &AlignmentParams,
+            band: &Band,
+        ) -> usize {
+            fill(s, tb, p, band)
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host supports AVX2, checked on the line above.
+            return unsafe { fill_avx2(s, tb, p, band) };
+        }
+    }
+    fill(s, tb, p, band)
+}
+
 /// Aligns `query` against `reference` globally within a diagonal band.
 ///
 /// The band covers columns `j ∈ [i + band_center − hw, i + band_center + hw]`
-/// for each query row `i`; `hw` is widened automatically so the band always
-/// contains both the origin and the terminal cell, making the function total.
+/// for each query row `i`, clipped to the reference, with
+/// `hw = max(band_halfwidth, |band_center|, |m − n − band_center|) + 1`
+/// (`n`, `m` the query and reference lengths): the requested half-width,
+/// widened just enough that the band contains both the origin and the
+/// terminal cell, which makes the function total. [`Alignment::cells`] counts
+/// every in-band cell except the origin.
 ///
 /// # Example
 ///
@@ -115,210 +481,13 @@ pub fn banded_global(
     band_center: i64,
     band_halfwidth: usize,
 ) -> Alignment {
-    let q: Vec<Base> = query.to_bases();
-    let r: Vec<Base> = reference.to_bases();
-    let (n, m) = (q.len(), r.len());
-
-    // Widen the band to keep (0,0) and (n,m) inside it.
-    let need_start = band_center.unsigned_abs() as usize;
-    let need_end = (m as i64 - n as i64 - band_center).unsigned_abs() as usize;
-    let hw = band_halfwidth.max(need_start).max(need_end) + 1;
-    let width = 2 * hw + 1;
-
-    const NEG: i32 = i32::MIN / 4;
-    let lo_of = |i: usize| -> usize {
-        let lo = i as i64 + band_center - hw as i64;
-        lo.clamp(0, m as i64) as usize
-    };
-    let hi_of = |i: usize| -> usize {
-        let hi = i as i64 + band_center + hw as i64;
-        hi.clamp(0, m as i64) as usize
-    };
-
-    // Rolling rows indexed by (j - lo) would complicate window shifts; rows
-    // are short (≤ width), so index them by absolute j with reallocation-free
-    // window slices.
-    let mut h_prev = vec![NEG; m + 1];
-    let mut ix_prev = vec![NEG; m + 1];
-    let mut iy_prev = vec![NEG; m + 1];
-    let mut h_curr = vec![NEG; m + 1];
-    let mut ix_curr = vec![NEG; m + 1];
-    let mut iy_curr = vec![NEG; m + 1];
-
-    // Traceback: per cell, bits 0..1 = H source (0 diag, 1 Ix, 2 Iy, 3 origin),
-    // bit 2 = Ix extended, bit 3 = Iy extended.
-    let mut tb = vec![0u8; (n + 1) * width];
-    let tb_index = |i: usize, j: usize, lo: usize| i * width + (j - lo);
-
-    let mut cells = 0usize;
-
-    // Row 0: leading deletions.
-    {
-        let lo = lo_of(0);
-        let hi = hi_of(0);
-        h_prev[0] = 0;
-        tb[tb_index(0, 0, lo)] = 3;
-        for j in 1..=hi {
-            iy_prev[j] = params.gap_open + params.gap_extend * j as i32;
-            h_prev[j] = iy_prev[j];
-            let mut flags = 2u8; // H from Iy
-            if j > 1 {
-                flags |= 0b1000; // Iy extended
-            }
-            tb[tb_index(0, j, lo)] = flags;
-            cells += 1;
-        }
-    }
-
-    for i in 1..=n {
-        let lo = lo_of(i);
-        let hi = hi_of(i);
-        let prev_lo = lo_of(i - 1);
-        let prev_hi = hi_of(i - 1);
-        for j in lo..=hi {
-            h_curr[j] = NEG;
-            ix_curr[j] = NEG;
-            iy_curr[j] = NEG;
-        }
-        for j in lo..=hi {
-            cells += 1;
-            let mut flags = 0u8;
-
-            // Ix: consume a query base (gap in reference).
-            let up_ok = (prev_lo..=prev_hi).contains(&j);
-            let ix = if up_ok {
-                let open = h_prev[j] + params.gap_open + params.gap_extend;
-                let extend = ix_prev[j] + params.gap_extend;
-                if extend > open {
-                    flags |= 0b0100;
-                    extend
-                } else {
-                    open
-                }
-            } else {
-                NEG
-            };
-            ix_curr[j] = ix;
-
-            // Iy: consume a reference base (gap in query).
-            let iy = if j > lo {
-                let open = h_curr[j - 1] + params.gap_open + params.gap_extend;
-                let extend = iy_curr[j - 1] + params.gap_extend;
-                if extend > open {
-                    flags |= 0b1000;
-                    extend
-                } else {
-                    open
-                }
-            } else {
-                NEG
-            };
-            iy_curr[j] = iy;
-
-            // H: diagonal, or close a gap.
-            let diag_ok = j >= 1 && (prev_lo..=prev_hi).contains(&(j - 1));
-            let diag = if diag_ok {
-                let s = if q[i - 1] == r[j - 1] {
-                    params.match_score
-                } else {
-                    params.mismatch
-                };
-                h_prev[j - 1] + s
-            } else {
-                NEG
-            };
-            let mut h = diag;
-            let mut src = 0u8;
-            if ix > h {
-                h = ix;
-                src = 1;
-            }
-            if iy > h {
-                h = iy;
-                src = 2;
-            }
-            h_curr[j] = h;
-            tb[tb_index(i, j, lo)] = flags | src;
-        }
-        std::mem::swap(&mut h_prev, &mut h_curr);
-        std::mem::swap(&mut ix_prev, &mut ix_curr);
-        std::mem::swap(&mut iy_prev, &mut iy_curr);
-    }
-
-    let score = h_prev[m];
-
-    // Traceback.
-    let mut ops_rev: Vec<(u8, u32)> = Vec::new(); // (kind: 0=M,1=I,2=D, len)
-    let push = |kind: u8, ops_rev: &mut Vec<(u8, u32)>| {
-        if let Some(last) = ops_rev.last_mut() {
-            if last.0 == kind {
-                last.1 += 1;
-                return;
-            }
-        }
-        ops_rev.push((kind, 1));
-    };
-    let mut matches = 0usize;
-    let (mut i, mut j) = (n, m);
-    // Which matrix we are currently in: 0=H, 1=Ix, 2=Iy.
-    let mut state = 0u8;
-    while i > 0 || j > 0 {
-        let lo = lo_of(i);
-        let flags = tb[tb_index(i, j, lo)];
-        match state {
-            0 => {
-                let src = flags & 0b11;
-                match src {
-                    0 => {
-                        // Diagonal step.
-                        push(0, &mut ops_rev);
-                        if query.get(i - 1) == reference.get(j - 1) {
-                            matches += 1;
-                        }
-                        i -= 1;
-                        j -= 1;
-                    }
-                    1 => state = 1,
-                    2 => state = 2,
-                    _ => break, // origin
-                }
-            }
-            1 => {
-                push(1, &mut ops_rev);
-                let extended = flags & 0b0100 != 0;
-                i -= 1;
-                state = if extended { 1 } else { 0 };
-            }
-            _ => {
-                push(2, &mut ops_rev);
-                let extended = flags & 0b1000 != 0;
-                j -= 1;
-                state = if extended { 2 } else { 0 };
-            }
-        }
-    }
-    ops_rev.reverse();
-    let mut columns = 0usize;
-    let cigar: Vec<CigarOp> = ops_rev
-        .into_iter()
-        .map(|(kind, len)| {
-            columns += len as usize;
-            match kind {
-                0 => CigarOp::Match(len),
-                1 => CigarOp::Ins(len),
-                _ => CigarOp::Del(len),
-            }
-        })
-        .collect();
-
-    Alignment {
-        score,
-        cigar,
-        matches,
-        columns,
-        cells,
-    }
+    let mut scratch = AlignScratch::new();
+    scratch.load(query, reference, 0..reference.len(), false);
+    scratch.align(params, band_center, band_halfwidth)
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -515,6 +684,46 @@ mod tests {
         // Center the band on the true diagonal offset (query starts at 100).
         let aln = banded_global(&q, &g, &p, 100, 16);
         assert!(aln.matches >= 190, "matches {}", aln.matches);
+    }
+
+    #[test]
+    fn cells_equal_the_closed_form_band_area() {
+        // `Alignment::cells` feeds the Fig. 10 cost models (`ChunkWork`,
+        // `WorkloadTotals::align_cells`), so it is pinned to the band's area,
+        // `Σ_i (hi(i) − lo(i) + 1) − 1`, whatever the kernel's row layout:
+        // centred, offset either way, beyond `m − n`, clipped at both edges,
+        // wider than the whole matrix, and empty on either side.
+        let p = AlignmentParams::default();
+        let g = GenomeBuilder::new(400).seed(13).build().sequence().clone();
+        for (n, m, center, halfwidth) in [
+            (50usize, 50usize, 0i64, 4usize),
+            (40, 70, 10, 5),
+            (70, 40, -3, 8),
+            (30, 30, 25, 2),
+            (30, 90, -20, 3),
+            (120, 100, 40, 0),
+            (200, 180, 0, 500),
+            (0, 12, 0, 2),
+            (12, 0, 0, 2),
+            (0, 0, 0, 0),
+        ] {
+            let widen = (center.unsigned_abs() as usize)
+                .max((m as i64 - n as i64 - center).unsigned_abs() as usize);
+            let hw = (halfwidth.max(widen) + 1) as i64;
+            let area: i64 = (0..=n as i64)
+                .map(|i| {
+                    let lo = (i + center - hw).clamp(0, m as i64);
+                    let hi = (i + center + hw).clamp(0, m as i64);
+                    hi - lo + 1
+                })
+                .sum();
+            let aln = banded_global(&g.subseq(7, n), &g.subseq(0, m), &p, center, halfwidth);
+            assert_eq!(
+                aln.cells as i64,
+                area - 1,
+                "n {n} m {m} center {center} halfwidth {halfwidth}"
+            );
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod seed;
 /// 4 Gbp `u32` horizon.
 pub type RefPos = u64;
 
-pub use align::{Alignment, AlignmentParams, CigarOp};
+pub use align::{AlignScratch, Alignment, AlignmentParams, CigarOp};
 pub use chain::{Chain, ChainParams, IncrementalChainer};
 pub use index::{RefHit, ReferenceIndex};
 pub use mapper::{Mapper, MapperParams, Mapping, MappingCounters, MappingResult, SeedScratch};

@@ -6,7 +6,7 @@
 //! [`Mapper::finalize_mapping`]) that GenPIP's chunk-based pipeline drives
 //! incrementally.
 
-use crate::align::{banded_global, Alignment, AlignmentParams, CigarOp};
+use crate::align::{AlignScratch, AlignmentParams, CigarOp};
 use crate::chain::{ChainParams, IncrementalChainer};
 use crate::index::ReferenceIndex;
 use crate::minimizer::{minimizers_into, Minimizer, MinimizerScratch};
@@ -233,17 +233,33 @@ impl Mapper {
         scratch.mins.len()
     }
 
-    /// Completes a mapping from filled chainers: picks the best strand/chain,
-    /// aligns the query against the chain's reference window, and applies the
-    /// unmapped thresholds.
+    /// Completes a mapping from filled chainers with a fresh alignment
+    /// workspace.
     ///
-    /// Returns the (optional) mapping, the best chain score, and the number
-    /// of alignment DP cells spent.
+    /// Convenience wrapper over [`Mapper::finalize_mapping_with`]; hot loops
+    /// should own an [`AlignScratch`] and pass it in.
     pub fn finalize_mapping(
         &self,
         query: &DnaSeq,
         forward: &IncrementalChainer,
         reverse: &IncrementalChainer,
+    ) -> (Option<Mapping>, f64, usize) {
+        self.finalize_mapping_with(query, forward, reverse, &mut AlignScratch::new())
+    }
+
+    /// Completes a mapping from filled chainers: picks the best strand/chain,
+    /// aligns the query against the chain's reference window, and applies the
+    /// unmapped thresholds. The alignment runs in `scratch`; on a warmed
+    /// scratch it allocates only its traceback matrix and the returned CIGAR.
+    ///
+    /// Returns the (optional) mapping, the best chain score, and the number
+    /// of alignment DP cells spent.
+    pub fn finalize_mapping_with(
+        &self,
+        query: &DnaSeq,
+        forward: &IncrementalChainer,
+        reverse: &IncrementalChainer,
+        scratch: &mut AlignScratch,
     ) -> (Option<Mapping>, f64, usize) {
         let fwd_score = forward.best_score();
         let rev_score = reverse.best_score();
@@ -281,31 +297,24 @@ impl Mapper {
         }
         let wlen = (wend - wstart) as usize;
 
-        // Extract the window sequence (chain coordinates are RC-genome
-        // coordinates on the reverse strand).
-        let window = match strand {
-            Strand::Forward => self.genome.sequence().subseq((wstart - o) as usize, wlen),
-            Strand::Reverse => self
-                .genome
-                .sequence()
-                .subseq((g - wend) as usize, wlen)
-                .reverse_complement(),
+        // Unpack the query and the window sequence (chain coordinates are
+        // RC-genome coordinates on the reverse strand).
+        let (start, reverse) = match strand {
+            Strand::Forward => ((wstart - o) as usize, false),
+            Strand::Reverse => ((g - wend) as usize, true),
         };
+        scratch.load(query, self.genome.sequence(), start..start + wlen, reverse);
 
         // Band: centre on the chain's median diagonal, cover its spread.
-        let diags: Vec<i64> = chain
+        let (dmin, dmax) = chain
             .anchor_indices
             .iter()
             .map(|&i| anchors[i].rpos as i64 - wstart - anchors[i].qpos as i64)
-            .collect();
-        let (dmin, dmax) = diags
-            .iter()
-            .fold((i64::MAX, i64::MIN), |(lo, hi), &d| (lo.min(d), hi.max(d)));
+            .fold((i64::MAX, i64::MIN), |(lo, hi), d| (lo.min(d), hi.max(d)));
         let center = (dmin + dmax) / 2;
         let halfwidth = ((dmax - dmin) / 2) as usize + self.params.band_margin + query.len() / 20;
 
-        let alignment: Alignment =
-            banded_global(query, &window, &self.params.align, center, halfwidth);
+        let alignment = scratch.align(&self.params.align, center, halfwidth);
         let cells = alignment.cells;
         if alignment.identity() < self.params.min_identity {
             return (None, best_score, cells);
@@ -352,13 +361,14 @@ impl Mapper {
             &mut SeedBatch::default(),
             &mut fwd,
             &mut rev,
+            &mut AlignScratch::new(),
         )
     }
 
     /// Maps a whole read through the conventional flow, reusing caller-owned
-    /// buffers: `scratch`/`batch` for sketching and seeding, and a chainer
-    /// pair (reset here) for the DP. Results are identical to
-    /// [`Mapper::map`]; only allocation behaviour differs.
+    /// buffers: `scratch`/`batch` for sketching and seeding, a chainer
+    /// pair (reset here) for the DP, and `align` for the alignment. Results
+    /// are identical to [`Mapper::map`]; only allocation behaviour differs.
     pub fn map_with(
         &self,
         query: &DnaSeq,
@@ -366,6 +376,7 @@ impl Mapper {
         batch: &mut SeedBatch,
         fwd: &mut IncrementalChainer,
         rev: &mut IncrementalChainer,
+        align: &mut AlignScratch,
     ) -> MappingResult {
         fwd.reset();
         rev.reset();
@@ -377,7 +388,8 @@ impl Mapper {
         fwd.extend(&batch.forward);
         rev.extend(&batch.reverse);
         counters.chain_evals = fwd.dp_evaluations() + rev.dp_evaluations();
-        let (mapping, best_chain_score, align_cells) = self.finalize_mapping(query, fwd, rev);
+        let (mapping, best_chain_score, align_cells) =
+            self.finalize_mapping_with(query, fwd, rev, align);
         counters.align_cells = align_cells;
         MappingResult {
             mapping,

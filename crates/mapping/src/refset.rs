@@ -19,6 +19,7 @@
 //! single-reference output stays byte-for-byte what it always was; only
 //! multi-reference winners carry a `Some(name)` attribution.
 
+use crate::align::AlignScratch;
 use crate::chain::IncrementalChainer;
 use crate::mapper::{Mapper, MapperParams, Mapping, MappingCounters, SeedScratch};
 use crate::minimizer::minimizers_into;
@@ -178,14 +179,28 @@ impl ReferenceSet {
         scratch.mins.len()
     }
 
-    /// Finalizes every reference's chainer pair against the query and merges
-    /// the candidates. Returns the per-reference results (set order), the
-    /// merged best hit, the best chain score across references, and the
-    /// total alignment DP cells spent.
+    /// Finalizes every reference's chainer pair with a fresh alignment
+    /// workspace.
+    ///
+    /// Convenience wrapper over [`ReferenceSet::finalize_mapping_with`]; hot
+    /// loops should own an [`AlignScratch`] and pass it in.
     pub fn finalize_mapping(
         &self,
         query: &DnaSeq,
         pairs: &[(IncrementalChainer, IncrementalChainer)],
+    ) -> (Vec<ReferenceMapping>, Option<Mapping>, f64, usize) {
+        self.finalize_mapping_with(query, pairs, &mut AlignScratch::new())
+    }
+
+    /// Finalizes every reference's chainer pair against the query and merges
+    /// the candidates, running every alignment in `scratch`. Returns the
+    /// per-reference results (set order), the merged best hit, the best chain
+    /// score across references, and the total alignment DP cells spent.
+    pub fn finalize_mapping_with(
+        &self,
+        query: &DnaSeq,
+        pairs: &[(IncrementalChainer, IncrementalChainer)],
+        scratch: &mut AlignScratch,
     ) -> (Vec<ReferenceMapping>, Option<Mapping>, f64, usize) {
         assert_eq!(
             pairs.len(),
@@ -196,7 +211,7 @@ impl ReferenceSet {
         let mut best_chain_score = 0.0f64;
         let mut total_cells = 0usize;
         for ((mapper, name), (fwd, rev)) in self.mappers.iter().zip(&self.names).zip(pairs) {
-            let (mapping, score, cells) = mapper.finalize_mapping(query, fwd, rev);
+            let (mapping, score, cells) = mapper.finalize_mapping_with(query, fwd, rev, scratch);
             best_chain_score = best_chain_score.max(score);
             total_cells += cells;
             per_reference.push(ReferenceMapping {
@@ -250,7 +265,13 @@ impl ReferenceSet {
     /// own the scratch buffers and chainer pairs and pass them in.
     pub fn map(&self, query: &DnaSeq) -> SetMappingResult {
         let mut pairs = self.new_chainer_pairs();
-        self.map_with(query, &mut SeedScratch::new(), &mut Vec::new(), &mut pairs)
+        self.map_with(
+            query,
+            &mut SeedScratch::new(),
+            &mut Vec::new(),
+            &mut pairs,
+            &mut AlignScratch::new(),
+        )
     }
 
     /// Maps a whole read against every reference, reusing caller-owned
@@ -262,6 +283,7 @@ impl ReferenceSet {
         scratch: &mut SeedScratch,
         batches: &mut Vec<SeedBatch>,
         pairs: &mut [(IncrementalChainer, IncrementalChainer)],
+        align: &mut AlignScratch,
     ) -> SetMappingResult {
         assert_eq!(
             pairs.len(),
@@ -282,7 +304,7 @@ impl ReferenceSet {
             counters.chain_evals += fwd.dp_evaluations() + rev.dp_evaluations();
         }
         let (per_reference, best, best_chain_score, align_cells) =
-            self.finalize_mapping(query, pairs);
+            self.finalize_mapping_with(query, pairs, align);
         counters.align_cells = align_cells;
         SetMappingResult {
             per_reference,
@@ -410,9 +432,10 @@ mod tests {
         let mut scratch = SeedScratch::new();
         let mut batches = Vec::new();
         let mut pairs = set.new_chainer_pairs();
+        let mut align = AlignScratch::new();
         for (i, g) in refs.iter().enumerate() {
             let q = g.sequence().subseq(3_000 + i * 1_000, 700);
-            let reused = set.map_with(&q, &mut scratch, &mut batches, &mut pairs);
+            let reused = set.map_with(&q, &mut scratch, &mut batches, &mut pairs, &mut align);
             assert_eq!(reused, set.map(&q), "query {i} diverged under reuse");
         }
     }
