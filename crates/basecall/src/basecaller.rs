@@ -26,8 +26,10 @@ impl CallScratch {
 }
 
 /// The typed panic payload [`Basecaller::call_chunk_with`] raises when a
-/// chunk's signal fails the integrity check (non-finite samples) before
-/// decoding.
+/// chunk's signal fails the integrity check before decoding: a sample that is
+/// NaN or infinite, or — after normalization — so large that its square is
+/// infinite (`|x| > 1.8e19`; the emission MVM multiplies by `x²`, so such a
+/// sample turns every score into `-inf` or NaN just as an infinite one does).
 ///
 /// Raised via [`std::panic::panic_any`] so fault-tolerant executors can
 /// `downcast` the payload and classify the fault as corrupt *input* rather
@@ -36,7 +38,7 @@ impl CallScratch {
 /// `FaultPolicy` instead of tearing the run down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignalFault {
-    /// Index of the first non-finite sample within the offending chunk.
+    /// Index of the first offending sample within the chunk.
     pub sample_index: usize,
 }
 
@@ -44,7 +46,7 @@ impl std::fmt::Display for SignalFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "corrupt signal: non-finite sample at chunk offset {}",
+            "corrupt signal: non-finite sample or sample square at chunk offset {}",
             self.sample_index
         )
     }
@@ -191,11 +193,12 @@ impl LaneDecoder {
     ///
     /// # Panics
     ///
-    /// Panics with a typed [`SignalFault`] if any job contains a non-finite
-    /// sample. Unlike the scalar path — which faults when the offending
-    /// chunk is reached — the batch checks every job up front, before any
-    /// decoding; a caller that needs per-read fault attribution must
-    /// pre-screen its jobs and route corrupt chunks to the scalar path.
+    /// Panics with a typed [`SignalFault`] if any job fails the integrity
+    /// check of [`Basecaller::call_chunk_with`]. Unlike the scalar path —
+    /// which faults when the offending chunk is reached — the batch checks
+    /// every job up front, before any decoding; a caller that needs per-read
+    /// fault attribution must pre-screen its jobs and route corrupt chunks
+    /// to the scalar path.
     pub fn call_batch(
         &self,
         caller: &Basecaller,
@@ -210,20 +213,11 @@ impl LaneDecoder {
             }
             return;
         }
-        for job in jobs {
-            if let Some(sample_index) = job.samples.iter().position(|s| !s.is_finite()) {
-                std::panic::panic_any(SignalFault { sample_index });
-            }
-        }
         if scratch.normalized.len() < jobs.len() {
             scratch.normalized.resize_with(jobs.len(), Vec::new);
         }
         for (buf, job) in scratch.normalized.iter_mut().zip(jobs) {
-            buf.clear();
-            buf.extend_from_slice(job.samples);
-            if caller.normalize {
-                normalize_to_model(buf, &caller.pore);
-            }
+            caller.checked_normalized(job.samples, buf);
         }
         let lane_jobs: Vec<LaneJob> = scratch.normalized[..jobs.len()]
             .iter()
@@ -388,11 +382,11 @@ impl Basecaller {
     /// # Panics
     ///
     /// Panics with a typed [`SignalFault`] payload (via
-    /// [`std::panic::panic_any`]) if any sample is non-finite — NaN or
-    /// infinite current readings would poison the emission MVMs and decode
-    /// to garbage, so they are rejected before decoding starts. Executors
-    /// with a fault policy catch and classify this; everything else fails
-    /// fast.
+    /// [`std::panic::panic_any`]) if any sample is non-finite or, once
+    /// normalized, has a non-finite square — such readings would poison the
+    /// emission MVMs and decode to garbage, so they are rejected before
+    /// decoding starts. Executors with a fault policy catch and classify
+    /// this; everything else fails fast.
     pub fn call_chunk_with(
         &self,
         samples: &[f32],
@@ -408,15 +402,8 @@ impl Basecaller {
                 stats: ChunkStats::default(),
             };
         }
-        if let Some(sample_index) = samples.iter().position(|s| !s.is_finite()) {
-            std::panic::panic_any(SignalFault { sample_index });
-        }
-        scratch.normalized.clear();
-        scratch.normalized.extend_from_slice(samples);
         let normalized = &mut scratch.normalized;
-        if self.normalize {
-            normalize_to_model(normalized, &self.pore);
-        }
+        self.checked_normalized(samples, normalized);
         let stats = decode_with(
             &self.emission,
             normalized,
@@ -431,6 +418,24 @@ impl Basecaller {
             carry,
             stats,
         )
+    }
+
+    /// Copies `samples` into `out`, normalized if this basecaller normalizes,
+    /// and checks them: the one integrity gate in front of every decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a typed [`SignalFault`] naming the first sample that is
+    /// non-finite (the normalization's median sort needs numbers) or whose
+    /// normalized square is.
+    fn checked_normalized(&self, samples: &[f32], out: &mut Vec<f32>) {
+        out.clear();
+        out.extend_from_slice(samples);
+        if self.normalize {
+            fault_unless(out, |x| x.is_finite());
+            normalize_to_model(out, &self.pore);
+        }
+        fault_unless(out, |x| (x * x).is_finite());
     }
 
     /// Turns one chunk's decoded state path into bases, qualities, and the
@@ -550,6 +555,13 @@ impl Basecaller {
             chunk_lengths,
             stats,
         }
+    }
+}
+
+/// Raises a [`SignalFault`] at the first sample `ok` rejects.
+fn fault_unless(samples: &[f32], ok: impl Fn(f32) -> bool) {
+    if let Some(sample_index) = samples.iter().position(|&x| !ok(x)) {
+        std::panic::panic_any(SignalFault { sample_index });
     }
 }
 
@@ -741,6 +753,82 @@ mod tests {
                 .downcast_ref::<SignalFault>()
                 .map(|f| f.sample_index),
             Some(5)
+        );
+    }
+
+    #[test]
+    fn finite_samples_that_overflow_the_emission_raise_a_typed_fault() {
+        // 3e38 is a finite f32 whose emission terms are +inf and -inf (a NaN
+        // row: this used to die in the traceback with "finite scores"), and
+        // 1e20 squares to +inf (an all -inf row, which used to decode to a
+        // meaningless path without a word).
+        let (synth, caller) = setup();
+        let clean = synth.synthesize(&truth(400, 19), 1.0, 20).samples;
+        let fault_of = |samples: &[f32], carry| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                caller.call_chunk(samples, carry)
+            }))
+            .expect_err("overflowing samples must fault");
+            *payload
+                .downcast_ref::<SignalFault>()
+                .expect("typed SignalFault payload")
+        };
+        for bad in [3e38f32, -3e38, 1e20, -1e20] {
+            let mut samples = clean.clone();
+            samples[123] = bad;
+            assert_eq!(fault_of(&samples, None).sample_index, 123, "{bad}");
+            assert_eq!(fault_of(&samples, Some(CarryState(7))).sample_index, 123);
+        }
+        assert_eq!(fault_of(&[3e38; 50], None).sample_index, 0);
+        // The largest magnitudes with a finite square still decode.
+        let mut samples = clean.clone();
+        samples[123] = 1.8e19;
+        samples[124] = -1.8e19;
+        assert_eq!(
+            caller.call_chunk(&samples, None).stats.samples,
+            samples.len()
+        );
+
+        // With normalization on, the check runs on the normalized samples:
+        // one huge outlier among ordinary readings is scaled by target MAD /
+        // MAD like the rest, and still overflows its square.
+        let normalizing = caller.clone().with_normalization(true);
+        let mut samples = clean.clone();
+        samples[9] = 3e38;
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            normalizing.call_chunk(&samples, None)
+        }))
+        .expect_err("must fault after normalization too");
+        assert_eq!(
+            payload
+                .downcast_ref::<SignalFault>()
+                .map(|f| f.sample_index),
+            Some(9)
+        );
+
+        // The lane-batched front end goes through the same gate.
+        let mut samples = clean.clone();
+        samples[77] = 1e20;
+        let jobs = [
+            ChunkJob {
+                samples: &clean,
+                carry: None,
+            },
+            ChunkJob {
+                samples: &samples,
+                carry: None,
+            },
+        ];
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut out = Vec::new();
+            LaneDecoder::new(4).call_batch(&caller, &jobs, &mut LaneScratch::new(), &mut out);
+        }))
+        .expect_err("the batch must fault");
+        assert_eq!(
+            payload
+                .downcast_ref::<SignalFault>()
+                .map(|f| f.sample_index),
+            Some(77)
         );
     }
 

@@ -16,6 +16,9 @@ use genpip_signal::PoreModel;
 pub struct EmissionModel {
     /// Flattened `states × 3` weight matrix, row-major.
     weights: Vec<f32>,
+    /// The same weights column-major (`[w0 × states | w1 × states |
+    /// w2 × states]`), which is how the block kernel walks them.
+    columns: Vec<f32>,
     states: usize,
     assumed_std: f32,
 }
@@ -41,8 +44,12 @@ impl EmissionModel {
             weights.push(2.0 * mu * inv2s2); // coefficient of x
             weights.push(-mu * mu * inv2s2); // constant term
         }
+        let columns = (0..Self::FEATURES)
+            .flat_map(|f| weights.iter().skip(f).step_by(Self::FEATURES).copied())
+            .collect();
         EmissionModel {
             weights,
+            columns,
             states,
             assumed_std: sigma,
         }
@@ -93,11 +100,17 @@ impl EmissionModel {
     pub const BLOCK: usize = 8;
 
     /// Computes emission log-likelihoods for up to [`EmissionModel::BLOCK`]
-    /// samples in one strided pass: `out[i * states + s]` receives the
-    /// log-likelihood of state `s` for sample `xs[i]`.
+    /// samples: `out[i * states + s]` receives the log-likelihood of state
+    /// `s` for sample `xs[i]`.
     ///
-    /// Each output value is computed with the same operation order as
-    /// [`EmissionModel::log_likelihoods`], so the two are bit-identical.
+    /// The loop is sample-outer, state-inner over structure-of-arrays weight
+    /// columns (`w0[s]`, `w1[s]`, `w2[s]` each contiguous, built once in
+    /// [`EmissionModel::from_pore_model`]), so both the weight reads and the
+    /// output writes are stride-1 and the state loop compiles to packed
+    /// multiplies and adds. Each value is still
+    /// `w0·x² + w1·x + w2·1` evaluated left to right in `f32` — the operation
+    /// order of [`EmissionModel::log_likelihoods`] — so the two are
+    /// bit-identical.
     ///
     /// # Panics
     ///
@@ -109,15 +122,31 @@ impl EmissionModel {
             xs.len() * self.states,
             "output buffer size mismatch"
         );
-        let mut features = [[0.0f32; 3]; Self::BLOCK];
-        for (f, &x) in features.iter_mut().zip(xs) {
-            *f = Self::features(x);
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = "avx2")]
+            fn block_avx2(model: &EmissionModel, xs: &[f32], out: &mut [f32]) {
+                model.block(xs, out)
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the host supports AVX2, checked on the line above.
+                return unsafe { block_avx2(self, xs, out) };
+            }
         }
-        for s in 0..self.states {
-            let row = &self.weights[s * Self::FEATURES..(s + 1) * Self::FEATURES];
-            let (w0, w1, w2) = (row[0], row[1], row[2]);
-            for (i, f) in features[..xs.len()].iter().enumerate() {
-                out[i * self.states + s] = w0 * f[0] + w1 * f[1] + w2 * f[2];
+        self.block(xs, out)
+    }
+
+    /// Body of [`EmissionModel::log_likelihoods_block`], sizes already
+    /// checked.
+    #[inline(always)]
+    pub(crate) fn block(&self, xs: &[f32], out: &mut [f32]) {
+        let n = self.states;
+        let (w0, rest) = self.columns.split_at(n);
+        let (w1, w2) = rest.split_at(n);
+        for (&x, row) in xs.iter().zip(out.chunks_exact_mut(n)) {
+            let f = Self::features(x);
+            for (((o, w0), w1), w2) in row.iter_mut().zip(w0).zip(w1).zip(w2) {
+                *o = w0 * f[0] + w1 * f[1] + w2 * f[2];
             }
         }
     }

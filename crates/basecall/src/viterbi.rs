@@ -10,19 +10,39 @@
 //! # Hot-path organization
 //!
 //! The decode is the dominant kernel of the whole pipeline (n·n_states DP
-//! cells per chunk), so the implementation is built for steady-state reuse:
+//! cells per chunk), so the implementation is built for steady-state reuse
+//! and for the vector units:
 //!
 //! * all working memory lives in a caller-owned [`DecodeScratch`], so
 //!   decoding a stream of equally sized chunks performs **zero heap
-//!   allocations** after the first chunk warms the buffers;
-//! * emissions are computed in strided blocks of [`EmissionModel::BLOCK`]
-//!   samples per call ([`EmissionModel::log_likelihoods_block`]), amortizing
-//!   per-call overhead;
-//! * the inner DP loop exploits the state-space structure: the advance
-//!   predecessor set of state `s` depends only on `s >> 2`, so the
-//!   4-predecessor gather is hoisted out and computed once per predecessor
-//!   group (a 4× reduction of the gather work), leaving two flat passes the
-//!   compiler can autovectorize.
+//!   allocations** after the first chunk warms the buffers, and nothing but
+//!   row 0 of the backpointer matrix is cleared between chunks (rows 1… are
+//!   overwritten before the traceback reads them);
+//! * emissions are computed [`EmissionModel::BLOCK`] samples at a time over
+//!   structure-of-arrays weight columns
+//!   ([`EmissionModel::log_likelihoods_block`]);
+//! * a DP row is two elementwise sweeps over contiguous slices, with no
+//!   gather and no data-dependent branch. **Pass 1**: the advance
+//!   predecessors of state `s` are `(s >> 2) | (c << k_shift)` for
+//!   `c = 0..4`, i.e. element `s >> 2` of each of the four contiguous
+//!   *quarters* of the previous row, so the best predecessor per group is a
+//!   4-way strict-`>` maximum, with the winning quarter kept as the choice,
+//!   over `n_states / 4`-wide slices; the result is then repeated ×4 into
+//!   `n_states`-wide rows. **Pass 2**: `take = advance > stay` selects the
+//!   score, the emission is added in the same sweep, and the backpointer is
+//!   `choice & mask(take)` — a mask, not a conditional load, which is what
+//!   lets the `f32` and `u8` lanes stay packed.
+//!
+//! Every value is produced by the same `f32` `+` and strict `>` on the same
+//! operands in the same order as the scalar kernel this replaced (selects
+//! instead of branches, nothing reassociated), so states, advance flags,
+//! score and the `mvm_ops` / `cells` counters are bit-identical to it; the
+//! scalar kernel lives on, test-only, as the oracle of
+//! `viterbi/differential.rs`. On x86-64 the two stages of a block — the
+//! emission MVMs and the DP rows over them — are each compiled twice from
+//! one `#[inline(always)]` body, portable and under
+//! `#[target_feature(enable = "avx2")]`, and picked at run time per block;
+//! there are no intrinsics.
 
 use crate::emission::EmissionModel;
 
@@ -67,17 +87,23 @@ pub struct DecodeStats {
 /// Reusable decode workspace.
 ///
 /// Holds every buffer the DP needs (backpointers, score rows, emission
-/// block, the hoisted advance-gather rows, and the output state path).
-/// Buffers grow to the largest chunk seen and are then reused, so a
+/// block, the per-group and expanded advance rows, and the output state
+/// path). Buffers grow to the largest chunk seen and are then reused, so a
 /// steady-state stream of chunks decodes without touching the allocator.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
+    /// One row of `n_states` bytes per sample; never shrinks, and only row 0
+    /// is cleared per decode.
     backptr: Vec<u8>,
     prev: Vec<f32>,
     curr: Vec<f32>,
     emit: Vec<f32>,
+    /// Pass 1's result per predecessor group (`n_states / 4` wide) …
     adv_best: Vec<f32>,
     adv_choice: Vec<u8>,
+    /// … and repeated ×4 (`n_states` wide), aligned with the score rows.
+    adv_best_x: Vec<f32>,
+    adv_choice_x: Vec<u8>,
     states: Vec<u16>,
     advanced: Vec<bool>,
 }
@@ -103,26 +129,142 @@ impl DecodeScratch {
         self.states.last().copied()
     }
 
-    /// Grows every buffer for an `n`-sample, `n_states`-state decode.
+    /// Sizes every buffer for an `n`-sample, `n_states`-state decode.
     /// `resize` reuses existing capacity, so this allocates only when a
     /// larger chunk than ever before arrives.
     fn prepare(&mut self, n: usize, n_states: usize) {
-        self.backptr.clear();
-        self.backptr.resize(n * n_states, 0);
-        self.prev.clear();
+        // Every buffer but two is written in full before it is read — the
+        // score, emission and advance rows per sample, rows 1.. of the
+        // backpointer matrix by the DP, `states` by the traceback — so only
+        // its length matters. Row 0 of the matrix is read as left by the
+        // init (which writes at most four entries), and `advanced[0]` is
+        // written only on a stitched start: those start from zero.
+        if self.backptr.len() < n * n_states {
+            self.backptr.resize(n * n_states, 0);
+        }
+        if n > 0 {
+            self.backptr[..n_states].fill(0);
+        }
         self.prev.resize(n_states, 0.0);
-        self.curr.clear();
         self.curr.resize(n_states, 0.0);
-        self.emit.clear();
         self.emit.resize(EmissionModel::BLOCK * n_states, 0.0);
-        self.adv_best.clear();
         self.adv_best.resize(n_states / 4, 0.0);
-        self.adv_choice.clear();
         self.adv_choice.resize(n_states / 4, 0);
-        self.states.clear();
+        self.adv_best_x.resize(n_states, 0.0);
+        self.adv_choice_x.resize(n_states, 0);
         self.states.resize(n, 0);
         self.advanced.clear();
         self.advanced.resize(n, false);
+    }
+
+    /// Row 0: the first sample's scores into `prev`, and — when stitched to
+    /// `init_state` — the boundary step's backpointers into row 0.
+    ///
+    /// Backpointers: 0 = stay, 1 + c = advance where the dropped leading base
+    /// was c (predecessor = (s >> 2) | (c << k_shift)).
+    fn init_row(
+        &mut self,
+        emission: &EmissionModel,
+        x: f32,
+        tr: Transitions,
+        init_state: Option<u16>,
+    ) {
+        let n_states = emission.states();
+        let k_shift = (n_states.trailing_zeros() - 2) as usize; // 2(k-1) bits
+        let (prev, emit, backptr) = (&mut self.prev, &mut self.emit, &mut self.backptr);
+        emission.log_likelihoods(x, &mut emit[..n_states]);
+        match init_state {
+            Some(s0) => {
+                // The previous chunk ended in s0; crossing the chunk boundary
+                // is one ordinary HMM step, so the first sample either stays
+                // in s0 or advances into one of its successors.
+                let s0 = s0 as usize;
+                prev.fill(f32::NEG_INFINITY);
+                prev[s0] = emit[s0] + tr.log_stay;
+                for b in 0..4usize {
+                    let succ = ((s0 << 2) | b) & (n_states - 1);
+                    let cand = emit[succ] + tr.log_advance;
+                    if cand > prev[succ] {
+                        prev[succ] = cand;
+                        // Dropped leading base of the advance = s0's top 2 bits.
+                        backptr[succ] = 1 + (s0 >> k_shift) as u8;
+                    }
+                }
+            }
+            None => prev.copy_from_slice(&emit[..n_states]),
+        }
+    }
+
+    /// DP rows `t0..t0 + len` (one [`dp_row`] each) from the emissions in
+    /// the first `len` rows of the scratch's emission block, on a scratch the
+    /// current decode has sized; leaves the last row in `prev`. Compiled for
+    /// the widest vectors the host has.
+    ///
+    /// Not part of the API: public only so that the kernel bench can time
+    /// this stage of [`decode_with`] on its own.
+    #[doc(hidden)]
+    pub fn dp_rows(&mut self, t0: usize, len: usize, tr: Transitions) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = "avx2")]
+            fn dp_rows_avx2(s: &mut DecodeScratch, t0: usize, len: usize, tr: Transitions) {
+                s.dp_rows_body(t0, len, tr)
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the host supports AVX2, checked on the line above.
+                return unsafe { dp_rows_avx2(self, t0, len, tr) };
+            }
+        }
+        self.dp_rows_body(t0, len, tr)
+    }
+
+    #[inline(always)]
+    fn dp_rows_body(&mut self, t0: usize, len: usize, tr: Transitions) {
+        let n_states = self.prev.len();
+        for i in 0..len {
+            dp_row(
+                tr,
+                &self.prev,
+                &self.emit[i * n_states..][..n_states],
+                &mut self.curr,
+                &mut self.backptr[(t0 + i) * n_states..][..n_states],
+                &mut self.adv_best,
+                &mut self.adv_choice,
+                &mut self.adv_best_x,
+                &mut self.adv_choice_x,
+            );
+            std::mem::swap(&mut self.prev, &mut self.curr);
+        }
+    }
+
+    /// Walks the backpointers from the best final state (last row in `prev`)
+    /// to sample 0, writing `states` and `advanced` (at least one sample
+    /// long); returns the path score.
+    ///
+    /// Not part of the API: public only so that the kernel bench can time
+    /// this stage of [`decode_with`] on its own.
+    #[doc(hidden)]
+    pub fn traceback(&mut self, stitched: bool) -> f64 {
+        let n_states = self.prev.len();
+        let k_shift = (n_states.trailing_zeros() - 2) as usize;
+        let (mut state, score) = last_argmax(self.prev.iter().copied());
+        for t in (1..self.states.len()).rev() {
+            self.states[t] = state as u16;
+            let choice = self.backptr[t * n_states + state];
+            self.advanced[t] = choice != 0;
+            if choice != 0 {
+                state = (state >> 2) | (((choice - 1) as usize) << k_shift);
+            }
+        }
+        self.states[0] = state as u16;
+        // Sample 0 advanced only if we were stitched to a previous chunk and
+        // the winning path took the boundary-advance branch. states[0] then
+        // already holds the advanced-into state, which is what callers emit
+        // from.
+        if stitched {
+            self.advanced[0] = self.backptr[state] != 0;
+        }
+        score as f64
     }
 }
 
@@ -187,7 +329,10 @@ pub fn decode(
 ///
 /// Returns an empty outcome for an empty sample slice. In steady state
 /// (chunks no larger than previously decoded ones) this performs no heap
-/// allocation — verified by `tests/alloc_free.rs`.
+/// allocation — verified by `tests/alloc_free.rs`. The function is total:
+/// samples that drive every score to `-inf` or NaN still decode to *a* path
+/// (callers that must reject such input check it first, as
+/// `Basecaller::call_chunk_with` does).
 pub fn decode_with(
     emission: &EmissionModel,
     samples: &[f32],
@@ -200,132 +345,98 @@ pub fn decode_with(
     let n = samples.len();
     scratch.prepare(n, n_states);
     if n == 0 {
-        return DecodeStats {
-            score: 0.0,
-            mvm_ops: 0,
-            cells: 0,
-        };
+        return DecodeStats::default();
     }
-    let k_shift = (n_states.trailing_zeros() - 2) as usize; // 2(k-1) bits
-    let n_groups = n_states >> 2;
-    let neg_inf = f32::NEG_INFINITY;
-    let log_stay = transitions.log_stay;
-    let log_advance = transitions.log_advance;
-
-    let DecodeScratch {
-        backptr,
-        prev,
-        curr,
-        emit,
-        adv_best,
-        adv_choice,
-        states,
-        advanced,
-    } = scratch;
-
-    // Backpointers: 0 = stay, 1 + c = advance where the dropped leading base
-    // was c (predecessor = (s >> 2) | (c << k_shift)).
-    emission.log_likelihoods(samples[0], &mut emit[..n_states]);
-    match init_state {
-        Some(s0) => {
-            // The previous chunk ended in s0; crossing the chunk boundary is
-            // one ordinary HMM step, so the first sample either stays in s0
-            // or advances into one of its successors.
-            let s0 = s0 as usize;
-            prev.fill(neg_inf);
-            prev[s0] = emit[s0] + log_stay;
-            for b in 0..4usize {
-                let succ = ((s0 << 2) | b) & (n_states - 1);
-                let cand = emit[succ] + log_advance;
-                if cand > prev[succ] {
-                    prev[succ] = cand;
-                    // Dropped leading base of the advance = s0's top 2 bits.
-                    backptr[succ] = 1 + (s0 >> k_shift) as u8;
-                }
-            }
-        }
-        None => {
-            prev.copy_from_slice(&emit[..n_states]);
-        }
+    scratch.init_row(emission, samples[0], transitions, init_state);
+    let mut t = 1;
+    while t < n {
+        let len = EmissionModel::BLOCK.min(n - t);
+        emission.log_likelihoods_block(&samples[t..t + len], &mut scratch.emit[..len * n_states]);
+        scratch.dp_rows(t, len, transitions);
+        t += len;
     }
-
-    // Main DP, in emission blocks: samples [t0, t0 + len) share one strided
-    // emission computation.
-    let mut t0 = 1usize;
-    while t0 < n {
-        let len = EmissionModel::BLOCK.min(n - t0);
-        emission.log_likelihoods_block(&samples[t0..t0 + len], &mut emit[..len * n_states]);
-        for i in 0..len {
-            let t = t0 + i;
-            let emit_row = &emit[i * n_states..(i + 1) * n_states];
-            let bp = &mut backptr[t * n_states..(t + 1) * n_states];
-
-            // Pass 1 (hoisted gather): the advance candidates of state `s`
-            // depend only on `low = s >> 2`, so find, per group, the best of
-            // the 4 predecessors `low | (c << k_shift)` once instead of four
-            // times per state.
-            for low in 0..n_groups {
-                let mut best = prev[low];
-                let mut choice = 1u8; // c = 0
-                for c in 1..4usize {
-                    let v = prev[low | (c << k_shift)];
-                    if v > best {
-                        best = v;
-                        choice = 1 + c as u8;
-                    }
-                }
-                adv_best[low] = best + log_advance;
-                adv_choice[low] = choice;
-            }
-
-            // Pass 2: flat stay-vs-advance select over all states.
-            for s in 0..n_states {
-                let stay = prev[s] + log_stay;
-                let adv = adv_best[s >> 2];
-                if adv > stay {
-                    curr[s] = adv + emit_row[s];
-                    bp[s] = adv_choice[s >> 2];
-                } else {
-                    curr[s] = stay + emit_row[s];
-                    bp[s] = 0;
-                }
-            }
-            std::mem::swap(prev, curr);
-        }
-        t0 += len;
-    }
-
-    // Traceback.
-    let (mut state, score) = prev
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
-        .map(|(s, &v)| (s, v as f64))
-        .expect("non-empty state space");
-    for t in (1..n).rev() {
-        states[t] = state as u16;
-        let choice = backptr[t * n_states + state];
-        if choice == 0 {
-            advanced[t] = false;
-        } else {
-            advanced[t] = true;
-            let c = (choice - 1) as usize;
-            state = (state >> 2) | (c << k_shift);
-        }
-    }
-    states[0] = state as u16;
-    // Sample 0 advanced only if we were stitched to a previous chunk and the
-    // winning path took the boundary-advance branch. states[0] then already
-    // holds the advanced-into state, which is what callers emit from.
-    if init_state.is_some() {
-        advanced[0] = backptr[state] != 0;
-    }
-
+    let score = scratch.traceback(init_state.is_some());
     DecodeStats {
         score,
         mvm_ops: n,
         cells: n * n_states,
     }
+}
+
+/// One DP row: `curr` and the backpointer row `bp` from `prev` and the
+/// sample's emissions, all `n_states` wide (see the module docs for the two
+/// passes and why they are bit-identical to the scalar recurrence).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn dp_row(
+    tr: Transitions,
+    prev: &[f32],
+    emit: &[f32],
+    curr: &mut [f32],
+    bp: &mut [u8],
+    adv_best: &mut [f32],
+    adv_choice: &mut [u8],
+    adv_best_x: &mut [f32],
+    adv_choice_x: &mut [u8],
+) {
+    let n_states = prev.len();
+    let n_groups = n_states / 4;
+
+    // Pass 1: prev[low | (c << k_shift)] is element `low` of quarter `c`.
+    let (q0, rest) = prev.split_at(n_groups);
+    let (q1, rest) = rest.split_at(n_groups);
+    let (q2, q3) = rest.split_at(n_groups);
+    let (q3, adv_best, adv_choice) = (
+        &q3[..n_groups],
+        &mut adv_best[..n_groups],
+        &mut adv_choice[..n_groups],
+    );
+    for low in 0..n_groups {
+        let (mut best, mut choice) = (q0[low], 1u8);
+        for (c, v) in [(2u8, q1[low]), (3, q2[low]), (4, q3[low])] {
+            let better = v > best;
+            best = if better { v } else { best };
+            choice = if better { c } else { choice };
+        }
+        adv_best[low] = best + tr.log_advance;
+        adv_choice[low] = choice;
+    }
+    let (best_x, _) = adv_best_x.as_chunks_mut::<4>();
+    let (choice_x, _) = adv_choice_x.as_chunks_mut::<4>();
+    let (best_x, choice_x) = (&mut best_x[..n_groups], &mut choice_x[..n_groups]);
+    for low in 0..n_groups {
+        best_x[low] = [adv_best[low]; 4];
+        choice_x[low] = [adv_choice[low]; 4];
+    }
+
+    // Pass 2: stay or advance, emission added in the same sweep.
+    let (emit, curr, bp, adv, choice) = (
+        &emit[..n_states],
+        &mut curr[..n_states],
+        &mut bp[..n_states],
+        &adv_best_x[..n_states],
+        &adv_choice_x[..n_states],
+    );
+    for s in 0..n_states {
+        let stay = prev[s] + tr.log_stay;
+        let take = adv[s] > stay;
+        curr[s] = (if take { adv[s] } else { stay }) + emit[s];
+        bp[s] = choice[s] & (take as u8).wrapping_neg();
+    }
+}
+
+/// Index and value of the maximum of `scores`, the *last* one among equals
+/// (`Iterator::max_by`'s rule); a NaN never beats a number, so no input
+/// panics. `scores` must be non-empty.
+fn last_argmax(scores: impl Iterator<Item = f32>) -> (usize, f32) {
+    let mut scores = scores.enumerate();
+    let mut best = scores.next().expect("non-empty state space");
+    for (s, v) in scores {
+        if v >= best.1 || best.1.is_nan() {
+            best = (s, v);
+        }
+    }
+    best
 }
 
 /// Maximum lane width of [`decode_lanes_with`]; widths are clamped to this
@@ -549,12 +660,7 @@ fn lane_traceback(
     out: &mut LaneOutcome,
 ) {
     let n = out.states.len();
-    let (mut state, score) = (0..n_states)
-        .map(|s| prev[s * width + l])
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
-        .map(|(s, v)| (s, v as f64))
-        .expect("non-empty state space");
+    let (mut state, score) = last_argmax((0..n_states).map(|s| prev[s * width + l]));
     for t in (1..n).rev() {
         out.states[t] = state as u16;
         let choice = plane[t * n_states + state];
@@ -571,7 +677,7 @@ fn lane_traceback(
         out.advanced[0] = plane[state] != 0;
     }
     out.stats = DecodeStats {
-        score,
+        score: score as f64,
         mvm_ops: n,
         cells: n * n_states,
     };
@@ -720,8 +826,7 @@ fn dp_row_any(
 ///
 /// # Panics
 ///
-/// Panics if `width` is 0 or exceeds [`MAX_LANES`], or (like the scalar
-/// path) if a job's samples produce non-finite scores.
+/// Panics if `width` is 0 or exceeds [`MAX_LANES`].
 pub fn decode_lanes_with(
     emission: &EmissionModel,
     transitions: Transitions,
@@ -971,6 +1076,9 @@ pub fn decode_lanes_with(
         }
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,8 @@
 //! These measure the *real* wall-clock cost of this reproduction's
 //! implementations (not the modelled hardware times): the MVM emission
 //! kernel, CAM search, Viterbi chunk decoding (allocation-free scratch
-//! path), the lane-batched SoA Viterbi kernel at widths 1/4/8 (a
+//! path) and its DP-row and traceback stages on their own, chunk
+//! normalization, the lane-batched SoA Viterbi kernel at widths 1/4/8 (a
 //! library-level option of `genpip_basecall`; scalar bit-identity asserted
 //! in-bench), minimizer extraction, chaining DP, the seed path (sketch,
 //! index lookup, chain) on one query, pan-genome mapping against 1 vs 3
@@ -29,6 +30,7 @@
 //! `host_threads` in the report: a single-core host shows ~1× regardless of
 //! worker count.
 
+use genpip_basecall::viterbi::{decode_with, DecodeScratch, Transitions};
 use genpip_basecall::{
     BasecalledChunk, Basecaller, CallScratch, ChunkJob, EmissionModel, LaneDecoder, LaneScratch,
 };
@@ -47,7 +49,7 @@ use genpip_mapping::{
     MinimizerScratch, ReferenceSet, SeedBatch, SeedScratch,
 };
 use genpip_pim::{CamBank, CrossbarArray};
-use genpip_signal::{PoreModel, SignalSynthesizer};
+use genpip_signal::{normalize_to_model, PoreModel, SignalSynthesizer};
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 
@@ -161,6 +163,48 @@ fn main() {
                     .call_chunk_with(black_box(&sig.samples), None, &mut scratch)
                     .bases
                     .len()
+            },
+        ));
+
+        // The stages of that chunk, one row each, so that the chunk row
+        // decomposes: emission MVMs (`mvm/emission_block8` × samples / 8),
+        // DP rows, traceback, and around them the integrity check, the copy
+        // into the scratch and the base/quality assembly. The DP rows run
+        // over the emission block the decode above left in the scratch,
+        // which is as warm as the decoder's own.
+        let n = sig.samples.len();
+        let transitions = Transitions::from_mean_dwell(synth.mean_dwell());
+        let mut decode = DecodeScratch::new();
+        decode_with(&emission, &sig.samples, transitions, None, &mut decode);
+        results.push(bench(
+            &format!("basecall/viterbi_dp_rows_{n}x{n_states}"),
+            Some((n as f64, "samples")),
+            || {
+                let mut t = 1;
+                while t < n {
+                    let len = EmissionModel::BLOCK.min(n - t);
+                    black_box(&mut decode).dp_rows(t, len, transitions);
+                    t += len;
+                }
+            },
+        ));
+        decode_with(&emission, &sig.samples, transitions, None, &mut decode);
+        results.push(bench(
+            &format!("basecall/viterbi_traceback_{n}"),
+            Some((n as f64, "samples")),
+            || black_box(&mut decode).traceback(false),
+        ));
+
+        // Median/MAD normalization of the same chunk (off in the pipeline's
+        // basecaller, so not a term of the chunk row): two full sorts and
+        // three `Vec`s per call today.
+        let mut normalized = sig.samples.clone();
+        results.push(bench(
+            &format!("signal/normalize_chunk_{n}"),
+            Some((n as f64, "samples")),
+            || {
+                normalized.copy_from_slice(&sig.samples);
+                normalize_to_model(black_box(&mut normalized), &pore).mad
             },
         ));
     }

@@ -106,8 +106,9 @@ impl ProgressSnapshot {
 /// What kind of fault took a read out of its run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The signal failed an integrity check (non-finite samples) before
-    /// decoding — the typed fault the basecaller raises for corrupt input.
+    /// The signal failed an integrity check (a sample that is non-finite, or
+    /// too large to square) before decoding — the typed fault the basecaller
+    /// raises for corrupt input.
     CorruptSignal,
     /// A chunk task panicked for any other reason.
     Panic,

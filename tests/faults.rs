@@ -12,7 +12,7 @@
 use genpip::core::engine::{Flow, Granularity, Session, SessionControl};
 use genpip::core::pipeline::ErMode;
 use genpip::core::stream::{FastqSink, StreamEvent, StreamOptions};
-use genpip::core::{FaultPolicy, GenPipConfig, Parallelism, ReadRun, SessionReport};
+use genpip::core::{FaultKind, FaultPolicy, GenPipConfig, Parallelism, ReadRun, SessionReport};
 use genpip::datasets::{DatasetProfile, FaultInjector, ReadSource, StreamingSimulator};
 
 const INJECT_RATE: f64 = 0.15;
@@ -115,6 +115,86 @@ fn quarantine_contains_faults_and_survivors_stay_bit_identical() {
                 // Emission order is preserved: failures land in pull order.
                 assert_eq!(failed, injected, "{label}: failure order diverged");
             }
+        }
+    }
+}
+
+/// Overwrites the whole signal of chosen reads with one (finite) value.
+struct Flatten<S> {
+    inner: S,
+    /// (read id, the value every sample of that read becomes).
+    reads: Vec<(u32, f32)>,
+}
+
+impl<S: ReadSource> ReadSource for Flatten<S> {
+    fn reference(&self) -> &genpip::genomics::Genome {
+        self.inner.reference()
+    }
+
+    fn pore_model(&self) -> &genpip::signal::PoreModel {
+        self.inner.pore_model()
+    }
+
+    fn mean_dwell(&self) -> f64 {
+        self.inner.mean_dwell()
+    }
+
+    fn next_read(&mut self) -> Option<genpip::datasets::SimulatedRead> {
+        let mut read = self.inner.next_read()?;
+        if let Some(&(_, value)) = self.reads.iter().find(|(id, _)| *id == read.id) {
+            read.signal.samples.fill(value);
+        }
+        Some(read)
+    }
+}
+
+#[test]
+fn finite_samples_that_overflow_the_decoder_cost_exactly_their_read() {
+    // 3e38 and 1e20 are finite, so they pass an `is_finite` screen, but the
+    // emission MVM overflows on them (NaN and all -inf rows). The basecaller
+    // must raise the typed `SignalFault` for them — not the traceback's
+    // untyped panic, and not a silently decoded garbage read — so that
+    // quarantine contains each to itself like any corrupt signal.
+    let poisoned = vec![(3u32, 3e38f32), (4, -3e38), (11, 1e20)];
+    for er in [ErMode::None, ErMode::Full] {
+        for parallelism in parallelism_sweep() {
+            let label = format!("{er:?} / {parallelism:?}");
+            let config = GenPipConfig::for_dataset(&profile())
+                .with_parallelism(parallelism)
+                .with_fault_policy(FaultPolicy::Quarantine);
+            let reference = baseline(&config, er, Granularity::Chunk);
+            let mut survivors = Vec::new();
+            let mut failed = Vec::new();
+            let report = Session::new(config.clone())
+                .flow(Flow::GenPip(er))
+                .granularity(Granularity::Chunk)
+                .source(
+                    "s",
+                    Flatten {
+                        inner: StreamingSimulator::new(&profile()),
+                        reads: poisoned.clone(),
+                    },
+                )
+                .sink("s", |event| match event {
+                    StreamEvent::Read(run) => survivors.push(run),
+                    StreamEvent::Failed { read_id, fault } => failed.push((read_id, fault)),
+                    _ => {}
+                })
+                .run()
+                .expect("session is valid");
+
+            let ids: Vec<u32> = failed.iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids, [3, 4, 11], "{label}: quarantined set");
+            for (id, fault) in &failed {
+                assert_eq!(fault.kind, FaultKind::CorruptSignal, "{label}: read {id}");
+                assert_eq!(fault.chunk, Some(0), "{label}: read {id}");
+            }
+            let expected: Vec<ReadRun> = reference
+                .into_iter()
+                .filter(|run| !ids.contains(&run.id))
+                .collect();
+            assert_eq!(survivors, expected, "{label}: survivors diverged");
+            assert_eq!(report.outcomes.failed, 3, "{label}");
         }
     }
 }
