@@ -2,10 +2,7 @@
 
 use crate::emission::EmissionModel;
 use crate::quality::QualityCalibration;
-use crate::viterbi::{
-    decode_lanes_with, decode_with, DecodeScratch, DecodeStats, LaneDecodeScratch, LaneJob,
-    Transitions, MAX_LANES,
-};
+use crate::viterbi::{decode_with, DecodeScratch, DecodeStats, Transitions};
 use genpip_genomics::{Base, DnaSeq, Phred};
 use genpip_signal::{chunk_boundaries, normalize_to_model, PoreModel};
 
@@ -124,8 +121,12 @@ impl ReadDecoder {
     }
 }
 
-/// One chunk job for [`LaneDecoder::call_batch`]: the raw samples plus the
-/// carry that stitches the chunk to its read's previous chunk.
+/// One `(samples, carry)` pair for [`LaneDecoder::call_batch`].
+///
+/// `ChunkJob`, [`LaneScratch`] and [`LaneDecoder`] are what is left of the
+/// lane-batched decoder (deleted: 0.19× of [`Basecaller::call_chunk_with`] at
+/// the kernel). They are kept only for `benchmarks/`, which compiles against
+/// these names, and go with the `benchmark` PR of ROADMAP item 3(a).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChunkJob<'a> {
     /// The chunk's raw signal samples.
@@ -134,13 +135,10 @@ pub struct ChunkJob<'a> {
     pub carry: Option<CarryState>,
 }
 
-/// Reusable workspace of [`LaneDecoder::call_batch`]: the lane-interleaved
-/// decode scratch, one normalization buffer per job slot, and a scalar
-/// fallback workspace for `width == 1` batches.
+/// Workspace of [`LaneDecoder::call_batch`]: one [`CallScratch`]. Kept only
+/// for `benchmarks/` (see [`ChunkJob`]).
 #[derive(Debug, Clone, Default)]
 pub struct LaneScratch {
-    decode: LaneDecodeScratch,
-    normalized: Vec<Vec<f32>>,
     scalar: CallScratch,
 }
 
@@ -151,54 +149,24 @@ impl LaneScratch {
     }
 }
 
-/// Lane-batched basecaller front end: decodes W independent chunks in
-/// lockstep through [`decode_lanes_with`] while producing, per job, a
-/// [`BasecalledChunk`] **bit-identical** to
-/// [`Basecaller::call_chunk_with`] on the same `(samples, carry)`.
-///
-/// The width is a throughput knob only — `1` is the scalar path itself
-/// (the fallback and oracle), and any wider batch reuses the scalar
-/// code for everything outside the DP (normalization and chunk assembly)
-/// so the outputs cannot drift.
+/// A loop over [`Basecaller::call_chunk_with`] under the deleted lane
+/// decoder's name. Kept only for `benchmarks/` (see [`ChunkJob`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneDecoder {
-    width: usize,
-}
+pub struct LaneDecoder;
 
 impl LaneDecoder {
-    /// Widest supported lane batch (= [`MAX_LANES`]).
-    pub const MAX_WIDTH: usize = MAX_LANES;
-
-    /// Creates a decoder with the given lane width, clamped to
-    /// `1..=MAX_WIDTH`.
-    pub fn new(width: usize) -> LaneDecoder {
-        LaneDecoder {
-            width: width.clamp(1, Self::MAX_WIDTH),
-        }
+    /// The width is ignored: there is no lane kernel left to size.
+    pub fn new(_width: usize) -> LaneDecoder {
+        LaneDecoder
     }
 
-    /// The (clamped) lane width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Basecalls a batch of independent chunk jobs, pushing one
-    /// [`BasecalledChunk`] per job (in job order) onto `out`.
-    ///
-    /// Jobs may come from different reads and have different lengths; a
-    /// lane whose chunk ends early refills from the remaining jobs without
-    /// stalling the batch, so `jobs.len()` may exceed the width. Batches
-    /// of fewer than two jobs, and `width == 1` decoders, take the scalar
-    /// path directly.
+    /// Clears `out`, then pushes [`Basecaller::call_chunk_with`] of every
+    /// job, in job order.
     ///
     /// # Panics
     ///
-    /// Panics with a typed [`SignalFault`] if any job fails the integrity
-    /// check of [`Basecaller::call_chunk_with`]. Unlike the scalar path —
-    /// which faults when the offending chunk is reached — the batch checks
-    /// every job up front, before any decoding; a caller that needs per-read
-    /// fault attribution must pre-screen its jobs and route corrupt chunks
-    /// to the scalar path.
+    /// Panics with a typed [`SignalFault`] when it reaches a job that fails
+    /// the integrity check, exactly as [`Basecaller::call_chunk_with`] does.
     pub fn call_batch(
         &self,
         caller: &Basecaller,
@@ -207,46 +175,8 @@ impl LaneDecoder {
         out: &mut Vec<BasecalledChunk>,
     ) {
         out.clear();
-        if self.width == 1 || jobs.len() < 2 {
-            for job in jobs {
-                out.push(caller.call_chunk_with(job.samples, job.carry, &mut scratch.scalar));
-            }
-            return;
-        }
-        if scratch.normalized.len() < jobs.len() {
-            scratch.normalized.resize_with(jobs.len(), Vec::new);
-        }
-        for (buf, job) in scratch.normalized.iter_mut().zip(jobs) {
-            caller.checked_normalized(job.samples, buf);
-        }
-        let lane_jobs: Vec<LaneJob> = scratch.normalized[..jobs.len()]
-            .iter()
-            .zip(jobs)
-            .map(|(buf, job)| LaneJob {
-                samples: buf,
-                init_state: job.carry.map(|c| c.0),
-            })
-            .collect();
-        // A batch smaller than the configured width would leave lanes empty
-        // for the whole decode, forcing every row down the partial-occupancy
-        // path; output is bit-identical at every width, so shrink to fit.
-        let width = self.width.min(lane_jobs.len());
-        decode_lanes_with(
-            &caller.emission,
-            caller.transitions,
-            &lane_jobs,
-            width,
-            &mut scratch.decode,
-        );
-        for (j, job) in jobs.iter().enumerate() {
-            let outcome = scratch.decode.outcome(j);
-            out.push(caller.assemble_chunk(
-                &scratch.normalized[j],
-                outcome.states(),
-                outcome.advanced(),
-                job.carry,
-                outcome.stats(),
-            ));
+        for job in jobs {
+            out.push(caller.call_chunk_with(job.samples, job.carry, &mut scratch.scalar));
         }
     }
 }
@@ -438,10 +368,9 @@ impl Basecaller {
         fault_unless(out, |x| (x * x).is_finite());
     }
 
-    /// Turns one chunk's decoded state path into bases, qualities, and the
-    /// carry — the post-decode half of [`Basecaller::call_chunk_with`],
-    /// shared verbatim with the lane-batched path so both are structurally
-    /// bit-identical.
+    /// Turns one non-empty chunk's decoded state path into bases, qualities,
+    /// and the carry — the post-decode half of
+    /// [`Basecaller::call_chunk_with`].
     fn assemble_chunk(
         &self,
         normalized: &[f32],
@@ -450,15 +379,6 @@ impl Basecaller {
         carry: Option<CarryState>,
         stats: DecodeStats,
     ) -> BasecalledChunk {
-        if normalized.is_empty() {
-            return BasecalledChunk {
-                bases: DnaSeq::new(),
-                quals: Vec::new(),
-                sqs: 0.0,
-                carry,
-                stats: ChunkStats::default(),
-            };
-        }
         let k = self.pore.k();
         let assumed_var = {
             let s = self.emission.assumed_std();
@@ -805,31 +725,6 @@ mod tests {
                 .map(|f| f.sample_index),
             Some(9)
         );
-
-        // The lane-batched front end goes through the same gate.
-        let mut samples = clean.clone();
-        samples[77] = 1e20;
-        let jobs = [
-            ChunkJob {
-                samples: &clean,
-                carry: None,
-            },
-            ChunkJob {
-                samples: &samples,
-                carry: None,
-            },
-        ];
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut out = Vec::new();
-            LaneDecoder::new(4).call_batch(&caller, &jobs, &mut LaneScratch::new(), &mut out);
-        }))
-        .expect_err("the batch must fault");
-        assert_eq!(
-            payload
-                .downcast_ref::<SignalFault>()
-                .map(|f| f.sample_index),
-            Some(77)
-        );
     }
 
     #[test]
@@ -857,117 +752,48 @@ mod tests {
     }
 
     #[test]
-    fn lane_batch_matches_scalar_chunks_bit_identically() {
-        // Chunks from different reads, different lengths, with and without
-        // carries, through every interesting width — each output chunk must
-        // equal the scalar call on the same (samples, carry).
+    fn call_batch_is_call_chunk_with_per_job() {
+        // The shim kept for `benchmarks/`: stitched chunks of two reads and
+        // an empty job, through a decoder built narrower than the job list.
         let (synth, caller) = setup();
-        let sigs: Vec<Vec<f32>> = (0..5u64)
-            .map(|seed| {
-                synth
-                    .synthesize(&truth(300 + 140 * seed as usize, seed * 2 + 1), 1.2, seed)
-                    .samples
-            })
-            .collect();
-        let mut jobs: Vec<ChunkJob> = Vec::new();
+        let sigs = [
+            synth.synthesize(&truth(700, 21), 1.2, 22).samples,
+            synth.synthesize(&truth(300, 23), 1.0, 24).samples,
+        ];
         let mut scratch = CallScratch::new();
+        let mut jobs = vec![ChunkJob::default()];
         for sig in &sigs {
             let mut carry = None;
-            for chunk in sig.chunks(900) {
-                jobs.push(ChunkJob {
-                    samples: chunk,
-                    carry,
-                });
-                carry = caller.call_chunk_with(chunk, carry, &mut scratch).carry;
+            for samples in sig.chunks(900) {
+                jobs.push(ChunkJob { samples, carry });
+                carry = caller.call_chunk_with(samples, carry, &mut scratch).carry;
             }
         }
-        assert!(jobs.len() > 8, "want a deep job queue, got {}", jobs.len());
+        assert!(jobs.len() > 4 && jobs.iter().any(|j| j.carry.is_some()));
         let expected: Vec<BasecalledChunk> = jobs
             .iter()
             .map(|j| caller.call_chunk_with(j.samples, j.carry, &mut scratch))
             .collect();
-        let mut lanes = LaneScratch::new();
-        let mut got = Vec::new();
-        for width in [1usize, 2, 4, 8, 16] {
-            LaneDecoder::new(width).call_batch(&caller, &jobs, &mut lanes, &mut got);
-            assert_eq!(got, expected, "width {width}");
-        }
-    }
+        let (decoder, mut lanes, mut got) = (LaneDecoder::new(2), LaneScratch::new(), Vec::new());
+        decoder.call_batch(&caller, &jobs, &mut lanes, &mut got);
+        assert_eq!(got, expected);
+        // `out` is cleared, not appended to.
+        decoder.call_batch(&caller, &jobs[..2], &mut lanes, &mut got);
+        assert_eq!(got, expected[..2]);
 
-    #[test]
-    fn lane_batch_mixes_chunk_geometries_from_different_reads() {
-        // One batch holding chunks cut at two different chunk sizes plus the
-        // short tails both leave behind, interleaved read by read — what a
-        // caller batching across sources with different `chunk_bases` hands
-        // the kernel. Widths 3 (divides nothing here) and 8.
-        let (synth, caller) = setup();
-        let long = synth.synthesize(&truth(1_100, 31), 1.0, 32).samples;
-        let short = synth.synthesize(&truth(260, 33), 1.0, 34).samples;
-        let mut scratch = CallScratch::new();
-        let mut per_read: Vec<Vec<ChunkJob>> = Vec::new();
-        for (sig, chunk_samples) in [(&long, 2_400usize), (&short, 3_200), (&long, 3_200)] {
-            let mut carry = None;
-            let mut jobs = Vec::new();
-            for chunk in sig.chunks(chunk_samples) {
-                jobs.push(ChunkJob {
-                    samples: chunk,
-                    carry,
-                });
-                carry = caller.call_chunk_with(chunk, carry, &mut scratch).carry;
-            }
-            per_read.push(jobs);
-        }
-        let deepest = per_read.iter().map(Vec::len).max().expect("three reads");
-        let jobs: Vec<ChunkJob> = (0..deepest)
-            .flat_map(|i| per_read.iter().filter_map(move |r| r.get(i).copied()))
-            .collect();
-        let lengths: std::collections::BTreeSet<usize> =
-            jobs.iter().map(|j| j.samples.len()).collect();
-        assert!(
-            lengths.len() >= 4,
-            "want mixed job lengths, got {lengths:?}"
-        );
-        let expected: Vec<BasecalledChunk> = jobs
-            .iter()
-            .map(|j| caller.call_chunk_with(j.samples, j.carry, &mut scratch))
-            .collect();
-        let mut lanes = LaneScratch::new();
-        let mut got = Vec::new();
-        for width in [3usize, 8] {
-            LaneDecoder::new(width).call_batch(&caller, &jobs, &mut lanes, &mut got);
-            assert_eq!(got, expected, "width {width}");
-        }
-    }
-
-    #[test]
-    fn lane_decoder_clamps_width() {
-        assert_eq!(LaneDecoder::new(0).width(), 1);
-        assert_eq!(LaneDecoder::new(7).width(), 7);
-        assert_eq!(LaneDecoder::new(1000).width(), LaneDecoder::MAX_WIDTH);
-    }
-
-    #[test]
-    fn lane_batch_faults_on_corrupt_job() {
-        let (synth, caller) = setup();
-        let good = synth.synthesize(&truth(400, 21), 1.0, 22).samples;
-        let mut bad = good.clone();
+        let mut bad = sigs[1].clone();
         bad[11] = f32::NAN;
         let jobs = [
-            ChunkJob {
-                samples: &good,
-                carry: None,
-            },
+            jobs[1],
             ChunkJob {
                 samples: &bad,
                 carry: None,
             },
         ];
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut lanes = LaneScratch::new();
-            let mut out = Vec::new();
-            LaneDecoder::new(4).call_batch(&caller, &jobs, &mut lanes, &mut out);
+            decoder.call_batch(&caller, &jobs, &mut lanes, &mut got);
         }))
-        .expect_err("NaN job must fault the batch");
+        .expect_err("a corrupt job must fault the batch");
         assert_eq!(
             payload
                 .downcast_ref::<SignalFault>()

@@ -54,4 +54,3 @@ pub use basecaller::{
 };
 pub use emission::EmissionModel;
 pub use quality::QualityCalibration;
-pub use viterbi::MAX_LANES;

@@ -439,644 +439,6 @@ fn last_argmax(scores: impl Iterator<Item = f32>) -> (usize, f32) {
     best
 }
 
-/// Maximum lane width of [`decode_lanes_with`]; widths are clamped to this
-/// everywhere a knob supplies them.
-pub const MAX_LANES: usize = 16;
-
-/// One decode job for the lane-batched decoder: a chunk of samples plus the
-/// optional carried state pinning its first step — exactly [`decode_with`]'s
-/// `samples` and `init_state` arguments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LaneJob<'a> {
-    /// The chunk's signal samples.
-    pub samples: &'a [f32],
-    /// Final state of the previous chunk of the same read, if any.
-    pub init_state: Option<u16>,
-}
-
-/// Per-job result of a lane-batched decode, bit-identical to what
-/// [`decode_with`] leaves in a [`DecodeScratch`] for the same job.
-#[derive(Debug, Clone, Default)]
-pub struct LaneOutcome {
-    states: Vec<u16>,
-    advanced: Vec<bool>,
-    stats: DecodeStats,
-}
-
-impl LaneOutcome {
-    /// Decoded state per sample.
-    pub fn states(&self) -> &[u16] {
-        &self.states
-    }
-
-    /// Per-sample advance flags.
-    pub fn advanced(&self) -> &[bool] {
-        &self.advanced
-    }
-
-    /// Score and work counters of this job's decode.
-    pub fn stats(&self) -> DecodeStats {
-        self.stats
-    }
-
-    /// The state occupying the pore after the job's last sample.
-    pub fn final_state(&self) -> Option<u16> {
-        self.states.last().copied()
-    }
-}
-
-/// Reusable workspace of [`decode_lanes_with`].
-///
-/// All lane-interleaved buffers live here: score rows `prev[s * W + l]`,
-/// emission blocks `emit[(i * n_states + s) * W + l]`, the gathered sample
-/// block `xs[i * W + l]`, the hoisted advance-gather rows, and one flat
-/// backpointer arena holding a `max_n × n_states` plane per lane. Buffers
-/// grow to the largest batch seen and are then reused, so a steady-state
-/// stream of equally shaped batches decodes without touching the allocator.
-#[derive(Debug, Clone, Default)]
-pub struct LaneDecodeScratch {
-    prev: Vec<f32>,
-    curr: Vec<f32>,
-    emit: Vec<f32>,
-    emit0: Vec<f32>,
-    xs: Vec<f32>,
-    adv_best: Vec<f32>,
-    adv_choice: Vec<u8>,
-    bp_row: Vec<u8>,
-    backptr: Vec<u8>,
-    plane_stride: usize,
-    outputs: Vec<LaneOutcome>,
-}
-
-impl LaneDecodeScratch {
-    /// Creates an empty workspace; buffers are sized lazily on first use.
-    pub fn new() -> LaneDecodeScratch {
-        LaneDecodeScratch::default()
-    }
-
-    /// Result of job `job` from the most recent [`decode_lanes_with`] call.
-    pub fn outcome(&self, job: usize) -> &LaneOutcome {
-        &self.outputs[job]
-    }
-
-    fn prepare(&mut self, jobs: &[LaneJob], width: usize, n_states: usize) {
-        let max_n = jobs.iter().map(|j| j.samples.len()).max().unwrap_or(0);
-        self.plane_stride = max_n * n_states;
-        self.backptr.clear();
-        self.backptr.resize(width * self.plane_stride, 0);
-        self.prev.clear();
-        self.prev.resize(n_states * width, 0.0);
-        self.curr.clear();
-        self.curr.resize(n_states * width, 0.0);
-        self.emit.clear();
-        self.emit
-            .resize(EmissionModel::BLOCK * n_states * width, 0.0);
-        self.emit0.clear();
-        self.emit0.resize(n_states, 0.0);
-        self.xs.clear();
-        self.xs.resize(EmissionModel::BLOCK * width, 0.0);
-        self.adv_best.clear();
-        self.adv_best.resize((n_states / 4) * width, 0.0);
-        self.adv_choice.clear();
-        self.adv_choice.resize((n_states / 4) * width, 0);
-        self.bp_row.clear();
-        self.bp_row.resize(n_states * width, 0);
-        // Never shrink: dropping per-job buffers would force a re-allocation
-        // the next time a batch this large arrives.
-        if self.outputs.len() < jobs.len() {
-            self.outputs.resize_with(jobs.len(), LaneOutcome::default);
-        }
-    }
-}
-
-/// Pops jobs off the queue into lane `l` until one survives its init row.
-///
-/// Empty jobs record an empty outcome and are skipped; single-sample jobs
-/// are finalized immediately (their decode is just the init row) and the
-/// lane pulls again. Writes the surviving job's first-sample scores into
-/// lane `l`'s column of `prev` with the exact operation order of
-/// [`decode_with`]'s init, so stitching stays bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn lane_fill(
-    emission: &EmissionModel,
-    transitions: Transitions,
-    jobs: &[LaneJob],
-    next_job: &mut usize,
-    l: usize,
-    width: usize,
-    plane_stride: usize,
-    k_shift: usize,
-    job_of: &mut [usize],
-    pos: &mut [usize],
-    len_of: &mut [usize],
-    active: &mut [bool],
-    prev: &mut [f32],
-    backptr: &mut [u8],
-    emit0: &mut [f32],
-    outputs: &mut [LaneOutcome],
-) {
-    let n_states = emission.states();
-    loop {
-        if *next_job >= jobs.len() {
-            active[l] = false;
-            return;
-        }
-        let j = *next_job;
-        *next_job += 1;
-        let job = jobs[j];
-        let n = job.samples.len();
-        {
-            let out = &mut outputs[j];
-            out.states.clear();
-            out.advanced.clear();
-            out.stats = DecodeStats::default();
-            if n == 0 {
-                continue;
-            }
-            out.states.resize(n, 0);
-            out.advanced.resize(n, false);
-        }
-        emission.log_likelihoods(job.samples[0], &mut emit0[..n_states]);
-        // Row 0 of this lane's backpointer plane may hold the previous
-        // job's entries; the init only writes improved successors, so
-        // clear it first (rows 1.. are fully overwritten by the DP).
-        backptr[l * plane_stride..l * plane_stride + n_states].fill(0);
-        match job.init_state {
-            Some(s0) => {
-                let s0 = s0 as usize;
-                for s in 0..n_states {
-                    prev[s * width + l] = f32::NEG_INFINITY;
-                }
-                prev[s0 * width + l] = emit0[s0] + transitions.log_stay;
-                for b in 0..4usize {
-                    let succ = ((s0 << 2) | b) & (n_states - 1);
-                    let cand = emit0[succ] + transitions.log_advance;
-                    if cand > prev[succ * width + l] {
-                        prev[succ * width + l] = cand;
-                        backptr[l * plane_stride + succ] = 1 + (s0 >> k_shift) as u8;
-                    }
-                }
-            }
-            None => {
-                for s in 0..n_states {
-                    prev[s * width + l] = emit0[s];
-                }
-            }
-        }
-        job_of[l] = j;
-        pos[l] = 1;
-        len_of[l] = n;
-        active[l] = true;
-        if n == 1 {
-            let plane = &backptr[l * plane_stride..l * plane_stride + n_states];
-            lane_traceback(
-                l,
-                width,
-                n_states,
-                k_shift,
-                job.init_state.is_some(),
-                prev,
-                plane,
-                &mut outputs[j],
-            );
-            active[l] = false;
-            continue;
-        }
-        return;
-    }
-}
-
-/// Traces lane `l`'s winning path out of its backpointer plane; identical
-/// control flow to [`decode_with`]'s traceback over a strided score column.
-#[allow(clippy::too_many_arguments)]
-fn lane_traceback(
-    l: usize,
-    width: usize,
-    n_states: usize,
-    k_shift: usize,
-    stitched: bool,
-    prev: &[f32],
-    plane: &[u8],
-    out: &mut LaneOutcome,
-) {
-    let n = out.states.len();
-    let (mut state, score) = last_argmax((0..n_states).map(|s| prev[s * width + l]));
-    for t in (1..n).rev() {
-        out.states[t] = state as u16;
-        let choice = plane[t * n_states + state];
-        if choice == 0 {
-            out.advanced[t] = false;
-        } else {
-            out.advanced[t] = true;
-            let c = (choice - 1) as usize;
-            state = (state >> 2) | (c << k_shift);
-        }
-    }
-    out.states[0] = state as u16;
-    if stitched {
-        out.advanced[0] = plane[state] != 0;
-    }
-    out.stats = DecodeStats {
-        score: score as f64,
-        mvm_ops: n,
-        cells: n * n_states,
-    };
-}
-
-/// One full-occupancy DP row (hoisted advance gather + stay-vs-advance
-/// select) across `W` lockstep lanes, monomorphized over the lane width.
-///
-/// The const width turns the interleaved buffers into `[T; W]` rows
-/// (`as_chunks`), so every inner lane loop has a compile-time trip count
-/// and no per-element bounds checks — which is what lets the
-/// autovectorizer turn the stride-1 selects into SIMD compare/blend over
-/// the lane rows. With a runtime width the 4–16-iteration inner loops
-/// never reach the vector body. The arithmetic is exactly
-/// [`dp_row_any`]'s (and therefore [`decode_with`]'s), value for value:
-/// the gather's unrolled comparisons replicate the scalar `c in 1..4`
-/// loop order, strict `>` and all.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn dp_row_lockstep<const W: usize>(
-    n_states: usize,
-    k_shift: usize,
-    log_stay: f32,
-    log_advance: f32,
-    prev: &[f32],
-    curr: &mut [f32],
-    emit_row: &[f32],
-    adv_best: &mut [f32],
-    adv_choice: &mut [u8],
-    bp_row: &mut [u8],
-) {
-    let n_groups = n_states >> 2;
-    let (prev_rows, _) = prev.as_chunks::<W>();
-    let (curr_rows, _) = curr.as_chunks_mut::<W>();
-    let (emit_rows, _) = emit_row.as_chunks::<W>();
-    let (best_rows, _) = adv_best.as_chunks_mut::<W>();
-    let (choice_rows, _) = adv_choice.as_chunks_mut::<W>();
-    let (bp_rows, _) = bp_row.as_chunks_mut::<W>();
-    for low in 0..n_groups {
-        let p0 = &prev_rows[low];
-        let p1 = &prev_rows[low | (1 << k_shift)];
-        let p2 = &prev_rows[low | (2 << k_shift)];
-        let p3 = &prev_rows[low | (3 << k_shift)];
-        let best_row = &mut best_rows[low];
-        let choice_row = &mut choice_rows[low];
-        for l in 0..W {
-            let mut best = p0[l];
-            let mut choice = 1u8;
-            if p1[l] > best {
-                best = p1[l];
-                choice = 2;
-            }
-            if p2[l] > best {
-                best = p2[l];
-                choice = 3;
-            }
-            if p3[l] > best {
-                best = p3[l];
-                choice = 4;
-            }
-            best_row[l] = best + log_advance;
-            choice_row[l] = choice;
-        }
-    }
-    for s in 0..n_states {
-        let g = s >> 2;
-        let pr = &prev_rows[s];
-        let er = &emit_rows[s];
-        let ab = &best_rows[g];
-        let ac = &choice_rows[g];
-        let cu = &mut curr_rows[s];
-        let bp = &mut bp_rows[s];
-        for l in 0..W {
-            let stay = pr[l] + log_stay;
-            let adv = ab[l];
-            let e = er[l];
-            let take = adv > stay;
-            cu[l] = if take { adv + e } else { stay + e };
-            bp[l] = if take { ac[l] } else { 0 };
-        }
-    }
-}
-
-/// Runtime-width fallback of [`dp_row_lockstep`] for widths outside the
-/// specialized set; same arithmetic, value for value.
-#[allow(clippy::too_many_arguments)]
-fn dp_row_any(
-    width: usize,
-    n_states: usize,
-    k_shift: usize,
-    log_stay: f32,
-    log_advance: f32,
-    prev: &[f32],
-    curr: &mut [f32],
-    emit_row: &[f32],
-    adv_best: &mut [f32],
-    adv_choice: &mut [u8],
-    bp_row: &mut [u8],
-) {
-    let n_groups = n_states >> 2;
-    for low in 0..n_groups {
-        for l in 0..width {
-            let mut best = prev[low * width + l];
-            let mut choice = 1u8;
-            for c in 1..4usize {
-                let v = prev[(low | (c << k_shift)) * width + l];
-                if v > best {
-                    best = v;
-                    choice = 1 + c as u8;
-                }
-            }
-            adv_best[low * width + l] = best + log_advance;
-            adv_choice[low * width + l] = choice;
-        }
-    }
-    for s in 0..n_states {
-        let g = s >> 2;
-        for l in 0..width {
-            let stay = prev[s * width + l] + log_stay;
-            let adv = adv_best[g * width + l];
-            let e = emit_row[s * width + l];
-            let take = adv > stay;
-            curr[s * width + l] = if take { adv + e } else { stay + e };
-            bp_row[s * width + l] = if take { adv_choice[g * width + l] } else { 0 };
-        }
-    }
-}
-
-/// Decodes a queue of independent chunk jobs through `width` lockstep lanes.
-///
-/// The DP state is laid out structure-of-arrays: the score of state `s` in
-/// lane `l` lives at `prev[s * width + l]`, so the inner stay-vs-advance
-/// select walks all lanes of a state with stride-1 access and one emission
-/// call ([`EmissionModel::log_likelihoods_lanes`]) serves a whole
-/// sample-block × lane batch. Lanes run independent cursors: a lane whose
-/// job ends mid-block is finalized (traceback) on the spot and refilled
-/// from the queue without stalling the other lanes, so `jobs.len()` may
-/// exceed `width`.
-///
-/// Every job's outcome — states, advance flags, score, and counters, read
-/// back via [`LaneDecodeScratch::outcome`] — is **bit-identical** to a
-/// scalar [`decode_with`] of that job alone, for every `width`: lanes never
-/// mix arithmetically, and each lane executes the scalar path's exact
-/// per-value operation order (emission, init, hoisted gather, select,
-/// traceback). `width == 1` *is* the scalar schedule.
-///
-/// # Panics
-///
-/// Panics if `width` is 0 or exceeds [`MAX_LANES`].
-pub fn decode_lanes_with(
-    emission: &EmissionModel,
-    transitions: Transitions,
-    jobs: &[LaneJob],
-    width: usize,
-    scratch: &mut LaneDecodeScratch,
-) {
-    assert!(
-        (1..=MAX_LANES).contains(&width),
-        "lane width must be in 1..={MAX_LANES}"
-    );
-    let n_states = emission.states();
-    debug_assert!(n_states.is_power_of_two() && n_states >= 4);
-    let k_shift = (n_states.trailing_zeros() - 2) as usize;
-    let n_groups = n_states >> 2;
-    let log_stay = transitions.log_stay;
-    let log_advance = transitions.log_advance;
-
-    scratch.prepare(jobs, width, n_states);
-    let LaneDecodeScratch {
-        prev,
-        curr,
-        emit,
-        emit0,
-        xs,
-        adv_best,
-        adv_choice,
-        bp_row,
-        backptr,
-        plane_stride,
-        outputs,
-    } = scratch;
-    let plane_stride = *plane_stride;
-
-    let mut job_of = [usize::MAX; MAX_LANES];
-    let mut pos = [0usize; MAX_LANES];
-    let mut len_of = [0usize; MAX_LANES];
-    let mut active = [false; MAX_LANES];
-    let mut blocklen = [0usize; MAX_LANES];
-    let mut next_job = 0usize;
-
-    for l in 0..width {
-        lane_fill(
-            emission,
-            transitions,
-            jobs,
-            &mut next_job,
-            l,
-            width,
-            plane_stride,
-            k_shift,
-            &mut job_of,
-            &mut pos,
-            &mut len_of,
-            &mut active,
-            prev,
-            backptr,
-            emit0,
-            outputs,
-        );
-    }
-
-    loop {
-        // Per-lane block lengths: each lane consumes up to BLOCK of its own
-        // remaining samples, so lanes holding chunks of different lengths
-        // desynchronize without stalling each other.
-        let mut maxlen = 0usize;
-        for l in 0..width {
-            blocklen[l] = if active[l] {
-                EmissionModel::BLOCK.min(len_of[l] - pos[l])
-            } else {
-                0
-            };
-            maxlen = maxlen.max(blocklen[l]);
-        }
-        if maxlen == 0 {
-            break;
-        }
-
-        // Gather the sample block lane-interleaved (0.0 pads lanes that run
-        // short; their rows are masked off below) and compute the whole
-        // block × batch emission in one widened MVM call.
-        for i in 0..maxlen {
-            for l in 0..width {
-                xs[i * width + l] = if i < blocklen[l] {
-                    jobs[job_of[l]].samples[pos[l] + i]
-                } else {
-                    0.0
-                };
-            }
-        }
-        emission.log_likelihoods_lanes(
-            &xs[..maxlen * width],
-            width,
-            &mut emit[..maxlen * n_states * width],
-        );
-
-        for i in 0..maxlen {
-            let emit_row = &emit[i * n_states * width..(i + 1) * n_states * width];
-            let mut row_active = 0usize;
-            let mut bpoff = [0usize; MAX_LANES];
-            for l in 0..width {
-                if i < blocklen[l] {
-                    row_active += 1;
-                    bpoff[l] = l * plane_stride + (pos[l] + i) * n_states;
-                }
-            }
-
-            // Both DP passes (hoisted advance gather + stay-vs-advance
-            // select), stride-1 across lanes. The backpointer of each lane
-            // lives in that lane's plane — a scattered store that would
-            // wreck the inner loop — so the row is staged lane-interleaved
-            // in `bp_row` (branch-free selects over stride-1 buffers) and
-            // scattered into the active planes in one contiguous pass per
-            // lane afterwards. The common all-lanes-live case dispatches
-            // to a width-monomorphized row so the inner lane loops have
-            // compile-time trip counts (see [`dp_row_lockstep`]); in the
-            // partial case, inactive lanes copy prev through the swap so a
-            // freshly refilled init row survives until its lane wakes.
-            if row_active == width {
-                macro_rules! dp_row {
-                    ($w:expr) => {
-                        dp_row_lockstep::<$w>(
-                            n_states,
-                            k_shift,
-                            log_stay,
-                            log_advance,
-                            prev,
-                            curr,
-                            emit_row,
-                            adv_best,
-                            adv_choice,
-                            bp_row,
-                        )
-                    };
-                }
-                match width {
-                    2 => dp_row!(2),
-                    3 => dp_row!(3),
-                    4 => dp_row!(4),
-                    5 => dp_row!(5),
-                    6 => dp_row!(6),
-                    7 => dp_row!(7),
-                    8 => dp_row!(8),
-                    12 => dp_row!(12),
-                    16 => dp_row!(16),
-                    _ => dp_row_any(
-                        width,
-                        n_states,
-                        k_shift,
-                        log_stay,
-                        log_advance,
-                        prev,
-                        curr,
-                        emit_row,
-                        adv_best,
-                        adv_choice,
-                        bp_row,
-                    ),
-                }
-            } else {
-                for low in 0..n_groups {
-                    for l in 0..width {
-                        let mut best = prev[low * width + l];
-                        let mut choice = 1u8;
-                        for c in 1..4usize {
-                            let v = prev[(low | (c << k_shift)) * width + l];
-                            if v > best {
-                                best = v;
-                                choice = 1 + c as u8;
-                            }
-                        }
-                        adv_best[low * width + l] = best + log_advance;
-                        adv_choice[low * width + l] = choice;
-                    }
-                }
-                for s in 0..n_states {
-                    let g = s >> 2;
-                    for l in 0..width {
-                        if i < blocklen[l] {
-                            let stay = prev[s * width + l] + log_stay;
-                            let adv = adv_best[g * width + l];
-                            let e = emit_row[s * width + l];
-                            let take = adv > stay;
-                            curr[s * width + l] = if take { adv + e } else { stay + e };
-                            bp_row[s * width + l] =
-                                if take { adv_choice[g * width + l] } else { 0 };
-                        } else {
-                            curr[s * width + l] = prev[s * width + l];
-                        }
-                    }
-                }
-            }
-            for l in 0..width {
-                if i < blocklen[l] {
-                    let plane_row = &mut backptr[bpoff[l]..bpoff[l] + n_states];
-                    for (s, b) in plane_row.iter_mut().enumerate() {
-                        *b = bp_row[s * width + l];
-                    }
-                }
-            }
-            std::mem::swap(prev, curr);
-
-            // Drain: a lane that just consumed its last sample traces back
-            // and refills from the queue mid-block; blocklen drops to 0 so
-            // the remaining rows (and the end-of-block cursor bump) skip it.
-            for l in 0..width {
-                if i < blocklen[l] && i + 1 == blocklen[l] && pos[l] + blocklen[l] == len_of[l] {
-                    let j = job_of[l];
-                    let n_j = len_of[l];
-                    let plane = &backptr[l * plane_stride..l * plane_stride + n_j * n_states];
-                    lane_traceback(
-                        l,
-                        width,
-                        n_states,
-                        k_shift,
-                        jobs[j].init_state.is_some(),
-                        prev,
-                        plane,
-                        &mut outputs[j],
-                    );
-                    blocklen[l] = 0;
-                    active[l] = false;
-                    lane_fill(
-                        emission,
-                        transitions,
-                        jobs,
-                        &mut next_job,
-                        l,
-                        width,
-                        plane_stride,
-                        k_shift,
-                        &mut job_of,
-                        &mut pos,
-                        &mut len_of,
-                        &mut active,
-                        prev,
-                        backptr,
-                        emit0,
-                        outputs,
-                    );
-                }
-            }
-        }
-        for l in 0..width {
-            pos[l] += blocklen[l];
-        }
-    }
-}
-
 #[cfg(test)]
 mod differential;
 
@@ -1252,179 +614,5 @@ mod tests {
     #[should_panic(expected = "mean dwell")]
     fn transitions_reject_dwell_of_one() {
         let _ = Transitions::from_mean_dwell(1.0);
-    }
-
-    /// Deterministic noisy chunk used by the lane tests: a legal k-mer walk
-    /// with per-sample perturbation so ties and near-ties occur.
-    fn noisy_chunk(pore: &PoreModel, seed: u16, bases: usize, dwell: usize) -> Vec<f32> {
-        let mut path = vec![seed % 64];
-        let mut s = path[0];
-        for b in 0..bases as u16 {
-            s = ((s << 2) | (b % 4)) & 63;
-            path.push(s);
-        }
-        let mut samples = signal_for(pore, &path, dwell);
-        for (i, x) in samples.iter_mut().enumerate() {
-            *x += ((i * 2654435761) % 97) as f32 * 0.01 - 0.48;
-        }
-        samples
-    }
-
-    fn assert_lane_matches_scalar(
-        jobs: &[LaneJob],
-        em: &EmissionModel,
-        tr: Transitions,
-        width: usize,
-    ) {
-        let mut lanes = LaneDecodeScratch::new();
-        decode_lanes_with(em, tr, jobs, width, &mut lanes);
-        let mut scalar = DecodeScratch::new();
-        for (j, job) in jobs.iter().enumerate() {
-            let stats = decode_with(em, job.samples, tr, job.init_state, &mut scalar);
-            let out = lanes.outcome(j);
-            assert_eq!(out.states(), scalar.states(), "width {width} job {j}");
-            assert_eq!(out.advanced(), scalar.advanced(), "width {width} job {j}");
-            assert_eq!(out.stats(), stats, "width {width} job {j}");
-            assert_eq!(
-                out.final_state(),
-                scalar.final_state(),
-                "width {width} job {j}"
-            );
-        }
-    }
-
-    #[test]
-    fn lane_decode_is_bit_identical_to_scalar_for_every_width() {
-        let (pore, em, tr) = setup();
-        let chunks: Vec<Vec<f32>> = (0..10u16)
-            .map(|seed| {
-                noisy_chunk(
-                    &pore,
-                    seed * 7 + 1,
-                    4 + (seed as usize % 6),
-                    5 + seed as usize % 4,
-                )
-            })
-            .collect();
-        let jobs: Vec<LaneJob> = chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| LaneJob {
-                samples: c,
-                init_state: if i % 3 == 0 {
-                    None
-                } else {
-                    Some((i * 11 % 64) as u16)
-                },
-            })
-            .collect();
-        for width in [1usize, 2, 3, 4, 5, 8, 16] {
-            assert_lane_matches_scalar(&jobs, &em, tr, width);
-        }
-    }
-
-    #[test]
-    fn lane_decode_handles_degenerate_job_lengths() {
-        let (pore, em, tr) = setup();
-        let long = noisy_chunk(&pore, 3, 9, 7);
-        let short = noisy_chunk(&pore, 5, 1, 2);
-        let one = vec![pore.level_bits(17) + 0.2];
-        // Queue mixes empty, single-sample, short, and long jobs so lanes
-        // drain and refill at staggered times (including immediately).
-        let jobs = [
-            LaneJob {
-                samples: &[],
-                init_state: None,
-            },
-            LaneJob {
-                samples: &one,
-                init_state: Some(17),
-            },
-            LaneJob {
-                samples: &long,
-                init_state: None,
-            },
-            LaneJob {
-                samples: &one,
-                init_state: None,
-            },
-            LaneJob {
-                samples: &short,
-                init_state: Some(9),
-            },
-            LaneJob {
-                samples: &[],
-                init_state: Some(3),
-            },
-            LaneJob {
-                samples: &long,
-                init_state: Some(40),
-            },
-        ];
-        for width in [1usize, 2, 3, 8] {
-            assert_lane_matches_scalar(&jobs, &em, tr, width);
-        }
-    }
-
-    #[test]
-    fn lane_decode_refills_lanes_from_a_deep_queue() {
-        // More jobs than lanes: every lane must refill several times, with
-        // refills landing mid-block (chunk lengths are not BLOCK-aligned).
-        let (pore, em, tr) = setup();
-        let chunks: Vec<Vec<f32>> = (0..23u16)
-            .map(|seed| noisy_chunk(&pore, seed, 2 + (seed as usize % 9), 3 + seed as usize % 5))
-            .collect();
-        let jobs: Vec<LaneJob> = chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| LaneJob {
-                samples: c,
-                init_state: if i % 2 == 0 {
-                    Some((i * 5 % 64) as u16)
-                } else {
-                    None
-                },
-            })
-            .collect();
-        for width in [2usize, 4, 16] {
-            assert_lane_matches_scalar(&jobs, &em, tr, width);
-        }
-    }
-
-    #[test]
-    fn lane_scratch_reuse_is_bit_identical_across_batches() {
-        let (pore, em, tr) = setup();
-        let mut lanes = LaneDecodeScratch::new();
-        let mut scalar = DecodeScratch::new();
-        for round in 0..4u16 {
-            let chunks: Vec<Vec<f32>> = (0..6u16)
-                .map(|seed| noisy_chunk(&pore, seed + round * 13, 3 + (seed as usize % 5), 4))
-                .collect();
-            let jobs: Vec<LaneJob> = chunks
-                .iter()
-                .map(|c| LaneJob {
-                    samples: c,
-                    init_state: None,
-                })
-                .collect();
-            decode_lanes_with(&em, tr, &jobs, 4, &mut lanes);
-            for (j, job) in jobs.iter().enumerate() {
-                let stats = decode_with(&em, job.samples, tr, job.init_state, &mut scalar);
-                assert_eq!(
-                    lanes.outcome(j).states(),
-                    scalar.states(),
-                    "round {round} job {j}"
-                );
-                assert_eq!(lanes.outcome(j).stats(), stats, "round {round} job {j}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lane width")]
-    fn zero_lane_width_panics() {
-        let (_, em, tr) = setup();
-        let mut lanes = LaneDecodeScratch::new();
-        decode_lanes_with(&em, tr, &[], 0, &mut lanes);
     }
 }

@@ -3,9 +3,7 @@
 //! global allocator observes the allocator while equally sized chunks stream
 //! through `decode_with` and `call_chunk_with`'s decode path.
 
-use genpip_basecall::viterbi::{
-    decode_lanes_with, decode_with, DecodeScratch, LaneDecodeScratch, LaneJob, Transitions,
-};
+use genpip_basecall::viterbi::{decode_with, DecodeScratch, Transitions};
 use genpip_basecall::EmissionModel;
 use genpip_genomics::GenomeBuilder;
 use genpip_signal::{PoreModel, SignalSynthesizer};
@@ -91,64 +89,5 @@ fn steady_state_decode_is_allocation_free() {
         0,
         "steady-state decode_with allocated {allocs} times across {} chunks",
         chunks.len() - 1
-    );
-}
-
-#[test]
-fn steady_state_lane_decode_is_allocation_free() {
-    // Same criterion for the lane-batched kernel: once one batch has warmed
-    // the LaneDecodeScratch, equally shaped batches (same width, job count,
-    // and no-larger chunks) must decode without touching the allocator.
-    let pore = PoreModel::synthetic(3, 7);
-    let emission = EmissionModel::from_pore_model(&pore);
-    let transitions = Transitions::from_mean_dwell(8.0);
-    let synth = SignalSynthesizer::new(pore);
-    let truth = GenomeBuilder::new(2_000)
-        .seed(23)
-        .build()
-        .sequence()
-        .clone();
-    let sig = synth.synthesize(&truth, 1.0, 5);
-    const WIDTH: usize = 4;
-    const BATCH: usize = 6;
-    let chunk_len = sig.samples.len() / (BATCH * 3);
-    let chunks: Vec<&[f32]> = sig.samples.chunks_exact(chunk_len).collect();
-    assert!(chunks.len() >= 3 * BATCH, "need several full batches");
-
-    let batch_jobs = |batch: usize| -> Vec<LaneJob> {
-        chunks[batch * BATCH..(batch + 1) * BATCH]
-            .iter()
-            .map(|c| LaneJob {
-                samples: c,
-                init_state: None,
-            })
-            .collect()
-    };
-
-    // Warm-up batch sizes every buffer (the job list is built outside the
-    // counted region: it belongs to the caller, not the scratch).
-    let mut scratch = LaneDecodeScratch::new();
-    let warm = batch_jobs(0);
-    decode_lanes_with(&emission, transitions, &warm, WIDTH, &mut scratch);
-    let later: Vec<Vec<LaneJob>> = (1..3).map(batch_jobs).collect();
-
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    let mut total_score = 0.0;
-    for jobs in &later {
-        decode_lanes_with(&emission, transitions, jobs, WIDTH, &mut scratch);
-        for j in 0..jobs.len() {
-            total_score += scratch.outcome(j).stats().score;
-        }
-    }
-    COUNTING.with(|c| c.set(false));
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-
-    assert!(total_score.is_finite());
-    assert_eq!(
-        allocs,
-        0,
-        "steady-state decode_lanes_with allocated {allocs} times across {} batches",
-        later.len()
     );
 }

@@ -1,50 +1,16 @@
-//! Shared helpers for the GenPIP benchmark harness.
+//! The kernel micro-benchmark harness.
 //!
-//! Two kinds of bench targets live in `benches/`:
+//! `benches/kernels.rs` times every computational kernel on its own (MVM,
+//! CAM search, Viterbi decode and its stages, minimizer extraction, chaining
+//! DP, seeding, banded alignment, one read end to end) through the in-repo
+//! [`micro`] harness — the workspace has no external dependencies — and
+//! writes `BENCH_kernels.json` at the repo root so successive PRs accumulate
+//! a perf trajectory.
 //!
-//! * `kernels` — micro-benchmarks (via the in-repo [`micro`] harness; the
-//!   workspace has no external dependencies) of the real wall-clock cost of
-//!   every computational kernel (MVM, CAM search, Viterbi decode, minimizer
-//!   extraction, chaining DP, banded alignment, end-to-end read processing)
-//!   plus the end-to-end pipeline at 1/2/4 threads. It writes a
-//!   machine-readable `BENCH_kernels.json` at the repo root so successive
-//!   PRs accumulate a perf trajectory;
-//! * `figNN_*` / `tabNN_*` / `useless_reads` — one regeneration harness per
-//!   paper figure/table. These are *model-output* harnesses (`harness =
-//!   false` binaries): they run the corresponding experiment driver from
-//!   `genpip-core::experiments` once and print measured-vs-paper rows.
-//!
-//! Run everything with `cargo bench --workspace`. Set `GENPIP_SCALE` (e.g.
-//! `GENPIP_SCALE=0.1`) to shrink the datasets for a quick pass.
+//! That is all this crate measures, and its dependencies stop at the layer
+//! crates to keep it so: pipelines (`Session`, threads, sources, schedules)
+//! are timed by the end-to-end benchmark in `benchmarks/`, their
+//! bit-identities are pinned by the root integration suites, and the paper's
+//! figures and tables are regenerated by `genpip experiment <name>`.
 
 pub mod micro;
-
-use std::time::Instant;
-
-/// Runs one figure harness: prints a banner, executes `body`, prints its
-/// report, saves a copy under `target/experiment-reports/`, and prints the
-/// elapsed wall time.
-pub fn run_harness<R: std::fmt::Display>(name: &str, body: impl FnOnce() -> R) {
-    let scale = genpip_core::experiments::default_scale();
-    println!("=== {name} (scale {scale}) ===");
-    let start = Instant::now();
-    let report = body();
-    let rendered = report.to_string();
-    println!("{rendered}");
-    save_report(name, &rendered);
-    println!(
-        "[{name} regenerated in {:.1} s]\n",
-        start.elapsed().as_secs_f64()
-    );
-}
-
-/// Persists a harness report so figure text survives the bench run.
-fn save_report(name: &str, rendered: &str) {
-    let dir = std::path::Path::new("target").join("experiment-reports");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.txt"));
-        if std::fs::write(&path, rendered).is_ok() {
-            println!("[report saved to {}]", path.display());
-        }
-    }
-}

@@ -97,13 +97,6 @@ pub fn bench<R>(
     }
 }
 
-/// Times one execution of `f`, returning (result, seconds).
-pub fn time_once<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let start = Instant::now();
-    let r = f();
-    (r, start.elapsed().as_secs_f64())
-}
-
 /// Minimal JSON value builder for the bench reports (the workspace has no
 /// serde; the reports are flat enough that hand-rolled emission is clearer
 /// than a dependency anyway).

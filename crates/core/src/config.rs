@@ -53,11 +53,25 @@ impl Parallelism {
     }
 
     /// The setting named by the `GENPIP_PARALLELISM` environment variable
-    /// (same spellings as [`Parallelism::parse`]), or `None` when unset or
-    /// unparseable. CI's test matrix sets this to force both threading
-    /// paths through every test that consults it.
+    /// (same spellings as [`Parallelism::parse`]), or `None` when it is
+    /// unset. CI's test matrix sets this to force both threading paths
+    /// through every test that consults it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when it is set to
+    /// anything [`Parallelism::parse`] refuses: a typo must not silently
+    /// run the default.
     pub fn from_env() -> Option<Parallelism> {
-        Parallelism::parse(&std::env::var("GENPIP_PARALLELISM").ok()?)
+        Parallelism::from_env_value(std::env::var_os("GENPIP_PARALLELISM").as_deref())
+    }
+
+    fn from_env_value(value: Option<&std::ffi::OsStr>) -> Option<Parallelism> {
+        let value = value?;
+        let parsed = value.to_str().and_then(Parallelism::parse);
+        Some(parsed.unwrap_or_else(|| {
+            panic!("invalid GENPIP_PARALLELISM {value:?} (use serial, auto or a worker count)")
+        }))
     }
 
     /// [`Parallelism::from_env`] with a fallback.
@@ -326,5 +340,25 @@ mod tests {
         assert_eq!(Parallelism::parse("0"), None);
         assert_eq!(Parallelism::parse("bogus"), None);
         assert_eq!(Parallelism::parse(""), None);
+    }
+
+    #[test]
+    fn a_set_but_malformed_parallelism_variable_panics_naming_it() {
+        use std::ffi::OsStr;
+        assert_eq!(Parallelism::from_env_value(None), None);
+        assert_eq!(
+            Parallelism::from_env_value(Some(OsStr::new("serial"))),
+            Some(Parallelism::Serial)
+        );
+        for bad in ["four", "0", ""] {
+            let message =
+                std::panic::catch_unwind(|| Parallelism::from_env_value(Some(OsStr::new(bad))))
+                    .expect_err("a malformed value must not read as unset");
+            let message = message.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                message.contains(&format!("invalid GENPIP_PARALLELISM {bad:?}")),
+                "{message}"
+            );
+        }
     }
 }

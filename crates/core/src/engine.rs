@@ -164,8 +164,9 @@ pub enum Granularity {
     /// Schedule whole reads: every read's chain is stepped to completion
     /// inside one task, and permits are held from pull to emission (neither
     /// an ER verdict nor a quarantine releases early). The pre-chunk-granular engine's
-    /// scheduling, kept for comparison (the kernels bench measures both) —
-    /// it runs the very same chain, so output is bit-identical to
+    /// scheduling, kept for comparison (`tests/chunk_granularity.rs` pins
+    /// the short-read residency of both on a mixed workload) — it runs the
+    /// very same chain, so output is bit-identical to
     /// [`Granularity::Chunk`] by construction.
     Read,
     /// Schedule chunk tasks: each read is a sequential chain, the

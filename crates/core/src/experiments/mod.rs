@@ -2,13 +2,12 @@
 //!
 //! Each driver regenerates its figure/table from scratch (dataset synthesis
 //! → functional pipeline → cost models) and renders a report comparing the
-//! measured values with the paper's published numbers. The bench harness in
-//! `crates/bench` is a thin wrapper around these.
+//! measured values with the paper's published numbers. `genpip experiment
+//! <name> --scale S` is the one front end that runs them.
 //!
 //! All drivers accept a `scale` factor for dataset size; `1.0` is the
 //! default experiment scale defined by the profiles (seconds per run on a
-//! laptop), smaller values give quick smoke runs. [`default_scale`] honours
-//! the `GENPIP_SCALE` environment variable.
+//! laptop), smaller values give quick smoke runs.
 
 pub mod ablations;
 pub mod fig04;
@@ -22,15 +21,6 @@ pub mod tab02;
 pub mod useless;
 
 use std::fmt;
-
-/// The experiment scale: `GENPIP_SCALE` env var, defaulting to 1.0.
-pub fn default_scale() -> f64 {
-    std::env::var("GENPIP_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|s| *s > 0.0 && *s <= 1.0)
-        .unwrap_or(1.0)
-}
 
 /// A labelled numeric table with optional paper-reference values, rendered
 /// by every experiment report.
@@ -193,11 +183,5 @@ mod tests {
         assert_eq!(s.chars().count(), 3);
         assert!(s.starts_with('▁'));
         assert!(s.ends_with('█'));
-    }
-
-    #[test]
-    fn default_scale_is_sane() {
-        let s = default_scale();
-        assert!(s > 0.0 && s <= 1.0);
     }
 }

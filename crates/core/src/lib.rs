@@ -27,8 +27,8 @@
 //!   models over the measured workload;
 //! * [`analysis`] — rejection/false-negative ratios (Figures 12–13),
 //!   useless-read statistics (Section 2.3), and accuracy audits;
-//! * [`experiments`] — one driver per paper figure/table, used by the bench
-//!   harness.
+//! * [`experiments`] — one driver per paper figure/table, run by `genpip
+//!   experiment <name>`.
 //!
 //! # Example
 //!

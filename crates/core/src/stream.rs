@@ -176,9 +176,8 @@ pub enum StreamEvent {
 /// is resident while every one of their chunks completes — head-of-line
 /// blocking that shows up directly as a high `p99`. Chunk-granular
 /// scheduling interleaves chains, so a short read retires after roughly its
-/// own chunk count times the number of resident chains. The kernels bench
-/// (`chunk_granularity` section) records both on a mixed short/long
-/// workload.
+/// own chunk count times the number of resident chains.
+/// `tests/chunk_granularity.rs` pins both on a mixed short/long workload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyStats {
     /// Reads the percentiles are over.

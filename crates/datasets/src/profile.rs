@@ -172,9 +172,8 @@ impl DatasetProfile {
     /// scheduling experiments: `n_reads` reads of ~`read_len` bases over an
     /// E. coli-like genome (grown to fit the reads), with the low-quality
     /// and contaminant populations removed so every read survives to full
-    /// processing. The kernels bench and the head-of-line latency tests
-    /// build their mixed short/long workloads from exactly this
-    /// constructor, so what is benchmarked is what is tested.
+    /// processing. The head-of-line latency tests build their mixed
+    /// short/long workloads from this constructor.
     ///
     /// # Panics
     ///

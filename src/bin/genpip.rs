@@ -728,7 +728,7 @@ fn parse_source_spec(
     text: &str,
     positional_name: Option<&str>,
     index: usize,
-    default_scale: f64,
+    fallback_scale: f64,
 ) -> Result<SourceSpec, String> {
     let keys = match positional_name {
         Some(_) => &SOURCE_KEYS[..SOURCE_KEYS.len() - 1],
@@ -738,7 +738,7 @@ fn parse_source_spec(
     let (kind, default_name) = match (spec.get("profile"), spec.get("file")) {
         (Some(profile), None) => {
             let scale = spec.get("scale").map(parse_scale).transpose();
-            let scale = scale.map_err(|e| spec.err(e))?.unwrap_or(default_scale);
+            let scale = scale.map_err(|e| spec.err(e))?.unwrap_or(fallback_scale);
             let profile = profile_by_name(profile).map_err(|e| spec.err(e))?;
             let name = format!("{}{index}", profile.name);
             (SourceKind::Simulated(profile.scaled(scale)), name)
@@ -848,9 +848,15 @@ fn positive_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, St
 }
 
 fn parallelism_from(parsed: &Parsed) -> Result<Parallelism, String> {
-    match opt(parsed, "threads") {
-        None => Ok(Parallelism::from_env_or(Parallelism::Auto)),
-        Some(s) => Parallelism::parse(s).ok_or_else(|| format!("invalid --threads {s:?}")),
+    if let Some(s) = opt(parsed, "threads") {
+        return Parallelism::parse(s).ok_or_else(|| format!("invalid --threads {s:?}"));
+    }
+    match std::env::var_os("GENPIP_PARALLELISM") {
+        None => Ok(Parallelism::Auto),
+        Some(s) => s
+            .to_str()
+            .and_then(Parallelism::parse)
+            .ok_or_else(|| format!("invalid GENPIP_PARALLELISM {s:?}")),
     }
 }
 
@@ -883,7 +889,7 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     // Sources: repeated --source specs and --signal-in containers (a path,
     // then the same key=value pairs), or a single simulated one synthesized
     // from --profile/--scale for the classic one-run invocation.
-    let default_scale = scale_from(parsed, 0.1)?;
+    let fallback_scale = scale_from(parsed, 0.1)?;
     let mut texts: Vec<(&str, String)> = opt_all(parsed, "source")
         .iter()
         .map(|text| ("--source", text.clone()))
@@ -907,7 +913,7 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
             text,
             None,
             specs.len(),
-            default_scale,
+            fallback_scale,
         )?);
     }
     // Session::run would reject duplicates too, but catching them here
@@ -1286,7 +1292,7 @@ struct ScriptStep {
 /// the steps fired through the live control plane.
 fn parse_script(
     text: &str,
-    default_scale: f64,
+    fallback_scale: f64,
 ) -> Result<(Vec<SourceSpec>, Vec<ScriptStep>), String> {
     let mut initial = Vec::new();
     let mut steps: Vec<ScriptStep> = Vec::new();
@@ -1309,7 +1315,7 @@ fn parse_script(
         };
         let action = match *rest {
             ["attach", name, spec] => ServeAction::Attach(Box::new(
-                parse_source_spec("attach", spec, Some(name), 0, default_scale).map_err(err)?,
+                parse_source_spec("attach", spec, Some(name), 0, fallback_scale).map_err(err)?,
             )),
             ["detach", name] => ServeAction::Detach(name.to_string()),
             ["drain"] => ServeAction::Drain,
@@ -1426,8 +1432,8 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
     let queue = positive_from(parsed, "queue", 8)?;
     let max_sources = usize_from(parsed, "max-sources", 64)?;
     let parallelism = parallelism_from(parsed)?;
-    let default_scale = scale_from(parsed, 0.05)?;
-    let (initial, steps) = parse_script(&script, default_scale)?;
+    let fallback_scale = scale_from(parsed, 0.05)?;
+    let (initial, steps) = parse_script(&script, fallback_scale)?;
     let schedule = schedule_from(parsed, &initial)?;
 
     println!(

@@ -5,12 +5,16 @@
 
 use std::process::Command;
 
-/// Runs `genpip` with `args`; returns (exit success, stderr).
-fn genpip(args: &[&str]) -> (bool, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_genpip"))
+fn genpip_output(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_genpip"))
         .args(args)
         .output()
-        .expect("spawn genpip");
+        .expect("spawn genpip")
+}
+
+/// Runs `genpip` with `args`; returns (exit success, stderr).
+fn genpip(args: &[&str]) -> (bool, String) {
+    let out = genpip_output(args);
     (
         out.status.success(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -76,7 +80,9 @@ fn the_removed_shards_option_is_rejected_everywhere() {
 }
 
 /// Counts the session would refuse are refused by the option readers, with
-/// the flag named and before any banner reaches stdout.
+/// the flag named and before any banner reaches stdout — and so is a
+/// `GENPIP_PARALLELISM` set to something `--threads` would refuse, which
+/// must not read as "unset".
 #[test]
 fn zero_counts_fail_naming_the_flag_before_any_banner() {
     let script =
@@ -85,6 +91,24 @@ fn zero_counts_fail_naming_the_flag_before_any_banner() {
     let script_path = script.to_str().expect("utf-8 temp path");
     let stream = ["stream", "--scale", "0.02"];
     let serve = ["serve", "--script", script_path];
+    let refused = |command: &[&str], extra: &[&str], env: Option<&str>, complaint: &str| {
+        let mut genpip = Command::new(env!("CARGO_BIN_EXE_genpip"));
+        genpip.args(command).args(extra);
+        match env {
+            Some(value) => genpip.env("GENPIP_PARALLELISM", value),
+            None => genpip.env_remove("GENPIP_PARALLELISM"),
+        };
+        let out = genpip.output().expect("spawn genpip");
+        let case = format!("{command:?} {extra:?} GENPIP_PARALLELISM={env:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{case} must exit nonzero");
+        assert!(stderr.contains(complaint), "{case}: stderr: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{case} printed a banner: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    };
     for (command, flag) in [
         (&stream[..], "--threads"),
         (&stream[..], "--queue"),
@@ -92,28 +116,41 @@ fn zero_counts_fail_naming_the_flag_before_any_banner() {
         (&serve[..], "--threads"),
         (&serve[..], "--queue"),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_genpip"))
-            .args(command)
-            .args([flag, "0"])
-            .env_remove("GENPIP_PARALLELISM")
-            .output()
-            .expect("spawn genpip");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            !out.status.success(),
-            "{command:?} {flag} 0 must exit nonzero"
-        );
-        assert!(
-            stderr.contains(&format!("invalid {flag} \"0\"")),
-            "{command:?} {flag} 0: stderr: {stderr}"
-        );
-        assert!(
-            out.stdout.is_empty(),
-            "{command:?} {flag} 0 printed a banner: {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
+        let complaint = format!("invalid {flag} \"0\"");
+        refused(command, &[flag, "0"], None, &complaint);
+    }
+    for command in [&stream[..], &serve[..]] {
+        for bad in ["four", "0"] {
+            let complaint = format!("error: invalid GENPIP_PARALLELISM {bad:?}");
+            refused(command, &[], Some(bad), &complaint);
+        }
     }
     let _ = std::fs::remove_file(&script);
+}
+
+/// `genpip experiment <name>` is the one way to regenerate a paper figure or
+/// table: a known name prints its report, anything else says what is wrong.
+#[test]
+fn experiment_prints_the_named_report_and_refuses_anything_else() {
+    let out = genpip_output(&["experiment", "tab02"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "experiment tab02 must exit 0");
+    assert!(
+        stdout.contains("Table 2 — area and power breakdown"),
+        "stdout: {stdout}"
+    );
+    let (ok, stderr) = genpip(&["experiment", "bogus"]);
+    assert!(!ok, "an unknown experiment must exit nonzero");
+    assert!(
+        stderr.contains("unknown experiment \"bogus\""),
+        "stderr: {stderr}"
+    );
+    let (ok, stderr) = genpip(&["experiment"]);
+    assert!(!ok, "a missing experiment name must exit nonzero");
+    assert!(
+        stderr.contains("experiment needs a name"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
