@@ -80,13 +80,13 @@ impl Parallelism {
     }
 }
 
-/// What the engine does with a read whose chunk task faults (panics or
-/// trips a signal-integrity check) mid-chain.
+/// What the engine does with a read whose task faults (panics or trips a
+/// signal-integrity check) mid-chain.
 ///
 /// Containment never changes surviving reads' results: a faulted read's
-/// remaining chunks are cancelled through the same path as an early-rejection
-/// verdict, its flow permit is released, and every other read proceeds
-/// untouched — so survivors stay bit-identical to a fault-free run.
+/// remaining chunks never run, it is emitted in its in-order slot like any
+/// other result, and every other read proceeds untouched — so survivors
+/// stay bit-identical to a fault-free run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FaultPolicy {
     /// Propagate the panic and tear the whole session down (the historical
@@ -164,7 +164,7 @@ pub struct GenPipConfig {
     /// default: early-rejected reads never have assembled bases, and runs
     /// that only need counters should not pay the memory.
     pub keep_bases: bool,
-    /// What to do with a read whose chunk task faults mid-chain (see
+    /// What to do with a read whose task faults mid-chain (see
     /// [`FaultPolicy`]). Per-source config overrides let each source of a
     /// session pick its own policy.
     pub fault_policy: FaultPolicy,

@@ -1,5 +1,5 @@
 //! The `Session` engine: one execution core serving any number of read
-//! sources, scheduling **chunks**, not reads.
+//! sources over one worker pool, **one task per read**.
 //!
 //! Everything that runs reads — [`crate::PipelineRun::collect`], the CLI,
 //! the examples, and the bench harness — goes through the [`Session`] built
@@ -7,8 +7,10 @@
 //! is *configured*, not called: you register named sources, attach
 //! per-source sinks, pick a [`Flow`] and a [`Schedule`], and run. GenPIP's
 //! end-to-end gain comes from tight integration at **chunk granularity**
-//! (paper §3): the session brings that granularity to the execution core
-//! itself, interleaving many concurrent reads' chunks over one worker pool.
+//! (paper §3). That dataflow — every chunk seeds and chains as soon as it
+//! is basecalled, and the read stops at the early-rejection verdict — lives
+//! inside each read's chain ([`crate::pipeline`], one chunk per `step`);
+//! the engine schedules whole reads over the pool.
 //!
 //! ```no_run
 //! use genpip_core::engine::{Flow, Session};
@@ -43,71 +45,60 @@
 //! # Execution model
 //!
 //! ```text
-//!              read = chain of chunk tasks (decoder carry forces order)
-//!  source "a" ─┐  admit ▼ (gate ≤ Q+W chains)
-//!  source "b" ─┼─▶ [chain chain chain …] ─┐
-//!  source "c" ─┘        ▲ park            │ Schedule picks, per chunk task
-//!                       │                 ▼
-//!                       └──────────── W workers (spawned lazily)
-//!                   ER verdict ╳ cancels the chain's remaining chunks
-//!                              │ and frees its permit immediately
-//!                              ▼
-//!  sink "a"/"b"/"c" ◀── emit in global admission order (per-source = read order)
+//!              read = chain of chunk steps (decoder carry forces order)
+//!  source "a" ─┐  Schedule picks, per admitted read
+//!  source "b" ─┼─▶ admit ▶ [read read read …] ─▶ W workers (spawned lazily),
+//!  source "c" ─┘  (gate ≤ Q+W reads)              each steps its read's chain
+//!                                                 to the end; an ER verdict
+//!                                                 ╳ ends the chain early
+//!                                                 │
+//!  sink "a"/"b"/"c" ◀── emit in global admission order (per-source = read order);
+//!                       the read's permit returns here
 //! ```
 //!
 //! The engine behind a session is three named parts. A **dispatcher** owns
-//! the sources and a pool of **resident chains** — reads whose next chunk
-//! may run. For every chunk task it consults the [`Schedule`] to pick a
-//! source, then either advances that source's oldest parked chain or admits
-//! a new read under a flow-gate permit. A **worker** runs one task: one
-//! step of a chain (the whole chain under [`Granularity::Read`]). An
-//! **emitter** reorders retired chains into admission order and feeds the
-//! sinks on the calling thread.
+//! the sources: for every read it consults the [`Schedule`] to pick a
+//! source and admits that source's next read under a flow-gate permit. A
+//! **worker** runs one task: it steps one read's chain, chunk by chunk, to
+//! its result. An **emitter** reorders finished reads into admission order,
+//! feeds the sinks on the calling thread, and returns each read's permit as
+//! it is emitted.
 //!
 //! Within a read, chunks are strictly sequential (the decoder's
-//! [`genpip_basecall::CarryState`] forces it); across reads, chunks
-//! interleave freely — chunk *i*'s mapping overlaps chunk *i+1*'s
-//! basecalling at the system level, and a long read no longer monopolizes a
-//! worker. An early-rejection verdict ends a chain **before its next chunk
-//! is scheduled**, and the cancelled read's permit is released at the
-//! verdict rather than at emission, so a doomed read stops consuming
-//! resources the moment QSR/CMR fires.
+//! [`genpip_basecall::CarryState`] forces it) and run back to back on one
+//! worker; across reads, workers overlap freely. An early-rejection verdict
+//! ends a chain **before its next chunk is stepped**, so a doomed read
+//! stops consuming compute the moment QSR/CMR fires; its permit, like every
+//! read's, is held from pull to in-order emission.
 //!
 //! The worker count selects how the parts are driven. With several, the
 //! dispatcher runs on a thread of its own and feeds worker threads spawned
-//! lazily, one per unit of concurrent chunk work actually reached, up to
-//! the configured count. With one ([`crate::Parallelism::Serial`]) nothing
-//! is spawned: the calling thread dispatches, runs and emits in turn, one
-//! read resident at a time and stepped to completion in its one task — so
-//! the schedule's pick sequence *is* the emission order.
+//! lazily, one per concurrently running read actually reached, up to the
+//! configured count. With one ([`crate::Parallelism::Serial`]) nothing is
+//! spawned: the calling thread dispatches, runs and emits in turn, one read
+//! resident at a time — so the schedule's pick sequence *is* the emission
+//! order.
 //!
 //! # Guarantees
 //!
 //! * **Per-source bit-identity** — a source's per-read output in a
 //!   multi-source session is bit-identical to running that source alone,
-//!   and chunk-granular execution is bit-identical to read-granular
-//!   execution ([`Granularity::Read`] steps the same chain to completion
-//!   inside one task), for every [`Schedule`], [`crate::Parallelism`]
-//!   and [`ErMode`] (`tests/session.rs` and
-//!   `tests/chunk_granularity.rs` assert this against the independent
-//!   serial oracle in `tests/common`). Scheduling changes latency, never
-//!   results.
-//! * **Bounded residency** — at most `queue_capacity + workers` read
-//!   chains are resident (live decode/chain state), no matter how many
-//!   sources are registered ([`SessionReport::max_in_flight`] proves the
-//!   bound held). Early-rejected reads leave the bound at their verdict;
-//!   only their O(`N_qs` + `N_cm`)-sized results wait for in-order
-//!   emission.
+//!   for every [`Schedule`], [`crate::Parallelism`] and [`ErMode`]
+//!   (`tests/session.rs` and `tests/chunk_granularity.rs` assert this
+//!   against the independent serial oracle in `tests/common`). Scheduling
+//!   changes latency, never results.
+//! * **Bounded residency** — at most `queue_capacity + workers` reads are
+//!   pulled and not yet emitted, no matter how many sources are registered
+//!   ([`SessionReport::max_in_flight`] proves the bound held).
 //! * **Typed validation** — invalid inputs (zero queue, zero workers, no
 //!   sources, duplicate ids, bad priority weights, per-source configs
 //!   incompatible with their source's reference or chemistry) fail up
 //!   front with a [`SessionError`] instead of deadlocking or panicking
 //!   mid-run.
 //! * **Fault containment** — under [`crate::FaultPolicy::Quarantine`] or
-//!   [`crate::FaultPolicy::Retry`], a chunk task that panics (or trips the
+//!   [`crate::FaultPolicy::Retry`], a task that panics (or trips the
 //!   basecaller's signal-integrity check) takes out only its own read: the
-//!   chain's remaining chunks are cancelled through the verdict path, its
-//!   permit is released, and the read is emitted as
+//!   chain's remaining chunks never run and the read is emitted as
 //!   [`StreamEvent::Failed`] in its normal in-order slot. Retries rebuild
 //!   the chain from the untouched signal, so a read that succeeds on retry
 //!   is bit-identical to one that never faulted. The default
@@ -115,7 +106,7 @@
 //!   panic tears the session down promptly. [`Session::run_with_control`]
 //!   additionally hands out a [`SessionControl`] whose
 //!   [`SessionControl::drain`] stops pulling new reads, finishes every
-//!   resident chain, and returns normally — the graceful-shutdown
+//!   resident read, and returns normally — the graceful-shutdown
 //!   primitive for long-lived sessions.
 
 // Keeps the engine in named, reviewable parts (threshold in `clippy.toml`).
@@ -158,35 +149,18 @@ impl Flow {
     }
 }
 
-/// The schedulable unit of a [`Session`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Granularity {
-    /// Schedule whole reads: every read's chain is stepped to completion
-    /// inside one task, and permits are held from pull to emission (neither
-    /// an ER verdict nor a quarantine releases early). The pre-chunk-granular engine's
-    /// scheduling, kept for comparison (`tests/chunk_granularity.rs` pins
-    /// the short-read residency of both on a mixed workload) — it runs the
-    /// very same chain, so output is bit-identical to
-    /// [`Granularity::Chunk`] by construction.
-    Read,
-    /// Schedule chunk tasks: each read is a sequential chain, the
-    /// [`Schedule`] applies per chunk pulled, and ER verdicts cancel a
-    /// chain's remaining chunks before they are scheduled. The default.
-    #[default]
-    Chunk,
-}
-
 /// A cloneable remote control for a [`Session`] — its **control plane**
 /// (see [`Session::run_with_control`]).
 ///
 /// Four verbs:
 ///
-/// * [`SessionControl::attach`] (plus [`SessionControl::attach_with_config`]
-///   and the full-spec [`SessionControl::attach_with`]) adds a named source
-///   to the *running* session. The source is validated exactly like
-///   [`Session::source_with_config`] validates at startup — a typed
-///   [`SessionError`] comes back through the returned [`PendingAttach`] —
-///   and admission is bounded by [`StreamOptions::max_sources`]. Once
+/// * [`SessionControl::attach`] (or [`SessionControl::attach_with`] and an
+///   [`AttachSpec`] for a config override, sink, weight or target) adds a
+///   named source to the *running* session. The source is validated
+///   exactly like [`Session::source_with_config`] validates at startup — a
+///   typed [`SessionError`] comes back through the returned
+///   [`PendingAttach`] — and admission is bounded by
+///   [`StreamOptions::max_sources`]. Once
 ///   accepted, the source joins the schedule and its first read can be
 ///   admitted immediately.
 /// * [`SessionControl::detach`] removes a named source: the session stops
@@ -423,18 +397,6 @@ impl SessionControl {
         self.attach_with(id, source, AttachSpec::new())
     }
 
-    /// Attaches a new source with its own config override — the live twin
-    /// of [`Session::source_with_config`], validated identically
-    /// ([`SessionError::IncompatibleSourceConfig`] on mismatch).
-    pub fn attach_with_config(
-        &self,
-        id: impl Into<SourceId>,
-        source: impl ReadSource + Send + 'static,
-        config: GenPipConfig,
-    ) -> PendingAttach {
-        self.attach_with(id, source, AttachSpec::new().config(config))
-    }
-
     /// Attaches a new source with a full [`AttachSpec`] (config override,
     /// sink, priority weight, deadline target).
     pub fn attach_with(
@@ -653,10 +615,6 @@ pub enum SessionError {
     /// `StreamOptions::queue_capacity` was 0 — the work queue could never
     /// stage a read.
     ZeroQueueCapacity,
-    /// `StreamOptions::reject_backlog` was 0 — the soft gate on the
-    /// verdict-released emission backlog would block the very first
-    /// admission.
-    ZeroRejectBacklog,
     /// `Parallelism::Threads(0)` — an explicit request for no workers.
     ZeroWorkers,
     /// No source was registered.
@@ -712,9 +670,6 @@ impl fmt::Display for SessionError {
         match self {
             SessionError::ZeroQueueCapacity => {
                 write!(f, "queue capacity must be at least 1 (got 0)")
-            }
-            SessionError::ZeroRejectBacklog => {
-                write!(f, "rejection backlog bound must be at least 1 (got 0)")
             }
             SessionError::ZeroWorkers => {
                 write!(f, "worker count must be at least 1 (got Threads(0))")
@@ -797,24 +752,21 @@ pub struct SessionReport {
     /// Worker threads configured (lazily spawned, so short runs may have
     /// used fewer).
     pub workers: usize,
-    /// The enforced bound on resident read chains across **all** sources
-    /// (`queue_capacity + workers`; 1 with a single worker, where the
-    /// calling thread runs each read to completion before the next pull).
+    /// The enforced bound on resident reads — pulled and not yet emitted —
+    /// across **all** sources (`queue_capacity + workers`; 1 with a single
+    /// worker, where the calling thread runs each read to completion before
+    /// the next pull).
     pub in_flight_limit: usize,
-    /// High-water mark of resident read chains, summed over sources.
-    /// Always ≤ `in_flight_limit`. See [`StreamSummary::max_in_flight`] for
-    /// the precise residency definition.
+    /// High-water mark of resident reads, summed over sources. Always ≤
+    /// `in_flight_limit`. See [`StreamSummary::max_in_flight`].
     pub max_in_flight: usize,
     /// Fault-retry attempts consumed across all sources (see
     /// [`StreamSummary::retried`]).
     pub retried: usize,
-    /// High-water mark of the verdict-released emission backlog: results of
-    /// early-rejected and quarantined reads (permit already returned)
-    /// waiting for their in-order emission slot. The soft gate stops
-    /// admitting new reads once the backlog reaches
-    /// [`StreamOptions::reject_backlog`], so this never exceeds
-    /// `reject_backlog + in_flight_limit` (already-resident chains may each
-    /// add one entry after admission stops).
+    /// Always 0: every read holds its permit to emission, so no result ever
+    /// waits for its in-order slot outside the in-flight bound. The field
+    /// stays only because `benchmarks/src/run.rs` reads it; it goes with the
+    /// `benchmark` PR that retires `engine.max_reject_backlog`.
     pub max_reject_backlog: usize,
     /// Aggregate read-residency percentiles over all sources
     /// ([`LatencyStats`], in chunk-work units).
@@ -893,7 +845,6 @@ pub struct Session<'a> {
     flow: Flow,
     schedule: Schedule,
     options: StreamOptions,
-    granularity: Granularity,
     slots: Vec<SourceSlot<'a>>,
     /// Sinks attached before their source was registered — matched up at
     /// [`Session::run`], so builder call order doesn't matter.
@@ -905,14 +856,13 @@ pub struct Session<'a> {
 impl<'a> Session<'a> {
     /// Starts a session with the full GenPIP flow ([`Flow::GenPip`] with
     /// [`ErMode::Full`]), a [`Schedule::FairShare`] scheduler, default
-    /// [`StreamOptions`], chunk granularity, and no sources.
+    /// [`StreamOptions`], and no sources.
     pub fn new(config: GenPipConfig) -> Session<'a> {
         Session {
             config,
             flow: Flow::GenPip(ErMode::Full),
             schedule: Schedule::FairShare,
             options: StreamOptions::default(),
-            granularity: Granularity::Chunk,
             slots: Vec::new(),
             pending_sinks: Vec::new(),
             checkpoint: None,
@@ -928,14 +878,6 @@ impl<'a> Session<'a> {
     /// Selects how the registered sources are interleaved.
     pub fn schedule(mut self, schedule: Schedule) -> Session<'a> {
         self.schedule = schedule;
-        self
-    }
-
-    /// Selects the schedulable unit ([`Granularity::Chunk`] by default).
-    /// Never changes results — only scheduling, latency, and when
-    /// early-rejected reads release their flow permit.
-    pub fn granularity(mut self, granularity: Granularity) -> Session<'a> {
-        self.granularity = granularity;
         self
     }
 
@@ -1041,9 +983,6 @@ impl<'a> Session<'a> {
         if self.options.queue_capacity == 0 {
             return Err(SessionError::ZeroQueueCapacity);
         }
-        if self.options.reject_backlog == 0 {
-            return Err(SessionError::ZeroRejectBacklog);
-        }
         if matches!(self.config.parallelism, Parallelism::Threads(0)) {
             return Err(SessionError::ZeroWorkers);
         }
@@ -1129,7 +1068,6 @@ impl<'a> Session<'a> {
             flow,
             schedule,
             options,
-            granularity,
             slots,
             checkpoint,
             ..
@@ -1165,8 +1103,6 @@ impl<'a> Session<'a> {
         let engine = EngineConfig {
             workers,
             queue_capacity: options.queue_capacity,
-            reject_backlog: options.reject_backlog,
-            whole_reads: granularity == Granularity::Read,
             schedule: &schedule,
             policies: &policies,
             control,
@@ -1223,7 +1159,7 @@ impl<'a> Session<'a> {
                     // while this worker runs.
                     let ctx = Arc::clone(&contexts.read().expect("contexts poisoned")[lane]);
                     // Scratch is per (worker, source): lazily built because
-                    // a worker may never see some sources' chunks, and
+                    // a worker may never see some sources' reads, and
                     // grown on demand for attached lanes.
                     if scratch.len() <= lane {
                         scratch.resize_with(lane + 1, || None);
@@ -1412,7 +1348,7 @@ impl SessionEmitter<'_> {
             in_flight_limit: self.in_flight_limit,
             max_in_flight: stats.max_in_flight,
             retried: stats.retried,
-            max_reject_backlog: stats.max_reject_backlog,
+            max_reject_backlog: 0,
             latency: stats.latency,
         }
     }
@@ -1582,25 +1518,14 @@ impl LaneFeed<ReadChain> for SessionFeed<'_> {
     }
 }
 
-/// A counting gate bounding how many read chains are resident: `acquire`
-/// blocks while `limit` permits are out, `release` frees one. Tracks the
+/// A counting gate bounding how many reads are resident: `acquire` blocks
+/// while `limit` permits are out, `release` frees one. Tracks the
 /// high-water mark so tests (and the bench report) can assert the bound
 /// really held.
 ///
-/// A permit is taken when a read is admitted and released when its chain
-/// retires — at the ER verdict for cancelled reads (early release: the
-/// paper's "rejected reads stop consuming resources"), at in-order emission
-/// for surviving reads.
-///
-/// The gate carries a second, *soft* bound: the backlog of verdict-released
-/// results (early-rejected or quarantined reads whose permit is already
-/// back but whose small result record still waits for its in-order emission
-/// slot). Once `backlog` reaches `backlog_limit`, `acquire`/`has_room`
-/// report no room — new reads stop being admitted — but permits stay
-/// decoupled from emission: parked chains keep advancing, so the
-/// head-of-line survivor always retires and the emitter drains the backlog.
-/// The backlog can transiently exceed the soft bound by at most `limit`
-/// (already-admitted chains may each add one entry after admission stops).
+/// A permit is taken when a read is pulled and released when it is emitted
+/// in order — whatever its outcome — so "pulled and not yet emitted" never
+/// exceeds `limit`.
 ///
 /// The gate can also be `open`ed — permits stop mattering and blocked
 /// acquirers return `false`. That is the shutdown path: if the sink or a
@@ -1611,39 +1536,30 @@ struct FlowGate {
     state: Mutex<GateState>,
     freed: Condvar,
     limit: usize,
-    backlog_limit: usize,
 }
 
 #[derive(Default)]
 struct GateState {
     used: usize,
-    backlog: usize,
-    /// High-water marks of `used` and `backlog`.
+    /// High-water mark of `used`.
     high: usize,
-    backlog_high: usize,
     open: bool,
 }
 
 impl FlowGate {
-    fn new(limit: usize, backlog_limit: usize) -> FlowGate {
+    fn new(limit: usize) -> FlowGate {
         FlowGate {
             state: Mutex::new(GateState::default()),
             freed: Condvar::new(),
             limit,
-            backlog_limit,
         }
     }
 
-    fn admittable(&self, state: &GateState) -> bool {
-        state.used < self.limit && state.backlog < self.backlog_limit
-    }
-
-    /// Takes a permit, blocking while the limit is reached or the rejection
-    /// backlog is over its soft bound. `false` means the gate was opened
-    /// for shutdown and no permit was taken.
+    /// Takes a permit, blocking while the limit is reached. `false` means
+    /// the gate was opened for shutdown and no permit was taken.
     fn acquire(&self) -> bool {
         let mut state = self.state.lock().expect("gate poisoned");
-        while !state.open && !self.admittable(&state) {
+        while !state.open && state.used >= self.limit {
             state = self.freed.wait(state).expect("gate poisoned");
         }
         if state.open {
@@ -1660,7 +1576,7 @@ impl FlowGate {
     /// else before it does.
     fn has_room(&self) -> bool {
         let state = self.state.lock().expect("gate poisoned");
-        state.open || self.admittable(&state)
+        state.open || state.used < self.limit
     }
 
     fn release(&self) {
@@ -1670,34 +1586,15 @@ impl FlowGate {
         self.freed.notify_one();
     }
 
-    /// Records one verdict-released result entering the emission backlog
-    /// (called by the dispatcher when a chain retires cancelled or
-    /// quarantined, right after its permit goes back).
-    fn push_backlog(&self) {
-        let mut state = self.state.lock().expect("gate poisoned");
-        state.backlog += 1;
-        state.backlog_high = state.backlog_high.max(state.backlog);
-    }
-
-    /// Records one verdict-released result leaving the backlog at its
-    /// in-order emission (called by the emitter).
-    fn pop_backlog(&self) {
-        let mut state = self.state.lock().expect("gate poisoned");
-        state.backlog -= 1;
-        drop(state);
-        self.freed.notify_one();
-    }
-
-    /// Blocks until every permit is back and the emission backlog is empty
-    /// — i.e. every admitted read has been emitted — or the gate was opened
-    /// for shutdown (`false`). The dispatcher parks here before concluding
-    /// an idle session, so sinks get to run (and possibly enqueue control
-    /// commands) before the final poll. Only the dispatcher ever waits on
-    /// the gate, so the emitter's `release`/`pop_backlog` notifications
-    /// cannot be stolen by another waiter.
+    /// Blocks until every permit is back — i.e. every admitted read has
+    /// been emitted — or the gate was opened for shutdown (`false`). The
+    /// dispatcher parks here before concluding an idle session, so sinks
+    /// get to run (and possibly enqueue control commands) before the final
+    /// poll. Only the dispatcher ever waits on the gate, so the emitter's
+    /// `release` notifications cannot be stolen by another waiter.
     fn await_idle(&self) -> bool {
         let mut state = self.state.lock().expect("gate poisoned");
-        while !state.open && (state.used > 0 || state.backlog > 0) {
+        while !state.open && state.used > 0 {
             state = self.freed.wait(state).expect("gate poisoned");
         }
         !state.open
@@ -1711,10 +1608,9 @@ impl FlowGate {
         self.freed.notify_all();
     }
 
-    /// The most permits ever out at once, and the deepest the backlog got.
-    fn high_waters(&self) -> (usize, usize) {
-        let state = self.state.lock().expect("gate poisoned");
-        (state.high, state.backlog_high)
+    /// The most permits ever out at once.
+    fn high_water(&self) -> usize {
+        self.state.lock().expect("gate poisoned").high
     }
 }
 
@@ -1728,24 +1624,22 @@ impl<F: FnMut()> Drop for OnDrop<F> {
     }
 }
 
-/// What one task of a chain reported back to the engine. Generic twin of
+/// What one step of a chain — one chunk's work — reported. Generic twin of
 /// the concrete steps produced by [`crate::pipeline::ReadChain`].
 pub(crate) enum ChainStep<O> {
-    /// The chain has more tasks; park it until its lane is picked again.
-    Parked {
-        /// Chunk-work units this task performed (the tick currency of
+    /// The chain has more chunks; step it again.
+    More {
+        /// Chunk-work units this step performed (the tick currency of
         /// [`LatencyStats`]).
         units: u64,
     },
-    /// The chain retired with `output`. `cancelled` marks an early verdict:
-    /// the chain's permit is released immediately instead of at emission.
+    /// The chain ended with `output` — at its last chunk, or earlier at an
+    /// ER verdict.
     Finished {
         /// The chain's result.
         output: O,
-        /// Chunk-work units this task performed.
+        /// Chunk-work units this step performed.
         units: u64,
-        /// `true` when the chain was cancelled by an ER verdict.
-        cancelled: bool,
     },
 }
 
@@ -1753,15 +1647,10 @@ impl<O> ChainStep<O> {
     /// The same step with its output (if it has one) converted by `f`.
     pub(crate) fn map<T>(self, f: impl FnOnce(O) -> T) -> ChainStep<T> {
         match self {
-            ChainStep::Parked { units } => ChainStep::Parked { units },
-            ChainStep::Finished {
-                output,
-                units,
-                cancelled,
-            } => ChainStep::Finished {
+            ChainStep::More { units } => ChainStep::More { units },
+            ChainStep::Finished { output, units } => ChainStep::Finished {
                 output: f(output),
                 units,
-                cancelled,
             },
         }
     }
@@ -1769,8 +1658,8 @@ impl<O> ChainStep<O> {
 
 /// Per-lane engine observations.
 pub(crate) struct LaneStats {
-    /// High-water mark of this lane's resident chains (plus
-    /// finished-but-unemitted surviving reads, which still hold permits).
+    /// High-water mark of this lane's resident reads (pulled, not yet
+    /// emitted).
     pub(crate) max_in_flight: usize,
     /// Fault retries this lane's reads consumed.
     pub(crate) retried: usize,
@@ -1785,9 +1674,6 @@ pub(crate) struct EngineStats {
     pub(crate) max_in_flight: usize,
     /// Fault retries across all lanes.
     pub(crate) retried: usize,
-    /// High-water mark of the verdict-released emission backlog (0 when
-    /// every task is a whole read, whose permit is held to emission).
-    pub(crate) max_reject_backlog: usize,
     /// Aggregate residency percentiles.
     pub(crate) latency: LatencyStats,
     /// Per-lane observations, indexed like the engine's lanes.
@@ -1848,11 +1734,11 @@ pub(crate) enum EngineCommand {
     DrainLane { lane: usize },
 }
 
-/// The per-lane record the dispatcher (admission, early release, retries)
-/// and the emitter (release at emission, samples, detach-marker stats)
-/// share. The dispatcher pushes a lane's record before sending its
-/// `Attached` marker, so every later index is in bounds on both sides. The
-/// *global* bound is the gate's; `high` only attributes high-waters.
+/// The per-lane record the dispatcher (admission, retries) and the emitter
+/// (release at emission, samples, detach-marker stats) share. The
+/// dispatcher pushes a lane's record before sending its `Attached` marker,
+/// so every later index is in bounds on both sides. The *global* bound is
+/// the gate's; `high` only attributes high-waters.
 #[derive(Default)]
 struct LaneTally {
     inflight: usize,
@@ -1889,20 +1775,19 @@ impl Shared {
     fn into_stats(self) -> EngineStats {
         let mut tallies = self.tallies.into_inner().expect("tallies poisoned");
         let mut all: Vec<u64> = tallies.iter().flat_map(|t| &t.samples).copied().collect();
-        let (max_in_flight, max_reject_backlog) = self.gate.high_waters();
         EngineStats {
-            max_in_flight,
+            max_in_flight: self.gate.high_water(),
             retried: tallies.iter().map(|t| t.retried).sum(),
-            max_reject_backlog,
             latency: LatencyStats::from_samples(&mut all),
             lanes: tallies.iter_mut().map(LaneTally::stats).collect(),
         }
     }
 }
 
-/// A chunk task on its way to a worker. `token` is its chain's admission
-/// seq. The task carries its lane's fault policy so workers never index
-/// per-lane state (which grows when lanes attach mid-run).
+/// A task — one read's whole chain — on its way to a worker. `token` is
+/// the read's admission seq. The task carries its lane's fault policy so
+/// workers never index per-lane state (which grows when lanes attach
+/// mid-run).
 struct Task<C> {
     token: u64,
     lane: usize,
@@ -1915,15 +1800,10 @@ struct Task<C> {
 /// vs. quarantine. `Panicked` is a pool worker's dying gasp under
 /// [`FaultPolicy::Fail`]: "I panicked on this task — abort."
 enum WorkerMsg<C, O> {
-    Parked {
-        task: Task<C>,
-        units: u64,
-    },
     Finished {
         token: u64,
         output: O,
         units: u64,
-        cancelled: bool,
     },
     Faulted {
         task: Task<C>,
@@ -1944,17 +1824,13 @@ struct EmitMsg<O> {
 }
 
 enum EmitKind<O> {
-    Output {
-        output: O,
-        holds_permit: bool,
-        resident_units: u64,
-    },
+    Output { output: O, resident_units: u64 },
     Attached,
     Detached,
 }
 
 /// A resident chain's dispatcher-side bookkeeping. (The chain itself is in
-/// its [`Task`]: out on a worker, or parked in its lane's `ready` queue.)
+/// its [`Task`]: out on a worker, or rewound in its lane's `retries` queue.)
 struct Resident {
     lane: usize,
     start_tick: u64,
@@ -1966,10 +1842,6 @@ struct Resident {
 pub(crate) struct EngineConfig<'s> {
     pub(crate) workers: usize,
     pub(crate) queue_capacity: usize,
-    pub(crate) reject_backlog: usize,
-    /// Step every chain to completion inside one task
-    /// ([`Granularity::Read`]). Always the case with one worker.
-    pub(crate) whole_reads: bool,
     pub(crate) schedule: &'s Schedule,
     pub(crate) policies: &'s [FaultPolicy],
     pub(crate) control: &'s SessionControl,
@@ -1984,13 +1856,6 @@ impl EngineConfig<'_> {
         } else {
             self.queue_capacity.max(1) + self.workers
         }
-    }
-
-    /// Whether a task is a whole read. Such a task holds its permit to
-    /// emission — verdicts and quarantines alike — so nothing it retires
-    /// enters the reject backlog.
-    fn whole_reads(&self) -> bool {
-        self.whole_reads || self.workers == 1
     }
 }
 
@@ -2050,15 +1915,14 @@ fn install_quiet_hook() {
 /// Runs one task — the only place a chain's `step` is called and its
 /// panics are caught (a panicking `step` would otherwise strand the
 /// chain's permit and deadlock the dispatcher), whichever thread runs it.
-/// A whole-read task loops the chain to completion, its units summed and
-/// its permit held to emission (never reported as cancelled). Under a
-/// containing policy a panicking chain survives (the closure only borrowed
-/// it) and comes back `Faulted`, the panic report suppressed; under
-/// [`FaultPolicy::Fail`] the payload is returned for the caller to rethrow.
+/// The chain is stepped, one chunk per call, until it finishes, the units
+/// of its steps summed. Under a containing policy a panicking chain
+/// survives (the closure only borrowed it) and comes back `Faulted`, the
+/// panic report suppressed; under [`FaultPolicy::Fail`] the payload is
+/// returned for the caller to rethrow.
 fn run_task<C, O, S>(
     step: &impl Fn(&mut S, usize, &mut C) -> ChainStep<O>,
     state: &mut S,
-    whole_read: bool,
     mut task: Task<C>,
 ) -> Result<WorkerMsg<C, O>, Box<dyn std::any::Any + Send>> {
     let (token, lane) = (task.token, task.lane);
@@ -2068,24 +1932,17 @@ fn run_task<C, O, S>(
         let mut done = 0u64;
         loop {
             match step(state, lane, &mut task.chain) {
-                ChainStep::Parked { units } if whole_read => done += units,
-                ChainStep::Parked { units } => break (None, units),
-                ChainStep::Finished {
-                    output,
-                    units,
-                    cancelled,
-                } => break (Some((output, cancelled && !whole_read)), done + units),
+                ChainStep::More { units } => done += units,
+                ChainStep::Finished { output, units } => break (output, done + units),
             }
         }
     }));
     SUPPRESS_PANIC_OUTPUT.with(|c| c.set(false));
     match outcome {
-        Ok((None, units)) => Ok(WorkerMsg::Parked { task, units }),
-        Ok((Some((output, cancelled)), units)) => Ok(WorkerMsg::Finished {
+        Ok((output, units)) => Ok(WorkerMsg::Finished {
             token,
             output,
             units,
-            cancelled,
         }),
         Err(panic) if contain => {
             let (kind, message) = classify_panic(panic);
@@ -2105,14 +1962,13 @@ fn run_task<C, O, S>(
 fn worker_loop<C, O, S>(
     step: &impl Fn(&mut S, usize, &mut C) -> ChainStep<O>,
     mut state: S,
-    whole_reads: bool,
     tasks: &Mutex<mpsc::Receiver<Task<C>>>,
     results: mpsc::Sender<WorkerMsg<C, O>>,
 ) {
     loop {
         let received = tasks.lock().expect("queue poisoned").recv();
         let Ok(task) = received else { break };
-        match run_task(step, &mut state, whole_reads, task) {
+        match run_task(step, &mut state, task) {
             Ok(msg) => {
                 if results.send(msg).is_err() {
                     break;
@@ -2133,10 +1989,10 @@ struct DispatchLane<C> {
     dry: bool,
     /// A detach is pending: the lane's retirement sends its marker.
     detaching: bool,
-    /// Resident chains of this lane (parked here or out on a task).
+    /// Resident chains of this lane (out on a task or awaiting a retry).
     live: usize,
-    /// Parked chains ready to advance, oldest first.
-    ready: VecDeque<Task<C>>,
+    /// Faulted chains rewound for another attempt, oldest first.
+    retries: VecDeque<Task<C>>,
 }
 
 impl<C> DispatchLane<C> {
@@ -2146,7 +2002,7 @@ impl<C> DispatchLane<C> {
             dry: false,
             detaching: false,
             live: 0,
-            ready: VecDeque::new(),
+            retries: VecDeque::new(),
         }
     }
 }
@@ -2166,7 +2022,6 @@ struct Dispatcher<'e, C, L, R, Q, X> {
     lanes: Vec<DispatchLane<C>>,
     /// Resident chains by admission seq.
     residents: HashMap<u64, Resident>,
-    hold_permits: bool,
     tick: u64,
     next_seq: u64,
     /// Tasks handed out by `next_task` and not yet `complete`d.
@@ -2202,7 +2057,6 @@ where
                 .map(DispatchLane::new)
                 .collect(),
             residents: HashMap::new(),
-            hold_permits: cfg.whole_reads(),
             tick: 0,
             next_seq: 0,
             outstanding: 0,
@@ -2276,16 +2130,16 @@ where
     }
 
     /// The next task in schedule order, or `None` when nothing is
-    /// dispatchable right now. A lane is available if it has a parked
-    /// chain to advance or a new read can be admitted under a fresh permit.
+    /// dispatchable right now. A lane is available if it has a rewound
+    /// chain to retry or a new read can be admitted under a fresh permit.
     fn next_task(&mut self) -> Option<Task<C>> {
         while !self.shutdown {
             let (lanes, gate) = (&self.lanes, &self.shared.gate);
-            let lane = self
-                .sched
-                .next_where(|l| !lanes[l].ready.is_empty() || (!lanes[l].dry && gate.has_room()))?;
-            let parked = self.lanes[lane].ready.pop_front();
-            if let Some(task) = parked.or_else(|| self.admit(lane)) {
+            let lane = self.sched.next_where(|l| {
+                !lanes[l].retries.is_empty() || (!lanes[l].dry && gate.has_room())
+            })?;
+            let retry = self.lanes[lane].retries.pop_front();
+            if let Some(task) = retry.or_else(|| self.admit(lane)) {
                 self.outstanding += 1;
                 return Some(task);
             }
@@ -2325,24 +2179,19 @@ where
         })
     }
 
-    /// Takes back a task: parks the chain, retires it, or — on a contained
-    /// fault — rewinds it while the lane's policy has retry budget left and
+    /// Takes back a task: retires its chain, or — on a contained fault —
+    /// rewinds it while the lane's policy has retry budget left and
     /// quarantines it otherwise.
     fn complete(&mut self, msg: WorkerMsg<C, O>) {
         self.outstanding -= 1;
         match msg {
-            WorkerMsg::Parked { task, units } => {
-                self.tick += units;
-                self.lanes[task.lane].ready.push_back(task);
-            }
             WorkerMsg::Finished {
                 token,
                 output,
                 units,
-                cancelled,
             } => {
                 self.tick += units;
-                self.retire(token, output, cancelled);
+                self.retire(token, output);
             }
             WorkerMsg::Faulted {
                 mut task,
@@ -2354,11 +2203,11 @@ where
                 resident.attempts += 1;
                 let (lane, attempts) = (task.lane, resident.attempts);
                 if attempts <= task.policy.retry_attempts() {
-                    // The schedule picks the rewound chain back up like any
-                    // other parked chain.
+                    // The schedule picks the rewound chain back up ahead of
+                    // its lane's next admission.
                     self.shared.tallies()[lane].retried += 1;
                     task.chain = (self.retry)(lane, task.chain);
-                    self.lanes[lane].ready.push_back(task);
+                    self.lanes[lane].retries.push_back(task);
                 } else {
                     let info = FaultInfo {
                         kind,
@@ -2366,19 +2215,16 @@ where
                         attempts,
                     };
                     let output = (self.fault)(lane, task.chain, info);
-                    self.retire(task.token, output, true);
+                    self.retire(task.token, output);
                 }
             }
             WorkerMsg::Panicked => self.shutdown = true,
         }
     }
 
-    /// Retires a chain with its output. `verdict` marks an ER cancellation
-    /// or a quarantine: the read's remaining chunks were never scheduled
-    /// and — unless tasks are whole reads — its permit goes back *now*, not
-    /// at emission, its result joining the soft-gated backlog until its
-    /// in-order slot.
-    fn retire(&mut self, token: u64, output: O, verdict: bool) {
+    /// Retires a chain with its output — a result, an ER verdict or a
+    /// quarantine alike; its permit goes back when the emitter delivers it.
+    fn retire(&mut self, token: u64, output: O) {
         let resident = self.residents.remove(&token).expect("resident chain");
         let lane = resident.lane;
         self.lanes[lane].live -= 1;
@@ -2386,15 +2232,8 @@ where
         // becomes this read's latency sample.
         let resident_units = self.tick - resident.start_tick;
         self.sched.observe(lane, resident_units);
-        let holds_permit = !verdict || self.hold_permits;
-        if !holds_permit {
-            self.shared.tallies()[lane].inflight -= 1;
-            self.shared.gate.release();
-            self.shared.gate.push_backlog();
-        }
         let kind = EmitKind::Output {
             output,
-            holds_permit,
             resident_units,
         };
         self.send(token, lane, kind);
@@ -2429,9 +2268,8 @@ where
 
 /// The engine's delivering half, on the caller's thread. Chains retire out
 /// of order; outputs wait in the map until every earlier-admitted read has
-/// been emitted. Surviving reads hold their permit to this point;
-/// verdict-released reads gave theirs back at the verdict, so their share
-/// of the map is the backlog the early release bought.
+/// been emitted. Every read holds its permit to this point, so the map
+/// never outgrows the gate's limit (plus lane markers).
 struct Emitter<'e, O, G> {
     shared: &'e Shared,
     pending: BTreeMap<u64, EmitMsg<O>>,
@@ -2447,18 +2285,13 @@ impl<O, G: FnMut(usize, LaneEvent<O>)> Emitter<'_, O, G> {
             match kind {
                 EmitKind::Output {
                     output,
-                    holds_permit,
                     resident_units,
                 } => {
                     (self.emit)(lane, LaneEvent::Output(output));
                     let tally = &mut self.shared.tallies()[lane];
                     tally.samples.push(resident_units);
-                    if holds_permit {
-                        tally.inflight -= 1;
-                        self.shared.gate.release();
-                    } else {
-                        self.shared.gate.pop_backlog();
-                    }
+                    tally.inflight -= 1;
+                    self.shared.gate.release();
                 }
                 EmitKind::Attached => (self.emit)(lane, LaneEvent::Attached),
                 EmitKind::Detached => {
@@ -2474,30 +2307,29 @@ impl<O, G: FnMut(usize, LaneEvent<O>)> Emitter<'_, O, G> {
 
 /// The one execution core behind every driver, in three named parts. A
 /// [`Dispatcher`] admits chains from `feed` (one per read, per lane) under
-/// the gate — at most [`EngineConfig::in_flight_limit`] are resident, and
-/// a cancelled chain leaves the bound at its verdict — and consults
-/// `cfg.schedule` for the lane of every task. [`run_task`] runs a task: one
-/// `step` of its chain, or the whole chain when `cfg.whole_reads`. An
-/// [`Emitter`] calls `emit` with chain outputs **in global admission
-/// order** (which makes each lane's emission order its own pull order).
+/// the gate — at most [`EngineConfig::in_flight_limit`] are resident, each
+/// from its pull to its emission — and consults `cfg.schedule` for the lane
+/// of every admission. [`run_task`] runs a task: its chain, `step` by
+/// `step`, to the end. An [`Emitter`] calls `emit` with chain outputs **in
+/// global admission order** (which makes each lane's emission order its own
+/// pull order).
 ///
 /// `cfg.workers` selects how they are driven. With one worker the caller's
 /// thread is all three in turn — nothing is spawned, no channel exists, one
-/// chain is resident and is stepped to completion in its one task, so the
-/// schedule is consulted once per admission and each output is emitted
-/// before the next pull: the reference execution. With more, the same
-/// dispatcher runs on a thread of its own, feeding up to `workers` lazily
-/// spawned [`worker_loop`]s (each with its own state from `worker_state`),
-/// and the same emitter drains a channel on the caller's thread.
+/// chain is resident, and each output is emitted before the next pull: the
+/// reference execution. With more, the same dispatcher runs on a thread of
+/// its own, feeding up to `workers` lazily spawned [`worker_loop`]s (each
+/// with its own state from `worker_state`), and the same emitter drains a
+/// channel on the caller's thread.
 ///
 /// A panic in a chain task is *contained* when the lane's
 /// [`FaultPolicy`] is not `Fail`: the chain survives the unwind, the
-/// dispatcher parks it again (`retry`, up to the policy's attempts) or
-/// retires it through `fault` as a quarantined output, and the run keeps
-/// going. Under `Fail` — and for panics outside chain tasks (source,
-/// sink) — the engine tears the pipeline down (gate opened, channels
-/// closed) and propagates rather than deadlocking; already-finished
-/// earlier items may still be emitted first.
+/// dispatcher rewinds and queues it again (`retry`, up to the policy's
+/// attempts) or retires it through `fault` as a quarantined output, and
+/// the run keeps going. Under `Fail` — and for panics outside chain tasks
+/// (source, sink) — the engine tears the pipeline down (gate opened,
+/// channels closed) and propagates rather than deadlocking;
+/// already-finished earlier items may still be emitted first.
 ///
 /// `cfg.control` is the cooperative drain switch: once `drain()` is
 /// observed, no new reads are pulled, resident chains run to their
@@ -2530,7 +2362,7 @@ where
     }
     let lanes = cfg.policies.len();
     let shared = Shared {
-        gate: FlowGate::new(cfg.in_flight_limit(), cfg.reject_backlog.max(1)),
+        gate: FlowGate::new(cfg.in_flight_limit()),
         tallies: Mutex::new((0..lanes).map(|_| LaneTally::default()).collect()),
     };
     let mut emitter = Emitter {
@@ -2550,7 +2382,7 @@ where
         loop {
             dispatcher.apply_commands();
             match dispatcher.next_task() {
-                Some(task) => match run_task(&step, &mut state, true, task) {
+                Some(task) => match run_task(&step, &mut state, task) {
                     Ok(msg) => dispatcher.complete(msg),
                     Err(panic) => std::panic::resume_unwind(panic),
                 },
@@ -2561,15 +2393,14 @@ where
     } else {
         // The channels are unbounded; the gate alone bounds what can be in
         // them (≤ limit chains exist, each with at most one task or emit
-        // message outstanding, plus the verdict-released backlog which is
-        // the early release working as intended).
+        // message outstanding).
         let (emit_tx, emit_rx) = mpsc::channel();
         let out = move |msg| emit_tx.send(msg).is_ok();
         let mut dispatcher = Dispatcher::new(&cfg, &shared, feed, retry, fault, out);
         let (task_tx, task_rx) = mpsc::channel();
         let task_rx = &Mutex::new(task_rx);
         let (msg_tx, msg_rx) = mpsc::channel();
-        let (workers, whole_reads) = (cfg.workers, cfg.whole_reads());
+        let workers = cfg.workers;
         let (worker_state, step) = (&worker_state, &step);
         std::thread::scope(|scope| {
             // Opening the gate after the emit loop is harmless (the
@@ -2582,14 +2413,13 @@ where
                 loop {
                     dispatcher.apply_commands();
                     // Dispatch everything dispatchable, growing the pool by
-                    // one worker per unit of concurrent chunk work reached.
+                    // one worker per concurrently outstanding read reached.
                     while let Some(task) = dispatcher.next_task() {
                         if dispatcher.outstanding > spawned && spawned < workers {
                             spawned += 1;
                             let results = msg_tx.clone();
-                            scope.spawn(move || {
-                                worker_loop(step, worker_state(), whole_reads, task_rx, results)
-                            });
+                            scope
+                                .spawn(move || worker_loop(step, worker_state(), task_rx, results));
                         }
                         if task_tx.send(task).is_err() {
                             dispatcher.shutdown = true; // workers gone
@@ -2604,7 +2434,7 @@ where
                         }
                         break;
                     }
-                    // Wait for a worker to park or retire a chain.
+                    // Wait for a worker to hand a chain back.
                     match msg_rx.recv() {
                         Ok(msg) => dispatcher.complete(msg),
                         Err(_) => break,
@@ -2650,18 +2480,6 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(err, SessionError::ZeroQueueCapacity);
-    }
-
-    #[test]
-    fn zero_reject_backlog_is_rejected() {
-        let err = tiny_session()
-            .options(StreamOptions {
-                reject_backlog: 0,
-                ..StreamOptions::default()
-            })
-            .run()
-            .unwrap_err();
-        assert_eq!(err, SessionError::ZeroRejectBacklog);
     }
 
     #[test]
@@ -2942,7 +2760,6 @@ mod tests {
     fn session_errors_display_their_cause() {
         let messages = [
             SessionError::ZeroQueueCapacity.to_string(),
-            SessionError::ZeroRejectBacklog.to_string(),
             SessionError::ZeroWorkers.to_string(),
             SessionError::NoSources.to_string(),
             SessionError::DuplicateSource("x".into()).to_string(),
@@ -3025,40 +2842,6 @@ mod tests {
     }
 
     #[test]
-    fn read_granularity_matches_chunk_granularity() {
-        let d = dataset();
-        let config =
-            GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Threads(2));
-        for flow in [Flow::GenPip(ErMode::Full), Flow::Conventional] {
-            let mut by_read = Vec::new();
-            Session::new(config.clone())
-                .flow(flow)
-                .granularity(Granularity::Read)
-                .source("s", d.stream())
-                .sink("s", |event| {
-                    if let StreamEvent::Read(run) = event {
-                        by_read.push(run);
-                    }
-                })
-                .run()
-                .expect("valid session");
-            let mut by_chunk = Vec::new();
-            Session::new(config.clone())
-                .flow(flow)
-                .granularity(Granularity::Chunk)
-                .source("s", d.stream())
-                .sink("s", |event| {
-                    if let StreamEvent::Read(run) = event {
-                        by_chunk.push(run);
-                    }
-                })
-                .run()
-                .expect("valid session");
-            assert_eq!(by_read, by_chunk, "{flow:?}");
-        }
-    }
-
-    #[test]
     fn sinkless_sources_still_count() {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile);
@@ -3071,7 +2854,7 @@ mod tests {
 
     #[test]
     fn transient_faults_succeed_on_retry() {
-        // A step that panics on each read's second task, first pass only:
+        // A step that panics on each read's second chunk, first pass only:
         // under `Retry { attempts: 1 }` the chain is rewound mid-read,
         // replayed from scratch, and every read comes out exactly once,
         // bit-identical to a fault-free run. This is the transient-fault
@@ -3081,7 +2864,7 @@ mod tests {
         let config =
             GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Threads(2));
         let ctx = RunContext::from_source(&d.stream(), &config);
-        let tasks_run = std::sync::Mutex::new(std::collections::HashMap::new());
+        let steps_run = std::sync::Mutex::new(std::collections::HashMap::new());
         let mut pending = d.reads.iter();
         let control = SessionControl::new();
         let mut emitted = Vec::new();
@@ -3089,8 +2872,6 @@ mod tests {
             EngineConfig {
                 workers: 2,
                 queue_capacity: 2,
-                reject_backlog: 256,
-                whole_reads: false,
                 schedule: &Schedule::Sequential,
                 policies: &[FaultPolicy::Retry { attempts: 1 }],
                 control: &control,
@@ -3102,8 +2883,8 @@ mod tests {
             },
             |scratch, _lane, chain: &mut ReadChain| {
                 let nth = {
-                    let mut tasks_run = tasks_run.lock().unwrap();
-                    let nth = tasks_run.entry(chain.read_id()).or_insert(0u32);
+                    let mut steps_run = steps_run.lock().unwrap();
+                    let nth = steps_run.entry(chain.read_id()).or_insert(0u32);
                     *nth += 1;
                     *nth
                 };
@@ -3124,10 +2905,10 @@ mod tests {
         );
         let clean = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         assert_eq!(emitted, clean.reads);
-        // Every read with a second task faulted there once.
-        let multi_task = clean.reads.iter().filter(|r| r.chunks.len() > 1).count();
-        assert!(multi_task > 0);
-        assert_eq!(stats.retried, multi_task);
+        // Every read with a second step faulted there once.
+        let multi_step = clean.reads.iter().filter(|r| r.chunks.len() > 1).count();
+        assert!(multi_step > 0);
+        assert_eq!(stats.retried, multi_step);
     }
 
     #[test]
@@ -3149,8 +2930,6 @@ mod tests {
                     EngineConfig {
                         workers: 2,
                         queue_capacity: 1,
-                        reject_backlog: 256,
-                        whole_reads: false,
                         schedule: &Schedule::Sequential,
                         policies: &[FaultPolicy::Fail],
                         control: &control,
@@ -3182,13 +2961,13 @@ mod tests {
     /// What a toy chain does, scripted by its index in its lane.
     #[derive(Clone, Copy)]
     enum Plan {
-        /// Park this many times, then finish.
-        Parks(u32),
-        /// Park this many times, then finish early (an ER verdict).
+        /// Step this many times, then finish.
+        Steps(u32),
+        /// Step this many times, then finish early (an ER verdict).
         CancelAfter(u32),
-        /// Panic on the second task, first pass only.
+        /// Panic on the second step, first pass only.
         FaultOnce,
-        /// Panic on every first task.
+        /// Panic on every first step.
         FaultAlways,
     }
 
@@ -3197,7 +2976,7 @@ mod tests {
             7 => Plan::FaultAlways,
             5 => Plan::FaultOnce,
             3 => Plan::CancelAfter(index % 3),
-            _ => Plan::Parks(index % 5),
+            _ => Plan::Steps(index % 5),
         }
     }
 
@@ -3213,7 +2992,7 @@ mod tests {
     fn scripted(policy: FaultPolicy, index: u32) -> (ToyOutput, usize) {
         let budget = policy.retry_attempts();
         match plan(index) {
-            Plan::Parks(_) => (ToyOutput::Done, 0),
+            Plan::Steps(_) => (ToyOutput::Done, 0),
             Plan::CancelAfter(_) => (ToyOutput::Cancelled, 0),
             Plan::FaultOnce if budget >= 1 => (ToyOutput::Done, 1),
             Plan::FaultOnce | Plan::FaultAlways => (
@@ -3228,28 +3007,24 @@ mod tests {
     /// An allocation-free chain: a few integers, no basecalling.
     struct Toy {
         index: u32,
-        task: u32,
+        step: u32,
         rewound: bool,
     }
 
     fn toy_step(chain: &mut Toy) -> ChainStep<ToyOutput> {
-        let at = chain.task;
-        chain.task += 1;
-        let (parks, output) = match plan(chain.index) {
-            Plan::Parks(n) => (n, ToyOutput::Done),
+        let at = chain.step;
+        chain.step += 1;
+        let (more, output) = match plan(chain.index) {
+            Plan::Steps(n) => (n, ToyOutput::Done),
             Plan::CancelAfter(n) => (n, ToyOutput::Cancelled),
             Plan::FaultOnce if at == 1 && !chain.rewound => panic!("toy transient fault"),
             Plan::FaultOnce => (2, ToyOutput::Done),
             Plan::FaultAlways => panic!("toy permanent fault"),
         };
-        if at < parks {
-            ChainStep::Parked { units: 1 }
+        if at < more {
+            ChainStep::More { units: 1 }
         } else {
-            ChainStep::Finished {
-                output,
-                units: 1,
-                cancelled: output == ToyOutput::Cancelled,
-            }
+            ChainStep::Finished { output, units: 1 }
         }
     }
 
@@ -3280,7 +3055,7 @@ mod tests {
             pulled[lane] += 1;
             Some(Toy {
                 index: pulled[lane] - 1,
-                task: 0,
+                step: 0,
                 rewound: false,
             })
         }
@@ -3322,14 +3097,15 @@ mod tests {
         let cfg = EngineConfig {
             workers,
             queue_capacity: 4,
-            reject_backlog: 8,
-            whole_reads: false,
             schedule: &Schedule::Priority(vec![3, 1, 2]),
             policies: &TOY_POLICIES[..3],
             control: &control,
         };
         let limit = cfg.in_flight_limit();
         let mut events: Vec<(usize, ToyEvent)> = Vec::new();
+        // Pulled-but-unemitted chains, sampled at every emission (the
+        // chain's own permit still held) — the outside view of the gate.
+        let (mut emitted, mut unemitted_high) = (0usize, 0usize);
         let stats = session_engine(
             cfg,
             || (),
@@ -3347,7 +3123,7 @@ mod tests {
                 toy_step(chain).map(|output| (index, output))
             },
             |_lane, chain| Toy {
-                task: 0,
+                step: 0,
                 rewound: true,
                 ..chain
             },
@@ -3357,6 +3133,11 @@ mod tests {
             },
             |lane, event| {
                 assert_eq!(std::thread::current().id(), caller, "emit left the caller");
+                if matches!(event, LaneEvent::Output(_)) {
+                    let pulls = pulled.lock().unwrap().iter().sum::<u32>() as usize;
+                    unemitted_high = unemitted_high.max(pulls - emitted);
+                    emitted += 1;
+                }
                 events.push((
                     lane,
                     match event {
@@ -3370,9 +3151,12 @@ mod tests {
             },
         );
         let label = format!("workers = {workers}");
+        // Permits run from pull to emission on both drivers — cancelled and
+        // quarantined chains included — so nothing waits outside the bound.
         assert!(stats.max_in_flight <= limit, "{label}");
+        assert!(unemitted_high <= limit, "{label}: {unemitted_high}");
         if workers == 1 {
-            assert_eq!((limit, stats.max_reject_backlog), (1, 0), "{label}");
+            assert_eq!(limit, 1, "{label}");
         }
 
         let pulled = pulled.into_inner().unwrap();
@@ -3504,7 +3288,7 @@ mod tests {
             })
             .run()
             .expect("valid session");
-        assert_eq!((report.in_flight_limit, report.max_reject_backlog), (1, 0));
+        assert_eq!(report.in_flight_limit, 1);
         let pullers = pullers.lock().unwrap();
         assert_eq!(pullers.len(), profile.n_reads + 1);
         assert!(sink_threads.borrow().len() >= profile.n_reads);

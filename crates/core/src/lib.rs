@@ -9,7 +9,7 @@
 //!   (QSR, the paper's Algorithm 1) and Chunk-Mapping-based Rejection (CMR);
 //! * [`pipeline`] — the *functional* execution of both the conventional
 //!   pipeline (Figure 5a) and GenPIP's chunk-based pipeline with optional
-//!   ER (Figures 5b and 6) as one per-read chain of chunk tasks, producing
+//!   ER (Figures 5b and 6) as one per-read chain of chunk steps, producing
 //!   per-read outcomes and the workload counters every hardware model
 //!   consumes; [`PipelineRun::collect`] is the batch spelling;
 //! * [`engine`] — the [`Session`] execution API: one bounded-memory worker
@@ -71,9 +71,9 @@ pub mod systems;
 
 pub use config::{FaultPolicy, GenPipConfig, Parallelism};
 pub use engine::{
-    AttachSpec, Flow, Granularity, PendingAttach, PendingDetach, Session, SessionCheckpoint,
-    SessionControl, SessionError, SessionReport, SessionStats, SourceCheckpoint, SourceConfigIssue,
-    SourceReport, SourceStats,
+    AttachSpec, Flow, PendingAttach, PendingDetach, Session, SessionCheckpoint, SessionControl,
+    SessionError, SessionReport, SessionStats, SourceCheckpoint, SourceConfigIssue, SourceReport,
+    SourceStats,
 };
 pub use genpip_datasets::SourceId;
 pub use pipeline::{CalledBases, ChunkWork, ErMode, PipelineRun, ReadOutcome, ReadRun};

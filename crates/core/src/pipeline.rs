@@ -23,25 +23,24 @@
 //! # Threading model
 //!
 //! There is one way to run a read: the [`Session`] engine in
-//! [`crate::engine`] schedules **chunk tasks**. Each read becomes a read
-//! chain — a sequential chain of per-chunk tasks (the decoder's carry state
-//! forces chunk order within a read) that can be parked between tasks and
-//! resumed on any worker. Workers are scoped threads spawned lazily up to
-//! [`GenPipConfig::parallelism`] ([`crate::Parallelism`]), and results are
-//! re-emitted in admission order. Cross-task read state lives in the chain
-//! (decoder cursor, basecalled chunks, incremental chainers);
-//! **worker-local scratch** holds only stateless buffers (decode, sketch,
-//! seed — so the hot path stays allocation-free in steady state). The
+//! [`crate::engine`] schedules **reads**, one task each. Each read becomes
+//! a read chain — a sequential chain of per-chunk steps (the decoder's
+//! carry state forces chunk order within a read) that one worker steps
+//! from the first chunk to the read's result. Workers are scoped threads
+//! spawned lazily up to [`GenPipConfig::parallelism`]
+//! ([`crate::Parallelism`]), and results are re-emitted in admission order.
+//! Cross-step read state lives in the chain (decoder cursor, basecalled
+//! chunks, incremental chainers); **worker-local scratch** holds only
+//! stateless buffers (decode, sketch, seed — so the hot path stays
+//! allocation-free in steady state). The
 //! shared state ([`Basecaller`], [`ReferenceSet`] with its `Arc`-shared
 //! reference genomes and `Arc`-shared minimizer indexes) is immutable,
 //! therefore one index per reference serves every worker — workers never
 //! clone whole-genome index state. Per-read computation never depends on
 //! other reads, which makes the output **bit-identical** for every
-//! `Parallelism` setting, for streaming vs batch execution, and for
-//! chunk-granular vs read-granular scheduling
-//! ([`crate::engine::Granularity`] — the same chain, stepped one task at a
-//! time or to completion inside one task) — asserted against the
-//! independent serial oracle in `tests/common` across all [`ErMode`]s.
+//! `Parallelism` setting and for streaming vs batch execution — asserted
+//! against the independent serial oracle in `tests/common` across all
+//! [`ErMode`]s.
 
 use crate::config::{GenPipConfig, Parallelism};
 use crate::early_reject::{cmr_check, qsr_check, qsr_sample_indices};
@@ -453,23 +452,20 @@ fn best_pair_score(pairs: &[(IncrementalChainer, IncrementalChainer)]) -> f64 {
     })
 }
 
-/// One read as a sequential chain of chunk tasks — the schedulable unit of
-/// the engine and the only per-read code in this crate.
+/// One read as a sequential chain of chunk steps — the engine's task and
+/// the only per-read code in this crate.
 ///
 /// The decoder's [`CarryState`] forces chunk order *within* a read, so a
-/// chain runs one task at a time; between tasks the chain is parked and may
-/// resume on any worker (all cross-task state lives here, not in the
-/// worker-local [`WorkerScratch`]). Across reads the engine interleaves many
-/// chains, which is what lets chunk `i+1` of one read overlap chunk `i`'s
-/// mapping of another — the system-level pipeline of the paper's
-/// Figure 5(b).
-///
-/// Read-granular execution ([`crate::engine::Granularity::Read`]) steps the
-/// same chain to completion inside one task, so the two granularities are
-/// bit-identical by construction.
+/// chain advances one chunk per [`ReadChain::step`]; the engine's worker
+/// steps it until it finishes. All cross-step state lives here, not in the
+/// worker-local [`WorkerScratch`], so the step boundary is where an ER
+/// verdict stops the read and where a fault names its chunk. Across reads
+/// the workers run many chains at once, which is what lets chunk `i+1` of
+/// one read overlap chunk `i`'s mapping of another — the system-level
+/// pipeline of the paper's Figure 5(b).
 pub(crate) enum ReadChain {
-    /// A chain awaiting its first task. Construction (chunk geometry,
-    /// chainer allocation) happens on the worker that runs that task, so
+    /// A chain awaiting its first step. Construction (chunk geometry,
+    /// chainer allocation) happens on the worker that runs the read, so
     /// the dispatcher thread only ever moves raw reads.
     Pending {
         /// The read, taken when the chain materializes.
@@ -494,7 +490,7 @@ impl ReadChain {
         }
     }
 
-    /// Runs the chain's next task on a worker.
+    /// Runs the chain's next chunk on a worker.
     pub(crate) fn step(
         &mut self,
         ctx: &RunContext,
@@ -538,7 +534,7 @@ impl ReadChain {
         }
     }
 
-    /// The chunk index whose task faulted, when the chain knows it: the
+    /// The chunk index whose step faulted, when the chain knows it: the
     /// chunk a mid-step panic interrupted. `None` for chains that never
     /// materialized.
     pub(crate) fn fault_chunk(&self) -> Option<usize> {
@@ -556,7 +552,7 @@ impl ReadChain {
 
 /// Where a [`GenPipChain`] is in the Figure 6 flow.
 enum GenPipPhase {
-    /// The signal divides into zero chunks; the first task emits the verdict.
+    /// The signal divides into zero chunks; the first step emits the verdict.
     Empty,
     /// ER-QSR sampling: basecall `samples[next]` next.
     Qsr {
@@ -572,9 +568,8 @@ enum GenPipPhase {
     },
 }
 
-/// The parked state of one read in GenPIP's chunk-based pipeline (Figure 6):
-/// the flow's loop variables as a movable struct, one loop iteration per
-/// task.
+/// The state of one read in GenPIP's chunk-based pipeline (Figure 6): the
+/// flow's loop variables as a struct, one loop iteration per step.
 pub(crate) struct GenPipChain {
     read: SimulatedRead,
     er: ErMode,
@@ -636,11 +631,10 @@ impl GenPipChain {
         }
     }
 
-    fn finish(&mut self, cancelled: bool, units: u64) -> ChainStep<ReadRun> {
+    fn finish(&mut self, units: u64) -> ChainStep<ReadRun> {
         ChainStep::Finished {
             output: self.run.take().expect("chain finished once"),
             units,
-            cancelled,
         }
     }
 
@@ -654,14 +648,13 @@ impl GenPipChain {
                     ErMode::None => ReadOutcome::FilteredQc { aqs: 0.0 },
                     _ => ReadOutcome::RejectedQsr { sampled_aqs: 0.0 },
                 };
-                let cancelled = self.er != ErMode::None;
-                self.finish(cancelled, 0)
+                self.finish(0)
             }
             GenPipPhase::Qsr {
                 samples: sample_idx,
                 next,
             } => {
-                // ER-QSR phase (Figure 6 ➊➋): one sample chunk per task,
+                // ER-QSR phase (Figure 6 ➊➋): one sample chunk per step,
                 // basecalled without carried state.
                 let run = self.run.as_mut().expect("chain not finished");
                 let idx = sample_idx[*next];
@@ -678,7 +671,7 @@ impl GenPipChain {
                 );
                 *next += 1;
                 if *next < sample_idx.len() {
-                    return ChainStep::Parked { units: 1 };
+                    return ChainStep::More { units: 1 };
                 }
                 let sampled: Vec<(f64, usize)> = sample_idx
                     .iter()
@@ -693,13 +686,13 @@ impl GenPipChain {
                     run.outcome = ReadOutcome::RejectedQsr {
                         sampled_aqs: decision.sampled_aqs,
                     };
-                    return self.finish(true, 1);
+                    return self.finish(1);
                 }
                 self.phase = GenPipPhase::Sequential { idx: 0 };
-                ChainStep::Parked { units: 1 }
+                ChainStep::More { units: 1 }
             }
             GenPipPhase::Sequential { idx } => {
-                // One iteration of the sequential CP pass per task: basecall
+                // One iteration of the sequential CP pass per step: basecall
                 // (or reuse a sampled chunk), then immediately seed and
                 // extend the chains.
                 let idx = *idx;
@@ -762,8 +755,8 @@ impl GenPipChain {
                 }
                 self.seq.extend_from_seq(&chunk.bases);
 
-                // ER-CMR (Figure 6 ➍➎): the verdict that cancels the
-                // read's remaining chunk tasks before they are scheduled.
+                // ER-CMR (Figure 6 ➍➎): the verdict that ends the chain
+                // before its remaining chunks are stepped.
                 if self.er == ErMode::Full
                     && !self.cmr_checked
                     && idx + 1 == ctx.config.n_cm
@@ -776,12 +769,12 @@ impl GenPipChain {
                         run.called_len = self.called.values().map(|c| c.bases.len()).sum();
                         run.best_chain_score = score;
                         run.outcome = ReadOutcome::RejectedCmr { chain_score: score };
-                        return self.finish(true, units);
+                        return self.finish(units);
                     }
                 }
                 if idx + 1 < total {
                     self.phase = GenPipPhase::Sequential { idx: idx + 1 };
-                    return ChainStep::Parked { units };
+                    return ChainStep::More { units };
                 }
 
                 // Last chunk: whole-read QC, then the final mapping.
@@ -797,7 +790,7 @@ impl GenPipChain {
                 run.best_chain_score = best_pair_score(&self.pairs);
                 if full_aqs < ctx.config.theta_qs {
                     run.outcome = ReadOutcome::FilteredQc { aqs: full_aqs };
-                    return self.finish(false, units);
+                    return self.finish(units);
                 }
                 let (per_reference, mapping, best_score, align_cells) = ctx
                     .refs
@@ -815,15 +808,15 @@ impl GenPipChain {
                         chain_score: best_score,
                     },
                 };
-                self.finish(false, units)
+                self.finish(units)
             }
         }
     }
 }
 
-/// The parked state of one read in the conventional flow: basecalling split
-/// into per-chunk tasks (the decoder cursor still forces order), with QC and
-/// whole-read mapping folded into the final task.
+/// The state of one read in the conventional flow: basecalling split into
+/// per-chunk steps (the decoder cursor still forces order), with QC and
+/// whole-read mapping folded into the final step.
 pub(crate) struct ConvChain {
     read: SimulatedRead,
     specs: Vec<genpip_signal::ChunkSpec>,
@@ -874,7 +867,7 @@ impl ConvChain {
             units += 1;
             self.idx += 1;
             if self.idx < self.specs.len() {
-                return ChainStep::Parked { units };
+                return ChainStep::More { units };
             }
         }
 
@@ -902,11 +895,7 @@ impl ConvChain {
             });
         }
         if full_aqs < ctx.config.theta_qs {
-            return ChainStep::Finished {
-                output: run,
-                units,
-                cancelled: false,
-            };
+            return ChainStep::Finished { output: run, units };
         }
         let result = ctx.refs.map_with(
             &self.seq,
@@ -932,11 +921,7 @@ impl ConvChain {
                 chain_score: result.best_chain_score,
             },
         };
-        ChainStep::Finished {
-            output: run,
-            units,
-            cancelled: false,
-        }
+        ChainStep::Finished { output: run, units }
     }
 }
 

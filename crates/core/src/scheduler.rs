@@ -117,12 +117,12 @@ fn deadline_urgency(ewma: u64, target: u64) -> i64 {
 /// The mutable pick-next state behind a [`Schedule`], owned by the engine's
 /// dispatcher.
 ///
-/// Since the chunk-granular refactor the scheduler is consulted once per
-/// **chunk task**, not once per read: `next_where` proposes the lane
-/// (source) whose chain should run its next chunk, restricted to lanes that
-/// currently have dispatchable work (a parked chain ready to advance, or
-/// room to admit a new read). When a lane is permanently done the engine
-/// reports it via `exhausted` and it is never proposed again.
+/// The scheduler is consulted once per task, and a task is a read:
+/// `next_where` proposes the lane (source) to pull the next read from,
+/// restricted to lanes that currently have dispatchable work (room to admit
+/// a new read, or a faulted read rewound for its retry). When a lane is
+/// permanently done the engine reports it via `exhausted` and it is never
+/// proposed again.
 pub(crate) struct SchedulerState {
     kind: Kind,
     active: Vec<bool>,

@@ -14,11 +14,10 @@ use std::io;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamOptions {
     /// Staging headroom between the sources and the workers. The enforced
-    /// invariant is on the *total*: read chains resident anywhere (parked,
-    /// processing, or — for surviving reads — awaiting in-order emission)
-    /// never exceed `queue_capacity + workers`; one permit gate bounds the
-    /// whole pipeline rather than each channel separately, and an
-    /// early-rejected read leaves the bound at its verdict (see
+    /// invariant is on the *total*: reads resident anywhere (queued,
+    /// processing, or awaiting in-order emission) never exceed
+    /// `queue_capacity + workers`; one permit gate bounds the whole
+    /// pipeline rather than each channel separately (see
     /// [`StreamSummary::max_in_flight`]). A `Session` rejects 0 with a
     /// typed error ([`crate::engine::SessionError::ZeroQueueCapacity`]).
     pub queue_capacity: usize,
@@ -26,18 +25,6 @@ pub struct StreamOptions {
     /// (0 disables snapshots). In a multi-source session the cadence is per
     /// source, counted in that source's own reads.
     pub progress_every: usize,
-    /// Soft bound on the emission backlog of **verdict-released** results:
-    /// early-rejected and quarantined reads return their flow permit before
-    /// their (small) result record reaches its in-order emission slot, so
-    /// those records can pile up behind a slow head-of-line read. Once the
-    /// backlog reaches this bound the engine stops *admitting new reads*
-    /// until the emitter drains it — permits are never re-coupled to
-    /// emission, so resident chains keep advancing and the backlog always
-    /// drains. Peak backlog can transiently exceed the bound by at most the
-    /// in-flight limit (already-resident chains may each add one record
-    /// after admission stops). A `Session` rejects 0 with a typed error
-    /// ([`crate::engine::SessionError::ZeroRejectBacklog`]).
-    pub reject_backlog: usize,
     /// Admission control for live sessions: the most sources that may be
     /// attached (builder-registered plus control-plane
     /// [`crate::engine::SessionControl::attach`]) and not yet detached at
@@ -49,13 +36,12 @@ pub struct StreamOptions {
 }
 
 impl Default for StreamOptions {
-    /// A small queue (8), no progress snapshots, a generous (but bounded)
-    /// rejection backlog, and room for 64 concurrently-attached sources.
+    /// A small queue (8), no progress snapshots, and room for 64
+    /// concurrently-attached sources.
     fn default() -> StreamOptions {
         StreamOptions {
             queue_capacity: 8,
             progress_every: 0,
-            reject_backlog: 256,
             max_sources: 64,
         }
     }
@@ -110,7 +96,7 @@ pub enum FaultKind {
     /// too large to square) before decoding — the typed fault the basecaller
     /// raises for corrupt input.
     CorruptSignal,
-    /// A chunk task panicked for any other reason.
+    /// A chunk step panicked for any other reason.
     Panic,
 }
 
@@ -167,17 +153,15 @@ pub enum StreamEvent {
 
 /// Read-latency percentiles of a run, in **chunk-work units**: for each
 /// read, how many chunk-work entries (basecall or seeding steps, across
-/// *all* reads and sources) completed between the read's admission and its
-/// retirement. The engine's clock is work, not wall time, which keeps the
-/// metric deterministic in serial runs and hardware-independent in
-/// parallel ones.
-///
-/// Under read-granular scheduling a short read admitted behind long reads
-/// is resident while every one of their chunks completes — head-of-line
-/// blocking that shows up directly as a high `p99`. Chunk-granular
-/// scheduling interleaves chains, so a short read retires after roughly its
-/// own chunk count times the number of resident chains.
-/// `tests/chunk_granularity.rs` pins both on a mixed short/long workload.
+/// *all* reads and sources) were handed back to the engine between the
+/// read's admission and its retirement. The engine's clock is work, not
+/// wall time, which keeps the metric deterministic in serial runs and
+/// hardware-independent in parallel ones. A read's work lands on the clock
+/// in one lump when the read retires, so with one worker a read's residency
+/// is exactly its own chunk-work count (`tests/chunk_granularity.rs` pins
+/// that), and on the pool it is its own plus that of every read that
+/// retired while it was resident — a short read admitted behind long ones
+/// shows their bulk in `p99`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyStats {
     /// Reads the percentiles are over.
@@ -222,17 +206,13 @@ pub struct StreamSummary {
     pub totals: WorkloadTotals,
     /// Worker threads used.
     pub workers: usize,
-    /// The enforced bound on resident read chains (`queue_capacity +
-    /// workers`; 1 with a single worker).
+    /// The enforced bound on resident reads (`queue_capacity + workers`; 1
+    /// with a single worker).
     pub in_flight_limit: usize,
-    /// High-water mark of **resident read chains**: reads admitted and not
-    /// yet retired. A surviving read is resident from its pull until its
-    /// in-order emission; an early-rejected read leaves residency at its
-    /// QSR/CMR verdict (its remaining chunks are cancelled and its permit
-    /// returns immediately), even though its small result record may wait
-    /// longer for in-order emission. Always ≤ `in_flight_limit` — reads
-    /// *pulled but not yet emitted* may transiently exceed the limit by the
-    /// number of verdict-released rejected reads awaiting emission.
+    /// High-water mark of **resident reads**: pulled from their source and
+    /// not yet emitted in order, whatever their outcome (an early-rejected
+    /// read stops computing at its QSR/CMR verdict but keeps its permit
+    /// until its emission slot). Always ≤ `in_flight_limit`.
     pub max_in_flight: usize,
     /// Fault-retry attempts consumed across the run (reads re-enqueued
     /// after a transient fault under `FaultPolicy::Retry`; final

@@ -186,7 +186,8 @@ OPTIONS:
               key=value pairs, the same grammar a `serve` script's attach
               steps use: profile=<ecoli|human>[,scale=F] (simulated; scale
               defaults to --scale) or file=PATH[,offset=K] (an on-disk GSC
-              container replayed from read index K), then name=ID
+              container replayed from read index K) — scale= on a file
+              source or offset= on a profile one is an error — then name=ID
               (default: profileN, or the file stem), weight=N (priority
               schedule share, default 1), target=T (deadline schedule
               residency goal in chunk-work units, default 64).
@@ -210,7 +211,7 @@ OPTIONS:
               so the resumed file is byte-identical to an uninterrupted run
   --drain-after
               drain the session (stop intake, finish in-flight reads) once
-              N reads have been emitted — a deterministic stand-in for an
+              N >= 1 reads have been emitted — a deterministic stand-in for an
               interrupted run when testing --checkpoint/--resume
   --schedule  how `stream` interleaves its sources over the one worker
               pool: fair (round-robin, default), sequential (drain in
@@ -735,8 +736,15 @@ fn parse_source_spec(
         None => SOURCE_KEYS,
     };
     let spec = Spec::parse(flag, text, keys)?;
+    // A key the source's kind never reads is a mistake to report, not to
+    // run without.
+    let inapplicable = |key: &str, kind: &str| match spec.get(key) {
+        Some(_) => Err(spec.err(format!("key {key:?} applies only to {kind} sources"))),
+        None => Ok(()),
+    };
     let (kind, default_name) = match (spec.get("profile"), spec.get("file")) {
         (Some(profile), None) => {
+            inapplicable("offset", "file=")?;
             let scale = spec.get("scale").map(parse_scale).transpose();
             let scale = scale.map_err(|e| spec.err(e))?.unwrap_or(fallback_scale);
             let profile = profile_by_name(profile).map_err(|e| spec.err(e))?;
@@ -744,6 +752,7 @@ fn parse_source_spec(
             (SourceKind::Simulated(profile.scaled(scale)), name)
         }
         (None, Some(path)) => {
+            inapplicable("scale", "profile=")?;
             let kind = SourceKind::Container {
                 path: path.to_string(),
                 offset: spec.number("offset")?.unwrap_or(0),
@@ -839,12 +848,18 @@ fn usize_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, Strin
     Ok(usize_opt(parsed, key)?.unwrap_or(default))
 }
 
-/// A count the session refuses at 0 (`--queue`, `--checkpoint-every`).
-fn positive_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, String> {
-    match usize_from(parsed, key, default)? {
-        0 => Err(format!("invalid --{key} \"0\" (must be at least 1)")),
+/// A count that means nothing at 0 (`--queue`, `--checkpoint-every`,
+/// `--drain-after`), if the option was given.
+fn positive_opt(parsed: &Parsed, key: &str) -> Result<Option<usize>, String> {
+    match usize_opt(parsed, key)? {
+        Some(0) => Err(format!("invalid --{key} \"0\" (must be at least 1)")),
         n => Ok(n),
     }
+}
+
+/// [`positive_opt`] with a default for the option left out.
+fn positive_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, String> {
+    Ok(positive_opt(parsed, key)?.unwrap_or(default))
 }
 
 fn parallelism_from(parsed: &Parsed) -> Result<Parallelism, String> {
@@ -931,7 +946,7 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     // file (the length to truncate back to before appending).
     let checkpoint_path = opt(parsed, "checkpoint").map(str::to_string);
     let checkpoint_every = positive_from(parsed, "checkpoint-every", 25)?;
-    let drain_after = usize_opt(parsed, "drain-after")?;
+    let drain_after = positive_opt(parsed, "drain-after")?;
     let resume = match opt(parsed, "resume") {
         None => None,
         Some(path) => {
@@ -1472,7 +1487,6 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
             queue_capacity: queue,
             max_sources,
             progress_every: 0,
-            ..StreamOptions::default()
         });
     for (spec, input) in initial.iter().zip(initial_inputs) {
         println!(

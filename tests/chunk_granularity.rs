@@ -1,9 +1,10 @@
-//! Cross-crate properties of the chunk-granular engine: read-granular and
-//! chunk-granular sessions against the independent oracle
-//! (`common::reference_read`), what read granularity means now that it
-//! shares the chain, the cancellation guarantee (no chunk work past an ER
-//! verdict, witnessed by `ChunkWork` counters), per-source config
-//! overrides, head-of-line latency on mixed workloads, and the FASTQ sink.
+//! Cross-crate properties of the per-read chain of chunk steps as the
+//! engine runs it: every flow on both drivers (calling thread and pool)
+//! against the independent oracle (`common::reference_read`), what a task
+//! is (one whole read, its permit held to emission), the cancellation
+//! guarantee (no chunk work past an ER verdict, witnessed by `ChunkWork`
+//! counters), per-source config overrides, the unit of `LatencyStats`, and
+//! the FASTQ sink.
 //!
 //! The parallelism sweep includes `GENPIP_PARALLELISM` (when set), which CI
 //! uses to force both threading paths through this suite.
@@ -12,10 +13,10 @@ mod common;
 
 use common::{keep_reads, reference_run, totals};
 use genpip::core::early_reject::qsr_sample_indices;
-use genpip::core::engine::{Flow, Granularity, Session};
+use genpip::core::engine::{Flow, Session};
 use genpip::core::pipeline::{ErMode, PipelineRun, ReadOutcome, ReadRun};
 use genpip::core::scheduler::Schedule;
-use genpip::core::stream::{FastqSink, StreamEvent, StreamOptions};
+use genpip::core::stream::{FastqSink, StreamEvent};
 use genpip::core::{GenPipConfig, Parallelism, SessionReport};
 use genpip::datasets::{DatasetProfile, SimulatedDataset, StreamingSimulator};
 
@@ -33,16 +34,14 @@ fn parallelism_sweep() -> Vec<Parallelism> {
     sweep
 }
 
-fn collect_with_granularity(
+fn collect(
     dataset: &SimulatedDataset,
     config: &GenPipConfig,
     flow: Flow,
-    granularity: Granularity,
 ) -> (Vec<ReadRun>, SessionReport) {
     let mut reads = Vec::new();
     let report = Session::new(config.clone())
         .flow(flow)
-        .granularity(granularity)
         .source("s", dataset.stream())
         .sink("s", keep_reads(&mut reads))
         .run()
@@ -50,10 +49,11 @@ fn collect_with_granularity(
     (reads, report)
 }
 
-/// The headline oracle: every flow × threading path × granularity emits
-/// exactly what the naive serial replay computes, read for read.
+/// The headline oracle: every flow × driver (the calling thread stepping
+/// each chain alone, or the pool running several at once) emits exactly
+/// what the naive serial replay computes, read for read.
 #[test]
-fn chunk_granularity_is_bit_identical_to_read_granularity() {
+fn every_flow_on_both_drivers_is_bit_identical_to_the_oracle() {
     let d = dataset();
     let base = GenPipConfig::for_dataset(&d.profile);
     for flow in [
@@ -65,49 +65,43 @@ fn chunk_granularity_is_bit_identical_to_read_granularity() {
         let oracle = reference_run(&d, &base, flow);
         for parallelism in parallelism_sweep() {
             let config = base.clone().with_parallelism(parallelism);
-            for granularity in [Granularity::Read, Granularity::Chunk] {
-                let (reads, _) = collect_with_granularity(&d, &config, flow, granularity);
-                assert_eq!(
-                    reads, oracle,
-                    "{flow:?} / {parallelism:?} / {granularity:?}"
-                );
-            }
+            let (reads, _) = collect(&d, &config, flow);
+            assert_eq!(reads, oracle, "{flow:?} / {parallelism:?}");
         }
     }
 }
 
-/// Read granularity is the same chain stepped to completion inside one
-/// task: a read's work lands on the engine's clock as one lump equal to its
-/// `ChunkWork` count, and its permit is held to emission — an ER verdict
-/// never enters the reject backlog, unlike under chunk granularity.
+/// A task is a whole read on the pool as on the calling thread: the chain
+/// is stepped to completion by one worker, so a read's work lands on the
+/// engine's clock as one lump equal to its `ChunkWork` count, and its
+/// permit is held to emission — an ER verdict stops the read's compute, not
+/// its residency.
 #[test]
 fn read_granularity_is_one_task_per_read_holding_its_permit_to_emission() {
     let d = dataset();
-    let base = GenPipConfig::for_dataset(&d.profile);
     let flow = Flow::GenPip(ErMode::Full);
-
-    let serial = base.clone().with_parallelism(Parallelism::Serial);
-    let (reads, report) = collect_with_granularity(&d, &serial, flow, Granularity::Read);
-    let mut units: Vec<u64> = reads.iter().map(|r| r.chunks.len() as u64).collect();
-    units.sort_unstable();
-    assert_eq!(report.latency.max, *units.last().expect("reads exist"));
-    assert_eq!(report.latency.p50, units[reads.len().div_ceil(2) - 1]);
-
-    let threaded = base.with_parallelism(Parallelism::Threads(4));
-    let (reads, by_read) = collect_with_granularity(&d, &threaded, flow, Granularity::Read);
+    let threaded = GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Threads(4));
+    let (reads, report) = collect(&d, &threaded, flow);
     let rejected = reads
         .iter()
         .filter(|r| r.outcome.is_early_rejected())
         .count();
     assert!(rejected > 0, "workload must exercise ER verdicts");
+    // A read's work reaches the clock as one lump when it retires, so its
+    // residency always includes its own `ChunkWork` count (and, on the
+    // pool, whatever retired beside it): the sorted residencies dominate
+    // the sorted own-work counts, and the clock never runs past their sum.
+    let mut own: Vec<u64> = reads.iter().map(|r| r.chunks.len() as u64).collect();
+    own.sort_unstable();
+    assert_eq!(report.latency.reads, reads.len());
+    assert!(report.latency.p50 >= own[reads.len().div_ceil(2) - 1]);
+    assert!(report.latency.max >= *own.last().expect("reads exist"));
+    assert!(report.latency.max <= own.iter().sum::<u64>());
     assert_eq!(
-        by_read.max_reject_backlog, 0,
+        report.max_reject_backlog, 0,
         "verdicts must not release early"
     );
-    assert!(by_read.max_in_flight <= by_read.in_flight_limit);
-    // The same verdicts under chunk granularity do release at the verdict.
-    let (_, by_chunk) = collect_with_granularity(&d, &threaded, flow, Granularity::Chunk);
-    assert!(by_chunk.max_reject_backlog > 0);
+    assert!(report.max_in_flight <= report.in_flight_limit);
 }
 
 /// The cancellation guarantee: for every ER-rejected read, no chunk beyond
@@ -122,7 +116,7 @@ fn cancellation_schedules_no_post_verdict_chunk_work() {
     for parallelism in parallelism_sweep() {
         let config = base.clone().with_parallelism(parallelism);
         let flow = Flow::GenPip(ErMode::Full);
-        let (runs, _) = collect_with_granularity(&d, &config, flow, Granularity::Chunk);
+        let (runs, _) = collect(&d, &config, flow);
         let mut qsr_seen = 0usize;
         let mut cmr_seen = 0usize;
         for run in &runs {
@@ -188,83 +182,6 @@ fn cancellation_schedules_no_post_verdict_chunk_work() {
         }
         assert!(qsr_seen > 0, "{parallelism:?}: no QSR rejections exercised");
         assert!(cmr_seen > 0, "{parallelism:?}: no CMR rejections exercised");
-    }
-}
-
-/// The tentpole's latency claim: on a mixed short/long workload, chunk
-/// granularity stops long reads from head-of-line-blocking short ones. The
-/// short source's p99 residency (in chunk-work units — deterministic
-/// currency, not wall time) must drop versus read-granular scheduling,
-/// while per-read output stays bit-identical.
-#[test]
-fn short_reads_stop_head_of_line_blocking_under_chunk_granularity() {
-    // ~120-chunk long reads vs ~2-chunk short reads, interleaved over 2
-    // workers with a roomy queue: read-granular scheduling admits shorts
-    // into the FIFO task queue *behind whole long reads*, so once both
-    // workers hold a long read every queued short is resident for a long
-    // read's worth of chunk work. Chunk-granular scheduling dispatches one
-    // chunk at a time, so a short chain retires after a few interleaved
-    // rounds regardless of how long its neighbours are.
-    let long = DatasetProfile::uniform("long", 4, 36_000.0);
-    let short = DatasetProfile::uniform("short", 60, 600.0);
-    let config = GenPipConfig::for_dataset(&long).with_parallelism(Parallelism::Threads(2));
-    let opts = StreamOptions {
-        queue_capacity: 8,
-        ..StreamOptions::default()
-    };
-    let mut short_p99 = Vec::new();
-    let mut outputs: Vec<(Vec<ReadRun>, Vec<ReadRun>)> = Vec::new();
-    for (granularity, schedule) in [
-        (Granularity::Read, Schedule::FairShare),
-        (Granularity::Chunk, Schedule::FairShare),
-        // A tight residency target for the short source, a lax one for the
-        // long source.
-        (Granularity::Chunk, Schedule::Deadline(vec![16, 400])),
-    ] {
-        let mut long_reads = Vec::new();
-        let mut short_reads = Vec::new();
-        let report = Session::new(config.clone())
-            .flow(Flow::GenPip(ErMode::None))
-            .schedule(schedule)
-            .granularity(granularity)
-            .options(opts)
-            .source("short", StreamingSimulator::new(&short))
-            .source("long", StreamingSimulator::new(&long))
-            .sink("short", keep_reads(&mut short_reads))
-            .sink("long", keep_reads(&mut long_reads))
-            .run()
-            .expect("valid session");
-        let s = report.source("short").expect("short source reported");
-        assert_eq!(s.summary.latency.reads, short.n_reads);
-        assert!(s.summary.latency.p50 <= s.summary.latency.p99);
-        assert!(s.summary.latency.p99 <= s.summary.latency.max);
-        short_p99.push(s.summary.latency.p99);
-        outputs.push((short_reads, long_reads));
-    }
-    // Identical results every way — granularity and schedule only move
-    // *when* chunks run.
-    assert_eq!(outputs[0], outputs[1]);
-    assert_eq!(outputs[0], outputs[2]);
-    // The yardstick is the smallest long read's own work (~240 chunk-work
-    // units). Read-granular scheduling queues shorts behind whole long
-    // reads, so its short-source p99 carries several long reads' bulk (752
-    // when recorded); once chunks interleave a short chain retires within
-    // a few dozen units (54–66 under either schedule). The recorded rows do
-    // not support an ordering between `Deadline` and `FairShare` on this
-    // workload (59 against 54), so none is asserted.
-    let one_long_read = outputs[0].1.iter().map(|run| run.chunks.len()).min();
-    let one_long_read = one_long_read.expect("long reads emitted") as u64;
-    assert!(
-        short_p99[0] > one_long_read,
-        "read-granular short-read p99 ({}) should exceed a long read ({one_long_read})",
-        short_p99[0]
-    );
-    for (schedule, chunk_p99) in [("FairShare", short_p99[1]), ("Deadline", short_p99[2])] {
-        assert!(
-            chunk_p99 < one_long_read,
-            "chunk-granular {schedule} short-read p99 ({chunk_p99}) should stay under a long \
-             read ({one_long_read})"
-        );
     }
 }
 

@@ -113,6 +113,7 @@ fn zero_counts_fail_naming_the_flag_before_any_banner() {
         (&stream[..], "--threads"),
         (&stream[..], "--queue"),
         (&stream[..], "--checkpoint-every"),
+        (&stream[..], "--drain-after"),
         (&serve[..], "--threads"),
         (&serve[..], "--queue"),
     ] {
@@ -178,8 +179,9 @@ fn stream_accepts_the_deadline_schedule_like_serve_does() {
 }
 
 /// Every spec surface shares one `key=value` grammar and rejects the same
-/// mistakes: each bad spec exits nonzero naming the surface, quoting the
-/// spec, and saying what is wrong with it.
+/// mistakes — a key that does not apply to the source's kind among them:
+/// each bad spec exits nonzero naming the surface, quoting the spec, and
+/// saying what is wrong with it, before any banner reaches stdout.
 #[test]
 fn bad_specs_fail_naming_the_flag_and_the_spec() {
     // (spec, what stderr must say about it)
@@ -203,6 +205,14 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
         ("file=x.gsc,offset=-1", "invalid offset \"-1\""),
         ("profile=ecoli,file=x.gsc", "both profile= and file="),
         ("name=x,weight=2", "needs profile= or file="),
+        (
+            "profile=ecoli,offset=3",
+            "key \"offset\" applies only to file= sources",
+        ),
+        (
+            "file=x.gsc,scale=0.5",
+            "key \"scale\" applies only to profile= sources",
+        ),
     ];
     let signal_in: &[(&str, &str)] = &[
         ("x.gsc,heavy", "is not key=value"),
@@ -212,6 +222,10 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
         ("x.gsc,target=soon", "invalid target \"soon\""),
         ("x.gsc,profile=ecoli", "both profile= and file="),
         ("name=x", "must start with a container path"),
+        (
+            "x.gsc,scale=0.5",
+            "key \"scale\" applies only to profile= sources",
+        ),
     ];
     let attach: &[(&str, &str)] = &[
         ("profile=ecoli,heavy", "is not key=value"),
@@ -224,6 +238,14 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
         ("profile=ecoli,target=soon", "invalid target \"soon\""),
         ("profile=ecoli,file=x.gsc", "both profile= and file="),
         ("weight=2", "needs profile= or file="),
+        (
+            "profile=ecoli,offset=3",
+            "key \"offset\" applies only to file= sources",
+        ),
+        (
+            "file=x.gsc,scale=0.5",
+            "key \"scale\" applies only to profile= sources",
+        ),
     ];
     let script = std::env::temp_dir().join(format!("genpip-cli-{}.script", std::process::id()));
     let script_path = script.to_str().expect("utf-8 temp path");
@@ -234,19 +256,25 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
         ("attach", "serve", attach),
     ] {
         for (spec, complaint) in table {
-            let (ok, stderr) = if flag == "attach" {
+            let out = if flag == "attach" {
                 std::fs::write(&script, format!("attach a {spec}\n")).expect("write script");
-                genpip(&[command, "--script", script_path])
+                genpip_output(&[command, "--script", script_path])
             } else {
-                genpip(&[command, "--scale", "0.02", flag, spec])
+                genpip_output(&[command, "--scale", "0.02", flag, spec])
             };
-            assert!(!ok, "{flag} {spec:?} must exit nonzero");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{flag} {spec:?} must exit nonzero");
             for needle in [flag, spec, complaint] {
                 assert!(
                     stderr.contains(needle),
                     "{flag} {spec:?}: no {needle:?} in stderr: {stderr}"
                 );
             }
+            assert!(
+                out.stdout.is_empty(),
+                "{flag} {spec:?} printed a banner: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
         }
     }
     let _ = std::fs::remove_file(&script);

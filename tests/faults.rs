@@ -1,17 +1,16 @@
 //! Fault-tolerance properties of the `Session` engine under deterministic
 //! fault injection: containment (one corrupt read never kills the run),
 //! the quarantined == injected oracle, bit-identity of the surviving reads
-//! with a fault-free run, the bounded retry path, the rejection-backlog
-//! soft gate, graceful drain, and prompt teardown under
-//! `FaultPolicy::Fail`.
+//! with a fault-free run, the bounded retry path, graceful drain, and
+//! prompt teardown under `FaultPolicy::Fail`.
 //!
 //! The injector corrupts whole signals, so every injected read faults on
 //! its first decoded chunk under every `ErMode` — which is what makes the
 //! quarantined set exactly predictable.
 
-use genpip::core::engine::{Flow, Granularity, Session, SessionControl};
+use genpip::core::engine::{Flow, Session, SessionControl};
 use genpip::core::pipeline::ErMode;
-use genpip::core::stream::{FastqSink, StreamEvent, StreamOptions};
+use genpip::core::stream::{FastqSink, StreamEvent};
 use genpip::core::{FaultKind, FaultPolicy, GenPipConfig, Parallelism, ReadRun, SessionReport};
 use genpip::datasets::{DatasetProfile, FaultInjector, ReadSource, StreamingSimulator};
 
@@ -34,11 +33,10 @@ fn parallelism_sweep() -> Vec<Parallelism> {
 
 /// A fault-free session run: the reference output the survivors of a
 /// faulted run must match bit for bit.
-fn baseline(config: &GenPipConfig, er: ErMode, granularity: Granularity) -> Vec<ReadRun> {
+fn baseline(config: &GenPipConfig, er: ErMode) -> Vec<ReadRun> {
     let mut reads = Vec::new();
     Session::new(config.clone())
         .flow(Flow::GenPip(er))
-        .granularity(granularity)
         .source("s", StreamingSimulator::new(&profile()))
         .sink("s", |event| {
             if let StreamEvent::Read(run) = event {
@@ -55,16 +53,12 @@ fn baseline(config: &GenPipConfig, er: ErMode, granularity: Granularity) -> Vec<
 fn run_faulted(
     config: &GenPipConfig,
     er: ErMode,
-    granularity: Granularity,
-    opts: StreamOptions,
 ) -> (Vec<ReadRun>, Vec<u32>, Vec<u32>, SessionReport) {
     let mut injector = FaultInjector::new(StreamingSimulator::new(&profile()), INJECT_RATE, SEED);
     let mut survivors = Vec::new();
     let mut failed = Vec::new();
     let report = Session::new(config.clone())
         .flow(Flow::GenPip(er))
-        .granularity(granularity)
-        .options(opts)
         .source("s", &mut injector)
         .sink("s", |event| match event {
             StreamEvent::Read(run) => survivors.push(run),
@@ -81,40 +75,37 @@ fn run_faulted(
 fn quarantine_contains_faults_and_survivors_stay_bit_identical() {
     for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
         for parallelism in parallelism_sweep() {
-            for granularity in [Granularity::Read, Granularity::Chunk] {
-                let label = format!("{er:?} / {parallelism:?} / {granularity:?}");
-                let config = GenPipConfig::for_dataset(&profile())
-                    .with_parallelism(parallelism)
-                    .with_fault_policy(FaultPolicy::Quarantine);
-                let reference = baseline(&config, er, granularity);
-                let (survivors, failed, injected, report) =
-                    run_faulted(&config, er, granularity, StreamOptions::default());
+            let label = format!("{er:?} / {parallelism:?}");
+            let config = GenPipConfig::for_dataset(&profile())
+                .with_parallelism(parallelism)
+                .with_fault_policy(FaultPolicy::Quarantine);
+            let reference = baseline(&config, er);
+            let (survivors, failed, injected, report) = run_faulted(&config, er);
 
-                assert!(!injected.is_empty(), "{label}: injection rate too low");
-                let mut sorted_failed = failed.clone();
-                sorted_failed.sort_unstable();
-                let mut sorted_injected = injected.clone();
-                sorted_injected.sort_unstable();
-                assert_eq!(
-                    sorted_failed, sorted_injected,
-                    "{label}: quarantined set != injected set"
-                );
+            assert!(!injected.is_empty(), "{label}: injection rate too low");
+            let mut sorted_failed = failed.clone();
+            sorted_failed.sort_unstable();
+            let mut sorted_injected = injected.clone();
+            sorted_injected.sort_unstable();
+            assert_eq!(
+                sorted_failed, sorted_injected,
+                "{label}: quarantined set != injected set"
+            );
 
-                let expected: Vec<ReadRun> = reference
-                    .into_iter()
-                    .filter(|run| !injected.contains(&run.id))
-                    .collect();
-                assert_eq!(survivors, expected, "{label}: survivors diverged");
+            let expected: Vec<ReadRun> = reference
+                .into_iter()
+                .filter(|run| !injected.contains(&run.id))
+                .collect();
+            assert_eq!(survivors, expected, "{label}: survivors diverged");
 
-                assert_eq!(report.outcomes.failed, injected.len(), "{label}");
-                assert_eq!(report.retried, 0, "{label}: quarantine never retries");
-                assert!(
-                    report.max_in_flight <= report.in_flight_limit,
-                    "{label}: in-flight bound broken"
-                );
-                // Emission order is preserved: failures land in pull order.
-                assert_eq!(failed, injected, "{label}: failure order diverged");
-            }
+            assert_eq!(report.outcomes.failed, injected.len(), "{label}");
+            assert_eq!(report.retried, 0, "{label}: quarantine never retries");
+            assert!(
+                report.max_in_flight <= report.in_flight_limit,
+                "{label}: in-flight bound broken"
+            );
+            // Emission order is preserved: failures land in pull order.
+            assert_eq!(failed, injected, "{label}: failure order diverged");
         }
     }
 }
@@ -162,12 +153,11 @@ fn finite_samples_that_overflow_the_decoder_cost_exactly_their_read() {
             let config = GenPipConfig::for_dataset(&profile())
                 .with_parallelism(parallelism)
                 .with_fault_policy(FaultPolicy::Quarantine);
-            let reference = baseline(&config, er, Granularity::Chunk);
+            let reference = baseline(&config, er);
             let mut survivors = Vec::new();
             let mut failed = Vec::new();
             let report = Session::new(config.clone())
                 .flow(Flow::GenPip(er))
-                .granularity(Granularity::Chunk)
                 .source(
                     "s",
                     Flatten {
@@ -216,7 +206,7 @@ fn heavy_fault_sweep_runs_under_genpip_faults_env() {
             let config = GenPipConfig::for_dataset(&profile())
                 .with_parallelism(parallelism)
                 .with_fault_policy(FaultPolicy::Quarantine);
-            let reference = baseline(&config, ErMode::Full, Granularity::Chunk);
+            let reference = baseline(&config, ErMode::Full);
             let mut injector = FaultInjector::new(
                 StreamingSimulator::new(&profile()),
                 rate,
@@ -226,7 +216,6 @@ fn heavy_fault_sweep_runs_under_genpip_faults_env() {
             let mut failed = Vec::new();
             let report = Session::new(config)
                 .flow(Flow::GenPip(ErMode::Full))
-                .granularity(Granularity::Chunk)
                 .source("s", &mut injector)
                 .sink("s", |event| match event {
                     StreamEvent::Read(run) => survivors.push(run),
@@ -265,13 +254,8 @@ fn retry_spends_its_budget_then_quarantines_permanent_faults() {
         let config = GenPipConfig::for_dataset(&profile())
             .with_parallelism(parallelism)
             .with_fault_policy(FaultPolicy::Retry { attempts });
-        let reference = baseline(&config, ErMode::Full, Granularity::Chunk);
-        let (survivors, failed, injected, report) = run_faulted(
-            &config,
-            ErMode::Full,
-            Granularity::Chunk,
-            StreamOptions::default(),
-        );
+        let reference = baseline(&config, ErMode::Full);
+        let (survivors, failed, injected, report) = run_faulted(&config, ErMode::Full);
         assert!(!injected.is_empty(), "{label}");
         let mut sorted_failed = failed;
         sorted_failed.sort_unstable();
@@ -291,9 +275,9 @@ fn retry_spends_its_budget_then_quarantines_permanent_faults() {
     }
 }
 
-/// Read granularity steps the shared chain, so a mid-read fault knows its
-/// chunk, and every retry rebuilds the chain and replays it bit-identically
-/// — up to the very same chunk.
+/// A task steps its read's chain chunk by chunk, so a mid-read fault knows
+/// its chunk, and every retry rebuilds the chain and replays it
+/// bit-identically — up to the very same chunk.
 #[test]
 fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
     let attempts = 2u32;
@@ -310,7 +294,7 @@ fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
             .with_parallelism(parallelism)
             .with_fault_policy(FaultPolicy::Retry { attempts });
         let spc = config.samples_per_chunk(mean_dwell);
-        let reference = baseline(&config, ErMode::None, Granularity::Read);
+        let reference = baseline(&config, ErMode::None);
         // One bad sample at the start of chunk 2 (or the last sample of a
         // shorter read): the sequential pass decodes chunks 0 and 1 first.
         let mut injector =
@@ -321,7 +305,6 @@ fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
         let mut faults = Vec::new();
         let report = Session::new(config)
             .flow(Flow::GenPip(ErMode::None))
-            .granularity(Granularity::Read)
             .source("s", &mut injector)
             .sink("s", |event| match event {
                 StreamEvent::Read(run) => survivors.push(run),
@@ -355,49 +338,6 @@ fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
             .collect();
         assert_eq!(survivors, expected, "{label}: survivors diverged");
     }
-}
-
-#[test]
-fn reject_backlog_soft_gate_bound_holds_under_heavy_faults() {
-    // A tiny backlog bound with a high fault rate: the gate must throttle
-    // admission, the run must still complete (no deadlock), and the
-    // backlog high-water must stay within bound + in_flight_limit (each
-    // already-resident chain may add one entry after admission stops).
-    let reject_backlog = 2usize;
-    let config = GenPipConfig::for_dataset(&profile())
-        .with_parallelism(Parallelism::Threads(3))
-        .with_fault_policy(FaultPolicy::Quarantine);
-    let mut injector = FaultInjector::new(StreamingSimulator::new(&profile()), 0.5, 7);
-    let mut failed = 0usize;
-    let mut emitted = 0usize;
-    let report = Session::new(config)
-        .flow(Flow::GenPip(ErMode::Full))
-        .options(StreamOptions {
-            queue_capacity: 2,
-            reject_backlog,
-            ..StreamOptions::default()
-        })
-        .source("s", &mut injector)
-        .sink("s", |event| match event {
-            StreamEvent::Read(_) => emitted += 1,
-            StreamEvent::Failed { .. } => failed += 1,
-            _ => {}
-        })
-        .run()
-        .expect("heavy-fault session is valid");
-    assert_eq!(failed, injector.injected_ids().len());
-    assert_eq!(emitted + failed, profile().n_reads);
-    assert!(
-        report.max_reject_backlog <= reject_backlog + report.in_flight_limit,
-        "backlog high-water {} exceeds soft bound {} + in-flight limit {}",
-        report.max_reject_backlog,
-        reject_backlog,
-        report.in_flight_limit
-    );
-    assert!(
-        report.max_reject_backlog > 0,
-        "a 50% fault rate must exercise the backlog"
-    );
 }
 
 #[test]
@@ -488,9 +428,9 @@ fn failing_fastq_writer_drains_the_session_via_the_control_handle() {
 
 #[test]
 fn fail_policy_still_tears_down_promptly_at_chunk_granularity() {
-    // The PR 2 watchdog regression, extended to the chunk-granular engine
-    // with a corrupt-signal fault: under `FaultPolicy::Fail` the injected
-    // fault must abort the run (propagated panic), not hang it.
+    // The PR 2 watchdog regression with a corrupt-signal fault striking
+    // inside a pool worker's chunk step: under `FaultPolicy::Fail` the
+    // injected fault must abort the run (propagated panic), not hang it.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let config = GenPipConfig::for_dataset(&profile())
@@ -500,7 +440,6 @@ fn fail_policy_still_tears_down_promptly_at_chunk_granularity() {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Session::new(config)
                 .flow(Flow::GenPip(ErMode::Full))
-                .granularity(Granularity::Chunk)
                 .source("s", injector)
                 .run()
         }));

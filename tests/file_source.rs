@@ -1,6 +1,6 @@
 //! Cross-crate properties of on-disk GSC signal containers: file-backed
 //! streaming is bit-identical to in-memory streaming across ErMode ×
-//! Parallelism × Granularity, `open_at` yields exact suffixes (statically
+//! Parallelism, `open_at` yields exact suffixes (statically
 //! and through a live attach), fault injection composes with file sources,
 //! random byte flips are always detected (never a panic), a mid-run drain
 //! still leaves parseable FASTQ behind, and the CLI's checkpoint →
@@ -10,7 +10,7 @@
 //! The parallelism sweep includes `GENPIP_PARALLELISM` (when set), which CI
 //! uses to force both threading paths through this suite.
 
-use genpip::core::engine::{AttachSpec, Flow, Granularity, Session, SessionControl};
+use genpip::core::engine::{AttachSpec, Flow, Session, SessionControl};
 use genpip::core::pipeline::{ErMode, ReadRun};
 use genpip::core::stream::{FastqSink, StreamEvent};
 use genpip::core::{FaultPolicy, GenPipConfig, Parallelism};
@@ -52,16 +52,10 @@ fn parallelism_sweep() -> Vec<Parallelism> {
 }
 
 /// Runs one single-source session and collects the emitted reads.
-fn collect_runs(
-    source: impl ReadSource + Send,
-    config: &GenPipConfig,
-    er: ErMode,
-    granularity: Granularity,
-) -> Vec<ReadRun> {
+fn collect_runs(source: impl ReadSource + Send, config: &GenPipConfig, er: ErMode) -> Vec<ReadRun> {
     let mut reads = Vec::new();
     Session::new(config.clone())
         .flow(Flow::GenPip(er))
-        .granularity(granularity)
         .source("s", source)
         .sink("s", |event| {
             if let StreamEvent::Read(run) = event {
@@ -77,24 +71,16 @@ fn collect_runs(
 fn container_streaming_is_bit_identical_to_memory() {
     let path = packed("identity");
     for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
-        for granularity in [Granularity::Read, Granularity::Chunk] {
-            for parallelism in parallelism_sweep() {
-                let label = format!("{er:?} / {granularity:?} / {parallelism:?}");
-                let config = GenPipConfig::for_dataset(&profile()).with_parallelism(parallelism);
-                let memory = collect_runs(
-                    StreamingSimulator::new(&profile()),
-                    &config,
-                    er,
-                    granularity,
-                );
-                let file = collect_runs(
-                    GscReadSource::open(&path).expect("open container"),
-                    &config,
-                    er,
-                    granularity,
-                );
-                assert_eq!(memory, file, "{label}: file streaming diverged");
-            }
+        for parallelism in parallelism_sweep() {
+            let label = format!("{er:?} / {parallelism:?}");
+            let config = GenPipConfig::for_dataset(&profile()).with_parallelism(parallelism);
+            let memory = collect_runs(StreamingSimulator::new(&profile()), &config, er);
+            let file = collect_runs(
+                GscReadSource::open(&path).expect("open container"),
+                &config,
+                er,
+            );
+            assert_eq!(memory, file, "{label}: file streaming diverged");
         }
     }
     std::fs::remove_file(&path).ok();
@@ -108,7 +94,6 @@ fn open_at_streams_the_exact_suffix() {
         GscReadSource::open(&path).expect("open container"),
         &config,
         ErMode::Full,
-        Granularity::Chunk,
     );
     assert!(all.len() > 6, "dataset too small for a seek test");
     for k in [0, 1, all.len() / 2, all.len() - 1, all.len()] {
@@ -116,7 +101,6 @@ fn open_at_streams_the_exact_suffix() {
             GscReadSource::open_at(&path, k).expect("open_at"),
             &config,
             ErMode::Full,
-            Granularity::Chunk,
         );
         assert_eq!(
             suffix.as_slice(),
@@ -136,7 +120,6 @@ fn live_attached_container_matches_solo_suffix() {
         GscReadSource::open_at(&path, k).expect("open_at"),
         &config,
         ErMode::Full,
-        Granularity::Chunk,
     );
 
     let control = SessionControl::new();

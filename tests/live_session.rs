@@ -1,13 +1,13 @@
 //! Cross-crate properties of the *live* session control plane: a source
 //! attached mid-run is bit-identical to the same source registered
-//! statically (across `ErMode` × `Parallelism` × `Granularity`), a detach
+//! statically (across `ErMode` × `Parallelism`), a detach
 //! drains the source and finalizes its per-source summary without touching
 //! the survivors, the `Deadline` schedule changes only *when* chunks run
 //! (never results, deterministically so), admission control rejects bad
 //! attaches with typed errors, and a drain requested before the run starts
 //! is honored.
 
-use genpip::core::engine::{AttachSpec, Flow, Granularity, Session, SessionControl};
+use genpip::core::engine::{AttachSpec, Flow, Session, SessionControl};
 use genpip::core::pipeline::ErMode;
 use genpip::core::scheduler::Schedule;
 use genpip::core::stream::{StreamEvent, StreamOptions};
@@ -47,14 +47,12 @@ fn static_two_source(
     b: &DatasetProfile,
     config: &GenPipConfig,
     er: ErMode,
-    granularity: Granularity,
 ) -> (Vec<ReadRun>, Vec<ReadRun>, SessionReport) {
     let mut reads_a = Vec::new();
     let mut reads_b = Vec::new();
     let report = Session::new(config.clone())
         .flow(Flow::GenPip(er))
         .schedule(Schedule::FairShare)
-        .granularity(granularity)
         .source("a", StreamingSimulator::new(a))
         .source_with_config(
             "b",
@@ -81,63 +79,60 @@ fn attach_mid_run_is_bit_identical_to_static_registration() {
     let (pa, pb) = profiles();
     for er in [ErMode::Full, ErMode::None] {
         for parallelism in parallelism_sweep() {
-            for granularity in [Granularity::Read, Granularity::Chunk] {
-                let config = GenPipConfig::for_dataset(&pa).with_parallelism(parallelism);
-                let (static_a, static_b, _) = static_two_source(&pa, &pb, &config, er, granularity);
+            let config = GenPipConfig::for_dataset(&pa).with_parallelism(parallelism);
+            let (static_a, static_b, _) = static_two_source(&pa, &pb, &config, er);
 
-                // Live: "b" attaches (with its own config) from inside
-                // "a"'s sink after the third emission.
-                let control = SessionControl::new();
-                let live_a: Bucket = Arc::new(Mutex::new(Vec::new()));
-                let live_b: Bucket = Arc::new(Mutex::new(Vec::new()));
-                let a_bucket = Arc::clone(&live_a);
-                let b_bucket = Arc::clone(&live_b);
-                let control_in_sink = control.clone();
-                let pb_for_sink = pb.clone();
-                let mut emitted = 0usize;
-                let handle = Arc::new(Mutex::new(None));
-                let handle_slot = Arc::clone(&handle);
-                Session::new(config.clone())
-                    .flow(Flow::GenPip(er))
-                    .schedule(Schedule::FairShare)
-                    .granularity(granularity)
-                    .source("a", StreamingSimulator::new(&pa))
-                    .sink("a", move |event| {
-                        if let StreamEvent::Read(run) = event {
-                            a_bucket.lock().unwrap().push(run);
-                            emitted += 1;
-                            if emitted == 3 {
-                                let sink_bucket = Arc::clone(&b_bucket);
-                                let pending = control_in_sink.attach_with(
-                                    "b",
-                                    StreamingSimulator::new(&pb_for_sink),
-                                    AttachSpec::new()
-                                        .config(GenPipConfig::for_dataset(&pb_for_sink))
-                                        .sink(move |event| {
-                                            if let StreamEvent::Read(run) = event {
-                                                sink_bucket.lock().unwrap().push(run);
-                                            }
-                                        }),
-                                );
-                                *handle_slot.lock().unwrap() = Some(pending);
-                            }
+            // Live: "b" attaches (with its own config) from inside
+            // "a"'s sink after the third emission.
+            let control = SessionControl::new();
+            let live_a: Bucket = Arc::new(Mutex::new(Vec::new()));
+            let live_b: Bucket = Arc::new(Mutex::new(Vec::new()));
+            let a_bucket = Arc::clone(&live_a);
+            let b_bucket = Arc::clone(&live_b);
+            let control_in_sink = control.clone();
+            let pb_for_sink = pb.clone();
+            let mut emitted = 0usize;
+            let handle = Arc::new(Mutex::new(None));
+            let handle_slot = Arc::clone(&handle);
+            Session::new(config.clone())
+                .flow(Flow::GenPip(er))
+                .schedule(Schedule::FairShare)
+                .source("a", StreamingSimulator::new(&pa))
+                .sink("a", move |event| {
+                    if let StreamEvent::Read(run) = event {
+                        a_bucket.lock().unwrap().push(run);
+                        emitted += 1;
+                        if emitted == 3 {
+                            let sink_bucket = Arc::clone(&b_bucket);
+                            let pending = control_in_sink.attach_with(
+                                "b",
+                                StreamingSimulator::new(&pb_for_sink),
+                                AttachSpec::new()
+                                    .config(GenPipConfig::for_dataset(&pb_for_sink))
+                                    .sink(move |event| {
+                                        if let StreamEvent::Read(run) = event {
+                                            sink_bucket.lock().unwrap().push(run);
+                                        }
+                                    }),
+                            );
+                            *handle_slot.lock().unwrap() = Some(pending);
                         }
-                    })
-                    .run_with_control(&control)
-                    .expect("live session inputs are valid");
-                let pending = handle.lock().unwrap().take().expect("attach fired");
-                pending.wait().expect("attach accepted");
-                assert_eq!(
-                    *live_a.lock().unwrap(),
-                    static_a,
-                    "{er:?}/{parallelism:?}/{granularity:?}: source a diverged"
-                );
-                assert_eq!(
-                    *live_b.lock().unwrap(),
-                    static_b,
-                    "{er:?}/{parallelism:?}/{granularity:?}: attached source b diverged"
-                );
-            }
+                    }
+                })
+                .run_with_control(&control)
+                .expect("live session inputs are valid");
+            let pending = handle.lock().unwrap().take().expect("attach fired");
+            pending.wait().expect("attach accepted");
+            assert_eq!(
+                *live_a.lock().unwrap(),
+                static_a,
+                "{er:?}/{parallelism:?}: source a diverged"
+            );
+            assert_eq!(
+                *live_b.lock().unwrap(),
+                static_b,
+                "{er:?}/{parallelism:?}: attached source b diverged"
+            );
         }
     }
 }
@@ -147,7 +142,7 @@ fn detach_drains_the_source_and_finalizes_its_summary() {
     let (pa, pb) = profiles();
     for parallelism in parallelism_sweep() {
         let config = GenPipConfig::for_dataset(&pa).with_parallelism(parallelism);
-        let (solo_a, _, _) = static_two_source(&pa, &pb, &config, ErMode::Full, Granularity::Chunk);
+        let (solo_a, _, _) = static_two_source(&pa, &pb, &config, ErMode::Full);
 
         let control = SessionControl::new();
         let survivor: Bucket = Arc::new(Mutex::new(Vec::new()));
@@ -215,8 +210,7 @@ fn deadline_schedule_preserves_bit_identity_and_is_deterministic() {
     let (pa, pb) = profiles();
     for parallelism in parallelism_sweep() {
         let config = GenPipConfig::for_dataset(&pa).with_parallelism(parallelism);
-        let (fair_a, fair_b, _) =
-            static_two_source(&pa, &pb, &config, ErMode::Full, Granularity::Chunk);
+        let (fair_a, fair_b, _) = static_two_source(&pa, &pb, &config, ErMode::Full);
         let run_deadline = || {
             let mut reads_a = Vec::new();
             let mut reads_b = Vec::new();
@@ -458,8 +452,7 @@ fn drain_requested_before_the_run_starts_is_honored() {
 fn attach_queued_before_the_run_is_applied_at_startup() {
     let (pa, pb) = profiles();
     let config = GenPipConfig::for_dataset(&pa);
-    let (static_a, static_b, _) =
-        static_two_source(&pa, &pb, &config, ErMode::Full, Granularity::Chunk);
+    let (static_a, static_b, _) = static_two_source(&pa, &pb, &config, ErMode::Full);
 
     let control = SessionControl::new();
     let early_b: Bucket = Arc::new(Mutex::new(Vec::new()));

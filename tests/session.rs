@@ -11,7 +11,7 @@ mod common;
 
 use common::{keep_reads, reference_run, totals};
 use genpip::core::engine::{Flow, Session};
-use genpip::core::pipeline::{ErMode, PipelineRun};
+use genpip::core::pipeline::ErMode;
 use genpip::core::scheduler::Schedule;
 use genpip::core::stream::{StreamEvent, StreamOptions};
 use genpip::core::{GenPipConfig, Parallelism, ReadRun, SessionReport};
@@ -171,84 +171,62 @@ fn in_flight_reads_stay_bounded_across_n_sources() {
         queue_capacity,
         ..StreamOptions::default()
     };
-    // ER rejections release their permit at the verdict (not at emission),
-    // which is the only way pulled-minus-emitted may exceed the gate
-    // bound. Each source pulls the same dataset in id order, so the
-    // rejections among its first p pulls are a prefix sum of the solo
-    // run's outcome tape — slack never covers reads not yet pulled.
-    let solo = PipelineRun::collect(&dataset, &config, Flow::GenPip(ErMode::Full));
-    let mut prefix_rejected = vec![0usize; solo.reads.len() + 1];
-    for (i, run) in solo.reads.iter().enumerate() {
-        prefix_rejected[i + 1] = prefix_rejected[i] + usize::from(run.outcome.is_early_rejected());
-    }
     // Three sources over the same dataset with per-source pull counters;
     // the sinks share one emitted counter (they all run on the emitting
     // thread). Sampling at emission time is conservative: pulls strictly
-    // precede this observation, so any overshoot of the residency bound
-    // would show up here. Since the chunk-granular engine, the bound on
-    // *unemitted* reads is `gate + rejected reads awaiting emission`:
-    // every unemitted read either holds a permit (≤ bound of them) or is
-    // an early-rejected read whose permit was released at its QSR/CMR
-    // verdict (≤ rejections pulled − rejections already emitted).
-    let pulled_counters: Vec<Arc<AtomicUsize>> =
-        (0..3).map(|_| Arc::new(AtomicUsize::new(0))).collect();
-    let emitted = std::cell::Cell::new(0usize);
-    let rejected_emitted = std::cell::Cell::new(0usize);
-    let overshoot = std::cell::Cell::new(0usize);
-    let mut session = Session::new(config)
-        .flow(Flow::GenPip(ErMode::Full))
-        .schedule(Schedule::FairShare)
-        .options(opts);
-    for (i, counter) in pulled_counters.iter().enumerate() {
-        let id = format!("src{i}");
-        let all_pulled = &pulled_counters;
-        session = session
-            .source(
-                id.as_str(),
-                CountingSource {
-                    inner: dataset.stream(),
-                    pulled: Arc::clone(counter),
-                },
-            )
-            .sink(id.as_str(), |event| {
-                if let StreamEvent::Read(run) = event {
-                    let pulls: Vec<usize> = all_pulled
-                        .iter()
-                        .map(|p| p.load(Ordering::SeqCst))
-                        .collect();
-                    let in_flight = pulls.iter().sum::<usize>() - emitted.get();
-                    let rejected_pending = pulls.iter().map(|&p| prefix_rejected[p]).sum::<usize>()
-                        - rejected_emitted.get();
-                    overshoot.set(
-                        overshoot
-                            .get()
-                            .max(in_flight.saturating_sub(rejected_pending)),
-                    );
-                    emitted.set(emitted.get() + 1);
-                    if run.outcome.is_early_rejected() {
-                        rejected_emitted.set(rejected_emitted.get() + 1);
+    // precede this observation, so any overshoot of the bound would show up
+    // here. Every read holds its permit from pull to in-order emission,
+    // rejected or not, so pulled − emitted ≤ queue + workers strictly,
+    // under every ER mode.
+    for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
+        let pulled_counters: Vec<Arc<AtomicUsize>> =
+            (0..3).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+        let emitted = std::cell::Cell::new(0usize);
+        let in_flight_high = std::cell::Cell::new(0usize);
+        let mut session = Session::new(config.clone())
+            .flow(Flow::GenPip(er))
+            .schedule(Schedule::FairShare)
+            .options(opts);
+        for (i, counter) in pulled_counters.iter().enumerate() {
+            let id = format!("src{i}");
+            let (all_pulled, emitted, in_flight_high) =
+                (&pulled_counters, &emitted, &in_flight_high);
+            session = session
+                .source(
+                    id.as_str(),
+                    CountingSource {
+                        inner: dataset.stream(),
+                        pulled: Arc::clone(counter),
+                    },
+                )
+                .sink(id.as_str(), move |event| {
+                    if let StreamEvent::Read(_) = event {
+                        let pulls: usize =
+                            all_pulled.iter().map(|p| p.load(Ordering::SeqCst)).sum();
+                        in_flight_high.set(in_flight_high.get().max(pulls - emitted.get()));
+                        emitted.set(emitted.get() + 1);
                     }
-                }
-            });
-    }
-    let report = session.run().expect("valid session");
-    assert_eq!(emitted.get(), 3 * dataset.reads.len());
-    assert!(
-        overshoot.get() <= bound,
-        "observed {} permit-holding in-flight reads across 3 sources, bound {bound}",
-        overshoot.get()
-    );
-    assert_eq!(report.in_flight_limit, bound);
-    assert!(
-        report.max_in_flight <= bound,
-        "gate high-water {} exceeds bound {bound}",
-        report.max_in_flight
-    );
-    // Per-source high-water marks are each within the shared bound, and
-    // every source emitted its full read count.
-    for source in &report.sources {
-        assert!(source.summary.max_in_flight <= bound);
-        assert_eq!(source.summary.outcomes.reads_emitted, dataset.reads.len());
+                });
+        }
+        let report = session.run().expect("valid session");
+        assert_eq!(emitted.get(), 3 * dataset.reads.len(), "{er:?}");
+        assert!(
+            in_flight_high.get() <= bound,
+            "{er:?}: observed {} pulled-but-unemitted reads across 3 sources, bound {bound}",
+            in_flight_high.get()
+        );
+        assert_eq!(report.in_flight_limit, bound, "{er:?}");
+        assert!(
+            report.max_in_flight <= bound,
+            "{er:?}: gate high-water {} exceeds bound {bound}",
+            report.max_in_flight
+        );
+        // Per-source high-water marks are each within the shared bound, and
+        // every source emitted its full read count.
+        for source in &report.sources {
+            assert!(source.summary.max_in_flight <= bound, "{er:?}");
+            assert_eq!(source.summary.outcomes.reads_emitted, dataset.reads.len());
+        }
     }
 }
 

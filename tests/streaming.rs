@@ -158,58 +158,41 @@ fn in_flight_reads_never_exceed_the_configured_bound() {
     let config =
         GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Threads(workers));
     let bound = queue_capacity + workers;
-    // `max_in_flight` is peak *resident read chains*: an early-rejected
-    // read stops counting at its QSR/CMR verdict (permit released there,
-    // not at emission), so reads pulled-but-unemitted may exceed the gate
-    // bound by exactly the rejected results still awaiting their in-order
-    // emission slot. The external invariant is therefore:
-    //   pulled − emitted − rejected_pending ≤ queue + workers,
-    // where rejected_pending counts rejections among the reads *pulled so
-    // far* (pull order is id order), not the whole run — slack never
-    // covers reads that have not even been pulled.
-    let solo = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
-    // prefix_rejected[i] = ER rejections among the first i reads.
-    let mut prefix_rejected = vec![0usize; solo.reads.len() + 1];
-    for (i, run) in solo.reads.iter().enumerate() {
-        prefix_rejected[i + 1] = prefix_rejected[i] + usize::from(run.outcome.is_early_rejected());
-    }
-    let pulled = Arc::new(AtomicUsize::new(0));
-    let source = CountingSource {
-        inner: d.stream(),
-        pulled: Arc::clone(&pulled),
-    };
     let opts = StreamOptions {
         queue_capacity,
         ..StreamOptions::default()
     };
-    let mut emitted = 0usize;
-    let mut rejected_emitted = 0usize;
-    let mut overshoot = 0usize;
-    let summary = stream(source, &config, Flow::GenPip(ErMode::Full), opts, |event| {
-        if let StreamEvent::Read(run) = event {
-            // Reads pulled from the source but not yet emitted. Sampling at
-            // emission time is conservative: pulls strictly precede this
-            // observation, so any overshoot of the residency bound would
-            // show up here.
-            let pulled_now = pulled.load(Ordering::SeqCst);
-            let in_flight = pulled_now - emitted;
-            let rejected_pending = prefix_rejected[pulled_now] - rejected_emitted;
-            overshoot = overshoot.max(in_flight.saturating_sub(rejected_pending));
-            emitted += 1;
-            if run.outcome.is_early_rejected() {
-                rejected_emitted += 1;
+    // A read holds its permit from pull to in-order emission, rejected or
+    // not, so the external invariant is strict: pulled − emitted ≤ queue +
+    // workers under every ER mode.
+    for er in [ErMode::None, ErMode::QsrOnly, ErMode::Full] {
+        let pulled = Arc::new(AtomicUsize::new(0));
+        let source = CountingSource {
+            inner: d.stream(),
+            pulled: Arc::clone(&pulled),
+        };
+        let mut emitted = 0usize;
+        let mut in_flight_high = 0usize;
+        let summary = stream(source, &config, Flow::GenPip(er), opts, |event| {
+            if let StreamEvent::Read(_) = event {
+                // Reads pulled from the source but not yet emitted. Sampling
+                // at emission time is conservative: pulls strictly precede
+                // this observation, so any overshoot of the bound would show
+                // up here.
+                in_flight_high = in_flight_high.max(pulled.load(Ordering::SeqCst) - emitted);
+                emitted += 1;
             }
-        }
-    });
-    assert_eq!(emitted, d.reads.len());
-    assert!(
-        overshoot <= bound,
-        "observed {overshoot} permit-holding in-flight reads, bound {bound}"
-    );
-    assert_eq!(summary.in_flight_limit, bound);
-    assert!(
-        summary.max_in_flight <= bound,
-        "gate high-water {} exceeds bound {bound}",
-        summary.max_in_flight
-    );
+        });
+        assert_eq!(emitted, d.reads.len(), "{er:?}");
+        assert!(
+            in_flight_high <= bound,
+            "{er:?}: observed {in_flight_high} pulled-but-unemitted reads, bound {bound}"
+        );
+        assert_eq!(summary.in_flight_limit, bound, "{er:?}");
+        assert!(
+            summary.max_in_flight <= bound,
+            "{er:?}: gate high-water {} exceeds bound {bound}",
+            summary.max_in_flight
+        );
+    }
 }
