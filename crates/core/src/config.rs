@@ -81,7 +81,7 @@ impl Parallelism {
 }
 
 /// What the engine does with a read whose task faults (panics or trips a
-/// signal-integrity check) mid-chain.
+/// signal-integrity check) mid-read.
 ///
 /// Containment never changes surviving reads' results: a faulted read's
 /// remaining chunks never run, it is emitted in its in-order slot like any
@@ -97,8 +97,8 @@ pub enum FaultPolicy {
     /// Contain the fault: cancel the read's remaining chunks, emit it as
     /// [`crate::stream::StreamEvent::Failed`], and keep the session running.
     Quarantine,
-    /// Like [`FaultPolicy::Quarantine`], but first rebuild the read's chain
-    /// from its untouched signal and re-run it up to `attempts` extra times
+    /// Like [`FaultPolicy::Quarantine`], but first run the read again from
+    /// its untouched signal, up to `attempts` extra times
     /// (deterministically scheduled); quarantine only if every attempt
     /// faults. Absorbs transient faults without losing the read.
     Retry {
@@ -164,7 +164,7 @@ pub struct GenPipConfig {
     /// default: early-rejected reads never have assembled bases, and runs
     /// that only need counters should not pay the memory.
     pub keep_bases: bool,
-    /// What to do with a read whose task faults mid-chain (see
+    /// What to do with a read whose task faults mid-read (see
     /// [`FaultPolicy`]). Per-source config overrides let each source of a
     /// session pick its own policy.
     pub fault_policy: FaultPolicy,

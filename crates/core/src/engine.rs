@@ -8,9 +8,9 @@
 //! per-source sinks, pick a [`Flow`] and a [`Schedule`], and run. GenPIP's
 //! end-to-end gain comes from tight integration at **chunk granularity**
 //! (paper §3). That dataflow — every chunk seeds and chains as soon as it
-//! is basecalled, and the read stops at the early-rejection verdict — lives
-//! inside each read's chain ([`crate::pipeline`], one chunk per `step`);
-//! the engine schedules whole reads over the pool.
+//! is basecalled, and the read stops at the early-rejection verdict — is
+//! the loop inside the per-read function ([`crate::pipeline`]); the engine
+//! schedules whole reads over the pool, one call each.
 //!
 //! ```no_run
 //! use genpip_core::engine::{Flow, Session};
@@ -45,12 +45,12 @@
 //! # Execution model
 //!
 //! ```text
-//!              read = chain of chunk steps (decoder carry forces order)
+//!              read = one call (its chunks in order: decoder carry)
 //!  source "a" ─┐  Schedule picks, per admitted read
 //!  source "b" ─┼─▶ admit ▶ [read read read …] ─▶ W workers (spawned lazily),
-//!  source "c" ─┘  (gate ≤ Q+W reads)              each steps its read's chain
-//!                                                 to the end; an ER verdict
-//!                                                 ╳ ends the chain early
+//!  source "c" ─┘  (gate ≤ Q+W reads)              each runs its read start
+//!                                                 to verdict; an ER verdict
+//!                                                 ╳ returns early
 //!                                                 │
 //!  sink "a"/"b"/"c" ◀── emit in global admission order (per-source = read order);
 //!                       the read's permit returns here
@@ -59,15 +59,15 @@
 //! The engine behind a session is three named parts. A **dispatcher** owns
 //! the sources: for every read it consults the [`Schedule`] to pick a
 //! source and admits that source's next read under a flow-gate permit. A
-//! **worker** runs one task: it steps one read's chain, chunk by chunk, to
-//! its result. An **emitter** reorders finished reads into admission order,
-//! feeds the sinks on the calling thread, and returns each read's permit as
-//! it is emitted.
+//! **worker** runs one task: one call that takes one read, chunk by chunk,
+//! to its result. An **emitter** reorders finished reads into admission
+//! order, feeds the sinks on the calling thread, and returns each read's
+//! permit as it is emitted.
 //!
 //! Within a read, chunks are strictly sequential (the decoder's
 //! [`genpip_basecall::CarryState`] forces it) and run back to back on one
 //! worker; across reads, workers overlap freely. An early-rejection verdict
-//! ends a chain **before its next chunk is stepped**, so a doomed read
+//! returns **before the read's next chunk is touched**, so a doomed read
 //! stops consuming compute the moment QSR/CMR fires; its permit, like every
 //! read's, is held from pull to in-order emission.
 //!
@@ -98,10 +98,10 @@
 //! * **Fault containment** — under [`crate::FaultPolicy::Quarantine`] or
 //!   [`crate::FaultPolicy::Retry`], a task that panics (or trips the
 //!   basecaller's signal-integrity check) takes out only its own read: the
-//!   chain's remaining chunks never run and the read is emitted as
-//!   [`StreamEvent::Failed`] in its normal in-order slot. Retries rebuild
-//!   the chain from the untouched signal, so a read that succeeds on retry
-//!   is bit-identical to one that never faulted. The default
+//!   read's remaining chunks never run and it is emitted as
+//!   [`StreamEvent::Failed`] in its normal in-order slot. A retry is the
+//!   same call again on the untouched signal, so a read that succeeds on
+//!   retry is bit-identical to one that never faulted. The default
 //!   [`crate::FaultPolicy::Fail`] keeps the historical behaviour: any
 //!   panic tears the session down promptly. [`Session::run_with_control`]
 //!   additionally hands out a [`SessionControl`] whose
@@ -113,14 +113,14 @@
 #![deny(clippy::too_many_lines)]
 
 use crate::config::{FaultPolicy, GenPipConfig, Parallelism};
-use crate::pipeline::{ErMode, ReadChain, ReadRun, RunContext, WorkerScratch, WorkloadTotals};
+use crate::pipeline::{ErMode, ReadRun, ReadTask, RunContext, WorkerScratch, WorkloadTotals};
 use crate::scheduler::{Schedule, SchedulerState};
 use crate::stream::{
     FaultKind, LatencyStats, ProgressSnapshot, ReadFault, StreamEvent, StreamOptions, StreamSummary,
 };
 use genpip_datasets::{ReadSource, SourceId};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, Once, RwLock};
@@ -136,13 +136,6 @@ pub enum Flow {
 }
 
 impl Flow {
-    fn er(self) -> Option<ErMode> {
-        match self {
-            Flow::GenPip(er) => Some(er),
-            Flow::Conventional => None,
-        }
-    }
-
     /// Whether the flow runs QSR, the only consumer of `n_qs`.
     fn uses_qsr(self) -> bool {
         matches!(self, Flow::GenPip(ErMode::QsrOnly | ErMode::Full))
@@ -164,7 +157,7 @@ impl Flow {
 ///   accepted, the source joins the schedule and its first read can be
 ///   admitted immediately.
 /// * [`SessionControl::detach`] removes a named source: the session stops
-///   pulling from it, its resident chains finish normally (bit-identity is
+///   pulling from it, its resident reads finish normally (bit-identity is
 ///   preserved — detach changes *when* pulling stops, never a read's
 ///   result), and its finalized per-source [`StreamSummary`] is delivered
 ///   through the returned [`PendingDetach`]. Source ids are never reused
@@ -314,7 +307,7 @@ impl PendingAttach {
 }
 
 /// The pending response to a [`SessionControl::detach`]: the detached
-/// source's finalized [`StreamSummary`] once its resident chains have
+/// source's finalized [`StreamSummary`] once its resident reads have
 /// finished and their results were emitted.
 #[derive(Debug)]
 pub struct PendingDetach {
@@ -425,7 +418,7 @@ impl SessionControl {
     }
 
     /// Detaches the source registered under `id`: stop pulling from it, let
-    /// its resident chains finish and emit, then deliver its finalized
+    /// its resident reads finish and emit, then deliver its finalized
     /// [`StreamSummary`] through the [`PendingDetach`]. Unknown ids — and
     /// ids already detached or already being detached — are refused with
     /// [`SessionError::UnknownSource`].
@@ -1113,7 +1106,6 @@ impl<'a> Session<'a> {
         let registry = Arc::new(Mutex::new(registry));
         let feed = SessionFeed {
             sources,
-            er: flow.er(),
             control: Arc::clone(&control_state),
             registry: Arc::clone(&registry),
             contexts: Arc::clone(&contexts),
@@ -1153,10 +1145,10 @@ impl<'a> Session<'a> {
                 engine,
                 || -> Vec<Option<WorkerScratch>> { Vec::new() },
                 feed,
-                move |scratch, lane, chain: &mut ReadChain| {
-                    // Per-chunk context lookup: a cheap read-lock + Arc
-                    // clone, because attached lanes may grow the vector
-                    // while this worker runs.
+                move |scratch, lane, task: &mut ReadTask| {
+                    // One context lookup per read: a read-lock + Arc clone,
+                    // because attached lanes may grow the vector while this
+                    // worker runs.
                     let ctx = Arc::clone(&contexts.read().expect("contexts poisoned")[lane]);
                     // Scratch is per (worker, source): lazily built because
                     // a worker may never see some sources' reads, and
@@ -1165,20 +1157,23 @@ impl<'a> Session<'a> {
                         scratch.resize_with(lane + 1, || None);
                     }
                     let slot = scratch[lane].get_or_insert_with(|| WorkerScratch::new(&ctx));
-                    chain.step(&ctx, slot).map(Ok)
+                    let run = task.run(flow, &ctx, slot);
+                    // One unit per work entry: the tick currency of
+                    // [`LatencyStats`].
+                    let units = run.chunks.len() as u64;
+                    (Ok(run), units)
                 },
-                move |_lane, chain: ReadChain| {
+                move |_lane| {
                     retried.fetch_add(1, Ordering::Relaxed);
-                    chain.retry()
                 },
-                |_lane, chain: ReadChain, info: FaultInfo| {
+                |_lane, task: ReadTask, info: FaultInfo| {
                     let fault = ReadFault {
                         kind: info.kind,
                         message: info.message,
-                        chunk: chain.fault_chunk(),
+                        chunk: task.at_chunk,
                         attempts: info.attempts,
                     };
-                    Err((chain.read_id(), fault))
+                    Err((task.read.id, fault))
                 },
                 |lane, event| emitter.on_event(lane, event),
             )
@@ -1187,9 +1182,9 @@ impl<'a> Session<'a> {
     }
 }
 
-/// What a retired chain hands the session's emitter: a normal result, or a
+/// What a retired read hands the session's emitter: a normal result, or a
 /// quarantined read's id and fault.
-type ChainOutput = Result<ReadRun, (u32, ReadFault)>;
+type ReadOutput = Result<ReadRun, (u32, ReadFault)>;
 
 /// One source's emitter-side record. Builder sources get theirs at
 /// startup; an attached source's is pushed at its in-order
@@ -1223,7 +1218,7 @@ struct SessionEmitter<'a> {
 }
 
 impl SessionEmitter<'_> {
-    fn on_event(&mut self, lane: usize, event: LaneEvent<ChainOutput>) {
+    fn on_event(&mut self, lane: usize, event: LaneEvent<ReadOutput>) {
         match event {
             LaneEvent::Attached => {
                 let pending = self.registry.lock().expect("registry poisoned")[lane]
@@ -1255,7 +1250,7 @@ impl SessionEmitter<'_> {
         }
     }
 
-    fn deliver(&mut self, lane: usize, output: ChainOutput) {
+    fn deliver(&mut self, lane: usize, output: ReadOutput) {
         let record = &mut self.lanes[lane];
         let event = match output {
             Ok(run) => {
@@ -1396,7 +1391,6 @@ type AttachedSink = Box<dyn FnMut(StreamEvent) + Send>;
 /// — turning accepted commands into [`EngineCommand`]s for the engine.
 struct SessionFeed<'a> {
     sources: Vec<Box<dyn ReadSource + Send + 'a>>,
-    er: Option<ErMode>,
     control: Arc<ControlState>,
     registry: Arc<Mutex<Registry>>,
     contexts: Arc<RwLock<Vec<Arc<RunContext>>>>,
@@ -1479,11 +1473,9 @@ impl SessionFeed<'_> {
     }
 }
 
-impl LaneFeed<ReadChain> for SessionFeed<'_> {
-    fn pull(&mut self, lane: usize) -> Option<ReadChain> {
-        self.sources[lane]
-            .next_read()
-            .map(|read| ReadChain::new(self.er, read))
+impl LaneFeed<ReadTask> for SessionFeed<'_> {
+    fn pull(&mut self, lane: usize) -> Option<ReadTask> {
+        self.sources[lane].next_read().map(ReadTask::new)
     }
 
     fn poll(&mut self) -> Vec<EngineCommand> {
@@ -1624,38 +1616,6 @@ impl<F: FnMut()> Drop for OnDrop<F> {
     }
 }
 
-/// What one step of a chain — one chunk's work — reported. Generic twin of
-/// the concrete steps produced by [`crate::pipeline::ReadChain`].
-pub(crate) enum ChainStep<O> {
-    /// The chain has more chunks; step it again.
-    More {
-        /// Chunk-work units this step performed (the tick currency of
-        /// [`LatencyStats`]).
-        units: u64,
-    },
-    /// The chain ended with `output` — at its last chunk, or earlier at an
-    /// ER verdict.
-    Finished {
-        /// The chain's result.
-        output: O,
-        /// Chunk-work units this step performed.
-        units: u64,
-    },
-}
-
-impl<O> ChainStep<O> {
-    /// The same step with its output (if it has one) converted by `f`.
-    pub(crate) fn map<T>(self, f: impl FnOnce(O) -> T) -> ChainStep<T> {
-        match self {
-            ChainStep::More { units } => ChainStep::More { units },
-            ChainStep::Finished { output, units } => ChainStep::Finished {
-                output: f(output),
-                units,
-            },
-        }
-    }
-}
-
 /// Per-lane engine observations.
 pub(crate) struct LaneStats {
     /// High-water mark of this lane's resident reads (pulled, not yet
@@ -1670,7 +1630,7 @@ pub(crate) struct LaneStats {
 /// What the engine observed, so callers never re-derive it. (The bound it
 /// enforced is [`EngineConfig::in_flight_limit`].)
 pub(crate) struct EngineStats {
-    /// High-water mark of resident chains across all lanes.
+    /// High-water mark of resident reads across all lanes.
     pub(crate) max_in_flight: usize,
     /// Fault retries across all lanes.
     pub(crate) retried: usize,
@@ -1683,7 +1643,7 @@ pub(crate) struct EngineStats {
 /// What the engine reports to its `emit` callback, strictly in global
 /// admission/marker order per session (and hence in per-lane order).
 pub(crate) enum LaneEvent<O> {
-    /// An in-order chain output.
+    /// An in-order read output.
     Output(O),
     /// The lane's attach marker: delivered before the lane's first output,
     /// the emitter's cue to install the lane's sink and per-lane state.
@@ -1693,13 +1653,13 @@ pub(crate) enum LaneEvent<O> {
     Detached(LaneStats),
 }
 
-/// Where the engine's chains come from, plus its control plane. `pull` is
+/// Where the engine's reads come from, plus its control plane. `pull` is
 /// called on the dispatcher when the schedule picks a lane with admission
 /// room; `poll` is called at the top of every dispatch round and once more
 /// after the session goes idle, so commands raised by the final emissions
 /// still apply before the engine concludes.
 pub(crate) trait LaneFeed<C>: Send {
-    /// The next chain from `lane`, or `None` when that source is exhausted.
+    /// The next read from `lane`, or `None` when that source is exhausted.
     fn pull(&mut self, lane: usize) -> Option<C>;
 
     /// Control-plane commands to apply before the next dispatch round.
@@ -1728,7 +1688,7 @@ pub(crate) enum EngineCommand {
         weight: u32,
         target: u64,
     },
-    /// Stop pulling from `lane`; once its resident chains have finished
+    /// Stop pulling from `lane`; once its resident reads have finished
     /// and emitted, the lane's [`LaneEvent::Detached`] marker delivers its
     /// finalized [`LaneStats`].
     DrainLane { lane: usize },
@@ -1784,24 +1744,31 @@ impl Shared {
     }
 }
 
-/// A task — one read's whole chain — on its way to a worker. `token` is
-/// the read's admission seq. The task carries its lane's fault policy so
-/// workers never index per-lane state (which grows when lanes attach
-/// mid-run).
+/// A task — one whole read — on its way to a worker, with everything the
+/// dispatcher knows about the resident read, so nothing is looked up when
+/// it comes back. `token` is the read's admission seq. The task carries its
+/// lane's fault policy so workers never index per-lane state (which grows
+/// when lanes attach mid-run).
 struct Task<C> {
     token: u64,
     lane: usize,
     policy: FaultPolicy,
-    chain: C,
+    /// The dispatcher's tick at admission; residency is measured from it.
+    start_tick: u64,
+    /// Faulted attempts so far.
+    attempts: u32,
+    read: C,
 }
 
 /// What [`run_task`] reports back to the dispatcher. `Faulted` is a
-/// contained panic — the chain survived and the dispatcher decides retry
+/// contained panic — the read survived and the dispatcher decides retry
 /// vs. quarantine. `Panicked` is a pool worker's dying gasp under
 /// [`FaultPolicy::Fail`]: "I panicked on this task — abort."
 enum WorkerMsg<C, O> {
     Finished {
         token: u64,
+        lane: usize,
+        start_tick: u64,
         output: O,
         units: u64,
     },
@@ -1813,7 +1780,7 @@ enum WorkerMsg<C, O> {
     Panicked,
 }
 
-/// A retired chain — or a lane lifecycle marker — on its way to in-order
+/// A retired read — or a lane lifecycle marker — on its way to in-order
 /// emission. Markers consume a sequence number like outputs do, which is
 /// exactly what orders them: an Attached marker's seq precedes every
 /// admission of its lane, a Detached marker's seq follows them all.
@@ -1829,14 +1796,6 @@ enum EmitKind<O> {
     Detached,
 }
 
-/// A resident chain's dispatcher-side bookkeeping. (The chain itself is in
-/// its [`Task`]: out on a worker, or rewound in its lane's `retries` queue.)
-struct Resident {
-    lane: usize,
-    start_tick: u64,
-    attempts: u32,
-}
-
 /// The engine's scalar knobs, bundled so the closure parameters stay
 /// readable at the call site. There is one lane per entry of `policies`.
 pub(crate) struct EngineConfig<'s> {
@@ -1848,7 +1807,7 @@ pub(crate) struct EngineConfig<'s> {
 }
 
 impl EngineConfig<'_> {
-    /// The enforced bound on resident chains: `queue_capacity + workers`
+    /// The enforced bound on resident reads: `queue_capacity + workers`
     /// on the pool, 1 when the caller's thread is the only worker.
     pub(crate) fn in_flight_limit(&self) -> usize {
         if self.workers == 1 {
@@ -1860,7 +1819,7 @@ impl EngineConfig<'_> {
 }
 
 /// What the engine learned about a contained fault, handed to the caller's
-/// `fault` closure when a chain is quarantined.
+/// `fault` closure when a read is quarantined.
 pub(crate) struct FaultInfo {
     pub(crate) kind: FaultKind,
     pub(crate) message: String,
@@ -1887,7 +1846,7 @@ fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> (FaultKind, String)
 }
 
 thread_local! {
-    /// `true` while this thread is inside a contained `step` call: the
+    /// `true` while this thread is inside a contained `run` call: the
     /// quiet hook drops the panic report instead of spamming stderr for
     /// every injected fault.
     static SUPPRESS_PANIC_OUTPUT: Cell<bool> = const { Cell::new(false) };
@@ -1912,35 +1871,30 @@ fn install_quiet_hook() {
     });
 }
 
-/// Runs one task — the only place a chain's `step` is called and its
-/// panics are caught (a panicking `step` would otherwise strand the
-/// chain's permit and deadlock the dispatcher), whichever thread runs it.
-/// The chain is stepped, one chunk per call, until it finishes, the units
-/// of its steps summed. Under a containing policy a panicking chain
-/// survives (the closure only borrowed it) and comes back `Faulted`, the
-/// panic report suppressed; under [`FaultPolicy::Fail`] the payload is
-/// returned for the caller to rethrow.
+/// Runs one task — the only place a read's `run` is called and its panics
+/// are caught (a panicking `run` would otherwise strand the read's permit
+/// and deadlock the dispatcher), whichever thread runs it. `run` takes the
+/// read to its output in one call and reports the chunk-work units it did
+/// (the tick currency of [`LatencyStats`]). Under a containing policy a
+/// panicking read survives (the closure only borrowed it) and comes back
+/// `Faulted`, the panic report suppressed; under [`FaultPolicy::Fail`] the
+/// payload is returned for the caller to rethrow.
 fn run_task<C, O, S>(
-    step: &impl Fn(&mut S, usize, &mut C) -> ChainStep<O>,
+    run: &impl Fn(&mut S, usize, &mut C) -> (O, u64),
     state: &mut S,
     mut task: Task<C>,
 ) -> Result<WorkerMsg<C, O>, Box<dyn std::any::Any + Send>> {
-    let (token, lane) = (task.token, task.lane);
     let contain = task.policy != FaultPolicy::Fail;
     SUPPRESS_PANIC_OUTPUT.with(|c| c.set(contain));
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut done = 0u64;
-        loop {
-            match step(state, lane, &mut task.chain) {
-                ChainStep::More { units } => done += units,
-                ChainStep::Finished { output, units } => break (output, done + units),
-            }
-        }
+        run(state, task.lane, &mut task.read)
     }));
     SUPPRESS_PANIC_OUTPUT.with(|c| c.set(false));
     match outcome {
         Ok((output, units)) => Ok(WorkerMsg::Finished {
-            token,
+            token: task.token,
+            lane: task.lane,
+            start_tick: task.start_tick,
             output,
             units,
         }),
@@ -1960,7 +1914,7 @@ fn run_task<C, O, S>(
 /// hangs up. A panic under [`FaultPolicy::Fail`] tells the dispatcher to
 /// abort, then rethrows so the scope propagates it after teardown.
 fn worker_loop<C, O, S>(
-    step: &impl Fn(&mut S, usize, &mut C) -> ChainStep<O>,
+    run: &impl Fn(&mut S, usize, &mut C) -> (O, u64),
     mut state: S,
     tasks: &Mutex<mpsc::Receiver<Task<C>>>,
     results: mpsc::Sender<WorkerMsg<C, O>>,
@@ -1968,7 +1922,7 @@ fn worker_loop<C, O, S>(
     loop {
         let received = tasks.lock().expect("queue poisoned").recv();
         let Ok(task) = received else { break };
-        match run_task(step, &mut state, task) {
+        match run_task(run, &mut state, task) {
             Ok(msg) => {
                 if results.send(msg).is_err() {
                     break;
@@ -1989,9 +1943,9 @@ struct DispatchLane<C> {
     dry: bool,
     /// A detach is pending: the lane's retirement sends its marker.
     detaching: bool,
-    /// Resident chains of this lane (out on a task or awaiting a retry).
+    /// Resident reads of this lane (out on a task or awaiting a retry).
     live: usize,
-    /// Faulted chains rewound for another attempt, oldest first.
+    /// Faulted reads queued for another attempt, oldest first.
     retries: VecDeque<Task<C>>,
 }
 
@@ -2008,20 +1962,18 @@ impl<C> DispatchLane<C> {
 }
 
 /// The engine's scheduling half: owns the feed (sources plus control
-/// plane), the schedule, and every resident chain. Retired outputs and
+/// plane), the schedule, and the retry queues. Retired outputs and
 /// lane markers go to `out` — the [`Emitter`] itself, or its channel when
 /// the dispatcher has its own thread; `false` means the emitter is gone.
 struct Dispatcher<'e, C, L, R, Q, X> {
     shared: &'e Shared,
     control: &'e SessionControl,
     feed: L,
-    retry: R,
+    on_retry: R,
     fault: Q,
     out: X,
     sched: SchedulerState,
     lanes: Vec<DispatchLane<C>>,
-    /// Resident chains by admission seq.
-    residents: HashMap<u64, Resident>,
     tick: u64,
     next_seq: u64,
     /// Tasks handed out by `next_task` and not yet `complete`d.
@@ -2033,7 +1985,7 @@ struct Dispatcher<'e, C, L, R, Q, X> {
 impl<'e, C, O, L, R, Q, X> Dispatcher<'e, C, L, R, Q, X>
 where
     L: LaneFeed<C>,
-    R: FnMut(usize, C) -> C,
+    R: FnMut(usize),
     Q: FnMut(usize, C, FaultInfo) -> O,
     X: FnMut(EmitMsg<O>) -> bool,
 {
@@ -2041,7 +1993,7 @@ where
         cfg: &EngineConfig<'e>,
         shared: &'e Shared,
         feed: L,
-        retry: R,
+        on_retry: R,
         fault: Q,
         out: X,
     ) -> Self {
@@ -2049,14 +2001,13 @@ where
             shared,
             control: cfg.control,
             feed,
-            retry,
+            on_retry,
             fault,
             out,
             sched: SchedulerState::new(cfg.schedule, cfg.policies.len()),
             lanes: (cfg.policies.iter().copied())
                 .map(DispatchLane::new)
                 .collect(),
-            residents: HashMap::new(),
             tick: 0,
             next_seq: 0,
             outstanding: 0,
@@ -2078,7 +2029,7 @@ where
         self.send(self.next_seq - 1, lane, kind);
     }
 
-    /// Stops pulling from `lane` and, once its last resident chain is gone,
+    /// Stops pulling from `lane` and, once its last resident read is gone,
     /// retires it: exhausted in the schedule and, if it is being detached,
     /// its in-order `Detached` marker sent. Idempotent, so a drain racing a
     /// natural exhaustion is fine.
@@ -2095,7 +2046,7 @@ where
 
     /// The control plane, applied before a dispatch round: attach new
     /// lanes, start per-lane drains, honor a session-wide drain (every
-    /// source running dry at once — resident chains still retire). `true`
+    /// source running dry at once — resident reads still retire). `true`
     /// if the feed had any command.
     fn apply_commands(&mut self) -> bool {
         let commands = self.feed.poll();
@@ -2130,8 +2081,8 @@ where
     }
 
     /// The next task in schedule order, or `None` when nothing is
-    /// dispatchable right now. A lane is available if it has a rewound
-    /// chain to retry or a new read can be admitted under a fresh permit.
+    /// dispatchable right now. A lane is available if it has a faulted
+    /// read to retry or a new read can be admitted under a fresh permit.
     fn next_task(&mut self) -> Option<Task<C>> {
         while !self.shutdown {
             let (lanes, gate) = (&self.lanes, &self.shared.gate);
@@ -2154,7 +2105,7 @@ where
             self.shutdown = true;
             return None;
         }
-        let Some(chain) = self.feed.pull(lane) else {
+        let Some(read) = self.feed.pull(lane) else {
             self.shared.gate.release();
             self.dry_up(lane);
             return None;
@@ -2163,50 +2114,45 @@ where
         tally.inflight += 1;
         tally.high = tally.high.max(tally.inflight);
         self.lanes[lane].live += 1;
-        let resident = Resident {
-            lane,
-            start_tick: self.tick,
-            attempts: 0,
-        };
-        let token = self.next_seq;
         self.next_seq += 1;
-        self.residents.insert(token, resident);
         Some(Task {
-            token,
+            token: self.next_seq - 1,
             lane,
             policy: self.lanes[lane].policy,
-            chain,
+            start_tick: self.tick,
+            attempts: 0,
+            read,
         })
     }
 
-    /// Takes back a task: retires its chain, or — on a contained fault —
-    /// rewinds it while the lane's policy has retry budget left and
-    /// quarantines it otherwise.
+    /// Takes back a task: retires its read, or — on a contained fault —
+    /// queues it for another attempt while the lane's policy has retry
+    /// budget left and quarantines it otherwise.
     fn complete(&mut self, msg: WorkerMsg<C, O>) {
         self.outstanding -= 1;
         match msg {
             WorkerMsg::Finished {
                 token,
+                lane,
+                start_tick,
                 output,
                 units,
             } => {
                 self.tick += units;
-                self.retire(token, output);
+                self.retire(token, lane, start_tick, output);
             }
             WorkerMsg::Faulted {
                 mut task,
                 kind,
                 message,
             } => {
-                let resident = self.residents.get_mut(&task.token);
-                let resident = resident.expect("resident chain");
-                resident.attempts += 1;
-                let (lane, attempts) = (task.lane, resident.attempts);
+                task.attempts += 1;
+                let (lane, attempts) = (task.lane, task.attempts);
                 if attempts <= task.policy.retry_attempts() {
-                    // The schedule picks the rewound chain back up ahead of
-                    // its lane's next admission.
+                    // The schedule picks the read back up, as it is, ahead
+                    // of its lane's next admission.
                     self.shared.tallies()[lane].retried += 1;
-                    task.chain = (self.retry)(lane, task.chain);
+                    (self.on_retry)(lane);
                     self.lanes[lane].retries.push_back(task);
                 } else {
                     let info = FaultInfo {
@@ -2214,23 +2160,21 @@ where
                         message,
                         attempts,
                     };
-                    let output = (self.fault)(lane, task.chain, info);
-                    self.retire(task.token, output);
+                    let output = (self.fault)(lane, task.read, info);
+                    self.retire(task.token, lane, task.start_tick, output);
                 }
             }
             WorkerMsg::Panicked => self.shutdown = true,
         }
     }
 
-    /// Retires a chain with its output — a result, an ER verdict or a
+    /// Retires a read with its output — a result, an ER verdict or a
     /// quarantine alike; its permit goes back when the emitter delivers it.
-    fn retire(&mut self, token: u64, output: O) {
-        let resident = self.residents.remove(&token).expect("resident chain");
-        let lane = resident.lane;
+    fn retire(&mut self, token: u64, lane: usize, start_tick: u64, output: O) {
         self.lanes[lane].live -= 1;
         // Residency feedback for Schedule::Deadline: the same number that
         // becomes this read's latency sample.
-        let resident_units = self.tick - resident.start_tick;
+        let resident_units = self.tick - start_tick;
         self.sched.observe(lane, resident_units);
         let kind = EmitKind::Output {
             output,
@@ -2249,13 +2193,13 @@ where
             return false;
         }
         if self.sched.all_exhausted() {
-            // Every source drained, every chain retired. Let the emitter
+            // Every source drained, every read retired. Let the emitter
             // catch up — its sinks run and may enqueue control commands (a
             // sink attaching the next flowcell) — then poll once more
             // before concluding.
             return self.shared.gate.await_idle() && self.apply_commands();
         }
-        // No chain is live, yet the gate is full: every permit is held by
+        // No read is running, yet the gate is full: every permit is held by
         // finished reads awaiting in-order emission. Wait for the emitter
         // to free one.
         let freed = self.shared.gate.acquire();
@@ -2266,7 +2210,7 @@ where
     }
 }
 
-/// The engine's delivering half, on the caller's thread. Chains retire out
+/// The engine's delivering half, on the caller's thread. Reads retire out
 /// of order; outputs wait in the map until every earlier-admitted read has
 /// been emitted. Every read holds its permit to this point, so the map
 /// never outgrows the gate's limit (plus lane markers).
@@ -2306,33 +2250,33 @@ impl<O, G: FnMut(usize, LaneEvent<O>)> Emitter<'_, O, G> {
 }
 
 /// The one execution core behind every driver, in three named parts. A
-/// [`Dispatcher`] admits chains from `feed` (one per read, per lane) under
-/// the gate — at most [`EngineConfig::in_flight_limit`] are resident, each
-/// from its pull to its emission — and consults `cfg.schedule` for the lane
-/// of every admission. [`run_task`] runs a task: its chain, `step` by
-/// `step`, to the end. An [`Emitter`] calls `emit` with chain outputs **in
-/// global admission order** (which makes each lane's emission order its own
-/// pull order).
+/// [`Dispatcher`] admits reads from `feed`, lane by lane, under the gate —
+/// at most [`EngineConfig::in_flight_limit`] are resident, each from its
+/// pull to its emission — and consults `cfg.schedule` for the lane of every
+/// admission. [`run_task`] runs a task: one call of `run`, which takes the
+/// read to its output and reports the units of work it did. An [`Emitter`]
+/// calls `emit` with the outputs **in global admission order** (which makes
+/// each lane's emission order its own pull order).
 ///
 /// `cfg.workers` selects how they are driven. With one worker the caller's
 /// thread is all three in turn — nothing is spawned, no channel exists, one
-/// chain is resident, and each output is emitted before the next pull: the
+/// read is resident, and each output is emitted before the next pull: the
 /// reference execution. With more, the same dispatcher runs on a thread of
 /// its own, feeding up to `workers` lazily spawned [`worker_loop`]s (each
 /// with its own state from `worker_state`), and the same emitter drains a
 /// channel on the caller's thread.
 ///
-/// A panic in a chain task is *contained* when the lane's
-/// [`FaultPolicy`] is not `Fail`: the chain survives the unwind, the
-/// dispatcher rewinds and queues it again (`retry`, up to the policy's
-/// attempts) or retires it through `fault` as a quarantined output, and
-/// the run keeps going. Under `Fail` — and for panics outside chain tasks
+/// A panic in a task is *contained* when the lane's [`FaultPolicy`] is not
+/// `Fail`: the read survives the unwind, the dispatcher queues it as it is
+/// for another `run` (telling `on_retry`, up to the policy's attempts) or
+/// retires it through `fault` as a quarantined output, and the run keeps
+/// going. Under `Fail` — and for panics outside tasks
 /// (source, sink) — the engine tears the pipeline down (gate opened,
 /// channels closed) and propagates rather than deadlocking;
 /// already-finished earlier items may still be emitted first.
 ///
 /// `cfg.control` is the cooperative drain switch: once `drain()` is
-/// observed, no new reads are pulled, resident chains run to their
+/// observed, no new reads are pulled, resident reads run to their
 /// verdicts, and the engine returns normally. The rest of the control
 /// plane arrives through `feed.poll()`: lanes can be added ([`EngineCommand::AddLane`],
 /// announced through the in-order [`LaneEvent::Attached`] marker) and
@@ -2342,8 +2286,8 @@ pub(crate) fn session_engine<C, O, S, B, L, F, R, Q, G>(
     cfg: EngineConfig<'_>,
     worker_state: B,
     feed: L,
-    step: F,
-    retry: R,
+    run: F,
+    on_retry: R,
     fault: Q,
     emit: G,
 ) -> EngineStats
@@ -2352,8 +2296,8 @@ where
     O: Send,
     B: Fn() -> S + Sync,
     L: LaneFeed<C>,
-    F: Fn(&mut S, usize, &mut C) -> ChainStep<O> + Sync,
-    R: FnMut(usize, C) -> C + Send,
+    F: Fn(&mut S, usize, &mut C) -> (O, u64) + Sync,
+    R: FnMut(usize) + Send,
     Q: FnMut(usize, C, FaultInfo) -> O + Send,
     G: FnMut(usize, LaneEvent<O>),
 {
@@ -2377,12 +2321,12 @@ where
             emitter.accept(msg);
             true
         };
-        let mut dispatcher = Dispatcher::new(&cfg, &shared, feed, retry, fault, out);
+        let mut dispatcher = Dispatcher::new(&cfg, &shared, feed, on_retry, fault, out);
         let mut state = worker_state();
         loop {
             dispatcher.apply_commands();
             match dispatcher.next_task() {
-                Some(task) => match run_task(&step, &mut state, task) {
+                Some(task) => match run_task(&run, &mut state, task) {
                     Ok(msg) => dispatcher.complete(msg),
                     Err(panic) => std::panic::resume_unwind(panic),
                 },
@@ -2392,16 +2336,16 @@ where
         }
     } else {
         // The channels are unbounded; the gate alone bounds what can be in
-        // them (≤ limit chains exist, each with at most one task or emit
+        // them (≤ limit reads exist, each with at most one task or emit
         // message outstanding).
         let (emit_tx, emit_rx) = mpsc::channel();
         let out = move |msg| emit_tx.send(msg).is_ok();
-        let mut dispatcher = Dispatcher::new(&cfg, &shared, feed, retry, fault, out);
+        let mut dispatcher = Dispatcher::new(&cfg, &shared, feed, on_retry, fault, out);
         let (task_tx, task_rx) = mpsc::channel();
         let task_rx = &Mutex::new(task_rx);
         let (msg_tx, msg_rx) = mpsc::channel();
         let workers = cfg.workers;
-        let (worker_state, step) = (&worker_state, &step);
+        let (worker_state, run) = (&worker_state, &run);
         std::thread::scope(|scope| {
             // Opening the gate after the emit loop is harmless (the
             // dispatcher has exited); opening it while a sink's or the
@@ -2418,8 +2362,7 @@ where
                         if dispatcher.outstanding > spawned && spawned < workers {
                             spawned += 1;
                             let results = msg_tx.clone();
-                            scope
-                                .spawn(move || worker_loop(step, worker_state(), task_rx, results));
+                            scope.spawn(move || worker_loop(run, worker_state(), task_rx, results));
                         }
                         if task_tx.send(task).is_err() {
                             dispatcher.shutdown = true; // workers gone
@@ -2434,7 +2377,7 @@ where
                         }
                         break;
                     }
-                    // Wait for a worker to hand a chain back.
+                    // Wait for a worker to hand a read back.
                     match msg_rx.recv() {
                         Ok(msg) => dispatcher.complete(msg),
                         Err(_) => break,
@@ -2854,17 +2797,17 @@ mod tests {
 
     #[test]
     fn transient_faults_succeed_on_retry() {
-        // A step that panics on each read's second chunk, first pass only:
-        // under `Retry { attempts: 1 }` the chain is rewound mid-read,
-        // replayed from scratch, and every read comes out exactly once,
-        // bit-identical to a fault-free run. This is the transient-fault
-        // path the injector (whose faults are permanent, baked into the
-        // data) cannot exercise.
+        // A task that panics once the read has run, first attempt only —
+        // the dirtiest scratch a fault can leave behind: under
+        // `Retry { attempts: 1 }` the same read is simply run again, and
+        // every read comes out exactly once, bit-identical to a fault-free
+        // run. This is the transient-fault path the injector (whose faults
+        // are permanent, baked into the data) cannot exercise.
         let d = dataset();
         let config =
             GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Threads(2));
         let ctx = RunContext::from_source(&d.stream(), &config);
-        let steps_run = std::sync::Mutex::new(std::collections::HashMap::new());
+        let faulted = Mutex::new(std::collections::BTreeSet::new());
         let mut pending = d.reads.iter();
         let control = SessionControl::new();
         let mut emitted = Vec::new();
@@ -2877,24 +2820,17 @@ mod tests {
                 control: &control,
             },
             || WorkerScratch::new(&ctx),
-            |_| {
-                let read = pending.next()?.clone();
-                Some(ReadChain::new(Some(ErMode::Full), read))
-            },
-            |scratch, _lane, chain: &mut ReadChain| {
-                let nth = {
-                    let mut steps_run = steps_run.lock().unwrap();
-                    let nth = steps_run.entry(chain.read_id()).or_insert(0u32);
-                    *nth += 1;
-                    *nth
-                };
-                if nth == 2 {
-                    panic!("transient fault on read {}", chain.read_id());
+            |_| Some(ReadTask::new(pending.next()?.clone())),
+            |scratch, _lane, task: &mut ReadTask| {
+                let run = task.run(Flow::GenPip(ErMode::Full), &ctx, scratch);
+                if faulted.lock().unwrap().insert(run.id) {
+                    panic!("transient fault on read {}", run.id);
                 }
-                chain.step(&ctx, scratch)
+                let units = run.chunks.len() as u64;
+                (run, units)
             },
-            |_lane, chain| chain.retry(),
-            |_lane, _chain, info: FaultInfo| -> crate::pipeline::ReadRun {
+            |_lane| {},
+            |_lane, _task, info: FaultInfo| -> crate::pipeline::ReadRun {
                 unreachable!("no read should exhaust its retry budget: {}", info.message)
             },
             |_, event| {
@@ -2905,15 +2841,13 @@ mod tests {
         );
         let clean = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         assert_eq!(emitted, clean.reads);
-        // Every read with a second step faulted there once.
-        let multi_step = clean.reads.iter().filter(|r| r.chunks.len() > 1).count();
-        assert!(multi_step > 0);
-        assert_eq!(stats.retried, multi_step);
+        // Every read faulted exactly once.
+        assert_eq!(stats.retried, d.reads.len());
     }
 
     #[test]
     fn worker_panic_propagates_instead_of_deadlocking() {
-        // Run the engine with a step function that panics partway through,
+        // Run the engine with a task function that panics partway through,
         // under a watchdog: a regression back to the deadlock (stranded
         // gate permit → dispatcher and emit loop blocked forever) fails the
         // test at the timeout instead of hanging the suite.
@@ -2935,16 +2869,15 @@ mod tests {
                         control: &control,
                     },
                     || WorkerScratch::new(&ctx),
-                    |_| {
-                        let read = pending.next()?.clone();
-                        Some(ReadChain::new(Some(ErMode::Full), read))
+                    |_| Some(ReadTask::new(pending.next()?.clone())),
+                    |scratch, _lane, task: &mut ReadTask| {
+                        assert!(task.read.id != 3, "injected failure on read 3");
+                        let run = task.run(Flow::GenPip(ErMode::Full), &ctx, scratch);
+                        let units = run.chunks.len() as u64;
+                        (run, units)
                     },
-                    |scratch, _lane, chain: &mut ReadChain| {
-                        assert!(chain.read_id() != 3, "injected failure on read 3");
-                        chain.step(&ctx, scratch)
-                    },
-                    |_lane, chain| chain,
-                    |_lane, _chain, _info| -> crate::pipeline::ReadRun {
+                    |_lane| {},
+                    |_lane, _task, _info| -> crate::pipeline::ReadRun {
                         unreachable!("FaultPolicy::Fail never quarantines")
                     },
                     |_, _| {},
@@ -2958,16 +2891,16 @@ mod tests {
         }
     }
 
-    /// What a toy chain does, scripted by its index in its lane.
+    /// What a toy read does, scripted by its index in its lane.
     #[derive(Clone, Copy)]
     enum Plan {
-        /// Step this many times, then finish.
+        /// Finish after this many units of work, plus one.
         Steps(u32),
-        /// Step this many times, then finish early (an ER verdict).
+        /// The same, but finish early (an ER verdict).
         CancelAfter(u32),
-        /// Panic on the second step, first pass only.
+        /// Panic on the first attempt only.
         FaultOnce,
-        /// Panic on every first step.
+        /// Panic on every attempt.
         FaultAlways,
     }
 
@@ -3004,28 +2937,25 @@ mod tests {
         }
     }
 
-    /// An allocation-free chain: a few integers, no basecalling.
+    /// An allocation-free read: two integers, no basecalling.
     struct Toy {
         index: u32,
-        step: u32,
-        rewound: bool,
+        /// Calls of [`toy_run`] on this read so far — all a retry can see
+        /// of the attempts before it.
+        runs: u32,
     }
 
-    fn toy_step(chain: &mut Toy) -> ChainStep<ToyOutput> {
-        let at = chain.step;
-        chain.step += 1;
-        let (more, output) = match plan(chain.index) {
+    /// One attempt at a toy read: its output and the units of work it did.
+    fn toy_run(toy: &mut Toy) -> (ToyOutput, u64) {
+        toy.runs += 1;
+        let (more, output) = match plan(toy.index) {
             Plan::Steps(n) => (n, ToyOutput::Done),
             Plan::CancelAfter(n) => (n, ToyOutput::Cancelled),
-            Plan::FaultOnce if at == 1 && !chain.rewound => panic!("toy transient fault"),
+            Plan::FaultOnce if toy.runs == 1 => panic!("toy transient fault"),
             Plan::FaultOnce => (2, ToyOutput::Done),
             Plan::FaultAlways => panic!("toy permanent fault"),
         };
-        if at < more {
-            ChainStep::More { units: 1 }
-        } else {
-            ChainStep::Finished { output, units: 1 }
-        }
+        (output, u64::from(more) + 1)
     }
 
     /// Three lanes at startup; lane 3 attaches once 300 reads were pulled
@@ -3055,8 +2985,7 @@ mod tests {
             pulled[lane] += 1;
             Some(Toy {
                 index: pulled[lane] - 1,
-                step: 0,
-                rewound: false,
+                runs: 0,
             })
         }
 
@@ -3103,9 +3032,10 @@ mod tests {
         };
         let limit = cfg.in_flight_limit();
         let mut events: Vec<(usize, ToyEvent)> = Vec::new();
-        // Pulled-but-unemitted chains, sampled at every emission (the
-        // chain's own permit still held) — the outside view of the gate.
+        // Pulled-but-unemitted reads, sampled at every emission (the
+        // read's own permit still held) — the outside view of the gate.
         let (mut emitted, mut unemitted_high) = (0usize, 0usize);
+        let mut retry_notices = [0usize; 4];
         let stats = session_engine(
             cfg,
             || (),
@@ -3115,21 +3045,17 @@ mod tests {
                 attached: false,
                 drained: false,
             },
-            |_, _lane, chain: &mut Toy| {
+            |_, _lane, toy: &mut Toy| {
                 if workers == 1 {
-                    assert_eq!(std::thread::current().id(), caller, "step left the caller");
+                    assert_eq!(std::thread::current().id(), caller, "run left the caller");
                 }
-                let index = chain.index;
-                toy_step(chain).map(|output| (index, output))
+                let (output, units) = toy_run(toy);
+                ((toy.index, output), units)
             },
-            |_lane, chain| Toy {
-                step: 0,
-                rewound: true,
-                ..chain
-            },
-            |_lane, chain, info: FaultInfo| {
+            |lane| retry_notices[lane] += 1,
+            |_lane, toy, info: FaultInfo| {
                 let attempts = info.attempts;
-                (chain.index, ToyOutput::Quarantined { attempts })
+                (toy.index, ToyOutput::Quarantined { attempts })
             },
             |lane, event| {
                 assert_eq!(std::thread::current().id(), caller, "emit left the caller");
@@ -3152,7 +3078,7 @@ mod tests {
         );
         let label = format!("workers = {workers}");
         // Permits run from pull to emission on both drivers — cancelled and
-        // quarantined chains included — so nothing waits outside the bound.
+        // quarantined reads included — so nothing waits outside the bound.
         assert!(stats.max_in_flight <= limit, "{label}");
         assert!(unemitted_high <= limit, "{label}: {unemitted_high}");
         if workers == 1 {
@@ -3208,6 +3134,7 @@ mod tests {
                 "{label}: lane {lane}"
             );
             assert_eq!(stats.lanes[lane].retried, retried, "{label}: lane {lane}");
+            assert_eq!(retry_notices[lane], retried, "{label}: lane {lane}");
             assert_eq!(
                 stats.lanes[lane].latency.reads,
                 outputs[lane].len(),
@@ -3265,8 +3192,8 @@ mod tests {
     #[test]
     fn serial_sessions_run_on_the_calling_thread() {
         // With one worker nothing is spawned: pulls, sinks and checkpoint
-        // callbacks all happen on the caller (chain steps are pinned by the
-        // toy-chain test), and sinks may hold non-`Send` state.
+        // callbacks all happen on the caller (task runs are pinned by the
+        // toy test), and sinks may hold non-`Send` state.
         let profile = DatasetProfile::ecoli().scaled(0.03);
         let caller = std::thread::current().id();
         let pullers = Arc::new(Mutex::new(Vec::new()));

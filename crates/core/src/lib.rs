@@ -9,7 +9,8 @@
 //!   (QSR, the paper's Algorithm 1) and Chunk-Mapping-based Rejection (CMR);
 //! * [`pipeline`] — the *functional* execution of both the conventional
 //!   pipeline (Figure 5a) and GenPIP's chunk-based pipeline with optional
-//!   ER (Figures 5b and 6) as one per-read chain of chunk steps, producing
+//!   ER (Figures 5b and 6) as one straight-line function per flow (a read
+//!   is one call; the chunk pipeline is the loop inside it), producing
 //!   per-read outcomes and the workload counters every hardware model
 //!   consumes; [`PipelineRun::collect`] is the batch spelling;
 //! * [`engine`] — the [`Session`] execution API: one bounded-memory worker

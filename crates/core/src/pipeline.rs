@@ -23,14 +23,14 @@
 //! # Threading model
 //!
 //! There is one way to run a read: the [`Session`] engine in
-//! [`crate::engine`] schedules **reads**, one task each. Each read becomes
-//! a read chain — a sequential chain of per-chunk steps (the decoder's
-//! carry state forces chunk order within a read) that one worker steps
-//! from the first chunk to the read's result. Workers are scoped threads
+//! [`crate::engine`] schedules **reads**, one task each, and a task is one
+//! call — a straight-line function per flow that walks the read's chunks
+//! in order (the decoder's carry state forces chunk order within a read)
+//! and returns at the first verdict. Workers are scoped threads
 //! spawned lazily up to [`GenPipConfig::parallelism`]
 //! ([`crate::Parallelism`]), and results are re-emitted in admission order.
-//! Cross-step read state lives in the chain (decoder cursor, basecalled
-//! chunks, incremental chainers); **worker-local scratch** holds only
+//! Per-read state (decoder cursor, basecalled chunks, incremental
+//! chainers) is local to the call; **worker-local scratch** holds only
 //! stateless buffers (decode, sketch, seed — so the hot path stays
 //! allocation-free in steady state). The
 //! shared state ([`Basecaller`], [`ReferenceSet`] with its `Arc`-shared
@@ -44,10 +44,10 @@
 
 use crate::config::{GenPipConfig, Parallelism};
 use crate::early_reject::{cmr_check, qsr_check, qsr_sample_indices};
-use crate::engine::{ChainStep, Flow, Session};
+use crate::engine::{Flow, Session};
 use crate::scheduler::Schedule;
 use crate::stream::{StreamEvent, StreamOptions};
-use genpip_basecall::{BasecalledChunk, Basecaller, CallScratch, CarryState};
+use genpip_basecall::{BasecalledChunk, Basecaller, CallScratch, ReadDecoder};
 use genpip_datasets::{ReadSource, SimulatedDataset, SimulatedRead};
 use genpip_genomics::quality::AqsAccumulator;
 use genpip_genomics::{DnaSeq, Genome, Phred};
@@ -216,6 +216,71 @@ impl ReadRun {
     pub fn basecalled_samples(&self) -> usize {
         self.chunks.iter().map(|c| c.samples).sum()
     }
+
+    /// A read that has done no work yet.
+    fn start(id: u32, total_chunks: usize, signal_samples: usize) -> ReadRun {
+        ReadRun {
+            id,
+            outcome: ReadOutcome::FilteredQc { aqs: 0.0 },
+            total_chunks,
+            chunks: Vec::new(),
+            signal_samples,
+            called_len: 0,
+            full_aqs: None,
+            best_chain_score: 0.0,
+            align_query_len: 0,
+            align_cells: 0,
+            map_counters: MappingCounters::default(),
+            called: None,
+            per_reference: Vec::new(),
+        }
+    }
+
+    /// Whole-read quality control, the same step in both flows: records the
+    /// assembled read and its AQS. `true` means QC filtered the read.
+    fn fails_qc(
+        &mut self,
+        ctx: &RunContext,
+        seq: &DnaSeq,
+        quals: Vec<Phred>,
+        aqs: &AqsAccumulator,
+    ) -> bool {
+        let full_aqs = aqs.average();
+        self.called_len = seq.len();
+        self.full_aqs = Some(full_aqs);
+        self.outcome = ReadOutcome::FilteredQc { aqs: full_aqs };
+        if ctx.config.keep_bases {
+            self.called = Some(CalledBases {
+                seq: seq.clone(),
+                quals,
+            });
+        }
+        full_aqs < ctx.config.theta_qs
+    }
+
+    /// Records the final mapping's verdict (`map_counters` already holds the
+    /// alignment's cells).
+    fn mapped(
+        &mut self,
+        ctx: &RunContext,
+        seq: &DnaSeq,
+        per_reference: Vec<ReferenceMapping>,
+        best: Option<Mapping>,
+        best_score: f64,
+    ) {
+        self.align_cells = self.map_counters.align_cells;
+        self.align_query_len = if self.align_cells > 0 { seq.len() } else { 0 };
+        if ctx.refs.len() > 1 {
+            self.per_reference = per_reference;
+        }
+        self.best_chain_score = best_score;
+        self.outcome = match best {
+            Some(m) => ReadOutcome::Mapped(m),
+            None => ReadOutcome::Unmapped {
+                chain_score: best_score,
+            },
+        };
+    }
 }
 
 /// A full dataset run: configuration + per-read results.
@@ -308,8 +373,8 @@ impl PipelineRun {
     /// in the pan-genome panel).
     pub fn collect(dataset: &SimulatedDataset, config: &GenPipConfig, flow: Flow) -> PipelineRun {
         // `Threads(0)` resolves to one worker here rather than failing. The
-        // engine spawns workers lazily from chunk-level occupancy, so a tiny
-        // dataset never materializes an idle pool.
+        // engine spawns workers lazily, one per concurrently running read
+        // actually reached, so a tiny dataset never materializes an idle pool.
         let workers = config.parallelism.workers();
         let session_config = config
             .clone()
@@ -452,506 +517,230 @@ fn best_pair_score(pairs: &[(IncrementalChainer, IncrementalChainer)]) -> f64 {
     })
 }
 
-/// One read as a sequential chain of chunk steps — the engine's task and
-/// the only per-read code in this crate.
+/// One read as the engine's task: the read itself plus the one thing a
+/// fault must be able to say about it afterwards.
 ///
-/// The decoder's [`CarryState`] forces chunk order *within* a read, so a
-/// chain advances one chunk per [`ReadChain::step`]; the engine's worker
-/// steps it until it finishes. All cross-step state lives here, not in the
-/// worker-local [`WorkerScratch`], so the step boundary is where an ER
-/// verdict stops the read and where a fault names its chunk. Across reads
-/// the workers run many chains at once, which is what lets chunk `i+1` of
-/// one read overlap chunk `i`'s mapping of another — the system-level
-/// pipeline of the paper's Figure 5(b).
-pub(crate) enum ReadChain {
-    /// A chain awaiting its first step. Construction (chunk geometry,
-    /// chainer allocation) happens on the worker that runs the read, so
-    /// the dispatcher thread only ever moves raw reads.
-    Pending {
-        /// The read, taken when the chain materializes.
-        read: Option<SimulatedRead>,
-        /// ER mode (`None` = conventional flow).
-        er: Option<ErMode>,
-    },
-    /// GenPIP flow (Figure 5b / Figure 6).
-    GenPip(Box<GenPipChain>),
-    /// Conventional flow (Figure 5a): basecalling is still per-chunk work,
-    /// only QC and mapping wait for the whole read.
-    Conventional(Box<ConvChain>),
+/// A read is one call to [`ReadTask::run`]. Nothing it computes is kept in
+/// the task (the signal is never mutated), so a retry is simply another
+/// call on the same task, bit-identical to a first run. Across reads the
+/// workers run many of these at once, which is what lets chunk `i+1` of one
+/// read overlap chunk `i`'s mapping of another — the system-level pipeline
+/// of the paper's Figure 5(b).
+pub(crate) struct ReadTask {
+    pub(crate) read: SimulatedRead,
+    /// The chunk whose basecall or seed work is running — what a fault is
+    /// reported against ([`crate::stream::ReadFault::chunk`]); `None`
+    /// outside the chunk loops.
+    pub(crate) at_chunk: Option<usize>,
 }
 
-impl ReadChain {
-    /// Builds the chain for one read under the given flow. Cheap by design
-    /// (no per-read setup) — it runs on the dispatcher.
-    pub(crate) fn new(er: Option<ErMode>, read: SimulatedRead) -> ReadChain {
-        ReadChain::Pending {
-            read: Some(read),
-            er,
+impl ReadTask {
+    /// Cheap by design (no per-read setup) — it runs on the dispatcher.
+    pub(crate) fn new(read: SimulatedRead) -> ReadTask {
+        ReadTask {
+            read,
+            at_chunk: None,
         }
     }
 
-    /// Runs the chain's next chunk on a worker.
-    pub(crate) fn step(
+    /// Runs the read through `flow`, start to verdict, on the calling
+    /// worker. The decoder's [`genpip_basecall::CarryState`] forces chunk
+    /// order within a read, so both flows walk the chunks one at a time;
+    /// all per-read state is local to the call, and `scratch` lends only
+    /// stateless buffers.
+    pub(crate) fn run(
         &mut self,
+        flow: Flow,
         ctx: &RunContext,
         scratch: &mut WorkerScratch,
-    ) -> ChainStep<ReadRun> {
-        match self {
-            ReadChain::Pending { read, er } => {
-                let read = read.take().expect("pending chain materialized once");
-                *self = match er {
-                    Some(er) => ReadChain::GenPip(Box::new(GenPipChain::new(ctx, *er, read))),
-                    None => ReadChain::Conventional(Box::new(ConvChain::new(ctx, read))),
-                };
-                self.step(ctx, scratch)
-            }
-            ReadChain::GenPip(chain) => chain.step(ctx, scratch),
-            ReadChain::Conventional(chain) => chain.step(ctx, scratch),
+    ) -> ReadRun {
+        self.at_chunk = None;
+        match flow {
+            Flow::GenPip(er) => self.run_genpip(er, ctx, scratch),
+            Flow::Conventional => self.run_conventional(ctx, scratch),
         }
     }
 
-    /// The id of the read this chain carries, whatever its state.
-    pub(crate) fn read_id(&self) -> u32 {
-        match self {
-            ReadChain::Pending { read, .. } => {
-                read.as_ref().expect("pending chain holds its read").id
-            }
-            ReadChain::GenPip(chain) => chain.read.id,
-            ReadChain::Conventional(chain) => chain.read.id,
-        }
-    }
-
-    /// Rewinds a faulted chain to a fresh attempt on the same read. Correct
-    /// because a chain's computation is a pure function of its read (the
-    /// signal is never mutated): restarting from scratch is bit-identical
-    /// to a first run, so a retry that succeeds produces exactly the output
-    /// a fault-free run would have.
-    pub(crate) fn retry(self) -> ReadChain {
-        match self {
-            ReadChain::Pending { .. } => self,
-            ReadChain::GenPip(chain) => ReadChain::new(Some(chain.er), chain.read),
-            ReadChain::Conventional(chain) => ReadChain::new(None, chain.read),
-        }
-    }
-
-    /// The chunk index whose step faulted, when the chain knows it: the
-    /// chunk a mid-step panic interrupted. `None` for chains that never
-    /// materialized.
-    pub(crate) fn fault_chunk(&self) -> Option<usize> {
-        match self {
-            ReadChain::Pending { .. } => None,
-            ReadChain::GenPip(chain) => match &chain.phase {
-                GenPipPhase::Empty => None,
-                GenPipPhase::Qsr { samples, next } => samples.get(*next).copied(),
-                GenPipPhase::Sequential { idx } => Some(*idx),
-            },
-            ReadChain::Conventional(chain) => (chain.idx < chain.specs.len()).then_some(chain.idx),
-        }
-    }
-}
-
-/// Where a [`GenPipChain`] is in the Figure 6 flow.
-enum GenPipPhase {
-    /// The signal divides into zero chunks; the first step emits the verdict.
-    Empty,
-    /// ER-QSR sampling: basecall `samples[next]` next.
-    Qsr {
-        /// The evenly-spaced sample chunk indices (Algorithm 1).
-        samples: Vec<usize>,
-        /// Next sample to basecall.
-        next: usize,
-    },
-    /// The sequential CP pass: process chunk `idx` next.
-    Sequential {
-        /// Next chunk index.
-        idx: usize,
-    },
-}
-
-/// The state of one read in GenPIP's chunk-based pipeline (Figure 6): the
-/// flow's loop variables as a struct, one loop iteration per step.
-pub(crate) struct GenPipChain {
-    read: SimulatedRead,
-    er: ErMode,
-    specs: Vec<genpip_signal::ChunkSpec>,
-    run: Option<ReadRun>,
-    called: BTreeMap<usize, BasecalledChunk>,
-    decoder: genpip_basecall::ReadDecoder,
-    seq: DnaSeq,
-    quals: Vec<Phred>,
-    aqs: AqsAccumulator,
-    pairs: Vec<(IncrementalChainer, IncrementalChainer)>,
-    cmr_checked: bool,
-    phase: GenPipPhase,
-}
-
-impl GenPipChain {
-    fn new(ctx: &RunContext, er: ErMode, read: SimulatedRead) -> GenPipChain {
-        let specs = chunk_boundaries(read.signal.samples.len(), ctx.samples_per_chunk);
-        let total = specs.len();
-        let run = ReadRun {
-            id: read.id,
-            outcome: ReadOutcome::FilteredQc { aqs: 0.0 },
-            total_chunks: total,
-            chunks: Vec::new(),
-            signal_samples: read.signal.samples.len(),
-            called_len: 0,
-            full_aqs: None,
-            best_chain_score: 0.0,
-            align_query_len: 0,
-            align_cells: 0,
-            map_counters: MappingCounters::default(),
-            called: None,
-            per_reference: Vec::new(),
-        };
-        let pairs = ctx.refs.new_chainer_pairs();
-        let phase = if total == 0 {
-            GenPipPhase::Empty
-        } else if er != ErMode::None {
-            GenPipPhase::Qsr {
-                samples: qsr_sample_indices(total, ctx.config.n_qs),
-                next: 0,
-            }
-        } else {
-            GenPipPhase::Sequential { idx: 0 }
-        };
-        GenPipChain {
-            read,
-            er,
-            specs,
-            run: Some(run),
-            called: BTreeMap::new(),
-            decoder: genpip_basecall::ReadDecoder::new(),
-            seq: DnaSeq::new(),
-            quals: Vec::new(),
-            aqs: AqsAccumulator::new(),
-            pairs,
-            cmr_checked: false,
-            phase,
-        }
-    }
-
-    fn finish(&mut self, units: u64) -> ChainStep<ReadRun> {
-        ChainStep::Finished {
-            output: self.run.take().expect("chain finished once"),
-            units,
-        }
-    }
-
-    fn step(&mut self, ctx: &RunContext, scratch: &mut WorkerScratch) -> ChainStep<ReadRun> {
+    /// GenPIP's chunk-based pipeline with early rejection (Figure 5b /
+    /// Figure 6): QSR samples, then per chunk basecall + seed + chain with
+    /// the CMR check after `N_cm` chunks, then whole-read QC and the final
+    /// mapping. Every verdict is a `return`, so a rejected read's remaining
+    /// chunks are never touched.
+    fn run_genpip(&mut self, er: ErMode, ctx: &RunContext, scratch: &mut WorkerScratch) -> ReadRun {
         let samples = &self.read.signal.samples;
-        let total = self.specs.len();
-        match &mut self.phase {
-            GenPipPhase::Empty => {
-                let run = self.run.as_mut().expect("chain not finished");
-                run.outcome = match self.er {
-                    ErMode::None => ReadOutcome::FilteredQc { aqs: 0.0 },
-                    _ => ReadOutcome::RejectedQsr { sampled_aqs: 0.0 },
+        let specs = chunk_boundaries(samples.len(), ctx.samples_per_chunk);
+        let chunk_samples = |idx: usize| &samples[specs[idx].start..specs[idx].end];
+        let total = specs.len();
+        let mut run = ReadRun::start(self.read.id, total, samples.len());
+        if total == 0 {
+            if er != ErMode::None {
+                run.outcome = ReadOutcome::RejectedQsr { sampled_aqs: 0.0 };
+            }
+            return run;
+        }
+        let mut decoder = ReadDecoder::new();
+        let mut called: BTreeMap<usize, BasecalledChunk> = BTreeMap::new();
+
+        // ER-QSR (Figure 6 ➊➋): the evenly-spaced sample chunks
+        // (Algorithm 1), each basecalled without carried state.
+        if er != ErMode::None {
+            let sample_idx = qsr_sample_indices(total, ctx.config.n_qs);
+            for &idx in &sample_idx {
+                self.at_chunk = Some(idx);
+                decoder.resume_from(None);
+                let chunk = decoder.call_next(&ctx.caller, chunk_samples(idx), &mut scratch.call);
+                run.chunks.push(basecall_work(idx, &chunk));
+                called.insert(idx, chunk);
+            }
+            let sampled: Vec<(f64, usize)> = sample_idx
+                .iter()
+                .map(|idx| (called[idx].sqs, called[idx].quals.len()))
+                .collect();
+            let decision = qsr_check(&sampled, ctx.config.theta_qs);
+            run.called_len = called.values().map(|c| c.bases.len()).sum();
+            if decision.reject {
+                run.outcome = ReadOutcome::RejectedQsr {
+                    sampled_aqs: decision.sampled_aqs,
                 };
-                self.finish(0)
+                return run;
             }
-            GenPipPhase::Qsr {
-                samples: sample_idx,
-                next,
-            } => {
-                // ER-QSR phase (Figure 6 ➊➋): one sample chunk per step,
-                // basecalled without carried state.
-                let run = self.run.as_mut().expect("chain not finished");
-                let idx = sample_idx[*next];
-                basecall_chunk(
-                    ctx,
-                    samples,
-                    &self.specs,
-                    idx,
-                    &mut self.decoder,
-                    None,
-                    &mut self.called,
-                    &mut run.chunks,
-                    &mut scratch.call,
-                );
-                *next += 1;
-                if *next < sample_idx.len() {
-                    return ChainStep::More { units: 1 };
-                }
-                let sampled: Vec<(f64, usize)> = sample_idx
-                    .iter()
-                    .map(|idx| {
-                        let c = &self.called[idx];
-                        (c.sqs, c.quals.len())
-                    })
-                    .collect();
-                let decision = qsr_check(&sampled, ctx.config.theta_qs);
-                run.called_len = self.called.values().map(|c| c.bases.len()).sum();
-                if decision.reject {
-                    run.outcome = ReadOutcome::RejectedQsr {
-                        sampled_aqs: decision.sampled_aqs,
-                    };
-                    return self.finish(1);
-                }
-                self.phase = GenPipPhase::Sequential { idx: 0 };
-                ChainStep::More { units: 1 }
-            }
-            GenPipPhase::Sequential { idx } => {
-                // One iteration of the sequential CP pass per step: basecall
-                // (or reuse a sampled chunk), then immediately seed and
-                // extend the chains.
-                let idx = *idx;
-                let run = self.run.as_mut().expect("chain not finished");
-                let mut units = 0u64;
-                if !self.called.contains_key(&idx) {
-                    let carry = if idx == 0 {
-                        None
-                    } else {
-                        self.called[&(idx - 1)].carry
-                    };
-                    basecall_chunk(
-                        ctx,
-                        samples,
-                        &self.specs,
-                        idx,
-                        &mut self.decoder,
-                        carry,
-                        &mut self.called,
-                        &mut run.chunks,
-                        &mut scratch.call,
-                    );
-                    units += 1;
-                }
-                let offset = self.seq.len() as u64;
-                let chunk = &self.called[&idx];
-                let n_mins = ctx.refs.sketch_and_seed_into(
-                    &chunk.bases,
-                    offset,
-                    &mut scratch.seed,
-                    &mut scratch.batches,
-                );
-                let mut queries = 0usize;
-                let mut anchors = 0usize;
-                let mut chain_evals = 0usize;
-                for (batch, (fwd, rev)) in scratch.batches.iter().zip(self.pairs.iter_mut()) {
-                    let evals_before = fwd.dp_evaluations() + rev.dp_evaluations();
-                    fwd.extend(&batch.forward);
-                    rev.extend(&batch.reverse);
-                    chain_evals += fwd.dp_evaluations() + rev.dp_evaluations() - evals_before;
-                    queries += batch.queries;
-                    anchors += batch.hits;
-                }
-                run.chunks.push(ChunkWork {
-                    index: idx,
-                    seed_bases: chunk.bases.len(),
-                    minimizers: n_mins,
-                    anchors,
-                    chain_evals,
-                    ..Default::default()
+        }
+
+        // The sequential CP pass: basecall each chunk (or reuse a sampled
+        // one, stitching its successor to its carry), then immediately seed
+        // it and extend the chains.
+        let mut pairs = ctx.refs.new_chainer_pairs();
+        let mut seq = DnaSeq::new();
+        let mut quals: Vec<Phred> = Vec::new();
+        let mut aqs = AqsAccumulator::new();
+        for idx in 0..total {
+            self.at_chunk = Some(idx);
+            if !called.contains_key(&idx) {
+                decoder.resume_from(match idx {
+                    0 => None,
+                    _ => called[&(idx - 1)].carry,
                 });
-                units += 1;
-                run.map_counters.minimizers += n_mins;
-                run.map_counters.seed_queries += queries;
-                run.map_counters.anchors += anchors;
-                run.map_counters.chain_evals += chain_evals;
-                self.aqs.add_chunk_sum(chunk.sqs, chunk.quals.len());
-                if ctx.config.keep_bases {
-                    self.quals.extend_from_slice(&chunk.quals);
-                }
-                self.seq.extend_from_seq(&chunk.bases);
+                let chunk = decoder.call_next(&ctx.caller, chunk_samples(idx), &mut scratch.call);
+                run.chunks.push(basecall_work(idx, &chunk));
+                called.insert(idx, chunk);
+            }
+            let chunk = &called[&idx];
+            let minimizers = ctx.refs.sketch_and_seed_into(
+                &chunk.bases,
+                seq.len() as u64,
+                &mut scratch.seed,
+                &mut scratch.batches,
+            );
+            let mut work = ChunkWork {
+                index: idx,
+                seed_bases: chunk.bases.len(),
+                minimizers,
+                ..Default::default()
+            };
+            for (batch, (fwd, rev)) in scratch.batches.iter().zip(pairs.iter_mut()) {
+                let evals_before = fwd.dp_evaluations() + rev.dp_evaluations();
+                fwd.extend(&batch.forward);
+                rev.extend(&batch.reverse);
+                work.chain_evals += fwd.dp_evaluations() + rev.dp_evaluations() - evals_before;
+                work.anchors += batch.hits;
+                run.map_counters.seed_queries += batch.queries;
+            }
+            run.chunks.push(work);
+            run.map_counters.minimizers += work.minimizers;
+            run.map_counters.anchors += work.anchors;
+            run.map_counters.chain_evals += work.chain_evals;
+            aqs.add_chunk_sum(chunk.sqs, chunk.quals.len());
+            if ctx.config.keep_bases {
+                quals.extend_from_slice(&chunk.quals);
+            }
+            seq.extend_from_seq(&chunk.bases);
 
-                // ER-CMR (Figure 6 ➍➎): the verdict that ends the chain
-                // before its remaining chunks are stepped.
-                if self.er == ErMode::Full
-                    && !self.cmr_checked
-                    && idx + 1 == ctx.config.n_cm
-                    && total > ctx.config.n_cm
-                {
-                    self.cmr_checked = true;
-                    let score = best_pair_score(&self.pairs);
-                    let decision = cmr_check(score, ctx.config.theta_cm);
-                    if decision.reject {
-                        run.called_len = self.called.values().map(|c| c.bases.len()).sum();
-                        run.best_chain_score = score;
-                        run.outcome = ReadOutcome::RejectedCmr { chain_score: score };
-                        return self.finish(units);
-                    }
+            // ER-CMR (Figure 6 ➍➎): once, after the first `N_cm` chunks,
+            // for reads longer than that.
+            if er == ErMode::Full && idx + 1 == ctx.config.n_cm && total > ctx.config.n_cm {
+                let score = best_pair_score(&pairs);
+                if cmr_check(score, ctx.config.theta_cm).reject {
+                    run.called_len = called.values().map(|c| c.bases.len()).sum();
+                    run.best_chain_score = score;
+                    run.outcome = ReadOutcome::RejectedCmr { chain_score: score };
+                    return run;
                 }
-                if idx + 1 < total {
-                    self.phase = GenPipPhase::Sequential { idx: idx + 1 };
-                    return ChainStep::More { units };
-                }
-
-                // Last chunk: whole-read QC, then the final mapping.
-                run.called_len = self.seq.len();
-                if ctx.config.keep_bases {
-                    run.called = Some(CalledBases {
-                        seq: self.seq.clone(),
-                        quals: std::mem::take(&mut self.quals),
-                    });
-                }
-                let full_aqs = self.aqs.average();
-                run.full_aqs = Some(full_aqs);
-                run.best_chain_score = best_pair_score(&self.pairs);
-                if full_aqs < ctx.config.theta_qs {
-                    run.outcome = ReadOutcome::FilteredQc { aqs: full_aqs };
-                    return self.finish(units);
-                }
-                let (per_reference, mapping, best_score, align_cells) = ctx
-                    .refs
-                    .finalize_mapping_with(&self.seq, &self.pairs, &mut scratch.align);
-                if ctx.refs.len() > 1 {
-                    run.per_reference = per_reference;
-                }
-                run.best_chain_score = best_score;
-                run.align_cells = align_cells;
-                run.map_counters.align_cells = align_cells;
-                run.align_query_len = if align_cells > 0 { self.seq.len() } else { 0 };
-                run.outcome = match mapping {
-                    Some(m) => ReadOutcome::Mapped(m),
-                    None => ReadOutcome::Unmapped {
-                        chain_score: best_score,
-                    },
-                };
-                self.finish(units)
             }
         }
-    }
-}
+        self.at_chunk = None;
 
-/// The state of one read in the conventional flow: basecalling split into
-/// per-chunk steps (the decoder cursor still forces order), with QC and
-/// whole-read mapping folded into the final step.
-pub(crate) struct ConvChain {
-    read: SimulatedRead,
-    specs: Vec<genpip_signal::ChunkSpec>,
-    chunks: Vec<ChunkWork>,
-    decoder: genpip_basecall::ReadDecoder,
-    seq: DnaSeq,
-    quals: Vec<Phred>,
-    aqs: AqsAccumulator,
-    idx: usize,
-}
-
-impl ConvChain {
-    fn new(ctx: &RunContext, read: SimulatedRead) -> ConvChain {
-        let specs = chunk_boundaries(read.signal.samples.len(), ctx.samples_per_chunk);
-        ConvChain {
-            read,
-            chunks: Vec::with_capacity(specs.len()),
-            specs,
-            decoder: genpip_basecall::ReadDecoder::new(),
-            seq: DnaSeq::new(),
-            quals: Vec::new(),
-            aqs: AqsAccumulator::new(),
-            idx: 0,
+        // Whole-read QC, then the final mapping from the filled chainers.
+        run.best_chain_score = best_pair_score(&pairs);
+        if run.fails_qc(ctx, &seq, quals, &aqs) {
+            return run;
         }
+        let (per_reference, mapping, best_score, align_cells) =
+            ctx.refs
+                .finalize_mapping_with(&seq, &pairs, &mut scratch.align);
+        run.map_counters.align_cells = align_cells;
+        run.mapped(ctx, &seq, per_reference, mapping, best_score);
+        run
     }
 
-    fn step(&mut self, ctx: &RunContext, scratch: &mut WorkerScratch) -> ChainStep<ReadRun> {
-        let mut units = 0u64;
-        if self.idx < self.specs.len() {
-            let spec = self.specs[self.idx];
-            let called = self.decoder.call_next(
+    /// The conventional flow (Figure 5a): basecall the whole read chunk by
+    /// chunk (the decoder cursor carries the state across), whole-read QC,
+    /// then whole-read mapping.
+    fn run_conventional(&mut self, ctx: &RunContext, scratch: &mut WorkerScratch) -> ReadRun {
+        let samples = &self.read.signal.samples;
+        let specs = chunk_boundaries(samples.len(), ctx.samples_per_chunk);
+        let mut run = ReadRun::start(self.read.id, specs.len(), samples.len());
+        run.chunks.reserve_exact(specs.len());
+        let mut decoder = ReadDecoder::new();
+        let mut seq = DnaSeq::new();
+        let mut quals: Vec<Phred> = Vec::new();
+        let mut aqs = AqsAccumulator::new();
+        for spec in &specs {
+            self.at_chunk = Some(spec.index);
+            let chunk = decoder.call_next(
                 &ctx.caller,
-                &self.read.signal.samples[spec.start..spec.end],
+                &samples[spec.start..spec.end],
                 &mut scratch.call,
             );
-            self.aqs.add_chunk_sum(called.sqs, called.quals.len());
-            self.chunks.push(ChunkWork {
-                index: spec.index,
-                samples: called.stats.samples,
-                mvm_ops: called.stats.mvm_ops,
-                bases_called: called.bases.len(),
-                ..Default::default()
-            });
+            run.chunks.push(basecall_work(spec.index, &chunk));
+            aqs.add_chunk_sum(chunk.sqs, chunk.quals.len());
             if ctx.config.keep_bases {
-                self.quals.extend_from_slice(&called.quals);
+                quals.extend_from_slice(&chunk.quals);
             }
-            self.seq.extend_from_seq(&called.bases);
-            units += 1;
-            self.idx += 1;
-            if self.idx < self.specs.len() {
-                return ChainStep::More { units };
-            }
+            seq.extend_from_seq(&chunk.bases);
         }
+        self.at_chunk = None;
 
-        // All chunks basecalled (or there were none): QC, then mapping.
-        let full_aqs = self.aqs.average();
-        let mut run = ReadRun {
-            id: self.read.id,
-            outcome: ReadOutcome::FilteredQc { aqs: full_aqs },
-            total_chunks: self.specs.len(),
-            chunks: std::mem::take(&mut self.chunks),
-            signal_samples: self.read.signal.samples.len(),
-            called_len: self.seq.len(),
-            full_aqs: Some(full_aqs),
-            best_chain_score: 0.0,
-            align_query_len: 0,
-            align_cells: 0,
-            map_counters: MappingCounters::default(),
-            called: None,
-            per_reference: Vec::new(),
-        };
-        if ctx.config.keep_bases {
-            run.called = Some(CalledBases {
-                seq: self.seq.clone(),
-                quals: std::mem::take(&mut self.quals),
-            });
-        }
-        if full_aqs < ctx.config.theta_qs {
-            return ChainStep::Finished { output: run, units };
+        if run.fails_qc(ctx, &seq, quals, &aqs) {
+            return run;
         }
         let result = ctx.refs.map_with(
-            &self.seq,
+            &seq,
             &mut scratch.seed,
             &mut scratch.batches,
             &mut scratch.pairs,
             &mut scratch.align,
         );
         run.map_counters = result.counters;
-        run.best_chain_score = result.best_chain_score;
-        run.align_cells = result.counters.align_cells;
-        run.align_query_len = if result.counters.align_cells > 0 {
-            self.seq.len()
-        } else {
-            0
-        };
-        if ctx.refs.len() > 1 {
-            run.per_reference = result.per_reference;
-        }
-        run.outcome = match result.best {
-            Some(m) => ReadOutcome::Mapped(m),
-            None => ReadOutcome::Unmapped {
-                chain_score: result.best_chain_score,
-            },
-        };
-        ChainStep::Finished { output: run, units }
+        run.mapped(
+            ctx,
+            &seq,
+            result.per_reference,
+            result.best,
+            result.best_chain_score,
+        );
+        run
     }
 }
 
-/// Basecalls chunk `idx` of a read (one QSR sample or one sequential step)
-/// and records its work entry. The decoder is repositioned to `carry` first
-/// (QSR samples decode from scratch; sequential chunks stitch to their
-/// predecessor).
-#[allow(clippy::too_many_arguments)]
-fn basecall_chunk(
-    ctx: &RunContext,
-    samples: &[f32],
-    specs: &[genpip_signal::ChunkSpec],
-    idx: usize,
-    decoder: &mut genpip_basecall::ReadDecoder,
-    carry: Option<CarryState>,
-    called: &mut BTreeMap<usize, BasecalledChunk>,
-    chunks: &mut Vec<ChunkWork>,
-    call_scratch: &mut CallScratch,
-) {
-    decoder.resume_from(carry);
-    let spec = specs[idx];
-    let chunk = decoder.call_next(&ctx.caller, &samples[spec.start..spec.end], call_scratch);
-    chunks.push(ChunkWork {
-        index: idx,
+/// The work entry of a freshly basecalled chunk.
+fn basecall_work(index: usize, chunk: &BasecalledChunk) -> ChunkWork {
+    ChunkWork {
+        index,
         samples: chunk.stats.samples,
         mvm_ops: chunk.stats.mvm_ops,
         bases_called: chunk.bases.len(),
         ..Default::default()
-    });
-    called.insert(idx, chunk);
+    }
 }
 
 #[cfg(test)]
@@ -992,16 +781,18 @@ mod tests {
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Serial);
         let ctx = RunContext::from_source(&d.stream(), &config);
-        let shared = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
-        for (read, run) in d.reads.iter().zip(&shared.reads) {
-            let mut fresh = WorkerScratch::new(&ctx);
-            let mut chain = ReadChain::new(Some(ErMode::Full), read.clone());
-            let alone = loop {
-                if let ChainStep::Finished { output, .. } = chain.step(&ctx, &mut fresh) {
-                    break output;
-                }
-            };
-            assert_eq!(&alone, run, "read {}", read.id);
+        for flow in [
+            Flow::Conventional,
+            Flow::GenPip(ErMode::None),
+            Flow::GenPip(ErMode::QsrOnly),
+            Flow::GenPip(ErMode::Full),
+        ] {
+            let shared = PipelineRun::collect(&d, &config, flow);
+            for (read, run) in d.reads.iter().zip(&shared.reads) {
+                let mut fresh = WorkerScratch::new(&ctx);
+                let alone = ReadTask::new(read.clone()).run(flow, &ctx, &mut fresh);
+                assert_eq!(&alone, run, "{flow:?}: read {}", read.id);
+            }
         }
     }
 

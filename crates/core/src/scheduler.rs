@@ -120,7 +120,7 @@ fn deadline_urgency(ewma: u64, target: u64) -> i64 {
 /// The scheduler is consulted once per task, and a task is a read:
 /// `next_where` proposes the lane (source) to pull the next read from,
 /// restricted to lanes that currently have dispatchable work (room to admit
-/// a new read, or a faulted read rewound for its retry). When a lane is
+/// a new read, or a faulted read queued for its retry). When a lane is
 /// permanently done the engine reports it via `exhausted` and it is never
 /// proposed again.
 pub(crate) struct SchedulerState {

@@ -96,11 +96,11 @@ pub enum FaultKind {
     /// too large to square) before decoding — the typed fault the basecaller
     /// raises for corrupt input.
     CorruptSignal,
-    /// A chunk step panicked for any other reason.
+    /// The read's task panicked for any other reason.
     Panic,
 }
 
-/// Why a read was quarantined: the fault kind, where in the chain it
+/// Why a read was quarantined: the fault kind, where in the read it
 /// struck, and how many retries were burned first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadFault {
@@ -108,8 +108,10 @@ pub struct ReadFault {
     pub kind: FaultKind,
     /// The panic payload, rendered as a string.
     pub message: String,
-    /// Chunk index the fault struck at, when the chain knows (`None` only
-    /// for a read that faulted before its chunk geometry was built).
+    /// The chunk whose basecall or seed work was running when the fault
+    /// struck, in either flow (so a bad sample names its chunk). `None`
+    /// outside the chunk loops: before the first chunk, or in whole-read
+    /// QC and the final mapping.
     pub chunk: Option<usize>,
     /// Attempts consumed before quarantine (1 = failed on first try with no
     /// retry budget; `1 + n` under `FaultPolicy::Retry { attempts: n }`).

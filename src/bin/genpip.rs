@@ -55,20 +55,23 @@ use std::process::ExitCode;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-/// One subcommand: its name, the options it accepts (anything else is an
-/// error, never a silently ignored typo), and its entry point.
+/// One subcommand: its name, the options it accepts and how many
+/// positional arguments it takes (anything else is an error, never a
+/// silently ignored typo), and its entry point.
 type Command = (
     &'static str,
     &'static [&'static str],
+    usize,
     fn(&Parsed) -> Result<(), String>,
 );
 
 const COMMANDS: &[Command] = &[
-    ("simulate", &["profile", "scale", "out"], cmd_simulate),
-    ("map", &["reference", "reads", "paf"], cmd_map),
+    ("simulate", &["profile", "scale", "out"], 0, cmd_simulate),
+    ("map", &["reference", "reads", "paf"], 0, cmd_map),
     (
         "run",
         &["profile", "scale", "er", "on-fault", "reference"],
+        0,
         cmd_run,
     ),
     (
@@ -91,6 +94,7 @@ const COMMANDS: &[Command] = &[
             "resume",
             "drain-after",
         ],
+        0,
         cmd_stream,
     ),
     (
@@ -104,11 +108,12 @@ const COMMANDS: &[Command] = &[
             "threads",
             "max-sources",
         ],
+        0,
         cmd_serve,
     ),
-    ("pack", &["profile", "scale", "out", "verify"], cmd_pack),
-    ("inspect", &["reads", "verify"], cmd_inspect),
-    ("experiment", &["scale"], cmd_experiment),
+    ("pack", &["profile", "scale", "out", "verify"], 0, cmd_pack),
+    ("inspect", &["reads", "verify"], 1, cmd_inspect),
+    ("experiment", &["scale"], 1, cmd_experiment),
 ];
 
 fn main() -> ExitCode {
@@ -121,11 +126,12 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let Some((_, accepted, run)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+    let Some(&(_, accepted, positionals, run)) = COMMANDS.iter().find(|(name, ..)| name == command)
+    else {
         eprintln!("error: unknown command {command:?}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_options(command, accepted, rest) {
+    let opts = match parse_options(command, accepted, positionals, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -165,7 +171,8 @@ USAGE:
   genpip experiment <fig04|fig07|fig10|fig11|fig12|fig13|tab01|tab02|useless|ablations> [--scale F]
 
 Each subcommand accepts only the options listed for it above; anything
-else is an error.
+else is an error, and so is a bare argument where none is listed (only
+`inspect` and `experiment` take one).
 
 OPTIONS:
   --profile   dataset profile (default ecoli)
@@ -218,7 +225,7 @@ OPTIONS:
               registration order), priority (weighted by each source's
               weight=), deadline (re-weighted by each source's observed
               residency against its target=)
-  --queue     `stream` work-queue capacity; resident read chains across
+  --queue     `stream` work-queue capacity; resident reads across
               all sources <= queue + workers (default 8)
   --fastq-out write every fully-basecalled read as FASTQ. One source
               writes PATH verbatim; N sources write PATH.<name> each
@@ -259,7 +266,12 @@ type Options = HashMap<String, Vec<String>>;
 /// Options that are bare flags: present or absent, never consuming a value.
 const FLAG_OPTIONS: &[&str] = &["verify"];
 
-fn parse_options(command: &str, accepted: &[&str], args: &[String]) -> Result<Parsed, String> {
+fn parse_options(
+    command: &str,
+    accepted: &[&str],
+    max_positional: usize,
+    args: &[String],
+) -> Result<Parsed, String> {
     let mut opts: Options = HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
@@ -276,6 +288,8 @@ fn parse_options(command: &str, accepted: &[&str], args: &[String]) -> Result<Pa
                     .clone()
             };
             opts.entry(key.to_string()).or_default().push(value);
+        } else if positional.len() == max_positional {
+            return Err(format!("unexpected argument {arg:?} for '{command}'"));
         } else {
             positional.push(arg.clone());
         }
@@ -569,6 +583,9 @@ impl<'a> Spec<'a> {
             if !keys.contains(&key) {
                 return Err(spec.err(format!("unknown key {key:?} (use {})", keys.join(", "))));
             }
+            if spec.get(key).is_some() {
+                return Err(spec.err(format!("key {key:?} given twice")));
+            }
             spec.pairs.push((key, value));
         }
         Ok(spec)
@@ -578,13 +595,9 @@ impl<'a> Spec<'a> {
         format!("{} {:?}: {msg}", self.flag, self.text)
     }
 
-    /// The last value given for `key`.
+    /// The value given for `key`.
     fn get(&self, key: &str) -> Option<&'a str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| *k == key)
-            .map(|p| p.1)
+        self.pairs.iter().find(|(k, _)| *k == key).map(|p| p.1)
     }
 
     /// `key`'s value parsed as a number, if the key was given.
@@ -1221,7 +1234,7 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     println!("QC-filtered:    {}", o.filtered_qc);
     println!("unmapped:       {}", o.unmapped);
     println!(
-        "peak in-flight: {} resident read chains across all sources (bound: {})",
+        "peak in-flight: {} resident reads across all sources (bound: {})",
         report.max_in_flight, report.in_flight_limit
     );
     println!(

@@ -82,7 +82,9 @@ fn the_removed_shards_option_is_rejected_everywhere() {
 /// Counts the session would refuse are refused by the option readers, with
 /// the flag named and before any banner reaches stdout — and so is a
 /// `GENPIP_PARALLELISM` set to something `--threads` would refuse, which
-/// must not read as "unset".
+/// must not read as "unset", and a bare argument the subcommand does not
+/// take (a forgotten `--profile`, a single-dash option), which must not run
+/// the defaults.
 #[test]
 fn zero_counts_fail_naming_the_flag_before_any_banner() {
     let script =
@@ -126,6 +128,20 @@ fn zero_counts_fail_naming_the_flag_before_any_banner() {
             refused(command, &[], Some(bad), &complaint);
         }
     }
+    let unpacked = std::env::temp_dir().join(format!("genpip-cli-{}.gsc", std::process::id()));
+    let unpacked_path = unpacked.to_str().expect("utf-8 temp path");
+    for (command, extra, stray) in [
+        (&["run"][..], &["ecoli"][..], "ecoli"),
+        (&["pack"], &["oops", "--out", unpacked_path], "oops"),
+        (&["experiment", "tab02"], &["fig10"], "fig10"),
+        (&["inspect", "a.gsc"], &["b.gsc"], "b.gsc"),
+        (&stream, &["-threads", "4"], "-threads"),
+        (&serve, &["now"], "now"),
+    ] {
+        let complaint = format!("error: unexpected argument {stray:?} for '{}'", command[0]);
+        refused(command, extra, None, &complaint);
+    }
+    assert!(!unpacked.exists(), "a refused pack wrote its container");
     let _ = std::fs::remove_file(&script);
 }
 
@@ -179,7 +195,8 @@ fn stream_accepts_the_deadline_schedule_like_serve_does() {
 }
 
 /// Every spec surface shares one `key=value` grammar and rejects the same
-/// mistakes — a key that does not apply to the source's kind among them:
+/// mistakes — a key that does not apply to the source's kind, or one given
+/// twice, among them:
 /// each bad spec exits nonzero naming the surface, quoting the spec, and
 /// saying what is wrong with it, before any banner reaches stdout.
 #[test]
@@ -193,6 +210,7 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
         ),
         ("name=x,len=many", "invalid len \"many\""),
         ("name=x", "needs len="),
+        ("len=500,len=600", "key \"len\" given twice"),
     ];
     let source: &[(&str, &str)] = &[
         ("profile=ecoli,heavy", "is not key=value"),
@@ -213,6 +231,7 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
             "file=x.gsc,scale=0.5",
             "key \"scale\" applies only to profile= sources",
         ),
+        ("profile=ecoli,profile=human", "key \"profile\" given twice"),
     ];
     let signal_in: &[(&str, &str)] = &[
         ("x.gsc,heavy", "is not key=value"),
@@ -226,6 +245,8 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
             "x.gsc,scale=0.5",
             "key \"scale\" applies only to profile= sources",
         ),
+        ("x.gsc,weight=1,weight=2", "key \"weight\" given twice"),
+        ("x.gsc,file=y.gsc", "key \"file\" given twice"),
     ];
     let attach: &[(&str, &str)] = &[
         ("profile=ecoli,heavy", "is not key=value"),
@@ -245,6 +266,10 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
         (
             "file=x.gsc,scale=0.5",
             "key \"scale\" applies only to profile= sources",
+        ),
+        (
+            "profile=ecoli,target=9,target=9",
+            "key \"target\" given twice",
         ),
     ];
     let script = std::env::temp_dir().join(format!("genpip-cli-{}.script", std::process::id()));

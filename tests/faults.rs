@@ -33,10 +33,10 @@ fn parallelism_sweep() -> Vec<Parallelism> {
 
 /// A fault-free session run: the reference output the survivors of a
 /// faulted run must match bit for bit.
-fn baseline(config: &GenPipConfig, er: ErMode) -> Vec<ReadRun> {
+fn baseline(config: &GenPipConfig, flow: Flow) -> Vec<ReadRun> {
     let mut reads = Vec::new();
     Session::new(config.clone())
-        .flow(Flow::GenPip(er))
+        .flow(flow)
         .source("s", StreamingSimulator::new(&profile()))
         .sink("s", |event| {
             if let StreamEvent::Read(run) = event {
@@ -79,7 +79,7 @@ fn quarantine_contains_faults_and_survivors_stay_bit_identical() {
             let config = GenPipConfig::for_dataset(&profile())
                 .with_parallelism(parallelism)
                 .with_fault_policy(FaultPolicy::Quarantine);
-            let reference = baseline(&config, er);
+            let reference = baseline(&config, Flow::GenPip(er));
             let (survivors, failed, injected, report) = run_faulted(&config, er);
 
             assert!(!injected.is_empty(), "{label}: injection rate too low");
@@ -153,7 +153,7 @@ fn finite_samples_that_overflow_the_decoder_cost_exactly_their_read() {
             let config = GenPipConfig::for_dataset(&profile())
                 .with_parallelism(parallelism)
                 .with_fault_policy(FaultPolicy::Quarantine);
-            let reference = baseline(&config, er);
+            let reference = baseline(&config, Flow::GenPip(er));
             let mut survivors = Vec::new();
             let mut failed = Vec::new();
             let report = Session::new(config.clone())
@@ -206,7 +206,7 @@ fn heavy_fault_sweep_runs_under_genpip_faults_env() {
             let config = GenPipConfig::for_dataset(&profile())
                 .with_parallelism(parallelism)
                 .with_fault_policy(FaultPolicy::Quarantine);
-            let reference = baseline(&config, ErMode::Full);
+            let reference = baseline(&config, Flow::GenPip(ErMode::Full));
             let mut injector = FaultInjector::new(
                 StreamingSimulator::new(&profile()),
                 rate,
@@ -254,7 +254,7 @@ fn retry_spends_its_budget_then_quarantines_permanent_faults() {
         let config = GenPipConfig::for_dataset(&profile())
             .with_parallelism(parallelism)
             .with_fault_policy(FaultPolicy::Retry { attempts });
-        let reference = baseline(&config, ErMode::Full);
+        let reference = baseline(&config, Flow::GenPip(ErMode::Full));
         let (survivors, failed, injected, report) = run_faulted(&config, ErMode::Full);
         assert!(!injected.is_empty(), "{label}");
         let mut sorted_failed = failed;
@@ -275,8 +275,8 @@ fn retry_spends_its_budget_then_quarantines_permanent_faults() {
     }
 }
 
-/// A task steps its read's chain chunk by chunk, so a mid-read fault knows
-/// its chunk, and every retry rebuilds the chain and replays it
+/// A task walks its read chunk by chunk in either flow, so a mid-read fault
+/// knows its chunk, and every retry runs the untouched read again
 /// bit-identically — up to the very same chunk.
 #[test]
 fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
@@ -288,55 +288,57 @@ fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
         .iter()
         .map(|r| r.signal.samples.len())
         .collect();
-    for parallelism in parallelism_sweep() {
-        let label = format!("{parallelism:?}");
-        let config = GenPipConfig::for_dataset(&profile())
-            .with_parallelism(parallelism)
-            .with_fault_policy(FaultPolicy::Retry { attempts });
-        let spc = config.samples_per_chunk(mean_dwell);
-        let reference = baseline(&config, ErMode::None);
-        // One bad sample at the start of chunk 2 (or the last sample of a
-        // shorter read): the sequential pass decodes chunks 0 and 1 first.
-        let mut injector =
-            FaultInjector::new(StreamingSimulator::new(&profile()), INJECT_RATE, SEED)
-                .chunk(2)
-                .samples_per_chunk(spc);
-        let mut survivors = Vec::new();
-        let mut faults = Vec::new();
-        let report = Session::new(config)
-            .flow(Flow::GenPip(ErMode::None))
-            .source("s", &mut injector)
-            .sink("s", |event| match event {
-                StreamEvent::Read(run) => survivors.push(run),
-                StreamEvent::Failed { read_id, fault } => faults.push((read_id, fault)),
-                _ => {}
-            })
-            .run()
-            .expect("faulted session is valid");
-        let injected = injector.injected_ids().to_vec();
-        assert!(!injected.is_empty(), "{label}");
-        let failed: Vec<u32> = faults.iter().map(|(id, _)| *id).collect();
-        assert_eq!(failed, injected, "{label}: quarantined != injected");
-        for (id, fault) in &faults {
-            let len = lengths[*id as usize];
-            let struck = (2 * spc).min(len - 1) / spc;
-            assert_eq!(fault.chunk, Some(struck), "{label}: read {id}");
-            assert_eq!(fault.attempts, 1 + attempts, "{label}: read {id}");
+    for flow in [Flow::GenPip(ErMode::None), Flow::Conventional] {
+        for parallelism in parallelism_sweep() {
+            let label = format!("{flow:?} / {parallelism:?}");
+            let config = GenPipConfig::for_dataset(&profile())
+                .with_parallelism(parallelism)
+                .with_fault_policy(FaultPolicy::Retry { attempts });
+            let spc = config.samples_per_chunk(mean_dwell);
+            let reference = baseline(&config, flow);
+            // One bad sample at the start of chunk 2 (or the last sample of a
+            // shorter read): both flows decode chunks 0 and 1 first.
+            let mut injector =
+                FaultInjector::new(StreamingSimulator::new(&profile()), INJECT_RATE, SEED)
+                    .chunk(2)
+                    .samples_per_chunk(spc);
+            let mut survivors = Vec::new();
+            let mut faults = Vec::new();
+            let report = Session::new(config)
+                .flow(flow)
+                .source("s", &mut injector)
+                .sink("s", |event| match event {
+                    StreamEvent::Read(run) => survivors.push(run),
+                    StreamEvent::Failed { read_id, fault } => faults.push((read_id, fault)),
+                    _ => {}
+                })
+                .run()
+                .expect("faulted session is valid");
+            let injected = injector.injected_ids().to_vec();
+            assert!(!injected.is_empty(), "{label}");
+            let failed: Vec<u32> = faults.iter().map(|(id, _)| *id).collect();
+            assert_eq!(failed, injected, "{label}: quarantined != injected");
+            for (id, fault) in &faults {
+                let len = lengths[*id as usize];
+                let struck = (2 * spc).min(len - 1) / spc;
+                assert_eq!(fault.chunk, Some(struck), "{label}: read {id}");
+                assert_eq!(fault.attempts, 1 + attempts, "{label}: read {id}");
+            }
+            assert!(
+                faults.iter().any(|(_, f)| f.chunk == Some(2)),
+                "{label}: no fault struck mid-read"
+            );
+            assert_eq!(
+                report.retried,
+                injected.len() * attempts as usize,
+                "{label}"
+            );
+            let expected: Vec<ReadRun> = reference
+                .into_iter()
+                .filter(|run| !injected.contains(&run.id))
+                .collect();
+            assert_eq!(survivors, expected, "{label}: survivors diverged");
         }
-        assert!(
-            faults.iter().any(|(_, f)| f.chunk == Some(2)),
-            "{label}: no fault struck mid-read"
-        );
-        assert_eq!(
-            report.retried,
-            injected.len() * attempts as usize,
-            "{label}"
-        );
-        let expected: Vec<ReadRun> = reference
-            .into_iter()
-            .filter(|run| !injected.contains(&run.id))
-            .collect();
-        assert_eq!(survivors, expected, "{label}: survivors diverged");
     }
 }
 
@@ -429,7 +431,7 @@ fn failing_fastq_writer_drains_the_session_via_the_control_handle() {
 #[test]
 fn fail_policy_still_tears_down_promptly_at_chunk_granularity() {
     // The PR 2 watchdog regression with a corrupt-signal fault striking
-    // inside a pool worker's chunk step: under `FaultPolicy::Fail` the
+    // inside a pool worker's task: under `FaultPolicy::Fail` the
     // injected fault must abort the run (propagated panic), not hang it.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
