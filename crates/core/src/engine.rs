@@ -76,8 +76,11 @@
 //! lazily, one per concurrently running read actually reached, up to the
 //! configured count. With one ([`crate::Parallelism::Serial`]) nothing is
 //! spawned: the calling thread dispatches, runs and emits in turn, one read
-//! resident at a time — so the schedule's pick sequence *is* the emission
-//! order.
+//! resident at a time. Either way the schedule's pick sequence *is* the
+//! emission order: a [`Schedule`] is a function of which sources are live,
+//! never of how execution went, so — absent contained faults and live
+//! attaches, whose timing the pool decides — every worker count interleaves
+//! the sources identically at the sinks (`tests/session.rs` asserts it).
 //!
 //! # Guarantees
 //!
@@ -148,7 +151,7 @@ impl Flow {
 /// Four verbs:
 ///
 /// * [`SessionControl::attach`] (or [`SessionControl::attach_with`] and an
-///   [`AttachSpec`] for a config override, sink, weight or target) adds a
+///   [`AttachSpec`] for a config override, sink or weight) adds a
 ///   named source to the *running* session. The source is validated
 ///   exactly like [`Session::source_with_config`] validates at startup — a
 ///   typed [`SessionError`] comes back through the returned
@@ -227,25 +230,22 @@ struct AttachRequest {
     config: Option<GenPipConfig>,
     sink: Option<AttachedSink>,
     weight: u32,
-    target: Option<u64>,
     responder: mpsc::Sender<Result<(), SessionError>>,
 }
 
 /// Everything [`SessionControl::attach_with`] can say about a new source
 /// beyond its id: a per-source config override (validated like
-/// [`Session::source_with_config`]), a sink, a [`Schedule::Priority`]
-/// weight, and a [`Schedule::Deadline`] residency target.
+/// [`Session::source_with_config`]), a sink, and a [`Schedule::Priority`]
+/// weight.
 #[derive(Default)]
 pub struct AttachSpec {
     config: Option<GenPipConfig>,
     sink: Option<AttachedSink>,
     weight: Option<u32>,
-    target: Option<u64>,
 }
 
 impl AttachSpec {
-    /// An empty spec: session-wide config, no sink, priority weight 1, and
-    /// (under [`Schedule::Deadline`]) the laxest target already registered.
+    /// An empty spec: session-wide config, no sink, priority weight 1.
     pub fn new() -> AttachSpec {
         AttachSpec::default()
     }
@@ -270,14 +270,6 @@ impl AttachSpec {
     /// ignored under other schedules.
     pub fn weight(mut self, weight: u32) -> AttachSpec {
         self.weight = Some(weight);
-        self
-    }
-
-    /// [`Schedule::Deadline`] residency target in chunk-work units.
-    /// Rejected with [`SessionError::ZeroDeadlineTarget`] if 0 on a
-    /// deadline session; ignored under other schedules.
-    pub fn deadline_target(mut self, target: u64) -> AttachSpec {
-        self.target = Some(target);
         self
     }
 }
@@ -391,7 +383,7 @@ impl SessionControl {
     }
 
     /// Attaches a new source with a full [`AttachSpec`] (config override,
-    /// sink, priority weight, deadline target).
+    /// sink, priority weight).
     pub fn attach_with(
         &self,
         id: impl Into<SourceId>,
@@ -405,7 +397,6 @@ impl SessionControl {
             config: spec.config,
             sink: spec.sink,
             weight: spec.weight.unwrap_or(1),
-            target: spec.target,
             responder: tx,
         };
         let mut inner = self.state.inner.lock().expect("control poisoned");
@@ -633,16 +624,6 @@ pub enum SessionError {
         /// What is wrong.
         issue: SourceConfigIssue,
     },
-    /// `Schedule::Deadline` targets don't line up with the sources.
-    DeadlineTargetCount {
-        /// Registered sources.
-        sources: usize,
-        /// Provided targets.
-        targets: usize,
-    },
-    /// A deadline target of 0 chunk-work units is unsatisfiable (and would
-    /// divide the urgency feedback by zero-intent).
-    ZeroDeadlineTarget(SourceId),
     /// A control-plane command named a source this session does not know —
     /// never registered, already detached, or already being detached.
     UnknownSource(SourceId),
@@ -687,17 +668,6 @@ impl fmt::Display for SessionError {
             }
             SessionError::IncompatibleSourceConfig { id, issue } => {
                 write!(f, "config for source {:?}: {issue}", id.as_str())
-            }
-            SessionError::DeadlineTargetCount { sources, targets } => write!(
-                f,
-                "deadline schedule has {targets} target(s) for {sources} source(s)"
-            ),
-            SessionError::ZeroDeadlineTarget(id) => {
-                write!(
-                    f,
-                    "deadline target for source {:?} is 0 (unsatisfiable)",
-                    id.as_str()
-                )
             }
             SessionError::UnknownSource(id) => {
                 write!(
@@ -1006,17 +976,6 @@ impl<'a> Session<'a> {
                 return Err(SessionError::ZeroPriorityWeight(self.slots[i].id.clone()));
             }
         }
-        if let Schedule::Deadline(targets) = &self.schedule {
-            if targets.len() != self.slots.len() {
-                return Err(SessionError::DeadlineTargetCount {
-                    sources: self.slots.len(),
-                    targets: targets.len(),
-                });
-            }
-            if let Some(i) = targets.iter().position(|&t| t == 0) {
-                return Err(SessionError::ZeroDeadlineTarget(self.slots[i].id.clone()));
-            }
-        }
         for slot in &self.slots {
             check_source_config(
                 &slot.id,
@@ -1113,11 +1072,6 @@ impl<'a> Session<'a> {
             uses_qsr: flow.uses_qsr(),
             max_sources: options.max_sources,
             priority: matches!(schedule, Schedule::Priority(_)),
-            deadline: matches!(schedule, Schedule::Deadline(_)),
-            default_target: match &schedule {
-                Schedule::Deadline(targets) => targets.iter().copied().max().unwrap_or(1),
-                _ => 1,
-            },
         };
         // The retry counter is the one number the emitter can't see locally
         // (retries happen on the dispatcher), so it crosses over atomically.
@@ -1398,10 +1352,6 @@ struct SessionFeed<'a> {
     uses_qsr: bool,
     max_sources: usize,
     priority: bool,
-    deadline: bool,
-    /// Target for attached lanes that don't specify one (the laxest target
-    /// registered at startup): neutral until feedback arrives either way.
-    default_target: u64,
 }
 
 impl SessionFeed<'_> {
@@ -1423,9 +1373,6 @@ impl SessionFeed<'_> {
         }
         if self.priority && request.weight == 0 {
             return Err(SessionError::ZeroPriorityWeight(request.id.clone()));
-        }
-        if self.deadline && request.target == Some(0) {
-            return Err(SessionError::ZeroDeadlineTarget(request.id.clone()));
         }
         check_source_config(
             &request.id,
@@ -1468,7 +1415,6 @@ impl SessionFeed<'_> {
         Some(EngineCommand::AddLane {
             policy: effective.fault_policy,
             weight: request.weight,
-            target: request.target.unwrap_or(self.default_target),
         })
     }
 }
@@ -1679,15 +1625,11 @@ impl<C, T: FnMut(usize) -> Option<C> + Send> LaneFeed<C> for T {
 /// A control-plane command after feed-side validation, ready for the
 /// engine to apply.
 pub(crate) enum EngineCommand {
-    /// A new lane joins the schedule with the given fault policy,
-    /// [`Schedule::Priority`] weight, and [`Schedule::Deadline`] target.
-    /// The engine sends the lane's [`LaneEvent::Attached`] marker through
-    /// the in-order path before the lane's first output.
-    AddLane {
-        policy: FaultPolicy,
-        weight: u32,
-        target: u64,
-    },
+    /// A new lane joins the schedule with the given fault policy and
+    /// [`Schedule::Priority`] weight. The engine sends the lane's
+    /// [`LaneEvent::Attached`] marker through the in-order path before the
+    /// lane's first output.
+    AddLane { policy: FaultPolicy, weight: u32 },
     /// Stop pulling from `lane`; once its resident reads have finished
     /// and emitted, the lane's [`LaneEvent::Detached`] marker delivers its
     /// finalized [`LaneStats`].
@@ -2053,15 +1995,11 @@ where
         let any = !commands.is_empty();
         for command in commands {
             match command {
-                EngineCommand::AddLane {
-                    policy,
-                    weight,
-                    target,
-                } => {
+                EngineCommand::AddLane { policy, weight } => {
                     if policy != FaultPolicy::Fail {
                         install_quiet_hook();
                     }
-                    self.sched.add_lane(weight, target);
+                    self.sched.add_lane(weight);
                     self.lanes.push(DispatchLane::new(policy));
                     self.shared.tallies().push(LaneTally::default());
                     self.send_marker(self.lanes.len() - 1, EmitKind::Attached);
@@ -2172,13 +2110,9 @@ where
     /// quarantine alike; its permit goes back when the emitter delivers it.
     fn retire(&mut self, token: u64, lane: usize, start_tick: u64, output: O) {
         self.lanes[lane].live -= 1;
-        // Residency feedback for Schedule::Deadline: the same number that
-        // becomes this read's latency sample.
-        let resident_units = self.tick - start_tick;
-        self.sched.observe(lane, resident_units);
         let kind = EmitKind::Output {
             output,
-            resident_units,
+            resident_units: self.tick - start_tick,
         };
         self.send(token, lane, kind);
         if self.lanes[lane].dry {
@@ -2738,12 +2672,6 @@ mod tests {
                 },
             }
             .to_string(),
-            SessionError::DeadlineTargetCount {
-                sources: 2,
-                targets: 1,
-            }
-            .to_string(),
-            SessionError::ZeroDeadlineTarget("x".into()).to_string(),
             SessionError::UnknownSource("x".into()).to_string(),
             SessionError::TooManySources { limit: 4 }.to_string(),
             SessionError::SessionClosed.to_string(),
@@ -2999,7 +2927,6 @@ mod tests {
                 commands.push(EngineCommand::AddLane {
                     policy: TOY_POLICIES[3],
                     weight: 2,
-                    target: 1,
                 });
             }
             if !self.drained && pulled[1] >= DRAIN_LANE_1_AT {

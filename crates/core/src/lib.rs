@@ -19,7 +19,8 @@
 //!   a live control plane ([`SessionControl`]) that can attach and detach
 //!   sources on a running session. It is the only way reads run;
 //! * [`scheduler`] — the source-interleaving policies (`Sequential`,
-//!   `FairShare`, weighted `Priority`, and feedback-driven `Deadline`);
+//!   `FairShare`, weighted `Priority`), each a pick sequence that depends
+//!   only on which sources are live;
 //! * [`stream`] — streaming vocabulary ([`StreamOptions`], [`StreamEvent`],
 //!   [`StreamSummary`]) and the [`FastqSink`] consumer;
 //! * [`systems`] — the ten evaluated system configurations (CPU, CPU-CP,

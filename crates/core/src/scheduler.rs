@@ -8,8 +8,16 @@
 //! every policy produces bit-identical per-source output (asserted by
 //! `tests/session.rs`).
 //!
-//! All policies are deterministic: the same sources and the same policy
-//! yield the same pull sequence on every run.
+//! A schedule is a pick sequence: every policy is a pure function of which
+//! lanes are live — nothing about execution is fed back to it. The same
+//! sources and the same policy therefore yield the same pull sequence on
+//! every run and under both engine drivers, the calling thread and the
+//! worker pool; and because reads are emitted in pull order, the same
+//! global interleaving at the sinks (`tests/session.rs::
+//! emission_interleaving_is_identical_for_every_parallelism`). Only what
+//! the pool's timing decides — when a contained fault's retry is queued,
+//! when a live attach or detach lands — can move it. Favouring a source is
+//! a [`Schedule::Priority`] weight.
 //!
 //! [`Session`]: crate::engine::Session
 
@@ -32,66 +40,33 @@ pub enum Schedule {
     /// it up front. Exhausted sources drop out and their share is
     /// redistributed.
     Priority(Vec<u32>),
-    /// Latency-target scheduling: each source declares a residency target in
-    /// chunk-work units (the [`crate::stream::LatencyStats`] currency), and
-    /// the scheduler continuously re-weights a smooth weighted round-robin
-    /// by each source's *urgency* — the ratio of its observed residency
-    /// (an EWMA over retired reads, fed back by the engine) to its target.
-    /// A source running at its target holds a neutral share; one whose reads
-    /// are resident 4× longer than its target earns 4× the pulls until the
-    /// EWMA comes back down. Urgency is clamped to `[1, 16×]` neutral, so no
-    /// source is ever starved and a hopeless target cannot monopolize the
-    /// pool. Targets align with source **registration order** and must all
-    /// be ≥ 1 ([`crate::engine::SessionError::ZeroDeadlineTarget`]).
-    ///
-    /// Like every other policy the decision procedure is deterministic: the
-    /// pick sequence is a pure function of the availability and
-    /// residency-feedback sequences (integer arithmetic only, ties to the
-    /// lowest index), and — like every other policy — it changes latency
-    /// distribution, never results.
-    Deadline(Vec<u64>),
 }
 
 impl Schedule {
     /// Parses a CLI spelling: `"sequential"`/`"seq"`, `"fair"`/
-    /// `"fairshare"`/`"fair-share"`, `"priority"`, or `"deadline"`.
-    /// `Priority` and `Deadline` take their weights/targets from per-source
-    /// specs, so they parse to empty vectors — callers fill them in. `None`
-    /// for anything else.
+    /// `"fairshare"`/`"fair-share"`, or `"priority"`. `Priority` takes its
+    /// weights from per-source specs, so it parses to an empty vector —
+    /// callers fill it in. `None` for anything else.
     pub fn parse(s: &str) -> Option<Schedule> {
         match s.trim().to_ascii_lowercase().as_str() {
             "sequential" | "seq" => Some(Schedule::Sequential),
             "fair" | "fairshare" | "fair-share" => Some(Schedule::FairShare),
             "priority" => Some(Schedule::Priority(Vec::new())),
-            "deadline" => Some(Schedule::Deadline(Vec::new())),
             _ => None,
         }
     }
 }
 
-/// Neutral urgency of a [`Schedule::Deadline`] lane: the weight a lane earns
-/// while its residency EWMA sits exactly at its target (or before any of its
-/// reads have retired).
-const DEADLINE_NEUTRAL: i64 = 8;
-
-/// Urgency cap: a lane can earn at most 16× the neutral share no matter how
-/// far past its target it is, so one hopeless target cannot starve the rest.
-const DEADLINE_MAX: i64 = 16 * DEADLINE_NEUTRAL;
-
 /// One smooth-weighted-round-robin pick (the nginx algorithm) among the
-/// lanes `up` admits: every such lane earns `weight_of(lane)` in credit, the
+/// lanes `up` admits: every such lane earns its weight in credit, the
 /// richest is picked and pays the round's total back. Deterministic,
 /// proportional and burst-free; ties break to the lowest index. `None` when
 /// no lane is up.
-fn swrr_pick(
-    credit: &mut [i64],
-    up: impl Fn(usize) -> bool,
-    weight_of: impl Fn(usize) -> i64,
-) -> Option<usize> {
+fn swrr_pick(credit: &mut [i64], weights: &[u32], up: impl Fn(usize) -> bool) -> Option<usize> {
     let mut total = 0i64;
     let mut best: Option<usize> = None;
     for i in (0..credit.len()).filter(|&i| up(i)) {
-        let weight = weight_of(i);
+        let weight = i64::from(weights[i]);
         credit[i] += weight;
         total += weight;
         if best.is_none_or(|b| credit[i] > credit[b]) {
@@ -103,17 +78,6 @@ fn swrr_pick(
     Some(pick)
 }
 
-/// The SWRR weight a deadline lane earns this round: `neutral × ewma /
-/// target`, clamped to `[1, DEADLINE_MAX]`. Integer arithmetic keeps the
-/// whole policy deterministic.
-fn deadline_urgency(ewma: u64, target: u64) -> i64 {
-    if ewma == 0 {
-        return DEADLINE_NEUTRAL;
-    }
-    let urgency = (ewma.saturating_mul(DEADLINE_NEUTRAL as u64) / target.max(1)) as i64;
-    urgency.clamp(1, DEADLINE_MAX)
-}
-
 /// The mutable pick-next state behind a [`Schedule`], owned by the engine's
 /// dispatcher.
 ///
@@ -122,7 +86,8 @@ fn deadline_urgency(ewma: u64, target: u64) -> i64 {
 /// restricted to lanes that currently have dispatchable work (room to admit
 /// a new read, or a faulted read queued for its retry). When a lane is
 /// permanently done the engine reports it via `exhausted` and it is never
-/// proposed again.
+/// proposed again. Those two calls (and `add_lane` for a live attach) are
+/// all the engine tells it: nothing is reported back when a read retires.
 pub(crate) struct SchedulerState {
     kind: Kind,
     active: Vec<bool>,
@@ -131,24 +96,14 @@ pub(crate) struct SchedulerState {
 
 enum Kind {
     Sequential,
-    FairShare {
-        cursor: usize,
-    },
-    Priority {
-        weights: Vec<u32>,
-        credit: Vec<i64>,
-    },
-    Deadline {
-        targets: Vec<u64>,
-        ewma: Vec<u64>,
-        credit: Vec<i64>,
-    },
+    FairShare { cursor: usize },
+    Priority { weights: Vec<u32>, credit: Vec<i64> },
 }
 
 impl SchedulerState {
-    /// Builds the state for `n` sources. `Priority` weights and `Deadline`
-    /// targets must already be validated (length `n`, all ≥ 1) —
-    /// [`crate::engine::Session::run`] does that before construction.
+    /// Builds the state for `n` sources. `Priority` weights must already be
+    /// validated (length `n`, all ≥ 1) — [`crate::engine::Session::run`]
+    /// does that before construction.
     pub(crate) fn new(schedule: &Schedule, n: usize) -> SchedulerState {
         let kind = match schedule {
             Schedule::Sequential => Kind::Sequential,
@@ -158,15 +113,6 @@ impl SchedulerState {
                 debug_assert!(weights.iter().all(|&w| w >= 1));
                 Kind::Priority {
                     weights: weights.clone(),
-                    credit: vec![0; n],
-                }
-            }
-            Schedule::Deadline(targets) => {
-                debug_assert_eq!(targets.len(), n, "targets validated by Session::run");
-                debug_assert!(targets.iter().all(|&t| t >= 1));
-                Kind::Deadline {
-                    targets: targets.clone(),
-                    ewma: vec![0; n],
                     credit: vec![0; n],
                 }
             }
@@ -180,45 +126,18 @@ impl SchedulerState {
 
     /// Registers a lane attached to a *running* session: it starts active,
     /// with a fresh SWRR credit of 0 (so it smoothly joins the rotation
-    /// rather than bursting). `weight` applies under `Priority`, `target`
-    /// under `Deadline`; the other policies ignore both.
-    pub(crate) fn add_lane(&mut self, weight: u32, target: u64) {
+    /// rather than bursting). `weight` applies under `Priority`; the other
+    /// policies ignore it.
+    pub(crate) fn add_lane(&mut self, weight: u32) {
         match &mut self.kind {
             Kind::Sequential | Kind::FairShare { .. } => {}
             Kind::Priority { weights, credit } => {
                 weights.push(weight.max(1));
                 credit.push(0);
             }
-            Kind::Deadline {
-                targets,
-                ewma,
-                credit,
-            } => {
-                targets.push(target.max(1));
-                ewma.push(0);
-                credit.push(0);
-            }
         }
         self.active.push(true);
         self.remaining += 1;
-    }
-
-    /// Feeds one retired read's residency (chunk-work units from admission
-    /// to retirement) back to the policy. Only [`Schedule::Deadline`] uses
-    /// it — the EWMA (`new = (3·old + sample) / 4`, integer) tracks each
-    /// lane's recent residency against its target. The engine calls this on
-    /// the dispatcher for every retirement, so the feedback sequence is as
-    /// deterministic as the execution that produced it.
-    pub(crate) fn observe(&mut self, lane: usize, resident_units: u64) {
-        if let Kind::Deadline { ewma, .. } = &mut self.kind {
-            let e = &mut ewma[lane];
-            let sample = resident_units.max(1);
-            *e = if *e == 0 {
-                sample
-            } else {
-                (3 * *e + sample) / 4
-            };
-        }
     }
 
     /// The source to pull from next, or `None` when all are exhausted.
@@ -251,15 +170,7 @@ impl SchedulerState {
                 *cursor = (pick + 1) % n;
                 pick
             }
-            Kind::Priority { weights, credit } => swrr_pick(credit, up, |i| i64::from(weights[i]))?,
-            // `Priority` with dynamic weights: the weight is recomputed from
-            // the residency EWMA every round, so lanes drifting past their
-            // target automatically earn a larger share.
-            Kind::Deadline {
-                targets,
-                ewma,
-                credit,
-            } => swrr_pick(credit, up, |i| deadline_urgency(ewma[i], targets[i]))?,
+            Kind::Priority { weights, credit } => swrr_pick(credit, weights, up)?,
         };
         Some(pick)
     }
@@ -386,101 +297,8 @@ mod tests {
             Schedule::parse("priority"),
             Some(Schedule::Priority(Vec::new()))
         );
-        assert_eq!(
-            Schedule::parse("deadline"),
-            Some(Schedule::Deadline(Vec::new()))
-        );
+        assert_eq!(Schedule::parse("deadline"), None);
         assert_eq!(Schedule::parse("bogus"), None);
-    }
-
-    #[test]
-    fn deadline_without_feedback_is_fair() {
-        // Before any read retires every lane's urgency is the neutral
-        // weight, so the policy degenerates to plain round-robin — pinned.
-        assert_eq!(
-            picks(&Schedule::Deadline(vec![100, 100, 100]), 3, 6),
-            vec![0, 1, 2, 0, 1, 2]
-        );
-        // Unequal *targets* alone change nothing: urgency is residency
-        // relative to target, and nobody has residency yet.
-        assert_eq!(
-            picks(&Schedule::Deadline(vec![10, 1_000]), 2, 4),
-            vec![0, 1, 0, 1]
-        );
-    }
-
-    #[test]
-    fn deadline_boosts_a_lane_past_its_target() {
-        // Lane 1's reads are observed resident at 4× its target while lane 0
-        // sits exactly at its target: lane 1's urgency becomes 32 against
-        // lane 0's 8, so SWRR gives lane 1 four pulls to every one of lane
-        // 0's — the exact sequence is pinned, as determinism demands.
-        let mut s = SchedulerState::new(&Schedule::Deadline(vec![100, 100]), 2);
-        s.observe(0, 100);
-        s.observe(1, 400);
-        let seq: Vec<usize> = (0..10).map(|_| s.next().expect("active")).collect();
-        assert_eq!(seq, vec![1, 1, 0, 1, 1, 1, 1, 0, 1, 1]);
-        assert_eq!(seq.iter().filter(|&&p| p == 1).count(), 8);
-    }
-
-    #[test]
-    fn deadline_feedback_sequence_is_deterministic() {
-        // Same construction, same observe() calls, same availability — the
-        // pick sequence must be bit-for-bit reproducible.
-        let run = || {
-            let mut s = SchedulerState::new(&Schedule::Deadline(vec![50, 200, 100]), 3);
-            let mut seq = Vec::new();
-            for round in 0..30u64 {
-                if round == 5 {
-                    s.observe(0, 500);
-                }
-                if round == 10 {
-                    s.observe(1, 100);
-                    s.observe(2, 900);
-                }
-                if round == 20 {
-                    s.observe(0, 40);
-                }
-                seq.push(s.next_where(|l| l != 1 || round % 2 == 0).expect("active"));
-            }
-            seq
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn deadline_ewma_recovers_and_urgency_follows() {
-        // A burst of slow reads raises the EWMA; a stretch of fast reads
-        // brings it (and the lane's share) back down — no permanent penalty.
-        let mut s = SchedulerState::new(&Schedule::Deadline(vec![100, 100]), 2);
-        s.observe(0, 1_600);
-        // 16× target, clamped pressure: lane 0 dominates.
-        let burst: Vec<usize> = (0..9).map(|_| s.next().expect("active")).collect();
-        assert!(burst.iter().filter(|&&p| p == 0).count() >= 7, "{burst:?}");
-        // Fast reads decay the EWMA geometrically (3/4 per sample); lane 0's
-        // urgency falls from the cap (128) to 4 against lane 1's neutral 8.
-        for _ in 0..12 {
-            s.observe(0, 10);
-        }
-        // Lane 0 first drains the credit it banked during the burst (eight
-        // picks), then the steady state settles into the 4:8 pattern.
-        let calm: Vec<usize> = (0..20).map(|_| s.next().expect("active")).collect();
-        assert_eq!(&calm[..8], &[0; 8]);
-        assert_eq!(&calm[8..], &[1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1]);
-    }
-
-    #[test]
-    fn deadline_never_starves_within_the_cap() {
-        // Lane 0 pinned at the urgency cap (128) against a neutral lane (8):
-        // the neutral lane must still be picked at least once per
-        // sum-of-weights window.
-        let mut s = SchedulerState::new(&Schedule::Deadline(vec![1, 100]), 2);
-        s.observe(0, u64::MAX / 2); // astronomically past target → clamped
-        let window = (128 + 8) as usize;
-        let seq: Vec<usize> = (0..2 * window).map(|_| s.next().expect("active")).collect();
-        for chunk in seq.chunks(window) {
-            assert!(chunk.contains(&1), "neutral lane starved in {chunk:?}");
-        }
     }
 
     #[test]
@@ -488,7 +306,7 @@ mod tests {
         // FairShare: a lane added mid-rotation joins the wheel.
         let mut f = SchedulerState::new(&Schedule::FairShare, 2);
         assert_eq!(f.next(), Some(0));
-        f.add_lane(1, 1);
+        f.add_lane(1);
         assert_eq!(f.next(), Some(1));
         assert_eq!(f.next(), Some(2));
         assert_eq!(f.next(), Some(0));
@@ -496,24 +314,14 @@ mod tests {
         // share smoothly — pinned sequence.
         let mut p = SchedulerState::new(&Schedule::Priority(vec![1]), 1);
         assert_eq!(p.next(), Some(0));
-        p.add_lane(2, 1);
+        p.add_lane(2);
         let seq: Vec<usize> = (0..6).map(|_| p.next().expect("active")).collect();
         assert_eq!(seq, vec![1, 0, 1, 1, 0, 1]);
-        // Deadline: the new lane starts neutral (credit ties break to the
-        // lowest index, so the incumbent goes first) and picks up feedback.
-        let mut d = SchedulerState::new(&Schedule::Deadline(vec![100]), 1);
-        assert_eq!(d.next(), Some(0));
-        d.add_lane(1, 100);
-        assert_eq!(d.next(), Some(0));
-        assert_eq!(d.next(), Some(1));
-        d.observe(1, 400);
-        let seq: Vec<usize> = (0..5).map(|_| d.next().expect("active")).collect();
-        assert_eq!(seq.iter().filter(|&&p| p == 1).count(), 4, "{seq:?}");
         // Exhausting an added lane retires it like any other.
-        d.exhausted(1);
-        assert_eq!(d.next(), Some(0));
-        d.exhausted(0);
-        assert_eq!(d.next(), None);
-        assert!(d.all_exhausted());
+        p.exhausted(1);
+        assert_eq!(p.next(), Some(0));
+        p.exhausted(0);
+        assert_eq!(p.next(), None);
+        assert!(p.all_exhausted());
     }
 }

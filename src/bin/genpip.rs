@@ -157,7 +157,7 @@ USAGE:
              [--reference SPEC]...
   genpip stream [--profile <ecoli|human>] [--scale F] [--er <full|qsr|cp|off>]
                [--source SPEC]... [--signal-in SPEC]...
-               [--schedule <fair|sequential|priority|deadline>]
+               [--schedule <fair|sequential|priority>]
                [--queue N] [--progress N] [--threads <serial|auto|N>]
                [--fastq-out PATH]
                [--on-fault <fail|quarantine|retry[:N]>] [--inject-faults RATE]
@@ -166,7 +166,7 @@ USAGE:
   genpip pack [--profile <ecoli|human>] [--scale F] --out <file.gsc> [--verify]
   genpip inspect <file.gsc> [--reads N] [--verify]
   genpip serve --script <FILE> [--scale F] [--er <full|qsr|cp|off>]
-               [--schedule <fair|sequential|priority|deadline>]
+               [--schedule <fair|sequential|priority>]
                [--queue N] [--threads <serial|auto|N>] [--max-sources N]
   genpip experiment <fig04|fig07|fig10|fig11|fig12|fig13|tab01|tab02|useless|ablations> [--scale F]
 
@@ -195,9 +195,9 @@ OPTIONS:
               defaults to --scale) or file=PATH[,offset=K] (an on-disk GSC
               container replayed from read index K) — scale= on a file
               source or offset= on a profile one is an error — then name=ID
-              (default: profileN, or the file stem), weight=N (priority
-              schedule share, default 1), target=T (deadline schedule
-              residency goal in chunk-work units, default 64).
+              (default: profileN, or the file stem), weight=N (the
+              source's share of pulls under --schedule priority, default
+              1; an error under any other schedule).
               Without --source, one source is built from --profile/--scale.
   --signal-in one on-disk GSC signal container streamed as a read source,
               repeatable (after every --source): PATH[,key=value]... is
@@ -223,8 +223,8 @@ OPTIONS:
   --schedule  how `stream` interleaves its sources over the one worker
               pool: fair (round-robin, default), sequential (drain in
               registration order), priority (weighted by each source's
-              weight=), deadline (re-weighted by each source's observed
-              residency against its target=)
+              weight= — the way to favour a source: it is pulled more
+              often, at the expense of the others' latency)
   --queue     `stream` work-queue capacity; resident reads across
               all sources <= queue + workers (default 8)
   --fastq-out write every fully-basecalled read as FASTQ. One source
@@ -715,7 +715,7 @@ enum SourceKind {
 
 /// One read source as the command line or a `serve` script spells it:
 /// `profile=<ecoli|human>[,scale=F]` or `file=PATH[,offset=K]`, plus
-/// `[,weight=N][,target=T][,name=ID]`. `--signal-in PATH[,...]` is
+/// `[,weight=N][,name=ID]`. `--signal-in PATH[,...]` is
 /// `file=PATH[,...]`; a script's `attach NAME SPEC` names the source
 /// itself, so its specs take no `name=`.
 struct SourceSpec {
@@ -723,19 +723,11 @@ struct SourceSpec {
     kind: SourceKind,
     /// Priority-schedule share.
     weight: u32,
-    /// Deadline-schedule residency goal in chunk-work units.
-    target: Option<u64>,
 }
-
-/// Deadline-schedule residency goal (chunk-work units) for sources that do
-/// not spell their own `target=`.
-const DEFAULT_TARGET: u64 = 64;
 
 /// The keys of a source spec; `name` is last so surfaces that name the
 /// source positionally can leave it out.
-const SOURCE_KEYS: &[&str] = &[
-    "profile", "file", "scale", "offset", "weight", "target", "name",
-];
+const SOURCE_KEYS: &[&str] = &["profile", "file", "scale", "offset", "weight", "name"];
 
 fn parse_source_spec(
     flag: &str,
@@ -743,6 +735,7 @@ fn parse_source_spec(
     positional_name: Option<&str>,
     index: usize,
     fallback_scale: f64,
+    weighted: bool,
 ) -> Result<SourceSpec, String> {
     let keys = match positional_name {
         Some(_) => &SOURCE_KEYS[..SOURCE_KEYS.len() - 1],
@@ -780,13 +773,18 @@ fn parse_source_spec(
         (Some(_), Some(_)) => return Err(spec.err("has both profile= and file=")),
         (None, None) => return Err(spec.err("needs profile= or file=")),
     };
+    // The one schedule-scoped key: anywhere but under `priority` it would
+    // be accepted and then count for nothing.
+    let weight = spec.number("weight")?;
+    if weight.is_some() && !weighted {
+        return Err(spec.err("key \"weight\" applies only under --schedule priority"));
+    }
     Ok(SourceSpec {
         name: positional_name
             .or(spec.get("name"))
             .map_or(default_name, str::to_string),
         kind,
-        weight: spec.number("weight")?.unwrap_or(1),
-        target: spec.number("target")?,
+        weight: weight.unwrap_or(1),
     })
 }
 
@@ -830,24 +828,29 @@ fn open_source(spec: &SourceSpec, resumed: usize) -> Result<OpenedSource, String
     }
 }
 
-/// `--schedule`, with `priority` weights and `deadline` targets taken from
-/// the sources registered at startup.
-fn schedule_from(parsed: &Parsed, specs: &[SourceSpec]) -> Result<Schedule, String> {
+/// `--schedule` as spelled — read before the source specs, whose `weight=`
+/// key only `priority` admits; its weights come from [`with_weights`].
+fn schedule_from(parsed: &Parsed) -> Result<Schedule, String> {
     let spelled = opt(parsed, "schedule").unwrap_or("fair");
-    match Schedule::parse(spelled) {
-        Some(Schedule::Priority(_)) => {
-            Ok(Schedule::Priority(specs.iter().map(|s| s.weight).collect()))
-        }
-        Some(Schedule::Deadline(_)) => Ok(Schedule::Deadline(
-            specs
-                .iter()
-                .map(|s| s.target.unwrap_or(DEFAULT_TARGET))
-                .collect(),
-        )),
-        Some(schedule) => Ok(schedule),
-        None => Err(format!(
-            "invalid --schedule {spelled:?} (use fair, sequential, priority, or deadline)"
-        )),
+    Schedule::parse(spelled).ok_or_else(|| {
+        format!("invalid --schedule {spelled:?} (use fair, sequential, or priority)")
+    })
+}
+
+/// A `priority` schedule weighted by the sources registered at startup.
+fn with_weights(schedule: Schedule, specs: &[SourceSpec]) -> Schedule {
+    match schedule {
+        Schedule::Priority(_) => Schedule::Priority(specs.iter().map(|s| s.weight).collect()),
+        unweighted => unweighted,
+    }
+}
+
+/// The `, weight N` of a source's banner line, under `priority` only.
+fn weight_note(weighted: bool, spec: &SourceSpec) -> String {
+    if weighted {
+        format!(", weight {}", spec.weight)
+    } else {
+        String::new()
     }
 }
 
@@ -862,7 +865,7 @@ fn usize_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, Strin
 }
 
 /// A count that means nothing at 0 (`--queue`, `--checkpoint-every`,
-/// `--drain-after`), if the option was given.
+/// `--drain-after`, `--max-sources`), if the option was given.
 fn positive_opt(parsed: &Parsed, key: &str) -> Result<Option<usize>, String> {
     match usize_opt(parsed, key)? {
         Some(0) => Err(format!("invalid --{key} \"0\" (must be at least 1)")),
@@ -913,6 +916,8 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
         fault_policy = FaultPolicy::Quarantine;
     }
     let parallelism = parallelism_from(parsed)?;
+    let schedule = schedule_from(parsed)?;
+    let weighted = matches!(schedule, Schedule::Priority(_));
 
     // Sources: repeated --source specs and --signal-in containers (a path,
     // then the same key=value pairs), or a single simulated one synthesized
@@ -942,6 +947,7 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
             None,
             specs.len(),
             fallback_scale,
+            weighted,
         )?);
     }
     // Session::run would reject duplicates too, but catching them here
@@ -951,7 +957,7 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
             return Err(format!("duplicate source name {:?}", spec.name));
         }
     }
-    let schedule = schedule_from(parsed, &specs)?;
+    let schedule = with_weights(schedule, &specs);
 
     // Checkpoint/resume plumbing. A checkpoint records, per source, how
     // many reads were delivered in order (the index to reseek a container
@@ -1098,8 +1104,11 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     let name_width = specs.iter().map(|s| s.name.len()).max().unwrap_or(0);
     for (i, ((spec, input), fastq)) in specs.iter().zip(opened).zip(&fastq_sinks).enumerate() {
         println!(
-            "  source {:<name_width$}  {} reads ({}, weight {})",
-            spec.name, input.expected, input.desc, spec.weight,
+            "  source {:<name_width$}  {} reads ({}{})",
+            spec.name,
+            input.expected,
+            input.desc,
+            weight_note(weighted, spec),
         );
         let name = spec.name.clone();
         let fastq = fastq.as_ref();
@@ -1321,6 +1330,7 @@ struct ScriptStep {
 fn parse_script(
     text: &str,
     fallback_scale: f64,
+    weighted: bool,
 ) -> Result<(Vec<SourceSpec>, Vec<ScriptStep>), String> {
     let mut initial = Vec::new();
     let mut steps: Vec<ScriptStep> = Vec::new();
@@ -1343,7 +1353,8 @@ fn parse_script(
         };
         let action = match *rest {
             ["attach", name, spec] => ServeAction::Attach(Box::new(
-                parse_source_spec("attach", spec, Some(name), 0, fallback_scale).map_err(err)?,
+                parse_source_spec("attach", spec, Some(name), 0, fallback_scale, weighted)
+                    .map_err(err)?,
             )),
             ["detach", name] => ServeAction::Detach(name.to_string()),
             ["drain"] => ServeAction::Drain,
@@ -1424,10 +1435,7 @@ fn serve_fire(d: &mut ServeDriver, driver: &Arc<Mutex<ServeDriver>>, step: Scrip
                 step.after, spec.name, input.desc, input.expected
             );
             let config = input.config.with_parallelism(d.parallelism);
-            let mut attach = AttachSpec::new().config(config).weight(spec.weight);
-            if let Some(target) = spec.target {
-                attach = attach.deadline_target(target);
-            }
+            let attach = AttachSpec::new().config(config).weight(spec.weight);
             let observer = Arc::clone(driver);
             let attach = attach.sink(move |event| {
                 if let StreamEvent::Read(_) = event {
@@ -1458,11 +1466,13 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
     let script = std::fs::read_to_string(script_path).map_err(|e| format!("{script_path}: {e}"))?;
     let er = er_from(parsed)?;
     let queue = positive_from(parsed, "queue", 8)?;
-    let max_sources = usize_from(parsed, "max-sources", 64)?;
+    let max_sources = positive_from(parsed, "max-sources", 64)?;
     let parallelism = parallelism_from(parsed)?;
     let fallback_scale = scale_from(parsed, 0.05)?;
-    let (initial, steps) = parse_script(&script, fallback_scale)?;
-    let schedule = schedule_from(parsed, &initial)?;
+    let schedule = schedule_from(parsed)?;
+    let weighted = matches!(schedule, Schedule::Priority(_));
+    let (initial, steps) = parse_script(&script, fallback_scale, weighted)?;
+    let schedule = with_weights(schedule, &initial);
 
     println!(
         "serve: GenPIP ({er:?}) under {schedule:?}, {} worker(s), queue {queue}, \
@@ -1503,15 +1513,11 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
         });
     for (spec, input) in initial.iter().zip(initial_inputs) {
         println!(
-            "  source {:?}: {} reads ({}, weight {}{})",
+            "  source {:?}: {} reads ({}{})",
             spec.name,
             input.expected,
             input.desc,
-            spec.weight,
-            match spec.target {
-                Some(t) => format!(", target {t}"),
-                None => String::new(),
-            },
+            weight_note(weighted, spec),
         );
         let observer = Arc::clone(&driver);
         driver

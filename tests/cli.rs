@@ -118,6 +118,7 @@ fn zero_counts_fail_naming_the_flag_before_any_banner() {
         (&stream[..], "--drain-after"),
         (&serve[..], "--threads"),
         (&serve[..], "--queue"),
+        (&serve[..], "--max-sources"),
     ] {
         let complaint = format!("invalid {flag} \"0\"");
         refused(command, &[flag, "0"], None, &complaint);
@@ -170,28 +171,82 @@ fn experiment_prints_the_named_report_and_refuses_anything_else() {
     );
 }
 
+/// The `Deadline` schedule was removed on evidence (PR 20): its `--schedule`
+/// spelling and its `target=` spec key are errors on every surface, before
+/// any banner, naming what is accepted instead. `Priority` weights are the
+/// supported way to favour a source — and `weight=` counts only there, so
+/// the banner shows weights under `priority` and nowhere else.
 #[test]
-fn stream_accepts_the_deadline_schedule_like_serve_does() {
-    let (ok, stderr) = genpip(&[
-        "stream",
-        "--scale",
-        "0.02",
-        "--progress",
-        "0",
-        "--schedule",
-        "deadline",
-        "--source",
-        "profile=ecoli,target=40",
-        "--source",
-        "profile=ecoli,name=b,target=200",
-    ]);
-    assert!(ok, "stderr: {stderr}");
-    let (ok, stderr) = genpip(&["stream", "--scale", "0.02", "--schedule", "bogus"]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("invalid --schedule \"bogus\"") && stderr.contains("deadline"),
-        "stderr: {stderr}"
-    );
+fn the_removed_deadline_schedule_and_target_key_are_rejected_everywhere() {
+    // The scripts spell the keys on a *live* attach step: those are parsed
+    // up front too, not when the step fires.
+    let script_with = |key: &str| {
+        let path =
+            std::env::temp_dir().join(format!("genpip-cli-{key}-{}.script", std::process::id()));
+        let text = format!("attach a profile=ecoli\nat 3 attach b profile=ecoli,{key}=2\n");
+        std::fs::write(&path, text).expect("write script");
+        path.to_str().expect("utf-8 temp path").to_string()
+    };
+    let (targeted, weighted) = (script_with("target"), script_with("weight"));
+    let stream = ["stream", "--scale", "0.02"];
+    let serve = ["serve", "--script", &targeted];
+    let serve_weighted = ["serve", "--script", &weighted];
+    let no_target = "unknown key \"target\" (use profile, file, scale, offset, weight";
+    for (command, extra, complaint) in [
+        (
+            &stream[..],
+            &["--schedule", "deadline"][..],
+            "invalid --schedule \"deadline\" (use fair, sequential, or priority)",
+        ),
+        (
+            &stream,
+            &["--schedule", "bogus"],
+            "invalid --schedule \"bogus\" (use fair, sequential, or priority)",
+        ),
+        (
+            &serve,
+            &["--schedule", "deadline"],
+            "invalid --schedule \"deadline\" (use fair, sequential, or priority)",
+        ),
+        (&stream, &["--source", "profile=ecoli,target=40"], no_target),
+        (&stream, &["--signal-in", "x.gsc,target=40"], no_target),
+        (&serve, &[], no_target),
+        (
+            &serve_weighted,
+            &["--schedule", "sequential"],
+            "key \"weight\" applies only under --schedule priority",
+        ),
+    ] {
+        let out = genpip_output(&[command, extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{command:?} {extra:?} must fail");
+        assert!(
+            stderr.contains(complaint),
+            "{command:?} {extra:?}: stderr: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{command:?} {extra:?} printed a banner: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    for script in [&targeted, &weighted] {
+        let _ = std::fs::remove_file(script);
+    }
+
+    let two_sources = |schedule: &str, first: &str| {
+        let args = [&stream[..], &["--progress", "0", "--schedule", schedule]].concat();
+        let sources = ["--source", first, "--source", "profile=ecoli,name=b"];
+        let out = genpip_output(&[&args[..], &sources].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{schedule} {first}: stderr: {stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let weighted = two_sources("priority", "profile=ecoli,name=a,weight=3");
+    assert!(weighted.contains("under Priority([3, 1])"), "{weighted}");
+    assert!(weighted.contains(", weight 3)") && weighted.contains(", weight 1)"));
+    let fair = two_sources("fair", "profile=ecoli,name=a");
+    assert!(!fair.contains("weight"), "{fair}");
 }
 
 /// Every spec surface shares one `key=value` grammar and rejects the same
@@ -216,10 +271,13 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
         ("profile=ecoli,heavy", "is not key=value"),
         (
             "profile=ecoli,wieght=2",
-            "unknown key \"wieght\" (use profile, file, scale, offset, weight, target, name)",
+            "unknown key \"wieght\" (use profile, file, scale, offset, weight, name)",
         ),
         ("profile=ecoli,weight=two", "invalid weight \"two\""),
-        ("profile=ecoli,target=soon", "invalid target \"soon\""),
+        (
+            "profile=ecoli,weight=2",
+            "key \"weight\" applies only under --schedule priority",
+        ),
         ("file=x.gsc,offset=-1", "invalid offset \"-1\""),
         ("profile=ecoli,file=x.gsc", "both profile= and file="),
         ("name=x,weight=2", "needs profile= or file="),
@@ -238,7 +296,10 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
         ("x.gsc,wieght=2", "unknown key \"wieght\""),
         ("x.gsc,weight=two", "invalid weight \"two\""),
         ("x.gsc,offset=k", "invalid offset \"k\""),
-        ("x.gsc,target=soon", "invalid target \"soon\""),
+        (
+            "x.gsc,weight=2",
+            "key \"weight\" applies only under --schedule priority",
+        ),
         ("x.gsc,profile=ecoli", "both profile= and file="),
         ("name=x", "must start with a container path"),
         (
@@ -252,11 +313,14 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
         ("profile=ecoli,heavy", "is not key=value"),
         (
             "profile=ecoli,name=b",
-            "unknown key \"name\" (use profile, file, scale, offset, weight, target)",
+            "unknown key \"name\" (use profile, file, scale, offset, weight)",
         ),
         ("profile=ecoli,weight=two", "invalid weight \"two\""),
         ("file=x.gsc,offset=k", "invalid offset \"k\""),
-        ("profile=ecoli,target=soon", "invalid target \"soon\""),
+        (
+            "profile=ecoli,weight=2",
+            "key \"weight\" applies only under --schedule priority",
+        ),
         ("profile=ecoli,file=x.gsc", "both profile= and file="),
         ("weight=2", "needs profile= or file="),
         (
@@ -268,8 +332,8 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
             "key \"scale\" applies only to profile= sources",
         ),
         (
-            "profile=ecoli,target=9,target=9",
-            "key \"target\" given twice",
+            "profile=ecoli,weight=9,weight=9",
+            "key \"weight\" given twice",
         ),
     ];
     let script = std::env::temp_dir().join(format!("genpip-cli-{}.script", std::process::id()));

@@ -2,10 +2,8 @@
 //! attached mid-run is bit-identical to the same source registered
 //! statically (across `ErMode` × `Parallelism`), a detach
 //! drains the source and finalizes its per-source summary without touching
-//! the survivors, the `Deadline` schedule changes only *when* chunks run
-//! (never results, deterministically so), admission control rejects bad
-//! attaches with typed errors, and a drain requested before the run starts
-//! is honored.
+//! the survivors, admission control rejects bad attaches with typed errors,
+//! and a drain requested before the run starts is honored.
 
 use genpip::core::engine::{AttachSpec, Flow, Session, SessionControl};
 use genpip::core::pipeline::ErMode;
@@ -206,54 +204,6 @@ fn detach_drains_the_source_and_finalizes_its_summary() {
 }
 
 #[test]
-fn deadline_schedule_preserves_bit_identity_and_is_deterministic() {
-    let (pa, pb) = profiles();
-    for parallelism in parallelism_sweep() {
-        let config = GenPipConfig::for_dataset(&pa).with_parallelism(parallelism);
-        let (fair_a, fair_b, _) = static_two_source(&pa, &pb, &config, ErMode::Full);
-        let run_deadline = || {
-            let mut reads_a = Vec::new();
-            let mut reads_b = Vec::new();
-            let report = Session::new(config.clone())
-                .flow(Flow::GenPip(ErMode::Full))
-                .schedule(Schedule::Deadline(vec![20, 200]))
-                .source("a", StreamingSimulator::new(&pa))
-                .source_with_config(
-                    "b",
-                    StreamingSimulator::new(&pb),
-                    GenPipConfig::for_dataset(&pb),
-                )
-                .sink("a", |event| {
-                    if let StreamEvent::Read(run) = event {
-                        reads_a.push(run);
-                    }
-                })
-                .sink("b", |event| {
-                    if let StreamEvent::Read(run) = event {
-                        reads_b.push(run);
-                    }
-                })
-                .run()
-                .expect("deadline session inputs are valid");
-            (reads_a, reads_b, report)
-        };
-        let (a1, b1, r1) = run_deadline();
-        assert_eq!(a1, fair_a, "{parallelism:?}: Deadline changed source a");
-        assert_eq!(b1, fair_b, "{parallelism:?}: Deadline changed source b");
-        if parallelism == Parallelism::Serial {
-            // Serial runs have no racing workers, so the whole report —
-            // including residency percentiles — must be reproducible.
-            let (a2, b2, r2) = run_deadline();
-            assert_eq!(
-                (a1, b1, r1),
-                (a2, b2, r2),
-                "serial Deadline not deterministic"
-            );
-        }
-    }
-}
-
-#[test]
 fn admission_control_rejects_bad_attaches_with_typed_errors() {
     let (pa, pb) = profiles();
     let config = GenPipConfig::for_dataset(&pa);
@@ -355,70 +305,6 @@ fn builder_sessions_respect_the_max_sources_bound() {
         .run()
         .expect_err("two sources over a bound of one");
     assert_eq!(err, SessionError::TooManySources { limit: 1 });
-}
-
-#[test]
-fn deadline_validation_rejects_bad_targets() {
-    let (pa, pb) = profiles();
-    let config = GenPipConfig::for_dataset(&pa);
-    let two_sources = |schedule: Schedule| {
-        Session::new(config.clone())
-            .schedule(schedule)
-            .source("a", StreamingSimulator::new(&pa))
-            .source_with_config(
-                "b",
-                StreamingSimulator::new(&pb),
-                GenPipConfig::for_dataset(&pb),
-            )
-            .run()
-    };
-    assert_eq!(
-        two_sources(Schedule::Deadline(vec![50])).expect_err("count mismatch"),
-        SessionError::DeadlineTargetCount {
-            sources: 2,
-            targets: 1
-        }
-    );
-    assert_eq!(
-        two_sources(Schedule::Deadline(vec![50, 0])).expect_err("zero target"),
-        SessionError::ZeroDeadlineTarget("b".into())
-    );
-
-    // The live twin: a zero deadline target on an attach is refused too.
-    let control = SessionControl::new();
-    let zero_target = Arc::new(Mutex::new(None));
-    {
-        let control_in_sink = control.clone();
-        let zero_target = Arc::clone(&zero_target);
-        let pb_for_sink = pb.clone();
-        let mut fired = false;
-        Session::new(config.clone())
-            .schedule(Schedule::Deadline(vec![50]))
-            .source("a", StreamingSimulator::new(&pa))
-            .sink("a", move |event| {
-                if let StreamEvent::Read(_) = event {
-                    if !fired {
-                        fired = true;
-                        *zero_target.lock().unwrap() = Some(
-                            control_in_sink.attach_with(
-                                "b",
-                                StreamingSimulator::new(&pb_for_sink),
-                                AttachSpec::new()
-                                    .config(GenPipConfig::for_dataset(&pb_for_sink))
-                                    .deadline_target(0),
-                            ),
-                        );
-                    }
-                }
-            })
-            .run_with_control(&control)
-            .expect("live session inputs are valid");
-    }
-    let pending = zero_target.lock().unwrap().take().expect("attach fired");
-    assert_eq!(
-        pending.wait(),
-        Err(SessionError::ZeroDeadlineTarget("b".into()))
-    );
 }
 
 #[test]

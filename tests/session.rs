@@ -1,7 +1,8 @@
 //! Cross-crate properties of the `Session` engine: per-source bit-identity
 //! with the independent oracle's solo replay (`common::reference_read`)
 //! under every scheduling policy, across `ErMode` × `Parallelism`; the
-//! shared in-flight bound with N sources;
+//! shared in-flight bound with N sources; one global interleaving at the
+//! sinks per schedule, whatever the `Parallelism`;
 //! and starvation-freedom of the `Priority` schedule.
 //!
 //! The parallelism sweep includes `GENPIP_PARALLELISM` (when set), which CI
@@ -230,52 +231,89 @@ fn in_flight_reads_stay_bounded_across_n_sources() {
     }
 }
 
+/// Runs `profiles` as one session's sources, in order, and returns the
+/// global emission tape: which source each delivered read came from, as the
+/// sinks saw them.
+fn emission_tape(
+    profiles: &[DatasetProfile],
+    schedule: Schedule,
+    parallelism: Parallelism,
+) -> Vec<usize> {
+    let config = GenPipConfig::for_dataset(&profiles[0]).with_parallelism(parallelism);
+    let tape = std::cell::RefCell::new(Vec::new());
+    let mut session = Session::new(config)
+        .flow(Flow::GenPip(ErMode::Full))
+        .schedule(schedule);
+    for (i, profile) in profiles.iter().enumerate() {
+        let (id, tape) = (format!("src{i}"), &tape);
+        session = session
+            .source(id.as_str(), StreamingSimulator::new(profile))
+            .sink(id.as_str(), move |event| {
+                if let StreamEvent::Read(_) = event {
+                    tape.borrow_mut().push(i);
+                }
+            });
+    }
+    session.run().expect("valid session");
+    tape.into_inner()
+}
+
+/// A schedule is a pick sequence — a function of which sources still have
+/// reads, never of how execution went — and reads are emitted in pull
+/// order. So the interleaving of the sources at the sinks is the same on
+/// the calling thread and on a pool of any size, not just each source's own
+/// order.
+#[test]
+fn emission_interleaving_is_identical_for_every_parallelism() {
+    let profiles = [0.05, 0.02, 0.03].map(|scale| DatasetProfile::ecoli().scaled(scale));
+    let reads: usize = profiles.iter().map(|p| p.n_reads).sum();
+    for schedule in [
+        Schedule::FairShare,
+        Schedule::Priority(vec![3, 1, 2]),
+        Schedule::Sequential,
+    ] {
+        let mut sweep = parallelism_sweep().into_iter();
+        let serial = sweep.next().expect("Serial leads the sweep");
+        let serial = emission_tape(&profiles, schedule.clone(), serial);
+        assert_eq!(serial.len(), reads, "{schedule:?}");
+        for parallelism in sweep {
+            assert_eq!(
+                emission_tape(&profiles, schedule.clone(), parallelism),
+                serial,
+                "{schedule:?} interleaved differently under {parallelism:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn priority_schedule_never_starves_low_weight_sources() {
-    // Serial execution emits in exact pull order, so the emission tape *is*
-    // the schedule's pull sequence: with weights [5, 1] the weight-1 source
-    // must appear within every 6 pulls while both sources are live — not
-    // just "eventually drain".
-    let (pa, pb) = profiles();
-    let config = GenPipConfig::for_dataset(&pa).with_parallelism(Parallelism::Serial);
-    let mut tape: Vec<&'static str> = Vec::new();
-    {
-        let tape = std::cell::RefCell::new(&mut tape);
-        Session::new(config)
-            .flow(Flow::GenPip(ErMode::Full))
-            .schedule(Schedule::Priority(vec![5, 1]))
-            .source("heavy", StreamingSimulator::new(&pa))
-            .source("light", StreamingSimulator::new(&pb))
-            .sink("heavy", |event| {
-                if let StreamEvent::Read(_) = event {
-                    tape.borrow_mut().push("heavy");
-                }
-            })
-            .sink("light", |event| {
-                if let StreamEvent::Read(_) = event {
-                    tape.borrow_mut().push("light");
-                }
-            })
-            .run()
-            .expect("valid session");
-    }
-    let n_light = pb.n_reads;
-    assert_eq!(
-        tape.iter().filter(|&&t| t == "light").count(),
-        n_light,
-        "priority schedule failed to drain the low-weight source"
-    );
-    // While the light source still has reads, it is served at least once
-    // per sum-of-weights (6) pulls.
-    let last_light = tape
-        .iter()
-        .rposition(|&t| t == "light")
-        .expect("light source emitted");
-    for window in tape[..=last_light].windows(6) {
-        assert!(
-            window.contains(&"light"),
-            "light source starved for a full weight period: {window:?}"
+    // Reads are emitted in exact pull order under either driver, so the
+    // emission tape *is* the schedule's pull sequence: with weights [5, 1]
+    // the weight-1 source must appear within every 6 pulls while both
+    // sources are live — not just "eventually drain".
+    let (heavy, light) = profiles();
+    let n_light = light.n_reads;
+    let profiles = [heavy, light];
+    for parallelism in parallelism_sweep() {
+        let tape = emission_tape(&profiles, Schedule::Priority(vec![5, 1]), parallelism);
+        assert_eq!(
+            tape.iter().filter(|&&t| t == 1).count(),
+            n_light,
+            "{parallelism:?}: priority schedule failed to drain the low-weight source"
         );
+        // While the light source still has reads, it is served at least
+        // once per sum-of-weights (6) pulls.
+        let last_light = tape
+            .iter()
+            .rposition(|&t| t == 1)
+            .expect("light source emitted");
+        for window in tape[..=last_light].windows(6) {
+            assert!(
+                window.contains(&1),
+                "{parallelism:?}: light source starved for a full weight period: {window:?}"
+            );
+        }
     }
 }
 
