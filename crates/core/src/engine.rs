@@ -5,7 +5,11 @@
 //! the examples, and the bench harness — goes through the [`Session`] built
 //! here. A session
 //! is *configured*, not called: you register named sources, attach
-//! per-source sinks, pick a [`Flow`] and a [`Schedule`], and run. GenPIP's
+//! per-source sinks, pick a [`Flow`] and a [`Schedule`], and run. A source
+//! registered on the builder *is* an attach made before the run: it enters
+//! through the same door as a [`SessionControl::attach`] (same checks, same
+//! in-order marker, same per-source record), only synchronously, so its
+//! refusal is [`Session::run`]'s `Err`. GenPIP's
 //! end-to-end gain comes from tight integration at **chunk granularity**
 //! (paper §3). That dataflow — every chunk seeds and chains as soon as it
 //! is basecalled, and the read stops at the early-rejection verdict — is
@@ -87,7 +91,7 @@
 //! * **Per-source bit-identity** — a source's per-read output in a
 //!   multi-source session is bit-identical to running that source alone,
 //!   for every [`Schedule`], [`crate::Parallelism`] and [`ErMode`]
-//!   (`tests/session.rs` and `tests/chunk_granularity.rs` assert this
+//!   (`tests/session.rs` and `tests/chunk_accounting.rs` assert this
 //!   against the independent serial oracle in `tests/common`). Scheduling
 //!   changes latency, never results.
 //! * **Bounded residency** — at most `queue_capacity + workers` reads are
@@ -97,7 +101,8 @@
 //!   sources, duplicate ids, bad priority weights, per-source configs
 //!   incompatible with their source's reference or chemistry) fail up
 //!   front with a [`SessionError`] instead of deadlocking or panicking
-//!   mid-run.
+//!   mid-run — the same error whether the source came from the builder or
+//!   from a live attach, because both pass the one admission.
 //! * **Fault containment** — under [`crate::FaultPolicy::Quarantine`] or
 //!   [`crate::FaultPolicy::Retry`], a task that panics (or trips the
 //!   basecaller's signal-integrity check) takes out only its own read: the
@@ -126,7 +131,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, Once, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, Once};
 
 /// Which pipeline a [`Session`] runs over its reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,8 +157,8 @@ impl Flow {
 ///
 /// * [`SessionControl::attach`] (or [`SessionControl::attach_with`] and an
 ///   [`AttachSpec`] for a config override, sink or weight) adds a
-///   named source to the *running* session. The source is validated
-///   exactly like [`Session::source_with_config`] validates at startup — a
+///   named source to the *running* session. It goes through the one
+///   admission a builder source goes through (see [`Session::source`]) — a
 ///   typed [`SessionError`] comes back through the returned
 ///   [`PendingAttach`] — and admission is bounded by
 ///   [`StreamOptions::max_sources`]. Once
@@ -204,14 +209,54 @@ struct ControlInner {
     /// Commands enqueued by control-plane calls, drained by the running
     /// session at its poll points.
     commands: VecDeque<Command>,
-    /// Live per-source progress, updated at every in-order emission.
-    stats: SessionStats,
+    /// One record per source admitted to the current run, in lane order:
+    /// the authoritative id↔lane map (ids are never reused, even after
+    /// detach), shared by the dispatcher-side [`SessionFeed`], the emitting
+    /// thread and [`SessionControl::stats`].
+    sources: Vec<SourceRecord>,
+    /// `true` while a session is running with this control.
+    live: bool,
     /// `true` outside a run: enqueue-time refusal with
     /// [`SessionError::SessionClosed`] rather than a command that would
     /// never be polled. A fresh control is *open* so sources can be
     /// attached before the run starts — they are applied at the session's
     /// first poll.
     closed: bool,
+}
+
+/// What the session keeps per source outside the engine, pushed by
+/// [`SessionFeed::admit`] — before the lane's [`LaneEvent::Attached`] marker
+/// is sent, so the emitter always finds it.
+struct SourceRecord {
+    /// The id, the progress as of the source's last in-order emission, and
+    /// whether its detach completed: what [`SessionControl::stats`] reports
+    /// and checkpoints cut.
+    stats: SourceStats,
+    /// `true` from the moment a detach is accepted; never reset, so a
+    /// second detach of the same id is refused as unknown.
+    detach_requested: bool,
+    /// The detach responder, taken by the emitter when the lane's summary
+    /// is finalized.
+    detaching: Option<mpsc::Sender<Result<StreamSummary, SessionError>>>,
+    /// A live attach's sink, installed by the emitter at the lane's
+    /// in-order marker — before its first output.
+    pending_sink: Option<AttachedSink>,
+}
+
+/// A sink supplied with a live attach: unlike builder sinks it must be
+/// `Send` (it crosses into the session thread) and `'static` (it outlives
+/// the caller's frame).
+type AttachedSink = Box<dyn FnMut(StreamEvent) + Send>;
+
+/// A source on its way into a session, through either door — a builder
+/// `source*` call or a [`SessionControl::attach`].
+struct Admission<'a> {
+    id: SourceId,
+    source: Box<dyn ReadSource + Send + 'a>,
+    /// The per-source override, if any; else the session-wide config.
+    config: Option<GenPipConfig>,
+    /// [`Schedule::Priority`] weight; the other schedules ignore it.
+    weight: u32,
 }
 
 /// A control-plane command in flight to the running session.
@@ -225,18 +270,15 @@ enum Command {
 
 /// A fully-specified attach on its way to the session.
 struct AttachRequest {
-    id: SourceId,
-    source: Box<dyn ReadSource + Send>,
-    config: Option<GenPipConfig>,
+    admission: Admission<'static>,
     sink: Option<AttachedSink>,
-    weight: u32,
     responder: mpsc::Sender<Result<(), SessionError>>,
 }
 
 /// Everything [`SessionControl::attach_with`] can say about a new source
-/// beyond its id: a per-source config override (validated like
-/// [`Session::source_with_config`]), a sink, and a [`Schedule::Priority`]
-/// weight.
+/// beyond its id: a per-source config override (what
+/// [`Session::source_with_config`] passes), a sink, and a
+/// [`Schedule::Priority`] weight.
 #[derive(Default)]
 pub struct AttachSpec {
     config: Option<GenPipConfig>,
@@ -251,7 +293,7 @@ impl AttachSpec {
     }
 
     /// Per-source config override, validated against the source's reference
-    /// and chemistry exactly like [`Session::source_with_config`].
+    /// and chemistry ([`SessionError::IncompatibleSourceConfig`]).
     pub fn config(mut self, config: GenPipConfig) -> AttachSpec {
         self.config = Some(config);
         self
@@ -371,9 +413,10 @@ impl SessionControl {
     }
 
     /// Attaches a new source under `id`, processed with the session-wide
-    /// config — the live twin of [`Session::source`]. Returns immediately;
-    /// the typed verdict arrives through the [`PendingAttach`]. May be
-    /// called before the run starts (applied at the session's first poll).
+    /// config — [`Session::source`], live. Returns immediately; the typed
+    /// verdict arrives through the [`PendingAttach`]. May be called before
+    /// the run starts (applied at the session's first poll, after the
+    /// builder's sources).
     pub fn attach(
         &self,
         id: impl Into<SourceId>,
@@ -392,14 +435,16 @@ impl SessionControl {
     ) -> PendingAttach {
         let (tx, rx) = mpsc::channel();
         let request = AttachRequest {
-            id: id.into(),
-            source: Box::new(source),
-            config: spec.config,
+            admission: Admission {
+                id: id.into(),
+                source: Box::new(source),
+                config: spec.config,
+                weight: spec.weight.unwrap_or(1),
+            },
             sink: spec.sink,
-            weight: spec.weight.unwrap_or(1),
             responder: tx,
         };
-        let mut inner = self.state.inner.lock().expect("control poisoned");
+        let mut inner = self.state.lock();
         if inner.closed {
             let _ = request.responder.send(Err(SessionError::SessionClosed));
         } else {
@@ -416,7 +461,7 @@ impl SessionControl {
     pub fn detach(&self, id: impl Into<SourceId>) -> PendingDetach {
         let (tx, rx) = mpsc::channel();
         let id = id.into();
-        let mut inner = self.state.inner.lock().expect("control poisoned");
+        let mut inner = self.state.lock();
         if inner.closed {
             let _ = tx.send(Err(SessionError::SessionClosed));
         } else {
@@ -431,32 +476,30 @@ impl SessionControl {
     /// registration/attach order; counters are as of each source's last
     /// in-order emission.
     pub fn stats(&self) -> SessionStats {
-        let inner = self.state.inner.lock().expect("control poisoned");
-        let mut stats = inner.stats.clone();
-        stats.draining = self.is_draining();
-        stats
+        let inner = self.state.lock();
+        SessionStats {
+            sources: inner.sources.iter().map(|r| r.stats.clone()).collect(),
+            draining: self.is_draining(),
+            live: inner.live,
+        }
     }
 }
 
 impl ControlState {
-    /// Marks the control live for a starting run and seeds its stats with
-    /// the builder-registered sources. The draining flag is deliberately
-    /// *not* reset: a drain requested before the run starts is honored by
+    fn lock(&self) -> MutexGuard<'_, ControlInner> {
+        self.inner.lock().expect("control poisoned")
+    }
+
+    /// Marks the control live for a starting run, with no sources yet —
+    /// every one arrives through [`SessionFeed::admit`]. Commands already
+    /// queued stay queued, and the draining flag is deliberately *not*
+    /// reset: a drain requested before the run starts is honored by
     /// draining immediately.
-    fn begin_run<'i>(&self, ids: impl Iterator<Item = &'i SourceId>) {
-        let mut inner = self.inner.lock().expect("control poisoned");
+    fn begin_run(&self) {
+        let mut inner = self.lock();
         inner.closed = false;
-        inner.stats = SessionStats {
-            sources: ids
-                .map(|id| SourceStats {
-                    id: id.clone(),
-                    outcomes: ProgressSnapshot::default(),
-                    detached: false,
-                })
-                .collect(),
-            draining: false,
-            live: true,
-        };
+        inner.live = true;
+        inner.sources.clear();
     }
 
     /// Closes the control at the end of a run: marks it not-live and
@@ -468,7 +511,7 @@ impl ControlState {
     fn close(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.closed = true;
-        inner.stats.live = false;
+        inner.live = false;
         for command in inner.commands.drain(..) {
             match command {
                 Command::Attach(request) => {
@@ -788,10 +831,10 @@ type BoxedSink<'a> = Box<dyn FnMut(StreamEvent) + 'a>;
 /// A boxed checkpoint sink with its cadence (in emitted reads).
 type BoxedCheckpointSink<'a> = Box<dyn FnMut(&SessionCheckpoint) + 'a>;
 
+/// A builder-registered source: its admission, made when the run starts,
+/// and its sink, which — not being `Send` — stays on the calling thread.
 struct SourceSlot<'a> {
-    id: SourceId,
-    source: Box<dyn ReadSource + Send + 'a>,
-    config: Option<GenPipConfig>,
+    admission: Admission<'a>,
     sink: Option<BoxedSink<'a>>,
 }
 
@@ -856,15 +899,36 @@ impl<'a> Session<'a> {
     /// config. Sources are pulled in the order the [`Schedule`] dictates;
     /// each source's reads are processed against its own reference and pore
     /// model, and emitted in its own read order.
+    ///
+    /// Registering is attaching before the run: at [`Session::run`] every
+    /// builder source, in registration order, passes the admission a
+    /// [`SessionControl::attach`] passes (unique id,
+    /// [`StreamOptions::max_sources`], priority weight, config against the
+    /// source's reference and chemistry) and the first refusal is `run`'s
+    /// `Err`, before any read is pulled.
     pub fn source(
-        mut self,
+        self,
         id: impl Into<SourceId>,
         source: impl ReadSource + Send + 'a,
     ) -> Session<'a> {
+        self.register(id.into(), Box::new(source), None)
+    }
+
+    fn register(
+        mut self,
+        id: SourceId,
+        source: Box<dyn ReadSource + Send + 'a>,
+        config: Option<GenPipConfig>,
+    ) -> Session<'a> {
+        // The weight is the schedule's, known only at `run`.
+        let admission = Admission {
+            id,
+            source,
+            config,
+            weight: 1,
+        };
         self.slots.push(SourceSlot {
-            id: id.into(),
-            source: Box::new(source),
-            config: None,
+            admission,
             sink: None,
         });
         self
@@ -877,20 +941,15 @@ impl<'a> Session<'a> {
     /// override are ignored: `parallelism` (the pool is session-wide) comes
     /// from the session config. The override is validated against the
     /// source's reference and chemistry at [`Session::run`]
-    /// ([`SessionError::IncompatibleSourceConfig`]).
+    /// ([`SessionError::IncompatibleSourceConfig`]), like every part of
+    /// the admission [`Session::source`] describes.
     pub fn source_with_config(
-        mut self,
+        self,
         id: impl Into<SourceId>,
         source: impl ReadSource + Send + 'a,
         config: GenPipConfig,
     ) -> Session<'a> {
-        self.slots.push(SourceSlot {
-            id: id.into(),
-            source: Box::new(source),
-            config: Some(config),
-            sink: None,
-        });
-        self
+        self.register(id.into(), Box::new(source), Some(config))
     }
 
     /// Attaches a sink to the source registered under `id`, replacing any
@@ -934,7 +993,7 @@ impl<'a> Session<'a> {
     /// reports the first sink whose source never appeared.
     fn attach_sinks(&mut self) -> Result<(), SessionError> {
         for (id, sink) in self.pending_sinks.drain(..) {
-            match self.slots.iter_mut().find(|s| s.id == id) {
+            match self.slots.iter_mut().find(|s| s.admission.id == id) {
                 Some(slot) => slot.sink = Some(sink),
                 None => return Err(SessionError::SinkWithoutSource(id)),
             }
@@ -942,6 +1001,8 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
+    /// The session-level checks; everything per source is
+    /// [`SessionFeed::admit`]'s.
     fn validate(&self) -> Result<(), SessionError> {
         if self.options.queue_capacity == 0 {
             return Err(SessionError::ZeroQueueCapacity);
@@ -955,37 +1016,15 @@ impl<'a> Session<'a> {
         if matches!(self.checkpoint, Some((0, _))) {
             return Err(SessionError::ZeroCheckpointInterval);
         }
-        if self.slots.len() > self.options.max_sources {
-            return Err(SessionError::TooManySources {
-                limit: self.options.max_sources,
-            });
-        }
-        for (i, slot) in self.slots.iter().enumerate() {
-            if self.slots[..i].iter().any(|s| s.id == slot.id) {
-                return Err(SessionError::DuplicateSource(slot.id.clone()));
-            }
-        }
-        if let Schedule::Priority(weights) = &self.schedule {
-            if weights.len() != self.slots.len() {
-                return Err(SessionError::PriorityWeightCount {
+        match &self.schedule {
+            Schedule::Priority(weights) if weights.len() != self.slots.len() => {
+                Err(SessionError::PriorityWeightCount {
                     sources: self.slots.len(),
                     weights: weights.len(),
-                });
+                })
             }
-            if let Some(i) = weights.iter().position(|&w| w == 0) {
-                return Err(SessionError::ZeroPriorityWeight(self.slots[i].id.clone()));
-            }
+            _ => Ok(()),
         }
-        for slot in &self.slots {
-            check_source_config(
-                &slot.id,
-                &*slot.source,
-                slot.config.as_ref(),
-                &self.config,
-                self.flow.uses_qsr(),
-            )?;
-        }
-        Ok(())
     }
 
     /// Validates the configuration, then pulls every registered source dry
@@ -1006,9 +1045,12 @@ impl<'a> Session<'a> {
     /// running session — [`SessionControl::drain`] it, snapshot
     /// [`SessionControl::stats`], [`SessionControl::attach`] new sources,
     /// or [`SessionControl::detach`] existing ones. Commands enqueued
-    /// before the run starts are applied at the session's first poll (in
-    /// particular, a pre-run `drain` makes the session return immediately
-    /// with empty counters).
+    /// before the run starts are applied at the session's first poll, after
+    /// the builder's sources (in particular, a pre-run `drain` makes the
+    /// session return immediately with empty counters). A builder source
+    /// refused at admission fails the run like any [`SessionError`] and
+    /// closes the control: commands still queued resolve to
+    /// [`SessionError::SessionClosed`].
     pub fn run_with_control(
         mut self,
         control: &SessionControl,
@@ -1020,54 +1062,30 @@ impl<'a> Session<'a> {
             flow,
             schedule,
             options,
-            slots,
+            mut slots,
             checkpoint,
             ..
         } = self;
-        let n = slots.len();
-        let workers = config.parallelism.workers().max(1);
-
-        let mut registry: Registry = Vec::with_capacity(n);
-        let mut sources = Vec::with_capacity(n);
-        let mut configs = Vec::with_capacity(n);
-        let mut lanes = Vec::with_capacity(n);
-        for slot in slots {
-            registry.push(Registered::new(slot.id, None));
-            configs.push(slot.config.unwrap_or_else(|| config.clone()));
-            sources.push(slot.source);
-            lanes.push(SinkLane {
-                sink: slot.sink,
-                ..SinkLane::default()
-            });
+        if let Schedule::Priority(weights) = &schedule {
+            for (slot, &weight) in slots.iter_mut().zip(weights) {
+                slot.admission.weight = weight;
+            }
         }
-        // One immutable context per source (its reference index, basecaller,
-        // chunk geometry, effective config), shared by every worker. The
-        // vector is append-only, growing under its lock when the control
-        // plane attaches a source mid-run.
-        let contexts: Arc<RwLock<Vec<Arc<RunContext>>>> = Arc::new(RwLock::new(
-            sources
-                .iter()
-                .zip(&configs)
-                .map(|(s, c)| Arc::new(RunContext::from_source(&**s, c)))
-                .collect(),
-        ));
-        let policies: Vec<FaultPolicy> = configs.iter().map(|c| c.fault_policy).collect();
+        let (admissions, builder_sinks): (Vec<_>, VecDeque<_>) =
+            slots.into_iter().map(|s| (s.admission, s.sink)).unzip();
+        let workers = config.parallelism.workers().max(1);
         let engine = EngineConfig {
             workers,
             queue_capacity: options.queue_capacity,
             schedule: &schedule,
-            policies: &policies,
             control,
         };
 
         let control_state = Arc::clone(&control.state);
-        control_state.begin_run(registry.iter().map(|r| &r.id));
-        let registry = Arc::new(Mutex::new(registry));
-        let feed = SessionFeed {
-            sources,
+        let mut feed = SessionFeed {
+            lanes: Vec::new(),
+            admitted: Vec::new(),
             control: Arc::clone(&control_state),
-            registry: Arc::clone(&registry),
-            contexts: Arc::clone(&contexts),
             session_config: config,
             uses_qsr: flow.uses_qsr(),
             max_sources: options.max_sources,
@@ -1077,7 +1095,8 @@ impl<'a> Session<'a> {
         // (retries happen on the dispatcher), so it crosses over atomically.
         let retried = Arc::new(AtomicUsize::new(0));
         let mut emitter = SessionEmitter {
-            lanes,
+            lanes: Vec::new(),
+            builder_sinks,
             outcomes: ProgressSnapshot::default(),
             totals: WorkloadTotals::default(),
             workers,
@@ -1085,33 +1104,34 @@ impl<'a> Session<'a> {
             progress_every: options.progress_every,
             checkpoint,
             emitted: 0,
-            registry,
             control: Arc::clone(&control_state),
             retried: Arc::clone(&retried),
         };
 
+        control_state.begin_run();
         let stats = {
-            // However the engine returns — a panic unwinding through here
-            // included — commands still queued resolve to `SessionClosed`
-            // instead of leaving their waiters blocked.
+            // However this block is left — a refused builder source, or a
+            // panic unwinding through the engine, included — commands still
+            // queued resolve to `SessionClosed` instead of leaving their
+            // waiters blocked.
             let _close = OnDrop(|| control_state.close());
+            for admission in admissions {
+                let added = feed.admit(admission, None)?;
+                feed.admitted.push(added);
+            }
             session_engine(
                 engine,
                 || -> Vec<Option<WorkerScratch>> { Vec::new() },
                 feed,
                 move |scratch, lane, task: &mut ReadTask| {
-                    // One context lookup per read: a read-lock + Arc clone,
-                    // because attached lanes may grow the vector while this
-                    // worker runs.
-                    let ctx = Arc::clone(&contexts.read().expect("contexts poisoned")[lane]);
                     // Scratch is per (worker, source): lazily built because
                     // a worker may never see some sources' reads, and
-                    // grown on demand for attached lanes.
+                    // grown on demand as lanes attach.
                     if scratch.len() <= lane {
                         scratch.resize_with(lane + 1, || None);
                     }
-                    let slot = scratch[lane].get_or_insert_with(|| WorkerScratch::new(&ctx));
-                    let run = task.run(flow, &ctx, slot);
+                    let slot = scratch[lane].get_or_insert_with(|| WorkerScratch::new(&task.ctx));
+                    let run = task.run(flow, slot);
                     // One unit per work entry: the tick currency of
                     // [`LatencyStats`].
                     let units = run.chunks.len() as u64;
@@ -1140,23 +1160,26 @@ impl<'a> Session<'a> {
 /// quarantined read's id and fault.
 type ReadOutput = Result<ReadRun, (u32, ReadFault)>;
 
-/// One source's emitter-side record. Builder sources get theirs at
-/// startup; an attached source's is pushed at its in-order
+/// One source's emitter-side record, pushed at its in-order
 /// [`LaneEvent::Attached`] marker, which precedes every output of the lane.
 #[derive(Default)]
 struct SinkLane<'a> {
     outcomes: ProgressSnapshot,
     totals: WorkloadTotals,
     sink: Option<BoxedSink<'a>>,
-    /// The lane was detached and its summary delivered.
-    done: bool,
 }
 
 /// The session's half of in-order emission, on the calling thread: feeds
 /// the per-source sinks, keeps the per-source and aggregate counters, cuts
-/// checkpoints between deliveries, and assembles the final report.
+/// checkpoints between deliveries, and assembles the final report. Sinks,
+/// the checkpoint sink and detach responders are all invoked with no lock
+/// held, so any of them may call back into the [`SessionControl`].
 struct SessionEmitter<'a> {
     lanes: Vec<SinkLane<'a>>,
+    /// The builder sources' sinks, in registration order. Their lanes'
+    /// markers are the run's first; a live attach's sink waits in its
+    /// [`SourceRecord`] instead.
+    builder_sinks: VecDeque<Option<BoxedSink<'a>>>,
     outcomes: ProgressSnapshot,
     totals: WorkloadTotals,
     workers: usize,
@@ -1166,7 +1189,6 @@ struct SessionEmitter<'a> {
     checkpoint: Option<(usize, BoxedCheckpointSink<'a>)>,
     /// Outputs delivered so far, across all sources.
     emitted: usize,
-    registry: Arc<Mutex<Registry>>,
     control: Arc<ControlState>,
     retried: Arc<AtomicUsize>,
 }
@@ -1175,29 +1197,31 @@ impl SessionEmitter<'_> {
     fn on_event(&mut self, lane: usize, event: LaneEvent<ReadOutput>) {
         match event {
             LaneEvent::Attached => {
-                let pending = self.registry.lock().expect("registry poisoned")[lane]
-                    .pending_sink
-                    .take();
                 debug_assert_eq!(lane, self.lanes.len(), "markers arrive in lane order");
+                let sink = match self.builder_sinks.pop_front() {
+                    Some(sink) => sink,
+                    None => {
+                        let pending = self.control.lock().sources[lane].pending_sink.take();
+                        pending.map(|sink| sink as BoxedSink<'_>)
+                    }
+                };
                 self.lanes.push(SinkLane {
-                    sink: pending.map(|sink| sink as BoxedSink<'_>),
+                    sink,
                     ..SinkLane::default()
                 });
             }
             LaneEvent::Detached(stats) => {
                 // The lane's last output has been emitted: finalize and
                 // deliver its summary.
-                self.lanes[lane].done = true;
                 let summary = self.summary(lane, &stats);
-                let responder = self.registry.lock().expect("registry poisoned")[lane]
-                    .detaching
-                    .take();
+                let responder = {
+                    let mut inner = self.control.lock();
+                    let record = &mut inner.sources[lane];
+                    record.stats.detached = true;
+                    record.detaching.take()
+                };
                 if let Some(responder) = responder {
                     let _ = responder.send(Ok(summary));
-                }
-                let mut inner = self.control.inner.lock().expect("control poisoned");
-                if let Some(stats) = inner.stats.sources.get_mut(lane) {
-                    stats.detached = true;
                 }
             }
             LaneEvent::Output(output) => self.deliver(lane, output),
@@ -1228,12 +1252,7 @@ impl SessionEmitter<'_> {
                 sink(StreamEvent::Progress(outcomes));
             }
         }
-        {
-            let mut inner = self.control.inner.lock().expect("control poisoned");
-            if let Some(stats) = inner.stats.sources.get_mut(lane) {
-                stats.outcomes = outcomes;
-            }
-        }
+        self.control.lock().sources[lane].stats.outcomes = outcomes;
         self.emitted += 1;
         if matches!(&self.checkpoint, Some((every, _)) if self.emitted.is_multiple_of(*every)) {
             self.cut(false);
@@ -1243,23 +1262,22 @@ impl SessionEmitter<'_> {
     /// Hands the checkpoint sink (if any) a cut of the session as of now: a
     /// periodic one between deliveries, or the final `complete` one — every
     /// lane retired (run dry, detached, or drained), all results delivered.
+    /// The records can be a lane ahead of the emitter (an attach admitted
+    /// on the dispatcher whose marker is still in flight): such a source is
+    /// listed with nothing delivered yet.
     fn cut(&mut self, complete: bool) {
         let Some((_, sink)) = &mut self.checkpoint else {
             return;
         };
-        let registry = self.registry.lock().expect("registry poisoned");
-        let sources = registry.iter().enumerate().map(|(s, registered)| {
-            // The registry can be a lane ahead of the emitter: an attach
-            // accepted on the dispatcher whose marker is still in flight.
-            let record = self.lanes.get(s);
-            SourceCheckpoint {
-                id: registered.id.clone(),
-                outcomes: record.map(|r| r.outcomes).unwrap_or_default(),
-                done: complete || record.is_some_and(|r| r.done),
-            }
-        });
+        let sources = (self.control.lock().sources.iter())
+            .map(|record| SourceCheckpoint {
+                id: record.stats.id.clone(),
+                outcomes: record.stats.outcomes,
+                done: complete || record.stats.detached,
+            })
+            .collect();
         sink(&SessionCheckpoint {
-            sources: sources.collect(),
+            sources,
             outcomes: self.outcomes,
             retried: self.retried.load(Ordering::Relaxed),
             complete,
@@ -1283,11 +1301,11 @@ impl SessionEmitter<'_> {
     /// The final checkpoint and the report, once the engine has returned.
     fn finish(mut self, stats: EngineStats) -> SessionReport {
         self.cut(true);
-        let registry = self.registry.lock().expect("registry poisoned");
+        let inner = self.control.lock();
         SessionReport {
-            sources: (registry.iter().zip(&stats.lanes).enumerate())
-                .map(|(lane, (registered, lane_stats))| SourceReport {
-                    id: registered.id.clone(),
+            sources: (inner.sources.iter().zip(&stats.lanes).enumerate())
+                .map(|(lane, (record, lane_stats))| SourceReport {
+                    id: record.stats.id.clone(),
                     summary: self.summary(lane, lane_stats),
                 })
                 .collect(),
@@ -1303,149 +1321,111 @@ impl SessionEmitter<'_> {
     }
 }
 
-/// The session-layer registry shared between the dispatcher-side
-/// [`SessionFeed`] and the emitting thread, one record per lane: the
-/// authoritative id↔lane map (ids are never reused, even after detach),
-/// pending detach responders, and sinks for attached lanes awaiting their
-/// in-order install.
-type Registry = Vec<Registered>;
-
-struct Registered {
-    id: SourceId,
-    /// `true` from the moment a detach is accepted; never reset, so a
-    /// second detach of the same id is refused as unknown.
-    detach_requested: bool,
-    /// The detach responder, taken by the emitter when the lane's summary
-    /// is finalized.
-    detaching: Option<mpsc::Sender<Result<StreamSummary, SessionError>>>,
-    /// An attached lane's sink, installed by the emitter at the lane's
-    /// in-order [`LaneEvent::Attached`] marker — before its first output.
-    pending_sink: Option<AttachedSink>,
-}
-
-impl Registered {
-    fn new(id: SourceId, pending_sink: Option<AttachedSink>) -> Registered {
-        Registered {
-            id,
-            detach_requested: false,
-            detaching: None,
-            pending_sink,
-        }
-    }
-}
-
-/// A sink supplied with a live attach: unlike builder sinks it must be
-/// `Send` (it crosses into the session thread) and `'static` (it outlives
-/// the caller's frame).
-type AttachedSink = Box<dyn FnMut(StreamEvent) + Send>;
-
 /// The [`LaneFeed`] of a real [`Session`]: owns the sources (pulled on the
-/// dispatcher) and applies control-plane commands — attach validation
-/// mirrors [`Session::source_with_config`]'s, detach resolves ids to lanes
-/// — turning accepted commands into [`EngineCommand`]s for the engine.
+/// dispatcher) and is the one place a source becomes a lane
+/// ([`SessionFeed::admit`]); detach resolves ids to lanes. Accepted commands
+/// become [`EngineCommand`]s for the engine.
 struct SessionFeed<'a> {
-    sources: Vec<Box<dyn ReadSource + Send + 'a>>,
+    /// Per lane, the source and the immutable context (reference index,
+    /// basecaller, chunk geometry, effective config) each of its reads
+    /// carries to whichever worker runs it.
+    lanes: Vec<(Box<dyn ReadSource + Send + 'a>, Arc<RunContext>)>,
+    /// Lanes admitted before the engine existed — the builder's — waiting
+    /// for the first poll.
+    admitted: Vec<EngineCommand>,
     control: Arc<ControlState>,
-    registry: Arc<Mutex<Registry>>,
-    contexts: Arc<RwLock<Vec<Arc<RunContext>>>>,
     session_config: GenPipConfig,
     uses_qsr: bool,
     max_sources: usize,
     priority: bool,
 }
 
-impl SessionFeed<'_> {
-    /// The live-session admission rules (unique-forever ids,
-    /// [`StreamOptions::max_sources`], schedule parameters), then the same
-    /// per-source config check [`Session::validate`] runs at startup.
-    fn validate_attach(&self, request: &AttachRequest) -> Result<(), SessionError> {
+impl<'a> SessionFeed<'a> {
+    /// The one door into a session, for builder sources and live attaches
+    /// alike: the admission rules (unique-forever ids,
+    /// [`StreamOptions::max_sources`], schedule parameters), the per-source
+    /// config check, then the source's lane, context and [`SourceRecord`].
+    /// `Ok` is the engine-side lane addition.
+    fn admit(
+        &mut self,
+        admission: Admission<'a>,
+        sink: Option<AttachedSink>,
+    ) -> Result<EngineCommand, SessionError> {
+        let Admission {
+            id,
+            source,
+            config,
+            weight,
+        } = admission;
         {
-            let registry = self.registry.lock().expect("registry poisoned");
-            if registry.iter().any(|r| r.id == request.id) {
-                return Err(SessionError::DuplicateSource(request.id.clone()));
+            let inner = self.control.lock();
+            if inner.sources.iter().any(|r| r.stats.id == id) {
+                return Err(SessionError::DuplicateSource(id));
             }
-            let live = registry.iter().filter(|r| !r.detach_requested).count();
-            if live >= self.max_sources {
+            let live = inner.sources.iter().filter(|r| !r.detach_requested);
+            if live.count() >= self.max_sources {
                 return Err(SessionError::TooManySources {
                     limit: self.max_sources,
                 });
             }
         }
-        if self.priority && request.weight == 0 {
-            return Err(SessionError::ZeroPriorityWeight(request.id.clone()));
+        if self.priority && weight == 0 {
+            return Err(SessionError::ZeroPriorityWeight(id));
         }
-        check_source_config(
-            &request.id,
-            &*request.source,
-            request.config.as_ref(),
-            &self.session_config,
-            self.uses_qsr,
-        )
-    }
-
-    /// Validates and registers one attach, answering its responder either
-    /// way; `Some` is the engine-side lane addition for an accepted one.
-    fn admit(&mut self, request: AttachRequest) -> Option<EngineCommand> {
-        if let Err(error) = self.validate_attach(&request) {
-            let _ = request.responder.send(Err(error));
-            return None;
-        }
-        let effective = (request.config).unwrap_or_else(|| self.session_config.clone());
-        self.registry
-            .lock()
-            .expect("registry poisoned")
-            .push(Registered::new(request.id.clone(), request.sink));
-        self.contexts
-            .write()
-            .expect("contexts poisoned")
-            .push(Arc::new(RunContext::from_source(
-                &*request.source,
-                &effective,
-            )));
-        self.sources.push(request.source);
-        {
-            let mut inner = self.control.inner.lock().expect("control poisoned");
-            inner.stats.sources.push(SourceStats {
-                id: request.id,
+        let own = config.as_ref();
+        check_source_config(&id, &*source, own, &self.session_config, self.uses_qsr)?;
+        let effective = own.unwrap_or(&self.session_config);
+        let policy = effective.fault_policy;
+        // Built outside the lock (it indexes the reference); only this feed
+        // ever adds records, so the checks above still hold at the push.
+        let context = Arc::new(RunContext::from_source(&*source, effective));
+        self.lanes.push((source, context));
+        self.control.lock().sources.push(SourceRecord {
+            stats: SourceStats {
+                id,
                 outcomes: ProgressSnapshot::default(),
                 detached: false,
-            });
-        }
-        let _ = request.responder.send(Ok(()));
-        Some(EngineCommand::AddLane {
-            policy: effective.fault_policy,
-            weight: request.weight,
-        })
+            },
+            detach_requested: false,
+            detaching: None,
+            pending_sink: sink,
+        });
+        Ok(EngineCommand::AddLane { policy, weight })
     }
 }
 
 impl LaneFeed<ReadTask> for SessionFeed<'_> {
     fn pull(&mut self, lane: usize) -> Option<ReadTask> {
-        self.sources[lane].next_read().map(ReadTask::new)
+        let (source, context) = &mut self.lanes[lane];
+        let read = source.next_read()?;
+        Some(ReadTask::new(read, Arc::clone(context)))
     }
 
     fn poll(&mut self) -> Vec<EngineCommand> {
-        let drained: Vec<Command> = {
-            let mut inner = self.control.inner.lock().expect("control poisoned");
-            inner.commands.drain(..).collect()
-        };
-        let mut commands = Vec::with_capacity(drained.len());
+        let drained: Vec<Command> = self.control.lock().commands.drain(..).collect();
+        let mut commands = std::mem::take(&mut self.admitted);
         for command in drained {
             match command {
                 Command::Attach(request) => {
-                    if let Some(command) = self.admit(*request) {
-                        commands.push(command);
-                    }
+                    let AttachRequest {
+                        admission,
+                        sink,
+                        responder,
+                    } = *request;
+                    let verdict = self.admit(admission, sink);
+                    let _ = responder.send(verdict.map(|added| commands.push(added)));
                 }
                 Command::Detach { id, responder } => {
-                    let mut registry = self.registry.lock().expect("registry poisoned");
-                    match registry.iter().position(|r| r.id == id) {
-                        Some(lane) if !registry[lane].detach_requested => {
-                            registry[lane].detach_requested = true;
-                            registry[lane].detaching = Some(responder);
+                    let mut inner = self.control.lock();
+                    let known = |r: &SourceRecord| r.stats.id == id && !r.detach_requested;
+                    match inner.sources.iter().position(known) {
+                        Some(lane) => {
+                            inner.sources[lane].detach_requested = true;
+                            inner.sources[lane].detaching = Some(responder);
                             commands.push(EngineCommand::DrainLane { lane });
                         }
-                        _ => {
+                        None => {
+                            drop(inner);
                             let _ = responder.send(Err(SessionError::UnknownSource(id)));
                         }
                     }
@@ -1599,36 +1579,27 @@ pub(crate) enum LaneEvent<O> {
     Detached(LaneStats),
 }
 
-/// Where the engine's reads come from, plus its control plane. `pull` is
-/// called on the dispatcher when the schedule picks a lane with admission
-/// room; `poll` is called at the top of every dispatch round and once more
-/// after the session goes idle, so commands raised by the final emissions
-/// still apply before the engine concludes.
+/// Where the engine's lanes and reads come from. `pull` is called on the
+/// dispatcher when the schedule picks a lane with admission room; `poll` is
+/// called at the top of every dispatch round and once more after the
+/// session goes idle, so commands raised by the final emissions still apply
+/// before the engine concludes. The engine starts with no lanes: the first
+/// poll's [`EngineCommand::AddLane`]s are its startup set.
 pub(crate) trait LaneFeed<C>: Send {
     /// The next read from `lane`, or `None` when that source is exhausted.
     fn pull(&mut self, lane: usize) -> Option<C>;
 
     /// Control-plane commands to apply before the next dispatch round.
-    /// The default feed has no control plane.
-    fn poll(&mut self) -> Vec<EngineCommand> {
-        Vec::new()
-    }
-}
-
-/// Any plain closure is a control-plane-less feed.
-impl<C, T: FnMut(usize) -> Option<C> + Send> LaneFeed<C> for T {
-    fn pull(&mut self, lane: usize) -> Option<C> {
-        self(lane)
-    }
+    fn poll(&mut self) -> Vec<EngineCommand>;
 }
 
 /// A control-plane command after feed-side validation, ready for the
 /// engine to apply.
 pub(crate) enum EngineCommand {
-    /// A new lane joins the schedule with the given fault policy and
-    /// [`Schedule::Priority`] weight. The engine sends the lane's
-    /// [`LaneEvent::Attached`] marker through the in-order path before the
-    /// lane's first output.
+    /// A new lane — the next index — joins the schedule with the given
+    /// fault policy and [`Schedule::Priority`] weight. The engine sends the
+    /// lane's [`LaneEvent::Attached`] marker through the in-order path
+    /// before the lane's first output.
     AddLane { policy: FaultPolicy, weight: u32 },
     /// Stop pulling from `lane`; once its resident reads have finished
     /// and emitted, the lane's [`LaneEvent::Detached`] marker delivers its
@@ -1638,8 +1609,9 @@ pub(crate) enum EngineCommand {
 
 /// The per-lane record the dispatcher (admission, retries) and the emitter
 /// (release at emission, samples, detach-marker stats) share. The
-/// dispatcher pushes a lane's record before sending its `Attached` marker,
-/// so every later index is in bounds on both sides. The *global* bound is
+/// dispatcher pushes a lane's record before sending its `Attached` marker
+/// and before any admission of the lane, so every index is in bounds on
+/// both sides. The *global* bound is
 /// the gate's; `high` only attributes high-waters.
 #[derive(Default)]
 struct LaneTally {
@@ -1739,12 +1711,13 @@ enum EmitKind<O> {
 }
 
 /// The engine's scalar knobs, bundled so the closure parameters stay
-/// readable at the call site. There is one lane per entry of `policies`.
+/// readable at the call site. Lanes are not among them: every lane arrives
+/// as an [`EngineCommand::AddLane`]; of `schedule` only the policy is read
+/// (a `Priority` lane's weight rides its `AddLane`).
 pub(crate) struct EngineConfig<'s> {
     pub(crate) workers: usize,
     pub(crate) queue_capacity: usize,
     pub(crate) schedule: &'s Schedule,
-    pub(crate) policies: &'s [FaultPolicy],
     pub(crate) control: &'s SessionControl,
 }
 
@@ -1798,8 +1771,8 @@ static QUIET_HOOK: Once = Once::new();
 
 /// Installs (once, process-wide) a panic hook that stays silent for panics
 /// raised inside a contained [`run_task`] and defers to the previous hook
-/// for everything else. Only called when some lane's policy actually
-/// contains faults, so `FaultPolicy::Fail` runs keep the stock hook
+/// for everything else. Only called when a lane whose policy actually
+/// contains faults is added, so `FaultPolicy::Fail` runs keep the stock hook
 /// untouched.
 fn install_quiet_hook() {
     QUIET_HOOK.call_once(|| {
@@ -1946,10 +1919,8 @@ where
             on_retry,
             fault,
             out,
-            sched: SchedulerState::new(cfg.schedule, cfg.policies.len()),
-            lanes: (cfg.policies.iter().copied())
-                .map(DispatchLane::new)
-                .collect(),
+            sched: SchedulerState::new(cfg.schedule),
+            lanes: Vec::new(),
             tick: 0,
             next_seq: 0,
             outstanding: 0,
@@ -2212,9 +2183,10 @@ impl<O, G: FnMut(usize, LaneEvent<O>)> Emitter<'_, O, G> {
 /// `cfg.control` is the cooperative drain switch: once `drain()` is
 /// observed, no new reads are pulled, resident reads run to their
 /// verdicts, and the engine returns normally. The rest of the control
-/// plane arrives through `feed.poll()`: lanes can be added ([`EngineCommand::AddLane`],
-/// announced through the in-order [`LaneEvent::Attached`] marker) and
-/// drained individually ([`EngineCommand::DrainLane`], concluded by the
+/// plane arrives through `feed.poll()`: lanes are added — all of them, the
+/// ones the run starts with included ([`EngineCommand::AddLane`], announced
+/// through the in-order [`LaneEvent::Attached`] marker) — and drained
+/// individually ([`EngineCommand::DrainLane`], concluded by the
 /// in-order [`LaneEvent::Detached`] marker carrying the lane's stats).
 pub(crate) fn session_engine<C, O, S, B, L, F, R, Q, G>(
     cfg: EngineConfig<'_>,
@@ -2235,13 +2207,9 @@ where
     Q: FnMut(usize, C, FaultInfo) -> O + Send,
     G: FnMut(usize, LaneEvent<O>),
 {
-    if cfg.policies.iter().any(|p| *p != FaultPolicy::Fail) {
-        install_quiet_hook();
-    }
-    let lanes = cfg.policies.len();
     let shared = Shared {
         gate: FlowGate::new(cfg.in_flight_limit()),
-        tallies: Mutex::new((0..lanes).map(|_| LaneTally::default()).collect()),
+        tallies: Mutex::new(Vec::new()),
     };
     let mut emitter = Emitter {
         shared: &shared,
@@ -2405,6 +2373,12 @@ mod tests {
         let sink_seen = Rc::clone(&seen);
         let cuts: Rc<RefCell<Vec<SessionCheckpoint>>> = Rc::new(RefCell::new(Vec::new()));
         let sink_cuts = Rc::clone(&cuts);
+        // The checkpoint sink calls back into the control plane: it runs
+        // with no session lock held, so neither call may deadlock.
+        let reentrant = control.clone();
+        let refused = Rc::new(RefCell::new(None));
+        let sink_refused = Rc::clone(&refused);
+        let twin = profile.clone();
         let report = Session::new(GenPipConfig::for_dataset(&profile))
             .source("a", StreamingSimulator::new(&profile))
             .sink("a", move |event| {
@@ -2415,9 +2389,23 @@ mod tests {
                     }
                 }
             })
-            .checkpoint(3, move |cut| sink_cuts.borrow_mut().push(cut.clone()))
+            .checkpoint(3, move |cut| {
+                let stats = reentrant.stats();
+                assert_eq!(stats.live, !cut.complete);
+                assert_eq!(stats.sources[0].outcomes, cut.sources[0].outcomes);
+                if sink_cuts.borrow().is_empty() {
+                    let pending = reentrant.attach("a", StreamingSimulator::new(&twin));
+                    *sink_refused.borrow_mut() = Some(pending);
+                }
+                sink_cuts.borrow_mut().push(cut.clone());
+            })
             .run_with_control(&control)
             .expect("valid session");
+        let refused = refused.borrow_mut().take().expect("first cut attached");
+        assert_eq!(
+            refused.wait(),
+            Err(SessionError::DuplicateSource("a".into()))
+        );
         assert!(
             report.outcomes.reads_emitted < DatasetProfile::ecoli().scaled(0.03).n_reads,
             "drain cut the run short"
@@ -2723,6 +2711,24 @@ mod tests {
         assert_eq!(report.outcomes.reads_emitted, d.reads.len());
     }
 
+    /// A control-plane-less feed: one lane, announced at the first poll like
+    /// every lane is, pulled by a plain closure.
+    struct OneLane<F> {
+        policy: Option<FaultPolicy>,
+        pull: F,
+    }
+
+    impl<C, F: FnMut() -> Option<C> + Send> LaneFeed<C> for OneLane<F> {
+        fn pull(&mut self, _lane: usize) -> Option<C> {
+            (self.pull)()
+        }
+
+        fn poll(&mut self) -> Vec<EngineCommand> {
+            let lane = |policy| EngineCommand::AddLane { policy, weight: 1 };
+            self.policy.take().map(lane).into_iter().collect()
+        }
+    }
+
     #[test]
     fn transient_faults_succeed_on_retry() {
         // A task that panics once the read has run, first attempt only —
@@ -2734,7 +2740,7 @@ mod tests {
         let d = dataset();
         let config =
             GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Threads(2));
-        let ctx = RunContext::from_source(&d.stream(), &config);
+        let ctx = Arc::new(RunContext::from_source(&d.stream(), &config));
         let faulted = Mutex::new(std::collections::BTreeSet::new());
         let mut pending = d.reads.iter();
         let control = SessionControl::new();
@@ -2744,13 +2750,15 @@ mod tests {
                 workers: 2,
                 queue_capacity: 2,
                 schedule: &Schedule::Sequential,
-                policies: &[FaultPolicy::Retry { attempts: 1 }],
                 control: &control,
             },
             || WorkerScratch::new(&ctx),
-            |_| Some(ReadTask::new(pending.next()?.clone())),
+            OneLane {
+                policy: Some(FaultPolicy::Retry { attempts: 1 }),
+                pull: || Some(ReadTask::new(pending.next()?.clone(), Arc::clone(&ctx))),
+            },
             |scratch, _lane, task: &mut ReadTask| {
-                let run = task.run(Flow::GenPip(ErMode::Full), &ctx, scratch);
+                let run = task.run(Flow::GenPip(ErMode::Full), scratch);
                 if faulted.lock().unwrap().insert(run.id) {
                     panic!("transient fault on read {}", run.id);
                 }
@@ -2784,7 +2792,7 @@ mod tests {
             let d = dataset();
             let config =
                 GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Threads(2));
-            let ctx = RunContext::from_source(&d.stream(), &config);
+            let ctx = Arc::new(RunContext::from_source(&d.stream(), &config));
             let mut pending = d.reads.iter();
             let control = SessionControl::new();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -2793,14 +2801,16 @@ mod tests {
                         workers: 2,
                         queue_capacity: 1,
                         schedule: &Schedule::Sequential,
-                        policies: &[FaultPolicy::Fail],
                         control: &control,
                     },
                     || WorkerScratch::new(&ctx),
-                    |_| Some(ReadTask::new(pending.next()?.clone())),
+                    OneLane {
+                        policy: Some(FaultPolicy::Fail),
+                        pull: || Some(ReadTask::new(pending.next()?.clone(), Arc::clone(&ctx))),
+                    },
                     |scratch, _lane, task: &mut ReadTask| {
                         assert!(task.read.id != 3, "injected failure on read 3");
-                        let run = task.run(Flow::GenPip(ErMode::Full), &ctx, scratch);
+                        let run = task.run(Flow::GenPip(ErMode::Full), scratch);
                         let units = run.chunks.len() as u64;
                         (run, units)
                     },
@@ -2886,17 +2896,19 @@ mod tests {
         (output, u64::from(more) + 1)
     }
 
-    /// Three lanes at startup; lane 3 attaches once 300 reads were pulled
-    /// overall, and lane 1 — which never runs dry on its own — is drained
-    /// once it has pulled [`DRAIN_LANE_1_AT`].
+    /// Three lanes at the first poll; lane 3 attaches once 300 reads were
+    /// pulled overall, and lane 1 — which never runs dry on its own — is
+    /// drained once it has pulled [`DRAIN_LANE_1_AT`]. `len` and `pulled`
+    /// grow a lane per `AddLane`.
     struct ToyFeed<'a> {
         len: Vec<u32>,
         pulled: &'a Mutex<Vec<u32>>,
-        attached: bool,
         drained: bool,
     }
 
     const DRAIN_LANE_1_AT: u32 = 700;
+    const TOY_WEIGHTS: [u32; 4] = [3, 1, 2, 2];
+    const TOY_LENGTHS: [u32; 4] = [1200, u32::MAX, 900, 600];
     const TOY_POLICIES: [FaultPolicy; 4] = [
         FaultPolicy::Retry { attempts: 2 },
         FaultPolicy::Retry { attempts: 1 },
@@ -2920,13 +2932,17 @@ mod tests {
         fn poll(&mut self) -> Vec<EngineCommand> {
             let mut pulled = self.pulled.lock().unwrap();
             let mut commands = Vec::new();
-            if !self.attached && pulled.iter().sum::<u32>() >= 300 {
-                self.attached = true;
-                self.len.push(600);
+            let due = match pulled.len() {
+                0 => 3,
+                3 if pulled.iter().sum::<u32>() >= 300 => 4,
+                lanes => lanes,
+            };
+            for lane in pulled.len()..due {
+                self.len.push(TOY_LENGTHS[lane]);
                 pulled.push(0);
                 commands.push(EngineCommand::AddLane {
-                    policy: TOY_POLICIES[3],
-                    weight: 2,
+                    policy: TOY_POLICIES[lane],
+                    weight: TOY_WEIGHTS[lane],
                 });
             }
             if !self.drained && pulled[1] >= DRAIN_LANE_1_AT {
@@ -2948,13 +2964,12 @@ mod tests {
     /// checks every per-driver invariant, and returns each lane's outputs.
     fn drive_toys(workers: usize) -> Vec<Vec<ToyOutput>> {
         let caller = std::thread::current().id();
-        let pulled = Mutex::new(vec![0u32; 3]);
+        let pulled = Mutex::new(Vec::new());
         let control = SessionControl::new();
         let cfg = EngineConfig {
             workers,
             queue_capacity: 4,
-            schedule: &Schedule::Priority(vec![3, 1, 2]),
-            policies: &TOY_POLICIES[..3],
+            schedule: &Schedule::Priority(Vec::new()),
             control: &control,
         };
         let limit = cfg.in_flight_limit();
@@ -2967,9 +2982,8 @@ mod tests {
             cfg,
             || (),
             ToyFeed {
-                len: vec![1200, u32::MAX, 900],
+                len: Vec::new(),
                 pulled: &pulled,
-                attached: false,
                 drained: false,
             },
             |_, _lane, toy: &mut Toy| {
@@ -3027,10 +3041,11 @@ mod tests {
                 .collect();
             let mut retried = 0;
             for (i, event) in of_lane.iter().enumerate() {
-                // Markers bracket the lane's outputs: Attached (lane 3
-                // only) first, Detached (lane 1 only) last.
+                // Markers bracket the lane's outputs: Attached first —
+                // every lane's, startup or live — Detached (lane 1 only)
+                // last.
                 match event {
-                    ToyEvent::Attached => assert_eq!((lane, i), (3, 0), "{label}"),
+                    ToyEvent::Attached => assert_eq!(i, 0, "{label}: lane {lane}"),
                     ToyEvent::Detached { retried: reported } => {
                         assert_eq!((lane, i), (1, of_lane.len() - 1), "{label}");
                         assert_eq!(*reported, retried, "{label}");
@@ -3046,9 +3061,9 @@ mod tests {
                 }
             }
             assert_eq!(
-                of_lane.first() == Some(&&ToyEvent::Attached),
-                lane == 3,
-                "{label}"
+                of_lane.first(),
+                Some(&&ToyEvent::Attached),
+                "{label}: lane {lane}"
             );
             assert_eq!(
                 matches!(of_lane.last(), Some(ToyEvent::Detached { .. })),

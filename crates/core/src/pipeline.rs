@@ -517,8 +517,9 @@ fn best_pair_score(pairs: &[(IncrementalChainer, IncrementalChainer)]) -> f64 {
     })
 }
 
-/// One read as the engine's task: the read itself plus the one thing a
-/// fault must be able to say about it afterwards.
+/// One read as the engine's task: the read itself, the context of the
+/// source it was pulled from, and the one thing a fault must be able to say
+/// about it afterwards.
 ///
 /// A read is one call to [`ReadTask::run`]. Nothing it computes is kept in
 /// the task (the signal is never mutated), so a retry is simply another
@@ -528,6 +529,10 @@ fn best_pair_score(pairs: &[(IncrementalChainer, IncrementalChainer)]) -> f64 {
 /// of the paper's Figure 5(b).
 pub(crate) struct ReadTask {
     pub(crate) read: SimulatedRead,
+    /// Its source's reference index, basecaller, chunk geometry and
+    /// effective config — handed over at the pull, so a worker looks
+    /// nothing up per read.
+    pub(crate) ctx: Arc<RunContext>,
     /// The chunk whose basecall or seed work is running — what a fault is
     /// reported against ([`crate::stream::ReadFault::chunk`]); `None`
     /// outside the chunk loops.
@@ -536,9 +541,10 @@ pub(crate) struct ReadTask {
 
 impl ReadTask {
     /// Cheap by design (no per-read setup) — it runs on the dispatcher.
-    pub(crate) fn new(read: SimulatedRead) -> ReadTask {
+    pub(crate) fn new(read: SimulatedRead, ctx: Arc<RunContext>) -> ReadTask {
         ReadTask {
             read,
+            ctx,
             at_chunk: None,
         }
     }
@@ -548,16 +554,11 @@ impl ReadTask {
     /// order within a read, so both flows walk the chunks one at a time;
     /// all per-read state is local to the call, and `scratch` lends only
     /// stateless buffers.
-    pub(crate) fn run(
-        &mut self,
-        flow: Flow,
-        ctx: &RunContext,
-        scratch: &mut WorkerScratch,
-    ) -> ReadRun {
+    pub(crate) fn run(&mut self, flow: Flow, scratch: &mut WorkerScratch) -> ReadRun {
         self.at_chunk = None;
         match flow {
-            Flow::GenPip(er) => self.run_genpip(er, ctx, scratch),
-            Flow::Conventional => self.run_conventional(ctx, scratch),
+            Flow::GenPip(er) => self.run_genpip(er, scratch),
+            Flow::Conventional => self.run_conventional(scratch),
         }
     }
 
@@ -566,7 +567,8 @@ impl ReadTask {
     /// the CMR check after `N_cm` chunks, then whole-read QC and the final
     /// mapping. Every verdict is a `return`, so a rejected read's remaining
     /// chunks are never touched.
-    fn run_genpip(&mut self, er: ErMode, ctx: &RunContext, scratch: &mut WorkerScratch) -> ReadRun {
+    fn run_genpip(&mut self, er: ErMode, scratch: &mut WorkerScratch) -> ReadRun {
+        let ctx: &RunContext = &self.ctx;
         let samples = &self.read.signal.samples;
         let specs = chunk_boundaries(samples.len(), ctx.samples_per_chunk);
         let chunk_samples = |idx: usize| &samples[specs[idx].start..specs[idx].end];
@@ -685,7 +687,8 @@ impl ReadTask {
     /// The conventional flow (Figure 5a): basecall the whole read chunk by
     /// chunk (the decoder cursor carries the state across), whole-read QC,
     /// then whole-read mapping.
-    fn run_conventional(&mut self, ctx: &RunContext, scratch: &mut WorkerScratch) -> ReadRun {
+    fn run_conventional(&mut self, scratch: &mut WorkerScratch) -> ReadRun {
+        let ctx: &RunContext = &self.ctx;
         let samples = &self.read.signal.samples;
         let specs = chunk_boundaries(samples.len(), ctx.samples_per_chunk);
         let mut run = ReadRun::start(self.read.id, specs.len(), samples.len());
@@ -780,7 +783,7 @@ mod tests {
         // capacity reuse only, never state carry-over).
         let d = dataset();
         let config = GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Serial);
-        let ctx = RunContext::from_source(&d.stream(), &config);
+        let ctx = Arc::new(RunContext::from_source(&d.stream(), &config));
         for flow in [
             Flow::Conventional,
             Flow::GenPip(ErMode::None),
@@ -790,7 +793,7 @@ mod tests {
             let shared = PipelineRun::collect(&d, &config, flow);
             for (read, run) in d.reads.iter().zip(&shared.reads) {
                 let mut fresh = WorkerScratch::new(&ctx);
-                let alone = ReadTask::new(read.clone()).run(flow, &ctx, &mut fresh);
+                let alone = ReadTask::new(read.clone(), Arc::clone(&ctx)).run(flow, &mut fresh);
                 assert_eq!(&alone, run, "{flow:?}: read {}", read.id);
             }
         }

@@ -86,8 +86,9 @@ fn swrr_pick(credit: &mut [i64], weights: &[u32], up: impl Fn(usize) -> bool) ->
 /// restricted to lanes that currently have dispatchable work (room to admit
 /// a new read, or a faulted read queued for its retry). When a lane is
 /// permanently done the engine reports it via `exhausted` and it is never
-/// proposed again. Those two calls (and `add_lane` for a live attach) are
-/// all the engine tells it: nothing is reported back when a read retires.
+/// proposed again. Those two calls (and `add_lane` for every lane that
+/// joins, at startup or live) are all the engine tells it: nothing is
+/// reported back when a read retires.
 pub(crate) struct SchedulerState {
     kind: Kind,
     active: Vec<bool>,
@@ -101,38 +102,36 @@ enum Kind {
 }
 
 impl SchedulerState {
-    /// Builds the state for `n` sources. `Priority` weights must already be
-    /// validated (length `n`, all ≥ 1) — [`crate::engine::Session::run`]
-    /// does that before construction.
-    pub(crate) fn new(schedule: &Schedule, n: usize) -> SchedulerState {
+    /// The state for `schedule` with no lanes yet: every lane, the builder's
+    /// included, joins through [`SchedulerState::add_lane`] carrying its own
+    /// weight, so only the policy's kind is read here.
+    pub(crate) fn new(schedule: &Schedule) -> SchedulerState {
         let kind = match schedule {
             Schedule::Sequential => Kind::Sequential,
             Schedule::FairShare => Kind::FairShare { cursor: 0 },
-            Schedule::Priority(weights) => {
-                debug_assert_eq!(weights.len(), n, "weights validated by Session::run");
-                debug_assert!(weights.iter().all(|&w| w >= 1));
-                Kind::Priority {
-                    weights: weights.clone(),
-                    credit: vec![0; n],
-                }
-            }
+            Schedule::Priority(_) => Kind::Priority {
+                weights: Vec::new(),
+                credit: Vec::new(),
+            },
         };
         SchedulerState {
             kind,
-            active: vec![true; n],
-            remaining: n,
+            active: Vec::new(),
+            remaining: 0,
         }
     }
 
-    /// Registers a lane attached to a *running* session: it starts active,
-    /// with a fresh SWRR credit of 0 (so it smoothly joins the rotation
-    /// rather than bursting). `weight` applies under `Priority`; the other
+    /// Registers a lane: it starts active, with a fresh SWRR credit of 0 (so
+    /// one attached to a running session smoothly joins the rotation rather
+    /// than bursting). `weight` applies under `Priority` and must already be
+    /// validated (≥ 1) — the session's admission does that; the other
     /// policies ignore it.
     pub(crate) fn add_lane(&mut self, weight: u32) {
         match &mut self.kind {
             Kind::Sequential | Kind::FairShare { .. } => {}
             Kind::Priority { weights, credit } => {
-                weights.push(weight.max(1));
+                debug_assert!(weight >= 1, "weights are validated at admission");
+                weights.push(weight);
                 credit.push(0);
             }
         }
@@ -192,14 +191,26 @@ impl SchedulerState {
 mod tests {
     use super::*;
 
+    /// `schedule` over `n` lanes, joined the one way lanes join.
+    fn state(schedule: &Schedule, n: usize) -> SchedulerState {
+        let mut state = SchedulerState::new(schedule);
+        for lane in 0..n {
+            state.add_lane(match schedule {
+                Schedule::Priority(weights) => weights[lane],
+                _ => 1,
+            });
+        }
+        state
+    }
+
     fn picks(schedule: &Schedule, n: usize, count: usize) -> Vec<usize> {
-        let mut state = SchedulerState::new(schedule, n);
+        let mut state = state(schedule, n);
         (0..count).map(|_| state.next().expect("active")).collect()
     }
 
     #[test]
     fn sequential_sticks_to_the_first_active_source() {
-        let mut s = SchedulerState::new(&Schedule::Sequential, 3);
+        let mut s = state(&Schedule::Sequential, 3);
         assert_eq!(s.next(), Some(0));
         assert_eq!(s.next(), Some(0));
         s.exhausted(0);
@@ -213,7 +224,7 @@ mod tests {
     #[test]
     fn fair_share_round_robins_and_reflows_on_exhaustion() {
         assert_eq!(picks(&Schedule::FairShare, 3, 7), vec![0, 1, 2, 0, 1, 2, 0]);
-        let mut s = SchedulerState::new(&Schedule::FairShare, 3);
+        let mut s = state(&Schedule::FairShare, 3);
         assert_eq!(s.next(), Some(0));
         s.exhausted(1);
         assert_eq!(s.next(), Some(2));
@@ -255,7 +266,7 @@ mod tests {
 
     #[test]
     fn priority_redistributes_shares_of_exhausted_sources() {
-        let mut s = SchedulerState::new(&Schedule::Priority(vec![3, 1]), 2);
+        let mut s = state(&Schedule::Priority(vec![3, 1]), 2);
         s.exhausted(0);
         // Only source 1 remains; it gets every pull.
         assert_eq!(s.next(), Some(1));
@@ -269,7 +280,7 @@ mod tests {
         // Lane 1 is unavailable for a while; its SWRR credit freezes and it
         // resumes its full share once available again — the weight-1 lane is
         // never permanently disadvantaged by a blocked stretch.
-        let mut s = SchedulerState::new(&Schedule::Priority(vec![2, 1]), 2);
+        let mut s = state(&Schedule::Priority(vec![2, 1]), 2);
         assert_eq!(s.next_where(|i| i == 0), Some(0));
         assert_eq!(s.next_where(|i| i == 0), Some(0));
         // Unblocked: the normal A B A period resumes from lane 1's frozen
@@ -281,7 +292,7 @@ mod tests {
         assert_eq!(s.next_where(|_| false), None);
         assert!(!s.all_exhausted());
         // FairShare skips unavailable lanes but keeps the cursor moving.
-        let mut f = SchedulerState::new(&Schedule::FairShare, 3);
+        let mut f = state(&Schedule::FairShare, 3);
         assert_eq!(f.next_where(|i| i != 0), Some(1));
         assert_eq!(f.next_where(|_| true), Some(2));
         assert_eq!(f.next_where(|_| true), Some(0));
@@ -304,7 +315,7 @@ mod tests {
     #[test]
     fn lanes_can_be_added_to_a_running_scheduler() {
         // FairShare: a lane added mid-rotation joins the wheel.
-        let mut f = SchedulerState::new(&Schedule::FairShare, 2);
+        let mut f = state(&Schedule::FairShare, 2);
         assert_eq!(f.next(), Some(0));
         f.add_lane(1);
         assert_eq!(f.next(), Some(1));
@@ -312,7 +323,7 @@ mod tests {
         assert_eq!(f.next(), Some(0));
         // Priority: the new lane starts at credit 0 and earns its weighted
         // share smoothly — pinned sequence.
-        let mut p = SchedulerState::new(&Schedule::Priority(vec![1]), 1);
+        let mut p = state(&Schedule::Priority(vec![1]), 1);
         assert_eq!(p.next(), Some(0));
         p.add_lane(2);
         let seq: Vec<usize> = (0..6).map(|_| p.next().expect("active")).collect();

@@ -160,7 +160,7 @@ pub enum StreamEvent {
 /// wall time, which keeps the metric deterministic in serial runs and
 /// hardware-independent in parallel ones. A read's work lands on the clock
 /// in one lump when the read retires, so with one worker a read's residency
-/// is exactly its own chunk-work count (`tests/chunk_granularity.rs` pins
+/// is exactly its own chunk-work count (`tests/chunk_accounting.rs` pins
 /// that), and on the pool it is its own plus that of every read that
 /// retired while it was resident — a short read admitted behind long ones
 /// shows their bulk in `p99`.

@@ -172,7 +172,8 @@ USAGE:
 
 Each subcommand accepts only the options listed for it above; anything
 else is an error, and so is a bare argument where none is listed (only
-`inspect` and `experiment` take one).
+`inspect` and `experiment` take one) or a second occurrence of any option
+but --source, --signal-in and --reference.
 
 OPTIONS:
   --profile   dataset profile (default ecoli)
@@ -198,7 +199,8 @@ OPTIONS:
               (default: profileN, or the file stem), weight=N (the
               source's share of pulls under --schedule priority, default
               1; an error under any other schedule).
-              Without --source, one source is built from --profile/--scale.
+              Without --source or --signal-in, one source is built from
+              --profile/--scale; with either, --profile is an error.
   --signal-in one on-disk GSC signal container streamed as a read source,
               repeatable (after every --source): PATH[,key=value]... is
               --source file=PATH[,key=value]... Output is bit-identical to
@@ -210,7 +212,8 @@ OPTIONS:
               offsets and, with --fastq-out, the flushed FASTQ byte
               position of every output file
   --checkpoint-every
-              checkpoint cadence in emitted reads (default 25)
+              checkpoint cadence in emitted reads (default 25); an error
+              without --checkpoint
   --resume    restart a `stream` run from a checkpoint written by
               --checkpoint. Sources must be --signal-in containers (file
               sources are seekable; simulated ones are not); FASTQ outputs
@@ -258,13 +261,16 @@ OPTIONS:
               `serve` admission bound: a live attach beyond this many
               concurrently-attached sources is refused (default 64)";
 
-/// Parsed command line: repeatable options keep every occurrence in order
-/// (`--source` is the only multi-valued one today); single-valued lookups
-/// take the last occurrence.
+/// Parsed command line: repeatable options keep every occurrence in order;
+/// every other option holds exactly one value.
 type Options = HashMap<String, Vec<String>>;
 
 /// Options that are bare flags: present or absent, never consuming a value.
 const FLAG_OPTIONS: &[&str] = &["verify"];
+
+/// Options that may be given more than once; a repeat of any other is an
+/// error, like a key given twice inside a spec.
+const REPEATABLE_OPTIONS: &[&str] = &["source", "signal-in", "reference"];
 
 fn parse_options(
     command: &str,
@@ -287,7 +293,11 @@ fn parse_options(
                     .ok_or_else(|| format!("option --{key} needs a value"))?
                     .clone()
             };
-            opts.entry(key.to_string()).or_default().push(value);
+            let values = opts.entry(key.to_string()).or_default();
+            if !values.is_empty() && !REPEATABLE_OPTIONS.contains(&key) {
+                return Err(format!("option --{key} given twice"));
+            }
+            values.push(value);
         } else if positional.len() == max_positional {
             return Err(format!("unexpected argument {arg:?} for '{command}'"));
         } else {
@@ -299,7 +309,7 @@ fn parse_options(
 
 type Parsed = (Options, Vec<String>);
 
-/// The last value given for a single-valued option.
+/// The value given for a single-valued option.
 fn opt<'a>(parsed: &'a Parsed, key: &str) -> Option<&'a str> {
     parsed
         .0
@@ -938,6 +948,8 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     if texts.is_empty() {
         let profile = opt(parsed, "profile").unwrap_or("ecoli");
         texts.push(("--profile", format!("profile={profile},name={profile}")));
+    } else if opt(parsed, "profile").is_some() {
+        return Err("--profile applies only without --source/--signal-in".into());
     }
     let mut specs: Vec<SourceSpec> = Vec::new();
     for (flag, text) in &texts {
@@ -965,6 +977,9 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     // file (the length to truncate back to before appending).
     let checkpoint_path = opt(parsed, "checkpoint").map(str::to_string);
     let checkpoint_every = positive_from(parsed, "checkpoint-every", 25)?;
+    if checkpoint_path.is_none() && opt(parsed, "checkpoint-every").is_some() {
+        return Err("--checkpoint-every applies only with --checkpoint".into());
+    }
     let drain_after = positive_opt(parsed, "drain-after")?;
     let resume = match opt(parsed, "resume") {
         None => None,

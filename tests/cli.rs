@@ -21,6 +21,36 @@ fn genpip(args: &[&str]) -> (bool, String) {
     )
 }
 
+/// Asserts `genpip <command> <extra>` is refused before any banner: exit
+/// nonzero, `complaint` on stderr, nothing on stdout. `env` is the
+/// invocation's `GENPIP_PARALLELISM` (`None` removes it).
+fn refused(command: &[&str], extra: &[&str], env: Option<&str>, complaint: &str) {
+    let mut genpip = Command::new(env!("CARGO_BIN_EXE_genpip"));
+    genpip.args(command).args(extra);
+    match env {
+        Some(value) => genpip.env("GENPIP_PARALLELISM", value),
+        None => genpip.env_remove("GENPIP_PARALLELISM"),
+    };
+    let out = genpip.output().expect("spawn genpip");
+    let case = format!("{command:?} {extra:?} GENPIP_PARALLELISM={env:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{case} must exit nonzero");
+    assert!(stderr.contains(complaint), "{case}: stderr: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{case} printed a banner: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// A one-source `serve` script in the temp directory, named for `tag`.
+fn serve_script(tag: &str) -> std::path::PathBuf {
+    let script =
+        std::env::temp_dir().join(format!("genpip-cli-{tag}-{}.script", std::process::id()));
+    std::fs::write(&script, "attach a profile=ecoli\n").expect("write script");
+    script
+}
+
 #[test]
 fn unknown_options_fail_the_invocation() {
     let (ok, stderr) = genpip(&["run", "--scale", "0.02", "--bogus", "1"]);
@@ -87,30 +117,10 @@ fn the_removed_shards_option_is_rejected_everywhere() {
 /// the defaults.
 #[test]
 fn zero_counts_fail_naming_the_flag_before_any_banner() {
-    let script =
-        std::env::temp_dir().join(format!("genpip-cli-zero-{}.script", std::process::id()));
-    std::fs::write(&script, "attach a profile=ecoli\n").expect("write script");
+    let script = serve_script("zero");
     let script_path = script.to_str().expect("utf-8 temp path");
     let stream = ["stream", "--scale", "0.02"];
     let serve = ["serve", "--script", script_path];
-    let refused = |command: &[&str], extra: &[&str], env: Option<&str>, complaint: &str| {
-        let mut genpip = Command::new(env!("CARGO_BIN_EXE_genpip"));
-        genpip.args(command).args(extra);
-        match env {
-            Some(value) => genpip.env("GENPIP_PARALLELISM", value),
-            None => genpip.env_remove("GENPIP_PARALLELISM"),
-        };
-        let out = genpip.output().expect("spawn genpip");
-        let case = format!("{command:?} {extra:?} GENPIP_PARALLELISM={env:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{case} must exit nonzero");
-        assert!(stderr.contains(complaint), "{case}: stderr: {stderr}");
-        assert!(
-            out.stdout.is_empty(),
-            "{case} printed a banner: {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    };
     for (command, flag) in [
         (&stream[..], "--threads"),
         (&stream[..], "--queue"),
@@ -143,6 +153,56 @@ fn zero_counts_fail_naming_the_flag_before_any_banner() {
         refused(command, extra, None, &complaint);
     }
     assert!(!unpacked.exists(), "a refused pack wrote its container");
+    let _ = std::fs::remove_file(&script);
+}
+
+/// Input the command line used to swallow is refused instead, before any
+/// banner: `--profile` beside an explicit source (it was dropped), a
+/// checkpoint cadence with no `--checkpoint` to write (nothing was written),
+/// and a second occurrence of a single-valued option (the first was never
+/// looked at) — the `twice` column of the option sweep. The repeatable
+/// options still repeat.
+#[test]
+fn swallowed_inputs_are_refused_before_any_banner() {
+    let script = serve_script("twice");
+    let script_path = script.to_str().expect("utf-8 temp path");
+    let stream = ["stream", "--scale", "0.02"];
+    let serve = ["serve", "--script", script_path];
+    let no_profile = "error: --profile applies only without --source/--signal-in";
+    for explicit in [["--source", "profile=ecoli"], ["--signal-in", "x.gsc"]] {
+        let extra = [&["--profile", "human"][..], &explicit].concat();
+        refused(&stream, &extra, None, no_profile);
+    }
+    let no_cadence = "error: --checkpoint-every applies only with --checkpoint";
+    refused(&stream, &["--checkpoint-every", "7"], None, no_cadence);
+    for (command, option, values) in [
+        (&stream[..], "--queue", ["0", "3"]),
+        (&stream, "--threads", ["2", "2"]),
+        (&["stream"], "--scale", ["0.02", "0.02"]),
+        (&stream, "--schedule", ["fair", "priority"]),
+        (&stream, "--checkpoint-every", ["0", "7"]),
+        (&serve, "--queue", ["0", "3"]),
+        (&serve, "--threads", ["2", "2"]),
+        (&serve, "--max-sources", ["0", "3"]),
+        (&["serve"], "--script", [script_path, script_path]),
+        (&["run"], "--er", ["bogus", "full"]),
+    ] {
+        let extra = [option, values[0], option, values[1]];
+        let complaint = format!("error: option {option} given twice");
+        refused(command, &extra, None, &complaint);
+    }
+    let (ok, stderr) = genpip(&[
+        "stream",
+        "--scale",
+        "0.02",
+        "--progress",
+        "0",
+        "--source",
+        "profile=ecoli,name=a",
+        "--source",
+        "profile=ecoli,name=b",
+    ]);
+    assert!(ok, "--source repeats: stderr: {stderr}");
     let _ = std::fs::remove_file(&script);
 }
 

@@ -376,3 +376,109 @@ fn attach_queued_before_the_run_is_applied_at_startup() {
         "pre-run attach diverged"
     );
 }
+
+/// One table, both doors: a source the session must refuse is refused with
+/// the same `SessionError` value whether it is registered on the builder
+/// (`Session::source*`, the error is `run`'s) or attached through the
+/// control plane (`SessionControl::attach_with`, the error is `wait`'s) —
+/// there is one admission, so there is one answer.
+#[test]
+fn bad_sources_get_the_same_error_through_the_builder_and_through_attach() {
+    use genpip::core::SourceConfigIssue;
+    use genpip::genomics::GenomeBuilder;
+
+    let (pa, pb) = profiles();
+    let config = GenPipConfig::for_dataset(&pa);
+    let incompatible = |issue| SessionError::IncompatibleSourceConfig {
+        id: "b".into(),
+        issue,
+    };
+    let mut zero_qs = GenPipConfig::for_dataset(&pb);
+    zero_qs.n_qs = 0;
+    let mut long_k = GenPipConfig::for_dataset(&pb);
+    long_k.mapper.k = usize::MAX;
+    let clash = Arc::new(GenomeBuilder::new(512).seed(7).name(pb.name).build());
+    let twin_panel = GenPipConfig::for_dataset(&pb).with_extra_references(vec![clash]);
+    let unbounded = StreamOptions::default().max_sources;
+
+    // (id, config override, priority weight, max_sources, the refusal)
+    let table: Vec<(&str, Option<GenPipConfig>, u32, usize, SessionError)> = vec![
+        (
+            "a",
+            None,
+            1,
+            unbounded,
+            SessionError::DuplicateSource("a".into()),
+        ),
+        (
+            "b",
+            None,
+            0,
+            unbounded,
+            SessionError::ZeroPriorityWeight("b".into()),
+        ),
+        ("b", None, 1, 1, SessionError::TooManySources { limit: 1 }),
+        (
+            "b",
+            Some(zero_qs),
+            1,
+            unbounded,
+            incompatible(SourceConfigIssue::ZeroQsrSamples),
+        ),
+        (
+            "b",
+            Some(long_k),
+            1,
+            unbounded,
+            incompatible(SourceConfigIssue::KmerExceedsReference {
+                k: usize::MAX,
+                reference_len: StreamingSimulator::new(&pb).reference().len(),
+            }),
+        ),
+        (
+            "b",
+            Some(twin_panel),
+            1,
+            unbounded,
+            incompatible(SourceConfigIssue::DuplicateReferenceName {
+                name: pb.name.to_string(),
+            }),
+        ),
+    ];
+    for (id, own, weight, max_sources, expected) in table {
+        let session = |weights: Vec<u32>| {
+            Session::new(config.clone())
+                .schedule(Schedule::Priority(weights))
+                .options(StreamOptions {
+                    max_sources,
+                    ..StreamOptions::default()
+                })
+                .source("a", StreamingSimulator::new(&pa))
+        };
+
+        let bad = StreamingSimulator::new(&pb);
+        let built = match own.clone() {
+            Some(own) => session(vec![1, weight]).source_with_config(id, bad, own),
+            None => session(vec![1, weight]).source(id, bad),
+        };
+        let from_builder = built.run().expect_err("the builder door refuses it");
+
+        let control = SessionControl::new();
+        let spec = AttachSpec::new().weight(weight);
+        let pending = control.attach_with(
+            id,
+            StreamingSimulator::new(&pb),
+            match own {
+                Some(own) => spec.config(own),
+                None => spec,
+            },
+        );
+        session(vec![1])
+            .run_with_control(&control)
+            .expect("the good source runs");
+        let from_attach = pending.wait().expect_err("the attach door refuses it");
+
+        assert_eq!(from_builder, expected);
+        assert_eq!(from_attach, expected);
+    }
+}
