@@ -274,14 +274,16 @@ fn main() {
             || banded_global(black_box(&q), black_box(&r), &params, 0, 64).score,
         ));
 
-        // The geometry `finalize_mapping` produces for a typical read: 3.5 kb
-        // at 4 % error, `hw = band_margin + n / 20`. Elements are DP cells,
-        // so ns_per_iter / elements_per_iter is ns/cell.
+        // The row width `finalize_mapping` fills for a typical read, 3.5 kb
+        // at 4 % error: `hw = band_margin + stretch / 20`, with the 70 bases
+        // the longest anchor-free stretch of an E. coli read measures at the
+        // mean. Elements are DP cells, so ns_per_iter / elements_per_iter is
+        // ns/cell.
         let genome = GenomeBuilder::new(5_000).seed(14).build();
         let truth = genome.sequence().subseq(500, 3_500);
         let mut rng = genpip_genomics::rng::seeded(15);
         let (q, _) = genpip_genomics::ErrorModel::with_total_rate(0.04).apply(&truth, &mut rng);
-        let hw = MapperParams::default().band_margin + q.len() / 20;
+        let hw = MapperParams::default().band_margin + 70 / 20;
         let cells = banded_global(&q, &truth, &params, 0, hw).cells;
         results.push(bench(
             "align/banded_3p5kb_pipeline_band",
@@ -289,8 +291,9 @@ fn main() {
             || banded_global(black_box(&q), black_box(&truth), &params, 0, hw).score,
         ));
 
-        // The same step as the pipeline runs it: window extraction, band
-        // placement and the kernel on a warmed per-worker scratch.
+        // The same step as the pipeline runs it: window extraction, the
+        // corridor along the chain and the kernel on a warmed per-worker
+        // scratch.
         let genome = GenomeBuilder::new(100_000).seed(16).build();
         let mapper = Mapper::build(&genome, MapperParams::default());
         let truth = genome.sequence().subseq(40_000, 3_000);

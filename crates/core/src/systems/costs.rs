@@ -9,6 +9,7 @@
 //! |---|---|
 //! | `cpu_basecall_per_base` | sets the time unit (CPU Bonito ≈ 25 kbase/s) |
 //! | mapping per-op costs | chosen so dataset-level basecall:mapping ≈ 3100:500 CPU·h (the paper's real-system study, Section 2.1) |
+//! | `cpu_align_per_cell` | 9.5e-8 s: the mapping cost that follows the mapper's band. Re-fitted when the band became a corridor along the chain (70 cells a row at the mean instead of 445), so that the E. coli × 0.05 conventional workload keeps the basecall:mapping ratio it was calibrated to, 9.8 (27 984 026 cells × 1.5e-8 s before, 4 398 868 cells × 9.5e-8 s now) |
 //! | `gpu_basecall_speedup` | 13.7×, the value implied by the paper's 41.6× (CPU) vs 8.4× (GPU) speedups with mapping time fixed |
 //! | `link_bandwidth` | makes inter-machine transfer ≈3–4 % of the CPU pipeline, consistent with Figure 1's 3.9 TB raw-data movement and the CPU-CP gain of ≈1.2× |
 //! | powers | package powers under load (not TDP), tuned so the energy-ratio *structure* of Figure 11 holds |
@@ -61,7 +62,7 @@ impl SoftwareCosts {
             cpu_minimizer: 6.0e-7,
             cpu_seed_per_anchor: 3.0e-7,
             cpu_chain_per_eval: 5.0e-8,
-            cpu_align_per_cell: 1.5e-8,
+            cpu_align_per_cell: 9.5e-8,
             cpu_qc_per_base: 1.0e-8,
             link_bandwidth: 8.0e6,
             link_energy_per_byte: 1.0e-8,

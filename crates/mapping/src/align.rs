@@ -98,11 +98,18 @@ const NEG: i32 = i32::MIN / 4;
 const PAD: u8 = 0xFF;
 
 /// Reusable working memory of the banded-alignment kernel: the unpacked
-/// query and reference window, the rolling DP rows and the traceback's run
-/// stack. One instance per worker thread; a warmed scratch leaves the
-/// traceback matrix and the returned CIGAR as an alignment's only
-/// allocations. (The matrix, one byte per band cell, is megabytes for a long
-/// read; it is allocated per call so that no worker pins its largest one.)
+/// query and reference window, the band's table of row origins, the rolling
+/// DP rows and the traceback's run stack. One instance per worker thread; a
+/// warmed scratch leaves the traceback matrix and the returned CIGAR as an
+/// alignment's only allocations. (The matrix, one byte per band cell, is
+/// about a quarter of a megabyte for a 3 kb read in the mapper's corridor; it
+/// is allocated per call so that no worker pins its largest one.)
+///
+/// A band is a table of row origins, not a centre and a half-width: row `i`
+/// covers the `width` columns from `base[i]` on, clipped to the matrix, and
+/// `base[i] - base[i - 1]` is 0, 1 or 2, so the band can follow a chain
+/// through its indels ([`AlignScratch::align_along`]). The straight band of
+/// [`banded_global`] is the table whose every step is 1.
 #[derive(Debug, Clone, Default)]
 pub struct AlignScratch {
     /// Query base codes.
@@ -110,10 +117,16 @@ pub struct AlignScratch {
     /// Window base codes behind one [`PAD`] byte: `r[j]` is the base that DP
     /// column `j` consumes, and column 0 (which consumes none) matches nothing.
     r: Vec<u8>,
-    // Band-relative rows of `width + 1` cells: cell `c` of row `i` is column
-    // `j = i + band_center - hw + c`, so a cell's diagonal neighbour is
-    // `prev[c]` and its upper neighbour `prev[c + 1]`; the extra cell is the
-    // upper neighbour of the band's right edge and stays `NEG`.
+    /// Column of each query row's band cell 0, rows `0..=n` (negative left of
+    /// the matrix).
+    base: Vec<i64>,
+    // Band-relative rows of `1 + width + 2` cells: cell `c` of row `i` is
+    // column `base[i] + c` and sits at index `c + 1`. With `step = base[i] -
+    // base[i - 1]`, its diagonal neighbour is the previous row's cell
+    // `c + step - 1` and its upper neighbour cell `c + step`: the pad cell on
+    // the left is the diagonal neighbour of cell 0 after a step of 0, the two
+    // on the right are the neighbours of the last cell after a step of 2, and
+    // all three stay `NEG`.
     h_prev: Vec<i32>,
     h_curr: Vec<i32>,
     ix_prev: Vec<i32>,
@@ -162,23 +175,93 @@ impl AlignScratch {
         band_halfwidth: usize,
     ) -> Alignment {
         let band = self.prepare(band_center, band_halfwidth);
-        let mut tb = band.traceback_matrix(self.q.len());
-        let cells = fill_dispatch(self, &mut tb, params, &band);
-        self.finish(&tb, &band, cells)
+        self.run(params, &band)
     }
 
-    /// Widens the band to keep (0,0) and (n,m) inside it and sizes the rows
-    /// for it.
+    /// Aligns the sequences last [`load`](AlignScratch::load)ed inside a
+    /// corridor along `pins`, the DP cells `(row, column)` a chain says the
+    /// path visits, in ascending row order.
+    ///
+    /// The band's centre runs from the origin through every pin to the
+    /// terminal cell, interpolated linearly in between, `halfwidth` columns
+    /// (at least 1) to either side. Where two pins are further apart in
+    /// columns than twice their rows — a deletion longer than the query
+    /// between its anchors — the origins cannot keep up at 2 columns a row,
+    /// and the whole band is widened by the largest lag instead; pins out of
+    /// order are passed over. The band therefore always contains the origin
+    /// and the terminal cell, which makes the function total.
+    /// [`Alignment::cells`] counts every in-band cell except the origin.
+    pub(crate) fn align_along(
+        &mut self,
+        params: &AlignmentParams,
+        pins: impl Iterator<Item = (i64, i64)>,
+        halfwidth: usize,
+    ) -> Alignment {
+        let band = self.prepare_along(pins, halfwidth);
+        self.run(params, &band)
+    }
+
+    fn run(&mut self, params: &AlignmentParams, band: &Band) -> Alignment {
+        let mut tb = band.traceback_matrix(self.q.len());
+        let cells = fill_dispatch(self, &mut tb, params, band);
+        self.finish(&tb, band, cells)
+    }
+
+    /// The straight band: widens it to keep (0,0) and (n,m) inside and lays
+    /// down its all-steps-1 table.
     fn prepare(&mut self, band_center: i64, band_halfwidth: usize) -> Band {
         let (n, m) = (self.q.len(), self.r.len() - 1);
         let need_start = band_center.unsigned_abs() as usize;
         let need_end = (m as i64 - n as i64 - band_center).unsigned_abs() as usize;
         let hw = band_halfwidth.max(need_start).max(need_end) + 1;
+        let first = band_center - hw as i64;
+        self.base.clear();
+        self.base.extend((0..=n as i64).map(|i| i + first));
+        self.size_rows(2 * hw + 1)
+    }
+
+    /// The corridor of [`align_along`](AlignScratch::align_along).
+    fn prepare_along(&mut self, pins: impl Iterator<Item = (i64, i64)>, halfwidth: usize) -> Band {
+        let (n, m) = (self.q.len() as i64, (self.r.len() - 1) as i64);
+        let hw = halfwidth.max(1) as i64;
+        self.base.clear();
+        self.base.push(-hw);
+        let (mut row, mut col, mut lag) = (0, 0, 0);
+        for (to_row, to_col) in pins.chain(std::iter::once((n, m))) {
+            if to_row <= row || to_row > n {
+                continue;
+            }
+            let rows = to_row - row;
+            for i in 1..=rows {
+                let centred = col + (to_col - col) * i / rows - hw;
+                let prev = self.base[self.base.len() - 1];
+                let base = centred.clamp(prev, prev + 2);
+                lag = lag.max((centred - base).abs());
+                self.base.push(base);
+            }
+            (row, col) = (to_row, to_col);
+        }
+        // With an empty query the terminal cell shares the origin's row.
+        lag = lag.max(m - hw - self.base[n as usize]);
+        for base in &mut self.base {
+            *base -= lag;
+        }
+        self.size_rows((2 * (hw + lag) + 1) as usize)
+    }
+
+    /// Sizes the rows for a band of `width` columns from each of `base` on.
+    fn size_rows(&mut self, width: usize) -> Band {
         let band = Band {
-            m,
-            width: 2 * hw + 1,
-            shift: hw as i64 - band_center,
+            m: self.r.len() - 1,
+            width,
         };
+        debug_assert!(width >= 3 && self.base.len() == self.q.len() + 1);
+        debug_assert!(self
+            .base
+            .windows(2)
+            .all(|w| (0..=2).contains(&(w[1] - w[0]))));
+        let in_row = |i: usize, j: i64| (0..width as i64).contains(&(j - self.base[i]));
+        debug_assert!(in_row(0, 0) && in_row(self.q.len(), band.m as i64));
         for row in [
             &mut self.h_prev,
             &mut self.h_curr,
@@ -188,7 +271,7 @@ impl AlignScratch {
             &mut self.u,
         ] {
             row.clear();
-            row.resize(band.width + 1, NEG);
+            row.resize(width + 3, NEG);
         }
         band
     }
@@ -197,7 +280,8 @@ impl AlignScratch {
     /// from `(n, m)` to the origin.
     fn finish(&mut self, tb: &[u8], band: &Band, cells: usize) -> Alignment {
         let (q, r) = (&self.q, &self.r);
-        let score = self.h_prev[(band.m as i64 - band.base(q.len())) as usize];
+        let base = &self.base;
+        let score = self.h_prev[1 + (band.m as i64 - base[q.len()]) as usize];
         let ops = &mut self.ops;
         ops.clear();
         let mut push = |kind: u8| match ops.last_mut() {
@@ -209,7 +293,7 @@ impl AlignScratch {
         // Which matrix we are currently in: 0=H, 1=Ix, 2=Iy.
         let mut state = 0u8;
         while i > 0 || j > 0 {
-            let flags = tb[i * band.width + (j as i64 - band.base(i)) as usize];
+            let flags = tb[i * band.width + (j as i64 - base[i]) as usize];
             match state {
                 0 => match flags & 0b11 {
                     0 => {
@@ -260,13 +344,12 @@ impl AlignScratch {
     }
 }
 
-/// The widened band of one alignment: row `i` covers columns
-/// `base(i) ..= base(i) + width - 1`, clipped to `0..=m`.
+/// The extent of one alignment's band: row `i` covers columns
+/// `base[i] ..= base[i] + width - 1` of [`AlignScratch`]'s table, clipped to
+/// `0..=m`.
 struct Band {
     m: usize,
     width: usize,
-    /// `hw - band_center`, at least 1.
-    shift: i64,
 }
 
 impl Band {
@@ -275,11 +358,6 @@ impl Band {
     /// bit 3 = Iy extended.
     fn traceback_matrix(&self, n: usize) -> Vec<u8> {
         vec![0; (n + 1) * self.width]
-    }
-
-    /// Column of row `i`'s band-relative cell 0 (negative above the diagonal).
-    fn base(&self, i: usize) -> i64 {
-        i as i64 - self.shift
     }
 }
 
@@ -384,37 +462,47 @@ fn pass_b_scan(p: &AlignmentParams, h: &mut [i32], flags: &mut [u8]) {
 /// from `T[c-1]` iff `u[c-1] > v[c]`, i.e. `u[c] > v[c]`. (With `o == 0`
 /// the scan would instead re-open from `H[c-1] = Iy[c-1]`; that is the same
 /// path, so the traceback cannot tell the two apart.)
+///
+/// The rolling rows are never cleared between rows. A cell the next row reads
+/// is either one this row wrote or one no row ever writes: as `base` only
+/// rises, the clip at column 0 only recedes and the clip at column `m` only
+/// advances, so what an earlier row left beyond this row's ends lies beyond
+/// the next row's neighbours too.
 #[inline(always)]
 fn fill(s: &mut AlignScratch, tb: &mut [u8], p: &AlignmentParams, band: &Band) -> usize {
     let (n, m, width) = (s.q.len(), band.m, band.width);
 
     // Row 0: leading deletions.
-    let origin = band.shift as usize;
-    let hi = ((width - 1) as i64 - band.shift).min(m as i64) as usize;
-    s.h_prev[origin] = 0;
+    let origin = (-s.base[0]) as usize;
+    let hi = (s.base[0] + (width - 1) as i64).min(m as i64) as usize;
+    let row = &mut s.h_prev[1 + origin..];
+    row[0] = 0;
     tb[origin] = 3;
     for j in 1..=hi {
-        s.h_prev[origin + j] = p.gap_open + p.gap_extend * j as i32;
+        row[j] = p.gap_open + p.gap_extend * j as i32;
         // H from Iy, which extends from the second column on.
         tb[origin + j] = if j > 1 { 0b1010 } else { 0b0010 };
     }
     let mut cells = hi;
 
     for i in 1..=n {
-        let base = band.base(i);
+        let base = s.base[i];
+        let step = (base - s.base[i - 1]) as usize;
         let lo = base.max(0) as usize;
         let hi = (base + (width - 1) as i64).min(m as i64) as usize;
         let clo = (lo as i64 - base) as usize;
         let len = hi - lo + 1;
         cells += len;
 
+        // Cell `c`'s diagonal neighbour sits at index `c + step` of the
+        // previous row (its cell `c + step - 1`, behind the left pad).
         let (h_prev, ix_prev) = (
-            &s.h_prev[clo..clo + len + 1],
-            &s.ix_prev[clo..clo + len + 1],
+            &s.h_prev[clo + step..clo + step + len + 1],
+            &s.ix_prev[clo + step..clo + step + len + 1],
         );
         let (h, ix) = (
-            &mut s.h_curr[clo..clo + len],
-            &mut s.ix_curr[clo..clo + len],
+            &mut s.h_curr[1 + clo..1 + clo + len],
+            &mut s.ix_curr[1 + clo..1 + clo + len],
         );
         let flags = &mut tb[i * width + clo..][..len];
         let (qb, r) = (s.q[i - 1], &s.r[lo..lo + len]);
@@ -722,6 +810,33 @@ mod tests {
                 aln.cells as i64,
                 area - 1,
                 "n {n} m {m} center {center} halfwidth {halfwidth}"
+            );
+        }
+
+        // The same area when the band is a table of row origins: a zig-zag
+        // clipped on the left, two columns a row into the right edge, and a
+        // vertical band over a window shorter than the query.
+        for (n, m, width, first, steps) in [
+            (60usize, 60usize, 9usize, -4i64, [0i64, 2].as_slice()),
+            (40, 79, 5, -2, &[2]),
+            (30, 6, 12, -5, &[0]),
+        ] {
+            let mut scratch = AlignScratch::new();
+            scratch.load(&g.subseq(7, n), &g, 0..m, false);
+            scratch.base.push(first);
+            for i in 0..n {
+                scratch.base.push(scratch.base[i] + steps[i % steps.len()]);
+            }
+            let area: i64 = scratch
+                .base
+                .iter()
+                .map(|&base| (base + width as i64 - 1).min(m as i64) - base.max(0) + 1)
+                .sum();
+            let band = scratch.size_rows(width);
+            assert_eq!(
+                scratch.run(&p, &band).cells as i64,
+                area - 1,
+                "n {n} m {m} width {width} first {first} steps {steps:?}"
             );
         }
     }

@@ -2,9 +2,13 @@
 //! [`Alignment`] as the first-draft scalar kernel — score, CIGAR, matches,
 //! columns **and** the `cells` cost-model counter — on every geometry and
 //! every tie, through both the dispatched entry ([`banded_global`], AVX2 where
-//! the host has it) and the portable instantiation of the same fill body.
+//! the host has it) and the portable instantiation of the same fill body; and,
+//! for bands that are not straight, the same [`Alignment`] as a full-matrix
+//! Gotoh masked by the same table of row origins.
 
-use super::{banded_global, fill, AlignScratch, Alignment, AlignmentParams, CigarOp};
+use super::{
+    banded_global, fill, fill_dispatch, AlignScratch, Alignment, AlignmentParams, Band, CigarOp,
+};
 use genpip_genomics::rng::{seeded, Rng, SeededRng};
 use genpip_genomics::{Base, DnaSeq, ErrorModel};
 
@@ -402,5 +406,256 @@ fn pipeline_sized_pair_agrees() {
     let hw = 32 + query.len() / 20;
     for p in &PARAMS {
         assert_same(&query, &truth, p, 3, hw, "pipeline-sized");
+    }
+}
+
+/// Full-matrix Gotoh restricted to the band `base[i] ..= base[i] + width - 1`
+/// (clipped to `0..=m`) of each row `i`: every cell of the `(n + 1) × (m + 1)`
+/// matrices exists, the ones outside the band are never written, and no cell
+/// knows how the band is laid out in memory. Tie rules as in
+/// [`naive_banded_global`]: a gap extends only when strictly greater than
+/// opening, and H prefers the diagonal, then Ix, then Iy.
+fn masked_gotoh(
+    query: &DnaSeq,
+    reference: &DnaSeq,
+    p: &AlignmentParams,
+    base: &[i64],
+    width: usize,
+) -> Alignment {
+    const NEG: i32 = i32::MIN / 4;
+    let (n, m) = (query.len(), reference.len());
+    let pairs = |i: usize, j: usize| query.get(i - 1) == reference.get(j - 1);
+    let mut h = vec![vec![NEG; m + 1]; n + 1];
+    let mut ix = h.clone();
+    let mut iy = h.clone();
+    // Per cell: H's source (0 diagonal, 1 Ix, 2 Iy), whether Ix extended,
+    // whether Iy extended.
+    let mut from = vec![vec![(0u8, false, false); m + 1]; n + 1];
+    h[0][0] = 0;
+    let mut cells = 0usize;
+    for i in 0..=n {
+        for j in 0..=m {
+            let in_band = (0..width as i64).contains(&(j as i64 - base[i]));
+            if !in_band || (i, j) == (0, 0) {
+                continue;
+            }
+            cells += 1;
+            if i == 0 {
+                // Leading deletions are one gap, whatever re-opening would cost.
+                iy[0][j] = p.gap_open + p.gap_extend * j as i32;
+                h[0][j] = iy[0][j];
+                from[0][j] = (2, false, j > 1);
+                continue;
+            }
+            let (mut best, mut source) = (NEG, 0u8);
+            if j > 0 {
+                let pair = if pairs(i, j) {
+                    p.match_score
+                } else {
+                    p.mismatch
+                };
+                best = h[i - 1][j - 1] + pair;
+            }
+            let open = h[i - 1][j] + p.gap_open + p.gap_extend;
+            let extend = ix[i - 1][j] + p.gap_extend;
+            from[i][j].1 = extend > open;
+            ix[i][j] = open.max(extend);
+            if ix[i][j] > best {
+                (best, source) = (ix[i][j], 1);
+            }
+            if j > 0 {
+                let open = h[i][j - 1] + p.gap_open + p.gap_extend;
+                let extend = iy[i][j - 1] + p.gap_extend;
+                from[i][j].2 = extend > open;
+                iy[i][j] = open.max(extend);
+                if iy[i][j] > best {
+                    (best, source) = (iy[i][j], 2);
+                }
+            }
+            h[i][j] = best;
+            from[i][j].0 = source;
+        }
+    }
+
+    let mut runs: Vec<CigarOp> = Vec::new();
+    let (mut matches, mut columns) = (0usize, 0usize);
+    let (mut i, mut j, mut state) = (n, m, 0u8);
+    while (i, j) != (0, 0) {
+        columns += 1;
+        let (source, ix_extended, iy_extended) = from[i][j];
+        if state == 0 {
+            state = source;
+        }
+        let step = match state {
+            0 => {
+                matches += pairs(i, j) as usize;
+                (i, j) = (i - 1, j - 1);
+                CigarOp::Match(1)
+            }
+            1 => {
+                i -= 1;
+                state = ix_extended as u8;
+                CigarOp::Ins(1)
+            }
+            _ => {
+                j -= 1;
+                state = 2 * iy_extended as u8;
+                CigarOp::Del(1)
+            }
+        };
+        match (runs.last_mut(), step) {
+            (Some(CigarOp::Match(len)), CigarOp::Match(_))
+            | (Some(CigarOp::Ins(len)), CigarOp::Ins(_))
+            | (Some(CigarOp::Del(len)), CigarOp::Del(_)) => *len += 1,
+            _ => runs.push(step),
+        }
+    }
+    runs.reverse();
+    Alignment {
+        score: h[n][m],
+        cigar: runs,
+        matches,
+        columns,
+        cells,
+    }
+}
+
+type Fill = fn(&mut AlignScratch, &mut [u8], &AlignmentParams, &Band) -> usize;
+
+/// Runs one instantiation of the fill body over a band given as a table.
+fn table_global(
+    q: &DnaSeq,
+    r: &DnaSeq,
+    p: &AlignmentParams,
+    base: &[i64],
+    width: usize,
+    fill: Fill,
+) -> Alignment {
+    let mut scratch = AlignScratch::new();
+    scratch.load(q, r, 0..r.len(), false);
+    scratch.base.extend_from_slice(base);
+    let band = scratch.size_rows(width);
+    let mut tb = band.traceback_matrix(q.len());
+    let cells = fill(&mut scratch, &mut tb, p, &band);
+    scratch.finish(&tb, &band, cells)
+}
+
+fn assert_same_table(q: &DnaSeq, r: &DnaSeq, p: &AlignmentParams, base: &[i64], width: usize) {
+    let want = masked_gotoh(q, r, p, base, width);
+    for (entry, fill) in [("dispatched", fill_dispatch as Fill), ("portable", fill)] {
+        assert_eq!(
+            table_global(q, r, p, base, width, fill),
+            want,
+            "({entry}): n {} m {} width {width} {p:?}\nbase {base:?}\nq {q}\nr {r}",
+            q.len(),
+            r.len()
+        );
+    }
+}
+
+/// A window of `m` bases for `query`: a noisy copy of it, cut or padded with
+/// random bases at the far end — or, one time in four, a tie-heavy repeat.
+fn window_for(rng: &mut SeededRng, query: &DnaSeq, m: usize) -> DnaSeq {
+    if rng.random_range(0..4u8) == 0 {
+        return repeat_seq(&[Base::A, Base::C], m);
+    }
+    let rate = rng.random_range(0..=25u32) as f64 / 100.0;
+    let (mut window, _) = ErrorModel::with_total_rate(rate).apply(query, rng);
+    if window.len() < m {
+        window.extend_from_seq(&random_seq(rng, m - window.len()));
+    }
+    window.subseq(0, m)
+}
+
+#[test]
+fn random_tables_agree_with_the_masked_full_matrix() {
+    for case in 0..1_200u64 {
+        let mut rng = seeded(0x7AB1E ^ case);
+        let n = match case % 10 {
+            0 => 0,
+            _ => rng.random_range(1..150usize),
+        };
+        // A width from the minimum up to wider than the whole matrix.
+        let width = match case % 7 {
+            0 => 3,
+            1 => rng.random_range(300..400usize),
+            _ => rng.random_range(3..60usize),
+        };
+        // Steps drawn with a per-case bias: mostly diagonal, mostly vertical
+        // (so the band's right edge is clipped at a short window's end),
+        // mostly 2 (a long window), or uniform.
+        let bias = rng.random_range(0..4u8);
+        let mut base = vec![-(rng.random_range(0..width) as i64)];
+        for _ in 0..n {
+            let step = match (bias, rng.random_range(0..10u8)) {
+                (0, 0) | (1, 0..=6) => 0,
+                (0, 1) | (2, 0..=6) => 2,
+                (0, _) => 1,
+                _ => rng.random_range(0..=2i64),
+            };
+            base.push(base[base.len() - 1] + step);
+        }
+        // Any `m` whose terminal cell the last row covers; `m = 0` when the
+        // last row still starts left of the matrix.
+        let m = match case % 10 {
+            1 if base[n] <= 0 => 0,
+            _ => (base[n] + rng.random_range(0..width) as i64).max(0) as usize,
+        };
+        let query = if case % 5 == 0 {
+            repeat_seq(&[Base::A, Base::C], n)
+        } else {
+            random_seq(&mut rng, n)
+        };
+        let window = window_for(&mut rng, &query, m);
+        assert_same_table(&query, &window, &PARAMS[(case % 4) as usize], &base, width);
+    }
+}
+
+#[test]
+fn corridors_along_random_pins_agree_and_cover_their_pins() {
+    for case in 0..300u64 {
+        let mut rng = seeded(0xC0221D02 ^ case);
+        let n = rng.random_range(0..200usize);
+        let m = rng.random_range(0..260usize);
+        let query = random_seq(&mut rng, n);
+        let window = window_for(&mut rng, &query, m);
+        // Pins in ascending rows and columns, up to four columns a row apart
+        // (steeper than the table can follow), then one in eight out of order
+        // or out of the matrix.
+        let mut pins = Vec::new();
+        let (mut row, mut col) = (0i64, 0i64);
+        loop {
+            row += rng.random_range(1..25i64);
+            col += rng.random_range(0..(4 * 25i64));
+            if row >= n as i64 || col > m as i64 {
+                break;
+            }
+            pins.push((row, col));
+        }
+        let sane = pins.clone();
+        if case % 8 == 0 && !pins.is_empty() {
+            let at = rng.random_range(0..pins.len());
+            let stray = (rng.random_range(-50..500i64), rng.random_range(-50..500i64));
+            pins.insert(at, stray);
+        }
+        let halfwidth = rng.random_range(0..20usize);
+
+        let mut scratch = AlignScratch::new();
+        scratch.load(&query, &window, 0..m, false);
+        let band = scratch.prepare_along(pins.iter().copied(), halfwidth);
+        let (base, width) = (scratch.base.clone(), band.width);
+        if case % 8 != 0 {
+            let reach = halfwidth.max(1) as i64;
+            for &(row, col) in sane.iter().chain(&[(0, 0), (n as i64, m as i64)]) {
+                let cells = base[row as usize]..base[row as usize] + width as i64;
+                assert!(
+                    cells.contains(&(col - reach)) && cells.contains(&(col + reach)),
+                    "case {case}: pin ({row}, {col}) ± {reach} outside {cells:?}"
+                );
+            }
+        }
+        let p = &PARAMS[(case % 4) as usize];
+        let want = masked_gotoh(&query, &window, p, &base, width);
+        assert_eq!(scratch.run(p, &band), want, "case {case}: pins {pins:?}");
     }
 }

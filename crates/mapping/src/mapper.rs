@@ -10,7 +10,7 @@ use crate::align::{AlignScratch, AlignmentParams, CigarOp};
 use crate::chain::{ChainParams, IncrementalChainer};
 use crate::index::ReferenceIndex;
 use crate::minimizer::{minimizers_into, Minimizer, MinimizerScratch};
-use crate::seed::{seed_batch_into, SeedBatch, Strand};
+use crate::seed::{seed_batch_into, Anchor, SeedBatch, Strand};
 use crate::RefPos;
 use genpip_genomics::{DnaSeq, Genome};
 use std::sync::Arc;
@@ -31,7 +31,14 @@ pub struct MapperParams {
     pub min_chain_score: f64,
     /// Alignments below this identity are rejected as unmapped.
     pub min_identity: f64,
-    /// Extra band half-width beyond the chain's diagonal spread.
+    /// Half-width of the alignment band around the chain's own path. The
+    /// band's centre runs anchor to anchor, so the margin only has to absorb
+    /// what the alignment does between two anchors. The half-width asked for
+    /// is `max(band_margin, d) + s / 20`: `d` is the longest indel between two
+    /// adjacent anchors (one longer than the margin widens the band, so that
+    /// it fits next to either anchor), and `s` the longest run of query bases
+    /// the chain leaves unpinned (a drift allowance of one column per 20 such
+    /// bases; until PR 22 it was charged to the whole read, `n / 20`).
     pub band_margin: usize,
     /// First coordinate of the reference's position space (default 0).
     /// A nonzero offset shifts every reported coordinate by the same amount
@@ -305,16 +312,36 @@ impl Mapper {
         };
         scratch.load(query, self.genome.sequence(), start..start + wlen, reverse);
 
-        // Band: centre on the chain's median diagonal, cover its spread.
-        let (dmin, dmax) = chain
-            .anchor_indices
-            .iter()
-            .map(|&i| anchors[i].rpos as i64 - wstart - anchors[i].qpos as i64)
-            .fold((i64::MAX, i64::MIN), |(lo, hi), d| (lo.min(d), hi.max(d)));
-        let center = (dmin + dmax) / 2;
-        let halfwidth = ((dmax - dmin) / 2) as usize + self.params.band_margin + query.len() / 20;
+        // Band: a corridor along the chain. Each anchor pins the DP cell that
+        // consumes its first base pair. Where the window was clamped to the
+        // reference, the read's overhang is one vertical run along the
+        // window's edge, so the cell at which the chain's first (last)
+        // diagonal enters (leaves) the window is pinned too.
+        let cell = |anchor: Anchor| (anchor.qpos as i64 + 1, anchor.rpos as i64 - wstart + 1);
+        let (enter, leave) = (cell(first), cell(last));
+        let enter = Some((enter.0 - enter.1, 0)).filter(|&(row, _)| row > 0);
+        let leave =
+            Some((leave.0 + wlen as i64 - leave.1, wlen as i64)).filter(|&(row, _)| row < qlen);
+        let chained = chain.anchor_indices.iter().map(|&i| cell(anchors[i]));
+        let pins = enter.into_iter().chain(chained).chain(leave);
 
-        let alignment = scratch.align(&self.params.align, center, halfwidth);
+        // Half-width: the margin, plus what the path may do where nothing
+        // pins it — drift a column per 20 bases over the longest unpinned
+        // stretch, or spend the whole indel between two pins next to either.
+        let rows = [0].into_iter().chain(pins.clone().map(|(row, _)| row));
+        let stretch = rows
+            .clone()
+            .zip(rows.skip(1).chain([qlen]))
+            .map(|(from, to)| to - from)
+            .fold(0, i64::max);
+        let jump = pins
+            .clone()
+            .zip(pins.clone().skip(1))
+            .map(|(from, to)| ((to.1 - to.0) - (from.1 - from.0)).abs())
+            .fold(0, i64::max);
+        let halfwidth = self.params.band_margin.max(jump as usize) + stretch as usize / 20;
+
+        let alignment = scratch.align_along(&self.params.align, pins, halfwidth);
         let cells = alignment.cells;
         if alignment.identity() < self.params.min_identity {
             return (None, best_score, cells);

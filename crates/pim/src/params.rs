@@ -65,7 +65,10 @@ pub struct PimTech {
     pub e_dp_step: f64,
     /// Energy per individual alignment DP cell — one step evaluates a whole
     /// band row in parallel, so per-cell energy ≈ `e_dp_step / band width`
-    /// (≈0.42 nJ / ~100 cells ⇒ ≈4.2 pJ).
+    /// (≈0.42 nJ / ~100 cells ⇒ ≈4.2 pJ). The functional mapper's corridor
+    /// fills 70 cells a row at the mean on the E. coli profile (65 columns of
+    /// margin plus the drift allowance), so the ~100-cell row is the one it
+    /// really asks of a DP unit, with headroom.
     pub e_dp_cell: f64,
     /// PIM-CQS: one chunk-quality summation (a single 16×1024 MVM read
     /// cycle; SOT-MRAM arrays cycle faster than ReRAM, ≈50 ns).
