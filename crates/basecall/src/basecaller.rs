@@ -31,7 +31,7 @@ impl CallScratch {
 /// Raised via [`std::panic::panic_any`] so fault-tolerant executors can
 /// `downcast` the payload and classify the fault as corrupt *input* rather
 /// than a pipeline bug: the `Session` engine in `genpip-core` maps it to
-/// `FaultKind::CorruptSignal` and quarantines or retries the read per its
+/// `FaultKind::CorruptSignal` and quarantines the read per its
 /// `FaultPolicy` instead of tearing the run down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignalFault {
@@ -55,21 +55,18 @@ impl std::fmt::Display for SignalFault {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CarryState(pub u16);
 
-/// A resumable per-read decode cursor: the complete between-chunk state of
-/// one read's basecalling, packaged so the read can be **parked** after any
-/// chunk and **resumed later on a different thread**.
+/// A per-call decode cursor: the between-chunk state of one read's
+/// basecalling — the k-mer [`CarryState`] that stitches the next chunk, and
+/// a count of the chunks decoded so far.
 ///
-/// Chunk-granular executors (the `Session` engine in `genpip-core`) schedule
-/// one chunk at a time and may move a read between workers between chunks;
-/// everything the decoder needs to continue is this cursor (the k-mer
-/// [`CarryState`]) — all other working memory lives in the worker-local
-/// [`CallScratch`] and carries no read state. The cursor is `Send + Copy`
-/// and a few bytes, so parking a read costs nothing.
+/// The per-read loops of `genpip-core`'s pipeline build a fresh one for each
+/// read they run and walk its chunks in order on one thread; all other
+/// working memory lives in the worker-local [`CallScratch`] and carries no
+/// read state.
 ///
 /// Decoding through a `ReadDecoder` is bit-identical to passing carries by
 /// hand through [`Basecaller::call_chunk_with`], and therefore to
-/// [`Basecaller::call_read`], no matter how the chunks are spread over
-/// threads.
+/// [`Basecaller::call_read`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadDecoder {
     carry: Option<CarryState>,
@@ -90,14 +87,6 @@ impl ReadDecoder {
     /// Chunks decoded through this cursor so far.
     pub fn chunks_called(&self) -> usize {
         self.chunks_called
-    }
-
-    /// Rewinds the cursor to before the read's first chunk, exactly as
-    /// freshly constructed — used when a fault-tolerant executor retries a
-    /// read from scratch. Decoding after a reset is bit-identical to
-    /// decoding through a new cursor.
-    pub fn reset(&mut self) {
-        *self = ReadDecoder::new();
     }
 
     /// Repositions the cursor to continue from `carry` — used when the next
@@ -725,30 +714,6 @@ mod tests {
                 .map(|f| f.sample_index),
             Some(9)
         );
-    }
-
-    #[test]
-    fn decoder_reset_restarts_bit_identically() {
-        let (synth, caller) = setup();
-        let t = truth(1_000, 17);
-        let sig = synth.synthesize(&t, 1.0, 18);
-        let mut scratch = CallScratch::new();
-        let mut decoder = ReadDecoder::new();
-        let first_pass: Vec<BasecalledChunk> = sig
-            .samples
-            .chunks(700)
-            .map(|c| decoder.call_next(&caller, c, &mut scratch))
-            .collect();
-        assert!(decoder.chunks_called() > 1);
-        // A reset decoder replays the read exactly as a fresh one would.
-        decoder.reset();
-        assert_eq!(decoder, ReadDecoder::new());
-        let second_pass: Vec<BasecalledChunk> = sig
-            .samples
-            .chunks(700)
-            .map(|c| decoder.call_next(&caller, c, &mut scratch))
-            .collect();
-        assert_eq!(first_pass, second_pass);
     }
 
     #[test]

@@ -96,39 +96,19 @@ pub enum FaultPolicy {
     Fail,
     /// Contain the fault: cancel the read's remaining chunks, emit it as
     /// [`crate::stream::StreamEvent::Failed`], and keep the session running.
+    /// There is no retry in between: a read's run is a pure function of its
+    /// never-mutated signal, so a second attempt faults at the same chunk.
     Quarantine,
-    /// Like [`FaultPolicy::Quarantine`], but first run the read again from
-    /// its untouched signal, up to `attempts` extra times
-    /// (deterministically scheduled); quarantine only if every attempt
-    /// faults. Absorbs transient faults without losing the read.
-    Retry {
-        /// Extra attempts after the first fault (0 behaves like
-        /// `Quarantine`).
-        attempts: u32,
-    },
 }
 
 impl FaultPolicy {
-    /// Parses a CLI spelling: `"fail"`, `"quarantine"`, `"retry"` (2 extra
-    /// attempts), or `"retry:N"`. `None` for anything else.
+    /// Parses a CLI spelling: `"fail"` or `"quarantine"`. `None` for
+    /// anything else.
     pub fn parse(s: &str) -> Option<FaultPolicy> {
-        let s = s.trim().to_ascii_lowercase();
-        match s.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "fail" => Some(FaultPolicy::Fail),
             "quarantine" => Some(FaultPolicy::Quarantine),
-            "retry" => Some(FaultPolicy::Retry { attempts: 2 }),
-            _ => {
-                let n = s.strip_prefix("retry:")?.parse().ok()?;
-                Some(FaultPolicy::Retry { attempts: n })
-            }
-        }
-    }
-
-    /// Extra attempts this policy grants after a first fault.
-    pub(crate) fn retry_attempts(self) -> u32 {
-        match self {
-            FaultPolicy::Retry { attempts } => attempts,
-            _ => 0,
+            _ => None,
         }
     }
 }
@@ -316,20 +296,10 @@ mod tests {
             FaultPolicy::parse(" Quarantine "),
             Some(FaultPolicy::Quarantine)
         );
-        assert_eq!(
-            FaultPolicy::parse("retry"),
-            Some(FaultPolicy::Retry { attempts: 2 })
-        );
-        assert_eq!(
-            FaultPolicy::parse("retry:5"),
-            Some(FaultPolicy::Retry { attempts: 5 })
-        );
-        assert_eq!(FaultPolicy::parse("retry:x"), None);
+        assert_eq!(FaultPolicy::parse("retry"), None);
+        assert_eq!(FaultPolicy::parse("retry:5"), None);
         assert_eq!(FaultPolicy::parse("bogus"), None);
         assert_eq!(FaultPolicy::default(), FaultPolicy::Fail);
-        assert_eq!(FaultPolicy::Fail.retry_attempts(), 0);
-        assert_eq!(FaultPolicy::Quarantine.retry_attempts(), 0);
-        assert_eq!(FaultPolicy::Retry { attempts: 3 }.retry_attempts(), 3);
     }
 
     #[test]

@@ -521,12 +521,11 @@ fn best_pair_score(pairs: &[(IncrementalChainer, IncrementalChainer)]) -> f64 {
 /// source it was pulled from, and the one thing a fault must be able to say
 /// about it afterwards.
 ///
-/// A read is one call to [`ReadTask::run`]. Nothing it computes is kept in
-/// the task (the signal is never mutated), so a retry is simply another
-/// call on the same task, bit-identical to a first run. Across reads the
-/// workers run many of these at once, which is what lets chunk `i+1` of one
-/// read overlap chunk `i`'s mapping of another — the system-level pipeline
-/// of the paper's Figure 5(b).
+/// A read is one call to [`ReadTask::run`], a pure function of the read's
+/// never-mutated signal. Across reads the workers run many of these at
+/// once, which is what lets chunk `i+1` of one read overlap chunk `i`'s
+/// mapping of another — the system-level pipeline of the paper's Figure
+/// 5(b).
 pub(crate) struct ReadTask {
     pub(crate) read: SimulatedRead,
     /// Its source's reference index, basecaller, chunk geometry and
@@ -555,7 +554,6 @@ impl ReadTask {
     /// all per-read state is local to the call, and `scratch` lends only
     /// stateless buffers.
     pub(crate) fn run(&mut self, flow: Flow, scratch: &mut WorkerScratch) -> ReadRun {
-        self.at_chunk = None;
         match flow {
             Flow::GenPip(er) => self.run_genpip(er, scratch),
             Flow::Conventional => self.run_conventional(scratch),

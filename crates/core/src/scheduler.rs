@@ -14,10 +14,11 @@
 //! every run and under both engine drivers, the calling thread and the
 //! worker pool; and because reads are emitted in pull order, the same
 //! global interleaving at the sinks (`tests/session.rs::
-//! emission_interleaving_is_identical_for_every_parallelism`). Only what
-//! the pool's timing decides — when a contained fault's retry is queued,
-//! when a live attach or detach lands — can move it. Favouring a source is
-//! a [`Schedule::Priority`] weight.
+//! emission_interleaving_is_identical_for_every_parallelism`, and its
+//! faulted twin: a contained fault retires in its slot like any result).
+//! Only what the pool's timing decides — when a live attach or detach
+//! lands — can move it. Favouring a source is a [`Schedule::Priority`]
+//! weight.
 //!
 //! [`Session`]: crate::engine::Session
 
@@ -84,11 +85,10 @@ fn swrr_pick(credit: &mut [i64], weights: &[u32], up: impl Fn(usize) -> bool) ->
 /// The scheduler is consulted once per task, and a task is a read:
 /// `next_where` proposes the lane (source) to pull the next read from,
 /// restricted to lanes that currently have dispatchable work (room to admit
-/// a new read, or a faulted read queued for its retry). When a lane is
-/// permanently done the engine reports it via `exhausted` and it is never
-/// proposed again. Those two calls (and `add_lane` for every lane that
-/// joins, at startup or live) are all the engine tells it: nothing is
-/// reported back when a read retires.
+/// a new read). When a lane is permanently done the engine reports it via
+/// `exhausted` and it is never proposed again. Those two calls (and
+/// `add_lane` for every lane that joins, at startup or live) are all the
+/// engine tells it: nothing is reported back when a read retires.
 pub(crate) struct SchedulerState {
     kind: Kind,
     active: Vec<bool>,

@@ -100,8 +100,8 @@ pub enum FaultKind {
     Panic,
 }
 
-/// Why a read was quarantined: the fault kind, where in the read it
-/// struck, and how many retries were burned first.
+/// Why a read was quarantined: the fault kind and where in the read it
+/// struck.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadFault {
     /// What struck (see [`FaultKind`]).
@@ -113,9 +113,6 @@ pub struct ReadFault {
     /// outside the chunk loops: before the first chunk, or in whole-read
     /// QC and the final mapping.
     pub chunk: Option<usize>,
-    /// Attempts consumed before quarantine (1 = failed on first try with no
-    /// retry budget; `1 + n` under `FaultPolicy::Retry { attempts: n }`).
-    pub attempts: u32,
 }
 
 impl std::fmt::Display for ReadFault {
@@ -124,7 +121,7 @@ impl std::fmt::Display for ReadFault {
         if let Some(chunk) = self.chunk {
             write!(f, " at chunk {chunk}")?;
         }
-        write!(f, " after {} attempt(s): {}", self.attempts, self.message)
+        write!(f, ": {}", self.message)
     }
 }
 
@@ -139,8 +136,8 @@ pub enum StreamEvent {
     /// One finished read, delivered in its source's read order.
     Read(ReadRun),
     /// One quarantined read, delivered in its source's read order like any
-    /// other result. Only emitted under `FaultPolicy::Quarantine`/`Retry`;
-    /// under the default `FaultPolicy::Fail` a fault tears the session down
+    /// other result. Only emitted under `FaultPolicy::Quarantine`; under
+    /// the default `FaultPolicy::Fail` a fault tears the session down
     /// instead.
     Failed {
         /// The faulting read's id.
@@ -153,47 +150,22 @@ pub enum StreamEvent {
     Progress(ProgressSnapshot),
 }
 
-/// Read-latency percentiles of a run, in **chunk-work units**: for each
-/// read, how many chunk-work entries (basecall or seeding steps, across
-/// *all* reads and sources) were handed back to the engine between the
-/// read's admission and its retirement. The engine's clock is work, not
-/// wall time, which keeps the metric deterministic in serial runs and
-/// hardware-independent in parallel ones. A read's work lands on the clock
-/// in one lump when the read retires, so with one worker a read's residency
-/// is exactly its own chunk-work count (`tests/chunk_accounting.rs` pins
-/// that), and on the pool it is its own plus that of every read that
-/// retired while it was resident — a short read admitted behind long ones
-/// shows their bulk in `p99`.
+/// Always all-zero: the engine's work-unit residency clock that filled
+/// this in was deleted in PR 23 (what a sink experiences is wall-clock
+/// delivery latency, which the end-to-end benchmark measures from outside).
+/// The type and its fields stay only because `benchmarks/src/run.rs` reads
+/// [`crate::engine::SessionReport::latency`]; it goes with the `benchmark`
+/// PR that retires `engine.residency_units_p50` / `_p99`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyStats {
-    /// Reads the percentiles are over.
+    /// Always 0.
     pub reads: usize,
-    /// Median residency (nearest-rank), in chunk-work units.
+    /// Always 0.
     pub p50: u64,
-    /// 99th-percentile residency (nearest-rank), in chunk-work units.
+    /// Always 0.
     pub p99: u64,
-    /// Worst residency observed.
+    /// Always 0.
     pub max: u64,
-}
-
-impl LatencyStats {
-    /// Nearest-rank percentiles of `samples` (sorted in place).
-    pub(crate) fn from_samples(samples: &mut [u64]) -> LatencyStats {
-        if samples.is_empty() {
-            return LatencyStats::default();
-        }
-        samples.sort_unstable();
-        let rank = |p: f64| {
-            let idx = ((p * samples.len() as f64).ceil() as usize).max(1) - 1;
-            samples[idx.min(samples.len() - 1)]
-        };
-        LatencyStats {
-            reads: samples.len(),
-            p50: rank(0.50),
-            p99: rank(0.99),
-            max: *samples.last().expect("non-empty"),
-        }
-    }
 }
 
 /// What a streaming run leaves behind: aggregate counters only, O(1) in the
@@ -216,12 +188,6 @@ pub struct StreamSummary {
     /// read stops computing at its QSR/CMR verdict but keeps its permit
     /// until its emission slot). Always ≤ `in_flight_limit`.
     pub max_in_flight: usize,
-    /// Fault-retry attempts consumed across the run (reads re-enqueued
-    /// after a transient fault under `FaultPolicy::Retry`; final
-    /// quarantines are in [`ProgressSnapshot::failed`] instead).
-    pub retried: usize,
-    /// Read-residency percentiles (see [`LatencyStats`]).
-    pub latency: LatencyStats,
 }
 
 /// A [`StreamEvent`] consumer that writes every fully-basecalled read as a

@@ -5,7 +5,7 @@
 //! non-finite sample in the raw signal — the basecaller raises a typed
 //! `SignalFault` panic the moment it decodes the affected chunk, which is
 //! exactly the fault class the `Session` engine's containment path
-//! (retry / quarantine) exists to absorb.
+//! (quarantine) exists to absorb.
 //!
 //! Determinism contract: injection decisions depend only on the injector's
 //! seed and the order of `next_read` calls — never on time, thread

@@ -3,9 +3,9 @@
 //!
 //! A checkpoint records, per source, how many reads have been **emitted**
 //! (results delivered in order through the sink — the resume offset for a
-//! seekable source) and how many of those were quarantined faults, plus the
-//! session-wide retry counter and, for runs writing FASTQ, the flushed byte
-//! offset of each output file. Emission is in-order per source, so the
+//! seekable source) and how many of those were quarantined faults, plus,
+//! for runs writing FASTQ, the flushed byte offset of each output file.
+//! Emission is in-order per source, so the
 //! emitted count is exactly the prefix of the source that is fully
 //! persisted: resuming means reopening each source at its offset (e.g.
 //! [`crate::GscReadSource::open_at`]), truncating each output file to its
@@ -92,7 +92,11 @@ pub struct CheckpointFile {
     pub sources: Vec<SourceMark>,
     /// Per-output-file resume state (absent for runs not writing FASTQ).
     pub fastq: Vec<FastqMark>,
-    /// Fault-retry attempts consumed session-wide at the checkpoint.
+    /// Always 0 in files written since PR 23 (the engine no longer
+    /// retries a faulted read). The field and its `retried N` line stay so
+    /// v1 files written by earlier builds still load, and because
+    /// `benchmarks/src/session.rs` sets it; they go with the `benchmark`
+    /// PR that retires `engine.retried`.
     pub retried: u64,
     /// `true` if this checkpoint marks a completed (fully drained) run.
     pub complete: bool,

@@ -16,7 +16,7 @@
 //!   primitive behind mid-session file attach and checkpoint/resume.
 //! * [`checkpoint`] — the checkpoint file a streaming run emits
 //!   periodically (and on drain): per-source read offsets plus
-//!   emitted/failed/retried counters and output byte offsets, enough to
+//!   emitted/failed counters and output byte offsets, enough to
 //!   restart a killed run with a byte-identical output suffix.
 //!
 //! Corruption anywhere — truncation, bad magic, checksum mismatch,

@@ -68,7 +68,13 @@ pub fn hash64(key: u64) -> u64 {
 /// # Ok::<(), genpip_genomics::base::ParseBaseError>(())
 /// ```
 pub fn minimizers(seq: &DnaSeq, k: usize, w: usize) -> Vec<Minimizer> {
-    let mut out = Vec::new();
+    // Sized up front (one per k-mer in the scratch, the expected 2 / (w + 1)
+    // density here): a vector grown from empty starts as a few bytes out of
+    // the calling thread's tcache, which may be a chunk some other thread's
+    // arena owns, and `realloc` then grows all of it — 16 MB for a 1 Mb
+    // reference — inside that arena, where it stays as that arena's
+    // high-water (`BENCH_PR23_pairs.md`).
+    let mut out = Vec::with_capacity(2 * seq.len() / (w + 1));
     minimizers_into(seq, k, w, &mut MinimizerScratch::default(), &mut out);
     out
 }
@@ -96,6 +102,7 @@ pub fn minimizers_into(
     // Hash every k-mer (canonical form), skipping palindromes.
     let hashed = &mut scratch.hashed;
     hashed.clear();
+    hashed.reserve((seq.len() + 1).saturating_sub(k));
     for (_, kmer) in KmerIter::new(seq, k) {
         hashed.push(canonical_hash(kmer));
     }

@@ -153,14 +153,14 @@ USAGE:
   genpip simulate --profile <ecoli|human> [--scale F] --out <prefix>
   genpip map --reference <ref.fasta>... --reads <reads.fastq> [--paf <out.paf>]
   genpip run [--profile <ecoli|human>] [--scale F] [--er <full|qsr|cp|off>]
-             [--on-fault <fail|quarantine|retry[:N]>]
+             [--on-fault <fail|quarantine>]
              [--reference SPEC]...
   genpip stream [--profile <ecoli|human>] [--scale F] [--er <full|qsr|cp|off>]
                [--source SPEC]... [--signal-in SPEC]...
                [--schedule <fair|sequential|priority>]
                [--queue N] [--progress N] [--threads <serial|auto|N>]
                [--fastq-out PATH]
-               [--on-fault <fail|quarantine|retry[:N]>] [--inject-faults RATE]
+               [--on-fault <fail|quarantine>] [--inject-faults RATE]
                [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
                [--drain-after N]
   genpip pack [--profile <ecoli|human>] [--scale F] --out <file.gsc> [--verify]
@@ -235,10 +235,11 @@ OPTIONS:
   --progress  `stream` per-source progress line cadence in reads (default 50, 0 = off)
   --threads   `stream` worker threads (default: GENPIP_PARALLELISM env or auto)
   --on-fault  what a faulting read does to the run (default fail):
-              fail aborts the process, quarantine contains the read and
-              keeps going, retry[:N] re-runs the read up to N times
-              (default 2) before quarantining. Exit code is nonzero when
-              reads failed unless quarantine was requested explicitly
+              fail aborts the process, quarantine contains the read
+              (it is reported with the chunk it faulted at) and keeps
+              going. There is no retry: a read is a pure function of its
+              signal, so a second attempt faults again. Exit code is nonzero
+              when reads failed unless quarantine was requested explicitly
   --inject-faults
               corrupt this fraction of reads in every `stream` source
               (deterministic, seeded) — a fault-tolerance testing aid.
@@ -537,14 +538,17 @@ fn cmd_map(parsed: &Parsed) -> Result<(), String> {
 }
 
 /// `--on-fault`: the policy, plus whether the user asked for it explicitly
-/// (an explicit quarantine/retry request means quarantined reads are an
-/// expected outcome, not a failure exit).
+/// (an explicit quarantine request means quarantined reads are an expected
+/// outcome, not a failure exit).
 fn fault_policy_from(parsed: &Parsed) -> Result<(FaultPolicy, bool), String> {
     match opt(parsed, "on-fault") {
         None => Ok((FaultPolicy::default(), false)),
-        Some(s) => FaultPolicy::parse(s)
-            .map(|p| (p, true))
-            .ok_or_else(|| format!("invalid --on-fault {s:?} (use fail, quarantine, retry[:N])")),
+        Some(s) => FaultPolicy::parse(s).map(|p| (p, true)).ok_or_else(|| {
+            format!(
+                "invalid --on-fault {s:?} (use fail or quarantine; a read is a pure \
+                     function of its signal, so a retry faults again)"
+            )
+        }),
     }
 }
 
@@ -1019,7 +1023,6 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
             }
         }
     }
-    let base_retried: u64 = resume.as_ref().map(|c| c.retried).unwrap_or(0);
 
     let fastq_out = opt(parsed, "fastq-out").map(str::to_string);
     // Every source runs its own operating point (N_qs, N_cm follow its
@@ -1186,7 +1189,6 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
             }
             let write = || -> Result<(), String> {
                 let mut file = CheckpointFile {
-                    retried: base_retried + cut.retried as u64,
                     complete: cut.complete,
                     ..CheckpointFile::default()
                 };
@@ -1237,7 +1239,7 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
         let o = source.summary.outcomes;
         println!(
             "source {:<name_width$}  reads {:>5}  mapped {:>5}  QSR {:>4}  CMR {:>4}  \
-             QC {:>4}  unmapped {:>4}  peak in-flight {}  residency p50/p99 {}/{}",
+             QC {:>4}  unmapped {:>4}  peak in-flight {}",
             source.id,
             o.reads_emitted,
             o.mapped,
@@ -1246,8 +1248,6 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
             o.filtered_qc,
             o.unmapped,
             source.summary.max_in_flight,
-            source.summary.latency.p50,
-            source.summary.latency.p99,
         );
     }
     let o = report.outcomes;
@@ -1262,29 +1262,19 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
         report.max_in_flight, report.in_flight_limit
     );
     println!(
-        "residency:      p50 {} / p99 {} / max {} chunk-work units per read",
-        report.latency.p50, report.latency.p99, report.latency.max
-    );
-    println!(
         "basecalled:     {} samples across {} bases",
         report.totals.samples, report.totals.bases_called
     );
-    if o.failed > 0 || report.retried > 0 {
+    if o.failed > 0 {
         let per_source: Vec<String> = report
             .sources
             .iter()
-            .filter(|s| s.summary.outcomes.failed > 0 || s.summary.retried > 0)
-            .map(|s| {
-                format!(
-                    "{}: {} failed, {} retried",
-                    s.id, s.summary.outcomes.failed, s.summary.retried
-                )
-            })
+            .filter(|s| s.summary.outcomes.failed > 0)
+            .map(|s| format!("{}: {} failed", s.id, s.summary.outcomes.failed))
             .collect();
         println!(
-            "faults:         {} read(s) failed, {} retried [{}]",
+            "faults:         {} read(s) failed [{}]",
             o.failed,
-            report.retried,
             per_source.join("; ")
         );
     }
@@ -1583,8 +1573,8 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
     for (name, handle) in detaches {
         match handle.wait() {
             Ok(summary) => println!(
-                "  detached {name:?}: {} reads emitted, residency p50/p99 {}/{}",
-                summary.outcomes.reads_emitted, summary.latency.p50, summary.latency.p99
+                "  detached {name:?}: {} reads emitted",
+                summary.outcomes.reads_emitted
             ),
             Err(e) => failures.push(format!("detach {name:?} refused: {e}")),
         }
@@ -1600,15 +1590,13 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
         let o = source.summary.outcomes;
         println!(
             "source {:<name_width$}  reads {:>5}  mapped {:>5}  rejected {:>4}  \
-             QC {:>4}  unmapped {:>4}  residency p50/p99 {}/{}",
+             QC {:>4}  unmapped {:>4}",
             source.id,
             o.reads_emitted,
             o.mapped,
             o.rejected_qsr + o.rejected_cmr,
             o.filtered_qc,
             o.unmapped,
-            source.summary.latency.p50,
-            source.summary.latency.p99,
         );
     }
     println!(

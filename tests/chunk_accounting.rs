@@ -3,8 +3,7 @@
 //! against the independent oracle (`common::reference_read`), what a task
 //! is (one whole read, its permit held to emission), the cancellation
 //! guarantee (no chunk work past an ER verdict, witnessed by `ChunkWork`
-//! counters), per-source config overrides, the unit of `LatencyStats`, and
-//! the FASTQ sink.
+//! counters), per-source config overrides, and the FASTQ sink.
 //!
 //! The parallelism sweep includes `GENPIP_PARALLELISM` (when set), which CI
 //! uses to force both threading paths through this suite.
@@ -71,9 +70,7 @@ fn every_flow_on_both_drivers_is_bit_identical_to_the_oracle() {
     }
 }
 
-/// A task is a whole read on the pool as on the calling thread: the chain
-/// is stepped to completion by one worker, so a read's work lands on the
-/// engine's clock as one lump equal to its `ChunkWork` count, and its
+/// A task is a whole read on the pool as on the calling thread, and its
 /// permit is held to emission — an ER verdict stops the read's compute, not
 /// its residency.
 #[test]
@@ -87,16 +84,6 @@ fn read_granularity_is_one_task_per_read_holding_its_permit_to_emission() {
         .filter(|r| r.outcome.is_early_rejected())
         .count();
     assert!(rejected > 0, "workload must exercise ER verdicts");
-    // A read's work reaches the clock as one lump when it retires, so its
-    // residency always includes its own `ChunkWork` count (and, on the
-    // pool, whatever retired beside it): the sorted residencies dominate
-    // the sorted own-work counts, and the clock never runs past their sum.
-    let mut own: Vec<u64> = reads.iter().map(|r| r.chunks.len() as u64).collect();
-    own.sort_unstable();
-    assert_eq!(report.latency.reads, reads.len());
-    assert!(report.latency.p50 >= own[reads.len().div_ceil(2) - 1]);
-    assert!(report.latency.max >= *own.last().expect("reads exist"));
-    assert!(report.latency.max <= own.iter().sum::<u64>());
     assert_eq!(
         report.max_reject_backlog, 0,
         "verdicts must not release early"
@@ -277,28 +264,4 @@ fn fastq_sink_writes_every_fully_basecalled_read() {
         Flow::GenPip(ErMode::Full),
     );
     assert!(plain.reads.iter().all(|r| r.called.is_none()));
-}
-
-#[test]
-fn serial_latency_is_each_reads_own_chunk_work() {
-    // With one chain resident at a time, a read's residency is exactly its
-    // own chunk-work entry count — pinning the unit of LatencyStats.
-    let d = dataset();
-    let config = GenPipConfig::for_dataset(&d.profile).with_parallelism(Parallelism::Serial);
-    let mut runs = Vec::new();
-    let report = Session::new(config)
-        .flow(Flow::GenPip(ErMode::Full))
-        .source("s", d.stream())
-        .sink("s", |event| {
-            if let StreamEvent::Read(run) = event {
-                runs.push(run);
-            }
-        })
-        .run()
-        .expect("valid session");
-    let mut units: Vec<u64> = runs.iter().map(|r| r.chunks.len() as u64).collect();
-    units.sort_unstable();
-    assert_eq!(report.latency.reads, runs.len());
-    assert_eq!(report.latency.max, *units.last().expect("reads exist"));
-    assert_eq!(report.latency.p50, units[(runs.len().div_ceil(2)) - 1]);
 }

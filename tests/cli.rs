@@ -309,6 +309,23 @@ fn the_removed_deadline_schedule_and_target_key_are_rejected_everywhere() {
     assert!(!fair.contains("weight"), "{fair}");
 }
 
+/// The retry fault policy was removed on evidence (PR 23): its `--on-fault`
+/// spellings are refused like any unknown policy, before any banner, with a
+/// message that says what to use and why.
+#[test]
+fn the_removed_retry_policy_is_refused_on_run_and_stream() {
+    let (run, stream) = (["run", "--scale", "0.02"], ["stream", "--scale", "0.02"]);
+    for command in [&run[..], &stream[..]] {
+        for policy in ["retry", "retry:2", "bogus"] {
+            let complaint = format!(
+                "error: invalid --on-fault {policy:?} (use fail or quarantine; a read is a \
+                 pure function of its signal, so a retry faults again)"
+            );
+            refused(command, &["--on-fault", policy], None, &complaint);
+        }
+    }
+}
+
 /// Every spec surface shares one `key=value` grammar and rejects the same
 /// mistakes — a key that does not apply to the source's kind, or one given
 /// twice, among them:

@@ -1,8 +1,8 @@
 //! Fault-tolerance properties of the `Session` engine under deterministic
 //! fault injection: containment (one corrupt read never kills the run),
 //! the quarantined == injected oracle, bit-identity of the surviving reads
-//! with a fault-free run, the bounded retry path, graceful drain, and
-//! prompt teardown under `FaultPolicy::Fail`.
+//! with a fault-free run, graceful drain, and prompt teardown under
+//! `FaultPolicy::Fail`.
 //!
 //! The injector corrupts whole signals, so every injected read faults on
 //! its first decoded chunk under every `ErMode` — which is what makes the
@@ -99,7 +99,6 @@ fn quarantine_contains_faults_and_survivors_stay_bit_identical() {
             assert_eq!(survivors, expected, "{label}: survivors diverged");
 
             assert_eq!(report.outcomes.failed, injected.len(), "{label}");
-            assert_eq!(report.retried, 0, "{label}: quarantine never retries");
             assert!(
                 report.max_in_flight <= report.in_flight_limit,
                 "{label}: in-flight bound broken"
@@ -243,44 +242,10 @@ fn heavy_fault_sweep_runs_under_genpip_faults_env() {
     }
 }
 
-#[test]
-fn retry_spends_its_budget_then_quarantines_permanent_faults() {
-    // Injector faults are permanent (the signal itself is corrupt), so
-    // Retry must burn its full budget per injected read and then converge
-    // on the exact same outcome as Quarantine.
-    let attempts = 2u32;
-    for parallelism in parallelism_sweep() {
-        let label = format!("{parallelism:?}");
-        let config = GenPipConfig::for_dataset(&profile())
-            .with_parallelism(parallelism)
-            .with_fault_policy(FaultPolicy::Retry { attempts });
-        let reference = baseline(&config, Flow::GenPip(ErMode::Full));
-        let (survivors, failed, injected, report) = run_faulted(&config, ErMode::Full);
-        assert!(!injected.is_empty(), "{label}");
-        let mut sorted_failed = failed;
-        sorted_failed.sort_unstable();
-        let mut sorted_injected = injected.clone();
-        sorted_injected.sort_unstable();
-        assert_eq!(sorted_failed, sorted_injected, "{label}");
-        assert_eq!(
-            report.retried,
-            injected.len() * attempts as usize,
-            "{label}: every injected read should retry exactly {attempts} times"
-        );
-        let expected: Vec<ReadRun> = reference
-            .into_iter()
-            .filter(|run| !injected.contains(&run.id))
-            .collect();
-        assert_eq!(survivors, expected, "{label}: survivors diverged");
-    }
-}
-
 /// A task walks its read chunk by chunk in either flow, so a mid-read fault
-/// knows its chunk, and every retry runs the untouched read again
-/// bit-identically — up to the very same chunk.
+/// knows its chunk.
 #[test]
-fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
-    let attempts = 2u32;
+fn read_granular_faults_name_their_chunk() {
     let mean_dwell = StreamingSimulator::new(&profile()).mean_dwell();
     let lengths: Vec<usize> = profile()
         .generate()
@@ -293,7 +258,7 @@ fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
             let label = format!("{flow:?} / {parallelism:?}");
             let config = GenPipConfig::for_dataset(&profile())
                 .with_parallelism(parallelism)
-                .with_fault_policy(FaultPolicy::Retry { attempts });
+                .with_fault_policy(FaultPolicy::Quarantine);
             let spc = config.samples_per_chunk(mean_dwell);
             let reference = baseline(&config, flow);
             // One bad sample at the start of chunk 2 (or the last sample of a
@@ -304,7 +269,7 @@ fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
                     .samples_per_chunk(spc);
             let mut survivors = Vec::new();
             let mut faults = Vec::new();
-            let report = Session::new(config)
+            Session::new(config)
                 .flow(flow)
                 .source("s", &mut injector)
                 .sink("s", |event| match event {
@@ -322,16 +287,10 @@ fn read_granular_faults_name_their_chunk_and_retry_bit_identically() {
                 let len = lengths[*id as usize];
                 let struck = (2 * spc).min(len - 1) / spc;
                 assert_eq!(fault.chunk, Some(struck), "{label}: read {id}");
-                assert_eq!(fault.attempts, 1 + attempts, "{label}: read {id}");
             }
             assert!(
                 faults.iter().any(|(_, f)| f.chunk == Some(2)),
                 "{label}: no fault struck mid-read"
-            );
-            assert_eq!(
-                report.retried,
-                injected.len() * attempts as usize,
-                "{label}"
             );
             let expected: Vec<ReadRun> = reference
                 .into_iter()

@@ -15,9 +15,9 @@ use genpip::core::engine::{Flow, Session};
 use genpip::core::pipeline::ErMode;
 use genpip::core::scheduler::Schedule;
 use genpip::core::stream::{StreamEvent, StreamOptions};
-use genpip::core::{GenPipConfig, Parallelism, ReadRun, SessionReport};
+use genpip::core::{FaultPolicy, GenPipConfig, Parallelism, ReadRun, SessionReport};
 use genpip::datasets::{
-    DatasetProfile, ReadSource, SimulatedDataset, SimulatedRead, StreamingSimulator,
+    DatasetProfile, FaultInjector, ReadSource, SimulatedDataset, SimulatedRead, StreamingSimulator,
 };
 use genpip::genomics::Genome;
 use genpip::signal::PoreModel;
@@ -279,6 +279,75 @@ fn emission_interleaving_is_identical_for_every_parallelism() {
         for parallelism in sweep {
             assert_eq!(
                 emission_tape(&profiles, schedule.clone(), parallelism),
+                serial,
+                "{schedule:?} interleaved differently under {parallelism:?}"
+            );
+        }
+    }
+}
+
+/// [`emission_tape`] with every source behind a `FaultInjector` under
+/// `FaultPolicy::Quarantine` — the middle source's faults striking mid-read,
+/// at chunk 2: which source each delivery came from, and whether it was a
+/// quarantined read.
+fn faulted_emission_tape(
+    profiles: &[DatasetProfile],
+    schedule: Schedule,
+    parallelism: Parallelism,
+) -> Vec<(usize, bool)> {
+    let config = GenPipConfig::for_dataset(&profiles[0])
+        .with_parallelism(parallelism)
+        .with_fault_policy(FaultPolicy::Quarantine);
+    let spc = config.samples_per_chunk(StreamingSimulator::new(&profiles[1]).mean_dwell());
+    let tape = std::cell::RefCell::new(Vec::new());
+    let mut session = Session::new(config)
+        .flow(Flow::GenPip(ErMode::Full))
+        .schedule(schedule);
+    for (i, profile) in profiles.iter().enumerate() {
+        let (id, tape) = (format!("src{i}"), &tape);
+        let mut injector = FaultInjector::new(StreamingSimulator::new(profile), 0.15, 2026);
+        if i == 1 {
+            injector = injector.chunk(2).samples_per_chunk(spc);
+        }
+        session =
+            session
+                .source(id.as_str(), injector)
+                .sink(id.as_str(), move |event| match event {
+                    StreamEvent::Read(_) => tape.borrow_mut().push((i, false)),
+                    StreamEvent::Failed { .. } => tape.borrow_mut().push((i, true)),
+                    StreamEvent::Progress(_) => {}
+                });
+    }
+    session.run().expect("valid session");
+    tape.into_inner()
+}
+
+/// A contained fault does not move the pull sequence either: the faulted
+/// read is quarantined the moment it comes back and retires in its slot
+/// like any result, so the tape — failures included — is the same on the
+/// calling thread and on a pool of any size.
+#[test]
+fn emission_interleaving_is_identical_for_every_parallelism_under_faults() {
+    let profiles = [0.05, 0.02, 0.03].map(|scale| DatasetProfile::ecoli().scaled(scale));
+    let reads: usize = profiles.iter().map(|p| p.n_reads).sum();
+    for schedule in [
+        Schedule::FairShare,
+        Schedule::Priority(vec![3, 1, 2]),
+        Schedule::Sequential,
+    ] {
+        let mut sweep = parallelism_sweep().into_iter();
+        let serial = sweep.next().expect("Serial leads the sweep");
+        let serial = faulted_emission_tape(&profiles, schedule.clone(), serial);
+        assert_eq!(serial.len(), reads, "{schedule:?}");
+        for source in 0..profiles.len() {
+            assert!(
+                serial.contains(&(source, true)),
+                "{schedule:?}: no fault struck source {source}"
+            );
+        }
+        for parallelism in sweep {
+            assert_eq!(
+                faulted_emission_tape(&profiles, schedule.clone(), parallelism),
                 serial,
                 "{schedule:?} interleaved differently under {parallelism:?}"
             );
