@@ -7,8 +7,9 @@ use genpip_genomics::{Base, DnaSeq, Phred};
 use genpip_signal::{chunk_boundaries, normalize_to_model, PoreModel};
 
 /// Reusable per-worker basecalling workspace: the Viterbi scratch plus the
-/// normalization buffer. One instance per thread keeps the steady-state
-/// decode free of heap allocations (see [`crate::viterbi::DecodeScratch`]).
+/// normalization buffer (untouched by a basecaller that does not normalize).
+/// One instance per thread keeps the steady-state decode free of heap
+/// allocations (see [`crate::viterbi::DecodeScratch`]).
 #[derive(Debug, Clone, Default)]
 pub struct CallScratch {
     decode: DecodeScratch,
@@ -321,17 +322,16 @@ impl Basecaller {
                 stats: ChunkStats::default(),
             };
         }
-        let normalized = &mut scratch.normalized;
-        self.checked_normalized(samples, normalized);
+        let signal = self.checked_normalized(samples, &mut scratch.normalized);
         let stats = decode_with(
             &self.emission,
-            normalized,
+            signal,
             self.transitions,
             carry.map(|c| c.0),
             &mut scratch.decode,
         );
         self.assemble_chunk(
-            normalized,
+            signal,
             scratch.decode.states(),
             scratch.decode.advanced(),
             carry,
@@ -339,30 +339,39 @@ impl Basecaller {
         )
     }
 
-    /// Copies `samples` into `out`, normalized if this basecaller normalizes,
-    /// and checks them: the one integrity gate in front of every decode.
+    /// The signal the decoder sees — `samples` themselves, or their
+    /// normalized copy in `buf` if this basecaller normalizes — checked: the
+    /// one integrity gate in front of every decode.
     ///
     /// # Panics
     ///
     /// Panics with a typed [`SignalFault`] naming the first sample that is
     /// non-finite (the normalization's median sort needs numbers) or whose
     /// normalized square is.
-    fn checked_normalized(&self, samples: &[f32], out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(samples);
-        if self.normalize {
-            fault_unless(out, |x| x.is_finite());
-            normalize_to_model(out, &self.pore);
-        }
-        fault_unless(out, |x| (x * x).is_finite());
+    fn checked_normalized<'a>(&self, samples: &'a [f32], buf: &'a mut Vec<f32>) -> &'a [f32] {
+        let signal = if self.normalize {
+            buf.clear();
+            buf.extend_from_slice(samples);
+            fault_unless(buf, |x| x.is_finite());
+            normalize_to_model(buf, &self.pore);
+            buf
+        } else {
+            samples
+        };
+        fault_unless(signal, |x| (x * x).is_finite());
+        signal
     }
 
     /// Turns one non-empty chunk's decoded state path into bases, qualities,
     /// and the carry — the post-decode half of
     /// [`Basecaller::call_chunk_with`].
-    fn assemble_chunk(
+    ///
+    /// Not part of the API: public only so that the kernel bench can time
+    /// this stage on its own.
+    #[doc(hidden)]
+    pub fn assemble_chunk(
         &self,
-        normalized: &[f32],
+        signal: &[f32],
         dec_states: &[u16],
         dec_advanced: &[bool],
         carry: Option<CarryState>,
@@ -373,12 +382,15 @@ impl Basecaller {
             let s = self.emission.assumed_std();
             s * s
         };
-        let mut bases = DnaSeq::new();
-        let mut quals: Vec<Phred> = Vec::new();
+        // One base per advance, plus the initial k-mer's k on a free start.
+        let advances = dec_advanced.iter().filter(|&&a| a).count();
+        let n_bases = advances + if carry.is_none() { k } else { 0 };
+        let mut bases = DnaSeq::with_capacity(n_bases);
+        let mut quals: Vec<Phred> = Vec::with_capacity(n_bases);
 
         // Walk dwell segments: [start, end) ranges of samples decoded as one
         // k-mer occupancy.
-        let n = normalized.len();
+        let n = signal.len();
         let mut seg_start = 0usize;
         let mut first_segment = true;
         let mut t = 1usize;
@@ -388,7 +400,7 @@ impl Basecaller {
             if boundary {
                 let state = dec_states[seg_start];
                 let z2 = mean_residual(
-                    &normalized[seg_start..t],
+                    &signal[seg_start..t],
                     self.pore.level_bits(state as u64),
                     assumed_var,
                 );
@@ -467,11 +479,17 @@ impl Basecaller {
     }
 }
 
-/// Raises a [`SignalFault`] at the first sample `ok` rejects.
+/// Raises a [`SignalFault`] at the first sample `ok` rejects. The chunk is
+/// tested as a whole first — a fold with no early exit, which vectorizes —
+/// and searched only once it is known to hold an offender.
 fn fault_unless(samples: &[f32], ok: impl Fn(f32) -> bool) {
-    if let Some(sample_index) = samples.iter().position(|&x| !ok(x)) {
-        std::panic::panic_any(SignalFault { sample_index });
+    if samples.iter().fold(true, |all, &x| all & ok(x)) {
+        return;
     }
+    let first = samples.iter().position(|&x| !ok(x));
+    std::panic::panic_any(SignalFault {
+        sample_index: first.expect("the fold found an offender"),
+    });
 }
 
 /// Base `i` (0 = earliest) of the k-mer packed in `state`.

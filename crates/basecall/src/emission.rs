@@ -73,6 +73,13 @@ impl EmissionModel {
         &self.weights
     }
 
+    /// The weights column-major, `[w0 × states | w1 × states | w2 × states]`
+    /// — the layout the fused AVX2 Viterbi row reads them in.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn columns(&self) -> &[f32] {
+        &self.columns
+    }
+
     /// The feature vector for a sample.
     #[inline]
     pub fn features(x: f32) -> [f32; 3] {

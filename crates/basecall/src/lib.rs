@@ -42,6 +42,8 @@
 //! # Ok::<(), genpip_genomics::base::ParseBaseError>(())
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod basecaller;
 pub mod emission;
 pub mod metrics;

@@ -11,38 +11,69 @@
 //!
 //! The decode is the dominant kernel of the whole pipeline (n·n_states DP
 //! cells per chunk), so the implementation is built for steady-state reuse
-//! and for the vector units:
+//! and for the vector units.
 //!
-//! * all working memory lives in a caller-owned [`DecodeScratch`], so
-//!   decoding a stream of equally sized chunks performs **zero heap
-//!   allocations** after the first chunk warms the buffers, and nothing but
-//!   row 0 of the backpointer matrix is cleared between chunks (rows 1… are
-//!   overwritten before the traceback reads them);
-//! * emissions are computed [`EmissionModel::BLOCK`] samples at a time over
-//!   structure-of-arrays weight columns
-//!   ([`EmissionModel::log_likelihoods_block`]);
-//! * a DP row is two elementwise sweeps over contiguous slices, with no
-//!   gather and no data-dependent branch. **Pass 1**: the advance
-//!   predecessors of state `s` are `(s >> 2) | (c << k_shift)` for
-//!   `c = 0..4`, i.e. element `s >> 2` of each of the four contiguous
-//!   *quarters* of the previous row, so the best predecessor per group is a
-//!   4-way strict-`>` maximum, with the winning quarter kept as the choice,
-//!   over `n_states / 4`-wide slices; the result is then repeated ×4 into
-//!   `n_states`-wide rows. **Pass 2**: `take = advance > stay` selects the
-//!   score, the emission is added in the same sweep, and the backpointer is
-//!   `choice & mask(take)` — a mask, not a conditional load, which is what
-//!   lets the `f32` and `u8` lanes stay packed.
+//! **One scratch.** All working memory lives in a caller-owned
+//! [`DecodeScratch`], so decoding a stream of equally sized chunks performs
+//! **zero heap allocations** after the first chunk warms the buffers, and
+//! nothing but the take words of row 0 is cleared between chunks (records
+//! 1… are overwritten before the traceback reads them).
 //!
-//! Every value is produced by the same `f32` `+` and strict `>` on the same
-//! operands in the same order as the scalar kernel this replaced (selects
-//! instead of branches, nothing reassociated), so states, advance flags,
-//! score and the `mvm_ops` / `cells` counters are bit-identical to it; the
-//! scalar kernel lives on, test-only, as the oracle of
-//! `viterbi/differential.rs`. On x86-64 the two stages of a block — the
-//! emission MVMs and the DP rows over them — are each compiled twice from
-//! one `#[inline(always)]` body, portable and under
-//! `#[target_feature(enable = "avx2")]`, and picked at run time per block;
-//! there are no intrinsics.
+//! **One record layout.** The advance predecessors of state `s` are
+//! `(s >> 2) | (c << k_shift)` for `c = 0..4`: the same four for all four
+//! states of a *group* `s >> 2`. So what the traceback needs per sample is
+//! not a byte per state but a **take word** (bit `s` set iff the best path
+//! into `s` advanced, one `u64` per 64 states) and the **group choices**
+//! (the winning `c + 1` per group, `n_states / 4` bytes): 24 bytes a sample
+//! at `k = 3` where a byte matrix `choice & mask(take)` holds 64 — the same
+//! 16 choices four times over and a bit as a byte. A 2 477-sample chunk's
+//! records are 59 KB, not 158 KB. Every row body writes these records and
+//! the one `traceback` reads them; `init_row` sets at most four bits of
+//! row 0.
+//!
+//! **Two row bodies, chosen once per decode** from what the code observes
+//! (state count, CPU feature) in [`DecodeScratch::dp_rows`]:
+//!
+//! * The **portable row** ([`DecodeScratch::dp_rows_portable`]) runs on
+//!   every host and every `k`. Emissions are computed
+//!   [`EmissionModel::BLOCK`] samples at a time over structure-of-arrays
+//!   weight columns, and a DP row is two elementwise sweeps over contiguous
+//!   slices, with no gather and no data-dependent branch. *Pass 1*: element
+//!   `s >> 2` of each of the four contiguous *quarters* of the previous row
+//!   are the predecessors, so the best one per group is a 4-way strict-`>`
+//!   maximum, with the winning quarter kept as the group's choice, over
+//!   `n_states / 4`-wide slices; the value is then repeated ×4 into an
+//!   `n_states`-wide row. *Pass 2*: `take = advance > stay` selects the
+//!   score and the emission is added in the same sweep; the take flags are
+//!   then packed eight to a byte by one multiply.
+//! * At **64 states on x86-64 with AVX2** — the only size the pipeline
+//!   runs — the row is written with `std::arch` (`viterbi/avx2.rs`). The
+//!   portable row is latency-bound through memory, not compute-bound: its
+//!   score row, per-group maxima and their ×4 expansion are slices of
+//!   run-time length, so each is stored and reloaded (narrow stores read
+//!   back as wide loads) before the next row, which depends on all of it,
+//!   can start — 87 cycles a row where the arithmetic needs 40, and no
+//!   portable spelling tried moved it (fixed-size locals: unchanged, still
+//!   spilled; lane arrays with integer masks: slower). The `std::arch` row
+//!   keeps the 64 scores in eight `__m256` for the whole chunk: pass 1 is
+//!   three `max_ps` per half, the ×4 expansion one lane permute per vector,
+//!   pass 2 add / compare / `max_ps` / add, the take word eight
+//!   `movemask_ps`, and each sample's emission is computed in-register from
+//!   the weight columns, so no emission block is written or reloaded.
+//!
+//! Every value is produced by the same `f32` `+`, `*` and strict `>` on the
+//! same operands in the same order as the scalar kernel both replaced
+//! (selects instead of branches, nothing reassociated, no FMA), so states,
+//! advance flags, score and the `mvm_ops` / `cells` counters are
+//! bit-identical to it. For the `std::arch` row that rests on one operand
+//! order: `_mm256_max_ps(v, best)` returns its *second* operand unless
+//! `v > best` — on equal operands, on a NaN in either, on `-inf` against
+//! `-inf` — which is `if v > best { v } else { best }` exactly, so the
+//! maximum's value needs no compare; a `cmp_ps(GT_OQ)` and a blend compute
+//! only the stored choice, off the row-to-row dependency chain. The scalar
+//! kernel lives on, test-only, as the oracle of `viterbi/differential.rs`,
+//! which holds both bodies to it row by row of the records and to each
+//! other bit for bit.
 
 use crate::emission::EmissionModel;
 
@@ -86,26 +117,40 @@ pub struct DecodeStats {
 
 /// Reusable decode workspace.
 ///
-/// Holds every buffer the DP needs (backpointers, score rows, emission
-/// block, the per-group and expanded advance rows, and the output state
-/// path). Buffers grow to the largest chunk seen and are then reused, so a
-/// steady-state stream of chunks decodes without touching the allocator.
+/// Holds every buffer the DP needs (the per-sample backpointer records, the
+/// score rows, and — for the portable row — the emission block, the
+/// per-group and expanded advance rows and the take bytes) plus the output
+/// state path. Buffers grow to the largest chunk seen and are then reused,
+/// so a steady-state stream of chunks decodes without touching the
+/// allocator.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
-    /// One row of `n_states` bytes per sample; never shrinks, and only row 0
-    /// is cleared per decode.
-    backptr: Vec<u8>,
+    /// Take words, [`take_words`] per sample: bit `s % 64` of word `s / 64`
+    /// is set iff the best path into state `s` advanced. Never shrinks, and
+    /// only row 0 is cleared per decode.
+    take: Vec<u64>,
+    /// Group choices, `n_states / 4` bytes per sample: pass 1's winning
+    /// quarter `1..=4` per predecessor group (the dropped leading base of the
+    /// advance into any state of the group, plus one). Never shrinks and is
+    /// never cleared: a choice is read only where a take bit is set.
+    group_choice: Vec<u8>,
     prev: Vec<f32>,
     curr: Vec<f32>,
     emit: Vec<f32>,
-    /// Pass 1's result per predecessor group (`n_states / 4` wide) …
+    /// Pass 1's best advance per predecessor group (`n_states / 4` wide) …
     adv_best: Vec<f32>,
-    adv_choice: Vec<u8>,
-    /// … and repeated ×4 (`n_states` wide), aligned with the score rows.
+    /// … repeated ×4 (`n_states` wide), aligned with the score rows.
     adv_best_x: Vec<f32>,
-    adv_choice_x: Vec<u8>,
+    /// Pass 2's `take` per state as a 0/1 byte, zero-padded to a multiple of
+    /// eight, before it is packed into the take words.
+    take_x: Vec<u8>,
     states: Vec<u16>,
     advanced: Vec<bool>,
+}
+
+/// Take words per sample: one bit per state.
+fn take_words(n_states: usize) -> usize {
+    n_states.div_ceil(64)
 }
 
 impl DecodeScratch {
@@ -133,35 +178,40 @@ impl DecodeScratch {
     /// `resize` reuses existing capacity, so this allocates only when a
     /// larger chunk than ever before arrives.
     fn prepare(&mut self, n: usize, n_states: usize) {
-        // Every buffer but two is written in full before it is read — the
-        // score, emission and advance rows per sample, rows 1.. of the
-        // backpointer matrix by the DP, `states` by the traceback — so only
-        // its length matters. Row 0 of the matrix is read as left by the
-        // init (which writes at most four entries), and `advanced[0]` is
-        // written only on a stitched start: those start from zero.
-        if self.backptr.len() < n * n_states {
-            self.backptr.resize(n * n_states, 0);
+        // Every buffer but three is written in full before it is read — the
+        // score, emission and advance rows per sample, records 1.. by the DP
+        // rows, `states` by the traceback — so only its length matters. The
+        // take words of row 0 are read as left by the init (which sets at
+        // most four bits), `advanced[0]` is written only on a stitched start,
+        // and the padding of `take_x` is never written: those start from
+        // zero.
+        let (words, n_groups) = (take_words(n_states), n_states / 4);
+        if self.take.len() < n * words {
+            self.take.resize(n * words, 0);
         }
         if n > 0 {
-            self.backptr[..n_states].fill(0);
+            self.take[..words].fill(0);
+        }
+        if self.group_choice.len() < n * n_groups {
+            self.group_choice.resize(n * n_groups, 0);
         }
         self.prev.resize(n_states, 0.0);
         self.curr.resize(n_states, 0.0);
         self.emit.resize(EmissionModel::BLOCK * n_states, 0.0);
-        self.adv_best.resize(n_states / 4, 0.0);
-        self.adv_choice.resize(n_states / 4, 0);
+        self.adv_best.resize(n_groups, 0.0);
         self.adv_best_x.resize(n_states, 0.0);
-        self.adv_choice_x.resize(n_states, 0);
+        self.take_x.clear();
+        self.take_x.resize(n_states.next_multiple_of(8), 0);
         self.states.resize(n, 0);
         self.advanced.clear();
         self.advanced.resize(n, false);
     }
 
     /// Row 0: the first sample's scores into `prev`, and — when stitched to
-    /// `init_state` — the boundary step's backpointers into row 0.
+    /// `init_state` — the boundary step's records into row 0.
     ///
-    /// Backpointers: 0 = stay, 1 + c = advance where the dropped leading base
-    /// was c (predecessor = (s >> 2) | (c << k_shift)).
+    /// An advance into state `s` came from `(s >> 2) | (c << k_shift)` where
+    /// `c + 1` is the choice of `s`'s group: the dropped leading base.
     fn init_row(
         &mut self,
         emission: &EmissionModel,
@@ -171,7 +221,7 @@ impl DecodeScratch {
     ) {
         let n_states = emission.states();
         let k_shift = (n_states.trailing_zeros() - 2) as usize; // 2(k-1) bits
-        let (prev, emit, backptr) = (&mut self.prev, &mut self.emit, &mut self.backptr);
+        let (prev, emit) = (&mut self.prev, &mut self.emit);
         emission.log_likelihoods(x, &mut emit[..n_states]);
         match init_state {
             Some(s0) => {
@@ -186,73 +236,91 @@ impl DecodeScratch {
                     let cand = emit[succ] + tr.log_advance;
                     if cand > prev[succ] {
                         prev[succ] = cand;
-                        // Dropped leading base of the advance = s0's top 2 bits.
-                        backptr[succ] = 1 + (s0 >> k_shift) as u8;
+                        self.take[succ / 64] |= 1 << (succ % 64);
                     }
                 }
+                // The four successors are one group, and the dropped leading
+                // base of the advance is s0's top 2 bits for all of them.
+                let group = s0 & (n_states / 4 - 1);
+                self.group_choice[group] = 1 + (s0 >> k_shift) as u8;
             }
             None => prev.copy_from_slice(&emit[..n_states]),
         }
     }
 
-    /// DP rows `t0..t0 + len` (one [`dp_row`] each) from the emissions in
-    /// the first `len` rows of the scratch's emission block, on a scratch the
-    /// current decode has sized; leaves the last row in `prev`. Compiled for
-    /// the widest vectors the host has.
+    /// One DP row per sample of `samples` — the decode's samples after its
+    /// first, whose records go to rows 1.. — on a scratch the current decode
+    /// has sized; leaves the last row in `prev`. This is where the row body
+    /// is chosen, once per decode: 64 states on a host with AVX2 run
+    /// `avx2::rows`, which computes each sample's emissions in-register;
+    /// everything else runs [`DecodeScratch::dp_rows_portable`].
     ///
     /// Not part of the API: public only so that the kernel bench can time
     /// this stage of [`decode_with`] on its own.
     #[doc(hidden)]
-    pub fn dp_rows(&mut self, t0: usize, len: usize, tr: Transitions) {
+    pub fn dp_rows(&mut self, emission: &EmissionModel, samples: &[f32], tr: Transitions) {
         #[cfg(target_arch = "x86_64")]
-        {
-            #[target_feature(enable = "avx2")]
-            fn dp_rows_avx2(s: &mut DecodeScratch, t0: usize, len: usize, tr: Transitions) {
-                s.dp_rows_body(t0, len, tr)
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the host supports AVX2, checked on the line above.
-                return unsafe { dp_rows_avx2(self, t0, len, tr) };
-            }
+        if self.prev.len() == avx2::STATES && std::arch::is_x86_feature_detected!("avx2") {
+            // At 64 states a sample's records are one take word and
+            // `GROUPS` choices; row 0 belongs to the init.
+            let n = samples.len();
+            let take = &mut self.take[1..=n];
+            let choice = &mut self.group_choice[avx2::GROUPS..][..avx2::GROUPS * n];
+            let (columns, prev) = (emission.columns(), &mut self.prev);
+            // SAFETY: the host supports AVX2, checked on the line above.
+            return unsafe { avx2::rows(columns, samples, tr, prev, take, choice) };
         }
-        self.dp_rows_body(t0, len, tr)
+        self.dp_rows_portable(emission, samples, tr)
     }
 
-    #[inline(always)]
-    fn dp_rows_body(&mut self, t0: usize, len: usize, tr: Transitions) {
+    /// [`DecodeScratch::dp_rows`] through the portable bodies, whatever the
+    /// host: the emission block [`EmissionModel::BLOCK`] samples at a time,
+    /// then one [`dp_row`] per sample over it.
+    ///
+    /// Not part of the API: public only so that the kernel bench can record
+    /// what the AVX2 row is worth.
+    #[doc(hidden)]
+    pub fn dp_rows_portable(&mut self, emission: &EmissionModel, samples: &[f32], tr: Transitions) {
         let n_states = self.prev.len();
-        for i in 0..len {
-            dp_row(
-                tr,
-                &self.prev,
-                &self.emit[i * n_states..][..n_states],
-                &mut self.curr,
-                &mut self.backptr[(t0 + i) * n_states..][..n_states],
-                &mut self.adv_best,
-                &mut self.adv_choice,
-                &mut self.adv_best_x,
-                &mut self.adv_choice_x,
-            );
-            std::mem::swap(&mut self.prev, &mut self.curr);
+        let (words, n_groups) = (take_words(n_states), n_states / 4);
+        for (b, xs) in samples.chunks(EmissionModel::BLOCK).enumerate() {
+            emission.block(xs, &mut self.emit[..xs.len() * n_states]);
+            for i in 0..xs.len() {
+                let t = 1 + b * EmissionModel::BLOCK + i;
+                dp_row(
+                    tr,
+                    &self.prev,
+                    &self.emit[i * n_states..][..n_states],
+                    &mut self.curr,
+                    &mut self.take[t * words..][..words],
+                    &mut self.group_choice[t * n_groups..][..n_groups],
+                    &mut self.adv_best,
+                    &mut self.adv_best_x,
+                    &mut self.take_x,
+                );
+                std::mem::swap(&mut self.prev, &mut self.curr);
+            }
         }
     }
 
-    /// Walks the backpointers from the best final state (last row in `prev`)
-    /// to sample 0, writing `states` and `advanced` (at least one sample
-    /// long); returns the path score.
+    /// Walks the records from the best final state (last row in `prev`) to
+    /// sample 0, writing `states` and `advanced` (at least one sample long);
+    /// returns the path score.
     ///
     /// Not part of the API: public only so that the kernel bench can time
     /// this stage of [`decode_with`] on its own.
     #[doc(hidden)]
     pub fn traceback(&mut self, stitched: bool) -> f64 {
         let n_states = self.prev.len();
+        let (words, n_groups) = (take_words(n_states), n_states / 4);
         let k_shift = (n_states.trailing_zeros() - 2) as usize;
+        let took = |take: &[u64], t: usize, s: usize| take[t * words + s / 64] >> (s % 64) & 1 != 0;
         let (mut state, score) = last_argmax(self.prev.iter().copied());
         for t in (1..self.states.len()).rev() {
             self.states[t] = state as u16;
-            let choice = self.backptr[t * n_states + state];
-            self.advanced[t] = choice != 0;
-            if choice != 0 {
+            self.advanced[t] = took(&self.take, t, state);
+            if self.advanced[t] {
+                let choice = self.group_choice[t * n_groups + (state >> 2)];
                 state = (state >> 2) | (((choice - 1) as usize) << k_shift);
             }
         }
@@ -262,7 +330,7 @@ impl DecodeScratch {
         // already holds the advanced-into state, which is what callers emit
         // from.
         if stitched {
-            self.advanced[0] = self.backptr[state] != 0;
+            self.advanced[0] = took(&self.take, 0, state);
         }
         score as f64
     }
@@ -348,13 +416,7 @@ pub fn decode_with(
         return DecodeStats::default();
     }
     scratch.init_row(emission, samples[0], transitions, init_state);
-    let mut t = 1;
-    while t < n {
-        let len = EmissionModel::BLOCK.min(n - t);
-        emission.log_likelihoods_block(&samples[t..t + len], &mut scratch.emit[..len * n_states]);
-        scratch.dp_rows(t, len, transitions);
-        t += len;
-    }
+    scratch.dp_rows(emission, &samples[1..], transitions);
     let score = scratch.traceback(init_state.is_some());
     DecodeStats {
         score,
@@ -363,9 +425,10 @@ pub fn decode_with(
     }
 }
 
-/// One DP row: `curr` and the backpointer row `bp` from `prev` and the
-/// sample's emissions, all `n_states` wide (see the module docs for the two
-/// passes and why they are bit-identical to the scalar recurrence).
+/// One portable DP row: `curr` and the sample's records (`take` words,
+/// `choice` per predecessor group) from `prev` and the sample's emissions
+/// (see the module docs for the two passes and why they are bit-identical to
+/// the scalar recurrence).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn dp_row(
@@ -373,11 +436,11 @@ fn dp_row(
     prev: &[f32],
     emit: &[f32],
     curr: &mut [f32],
-    bp: &mut [u8],
+    take: &mut [u64],
+    choice: &mut [u8],
     adv_best: &mut [f32],
-    adv_choice: &mut [u8],
     adv_best_x: &mut [f32],
-    adv_choice_x: &mut [u8],
+    take_x: &mut [u8],
 ) {
     let n_states = prev.len();
     let n_groups = n_states / 4;
@@ -386,42 +449,53 @@ fn dp_row(
     let (q0, rest) = prev.split_at(n_groups);
     let (q1, rest) = rest.split_at(n_groups);
     let (q2, q3) = rest.split_at(n_groups);
-    let (q3, adv_best, adv_choice) = (
+    let (q3, adv_best, choice) = (
         &q3[..n_groups],
         &mut adv_best[..n_groups],
-        &mut adv_choice[..n_groups],
+        &mut choice[..n_groups],
     );
     for low in 0..n_groups {
-        let (mut best, mut choice) = (q0[low], 1u8);
+        let (mut best, mut quarter) = (q0[low], 1u8);
         for (c, v) in [(2u8, q1[low]), (3, q2[low]), (4, q3[low])] {
             let better = v > best;
             best = if better { v } else { best };
-            choice = if better { c } else { choice };
+            quarter = if better { c } else { quarter };
         }
         adv_best[low] = best + tr.log_advance;
-        adv_choice[low] = choice;
+        choice[low] = quarter;
     }
     let (best_x, _) = adv_best_x.as_chunks_mut::<4>();
-    let (choice_x, _) = adv_choice_x.as_chunks_mut::<4>();
-    let (best_x, choice_x) = (&mut best_x[..n_groups], &mut choice_x[..n_groups]);
-    for low in 0..n_groups {
-        best_x[low] = [adv_best[low]; 4];
-        choice_x[low] = [adv_choice[low]; 4];
+    for (best_x, &best) in best_x[..n_groups].iter_mut().zip(&*adv_best) {
+        *best_x = [best; 4];
     }
 
     // Pass 2: stay or advance, emission added in the same sweep.
-    let (emit, curr, bp, adv, choice) = (
+    let (emit, curr, adv, took) = (
         &emit[..n_states],
         &mut curr[..n_states],
-        &mut bp[..n_states],
         &adv_best_x[..n_states],
-        &adv_choice_x[..n_states],
+        &mut take_x[..n_states],
     );
     for s in 0..n_states {
         let stay = prev[s] + tr.log_stay;
         let take = adv[s] > stay;
         curr[s] = (if take { adv[s] } else { stay }) + emit[s];
-        bp[s] = choice[s] & (take as u8).wrapping_neg();
+        took[s] = take as u8;
+    }
+
+    // Eight 0/1 bytes to eight bits: byte `i` of the little-endian word times
+    // 2^(56 - 7i) lands on bit `56 + i`, and no two of the 64 partial
+    // products share a bit, so nothing carries. Each packed byte enters a
+    // take word at the top and is shifted down by those after it — a
+    // recurrence, so that the multiply stays one scalar `imul` (spread over
+    // 64-bit vector lanes it is emulated, at several times the cost).
+    let (eights, _) = take_x.as_chunks::<8>();
+    for (word, eights) in take.iter_mut().zip(eights.chunks(8)) {
+        let packed = eights.iter().fold(0u64, |word, bytes| {
+            let top = u64::from_le_bytes(*bytes).wrapping_mul(0x0102_0408_1020_4080);
+            word >> 8 | top & 0xff << 56
+        });
+        *word = packed >> (64 - 8 * eights.len());
     }
 }
 
@@ -438,6 +512,9 @@ fn last_argmax(scores: impl Iterator<Item = f32>) -> (usize, f32) {
     }
     best
 }
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 #[cfg(test)]
 mod differential;

@@ -1,11 +1,13 @@
-//! Differential suite: the quarter-slice / expanded-row kernel must leave the
-//! same [`DecodeStats`], `states()` and `advanced()` as the scalar kernel it
-//! replaced — on every state-space size, every block residue, every stitched
-//! start and every tie — through both the dispatched entry ([`decode_with`],
-//! AVX2 where the host has it) and the portable instantiation of the same
-//! bodies, and with a scratch that earlier, longer decodes left dirty.
+//! Differential suite: the shipped rows must leave the same [`DecodeStats`],
+//! `states()` and `advanced()` as the scalar kernel they replaced, and
+//! per-sample records that expand to its whole backpointer matrix — on every
+//! state-space size, every block residue, every stitched start and every tie
+//! — through both the dispatched entry ([`decode_with`]: the `std::arch` row
+//! at 64 states where the host has AVX2) and the portable row, which must
+//! also agree with each other record for record, and with a scratch that
+//! earlier decodes, longer or of another state-space size, left dirty.
 
-use super::{decode_with, last_argmax, DecodeScratch, DecodeStats, Transitions};
+use super::{decode_with, last_argmax, take_words, DecodeScratch, DecodeStats, Transitions};
 use crate::emission::EmissionModel;
 use genpip_genomics::rng::{seeded, Rng};
 use genpip_genomics::GenomeBuilder;
@@ -14,7 +16,8 @@ use genpip_signal::{PoreModel, SignalSynthesizer};
 /// The scalar kernel, kept test-only as the independent oracle: a strided
 /// gather per predecessor group, one branch per state. The body is the
 /// shipped `decode_with` as of PR 15, verbatim, except that it owns its
-/// (zeroed) buffers and takes each sample's emissions from the
+/// (zeroed) buffers — and hands back its backpointer matrix, one byte per
+/// sample and state — and takes each sample's emissions from the
 /// single-sample [`EmissionModel::log_likelihoods`] instead of the block
 /// kernel under test.
 fn scalar_decode(
@@ -22,7 +25,7 @@ fn scalar_decode(
     samples: &[f32],
     transitions: Transitions,
     init_state: Option<u16>,
-) -> (DecodeStats, Vec<u16>, Vec<bool>) {
+) -> (DecodeStats, Vec<u16>, Vec<bool>, Vec<u8>) {
     let n_states = emission.states();
     let n = samples.len();
     let mut backptr = vec![0u8; n * n_states];
@@ -42,6 +45,7 @@ fn scalar_decode(
             },
             states,
             advanced,
+            backptr,
         );
     }
     let k_shift = (n_states.trailing_zeros() - 2) as usize; // 2(k-1) bits
@@ -134,11 +138,12 @@ fn scalar_decode(
         },
         states,
         advanced,
+        backptr,
     )
 }
 
-/// [`decode_with`] through the emission and row bodies as compiled without
-/// `#[target_feature]`, whatever the host would dispatch to.
+/// [`decode_with`] through the portable emission block and row, whatever the
+/// host would dispatch to.
 fn portable_decode_with(
     emission: &EmissionModel,
     samples: &[f32],
@@ -152,10 +157,7 @@ fn portable_decode_with(
         return DecodeStats::default();
     }
     scratch.init_row(emission, samples[0], transitions, init_state);
-    for (b, xs) in samples[1..].chunks(EmissionModel::BLOCK).enumerate() {
-        emission.block(xs, &mut scratch.emit[..xs.len() * n_states]);
-        scratch.dp_rows_body(1 + b * EmissionModel::BLOCK, xs.len(), transitions);
-    }
+    scratch.dp_rows_portable(emission, &samples[1..], transitions);
     DecodeStats {
         score: scratch.traceback(init_state.is_some()),
         mvm_ops: n,
@@ -208,33 +210,76 @@ impl Harness {
 
     fn assert_same(&mut self, samples: &[f32], init_state: Option<u16>, what: &str) {
         let (em, tr) = (&self.emission, self.transitions);
-        let (stats, states, advanced) = scalar_decode(em, samples, tr, init_state);
+        let (stats, states, advanced, backptr) = scalar_decode(em, samples, tr, init_state);
         let what = format!(
             "{what}: {} states, n = {}, init {init_state:?}",
             em.states(),
             samples.len()
         );
         let got = decode_with(em, samples, tr, init_state, &mut self.dispatched);
-        assert_eq!(got, stats, "dispatched stats, {what}");
-        assert_eq!(
-            self.dispatched.states(),
-            states,
-            "dispatched states, {what}"
-        );
-        assert_eq!(
-            self.dispatched.advanced(),
-            advanced,
-            "dispatched advance flags, {what}"
-        );
-        let got = portable_decode_with(em, samples, tr, init_state, &mut self.portable);
-        assert_eq!(got, stats, "portable stats, {what}");
-        assert_eq!(self.portable.states(), states, "portable states, {what}");
-        assert_eq!(
-            self.portable.advanced(),
-            advanced,
-            "portable advance flags, {what}"
-        );
+        let portable = portable_decode_with(em, samples, tr, init_state, &mut self.portable);
+        for (got, scratch, body) in [
+            (got, &self.dispatched, "dispatched"),
+            (portable, &self.portable, "portable"),
+        ] {
+            assert_eq!(got, stats, "{body} stats, {what}");
+            assert_eq!(scratch.states(), states, "{body} states, {what}");
+            assert_eq!(scratch.advanced(), advanced, "{body} flags, {what}");
+            // Not along the winning path only: every row of the records,
+            // expanded to `choice & mask(take)`, is the oracle's row.
+            let n_states = em.states();
+            for (t, row) in backptr.chunks_exact(n_states).enumerate() {
+                let expanded: Vec<u8> = (0..n_states).map(|s| backpointer(scratch, t, s)).collect();
+                assert_eq!(expanded, row, "{body} records of sample {t}, {what}");
+            }
+        }
+        self.assert_bodies_agree(samples.len(), (got, portable), &what);
         self.decodes += 1;
+    }
+
+    /// The dispatched and the portable decode of the same `n` samples left
+    /// the same stats, path, records and last score row in their scratches.
+    fn assert_bodies_agree(&self, n: usize, stats: (DecodeStats, DecodeStats), what: &str) {
+        let (d, p) = (&self.dispatched, &self.portable);
+        // A NaN (the path score, or a score row, under non-finite samples)
+        // equals nothing, and Rust leaves the payload of a NaN that
+        // arithmetic produced open: scores are compared bit for bit up to
+        // that.
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan();
+        assert!(same(stats.0.score as f32, stats.1.score as f32), "{what}");
+        assert_eq!(
+            (stats.0.mvm_ops, stats.0.cells),
+            (stats.1.mvm_ops, stats.1.cells)
+        );
+        assert_eq!(d.states(), p.states(), "states, {what}");
+        assert_eq!(d.advanced(), p.advanced(), "advance flags, {what}");
+        let n_states = self.states();
+        let (words, n_groups) = (take_words(n_states), n_states / 4);
+        assert_eq!(d.take[..n * words], p.take[..n * words], "takes, {what}");
+        // Row 0 holds a choice only where the stitched init set a take bit
+        // (compared above, and against the oracle by `assert_same`).
+        let rows = n_groups.min(n * n_groups)..n * n_groups;
+        assert_eq!(
+            d.group_choice[rows.clone()],
+            p.group_choice[rows],
+            "group choices, {what}"
+        );
+        if n > 0 {
+            let same = d.prev.iter().zip(&p.prev).all(|(&a, &b)| same(a, b));
+            assert!(same, "last score row, {what}");
+        }
+    }
+}
+
+/// The oracle's backpointer for sample `t`, state `s`, read from the
+/// scratch's records: the group's choice where the take bit is set, else 0.
+fn backpointer(scratch: &DecodeScratch, t: usize, s: usize) -> u8 {
+    let n_states = scratch.prev.len();
+    let took = scratch.take[t * take_words(n_states) + s / 64] >> (s % 64) & 1 != 0;
+    if took {
+        scratch.group_choice[t * (n_states / 4) + s / 4]
+    } else {
+        0
     }
 }
 
@@ -245,8 +290,9 @@ fn every_state_space_size_length_residue_and_noise_agrees() {
         let mut h = Harness::new(k);
         let mut rng = seeded(0x5eed ^ k as u64);
         // 0, 1, 2, then every residue of (n - 1) mod BLOCK twice over (the
-        // first row is not part of a block), then a few hundred samples.
-        let lengths = (0..=2 * EmissionModel::BLOCK + 2).chain([97, 230]);
+        // first row is not part of a block), then a few hundred samples and
+        // the pipeline's chunk.
+        let lengths = (0..=2 * EmissionModel::BLOCK + 2).chain([97, 230, 2_477]);
         for len in lengths {
             for (i, sigma) in [0.0, 1.0, 2.5].into_iter().enumerate() {
                 let samples = h.signal(len, sigma, (len * 3 + i) as u64);
@@ -334,12 +380,14 @@ fn degenerate_level_tables_tie_on_the_winning_path() {
 
 #[test]
 fn a_dirty_scratch_never_leaks_into_a_later_decode() {
-    // `prepare` clears row 0 of the backpointer matrix only: a long decode,
-    // then a short one, then a long one again must each match the oracle,
-    // whose buffers are fresh and zeroed every time.
-    // The scratches also travel from one state-space size to the next.
+    // `prepare` clears the take words of row 0 only: a long decode, then a
+    // short one, then a long one again must each match the oracle, whose
+    // buffers are fresh and zeroed every time.
+    // The scratches also travel from one state-space size to the next — and
+    // back, so records of another width (24 bytes a sample at k = 3, 96 at
+    // k = 4) lie under the ones being written.
     let mut scratches = (DecodeScratch::new(), DecodeScratch::new());
-    for k in [4usize, 1, 3, 5] {
+    for k in [3usize, 4, 3, 1, 5] {
         let mut h = Harness::new(k);
         (h.dispatched, h.portable) = scratches;
         let long_a = h.signal(400, 1.0, 1);
@@ -372,6 +420,77 @@ fn rows_saturated_to_minus_infinity_agree() {
         samples[at] = 1e20;
         h.assert_same(&samples, None, "saturated");
         h.assert_same(&samples, Some(5), "saturated, stitched");
+    }
+}
+
+#[test]
+fn non_finite_samples_decode_alike_through_both_bodies() {
+    // `decode_with` is documented total. The oracle is not (its argmax
+    // expects numbers), so here the two shipped bodies are held to each
+    // other on NaN, +inf, -inf and 3e38 (whose emission terms are inf - inf).
+    // On the synthetic table such a sample turns every state's score into
+    // the same thing; a table with levels of both signs makes an infinite
+    // sample NaN for one half of the states and -inf for the other, so from
+    // there each of pass 1's four-way maxima mixes the two — which is where
+    // `max_ps` must keep its *second* operand, like the portable select.
+    let mixed = (0..64)
+        .map(|s| if s % 3 == 0 { -90.0 } else { 70.0 } + s as f32)
+        .collect();
+    for pore in [
+        PoreModel::synthetic(3, 7),
+        PoreModel::from_parts(3, mixed, 1.5),
+    ] {
+        let mut h = Harness::with_pore(pore);
+        let tr = h.transitions;
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38, -3e38] {
+            for at in [0usize, 1, 8, 9, 29, 76] {
+                for init in [None, Some(5), Some(63)] {
+                    let mut samples = h.signal(77, 1.0, at as u64);
+                    samples[at] = bad;
+                    let got = decode_with(&h.emission, &samples, tr, init, &mut h.dispatched);
+                    let portable =
+                        portable_decode_with(&h.emission, &samples, tr, init, &mut h.portable);
+                    let what = format!("{bad} at {at}, init {init:?}");
+                    h.assert_bodies_agree(samples.len(), (got, portable), &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn one_row_from_any_score_row_agrees_through_both_bodies() {
+    // No finite level table and no sample reaches a score row that mixes NaN
+    // with numbers (a non-finite sample poisons every state at once), so the
+    // decodes above cannot tell which operand pass 1's maximum keeps. Rows
+    // handed straight to the two bodies can: NaN beside numbers, both
+    // infinities, both zeros, and ties everywhere.
+    let mut h = Harness::new(3);
+    let (n_states, tr) = (h.states(), h.transitions);
+    let values = [
+        f32::NAN,
+        f32::NEG_INFINITY,
+        f32::INFINITY,
+        -1.0,
+        0.0,
+        -0.0,
+        2.5,
+    ];
+    let mut rng = seeded(0xbad5eed);
+    for case in 0..2_000 {
+        let row: Vec<f32> = (0..n_states)
+            .map(|_| values[rng.random_range(0..values.len())])
+            .collect();
+        let x = h.signal(1, 2.5, case)[0];
+        for scratch in [&mut h.dispatched, &mut h.portable] {
+            scratch.prepare(2, n_states);
+            scratch.prev.copy_from_slice(&row);
+        }
+        h.dispatched.dp_rows(&h.emission, &[x], tr);
+        h.portable.dp_rows_portable(&h.emission, &[x], tr);
+        h.dispatched.traceback(false);
+        h.portable.traceback(false);
+        h.assert_bodies_agree(2, Default::default(), &format!("row {row:?}"));
     }
 }
 

@@ -3,11 +3,12 @@
 //! These measure the *real* wall-clock cost of this reproduction's
 //! implementations (not the modelled hardware times), one row per kernel:
 //! the MVM emission kernel, CAM search, Viterbi chunk decoding
-//! (allocation-free scratch path) and its DP-row and traceback stages on
-//! their own, chunk normalization, minimizer extraction, chaining DP, the
-//! seed path (sketch, index lookup, chain) on one query, pan-genome mapping
-//! against 1 vs 3 named references, banded alignment, one read basecalled
-//! and mapped end to end, and the pipeline simulator.
+//! (allocation-free scratch path) and its stages on their own — the DP rows
+//! as dispatched and through the portable body, the traceback, the
+//! base/quality assembly — chunk normalization, minimizer extraction,
+//! chaining DP, the seed path (sketch, index lookup, chain) on one query,
+//! pan-genome mapping against 1 vs 3 named references, banded alignment, one
+//! read basecalled and mapped end to end, and the pipeline simulator.
 //!
 //! Results are printed as a table and written to `BENCH_kernels.json` at the
 //! repo root so future PRs have a perf trajectory to compare against. Every
@@ -121,32 +122,53 @@ fn main() {
         ));
 
         // The stages of that chunk, one row each, so that the chunk row
-        // decomposes: emission MVMs (`mvm/emission_block8` × samples / 8),
-        // DP rows, traceback, and around them the integrity check, the copy
-        // into the scratch and the base/quality assembly. The DP rows run
-        // over the emission block the decode above left in the scratch,
-        // which is as warm as the decoder's own.
+        // decomposes: the DP rows, the traceback, the base/quality assembly,
+        // and around them the integrity check. On a host with AVX2 the
+        // dispatched DP rows compute each sample's emission in-register, so
+        // that row *includes* the emission MVMs; the portable row is the
+        // same input through the body every other host runs — the emission
+        // block (`mvm/emission_block8` × samples / 8) plus the two-pass row
+        // — and the ratio of the two is what the second body is worth. Both
+        // start from the last score row the decode above left in the
+        // scratch.
         let n = sig.samples.len();
         let transitions = Transitions::from_mean_dwell(synth.mean_dwell());
         let mut decode = DecodeScratch::new();
         decode_with(&emission, &sig.samples, transitions, None, &mut decode);
+        let rest = &sig.samples[1..];
         results.push(bench(
             &format!("basecall/viterbi_dp_rows_{n}x{n_states}"),
             Some((n as f64, "samples")),
-            || {
-                let mut t = 1;
-                while t < n {
-                    let len = EmissionModel::BLOCK.min(n - t);
-                    black_box(&mut decode).dp_rows(t, len, transitions);
-                    t += len;
-                }
-            },
+            || black_box(&mut decode).dp_rows(&emission, black_box(rest), transitions),
         ));
         decode_with(&emission, &sig.samples, transitions, None, &mut decode);
+        results.push(bench(
+            &format!("basecall/viterbi_dp_rows_portable_{n}x{n_states}"),
+            Some((n as f64, "samples")),
+            || black_box(&mut decode).dp_rows_portable(&emission, black_box(rest), transitions),
+        ));
+        let stats = decode_with(&emission, &sig.samples, transitions, None, &mut decode);
         results.push(bench(
             &format!("basecall/viterbi_traceback_{n}"),
             Some((n as f64, "samples")),
             || black_box(&mut decode).traceback(false),
+        ));
+        // A `ln` per base (the Phred of each dwell segment's residual).
+        results.push(bench(
+            &format!("basecall/assemble_chunk_{n}"),
+            Some((n as f64, "samples")),
+            || {
+                caller
+                    .assemble_chunk(
+                        black_box(&sig.samples),
+                        decode.states(),
+                        decode.advanced(),
+                        None,
+                        stats,
+                    )
+                    .bases
+                    .len()
+            },
         ));
 
         // Median/MAD normalization of the same chunk (off in the pipeline's
