@@ -6,7 +6,8 @@
 //! (allocation-free scratch path) and its stages on their own — the DP rows
 //! as dispatched and through the portable body, the traceback, the
 //! base/quality assembly — chunk normalization, minimizer extraction,
-//! chaining DP, the seed path (sketch, index lookup, chain) on one query,
+//! chaining DP (one diagonal, and two interleaved), the reference index
+//! build, the seed path (sketch, index lookup, chain) on one query,
 //! pan-genome mapping against 1 vs 3 named references, banded alignment, one
 //! read basecalled and mapped end to end, and the pipeline simulator.
 //!
@@ -23,7 +24,7 @@ use genpip_bench::micro::{bench, bench_json, Json};
 use genpip_genomics::GenomeBuilder;
 use genpip_mapping::{
     minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, Mapper, MapperParams,
-    MinimizerScratch, ReferenceSet, SeedBatch, SeedScratch,
+    MinimizerScratch, ReferenceIndex, ReferenceSet, SeedBatch, SeedScratch,
 };
 use genpip_pim::{CamBank, CrossbarArray};
 use genpip_signal::{normalize_to_model, PoreModel, SignalSynthesizer};
@@ -205,6 +206,10 @@ fn main() {
     }
 
     // --- Chaining DP ---
+    // One clean diagonal, then the same anchors interleaved with a decoy
+    // diagonal 3 kb away — inside `max_gap`, so every other predecessor is a
+    // cross-locus step with a gap cost to score, and the predecessors that
+    // cannot win are mixed in with those that can.
     {
         let anchors: Vec<Anchor> = (0..2_000u64)
             .map(|i| Anchor {
@@ -212,15 +217,45 @@ fn main() {
                 rpos: 10_000 + i * 7 + (i % 13),
             })
             .collect();
+        let two_loci: Vec<Anchor> = anchors
+            .iter()
+            .zip(0..)
+            .flat_map(|(&a, i)| {
+                let decoy = Anchor {
+                    qpos: i * 7 + 3,
+                    rpos: 13_000 + i * 7 + (i % 11),
+                };
+                [a, decoy]
+            })
+            .collect();
         let mut chainer = IncrementalChainer::new(ChainParams::for_k(15));
-        results.push(bench(
-            "chain/2000_anchors",
-            Some((anchors.len() as f64, "anchors")),
-            || {
+        for (name, anchors) in [
+            ("chain/2000_anchors", &anchors),
+            ("chain/2000_anchors_two_loci", &two_loci),
+        ] {
+            results.push(bench(name, Some((anchors.len() as f64, "anchors")), || {
                 chainer.reset();
-                chainer.extend(black_box(&anchors));
+                chainer.extend(black_box(anchors));
                 chainer.best_score()
-            },
+            }));
+        }
+    }
+
+    // --- Index build: the human profile's 1 Mb repeat-rich reference ---
+    // What `setup_s` times on `human_replay_mt`: sketch the reference and
+    // fill the minimizer table (`DatasetProfile::human()`'s genome: 1 Mb,
+    // GC 0.41, 25 % repeats, its seed).
+    {
+        let genome = GenomeBuilder::new(1_000_000)
+            .seed(0x4B12878)
+            .gc_fraction(0.41)
+            .repeat_fraction(0.25)
+            .build();
+        let params = MapperParams::default();
+        results.push(bench(
+            "mapping/index_build_1mb",
+            Some((genome.len() as f64, "bases")),
+            || ReferenceIndex::build(black_box(&genome), params.k, params.w).total_entries(),
         ));
     }
 

@@ -552,7 +552,7 @@ impl ReadTask {
     /// worker. The decoder's [`genpip_basecall::CarryState`] forces chunk
     /// order within a read, so both flows walk the chunks one at a time;
     /// all per-read state is local to the call, and `scratch` lends only
-    /// stateless buffers.
+    /// buffers (and chainers) that are cleared before each read uses them.
     pub(crate) fn run(&mut self, flow: Flow, scratch: &mut WorkerScratch) -> ReadRun {
         match flow {
             Flow::GenPip(er) => self.run_genpip(er, scratch),
@@ -608,8 +608,13 @@ impl ReadTask {
 
         // The sequential CP pass: basecall each chunk (or reuse a sampled
         // one, stitching its successor to its carry), then immediately seed
-        // it and extend the chains.
-        let mut pairs = ctx.refs.new_chainer_pairs();
+        // it and extend the chains — the worker's chainers, reset for this
+        // read.
+        let pairs = &mut scratch.pairs;
+        for (fwd, rev) in pairs.iter_mut() {
+            fwd.reset();
+            rev.reset();
+        }
         let mut seq = DnaSeq::new();
         let mut quals: Vec<Phred> = Vec::new();
         let mut aqs = AqsAccumulator::new();
@@ -658,7 +663,7 @@ impl ReadTask {
             // ER-CMR (Figure 6 ➍➎): once, after the first `N_cm` chunks,
             // for reads longer than that.
             if er == ErMode::Full && idx + 1 == ctx.config.n_cm && total > ctx.config.n_cm {
-                let score = best_pair_score(&pairs);
+                let score = best_pair_score(pairs);
                 if cmr_check(score, ctx.config.theta_cm).reject {
                     run.called_len = called.values().map(|c| c.bases.len()).sum();
                     run.best_chain_score = score;
@@ -670,13 +675,13 @@ impl ReadTask {
         self.at_chunk = None;
 
         // Whole-read QC, then the final mapping from the filled chainers.
-        run.best_chain_score = best_pair_score(&pairs);
+        run.best_chain_score = best_pair_score(pairs);
         if run.fails_qc(ctx, &seq, quals, &aqs) {
             return run;
         }
         let (per_reference, mapping, best_score, align_cells) =
             ctx.refs
-                .finalize_mapping_with(&seq, &pairs, &mut scratch.align);
+                .finalize_mapping_with(&seq, pairs, &mut scratch.align);
         run.map_counters.align_cells = align_cells;
         run.mapped(ctx, &seq, per_reference, mapping, best_score);
         run

@@ -108,7 +108,7 @@ const PAD: u8 = 0xFF;
 /// A band is a table of row origins, not a centre and a half-width: row `i`
 /// covers the `width` columns from `base[i]` on, clipped to the matrix, and
 /// `base[i] - base[i - 1]` is 0, 1 or 2, so the band can follow a chain
-/// through its indels ([`AlignScratch::align_along`]). The straight band of
+/// through its indels (`AlignScratch::align_along`). The straight band of
 /// [`banded_global`] is the table whose every step is 1.
 #[derive(Debug, Clone, Default)]
 pub struct AlignScratch {

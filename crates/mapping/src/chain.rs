@@ -131,11 +131,30 @@ impl IncrementalChainer {
     /// query-position order, which chunk-sequential processing guarantees;
     /// violating that loses chaining opportunities but never produces an
     /// invalid chain.
+    ///
+    /// A predecessor `j` is skipped, without scoring the step, when
+    /// `score[j] + cap <= best`, where `cap` is `k` if `gap_linear >= 0` and
+    /// `+∞` otherwise (NaN included). The skip is exact: with a
+    /// non-negative `gap_linear` a step credits at most `k` matched bases
+    /// and charges a non-negative gap cost, so `fl(matched − cost) <= k`,
+    /// and because `fl(score[j] + ·)` is monotone the candidate could never
+    /// pass the strict `cand > best` that admits a new winner — a tie keeps
+    /// the predecessor found first, as before. The winners, the scores and
+    /// the chains are those of the unpruned loop; [`dp_evaluations`]
+    /// still counts the whole lookback window, because it is the PIM
+    /// DP-unit cost-model counter, not the host's work.
+    ///
+    /// [`dp_evaluations`]: IncrementalChainer::dp_evaluations
     pub fn extend(&mut self, batch: &[Anchor]) {
         let mut sorted = std::mem::take(&mut self.sort_buf);
         sorted.clear();
         sorted.extend_from_slice(batch);
         sorted.sort_unstable_by_key(|a| (a.qpos, a.rpos));
+        let cap = if self.params.gap_linear >= 0.0 {
+            self.params.k as f64
+        } else {
+            f64::INFINITY
+        };
         for &anchor in &sorted {
             let i = self.anchors.len();
             self.anchors.push(anchor);
@@ -143,15 +162,19 @@ impl IncrementalChainer {
             let mut best_pred = None;
             let lo = i.saturating_sub(self.params.lookback);
             for j in (lo..i).rev() {
-                self.dp_evaluations += 1;
+                let score = self.score[j];
+                if score + cap <= best {
+                    continue;
+                }
                 if let Some(step) = self.params.step_score(self.anchors[j], anchor) {
-                    let cand = self.score[j] + step;
+                    let cand = score + step;
                     if cand > best {
                         best = cand;
                         best_pred = Some(j);
                     }
                 }
             }
+            self.dp_evaluations += i - lo;
             self.score.push(best);
             self.pred.push(best_pred);
         }
@@ -209,6 +232,9 @@ impl IncrementalChainer {
             .fold(0.0, f64::max)
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

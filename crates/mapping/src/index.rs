@@ -10,6 +10,7 @@ use crate::minimizer::{minimizers, Minimizer};
 use crate::RefPos;
 use genpip_genomics::Genome;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One reference hit: where a minimizer occurs in the genome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,14 +30,54 @@ pub struct RefHit {
 /// left to right), so any contiguous position range of the reference owns a
 /// sub-slice of every hit list — the property the `genpip-pim` seeding
 /// loader uses to lay this one table out across CAM subarray groups.
+///
+/// The keys are already [`hash64`](crate::minimizer::hash64) outputs, an
+/// invertible mix, so the table does not run them through std's keyed
+/// default hasher again; it multiplies each by one odd constant
+/// (`KeyHasher`). It does not use the keys as they are, because they are
+/// window *minima*: their top bits lean
+/// towards zero, and std's table takes each bucket's 7-bit tag from the top
+/// bits of the hash — an identity hash would give most keys the same tag. A
+/// multiply carries every key bit into the top bits and keeps the low bits,
+/// which pick the bucket, as uniform as the keys' own. The keys derive from
+/// the reference the operator supplies, not from untrusted input: a
+/// reference crafted so that its minimizer hashes share their low bits
+/// could cluster buckets and slow the build. Iteration order is
+/// unspecified, as it was under the default hasher's per-process random
+/// keys; the PIM loader sorts the keys it programs.
 #[derive(Debug, Clone)]
 pub struct ReferenceIndex {
     k: usize,
     w: usize,
     genome_len: usize,
     base_offset: RefPos,
-    table: HashMap<u64, Vec<RefHit>>,
+    table: HashMap<u64, Vec<RefHit>, BuildHasherDefault<KeyHasher>>,
     max_occurrences: usize,
+}
+
+/// The index table's hasher: one multiply by an odd constant (the 64-bit
+/// golden ratio), which is a bijection on `u64` keys. See
+/// [`ReferenceIndex`] for why not the identity.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    /// Only `u64` keys are hashed; any other input folds in byte by byte.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl ReferenceIndex {
@@ -59,8 +100,11 @@ impl ReferenceIndex {
     /// `base_offset + position-in-genome`. This is how coordinate spaces
     /// beyond 4 Gbp are exercised without materializing 4 GB of sequence.
     pub fn build_at(genome: &Genome, k: usize, w: usize, base_offset: RefPos) -> ReferenceIndex {
-        let mut table: HashMap<u64, Vec<RefHit>> = HashMap::new();
-        for m in minimizers(genome.sequence(), k, w) {
+        let sketch = minimizers(genome.sequence(), k, w);
+        // At most one key per minimizer: sized once, never rehashed.
+        let mut table: HashMap<u64, Vec<RefHit>, _> =
+            HashMap::with_capacity_and_hasher(sketch.len(), BuildHasherDefault::default());
+        for m in sketch {
             table.entry(m.hash).or_default().push(RefHit {
                 pos: base_offset + m.pos,
                 reverse: m.reverse,

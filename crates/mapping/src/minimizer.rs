@@ -5,9 +5,22 @@
 //! on). Hashing canonical k-mers makes the sketch strand-symmetric;
 //! winnowing guarantees that any two sequences sharing a window-length
 //! substring share a minimizer, which is what makes seeding complete.
+//!
+//! [`minimizers_into`] makes one pass over the bases. It rolls the forward
+//! k-mer and its reverse complement together, one base each — the new base
+//! enters the forward word at the bottom and its complement enters the
+//! reverse word at the top — so the canonical form costs one compare, not a
+//! per-k-mer reverse complement. Winnowing keeps the window's current pick:
+//! a new k-mer whose hash is `<=` the pick's takes over (the rightmost
+//! minimum wins ties), and only when the pick slides out of the window is
+//! the window rescanned. On random sequence a pick slides out about once per
+//! `w + 1` bases, so the rescans cost about one hash compare per base, and
+//! the one data-dependent branch per base — "is this a new minimum?" — is
+//! rarely taken (the monotone deque this replaced popped on a coin flip).
 
 use crate::RefPos;
-use genpip_genomics::{DnaSeq, Kmer, KmerIter};
+use genpip_genomics::{DnaSeq, Kmer};
+use std::cmp::Ordering;
 
 /// One selected minimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,8 +96,48 @@ pub fn minimizers(seq: &DnaSeq, k: usize, w: usize) -> Vec<Minimizer> {
 /// per worker keeps steady-state sketching free of per-chunk allocations.
 #[derive(Debug, Clone, Default)]
 pub struct MinimizerScratch {
+    /// Per k-mer: the canonical hash and strand flag, `None` for palindromes.
     hashed: Vec<Option<(u64, bool)>>,
-    deque: std::collections::VecDeque<(usize, u64, bool)>,
+}
+
+/// A window's pick: the rightmost smallest hash among the window's k-mers.
+#[derive(Clone, Copy)]
+struct Pick {
+    /// Index of the picked k-mer.
+    at: usize,
+    hash: u64,
+    reverse: bool,
+    /// `false` while every k-mer in the window is a palindrome.
+    some: bool,
+}
+
+impl Pick {
+    /// No pick. Its hash is `u64::MAX`, so any k-mer takes over from it.
+    const NONE: Pick = Pick {
+        at: 0,
+        hash: u64::MAX,
+        reverse: false,
+        some: false,
+    };
+
+    /// Takes k-mer `at` if its hash is `<=` the pick's — the later k-mer
+    /// wins a tie, so the pick stays the rightmost minimum. Returns whether
+    /// it took over.
+    #[inline]
+    fn offer(&mut self, at: usize, h: Option<(u64, bool)>) -> bool {
+        match h {
+            Some((hash, reverse)) if hash <= self.hash => {
+                *self = Pick {
+                    at,
+                    hash,
+                    reverse,
+                    some: true,
+                };
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// Extracts the `(w, k)` minimizers of `seq` into `out` (cleared first),
@@ -98,68 +151,65 @@ pub fn minimizers_into(
     out: &mut Vec<Minimizer>,
 ) {
     assert!(w >= 1, "window size must be >= 1");
+    assert!(
+        (1..=Kmer::MAX_K).contains(&k),
+        "k must be in 1..={}",
+        Kmer::MAX_K
+    );
     out.clear();
-    // Hash every k-mer (canonical form), skipping palindromes.
     let hashed = &mut scratch.hashed;
     hashed.clear();
     hashed.reserve((seq.len() + 1).saturating_sub(k));
-    for (_, kmer) in KmerIter::new(seq, k) {
-        hashed.push(canonical_hash(kmer));
-    }
-    if hashed.is_empty() {
-        return;
-    }
 
-    // Monotone-deque winnowing: for each window of w k-mers pick the entry
-    // with the smallest hash (rightmost on ties, the standard choice that
-    // guarantees window coverage).
-    let deque = &mut scratch.deque;
-    deque.clear();
-    for (i, h) in hashed.iter().enumerate() {
-        if let Some((hash, rev)) = *h {
-            while let Some(&(_, back_hash, _)) = deque.back() {
-                if back_hash >= hash {
-                    deque.pop_back();
-                } else {
-                    break;
-                }
+    let mask = if k == Kmer::MAX_K {
+        u64::MAX
+    } else {
+        (1u64 << (2 * k)) - 1
+    };
+    let top = 2 * (k - 1);
+    let (mut fwd, mut rev) = (0u64, 0u64);
+    // The pick of the window `hashed[i + 1 - w ..= i]`, and whether it has
+    // changed since the last one was emitted (each pick is a new position,
+    // so a changed pick is always a new minimizer).
+    let mut pick = Pick::NONE;
+    let mut pending = false;
+    for (end, base) in seq.iter().enumerate() {
+        let c = base.code() as u64;
+        fwd = ((fwd << 2) | c) & mask;
+        rev = (rev >> 2) | ((3 ^ c) << top);
+        let Some(i) = (end + 1).checked_sub(k) else {
+            continue;
+        };
+        // The canonical k-mer is the smaller strand; a palindrome has none.
+        let h = match fwd.cmp(&rev) {
+            Ordering::Less => Some((hash64(fwd), false)),
+            Ordering::Greater => Some((hash64(rev), true)),
+            Ordering::Equal => None,
+        };
+        hashed.push(h);
+        pending |= pick.offer(i, h);
+        if pick.some && pick.at + w <= i {
+            // The pick slid out: rescan the window.
+            let start = i + 1 - w;
+            pick = Pick::NONE;
+            for (j, &h) in hashed[start..].iter().enumerate() {
+                pick.offer(start + j, h);
             }
-            deque.push_back((i, hash, rev));
+            pending = true;
         }
-        // Evict entries that slid out of the window ending at i.
-        while let Some(&(front_i, _, _)) = deque.front() {
-            if front_i + w <= i {
-                deque.pop_front();
-            } else {
-                break;
-            }
-        }
-        if i + 1 >= w {
-            if let Some(&(pos, hash, rev)) = deque.front() {
-                let candidate = Minimizer {
-                    hash,
-                    pos: pos as RefPos,
-                    reverse: rev,
-                };
-                if out.last() != Some(&candidate) {
-                    out.push(candidate);
-                }
-            }
+        if pending && pick.some && i + 1 >= w {
+            out.push(Minimizer {
+                hash: pick.hash,
+                pos: pick.at as RefPos,
+                reverse: pick.reverse,
+            });
+            pending = false;
         }
     }
 }
 
-/// Hash of the canonical form of a k-mer, with the strand flag; `None` for
-/// palindromes.
-#[inline]
-pub fn canonical_hash(kmer: Kmer) -> Option<(u64, bool)> {
-    let rc = kmer.reverse_complement();
-    match kmer.bits().cmp(&rc.bits()) {
-        std::cmp::Ordering::Less => Some((hash64(kmer.bits()), false)),
-        std::cmp::Ordering::Greater => Some((hash64(rc.bits()), true)),
-        std::cmp::Ordering::Equal => None,
-    }
-}
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
