@@ -116,7 +116,7 @@ impl ReadDecoder {
 /// `ChunkJob`, [`LaneScratch`] and [`LaneDecoder`] are what is left of the
 /// lane-batched decoder (deleted: 0.19× of [`Basecaller::call_chunk_with`] at
 /// the kernel). They are kept only for `benchmarks/`, which compiles against
-/// these names, and go with the `benchmark` PR of ROADMAP item 3(a).
+/// these names, and go with the `benchmark` PR of ROADMAP item 2(a).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChunkJob<'a> {
     /// The chunk's raw signal samples.

@@ -9,7 +9,9 @@
 //! chaining DP (one diagonal, and two interleaved), the reference index
 //! build, the seed path (sketch, index lookup, chain) on one query,
 //! pan-genome mapping against 1 vs 3 named references, banded alignment, one
-//! read basecalled and mapped end to end, and the pipeline simulator.
+//! read basecalled and mapped end to end, one GSC record decoded and one
+//! FASTQ record written (the replay path's serial I/O), and the pipeline
+//! simulator.
 //!
 //! Results are printed as a table and written to `BENCH_kernels.json` at the
 //! repo root so future PRs have a perf trajectory to compare against. Every
@@ -21,7 +23,12 @@
 use genpip_basecall::viterbi::{decode_with, DecodeScratch, Transitions};
 use genpip_basecall::{Basecaller, CallScratch, EmissionModel};
 use genpip_bench::micro::{bench, bench_json, Json};
+use genpip_datasets::SimulatedRead;
+use genpip_genomics::fastx::FastqWriter;
+use genpip_genomics::quality::Phred;
+use genpip_genomics::read::ReadOrigin;
 use genpip_genomics::GenomeBuilder;
+use genpip_io::{GscMeta, GscReader, GscWriter};
 use genpip_mapping::{
     minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, Mapper, MapperParams,
     MinimizerScratch, ReferenceIndex, ReferenceSet, SeedBatch, SeedScratch,
@@ -404,6 +411,58 @@ fn main() {
                 let (mapping, _, _) = mapper.finalize_mapping(&seq, &fwd, &rev);
                 (n, mapping.is_some())
             },
+        ));
+    }
+
+    // --- Replay I/O: the two serial stages outside the workers ---
+    // On `human_replay_mt` the dispatcher pulls every read out of a GSC
+    // container (read the record, checksum it, decode it) and the emitter
+    // writes every survivor to FASTQ. One human-length record (1 950 bases,
+    // ~16 k samples) decoded from the page cache, so the row is the
+    // container's cost and not the disk's; one 2 kb record formatted into a
+    // buffered writer that discards it. Elements are bytes of the record.
+    {
+        let truth = GenomeBuilder::new(1_950).seed(7).build().sequence().clone();
+        let read = SimulatedRead {
+            id: 0,
+            signal: synth.synthesize(&truth, 1.0, 8),
+            origin: ReadOrigin::Contaminant,
+            noise_sigma: 1.0,
+        };
+        let reference = GenomeBuilder::new(10_000).seed(9).build();
+        let meta = GscMeta {
+            pore_model: &pore,
+            mean_dwell: synth.mean_dwell(),
+            reference: &reference,
+        };
+        let path = std::env::temp_dir().join(format!("genpip-bench-{}.gsc", std::process::id()));
+        let mut writer = GscWriter::create(&path, &meta).expect("create the bench container");
+        writer.write_read(&read).expect("write the bench record");
+        writer.finish().expect("finish the bench container");
+        let mut reader = GscReader::open(&path).expect("open the bench container");
+        let record_bytes = reader.data_bytes() - reader.header_bytes();
+        results.push(bench(
+            "io/gsc_decode_record_16k",
+            Some((record_bytes as f64, "bytes")),
+            || reader.read_at(0).expect("decode").signal.samples.len(),
+        ));
+        std::fs::remove_file(&path).ok();
+
+        let seq = GenomeBuilder::new(2_000)
+            .seed(10)
+            .build()
+            .sequence()
+            .clone();
+        let quals: Vec<Phred> = (0..seq.len())
+            .map(|i| Phred((i * 7 % 40) as f32 + 0.3))
+            .collect();
+        let name = "read12345";
+        let record_bytes = name.len() + seq.len() + quals.len() + 6;
+        let mut fastq = FastqWriter::new(std::io::BufWriter::new(std::io::sink()));
+        results.push(bench(
+            "io/fastq_record_2kb",
+            Some((record_bytes as f64, "bytes")),
+            || fastq.write_record(black_box(name), &seq, &quals).is_ok(),
         ));
     }
 

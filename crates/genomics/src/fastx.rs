@@ -127,7 +127,12 @@ pub struct FastqWriter<W: Write> {
     /// `Option` exists so `Drop` and `finish` can coexist.
     inner: Option<W>,
     records: usize,
+    /// The record being built, reused from record to record.
+    record: Vec<u8>,
 }
+
+/// ASCII of each base, indexed by [`crate::Base::code`].
+const BASE_ASCII: [u8; 4] = *b"ACGT";
 
 impl<W: Write> FastqWriter<W> {
     /// Wraps a writer (hand it a `BufWriter` for file output).
@@ -135,6 +140,7 @@ impl<W: Write> FastqWriter<W> {
         FastqWriter {
             inner: Some(inner),
             records: 0,
+            record: Vec::new(),
         }
     }
 
@@ -142,19 +148,28 @@ impl<W: Write> FastqWriter<W> {
         self.inner.as_mut().expect("writer taken by finish")
     }
 
-    /// Appends one record.
+    /// Appends one record: `@name`, the bases, `+`, the Sanger qualities,
+    /// each line `\n`-terminated, built in a reused buffer and handed to the
+    /// writer in one `write_all`.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from the underlying writer.
     pub fn write_record(&mut self, name: &str, seq: &DnaSeq, quals: &[Phred]) -> io::Result<()> {
         debug_assert_eq!(seq.len(), quals.len(), "one quality per base");
-        let quals: String = quals.iter().map(|q| q.to_fastq_char()).collect();
-        let w = self.writer();
-        writeln!(w, "@{name}")?;
-        writeln!(w, "{seq}")?;
-        writeln!(w, "+")?;
-        writeln!(w, "{quals}")?;
+        let record = &mut self.record;
+        record.clear();
+        record.push(b'@');
+        record.extend_from_slice(name.as_bytes());
+        record.push(b'\n');
+        record.extend(seq.iter().map(|b| BASE_ASCII[usize::from(b.code())]));
+        record.extend_from_slice(b"\n+\n");
+        record.extend(quals.iter().map(|q| q.to_fastq_char() as u8));
+        record.push(b'\n');
+        self.inner
+            .as_mut()
+            .expect("writer taken by finish")
+            .write_all(&self.record)?;
         self.records += 1;
         Ok(())
     }
@@ -305,6 +320,9 @@ pub fn read_fastq<R: BufRead>(r: R) -> Result<ReadSet, ParseFastxError> {
     }
     Ok(reads)
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -39,9 +39,15 @@ impl Phred {
         self.0
     }
 
-    /// FASTQ Sanger encoding (`!` = Q0), saturating at `~` (Q93).
+    /// FASTQ Sanger encoding (`!` = Q0), saturating at `~` (Q93): the score
+    /// rounded half away from zero, negative and NaN scores as Q0.
     pub fn to_fastq_char(self) -> char {
-        let q = self.0.round().clamp(0.0, 93.0) as u8;
+        // Clamping first and rounding after is the same map. An f32 below
+        // a half-integer is at least 2^-25 below it and f64 spacing under 94
+        // is at most 2^-46, so `x + 0.5` in f64 never rounds up to the next
+        // integer and truncating it rounds half away from zero — without
+        // the `roundf` call `f32::round` costs on baseline x86-64.
+        let q = (f64::from(self.0.clamp(0.0, 93.0)) + 0.5) as u8;
         (b'!' + q) as char
     }
 
@@ -180,6 +186,39 @@ mod tests {
     fn fastq_encoding_saturates() {
         assert_eq!(Phred(200.0).to_fastq_char(), '~');
         assert_eq!(Phred(-5.0).to_fastq_char(), '!');
+    }
+
+    #[test]
+    fn fastq_encoding_equals_round_then_clamp() {
+        // The encoding as first written, the oracle for the one that ships.
+        let oracle = |q: f32| (b'!' + q.round().clamp(0.0, 93.0) as u8) as char;
+        let mut values = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+        ];
+        // A few ulps either side of every half-integer the rounding and the
+        // clamp can turn on…
+        for k in -4..=200 {
+            let half = (k as f32 * 0.5).to_bits();
+            values.extend((0..=6).map(|d| f32::from_bits((half + d).wrapping_sub(3))));
+        }
+        // …and a sweep over every exponent of both signs.
+        values.extend((0..1u32 << 20).map(|i| f32::from_bits(i << 12)));
+        for q in values {
+            assert_eq!(
+                Phred(q).to_fastq_char(),
+                oracle(q),
+                "{q:?} ({:#010x})",
+                q.to_bits()
+            );
+        }
     }
 
     #[test]

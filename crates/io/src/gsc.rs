@@ -1,19 +1,32 @@
 //! The GenPIP Signal Container (GSC): an indexed on-disk raw-signal format.
 //!
-//! # Layout (version 1, all integers little-endian)
+//! # Layout (version 2, all integers little-endian)
 //!
 //! ```text
 //! header   magic "GENPIPSC" · version u32 · flags u32
 //!          pore k u32 · event std f32 · mean dwell f64 · 4^k level f32s
 //!          reference name (u32 len + UTF-8) · reference (u64 bases + 2-bit packed)
-//!          read count u64 · header FNV-1a checksum u64
+//!          read count u64 · header checksum u64
 //! records  read count ×:
 //!          id u32 · noise sigma f64 · origin (tag u8 [+ start u64 + len u64 + rev u8])
 //!          truth (u64 bases + 2-bit packed) · sample count u64
-//!          samples f32 × n · base index u32 × n · record FNV-1a checksum u64
-//! trailer  record offsets u64 × read count · table FNV-1a checksum u64
+//!          samples f32 × n · base index u32 × n · record checksum u64
+//! trailer  record offsets u64 × read count · table checksum u64
 //!          table position u64 · read count u64 · magic "GSCINDEX"
 //! ```
+//!
+//! # Checksum
+//!
+//! Every checksum is one function over the section's bytes: FNV-1a's step
+//! `h = (h ^ w) · P` run on four interleaved lanes of little-endian `u64`
+//! words (word `i` of each 32-byte block goes to lane `i`), the bytes after
+//! the last whole block by byte-wise FNV-1a, then the four lanes and the
+//! byte length folded in by the same step. Four independent multiply chains
+//! hash at memory speed where byte-serial FNV-1a (version 1) paid a
+//! dependent multiply per byte. A single flipped bit cannot escape it: for a
+//! fixed state `w ↦ (h ^ w) · P` is injective (`P` is odd), and every later
+//! step — of the lane, of the fold — is a bijection of the state, so a
+//! change confined to one word or one tail byte always changes the digest.
 //!
 //! The header embeds the full chemistry (pore model, mean dwell) and the
 //! mapping reference, so a `.gsc` file is self-describing: a
@@ -47,8 +60,9 @@ use std::sync::{Arc, Mutex};
 pub const MAGIC: &[u8; 8] = b"GENPIPSC";
 /// Trailing index magic.
 pub const TRAILER_MAGIC: &[u8; 8] = b"GSCINDEX";
-/// The one supported container version.
-pub const VERSION: u32 = 1;
+/// The one supported container version (2: the word-parallel checksum;
+/// version 1 files, checksummed byte by byte, are refused).
+pub const VERSION: u32 = 2;
 /// Bytes in the fixed tail: table checksum, table position, read count,
 /// trailer magic.
 const TAIL_BYTES: u64 = 32;
@@ -78,7 +92,7 @@ pub enum GscError {
         /// The structure that could not be read in full.
         what: &'static str,
     },
-    /// Stored and recomputed FNV-1a checksums disagree.
+    /// Stored and recomputed checksums disagree.
     ChecksumMismatch {
         /// The checksummed section: `"header"`, `"offset table"`, or
         /// `"record <k>"`.
@@ -163,33 +177,88 @@ impl From<io::Error> for GscError {
     }
 }
 
-/// Incremental FNV-1a (64-bit) — the container's checksum.
-struct Fnv(u64);
+/// The container's checksum, incremental: four FNV-1a lanes over the
+/// little-endian `u64` words of 32-byte blocks, the tail bytes by byte
+/// FNV-1a, the lanes and the byte length folded in (see the module doc).
+/// A partial block is carried across [`Checksum::update`] calls, so any
+/// split of the input gives the one-shot [`checksum`].
+struct Checksum {
+    lanes: [u64; 4],
+    /// The bytes of an incomplete block, waiting for the next update.
+    pending: [u8; Checksum::BLOCK],
+    pending_len: usize,
+    len: u64,
+}
 
-impl Fnv {
+impl Checksum {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const BLOCK: usize = 32;
 
-    fn new() -> Fnv {
-        Fnv(Fnv::OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Fnv::PRIME);
+    fn new() -> Checksum {
+        Checksum {
+            lanes: [Checksum::OFFSET; 4],
+            pending: [0; Checksum::BLOCK],
+            pending_len: 0,
+            len: 0,
         }
     }
 
+    #[inline(always)]
+    fn step(h: u64, w: u64) -> u64 {
+        (h ^ w).wrapping_mul(Checksum::PRIME)
+    }
+
+    #[inline(always)]
+    fn mix(lanes: &mut [u64; 4], block: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            *lane = Checksum::step(*lane, w);
+        }
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let fill = (Checksum::BLOCK - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + fill].copy_from_slice(&bytes[..fill]);
+            self.pending_len += fill;
+            bytes = &bytes[fill..];
+            if self.pending_len < Checksum::BLOCK {
+                return;
+            }
+            Checksum::mix(&mut self.lanes, &self.pending);
+        }
+        // Four independent multiply chains, kept in registers.
+        let mut lanes = self.lanes;
+        let mut blocks = bytes.chunks_exact(Checksum::BLOCK);
+        for block in &mut blocks {
+            Checksum::mix(&mut lanes, block);
+        }
+        self.lanes = lanes;
+        let tail = blocks.remainder();
+        self.pending[..tail.len()].copy_from_slice(tail);
+        self.pending_len = tail.len();
+    }
+
     fn digest(&self) -> u64 {
-        self.0
+        let tail = &self.pending[..self.pending_len];
+        let h = tail
+            .iter()
+            .fold(Checksum::OFFSET, |h, &b| Checksum::step(h, u64::from(b)));
+        let h = self
+            .lanes
+            .iter()
+            .fold(h, |h, &lane| Checksum::step(h, lane));
+        Checksum::step(h, self.len)
     }
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.digest()
+/// The one-shot [`Checksum`] of `bytes`.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut c = Checksum::new();
+    c.update(bytes);
+    c.digest()
 }
 
 // ---------------------------------------------------------------------------
@@ -266,21 +335,19 @@ fn encode_record(out: &mut Vec<u8>, read: &SimulatedRead) {
 struct Take<'a, R: Read> {
     inner: &'a mut R,
     file_len: u64,
-    /// Everything pulled since the last [`Take::reset`], for checksums.
-    raw: Vec<u8>,
+    /// Everything pulled since [`Take::new`], for checksums: the caller's
+    /// buffer, cleared, so a reader reuses one allocation for every record.
+    raw: &'a mut Vec<u8>,
 }
 
 impl<'a, R: Read> Take<'a, R> {
-    fn new(inner: &'a mut R, file_len: u64) -> Take<'a, R> {
+    fn new(inner: &'a mut R, file_len: u64, raw: &'a mut Vec<u8>) -> Take<'a, R> {
+        raw.clear();
         Take {
             inner,
             file_len,
-            raw: Vec::new(),
+            raw,
         }
-    }
-
-    fn reset(&mut self) {
-        self.raw.clear();
     }
 
     /// Pulls `n` bytes into `raw`, returning their range within it.
@@ -401,9 +468,9 @@ pub struct GscWriter {
     file: BufWriter<File>,
     /// File offset of the header's read-count field (patched at finish).
     count_pos: u64,
-    /// FNV state over the header bytes before the read count, so the final
-    /// header checksum can be recomputed after patching.
-    prefix_hash: Fnv,
+    /// Checksum state over the header bytes before the read count, so the
+    /// final header checksum can be recomputed after patching.
+    prefix_hash: Checksum,
     offsets: Vec<u64>,
     pos: u64,
     scratch: Vec<u8>,
@@ -432,12 +499,11 @@ impl GscWriter {
         header.extend_from_slice(meta.reference.name().as_bytes());
         put_seq(&mut header, meta.reference.sequence());
         let count_pos = header.len() as u64;
-        let mut prefix_hash = Fnv::new();
+        let mut prefix_hash = Checksum::new();
         prefix_hash.update(&header);
         put_u64(&mut header, 0); // read count placeholder
-        let mut hash = Fnv::new();
-        hash.update(&header);
-        put_u64(&mut header, hash.digest());
+        let digest = checksum(&header);
+        put_u64(&mut header, digest);
         let mut file = BufWriter::new(file);
         file.write_all(&header)?;
         Ok(GscWriter {
@@ -458,10 +524,10 @@ impl GscWriter {
     pub fn write_read(&mut self, read: &SimulatedRead) -> Result<(), GscError> {
         self.scratch.clear();
         encode_record(&mut self.scratch, read);
-        let checksum = fnv(&self.scratch);
+        let digest = checksum(&self.scratch);
         self.offsets.push(self.pos);
         self.file.write_all(&self.scratch)?;
-        self.file.write_all(&checksum.to_le_bytes())?;
+        self.file.write_all(&digest.to_le_bytes())?;
         self.pos += self.scratch.len() as u64 + 8;
         Ok(())
     }
@@ -490,7 +556,7 @@ impl GscWriter {
             put_u64(&mut table, off);
         }
         self.file.write_all(&table)?;
-        self.file.write_all(&fnv(&table).to_le_bytes())?;
+        self.file.write_all(&checksum(&table).to_le_bytes())?;
         self.file.write_all(&table_pos.to_le_bytes())?;
         self.file.write_all(&reads.to_le_bytes())?;
         self.file.write_all(TRAILER_MAGIC)?;
@@ -561,6 +627,8 @@ pub struct GscReader {
     pos: u64,
     /// Index of the next read a sequential [`GscReader::next_record`] returns.
     next: usize,
+    /// The bytes of the record being decoded, reused from record to record.
+    raw: Vec<u8>,
 }
 
 impl fmt::Debug for GscReader {
@@ -590,7 +658,8 @@ impl GscReader {
         let mut file = BufReader::new(file);
 
         // --- Header ---
-        let mut take = Take::new(&mut file, file_len);
+        let mut raw = Vec::new();
+        let mut take = Take::new(&mut file, file_len, &mut raw);
         if take.bytes(8, "header magic")? != MAGIC {
             return Err(GscError::BadMagic { section: "header" });
         }
@@ -635,7 +704,7 @@ impl GscReader {
         })?;
         let ref_seq = take.seq("reference sequence")?;
         let read_count = take.u64("read count")?;
-        let expected = fnv(&take.raw);
+        let expected = checksum(take.raw);
         let stored = take.u64("header checksum")?;
         if expected != stored {
             return Err(GscError::ChecksumMismatch {
@@ -653,7 +722,7 @@ impl GscReader {
             });
         }
         file.seek(SeekFrom::Start(file_len - TAIL_BYTES))?;
-        let mut take = Take::new(&mut file, file_len);
+        let mut take = Take::new(&mut file, file_len, &mut raw);
         let table_checksum = take.u64("index trailer")?;
         let table_pos = take.u64("index trailer")?;
         let trailer_count = take.u64("index trailer")?;
@@ -680,9 +749,9 @@ impl GscReader {
 
         // --- Offset table ---
         file.seek(SeekFrom::Start(table_pos))?;
-        let mut take = Take::new(&mut file, file_len);
+        let mut take = Take::new(&mut file, file_len, &mut raw);
         let table_raw = take.bytes(table_bytes, "offset table")?;
-        if fnv(table_raw) != table_checksum {
+        if checksum(table_raw) != table_checksum {
             return Err(GscError::ChecksumMismatch {
                 section: "offset table".to_string(),
             });
@@ -711,6 +780,7 @@ impl GscReader {
             data_end: table_pos,
             pos: file_len, // position after reading the table; next() reseeks
             next: 0,
+            raw,
         })
     }
 
@@ -843,12 +913,12 @@ impl GscReader {
             self.file.seek(SeekFrom::Start(offset))?;
             self.pos = offset;
         }
-        let mut take = Take::new(&mut self.file, self.file_len);
+        let mut take = Take::new(&mut self.file, self.file_len, &mut self.raw);
         let result = decode_record(&mut take);
         let consumed = take.raw.len() as u64;
         match result {
             Ok((read, stored, hashed_len)) => {
-                let recomputed = fnv(&take.raw[..hashed_len]);
+                let recomputed = checksum(&take.raw[..hashed_len]);
                 self.pos += consumed;
                 if recomputed != stored {
                     return Err(GscError::ChecksumMismatch {
@@ -869,7 +939,6 @@ impl GscReader {
 /// Decodes one record at the cursor, returning the read, the stored
 /// checksum, and how many of the consumed bytes the checksum covers.
 fn decode_record<R: Read>(take: &mut Take<'_, R>) -> Result<(SimulatedRead, u64, usize), GscError> {
-    take.reset();
     let id = take.u32("record id")?;
     let noise_sigma = take.f64("record noise sigma")?;
     let origin = match take.u8("record origin")? {
@@ -903,23 +972,17 @@ fn decode_record<R: Read>(take: &mut Take<'_, R>) -> Result<(SimulatedRead, u64,
     let sample_bytes = sample_count.checked_mul(4).ok_or(GscError::Truncated {
         what: "record samples",
     })?;
-    let n = to_usize(sample_count, "sample count")?;
-    let samples_start = take.span(sample_bytes, "record samples")?.start;
-    let mut samples = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = samples_start + i * 4;
-        samples.push(f32::from_le_bytes(
-            take.raw[at..at + 4].try_into().expect("4 bytes"),
-        ));
-    }
-    let index_start = take.span(sample_bytes, "record base index")?.start;
-    let mut base_index = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = index_start + i * 4;
-        base_index.push(u32::from_le_bytes(
-            take.raw[at..at + 4].try_into().expect("4 bytes"),
-        ));
-    }
+    to_usize(sample_count, "sample count")?;
+    let samples = take
+        .bytes(sample_bytes, "record samples")?
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+        .collect();
+    let base_index = take
+        .bytes(sample_bytes, "record base index")?
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        .collect();
     let hashed_len = take.raw.len();
     let stored = take.u64("record checksum")?;
     let read = SimulatedRead {
@@ -1061,6 +1124,9 @@ impl ReadSource for GscReadSource {
 mod tests {
     use super::*;
     use genpip_datasets::{DatasetProfile, StreamingSimulator};
+    use genpip_genomics::rng::{seeded, Rng};
+    use genpip_genomics::GenomeBuilder;
+    use genpip_signal::SignalSynthesizer;
     use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -1228,6 +1294,137 @@ mod tests {
             status.take(),
             Some(GscError::ChecksumMismatch { .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn random_bytes(rng: &mut impl Rng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.random::<u8>()).collect()
+    }
+
+    #[test]
+    fn streaming_checksum_equals_one_shot_at_every_split() {
+        let mut rng = seeded(0xC5_0001);
+        for len in 0..=200 {
+            let bytes = random_bytes(&mut rng, len);
+            let whole = checksum(&bytes);
+            for split in 0..=len {
+                let mut c = Checksum::new();
+                c.update(&bytes[..split]);
+                c.update(&bytes[split..]);
+                assert_eq!(c.digest(), whole, "len {len}, split at {split}");
+            }
+            let mut bytewise = Checksum::new();
+            for b in &bytes {
+                bytewise.update(std::slice::from_ref(b));
+            }
+            assert_eq!(bytewise.digest(), whole, "len {len}, byte by byte");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum() {
+        let mut rng = seeded(0xC5_0002);
+        for len in 1..=100 {
+            let bytes = random_bytes(&mut rng, len);
+            let whole = checksum(&bytes);
+            for pos in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[pos] ^= 1 << bit;
+                    assert_ne!(
+                        checksum(&flipped),
+                        whole,
+                        "len {len}, byte {pos}, bit {bit}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_definition_is_pinned() {
+        // The container format is these digests: a change here is a new
+        // `VERSION`, not a refactor.
+        assert_eq!(checksum(b""), 0x7f6e_4d21_b650_a5a3);
+        assert_eq!(checksum(b"GENPIPSC"), 0x8e24_25a1_0c52_25c8);
+        let counting: Vec<u8> = (0..=99).collect();
+        assert_eq!(checksum(&counting), 0xaba9_45b7_4717_588b);
+    }
+
+    /// A container small enough to flip every bit of: a k = 1 pore model, a
+    /// 40-base reference, and two short reads, one of each origin kind.
+    fn pack_small(path: &Path) {
+        let model = PoreModel::synthetic(1, 3);
+        let synth = SignalSynthesizer::new(model.clone());
+        let reference = GenomeBuilder::new(40).seed(5).name("small").build();
+        let meta = GscMeta {
+            pore_model: &model,
+            mean_dwell: synth.mean_dwell(),
+            reference: &reference,
+        };
+        let mut writer = GscWriter::create(path, &meta).expect("create");
+        let origins = [
+            ReadOrigin::Reference {
+                start: 3,
+                len: 6,
+                reverse: true,
+            },
+            ReadOrigin::Contaminant,
+        ];
+        for (id, origin) in (0u32..).zip(origins) {
+            let truth = reference.sequence().subseq(3 + id as usize, 6);
+            let read = SimulatedRead {
+                id,
+                signal: synth.synthesize(&truth, 1.0, u64::from(id)),
+                origin,
+                noise_sigma: 1.0,
+            };
+            writer.write_read(&read).expect("write");
+        }
+        writer.finish().expect("finish");
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_small_container_is_a_typed_error() {
+        let path = temp_path("small");
+        pack_small(&path);
+        let pristine = std::fs::read(&path).expect("read");
+        let mut clean = GscReadSource::open(&path).expect("pristine opens");
+        while clean.next_read().is_some() {}
+        assert!(clean.status().is_ok(), "pristine container streams clean");
+        let corrupt_path = temp_path("small-flipped");
+        for pos in 0..pristine.len() {
+            for bit in 0..8 {
+                let mut corrupt = pristine.clone();
+                corrupt[pos] ^= 1 << bit;
+                std::fs::write(&corrupt_path, &corrupt).expect("write corrupt copy");
+                let detected = match GscReadSource::open(&corrupt_path) {
+                    Err(_) => true,
+                    Ok(mut source) => {
+                        while source.next_read().is_some() {}
+                        !source.status().is_ok()
+                    }
+                };
+                assert!(detected, "flip of bit {bit} at byte {pos} went undetected");
+            }
+        }
+        std::fs::remove_file(&corrupt_path).ok();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_version_1_container_is_refused() {
+        let path = temp_path("v1");
+        pack_small(&path);
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        let err = GscReader::open(&path).expect_err("version 1 is refused");
+        assert!(
+            matches!(err, GscError::UnsupportedVersion { found: 1 }),
+            "unexpected: {err}"
+        );
+        assert!(err.to_string().contains("version 1"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 }

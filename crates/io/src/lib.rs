@@ -25,7 +25,7 @@
 //!
 //! Like the rest of the workspace, everything is implemented in-repo with
 //! no external dependencies: serialization is hand-rolled little-endian
-//! with FNV-1a checksums.
+//! with a word-parallel FNV-1a checksum (see [`gsc`]).
 
 pub mod checkpoint;
 pub mod gsc;
