@@ -94,46 +94,67 @@ impl Alignment {
 /// enough above `i32::MIN` that penalties add to it without wrapping.
 const NEG: i32 = i32::MIN / 4;
 
-/// Pad byte in front of the window's base codes; equals no 2-bit code.
+/// Pad byte around the window's base codes; equals no 2-bit code.
 const PAD: u8 = 0xFF;
 
+/// Cells of one block of the AVX2 row.
+const LANES: usize = 8;
+
+/// How far past a row's last cell (and its last column) a block of
+/// [`LANES`] cells may read: rows carry this many extra `NEG` cells and the
+/// window this many extra [`PAD`] bytes, so the AVX2 row needs no per-cell
+/// tail logic.
+const SLACK: usize = LANES - 1;
+
 /// Reusable working memory of the banded-alignment kernel: the unpacked
-/// query and reference window, the band's table of row origins, the rolling
-/// DP rows and the traceback's run stack. One instance per worker thread; a
-/// warmed scratch leaves the traceback matrix and the returned CIGAR as an
-/// alignment's only allocations. (The matrix, one byte per band cell, is
-/// about a quarter of a megabyte for a 3 kb read in the mapper's corridor; it
-/// is allocated per call so that no worker pins its largest one.)
+/// query and reference window, the window's score profile, the band's table
+/// of row origins, the rolling DP rows and the traceback's run stack. One
+/// instance per worker thread; a warmed scratch leaves the traceback matrix
+/// and the returned CIGAR as an alignment's only allocations. (The matrix,
+/// one byte per band cell, is about a quarter of a megabyte for a 3 kb read
+/// in the mapper's corridor; it is allocated per call so that no worker pins
+/// its largest one.)
 ///
 /// A band is a table of row origins, not a centre and a half-width: row `i`
 /// covers the `width` columns from `base[i]` on, clipped to the matrix, and
 /// `base[i] - base[i - 1]` is 0, 1 or 2, so the band can follow a chain
 /// through its indels (`AlignScratch::align_along`). The straight band of
 /// [`banded_global`] is the table whose every step is 1.
+///
+/// The window and every row end in `SLACK` (7) spare entries, pad bytes and
+/// `NEG` cells, that no recurrence reads: the AVX2 row computes eight cells
+/// at a time, and its last block of a row reads past the row's end.
 #[derive(Debug, Clone, Default)]
 pub struct AlignScratch {
     /// Query base codes.
     q: Vec<u8>,
-    /// Window base codes behind one [`PAD`] byte: `r[j]` is the base that DP
-    /// column `j` consumes, and column 0 (which consumes none) matches nothing.
+    /// Window base codes between one [`PAD`] byte and `SLACK` more: `r[j]` is
+    /// the base that DP column `j` consumes, and column 0 (which consumes
+    /// none) matches nothing.
     r: Vec<u8>,
+    /// The score profile of `r` for the AVX2 row, four rows of `r.len()`:
+    /// entry `j` of row `b` is the substitution score of column `j` against
+    /// query base code `b` — `match_score` where `r[j] == b`, `mismatch`
+    /// elsewhere, [`PAD`] included. Built once per alignment.
+    #[cfg(target_arch = "x86_64")]
+    prof: Vec<i32>,
     /// Column of each query row's band cell 0, rows `0..=n` (negative left of
     /// the matrix).
     base: Vec<i64>,
-    // Band-relative rows of `1 + width + 2` cells: cell `c` of row `i` is
-    // column `base[i] + c` and sits at index `c + 1`. With `step = base[i] -
-    // base[i - 1]`, its diagonal neighbour is the previous row's cell
-    // `c + step - 1` and its upper neighbour cell `c + step`: the pad cell on
-    // the left is the diagonal neighbour of cell 0 after a step of 0, the two
-    // on the right are the neighbours of the last cell after a step of 2, and
-    // all three stay `NEG`.
+    // Band-relative rows of `1 + width + 2 + SLACK` cells: cell `c` of row
+    // `i` is column `base[i] + c` and sits at index `c + 1`. With `step =
+    // base[i] - base[i - 1]`, its diagonal neighbour is the previous row's
+    // cell `c + step - 1` and its upper neighbour cell `c + step`: the pad
+    // cell on the left is the diagonal neighbour of cell 0 after a step of 0,
+    // the two on the right are the neighbours of the last cell after a step
+    // of 2, and all three stay `NEG`.
     h_prev: Vec<i32>,
     h_curr: Vec<i32>,
     ix_prev: Vec<i32>,
     ix_curr: Vec<i32>,
-    /// Pass B's gap-open candidates, slope removed.
+    /// The portable pass B's gap-open candidates, slope removed.
     v: Vec<i32>,
-    /// Pass B's running maximum over `v`.
+    /// The portable pass B's running maximum over `v`.
     u: Vec<i32>,
     /// Traceback runs, last column first: (0 = M, 1 = I, 2 = D, length).
     ops: Vec<(u8, u32)>,
@@ -163,6 +184,27 @@ impl AlignScratch {
             self.r.extend(codes.rev().map(|code| 3 - code));
         } else {
             self.r.extend(codes);
+        }
+        self.r.extend([PAD; SLACK]);
+    }
+
+    /// The window's length, `m`: the last DP column.
+    fn m(&self) -> usize {
+        self.r.len() - 1 - SLACK
+    }
+
+    /// Lays down [`AlignScratch::prof`] for `params`.
+    #[cfg(target_arch = "x86_64")]
+    fn load_profile(&mut self, params: &AlignmentParams) {
+        self.prof.clear();
+        for code in 0..4 {
+            self.prof.extend(self.r.iter().map(|&b| {
+                if b == code {
+                    params.match_score
+                } else {
+                    params.mismatch
+                }
+            }));
         }
     }
 
@@ -210,7 +252,7 @@ impl AlignScratch {
     /// The straight band: widens it to keep (0,0) and (n,m) inside and lays
     /// down its all-steps-1 table.
     fn prepare(&mut self, band_center: i64, band_halfwidth: usize) -> Band {
-        let (n, m) = (self.q.len(), self.r.len() - 1);
+        let (n, m) = (self.q.len(), self.m());
         let need_start = band_center.unsigned_abs() as usize;
         let need_end = (m as i64 - n as i64 - band_center).unsigned_abs() as usize;
         let hw = band_halfwidth.max(need_start).max(need_end) + 1;
@@ -222,7 +264,7 @@ impl AlignScratch {
 
     /// The corridor of [`align_along`](AlignScratch::align_along).
     fn prepare_along(&mut self, pins: impl Iterator<Item = (i64, i64)>, halfwidth: usize) -> Band {
-        let (n, m) = (self.q.len() as i64, (self.r.len() - 1) as i64);
+        let (n, m) = (self.q.len() as i64, self.m() as i64);
         let hw = halfwidth.max(1) as i64;
         self.base.clear();
         self.base.push(-hw);
@@ -251,10 +293,7 @@ impl AlignScratch {
 
     /// Sizes the rows for a band of `width` columns from each of `base` on.
     fn size_rows(&mut self, width: usize) -> Band {
-        let band = Band {
-            m: self.r.len() - 1,
-            width,
-        };
+        let band = Band { m: self.m(), width };
         debug_assert!(width >= 3 && self.base.len() == self.q.len() + 1);
         debug_assert!(self
             .base
@@ -271,7 +310,7 @@ impl AlignScratch {
             &mut self.u,
         ] {
             row.clear();
-            row.resize(width + 3, NEG);
+            row.resize(width + 3 + SLACK, NEG);
         }
         band
     }
@@ -447,21 +486,66 @@ fn pass_b_scan(p: &AlignmentParams, h: &mut [i32], flags: &mut [u8]) {
     }
 }
 
-/// Fills the DP rows and the traceback matrix; returns the cells computed.
+/// Where one row's in-matrix cells sit: row `i`, `len` cells from band cell
+/// `clo` (column `lo`) on, `step = base[i] - base[i - 1]`.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    i: usize,
+    step: usize,
+    lo: usize,
+    clo: usize,
+    len: usize,
+}
+
+/// The portable row body: [`pass_a`], then the pass B the scoring allows.
+#[inline(always)]
+fn portable_row(s: &mut AlignScratch, p: &AlignmentParams, row: Row, flags: &mut [u8]) {
+    let Row {
+        i,
+        step,
+        lo,
+        clo,
+        len,
+    } = row;
+    // Cell `c`'s diagonal neighbour sits at index `c + step` of the previous
+    // row (its cell `c + step - 1`, behind the left pad).
+    let (h_prev, ix_prev) = (
+        &s.h_prev[clo + step..clo + step + len + 1],
+        &s.ix_prev[clo + step..clo + step + len + 1],
+    );
+    let (h, ix) = (
+        &mut s.h_curr[1 + clo..1 + clo + len],
+        &mut s.ix_curr[1 + clo..1 + clo + len],
+    );
+    let (qb, r) = (s.q[i - 1], &s.r[lo..lo + len]);
+    pass_a(p, qb, r, h_prev, ix_prev, ix, h, &mut s.v, flags);
+    if p.gap_open <= 0 {
+        pass_b_running_max(p, &s.v, &mut s.u, h, flags);
+    } else {
+        pass_b_scan(p, h, flags);
+    }
+}
+
+/// Fills the DP rows and the traceback matrix with `row_body` computing each
+/// row; returns the cells computed.
 ///
-/// Each row runs two passes over the band-relative cells `c`. **Pass A**
-/// needs only the previous row — `Ix[c]` from `prev[c + 1]`, the diagonal
-/// from `prev[c]`, `T[c] = max(diag, Ix)` and their traceback bits — so it is
-/// branch-free selects over contiguous slices. **Pass B** resolves the
-/// horizontal recurrence `Iy[c] = max(H[c-1] + o + e, Iy[c-1] + e)`,
-/// `H[c] = max(T[c], Iy[c])`. With `o <= 0`, `H[c-1]` can be replaced by
+/// Each row's recurrence splits into two passes over the band-relative cells
+/// `c`. **Pass A** needs only the previous row — `Ix[c]` from `prev[c + 1]`,
+/// the diagonal from `prev[c]`, `T[c] = max(diag, Ix)` and their traceback
+/// bits — so it is branch-free selects over contiguous slices. **Pass B**
+/// resolves the horizontal recurrence `Iy[c] = max(H[c-1] + o + e, Iy[c-1] +
+/// e)`, `H[c] = max(T[c], Iy[c])`. With `o <= 0`, `H[c-1]` can be replaced by
 /// `T[c-1]` (its other arm, `Iy[c-1] + o + e`, never beats extending), and
 /// `u[c] = Iy[c] - e·c` is the running maximum of `v[c] = T[c-1] + o + e -
 /// e·c`: one dependent `max` per cell, everything around it elementwise.
 /// The strict `>` of every tie rule carries over: extending beats opening
 /// from `T[c-1]` iff `u[c-1] > v[c]`, i.e. `u[c] > v[c]`. (With `o == 0`
 /// the scan would instead re-open from `H[c-1] = Iy[c-1]`; that is the same
-/// path, so the traceback cannot tell the two apart.)
+/// path, so the traceback cannot tell the two apart.) [`portable_row`] runs
+/// the passes one after the other over slices; the AVX2 row (`avx2::row`)
+/// runs both on one block of eight cells at a time, the running maximum as
+/// a prefix maximum in registers — the same integers and the same strict
+/// `>`, so the same bits.
 ///
 /// The rolling rows are never cleared between rows. A cell the next row reads
 /// is either one this row wrote or one no row ever writes: as `base` only
@@ -469,7 +553,13 @@ fn pass_b_scan(p: &AlignmentParams, h: &mut [i32], flags: &mut [u8]) {
 /// advances, so what an earlier row left beyond this row's ends lies beyond
 /// the next row's neighbours too.
 #[inline(always)]
-fn fill(s: &mut AlignScratch, tb: &mut [u8], p: &AlignmentParams, band: &Band) -> usize {
+fn fill(
+    s: &mut AlignScratch,
+    tb: &mut [u8],
+    p: &AlignmentParams,
+    band: &Band,
+    row_body: impl Fn(&mut AlignScratch, &AlignmentParams, Row, &mut [u8]),
+) -> usize {
     let (n, m, width) = (s.q.len(), band.m, band.width);
 
     // Row 0: leading deletions.
@@ -493,50 +583,45 @@ fn fill(s: &mut AlignScratch, tb: &mut [u8], p: &AlignmentParams, band: &Band) -
         let clo = (lo as i64 - base) as usize;
         let len = hi - lo + 1;
         cells += len;
-
-        // Cell `c`'s diagonal neighbour sits at index `c + step` of the
-        // previous row (its cell `c + step - 1`, behind the left pad).
-        let (h_prev, ix_prev) = (
-            &s.h_prev[clo + step..clo + step + len + 1],
-            &s.ix_prev[clo + step..clo + step + len + 1],
-        );
-        let (h, ix) = (
-            &mut s.h_curr[1 + clo..1 + clo + len],
-            &mut s.ix_curr[1 + clo..1 + clo + len],
-        );
         let flags = &mut tb[i * width + clo..][..len];
-        let (qb, r) = (s.q[i - 1], &s.r[lo..lo + len]);
-        pass_a(p, qb, r, h_prev, ix_prev, ix, h, &mut s.v, flags);
-        if p.gap_open <= 0 {
-            pass_b_running_max(p, &s.v, &mut s.u, h, flags);
-        } else {
-            pass_b_scan(p, h, flags);
-        }
+        row_body(
+            s,
+            p,
+            Row {
+                i,
+                step,
+                lo,
+                clo,
+                len,
+            },
+            flags,
+        );
         std::mem::swap(&mut s.h_prev, &mut s.h_curr);
         std::mem::swap(&mut s.ix_prev, &mut s.ix_curr);
     }
     cells
 }
 
-/// [`fill`], compiled for the widest integer vectors the host has.
+/// [`fill`] with the row body chosen once per alignment, from what the code
+/// observes: on x86-64 with AVX2 and `gap_open <= 0` the AVX2 row over the
+/// window's score profile, everywhere else [`portable_row`].
 fn fill_dispatch(s: &mut AlignScratch, tb: &mut [u8], p: &AlignmentParams, band: &Band) -> usize {
     #[cfg(target_arch = "x86_64")]
-    {
-        #[target_feature(enable = "avx2")]
-        fn fill_avx2(
-            s: &mut AlignScratch,
-            tb: &mut [u8],
-            p: &AlignmentParams,
-            band: &Band,
-        ) -> usize {
-            fill(s, tb, p, band)
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the host supports AVX2, checked on the line above.
-            return unsafe { fill_avx2(s, tb, p, band) };
-        }
+    if p.gap_open <= 0 && std::arch::is_x86_feature_detected!("avx2") {
+        s.load_profile(p);
+        let stride = s.r.len();
+        return fill(s, tb, p, band, |s, p, row, flags| {
+            let qb = usize::from(s.q[row.i - 1]);
+            let prof = &s.prof[qb * stride + row.lo..(qb + 1) * stride];
+            let prev = row.clo + row.step;
+            let (h_prev, ix_prev) = (&s.h_prev[prev..], &s.ix_prev[prev..]);
+            let (h, ix) = (&mut s.h_curr[1 + row.clo..], &mut s.ix_curr[1 + row.clo..]);
+            // SAFETY: this body exists only on a host with AVX2, checked
+            // above.
+            unsafe { avx2::row(p, prof, h_prev, ix_prev, h, ix, flags) }
+        });
     }
-    fill(s, tb, p, band)
+    fill(s, tb, p, band, portable_row)
 }
 
 /// Aligns `query` against `reference` globally within a diagonal band.
@@ -573,6 +658,9 @@ pub fn banded_global(
     scratch.load(query, reference, 0..reference.len(), false);
     scratch.align(params, band_center, band_halfwidth)
 }
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 #[cfg(test)]
 mod differential;

@@ -1,13 +1,16 @@
-//! Differential suite: the band-relative two-pass kernel must return the same
+//! Differential suite: the band-relative kernel must return the same
 //! [`Alignment`] as the first-draft scalar kernel — score, CIGAR, matches,
 //! columns **and** the `cells` cost-model counter — on every geometry and
-//! every tie, through both the dispatched entry ([`banded_global`], AVX2 where
-//! the host has it) and the portable instantiation of the same fill body; and,
-//! for bands that are not straight, the same [`Alignment`] as a full-matrix
-//! Gotoh masked by the same table of row origins.
+//! every tie, through both the dispatched entry ([`banded_global`], the AVX2
+//! row where the host has it and the scoring allows) and the fill with the
+//! portable row body; and, for bands that are not straight, the same
+//! [`Alignment`] as a full-matrix Gotoh masked by the same table of row
+//! origins. The AVX2 row is also held to the portable one row by row, from
+//! previous rows no alignment produces.
 
 use super::{
-    banded_global, fill, fill_dispatch, AlignScratch, Alignment, AlignmentParams, Band, CigarOp,
+    banded_global, fill, fill_dispatch, portable_row, AlignScratch, Alignment, AlignmentParams,
+    Band, CigarOp,
 };
 use genpip_genomics::rng::{seeded, Rng, SeededRng};
 use genpip_genomics::{Base, DnaSeq, ErrorModel};
@@ -258,8 +261,13 @@ const PARAMS: [AlignmentParams; 4] = [
     },
 ];
 
-/// [`banded_global`] with the portable instantiation of the fill body,
-/// whatever the host's vector extensions.
+/// [`fill`] with the portable row body, whatever the host's vector
+/// extensions.
+fn fill_portable(s: &mut AlignScratch, tb: &mut [u8], p: &AlignmentParams, band: &Band) -> usize {
+    fill(s, tb, p, band, portable_row)
+}
+
+/// [`banded_global`] through [`fill_portable`].
 fn portable_banded_global(
     q: &DnaSeq,
     r: &DnaSeq,
@@ -271,7 +279,7 @@ fn portable_banded_global(
     scratch.load(q, r, 0..r.len(), false);
     let band = scratch.prepare(center, hw);
     let mut tb = band.traceback_matrix(q.len());
-    let cells = fill(&mut scratch, &mut tb, p, &band);
+    let cells = fill_portable(&mut scratch, &mut tb, p, &band);
     scratch.finish(&tb, &band, cells)
 }
 
@@ -522,7 +530,7 @@ fn masked_gotoh(
 
 type Fill = fn(&mut AlignScratch, &mut [u8], &AlignmentParams, &Band) -> usize;
 
-/// Runs one instantiation of the fill body over a band given as a table.
+/// Runs one fill entry over a band given as a table.
 fn table_global(
     q: &DnaSeq,
     r: &DnaSeq,
@@ -542,7 +550,10 @@ fn table_global(
 
 fn assert_same_table(q: &DnaSeq, r: &DnaSeq, p: &AlignmentParams, base: &[i64], width: usize) {
     let want = masked_gotoh(q, r, p, base, width);
-    for (entry, fill) in [("dispatched", fill_dispatch as Fill), ("portable", fill)] {
+    for (entry, fill) in [
+        ("dispatched", fill_dispatch as Fill),
+        ("portable", fill_portable),
+    ] {
         assert_eq!(
             table_global(q, r, p, base, width, fill),
             want,
@@ -657,5 +668,132 @@ fn corridors_along_random_pins_agree_and_cover_their_pins() {
         let p = &PARAMS[(case % 4) as usize];
         let want = masked_gotoh(&query, &window, p, &base, width);
         assert_eq!(scratch.run(p, &band), want, "case {case}: pins {pins:?}");
+        assert_eq!(
+            table_global(&query, &window, p, &base, width, fill_portable),
+            want,
+            "case {case} (portable): pins {pins:?}"
+        );
     }
+}
+
+/// A previous DP row for the single-row test: a `NEG` pad, `width` cells
+/// drawn by `mode` — arbitrary scores with `NEG`s among them, values so
+/// small that every comparison ties somewhere, or runs of equal values —
+/// two `NEG` pads, and `SLACK` entries of garbage that only the AVX2 row's
+/// last block reads.
+#[cfg(target_arch = "x86_64")]
+fn arbitrary_row(rng: &mut SeededRng, mode: u64, width: usize) -> Vec<i32> {
+    use super::{NEG, SLACK};
+    let mut row = vec![NEG];
+    while row.len() <= width {
+        let (value, run) = match mode {
+            0 if rng.random_range(0..8u8) == 0 => (NEG, 1),
+            0 => (rng.random_range(-(1 << 28)..=1 << 28), 1),
+            1 => (rng.random_range(-4..=4), 1),
+            _ if rng.random_range(0..4u8) == 0 => (NEG, rng.random_range(1..=6usize)),
+            _ => (rng.random_range(-12..=12), rng.random_range(1..=6usize)),
+        };
+        row.extend(std::iter::repeat_n(value, run));
+    }
+    row.truncate(1 + width);
+    row.extend([NEG, NEG]);
+    row.extend((0..SLACK).map(|_| rng.random::<u32>() as i32));
+    row
+}
+
+/// The AVX2 row against [`pass_a`](super::pass_a) followed by
+/// [`pass_b_running_max`](super::pass_b_running_max), one row at a time, from
+/// previous rows no alignment produces (see [`arbitrary_row`]): every row
+/// length 1..=40 — every length mod 8, rows shorter than a block, exactly one
+/// block — every step 0..=2, every scoring the AVX2 row serves. `H`, `Ix` and
+/// every flag byte must be equal, and the current row's buffers start out as
+/// garbage, so any cell either body writes outside the row shows.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_row_agrees_with_the_portable_row_from_arbitrary_previous_rows() {
+    use super::{avx2, pass_a, pass_b_running_max, PAD, SLACK};
+    if !std::arch::is_x86_feature_detected!("avx2") {
+        eprintln!("skipped: this host has no AVX2, so the AVX2 row never runs on it");
+        return;
+    }
+    fn garbage(rng: &mut SeededRng, n: usize) -> Vec<i32> {
+        (0..n).map(|_| rng.random::<u32>() as i32).collect()
+    }
+    // Which flag bytes turned up: a check on the inputs' reach, not on the row.
+    let mut seen = [false; 16];
+    for (pi, p) in PARAMS.iter().enumerate().filter(|(_, p)| p.gap_open <= 0) {
+        for len in 1..=40usize {
+            for step in 0..=2usize {
+                for case in 0..16u64 {
+                    let mut rng = seeded((pi * 1_000 + len * 10 + step) as u64 * 100 + case);
+                    let width = len + rng.random_range(0..=9usize);
+                    let clo = rng.random_range(0..=width - len);
+                    let h_prev = arbitrary_row(&mut rng, case % 3, width);
+                    let ix_prev = arbitrary_row(&mut rng, case / 3 % 3, width);
+                    // The row's columns: column 0 (the pad) when the row
+                    // starts at the matrix's left edge, and the window's
+                    // trailing pads past its end.
+                    let qb = rng.random_range(0..4u8);
+                    let r: Vec<u8> = (0..len + SLACK)
+                        .map(|k| match rng.random_range(0..6u8) {
+                            _ if k >= len => PAD,
+                            0 if k == 0 => PAD,
+                            0 | 1 => qb,
+                            _ => rng.random_range(0..4u8),
+                        })
+                        .collect();
+                    let prof: Vec<i32> = r
+                        .iter()
+                        .map(|&b| if b == qb { p.match_score } else { p.mismatch })
+                        .collect();
+
+                    let cells = h_prev.len();
+                    let (mut h, mut ix) = (garbage(&mut rng, cells), garbage(&mut rng, cells));
+                    let mut flags: Vec<u8> = (0..width).map(|_| rng.random()).collect();
+                    let (mut h_avx2, mut ix_avx2, mut flags_avx2) =
+                        (h.clone(), ix.clone(), flags.clone());
+
+                    let (prev, cur) = (clo + step..clo + step + len + 1, 1 + clo..1 + clo + len);
+                    let (mut v, mut u) = (vec![0; len + 1], vec![0; len]);
+                    let row_flags = &mut flags[clo..clo + len];
+                    pass_a(
+                        p,
+                        qb,
+                        &r[..len],
+                        &h_prev[prev.clone()],
+                        &ix_prev[prev.clone()],
+                        &mut ix[cur.clone()],
+                        &mut h[cur.clone()],
+                        &mut v,
+                        row_flags,
+                    );
+                    pass_b_running_max(p, &v, &mut u, &mut h[cur], row_flags);
+                    for &f in row_flags.iter() {
+                        seen[f as usize] = true;
+                    }
+                    // SAFETY: the host supports AVX2, checked at the top.
+                    unsafe {
+                        avx2::row(
+                            p,
+                            &prof,
+                            &h_prev[prev.start..],
+                            &ix_prev[prev.start..],
+                            &mut h_avx2[1 + clo..],
+                            &mut ix_avx2[1 + clo..],
+                            &mut flags_avx2[clo..clo + len],
+                        )
+                    };
+                    assert_eq!(
+                        (&h_avx2, &ix_avx2, &flags_avx2),
+                        (&h, &ix, &flags),
+                        "{p:?} len {len} step {step} case {case} clo {clo} width {width}\n\
+                         h_prev {h_prev:?}\nix_prev {ix_prev:?}\nr {r:?} qb {qb}"
+                    );
+                }
+            }
+        }
+    }
+    // H from the diagonal, Ix or Iy, with either gap extended or not.
+    let missing: Vec<usize> = (0..16).filter(|&f| f & 0b11 != 3 && !seen[f]).collect();
+    assert!(missing.is_empty(), "flag bytes never produced: {missing:?}");
 }

@@ -40,6 +40,8 @@
 //! assert!(mapping.ref_start.abs_diff(5_000) < 50);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod align;
 pub mod chain;
 pub mod index;
