@@ -2,7 +2,7 @@
 
 use crate::emission::EmissionModel;
 use crate::quality::QualityCalibration;
-use crate::viterbi::{decode_with, DecodeScratch, DecodeStats, Transitions};
+use crate::viterbi::{decode_with, DecodeScratch, DecodeStats, FixedPointModel, Transitions};
 use genpip_genomics::{Base, DnaSeq, Phred};
 use genpip_signal::{chunk_boundaries, normalize_to_model, PoreModel};
 
@@ -26,8 +26,12 @@ impl CallScratch {
 /// The typed panic payload [`Basecaller::call_chunk_with`] raises when a
 /// chunk's signal fails the integrity check before decoding: a sample that is
 /// NaN or infinite, or — after normalization — so large that its square is
-/// infinite (`|x| > 1.8e19`; the emission MVM multiplies by `x²`, so such a
-/// sample turns every score into `-inf` or NaN just as an infinite one does).
+/// infinite (`|x| > 1.8e19`, where the crossbar's emission MVM,
+/// `w · [x², x, 1]`, overflows). The fixed-point decoder itself is total —
+/// every `f32` falls in an emission-table bin, NaN in the first — so without
+/// the gate such a sample would decode to a confident path through the
+/// table's end bins instead of failing: the gate is what keeps corrupt input
+/// from becoming bases.
 ///
 /// Raised via [`std::panic::panic_any`] so fault-tolerant executors can
 /// `downcast` the payload and classify the fault as corrupt *input* rather
@@ -237,7 +241,8 @@ impl BasecalledRead {
 pub struct Basecaller {
     pore: PoreModel,
     emission: EmissionModel,
-    transitions: Transitions,
+    /// The decoder's quantised emissions and transitions, built once here.
+    model: FixedPointModel,
     calibration: QualityCalibration,
     normalize: bool,
 }
@@ -256,7 +261,7 @@ impl Basecaller {
         Basecaller {
             pore: pore.clone(),
             emission: EmissionModel::from_pore_model(pore),
-            transitions: Transitions::from_mean_dwell(mean_dwell),
+            model: FixedPointModel::new(pore, Transitions::from_mean_dwell(mean_dwell)),
             calibration: QualityCalibration::default_r9(),
             normalize: false,
         }
@@ -303,8 +308,8 @@ impl Basecaller {
     ///
     /// Panics with a typed [`SignalFault`] payload (via
     /// [`std::panic::panic_any`]) if any sample is non-finite or, once
-    /// normalized, has a non-finite square — such readings would poison the
-    /// emission MVMs and decode to garbage, so they are rejected before
+    /// normalized, has a non-finite square — such readings overflow the
+    /// emission MVM and would decode to garbage, so they are rejected before
     /// decoding starts. Executors with a fault policy catch and classify
     /// this; everything else fails fast.
     pub fn call_chunk_with(
@@ -323,13 +328,7 @@ impl Basecaller {
             };
         }
         let signal = self.checked_normalized(samples, &mut scratch.normalized);
-        let stats = decode_with(
-            &self.emission,
-            signal,
-            self.transitions,
-            carry.map(|c| c.0),
-            &mut scratch.decode,
-        );
+        let stats = decode_with(&self.model, signal, carry.map(|c| c.0), &mut scratch.decode);
         self.assemble_chunk(
             signal,
             scratch.decode.states(),

@@ -73,13 +73,6 @@ impl EmissionModel {
         &self.weights
     }
 
-    /// The weights column-major, `[w0 × states | w1 × states | w2 × states]`
-    /// — the layout the fused AVX2 Viterbi row reads them in.
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) fn columns(&self) -> &[f32] {
-        &self.columns
-    }
-
     /// The feature vector for a sample.
     #[inline]
     pub fn features(x: f32) -> [f32; 3] {
@@ -146,7 +139,7 @@ impl EmissionModel {
     /// Body of [`EmissionModel::log_likelihoods_block`], sizes already
     /// checked.
     #[inline(always)]
-    pub(crate) fn block(&self, xs: &[f32], out: &mut [f32]) {
+    fn block(&self, xs: &[f32], out: &mut [f32]) {
         let n = self.states;
         let (w0, rest) = self.columns.split_at(n);
         let (w1, w2) = rest.split_at(n);

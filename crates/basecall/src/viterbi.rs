@@ -1,4 +1,4 @@
-//! Viterbi decoding over the k-mer state space.
+//! Viterbi decoding over the k-mer state space, in fixed point.
 //!
 //! The HMM has one state per pore k-mer. At every signal sample the strand
 //! either *stays* (the same k-mer keeps occupying the pore) or *advances* by
@@ -7,11 +7,67 @@
 //! whether the path advanced — which is all the basecaller needs to emit
 //! bases.
 //!
-//! # Hot-path organization
+//! # The fixed-point model
 //!
-//! The decode is the dominant kernel of the whole pipeline (n·n_states DP
-//! cells per chunk), so the implementation is built for steady-state reuse
-//! and for the vector units.
+//! Scores are integers: log-probabilities in units of `1/S` nat, built once
+//! per basecaller by [`FixedPointModel::new`] from its pore model and
+//! transitions — the limited-precision arithmetic GenPIP's crossbars
+//! basecall with, where the [`EmissionModel`](crate::EmissionModel) `f32`
+//! weights stay the crossbar's functional reference.
+//!
+//! * **Emissions** are a table, `[bin][state]`, over
+//!   [`FixedPointModel::BINS`] equal current bins that span the model's
+//!   lowest and highest level ±8σ (¼ pA each for the synthetic chemistry; a
+//!   sample outside the span takes the nearest end bin). Entry `(b, s)` is
+//!   `round(S · max(e_s(x_b) − max_s' e_s'(x_b), −C))` for the Gaussian
+//!   log-density `e_s` at the bin centre `x_b`, `C =`
+//!   [`FixedPointModel::FLOOR_NATS`]: subtracting the per-bin maximum removes
+//!   the state-independent `x²` term exactly, so every entry lies in
+//!   `[−C·S, 0]`.
+//! * **Transitions** are `round(S · log_stay)` and `round(S · log_advance)`,
+//!   both `≤ 0`.
+//! * **`S`** is [`FixedPointModel::MAX_SCALE`] unless the bound below needs
+//!   it lower — a reader-supplied pore model or dwell never breaks the bound,
+//!   it only coarsens the quanta.
+//!
+//! Integer `+`, `max` and strict `>` are exact, so every row body computes
+//! the same numbers, and a scalar `i64` row with no renormalisation (the
+//! test-only oracle of `viterbi/differential.rs`) computes the same
+//! backpointer records: a uniform shift of a row changes no comparison.
+//!
+//! # The row and its `i16` bound
+//!
+//! A row is `i16`: the absolute score `V_t` minus an offset `O_t`, and the
+//! offset is the maximum of the row **two** back, `O_t = max V_{t−2}`
+//! (`O_0 = O_1 = 0`). That maximum is taken over pass 1's per-group bests —
+//! which cover every state — while row `t − 1` is computed, and enters row
+//! `t` folded into the two transition constants: it is subtracted one row
+//! late, off the row-to-row dependency chain.
+//!
+//! **No value saturates.** Let `E = C·S`, `M` the larger transition
+//! magnitude, and `k = log4(states)`. Every transition and emission is
+//! `≤ 0`, so `max V_t` never rises and every stored value is `≤ 0`. From
+//! the best state of row `t − k`, `k` advances reach any state, so
+//! `V_t ≥ max V_{t−k} − k(E + M)`, and since `O_t = max V_{t−2} ≤ max V_{t−k}`
+//! for `k ≥ 2` the stored row is `≥ −k(E + M)` (at `k = 1` the lag costs one
+//! more step, `−2(E + M)`). Before row `k` every state can still stay from
+//! row 0, whose values are emissions (`≥ −E`) or — on a stitched start — a
+//! transition plus an emission, with the states the previous chunk's final
+//! state cannot reach in one step at the finite floor `−(E + M + 1)` (below
+//! every reachable start, never `i16::MIN`). A pass-2 candidate adds one
+//! transition before its emission. Together:
+//!
+//! ```text
+//! every stored or intermediate score ≥ −(max(k, 2) · (E + M) + M + 1)
+//! ```
+//!
+//! which [`FixedPointModel::bound`] reports and `S` is chosen to keep within
+//! `i16::MAX`: 20 089 at `k = 3`, `S = 64` and the synthetic dwell.
+//! `viterbi/differential.rs` measures the deepest value on hostile inputs
+//! (samples at ±1e6, levels 1e6 apart, `event_std` 1e-6, dwells of 1 + 1e-9
+//! and 1e12) and holds it above the bound.
+//!
+//! # Hot-path organization
 //!
 //! **One scratch.** All working memory lives in a caller-owned
 //! [`DecodeScratch`], so decoding a stream of equally sized chunks performs
@@ -21,61 +77,175 @@
 //!
 //! **One record layout.** The advance predecessors of state `s` are
 //! `(s >> 2) | (c << k_shift)` for `c = 0..4`: the same four for all four
-//! states of a *group* `s >> 2`. So what the traceback needs per sample is
-//! not a byte per state but a **take word** (bit `s` set iff the best path
-//! into `s` advanced, one `u64` per 64 states) and the **group choices**
-//! (the winning `c + 1` per group, `n_states / 4` bytes): 24 bytes a sample
-//! at `k = 3` where a byte matrix `choice & mask(take)` holds 64 — the same
-//! 16 choices four times over and a bit as a byte. A 2 477-sample chunk's
-//! records are 59 KB, not 158 KB. Every row body writes these records and
-//! the one `traceback` reads them; `init_row` sets at most four bits of
-//! row 0.
+//! states of a *group* `s >> 2`. So what the traceback needs per sample is a
+//! **take word** (bit `s` set iff the best path into `s` advanced, one `u64`
+//! per 64 states) and the **group choices** (the winning `c + 1` per group,
+//! `n_states / 4` bytes): 24 bytes a sample at `k = 3`. Every row body
+//! writes these records and the one `traceback` reads them; `init_row` sets
+//! at most four bits of row 0.
 //!
 //! **Two row bodies, chosen once per decode** from what the code observes
 //! (state count, CPU feature) in [`DecodeScratch::dp_rows`]:
 //!
 //! * The **portable row** ([`DecodeScratch::dp_rows_portable`]) runs on
-//!   every host and every `k`. Emissions are computed
-//!   [`EmissionModel::BLOCK`] samples at a time over structure-of-arrays
-//!   weight columns, and a DP row is two elementwise sweeps over contiguous
-//!   slices, with no gather and no data-dependent branch. *Pass 1*: element
-//!   `s >> 2` of each of the four contiguous *quarters* of the previous row
-//!   are the predecessors, so the best one per group is a 4-way strict-`>`
-//!   maximum, with the winning quarter kept as the group's choice, over
-//!   `n_states / 4`-wide slices; the value is then repeated ×4 into an
-//!   `n_states`-wide row. *Pass 2*: `take = advance > stay` selects the
-//!   score and the emission is added in the same sweep; the take flags are
-//!   then packed eight to a byte by one multiply.
+//!   every host and every `k`: *pass 1* takes the best of each group's four
+//!   predecessors — element `s >> 2` of the row's four contiguous quarters —
+//!   by strict `>`, keeping the winning quarter as the group's choice, and
+//!   repeats it ×4; *pass 2* selects `advance > stay` and adds the sample's
+//!   emission row; the take flags are packed eight to a byte by one
+//!   multiply.
 //! * At **64 states on x86-64 with AVX2** — the only size the pipeline
-//!   runs — the row is written with `std::arch` (`viterbi/avx2.rs`). The
-//!   portable row is latency-bound through memory, not compute-bound: its
-//!   score row, per-group maxima and their ×4 expansion are slices of
-//!   run-time length, so each is stored and reloaded (narrow stores read
-//!   back as wide loads) before the next row, which depends on all of it,
-//!   can start — 87 cycles a row where the arithmetic needs 40, and no
-//!   portable spelling tried moved it (fixed-size locals: unchanged, still
-//!   spilled; lane arrays with integer masks: slower). The `std::arch` row
-//!   keeps the 64 scores in eight `__m256` for the whole chunk: pass 1 is
-//!   three `max_ps` per half, the ×4 expansion one lane permute per vector,
-//!   pass 2 add / compare / `max_ps` / add, the take word eight
-//!   `movemask_ps`, and each sample's emission is computed in-register from
-//!   the weight columns, so no emission block is written or reloaded.
+//!   runs — the row is written with `std::arch` (`viterbi/avx2.rs`): 64
+//!   `i16` scores in four `__m256i` for the whole chunk, quarter `c` being
+//!   vector `c`, so pass 1 is three `max`es, the ×4 expansion a permute
+//!   plus a `pshufb` per vector, and the take word two `packs` + `movemask`.
 //!
-//! Every value is produced by the same `f32` `+`, `*` and strict `>` on the
-//! same operands in the same order as the scalar kernel both replaced
-//! (selects instead of branches, nothing reassociated, no FMA), so states,
-//! advance flags, score and the `mvm_ops` / `cells` counters are
-//! bit-identical to it. For the `std::arch` row that rests on one operand
-//! order: `_mm256_max_ps(v, best)` returns its *second* operand unless
-//! `v > best` — on equal operands, on a NaN in either, on `-inf` against
-//! `-inf` — which is `if v > best { v } else { best }` exactly, so the
-//! maximum's value needs no compare; a `cmp_ps(GT_OQ)` and a blend compute
-//! only the stored choice, off the row-to-row dependency chain. The scalar
-//! kernel lives on, test-only, as the oracle of `viterbi/differential.rs`,
-//! which holds both bodies to it row by row of the records and to each
-//! other bit for bit.
+//! The `f32` decode this model replaced lives on, test-only, in
+//! `viterbi/differential.rs` as the accuracy reference.
 
-use crate::emission::EmissionModel;
+use genpip_signal::PoreModel;
+
+/// The fixed-point scoring model of the decoder: a quantised emission table
+/// and quantised transitions (see the module docs for the model and the
+/// `i16` bound it is scaled to keep).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FixedPointModel {
+    states: usize,
+    /// Quanta per nat, `S`.
+    scale: i32,
+    /// Current at the low edge of bin 0 (pA).
+    origin: f32,
+    /// Bins per pA.
+    bins_per_pa: f32,
+    /// `BINS × states` quantised emissions, row-major by bin.
+    table: Vec<i16>,
+    log_stay: i16,
+    log_advance: i16,
+    /// Start score of the states a stitched start cannot reach.
+    floor: i16,
+    /// The proved magnitude no score goes below.
+    bound: i32,
+}
+
+impl FixedPointModel {
+    /// Quanta per nat unless the `i16` bound needs fewer.
+    pub const MAX_SCALE: i32 = 64;
+    /// `C`: an emission more than this many nats below the best state's at
+    /// the same current is clamped to it.
+    pub const FLOOR_NATS: f64 = 100.0;
+    /// Current bins of the emission table (¼ pA over the synthetic
+    /// chemistry's 60–120 pA ± 8σ). Fixed, so no table size comes from a
+    /// reader-supplied model.
+    pub const BINS: usize = 304;
+    /// Half-width of the binned current span beyond the extreme levels, in
+    /// event standard deviations.
+    const SPAN_SIGMAS: f64 = 8.0;
+    /// A transition below this many nats is clamped to it (no finite `f64`
+    /// dwell comes near).
+    const TRANSITION_CAP_NATS: f64 = 1000.0;
+
+    /// Quantises `pore`'s emissions and `transitions` at the largest scale
+    /// up to [`FixedPointModel::MAX_SCALE`] that keeps every score inside
+    /// `i16`.
+    pub fn new(pore: &PoreModel, transitions: Transitions) -> FixedPointModel {
+        let (states, k) = (pore.states(), pore.k());
+        let nats = |v: f32| f64::from(v).clamp(-Self::TRANSITION_CAP_NATS, 0.0);
+        let (stay, advance) = (nats(transitions.log_stay), nats(transitions.log_advance));
+        let quantise = |scale: i32, v: f64| (f64::from(scale) * v).round() as i32;
+        let bound = |scale: i32| {
+            let e = quantise(scale, Self::FLOOR_NATS);
+            let m = -quantise(scale, stay).min(quantise(scale, advance));
+            k.max(2) as i32 * (e + m) + m + 1
+        };
+        let scale = (1..=Self::MAX_SCALE)
+            .rev()
+            .find(|&s| bound(s) <= i32::from(i16::MAX))
+            .expect("S = 1 keeps the bound for every capped transition");
+
+        let sigma = f64::from(pore.event_std());
+        let (lo, hi) = pore
+            .levels()
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &l| {
+                (lo.min(f64::from(l)), hi.max(f64::from(l)))
+            });
+        let (lo, hi) = (
+            lo - Self::SPAN_SIGMAS * sigma,
+            hi + Self::SPAN_SIGMAS * sigma,
+        );
+        let width = (hi - lo) / Self::BINS as f64;
+        let mut table = Vec::with_capacity(Self::BINS * states);
+        let mut sq = vec![0.0f64; states];
+        for b in 0..Self::BINS {
+            let x = lo + (b as f64 + 0.5) * width;
+            for (sq, &level) in sq.iter_mut().zip(pore.levels()) {
+                *sq = (x - f64::from(level)).powi(2);
+            }
+            let best = sq.iter().copied().fold(f64::INFINITY, f64::min);
+            table.extend(sq.iter().map(|&sq| {
+                let relative = (-(sq - best) / (2.0 * sigma * sigma)).max(-Self::FLOOR_NATS);
+                quantise(scale, relative) as i16
+            }));
+        }
+        let (log_stay, log_advance) = (quantise(scale, stay), quantise(scale, advance));
+        let floor = -(quantise(scale, Self::FLOOR_NATS) - log_stay.min(log_advance) + 1);
+        FixedPointModel {
+            states,
+            scale,
+            origin: lo as f32,
+            bins_per_pa: (1.0 / width) as f32,
+            table,
+            log_stay: log_stay as i16,
+            log_advance: log_advance as i16,
+            floor: floor as i16,
+            bound: bound(scale),
+        }
+    }
+
+    /// Number of states.
+    #[inline]
+    pub fn states(&self) -> usize {
+        self.states
+    }
+
+    /// `S`: score quanta per nat.
+    #[inline]
+    pub fn scale(&self) -> i32 {
+        self.scale
+    }
+
+    /// The proved bound: no stored or intermediate score of a decode goes
+    /// below `−bound()`, and `bound() ≤ i16::MAX`.
+    pub fn bound(&self) -> i32 {
+        self.bound
+    }
+
+    /// Quantised log P(stay), `≤ 0`.
+    #[inline]
+    pub fn log_stay(&self) -> i16 {
+        self.log_stay
+    }
+
+    /// Quantised log P(advance to one successor), `≤ 0`.
+    #[inline]
+    pub fn log_advance(&self) -> i16 {
+        self.log_advance
+    }
+
+    /// The emission-table bin of sample `x`: the nearest end bin outside the
+    /// span (NaN takes bin 0).
+    #[inline]
+    fn bin(&self, x: f32) -> usize {
+        // `as` saturates: negative offsets and NaN go to 0.
+        (((x - self.origin) * self.bins_per_pa) as usize).min(Self::BINS - 1)
+    }
+
+    /// The quantised emission of every state for sample `x`.
+    #[inline]
+    pub fn emissions(&self, x: f32) -> &[i16] {
+        &self.table[self.bin(x) * self.states..][..self.states]
+    }
+}
 
 /// Result of decoding one chunk of samples (owning variant, produced by
 /// [`decode`]; the allocation-free path is [`decode_with`]).
@@ -87,7 +257,8 @@ pub struct DecodeOutcome {
     /// (always `false` at sample 0: the initial state "appears" rather than
     /// advances).
     pub advanced: Vec<bool>,
-    /// Log-probability score of the winning path (emissions + transitions).
+    /// Score of the winning path (quantised emissions + transitions), in
+    /// nats: the integer score divided by `S`.
     pub score: f64,
     /// Number of emission MVMs performed (= number of samples).
     pub mvm_ops: usize,
@@ -107,7 +278,7 @@ impl DecodeOutcome {
 /// [`DecodeScratch`] that was passed in.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DecodeStats {
-    /// Log-probability score of the winning path.
+    /// Score of the winning path in nats (the integer score divided by `S`).
     pub score: f64,
     /// Emission MVMs performed (= number of samples).
     pub mvm_ops: usize,
@@ -118,11 +289,10 @@ pub struct DecodeStats {
 /// Reusable decode workspace.
 ///
 /// Holds every buffer the DP needs (the per-sample backpointer records, the
-/// score rows, and — for the portable row — the emission block, the
-/// per-group and expanded advance rows and the take bytes) plus the output
-/// state path. Buffers grow to the largest chunk seen and are then reused,
-/// so a steady-state stream of chunks decodes without touching the
-/// allocator.
+/// score rows, and — for the portable row — the per-group and expanded
+/// advance rows and the take bytes) plus the output state path. Buffers
+/// grow to the largest chunk seen and are then reused, so a steady-state
+/// stream of chunks decodes without touching the allocator.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
     /// Take words, [`take_words`] per sample: bit `s % 64` of word `s / 64`
@@ -134,13 +304,15 @@ pub struct DecodeScratch {
     /// advance into any state of the group, plus one). Never shrinks and is
     /// never cleared: a choice is read only where a take bit is set.
     group_choice: Vec<u8>,
-    prev: Vec<f32>,
-    curr: Vec<f32>,
-    emit: Vec<f32>,
+    prev: Vec<i16>,
+    curr: Vec<i16>,
+    /// `O_t` of the row in `prev`: its scores are the absolute ones minus
+    /// this.
+    offset: i64,
     /// Pass 1's best advance per predecessor group (`n_states / 4` wide) …
-    adv_best: Vec<f32>,
+    adv_best: Vec<i16>,
     /// … repeated ×4 (`n_states` wide), aligned with the score rows.
-    adv_best_x: Vec<f32>,
+    adv_best_x: Vec<i16>,
     /// Pass 2's `take` per state as a 0/1 byte, zero-padded to a multiple of
     /// eight, before it is packed into the take words.
     take_x: Vec<u8>,
@@ -179,12 +351,11 @@ impl DecodeScratch {
     /// larger chunk than ever before arrives.
     fn prepare(&mut self, n: usize, n_states: usize) {
         // Every buffer but three is written in full before it is read — the
-        // score, emission and advance rows per sample, records 1.. by the DP
-        // rows, `states` by the traceback — so only its length matters. The
-        // take words of row 0 are read as left by the init (which sets at
-        // most four bits), `advanced[0]` is written only on a stitched start,
-        // and the padding of `take_x` is never written: those start from
-        // zero.
+        // score and advance rows per sample, records 1.. by the DP rows,
+        // `states` by the traceback — so only its length matters. The take
+        // words of row 0 are read as left by the init (which sets at most
+        // four bits), `advanced[0]` is written only on a stitched start, and
+        // the padding of `take_x` is never written: those start from zero.
         let (words, n_groups) = (take_words(n_states), n_states / 4);
         if self.take.len() < n * words {
             self.take.resize(n * words, 0);
@@ -195,11 +366,10 @@ impl DecodeScratch {
         if self.group_choice.len() < n * n_groups {
             self.group_choice.resize(n * n_groups, 0);
         }
-        self.prev.resize(n_states, 0.0);
-        self.curr.resize(n_states, 0.0);
-        self.emit.resize(EmissionModel::BLOCK * n_states, 0.0);
-        self.adv_best.resize(n_groups, 0.0);
-        self.adv_best_x.resize(n_states, 0.0);
+        self.prev.resize(n_states, 0);
+        self.curr.resize(n_states, 0);
+        self.adv_best.resize(n_groups, 0);
+        self.adv_best_x.resize(n_states, 0);
         self.take_x.clear();
         self.take_x.resize(n_states.next_multiple_of(8), 0);
         self.states.resize(n, 0);
@@ -207,33 +377,28 @@ impl DecodeScratch {
         self.advanced.resize(n, false);
     }
 
-    /// Row 0: the first sample's scores into `prev`, and — when stitched to
-    /// `init_state` — the boundary step's records into row 0.
+    /// Row 0: the first sample's scores into `prev` (offset 0), and — when
+    /// stitched to `init_state` — the boundary step's records into row 0.
     ///
     /// An advance into state `s` came from `(s >> 2) | (c << k_shift)` where
     /// `c + 1` is the choice of `s`'s group: the dropped leading base.
-    fn init_row(
-        &mut self,
-        emission: &EmissionModel,
-        x: f32,
-        tr: Transitions,
-        init_state: Option<u16>,
-    ) {
-        let n_states = emission.states();
+    fn init_row(&mut self, model: &FixedPointModel, x: f32, init_state: Option<u16>) {
+        let n_states = model.states();
         let k_shift = (n_states.trailing_zeros() - 2) as usize; // 2(k-1) bits
-        let (prev, emit) = (&mut self.prev, &mut self.emit);
-        emission.log_likelihoods(x, &mut emit[..n_states]);
+        let (prev, emit) = (&mut self.prev, model.emissions(x));
+        self.offset = 0;
         match init_state {
             Some(s0) => {
                 // The previous chunk ended in s0; crossing the chunk boundary
                 // is one ordinary HMM step, so the first sample either stays
-                // in s0 or advances into one of its successors.
+                // in s0 or advances into one of its successors. Every other
+                // state starts at the floor, below all of these.
                 let s0 = s0 as usize;
-                prev.fill(f32::NEG_INFINITY);
-                prev[s0] = emit[s0] + tr.log_stay;
+                prev.fill(model.floor);
+                prev[s0] = emit[s0] + model.log_stay;
                 for b in 0..4usize {
                     let succ = ((s0 << 2) | b) & (n_states - 1);
-                    let cand = emit[succ] + tr.log_advance;
+                    let cand = emit[succ] + model.log_advance;
                     if cand > prev[succ] {
                         prev[succ] = cand;
                         self.take[succ / 64] |= 1 << (succ % 64);
@@ -244,7 +409,7 @@ impl DecodeScratch {
                 let group = s0 & (n_states / 4 - 1);
                 self.group_choice[group] = 1 + (s0 >> k_shift) as u8;
             }
-            None => prev.copy_from_slice(&emit[..n_states]),
+            None => prev.copy_from_slice(emit),
         }
     }
 
@@ -252,13 +417,13 @@ impl DecodeScratch {
     /// first, whose records go to rows 1.. — on a scratch the current decode
     /// has sized; leaves the last row in `prev`. This is where the row body
     /// is chosen, once per decode: 64 states on a host with AVX2 run
-    /// `avx2::rows`, which computes each sample's emissions in-register;
-    /// everything else runs [`DecodeScratch::dp_rows_portable`].
+    /// `avx2::rows`; everything else runs
+    /// [`DecodeScratch::dp_rows_portable`].
     ///
     /// Not part of the API: public only so that the kernel bench can time
     /// this stage of [`decode_with`] on its own.
     #[doc(hidden)]
-    pub fn dp_rows(&mut self, emission: &EmissionModel, samples: &[f32], tr: Transitions) {
+    pub fn dp_rows(&mut self, model: &FixedPointModel, samples: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         if self.prev.len() == avx2::STATES && std::arch::is_x86_feature_detected!("avx2") {
             // At 64 states a sample's records are one take word and
@@ -266,56 +431,56 @@ impl DecodeScratch {
             let n = samples.len();
             let take = &mut self.take[1..=n];
             let choice = &mut self.group_choice[avx2::GROUPS..][..avx2::GROUPS * n];
-            let (columns, prev) = (emission.columns(), &mut self.prev);
+            let lag = Lag::start(self.offset);
             // SAFETY: the host supports AVX2, checked on the line above.
-            return unsafe { avx2::rows(columns, samples, tr, prev, take, choice) };
+            self.offset = unsafe { avx2::rows(model, samples, lag, &mut self.prev, take, choice) };
+            return;
         }
-        self.dp_rows_portable(emission, samples, tr)
+        self.dp_rows_portable(model, samples)
     }
 
-    /// [`DecodeScratch::dp_rows`] through the portable bodies, whatever the
-    /// host: the emission block [`EmissionModel::BLOCK`] samples at a time,
-    /// then one [`dp_row`] per sample over it.
+    /// [`DecodeScratch::dp_rows`] through the portable row, whatever the
+    /// host.
     ///
     /// Not part of the API: public only so that the kernel bench can record
     /// what the AVX2 row is worth.
     #[doc(hidden)]
-    pub fn dp_rows_portable(&mut self, emission: &EmissionModel, samples: &[f32], tr: Transitions) {
+    pub fn dp_rows_portable(&mut self, model: &FixedPointModel, samples: &[f32]) {
         let n_states = self.prev.len();
         let (words, n_groups) = (take_words(n_states), n_states / 4);
-        for (b, xs) in samples.chunks(EmissionModel::BLOCK).enumerate() {
-            emission.block(xs, &mut self.emit[..xs.len() * n_states]);
-            for i in 0..xs.len() {
-                let t = 1 + b * EmissionModel::BLOCK + i;
-                dp_row(
-                    tr,
-                    &self.prev,
-                    &self.emit[i * n_states..][..n_states],
-                    &mut self.curr,
-                    &mut self.take[t * words..][..words],
-                    &mut self.group_choice[t * n_groups..][..n_groups],
-                    &mut self.adv_best,
-                    &mut self.adv_best_x,
-                    &mut self.take_x,
-                );
-                std::mem::swap(&mut self.prev, &mut self.curr);
-            }
+        let mut lag = Lag::start(self.offset);
+        for (i, &x) in samples.iter().enumerate() {
+            let t = 1 + i;
+            portable_row(
+                model,
+                model.emissions(x),
+                &mut lag,
+                &self.prev,
+                &mut self.curr,
+                &mut self.take[t * words..][..words],
+                &mut self.group_choice[t * n_groups..][..n_groups],
+                &mut self.adv_best,
+                &mut self.adv_best_x,
+                &mut self.take_x,
+            );
+            std::mem::swap(&mut self.prev, &mut self.curr);
         }
+        self.offset = lag.offset();
     }
 
     /// Walks the records from the best final state (last row in `prev`) to
     /// sample 0, writing `states` and `advanced` (at least one sample long);
-    /// returns the path score.
+    /// returns the integer path score.
     ///
     /// Not part of the API: public only so that the kernel bench can time
     /// this stage of [`decode_with`] on its own.
     #[doc(hidden)]
-    pub fn traceback(&mut self, stitched: bool) -> f64 {
+    pub fn traceback(&mut self, stitched: bool) -> i64 {
         let n_states = self.prev.len();
         let (words, n_groups) = (take_words(n_states), n_states / 4);
         let k_shift = (n_states.trailing_zeros() - 2) as usize;
         let took = |take: &[u64], t: usize, s: usize| take[t * words + s / 64] >> (s % 64) & 1 != 0;
-        let (mut state, score) = last_argmax(self.prev.iter().copied());
+        let (mut state, score) = last_argmax(&self.prev);
         for t in (1..self.states.len()).rev() {
             self.states[t] = state as u16;
             self.advanced[t] = took(&self.take, t, state);
@@ -332,7 +497,59 @@ impl DecodeScratch {
         if stitched {
             self.advanced[0] = took(&self.take, 0, state);
         }
-        score as f64
+        i64::from(score) + self.offset
+    }
+}
+
+/// The one-row-late renormalisation both row bodies share: row `t` is
+/// stored minus `O_t = max V_{t−2}`, and the step `O_t − O_{t−1}` (in
+/// `[−(E + M + 1), 0]`) is folded into the row's two transition constants.
+#[derive(Debug, Clone, Copy)]
+struct Lag {
+    /// `O_{t−2}`.
+    back: i64,
+    /// `O_{t−1}`: the offset of the previous row.
+    prev: i64,
+    /// `max` of the stored row `t − 2`.
+    back_max: i16,
+}
+
+impl Lag {
+    /// Before the first row of a call: the row in `prev` is row 0 of the
+    /// lag, at `offset`, and so is the (fictitious) row before it, whose
+    /// maximum is taken as 0 — no score is above 0.
+    fn start(offset: i64) -> Lag {
+        Lag {
+            back: offset,
+            prev: offset,
+            back_max: 0,
+        }
+    }
+
+    /// `O_t`, the offset of the row being computed.
+    #[inline(always)]
+    fn next(&self) -> i64 {
+        self.back + i64::from(self.back_max)
+    }
+
+    /// The row's stay and advance constants with its renormalisation step
+    /// folded in.
+    #[inline(always)]
+    fn transitions(&self, model: &FixedPointModel) -> (i16, i16) {
+        let step = (self.next() - self.prev) as i16;
+        (model.log_stay - step, model.log_advance - step)
+    }
+
+    /// Moves to the next row, given the maximum of the stored previous row.
+    #[inline(always)]
+    fn push(&mut self, prev_max: i16) {
+        let next = self.next();
+        (self.back, self.prev, self.back_max) = (self.prev, next, prev_max);
+    }
+
+    /// The offset of the last row pushed.
+    fn offset(&self) -> i64 {
+        self.prev
     }
 }
 
@@ -371,14 +588,9 @@ impl Transitions {
 ///
 /// Convenience wrapper over [`decode_with`] for one-shot callers; hot loops
 /// should own a [`DecodeScratch`] and call [`decode_with`] instead.
-pub fn decode(
-    emission: &EmissionModel,
-    samples: &[f32],
-    transitions: Transitions,
-    init_state: Option<u16>,
-) -> DecodeOutcome {
+pub fn decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u16>) -> DecodeOutcome {
     let mut scratch = DecodeScratch::new();
-    let stats = decode_with(emission, samples, transitions, init_state, &mut scratch);
+    let stats = decode_with(model, samples, init_state, &mut scratch);
     DecodeOutcome {
         states: scratch.states,
         advanced: scratch.advanced,
@@ -398,28 +610,27 @@ pub fn decode(
 /// Returns an empty outcome for an empty sample slice. In steady state
 /// (chunks no larger than previously decoded ones) this performs no heap
 /// allocation — verified by `tests/alloc_free.rs`. The function is total:
-/// samples that drive every score to `-inf` or NaN still decode to *a* path
+/// every `f32`, NaN and the infinities included, falls in some emission bin
 /// (callers that must reject such input check it first, as
 /// `Basecaller::call_chunk_with` does).
 pub fn decode_with(
-    emission: &EmissionModel,
+    model: &FixedPointModel,
     samples: &[f32],
-    transitions: Transitions,
     init_state: Option<u16>,
     scratch: &mut DecodeScratch,
 ) -> DecodeStats {
-    let n_states = emission.states();
+    let n_states = model.states();
     debug_assert!(n_states.is_power_of_two() && n_states >= 4);
     let n = samples.len();
     scratch.prepare(n, n_states);
     if n == 0 {
         return DecodeStats::default();
     }
-    scratch.init_row(emission, samples[0], transitions, init_state);
-    scratch.dp_rows(emission, &samples[1..], transitions);
+    scratch.init_row(model, samples[0], init_state);
+    scratch.dp_rows(model, &samples[1..]);
     let score = scratch.traceback(init_state.is_some());
     DecodeStats {
-        score,
+        score: score as f64 / f64::from(model.scale()),
         mvm_ops: n,
         cells: n * n_states,
     }
@@ -427,25 +638,28 @@ pub fn decode_with(
 
 /// One portable DP row: `curr` and the sample's records (`take` words,
 /// `choice` per predecessor group) from `prev` and the sample's emissions
-/// (see the module docs for the two passes and why they are bit-identical to
-/// the scalar recurrence).
+/// (see the module docs for the two passes).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn dp_row(
-    tr: Transitions,
-    prev: &[f32],
-    emit: &[f32],
-    curr: &mut [f32],
+fn portable_row(
+    model: &FixedPointModel,
+    emit: &[i16],
+    lag: &mut Lag,
+    prev: &[i16],
+    curr: &mut [i16],
     take: &mut [u64],
     choice: &mut [u8],
-    adv_best: &mut [f32],
-    adv_best_x: &mut [f32],
+    adv_best: &mut [i16],
+    adv_best_x: &mut [i16],
     take_x: &mut [u8],
 ) {
     let n_states = prev.len();
     let n_groups = n_states / 4;
+    let (stay_tr, adv_tr) = lag.transitions(model);
 
     // Pass 1: prev[low | (c << k_shift)] is element `low` of quarter `c`.
+    // Every state is in some group, so the groups' bests also give the
+    // row's maximum, which the lag subtracts from the row after next.
     let (q0, rest) = prev.split_at(n_groups);
     let (q1, rest) = rest.split_at(n_groups);
     let (q2, q3) = rest.split_at(n_groups);
@@ -454,6 +668,7 @@ fn dp_row(
         &mut adv_best[..n_groups],
         &mut choice[..n_groups],
     );
+    let mut row_max = i16::MIN;
     for low in 0..n_groups {
         let (mut best, mut quarter) = (q0[low], 1u8);
         for (c, v) in [(2u8, q1[low]), (3, q2[low]), (4, q3[low])] {
@@ -461,9 +676,11 @@ fn dp_row(
             best = if better { v } else { best };
             quarter = if better { c } else { quarter };
         }
-        adv_best[low] = best + tr.log_advance;
+        row_max = row_max.max(best);
+        adv_best[low] = best + adv_tr;
         choice[low] = quarter;
     }
+    lag.push(row_max);
     let (best_x, _) = adv_best_x.as_chunks_mut::<4>();
     for (best_x, &best) in best_x[..n_groups].iter_mut().zip(&*adv_best) {
         *best_x = [best; 4];
@@ -477,9 +694,9 @@ fn dp_row(
         &mut take_x[..n_states],
     );
     for s in 0..n_states {
-        let stay = prev[s] + tr.log_stay;
+        let stay = prev[s] + stay_tr;
         let take = adv[s] > stay;
-        curr[s] = (if take { adv[s] } else { stay }) + emit[s];
+        curr[s] = adv[s].max(stay) + emit[s];
         took[s] = take as u8;
     }
 
@@ -500,17 +717,14 @@ fn dp_row(
 }
 
 /// Index and value of the maximum of `scores`, the *last* one among equals
-/// (`Iterator::max_by`'s rule); a NaN never beats a number, so no input
-/// panics. `scores` must be non-empty.
-fn last_argmax(scores: impl Iterator<Item = f32>) -> (usize, f32) {
-    let mut scores = scores.enumerate();
-    let mut best = scores.next().expect("non-empty state space");
-    for (s, v) in scores {
-        if v >= best.1 || best.1.is_nan() {
-            best = (s, v);
-        }
-    }
-    best
+/// (`Iterator::max_by_key`'s rule). `scores` must be non-empty.
+fn last_argmax(scores: &[i16]) -> (usize, i16) {
+    let (s, &v) = scores
+        .iter()
+        .enumerate()
+        .max_by_key(|&(_, v)| v)
+        .expect("non-empty state space");
+    (s, v)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -524,10 +738,10 @@ mod tests {
     use super::*;
     use genpip_signal::PoreModel;
 
-    fn setup() -> (PoreModel, EmissionModel, Transitions) {
+    fn setup() -> (PoreModel, FixedPointModel) {
         let pore = PoreModel::synthetic(3, 7);
-        let em = EmissionModel::from_pore_model(&pore);
-        (pore, em, Transitions::from_mean_dwell(8.0))
+        let model = FixedPointModel::new(&pore, Transitions::from_mean_dwell(8.0));
+        (pore, model)
     }
 
     /// Builds a clean signal that dwells `dwell` samples in each state of
@@ -544,8 +758,8 @@ mod tests {
 
     #[test]
     fn empty_input_empty_output() {
-        let (_, em, tr) = setup();
-        let out = decode(&em, &[], tr, None);
+        let (_, model) = setup();
+        let out = decode(&model, &[], None);
         assert!(out.states.is_empty());
         assert_eq!(out.mvm_ops, 0);
         assert_eq!(out.final_state(), None);
@@ -553,7 +767,7 @@ mod tests {
 
     #[test]
     fn clean_signal_recovers_state_path() {
-        let (pore, em, tr) = setup();
+        let (pore, model) = setup();
         // Walk: AAA -> AAC -> ACG -> CGT (states 0b000000, 0b000001, ...).
         let path = [0b000000u16, 0b000001, 0b000110, 0b011011];
         // Validate it's a legal walk.
@@ -561,7 +775,7 @@ mod tests {
             assert_eq!((w[1] >> 2), w[0] & 0b001111);
         }
         let samples = signal_for(&pore, &path, 8);
-        let out = decode(&em, &samples, tr, None);
+        let out = decode(&model, &samples, None);
         // Decoded dwell blocks must match the path.
         let mut decoded_path = vec![out.states[0]];
         for t in 1..out.states.len() {
@@ -571,12 +785,12 @@ mod tests {
         }
         assert_eq!(decoded_path, path);
         assert_eq!(out.mvm_ops, samples.len());
-        assert_eq!(out.cells, samples.len() * em.states());
+        assert_eq!(out.cells, samples.len() * model.states());
     }
 
     #[test]
     fn advance_count_matches_transitions() {
-        let (pore, em, tr) = setup();
+        let (pore, model) = setup();
         let path = [3u16, 12, 48, 65 & 63, 7];
         // Make the path legal by construction instead: random walk.
         let mut legal = vec![path[0]];
@@ -586,14 +800,14 @@ mod tests {
             legal.push(s);
         }
         let samples = signal_for(&pore, &legal, 10);
-        let out = decode(&em, &samples, tr, None);
+        let out = decode(&model, &samples, None);
         let advances = out.advanced.iter().filter(|&&a| a).count();
         assert_eq!(advances, legal.len() - 1);
     }
 
     #[test]
     fn stitched_decode_continues_path() {
-        let (pore, em, tr) = setup();
+        let (pore, model) = setup();
         let mut states = vec![9u16];
         let mut s = 9u16;
         for b in [0u16, 2, 3, 1, 1, 0, 2] {
@@ -602,8 +816,8 @@ mod tests {
         }
         let samples = signal_for(&pore, &states, 8);
         let (first, second) = samples.split_at(samples.len() / 2);
-        let a = decode(&em, first, tr, None);
-        let b = decode(&em, second, tr, a.final_state());
+        let a = decode(&model, first, None);
+        let b = decode(&model, second, a.final_state());
         // The stitched decode must start where the previous chunk ended (or
         // one advance past it).
         let boundary_state = a.final_state().unwrap();
@@ -620,7 +834,7 @@ mod tests {
     fn scratch_reuse_is_bit_identical_to_fresh_decode() {
         // The same scratch driven across chunks of varying sizes and noise
         // must give results identical to a fresh allocation each time.
-        let (pore, em, tr) = setup();
+        let (pore, model) = setup();
         let mut scratch = DecodeScratch::new();
         let mut carry: Option<u16> = None;
         for seed in 0..12u16 {
@@ -636,8 +850,8 @@ mod tests {
             for (i, x) in samples.iter_mut().enumerate() {
                 *x += ((i * 2654435761) % 97) as f32 * 0.01 - 0.48;
             }
-            let fresh = decode(&em, &samples, tr, carry);
-            let stats = decode_with(&em, &samples, tr, carry, &mut scratch);
+            let fresh = decode(&model, &samples, carry);
+            let stats = decode_with(&model, &samples, carry, &mut scratch);
             assert_eq!(scratch.states(), &fresh.states[..], "seed {seed}");
             assert_eq!(scratch.advanced(), &fresh.advanced[..], "seed {seed}");
             assert_eq!(stats.score, fresh.score, "seed {seed}");
@@ -650,7 +864,7 @@ mod tests {
 
     #[test]
     fn viterbi_matches_brute_force_on_tiny_input() {
-        let (pore, em, tr) = setup();
+        let (pore, model) = setup();
         // 4 noisy samples; brute-force all 64 * 5^3 paths.
         let samples = [
             pore.level_bits(5) + 0.3,
@@ -658,38 +872,99 @@ mod tests {
             pore.level_bits(((5 << 2) | 1) & 63) + 0.1,
             pore.level_bits(((5 << 2) | 1) & 63) - 0.4,
         ];
-        let out = decode(&em, &samples, tr, None);
+        let out = decode(&model, &samples, None);
 
-        // Brute force: enumerate all state sequences where each step is stay
-        // or one of the 4 advances.
-        let mut best = f64::NEG_INFINITY;
-        let n_states = em.states();
-        let mut stack: Vec<(usize, usize, f64)> = (0..n_states)
-            .map(|s| (1usize, s, em.log_likelihood(samples[0], s) as f64))
-            .collect();
+        // Brute force over the same quantised model: enumerate all state
+        // sequences where each step is stay or one of the 4 advances. The
+        // arithmetic is exact, so the scores are equal, not close.
+        let mut best = i64::MIN;
+        let n_states = model.states();
+        let e = |t: usize, s: usize| i64::from(model.emissions(samples[t])[s]);
+        let mut stack: Vec<(usize, usize, i64)> =
+            (0..n_states).map(|s| (1usize, s, e(0, s))).collect();
         while let Some((t, s, score)) = stack.pop() {
             if t == samples.len() {
                 best = best.max(score);
                 continue;
             }
-            let e = |s2: usize| em.log_likelihood(samples[t], s2) as f64;
-            stack.push((t + 1, s, score + tr.log_stay as f64 + e(s)));
+            stack.push((t + 1, s, score + i64::from(model.log_stay()) + e(t, s)));
             for b in 0..4usize {
                 let s2 = ((s << 2) | b) & (n_states - 1);
-                stack.push((t + 1, s2, score + tr.log_advance as f64 + e(s2)));
+                stack.push((t + 1, s2, score + i64::from(model.log_advance()) + e(t, s2)));
             }
         }
-        assert!(
-            (out.score - best).abs() < 1e-3,
-            "viterbi {} vs brute force {}",
-            out.score,
-            best
-        );
+        assert_eq!(out.score, best as f64 / f64::from(model.scale()));
     }
 
     #[test]
     #[should_panic(expected = "mean dwell")]
     fn transitions_reject_dwell_of_one() {
         let _ = Transitions::from_mean_dwell(1.0);
+    }
+
+    #[test]
+    fn the_synthetic_model_keeps_the_full_scale_and_a_bounded_table() {
+        let (pore, model) = setup();
+        assert_eq!(model.scale(), FixedPointModel::MAX_SCALE);
+        assert!(model.bound() <= i32::from(i16::MAX));
+        let e = i32::from(FixedPointModel::FLOOR_NATS as i16) * model.scale();
+        assert_eq!(model.table.len(), FixedPointModel::BINS * model.states());
+        for row in model.table.chunks_exact(model.states()) {
+            assert!(row.iter().all(|&q| (-e..=0).contains(&i32::from(q))));
+            assert_eq!(
+                row.iter().max(),
+                Some(&0),
+                "the per-bin best state scores 0"
+            );
+        }
+        // A sample at a level scores that level's state best, and the span
+        // covers the levels ±8σ in quarter-pA bins.
+        for s in [0usize, 17, 63] {
+            let emit = model.emissions(pore.level_bits(s as u64));
+            assert_eq!(emit[s], 0, "state {s}");
+        }
+        assert!((1.0 / model.bins_per_pa - 0.25).abs() < 1e-6);
+        assert_eq!(
+            model.floor,
+            -(e - model.log_stay().min(model.log_advance()) as i32 + 1) as i16
+        );
+    }
+
+    #[test]
+    fn samples_outside_the_span_take_the_end_bins() {
+        let (_, model) = setup();
+        let last = FixedPointModel::BINS - 1;
+        for (x, bin) in [
+            (-1e6f32, 0),
+            (0.0, 0),
+            (f32::NEG_INFINITY, 0),
+            (f32::NAN, 0),
+            (1e6, last),
+            (f32::INFINITY, last),
+        ] {
+            assert_eq!(model.bin(x), bin, "{x}");
+        }
+    }
+
+    #[test]
+    fn hostile_models_lower_the_scale_instead_of_breaking_the_bound() {
+        let pore = PoreModel::synthetic(6, 7);
+        for dwell in [1.0 + 1e-9, 8.0, 1e12, f64::MAX] {
+            let model = FixedPointModel::new(&pore, Transitions::from_mean_dwell(dwell));
+            assert!(model.bound() <= i32::from(i16::MAX), "dwell {dwell}");
+            assert!((1..=FixedPointModel::MAX_SCALE).contains(&model.scale()));
+        }
+        // k = 6 cannot keep S = 64 (6 · 6 400 alone is past i16).
+        let model = FixedPointModel::new(&pore, Transitions::from_mean_dwell(8.0));
+        assert!(model.scale() < FixedPointModel::MAX_SCALE);
+        // Transitions nobody derives from a dwell are clamped to [-1000, 0]
+        // nats, so they cannot break it either.
+        let silly = Transitions {
+            log_stay: f32::NEG_INFINITY,
+            log_advance: 5.0,
+        };
+        let model = FixedPointModel::new(&pore, silly);
+        assert!(model.bound() <= i32::from(i16::MAX));
+        assert_eq!(model.log_advance(), 0);
     }
 }

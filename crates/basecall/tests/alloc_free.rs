@@ -3,8 +3,7 @@
 //! global allocator observes the allocator while equally sized chunks stream
 //! through `decode_with` and `call_chunk_with`'s decode path.
 
-use genpip_basecall::viterbi::{decode_with, DecodeScratch, Transitions};
-use genpip_basecall::EmissionModel;
+use genpip_basecall::viterbi::{decode_with, DecodeScratch, FixedPointModel, Transitions};
 use genpip_genomics::GenomeBuilder;
 use genpip_signal::{PoreModel, SignalSynthesizer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -51,8 +50,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 #[test]
 fn steady_state_decode_is_allocation_free() {
     let pore = PoreModel::synthetic(3, 7);
-    let emission = EmissionModel::from_pore_model(&pore);
-    let transitions = Transitions::from_mean_dwell(8.0);
+    let model = FixedPointModel::new(&pore, Transitions::from_mean_dwell(8.0));
     let synth = SignalSynthesizer::new(pore);
     let truth = GenomeBuilder::new(1_200)
         .seed(11)
@@ -67,7 +65,7 @@ fn steady_state_decode_is_allocation_free() {
     // Warm-up: the first decode sizes every scratch buffer.
     let mut scratch = DecodeScratch::new();
     let mut carry = None;
-    decode_with(&emission, chunks[0], transitions, carry, &mut scratch);
+    decode_with(&model, chunks[0], carry, &mut scratch);
     carry = scratch.final_state();
 
     // Steady state: no chunk is larger than the warm-up chunk, so no buffer
@@ -76,7 +74,7 @@ fn steady_state_decode_is_allocation_free() {
     COUNTING.with(|c| c.set(true));
     let mut total_score = 0.0;
     for chunk in &chunks[1..] {
-        let stats = decode_with(&emission, chunk, transitions, carry, &mut scratch);
+        let stats = decode_with(&model, chunk, carry, &mut scratch);
         carry = scratch.final_state();
         total_score += stats.score;
     }

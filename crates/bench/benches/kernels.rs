@@ -20,7 +20,7 @@
 //! `benchmarks/`, and the bit-identities between their variants are pinned
 //! by the root integration suites.
 
-use genpip_basecall::viterbi::{decode_with, DecodeScratch, Transitions};
+use genpip_basecall::viterbi::{decode_with, DecodeScratch, FixedPointModel, Transitions};
 use genpip_basecall::{Basecaller, CallScratch, EmissionModel};
 use genpip_bench::micro::{bench, bench_json, Json};
 use genpip_datasets::SimulatedRead;
@@ -131,31 +131,30 @@ fn main() {
 
         // The stages of that chunk, one row each, so that the chunk row
         // decomposes: the DP rows, the traceback, the base/quality assembly,
-        // and around them the integrity check. On a host with AVX2 the
-        // dispatched DP rows compute each sample's emission in-register, so
-        // that row *includes* the emission MVMs; the portable row is the
-        // same input through the body every other host runs — the emission
-        // block (`mvm/emission_block8` × samples / 8) plus the two-pass row
-        // — and the ratio of the two is what the second body is worth. Both
-        // start from the last score row the decode above left in the
-        // scratch.
+        // and around them the integrity check. The DP rows read each
+        // sample's emissions from the fixed-point model's table; the
+        // dispatched row is the `std::arch` one on a host with AVX2, the
+        // portable row the same input through the body every other host
+        // runs, and the ratio of the two is what the second body is worth.
+        // Each iteration restarts from the last score row the previous one
+        // left in the scratch.
         let n = sig.samples.len();
-        let transitions = Transitions::from_mean_dwell(synth.mean_dwell());
+        let model = FixedPointModel::new(&pore, Transitions::from_mean_dwell(synth.mean_dwell()));
         let mut decode = DecodeScratch::new();
-        decode_with(&emission, &sig.samples, transitions, None, &mut decode);
+        decode_with(&model, &sig.samples, None, &mut decode);
         let rest = &sig.samples[1..];
         results.push(bench(
             &format!("basecall/viterbi_dp_rows_{n}x{n_states}"),
             Some((n as f64, "samples")),
-            || black_box(&mut decode).dp_rows(&emission, black_box(rest), transitions),
+            || black_box(&mut decode).dp_rows(&model, black_box(rest)),
         ));
-        decode_with(&emission, &sig.samples, transitions, None, &mut decode);
+        decode_with(&model, &sig.samples, None, &mut decode);
         results.push(bench(
             &format!("basecall/viterbi_dp_rows_portable_{n}x{n_states}"),
             Some((n as f64, "samples")),
-            || black_box(&mut decode).dp_rows_portable(&emission, black_box(rest), transitions),
+            || black_box(&mut decode).dp_rows_portable(&model, black_box(rest)),
         ));
-        let stats = decode_with(&emission, &sig.samples, transitions, None, &mut decode);
+        let stats = decode_with(&model, &sig.samples, None, &mut decode);
         results.push(bench(
             &format!("basecall/viterbi_traceback_{n}"),
             Some((n as f64, "samples")),

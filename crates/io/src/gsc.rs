@@ -482,8 +482,11 @@ impl GscWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`GscError::Io`] if the file cannot be created or written.
+    /// Returns [`GscError::Malformed`] for a mean dwell no reader accepts
+    /// (not finite, or not above 1 sample/base), before creating the file, and
+    /// [`GscError::Io`] if the file cannot be created or written.
     pub fn create(path: impl AsRef<Path>, meta: &GscMeta<'_>) -> Result<GscWriter, GscError> {
+        check_mean_dwell(meta.mean_dwell)?;
         let file = File::create(path)?;
         let mut header = Vec::new();
         header.extend_from_slice(MAGIC);
@@ -578,12 +581,34 @@ impl GscWriter {
     }
 }
 
+/// Refuses a mean dwell the basecaller cannot decode with: it must be finite
+/// and above one sample per base (at exactly one the strand never stays, and
+/// `Transitions::from_mean_dwell` asserts as much). The writer checks it
+/// before creating a file and the reader before building a source, so a
+/// header no writer produces is a typed error, never a panic at the first
+/// basecall.
+///
+/// # Errors
+///
+/// Returns [`GscError::Malformed`] naming the value.
+fn check_mean_dwell(mean_dwell: f64) -> Result<(), GscError> {
+    if mean_dwell.is_finite() && mean_dwell > 1.0 {
+        Ok(())
+    } else {
+        Err(GscError::Malformed {
+            what: format!("mean dwell {mean_dwell} is not a finite value above 1 sample/base"),
+        })
+    }
+}
+
 /// Packs an entire source — context plus every remaining read — into a GSC
 /// file at `path`.
 ///
 /// # Errors
 ///
-/// Returns [`GscError::Io`] on any write failure.
+/// Returns [`GscError::Malformed`] if the source's mean dwell is not a
+/// finite value above 1 sample/base (no file is created), and [`GscError::Io`] on any
+/// write failure.
 pub fn pack_source<S: ReadSource>(
     path: impl AsRef<Path>,
     source: &mut S,
@@ -681,11 +706,7 @@ impl GscReader {
             });
         }
         let mean_dwell = take.f64("mean dwell")?;
-        if !(mean_dwell.is_finite() && mean_dwell > 0.0) {
-            return Err(GscError::Malformed {
-                what: "mean dwell not finite and positive".to_string(),
-            });
-        }
+        check_mean_dwell(mean_dwell)?;
         let states = 1u64 << (2 * k);
         let mut levels = Vec::with_capacity(states as usize);
         for _ in 0..states {
@@ -1409,6 +1430,66 @@ mod tests {
             }
         }
         std::fs::remove_file(&corrupt_path).ok();
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A source that reports `mean_dwell` over the tiny profile's reads.
+    struct Dwell(StreamingSimulator, f64);
+
+    impl ReadSource for Dwell {
+        fn reference(&self) -> &Genome {
+            self.0.reference()
+        }
+        fn pore_model(&self) -> &PoreModel {
+            self.0.pore_model()
+        }
+        fn mean_dwell(&self) -> f64 {
+            self.1
+        }
+        fn next_read(&mut self) -> Option<SimulatedRead> {
+            self.0.next_read()
+        }
+    }
+
+    #[test]
+    fn packing_refuses_a_dwell_the_basecaller_cannot_decode_with() {
+        for dwell in [1.0, 0.5, 0.0, -3.0, f64::NAN, f64::INFINITY] {
+            let path = temp_path("dwell-pack");
+            let mut source = Dwell(StreamingSimulator::new(&tiny()), dwell);
+            let err = pack_source(&path, &mut source).expect_err("refused");
+            assert!(matches!(err, GscError::Malformed { .. }), "{dwell}: {err}");
+            assert!(err.to_string().contains("mean dwell"), "{err}");
+            assert!(!path.exists(), "no file is created for dwell {dwell}");
+        }
+        // Just above one sample per base is a valid (if odd) chemistry.
+        let path = temp_path("dwell-pack-ok");
+        let mut source = Dwell(StreamingSimulator::new(&tiny()), 1.0 + 1e-9);
+        pack_source(&path, &mut source).expect("packs");
+        assert_eq!(
+            GscReader::open(&path).expect("opens").mean_dwell(),
+            1.0 + 1e-9
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_header_with_a_dwell_of_one_is_malformed_not_a_later_panic() {
+        // A header that reports a dwell of one sample per base, checksummed
+        // as a writer would: the checksum passes, the value does not.
+        let path = temp_path("dwell-read");
+        pack_small(&path);
+        let header_len = GscReader::open(&path).expect("open").header_bytes() as usize;
+        let pristine = std::fs::read(&path).expect("read");
+        // magic 8 · version 4 · flags 4 · k 4 · event std 4, then the dwell.
+        for dwell in [1.0f64, 0.25] {
+            let mut bytes = pristine.clone();
+            bytes[24..32].copy_from_slice(&dwell.to_le_bytes());
+            let digest = checksum(&bytes[..header_len - 8]);
+            bytes[header_len - 8..header_len].copy_from_slice(&digest.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("write");
+            let err = GscReader::open(&path).expect_err("refused at open");
+            assert!(matches!(err, GscError::Malformed { .. }), "{dwell}: {err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -180,7 +180,7 @@ fn ecoli_accuracy_is_pinned() {
                 [139, 139, 0, 2],
                 [139, 139, 0, 2],
             ],
-            (435_079, 451_894),
+            (435_073, 451_866),
         ),
     );
 }
@@ -199,7 +199,7 @@ fn human_accuracy_is_pinned() {
                 [169, 165, 0, 0],
                 [169, 165, 0, 0],
             ],
-            (316_042, 323_497),
+            (316_021, 323_493),
         ),
     );
 }
@@ -223,7 +223,7 @@ fn contaminant_mix_accuracy_is_pinned() {
                 [20, 19, 0, 0],
                 [20, 19, 0, 0],
             ],
-            (61_274, 63_338),
+            (61_266, 63_327),
         ),
     );
 }
