@@ -95,8 +95,9 @@ impl EmissionModel {
     }
 
     /// Number of samples [`EmissionModel::log_likelihoods_block`] handles
-    /// per call; the decoder batches its emission MVMs in blocks of this
-    /// size to amortize call overhead and keep the weight matrix hot.
+    /// per call. The block call is the crossbar's functional reference, kept
+    /// for the kernel bench and `benchmarks/`; no decode calls it (the
+    /// decoder reads the quantised table of `FixedPointModel`).
     pub const BLOCK: usize = 8;
 
     /// Computes emission log-likelihoods for up to [`EmissionModel::BLOCK`]
@@ -152,7 +153,7 @@ impl EmissionModel {
     }
 
     /// Emission log-likelihood of a single state (reference implementation
-    /// for tests; the decoder uses [`EmissionModel::log_likelihoods`]).
+    /// for tests).
     pub fn log_likelihood(&self, x: f32, state: usize) -> f32 {
         assert!(state < self.states, "state out of range");
         let f = Self::features(x);
@@ -237,6 +238,33 @@ mod tests {
                 &single[..],
                 "sample {i}"
             );
+        }
+    }
+
+    #[test]
+    fn block_equals_single_sample_calls_at_every_block_length() {
+        for k in 1..=5usize {
+            let pore = PoreModel::synthetic(k, k as u64);
+            let em = EmissionModel::from_pore_model(&pore);
+            let n_states = em.states();
+            let mut xs: Vec<f32> = (0..EmissionModel::BLOCK as u64)
+                .map(|i| pore.level_bits((i * 37 + k as u64) % n_states as u64) + 0.37 * i as f32)
+                .collect();
+            xs[0] = 0.0;
+            xs[1] = -37.25;
+            let mut single = vec![0.0f32; n_states];
+            for len in 1..=EmissionModel::BLOCK {
+                let mut block = vec![f32::NAN; len * n_states];
+                em.log_likelihoods_block(&xs[..len], &mut block);
+                for (i, row) in block.chunks_exact(n_states).enumerate() {
+                    em.log_likelihoods(xs[i], &mut single);
+                    let same = row
+                        .iter()
+                        .zip(&single)
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "k {k}, block length {len}, sample {i}");
+                }
+            }
         }
     }
 

@@ -22,7 +22,7 @@ use genpip_genomics::rng::{seeded, Rng};
 use genpip_genomics::GenomeBuilder;
 use genpip_signal::{PoreModel, SignalSynthesizer};
 
-/// What the `i32` oracle hands back besides its stats and path: the
+/// What the `i64` oracle hands back besides its stats and path: the
 /// backpointer matrix (one byte per sample and state: 0 for stay, else the
 /// group choice) and the deepest score, relative to the renormalisation
 /// offset `O_t = max V_{t−2}`, of any stored or pass-2 candidate value.
