@@ -4,8 +4,8 @@
 //! The bit-identity suites prove the variants of the pipeline agree with
 //! each other; nothing there notices if all of them drift away from the
 //! truth together — a basecall model change, a mapper retune, an early
-//! rejection threshold. These tests pin, for a fixed seed, the counts such a
-//! change would move:
+//! rejection threshold. These tests pin, for two fixed seeds per profile, the
+//! counts such a change would move:
 //!
 //! * **mapped** — reads the flow maps at all;
 //! * **correct** — reads mapped to their origin (the origin rule of
@@ -23,7 +23,7 @@
 //!   `Σ (longest − edit distance)` and `Σ longest`, with `metrics::identity`'s
 //!   band: the integer form of the mean basecall identity.
 //!
-//! Every count is deterministic for the seed, so a pin moves only when the
+//! Every count is deterministic for its seed, so a pin moves only when the
 //! code does. What may legitimately move each one is said beside it; a
 //! change that moves a pin updates it in the same commit and lists the old
 //! and new values where its evidence is recorded.
@@ -145,6 +145,35 @@ fn pins(flows: [[usize; 4]; 4], identity: (usize, usize)) -> ProfilePins {
     }
 }
 
+/// Mixed into a profile's master seed (as `benchmarks/` mixes its run seed)
+/// for the second set of pins; 0 leaves the profile's own seed.
+const SECOND_SEED: u64 = 2;
+
+/// E. coli × 0.3: 210 reads at the first seed.
+fn ecoli(seed: u64) -> DatasetProfile {
+    let mut profile = DatasetProfile::ecoli().scaled(0.3);
+    profile.seed ^= seed;
+    profile
+}
+
+/// Human × 0.2: 200 reads at the first seed.
+fn human(seed: u64) -> DatasetProfile {
+    let mut profile = DatasetProfile::human().scaled(0.2);
+    profile.seed ^= seed;
+    profile
+}
+
+/// The host-depletion mix of `benchmarks/`'s `contam_genpip_mt`: 92 % of
+/// the high-quality reads are contaminants, 5 % of all reads low quality.
+fn contaminant_mix(seed: u64) -> DatasetProfile {
+    let mut profile = DatasetProfile::ecoli().scaled(0.1);
+    profile.n_reads = 240;
+    profile.low_quality_fraction = 0.05;
+    profile.contaminant_fraction = 0.92;
+    profile.seed ^= seed;
+    profile
+}
+
 // Rows: Conventional, ErMode::None, ErMode::QsrOnly, ErMode::Full.
 // Columns: mapped, correct, contaminants mapped, false negatives.
 //
@@ -170,7 +199,7 @@ fn pins(flows: [[usize; 4]; 4], identity: (usize, usize)) -> ProfilePins {
 /// (CMR adds none).
 #[test]
 fn ecoli_accuracy_is_pinned() {
-    let dataset = DatasetProfile::ecoli().scaled(0.3).generate();
+    let dataset = ecoli(0).generate();
     assert_pins(
         &dataset,
         pins(
@@ -189,7 +218,7 @@ fn ecoli_accuracy_is_pinned() {
 /// origin (repeat copies), and early rejection discards no read that maps.
 #[test]
 fn human_accuracy_is_pinned() {
-    let dataset = DatasetProfile::human().scaled(0.2).generate();
+    let dataset = human(0).generate();
     assert_pins(
         &dataset,
         pins(
@@ -204,16 +233,11 @@ fn human_accuracy_is_pinned() {
     );
 }
 
-/// The host-depletion mix of `benchmarks/`'s `contam_genpip_mt`: 92 % of
-/// the high-quality reads are contaminants, 5 % of all reads low quality.
-/// 240 reads, 20 of them mapped; one reference read maps off its origin.
+/// The host-depletion mix, 240 reads: 20 of them mapped; one reference
+/// read maps off its origin.
 #[test]
 fn contaminant_mix_accuracy_is_pinned() {
-    let mut profile = DatasetProfile::ecoli().scaled(0.1);
-    profile.n_reads = 240;
-    profile.low_quality_fraction = 0.05;
-    profile.contaminant_fraction = 0.92;
-    let dataset = profile.generate();
+    let dataset = contaminant_mix(0).generate();
     assert_pins(
         &dataset,
         pins(
@@ -224,6 +248,67 @@ fn contaminant_mix_accuracy_is_pinned() {
                 [20, 19, 0, 0],
             ],
             (61_266, 63_327),
+        ),
+    );
+}
+
+// The same three profiles at a second seed: a count that differs between
+// the seeds by more than the reads it is made of would show a pin sitting
+// on a knife edge rather than on the dataset.
+
+/// Every mapped read maps to its origin, as at the first seed; QSR costs
+/// three false negatives here against two there.
+#[test]
+fn ecoli_accuracy_is_pinned_at_a_second_seed() {
+    let dataset = ecoli(SECOND_SEED).generate();
+    assert_pins(
+        &dataset,
+        pins(
+            [
+                [142, 142, 0, 0],
+                [142, 142, 0, 0],
+                [139, 139, 0, 3],
+                [139, 139, 0, 3],
+            ],
+            (434_340, 449_288),
+        ),
+    );
+}
+
+/// Three reads map off their origin (four at the first seed); early
+/// rejection again discards no read that maps.
+#[test]
+fn human_accuracy_is_pinned_at_a_second_seed() {
+    let dataset = human(SECOND_SEED).generate();
+    assert_pins(
+        &dataset,
+        pins(
+            [
+                [172, 169, 0, 0],
+                [172, 169, 0, 0],
+                [172, 169, 0, 0],
+                [172, 169, 0, 0],
+            ],
+            (335_753, 343_348),
+        ),
+    );
+}
+
+/// 16 reads mapped, all to their origin; here QSR discards one that maps
+/// (none at the first seed).
+#[test]
+fn contaminant_mix_accuracy_is_pinned_at_a_second_seed() {
+    let dataset = contaminant_mix(SECOND_SEED).generate();
+    assert_pins(
+        &dataset,
+        pins(
+            [
+                [16, 16, 0, 0],
+                [16, 16, 0, 0],
+                [15, 15, 0, 1],
+                [15, 15, 0, 1],
+            ],
+            (37_257, 38_519),
         ),
     );
 }
