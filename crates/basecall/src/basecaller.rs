@@ -102,6 +102,12 @@ impl ReadDecoder {
     }
 
     /// Basecalls the read's next chunk, advancing the cursor to its carry.
+    ///
+    /// # Panics
+    ///
+    /// As [`Basecaller::call_chunk_with`]: on a corrupt sample, or a carry
+    /// (say, one passed to [`ReadDecoder::resume_from`]) that is not a state
+    /// of `caller`'s model.
     pub fn call_next(
         &mut self,
         caller: &Basecaller,
@@ -312,6 +318,10 @@ impl Basecaller {
     /// emission MVM and would decode to garbage, so they are rejected before
     /// decoding starts. Executors with a fault policy catch and classify
     /// this; everything else fails fast.
+    ///
+    /// For a non-empty chunk, also panics if `carry` is not a state of this
+    /// basecaller's model — a carry from a basecaller with another `k` — with
+    /// a message naming the state and the model's state count.
     pub fn call_chunk_with(
         &self,
         samples: &[f32],
@@ -565,6 +575,14 @@ mod tests {
             "noisy AQS {}",
             noisy.average_quality()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "carried state 64 is not a state of this 64-state model")]
+    fn a_carry_from_another_k_is_refused_by_name() {
+        let (synth, caller) = setup();
+        let sig = synth.synthesize(&truth(40, 3), 1.0, 4);
+        let _ = caller.call_chunk(&sig.samples, Some(CarryState(64)));
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //!
 //! Integer `+`, `max` and strict `>` are exact, so every row body computes
 //! the same numbers, and a scalar `i64` row with no renormalisation (the
-//! test-only oracle of `viterbi/differential.rs`) computes the same
-//! backpointer records: a uniform shift of a row changes no comparison.
+//! test-only oracle of `viterbi/differential.rs`) computes the same rows up
+//! to their offsets, and so the same decisions: a uniform shift of a row
+//! changes no comparison.
 //!
 //! # The row and its `i16` bound
 //!
@@ -72,33 +73,55 @@
 //! **One scratch.** All working memory lives in a caller-owned
 //! [`DecodeScratch`], so decoding a stream of equally sized chunks performs
 //! **zero heap allocations** after the first chunk warms the buffers, and
-//! nothing but the take words of row 0 is cleared between chunks (records
-//! 1… are overwritten before the traceback reads them).
+//! nothing is cleared between chunks: every buffer a decode reads it has
+//! written first.
 //!
-//! **One record layout.** The advance predecessors of state `s` are
-//! `(s >> 2) | (c << k_shift)` for `c = 0..4`: the same four for all four
-//! states of a *group* `s >> 2`. So what the traceback needs per sample is a
-//! **take word** (bit `s` set iff the best path into `s` advanced, one `u64`
-//! per 64 states) and the **group choices** (the winning `c + 1` per group,
-//! `n_states / 4` bytes): 24 bytes a sample at `k = 3`. Every row body
-//! writes these records and the one `traceback` reads them; `init_row` sets
-//! at most four bits of row 0.
+//! **The record holds scores, not decisions.** A row body does not decide,
+//! state by state, whether the best path into a state stayed or advanced:
+//! the traceback needs that for one state per sample, the path's. So the
+//! record of sample `t ≥ 1` is the row the step started from — stored row
+//! `t − 1`, as renormalised — followed by pass 1's maximum of each
+//! predecessor group of it: `n_states + n_states / 4` `i16`, 160 bytes a
+//! sample at `k = 3`. Every row body writes these records and the one
+//! `traceback` decides on them. At the path's state `s`, group `g = s >> 2`
+//! (the advance predecessors of `s` are `g | (c << 2(k−1))`, `c = 0..4`, the
+//! same four for the four states of a group):
+//!
+//! * the path **advanced** into `s` iff `best[g] − row[s] > log_stay −
+//!   log_advance`, in `i32`. The row's renormalisation step is added to both
+//!   candidates, so it cancels, and the test is the row body's own `advance >
+//!   stay`, exactly;
+//! * the **predecessor** is then `g | (c << 2(k−1))` for the lowest quarter
+//!   `c` whose entry equals `best[g]` — pass 1's strict-`>` tie rule.
+//!
+//! Sample 0 of a stitched decode follows `init_row`'s arithmetic: it
+//! advanced iff its state is a successor of the carried state `s0` and
+//! either differs from `s0` or `log_advance > log_stay`. A path that starts
+//! in a floor state did not advance.
+//!
+//! **Bins first.** Before the rows, one pass turns the chunk's samples into
+//! emission-table bins, a `u16` each; the rows only index the table. Before
+//! the AVX2 row the pass converts eight samples at a time (`sub`, `mul`,
+//! `max(·, 0)`, `min(·, BINS − 1)`, `cvtt`), equal to the scalar bin for
+//! every `f32`; before the portable row it is the scalar bin itself.
 //!
 //! **Two row bodies, chosen once per decode** from what the code observes
 //! (state count, CPU feature) in [`DecodeScratch::dp_rows`]:
 //!
 //! * The **portable row** ([`DecodeScratch::dp_rows_portable`]) runs on
-//!   every host and every `k`: *pass 1* takes the best of each group's four
-//!   predecessors — element `s >> 2` of the row's four contiguous quarters —
-//!   by strict `>`, keeping the winning quarter as the group's choice, and
-//!   repeats it ×4; *pass 2* selects `advance > stay` and adds the sample's
-//!   emission row; the take flags are packed eight to a byte by one
-//!   multiply.
+//!   every host and every `k`: it copies the row into the record; *pass 1*
+//!   takes the best of each group's four predecessors — element `s >> 2` of
+//!   the row's four contiguous quarters — into the record and repeats it,
+//!   plus the advance, ×4; *pass 2* takes the greater of advance and stay
+//!   and adds the sample's emission row.
 //! * At **64 states on x86-64 with AVX2** — the only size the pipeline
 //!   runs — the row is written with `std::arch` (`viterbi/avx2.rs`): 64
 //!   `i16` scores in four `__m256i` for the whole chunk, quarter `c` being
-//!   vector `c`, so pass 1 is three `max`es, the ×4 expansion a permute
-//!   plus a `pshufb` per vector, and the take word two `packs` + `movemask`.
+//!   vector `c`, so pass 1 is three `max`es, the record five stores, and the
+//!   ×4 expansion a permute plus a `pshufb` per vector. The renormalisation
+//!   lag stays in registers: the step a broadcast `i16` vector, the row
+//!   maximum a broadcast `max`, the offset a running `i64` sum of the steps
+//!   — the same integers as the portable row's `Lag`, so the same offsets.
 //!
 //! The `f32` decode this model replaced lives on, test-only, in
 //! `viterbi/differential.rs` as the accuracy reference.
@@ -240,10 +263,16 @@ impl FixedPointModel {
         (((x - self.origin) * self.bins_per_pa) as usize).min(Self::BINS - 1)
     }
 
+    /// The quantised emission of every state in current bin `bin`.
+    #[inline]
+    fn emission_row(&self, bin: usize) -> &[i16] {
+        &self.table[bin * self.states..][..self.states]
+    }
+
     /// The quantised emission of every state for sample `x`.
     #[inline]
     pub fn emissions(&self, x: f32) -> &[i16] {
-        &self.table[self.bin(x) * self.states..][..self.states]
+        self.emission_row(self.bin(x))
     }
 }
 
@@ -288,41 +317,43 @@ pub struct DecodeStats {
 
 /// Reusable decode workspace.
 ///
-/// Holds every buffer the DP needs (the per-sample backpointer records, the
-/// score rows, and — for the portable row — the per-group and expanded
-/// advance rows and the take bytes) plus the output state path. Buffers
-/// grow to the largest chunk seen and are then reused, so a steady-state
-/// stream of chunks decodes without touching the allocator.
+/// Holds every buffer the DP needs (the emission bins, the per-sample
+/// records, the score rows, and — for the portable row — the expanded
+/// advance row) plus the output state path. Buffers grow to the largest
+/// chunk seen and are then reused, so a steady-state stream of chunks
+/// decodes without touching the allocator.
+///
+/// **Footprint.** The records dominate: `2.5 · n_states` bytes per sample
+/// (the stored row and its `n_states / 4` group maxima, 160 bytes at `k = 3`)
+/// against 2 bytes of bin, 2 of state and 1 of advance flag. A 2 477-sample
+/// chunk at `k = 3` holds about 400 KB; at `k = 6`, the largest `k` a GSC
+/// header may carry, a record is 10 KB and the chunk about 25 MB.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
-    /// Take words, [`take_words`] per sample: bit `s % 64` of word `s / 64`
-    /// is set iff the best path into state `s` advanced. Never shrinks, and
-    /// only row 0 is cleared per decode.
-    take: Vec<u64>,
-    /// Group choices, `n_states / 4` bytes per sample: pass 1's winning
-    /// quarter `1..=4` per predecessor group (the dropped leading base of the
-    /// advance into any state of the group, plus one). Never shrinks and is
-    /// never cleared: a choice is read only where a take bit is set.
-    group_choice: Vec<u8>,
+    /// The emission-table bin of every sample the DP rows consume (the
+    /// decode's samples after its first).
+    bins: Vec<u16>,
+    /// The records, [`record_len`] `i16` per sample `t ≥ 1`, at `t − 1`: the
+    /// stored row `t − 1` (its scores minus its offset) and then pass 1's
+    /// maximum of each predecessor group of it. Never shrinks and is never
+    /// cleared: the DP rows write records `1..n` before the traceback reads
+    /// them.
+    records: Vec<i16>,
     prev: Vec<i16>,
     curr: Vec<i16>,
     /// `O_t` of the row in `prev`: its scores are the absolute ones minus
     /// this.
     offset: i64,
-    /// Pass 1's best advance per predecessor group (`n_states / 4` wide) …
-    adv_best: Vec<i16>,
-    /// … repeated ×4 (`n_states` wide), aligned with the score rows.
+    /// The portable row's best advance per predecessor group, repeated ×4
+    /// (`n_states` wide), aligned with the score rows.
     adv_best_x: Vec<i16>,
-    /// Pass 2's `take` per state as a 0/1 byte, zero-padded to a multiple of
-    /// eight, before it is packed into the take words.
-    take_x: Vec<u8>,
     states: Vec<u16>,
     advanced: Vec<bool>,
 }
 
-/// Take words per sample: one bit per state.
-fn take_words(n_states: usize) -> usize {
-    n_states.div_ceil(64)
+/// `i16` per record: a score row plus one maximum per predecessor group.
+fn record_len(n_states: usize) -> usize {
+    n_states + n_states / 4
 }
 
 impl DecodeScratch {
@@ -348,73 +379,48 @@ impl DecodeScratch {
 
     /// Sizes every buffer for an `n`-sample, `n_states`-state decode.
     /// `resize` reuses existing capacity, so this allocates only when a
-    /// larger chunk than ever before arrives.
+    /// larger chunk than ever before arrives. Every buffer is written in full
+    /// before it is read — the bins and records by the DP rows, the score
+    /// and advance rows per sample, `states` and `advanced` by the traceback
+    /// — so only the lengths matter.
     fn prepare(&mut self, n: usize, n_states: usize) {
-        // Every buffer but three is written in full before it is read — the
-        // score and advance rows per sample, records 1.. by the DP rows,
-        // `states` by the traceback — so only its length matters. The take
-        // words of row 0 are read as left by the init (which sets at most
-        // four bits), `advanced[0]` is written only on a stitched start, and
-        // the padding of `take_x` is never written: those start from zero.
-        let (words, n_groups) = (take_words(n_states), n_states / 4);
-        if self.take.len() < n * words {
-            self.take.resize(n * words, 0);
-        }
-        if n > 0 {
-            self.take[..words].fill(0);
-        }
-        if self.group_choice.len() < n * n_groups {
-            self.group_choice.resize(n * n_groups, 0);
+        let rows = n.saturating_sub(1);
+        self.bins.resize(rows, 0);
+        if self.records.len() < rows * record_len(n_states) {
+            self.records.resize(rows * record_len(n_states), 0);
         }
         self.prev.resize(n_states, 0);
         self.curr.resize(n_states, 0);
-        self.adv_best.resize(n_groups, 0);
         self.adv_best_x.resize(n_states, 0);
-        self.take_x.clear();
-        self.take_x.resize(n_states.next_multiple_of(8), 0);
         self.states.resize(n, 0);
-        self.advanced.clear();
         self.advanced.resize(n, false);
     }
 
-    /// Row 0: the first sample's scores into `prev` (offset 0), and — when
-    /// stitched to `init_state` — the boundary step's records into row 0.
-    ///
-    /// An advance into state `s` came from `(s >> 2) | (c << k_shift)` where
-    /// `c + 1` is the choice of `s`'s group: the dropped leading base.
+    /// Row 0: the first sample's scores into `prev` (offset 0). Stitched to
+    /// `init_state`, the boundary is one ordinary HMM step: the first sample
+    /// stays in the previous chunk's final state or advances into one of its
+    /// successors, and every other state starts at the floor, below all of
+    /// these.
     fn init_row(&mut self, model: &FixedPointModel, x: f32, init_state: Option<u16>) {
         let n_states = model.states();
-        let k_shift = (n_states.trailing_zeros() - 2) as usize; // 2(k-1) bits
         let (prev, emit) = (&mut self.prev, model.emissions(x));
         self.offset = 0;
         match init_state {
             Some(s0) => {
-                // The previous chunk ended in s0; crossing the chunk boundary
-                // is one ordinary HMM step, so the first sample either stays
-                // in s0 or advances into one of its successors. Every other
-                // state starts at the floor, below all of these.
                 let s0 = s0 as usize;
                 prev.fill(model.floor);
                 prev[s0] = emit[s0] + model.log_stay;
                 for b in 0..4usize {
                     let succ = ((s0 << 2) | b) & (n_states - 1);
-                    let cand = emit[succ] + model.log_advance;
-                    if cand > prev[succ] {
-                        prev[succ] = cand;
-                        self.take[succ / 64] |= 1 << (succ % 64);
-                    }
+                    prev[succ] = prev[succ].max(emit[succ] + model.log_advance);
                 }
-                // The four successors are one group, and the dropped leading
-                // base of the advance is s0's top 2 bits for all of them.
-                let group = s0 & (n_states / 4 - 1);
-                self.group_choice[group] = 1 + (s0 >> k_shift) as u8;
             }
             None => prev.copy_from_slice(emit),
         }
     }
 
     /// One DP row per sample of `samples` — the decode's samples after its
-    /// first, whose records go to rows 1.. — on a scratch the current decode
+    /// first, whose records go to `0..` — on a scratch the current decode
     /// has sized; leaves the last row in `prev`. This is where the row body
     /// is chosen, once per decode: 64 states on a host with AVX2 run
     /// `avx2::rows`; everything else runs
@@ -426,14 +432,16 @@ impl DecodeScratch {
     pub fn dp_rows(&mut self, model: &FixedPointModel, samples: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         if self.prev.len() == avx2::STATES && std::arch::is_x86_feature_detected!("avx2") {
-            // At 64 states a sample's records are one take word and
-            // `GROUPS` choices; row 0 belongs to the init.
             let n = samples.len();
-            let take = &mut self.take[1..=n];
-            let choice = &mut self.group_choice[avx2::GROUPS..][..avx2::GROUPS * n];
-            let lag = Lag::start(self.offset);
+            let (bins, records) = (
+                &mut self.bins[..n],
+                &mut self.records[..n * record_len(avx2::STATES)],
+            );
             // SAFETY: the host supports AVX2, checked on the line above.
-            self.offset = unsafe { avx2::rows(model, samples, lag, &mut self.prev, take, choice) };
+            self.offset = unsafe {
+                avx2::bins(model, samples, bins);
+                avx2::rows(model, bins, self.offset, &mut self.prev, records)
+            };
             return;
         }
         self.dp_rows_portable(model, samples)
@@ -447,21 +455,21 @@ impl DecodeScratch {
     #[doc(hidden)]
     pub fn dp_rows_portable(&mut self, model: &FixedPointModel, samples: &[f32]) {
         let n_states = self.prev.len();
-        let (words, n_groups) = (take_words(n_states), n_states / 4);
+        let bins = &mut self.bins[..samples.len()];
+        for (bin, &x) in bins.iter_mut().zip(samples) {
+            *bin = model.bin(x) as u16;
+        }
+        let records = self.records.chunks_exact_mut(record_len(n_states));
         let mut lag = Lag::start(self.offset);
-        for (i, &x) in samples.iter().enumerate() {
-            let t = 1 + i;
+        for (&bin, record) in bins.iter().zip(records) {
             portable_row(
                 model,
-                model.emissions(x),
+                model.emission_row(usize::from(bin)),
                 &mut lag,
                 &self.prev,
                 &mut self.curr,
-                &mut self.take[t * words..][..words],
-                &mut self.group_choice[t * n_groups..][..n_groups],
-                &mut self.adv_best,
+                record,
                 &mut self.adv_best_x,
-                &mut self.take_x,
             );
             std::mem::swap(&mut self.prev, &mut self.curr);
         }
@@ -469,34 +477,43 @@ impl DecodeScratch {
     }
 
     /// Walks the records from the best final state (last row in `prev`) to
-    /// sample 0, writing `states` and `advanced` (at least one sample long);
-    /// returns the integer path score.
+    /// sample 0, deciding stay or advance and the predecessor at the path's
+    /// state only (see the module docs), and writes `states` and `advanced`
+    /// (at least one sample long); returns the integer path score.
+    /// `init_state` is the decode's.
     ///
     /// Not part of the API: public only so that the kernel bench can time
     /// this stage of [`decode_with`] on its own.
     #[doc(hidden)]
-    pub fn traceback(&mut self, stitched: bool) -> i64 {
-        let n_states = self.prev.len();
-        let (words, n_groups) = (take_words(n_states), n_states / 4);
-        let k_shift = (n_states.trailing_zeros() - 2) as usize;
-        let took = |take: &[u64], t: usize, s: usize| take[t * words + s / 64] >> (s % 64) & 1 != 0;
+    pub fn traceback(&mut self, model: &FixedPointModel, init_state: Option<u16>) -> i64 {
+        let n_states = model.states();
+        let n_groups = n_states / 4;
+        // Advancing wins iff it beats staying by more than this.
+        let margin = i32::from(model.log_stay) - i32::from(model.log_advance);
         let (mut state, score) = last_argmax(&self.prev);
-        for t in (1..self.states.len()).rev() {
-            self.states[t] = state as u16;
-            self.advanced[t] = took(&self.take, t, state);
-            if self.advanced[t] {
-                let choice = self.group_choice[t * n_groups + (state >> 2)];
-                state = (state >> 2) | (((choice - 1) as usize) << k_shift);
+        let (n, len) = (self.states.len(), record_len(n_states));
+        let records = self.records[..(n - 1) * len].chunks_exact(len);
+        let path = self.states[1..].iter_mut().zip(&mut self.advanced[1..]);
+        for ((out, advanced), record) in path.zip(records).rev() {
+            let (row, best) = record.split_at(n_states);
+            let group = state >> 2;
+            *out = state as u16;
+            *advanced = i32::from(best[group]) - i32::from(row[state]) > margin;
+            if *advanced {
+                let quarter = (0..4)
+                    .find(|&c| row[group + c * n_groups] == best[group])
+                    .expect("a group's maximum is one of its four entries");
+                state = group + quarter * n_groups;
             }
         }
         self.states[0] = state as u16;
-        // Sample 0 advanced only if we were stitched to a previous chunk and
-        // the winning path took the boundary-advance branch. states[0] then
-        // already holds the advanced-into state, which is what callers emit
-        // from.
-        if stitched {
-            self.advanced[0] = took(&self.take, 0, state);
-        }
+        // Sample 0 advanced only on a stitched start whose path took the
+        // boundary advance; states[0] then already holds the advanced-into
+        // state, which is what callers emit from.
+        self.advanced[0] = init_state.is_some_and(|s0| {
+            let s0 = usize::from(s0);
+            state >> 2 == s0 & (n_groups - 1) && (state != s0 || model.log_advance > model.log_stay)
+        });
         i64::from(score) + self.offset
     }
 }
@@ -588,6 +605,10 @@ impl Transitions {
 ///
 /// Convenience wrapper over [`decode_with`] for one-shot callers; hot loops
 /// should own a [`DecodeScratch`] and call [`decode_with`] instead.
+///
+/// # Panics
+///
+/// As [`decode_with`]: if `init_state` is not a state of `model`.
 pub fn decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u16>) -> DecodeOutcome {
     let mut scratch = DecodeScratch::new();
     let stats = decode_with(model, samples, init_state, &mut scratch);
@@ -613,6 +634,11 @@ pub fn decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u16>)
 /// every `f32`, NaN and the infinities included, falls in some emission bin
 /// (callers that must reject such input check it first, as
 /// `Basecaller::call_chunk_with` does).
+///
+/// # Panics
+///
+/// Panics if `init_state` is not a state of `model` (a carry from a decoder
+/// with another `k`), naming the state and the model's state count.
 pub fn decode_with(
     model: &FixedPointModel,
     samples: &[f32],
@@ -621,6 +647,12 @@ pub fn decode_with(
 ) -> DecodeStats {
     let n_states = model.states();
     debug_assert!(n_states.is_power_of_two() && n_states >= 4);
+    if let Some(s0) = init_state {
+        assert!(
+            usize::from(s0) < n_states,
+            "carried state {s0} is not a state of this {n_states}-state model"
+        );
+    }
     let n = samples.len();
     scratch.prepare(n, n_states);
     if n == 0 {
@@ -628,7 +660,7 @@ pub fn decode_with(
     }
     scratch.init_row(model, samples[0], init_state);
     scratch.dp_rows(model, &samples[1..]);
-    let score = scratch.traceback(init_state.is_some());
+    let score = scratch.traceback(model, init_state);
     DecodeStats {
         score: score as f64 / f64::from(model.scale()),
         mvm_ops: n,
@@ -636,26 +668,24 @@ pub fn decode_with(
     }
 }
 
-/// One portable DP row: `curr` and the sample's records (`take` words,
-/// `choice` per predecessor group) from `prev` and the sample's emissions
-/// (see the module docs for the two passes).
+/// One portable DP row: `curr` from `prev` and the sample's emissions, and
+/// the sample's record — `prev` itself, then pass 1's group maxima (see the
+/// module docs for the two passes).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn portable_row(
     model: &FixedPointModel,
     emit: &[i16],
     lag: &mut Lag,
     prev: &[i16],
     curr: &mut [i16],
-    take: &mut [u64],
-    choice: &mut [u8],
-    adv_best: &mut [i16],
+    record: &mut [i16],
     adv_best_x: &mut [i16],
-    take_x: &mut [u8],
 ) {
     let n_states = prev.len();
     let n_groups = n_states / 4;
     let (stay_tr, adv_tr) = lag.transitions(model);
+    let (row, best) = record.split_at_mut(n_states);
+    row.copy_from_slice(prev);
 
     // Pass 1: prev[low | (c << k_shift)] is element `low` of quarter `c`.
     // Every state is in some group, so the groups' bests also give the
@@ -663,56 +693,24 @@ fn portable_row(
     let (q0, rest) = prev.split_at(n_groups);
     let (q1, rest) = rest.split_at(n_groups);
     let (q2, q3) = rest.split_at(n_groups);
-    let (q3, adv_best, choice) = (
-        &q3[..n_groups],
-        &mut adv_best[..n_groups],
-        &mut choice[..n_groups],
-    );
-    let mut row_max = i16::MIN;
+    let (q3, best) = (&q3[..n_groups], &mut best[..n_groups]);
     for low in 0..n_groups {
-        let (mut best, mut quarter) = (q0[low], 1u8);
-        for (c, v) in [(2u8, q1[low]), (3, q2[low]), (4, q3[low])] {
-            let better = v > best;
-            best = if better { v } else { best };
-            quarter = if better { c } else { quarter };
-        }
-        row_max = row_max.max(best);
-        adv_best[low] = best + adv_tr;
-        choice[low] = quarter;
+        best[low] = q0[low].max(q1[low]).max(q2[low]).max(q3[low]);
     }
-    lag.push(row_max);
+    lag.push(best.iter().copied().fold(i16::MIN, i16::max));
     let (best_x, _) = adv_best_x.as_chunks_mut::<4>();
-    for (best_x, &best) in best_x[..n_groups].iter_mut().zip(&*adv_best) {
-        *best_x = [best; 4];
+    for (best_x, &best) in best_x[..n_groups].iter_mut().zip(&*best) {
+        *best_x = [best + adv_tr; 4];
     }
 
     // Pass 2: stay or advance, emission added in the same sweep.
-    let (emit, curr, adv, took) = (
+    let (emit, curr, adv) = (
         &emit[..n_states],
         &mut curr[..n_states],
         &adv_best_x[..n_states],
-        &mut take_x[..n_states],
     );
     for s in 0..n_states {
-        let stay = prev[s] + stay_tr;
-        let take = adv[s] > stay;
-        curr[s] = adv[s].max(stay) + emit[s];
-        took[s] = take as u8;
-    }
-
-    // Eight 0/1 bytes to eight bits: byte `i` of the little-endian word times
-    // 2^(56 - 7i) lands on bit `56 + i`, and no two of the 64 partial
-    // products share a bit, so nothing carries. Each packed byte enters a
-    // take word at the top and is shifted down by those after it — a
-    // recurrence, so that the multiply stays one scalar `imul` (spread over
-    // 64-bit vector lanes it is emulated, at several times the cost).
-    let (eights, _) = take_x.as_chunks::<8>();
-    for (word, eights) in take.iter_mut().zip(eights.chunks(8)) {
-        let packed = eights.iter().fold(0u64, |word, bytes| {
-            let top = u64::from_le_bytes(*bytes).wrapping_mul(0x0102_0408_1020_4080);
-            word >> 8 | top & 0xff << 56
-        });
-        *word = packed >> (64 - 8 * eights.len());
+        curr[s] = adv[s].max(prev[s] + stay_tr) + emit[s];
     }
 }
 
@@ -944,6 +942,71 @@ mod tests {
         ] {
             assert_eq!(model.bin(x), bin, "{x}");
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_avx2_bin_pass_is_the_scalar_bin_for_every_kind_of_f32() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("skipped: this host has no AVX2, so no decode runs the AVX2 bin pass");
+            return;
+        }
+        let (pore, model) = setup();
+        // Equal levels and an event std of 1e-40 leave the binned span no
+        // width: `bins_per_pa` is +∞, and `(x − origin) · ∞` is NaN at
+        // `x == origin`.
+        let flat = PoreModel::from_parts(3, vec![pore.levels()[0]; 64], 1e-40);
+        let narrow = FixedPointModel::new(&flat, Transitions::from_mean_dwell(8.0));
+        assert_eq!(narrow.bins_per_pa, f32::INFINITY);
+        for model in [&model, &narrow] {
+            let nans = [
+                0x7fc0_0000u32,
+                0xffc0_0000,
+                0x7f80_0001,
+                0xff80_1234,
+                0x7fff_ffff,
+            ];
+            let mut xs: Vec<f32> = nans.into_iter().map(f32::from_bits).collect();
+            xs.extend([
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                f32::MAX,
+                f32::MIN,
+            ]);
+            xs.extend([1e6, -1e6, 3e38, -3e38, model.origin]);
+            // Subnormals: the least, the greatest, and one between.
+            for bits in [1u32, 0x007f_ffff, 0x0040_0000] {
+                xs.extend([f32::from_bits(bits), -f32::from_bits(bits)]);
+            }
+            // Every bin edge and the floats on either side of it.
+            for b in 0..=FixedPointModel::BINS {
+                let edge = model.origin + b as f32 / model.bins_per_pa;
+                xs.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            let mut bins = vec![0u16; xs.len()];
+            // Every length modulo the sixteen-sample vector step, twice
+            // over, so that each value meets the vector body and the tail.
+            for len in 1..=33 {
+                for xs in xs.chunks(len) {
+                    let bins = &mut bins[..xs.len()];
+                    // SAFETY: the host supports AVX2, checked above.
+                    unsafe { avx2::bins(model, xs, bins) };
+                    for (&x, &bin) in xs.iter().zip(&*bins) {
+                        assert_eq!(usize::from(bin), model.bin(x), "{x:e} ({:#x})", x.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "carried state 64 is not a state of this 64-state model")]
+    fn a_carry_from_another_state_space_is_refused_by_name() {
+        let (pore, model) = setup();
+        let samples = signal_for(&pore, &[5, 21], 4);
+        let _ = decode(&model, &samples, Some(64));
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! *Exactness:* both shipped row bodies — the `std::arch` one [`decode_with`]
 //! dispatches to at 64 states on a host with AVX2, and the portable one —
-//! must leave the same [`DecodeStats`], `states()`, `advanced()` and
-//! per-sample records as a scalar `i32` row with no renormalisation, on
-//! every state-space size, length, stitched start and tie, and agree with
-//! each other record for record and on the last stored row, also on a
+//! must leave the same [`DecodeStats`], `states()` and `advanced()` as a
+//! scalar `i64` row with no renormalisation, on every state-space size,
+//! length, stitched start and tie, and records that are the oracle's: each
+//! stored row plus its offset is the oracle's absolute row, each stored group
+//! maximum the oracle's, and every decision the traceback takes along the
+//! path is the oracle's backpointer. The two bodies agree with each other
+//! record for record and on the last stored row and its offset, also on a
 //! scratch that earlier decodes of other lengths and sizes left dirty. The
 //! oracle also measures the deepest score the renormalised `i16` row would
 //! hold, which must stay above the model's proved bound — on hostile models
@@ -15,23 +18,39 @@
 //! reference the quantised decode is measured against.
 
 use super::{
-    decode_with, last_argmax, take_words, DecodeScratch, DecodeStats, FixedPointModel, Transitions,
+    decode_with, last_argmax, record_len, DecodeScratch, DecodeStats, FixedPointModel, Transitions,
 };
 use crate::emission::EmissionModel;
 use genpip_genomics::rng::{seeded, Rng};
 use genpip_genomics::GenomeBuilder;
 use genpip_signal::{PoreModel, SignalSynthesizer};
 
-/// What the `i64` oracle hands back besides its stats and path: the
-/// backpointer matrix (one byte per sample and state: 0 for stay, else the
-/// group choice) and the deepest score, relative to the renormalisation
-/// offset `O_t = max V_{t−2}`, of any stored or pass-2 candidate value.
+/// What the `i64` oracle hands back besides its stats and path: every
+/// absolute score row, the backpointer matrix (one byte per sample and
+/// state: 0 for stay, else the group choice) and the deepest score, relative
+/// to the renormalisation offset `O_t = max V_{t−2}`, of any stored or pass-2
+/// candidate value.
 struct Oracle {
     stats: DecodeStats,
     states: Vec<u16>,
     advanced: Vec<bool>,
+    /// `n × n_states` absolute scores, row `t` at `t · n_states`.
+    rows: Vec<i64>,
     backptr: Vec<u8>,
     deepest: i64,
+}
+
+impl Oracle {
+    /// `O_t`, the offset the shipped row stores row `t` minus.
+    fn offset(&self, t: usize) -> i64 {
+        let n_states = self.rows.len() / self.states.len();
+        if t < 2 {
+            0
+        } else {
+            let row = &self.rows[(t - 2) * n_states..][..n_states];
+            *row.iter().max().expect("states")
+        }
+    }
 }
 
 /// The scalar fixed-point decode: the shipped recurrence with a strided
@@ -48,6 +67,7 @@ fn oracle_decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u1
             stats,
             states,
             advanced,
+            rows: Vec::new(),
             backptr,
             deepest: 0,
         };
@@ -71,6 +91,8 @@ fn oracle_decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u1
             }
         }
     }
+    let mut rows = Vec::with_capacity(n * n_states);
+    rows.extend_from_slice(&prev);
     // Row maxima, for the offsets the shipped row would have subtracted.
     let mut maxima = vec![*prev.iter().max().expect("states")];
     let offset = |maxima: &[i64], t: usize| if t < 2 { 0 } else { maxima[t - 2] };
@@ -108,6 +130,7 @@ fn oracle_decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u1
             deepest = deepest.min(curr[s] - o);
         }
         std::mem::swap(&mut prev, &mut curr);
+        rows.extend_from_slice(&prev);
         maxima.push(*prev.iter().max().expect("states"));
     }
 
@@ -138,6 +161,7 @@ fn oracle_decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u1
         stats,
         states,
         advanced,
+        rows,
         backptr,
         deepest,
     }
@@ -217,7 +241,7 @@ fn portable_decode_with(
     }
     scratch.init_row(model, samples[0], init_state);
     scratch.dp_rows_portable(model, &samples[1..]);
-    let score = scratch.traceback(init_state.is_some());
+    let score = scratch.traceback(model, init_state);
     DecodeStats {
         score: score as f64 / f64::from(model.scale()),
         mvm_ops: n,
@@ -297,13 +321,7 @@ impl Harness {
             assert_eq!(got, oracle.stats, "{body} stats, {what}");
             assert_eq!(scratch.states(), oracle.states, "{body} states, {what}");
             assert_eq!(scratch.advanced(), oracle.advanced, "{body} flags, {what}");
-            // Not along the winning path only: every row of the records,
-            // expanded to `choice & mask(take)`, is the oracle's row.
-            let n_states = model.states();
-            for (t, row) in oracle.backptr.chunks_exact(n_states).enumerate() {
-                let expanded: Vec<u8> = (0..n_states).map(|s| backpointer(scratch, t, s)).collect();
-                assert_eq!(expanded, row, "{body} records of sample {t}, {what}");
-            }
+            assert_records_are_the_oracles(model, scratch, &oracle, &format!("{body}, {what}"));
         }
         self.assert_bodies_agree(samples.len(), &what);
         self.decodes += 1;
@@ -316,33 +334,90 @@ impl Harness {
         let (d, p) = (&self.dispatched, &self.portable);
         assert_eq!(d.states(), p.states(), "states, {what}");
         assert_eq!(d.advanced(), p.advanced(), "advance flags, {what}");
-        let n_states = self.states();
-        let (words, n_groups) = (take_words(n_states), n_states / 4);
-        assert_eq!(d.take[..n * words], p.take[..n * words], "takes, {what}");
-        // Row 0 holds a choice only where the stitched init set a take bit
-        // (compared above).
-        let rows = n_groups.min(n * n_groups)..n * n_groups;
-        assert_eq!(
-            d.group_choice[rows.clone()],
-            p.group_choice[rows],
-            "group choices, {what}"
-        );
+        let records = ..n.saturating_sub(1) * record_len(self.states());
+        assert_eq!(d.records[records], p.records[records], "records, {what}");
         if n > 0 {
             assert_eq!((&d.prev, d.offset), (&p.prev, p.offset), "last row, {what}");
         }
     }
 }
 
-/// The oracle's backpointer for sample `t`, state `s`, read from the
-/// scratch's records: the group's choice where the take bit is set, else 0.
-fn backpointer(scratch: &DecodeScratch, t: usize, s: usize) -> u8 {
-    let n_states = scratch.prev.len();
-    let took = scratch.take[t * take_words(n_states) + s / 64] >> (s % 64) & 1 != 0;
-    if took {
-        scratch.group_choice[t * (n_states / 4) + s / 4]
-    } else {
-        0
+/// Not along the winning path only: every record the scratch holds is the
+/// oracle's row before that sample, as the shipped row stores it (minus its
+/// offset), followed by the oracle's group maxima of it, and the last row
+/// and its offset are the oracle's last row. Along the path, every decision
+/// the traceback took — stay or advance, and the predecessor — is the
+/// oracle's backpointer at the path's state.
+fn assert_records_are_the_oracles(
+    model: &FixedPointModel,
+    scratch: &DecodeScratch,
+    oracle: &Oracle,
+    what: &str,
+) {
+    let n = oracle.states.len();
+    if n == 0 {
+        return;
     }
+    let n_states = model.states();
+    let n_groups = n_states / 4;
+    let k_shift = (n_states.trailing_zeros() - 2) as usize;
+    let len = record_len(n_states);
+    let absolute = |stored: &[i16], t: usize| -> Vec<i64> {
+        stored
+            .iter()
+            .map(|&v| i64::from(v) + oracle.offset(t))
+            .collect()
+    };
+    let records = scratch.records[..(n - 1) * len].chunks_exact(len);
+    for (t, record) in records.enumerate() {
+        let row = &oracle.rows[t * n_states..][..n_states];
+        assert_eq!(
+            absolute(&record[..n_states], t),
+            row,
+            "stored row {t}, {what}"
+        );
+        let maxima: Vec<i64> = (0..n_groups)
+            .map(|g| (0..4).map(|c| row[g + c * n_groups]).max().expect("four"))
+            .collect();
+        assert_eq!(
+            absolute(&record[n_states..], t),
+            maxima,
+            "group maxima of row {t}, {what}"
+        );
+    }
+    let last = &oracle.rows[(n - 1) * n_states..];
+    assert_eq!(absolute(&scratch.prev, n - 1), last, "last row, {what}");
+    assert_eq!(scratch.offset, oracle.offset(n - 1), "last offset, {what}");
+
+    let (states, advanced) = (scratch.states(), scratch.advanced());
+    for t in 1..n {
+        let s = usize::from(states[t]);
+        let decision = if advanced[t] {
+            // An advance into `s` came from `(s >> 2) | (c << k_shift)`,
+            // which the oracle spells `c + 1`.
+            let pred = usize::from(states[t - 1]);
+            assert_eq!(
+                pred & (n_groups - 1),
+                s >> 2,
+                "a predecessor, sample {t}, {what}"
+            );
+            1 + (pred >> k_shift) as u8
+        } else {
+            assert_eq!(
+                states[t - 1],
+                states[t],
+                "a stay keeps the state, sample {t}, {what}"
+            );
+            0
+        };
+        assert_eq!(
+            decision,
+            oracle.backptr[t * n_states + s],
+            "decision at sample {t}, {what}"
+        );
+    }
+    let at_zero = oracle.backptr[usize::from(states[0])] != 0;
+    assert_eq!(advanced[0], at_zero, "decision at sample 0, {what}");
 }
 
 #[test]
@@ -379,6 +454,60 @@ fn every_stitched_start_agrees() {
             h.assert_same(&noisy, Some(s0), "noisy");
         }
     }
+}
+
+#[test]
+fn a_homopolymer_carry_that_advances_into_itself_agrees() {
+    // At a dwell of 1.1 samples a base, advancing is likelier than staying
+    // (`log_advance > log_stay`), so a path that starts in a homopolymer
+    // carry `s0` — its own successor — advanced into it at sample 0.
+    let pore = PoreModel::synthetic(3, 7);
+    let mut h = Harness::with_dwell(pore.clone(), 1.1);
+    assert!(h.model.log_advance() > h.model.log_stay());
+    let mut advanced_into_itself = 0;
+    for s0 in [0u16, 0b01_0101, 0b10_1010, 0b11_1111] {
+        let level = pore.level_bits(u64::from(s0));
+        for len in [1usize, 2, 3, 8, 40] {
+            let dwelling = vec![level; len];
+            let noisy = h.signal(len, 1.0, u64::from(s0) + len as u64);
+            for signal in [&dwelling, &noisy] {
+                h.assert_same(signal, Some(s0), "homopolymer carry");
+                let d = &h.dispatched;
+                advanced_into_itself += usize::from(d.states()[0] == s0 && d.advanced()[0]);
+            }
+        }
+    }
+    assert!(
+        advanced_into_itself >= 10,
+        "only {advanced_into_itself} paths advanced into s0"
+    );
+}
+
+#[test]
+fn a_path_that_starts_in_a_floor_state_agrees() {
+    // With an event std of 1e-3 pA every state but the one at the sample's
+    // level scores the emission floor, so a signal that dwells on a level
+    // two or three bases away from the carry is best explained by starting
+    // there, in a floor state — which did not advance at sample 0.
+    let synthetic = PoreModel::synthetic(3, 7);
+    let mut h = Harness::with_pore(PoreModel::from_parts(3, synthetic.levels().to_vec(), 1e-3));
+    let n_groups = h.states() as u16 / 4;
+    let mut floor_starts = 0;
+    for s0 in [0u16, 9, 27, 50, 63] {
+        for x in (0..64u16).step_by(7) {
+            let signal = vec![synthetic.level_bits(u64::from(x)); 12];
+            h.assert_same(&signal, Some(s0), "floor start");
+            let (first, advanced) = (h.dispatched.states()[0], h.dispatched.advanced()[0]);
+            if first != s0 && first >> 2 != s0 & (n_groups - 1) {
+                assert!(!advanced, "floor state {first} advanced, carry {s0}");
+                floor_starts += 1;
+            }
+        }
+    }
+    assert!(
+        floor_starts >= 20,
+        "only {floor_starts} paths started in a floor state"
+    );
 }
 
 #[test]
@@ -437,11 +566,11 @@ fn degenerate_level_tables_tie_on_the_winning_path() {
 
 #[test]
 fn a_dirty_scratch_never_leaks_into_a_later_decode() {
-    // `prepare` clears the take words of row 0 only: a long decode, then a
-    // short one, then a long one again must each match the oracle, whose
-    // buffers are fresh every time. The scratches also travel from one
-    // state-space size to the next — and back, so records of another width
-    // lie under the ones being written.
+    // `prepare` clears nothing: a long decode, then a short one, then a long
+    // one again must each match the oracle, whose buffers are fresh every
+    // time. The scratches also travel from one state-space size to the next
+    // — and back, so records of another width lie under the ones being
+    // written.
     let mut scratches = (DecodeScratch::new(), DecodeScratch::new());
     for k in [3usize, 4, 3, 1, 5] {
         let mut h = Harness::new(k);
@@ -451,8 +580,8 @@ fn a_dirty_scratch_never_leaks_into_a_later_decode() {
         let long_b = h.signal(391, 2.5, 3);
         let n_states = h.states();
         for round in 0..4usize {
-            // A different stitched start per decode, so row 0 never holds
-            // what the decode before it would have written anyway.
+            // A different stitched start per decode, so row 0 and the flag
+            // of sample 0 never hold what the decode before left anyway.
             let init = |i: usize| (round > 0).then_some(((round * 5 + i) % n_states) as u16);
             h.assert_same(&long_a, init(1), "long a");
             h.assert_same(&short, init(2), "short after long");
@@ -549,13 +678,22 @@ fn hostile_models_and_samples_stay_inside_the_bound() {
 #[test]
 fn one_row_from_any_tie_heavy_score_row_agrees_through_both_bodies() {
     // Rows handed straight to the two bodies, a few distinct values inside
-    // the bound so ties are everywhere: pass 1's tie rule (the lowest
-    // quarter wins), pass 2's (stay wins), and three rows of the lag.
+    // the bound so ties are everywhere — within a group (pass 1's rule: the
+    // lowest quarter wins) and between advance and stay (pass 2's: stay
+    // wins; two values `log_stay − log_advance` apart) — then three rows of
+    // the lag. Both bodies must leave the same records, last row and offset;
+    // and the traceback, decided at every state of the first record in turn,
+    // must take the scalar rule's decision: advance iff `best + log_advance >
+    // row + log_stay`, from the first quarter holding the group's best.
     let mut h = Harness::new(3);
     let n_states = h.states();
+    let n_groups = n_states / 4;
     let floor = i16::try_from(-h.model.bound() / 2).expect("bound fits i16");
-    let values = [floor, floor + 1, -300, -1, 0];
+    let (ls, la) = (h.model.log_stay(), h.model.log_advance());
+    let margin = ls - la;
+    let values = [floor, floor + 1, -300, -1 - margin, -margin, -1, 0];
     let mut rng = seeded(0xbad5eed);
+    let (mut advances, mut stay_ties) = (0usize, 0usize);
     for case in 0..2_000 {
         let row: Vec<i16> = (0..n_states)
             .map(|_| values[rng.random_range(0..values.len())])
@@ -568,9 +706,52 @@ fn one_row_from_any_tie_heavy_score_row_agrees_through_both_bodies() {
         }
         h.dispatched.dp_rows(&h.model, &xs);
         h.portable.dp_rows_portable(&h.model, &xs);
-        assert_eq!(h.dispatched.traceback(false), h.portable.traceback(false));
+        let model = &h.model;
+        assert_eq!(
+            h.dispatched.traceback(model, None),
+            h.portable.traceback(model, None)
+        );
         h.assert_bodies_agree(4, &format!("row {row:?}"));
+
+        // A two-sample decode whose record is `row`, and whose last row has
+        // its one maximum at `s`: the path ends in `s`.
+        for s in 0..n_states {
+            let group = s >> 2;
+            let quarters = (0..4).map(|c| row[group + c * n_groups]);
+            let best = quarters.clone().max().expect("four");
+            let advance = i32::from(best) + i32::from(la) > i32::from(row[s]) + i32::from(ls);
+            let quarter = quarters.clone().position(|v| v == best).expect("present");
+            stay_ties +=
+                usize::from(i32::from(best) + i32::from(la) == i32::from(row[s]) + i32::from(ls));
+            advances += usize::from(advance);
+            for scratch in [&mut h.dispatched, &mut h.portable] {
+                scratch.prepare(2, n_states);
+                scratch.prev.fill(-1);
+                scratch.prev[s] = 0;
+                scratch.traceback(model, None);
+                let expected = if advance {
+                    group + quarter * n_groups
+                } else {
+                    s
+                };
+                assert_eq!(
+                    scratch.advanced(),
+                    [false, advance],
+                    "state {s}, row {row:?}"
+                );
+                assert_eq!(
+                    scratch.states(),
+                    [expected as u16, s as u16],
+                    "state {s}, row {row:?}"
+                );
+            }
+        }
     }
+    // Both rules were exercised, ties included.
+    assert!(
+        advances > 10_000 && stay_ties > 1_000,
+        "{advances} advances, {stay_ties} ties"
+    );
 }
 
 #[test]

@@ -131,13 +131,15 @@ fn main() {
 
         // The stages of that chunk, one row each, so that the chunk row
         // decomposes: the DP rows, the traceback, the base/quality assembly,
-        // and around them the integrity check. The DP rows read each
-        // sample's emissions from the fixed-point model's table; the
+        // and around them the integrity check. The DP rows bin the samples
+        // in one pass, then read each sample's emissions from the
+        // fixed-point model's table and record the row they start from; the
         // dispatched row is the `std::arch` one on a host with AVX2, the
         // portable row the same input through the body every other host
         // runs, and the ratio of the two is what the second body is worth.
         // Each iteration restarts from the last score row the previous one
-        // left in the scratch.
+        // left in the scratch. The traceback decides stay or advance on
+        // those records, at the path's state only.
         let n = sig.samples.len();
         let model = FixedPointModel::new(&pore, Transitions::from_mean_dwell(synth.mean_dwell()));
         let mut decode = DecodeScratch::new();
@@ -158,7 +160,7 @@ fn main() {
         results.push(bench(
             &format!("basecall/viterbi_traceback_{n}"),
             Some((n as f64, "samples")),
-            || black_box(&mut decode).traceback(false),
+            || black_box(&mut decode).traceback(&model, None),
         ));
         // A `ln` per base (the Phred of each dwell segment's residual).
         results.push(bench(
