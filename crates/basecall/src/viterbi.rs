@@ -333,11 +333,11 @@ pub struct DecodeScratch {
     /// The emission-table bin of every sample the DP rows consume (the
     /// decode's samples after its first).
     bins: Vec<u16>,
-    /// The records, [`record_len`] `i16` per sample `t ≥ 1`, at `t − 1`: the
-    /// stored row `t − 1` (its scores minus its offset) and then pass 1's
-    /// maximum of each predecessor group of it. Never shrinks and is never
-    /// cleared: the DP rows write records `1..n` before the traceback reads
-    /// them.
+    /// The records, [`record_len`] `i16` per sample `t ≥ 1`, sample `t`'s
+    /// at index `t − 1`: the stored row `t − 1` (its scores minus its
+    /// offset) and then pass 1's maximum of each predecessor group of it.
+    /// Never shrinks and is never cleared: the DP rows write the records of
+    /// samples `1..n` before the traceback reads them.
     records: Vec<i16>,
     prev: Vec<i16>,
     curr: Vec<i16>,
@@ -420,10 +420,10 @@ impl DecodeScratch {
     }
 
     /// One DP row per sample of `samples` — the decode's samples after its
-    /// first, whose records go to `0..` — on a scratch the current decode
-    /// has sized; leaves the last row in `prev`. This is where the row body
-    /// is chosen, once per decode: 64 states on a host with AVX2 run
-    /// `avx2::rows`; everything else runs
+    /// first, so `samples[i]`'s record is record `i` — on a scratch the
+    /// current decode has sized; leaves the last row in `prev`. This is
+    /// where the row body is chosen, once per decode: 64 states on a host
+    /// with AVX2 run `avx2::bins` and `avx2::rows`; everything else runs
     /// [`DecodeScratch::dp_rows_portable`].
     ///
     /// Not part of the API: public only so that the kernel bench can time
@@ -999,14 +999,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "carried state 64 is not a state of this 64-state model")]
-    fn a_carry_from_another_state_space_is_refused_by_name() {
-        let (pore, model) = setup();
-        let samples = signal_for(&pore, &[5, 21], 4);
-        let _ = decode(&model, &samples, Some(64));
     }
 
     #[test]
