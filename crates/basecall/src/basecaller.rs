@@ -4,16 +4,14 @@ use crate::emission::EmissionModel;
 use crate::quality::QualityCalibration;
 use crate::viterbi::{decode_with, DecodeScratch, DecodeStats, FixedPointModel, Transitions};
 use genpip_genomics::{Base, DnaSeq, Phred};
-use genpip_signal::{chunk_boundaries, normalize_to_model, PoreModel};
+use genpip_signal::{chunk_boundaries, PoreModel};
 
-/// Reusable per-worker basecalling workspace: the Viterbi scratch plus the
-/// normalization buffer (untouched by a basecaller that does not normalize).
-/// One instance per thread keeps the steady-state decode free of heap
+/// Reusable per-worker basecalling workspace: the Viterbi scratch. One
+/// instance per thread keeps the steady-state decode free of heap
 /// allocations (see [`crate::viterbi::DecodeScratch`]).
 #[derive(Debug, Clone, Default)]
 pub struct CallScratch {
     decode: DecodeScratch,
-    normalized: Vec<f32>,
 }
 
 impl CallScratch {
@@ -25,13 +23,12 @@ impl CallScratch {
 
 /// The typed panic payload [`Basecaller::call_chunk_with`] raises when a
 /// chunk's signal fails the integrity check before decoding: a sample that is
-/// NaN or infinite, or — after normalization — so large that its square is
-/// infinite (`|x| > 1.8e19`, where the crossbar's emission MVM,
-/// `w · [x², x, 1]`, overflows). The fixed-point decoder itself is total —
-/// every `f32` falls in an emission-table bin, NaN in the first — so without
-/// the gate such a sample would decode to a confident path through the
-/// table's end bins instead of failing: the gate is what keeps corrupt input
-/// from becoming bases.
+/// NaN or infinite, or so large that its square is infinite (`|x| > 1.8e19`,
+/// where the crossbar's emission MVM, `w · [x², x, 1]`, overflows). The
+/// fixed-point decoder itself is total — every `f32` falls in an
+/// emission-table bin, NaN in the first — so without the gate such a sample
+/// would decode to a confident path through the table's end bins instead of
+/// failing: the gate is what keeps corrupt input from becoming bases.
 ///
 /// Raised via [`std::panic::panic_any`] so fault-tolerant executors can
 /// `downcast` the payload and classify the fault as corrupt *input* rather
@@ -59,67 +56,6 @@ impl std::fmt::Display for SignalFault {
 /// pipeline hands this from each chunk's basecall to the next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CarryState(pub u16);
-
-/// A per-call decode cursor: the between-chunk state of one read's
-/// basecalling — the k-mer [`CarryState`] that stitches the next chunk, and
-/// a count of the chunks decoded so far.
-///
-/// The per-read loops of `genpip-core`'s pipeline build a fresh one for each
-/// read they run and walk its chunks in order on one thread; all other
-/// working memory lives in the worker-local [`CallScratch`] and carries no
-/// read state.
-///
-/// Decoding through a `ReadDecoder` is bit-identical to passing carries by
-/// hand through [`Basecaller::call_chunk_with`], and therefore to
-/// [`Basecaller::call_read`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadDecoder {
-    carry: Option<CarryState>,
-    chunks_called: usize,
-}
-
-impl ReadDecoder {
-    /// A cursor positioned before the read's first chunk.
-    pub fn new() -> ReadDecoder {
-        ReadDecoder::default()
-    }
-
-    /// The carry that will stitch the next chunk (`None` before the first).
-    pub fn carry(&self) -> Option<CarryState> {
-        self.carry
-    }
-
-    /// Chunks decoded through this cursor so far.
-    pub fn chunks_called(&self) -> usize {
-        self.chunks_called
-    }
-
-    /// Repositions the cursor to continue from `carry` — used when the next
-    /// chunk's predecessor was basecalled out of band (e.g. a QSR sample
-    /// chunk whose result is being reused in the sequential pass).
-    pub fn resume_from(&mut self, carry: Option<CarryState>) {
-        self.carry = carry;
-    }
-
-    /// Basecalls the read's next chunk, advancing the cursor to its carry.
-    ///
-    /// # Panics
-    ///
-    /// As [`Basecaller::call_chunk_with`]: on a corrupt sample, or a carry
-    /// (say, one passed to [`ReadDecoder::resume_from`]) that is not a state
-    /// of `caller`'s model.
-    pub fn call_next(
-        &mut self,
-        caller: &Basecaller,
-        samples: &[f32],
-        scratch: &mut CallScratch,
-    ) -> BasecalledChunk {
-        let chunk = caller.call_chunk_with(samples, self.carry, scratch);
-        self.carry = chunk.carry;
-        self.chunks_called += 1;
-        chunk
-    }
-}
 
 /// One `(samples, carry)` pair for [`LaneDecoder::call_batch`].
 ///
@@ -241,7 +177,7 @@ impl BasecalledRead {
     }
 }
 
-/// The basecaller: normalization + MVM emission + Viterbi decode + quality
+/// The basecaller: integrity gate + MVM emission + Viterbi decode + quality
 /// scoring, operating one chunk at a time.
 #[derive(Debug, Clone)]
 pub struct Basecaller {
@@ -250,39 +186,25 @@ pub struct Basecaller {
     /// The decoder's quantised emissions and transitions, built once here.
     model: FixedPointModel,
     calibration: QualityCalibration,
-    normalize: bool,
 }
 
 impl Basecaller {
     /// Creates a basecaller for the given pore model and mean dwell time
     /// (samples per base) with the default quality calibration.
     ///
-    /// Normalization is off by default: the synthetic signals are already on
-    /// the pore-model's pA scale, and median/MAD normalization — which keys
-    /// on the *read's* sample distribution rather than the level table —
-    /// would introduce a composition-dependent scale error larger than the
-    /// level spacing. Enable it with [`Basecaller::with_normalization`] when
-    /// feeding signals with offset/gain corruption.
+    /// The decoder reads samples as given: the synthetic signals are already
+    /// on the pore-model's pA scale, and median/MAD normalization — which
+    /// keys on the *read's* sample distribution rather than the level table
+    /// — would introduce a composition-dependent scale error larger than the
+    /// level spacing. A caller with offset/gain-corrupted signals normalizes
+    /// them first ([`genpip_signal::normalize_to_model`]).
     pub fn new(pore: &PoreModel, mean_dwell: f64) -> Basecaller {
         Basecaller {
             pore: pore.clone(),
             emission: EmissionModel::from_pore_model(pore),
             model: FixedPointModel::new(pore, Transitions::from_mean_dwell(mean_dwell)),
             calibration: QualityCalibration::default_r9(),
-            normalize: false,
         }
-    }
-
-    /// Overrides the quality calibration.
-    pub fn with_calibration(mut self, calibration: QualityCalibration) -> Basecaller {
-        self.calibration = calibration;
-        self
-    }
-
-    /// Enables or disables per-chunk median/MAD normalization.
-    pub fn with_normalization(mut self, normalize: bool) -> Basecaller {
-        self.normalize = normalize;
-        self
     }
 
     /// The pore model in use.
@@ -313,8 +235,8 @@ impl Basecaller {
     /// # Panics
     ///
     /// Panics with a typed [`SignalFault`] payload (via
-    /// [`std::panic::panic_any`]) if any sample is non-finite or, once
-    /// normalized, has a non-finite square — such readings overflow the
+    /// [`std::panic::panic_any`]) if any sample is non-finite or has a
+    /// non-finite square — such readings overflow the
     /// emission MVM and would decode to garbage, so they are rejected before
     /// decoding starts. Executors with a fault policy catch and classify
     /// this; everything else fails fast.
@@ -337,38 +259,22 @@ impl Basecaller {
                 stats: ChunkStats::default(),
             };
         }
-        let signal = self.checked_normalized(samples, &mut scratch.normalized);
-        let stats = decode_with(&self.model, signal, carry.map(|c| c.0), &mut scratch.decode);
+        // The one integrity gate in front of every decode: `x * x` is
+        // non-finite for a NaN, an infinity, or `|x| > 1.8e19`.
+        fault_unless(samples, |x| (x * x).is_finite());
+        let stats = decode_with(
+            &self.model,
+            samples,
+            carry.map(|c| c.0),
+            &mut scratch.decode,
+        );
         self.assemble_chunk(
-            signal,
+            samples,
             scratch.decode.states(),
             scratch.decode.advanced(),
             carry,
             stats,
         )
-    }
-
-    /// The signal the decoder sees — `samples` themselves, or their
-    /// normalized copy in `buf` if this basecaller normalizes — checked: the
-    /// one integrity gate in front of every decode.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a typed [`SignalFault`] naming the first sample that is
-    /// non-finite (the normalization's median sort needs numbers) or whose
-    /// normalized square is.
-    fn checked_normalized<'a>(&self, samples: &'a [f32], buf: &'a mut Vec<f32>) -> &'a [f32] {
-        let signal = if self.normalize {
-            buf.clear();
-            buf.extend_from_slice(samples);
-            fault_unless(buf, |x| x.is_finite());
-            normalize_to_model(buf, &self.pore);
-            buf
-        } else {
-            samples
-        };
-        fault_unless(signal, |x| (x * x).is_finite());
-        signal
     }
 
     /// Turns one non-empty chunk's decoded state path into bases, qualities,
@@ -623,11 +529,10 @@ mod tests {
     }
 
     #[test]
-    fn read_decoder_parked_across_threads_matches_call_read() {
-        // Decode a read chunk by chunk through a ReadDecoder, moving the
-        // cursor to a fresh thread between chunks (each hop is a park +
-        // resume on a different worker); the stitched result must be
-        // bit-identical to the single-threaded call_read path.
+    fn hand_threaded_carries_match_call_read() {
+        // Decode a read chunk by chunk through `call_chunk_with`, handing
+        // each chunk's carry to the next by hand: the stitched result must
+        // be bit-identical to `call_read`'s.
         let (synth, caller) = setup();
         let t = truth(1_600, 13);
         let sig = synth.synthesize(&t, 1.0, 14);
@@ -635,37 +540,19 @@ mod tests {
 
         let mut seq = DnaSeq::new();
         let mut quals = Vec::new();
-        let mut decoder = ReadDecoder::new();
+        let mut carry = None;
+        let mut chunks = 0;
+        let mut scratch = CallScratch::new();
         for chunk_samples in sig.samples.chunks(900) {
-            decoder = std::thread::scope(|scope| {
-                scope
-                    .spawn(|| {
-                        let mut scratch = CallScratch::new();
-                        let chunk = decoder.call_next(&caller, chunk_samples, &mut scratch);
-                        seq.extend_from_seq(&chunk.bases);
-                        quals.extend_from_slice(&chunk.quals);
-                        decoder
-                    })
-                    .join()
-                    .expect("decode thread")
-            });
+            let chunk = caller.call_chunk_with(chunk_samples, carry, &mut scratch);
+            seq.extend_from_seq(&chunk.bases);
+            quals.extend_from_slice(&chunk.quals);
+            carry = chunk.carry;
+            chunks += 1;
         }
         assert_eq!(seq, whole.seq);
         assert_eq!(quals, whole.quals);
-        assert_eq!(decoder.chunks_called(), whole.chunk_lengths.len());
-
-        // resume_from repositions the cursor exactly like handing the carry
-        // to call_chunk_with by hand.
-        let mut jumped = ReadDecoder::new();
-        let first = caller.call_chunk(&sig.samples[..900], None);
-        jumped.resume_from(first.carry);
-        assert_eq!(jumped.carry(), first.carry);
-        let mut scratch = CallScratch::new();
-        let second = jumped.call_next(&caller, &sig.samples[900..1800], &mut scratch);
-        assert_eq!(
-            second,
-            caller.call_chunk(&sig.samples[900..1800], first.carry)
-        );
+        assert_eq!(chunks, whole.chunk_lengths.len());
     }
 
     #[test]
@@ -731,23 +618,6 @@ mod tests {
         assert_eq!(
             caller.call_chunk(&samples, None).stats.samples,
             samples.len()
-        );
-
-        // With normalization on, the check runs on the normalized samples:
-        // one huge outlier among ordinary readings is scaled by target MAD /
-        // MAD like the rest, and still overflows its square.
-        let normalizing = caller.clone().with_normalization(true);
-        let mut samples = clean.clone();
-        samples[9] = 3e38;
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            normalizing.call_chunk(&samples, None)
-        }))
-        .expect_err("must fault after normalization too");
-        assert_eq!(
-            payload
-                .downcast_ref::<SignalFault>()
-                .map(|f| f.sample_index),
-            Some(9)
         );
     }
 

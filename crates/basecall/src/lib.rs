@@ -52,7 +52,7 @@ pub mod viterbi;
 
 pub use basecaller::{
     BasecalledChunk, BasecalledRead, Basecaller, CallScratch, CarryState, ChunkJob, LaneDecoder,
-    LaneScratch, ReadDecoder, SignalFault,
+    LaneScratch, SignalFault,
 };
 pub use emission::EmissionModel;
 pub use quality::QualityCalibration;

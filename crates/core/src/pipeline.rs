@@ -29,7 +29,7 @@
 //! and returns at the first verdict. Workers are scoped threads
 //! spawned lazily up to [`GenPipConfig::parallelism`]
 //! ([`crate::Parallelism`]), and results are re-emitted in admission order.
-//! Per-read state (decoder cursor, basecalled chunks, incremental
+//! Per-read state (decoder carry, basecalled chunks, incremental
 //! chainers) is local to the call; **worker-local scratch** holds only
 //! stateless buffers (decode, sketch, seed — so the hot path stays
 //! allocation-free in steady state). The
@@ -47,7 +47,7 @@ use crate::early_reject::{cmr_check, qsr_check, qsr_sample_indices};
 use crate::engine::{Flow, Session};
 use crate::scheduler::Schedule;
 use crate::stream::{StreamEvent, StreamOptions};
-use genpip_basecall::{BasecalledChunk, Basecaller, CallScratch, ReadDecoder};
+use genpip_basecall::{BasecalledChunk, Basecaller, CallScratch};
 use genpip_datasets::{ReadSource, SimulatedDataset, SimulatedRead};
 use genpip_genomics::quality::AqsAccumulator;
 use genpip_genomics::{DnaSeq, Genome, Phred};
@@ -578,7 +578,6 @@ impl ReadTask {
             }
             return run;
         }
-        let mut decoder = ReadDecoder::new();
         let mut called: BTreeMap<usize, BasecalledChunk> = BTreeMap::new();
 
         // ER-QSR (Figure 6 ➊➋): the evenly-spaced sample chunks
@@ -587,8 +586,9 @@ impl ReadTask {
             let sample_idx = qsr_sample_indices(total, ctx.config.n_qs);
             for &idx in &sample_idx {
                 self.at_chunk = Some(idx);
-                decoder.resume_from(None);
-                let chunk = decoder.call_next(&ctx.caller, chunk_samples(idx), &mut scratch.call);
+                let chunk = ctx
+                    .caller
+                    .call_chunk_with(chunk_samples(idx), None, &mut scratch.call);
                 run.chunks.push(basecall_work(idx, &chunk));
                 called.insert(idx, chunk);
             }
@@ -621,11 +621,13 @@ impl ReadTask {
         for idx in 0..total {
             self.at_chunk = Some(idx);
             if !called.contains_key(&idx) {
-                decoder.resume_from(match idx {
+                let carry = match idx {
                     0 => None,
                     _ => called[&(idx - 1)].carry,
-                });
-                let chunk = decoder.call_next(&ctx.caller, chunk_samples(idx), &mut scratch.call);
+                };
+                let chunk =
+                    ctx.caller
+                        .call_chunk_with(chunk_samples(idx), carry, &mut scratch.call);
                 run.chunks.push(basecall_work(idx, &chunk));
                 called.insert(idx, chunk);
             }
@@ -688,7 +690,7 @@ impl ReadTask {
     }
 
     /// The conventional flow (Figure 5a): basecall the whole read chunk by
-    /// chunk (the decoder cursor carries the state across), whole-read QC,
+    /// chunk (each chunk stitched to its predecessor's carry), whole-read QC,
     /// then whole-read mapping.
     fn run_conventional(&mut self, scratch: &mut WorkerScratch) -> ReadRun {
         let ctx: &RunContext = &self.ctx;
@@ -696,17 +698,18 @@ impl ReadTask {
         let specs = chunk_boundaries(samples.len(), ctx.samples_per_chunk);
         let mut run = ReadRun::start(self.read.id, specs.len(), samples.len());
         run.chunks.reserve_exact(specs.len());
-        let mut decoder = ReadDecoder::new();
+        let mut carry = None;
         let mut seq = DnaSeq::new();
         let mut quals: Vec<Phred> = Vec::new();
         let mut aqs = AqsAccumulator::new();
         for spec in &specs {
             self.at_chunk = Some(spec.index);
-            let chunk = decoder.call_next(
-                &ctx.caller,
+            let chunk = ctx.caller.call_chunk_with(
                 &samples[spec.start..spec.end],
+                carry,
                 &mut scratch.call,
             );
+            carry = chunk.carry;
             run.chunks.push(basecall_work(spec.index, &chunk));
             aqs.add_chunk_sum(chunk.sqs, chunk.quals.len());
             if ctx.config.keep_bases {

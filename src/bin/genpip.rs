@@ -13,18 +13,15 @@
 //!   reference (FASTA) plus basecalled reads (FASTQ);
 //! * `map` — map a FASTQ of reads against a FASTA reference, printing (or
 //!   writing) PAF records;
-//! * `run` — execute the full GenPIP pipeline on a synthetic dataset and
-//!   print the outcome/workload summary;
-//! * `stream` — the same pipeline executed by the `Session` engine: one
+//! * `run` — the full GenPIP pipeline, executed by one `Session`: one
 //!   bounded-memory worker pool serving one or many read sources (repeated
-//!   `--source` specs) under a `--schedule` policy, with per-source
-//!   progress and summaries. The datasets are never materialized, and at
-//!   most `--queue` + workers reads are in memory across all sources;
-//! * `serve` — a *live* session driven by a script: sources attach and
-//!   detach while the session runs, exercising the control plane
-//!   (`SessionControl::attach`/`detach`/`drain`) without a network
-//!   listener. Script steps fire after a given number of emitted reads;
-//!   `attach NAME file=PATH` replays an on-disk GSC container;
+//!   `--source` specs, simulated or replayed from GSC containers) under a
+//!   `--schedule` policy, with per-source progress and summaries. The
+//!   datasets are never materialized, and at most `--queue` + workers reads
+//!   are in memory across all sources. A `--script` drives the session
+//!   live: its steps attach and detach sources or drain the session through
+//!   the control plane (`SessionControl::attach`/`detach`/`drain`) once a
+//!   given number of reads has been emitted;
 //! * `pack` — export a simulated dataset into an on-disk GSC raw-signal
 //!   container, optionally verifying the round-trip bit-for-bit;
 //! * `inspect` — dump a GSC container's header, layout, and (optionally)
@@ -32,10 +29,10 @@
 //! * `experiment` — regenerate one of the paper's figures/tables.
 
 use genpip::core::engine::{
-    AttachSpec, Flow, PendingAttach, PendingDetach, Session, SessionControl,
+    AttachSpec, Flow, PendingAttach, PendingDetach, Session, SessionControl, SessionReport,
 };
 use genpip::core::experiments;
-use genpip::core::pipeline::{ErMode, PipelineRun, ReadOutcome};
+use genpip::core::pipeline::ErMode;
 use genpip::core::scheduler::Schedule;
 use genpip::core::stream::{FastqSink, StreamEvent, StreamOptions};
 use genpip::core::{FaultPolicy, GenPipConfig, Parallelism};
@@ -47,7 +44,8 @@ use genpip::io::{
 };
 use genpip::mapping::paf::{write_paf, PafRecord};
 use genpip::mapping::{MapperParams, ReferenceSet};
-use std::cell::{Cell, RefCell};
+use genpip::signal::BYTES_PER_SAMPLE;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Seek, SeekFrom};
@@ -68,49 +66,7 @@ type Command = (
 const COMMANDS: &[Command] = &[
     ("simulate", &["profile", "scale", "out"], 0, cmd_simulate),
     ("map", &["reference", "reads", "paf"], 0, cmd_map),
-    (
-        "run",
-        &["profile", "scale", "er", "on-fault", "reference"],
-        0,
-        cmd_run,
-    ),
-    (
-        "stream",
-        &[
-            "profile",
-            "scale",
-            "er",
-            "source",
-            "signal-in",
-            "schedule",
-            "queue",
-            "progress",
-            "threads",
-            "fastq-out",
-            "on-fault",
-            "inject-faults",
-            "checkpoint",
-            "checkpoint-every",
-            "resume",
-            "drain-after",
-        ],
-        0,
-        cmd_stream,
-    ),
-    (
-        "serve",
-        &[
-            "script",
-            "scale",
-            "er",
-            "schedule",
-            "queue",
-            "threads",
-            "max-sources",
-        ],
-        0,
-        cmd_serve,
-    ),
+    ("run", RUN_OPTIONS, 0, cmd_run),
     ("pack", &["profile", "scale", "out", "verify"], 0, cmd_pack),
     ("inspect", &["reads", "verify"], 1, cmd_inspect),
     ("experiment", &["scale"], 1, cmd_experiment),
@@ -147,66 +103,92 @@ fn main() -> ExitCode {
     }
 }
 
+/// The options of `run`, the one subcommand that runs reads.
+const RUN_OPTIONS: &[&str] = &[
+    "profile",
+    "scale",
+    "er",
+    "source",
+    "reference",
+    "script",
+    "schedule",
+    "queue",
+    "threads",
+    "max-sources",
+    "progress",
+    "fastq-out",
+    "on-fault",
+    "inject-faults",
+    "checkpoint",
+    "checkpoint-every",
+    "resume",
+];
+
 const USAGE: &str = "genpip — in-memory genome analysis (GenPIP reproduction)
 
 USAGE:
   genpip simulate --profile <ecoli|human> [--scale F] --out <prefix>
   genpip map --reference <ref.fasta>... --reads <reads.fastq> [--paf <out.paf>]
   genpip run [--profile <ecoli|human>] [--scale F] [--er <full|qsr|cp|off>]
-             [--on-fault <fail|quarantine>]
-             [--reference SPEC]...
-  genpip stream [--profile <ecoli|human>] [--scale F] [--er <full|qsr|cp|off>]
-               [--source SPEC]... [--signal-in SPEC]...
-               [--schedule <fair|sequential|priority>]
-               [--queue N] [--progress N] [--threads <serial|auto|N>]
-               [--fastq-out PATH]
-               [--on-fault <fail|quarantine>] [--inject-faults RATE]
-               [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
-               [--drain-after N]
+             [--source SPEC]... [--reference SPEC]... [--script FILE]
+             [--schedule <fair|sequential|priority>]
+             [--queue N] [--threads <serial|auto|N>] [--max-sources N]
+             [--progress N] [--fastq-out PATH]
+             [--on-fault <fail|quarantine>] [--inject-faults RATE]
+             [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
   genpip pack [--profile <ecoli|human>] [--scale F] --out <file.gsc> [--verify]
   genpip inspect <file.gsc> [--reads N] [--verify]
-  genpip serve --script <FILE> [--scale F] [--er <full|qsr|cp|off>]
-               [--schedule <fair|sequential|priority>]
-               [--queue N] [--threads <serial|auto|N>] [--max-sources N]
   genpip experiment <fig04|fig07|fig10|fig11|fig12|fig13|tab01|tab02|useless|ablations> [--scale F]
 
 Each subcommand accepts only the options listed for it above; anything
 else is an error, and so is a bare argument where none is listed (only
 `inspect` and `experiment` take one) or a second occurrence of any option
-but --source, --signal-in and --reference.
+but --source and --reference.
 
 OPTIONS:
-  --profile   dataset profile (default ecoli)
-  --scale     dataset scale factor in (0,1] (default 0.1 for simulate/run/stream,
-              1.0 for experiment; for `serve`, the default scale of scripted
-              profile= sources, 0.05)
-  --er        early-rejection mode for `run`/`stream` (default full)
+  --profile   dataset profile (default ecoli); for `run`, the one simulated
+              source, named after the profile, when no --source is given
+  --scale     dataset scale factor in (0,1] (default 0.1 for simulate, pack
+              and run, 1.0 for experiment); for `run`, also the default
+              scale of every profile= source
+  --er        early-rejection mode for `run` (default full)
   --out       output file prefix for `simulate`
   --paf       PAF output path for `map` (default: stdout)
   --reference for `map`: a reference FASTA, repeatable — several files form
               a pan-genome panel; each read maps against every reference and
               the deterministic best hit (chain score, then reference name,
               then position) names its reference in the PAF target column.
-              For `run`: an extra synthetic reference mapped alongside the
-              profile's own, repeatable. SPEC is comma-joined key=value
-              pairs: len=N (required), name=ID (default refN), seed=S
-  --source    one read source for `stream`, repeatable. SPEC is comma-joined
-              key=value pairs, the same grammar a `serve` script's attach
-              steps use: profile=<ecoli|human>[,scale=F] (simulated; scale
-              defaults to --scale) or file=PATH[,offset=K] (an on-disk GSC
-              container replayed from read index K) — scale= on a file
-              source or offset= on a profile one is an error — then name=ID
-              (default: profileN, or the file stem), weight=N (the
-              source's share of pulls under --schedule priority, default
-              1; an error under any other schedule).
-              Without --source or --signal-in, one source is built from
-              --profile/--scale; with either, --profile is an error.
-  --signal-in one on-disk GSC signal container streamed as a read source,
-              repeatable (after every --source): PATH[,key=value]... is
-              --source file=PATH[,key=value]... Output is bit-identical to
-              streaming the same dataset from memory
+              For `run`: an extra synthetic reference mapped alongside every
+              source's own, repeatable; a name another member of the panel
+              has is an error. SPEC is comma-joined key=value pairs: len=N
+              (required), name=ID (default refN), seed=S
+  --source    one read source for `run`, repeatable. SPEC is comma-joined
+              key=value pairs, the same grammar a --script attach step uses:
+              profile=<ecoli|human>[,scale=F] (simulated; scale defaults to
+              --scale) or file=PATH[,offset=K] (an on-disk GSC container
+              replayed from read index K, bit-identical to streaming the
+              same dataset from memory) — scale= on a file source or
+              offset= on a profile one is an error — then name=ID (default:
+              profileN, or the file stem), weight=N (the source's share of
+              pulls under --schedule priority, default 1; an error under any
+              other schedule). Without --source, one source is built from
+              --profile/--scale; with it, --profile is an error
+  --script    `run` driver script, one step per line (# starts a comment):
+                at COUNT attach NAME SPEC   (a --source SPEC without name=)
+                at COUNT detach NAME
+                at COUNT drain
+              A step fires through the live control plane once COUNT reads
+              have been emitted (or have failed) across all sources, and a
+              step that never fires is an error. The sources a run starts
+              with are --source or --profile. `at N drain` stops intake and
+              finishes the reads in flight — a deterministic stand-in for an
+              interrupted run when testing --checkpoint/--resume. Attach
+              steps cannot be combined with --fastq-out or --resume
+  --max-sources
+              `run` admission bound: a source registered or attached beyond
+              this many concurrently-attached sources is refused (default 64)
   --checkpoint
-              `stream` writes a resumable checkpoint to PATH (atomically,
+              `run` writes a resumable checkpoint to PATH (atomically,
               via rename) every --checkpoint-every reads and once more when
               the session finishes. Checkpoints record per-source read
               offsets and, with --fastq-out, the flushed FASTQ byte
@@ -214,26 +196,22 @@ OPTIONS:
   --checkpoint-every
               checkpoint cadence in emitted reads (default 25); an error
               without --checkpoint
-  --resume    restart a `stream` run from a checkpoint written by
-              --checkpoint. Sources must be --signal-in containers (file
-              sources are seekable; simulated ones are not); FASTQ outputs
-              are truncated to the recorded byte position and appended to,
-              so the resumed file is byte-identical to an uninterrupted run
-  --drain-after
-              drain the session (stop intake, finish in-flight reads) once
-              N >= 1 reads have been emitted — a deterministic stand-in for an
-              interrupted run when testing --checkpoint/--resume
-  --schedule  how `stream` interleaves its sources over the one worker
+  --resume    restart a `run` from a checkpoint written by --checkpoint.
+              Sources must be file= containers (file sources are seekable;
+              simulated ones are not); FASTQ outputs are truncated to the
+              recorded byte position and appended to, so the resumed file
+              is byte-identical to an uninterrupted run
+  --schedule  how `run` interleaves its sources over the one worker
               pool: fair (round-robin, default), sequential (drain in
               registration order), priority (weighted by each source's
               weight= — the way to favour a source: it is pulled more
               often, at the expense of the others' latency)
-  --queue     `stream` work-queue capacity; resident reads across
+  --queue     `run` work-queue capacity; resident reads across
               all sources <= queue + workers (default 8)
   --fastq-out write every fully-basecalled read as FASTQ. One source
               writes PATH verbatim; N sources write PATH.<name> each
-  --progress  `stream` per-source progress line cadence in reads (default 50, 0 = off)
-  --threads   `stream` worker threads (default: GENPIP_PARALLELISM env or auto)
+  --progress  `run` per-source progress line cadence in reads (default 50, 0 = off)
+  --threads   `run` worker threads (default: GENPIP_PARALLELISM env or auto)
   --on-fault  what a faulting read does to the run (default fail):
               fail aborts the process, quarantine contains the read
               (it is reported with the chunk it faulted at) and keeps
@@ -241,26 +219,15 @@ OPTIONS:
               signal, so a second attempt faults again. Exit code is nonzero
               when reads failed unless quarantine was requested explicitly
   --inject-faults
-              corrupt this fraction of reads in every `stream` source
-              (deterministic, seeded) — a fault-tolerance testing aid.
-              Implies quarantine when --on-fault is not given
+              corrupt this fraction of reads in every `run` source, attached
+              ones included (deterministic, seeded) — a fault-tolerance
+              testing aid. Implies quarantine when --on-fault is not given
   --out       for `pack`: the GSC container path to write
   --verify    for `pack`: re-open the container after writing, check every
               checksum, and compare each decoded read bit-for-bit against a
               fresh simulation of the profile. For `inspect`: check every
               record checksum
-  --reads     for `inspect`: also dump the first N per-read records
-  --script    `serve` driver script, one step per line (# starts a comment):
-                attach NAME SPEC        (a --source SPEC without name=)
-                at COUNT attach NAME SPEC
-                at COUNT detach NAME
-                at COUNT drain
-              Steps without `at` register before the run; `at COUNT` steps
-              fire through the live control plane once COUNT reads have
-              been emitted across all sources
-  --max-sources
-              `serve` admission bound: a live attach beyond this many
-              concurrently-attached sources is refused (default 64)";
+  --reads     for `inspect`: also dump the first N per-read records";
 
 /// Parsed command line: repeatable options keep every occurrence in order;
 /// every other option holds exactly one value.
@@ -271,7 +238,7 @@ const FLAG_OPTIONS: &[&str] = &["verify"];
 
 /// Options that may be given more than once; a repeat of any other is an
 /// error, like a key given twice inside a spec.
-const REPEATABLE_OPTIONS: &[&str] = &["source", "signal-in", "reference"];
+const REPEATABLE_OPTIONS: &[&str] = &["source", "reference"];
 
 fn parse_options(
     command: &str,
@@ -333,7 +300,8 @@ fn profile_by_name(name: &str) -> Result<DatasetProfile, String> {
 }
 
 fn profile_from(parsed: &Parsed) -> Result<DatasetProfile, String> {
-    let profile = profile_by_name(opt(parsed, "profile").unwrap_or("ecoli"))?;
+    let profile = profile_by_name(opt(parsed, "profile").unwrap_or("ecoli"))
+        .map_err(|e| format!("--profile: {e}"))?;
     Ok(profile.scaled(scale_from(parsed, 0.1)?))
 }
 
@@ -552,8 +520,8 @@ fn fault_policy_from(parsed: &Parsed) -> Result<(FaultPolicy, bool), String> {
     }
 }
 
-/// Nonzero-exit rule shared by `run` and `stream`: failed reads fail the
-/// invocation unless containment was explicitly requested.
+/// Nonzero-exit rule of `run`: failed reads fail the invocation unless
+/// containment was explicitly requested.
 fn fault_exit(failed: usize, explicit_containment: bool) -> Result<(), String> {
     if failed > 0 && !explicit_containment {
         Err(format!(
@@ -574,7 +542,7 @@ fn er_from(parsed: &Parsed) -> Result<ErMode, String> {
 }
 
 /// A comma-joined `key=value` spec — the one grammar behind `--reference`,
-/// `--source`, `--signal-in` and the `attach` steps of a `serve` script.
+/// `--source` and the `attach` steps of a `--script`.
 /// Every part must be `key=value` with a key the surface accepts; errors
 /// name the surface (`flag`) and quote the offending spec.
 struct Spec<'a> {
@@ -628,7 +596,9 @@ impl<'a> Spec<'a> {
 
 /// One `run` `--reference` spec, parsed into a synthetic extra reference:
 /// `name=ID,len=N[,seed=S]`. Every spec becomes one additional pan-genome
-/// reference mapped alongside the profile's own.
+/// reference mapped alongside each source's own. A name another member of
+/// the panel has is refused when the session admits the source
+/// (`SourceConfigIssue::DuplicateReferenceName`).
 fn parse_reference_spec(text: &str, index: usize) -> Result<Arc<Genome>, String> {
     let spec = Spec::parse("--reference", text, &["name", "len", "seed"])?;
     let len: usize = spec.number("len")?.ok_or_else(|| spec.err("needs len="))?;
@@ -644,80 +614,6 @@ fn parse_reference_spec(text: &str, index: usize) -> Result<Arc<Genome>, String>
     ))
 }
 
-/// The `run` pan-genome panel. Names must be unique across the profile's
-/// own reference (`own`) and every `--reference`, as per-reference
-/// attribution keys results by name.
-fn extra_references_from(parsed: &Parsed, own: &str) -> Result<Vec<Arc<Genome>>, String> {
-    let mut panel: Vec<Arc<Genome>> = Vec::new();
-    for (i, spec) in opt_all(parsed, "reference").iter().enumerate() {
-        let genome = parse_reference_spec(spec, i)?;
-        if genome.name() == own || panel.iter().any(|g| g.name() == genome.name()) {
-            return Err(format!(
-                "duplicate reference name {:?} in the pan-genome panel",
-                genome.name()
-            ));
-        }
-        panel.push(genome);
-    }
-    Ok(panel)
-}
-
-fn cmd_run(parsed: &Parsed) -> Result<(), String> {
-    let profile = profile_from(parsed)?;
-    let er = er_from(parsed)?;
-    let (fault_policy, explicit_fault) = fault_policy_from(parsed)?;
-    let extra_references = extra_references_from(parsed, profile.name)?;
-    println!("running GenPIP ({:?}) on {}…", er, profile.name);
-    if !extra_references.is_empty() {
-        let names: Vec<&str> = extra_references.iter().map(|g| g.name()).collect();
-        println!(
-            "pan-genome: mapping against {} + {}",
-            profile.name,
-            names.join(" + ")
-        );
-    }
-    let dataset = profile.generate();
-    let config = GenPipConfig::for_dataset(&profile)
-        .with_fault_policy(fault_policy)
-        .with_extra_references(extra_references);
-    let run = PipelineRun::collect(&dataset, &config, Flow::GenPip(er));
-    let totals = run.totals();
-    let count = |pred: fn(&ReadOutcome) -> bool| run.count_outcomes(pred);
-    println!("reads:          {}", run.reads.len());
-    println!(
-        "mapped:         {}",
-        count(|o| matches!(o, ReadOutcome::Mapped(_)))
-    );
-    println!(
-        "QSR-rejected:   {}",
-        count(|o| matches!(o, ReadOutcome::RejectedQsr { .. }))
-    );
-    println!(
-        "CMR-rejected:   {}",
-        count(|o| matches!(o, ReadOutcome::RejectedCmr { .. }))
-    );
-    println!(
-        "QC-filtered:    {}",
-        count(|o| matches!(o, ReadOutcome::FilteredQc { .. }))
-    );
-    println!(
-        "unmapped:       {}",
-        count(|o| matches!(o, ReadOutcome::Unmapped { .. }))
-    );
-    println!(
-        "basecalled:     {} of {} samples ({:.1}% saved)",
-        totals.samples,
-        dataset.total_samples(),
-        100.0 * (1.0 - totals.samples as f64 / dataset.total_samples() as f64)
-    );
-    // Under a containing policy, quarantined reads never reach `run.reads`.
-    let failed = dataset.reads.len() - run.reads.len();
-    if failed > 0 {
-        println!("failed:         {failed} (quarantined)");
-    }
-    fault_exit(failed, explicit_fault && fault_policy != FaultPolicy::Fail)
-}
-
 /// Where a source's reads come from.
 enum SourceKind {
     /// Simulated on the fly from a dataset profile (`profile=`).
@@ -727,11 +623,10 @@ enum SourceKind {
     Container { path: String, offset: usize },
 }
 
-/// One read source as the command line or a `serve` script spells it:
-/// `profile=<ecoli|human>[,scale=F]` or `file=PATH[,offset=K]`, plus
-/// `[,weight=N][,name=ID]`. `--signal-in PATH[,...]` is
-/// `file=PATH[,...]`; a script's `attach NAME SPEC` names the source
-/// itself, so its specs take no `name=`.
+/// One read source as `--source` or a script's `at COUNT attach NAME SPEC`
+/// spells it: `profile=<ecoli|human>[,scale=F]` or `file=PATH[,offset=K]`,
+/// plus `[,weight=N][,name=ID]`. A script step names the source itself, so
+/// its specs take no `name=`.
 struct SourceSpec {
     name: String,
     kind: SourceKind,
@@ -802,11 +697,54 @@ fn parse_source_spec(
     })
 }
 
+/// The sources a `run` starts with: every `--source` spec, or one simulated
+/// source named after `--profile` and scaled by `--scale`.
+fn source_specs_from(
+    parsed: &Parsed,
+    fallback_scale: f64,
+    weighted: bool,
+) -> Result<Vec<SourceSpec>, String> {
+    let texts = opt_all(parsed, "source");
+    if texts.is_empty() {
+        let profile = profile_from(parsed)?;
+        return Ok(vec![SourceSpec {
+            name: profile.name.to_string(),
+            kind: SourceKind::Simulated(profile),
+            weight: 1,
+        }]);
+    } else if opt(parsed, "profile").is_some() {
+        return Err("--profile applies only without --source".into());
+    }
+    let mut specs: Vec<SourceSpec> = Vec::new();
+    for text in texts {
+        let index = specs.len();
+        let spec = parse_source_spec("--source", text, None, index, fallback_scale, weighted)?;
+        // Session::run would reject duplicates too, but catching them here
+        // keeps the error ahead of the session banner.
+        if specs.iter().any(|other| other.name == spec.name) {
+            return Err(format!("duplicate source name {:?}", spec.name));
+        }
+        specs.push(spec);
+    }
+    Ok(specs)
+}
+
+/// How every source of a `run` joins the session, whether it is registered
+/// before the run or attached by a script step: its fault injector and the
+/// per-source config overrides.
+struct SourceSetup {
+    parallelism: Parallelism,
+    keep_bases: bool,
+    fault_policy: FaultPolicy,
+    extra_references: Vec<Arc<Genome>>,
+    inject_rate: f64,
+}
+
 /// A source opened and ready to register or attach.
 struct OpenedSource {
-    source: Box<dyn ReadSource + Send>,
-    /// The source's untuned operating point: `N_qs`/`N_cm` follow its
-    /// profile, or a container's embedded reference name.
+    source: FaultInjector<Box<dyn ReadSource + Send>>,
+    /// The source's operating point — `N_qs`/`N_cm` follow its profile, or a
+    /// container's embedded reference name — with the run's overrides.
     config: GenPipConfig,
     /// Reads it will deliver.
     expected: usize,
@@ -816,29 +754,49 @@ struct OpenedSource {
     status: Option<GscStatus>,
 }
 
-/// Opens a spec's read source; a container starts `resumed` reads past its
-/// `offset=` (what a checkpointed run had already delivered).
-fn open_source(spec: &SourceSpec, resumed: usize) -> Result<OpenedSource, String> {
-    match &spec.kind {
-        SourceKind::Simulated(profile) => Ok(OpenedSource {
-            source: Box::new(StreamingSimulator::new(profile)),
-            config: GenPipConfig::for_dataset(profile),
-            expected: profile.n_reads,
-            desc: format!("{}, {} bp genome", profile.name, profile.genome_len),
-            status: None,
-        }),
-        SourceKind::Container { path, offset } => {
-            let start = offset + resumed;
-            let source = GscReadSource::open_at(path, start).map_err(|e| format!("{path}: {e}"))?;
-            let reader = source.reader();
-            Ok(OpenedSource {
-                config: GenPipConfig::for_reference_name(reader.reference().name()),
-                expected: reader.read_count().saturating_sub(start),
-                desc: format!("{path}, reads {start}..{}", reader.read_count()),
-                status: Some(source.status()),
-                source: Box::new(source),
-            })
-        }
+impl SourceSetup {
+    /// Opens a spec's read source, the session's `index`-th, which seeds its
+    /// fault injector (rate 0 makes the injector a transparent wrapper, so
+    /// every source goes through it). A container starts `resumed` reads
+    /// past its `offset=` (what a checkpointed run had already delivered).
+    fn open(
+        &self,
+        spec: &SourceSpec,
+        index: usize,
+        resumed: usize,
+    ) -> Result<OpenedSource, String> {
+        let (source, config, expected, desc, status): (Box<dyn ReadSource + Send>, _, _, _, _) =
+            match &spec.kind {
+                SourceKind::Simulated(profile) => (
+                    Box::new(StreamingSimulator::new(profile)),
+                    GenPipConfig::for_dataset(profile),
+                    profile.n_reads,
+                    format!("{}, {} bp genome", profile.name, profile.genome_len),
+                    None,
+                ),
+                SourceKind::Container { path, offset } => {
+                    let start = offset + resumed;
+                    let source =
+                        GscReadSource::open_at(path, start).map_err(|e| format!("{path}: {e}"))?;
+                    let reader = source.reader();
+                    let config = GenPipConfig::for_reference_name(reader.reference().name());
+                    let expected = reader.read_count().saturating_sub(start);
+                    let desc = format!("{path}, reads {start}..{}", reader.read_count());
+                    let status = Some(source.status());
+                    (Box::new(source), config, expected, desc, status)
+                }
+            };
+        Ok(OpenedSource {
+            source: FaultInjector::new(source, self.inject_rate, 0x9E1F + index as u64),
+            config: config
+                .with_parallelism(self.parallelism)
+                .with_keep_bases(self.keep_bases)
+                .with_fault_policy(self.fault_policy)
+                .with_extra_references(self.extra_references.clone()),
+            expected,
+            desc,
+            status,
+        })
     }
 }
 
@@ -879,17 +837,12 @@ fn usize_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, Strin
 }
 
 /// A count that means nothing at 0 (`--queue`, `--checkpoint-every`,
-/// `--drain-after`, `--max-sources`), if the option was given.
-fn positive_opt(parsed: &Parsed, key: &str) -> Result<Option<usize>, String> {
+/// `--max-sources`), with a default for the option left out.
+fn positive_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, String> {
     match usize_opt(parsed, key)? {
         Some(0) => Err(format!("invalid --{key} \"0\" (must be at least 1)")),
-        n => Ok(n),
+        n => Ok(n.unwrap_or(default)),
     }
-}
-
-/// [`positive_opt`] with a default for the option left out.
-fn positive_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, String> {
-    Ok(positive_opt(parsed, key)?.unwrap_or(default))
 }
 
 fn parallelism_from(parsed: &Parsed) -> Result<Parallelism, String> {
@@ -905,23 +858,248 @@ fn parallelism_from(parsed: &Parsed) -> Result<Parallelism, String> {
     }
 }
 
-fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
+fn inject_rate_from(parsed: &Parsed) -> Result<f64, String> {
+    let Some(s) = opt(parsed, "inject-faults") else {
+        return Ok(0.0);
+    };
+    let rate: f64 = s
+        .parse()
+        .map_err(|_| format!("invalid --inject-faults {s:?}"))?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!("invalid --inject-faults {s:?} (must be in [0, 1])"));
+    }
+    Ok(rate)
+}
+
+/// What a script step does when it fires.
+enum ScriptAction {
+    Attach(Box<SourceSpec>),
+    Detach(String),
+    Drain,
+}
+
+/// One `--script` step: fires once `after` reads have been emitted across
+/// all sources.
+struct ScriptStep {
+    line_no: usize,
+    after: usize,
+    action: ScriptAction,
+}
+
+/// Parses a `--script`: one `at COUNT attach NAME SPEC`, `at COUNT detach
+/// NAME` or `at COUNT drain` step a line, in firing order.
+fn parse_script(
+    text: &str,
+    fallback_scale: f64,
+    weighted: bool,
+) -> Result<Vec<ScriptStep>, String> {
+    let mut steps: Vec<ScriptStep> = Vec::new();
+    for (idx, raw) in text.lines().enumerate() {
+        let line_no = idx + 1;
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        let err = |msg: String| format!("script line {line_no}: {msg}");
+        let unrecognized = || {
+            err(format!(
+                "unrecognized step {line:?} (use at COUNT attach NAME SPEC, \
+                 at COUNT detach NAME, or at COUNT drain)"
+            ))
+        };
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let (after, rest) = match words[..] {
+            ["at", count, ref rest @ ..] => match count.parse::<usize>() {
+                Ok(after) => (after, rest),
+                Err(_) => return Err(err(format!("`at` needs a read count, not {count:?}"))),
+            },
+            ["attach", ..] => {
+                return Err(err(format!(
+                    "{line:?} has no `at COUNT`; a source the run starts with \
+                     is a --source SPEC,name=NAME"
+                )))
+            }
+            _ => return Err(unrecognized()),
+        };
+        let action = match *rest {
+            ["attach", name, spec] => ScriptAction::Attach(Box::new(
+                parse_source_spec("attach", spec, Some(name), 0, fallback_scale, weighted)
+                    .map_err(err)?,
+            )),
+            ["detach", name] => ScriptAction::Detach(name.to_string()),
+            ["drain"] => ScriptAction::Drain,
+            _ => return Err(unrecognized()),
+        };
+        steps.push(ScriptStep {
+            line_no,
+            after,
+            action,
+        });
+    }
+    // Stable by count: same-count steps fire in script order.
+    steps.sort_by_key(|s| s.after);
+    Ok(steps)
+}
+
+/// The session's one count of emitted reads — read or failed alike — and
+/// the script steps it fires. Every source's sink feeds it, those of
+/// attached sources included, so each step sees the whole session.
+struct ScriptDriver {
+    emitted: usize,
+    steps: VecDeque<ScriptStep>,
+    control: SessionControl,
+    setup: SourceSetup,
+    /// Sources opened so far: the next attach's index.
+    opened: usize,
+    /// Width of the source-name column in per-read lines.
+    name_width: usize,
+    attaches: Vec<(String, PendingAttach)>,
+    detaches: Vec<(String, PendingDetach)>,
+    /// Error handles of every GSC container source, checked after the run.
+    statuses: Vec<(String, GscStatus)>,
+    /// Failures raised by fired steps (e.g. a container that would not
+    /// open), reported after the run.
+    errors: Vec<String>,
+}
+
+type Driver = Arc<Mutex<ScriptDriver>>;
+
+/// Counts one emitted read and fires every step that has come due. Runs on
+/// the session's emitting thread; the fired attach/detach/drain calls only
+/// enqueue control commands, so nothing here blocks on the session.
+fn count_emitted(driver: &Driver) {
+    let mut d = driver.lock().expect("script driver poisoned");
+    d.emitted += 1;
+    while d.steps.front().is_some_and(|s| s.after <= d.emitted) {
+        let step = d.steps.pop_front().expect("front checked");
+        fire(&mut d, driver, step);
+    }
+}
+
+fn fire(d: &mut ScriptDriver, driver: &Driver, step: ScriptStep) {
+    let at = format!("  [script] at {} reads:", step.after);
+    match step.action {
+        ScriptAction::Attach(spec) => {
+            let index = d.opened;
+            d.opened += 1;
+            let input = match d.setup.open(&spec, index, 0) {
+                Ok(opened) => opened,
+                Err(e) => {
+                    println!("{at} attach {:?} failed: {e}", spec.name);
+                    d.errors.push(format!("attach {:?}: {e}", spec.name));
+                    return;
+                }
+            };
+            println!(
+                "{at} attach {:?} ({}, {} reads)",
+                spec.name, input.desc, input.expected
+            );
+            let sink = source_sink(&spec.name, d.name_width, input.expected, driver);
+            let attach = AttachSpec::new()
+                .config(input.config)
+                .weight(spec.weight)
+                .sink(sink);
+            d.statuses
+                .extend(input.status.map(|status| (spec.name.clone(), status)));
+            let handle = d
+                .control
+                .attach_with(spec.name.as_str(), input.source, attach);
+            d.attaches.push((spec.name, handle));
+        }
+        ScriptAction::Detach(name) => {
+            println!("{at} detach {name:?}");
+            let handle = d.control.detach(name.as_str());
+            d.detaches.push((name, handle));
+        }
+        ScriptAction::Drain => {
+            println!("{at} drain");
+            d.control.drain();
+        }
+    }
+}
+
+/// The sink every source gets, registered or attached: it reports the
+/// source's failed reads and progress, and counts each emitted read toward
+/// the script's steps.
+fn source_sink(
+    name: &str,
+    name_width: usize,
+    expected: usize,
+    driver: &Driver,
+) -> impl FnMut(StreamEvent) + Send + 'static {
+    let name = name.to_string();
+    let driver = Arc::clone(driver);
+    move |event| match event {
+        StreamEvent::Failed { read_id, fault } => {
+            eprintln!("  [{name:<name_width$}] read {read_id} failed: {fault}");
+            count_emitted(&driver);
+        }
+        StreamEvent::Progress(p) => println!(
+            "  [{name:<name_width$} {:>5}/{expected} reads]  mapped {:>5}  \
+             rejected {:>5}  qc-filtered {:>4}  unmapped {:>4}  \
+             ({} samples basecalled)",
+            p.reads_emitted,
+            p.mapped,
+            p.rejected_qsr + p.rejected_cmr,
+            p.filtered_qc,
+            p.unmapped,
+            p.samples_basecalled
+        ),
+        StreamEvent::Read(_) => count_emitted(&driver),
+    }
+}
+
+/// One registered source's FASTQ writer.
+type FastqOut = RefCell<FastqSink<BufWriter<File>>>;
+
+/// The FASTQ writer of every registered source: a single source writes
+/// `path` verbatim, several write `<path>.<name>` each. A resumed run
+/// truncates each file back to its checkpointed (flushed) byte size and
+/// appends, so the final file is byte-identical to an uninterrupted run's.
+fn open_fastq_sinks(
+    path: &str,
+    specs: &[SourceSpec],
+    resume: Option<&CheckpointFile>,
+) -> Result<Vec<(String, FastqOut)>, String> {
+    let mut sinks = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let path = if specs.len() == 1 {
+            path.to_string()
+        } else {
+            format!("{path}.{}", spec.name)
+        };
+        let file = match resume {
+            None => File::create(&path).map_err(|e| format!("{path}: {e}"))?,
+            Some(ckpt) => {
+                let bytes = ckpt.fastq_for(&spec.name).map(|m| m.bytes).unwrap_or(0);
+                // Keep the file's prefix: resume truncates to the
+                // checkpointed byte position, not to zero.
+                let mut file = OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .create(true)
+                    .truncate(false)
+                    .open(&path)
+                    .map_err(|e| format!("{path}: {e}"))?;
+                file.set_len(bytes).map_err(|e| format!("{path}: {e}"))?;
+                file.seek(SeekFrom::Start(bytes))
+                    .map_err(|e| format!("{path}: {e}"))?;
+                println!("  resuming {path} at byte {bytes}");
+                file
+            }
+        };
+        sinks.push((path, RefCell::new(FastqSink::new(BufWriter::new(file)))));
+    }
+    Ok(sinks)
+}
+
+fn cmd_run(parsed: &Parsed) -> Result<(), String> {
     let er = er_from(parsed)?;
     let queue = positive_from(parsed, "queue", 8)?;
+    let max_sources = positive_from(parsed, "max-sources", 64)?;
     let progress = usize_from(parsed, "progress", 50)?;
     let (mut fault_policy, explicit_fault) = fault_policy_from(parsed)?;
-    let inject_rate = match opt(parsed, "inject-faults") {
-        None => 0.0,
-        Some(s) => {
-            let rate: f64 = s
-                .parse()
-                .map_err(|_| format!("invalid --inject-faults {s:?}"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err("--inject-faults must be in [0, 1]".into());
-            }
-            rate
-        }
-    };
+    let inject_rate = inject_rate_from(parsed)?;
     // Injected faults with the default Fail policy would tear the session
     // down with a panic. Quarantine instead so the run completes and prints
     // its per-source fault summary — but still exit nonzero, because the
@@ -932,48 +1110,22 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     let parallelism = parallelism_from(parsed)?;
     let schedule = schedule_from(parsed)?;
     let weighted = matches!(schedule, Schedule::Priority(_));
-
-    // Sources: repeated --source specs and --signal-in containers (a path,
-    // then the same key=value pairs), or a single simulated one synthesized
-    // from --profile/--scale for the classic one-run invocation.
     let fallback_scale = scale_from(parsed, 0.1)?;
-    let mut texts: Vec<(&str, String)> = opt_all(parsed, "source")
-        .iter()
-        .map(|text| ("--source", text.clone()))
-        .collect();
-    for text in opt_all(parsed, "signal-in") {
-        if text.is_empty() || text.split(',').next().is_some_and(|p| p.contains('=')) {
-            return Err(format!(
-                "--signal-in {text:?} must start with a container path"
-            ));
-        }
-        texts.push(("--signal-in", format!("file={text}")));
-    }
-    if texts.is_empty() {
-        let profile = opt(parsed, "profile").unwrap_or("ecoli");
-        texts.push(("--profile", format!("profile={profile},name={profile}")));
-    } else if opt(parsed, "profile").is_some() {
-        return Err("--profile applies only without --source/--signal-in".into());
-    }
-    let mut specs: Vec<SourceSpec> = Vec::new();
-    for (flag, text) in &texts {
-        specs.push(parse_source_spec(
-            flag,
-            text,
-            None,
-            specs.len(),
-            fallback_scale,
-            weighted,
-        )?);
-    }
-    // Session::run would reject duplicates too, but catching them here
-    // keeps the error ahead of the session banner.
-    for (i, spec) in specs.iter().enumerate() {
-        if specs[..i].iter().any(|other| other.name == spec.name) {
-            return Err(format!("duplicate source name {:?}", spec.name));
-        }
-    }
+    let specs = source_specs_from(parsed, fallback_scale, weighted)?;
     let schedule = with_weights(schedule, &specs);
+    let extra_references = opt_all(parsed, "reference")
+        .iter()
+        .enumerate()
+        .map(|(i, text)| parse_reference_spec(text, i))
+        .collect::<Result<Vec<_>, _>>()?;
+    let steps = match opt(parsed, "script") {
+        None => Vec::new(),
+        Some(path) => {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("--script {path}: {e}"))?;
+            parse_script(&text, fallback_scale, weighted)?
+        }
+    };
 
     // Checkpoint/resume plumbing. A checkpoint records, per source, how
     // many reads were delivered in order (the index to reseek a container
@@ -984,32 +1136,46 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
     if checkpoint_path.is_none() && opt(parsed, "checkpoint-every").is_some() {
         return Err("--checkpoint-every applies only with --checkpoint".into());
     }
-    let drain_after = positive_opt(parsed, "drain-after")?;
-    let resume = match opt(parsed, "resume") {
+    let fastq_out = opt(parsed, "fastq-out");
+    let resume_path = opt(parsed, "resume");
+    // Both cover the sources the run starts with only: a FASTQ file is
+    // opened per registered source, and a checkpoint resumes those.
+    if steps
+        .iter()
+        .any(|s| matches!(s.action, ScriptAction::Attach(_)))
+    {
+        for (flag, given) in [("--fastq-out", fastq_out), ("--resume", resume_path)] {
+            if given.is_some() {
+                return Err(format!(
+                    "script `attach` steps cannot be combined with {flag}, which \
+                     covers only the sources the run starts with"
+                ));
+            }
+        }
+    }
+    let resume = match resume_path {
         None => None,
+        Some(_)
+            if specs
+                .iter()
+                .any(|s| matches!(s.kind, SourceKind::Simulated(_))) =>
+        {
+            return Err("--resume needs every source to be a seekable file= container".into())
+        }
         Some(path) => {
-            let file = CheckpointFile::load(path).map_err(|e| format!("{path}: {e}"))?;
+            let file = CheckpointFile::load(path).map_err(|e| format!("--resume {path}: {e}"))?;
             // `complete` marks a finalized cut (the prior session wound
             // down cleanly, e.g. after a drain); a mid-run cut means the
             // run was killed between checkpoints. Both resume the same way.
-            println!(
-                "resuming from {path} ({} cut)",
-                if file.complete {
-                    "finalized"
-                } else {
-                    "mid-run"
-                }
-            );
+            let cut = if file.complete {
+                "finalized"
+            } else {
+                "mid-run"
+            };
+            println!("resuming from {path} ({cut} cut)");
             Some(file)
         }
     };
-    if resume.is_some()
-        && specs
-            .iter()
-            .any(|s| matches!(s.kind, SourceKind::Simulated(_)))
-    {
-        return Err("--resume needs every source to be a seekable --signal-in container".into());
-    }
     // What each source already delivered before this process started.
     let mut base_marks: Vec<(u64, u64)> = Vec::with_capacity(specs.len());
     for spec in &specs {
@@ -1024,27 +1190,23 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
         }
     }
 
-    let fastq_out = opt(parsed, "fastq-out").map(str::to_string);
     // Every source runs its own operating point (N_qs, N_cm follow its
     // profile, or a container's embedded reference name) via a per-source
     // config; the session-wide config (first source's) only contributes
-    // transport-level knobs like parallelism.
-    let keep_bases = fastq_out.is_some();
-    let source_config = |base: GenPipConfig| {
-        base.with_parallelism(parallelism)
-            .with_keep_bases(keep_bases)
-            .with_fault_policy(fault_policy)
+    // transport-level knobs like parallelism. Open every source up front:
+    // the session needs the handles, and a bad file should fail the
+    // invocation before the session banner.
+    let setup = SourceSetup {
+        parallelism,
+        keep_bases: fastq_out.is_some(),
+        fault_policy,
+        extra_references,
+        inject_rate,
     };
-    // Open every source up front: the session needs the handles, a
-    // container's embedded reference name picks its operating point, and a
-    // bad file should fail the invocation before the session banner.
     let mut opened = Vec::with_capacity(specs.len());
-    for (spec, &(base_emitted, _)) in specs.iter().zip(&base_marks) {
-        let mut source = open_source(spec, base_emitted as usize)?;
-        source.config = source_config(source.config);
-        opened.push(source);
+    for (i, (spec, &(base_emitted, _))) in specs.iter().zip(&base_marks).enumerate() {
+        opened.push(setup.open(spec, i, base_emitted as usize)?);
     }
-    let mut statuses: Vec<(String, GscStatus)> = Vec::new();
     let config = opened[0].config.clone();
     if opened
         .iter()
@@ -1055,11 +1217,6 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
              early-rejection operating point (N_qs, N_cm)"
         );
     }
-    let opts = StreamOptions {
-        queue_capacity: queue,
-        progress_every: progress,
-        ..StreamOptions::default()
-    };
 
     println!(
         "session: GenPIP ({er:?}), {} source(s) under {schedule:?}, \
@@ -1067,60 +1224,57 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
         specs.len(),
         parallelism.workers(),
     );
-    // One FASTQ writer per source: a single source writes --fastq-out
-    // verbatim, several write `<path>.<name>` each. A resumed run truncates
-    // each file back to its checkpointed (flushed) byte size and appends,
-    // so the final file is byte-identical to an uninterrupted run's.
-    let mut fastq_paths: Vec<Option<String>> = Vec::new();
-    let mut fastq_sinks: Vec<Option<RefCell<FastqSink<BufWriter<File>>>>> = Vec::new();
-    for spec in &specs {
-        match &fastq_out {
-            None => {
-                fastq_paths.push(None);
-                fastq_sinks.push(None);
-            }
-            Some(path) => {
-                let path = if specs.len() == 1 {
-                    path.clone()
-                } else {
-                    format!("{path}.{}", spec.name)
-                };
-                let file = match &resume {
-                    None => File::create(&path).map_err(|e| format!("{path}: {e}"))?,
-                    Some(ckpt) => {
-                        let bytes = ckpt.fastq_for(&spec.name).map(|m| m.bytes).unwrap_or(0);
-                        // Keep the file's prefix: resume truncates to the
-                        // checkpointed byte position, not to zero.
-                        let mut file = OpenOptions::new()
-                            .read(true)
-                            .write(true)
-                            .create(true)
-                            .truncate(false)
-                            .open(&path)
-                            .map_err(|e| format!("{path}: {e}"))?;
-                        file.set_len(bytes).map_err(|e| format!("{path}: {e}"))?;
-                        file.seek(SeekFrom::Start(bytes))
-                            .map_err(|e| format!("{path}: {e}"))?;
-                        println!("  resuming {path} at byte {bytes}");
-                        file
-                    }
-                };
-                fastq_sinks.push(Some(RefCell::new(FastqSink::new(BufWriter::new(file)))));
-                fastq_paths.push(Some(path));
-            }
-        }
+    if !setup.extra_references.is_empty() {
+        let names: Vec<&str> = setup.extra_references.iter().map(|g| g.name()).collect();
+        println!(
+            "pan-genome: every source also maps against {}",
+            names.join(" + ")
+        );
     }
+    if !steps.is_empty() {
+        println!("script: {} step(s)", steps.len());
+    }
+    let fastq_sinks = match fastq_out {
+        None => Vec::new(),
+        Some(path) => open_fastq_sinks(path, &specs, resume.as_ref())?,
+    };
+    let control = SessionControl::new();
+    let attached_names = steps.iter().filter_map(|s| match &s.action {
+        ScriptAction::Attach(spec) => Some(spec.name.len()),
+        _ => None,
+    });
+    let name_width = specs
+        .iter()
+        .map(|s| s.name.len())
+        .chain(attached_names)
+        .max()
+        .unwrap_or(0);
+    let statuses = specs
+        .iter()
+        .zip(&opened)
+        .filter_map(|(spec, o)| Some((spec.name.clone(), o.status.clone()?)))
+        .collect();
+    let driver: Driver = Arc::new(Mutex::new(ScriptDriver {
+        emitted: 0,
+        steps: steps.into(),
+        control: control.clone(),
+        setup,
+        opened: specs.len(),
+        name_width,
+        attaches: Vec::new(),
+        detaches: Vec::new(),
+        statuses,
+        errors: Vec::new(),
+    }));
     let mut session = Session::new(config)
         .flow(Flow::GenPip(er))
         .schedule(schedule)
-        .options(opts);
-    // The drain switch: a sink whose FASTQ writer goes sticky-bad pulls it,
-    // turning an unwritable output into a graceful wind-down instead of a
-    // torrent of dropped records.
-    let control = SessionControl::new();
-    let emitted_total = Rc::new(Cell::new(0usize));
-    let name_width = specs.iter().map(|s| s.name.len()).max().unwrap_or(0);
-    for (i, ((spec, input), fastq)) in specs.iter().zip(opened).zip(&fastq_sinks).enumerate() {
+        .options(StreamOptions {
+            queue_capacity: queue,
+            max_sources,
+            progress_every: progress,
+        });
+    for (i, (spec, input)) in specs.iter().zip(opened).enumerate() {
         println!(
             "  source {:<name_width$}  {} reads ({}{})",
             spec.name,
@@ -1128,49 +1282,23 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
             input.desc,
             weight_note(weighted, spec),
         );
+        let mut sink = source_sink(&spec.name, name_width, input.expected, &driver);
+        let fastq = fastq_sinks.get(i).map(|(_, fastq)| fastq);
         let name = spec.name.clone();
-        let fastq = fastq.as_ref();
-        let control_for_sink = control.clone();
-        let emitted_total = Rc::clone(&emitted_total);
-        let source_expected = input.expected;
-        statuses.extend(input.status.map(|status| (spec.name.clone(), status)));
-        // Rate 0 makes the injector a transparent wrapper, so every source
-        // goes through it.
-        session = session.source_with_config(
-            spec.name.as_str(),
-            FaultInjector::new(input.source, inject_rate, 0x9E1F + i as u64),
-            input.config,
-        );
+        let control = control.clone();
+        session = session.source_with_config(spec.name.as_str(), input.source, input.config);
         session = session.sink(spec.name.as_str(), move |event| {
-            if let Some(sink) = fastq {
-                sink.borrow_mut().handle(&event);
-                if sink.borrow().has_error() && !control_for_sink.is_draining() {
+            // A FASTQ writer gone sticky-bad drains the session: an
+            // unwritable output becomes a graceful wind-down instead of a
+            // torrent of dropped records.
+            if let Some(fastq) = fastq {
+                fastq.borrow_mut().handle(&event);
+                if fastq.borrow().has_error() && !control.is_draining() {
                     eprintln!("  [{name}] FASTQ writer failed — draining session");
-                    control_for_sink.drain();
+                    control.drain();
                 }
             }
-            match event {
-                StreamEvent::Failed { read_id, fault } => {
-                    eprintln!("  [{name:<name_width$}] read {read_id} failed: {fault}");
-                    note_emitted(&emitted_total, drain_after, &control_for_sink);
-                }
-                StreamEvent::Progress(p) => {
-                    println!(
-                        "  [{name:<name_width$} {:>5}/{source_expected} reads]  mapped {:>5}  \
-                         rejected {:>5}  qc-filtered {:>4}  unmapped {:>4}  \
-                         ({} samples basecalled)",
-                        p.reads_emitted,
-                        p.mapped,
-                        p.rejected_qsr + p.rejected_cmr,
-                        p.filtered_qc,
-                        p.unmapped,
-                        p.samples_basecalled
-                    );
-                }
-                StreamEvent::Read(_) => {
-                    note_emitted(&emitted_total, drain_after, &control_for_sink);
-                }
-            }
+            sink(event);
         });
     }
     // The checkpoint sink runs on the emitting thread between in-order
@@ -1182,7 +1310,6 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
         let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
         let fastq_sinks = &fastq_sinks;
         let ckpt_error = Rc::clone(&ckpt_error);
-        let base_marks = base_marks.clone();
         session = session.checkpoint(checkpoint_every, move |cut| {
             if ckpt_error.borrow().is_some() {
                 return;
@@ -1204,14 +1331,12 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
                         failed: base_failed + sc.outcomes.failed as u64,
                     });
                 }
-                for (name, sink) in names.iter().zip(fastq_sinks) {
-                    if let Some(sink) = sink {
-                        let bytes = sink.borrow_mut().position().map_err(|e| e.to_string())?;
-                        file.fastq.push(FastqMark {
-                            source: name.clone(),
-                            bytes,
-                        });
-                    }
+                for (name, (_, sink)) in names.iter().zip(fastq_sinks) {
+                    let bytes = sink.borrow_mut().position().map_err(|e| e.to_string())?;
+                    file.fastq.push(FastqMark {
+                        source: name.clone(),
+                        bytes,
+                    });
                 }
                 file.write_atomic(&path).map_err(|e| format!("{path}: {e}"))
             };
@@ -1225,16 +1350,78 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
         .run_with_control(&control)
         .map_err(|e| e.to_string())?;
 
-    for (sink, path) in fastq_sinks.into_iter().zip(&fastq_paths) {
-        let (Some(sink), Some(path)) = (sink, path) else {
-            continue;
-        };
+    for (path, sink) in fastq_sinks {
         let sink = sink.into_inner();
         let skipped = sink.skipped();
         let (written, _) = sink.finish().map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {written} FASTQ records to {path} ({skipped} rejected reads skipped)");
     }
+    let mut failures = script_failures(&driver);
+    failures.extend(
+        ckpt_error
+            .borrow_mut()
+            .take()
+            .map(|e| format!("checkpoint write failed: {e}")),
+    );
+    print_report(&report, name_width);
+    if failures.is_empty() {
+        fault_exit(
+            report.outcomes.failed,
+            explicit_fault && fault_policy != FaultPolicy::Fail,
+        )
+    } else {
+        Err(failures.join("; "))
+    }
+}
 
+/// Everything the script and the sources left to report once the session
+/// has finished: steps that never fired or failed, refused attaches and
+/// detaches, and container errors. Prints each detached source's summary.
+fn script_failures(driver: &Driver) -> Vec<String> {
+    let mut d = driver.lock().expect("script driver poisoned");
+    let emitted = d.emitted;
+    let mut failures: Vec<String> = d
+        .steps
+        .iter()
+        .map(|s| {
+            format!(
+                "script step never fired (line {}: at {}) — only {emitted} reads emitted",
+                s.line_no, s.after
+            )
+        })
+        .collect();
+    failures.append(&mut d.errors);
+    // The session has finished, so every handle resolves without blocking.
+    for (name, handle) in d.attaches.drain(..) {
+        if let Err(e) = handle.wait() {
+            failures.push(format!("attach {name:?} refused: {e}"));
+        }
+    }
+    for (name, handle) in d.detaches.drain(..) {
+        match handle.wait() {
+            Ok(summary) => println!(
+                "  detached {name:?}: {} reads emitted",
+                summary.outcomes.reads_emitted
+            ),
+            Err(e) => failures.push(format!("detach {name:?} refused: {e}")),
+        }
+    }
+    failures.extend(container_errors(&d.statuses));
+    failures
+}
+
+/// A container error (corruption, truncation, a failed read) ended its
+/// source early; the session completed, but the invocation must not claim
+/// success. One message per such source.
+fn container_errors(statuses: &[(String, GscStatus)]) -> Vec<String> {
+    statuses
+        .iter()
+        .filter_map(|(name, status)| status.error().map(|e| format!("source {name:?}: {e}")))
+        .collect()
+}
+
+/// The per-source table and the session's totals.
+fn print_report(report: &SessionReport, name_width: usize) {
     for source in &report.sources {
         let o = source.summary.outcomes;
         println!(
@@ -1261,9 +1448,13 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
         "peak in-flight: {} resident reads across all sources (bound: {})",
         report.max_in_flight, report.in_flight_limit
     );
+    let totals = &report.totals;
+    let input_samples = totals.raw_bytes / BYTES_PER_SAMPLE;
     println!(
-        "basecalled:     {} samples across {} bases",
-        report.totals.samples, report.totals.bases_called
+        "basecalled:     {} of {input_samples} samples ({:.1}% saved), {} bases",
+        totals.samples,
+        100.0 * (1.0 - totals.samples as f64 / input_samples.max(1) as f64),
+        totals.bases_called
     );
     if o.failed > 0 {
         let per_source: Vec<String> = report
@@ -1277,339 +1468,6 @@ fn cmd_stream(parsed: &Parsed) -> Result<(), String> {
             o.failed,
             per_source.join("; ")
         );
-    }
-    if let Some(e) = ckpt_error.borrow_mut().take() {
-        return Err(format!("checkpoint write failed: {e}"));
-    }
-    let container_errors = container_errors(&statuses);
-    if !container_errors.is_empty() {
-        return Err(container_errors.join("; "));
-    }
-    fault_exit(
-        o.failed,
-        explicit_fault && fault_policy != FaultPolicy::Fail,
-    )
-}
-
-/// A container error (corruption, truncation, a failed read) ended its
-/// source early; the session completed, but the invocation must not claim
-/// success. One message per such source.
-fn container_errors(statuses: &[(String, GscStatus)]) -> Vec<String> {
-    statuses
-        .iter()
-        .filter_map(|(name, status)| status.error().map(|e| format!("source {name:?}: {e}")))
-        .collect()
-}
-
-/// Counts one emitted read toward `--drain-after`, draining the session
-/// once the threshold is reached — a deterministic stand-in for killing a
-/// run mid-flight when exercising `--checkpoint`/`--resume`.
-fn note_emitted(count: &Cell<usize>, drain_after: Option<usize>, control: &SessionControl) {
-    count.set(count.get() + 1);
-    if drain_after == Some(count.get()) {
-        eprintln!(
-            "  draining session after {} emitted read(s) (--drain-after)",
-            count.get()
-        );
-        control.drain();
-    }
-}
-
-/// What a `serve` script step does when it fires.
-enum ServeAction {
-    Attach(Box<SourceSpec>),
-    Detach(String),
-    Drain,
-}
-
-/// One scripted step: fires once `after` reads have been emitted across all
-/// sources. Steps written without `at` register before the run instead.
-struct ScriptStep {
-    line_no: usize,
-    after: usize,
-    action: ServeAction,
-}
-
-/// Parses a `serve` script into the sources registered before the run and
-/// the steps fired through the live control plane.
-fn parse_script(
-    text: &str,
-    fallback_scale: f64,
-    weighted: bool,
-) -> Result<(Vec<SourceSpec>, Vec<ScriptStep>), String> {
-    let mut initial = Vec::new();
-    let mut steps: Vec<ScriptStep> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |msg: String| format!("script line {line_no}: {msg}");
-        let words: Vec<&str> = line.split_whitespace().collect();
-        let (after, rest) = if words[0] == "at" {
-            let count = words
-                .get(1)
-                .and_then(|w| w.parse::<usize>().ok())
-                .ok_or_else(|| err("`at` needs a read count".into()))?;
-            (Some(count), &words[2..])
-        } else {
-            (None, &words[..])
-        };
-        let action = match *rest {
-            ["attach", name, spec] => ServeAction::Attach(Box::new(
-                parse_source_spec("attach", spec, Some(name), 0, fallback_scale, weighted)
-                    .map_err(err)?,
-            )),
-            ["detach", name] => ServeAction::Detach(name.to_string()),
-            ["drain"] => ServeAction::Drain,
-            _ => {
-                return Err(err(format!(
-                    "unrecognized step {line:?} \
-                     (use attach NAME SPEC, detach NAME, or drain)"
-                )))
-            }
-        };
-        match (after, action) {
-            (None, ServeAction::Attach(spec)) => initial.push(*spec),
-            (None, _) => return Err(err("detach and drain need `at COUNT`".into())),
-            (Some(after), action) => steps.push(ScriptStep {
-                line_no,
-                after,
-                action,
-            }),
-        }
-    }
-    if initial.is_empty() {
-        return Err(
-            "script has no initial `attach` step — a session needs at least one \
-             source to start"
-                .into(),
-        );
-    }
-    // Stable by count: same-count steps fire in script order.
-    steps.sort_by_key(|s| s.after);
-    Ok((initial, steps))
-}
-
-/// The scripted session driver, shared by every sink. Sinks count emitted
-/// reads and fire due steps; fired attaches install a sink that feeds the
-/// same counter, so later steps see the whole session's emissions.
-struct ServeDriver {
-    emitted: usize,
-    steps: VecDeque<ScriptStep>,
-    control: SessionControl,
-    parallelism: Parallelism,
-    attaches: Vec<(String, PendingAttach)>,
-    detaches: Vec<(String, PendingDetach)>,
-    /// Error handles of every GSC container source, checked after the run.
-    statuses: Vec<(String, GscStatus)>,
-    /// Failures raised by fired steps (e.g. a container that would not
-    /// open), reported after the run.
-    errors: Vec<String>,
-}
-
-/// Counts one emitted read and fires every step that has come due. Runs on
-/// the session's emitting thread; the fired attach/detach/drain calls only
-/// enqueue control commands, so nothing here blocks on the session.
-fn serve_note_read(driver: &Arc<Mutex<ServeDriver>>) {
-    let mut d = driver.lock().expect("serve driver poisoned");
-    d.emitted += 1;
-    while d.steps.front().is_some_and(|s| s.after <= d.emitted) {
-        let step = d.steps.pop_front().expect("front checked");
-        serve_fire(&mut d, driver, step);
-    }
-}
-
-fn serve_fire(d: &mut ServeDriver, driver: &Arc<Mutex<ServeDriver>>, step: ScriptStep) {
-    match step.action {
-        ServeAction::Attach(spec) => {
-            let input = match open_source(&spec, 0) {
-                Ok(opened) => opened,
-                Err(e) => {
-                    println!(
-                        "  [script] at {} reads: attach {:?} failed: {e}",
-                        step.after, spec.name
-                    );
-                    d.errors.push(format!("attach {:?}: {e}", spec.name));
-                    return;
-                }
-            };
-            println!(
-                "  [script] at {} reads: attach {:?} ({}, {} reads)",
-                step.after, spec.name, input.desc, input.expected
-            );
-            let config = input.config.with_parallelism(d.parallelism);
-            let attach = AttachSpec::new().config(config).weight(spec.weight);
-            let observer = Arc::clone(driver);
-            let attach = attach.sink(move |event| {
-                if let StreamEvent::Read(_) = event {
-                    serve_note_read(&observer);
-                }
-            });
-            d.statuses
-                .extend(input.status.map(|status| (spec.name.clone(), status)));
-            let handle = d
-                .control
-                .attach_with(spec.name.as_str(), input.source, attach);
-            d.attaches.push((spec.name, handle));
-        }
-        ServeAction::Detach(name) => {
-            println!("  [script] at {} reads: detach {name:?}", step.after);
-            let handle = d.control.detach(name.as_str());
-            d.detaches.push((name, handle));
-        }
-        ServeAction::Drain => {
-            println!("  [script] at {} reads: drain", step.after);
-            d.control.drain();
-        }
-    }
-}
-
-fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
-    let script_path = opt(parsed, "script").ok_or("serve needs --script <FILE>")?;
-    let script = std::fs::read_to_string(script_path).map_err(|e| format!("{script_path}: {e}"))?;
-    let er = er_from(parsed)?;
-    let queue = positive_from(parsed, "queue", 8)?;
-    let max_sources = positive_from(parsed, "max-sources", 64)?;
-    let parallelism = parallelism_from(parsed)?;
-    let fallback_scale = scale_from(parsed, 0.05)?;
-    let schedule = schedule_from(parsed)?;
-    let weighted = matches!(schedule, Schedule::Priority(_));
-    let (initial, steps) = parse_script(&script, fallback_scale, weighted)?;
-    let schedule = with_weights(schedule, &initial);
-
-    println!(
-        "serve: GenPIP ({er:?}) under {schedule:?}, {} worker(s), queue {queue}, \
-         {} live step(s)",
-        parallelism.workers(),
-        steps.len(),
-    );
-
-    let control = SessionControl::new();
-    let driver = Arc::new(Mutex::new(ServeDriver {
-        emitted: 0,
-        steps: steps.into(),
-        control: control.clone(),
-        parallelism,
-        attaches: Vec::new(),
-        detaches: Vec::new(),
-        statuses: Vec::new(),
-        errors: Vec::new(),
-    }));
-
-    // Open every initial source before the session starts: a bad container
-    // in the script header should fail the invocation outright.
-    let mut initial_inputs = Vec::with_capacity(initial.len());
-    for spec in &initial {
-        initial_inputs.push(open_source(spec, 0)?);
-    }
-    let first_config = initial_inputs[0]
-        .config
-        .clone()
-        .with_parallelism(parallelism);
-    let mut session = Session::new(first_config)
-        .flow(Flow::GenPip(er))
-        .schedule(schedule)
-        .options(StreamOptions {
-            queue_capacity: queue,
-            max_sources,
-            progress_every: 0,
-        });
-    for (spec, input) in initial.iter().zip(initial_inputs) {
-        println!(
-            "  source {:?}: {} reads ({}{})",
-            spec.name,
-            input.expected,
-            input.desc,
-            weight_note(weighted, spec),
-        );
-        let observer = Arc::clone(&driver);
-        driver
-            .lock()
-            .expect("serve driver poisoned")
-            .statuses
-            .extend(input.status.map(|status| (spec.name.clone(), status)));
-        session = session.source_with_config(
-            spec.name.as_str(),
-            input.source,
-            input.config.with_parallelism(parallelism),
-        );
-        session = session.sink(spec.name.as_str(), move |event| {
-            if let StreamEvent::Read(_) = event {
-                serve_note_read(&observer);
-            }
-        });
-    }
-    let report = session
-        .run_with_control(&control)
-        .map_err(|e| e.to_string())?;
-
-    let mut d = driver.lock().expect("serve driver poisoned");
-    let emitted = d.emitted;
-    let unfired: Vec<String> = d
-        .steps
-        .iter()
-        .map(|s| format!("line {}: at {}", s.line_no, s.after))
-        .collect();
-    let attaches = std::mem::take(&mut d.attaches);
-    let detaches = std::mem::take(&mut d.detaches);
-    let statuses = std::mem::take(&mut d.statuses);
-    let step_errors = std::mem::take(&mut d.errors);
-    drop(d);
-
-    // The session has finished, so every handle resolves without blocking.
-    let mut failures = unfired
-        .into_iter()
-        .map(|step| format!("script step never fired ({step}) — only {emitted} reads emitted"))
-        .collect::<Vec<_>>();
-    failures.extend(step_errors);
-    failures.extend(container_errors(&statuses));
-    for (name, handle) in attaches {
-        if let Err(e) = handle.wait() {
-            failures.push(format!("attach {name:?} refused: {e}"));
-        }
-    }
-    for (name, handle) in detaches {
-        match handle.wait() {
-            Ok(summary) => println!(
-                "  detached {name:?}: {} reads emitted",
-                summary.outcomes.reads_emitted
-            ),
-            Err(e) => failures.push(format!("detach {name:?} refused: {e}")),
-        }
-    }
-
-    let name_width = report
-        .sources
-        .iter()
-        .map(|s| s.id.as_str().len())
-        .max()
-        .unwrap_or(0);
-    for source in &report.sources {
-        let o = source.summary.outcomes;
-        println!(
-            "source {:<name_width$}  reads {:>5}  mapped {:>5}  rejected {:>4}  \
-             QC {:>4}  unmapped {:>4}",
-            source.id,
-            o.reads_emitted,
-            o.mapped,
-            o.rejected_qsr + o.rejected_cmr,
-            o.filtered_qc,
-            o.unmapped,
-        );
-    }
-    println!(
-        "serve:          {} reads across {} source(s), peak in-flight {} (bound {})",
-        report.outcomes.reads_emitted,
-        report.sources.len(),
-        report.max_in_flight,
-        report.in_flight_limit
-    );
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
     }
 }
 

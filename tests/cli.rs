@@ -3,6 +3,11 @@
 //! stray option, a typo of a real one, a removed one — is a loud error
 //! rather than a silently ignored `--key value` pair.
 
+use genpip::core::engine::Flow;
+use genpip::core::pipeline::{ErMode, PipelineRun, ReadOutcome};
+use genpip::core::GenPipConfig;
+use genpip::datasets::DatasetProfile;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn genpip_output(args: &[&str]) -> std::process::Output {
@@ -43,13 +48,76 @@ fn refused(command: &[&str], extra: &[&str], env: Option<&str>, complaint: &str)
     );
 }
 
-/// A one-source `serve` script in the temp directory, named for `tag`.
-fn serve_script(tag: &str) -> std::path::PathBuf {
+/// A `--script` holding `text` in the temp directory, named for `tag`.
+fn script(tag: &str, text: &str) -> PathBuf {
     let script =
         std::env::temp_dir().join(format!("genpip-cli-{tag}-{}.script", std::process::id()));
-    std::fs::write(&script, "attach a profile=ecoli\n").expect("write script");
+    std::fs::write(&script, text).expect("write script");
     script
 }
+
+/// A fresh scratch directory for invocations that write files.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("genpip-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Runs `genpip` with `args` in `dir` and `GENPIP_PARALLELISM` unset;
+/// returns (exit success, stdout, stderr).
+fn genpip_in(dir: &Path, args: &[&str]) -> (bool, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_genpip"))
+        .args(args)
+        .current_dir(dir)
+        .env_remove("GENPIP_PARALLELISM")
+        .output()
+        .expect("spawn genpip");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Every subcommand `genpip` has.
+const SUBCOMMANDS: [&str; 6] = ["simulate", "map", "run", "pack", "inspect", "experiment"];
+
+/// Every option `genpip run` accepts — the one subcommand that runs reads.
+const RUN_OPTIONS: [&str; 17] = [
+    "--profile",
+    "--scale",
+    "--er",
+    "--source",
+    "--reference",
+    "--script",
+    "--schedule",
+    "--queue",
+    "--threads",
+    "--max-sources",
+    "--progress",
+    "--fastq-out",
+    "--on-fault",
+    "--inject-faults",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--resume",
+];
+
+/// The (option, value) cases of the sweep below that are documented
+/// accepted values rather than mistakes: a progress cadence of 0 turns the
+/// lines off, a fault rate of 0 injects nothing, and an output path may be
+/// any file name.
+const ACCEPTED: &[(&str, &str)] = &[
+    ("--progress", "0"),
+    ("--inject-faults", "0"),
+    ("--fastq-out", "0"),
+    ("--fastq-out", "-1"),
+    ("--fastq-out", "x"),
+    ("--checkpoint", "0"),
+    ("--checkpoint", "-1"),
+    ("--checkpoint", "x"),
+];
 
 #[test]
 fn unknown_options_fail_the_invocation() {
@@ -64,20 +132,20 @@ fn unknown_options_fail_the_invocation() {
     let (ok, stderr) = genpip(&["experiment", "fig10", "--bogus"]);
     assert!(!ok);
     assert!(stderr.contains("unknown option --bogus for 'experiment'"));
-    let (ok, stderr) = genpip(&["run", "--scale", "0.02", "--queue", "4"]);
+    let (ok, stderr) = genpip(&["run", "--scale", "0.02", "--reads", "4"]);
     assert!(!ok);
-    assert!(stderr.contains("unknown option --queue for 'run'"));
+    assert!(stderr.contains("unknown option --reads for 'run'"));
     // The accepted spellings still run.
-    let (ok, stderr) = genpip(&["run", "--scale", "0.02", "--er", "full"]);
+    let (ok, stderr) = genpip(&["run", "--scale", "0.02", "--er", "full", "--progress", "0"]);
     assert!(ok, "stderr: {stderr}");
 }
 
 #[test]
 fn misspelt_options_fail_instead_of_being_ignored() {
-    let (ok, stderr) = genpip(&["stream", "--scale", "0.02", "--thread", "1"]);
+    let (ok, stderr) = genpip(&["run", "--scale", "0.02", "--thread", "1"]);
     assert!(!ok, "--thread (for --threads) must exit nonzero");
     assert!(
-        stderr.contains("unknown option --thread for 'stream'"),
+        stderr.contains("unknown option --thread for 'run'"),
         "stderr: {stderr}"
     );
     let (ok, stderr) = genpip(&["run", "--scale", "0.02", "--lanse", "4"]);
@@ -87,7 +155,7 @@ fn misspelt_options_fail_instead_of_being_ignored() {
 
 #[test]
 fn the_removed_lanes_option_is_rejected_everywhere() {
-    for command in ["run", "stream", "serve"] {
+    for command in SUBCOMMANDS {
         let (ok, stderr) = genpip(&[command, "--lanes", "4"]);
         assert!(!ok, "{command} --lanes 4 must exit nonzero");
         assert!(
@@ -99,7 +167,7 @@ fn the_removed_lanes_option_is_rejected_everywhere() {
 
 #[test]
 fn the_removed_shards_option_is_rejected_everywhere() {
-    for command in ["map", "run", "stream", "serve"] {
+    for command in SUBCOMMANDS {
         let (ok, stderr) = genpip(&[command, "--shards", "3"]);
         assert!(!ok, "{command} --shards 3 must exit nonzero");
         assert!(
@@ -109,35 +177,95 @@ fn the_removed_shards_option_is_rejected_everywhere() {
     }
 }
 
-/// Counts the session would refuse are refused by the option readers, with
-/// the flag named and before any banner reaches stdout — and so is a
-/// `GENPIP_PARALLELISM` set to something `--threads` would refuse, which
-/// must not read as "unset", and a bare argument the subcommand does not
-/// take (a forgotten `--profile`, a single-dash option), which must not run
-/// the defaults.
+/// The option sweep: every option `run` accepts × {missing value, `0`,
+/// `-1`, garbage, given twice}. Each case is refused before any banner —
+/// exit nonzero, the flag named on stderr, nothing on stdout, no panic — or
+/// is a documented accepted value and runs. `--source` and `--reference`
+/// are the repeatable options, so their `twice` case runs too.
+#[test]
+fn every_run_option_refuses_a_bad_value_before_any_banner() {
+    let dir = scratch_dir("sweep");
+    // A small, quiet run, minus whichever of the two the sweep is on.
+    let base = |flag: &str| -> Vec<&str> {
+        let mut args = vec!["run"];
+        for (option, value) in [("--scale", "0.02"), ("--progress", "0")] {
+            if option != flag {
+                args.extend([option, value]);
+            }
+        }
+        args
+    };
+    for flag in RUN_OPTIONS {
+        let valid = match flag {
+            "--source" => "profile=ecoli",
+            "--reference" => "len=3000",
+            _ => "1",
+        };
+        let twice = [flag, valid, flag, valid];
+        let cases: [(&str, &[&str]); 5] = [
+            ("missing", &[flag]),
+            ("0", &[flag, "0"]),
+            ("-1", &[flag, "-1"]),
+            ("x", &[flag, "x"]),
+            ("twice", &twice),
+        ];
+        for (case, extra) in cases {
+            let args = [base(flag), extra.to_vec()].concat();
+            let (ok, stdout, stderr) = genpip_in(&dir, &args);
+            let label = format!("{args:?}");
+            assert!(!stderr.contains("panicked"), "{label} panicked: {stderr}");
+            assert!(!stderr.contains("unknown option"), "{label}: {stderr}");
+            let accepted = ACCEPTED.contains(&(flag, case))
+                || (case == "twice" && ["--source", "--reference"].contains(&flag));
+            if accepted {
+                assert!(ok, "{label} is a documented accepted value: {stderr}");
+                continue;
+            }
+            assert!(!ok, "{label} must exit nonzero");
+            assert!(
+                stderr.contains(flag),
+                "{label}: no {flag} in stderr: {stderr}"
+            );
+            assert!(stdout.is_empty(), "{label} printed a banner: {stdout}");
+            let complaint = match case {
+                "missing" => format!("option {flag} needs a value"),
+                "twice" => format!("option {flag} given twice"),
+                _ => flag.to_string(),
+            };
+            assert!(stderr.contains(&complaint), "{label}: stderr: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The sweep covers exactly what `run` accepts: the options its usage
+    // lists.
+    let help = genpip_output(&["help"]);
+    let usage = String::from_utf8_lossy(&help.stdout);
+    let block: String = usage
+        .lines()
+        .skip_while(|l| !l.starts_with("  genpip run"))
+        .take_while(|l| l.starts_with("  genpip run") || l.starts_with("     "))
+        .collect();
+    let mut listed: Vec<&str> = block
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    listed.sort_unstable();
+    let mut swept = RUN_OPTIONS.to_vec();
+    swept.sort_unstable();
+    assert_eq!(listed, swept, "usage: {block}");
+}
+
+/// A malformed `GENPIP_PARALLELISM` — one `--threads` would refuse, `0`
+/// among them — must not read as "unset", and a bare argument the
+/// subcommand does not take (a forgotten `--profile`, a single-dash option)
+/// must not run the defaults: both are refused before any banner.
 #[test]
 fn zero_counts_fail_naming_the_flag_before_any_banner() {
-    let script = serve_script("zero");
-    let script_path = script.to_str().expect("utf-8 temp path");
-    let stream = ["stream", "--scale", "0.02"];
-    let serve = ["serve", "--script", script_path];
-    for (command, flag) in [
-        (&stream[..], "--threads"),
-        (&stream[..], "--queue"),
-        (&stream[..], "--checkpoint-every"),
-        (&stream[..], "--drain-after"),
-        (&serve[..], "--threads"),
-        (&serve[..], "--queue"),
-        (&serve[..], "--max-sources"),
-    ] {
-        let complaint = format!("invalid {flag} \"0\"");
-        refused(command, &[flag, "0"], None, &complaint);
-    }
-    for command in [&stream[..], &serve[..]] {
-        for bad in ["four", "0"] {
-            let complaint = format!("error: invalid GENPIP_PARALLELISM {bad:?}");
-            refused(command, &[], Some(bad), &complaint);
-        }
+    let run = ["run", "--scale", "0.02"];
+    for bad in ["four", "0"] {
+        let complaint = format!("error: invalid GENPIP_PARALLELISM {bad:?}");
+        refused(&run, &[], Some(bad), &complaint);
     }
     let unpacked = std::env::temp_dir().join(format!("genpip-cli-{}.gsc", std::process::id()));
     let unpacked_path = unpacked.to_str().expect("utf-8 temp path");
@@ -146,53 +274,33 @@ fn zero_counts_fail_naming_the_flag_before_any_banner() {
         (&["pack"], &["oops", "--out", unpacked_path], "oops"),
         (&["experiment", "tab02"], &["fig10"], "fig10"),
         (&["inspect", "a.gsc"], &["b.gsc"], "b.gsc"),
-        (&stream, &["-threads", "4"], "-threads"),
-        (&serve, &["now"], "now"),
+        (&run, &["-threads", "4"], "-threads"),
     ] {
         let complaint = format!("error: unexpected argument {stray:?} for '{}'", command[0]);
         refused(command, extra, None, &complaint);
     }
     assert!(!unpacked.exists(), "a refused pack wrote its container");
-    let _ = std::fs::remove_file(&script);
 }
 
 /// Input the command line used to swallow is refused instead, before any
-/// banner: `--profile` beside an explicit source (it was dropped), a
-/// checkpoint cadence with no `--checkpoint` to write (nothing was written),
-/// and a second occurrence of a single-valued option (the first was never
-/// looked at) — the `twice` column of the option sweep. The repeatable
-/// options still repeat.
+/// banner: `--profile` beside an explicit source (it was dropped) and a
+/// checkpoint cadence with no `--checkpoint` to write (nothing was
+/// written). A second occurrence of a single-valued option is the `twice`
+/// column of the option sweep. The repeatable options still repeat.
 #[test]
 fn swallowed_inputs_are_refused_before_any_banner() {
-    let script = serve_script("twice");
-    let script_path = script.to_str().expect("utf-8 temp path");
-    let stream = ["stream", "--scale", "0.02"];
-    let serve = ["serve", "--script", script_path];
-    let no_profile = "error: --profile applies only without --source/--signal-in";
-    for explicit in [["--source", "profile=ecoli"], ["--signal-in", "x.gsc"]] {
-        let extra = [&["--profile", "human"][..], &explicit].concat();
-        refused(&stream, &extra, None, no_profile);
-    }
+    let run = ["run", "--scale", "0.02"];
+    let no_profile = "error: --profile applies only without --source";
+    refused(
+        &run,
+        &["--profile", "human", "--source", "profile=ecoli"],
+        None,
+        no_profile,
+    );
     let no_cadence = "error: --checkpoint-every applies only with --checkpoint";
-    refused(&stream, &["--checkpoint-every", "7"], None, no_cadence);
-    for (command, option, values) in [
-        (&stream[..], "--queue", ["0", "3"]),
-        (&stream, "--threads", ["2", "2"]),
-        (&["stream"], "--scale", ["0.02", "0.02"]),
-        (&stream, "--schedule", ["fair", "priority"]),
-        (&stream, "--checkpoint-every", ["0", "7"]),
-        (&serve, "--queue", ["0", "3"]),
-        (&serve, "--threads", ["2", "2"]),
-        (&serve, "--max-sources", ["0", "3"]),
-        (&["serve"], "--script", [script_path, script_path]),
-        (&["run"], "--er", ["bogus", "full"]),
-    ] {
-        let extra = [option, values[0], option, values[1]];
-        let complaint = format!("error: option {option} given twice");
-        refused(command, &extra, None, &complaint);
-    }
+    refused(&run, &["--checkpoint-every", "7"], None, no_cadence);
     let (ok, stderr) = genpip(&[
-        "stream",
+        "run",
         "--scale",
         "0.02",
         "--progress",
@@ -203,7 +311,218 @@ fn swallowed_inputs_are_refused_before_any_banner() {
         "profile=ecoli,name=b",
     ]);
     assert!(ok, "--source repeats: stderr: {stderr}");
-    let _ = std::fs::remove_file(&script);
+}
+
+/// `stream` and `serve` were folded into `run`, and their duplicate
+/// spellings went with them: `--signal-in PATH` is `--source file=PATH`,
+/// `--drain-after N` is a script's `at N drain`.
+#[test]
+fn the_removed_subcommands_and_spellings_are_refused() {
+    for command in ["stream", "serve"] {
+        refused(
+            &[command],
+            &["--scale", "0.02"],
+            None,
+            &format!("error: unknown command {command:?}"),
+        );
+    }
+    for (option, value) in [("--signal-in", "x.gsc"), ("--drain-after", "9")] {
+        let complaint = format!("unknown option {option} for 'run'");
+        refused(&["run"], &[option, value], None, &complaint);
+    }
+    // The usage lists exactly the subcommands that remain.
+    let help = genpip_output(&["help"]);
+    let usage = String::from_utf8_lossy(&help.stdout);
+    let listed: Vec<&str> = usage
+        .lines()
+        .filter_map(|l| l.strip_prefix("  genpip "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(listed, SUBCOMMANDS, "{usage}");
+}
+
+/// A script holds only `at COUNT` steps: a bare `attach` line is refused,
+/// naming `--source`, the way to give a source the run starts with. An
+/// `attach` step beside `--fastq-out` or `--resume` is refused too: both
+/// cover only the sources the run starts with.
+#[test]
+fn bare_script_attaches_and_attaches_beside_per_source_outputs_are_refused() {
+    let bare = script("bare", "attach a profile=ecoli\n");
+    let bare = bare.to_str().expect("utf-8 temp path");
+    refused(
+        &["run", "--script", bare],
+        &[],
+        None,
+        "error: script line 1: \"attach a profile=ecoli\" has no `at COUNT`; a source \
+         the run starts with is a --source SPEC,name=NAME",
+    );
+    let live = script("attach", "at 3 attach b profile=ecoli\n");
+    let live = live.to_str().expect("utf-8 temp path");
+    for flag in ["--fastq-out", "--resume"] {
+        let complaint = format!("error: script `attach` steps cannot be combined with {flag}");
+        refused(&["run", "--script", live], &[flag, "out"], None, &complaint);
+    }
+    // A drain step writes nothing per source, so it goes with both.
+    let drain = script("drain", "at 3 drain\n");
+    let dir = scratch_dir("drain");
+    let drain = drain.to_str().expect("utf-8 temp path");
+    let args = [
+        "run",
+        "--scale",
+        "0.02",
+        "--progress",
+        "0",
+        "--script",
+        drain,
+    ];
+    let (ok, stdout, stderr) = genpip_in(&dir, &[&args[..], &["--fastq-out", "a.fq"]].concat());
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("[script] at 3 reads: drain"), "{stdout}");
+    for path in [bare, live, drain] {
+        let _ = std::fs::remove_file(path);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A live script: two sources attach mid-run, one detaches, then the
+/// session drains — and a refused step (a duplicate name, an attach over
+/// `--max-sources`) or one that never fires fails the invocation after the
+/// run.
+#[test]
+fn a_live_script_attaches_detaches_and_drains() {
+    let live = script(
+        "live",
+        "# two attaches, a detach, a drain\n\
+         at 5 attach burst profile=ecoli,scale=0.02\n\
+         at 8 attach tail profile=ecoli,scale=0.02\n\
+         at 12 detach burst\n\
+         at 20 drain\n",
+    );
+    let live = live.to_str().expect("utf-8 temp path");
+    let run = [
+        "run",
+        "--source",
+        "profile=ecoli,scale=0.03,name=base",
+        "--progress",
+        "0",
+        "--queue",
+        "4",
+        "--script",
+    ];
+    let out = genpip_output(&[&run[..], &[live]].concat());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for line in [
+        "[script] at 5 reads: attach \"burst\"",
+        "[script] at 8 reads: attach \"tail\"",
+        "[script] at 12 reads: detach \"burst\"",
+        "[script] at 20 reads: drain",
+        "detached \"burst\": ",
+        "source tail ",
+    ] {
+        assert!(stdout.contains(line), "no {line:?} in {stdout}");
+    }
+    let dup = script("dup", "at 3 attach base profile=ecoli,scale=0.02\n");
+    let over = script("over", "at 3 attach b profile=ecoli,scale=0.02\n");
+    let late = script("late", "at 100000 drain\n");
+    for (path, extra, complaint) in [
+        (
+            &dup,
+            &[][..],
+            "attach \"base\" refused: source id \"base\" registered twice",
+        ),
+        (
+            &over,
+            &["--max-sources", "1"],
+            "attach \"b\" refused: session is at its max_sources bound (1)",
+        ),
+        (&late, &[], "script step never fired (line 1: at 100000)"),
+    ] {
+        let path = path.to_str().expect("utf-8 temp path");
+        let out = genpip_output(&[&run[..], &[path], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{path} must exit nonzero");
+        assert!(stderr.contains(complaint), "{path}: stderr: {stderr}");
+    }
+    for path in [live.into(), dup, over, late] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// `run` is the batch pipeline's spelling too: its outcome counts are
+/// `PipelineRun::collect`'s over the same dataset, with `--reference` panel
+/// members alongside; a panel member that shadows the source's own
+/// reference name is refused by the session.
+#[test]
+fn run_reports_the_batch_pipelines_outcome_counts() {
+    let profile = DatasetProfile::ecoli().scaled(0.02);
+    let config = GenPipConfig::for_dataset(&profile);
+    let batch = PipelineRun::collect(&profile.generate(), &config, Flow::GenPip(ErMode::Full));
+    let count = |pred: fn(&ReadOutcome) -> bool| batch.count_outcomes(pred);
+    let (ok, stdout, stderr) = genpip_in(
+        &std::env::temp_dir(),
+        &["run", "--scale", "0.02", "--er", "full", "--progress", "0"],
+    );
+    assert!(ok, "stderr: {stderr}");
+    for (label, n) in [
+        ("reads:", batch.reads.len()),
+        ("mapped:", count(|o| matches!(o, ReadOutcome::Mapped(_)))),
+        (
+            "QSR-rejected:",
+            count(|o| matches!(o, ReadOutcome::RejectedQsr { .. })),
+        ),
+        (
+            "CMR-rejected:",
+            count(|o| matches!(o, ReadOutcome::RejectedCmr { .. })),
+        ),
+        (
+            "QC-filtered:",
+            count(|o| matches!(o, ReadOutcome::FilteredQc { .. })),
+        ),
+        (
+            "unmapped:",
+            count(|o| matches!(o, ReadOutcome::Unmapped { .. })),
+        ),
+    ] {
+        let line = format!("{label:<16}{n}\n");
+        assert!(stdout.contains(&line), "no {line:?} in {stdout}");
+    }
+    let basecalled = format!(
+        "basecalled:     {} of {} samples",
+        batch.totals().samples,
+        profile.generate().total_samples()
+    );
+    assert!(
+        stdout.contains(&basecalled),
+        "no {basecalled:?} in {stdout}"
+    );
+
+    let run = ["run", "--scale", "0.02", "--progress", "0", "--reference"];
+    let (ok, stdout, stderr) = genpip_in(
+        &std::env::temp_dir(),
+        &[&run[..], &["name=panel_a,len=3000,seed=7"]].concat(),
+    );
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        stdout.contains("every source also maps against panel_a"),
+        "{stdout}"
+    );
+    let (ok, _, stderr) = genpip_in(
+        &std::env::temp_dir(),
+        &[&run[..], &["name=ecoli,len=3000"]].concat(),
+    );
+    assert!(
+        !ok,
+        "a panel member named like the source's reference must fail"
+    );
+    assert!(
+        stderr.contains("duplicate reference name \"ecoli\" in the pan-genome panel"),
+        "stderr: {stderr}"
+    );
 }
 
 /// `genpip experiment <name>` is the one way to regenerate a paper figure or
@@ -241,38 +560,35 @@ fn the_removed_deadline_schedule_and_target_key_are_rejected_everywhere() {
     // The scripts spell the keys on a *live* attach step: those are parsed
     // up front too, not when the step fires.
     let script_with = |key: &str| {
-        let path =
-            std::env::temp_dir().join(format!("genpip-cli-{key}-{}.script", std::process::id()));
-        let text = format!("attach a profile=ecoli\nat 3 attach b profile=ecoli,{key}=2\n");
-        std::fs::write(&path, text).expect("write script");
+        let path = script(key, &format!("at 3 attach b profile=ecoli,{key}=2\n"));
         path.to_str().expect("utf-8 temp path").to_string()
     };
     let (targeted, weighted) = (script_with("target"), script_with("weight"));
-    let stream = ["stream", "--scale", "0.02"];
-    let serve = ["serve", "--script", &targeted];
-    let serve_weighted = ["serve", "--script", &weighted];
+    let run = ["run", "--scale", "0.02"];
+    let scripted = ["run", "--scale", "0.02", "--script", &targeted];
+    let scripted_weighted = ["run", "--scale", "0.02", "--script", &weighted];
     let no_target = "unknown key \"target\" (use profile, file, scale, offset, weight";
     for (command, extra, complaint) in [
         (
-            &stream[..],
+            &run[..],
             &["--schedule", "deadline"][..],
             "invalid --schedule \"deadline\" (use fair, sequential, or priority)",
         ),
         (
-            &stream,
+            &run,
             &["--schedule", "bogus"],
             "invalid --schedule \"bogus\" (use fair, sequential, or priority)",
         ),
         (
-            &serve,
+            &scripted,
             &["--schedule", "deadline"],
             "invalid --schedule \"deadline\" (use fair, sequential, or priority)",
         ),
-        (&stream, &["--source", "profile=ecoli,target=40"], no_target),
-        (&stream, &["--signal-in", "x.gsc,target=40"], no_target),
-        (&serve, &[], no_target),
+        (&run, &["--source", "profile=ecoli,target=40"], no_target),
+        (&run, &["--source", "file=x.gsc,target=40"], no_target),
+        (&scripted, &[], no_target),
         (
-            &serve_weighted,
+            &scripted_weighted,
             &["--schedule", "sequential"],
             "key \"weight\" applies only under --schedule priority",
         ),
@@ -295,7 +611,7 @@ fn the_removed_deadline_schedule_and_target_key_are_rejected_everywhere() {
     }
 
     let two_sources = |schedule: &str, first: &str| {
-        let args = [&stream[..], &["--progress", "0", "--schedule", schedule]].concat();
+        let args = [&run[..], &["--progress", "0", "--schedule", schedule]].concat();
         let sources = ["--source", first, "--source", "profile=ecoli,name=b"];
         let out = genpip_output(&[&args[..], &sources].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -313,16 +629,18 @@ fn the_removed_deadline_schedule_and_target_key_are_rejected_everywhere() {
 /// spellings are refused like any unknown policy, before any banner, with a
 /// message that says what to use and why.
 #[test]
-fn the_removed_retry_policy_is_refused_on_run_and_stream() {
-    let (run, stream) = (["run", "--scale", "0.02"], ["stream", "--scale", "0.02"]);
-    for command in [&run[..], &stream[..]] {
-        for policy in ["retry", "retry:2", "bogus"] {
-            let complaint = format!(
-                "error: invalid --on-fault {policy:?} (use fail or quarantine; a read is a \
-                 pure function of its signal, so a retry faults again)"
-            );
-            refused(command, &["--on-fault", policy], None, &complaint);
-        }
+fn the_removed_retry_policy_is_refused() {
+    for policy in ["retry", "retry:2", "bogus"] {
+        let complaint = format!(
+            "error: invalid --on-fault {policy:?} (use fail or quarantine; a read is a \
+             pure function of its signal, so a retry faults again)"
+        );
+        refused(
+            &["run", "--scale", "0.02"],
+            &["--on-fault", policy],
+            None,
+            &complaint,
+        );
     }
 }
 
@@ -367,24 +685,9 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
             "key \"scale\" applies only to profile= sources",
         ),
         ("profile=ecoli,profile=human", "key \"profile\" given twice"),
-    ];
-    let signal_in: &[(&str, &str)] = &[
-        ("x.gsc,heavy", "is not key=value"),
-        ("x.gsc,wieght=2", "unknown key \"wieght\""),
-        ("x.gsc,weight=two", "invalid weight \"two\""),
-        ("x.gsc,offset=k", "invalid offset \"k\""),
-        (
-            "x.gsc,weight=2",
-            "key \"weight\" applies only under --schedule priority",
-        ),
-        ("x.gsc,profile=ecoli", "both profile= and file="),
-        ("name=x", "must start with a container path"),
-        (
-            "x.gsc,scale=0.5",
-            "key \"scale\" applies only to profile= sources",
-        ),
-        ("x.gsc,weight=1,weight=2", "key \"weight\" given twice"),
-        ("x.gsc,file=y.gsc", "key \"file\" given twice"),
+        ("file=x.gsc,offset=k", "invalid offset \"k\""),
+        ("file=x.gsc,weight=1,weight=2", "key \"weight\" given twice"),
+        ("file=x.gsc,file=y.gsc", "key \"file\" given twice"),
     ];
     let attach: &[(&str, &str)] = &[
         ("profile=ecoli,heavy", "is not key=value"),
@@ -415,18 +718,17 @@ fn bad_specs_fail_naming_the_flag_and_the_spec() {
     ];
     let script = std::env::temp_dir().join(format!("genpip-cli-{}.script", std::process::id()));
     let script_path = script.to_str().expect("utf-8 temp path");
-    for (flag, command, table) in [
-        ("--reference", "run", reference),
-        ("--source", "stream", source),
-        ("--signal-in", "stream", signal_in),
-        ("attach", "serve", attach),
+    for (flag, table) in [
+        ("--reference", reference),
+        ("--source", source),
+        ("attach", attach),
     ] {
         for (spec, complaint) in table {
             let out = if flag == "attach" {
-                std::fs::write(&script, format!("attach a {spec}\n")).expect("write script");
-                genpip_output(&[command, "--script", script_path])
+                std::fs::write(&script, format!("at 1 attach a {spec}\n")).expect("write script");
+                genpip_output(&["run", "--scale", "0.02", "--script", script_path])
             } else {
-                genpip_output(&[command, "--scale", "0.02", flag, spec])
+                genpip_output(&["run", "--scale", "0.02", flag, spec])
             };
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(!out.status.success(), "{flag} {spec:?} must exit nonzero");

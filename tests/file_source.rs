@@ -307,10 +307,12 @@ fn cli_checkpoint_drain_resume_is_byte_identical() {
         arg(&gsc),
         s("--verify"),
     ]);
+    let drain = dir.join("drain.script");
+    std::fs::write(&drain, "at 9 drain\n").expect("write script");
     let stream_base = [
-        s("stream"),
-        s("--signal-in"),
-        arg(&gsc),
+        s("run"),
+        s("--source"),
+        format!("file={}", arg(&gsc)),
         s("--threads"),
         s("serial"),
         s("--progress"),
@@ -329,8 +331,8 @@ fn cli_checkpoint_drain_resume_is_byte_identical() {
         arg(&ckpt),
         s("--checkpoint-every"),
         s("4"),
-        s("--drain-after"),
-        s("9"),
+        s("--script"),
+        arg(&drain),
     ]);
     run(&interrupted);
     let full_bytes = std::fs::read(&full).expect("read full fastq");
@@ -369,7 +371,7 @@ fn cli_checkpoint_drain_resume_is_byte_identical() {
     bytes[mid] ^= 0x40;
     std::fs::write(&bad, bytes).expect("write corrupt container");
     let mut corrupted = stream_base.to_vec();
-    corrupted[2] = arg(&bad);
+    corrupted[2] = format!("file={}", arg(&bad));
     let out = Command::new(bin)
         .args(&corrupted)
         .output()
