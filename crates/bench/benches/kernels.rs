@@ -474,7 +474,6 @@ fn main() {
             .map(|i| {
                 Job::new(
                     i / 10,
-                    i % 10,
                     vec![SimTime::from_ns(100.0), SimTime::from_ns(40.0)],
                 )
             })
@@ -483,7 +482,7 @@ fn main() {
             "sim/pipeline_10k_jobs",
             Some((jobs.len() as f64, "jobs")),
             || {
-                let mut sim = PipelineSim::new(vec![
+                let sim = PipelineSim::new(vec![
                     StageSpec::new("a", 8).sequential_within_read(),
                     StageSpec::new("b", 64),
                 ]);

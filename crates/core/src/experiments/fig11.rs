@@ -35,12 +35,6 @@ pub fn run(scale: f64) -> Fig11 {
     }
 }
 
-/// Builds the Figure 11 report from an existing matrix (so a harness that
-/// already ran Figure 10 does not recompute the workloads).
-pub fn from_matrix(matrix: SystemsMatrix) -> Fig11 {
-    Fig11 { matrix }
-}
-
 impl Fig11 {
     /// The energy-reduction table.
     pub fn table(&self) -> FigureTable {

@@ -55,7 +55,7 @@ pub fn evaluate_genpip(
     let seeding = SeedingModule::new(*tech);
     let dp = DpModule::new(*tech);
 
-    let mut sim = PipelineSim::new(vec![
+    let sim = PipelineSim::new(vec![
         StageSpec::new("basecall", basecall.streams()).sequential_within_read(),
         StageSpec::new("cqs", 4),
         StageSpec::new("seed", seeding.units()),
@@ -64,7 +64,6 @@ pub fn evaluate_genpip(
 
     let mut jobs = Vec::new();
     for read in &run.reads {
-        let mut seq = 0u32;
         for work in &read.chunks {
             let service = vec![
                 basecall.chunk_service(work.samples),
@@ -76,13 +75,11 @@ pub fn evaluate_genpip(
                 seeding.chunk_service(work.seed_bases, work.anchors),
                 dp.chain_service(work.anchors),
             ];
-            jobs.push(Job::new(read.id, seq, service));
-            seq += 1;
+            jobs.push(Job::new(read.id, service));
         }
         if read.align_query_len > 0 {
             jobs.push(Job::new(
                 read.id,
-                seq,
                 vec![
                     SimTime::ZERO,
                     SimTime::ZERO,
@@ -155,20 +152,16 @@ pub fn evaluate_pim_baseline(
 
     // Phase 1: basecalling on Helix (chunk jobs, tile-parallel, sequential
     // within a read).
-    let mut bc_sim = PipelineSim::new(vec![
+    let bc_sim = PipelineSim::new(vec![
         StageSpec::new("basecall", basecall.streams()).sequential_within_read()
     ]);
     let bc_jobs: Vec<Job> = run
         .reads
         .iter()
         .flat_map(|read| {
-            read.chunks.iter().map(move |work| {
-                Job::new(
-                    read.id,
-                    work.index as u32,
-                    vec![basecall.chunk_service(work.samples)],
-                )
-            })
+            read.chunks
+                .iter()
+                .map(move |work| Job::new(read.id, vec![basecall.chunk_service(work.samples)]))
         })
         .collect();
     let t_basecall = bc_sim.run(&bc_jobs).makespan;
@@ -182,7 +175,7 @@ pub fn evaluate_pim_baseline(
 
     // Phase 3: chaining + alignment on the PARC DP units, one job per
     // mapped-phase read.
-    let mut dp_sim = PipelineSim::new(vec![StageSpec::new("dp", dp.units())]);
+    let dp_sim = PipelineSim::new(vec![StageSpec::new("dp", dp.units())]);
     let dp_jobs: Vec<Job> = run
         .reads
         .iter()
@@ -190,7 +183,6 @@ pub fn evaluate_pim_baseline(
         .map(|r: &ReadRun| {
             Job::new(
                 r.id,
-                0,
                 vec![
                     dp.chain_service(r.map_counters.anchors) + dp.align_service(r.align_query_len),
                 ],

@@ -83,8 +83,6 @@ pub struct SoftwareEvaluation {
     pub time: SimTime,
     /// Energy breakdown by component.
     pub energy: EnergyMeter,
-    /// The phase decomposition (for reports).
-    pub phases: SoftwarePhases,
 }
 
 /// Evaluates a software system.
@@ -135,11 +133,7 @@ pub fn evaluate_software(
         "data-movement",
         (totals.raw_bytes + totals.called_bytes) as f64 * costs.link_energy_per_byte,
     );
-    SoftwareEvaluation {
-        time,
-        energy,
-        phases,
-    }
+    SoftwareEvaluation { time, energy }
 }
 
 #[cfg(test)]

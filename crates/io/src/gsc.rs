@@ -535,16 +535,6 @@ impl GscWriter {
         Ok(())
     }
 
-    /// Reads written so far.
-    pub fn reads_written(&self) -> usize {
-        self.offsets.len()
-    }
-
-    /// Bytes written so far (header + records).
-    pub fn bytes_written(&self) -> u64 {
-        self.pos
-    }
-
     /// Writes the offset table and trailer, patches the header's read count
     /// and checksum, and flushes.
     ///

@@ -90,16 +90,6 @@ impl EdramBuffer {
         )
     }
 
-    /// The read-mapping controller's 4 MB buffer.
-    pub fn rmc_buffer() -> EdramBuffer {
-        EdramBuffer::new("rmc-buffer", 4 * 1024 * 1024, 1.0e-12)
-    }
-
-    /// The GenPIP controller module's 12 MB eDRAM.
-    pub fn controller_buffer() -> EdramBuffer {
-        EdramBuffer::new("controller-buffer", 12 * 1024 * 1024, 1.0e-12)
-    }
-
     /// Buffer name.
     pub fn name(&self) -> &'static str {
         self.name
@@ -236,17 +226,11 @@ mod tests {
         // at 16-bit samples — hold a 3 M-sample signal).
         let q = EdramBuffer::read_queue();
         assert_eq!(q.capacity(), 6 * 1024 * 1024);
-        assert!(q.capacity() >= 3_000_000 * crate::BYTES_PER_SAMPLE_HINT);
+        assert!(q.capacity() >= 3_000_000 * genpip_signal::BYTES_PER_SAMPLE);
 
         // Chunk buffer holds the longest read's bases + qualities.
         let c = EdramBuffer::chunk_buffer();
         assert!(c.capacity() >= 2_300_000 / 4 + 2_300_000);
-
-        assert_eq!(EdramBuffer::rmc_buffer().capacity(), 4 * 1024 * 1024);
-        assert_eq!(
-            EdramBuffer::controller_buffer().capacity(),
-            12 * 1024 * 1024
-        );
     }
 
     #[test]

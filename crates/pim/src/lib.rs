@@ -43,7 +43,3 @@ pub use edram::EdramBuffer;
 pub use modules::{BasecallModule, CqsModule, DpModule, SeedingModule};
 pub use params::PimTech;
 pub use seeding::{ReferenceSeedingImage, SeedingUnitMap, ShardGroup};
-
-/// Bytes per raw signal sample (16-bit DAC), mirrored from `genpip-signal`
-/// for buffer-sizing checks without a dependency cycle.
-pub const BYTES_PER_SAMPLE_HINT: usize = 2;

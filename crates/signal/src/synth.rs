@@ -102,17 +102,6 @@ impl SignalSynthesizer {
         }
     }
 
-    /// Overrides the mean dwell time (samples per base).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `mean_dwell >= 1`.
-    pub fn with_mean_dwell(mut self, mean_dwell: f64) -> SignalSynthesizer {
-        assert!(mean_dwell >= 1.0, "mean dwell must be >= 1 sample/base");
-        self.mean_dwell = mean_dwell;
-        self
-    }
-
     /// The pore model in use.
     pub fn model(&self) -> &PoreModel {
         &self.model
@@ -357,11 +346,5 @@ mod tests {
         let early = resid(0..2_000);
         let late = resid(sig.len() - 2_000..sig.len());
         assert!(late - early > 5.0, "early {early}, late {late}");
-    }
-
-    #[test]
-    #[should_panic(expected = "mean dwell")]
-    fn dwell_below_one_rejected() {
-        let _ = synth().with_mean_dwell(0.5);
     }
 }

@@ -21,12 +21,12 @@
 //! use genpip_sim::{Job, PipelineSim, SimTime, StageSpec};
 //!
 //! // Two stages: one basecaller, two seeding units.
-//! let mut sim = PipelineSim::new(vec![
+//! let sim = PipelineSim::new(vec![
 //!     StageSpec::new("basecall", 1).sequential_within_read(),
 //!     StageSpec::new("seed", 2),
 //! ]);
 //! let jobs: Vec<Job> = (0..4)
-//!     .map(|i| Job::new(0, i, vec![SimTime::from_ns(100.0), SimTime::from_ns(40.0)]))
+//!     .map(|_| Job::new(0, vec![SimTime::from_ns(100.0), SimTime::from_ns(40.0)]))
 //!     .collect();
 //! let report = sim.run(&jobs);
 //! // Basecalling dominates: 4 × 100 ns, plus the last chunk's seeding.
@@ -38,5 +38,5 @@ pub mod pipeline;
 pub mod time;
 
 pub use energy::EnergyMeter;
-pub use pipeline::{render_gantt, Job, PipelineReport, PipelineSim, StageSpec, TraceEntry};
+pub use pipeline::{Job, PipelineReport, PipelineSim, StageSpec};
 pub use time::SimTime;

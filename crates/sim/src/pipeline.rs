@@ -14,8 +14,8 @@
 //!
 //! The scheduler computes completion times with the classic pipeline
 //! recurrence `start = max(data_ready, same_read_prev, server_free)` and
-//! reports makespan plus per-stage busy time, from which the speedup figures
-//! derive.
+//! reports the makespan and per-stage utilization, from which the speedup
+//! figures derive.
 
 use crate::time::SimTime;
 
@@ -64,74 +64,20 @@ impl StageSpec {
 ///
 /// A zero service time means the job skips that stage instantly (still
 /// honouring dependencies) — used e.g. for chunks that never reach chaining
-/// because early rejection stopped the read.
+/// because early rejection stopped the read. A read's jobs run on
+/// in-read sequential stages in the order they appear in the job list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Job {
     /// Read this job belongs to.
     pub read: u32,
-    /// Sequence number within the read (0-based chunk index).
-    pub seq_in_read: u32,
     /// Service time at each stage; length must equal the stage count.
     pub service: Vec<SimTime>,
-    /// Earliest time the job may start stage 0 (e.g. sequencer delivery
-    /// time); defaults to zero.
-    pub release: SimTime,
 }
 
 impl Job {
-    /// Creates a job released at time zero.
-    pub fn new(read: u32, seq_in_read: u32, service: Vec<SimTime>) -> Job {
-        Job {
-            read,
-            seq_in_read,
-            service,
-            release: SimTime::ZERO,
-        }
-    }
-
-    /// Sets the release time.
-    pub fn released_at(mut self, release: SimTime) -> Job {
-        self.release = release;
-        self
-    }
-}
-
-/// One scheduled execution interval: job × stage × server with its start
-/// and finish times. Produced by [`PipelineSim::run_traced`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Index of the job in the input list.
-    pub job: usize,
-    /// Read the job belongs to.
-    pub read: u32,
-    /// Stage index.
-    pub stage: usize,
-    /// Server within the stage.
-    pub server: usize,
-    /// Start time.
-    pub start: SimTime,
-    /// Finish time.
-    pub finish: SimTime,
-}
-
-/// One read's latency through the pipeline: from its first job's first
-/// start to its last job's completion. This is the *per-read service view*
-/// the throughput numbers hide — GenPIP's chunk-granular pipelining shows
-/// up here as short reads completing long before a whole-batch makespan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadLatency {
-    /// The read id.
-    pub read: u32,
-    /// When the read's first chunk started stage 0.
-    pub first_start: SimTime,
-    /// When the read's last job left the last stage.
-    pub completion: SimTime,
-}
-
-impl ReadLatency {
-    /// First-chunk→completion span.
-    pub fn span(&self) -> SimTime {
-        self.completion - self.first_start
+    /// Creates a job of `read` with the given per-stage service times.
+    pub fn new(read: u32, service: Vec<SimTime>) -> Job {
+        Job { read, service }
     }
 }
 
@@ -140,33 +86,8 @@ impl ReadLatency {
 pub struct PipelineReport {
     /// Completion time of the last job.
     pub makespan: SimTime,
-    /// Per-stage total busy time (summed across servers).
-    pub stage_busy: Vec<SimTime>,
     /// Per-stage utilization in `[0, 1]`: busy time / (makespan × servers).
     pub stage_utilization: Vec<f64>,
-    /// Completion time of every job (same order as the input).
-    pub job_completion: Vec<SimTime>,
-    /// Per-read first-chunk-start → last-job-completion latency, in order
-    /// of each read's first appearance in the job list.
-    pub read_latency: Vec<ReadLatency>,
-    /// Execution trace (non-zero-service intervals only); populated by
-    /// [`PipelineSim::run_traced`], empty from [`PipelineSim::run`].
-    pub trace: Vec<TraceEntry>,
-}
-
-impl PipelineReport {
-    /// Nearest-rank percentile of the per-read latency spans (`q` in
-    /// `[0, 1]`); [`SimTime::ZERO`] when no reads ran.
-    pub fn read_latency_percentile(&self, q: f64) -> SimTime {
-        if self.read_latency.is_empty() {
-            return SimTime::ZERO;
-        }
-        let mut spans: Vec<SimTime> = self.read_latency.iter().map(ReadLatency::span).collect();
-        spans.sort_unstable();
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * spans.len() as f64).ceil() as usize).max(1) - 1;
-        spans[rank.min(spans.len() - 1)]
-    }
 }
 
 /// The pipeline scheduler. Create once per experiment; [`PipelineSim::run`]
@@ -197,26 +118,14 @@ impl PipelineSim {
     /// # Panics
     ///
     /// Panics if any job's `service` length differs from the stage count.
-    pub fn run(&mut self, jobs: &[Job]) -> PipelineReport {
-        self.run_inner(jobs, false)
-    }
-
-    /// Like [`PipelineSim::run`], additionally recording the execution trace
-    /// (every non-zero service interval with its job, stage, server and
-    /// times) for timeline inspection and Gantt rendering.
-    pub fn run_traced(&mut self, jobs: &[Job]) -> PipelineReport {
-        self.run_inner(jobs, true)
-    }
-
-    fn run_inner(&mut self, jobs: &[Job], traced: bool) -> PipelineReport {
+    pub fn run(&self, jobs: &[Job]) -> PipelineReport {
         let n_stages = self.stages.len();
-        for job in jobs {
+        for (index, job) in jobs.iter().enumerate() {
             assert_eq!(
                 job.service.len(),
                 n_stages,
-                "job ({}, {}) has {} service times for {} stages",
+                "job {index} (read {}) has {} service times for {} stages",
                 job.read,
-                job.seq_in_read,
                 job.service.len(),
                 n_stages
             );
@@ -238,16 +147,10 @@ impl PipelineSim {
             vec![std::collections::HashMap::new(); n_stages];
 
         let mut stage_busy = vec![SimTime::ZERO; n_stages];
-        let mut job_completion = Vec::with_capacity(jobs.len());
         let mut makespan = SimTime::ZERO;
-        let mut trace = Vec::new();
-        // Per-read latency bookkeeping, in first-appearance order.
-        let mut read_order: Vec<u32> = Vec::new();
-        let mut read_span: std::collections::HashMap<u32, (SimTime, SimTime)> =
-            std::collections::HashMap::new();
 
-        for (job_index, job) in jobs.iter().enumerate() {
-            let mut ready = job.release;
+        for job in jobs {
+            let mut ready = SimTime::ZERO;
             for (s, stage) in self.stages.iter().enumerate() {
                 let mut earliest = ready;
                 if stage.sequential_within_read {
@@ -274,48 +177,15 @@ impl PipelineSim {
                 }
                 let start = earliest.max(pool[chosen]);
                 let finish = start + job.service[s];
-                if s == 0 {
-                    match read_span.get_mut(&job.read) {
-                        Some(span) => span.0 = span.0.min(start),
-                        None => {
-                            read_order.push(job.read);
-                            read_span.insert(job.read, (start, finish));
-                        }
-                    }
-                }
                 pool[chosen] = finish;
                 stage_busy[s] += job.service[s];
                 if stage.sequential_within_read {
                     read_prev[s].insert(job.read, finish);
                 }
-                if traced && job.service[s] > SimTime::ZERO {
-                    trace.push(TraceEntry {
-                        job: job_index,
-                        read: job.read,
-                        stage: s,
-                        server: chosen,
-                        start,
-                        finish,
-                    });
-                }
                 ready = finish;
             }
-            job_completion.push(ready);
             makespan = makespan.max(ready);
-            let span = read_span.get_mut(&job.read).expect("stage 0 ran");
-            span.1 = span.1.max(ready);
         }
-        let read_latency = read_order
-            .iter()
-            .map(|read| {
-                let (first_start, completion) = read_span[read];
-                ReadLatency {
-                    read: *read,
-                    first_start,
-                    completion,
-                }
-            })
-            .collect();
 
         let stage_utilization = self
             .stages
@@ -332,48 +202,9 @@ impl PipelineSim {
 
         PipelineReport {
             makespan,
-            stage_busy,
             stage_utilization,
-            job_completion,
-            read_latency,
-            trace,
         }
     }
-}
-
-/// Renders a trace as an ASCII Gantt chart, one row per (stage, server) that
-/// executed work, `width` characters across the makespan.
-///
-/// # Panics
-///
-/// Panics if `width` is 0.
-pub fn render_gantt(report: &PipelineReport, stage_names: &[&str], width: usize) -> String {
-    assert!(width > 0, "gantt width must be positive");
-    if report.trace.is_empty() || report.makespan == SimTime::ZERO {
-        return String::from("(empty trace)\n");
-    }
-    use std::collections::BTreeMap;
-    let span = report.makespan.as_secs();
-    let mut rows: BTreeMap<(usize, usize), Vec<char>> = BTreeMap::new();
-    for e in &report.trace {
-        let row = rows
-            .entry((e.stage, e.server))
-            .or_insert_with(|| vec!['.'; width]);
-        let a = ((e.start.as_secs() / span) * width as f64) as usize;
-        let b = (((e.finish.as_secs() / span) * width as f64).ceil() as usize).min(width);
-        let glyph = char::from_digit(e.read % 10, 10).unwrap_or('#');
-        for c in row.iter_mut().take(b.max(a + 1)).skip(a) {
-            *c = glyph;
-        }
-    }
-    let mut out = String::new();
-    for ((stage, server), row) in rows {
-        let name = stage_names.get(stage).copied().unwrap_or("?");
-        out.push_str(&format!("{name:<10}[{server:>3}] "));
-        out.extend(row);
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -386,18 +217,29 @@ mod tests {
 
     #[test]
     fn single_stage_single_server_serializes() {
-        let mut sim = PipelineSim::new(vec![StageSpec::new("s", 1)]);
-        let jobs: Vec<Job> = (0..5).map(|i| Job::new(0, i, vec![t(10.0)])).collect();
+        let sim = PipelineSim::new(vec![StageSpec::new("s", 1)]);
+        let jobs: Vec<Job> = (0..5).map(|_| Job::new(0, vec![t(10.0)])).collect();
         let report = sim.run(&jobs);
         assert_eq!(report.makespan, t(50.0));
-        assert_eq!(report.stage_busy[0], t(50.0));
         assert!((report.stage_utilization[0] - 1.0).abs() < 1e-9);
+
+        // A single server never overlaps two intervals, even when four
+        // upstream servers hand it every job at once: "b" runs 10–50, idle
+        // for the first fifth of the makespan.
+        let sim = PipelineSim::new(vec![StageSpec::new("a", 4), StageSpec::new("b", 1)]);
+        let jobs: Vec<Job> = (0..4)
+            .map(|i| Job::new(i, vec![t(10.0), t(10.0)]))
+            .collect();
+        let report = sim.run(&jobs);
+        assert_eq!(report.makespan, t(50.0));
+        assert!((report.stage_utilization[0] - 0.2).abs() < 1e-9);
+        assert!((report.stage_utilization[1] - 0.8).abs() < 1e-9);
     }
 
     #[test]
     fn two_servers_halve_the_makespan() {
-        let mut sim = PipelineSim::new(vec![StageSpec::new("s", 2)]);
-        let jobs: Vec<Job> = (0..6).map(|i| Job::new(i, 0, vec![t(10.0)])).collect();
+        let sim = PipelineSim::new(vec![StageSpec::new("s", 2)]);
+        let jobs: Vec<Job> = (0..6).map(|i| Job::new(i, vec![t(10.0)])).collect();
         let report = sim.run(&jobs);
         assert_eq!(report.makespan, t(30.0));
     }
@@ -405,9 +247,9 @@ mod tests {
     #[test]
     fn pipeline_overlaps_stages() {
         // Classic 2-stage pipeline: makespan = fill + n * bottleneck.
-        let mut sim = PipelineSim::new(vec![StageSpec::new("a", 1), StageSpec::new("b", 1)]);
+        let sim = PipelineSim::new(vec![StageSpec::new("a", 1), StageSpec::new("b", 1)]);
         let jobs: Vec<Job> = (0..10)
-            .map(|i| Job::new(i, 0, vec![t(10.0), t(4.0)]))
+            .map(|i| Job::new(i, vec![t(10.0), t(4.0)]))
             .collect();
         let report = sim.run(&jobs);
         // Stage a serializes: 100 ns; last job then spends 4 ns in b.
@@ -421,93 +263,41 @@ mod tests {
     fn sequential_within_read_is_enforced() {
         // Two servers, but both jobs belong to one read on a sequential
         // stage: they must not run in parallel.
-        let mut sim = PipelineSim::new(vec![StageSpec::new("bc", 2).sequential_within_read()]);
-        let jobs = vec![Job::new(7, 0, vec![t(10.0)]), Job::new(7, 1, vec![t(10.0)])];
+        let sim = PipelineSim::new(vec![StageSpec::new("bc", 2).sequential_within_read()]);
+        let jobs = vec![Job::new(7, vec![t(10.0)]), Job::new(7, vec![t(10.0)])];
         let report = sim.run(&jobs);
         assert_eq!(report.makespan, t(20.0));
 
         // Different reads do run in parallel.
-        let jobs = vec![Job::new(1, 0, vec![t(10.0)]), Job::new(2, 0, vec![t(10.0)])];
+        let jobs = vec![Job::new(1, vec![t(10.0)]), Job::new(2, vec![t(10.0)])];
         assert_eq!(sim.run(&jobs).makespan, t(10.0));
-    }
 
-    #[test]
-    fn release_times_delay_start() {
-        let mut sim = PipelineSim::new(vec![StageSpec::new("s", 1)]);
-        let jobs = vec![Job::new(0, 0, vec![t(5.0)]).released_at(t(100.0))];
+        // A read's jobs keep list order while another read interleaves:
+        // read 0's short second job waits for its long first one (30–35)
+        // although read 1 frees a server at 10; read 1 does not wait for
+        // read 0 (else the makespan would be 40).
+        let jobs = vec![
+            Job::new(0, vec![t(30.0)]),
+            Job::new(1, vec![t(10.0)]),
+            Job::new(0, vec![t(5.0)]),
+        ];
         let report = sim.run(&jobs);
-        assert_eq!(report.makespan, t(105.0));
-        // Utilization accounts for the idle head.
-        assert!(report.stage_utilization[0] < 0.1);
+        assert_eq!(report.makespan, t(35.0));
+        assert!((report.stage_utilization[0] - 45.0 / 70.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_service_passes_through() {
-        let mut sim = PipelineSim::new(vec![StageSpec::new("a", 1), StageSpec::new("b", 1)]);
-        let jobs = vec![Job::new(0, 0, vec![t(10.0), SimTime::ZERO])];
+        let sim = PipelineSim::new(vec![StageSpec::new("a", 1), StageSpec::new("b", 1)]);
+        let jobs = vec![Job::new(0, vec![t(10.0), SimTime::ZERO])];
         let report = sim.run(&jobs);
         assert_eq!(report.makespan, t(10.0));
-        assert_eq!(report.stage_busy[1], SimTime::ZERO);
-    }
-
-    #[test]
-    fn job_completion_is_per_job_and_monotone_per_read() {
-        let mut sim = PipelineSim::new(vec![
-            StageSpec::new("a", 1).sequential_within_read(),
-            StageSpec::new("b", 4),
-        ]);
-        let jobs: Vec<Job> = (0..8)
-            .map(|i| Job::new(i / 4, i % 4, vec![t(7.0), t(13.0)]))
-            .collect();
-        let report = sim.run(&jobs);
-        assert_eq!(report.job_completion.len(), 8);
-        for r in 0..2 {
-            let completions: Vec<SimTime> = (0..4)
-                .map(|c| report.job_completion[(r * 4 + c) as usize])
-                .collect();
-            assert!(completions.windows(2).all(|w| w[0] <= w[1]));
-        }
-    }
-
-    #[test]
-    fn trace_records_intervals_and_gantt_renders() {
-        let mut sim = PipelineSim::new(vec![StageSpec::new("a", 1), StageSpec::new("b", 2)]);
-        let jobs: Vec<Job> = (0..4)
-            .map(|i| Job::new(i, 0, vec![t(10.0), t(5.0)]))
-            .collect();
-        let report = sim.run_traced(&jobs);
-        // One entry per non-zero service: 4 jobs × 2 stages.
-        assert_eq!(report.trace.len(), 8);
-        for e in &report.trace {
-            assert!(e.start < e.finish);
-            assert!(e.finish <= report.makespan);
-        }
-        // Stage-a entries never overlap (single server).
-        let mut a_entries: Vec<_> = report.trace.iter().filter(|e| e.stage == 0).collect();
-        a_entries.sort_by_key(|e| e.start);
-        for w in a_entries.windows(2) {
-            assert!(w[0].finish <= w[1].start);
-        }
-        let gantt = render_gantt(&report, &["a", "b"], 40);
-        assert!(gantt.contains("a         [  0]"));
-        assert!(gantt.lines().count() >= 2);
-
-        // Untraced run has an empty trace but identical timing.
-        let untraced = sim.run(&jobs);
-        assert!(untraced.trace.is_empty());
-        assert_eq!(untraced.makespan, report.makespan);
-    }
-
-    #[test]
-    fn empty_trace_renders_placeholder() {
-        let mut sim = PipelineSim::new(vec![StageSpec::new("a", 1)]);
-        let report = sim.run_traced(&[]);
-        assert_eq!(render_gantt(&report, &["a"], 10), "(empty trace)\n");
+        assert_eq!(report.stage_utilization[1], 0.0);
     }
 
     #[test]
     fn empty_job_list() {
-        let mut sim = PipelineSim::new(vec![StageSpec::new("s", 3)]);
+        let sim = PipelineSim::new(vec![StageSpec::new("s", 3)]);
         let report = sim.run(&[]);
         assert_eq!(report.makespan, SimTime::ZERO);
         assert_eq!(report.stage_utilization[0], 0.0);
@@ -516,39 +306,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "service times")]
     fn wrong_service_length_panics() {
-        let mut sim = PipelineSim::new(vec![StageSpec::new("s", 1)]);
-        let _ = sim.run(&[Job::new(0, 0, vec![])]);
+        let sim = PipelineSim::new(vec![StageSpec::new("s", 1)]);
+        let _ = sim.run(&[Job::new(0, vec![])]);
     }
 
     #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_rejected() {
         let _ = StageSpec::new("s", 0);
-    }
-
-    #[test]
-    fn read_latency_spans_first_start_to_completion() {
-        // One single-server stage, FIFO: read 0's two chunks straddle
-        // read 1's single chunk, so read 0 is resident 0→30 while read 1
-        // flows through in 10.
-        let mut sim = PipelineSim::new(vec![StageSpec::new("s", 1).sequential_within_read()]);
-        let t = |ns: f64| SimTime::from_ns(ns);
-        let jobs = vec![
-            Job::new(0, 0, vec![t(10.0)]),
-            Job::new(1, 0, vec![t(10.0)]),
-            Job::new(0, 1, vec![t(10.0)]),
-        ];
-        let report = sim.run(&jobs);
-        assert_eq!(report.read_latency.len(), 2);
-        assert_eq!(report.read_latency[0].read, 0);
-        assert_eq!(report.read_latency[0].first_start, SimTime::ZERO);
-        assert_eq!(report.read_latency[0].completion, t(30.0));
-        assert_eq!(report.read_latency[0].span(), t(30.0));
-        assert_eq!(report.read_latency[1].span(), t(10.0));
-        assert_eq!(report.read_latency_percentile(0.5), t(10.0));
-        assert_eq!(report.read_latency_percentile(0.99), t(30.0));
-        assert_eq!(report.read_latency_percentile(1.0), t(30.0));
-        // An empty run has no latency to report.
-        assert_eq!(sim.run(&[]).read_latency_percentile(0.99), SimTime::ZERO);
     }
 }

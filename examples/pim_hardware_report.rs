@@ -56,30 +56,4 @@ fn main() {
         println!("  {stage:<10} utilization {:>6.2}%", util * 100.0);
     }
     println!("energy breakdown:\n{}", eval.energy);
-
-    // A miniature Gantt of the chunk pipeline: three reads of four chunks on
-    // a 1-stream basecaller feeding seeding and DP, showing the CP overlap.
-    println!("\n== Chunk-pipeline Gantt (3 reads x 4 chunks, illustrative) ==");
-    use genpip::sim::{render_gantt, Job, PipelineSim, SimTime, StageSpec};
-    let mut sim = PipelineSim::new(vec![
-        StageSpec::new("basecall", 1).sequential_within_read(),
-        StageSpec::new("seed", 4),
-        StageSpec::new("dp", 4).sequential_within_read(),
-    ]);
-    let jobs: Vec<Job> = (0..12)
-        .map(|i| {
-            Job::new(
-                i / 4,
-                i % 4,
-                vec![
-                    SimTime::from_us(500.0),
-                    SimTime::from_us(60.0),
-                    SimTime::from_us(40.0),
-                ],
-            )
-        })
-        .collect();
-    let report = sim.run_traced(&jobs);
-    print!("{}", render_gantt(&report, &["basecall", "seed", "dp"], 72));
-    println!("(digits are read ids; '.' is idle)");
 }

@@ -53,23 +53,38 @@ use std::process::ExitCode;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-/// One subcommand: its name, the options it accepts and how many
-/// positional arguments it takes (anything else is an error, never a
-/// silently ignored typo), and its entry point.
+/// One subcommand: its name, the options it accepts, what its one
+/// positional argument is if it takes one (anything else is an error, never
+/// a silently ignored typo), and its entry point.
 type Command = (
     &'static str,
     &'static [&'static str],
-    usize,
+    Option<&'static str>,
     fn(&Parsed) -> Result<(), String>,
 );
 
 const COMMANDS: &[Command] = &[
-    ("simulate", &["profile", "scale", "out"], 0, cmd_simulate),
-    ("map", &["reference", "reads", "paf"], 0, cmd_map),
-    ("run", RUN_OPTIONS, 0, cmd_run),
-    ("pack", &["profile", "scale", "out", "verify"], 0, cmd_pack),
-    ("inspect", &["reads", "verify"], 1, cmd_inspect),
-    ("experiment", &["scale"], 1, cmd_experiment),
+    ("simulate", &["profile", "scale", "out"], None, cmd_simulate),
+    ("map", &["reference", "reads", "paf"], None, cmd_map),
+    ("run", RUN_OPTIONS, None, cmd_run),
+    (
+        "pack",
+        &["profile", "scale", "out", "verify"],
+        None,
+        cmd_pack,
+    ),
+    (
+        "inspect",
+        &["reads", "verify"],
+        Some("container path"),
+        cmd_inspect,
+    ),
+    (
+        "experiment",
+        &["scale"],
+        Some("experiment name"),
+        cmd_experiment,
+    ),
 ];
 
 fn main() -> ExitCode {
@@ -82,12 +97,12 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let Some(&(_, accepted, positionals, run)) = COMMANDS.iter().find(|(name, ..)| name == command)
+    let Some(&(_, accepted, positional, run)) = COMMANDS.iter().find(|(name, ..)| name == command)
     else {
         eprintln!("error: unknown command {command:?}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_options(command, accepted, positionals, rest) {
+    let opts = match parse_options(command, accepted, positional, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -227,7 +242,7 @@ OPTIONS:
               checksum, and compare each decoded read bit-for-bit against a
               fresh simulation of the profile. For `inspect`: check every
               record checksum
-  --reads     for `inspect`: also dump the first N per-read records";
+  --reads     for `inspect`: also dump the first N per-read records (N >= 1)";
 
 /// Parsed command line: repeatable options keep every occurrence in order;
 /// every other option holds exactly one value.
@@ -243,12 +258,15 @@ const REPEATABLE_OPTIONS: &[&str] = &["source", "reference"];
 fn parse_options(
     command: &str,
     accepted: &[&str],
-    max_positional: usize,
+    takes: Option<&str>,
     args: &[String],
 ) -> Result<Parsed, String> {
     let mut opts: Options = HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
+    // The bare flag just before `arg`, if any: a value after it is a
+    // mistake about the flag, not about the positionals.
+    let mut after_flag: Option<&str> = None;
     while let Some(arg) = it.next() {
         if let Some(key) = arg.strip_prefix("--") {
             if !accepted.contains(&key) {
@@ -266,10 +284,17 @@ fn parse_options(
                 return Err(format!("option --{key} given twice"));
             }
             values.push(value);
-        } else if positional.len() == max_positional {
-            return Err(format!("unexpected argument {arg:?} for '{command}'"));
+            after_flag = FLAG_OPTIONS.contains(&key).then_some(key);
+        } else if positional.len() == usize::from(takes.is_some()) {
+            let hint = match (after_flag, takes) {
+                (Some(key), _) => format!(" (--{key} takes no value)"),
+                (None, Some(what)) => format!(" (it takes one {what})"),
+                (None, None) => String::new(),
+            };
+            return Err(format!("unexpected argument {arg:?} for '{command}'{hint}"));
         } else {
             positional.push(arg.clone());
+            after_flag = None;
         }
     }
     Ok((opts, positional))
@@ -389,11 +414,12 @@ fn cmd_pack(parsed: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_inspect(parsed: &Parsed) -> Result<(), String> {
+    let dump = positive_from(parsed, "reads", 0)?;
     let path = parsed
         .1
         .first()
         .ok_or("inspect needs a container path (genpip inspect <file.gsc>)")?;
-    let mut reader = GscReader::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut reader = GscReader::open(path).map_err(|e| format!("container {path}: {e}"))?;
     let model = reader.pore_model();
     println!("container:  {path}");
     println!(
@@ -422,7 +448,6 @@ fn cmd_inspect(parsed: &Parsed) -> Result<(), String> {
         ),
         _ => println!("records:    0"),
     }
-    let dump = usize_from(parsed, "reads", 0)?;
     for index in 0..dump.min(reader.read_count()) {
         let read = reader
             .read_at(index)
@@ -454,9 +479,9 @@ fn cmd_map(parsed: &Parsed) -> Result<(), String> {
     let mut genomes = Vec::with_capacity(reference_paths.len());
     for path in reference_paths {
         let genome = fastx::read_fasta(BufReader::new(
-            File::open(path).map_err(|e| format!("{path}: {e}"))?,
+            File::open(path).map_err(|e| format!("--reference {path}: {e}"))?,
         ))
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| format!("--reference {path}: {e}"))?;
         if genomes.iter().any(|g: &Genome| g.name() == genome.name()) {
             return Err(format!(
                 "duplicate reference name {:?} (from {path}); every --reference \
@@ -467,9 +492,9 @@ fn cmd_map(parsed: &Parsed) -> Result<(), String> {
         genomes.push(genome);
     }
     let reads = fastx::read_fastq(BufReader::new(
-        File::open(reads_path).map_err(|e| format!("{reads_path}: {e}"))?,
+        File::open(reads_path).map_err(|e| format!("--reads {reads_path}: {e}"))?,
     ))
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| format!("--reads {reads_path}: {e}"))?;
     let set = ReferenceSet::build(&genomes, MapperParams::default());
     for (name, mapper) in set.names().iter().zip(set.mappers()) {
         eprintln!("indexed {name}: {} entries", mapper.index().total_entries());
@@ -837,7 +862,8 @@ fn usize_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, Strin
 }
 
 /// A count that means nothing at 0 (`--queue`, `--checkpoint-every`,
-/// `--max-sources`), with a default for the option left out.
+/// `--max-sources`, `inspect --reads`), with a default for the option left
+/// out.
 fn positive_from(parsed: &Parsed, key: &str, default: usize) -> Result<usize, String> {
     match usize_opt(parsed, key)? {
         Some(0) => Err(format!("invalid --{key} \"0\" (must be at least 1)")),
@@ -900,7 +926,7 @@ fn parse_script(
         if line.is_empty() {
             continue;
         }
-        let err = |msg: String| format!("script line {line_no}: {msg}");
+        let err = |msg: String| format!("--script line {line_no}: {msg}");
         let unrecognized = || {
             err(format!(
                 "unrecognized step {line:?} (use at COUNT attach NAME SPEC, \

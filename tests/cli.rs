@@ -83,40 +83,110 @@ fn genpip_in(dir: &Path, args: &[&str]) -> (bool, String, String) {
 /// Every subcommand `genpip` has.
 const SUBCOMMANDS: [&str; 6] = ["simulate", "map", "run", "pack", "inspect", "experiment"];
 
-/// Every option `genpip run` accepts — the one subcommand that runs reads.
-const RUN_OPTIONS: [&str; 17] = [
-    "--profile",
-    "--scale",
-    "--er",
-    "--source",
-    "--reference",
-    "--script",
-    "--schedule",
-    "--queue",
-    "--threads",
-    "--max-sources",
-    "--progress",
-    "--fastq-out",
-    "--on-fault",
-    "--inject-faults",
-    "--checkpoint",
-    "--checkpoint-every",
-    "--resume",
+/// The option sweep's table: each subcommand with every option it accepts,
+/// a small valid invocation (`--key value` pairs, then its positional
+/// argument if it takes one) whose pairs the sweep leaves out one at a
+/// time, and the word its errors use for that positional. Each subcommand
+/// runs in a directory of its own; `map` and `inspect` read the files the
+/// sweep writes first, one level up.
+type SweepRow = (
+    &'static str,
+    &'static [&'static str],
+    &'static [(&'static str, &'static str)],
+    Option<(&'static str, &'static str)>,
+);
+const SWEEP: [SweepRow; 6] = [
+    (
+        "simulate",
+        &["--profile", "--scale", "--out"],
+        &[("--profile", "ecoli"), ("--scale", "0.02"), ("--out", "s")],
+        None,
+    ),
+    (
+        "map",
+        &["--reference", "--reads", "--paf"],
+        &[
+            ("--reference", "../v.fasta"),
+            ("--reads", "../v.fastq"),
+            ("--paf", "m.paf"),
+        ],
+        None,
+    ),
+    (
+        "run",
+        &[
+            "--profile",
+            "--scale",
+            "--er",
+            "--source",
+            "--reference",
+            "--script",
+            "--schedule",
+            "--queue",
+            "--threads",
+            "--max-sources",
+            "--progress",
+            "--fastq-out",
+            "--on-fault",
+            "--inject-faults",
+            "--checkpoint",
+            "--checkpoint-every",
+            "--resume",
+        ],
+        &[("--scale", "0.02"), ("--progress", "0")],
+        None,
+    ),
+    (
+        "pack",
+        &["--profile", "--scale", "--out", "--verify"],
+        &[
+            ("--profile", "ecoli"),
+            ("--scale", "0.02"),
+            ("--out", "p.gsc"),
+        ],
+        None,
+    ),
+    (
+        "inspect",
+        &["--reads", "--verify"],
+        &[],
+        Some(("container", "../v.gsc")),
+    ),
+    (
+        "experiment",
+        &["--scale"],
+        &[],
+        Some(("experiment", "tab02")),
+    ),
 ];
 
-/// The (option, value) cases of the sweep below that are documented
-/// accepted values rather than mistakes: a progress cadence of 0 turns the
-/// lines off, a fault rate of 0 injects nothing, and an output path may be
-/// any file name.
-const ACCEPTED: &[(&str, &str)] = &[
-    ("--progress", "0"),
-    ("--inject-faults", "0"),
-    ("--fastq-out", "0"),
-    ("--fastq-out", "-1"),
-    ("--fastq-out", "x"),
-    ("--checkpoint", "0"),
-    ("--checkpoint", "-1"),
-    ("--checkpoint", "x"),
+/// The (subcommand, option, value) cases of the sweep below that are
+/// documented accepted values rather than mistakes: a progress cadence of 0
+/// turns the lines off, a fault rate of 0 injects nothing, an output path
+/// may be any file name, `--source` and `run`'s `--reference` repeat, and
+/// `--verify` is a flag, so the case that gives it no value is its use.
+const ACCEPTED: &[(&str, &str, &str)] = &[
+    ("run", "--progress", "0"),
+    ("run", "--inject-faults", "0"),
+    ("run", "--fastq-out", "0"),
+    ("run", "--fastq-out", "-1"),
+    ("run", "--fastq-out", "x"),
+    ("run", "--checkpoint", "0"),
+    ("run", "--checkpoint", "-1"),
+    ("run", "--checkpoint", "x"),
+    ("run", "--source", "twice"),
+    ("run", "--reference", "twice"),
+    ("simulate", "--out", "0"),
+    ("simulate", "--out", "-1"),
+    ("simulate", "--out", "x"),
+    ("map", "--paf", "0"),
+    ("map", "--paf", "-1"),
+    ("map", "--paf", "x"),
+    ("pack", "--out", "0"),
+    ("pack", "--out", "-1"),
+    ("pack", "--out", "x"),
+    ("pack", "--verify", "missing"),
+    ("inspect", "--verify", "missing"),
 ];
 
 #[test]
@@ -177,83 +247,124 @@ fn the_removed_shards_option_is_rejected_everywhere() {
     }
 }
 
-/// The option sweep: every option `run` accepts × {missing value, `0`,
-/// `-1`, garbage, given twice}. Each case is refused before any banner —
-/// exit nonzero, the flag named on stderr, nothing on stdout, no panic — or
-/// is a documented accepted value and runs. `--source` and `--reference`
-/// are the repeatable options, so their `twice` case runs too.
+/// The option sweep: every option of every subcommand × {missing value,
+/// `0`, `-1`, garbage, given twice}, and the positional argument of
+/// `inspect` and `experiment` × {left out, `0`, `-1`, garbage, given
+/// twice}. Each case is refused before any banner — exit nonzero, the flag
+/// (or the positional's name) on stderr, nothing on stdout, no panic — or
+/// is a documented accepted value and runs. Outputs go to a scratch
+/// directory.
 #[test]
 fn every_run_option_refuses_a_bad_value_before_any_banner() {
     let dir = scratch_dir("sweep");
-    // A small, quiet run, minus whichever of the two the sweep is on.
-    let base = |flag: &str| -> Vec<&str> {
-        let mut args = vec!["run"];
-        for (option, value) in [("--scale", "0.02"), ("--progress", "0")] {
-            if option != flag {
-                args.extend([option, value]);
+    for setup in [
+        &["simulate", "--scale", "0.02", "--out", "v"][..],
+        &["pack", "--scale", "0.02", "--out", "v.gsc"],
+    ] {
+        let (ok, _, stderr) = genpip_in(&dir, setup);
+        assert!(ok, "{setup:?}: {stderr}");
+    }
+    let check = |command: &str, flag: &str, case: &str, args: Vec<&str>| {
+        let dir = dir.join(command);
+        std::fs::create_dir_all(&dir).expect("create subcommand dir");
+        let (ok, stdout, stderr) = genpip_in(&dir, &args);
+        let label = format!("{args:?}");
+        assert!(!stderr.contains("panicked"), "{label} panicked: {stderr}");
+        assert!(!stderr.contains("unknown option"), "{label}: {stderr}");
+        if ACCEPTED.contains(&(command, flag, case)) {
+            assert!(ok, "{label} is a documented accepted value: {stderr}");
+            return;
+        }
+        assert!(!ok, "{label} must exit nonzero");
+        assert!(stdout.is_empty(), "{label} printed a banner: {stdout}");
+        let complaint = match case {
+            "missing" if flag.starts_with("--") => format!("option {flag} needs a value"),
+            "twice" if flag.starts_with("--") && !["--source", "--reference"].contains(&flag) => {
+                format!("option {flag} given twice")
+            }
+            _ => flag.to_string(),
+        };
+        assert!(stderr.contains(&complaint), "{label}: stderr: {stderr}");
+    };
+    for (command, options, base, positional) in SWEEP {
+        // The valid invocation, minus the option the sweep is on.
+        let base_without = |flag: &str| -> Vec<&str> {
+            let mut args = vec![command];
+            args.extend(positional.map(|(_, valid)| valid));
+            for &(option, value) in base {
+                if option != flag {
+                    args.extend([option, value]);
+                }
+            }
+            args
+        };
+        for &flag in options {
+            let valid = match (base.iter().find(|(option, _)| *option == flag), flag) {
+                (Some(&(_, value)), _) => value,
+                (None, "--source") => "profile=ecoli",
+                (None, "--reference") => "len=3000",
+                (None, _) => "1",
+            };
+            let twice: &[&str] = if flag == "--verify" {
+                &[flag, flag]
+            } else {
+                &[flag, valid, flag, valid]
+            };
+            let cases: [(&str, &[&str]); 5] = [
+                ("missing", &[flag]),
+                ("0", &[flag, "0"]),
+                ("-1", &[flag, "-1"]),
+                ("x", &[flag, "x"]),
+                ("twice", twice),
+            ];
+            for (case, extra) in cases {
+                check(
+                    command,
+                    flag,
+                    case,
+                    [base_without(flag), extra.to_vec()].concat(),
+                );
             }
         }
-        args
-    };
-    for flag in RUN_OPTIONS {
-        let valid = match flag {
-            "--source" => "profile=ecoli",
-            "--reference" => "len=3000",
-            _ => "1",
-        };
-        let twice = [flag, valid, flag, valid];
-        let cases: [(&str, &[&str]); 5] = [
-            ("missing", &[flag]),
-            ("0", &[flag, "0"]),
-            ("-1", &[flag, "-1"]),
-            ("x", &[flag, "x"]),
-            ("twice", &twice),
-        ];
-        for (case, extra) in cases {
-            let args = [base(flag), extra.to_vec()].concat();
-            let (ok, stdout, stderr) = genpip_in(&dir, &args);
-            let label = format!("{args:?}");
-            assert!(!stderr.contains("panicked"), "{label} panicked: {stderr}");
-            assert!(!stderr.contains("unknown option"), "{label}: {stderr}");
-            let accepted = ACCEPTED.contains(&(flag, case))
-                || (case == "twice" && ["--source", "--reference"].contains(&flag));
-            if accepted {
-                assert!(ok, "{label} is a documented accepted value: {stderr}");
-                continue;
+        if let Some((name, valid)) = positional {
+            let options: Vec<&str> = base.iter().flat_map(|&(o, v)| [o, v]).collect();
+            let cases: [(&str, &[&str]); 5] = [
+                ("missing", &[]),
+                ("0", &["0"]),
+                ("-1", &["-1"]),
+                ("x", &["x"]),
+                ("twice", &[valid, valid]),
+            ];
+            for (case, extra) in cases {
+                let args = [vec![command], options.clone(), extra.to_vec()].concat();
+                check(command, name, case, args);
             }
-            assert!(!ok, "{label} must exit nonzero");
-            assert!(
-                stderr.contains(flag),
-                "{label}: no {flag} in stderr: {stderr}"
-            );
-            assert!(stdout.is_empty(), "{label} printed a banner: {stdout}");
-            let complaint = match case {
-                "missing" => format!("option {flag} needs a value"),
-                "twice" => format!("option {flag} given twice"),
-                _ => flag.to_string(),
-            };
-            assert!(stderr.contains(&complaint), "{label}: stderr: {stderr}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    // The sweep covers exactly what `run` accepts: the options its usage
-    // lists.
+    // The sweep covers exactly what each subcommand accepts: the options
+    // its usage lists.
     let help = genpip_output(&["help"]);
     let usage = String::from_utf8_lossy(&help.stdout);
-    let block: String = usage
-        .lines()
-        .skip_while(|l| !l.starts_with("  genpip run"))
-        .take_while(|l| l.starts_with("  genpip run") || l.starts_with("     "))
-        .collect();
-    let mut listed: Vec<&str> = block
-        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-        .filter(|w| w.starts_with("--"))
-        .collect();
-    listed.sort_unstable();
-    let mut swept = RUN_OPTIONS.to_vec();
-    swept.sort_unstable();
-    assert_eq!(listed, swept, "usage: {block}");
+    for (command, options, ..) in SWEEP {
+        let head = format!("  genpip {command} ");
+        let block: String = usage
+            .lines()
+            .skip_while(|l| !l.starts_with(&head))
+            .take_while(|l| l.starts_with(&head) || l.starts_with("     "))
+            .collect();
+        let mut listed: Vec<&str> = block
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        listed.sort_unstable();
+        let mut swept = options.to_vec();
+        swept.sort_unstable();
+        assert_eq!(listed, swept, "usage: {block}");
+    }
+    let swept: Vec<&str> = SWEEP.iter().map(|(command, ..)| *command).collect();
+    assert_eq!(swept, SUBCOMMANDS);
 }
 
 /// A malformed `GENPIP_PARALLELISM` — one `--threads` would refuse, `0`
@@ -353,7 +464,7 @@ fn bare_script_attaches_and_attaches_beside_per_source_outputs_are_refused() {
         &["run", "--script", bare],
         &[],
         None,
-        "error: script line 1: \"attach a profile=ecoli\" has no `at COUNT`; a source \
+        "error: --script line 1: \"attach a profile=ecoli\" has no `at COUNT`; a source \
          the run starts with is a --source SPEC,name=NAME",
     );
     let live = script("attach", "at 3 attach b profile=ecoli\n");

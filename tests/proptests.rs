@@ -148,9 +148,9 @@ fn pipeline_makespan_bounds() {
         let jobs: Vec<Job> = services
             .iter()
             .enumerate()
-            .map(|(i, &ns)| Job::new(i as u32, 0, vec![SimTime::from_ns(ns as f64)]))
+            .map(|(i, &ns)| Job::new(i as u32, vec![SimTime::from_ns(ns as f64)]))
             .collect();
-        let mut sim = PipelineSim::new(vec![StageSpec::new("s", servers)]);
+        let sim = PipelineSim::new(vec![StageSpec::new("s", servers)]);
         let report = sim.run(&jobs);
         let total: u64 = services.iter().sum();
         let max = *services.iter().max().unwrap();
