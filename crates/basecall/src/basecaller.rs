@@ -192,12 +192,11 @@ impl Basecaller {
     /// Creates a basecaller for the given pore model and mean dwell time
     /// (samples per base) with the default quality calibration.
     ///
-    /// The decoder reads samples as given: the synthetic signals are already
-    /// on the pore-model's pA scale, and median/MAD normalization — which
-    /// keys on the *read's* sample distribution rather than the level table
-    /// — would introduce a composition-dependent scale error larger than the
-    /// level spacing. A caller with offset/gain-corrupted signals normalizes
-    /// them first ([`genpip_signal::normalize_to_model`]).
+    /// The decoder reads samples as given, on the pore model's pA scale: the
+    /// synthetic signals are generated there, and nothing here rescales
+    /// them. Median/MAD normalization, which keys on the *read's* sample
+    /// distribution rather than the level table, would introduce a
+    /// composition-dependent scale error larger than the level spacing.
     pub fn new(pore: &PoreModel, mean_dwell: f64) -> Basecaller {
         Basecaller {
             pore: pore.clone(),

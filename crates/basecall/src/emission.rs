@@ -5,8 +5,8 @@
 //! against the feature vector `[x², x, 1]` turns the whole per-sample
 //! computation into one matrix–vector multiplication with a `states × 3`
 //! weight matrix — the exact operation the paper's NVM crossbars perform
-//! in-situ (Section 2.2, Figure 2). `genpip-pim` replays these MVMs on its
-//! crossbar model; this module is the functional reference.
+//! in-situ (Section 2.2, Figure 2). This module computes those MVMs in
+//! `f32`; `genpip-pim` prices them per operation and models no crossbar.
 
 use genpip_signal::PoreModel;
 
@@ -67,12 +67,6 @@ impl EmissionModel {
         self.assumed_std
     }
 
-    /// The flattened row-major `states × 3` weight matrix — what gets
-    /// programmed into the PIM crossbar.
-    pub fn weights(&self) -> &[f32] {
-        &self.weights
-    }
-
     /// The feature vector for a sample.
     #[inline]
     pub fn features(x: f32) -> [f32; 3] {
@@ -95,9 +89,9 @@ impl EmissionModel {
     }
 
     /// Number of samples [`EmissionModel::log_likelihoods_block`] handles
-    /// per call. The block call is the crossbar's functional reference, kept
-    /// for the kernel bench and `benchmarks/`; no decode calls it (the
-    /// decoder reads the quantised table of `FixedPointModel`).
+    /// per call. The block call is kept for the kernel bench and
+    /// `benchmarks/`; no decode calls it (the decoder reads the quantised
+    /// table of `FixedPointModel`).
     pub const BLOCK: usize = 8;
 
     /// Computes emission log-likelihoods for up to [`EmissionModel::BLOCK`]
@@ -176,7 +170,7 @@ mod tests {
     fn dimensions_match_pore_model() {
         let (pore, em) = model();
         assert_eq!(em.states(), pore.states());
-        assert_eq!(em.weights().len(), pore.states() * 3);
+        assert_eq!(em.weights.len(), pore.states() * 3);
     }
 
     #[test]

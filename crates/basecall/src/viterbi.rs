@@ -12,8 +12,8 @@
 //! Scores are integers: log-probabilities in units of `1/S` nat, built once
 //! per basecaller by [`FixedPointModel::new`] from its pore model and
 //! transitions — the limited-precision arithmetic GenPIP's crossbars
-//! basecall with, where the [`EmissionModel`](crate::EmissionModel) `f32`
-//! weights stay the crossbar's functional reference.
+//! basecall with; the [`EmissionModel`](crate::EmissionModel) `f32`
+//! weights are the accuracy reference the tests hold the decode to.
 //!
 //! * **Emissions** are a table, `[bin][state]`, over
 //!   [`FixedPointModel::BINS`] equal current bins that span the model's

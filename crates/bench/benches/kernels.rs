@@ -2,16 +2,15 @@
 //!
 //! These measure the *real* wall-clock cost of this reproduction's
 //! implementations (not the modelled hardware times), one row per kernel:
-//! the MVM emission kernel, CAM search, Viterbi chunk decoding
-//! (allocation-free scratch path) and its stages on their own — the DP rows
-//! as dispatched and through the portable body, the traceback, the
-//! base/quality assembly — chunk normalization, minimizer extraction,
-//! chaining DP (one diagonal, and two interleaved), the reference index
-//! build, the seed path (sketch, index lookup, chain) on one query,
-//! pan-genome mapping against 1 vs 3 named references, banded alignment, one
-//! read basecalled and mapped end to end, one GSC record decoded and one
-//! FASTQ record written (the replay path's serial I/O), and the pipeline
-//! simulator.
+//! the MVM emission kernel, Viterbi chunk decoding (allocation-free scratch
+//! path) and its stages on their own — the DP rows as dispatched and
+//! through the portable body, the traceback, the base/quality assembly —
+//! minimizer extraction, chaining DP (one diagonal, and two interleaved),
+//! the reference index build, the seed path (sketch, index lookup, chain)
+//! on one query, pan-genome mapping against 1 vs 3 named references, banded
+//! alignment, one read basecalled and mapped end to end, one GSC record
+//! decoded and one FASTQ record written (the replay path's serial I/O), and
+//! the pipeline simulator.
 //!
 //! Results are printed as a table and written to `BENCH_kernels.json` at the
 //! repo root so future PRs have a perf trajectory to compare against. Every
@@ -33,8 +32,7 @@ use genpip_mapping::{
     minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, Mapper, MapperParams,
     MinimizerScratch, ReferenceIndex, ReferenceSet, SeedBatch, SeedScratch,
 };
-use genpip_pim::{CamBank, CrossbarArray};
-use genpip_signal::{normalize_to_model, PoreModel, SignalSynthesizer};
+use genpip_signal::{PoreModel, SignalSynthesizer};
 use std::hint::black_box;
 
 /// Best SIMD extension the host advertises, recorded next to
@@ -91,24 +89,6 @@ fn main() {
                 block[0]
             },
         ));
-        let mut xbar = CrossbarArray::new(3, 64);
-        xbar.program(&vec![0.5f32; 3 * 64]);
-        results.push(bench("mvm/crossbar_64x3", None, || {
-            xbar.mvm(black_box(&[1.0, 2.0, 3.0]))
-        }));
-    }
-
-    // --- CAM search ---
-    {
-        let keys: Vec<u64> = (0..100_000u64)
-            .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
-            .collect();
-        let mut bank = CamBank::build(keys.iter().copied(), 128);
-        let mut i = 0usize;
-        results.push(bench("cam/search_100k_keys", None, || {
-            i = (i + 1) % keys.len();
-            bank.search(black_box(keys[i]))
-        }));
     }
 
     // --- Viterbi chunk decode (the dominant kernel), scratch-reuse path ---
@@ -177,19 +157,6 @@ fn main() {
                     )
                     .bases
                     .len()
-            },
-        ));
-
-        // Median/MAD normalization of the same chunk (off in the pipeline's
-        // basecaller, so not a term of the chunk row): two full sorts and
-        // three `Vec`s per call today.
-        let mut normalized = sig.samples.clone();
-        results.push(bench(
-            &format!("signal/normalize_chunk_{n}"),
-            Some((n as f64, "samples")),
-            || {
-                normalized.copy_from_slice(&sig.samples);
-                normalize_to_model(black_box(&mut normalized), &pore).mad
             },
         ));
     }

@@ -62,7 +62,6 @@
 
 pub mod analysis;
 pub mod config;
-pub mod controller;
 pub mod early_reject;
 pub mod engine;
 pub mod experiments;

@@ -3,8 +3,9 @@
 //! The paper's Figure 1 ⓐ: an offline pass extracts minimizers from the
 //! reference genome and stores them in a key–value hash table (minimizer →
 //! locations). GenPIP materializes this table inside ReRAM CAM (keys) and
-//! RAM (values) arrays; this module is the functional reference whose
-//! contents get "programmed" into the `genpip-pim` seeding-unit model.
+//! RAM (values) arrays; this module is the table itself, and
+//! `genpip-pim`'s seeding module prices its lookups per base shift and per
+//! location returned.
 
 use crate::minimizer::{minimizers, Minimizer};
 use crate::RefPos;
@@ -27,9 +28,7 @@ pub struct RefHit {
 /// Hash table from minimizer hash to reference locations.
 ///
 /// Each key's hit list is in ascending position order (the sketch is walked
-/// left to right), so any contiguous position range of the reference owns a
-/// sub-slice of every hit list — the property the `genpip-pim` seeding
-/// loader uses to lay this one table out across CAM subarray groups.
+/// left to right).
 ///
 /// The keys are already [`hash64`](crate::minimizer::hash64) outputs, an
 /// invertible mix, so the table does not run them through std's keyed
@@ -42,9 +41,7 @@ pub struct RefHit {
 /// which pick the bucket, as uniform as the keys' own. The keys derive from
 /// the reference the operator supplies, not from untrusted input: a
 /// reference crafted so that its minimizer hashes share their low bits
-/// could cluster buckets and slow the build. Iteration order is
-/// unspecified, as it was under the default hasher's per-process random
-/// keys; the PIM loader sorts the keys it programs.
+/// could cluster buckets and slow the build.
 #[derive(Debug, Clone)]
 pub struct ReferenceIndex {
     k: usize,
@@ -52,7 +49,6 @@ pub struct ReferenceIndex {
     genome_len: usize,
     base_offset: RefPos,
     table: HashMap<u64, Vec<RefHit>, BuildHasherDefault<KeyHasher>>,
-    max_occurrences: usize,
 }
 
 /// The index table's hasher: one multiply by an odd constant (the 64-bit
@@ -81,9 +77,9 @@ impl Hasher for KeyHasher {
 }
 
 impl ReferenceIndex {
-    /// Default cap on hits per minimizer: more frequent minimizers are
-    /// treated as repetitive and skipped at query time (minimap2's
-    /// `--mask-level` analogue).
+    /// Cap on hits per minimizer: more frequent minimizers are treated as
+    /// repetitive and skipped at query time (minimap2's `--mask-level`
+    /// analogue).
     pub const DEFAULT_MAX_OCCURRENCES: usize = 128;
 
     /// Builds the index of `genome` with minimizer parameters `(k, w)`.
@@ -116,19 +112,7 @@ impl ReferenceIndex {
             genome_len: genome.len(),
             base_offset,
             table,
-            max_occurrences: Self::DEFAULT_MAX_OCCURRENCES,
         }
-    }
-
-    /// Adjusts the repetitive-minimizer cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is 0.
-    pub fn with_max_occurrences(mut self, cap: usize) -> ReferenceIndex {
-        assert!(cap > 0, "occurrence cap must be positive");
-        self.max_occurrences = cap;
-        self
     }
 
     /// Minimizer k-mer length.
@@ -139,11 +123,6 @@ impl ReferenceIndex {
     /// Minimizer window size.
     pub fn w(&self) -> usize {
         self.w
-    }
-
-    /// Length of the indexed genome.
-    pub fn genome_len(&self) -> usize {
-        self.genome_len
     }
 
     /// First coordinate of the index's position space (0 unless built with
@@ -168,53 +147,14 @@ impl ReferenceIndex {
         self.table.values().map(Vec::len).sum()
     }
 
-    /// The repetitive-minimizer cap ([`ReferenceIndex::with_max_occurrences`]).
-    pub fn max_occurrences(&self) -> usize {
-        self.max_occurrences
-    }
-
-    /// Number of (key, location) entries hidden by the repetitive cap — keys
-    /// with more than `max_occurrences` hits, which [`ReferenceIndex::lookup`]
-    /// reports as empty.
-    pub fn masked_entries(&self) -> usize {
-        self.table
-            .values()
-            .filter(|hits| hits.len() > self.max_occurrences)
-            .map(Vec::len)
-            .sum()
-    }
-
     /// Looks up a query minimizer, returning its reference hits, or an empty
-    /// slice if the key is absent **or** more frequent than the repetitive
-    /// cap.
+    /// slice if the key is absent **or** has more than
+    /// [`ReferenceIndex::DEFAULT_MAX_OCCURRENCES`] hits.
     pub fn lookup(&self, m: &Minimizer) -> &[RefHit] {
-        self.lookup_hash(m.hash)
-    }
-
-    /// Looks up by raw hash (used by the PIM CAM model, which stores hashes
-    /// directly).
-    pub fn lookup_hash(&self, hash: u64) -> &[RefHit] {
-        match self.table.get(&hash) {
-            Some(hits) if hits.len() <= self.max_occurrences => hits,
+        match self.table.get(&m.hash) {
+            Some(hits) if hits.len() <= Self::DEFAULT_MAX_OCCURRENCES => hits,
             _ => &[],
         }
-    }
-
-    /// Iterates over all `(hash, hits)` pairs, **including** keys above the
-    /// repetitive cap that [`ReferenceIndex::lookup`] masks. Loaders that
-    /// program query-visible state (the PIM CAM/RAM image) must use
-    /// [`ReferenceIndex::iter_unmasked`] instead, or they will count rows the
-    /// functional model never reads.
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &Vec<RefHit>)> {
-        self.table.iter()
-    }
-
-    /// Iterates over exactly the `(hash, hits)` pairs [`ReferenceIndex::lookup`]
-    /// can return — keys at or below the repetitive cap.
-    pub fn iter_unmasked(&self) -> impl Iterator<Item = (&u64, &Vec<RefHit>)> {
-        self.table
-            .iter()
-            .filter(|(_, hits)| hits.len() <= self.max_occurrences)
     }
 }
 
@@ -248,7 +188,7 @@ mod tests {
         let sketch = minimizers(g.sequence(), 15, 10);
         assert_eq!(idx.total_entries(), sketch.len());
         assert!(idx.distinct_minimizers() <= sketch.len());
-        assert_eq!(idx.genome_len(), 10_000);
+        assert_eq!(idx.coord_end(), 10_000);
         assert_eq!((idx.k(), idx.w()), (15, 10));
     }
 
@@ -262,56 +202,35 @@ mod tests {
             reverse: false,
         };
         assert!(idx.lookup(&phantom).is_empty());
-        assert!(idx.lookup_hash(0xDEAD_BEEF_DEAD_BEEF).is_empty());
     }
 
     #[test]
     fn repetitive_minimizers_are_masked() {
-        // A genome that is one repeated unit makes every minimizer highly
-        // repetitive; with a low cap all lookups come back empty.
-        let unit = genome(400, 4);
-        let mut seq = genpip_genomics::DnaSeq::new();
-        for _ in 0..50 {
-            seq.extend_from_seq(unit.sequence());
-        }
-        let g = Genome::from_seq("repeats", seq);
-        let idx = ReferenceIndex::build(&g, 15, 10).with_max_occurrences(4);
-        let masked = minimizers(g.sequence(), 15, 10)
-            .iter()
-            .filter(|m| idx.lookup(m).is_empty())
-            .count();
-        let total = minimizers(g.sequence(), 15, 10).len();
-        assert!(
-            masked as f64 / total as f64 > 0.9,
-            "only {masked}/{total} masked"
-        );
-    }
-
-    #[test]
-    fn iter_visits_all_entries() {
-        let g = genome(5_000, 5);
+        // A genome that is one unit repeated more often than the cap makes
+        // every minimizer repetitive: all lookups come back empty. At
+        // exactly the cap, every hit list is still returned.
+        let repeats = |copies: usize| {
+            let unit = genome(400, 4);
+            let mut seq = genpip_genomics::DnaSeq::new();
+            for _ in 0..copies {
+                seq.extend_from_seq(unit.sequence());
+            }
+            Genome::from_seq("repeats", seq)
+        };
+        let cap = ReferenceIndex::DEFAULT_MAX_OCCURRENCES;
+        let g = repeats(cap + 22);
         let idx = ReferenceIndex::build(&g, 15, 10);
-        let visited: usize = idx.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(visited, idx.total_entries());
-    }
-
-    #[test]
-    fn iter_unmasked_visits_exactly_the_queryable_entries() {
-        // Repeat-heavy genome with a low cap: `iter` still sees everything,
-        // `iter_unmasked` sees only what `lookup` can return.
-        let unit = genome(400, 6);
-        let mut seq = genpip_genomics::DnaSeq::new();
-        for _ in 0..20 {
-            seq.extend_from_seq(unit.sequence());
-        }
-        let g = Genome::from_seq("repeats", seq);
-        let idx = ReferenceIndex::build(&g, 15, 10).with_max_occurrences(4);
-        assert!(idx.masked_entries() > 0, "test genome must mask something");
-        let unmasked: usize = idx.iter_unmasked().map(|(_, v)| v.len()).sum();
-        assert_eq!(unmasked, idx.total_entries() - idx.masked_entries());
-        for (hash, hits) in idx.iter_unmasked() {
-            assert!(hits.len() <= idx.max_occurrences());
-            assert_eq!(idx.lookup_hash(*hash).len(), hits.len());
+        let sketch = minimizers(g.sequence(), 15, 10);
+        let masked = sketch.iter().filter(|m| idx.lookup(m).is_empty()).count();
+        assert!(
+            masked as f64 / sketch.len() as f64 > 0.9,
+            "only {masked}/{} masked",
+            sketch.len()
+        );
+        let g = repeats(cap);
+        let idx = ReferenceIndex::build(&g, 15, 10);
+        for m in minimizers(g.sequence(), 15, 10) {
+            assert!(!idx.lookup(&m).is_empty(), "minimizer at {} masked", m.pos);
         }
     }
 
@@ -326,8 +245,9 @@ mod tests {
         assert_eq!(shifted.base_offset(), offset);
         assert_eq!(shifted.coord_end(), offset + 5_000);
         assert_eq!(shifted.total_entries(), plain.total_entries());
-        for (hash, hits) in plain.iter() {
-            let moved = shifted.lookup_hash(*hash);
+        for m in minimizers(g.sequence(), 15, 10) {
+            let (hits, moved) = (plain.lookup(&m), shifted.lookup(&m));
+            assert!(!hits.is_empty());
             assert_eq!(moved.len(), hits.len());
             for (a, b) in hits.iter().zip(moved) {
                 assert_eq!(b.pos, offset + a.pos);

@@ -7,9 +7,8 @@
 //!    reference genome and store them in one hash table ([`ReferenceIndex`])
 //!    keyed by minimizer hash, valued by reference positions in ascending
 //!    order. GenPIP holds this table in its ReRAM CAM/RAM seeding unit (paper
-//!    Section 4.4); how the table is spread over CAM subarray groups is a
-//!    storage layout computed by `genpip-pim`'s seeding loader, not a
-//!    property of the index.
+//!    Section 4.4), which `genpip-pim` prices per lookup without laying the
+//!    table out.
 //! 2. **Seeding** ([`seed`]) — query the read's minimizers against the table
 //!    (one probe each) to produce *anchors* (query-position,
 //!    reference-position pairs).

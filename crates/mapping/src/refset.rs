@@ -1,8 +1,8 @@
 //! Multi-reference (pan-genome) mapping.
 //!
 //! A [`ReferenceSet`] holds several named references — each with its own
-//! minimizer index, its own coordinate space, and (on the hardware side) its
-//! own family of CAM subarray groups — and fans one read across all of them.
+//! minimizer index and its own coordinate space — and fans one read across
+//! all of them.
 //! The query is sketched **once** (minimizers depend only on the sequence
 //! and the shared `(k, w)`), seeded against every reference's index, chained
 //! and finalized per reference, and the per-reference candidates are merged

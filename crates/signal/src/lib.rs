@@ -11,9 +11,7 @@
 //!   slowly varying per-read profile (so chunk quality scores are correlated
 //!   along a read, as the paper's Figure 7 shows), and baseline drift,
 //! * [`chunk::chunk_boundaries`] — the fixed-size signal chunks the
-//!   basecaller and GenPIP's chunk-based pipeline operate on,
-//! * [`normalize`] — median/MAD normalization, the standard preprocessing
-//!   step real basecallers apply before inference.
+//!   basecaller and GenPIP's chunk-based pipeline operate on.
 //!
 //! # Example
 //!
@@ -30,12 +28,10 @@
 //! ```
 
 pub mod chunk;
-pub mod normalize;
 pub mod pore;
 pub mod synth;
 
 pub use chunk::{chunk_boundaries, ChunkSpec};
-pub use normalize::{normalize_to_model, NormalizationStats};
 pub use pore::PoreModel;
 pub use synth::{NoiseProfile, ReadSignal, SignalSynthesizer};
 

@@ -148,22 +148,6 @@ impl PoreModel {
         self.event_std
     }
 
-    /// Median of all level means — the normalization target.
-    pub fn median_level(&self) -> f32 {
-        let mut sorted = self.levels.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("levels are finite"));
-        sorted[sorted.len() / 2]
-    }
-
-    /// Mean absolute deviation of the level table around its median — the
-    /// normalization scale target.
-    pub fn mad_level(&self) -> f32 {
-        let med = self.median_level();
-        let mut devs: Vec<f32> = self.levels.iter().map(|l| (l - med).abs()).collect();
-        devs.sort_by(|a, b| a.partial_cmp(b).expect("levels are finite"));
-        devs[devs.len() / 2]
-    }
-
     /// The sequence of level means produced by sliding the pore over `seq`
     /// (one entry per position where a full k-mer fits).
     pub fn trace(&self, seq: &DnaSeq) -> Vec<f32> {
@@ -251,15 +235,6 @@ mod tests {
         let m = PoreModel::synthetic(3, 7);
         let seq: DnaSeq = "ACGTACGT".parse().unwrap();
         assert_eq!(m.trace(&seq).len(), 6);
-    }
-
-    #[test]
-    fn median_and_mad_are_sane() {
-        let m = PoreModel::synthetic(3, 7);
-        let med = m.median_level();
-        assert!(med > PoreModel::CURRENT_MIN && med < PoreModel::CURRENT_MAX);
-        let mad = m.mad_level();
-        assert!(mad > 1.0 && mad < 60.0, "mad {mad}");
     }
 
     #[test]

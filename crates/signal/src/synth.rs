@@ -21,8 +21,7 @@ pub struct NoiseProfile {
     pub sigma_wander: f64,
     /// Correlation length of the wander, in bases.
     pub wander_corr_bases: f64,
-    /// Linear baseline drift in pA per 1000 samples (removed by
-    /// normalization; exercises that code path).
+    /// Linear baseline drift in pA per 1000 samples.
     pub drift_per_kilosample: f64,
 }
 

@@ -5,7 +5,7 @@
 
 use genpip_genomics::rng::{seeded, Rng, SeededRng};
 use genpip_genomics::{Base, DnaSeq};
-use genpip_signal::{chunk_boundaries, normalize_to_model, PoreModel, SignalSynthesizer};
+use genpip_signal::{chunk_boundaries, PoreModel, SignalSynthesizer};
 
 const CASES: u64 = 64;
 
@@ -55,52 +55,6 @@ fn synthesis_sample_count_matches_truth_index() {
         } else {
             assert!(sig.samples.is_empty());
         }
-    }
-}
-
-#[test]
-fn normalization_is_affine_invariant() {
-    let mut checked = 0usize;
-    for case in 0..CASES {
-        let mut rng = seeded(0xAF ^ case);
-        let seq = arb_dna(&mut rng, 50, 300);
-        let offset = rng.random_range(-200.0f32..200.0);
-        let gain = rng.random_range(0.2f32..5.0);
-        let model = PoreModel::synthetic(3, 7);
-        let synth = SignalSynthesizer::new(model.clone());
-        let sig = synth.synthesize(&seq, 1.0, case);
-        if sig.samples.len() < 16 {
-            continue;
-        }
-        checked += 1;
-        let mut reference = sig.samples.clone();
-        normalize_to_model(&mut reference, &model);
-        let mut corrupted: Vec<f32> = sig.samples.iter().map(|x| x * gain + offset).collect();
-        normalize_to_model(&mut corrupted, &model);
-        for (a, b) in corrupted.iter().zip(&reference) {
-            assert!((a - b).abs() < 0.6, "{a} vs {b}");
-        }
-    }
-    assert!(
-        checked > CASES as usize / 2,
-        "only {checked} cases exercised"
-    );
-}
-
-#[test]
-fn normalized_median_hits_model_median() {
-    for case in 0..CASES {
-        let mut rng = seeded(0x3D ^ case);
-        let seq = arb_dna(&mut rng, 60, 300);
-        let model = PoreModel::synthetic(3, 7);
-        let synth = SignalSynthesizer::new(model.clone());
-        let mut sig = synth.synthesize(&seq, 2.0, case);
-        assert!(!sig.samples.is_empty());
-        normalize_to_model(&mut sig.samples, &model);
-        let mut sorted = sig.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = sorted[sorted.len() / 2];
-        assert!((median - model.median_level()).abs() < 1.0);
     }
 }
 

@@ -349,6 +349,11 @@ fn scale_from(parsed: &Parsed, default: f64) -> Result<f64, String> {
 fn cmd_simulate(parsed: &Parsed) -> Result<(), String> {
     let profile = profile_from(parsed)?;
     let prefix = opt(parsed, "out").ok_or("simulate needs --out <prefix>")?;
+    let fasta_path = format!("{prefix}.fasta");
+    let fastq_path = format!("{prefix}.fastq");
+    // Both outputs exist before the banner, so a bad --out fails at once.
+    let create = |path: &str| File::create(path).map_err(|e| format!("--out {path}: {e}"));
+    let (fasta, fastq) = (create(&fasta_path)?, create(&fastq_path)?);
     println!(
         "simulating {} ({} reads, {} bp genome)…",
         profile.name, profile.n_reads, profile.genome_len
@@ -356,12 +361,10 @@ fn cmd_simulate(parsed: &Parsed) -> Result<(), String> {
     let dataset = profile.generate();
     let reads = experiments::tab01::basecall_dataset(&dataset);
 
-    let fasta_path = format!("{prefix}.fasta");
-    let fastq_path = format!("{prefix}.fastq");
-    let fasta = File::create(&fasta_path).map_err(|e| e.to_string())?;
-    fastx::write_fasta(BufWriter::new(fasta), &dataset.reference).map_err(|e| e.to_string())?;
-    let fastq = File::create(&fastq_path).map_err(|e| e.to_string())?;
-    fastx::write_fastq(BufWriter::new(fastq), &reads).map_err(|e| e.to_string())?;
+    fastx::write_fasta(BufWriter::new(fasta), &dataset.reference)
+        .map_err(|e| format!("--out {fasta_path}: {e}"))?;
+    fastx::write_fastq(BufWriter::new(fastq), &reads)
+        .map_err(|e| format!("--out {fastq_path}: {e}"))?;
     println!(
         "wrote {fasta_path} (reference) and {fastq_path} ({} basecalled reads)",
         reads.len()
@@ -372,6 +375,9 @@ fn cmd_simulate(parsed: &Parsed) -> Result<(), String> {
 fn cmd_pack(parsed: &Parsed) -> Result<(), String> {
     let profile = profile_from(parsed)?;
     let out = opt(parsed, "out").ok_or("pack needs --out <file.gsc>")?;
+    // Created before the banner so a bad --out fails at once;
+    // `pack_source` truncates and rewrites it.
+    File::create(out).map_err(|e| format!("--out {out}: {e}"))?;
     println!(
         "packing {} ({} reads, {} bp genome) into {out}…",
         profile.name, profile.n_reads, profile.genome_len
@@ -476,6 +482,14 @@ fn cmd_map(parsed: &Parsed) -> Result<(), String> {
         return Err("map needs --reference (repeat the flag for a pan-genome panel)".into());
     }
     let reads_path = opt(parsed, "reads").ok_or("map needs --reads")?;
+    // Created before any input is read, so a bad --paf fails at once.
+    let paf = match opt(parsed, "paf") {
+        Some(path) => Some((
+            path,
+            File::create(path).map_err(|e| format!("--paf {path}: {e}"))?,
+        )),
+        None => None,
+    };
     let mut genomes = Vec::with_capacity(reference_paths.len());
     for path in reference_paths {
         let genome = fastx::read_fasta(BufReader::new(
@@ -513,10 +527,9 @@ fn cmd_map(parsed: &Parsed) -> Result<(), String> {
             None => unmapped += 1,
         }
     }
-    match opt(parsed, "paf") {
-        Some(path) => {
-            let f = File::create(path).map_err(|e| e.to_string())?;
-            write_paf(BufWriter::new(f), &records).map_err(|e| e.to_string())?;
+    match paf {
+        Some((path, f)) => {
+            write_paf(BufWriter::new(f), &records).map_err(|e| format!("--paf {path}: {e}"))?;
             eprintln!(
                 "wrote {} records to {path} ({unmapped} unmapped)",
                 records.len()
@@ -1095,7 +1108,7 @@ fn open_fastq_sinks(
             format!("{path}.{}", spec.name)
         };
         let file = match resume {
-            None => File::create(&path).map_err(|e| format!("{path}: {e}"))?,
+            None => File::create(&path).map_err(|e| format!("--fastq-out {path}: {e}"))?,
             Some(ckpt) => {
                 let bytes = ckpt.fastq_for(&spec.name).map(|m| m.bytes).unwrap_or(0);
                 // Keep the file's prefix: resume truncates to the
@@ -1106,11 +1119,11 @@ fn open_fastq_sinks(
                     .create(true)
                     .truncate(false)
                     .open(&path)
-                    .map_err(|e| format!("{path}: {e}"))?;
-                file.set_len(bytes).map_err(|e| format!("{path}: {e}"))?;
+                    .map_err(|e| format!("--fastq-out {path}: {e}"))?;
+                file.set_len(bytes)
+                    .map_err(|e| format!("--fastq-out {path}: {e}"))?;
                 file.seek(SeekFrom::Start(bytes))
-                    .map_err(|e| format!("{path}: {e}"))?;
-                println!("  resuming {path} at byte {bytes}");
+                    .map_err(|e| format!("--fastq-out {path}: {e}"))?;
                 file
             }
         };
@@ -1189,17 +1202,7 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
             return Err("--resume needs every source to be a seekable file= container".into())
         }
         Some(path) => {
-            let file = CheckpointFile::load(path).map_err(|e| format!("--resume {path}: {e}"))?;
-            // `complete` marks a finalized cut (the prior session wound
-            // down cleanly, e.g. after a drain); a mid-run cut means the
-            // run was killed between checkpoints. Both resume the same way.
-            let cut = if file.complete {
-                "finalized"
-            } else {
-                "mid-run"
-            };
-            println!("resuming from {path} ({cut} cut)");
-            Some(file)
+            Some(CheckpointFile::load(path).map_err(|e| format!("--resume {path}: {e}"))?)
         }
     };
     // What each source already delivered before this process started.
@@ -1213,6 +1216,27 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
                     .ok_or_else(|| format!("checkpoint has no entry for source {:?}", spec.name))?;
                 base_marks.push((mark.emitted, mark.failed));
             }
+        }
+    }
+    // The FASTQ outputs exist before any banner or work, so a bad
+    // --fastq-out fails at once.
+    let fastq_sinks = match fastq_out {
+        None => Vec::new(),
+        Some(path) => open_fastq_sinks(path, &specs, resume.as_ref())?,
+    };
+    if let (Some(path), Some(ckpt)) = (resume_path, &resume) {
+        // `complete` marks a finalized cut (the prior session wound down
+        // cleanly, e.g. after a drain); a mid-run cut means the run was
+        // killed between checkpoints. Both resume the same way.
+        let cut = if ckpt.complete {
+            "finalized"
+        } else {
+            "mid-run"
+        };
+        println!("resuming from {path} ({cut} cut)");
+        for ((fastq, _), spec) in fastq_sinks.iter().zip(&specs) {
+            let bytes = ckpt.fastq_for(&spec.name).map_or(0, |m| m.bytes);
+            println!("  resuming {fastq} at byte {bytes}");
         }
     }
 
@@ -1260,10 +1284,6 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
     if !steps.is_empty() {
         println!("script: {} step(s)", steps.len());
     }
-    let fastq_sinks = match fastq_out {
-        None => Vec::new(),
-        Some(path) => open_fastq_sinks(path, &specs, resume.as_ref())?,
-    };
     let control = SessionControl::new();
     let attached_names = steps.iter().filter_map(|s| match &s.action {
         ScriptAction::Attach(spec) => Some(spec.name.len()),

@@ -9,11 +9,11 @@
 //! | module | contents |
 //! |---|---|
 //! | [`genomics`] | sequences, k-mers, qualities, reads, synthetic genomes, error models |
-//! | [`signal`] | pore model, raw-signal synthesis, chunking, normalization |
+//! | [`signal`] | pore model, raw-signal synthesis, chunking |
 //! | [`basecall`] | MVM-emission Viterbi basecaller with per-base qualities |
 //! | [`mapping`] | minimizer index, seeding, chaining DP, banded alignment |
 //! | [`sim`] | deterministic pipeline scheduler and energy accounting |
-//! | [`pim`] | NVM crossbar / CAM models, GenPIP hardware modules, Table 2 |
+//! | [`pim`] | GenPIP hardware modules as cost models, Table 2 |
 //! | [`datasets`] | synthetic E. coli / human dataset profiles |
 //! | [`io`] | on-disk GSC signal containers, seekable file sources, checkpoint files |
 //! | [`core`] | chunk-based pipeline, early rejection, system models, experiments |

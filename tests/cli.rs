@@ -160,6 +160,16 @@ const SWEEP: [SweepRow; 6] = [
     ),
 ];
 
+/// The options that name a file to write. Each also sweeps `unwritable`, a
+/// path inside a directory that does not exist: it is refused before any
+/// banner or work, naming the flag.
+const OUTPUTS: [(&str, &str); 4] = [
+    ("simulate", "--out"),
+    ("map", "--paf"),
+    ("pack", "--out"),
+    ("run", "--fastq-out"),
+];
+
 /// The (subcommand, option, value) cases of the sweep below that are
 /// documented accepted values rather than mistakes: a progress cadence of 0
 /// turns the lines off, a fault rate of 0 injects nothing, an output path
@@ -248,7 +258,8 @@ fn the_removed_shards_option_is_rejected_everywhere() {
 }
 
 /// The option sweep: every option of every subcommand × {missing value,
-/// `0`, `-1`, garbage, given twice}, and the positional argument of
+/// `0`, `-1`, garbage, given twice}, every output option of [`OUTPUTS`]
+/// also × an unwritable path, and the positional argument of
 /// `inspect` and `experiment` × {left out, `0`, `-1`, garbage, given
 /// twice}. Each case is refused before any banner — exit nonzero, the flag
 /// (or the positional's name) on stderr, nothing on stdout, no panic — or
@@ -317,7 +328,11 @@ fn every_run_option_refuses_a_bad_value_before_any_banner() {
                 ("x", &[flag, "x"]),
                 ("twice", twice),
             ];
-            for (case, extra) in cases {
+            let unwritable: &[&str] = &[flag, "no-such-dir/out"];
+            let unwritable = OUTPUTS
+                .contains(&(command, flag))
+                .then_some(("unwritable", unwritable));
+            for (case, extra) in cases.into_iter().chain(unwritable) {
                 check(
                     command,
                     flag,
