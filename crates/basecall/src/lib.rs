@@ -16,7 +16,7 @@
 //! the operation an NVM crossbar executes in one read cycle. The PIM timing
 //! and energy models in `genpip-pim` are therefore driven by the *measured*
 //! MVM counts this crate reports, and the substitution preserves the compute
-//! pattern Helix accelerates (see DESIGN.md §1).
+//! pattern Helix accelerates (see README.md, "Viterbi DP row").
 //!
 //! Per-base quality scores derive from the normalized residual between the
 //! observed samples and the decoded state's expected level, calibrated so

@@ -276,33 +276,6 @@ impl FixedPointModel {
     }
 }
 
-/// Result of decoding one chunk of samples (owning variant, produced by
-/// [`decode`]; the allocation-free path is [`decode_with`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodeOutcome {
-    /// Decoded state per sample.
-    pub states: Vec<u16>,
-    /// `true` at sample `t` if the path advanced into a new k-mer at `t`
-    /// (always `false` at sample 0: the initial state "appears" rather than
-    /// advances).
-    pub advanced: Vec<bool>,
-    /// Score of the winning path (quantised emissions + transitions), in
-    /// nats: the integer score divided by `S`.
-    pub score: f64,
-    /// Number of emission MVMs performed (= number of samples).
-    pub mvm_ops: usize,
-    /// Number of Viterbi DP cells computed (= samples × states).
-    pub cells: usize,
-}
-
-impl DecodeOutcome {
-    /// The state occupying the pore after the last sample; feed this into the
-    /// next chunk's decode as `init_state` to stitch chunks together.
-    pub fn final_state(&self) -> Option<u16> {
-        self.states.last().copied()
-    }
-}
-
 /// Scalar results of an in-place decode; the state path lives in the
 /// [`DecodeScratch`] that was passed in.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -600,27 +573,6 @@ impl Transitions {
     }
 }
 
-/// Decodes `samples` into the maximum-likelihood state path, allocating the
-/// result.
-///
-/// Convenience wrapper over [`decode_with`] for one-shot callers; hot loops
-/// should own a [`DecodeScratch`] and call [`decode_with`] instead.
-///
-/// # Panics
-///
-/// As [`decode_with`]: if `init_state` is not a state of `model`.
-pub fn decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u16>) -> DecodeOutcome {
-    let mut scratch = DecodeScratch::new();
-    let stats = decode_with(model, samples, init_state, &mut scratch);
-    DecodeOutcome {
-        states: scratch.states,
-        advanced: scratch.advanced,
-        score: stats.score,
-        mvm_ops: stats.mvm_ops,
-        cells: stats.cells,
-    }
-}
-
 /// Decodes `samples` into the maximum-likelihood state path, writing the
 /// per-sample states and advance flags into `scratch`.
 ///
@@ -742,6 +694,17 @@ mod tests {
         (pore, model)
     }
 
+    /// One decode in a fresh workspace, which holds the state path.
+    fn decode(
+        model: &FixedPointModel,
+        samples: &[f32],
+        init: Option<u16>,
+    ) -> (DecodeStats, DecodeScratch) {
+        let mut scratch = DecodeScratch::new();
+        let stats = decode_with(model, samples, init, &mut scratch);
+        (stats, scratch)
+    }
+
     /// Builds a clean signal that dwells `dwell` samples in each state of
     /// `path` (which must be a valid k-mer walk).
     fn signal_for(pore: &PoreModel, path: &[u16], dwell: usize) -> Vec<f32> {
@@ -757,9 +720,9 @@ mod tests {
     #[test]
     fn empty_input_empty_output() {
         let (_, model) = setup();
-        let out = decode(&model, &[], None);
-        assert!(out.states.is_empty());
-        assert_eq!(out.mvm_ops, 0);
+        let (stats, out) = decode(&model, &[], None);
+        assert!(out.states().is_empty());
+        assert_eq!(stats.mvm_ops, 0);
         assert_eq!(out.final_state(), None);
     }
 
@@ -773,17 +736,17 @@ mod tests {
             assert_eq!((w[1] >> 2), w[0] & 0b001111);
         }
         let samples = signal_for(&pore, &path, 8);
-        let out = decode(&model, &samples, None);
+        let (stats, out) = decode(&model, &samples, None);
         // Decoded dwell blocks must match the path.
-        let mut decoded_path = vec![out.states[0]];
-        for t in 1..out.states.len() {
-            if out.advanced[t] {
-                decoded_path.push(out.states[t]);
+        let mut decoded_path = vec![out.states()[0]];
+        for t in 1..out.states().len() {
+            if out.advanced()[t] {
+                decoded_path.push(out.states()[t]);
             }
         }
         assert_eq!(decoded_path, path);
-        assert_eq!(out.mvm_ops, samples.len());
-        assert_eq!(out.cells, samples.len() * model.states());
+        assert_eq!(stats.mvm_ops, samples.len());
+        assert_eq!(stats.cells, samples.len() * model.states());
     }
 
     #[test]
@@ -798,8 +761,8 @@ mod tests {
             legal.push(s);
         }
         let samples = signal_for(&pore, &legal, 10);
-        let out = decode(&model, &samples, None);
-        let advances = out.advanced.iter().filter(|&&a| a).count();
+        let (_, out) = decode(&model, &samples, None);
+        let advances = out.advanced().iter().filter(|&&a| a).count();
         assert_eq!(advances, legal.len() - 1);
     }
 
@@ -814,16 +777,16 @@ mod tests {
         }
         let samples = signal_for(&pore, &states, 8);
         let (first, second) = samples.split_at(samples.len() / 2);
-        let a = decode(&model, first, None);
-        let b = decode(&model, second, a.final_state());
+        let (_, a) = decode(&model, first, None);
+        let (_, b) = decode(&model, second, a.final_state());
         // The stitched decode must start where the previous chunk ended (or
         // one advance past it).
         let boundary_state = a.final_state().unwrap();
         let succs: Vec<u16> = (0..4).map(|c| ((boundary_state << 2) | c) & 63).collect();
         assert!(
-            b.states[0] == boundary_state || succs.contains(&b.states[0]),
+            b.states()[0] == boundary_state || succs.contains(&b.states()[0]),
             "chunk 2 starts at {} which is neither {} nor its successor",
-            b.states[0],
+            b.states()[0],
             boundary_state
         );
     }
@@ -848,13 +811,11 @@ mod tests {
             for (i, x) in samples.iter_mut().enumerate() {
                 *x += ((i * 2654435761) % 97) as f32 * 0.01 - 0.48;
             }
-            let fresh = decode(&model, &samples, carry);
+            let (fresh_stats, fresh) = decode(&model, &samples, carry);
             let stats = decode_with(&model, &samples, carry, &mut scratch);
-            assert_eq!(scratch.states(), &fresh.states[..], "seed {seed}");
-            assert_eq!(scratch.advanced(), &fresh.advanced[..], "seed {seed}");
-            assert_eq!(stats.score, fresh.score, "seed {seed}");
-            assert_eq!(stats.mvm_ops, fresh.mvm_ops);
-            assert_eq!(stats.cells, fresh.cells);
+            assert_eq!(scratch.states(), fresh.states(), "seed {seed}");
+            assert_eq!(scratch.advanced(), fresh.advanced(), "seed {seed}");
+            assert_eq!(stats, fresh_stats, "seed {seed}");
             assert_eq!(scratch.final_state(), fresh.final_state());
             carry = fresh.final_state();
         }
@@ -870,7 +831,7 @@ mod tests {
             pore.level_bits(((5 << 2) | 1) & 63) + 0.1,
             pore.level_bits(((5 << 2) | 1) & 63) - 0.4,
         ];
-        let out = decode(&model, &samples, None);
+        let (stats, _) = decode(&model, &samples, None);
 
         // Brute force over the same quantised model: enumerate all state
         // sequences where each step is stay or one of the 4 advances. The
@@ -891,7 +852,7 @@ mod tests {
                 stack.push((t + 1, s2, score + i64::from(model.log_advance()) + e(t, s2)));
             }
         }
-        assert_eq!(out.score, best as f64 / f64::from(model.scale()));
+        assert_eq!(stats.score, best as f64 / f64::from(model.scale()));
     }
 
     #[test]

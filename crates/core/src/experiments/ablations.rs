@@ -1,7 +1,8 @@
 //! Ablation studies beyond the paper's sweeps.
 //!
-//! Three design choices DESIGN.md calls out get their own sensitivity
-//! studies:
+//! Three design choices of the chunk pipeline get their own sensitivity
+//! studies (`genpip experiment ablations`; README.md, "Paper figures and
+//! tables"):
 //!
 //! * **chunk size** beyond the paper's 300–500 range
 //!   ([`chunk_size_sweep`]) — very small chunks lose minimizers at

@@ -79,31 +79,6 @@ impl FigureTable {
     }
 }
 
-impl FigureTable {
-    /// Renders the table as CSV (label column + data columns), for plotting
-    /// outside the harness.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("label");
-        for c in &self.columns {
-            out.push(',');
-            out.push_str(&c.replace(',', ";"));
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.label.replace(',', ";"));
-            for v in &row.values {
-                out.push(',');
-                if let Some(x) = v {
-                    out.push_str(&format!("{x}"));
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
 impl fmt::Display for FigureTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.title)?;
@@ -164,17 +139,6 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = FigureTable::new("demo", vec!["a".into()]);
         t.push_row("r", vec![Some(1.0), Some(2.0)]);
-    }
-
-    #[test]
-    fn csv_export_round_trips_structure() {
-        let mut t = FigureTable::new("demo", vec!["a,b".into(), "c".into()]);
-        t.push_row("r,1", vec![Some(1.25), None]);
-        let csv = t.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("label,a;b,c"));
-        assert_eq!(lines.next(), Some("r;1,1.25,"));
-        assert_eq!(lines.next(), None);
     }
 
     #[test]

@@ -220,7 +220,6 @@ pub struct StreamSummary {
 /// ```
 pub struct FastqSink<W: io::Write> {
     writer: FastqWriter<W>,
-    prefix: String,
     skipped: usize,
     error: Option<io::Error>,
 }
@@ -228,15 +227,8 @@ pub struct FastqSink<W: io::Write> {
 impl<W: io::Write> FastqSink<W> {
     /// Wraps a writer; records are named `read<id>`.
     pub fn new(writer: W) -> FastqSink<W> {
-        FastqSink::with_prefix(writer, "")
-    }
-
-    /// Wraps a writer with a record-name prefix (`<prefix>read<id>`), so
-    /// multi-source sessions writing into one file stay distinguishable.
-    pub fn with_prefix(writer: W, prefix: impl Into<String>) -> FastqSink<W> {
         FastqSink {
             writer: FastqWriter::new(writer),
-            prefix: prefix.into(),
             skipped: 0,
             error: None,
         }
@@ -255,7 +247,7 @@ impl<W: io::Write> FastqSink<W> {
         if self.error.is_some() {
             return;
         }
-        let name = format!("{}read{}", self.prefix, run.id);
+        let name = format!("read{}", run.id);
         if let Err(e) = self.writer.write_record(&name, &called.seq, &called.quals) {
             self.error = Some(e);
         }

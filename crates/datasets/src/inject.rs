@@ -35,8 +35,6 @@ pub struct FaultInjector<S> {
     rate: f64,
     chunk: Option<usize>,
     samples_per_chunk: usize,
-    stall: Option<(usize, u64)>,
-    pulled: usize,
     injected: Vec<u32>,
 }
 
@@ -51,8 +49,6 @@ impl<S: ReadSource> FaultInjector<S> {
             rate: rate.clamp(0.0, 1.0),
             chunk: None,
             samples_per_chunk: 0,
-            stall: None,
-            pulled: 0,
             injected: Vec::new(),
         }
     }
@@ -71,14 +67,6 @@ impl<S: ReadSource> FaultInjector<S> {
     /// a chunk index into a sample offset.
     pub fn samples_per_chunk(mut self, samples: usize) -> FaultInjector<S> {
         self.samples_per_chunk = samples;
-        self
-    }
-
-    /// Sleeps `millis` before every `every`-th pull, simulating a stalled
-    /// flowcell feed. Purely a slow-source stressor: it changes timing, not
-    /// data, so bit-identity oracles still hold.
-    pub fn stall(mut self, every: usize, millis: u64) -> FaultInjector<S> {
-        self.stall = Some((every.max(1), millis));
         self
     }
 
@@ -121,12 +109,6 @@ impl<S: ReadSource> ReadSource for FaultInjector<S> {
     }
 
     fn next_read(&mut self) -> Option<SimulatedRead> {
-        if let Some((every, millis)) = self.stall {
-            if self.pulled.is_multiple_of(every) {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-            }
-        }
-        self.pulled += 1;
         let mut read = self.inner.next_read()?;
         // Always draw, even at rate 0: the decision stream stays aligned
         // with the pull stream, so the injected set is a pure function of

@@ -168,35 +168,6 @@ impl DatasetProfile {
         }
     }
 
-    /// A constant-length, single-population profile for latency and
-    /// scheduling experiments: `n_reads` reads of ~`read_len` bases over an
-    /// E. coli-like genome (grown to fit the reads), with the low-quality
-    /// and contaminant populations removed so every read survives to full
-    /// processing. The head-of-line latency tests build their mixed
-    /// short/long workloads from this constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `read_len` is finite and ≥ 1.
-    pub fn uniform(name: &'static str, n_reads: usize, read_len: f64) -> DatasetProfile {
-        assert!(
-            read_len.is_finite() && read_len >= 1.0,
-            "read length must be finite and >= 1"
-        );
-        let mut p = DatasetProfile::ecoli().scaled(0.05);
-        p.name = name;
-        p.seed ^= read_len as u64;
-        p.genome_len = p.genome_len.max(2 * read_len as usize);
-        p.n_reads = n_reads;
-        p.lengths = LengthModel::LogNormal {
-            mean: read_len,
-            median: read_len,
-        };
-        p.low_quality_fraction = 0.0;
-        p.contaminant_fraction = 0.0;
-        p
-    }
-
     /// Scales the dataset size (genome length, read count) by `factor`,
     /// keeping per-read properties — handy for fast tests.
     ///

@@ -202,11 +202,6 @@ impl SimulatedDataset {
         self.reads.iter().map(|r| r.signal.samples.len()).sum()
     }
 
-    /// Total true bases across all reads.
-    pub fn total_true_bases(&self) -> usize {
-        self.reads.iter().map(|r| r.signal.truth.len()).sum()
-    }
-
     /// The ground-truth fraction of contaminant reads.
     pub fn contaminant_fraction_truth(&self) -> f64 {
         self.reads
@@ -223,11 +218,6 @@ impl SimulatedDataset {
             .filter(|r| r.is_low_quality_truth())
             .count() as f64
             / self.reads.len().max(1) as f64
-    }
-
-    /// The true sequence of read `id` (panics if out of range).
-    pub fn truth_of(&self, id: u32) -> &DnaSeq {
-        &self.reads[id as usize].signal.truth
     }
 }
 
@@ -304,11 +294,7 @@ mod tests {
     #[test]
     fn totals_are_consistent() {
         let d = SimulatedDataset::generate(&tiny());
-        assert_eq!(
-            d.total_true_bases(),
-            d.reads.iter().map(|r| r.signal.truth.len()).sum::<usize>()
-        );
-        assert!(d.total_samples() > d.total_true_bases() * 5);
-        assert_eq!(d.truth_of(0), &d.reads[0].signal.truth);
+        let true_bases: usize = d.reads.iter().map(|r| r.signal.truth.len()).sum();
+        assert!(d.total_samples() > true_bases * 5);
     }
 }

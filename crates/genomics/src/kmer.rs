@@ -143,12 +143,6 @@ impl Kmer {
             *self
         }
     }
-
-    /// `true` if the k-mer equals its own reverse complement (possible only
-    /// for even k).
-    pub fn is_palindromic(&self) -> bool {
-        *self == self.reverse_complement()
-    }
 }
 
 #[inline]
@@ -287,12 +281,6 @@ mod tests {
         // Window [2,7) on the forward strand is window [len-7, len-2) on rc.
         let rev = Kmer::from_seq(&rc, s.len() - 7, 5).canonical();
         assert_eq!(fwd, rev);
-    }
-
-    #[test]
-    fn palindrome_detection() {
-        assert!(Kmer::from_seq(&seq("ACGT"), 0, 4).is_palindromic());
-        assert!(!Kmer::from_seq(&seq("ACGA"), 0, 4).is_palindromic());
     }
 
     #[test]

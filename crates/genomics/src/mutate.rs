@@ -66,15 +66,6 @@ pub struct ErrorModel {
 }
 
 impl ErrorModel {
-    /// A perfect (error-free) model.
-    pub fn perfect() -> ErrorModel {
-        ErrorModel {
-            substitution: 0.0,
-            insertion: 0.0,
-            deletion: 0.0,
-        }
-    }
-
     /// Splits `total` across the three error classes with the ONT-like
     /// 50/25/25 substitution/insertion/deletion ratio.
     ///
@@ -150,7 +141,7 @@ mod tests {
     fn perfect_model_is_identity() {
         let t = truth(500);
         let mut rng = seeded(1);
-        let (obs, ops) = ErrorModel::perfect().apply(&t, &mut rng);
+        let (obs, ops) = ErrorModel::with_total_rate(0.0).apply(&t, &mut rng);
         assert_eq!(obs, t);
         assert!(ops.is_empty());
     }

@@ -14,25 +14,12 @@ use std::fmt;
 /// A Phred-scaled per-base quality score.
 ///
 /// `Q = -10·log10(p_error)`; Q7 ≈ 20 % error probability is the paper's
-/// low-quality threshold. Stored as integer deciphred? No — the paper works
-/// with plain Phred units, so we store an `f32` to keep chunk averages exact.
+/// low-quality threshold. The paper works with plain Phred units, so the
+/// score is an `f32` to keep chunk averages exact.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Phred(pub f32);
 
 impl Phred {
-    /// Builds a quality score from an error probability in `(0, 1]`.
-    ///
-    /// Probabilities are clamped to `[1e-10, 1]` so the score stays finite.
-    pub fn from_error_prob(p: f64) -> Phred {
-        let p = p.clamp(1e-10, 1.0);
-        Phred((-10.0 * p.log10()) as f32)
-    }
-
-    /// The error probability this score encodes.
-    pub fn error_prob(self) -> f64 {
-        10f64.powf(-(self.0 as f64) / 10.0)
-    }
-
     /// The raw Phred value.
     #[inline]
     pub fn value(self) -> f32 {
@@ -155,21 +142,6 @@ impl AqsAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phred_error_prob_round_trip() {
-        for q in [0.0f32, 7.0, 10.0, 20.0, 40.0] {
-            let p = Phred(q).error_prob();
-            let back = Phred::from_error_prob(p);
-            assert!((back.0 - q).abs() < 1e-3, "{q} -> {p} -> {}", back.0);
-        }
-    }
-
-    #[test]
-    fn q7_is_twenty_percent_error() {
-        let p = Phred(7.0).error_prob();
-        assert!((p - 0.1995).abs() < 1e-3);
-    }
 
     #[test]
     fn fastq_encoding_round_trip() {

@@ -82,13 +82,6 @@ impl Read {
     pub fn average_quality(&self) -> f64 {
         average_quality(&self.quals)
     }
-
-    /// Number of chunks of `chunk_bases` needed to cover the read (the
-    /// paper's `N_total`). The final chunk may be partial.
-    pub fn chunk_count(&self, chunk_bases: usize) -> usize {
-        assert!(chunk_bases > 0, "chunk size must be positive");
-        self.len().div_ceil(chunk_bases)
-    }
 }
 
 impl fmt::Display for Read {
@@ -209,14 +202,6 @@ mod tests {
     fn mismatched_quals_panic() {
         let seq: DnaSeq = "ACGT".parse().unwrap();
         let _ = Read::new(0, seq, vec![Phred(1.0)], ReadOrigin::Contaminant);
-    }
-
-    #[test]
-    fn chunk_count_rounds_up() {
-        let read = mk_read(0, &"A".repeat(700), 10.0);
-        assert_eq!(read.chunk_count(300), 3);
-        assert_eq!(read.chunk_count(700), 1);
-        assert_eq!(read.chunk_count(701), 1);
     }
 
     #[test]

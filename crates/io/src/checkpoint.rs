@@ -227,15 +227,27 @@ impl CheckpointFile {
     /// Any I/O error from the write or rename.
     pub fn write_atomic(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
+        let tmp = tmp_path(path);
         {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(self.render().as_bytes())?;
             f.sync_all()?;
         }
         std::fs::rename(&tmp, path)
+    }
+
+    /// Checks, before a run does any work, that a checkpoint can be written
+    /// at `path`: creates and removes the `<path>.tmp` that
+    /// [`CheckpointFile::write_atomic`] writes through. `path` itself is
+    /// never created, so a later resume cannot find a stray file there.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error from creating or removing `<path>.tmp`.
+    pub fn check_writable(path: impl AsRef<Path>) -> io::Result<()> {
+        let tmp = tmp_path(path.as_ref());
+        std::fs::File::create(&tmp)?;
+        std::fs::remove_file(&tmp)
     }
 
     /// Loads and parses a checkpoint file.
@@ -248,6 +260,14 @@ impl CheckpointFile {
         let text = std::fs::read_to_string(path)?;
         CheckpointFile::parse(&text)
     }
+}
+
+/// The file [`CheckpointFile::write_atomic`] renders into before renaming
+/// it over `path`.
+fn tmp_path(path: &Path) -> std::path::PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::path::PathBuf::from(tmp)
 }
 
 #[cfg(test)]
@@ -313,6 +333,9 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("genpip-ckpt-unit-{}.txt", std::process::id()));
         let mut cp = sample();
+        // The probe leaves neither the checkpoint nor its temporary behind.
+        CheckpointFile::check_writable(&path).expect("writable");
+        assert!(!path.exists() && !tmp_path(&path).exists());
         cp.write_atomic(&path).expect("write");
         assert_eq!(CheckpointFile::load(&path).expect("load"), cp);
         cp.sources[0].emitted = 99;

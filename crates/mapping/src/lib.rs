@@ -21,21 +21,23 @@
 //!    against the best chain's reference window, yielding the final mapping
 //!    and alignment score.
 //!
-//! [`Mapper`] ties the phases together and reports the workload counters
-//! (seed queries, anchors, chain DP evaluations, alignment cells) that drive
-//! the hardware cost models in `genpip-pim` and `genpip-core`.
+//! [`Mapper`] holds one reference's index and the steps over it;
+//! [`ReferenceSet`] composes one `Mapper` per reference into the one
+//! whole-read mapper ([`ReferenceSet::map_with`]) and reports the workload
+//! counters (seed queries, anchors, chain DP evaluations, alignment cells)
+//! that drive the hardware cost models in `genpip-pim` and `genpip-core`.
 //!
 //! # Example
 //!
 //! ```
 //! use genpip_genomics::GenomeBuilder;
-//! use genpip_mapping::{Mapper, MapperParams};
+//! use genpip_mapping::{MapperParams, ReferenceSet};
 //!
 //! let genome = GenomeBuilder::new(20_000).seed(11).build();
-//! let mapper = Mapper::build(&genome, MapperParams::default());
+//! let set = ReferenceSet::build(std::slice::from_ref(&genome), MapperParams::default());
 //! let query = genome.sequence().subseq(5_000, 800);
-//! let result = mapper.map(&query);
-//! let mapping = result.mapping.expect("exact substring must map");
+//! let result = set.map(&query);
+//! let mapping = result.best.expect("exact substring must map");
 //! assert!(mapping.ref_start.abs_diff(5_000) < 50);
 //! ```
 
@@ -62,7 +64,7 @@ pub type RefPos = u64;
 pub use align::{AlignScratch, Alignment, AlignmentParams, CigarOp};
 pub use chain::{Chain, ChainParams, IncrementalChainer};
 pub use index::{RefHit, ReferenceIndex};
-pub use mapper::{Mapper, MapperParams, Mapping, MappingCounters, MappingResult, SeedScratch};
+pub use mapper::{Mapper, MapperParams, Mapping, MappingCounters, SeedScratch};
 pub use minimizer::{minimizers, minimizers_into, Minimizer, MinimizerScratch};
 pub use refset::{ReferenceMapping, ReferenceSet, SetMappingResult};
 pub use seed::{Anchor, SeedBatch, Strand};

@@ -1,10 +1,12 @@
-//! End-to-end read mapping.
+//! One reference's index and mapping steps.
 //!
-//! [`Mapper`] composes sketching, seeding, chaining and alignment into the
-//! whole-read flow of a conventional pipeline ([`Mapper::map`]), and also
-//! exposes the per-chunk pieces ([`Mapper::sketch_and_seed`],
-//! [`Mapper::finalize_mapping`]) that GenPIP's chunk-based pipeline drives
-//! incrementally.
+//! [`Mapper`] holds one reference genome and its minimizer index and exposes
+//! the steps a read is mapped with: sketching and seeding
+//! ([`Mapper::sketch_and_seed`]) and finalizing filled chainers into an
+//! alignment ([`Mapper::finalize_mapping`]). [`crate::ReferenceSet`]
+//! composes them into the one whole-read mapper
+//! ([`crate::ReferenceSet::map_with`]) and into the finalize step GenPIP's
+//! chunk-based pipeline ends with.
 
 use crate::align::{AlignScratch, AlignmentParams, CigarOp};
 use crate::chain::{ChainParams, IncrementalChainer};
@@ -94,9 +96,9 @@ impl MappingCounters {
 /// A successful mapping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mapping {
-    /// The reference this mapping hit, set by a multi-reference
-    /// [`crate::ReferenceSet`] merge; `None` for plain single-reference
-    /// mapping (whose output stays byte-for-byte what it always was).
+    /// The reference this mapping hit, set by the [`crate::ReferenceSet`]
+    /// merge when the set holds more than one reference; `None` in a
+    /// one-reference set.
     pub ref_name: Option<Arc<str>>,
     /// Reference start (forward-strand coordinates including the index's
     /// base offset, inclusive).
@@ -117,18 +119,6 @@ pub struct Mapping {
     pub cigar: Vec<CigarOp>,
 }
 
-/// Outcome of mapping one read.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MappingResult {
-    /// The mapping, or `None` if the read is unmapped.
-    pub mapping: Option<Mapping>,
-    /// Best chain score observed (even when unmapped — ER-CMR thresholds
-    /// use this).
-    pub best_chain_score: f64,
-    /// Workload counters.
-    pub counters: MappingCounters,
-}
-
 /// Reusable per-worker sketching/seeding working memory for
 /// [`Mapper::sketch_and_seed_into`]. One instance per thread keeps
 /// steady-state seeding free of per-chunk allocations.
@@ -145,7 +135,7 @@ impl SeedScratch {
     }
 }
 
-/// The read mapper.
+/// One reference's index and mapping steps.
 ///
 /// The reference genome **and** the minimizer index are held behind
 /// [`Arc`]s, so cloning a `Mapper` (or constructing one via
@@ -374,56 +364,6 @@ impl Mapper {
         };
         (Some(mapping), best_score, cells)
     }
-
-    /// Maps a whole read through the conventional (non-chunked) flow with a
-    /// fresh workspace.
-    ///
-    /// Convenience wrapper over [`Mapper::map_with`]; hot loops should own
-    /// the scratch buffers and chainer pair and pass them in.
-    pub fn map(&self, query: &DnaSeq) -> MappingResult {
-        let (mut fwd, mut rev) = self.new_chainers();
-        self.map_with(
-            query,
-            &mut SeedScratch::new(),
-            &mut SeedBatch::default(),
-            &mut fwd,
-            &mut rev,
-            &mut AlignScratch::new(),
-        )
-    }
-
-    /// Maps a whole read through the conventional flow, reusing caller-owned
-    /// buffers: `scratch`/`batch` for sketching and seeding, a chainer
-    /// pair (reset here) for the DP, and `align` for the alignment. Results
-    /// are identical to [`Mapper::map`]; only allocation behaviour differs.
-    pub fn map_with(
-        &self,
-        query: &DnaSeq,
-        scratch: &mut SeedScratch,
-        batch: &mut SeedBatch,
-        fwd: &mut IncrementalChainer,
-        rev: &mut IncrementalChainer,
-        align: &mut AlignScratch,
-    ) -> MappingResult {
-        fwd.reset();
-        rev.reset();
-        let mut counters = MappingCounters::default();
-        let n_mins = self.sketch_and_seed_into(query, 0, scratch, batch);
-        counters.minimizers = n_mins;
-        counters.seed_queries = batch.queries;
-        counters.anchors = batch.hits;
-        fwd.extend(&batch.forward);
-        rev.extend(&batch.reverse);
-        counters.chain_evals = fwd.dp_evaluations() + rev.dp_evaluations();
-        let (mapping, best_chain_score, align_cells) =
-            self.finalize_mapping_with(query, fwd, rev, align);
-        counters.align_cells = align_cells;
-        MappingResult {
-            mapping,
-            best_chain_score,
-            counters,
-        }
-    }
 }
 
 /// minimap2-inspired mapping quality from best/second chain scores and chain
@@ -442,12 +382,17 @@ fn compute_mapq(best: f64, second: f64, chain_len: usize) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReferenceSet;
     use genpip_genomics::rng::seeded;
     use genpip_genomics::{ErrorModel, GenomeBuilder};
 
-    fn mapper(n: usize, seed: u64) -> Mapper {
+    fn one_reference(genome: &Genome, params: MapperParams) -> ReferenceSet {
+        ReferenceSet::build(std::slice::from_ref(genome), params)
+    }
+
+    fn mapper(n: usize, seed: u64) -> ReferenceSet {
         let genome = GenomeBuilder::new(n).seed(seed).build();
-        Mapper::build(&genome, MapperParams::default())
+        one_reference(&genome, MapperParams::default())
     }
 
     #[test]
@@ -455,9 +400,9 @@ mod tests {
         let m = mapper(50_000, 1);
         for start in [0usize, 12_345, 49_000] {
             let len = 900.min(50_000 - start);
-            let q = m.genome().sequence().subseq(start, len);
+            let q = m.primary().genome().sequence().subseq(start, len);
             let result = m.map(&q);
-            let mapping = result.mapping.expect("exact substring must map");
+            let mapping = result.best.expect("exact substring must map");
             assert_eq!(mapping.strand, Strand::Forward);
             assert!(
                 mapping.ref_start.abs_diff(start) < 30,
@@ -474,12 +419,13 @@ mod tests {
         let m = mapper(50_000, 2);
         let start = 20_000;
         let q = m
+            .primary()
             .genome()
             .sequence()
             .subseq(start, 800)
             .reverse_complement();
         let result = m.map(&q);
-        let mapping = result.mapping.expect("rc substring must map");
+        let mapping = result.best.expect("rc substring must map");
         assert_eq!(mapping.strand, Strand::Reverse);
         assert!(
             mapping.ref_start.abs_diff(start) < 30,
@@ -494,10 +440,10 @@ mod tests {
         let m = mapper(50_000, 3);
         let mut rng = seeded(4);
         let start = 30_000;
-        let truth = m.genome().sequence().subseq(start, 1_500);
+        let truth = m.primary().genome().sequence().subseq(start, 1_500);
         let (noisy, _) = ErrorModel::with_total_rate(0.12).apply(&truth, &mut rng);
         let result = m.map(&noisy);
-        let mapping = result.mapping.expect("12% error read must map");
+        let mapping = result.best.expect("12% error read must map");
         assert!(mapping.ref_start.abs_diff(start) < 60);
         assert!(mapping.identity > 0.8, "identity {}", mapping.identity);
     }
@@ -511,7 +457,7 @@ mod tests {
             .sequence()
             .clone();
         let result = m.map(&alien);
-        assert!(result.mapping.is_none());
+        assert!(result.best.is_none());
         assert!(result.best_chain_score < m.params().min_chain_score);
     }
 
@@ -519,31 +465,31 @@ mod tests {
     fn empty_read_is_unmapped() {
         let m = mapper(10_000, 6);
         let result = m.map(&DnaSeq::new());
-        assert!(result.mapping.is_none());
+        assert!(result.best.is_none());
         assert_eq!(result.counters.anchors, 0);
     }
 
     #[test]
     fn chunked_mapping_matches_whole_read_mapping() {
         // Drive the incremental API exactly as GenPIP's CP does and compare
-        // with Mapper::map.
+        // with the whole-read mapper.
         let m = mapper(40_000, 7);
         let start = 11_000;
-        let q = m.genome().sequence().subseq(start, 1_200);
-        let (mut fwd, mut rev) = m.new_chainers();
+        let q = m.primary().genome().sequence().subseq(start, 1_200);
+        let (mut fwd, mut rev) = m.primary().new_chainers();
         let chunk = 300;
         let mut offset = 0usize;
         while offset < q.len() {
             let len = chunk.min(q.len() - offset);
             let part = q.subseq(offset, len);
-            let (batch, _) = m.sketch_and_seed(&part, offset as RefPos);
+            let (batch, _) = m.primary().sketch_and_seed(&part, offset as RefPos);
             fwd.extend(&batch.forward);
             rev.extend(&batch.reverse);
             offset += len;
         }
-        let (mapping, _, _) = m.finalize_mapping(&q, &fwd, &rev);
+        let (mapping, _, _) = m.primary().finalize_mapping(&q, &fwd, &rev);
         let mapping = mapping.expect("chunked mapping must succeed");
-        let whole = m.map(&q).mapping.unwrap();
+        let whole = m.map(&q).best.unwrap();
         assert_eq!(mapping.strand, whole.strand);
         assert!(mapping.ref_start.abs_diff(whole.ref_start) < 40);
     }
@@ -579,10 +525,10 @@ mod tests {
                 .sequence(),
         );
         let genome = genpip_genomics::Genome::from_seq("dup", seq);
-        let m = Mapper::build(&genome, MapperParams::default());
+        let m = one_reference(&genome, MapperParams::default());
         let q = unit.sequence().subseq(500, 800);
         let result = m.map(&q);
-        let mapping = result.mapping.expect("repeat read still maps somewhere");
+        let mapping = result.best.expect("repeat read still maps somewhere");
         assert!(
             mapping.mapq <= 10,
             "ambiguous read got mapq {}",
@@ -592,7 +538,7 @@ mod tests {
         // A unique read keeps a high MAPQ (the 0–60 scale puts an
         // uncontested long chain well above the ambiguous band).
         let uq = genome.sequence().subseq(3_000, 800);
-        let unique = m.map(&uq).mapping.unwrap();
+        let unique = m.map(&uq).best.unwrap();
         assert!(unique.mapq > 30, "unique read got mapq {}", unique.mapq);
     }
 
@@ -604,8 +550,8 @@ mod tests {
         // exactly the offset, with all non-coordinate fields bit-identical.
         let genome = GenomeBuilder::new(50_000).seed(30).build();
         let offset: RefPos = 5_000_000_000;
-        let plain = Mapper::build(&genome, MapperParams::default());
-        let shifted = Mapper::build(
+        let plain = one_reference(&genome, MapperParams::default());
+        let shifted = one_reference(
             &genome,
             MapperParams {
                 base_offset: offset,
@@ -627,7 +573,7 @@ mod tests {
             let moved = shifted.map(q);
             assert_eq!(moved.best_chain_score, base.best_chain_score, "query {i}");
             assert_eq!(moved.counters, base.counters, "query {i}");
-            match (base.mapping, moved.mapping) {
+            match (base.best, moved.best) {
                 (None, None) => {}
                 (Some(b), Some(m)) => {
                     assert_eq!(m.ref_start, b.ref_start + offset as usize, "query {i}");
@@ -651,7 +597,7 @@ mod tests {
     #[test]
     fn counters_populate() {
         let m = mapper(30_000, 12);
-        let q = m.genome().sequence().subseq(5_000, 1_000);
+        let q = m.primary().genome().sequence().subseq(5_000, 1_000);
         let r = m.map(&q);
         let c = r.counters;
         assert!(c.minimizers > 50);

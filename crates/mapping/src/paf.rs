@@ -159,14 +159,15 @@ pub fn write_paf<W: Write>(mut w: W, records: &[PafRecord]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::{Mapper, MapperParams};
+    use crate::mapper::MapperParams;
+    use crate::refset::ReferenceSet;
     use genpip_genomics::GenomeBuilder;
 
     fn example_record() -> (PafRecord, usize) {
         let genome = GenomeBuilder::new(30_000).seed(1).name("ref1").build();
-        let mapper = Mapper::build(&genome, MapperParams::default());
+        let set = ReferenceSet::build(std::slice::from_ref(&genome), MapperParams::default());
         let q = genome.sequence().subseq(10_000, 700);
-        let mapping = mapper.map(&q).mapping.expect("exact read maps");
+        let mapping = set.map(&q).best.expect("exact read maps");
         (
             PafRecord::from_mapping("read7", q.len(), "ref1", genome.len(), &mapping),
             q.len(),
@@ -208,7 +209,6 @@ mod tests {
 
     #[test]
     fn set_mapping_resolves_target_from_attribution() {
-        use crate::refset::ReferenceSet;
         let a = GenomeBuilder::new(25_000).seed(3).name("panel_a").build();
         let b = GenomeBuilder::new(30_000).seed(4).name("panel_b").build();
         let q = b.sequence().subseq(9_000, 700);
@@ -231,9 +231,9 @@ mod tests {
     #[test]
     fn reverse_strand_renders_minus() {
         let genome = GenomeBuilder::new(30_000).seed(2).name("ref2").build();
-        let mapper = Mapper::build(&genome, MapperParams::default());
+        let set = ReferenceSet::build(std::slice::from_ref(&genome), MapperParams::default());
         let q = genome.sequence().subseq(5_000, 700).reverse_complement();
-        let mapping = mapper.map(&q).mapping.expect("rc read maps");
+        let mapping = set.map(&q).best.expect("rc read maps");
         let r = PafRecord::from_mapping("rc", q.len(), "ref2", genome.len(), &mapping);
         assert!(r.to_line().contains("\t-\t"));
     }

@@ -14,10 +14,13 @@
 //!    position (ascending).
 //!
 //! The merge is a pure function of the per-reference results, so the winner
-//! is identical for every parallelism level and evaluation order. With a single reference the set computes exactly what [`Mapper`]
-//! computes — same counters, same mapping, `ref_name` left `None` — so
-//! single-reference output stays byte-for-byte what it always was; only
-//! multi-reference winners carry a `Some(name)` attribution.
+//! is identical for every parallelism level and evaluation order. Only
+//! multi-reference winners carry a `Some(name)` attribution: a one-reference
+//! set reports its reference's mapping with `ref_name` left `None`.
+//!
+//! [`ReferenceSet::map_with`] is the one whole-read mapper (the conventional
+//! flow, `genpip map`); [`ReferenceSet::finalize_mapping_with`] ends GenPIP's
+//! chunk-based flow. Both compose the steps of one [`Mapper`] per reference.
 
 use crate::align::AlignScratch;
 use crate::chain::IncrementalChainer;
@@ -34,7 +37,7 @@ pub struct ReferenceMapping {
     /// The reference's name.
     pub reference: Arc<str>,
     /// This reference's mapping for the read, if it mapped here. Identical
-    /// to what a standalone [`Mapper`] over the same reference would report
+    /// to what a one-reference set over the same reference reports
     /// (`ref_name` is `None`; attribution happens only on the merged
     /// winner).
     pub mapping: Option<Mapping>,
@@ -51,8 +54,8 @@ pub struct SetMappingResult {
     pub per_reference: Vec<ReferenceMapping>,
     /// The merged best hit across all references (see module docs for the
     /// merge rule). In a multi-reference set its `ref_name` names the
-    /// winning reference; in a single-reference set it is the plain
-    /// [`Mapper`] mapping, unattributed.
+    /// winning reference; in a single-reference set it is that reference's
+    /// mapping, unattributed.
     pub best: Option<Mapping>,
     /// Best chain score across all references.
     pub best_chain_score: f64,
@@ -275,8 +278,10 @@ impl ReferenceSet {
     }
 
     /// Maps a whole read against every reference, reusing caller-owned
-    /// buffers. With one reference this computes exactly what
-    /// [`Mapper::map_with`] computes.
+    /// buffers: `scratch`/`batches` for sketching and seeding, one chainer
+    /// pair per reference (reset here) for the DP, and `align` for the
+    /// alignments. Results are identical to [`ReferenceSet::map`]; only
+    /// allocation behaviour differs.
     pub fn map_with(
         &self,
         query: &DnaSeq,
@@ -339,23 +344,30 @@ mod tests {
         ReferenceSet::build(&[], MapperParams::default());
     }
 
+    fn one_reference(g: &Genome, params: MapperParams) -> ReferenceSet {
+        ReferenceSet::build(std::slice::from_ref(g), params)
+    }
+
     #[test]
-    fn single_reference_set_is_bit_identical_to_the_plain_mapper() {
+    fn a_single_reference_set_leaves_its_mapping_unattributed() {
         let g = named_genome(40_000, 3, "solo");
-        let params = MapperParams::default();
-        let solo = Mapper::build(&g, params);
-        let set = ReferenceSet::build(std::slice::from_ref(&g), params);
+        let set = one_reference(&g, MapperParams::default());
         let mut rng = seeded(4);
         for start in [0usize, 9_000, 27_000] {
             let truth = g.sequence().subseq(start, 900);
             let (noisy, _) = ErrorModel::with_total_rate(0.1).apply(&truth, &mut rng);
             for q in [truth.clone(), truth.reverse_complement(), noisy] {
-                let plain = solo.map(&q);
                 let merged = set.map(&q);
-                assert_eq!(merged.best, plain.mapping, "mapping diverged");
-                assert_eq!(merged.best_chain_score, plain.best_chain_score);
-                assert_eq!(merged.counters, plain.counters);
-                assert!(merged.best.iter().all(|m| m.ref_name.is_none()));
+                let best = merged
+                    .best
+                    .as_ref()
+                    .expect("a read from the reference maps");
+                assert!(best.ref_name.is_none(), "{:?}", best.ref_name);
+                assert_eq!(merged.best, merged.per_reference[0].mapping);
+                assert_eq!(
+                    merged.best_chain_score,
+                    merged.per_reference[0].best_chain_score
+                );
             }
         }
     }
@@ -363,8 +375,8 @@ mod tests {
     #[test]
     fn per_reference_results_match_solo_mappers() {
         // The pan-genome fan-out must not change any single reference's
-        // answer: reference i's candidate is bit-identical to a standalone
-        // mapper over reference i alone.
+        // answer: reference i's candidate is bit-identical to a one-reference
+        // set over reference i alone.
         let refs = [
             named_genome(30_000, 5, "chr_a"),
             named_genome(25_000, 6, "chr_b"),
@@ -376,10 +388,10 @@ mod tests {
         let result = set.map(&q);
         assert_eq!(result.per_reference.len(), 3);
         for (i, g) in refs.iter().enumerate() {
-            let solo = Mapper::build(g, params).map(&q);
+            let solo = one_reference(g, params).map(&q);
             let per = &result.per_reference[i];
             assert_eq!(per.reference.as_ref(), g.name());
-            assert_eq!(per.mapping, solo.mapping, "reference {i} diverged");
+            assert_eq!(per.mapping, solo.best, "reference {i} diverged");
             assert_eq!(per.best_chain_score, solo.best_chain_score);
             assert_eq!(per.align_cells, solo.counters.align_cells);
         }
@@ -447,8 +459,8 @@ mod tests {
         let set = ReferenceSet::build(&refs, params);
         let q = refs[0].sequence().subseq(4_000, 800);
         let merged = set.map(&q);
-        let solo_a = Mapper::build(&refs[0], params).map(&q);
-        let solo_b = Mapper::build(&refs[1], params).map(&q);
+        let solo_a = one_reference(&refs[0], params).map(&q);
+        let solo_b = one_reference(&refs[1], params).map(&q);
         // Minimizers are sketched once, not per reference.
         assert_eq!(merged.counters.minimizers, solo_a.counters.minimizers);
         // Lookups and anchors fan out across both references.

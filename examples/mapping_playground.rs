@@ -11,11 +11,11 @@
 use genpip::genomics::rng::seeded;
 use genpip::genomics::{DnaSeq, ErrorModel, GenomeBuilder};
 use genpip::mapping::align::cigar_string;
-use genpip::mapping::{Mapper, MapperParams};
+use genpip::mapping::{MapperParams, ReferenceSet};
 
-fn describe(name: &str, mapper: &Mapper, query: &DnaSeq) {
-    let result = mapper.map(query);
-    match result.mapping {
+fn describe(name: &str, set: &ReferenceSet, query: &DnaSeq) {
+    let result = set.map(query);
+    match result.best {
         Some(m) => {
             let cigar = cigar_string(&m.cigar);
             let cigar_short = if cigar.len() > 40 {
@@ -25,7 +25,7 @@ fn describe(name: &str, mapper: &Mapper, query: &DnaSeq) {
             };
             println!(
                 "{name:<24} -> {}:{}-{} ({}) chain {:.0} identity {:.1}% mapq {} cigar {}",
-                mapper.genome().name(),
+                set.names()[0],
                 m.ref_start,
                 m.ref_end,
                 m.strand,
@@ -44,36 +44,37 @@ fn describe(name: &str, mapper: &Mapper, query: &DnaSeq) {
 
 fn main() {
     let genome = GenomeBuilder::new(80_000).seed(42).name("toy-ref").build();
-    let mapper = Mapper::build(&genome, MapperParams::default());
+    let set = ReferenceSet::build(std::slice::from_ref(&genome), MapperParams::default());
+    let index = set.primary().index();
     println!(
         "indexed {}: {} distinct minimizers, {} entries\n",
         genome,
-        mapper.index().distinct_minimizers(),
-        mapper.index().total_entries()
+        index.distinct_minimizers(),
+        index.total_entries()
     );
 
     let exact = genome.sequence().subseq(30_000, 1_200);
-    describe("exact substring", &mapper, &exact);
+    describe("exact substring", &set, &exact);
 
     let rc = genome.sequence().subseq(55_000, 900).reverse_complement();
-    describe("reverse complement", &mapper, &rc);
+    describe("reverse complement", &set, &rc);
 
     let mut rng = seeded(7);
     let (noisy, _) =
         ErrorModel::with_total_rate(0.12).apply(&genome.sequence().subseq(10_000, 1_500), &mut rng);
-    describe("12%-error read", &mapper, &noisy);
+    describe("12%-error read", &set, &noisy);
 
     let (very_noisy, _) =
         ErrorModel::with_total_rate(0.35).apply(&genome.sequence().subseq(10_000, 1_500), &mut rng);
-    describe("35%-error read", &mapper, &very_noisy);
+    describe("35%-error read", &set, &very_noisy);
 
     let alien = GenomeBuilder::new(1_500)
         .seed(999)
         .build()
         .sequence()
         .clone();
-    describe("alien read", &mapper, &alien);
+    describe("alien read", &set, &alien);
 
     let short: DnaSeq = "ACGTACGTAT".parse().expect("valid DNA");
-    describe("10 bp fragment", &mapper, &short);
+    describe("10 bp fragment", &set, &short);
 }

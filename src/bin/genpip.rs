@@ -1218,12 +1218,16 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
             }
         }
     }
-    // The FASTQ outputs exist before any banner or work, so a bad
-    // --fastq-out fails at once.
+    // The FASTQ outputs exist, and the checkpoint path is known to be
+    // writable, before any banner or work, so a bad --fastq-out or
+    // --checkpoint fails at once.
     let fastq_sinks = match fastq_out {
         None => Vec::new(),
         Some(path) => open_fastq_sinks(path, &specs, resume.as_ref())?,
     };
+    if let Some(path) = &checkpoint_path {
+        CheckpointFile::check_writable(path).map_err(|e| format!("--checkpoint {path}: {e}"))?;
+    }
     if let (Some(path), Some(ckpt)) = (resume_path, &resume) {
         // `complete` marks a finalized cut (the prior session wound down
         // cleanly, e.g. after a drain); a mid-run cut means the run was

@@ -4,7 +4,7 @@
 //! Analysis via Tight Integration of Basecalling and Read Mapping"*
 //! (Mao et al., MICRO 2022) as a Rust workspace. This facade crate
 //! re-exports every component; see README.md for the architecture overview
-//! and DESIGN.md for the per-experiment index.
+//! and its "Paper figures and tables" section for the per-experiment index.
 //!
 //! | module | contents |
 //! |---|---|

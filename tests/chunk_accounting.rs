@@ -220,7 +220,7 @@ fn fastq_sink_writes_every_fully_basecalled_read() {
     let config = GenPipConfig::for_dataset(&d.profile)
         .with_parallelism(Parallelism::from_env_or(Parallelism::Threads(2)))
         .with_keep_bases(true);
-    let mut sink = FastqSink::with_prefix(Vec::new(), "ecoli/");
+    let mut sink = FastqSink::new(Vec::new());
     let mut runs = Vec::new();
     Session::new(config)
         .flow(Flow::GenPip(ErMode::Full))
@@ -247,6 +247,12 @@ fn fastq_sink_writes_every_fully_basecalled_read() {
     assert_eq!(sink.skipped(), rejected);
     let (written, bytes) = sink.finish().expect("no I/O errors on a Vec");
     assert_eq!(written, expected.len());
+
+    // Every header names its read `read<id>`, in emission order.
+    let text = std::str::from_utf8(&bytes).expect("FASTQ is ASCII");
+    let headers: Vec<&str> = text.lines().step_by(4).collect();
+    let names: Vec<String> = expected.iter().map(|r| format!("@read{}", r.id)).collect();
+    assert_eq!(headers, names);
 
     // The file round-trips: every record parses back with its sequence.
     let parsed = genpip::genomics::fastx::read_fastq(bytes.as_slice()).expect("valid FASTQ");

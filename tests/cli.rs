@@ -163,11 +163,12 @@ const SWEEP: [SweepRow; 6] = [
 /// The options that name a file to write. Each also sweeps `unwritable`, a
 /// path inside a directory that does not exist: it is refused before any
 /// banner or work, naming the flag.
-const OUTPUTS: [(&str, &str); 4] = [
+const OUTPUTS: [(&str, &str); 5] = [
     ("simulate", "--out"),
     ("map", "--paf"),
     ("pack", "--out"),
     ("run", "--fastq-out"),
+    ("run", "--checkpoint"),
 ];
 
 /// The (subcommand, option, value) cases of the sweep below that are
