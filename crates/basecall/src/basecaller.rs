@@ -6,12 +6,20 @@ use crate::viterbi::{decode_with, DecodeScratch, DecodeStats, FixedPointModel, T
 use genpip_genomics::{Base, DnaSeq, Phred};
 use genpip_signal::{chunk_boundaries, PoreModel};
 
-/// Reusable per-worker basecalling workspace: the Viterbi scratch. One
-/// instance per thread keeps the steady-state decode free of heap
-/// allocations (see [`crate::viterbi::DecodeScratch`]).
+/// Reusable per-worker basecalling workspace: the Viterbi scratch and the
+/// assembly's segment buffer. One instance per thread keeps the
+/// steady-state call free of heap allocations but the returned bases and
+/// qualities (see [`crate::viterbi::DecodeScratch`]).
+///
+/// **Footprint.** The segment buffer adds 8 bytes per sample of the largest
+/// chunk seen (one `(f32, u32)` slot per sample, the most dwell segments a
+/// chunk can hold) to the decode's records.
 #[derive(Debug, Clone, Default)]
 pub struct CallScratch {
     decode: DecodeScratch,
+    /// Each dwell segment's residual sum and past-the-end sample, written by
+    /// [`Basecaller::assemble_chunk`]'s first loop and read by its second.
+    segments: Vec<(f32, u32)>,
 }
 
 impl CallScratch {
@@ -273,6 +281,7 @@ impl Basecaller {
             scratch.decode.advanced(),
             carry,
             stats,
+            &mut scratch.segments,
         )
     }
 
@@ -280,8 +289,23 @@ impl Basecaller {
     /// and the carry — the post-decode half of
     /// [`Basecaller::call_chunk_with`].
     ///
+    /// Two loops. The first walks the samples once with a running `f32`
+    /// residual sum, `(x − level)²` of the sample's decoded state, that
+    /// restarts at each advance; at every sample it stores the sum so far
+    /// and the sample index at the next free slot of `segments`, and moves
+    /// the slot on only at an advance, so storing each dwell segment's
+    /// `(sum, end)` takes no branch to mispredict on a path the predictor
+    /// has not seen before. The second turns the segments into bases and
+    /// Phreds. Each segment's sum
+    /// is the same sequential additions, in the same order, as summing the
+    /// segment on its own.
+    ///
     /// Not part of the API: public only so that the kernel bench can time
     /// this stage on its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunk holds `2^32` samples or more.
     #[doc(hidden)]
     pub fn assemble_chunk(
         &self,
@@ -290,60 +314,61 @@ impl Basecaller {
         dec_advanced: &[bool],
         carry: Option<CarryState>,
         stats: DecodeStats,
+        segments: &mut Vec<(f32, u32)>,
     ) -> BasecalledChunk {
+        let n = signal.len();
+        let end = u32::try_from(n).expect("a chunk holds fewer than 2^32 samples");
+        let (states, advanced) = (&dec_states[..n], &dec_advanced[..n]);
+        let levels = self.pore.levels();
+        let residual = |t: usize| {
+            let d = signal[t] - levels[usize::from(states[t])];
+            d * d
+        };
+
+        // Pass 1: a segment stays in one state, so each sample's own state
+        // gives the segment's level. At most one segment per sample; every
+        // slot read below is written first.
+        segments.resize(n, (0.0, 0));
+        let mut count = 0;
+        let mut sum = residual(0);
+        for t in 1..n {
+            segments[count] = (sum, t as u32);
+            count += usize::from(advanced[t]);
+            sum = if advanced[t] { 0.0 } else { sum } + residual(t);
+        }
+        segments[count] = (sum, end);
+        let (&first, rest) = segments[..=count].split_first().expect("a segment");
+
+        // Pass 2. The first segment emits the initial k-mer's k bases on a
+        // free start, one base on a stitched start that took the boundary
+        // advance, and nothing when it continues the carried k-mer; every
+        // later segment emits one base.
         let k = self.pore.k();
         let assumed_var = {
             let s = self.emission.assumed_std();
             s * s
         };
-        // One base per advance, plus the initial k-mer's k on a free start.
-        let advances = dec_advanced.iter().filter(|&&a| a).count();
-        let n_bases = advances + if carry.is_none() { k } else { 0 };
+        let phred = |sum: f32, len: u32| {
+            self.calibration
+                .phred_from_residual(sum / (len as f32 * assumed_var))
+        };
+        let head = match carry {
+            None => k,
+            Some(_) => usize::from(advanced[0]),
+        };
+        let n_bases = head + rest.len();
         let mut bases = DnaSeq::with_capacity(n_bases);
         let mut quals: Vec<Phred> = Vec::with_capacity(n_bases);
-
-        // Walk dwell segments: [start, end) ranges of samples decoded as one
-        // k-mer occupancy.
-        let n = signal.len();
-        let mut seg_start = 0usize;
-        let mut first_segment = true;
-        let mut t = 1usize;
-        loop {
-            let at_end = t >= n;
-            let boundary = at_end || dec_advanced[t];
-            if boundary {
-                let state = dec_states[seg_start];
-                let z2 = mean_residual(
-                    &signal[seg_start..t],
-                    self.pore.level_bits(state as u64),
-                    assumed_var,
-                );
-                let q = self.calibration.phred_from_residual(z2);
-                if first_segment {
-                    first_segment = false;
-                    if carry.is_none() {
-                        // The initial k-mer contributes its full k bases.
-                        for i in 0..k {
-                            bases.push(kmer_base(state, k, i));
-                            quals.push(q);
-                        }
-                    } else if dec_advanced[0] {
-                        // Chunk-boundary advance: one new base.
-                        bases.push(Base::from_code((state & 3) as u8));
-                        quals.push(q);
-                    }
-                    // Otherwise the segment continues the carried k-mer and
-                    // emits nothing new.
-                } else {
-                    bases.push(Base::from_code((state & 3) as u8));
-                    quals.push(q);
-                }
-                seg_start = t;
-            }
-            if at_end {
-                break;
-            }
-            t += 1;
+        let q = phred(first.0, first.1);
+        for i in k - head..k {
+            bases.push(kmer_base(states[0], k, i));
+            quals.push(q);
+        }
+        let mut start = first.1;
+        for &(sum, end) in rest {
+            bases.push(kmer_base(states[start as usize], k, k - 1));
+            quals.push(phred(sum, end - start));
+            start = end;
         }
 
         let sqs = genpip_genomics::quality::sum_quality(&quals);
@@ -351,7 +376,7 @@ impl Basecaller {
             bases,
             quals,
             sqs,
-            carry: dec_states.last().copied().map(CarryState).or(carry),
+            carry: states.last().copied().map(CarryState).or(carry),
             stats: ChunkStats {
                 samples: n,
                 mvm_ops: stats.mvm_ops,
@@ -413,13 +438,8 @@ fn kmer_base(state: u16, k: usize, i: usize) -> Base {
     Base::from_code((state >> shift) as u8)
 }
 
-fn mean_residual(samples: &[f32], level: f32, assumed_var: f32) -> f32 {
-    if samples.is_empty() {
-        return 1.0;
-    }
-    let sum: f32 = samples.iter().map(|x| (x - level) * (x - level)).sum();
-    sum / (samples.len() as f32 * assumed_var)
-}
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

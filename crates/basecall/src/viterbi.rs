@@ -92,7 +92,17 @@
 //!   candidates, so it cancels, and the test is the row body's own `advance >
 //!   stay`, exactly;
 //! * the **predecessor** is then `g | (c << 2(k−1))` for the lowest quarter
-//!   `c` whose entry equals `best[g]` — pass 1's strict-`>` tie rule.
+//!   `c` whose entry equals `best[g]` — pass 1's strict-`>` tie rule. All
+//!   four entries are compared with `best[g]` into a 4-bit mask, and `c` is
+//!   its `trailing_zeros`: a real chunk's path is new to the branch
+//!   predictor, and a search that stops at the first equal entry mispredicts
+//!   about once per advance on it (a kernel row that decodes one chunk over
+//!   and over hides that: the predictor learns the chunk). An empty mask
+//!   cannot happen and panics.
+//!
+//! The stay-or-advance test stays a branch: a select on the path's state
+//! with no branch at all puts the record loads on the dependency chain from
+//! one sample to the next, which measured slower on workload chunks.
 //!
 //! Sample 0 of a stitched decode follows `init_row`'s arithmetic: it
 //! advanced iff its state is a successor of the carried state `s0` and
@@ -473,10 +483,11 @@ impl DecodeScratch {
             *out = state as u16;
             *advanced = i32::from(best[group]) - i32::from(row[state]) > margin;
             if *advanced {
-                let quarter = (0..4)
-                    .find(|&c| row[group + c * n_groups] == best[group])
-                    .expect("a group's maximum is one of its four entries");
-                state = group + quarter * n_groups;
+                let ties = (0..4).fold(0u32, |ties, c| {
+                    ties | u32::from(row[group + c * n_groups] == best[group]) << c
+                });
+                assert!(ties != 0, "a group's maximum is one of its four entries");
+                state = group + ties.trailing_zeros() as usize * n_groups;
             }
         }
         self.states[0] = state as u16;
@@ -853,6 +864,66 @@ mod tests {
             }
         }
         assert_eq!(stats.score, best as f64 / f64::from(model.scale()));
+    }
+
+    /// Traces back a two-sample decode whose one record is written by hand:
+    /// the path ends in `state`, which it advanced into, and the record's
+    /// row holds the group maximum in the quarters of `ties` (bit `c` for
+    /// quarter `c`) and less in the others. Returns the predecessor picked.
+    fn predecessor_of(model: &FixedPointModel, state: usize, ties: u32) -> usize {
+        let n_states = model.states();
+        let (group, n_groups) = (state >> 2, n_states / 4);
+        let mut scratch = DecodeScratch::new();
+        scratch.prepare(2, n_states);
+        scratch.offset = 0;
+        scratch.prev.fill(-100);
+        scratch.prev[state] = 0;
+        let (row, best) = scratch.records[..record_len(n_states)].split_at_mut(n_states);
+        row.fill(-1_000);
+        best.fill(-40);
+        for c in 0..4 {
+            let tied = ties >> c & 1 == 1;
+            row[group + c * n_groups] = if tied { -40 } else { -41 - c as i16 };
+        }
+        assert!(
+            row[state] == -1_000,
+            "the path's state is not one of its predecessors"
+        );
+        scratch.traceback(model, None);
+        assert_eq!(scratch.advanced(), [false, true]);
+        assert_eq!(usize::from(scratch.states()[1]), state);
+        usize::from(scratch.states()[0])
+    }
+
+    /// The states that are not advance predecessors of themselves, so the
+    /// hand-written record can score the path's own entry apart.
+    fn states_apart(model: &FixedPointModel) -> impl Iterator<Item = usize> {
+        let n_groups = model.states() / 4;
+        (0..model.states()).filter(move |&s| (0..4).all(|c| s != (s >> 2) + c * n_groups))
+    }
+
+    #[test]
+    fn the_predecessor_is_the_lowest_tied_quarter_for_every_mask() {
+        let (_, model) = setup();
+        let n_groups = model.states() / 4;
+        for state in states_apart(&model) {
+            for ties in 1..16u32 {
+                let lowest = (0..4).find(|c| ties >> c & 1 == 1).expect("non-empty");
+                assert_eq!(
+                    predecessor_of(&model, state, ties),
+                    (state >> 2) + lowest * n_groups,
+                    "state {state}, ties {ties:04b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a group's maximum is one of its four entries")]
+    fn a_group_maximum_that_no_quarter_holds_panics() {
+        let (_, model) = setup();
+        let state = states_apart(&model).next().expect("a state");
+        predecessor_of(&model, state, 0);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Verifies the acceptance criterion that steady-state chunk decoding with a
-//! reused [`DecodeScratch`] performs **zero heap allocations**: a counting
-//! global allocator observes the allocator while equally sized chunks stream
-//! through `decode_with` and `call_chunk_with`'s decode path.
+//! reused [`DecodeScratch`] performs **zero heap allocations**, and that a
+//! whole `call_chunk_with` on a reused [`CallScratch`] performs exactly the
+//! two its result needs: a counting global allocator observes the allocator
+//! while equally sized chunks stream through `decode_with` and
+//! `call_chunk_with`.
 
 use genpip_basecall::viterbi::{decode_with, DecodeScratch, FixedPointModel, Transitions};
+use genpip_basecall::{Basecaller, CallScratch};
 use genpip_genomics::GenomeBuilder;
 use genpip_signal::{PoreModel, SignalSynthesizer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -87,5 +90,46 @@ fn steady_state_decode_is_allocation_free() {
         0,
         "steady-state decode_with allocated {allocs} times across {} chunks",
         chunks.len() - 1
+    );
+}
+
+#[test]
+fn steady_state_call_allocates_only_its_bases_and_quals() {
+    let pore = PoreModel::synthetic(3, 7);
+    let synth = SignalSynthesizer::new(pore.clone());
+    let caller = Basecaller::new(&pore, synth.mean_dwell());
+    let truth = GenomeBuilder::new(1_500)
+        .seed(12)
+        .build()
+        .sequence()
+        .clone();
+    let sig = synth.synthesize(&truth, 1.2, 4);
+    let chunks: Vec<&[f32]> = sig.samples.chunks(2_400).collect();
+    assert!(chunks.len() >= 4, "need several chunks for a steady state");
+
+    // Warm-up: the first call sizes the decode buffers and the assembly's
+    // segment buffer.
+    let mut scratch = CallScratch::new();
+    let mut carry = caller.call_chunk_with(chunks[0], None, &mut scratch).carry;
+
+    // Steady state: each call allocates the chunk it returns — its bases
+    // and its qualities, each at its final size — and nothing else.
+    let mut called = Vec::with_capacity(chunks.len());
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
+    for chunk in &chunks[1..] {
+        let out = caller.call_chunk_with(chunk, carry, &mut scratch);
+        carry = out.carry;
+        called.push(out);
+    }
+    COUNTING.with(|c| c.set(false));
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+
+    assert!(called.iter().all(|c| !c.bases.is_empty()));
+    assert_eq!(
+        allocs,
+        2 * called.len(),
+        "steady-state call_chunk_with allocated {allocs} times across {} chunks",
+        called.len()
     );
 }

@@ -5,12 +5,13 @@
 //! the MVM emission kernel, Viterbi chunk decoding (allocation-free scratch
 //! path) and its stages on their own — the DP rows as dispatched and
 //! through the portable body, the traceback, the base/quality assembly —
-//! minimizer extraction, chaining DP (one diagonal, and two interleaved),
-//! the reference index build, the seed path (sketch, index lookup, chain)
-//! on one query, pan-genome mapping against 1 vs 3 named references, banded
-//! alignment, one read basecalled and mapped end to end, one GSC record
-//! decoded and one FASTQ record written (the replay path's serial I/O), and
-//! the pipeline simulator.
+//! then the chunk call, its decode and its assembly cold, over 64 workload
+//! chunks in pipeline order, minimizer extraction, chaining DP (one
+//! diagonal, and two interleaved), the reference index build, the seed path
+//! (sketch, index lookup, chain) on one query, pan-genome mapping against 1
+//! vs 3 named references, banded alignment, one read basecalled and mapped
+//! end to end, one GSC record decoded and one FASTQ record written (the
+//! replay path's serial I/O), and the pipeline simulator.
 //!
 //! Results are printed as a table and written to `BENCH_kernels.json` at the
 //! repo root so future PRs have a perf trajectory to compare against. Every
@@ -19,10 +20,12 @@
 //! `benchmarks/`, and the bit-identities between their variants are pinned
 //! by the root integration suites.
 
-use genpip_basecall::viterbi::{decode_with, DecodeScratch, FixedPointModel, Transitions};
-use genpip_basecall::{Basecaller, CallScratch, EmissionModel};
+use genpip_basecall::viterbi::{
+    decode_with, DecodeScratch, DecodeStats, FixedPointModel, Transitions,
+};
+use genpip_basecall::{Basecaller, CallScratch, CarryState, EmissionModel};
 use genpip_bench::micro::{bench, bench_json, Json};
-use genpip_datasets::SimulatedRead;
+use genpip_datasets::{DatasetProfile, SimulatedRead};
 use genpip_genomics::fastx::FastqWriter;
 use genpip_genomics::quality::Phred;
 use genpip_genomics::read::ReadOrigin;
@@ -32,6 +35,7 @@ use genpip_mapping::{
     minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, Mapper, MapperParams,
     MinimizerScratch, ReferenceIndex, ReferenceSet, SeedBatch, SeedScratch,
 };
+use genpip_signal::chunk::samples_per_chunk;
 use genpip_signal::{PoreModel, SignalSynthesizer};
 use std::hint::black_box;
 
@@ -59,6 +63,64 @@ fn host_simd() -> &'static str {
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
         "unknown"
+    }
+}
+
+/// One chunk as the pipeline basecalls it, and its decoded path.
+struct ColdChunk {
+    samples: Vec<f32>,
+    /// The carry the read's previous chunk leaves (`None` for its first).
+    carry: Option<u16>,
+    states: Vec<u16>,
+    advanced: Vec<bool>,
+    stats: DecodeStats,
+}
+
+/// The first chunks of `DatasetProfile::ecoli()` reads in pipeline order —
+/// each read's chunks in turn, at the pipeline's 300-base chunk size — with
+/// the basecaller and decoder model the pipeline builds for them.
+struct ColdChunks {
+    caller: Basecaller,
+    model: FixedPointModel,
+    chunks: Vec<ColdChunk>,
+}
+
+impl ColdChunks {
+    fn ecoli(n: usize) -> ColdChunks {
+        let dataset = DatasetProfile::ecoli().scaled(0.02).generate();
+        let (pore, dwell) = (dataset.pore_model(), dataset.synthesizer().mean_dwell());
+        let caller = Basecaller::new(pore, dwell);
+        let model = FixedPointModel::new(pore, Transitions::from_mean_dwell(dwell));
+        let per_chunk = samples_per_chunk(300, dwell);
+        let mut decode = DecodeScratch::new();
+        let mut chunks = Vec::with_capacity(n);
+        for read in &dataset.reads {
+            let mut carry = None;
+            for samples in read.signal.samples.chunks(per_chunk) {
+                if chunks.len() == n {
+                    break;
+                }
+                let stats = decode_with(&model, samples, carry, &mut decode);
+                chunks.push(ColdChunk {
+                    samples: samples.to_vec(),
+                    carry,
+                    states: decode.states().to_vec(),
+                    advanced: decode.advanced().to_vec(),
+                    stats,
+                });
+                carry = decode.final_state();
+            }
+        }
+        assert_eq!(chunks.len(), n, "the profile holds {n} chunks");
+        ColdChunks {
+            caller,
+            model,
+            chunks,
+        }
+    }
+
+    fn samples(&self) -> usize {
+        self.chunks.iter().map(|c| c.samples.len()).sum()
     }
 }
 
@@ -142,7 +204,11 @@ fn main() {
             Some((n as f64, "samples")),
             || black_box(&mut decode).traceback(&model, None),
         ));
-        // A `ln` per base (the Phred of each dwell segment's residual).
+        // The assembly's two loops: one over the samples (a residual each),
+        // one over the dwell segments (a Phred each, whose `f32::ln` costs
+        // about 5 ns a call on a 2-thread Xeon with AVX-512 — about 0.6 ns a
+        // sample at this chunk's one segment per 8.3 samples).
+        let mut segments = Vec::new();
         results.push(bench(
             &format!("basecall/assemble_chunk_{n}"),
             Some((n as f64, "samples")),
@@ -154,11 +220,64 @@ fn main() {
                         decode.advanced(),
                         None,
                         stats,
+                        &mut segments,
                     )
                     .bases
                     .len()
             },
         ));
+    }
+
+    // --- The same chunk call, cold: 64 workload chunks in pipeline order ---
+    // The rows above decode one chunk over and over, so the branch
+    // predictor learns its path and the traceback and assembly read
+    // faster than on any real chunk. Here one iteration walks the first 64
+    // chunks of E. coli profile reads, read by read and chunk by chunk with
+    // their carries, so 63 other chunks run between two visits of the same
+    // one: the whole call, its decode and its assembly.
+    {
+        let cold = ColdChunks::ecoli(64);
+        let samples = Some((cold.samples() as f64, "samples"));
+        let mut scratch = CallScratch::new();
+        results.push(bench("basecall/cold64/call_chunk", samples, || {
+            let mut bases = 0;
+            for chunk in &cold.chunks {
+                let carry = chunk.carry.map(CarryState);
+                bases += cold
+                    .caller
+                    .call_chunk_with(&chunk.samples, carry, &mut scratch)
+                    .bases
+                    .len();
+            }
+            bases
+        }));
+        let mut decode = DecodeScratch::new();
+        results.push(bench("basecall/cold64/decode", samples, || {
+            let mut score = 0.0;
+            for chunk in &cold.chunks {
+                score += decode_with(&cold.model, &chunk.samples, chunk.carry, &mut decode).score;
+            }
+            score
+        }));
+        let mut segments = Vec::new();
+        results.push(bench("basecall/cold64/assemble", samples, || {
+            let mut bases = 0;
+            for chunk in &cold.chunks {
+                bases += cold
+                    .caller
+                    .assemble_chunk(
+                        &chunk.samples,
+                        &chunk.states,
+                        &chunk.advanced,
+                        chunk.carry.map(CarryState),
+                        chunk.stats,
+                        &mut segments,
+                    )
+                    .bases
+                    .len();
+            }
+            bases
+        }));
     }
 
     // --- Minimizer sketching, scratch-reuse path ---
