@@ -11,27 +11,32 @@ use genpip_genomics::GenomeBuilder;
 use genpip_signal::{PoreModel, SignalSynthesizer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 // The counting flag must be per-thread: the libtest harness's main thread
 // sits in `Receiver::recv` while the test runs and lazily allocates its
 // mpmc parking context at an arbitrary moment — with a process-global flag
 // that race is counted and the test fails spuriously. Only allocations made
-// by the decoding thread itself are the test's concern. (Const-initialized
-// thread-locals never allocate, so reading the flag inside the allocator is
-// safe.)
+// by the decoding thread itself are the test's concern. The count is
+// per-thread too: the harness runs this file's two tests at once, and a
+// shared count would charge one test's allocations to the other.
+// (Const-initialized thread-locals never allocate, so touching them inside
+// the allocator is safe.)
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+fn count_one() {
+    if COUNTING.with(Cell::get) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -40,9 +45,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -73,7 +76,7 @@ fn steady_state_decode_is_allocation_free() {
 
     // Steady state: no chunk is larger than the warm-up chunk, so no buffer
     // may grow and no allocation may happen.
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     let mut total_score = 0.0;
     for chunk in &chunks[1..] {
@@ -82,7 +85,7 @@ fn steady_state_decode_is_allocation_free() {
         total_score += stats.score;
     }
     COUNTING.with(|c| c.set(false));
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let allocs = ALLOCS.with(Cell::get);
 
     assert!(total_score.is_finite());
     assert_eq!(
@@ -115,7 +118,7 @@ fn steady_state_call_allocates_only_its_bases_and_quals() {
     // Steady state: each call allocates the chunk it returns — its bases
     // and its qualities, each at its final size — and nothing else.
     let mut called = Vec::with_capacity(chunks.len());
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     for chunk in &chunks[1..] {
         let out = caller.call_chunk_with(chunk, carry, &mut scratch);
@@ -123,7 +126,7 @@ fn steady_state_call_allocates_only_its_bases_and_quals() {
         called.push(out);
     }
     COUNTING.with(|c| c.set(false));
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let allocs = ALLOCS.with(Cell::get);
 
     assert!(called.iter().all(|c| !c.bases.is_empty()));
     assert_eq!(

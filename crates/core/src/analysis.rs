@@ -206,76 +206,6 @@ pub fn false_negative_audit(er_run: &PipelineRun, oracle: &PipelineRun) -> False
     }
 }
 
-/// The Section 6.1 "negligible accuracy loss" measurement: how much of the
-/// conventional pipeline's output survives ER, and whether the survivors
-/// map to the same place.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AccuracyRetention {
-    /// Reads the oracle mapped.
-    pub oracle_mapped: usize,
-    /// Of those, reads the ER run also mapped.
-    pub retained: usize,
-    /// Of the retained, reads whose mapping agrees with the oracle's
-    /// (same strand, start within 50 bp).
-    pub concordant: usize,
-    /// Reads the ER run mapped that the oracle did not (should be ≈0).
-    pub gained: usize,
-}
-
-impl AccuracyRetention {
-    /// Fraction of oracle mappings that survive ER.
-    pub fn recall(&self) -> f64 {
-        if self.oracle_mapped == 0 {
-            1.0
-        } else {
-            self.retained as f64 / self.oracle_mapped as f64
-        }
-    }
-
-    /// Fraction of retained mappings that agree with the oracle.
-    pub fn concordance(&self) -> f64 {
-        if self.retained == 0 {
-            1.0
-        } else {
-            self.concordant as f64 / self.retained as f64
-        }
-    }
-}
-
-/// Compares an ER run's mappings with the conventional oracle's.
-///
-/// # Panics
-///
-/// Panics if the two runs cover different read counts.
-pub fn accuracy_retention(er_run: &PipelineRun, oracle: &PipelineRun) -> AccuracyRetention {
-    assert_eq!(
-        er_run.reads.len(),
-        oracle.reads.len(),
-        "runs must cover the same dataset"
-    );
-    let mut out = AccuracyRetention {
-        oracle_mapped: 0,
-        retained: 0,
-        concordant: 0,
-        gained: 0,
-    };
-    for (er, oracle) in er_run.reads.iter().zip(&oracle.reads) {
-        match (oracle.outcome.mapping(), er.outcome.mapping()) {
-            (Some(om), Some(em)) => {
-                out.oracle_mapped += 1;
-                out.retained += 1;
-                if om.strand == em.strand && om.ref_start.abs_diff(em.ref_start) <= 50 {
-                    out.concordant += 1;
-                }
-            }
-            (Some(_), None) => out.oracle_mapped += 1,
-            (None, Some(_)) => out.gained += 1,
-            (None, None) => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +213,8 @@ mod tests {
     use crate::engine::Flow;
     use crate::pipeline::{ErMode, PipelineRun};
     use genpip_datasets::DatasetProfile;
-    use genpip_datasets::SimulatedDataset;
+    use genpip_datasets::{SimulatedDataset, SimulatedRead};
+    use genpip_genomics::ReadOrigin;
 
     fn setup() -> (SimulatedDataset, PipelineRun, PipelineRun) {
         let d = DatasetProfile::ecoli().scaled(0.15).generate();
@@ -291,6 +222,11 @@ mod tests {
         let oracle = PipelineRun::collect(&d, &config, Flow::Conventional);
         let er = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
         (d, oracle, er)
+    }
+
+    /// The share of `d`'s reads for which `is` holds.
+    fn truth_fraction(d: &SimulatedDataset, is: impl Fn(&SimulatedRead) -> bool) -> f64 {
+        d.reads.iter().filter(|r| is(r)).count() as f64 / d.reads.len() as f64
     }
 
     #[test]
@@ -309,7 +245,7 @@ mod tests {
     fn qsr_rejection_tracks_low_quality_population() {
         let (d, oracle, er) = setup();
         let q = qsr_analysis(&er, &oracle, 7.0);
-        let truth_lq = d.low_quality_fraction_truth();
+        let truth_lq = truth_fraction(&d, SimulatedRead::is_low_quality_truth);
         assert!(
             (q.rejection_ratio() - truth_lq).abs() < 0.1,
             "rejection {} vs truth {truth_lq}",
@@ -327,7 +263,7 @@ mod tests {
     fn cmr_rejection_tracks_contaminants_with_low_fn() {
         let (d, oracle, er) = setup();
         let c = cmr_analysis(&er, &oracle);
-        let truth_cont = d.contaminant_fraction_truth();
+        let truth_cont = truth_fraction(&d, |r| r.origin == ReadOrigin::Contaminant);
         assert!(
             c.rejection_ratio() < truth_cont + 0.08,
             "CMR rejection {} vs contaminants {truth_cont}",
@@ -390,31 +326,33 @@ mod tests {
     #[test]
     fn accuracy_loss_is_negligible() {
         // Section 6.1: ER must not meaningfully change the pipeline output.
+        // Of the reads the oracle maps, ER keeps nearly all, at the same
+        // place (same strand, start within 50 bp), and invents almost none.
         let (_, oracle, er) = setup();
-        let acc = accuracy_retention(&er, &oracle);
-        assert!(acc.oracle_mapped > 30, "want a meaningful mapped sample");
+        let (mut oracle_mapped, mut retained, mut concordant, mut gained) = (0, 0, 0, 0);
+        for (er, oracle) in er.reads.iter().zip(&oracle.reads) {
+            match (oracle.outcome.mapping(), er.outcome.mapping()) {
+                (Some(om), Some(em)) => {
+                    oracle_mapped += 1;
+                    retained += 1;
+                    if om.strand == em.strand && om.ref_start.abs_diff(em.ref_start) <= 50 {
+                        concordant += 1;
+                    }
+                }
+                (Some(_), None) => oracle_mapped += 1,
+                (None, Some(_)) => gained += 1,
+                (None, None) => {}
+            }
+        }
+        assert!(oracle_mapped > 30, "want a meaningful mapped sample");
         assert!(
-            acc.recall() > 0.9,
-            "ER lost too many mappings: recall {}",
-            acc.recall()
+            retained as f64 > 0.9 * oracle_mapped as f64,
+            "ER lost too many mappings: {retained} of {oracle_mapped} kept"
         );
         assert!(
-            acc.concordance() > 0.97,
-            "survivors moved: concordance {}",
-            acc.concordance()
+            concordant as f64 > 0.97 * retained as f64,
+            "survivors moved: {concordant} of {retained} concordant"
         );
-        assert!(acc.gained <= 2, "ER invented {} mappings", acc.gained);
-    }
-
-    #[test]
-    fn retention_edge_cases() {
-        let a = AccuracyRetention {
-            oracle_mapped: 0,
-            retained: 0,
-            concordant: 0,
-            gained: 0,
-        };
-        assert_eq!(a.recall(), 1.0);
-        assert_eq!(a.concordance(), 1.0);
+        assert!(gained <= 2, "ER invented {gained} mappings");
     }
 }

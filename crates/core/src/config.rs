@@ -57,26 +57,37 @@ impl Parallelism {
     /// unset. CI's test matrix sets this to force both threading paths
     /// through every test that consults it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics, naming the variable and its value, when it is set to
-    /// anything [`Parallelism::parse`] refuses: a typo must not silently
-    /// run the default.
-    pub fn from_env() -> Option<Parallelism> {
+    /// Names the variable and its value when it is set to anything
+    /// [`Parallelism::parse`] refuses: a typo must not silently run the
+    /// default.
+    pub fn from_env() -> Result<Option<Parallelism>, String> {
         Parallelism::from_env_value(std::env::var_os("GENPIP_PARALLELISM").as_deref())
     }
 
-    fn from_env_value(value: Option<&std::ffi::OsStr>) -> Option<Parallelism> {
-        let value = value?;
-        let parsed = value.to_str().and_then(Parallelism::parse);
-        Some(parsed.unwrap_or_else(|| {
-            panic!("invalid GENPIP_PARALLELISM {value:?} (use serial, auto or a worker count)")
-        }))
+    fn from_env_value(value: Option<&std::ffi::OsStr>) -> Result<Option<Parallelism>, String> {
+        let Some(value) = value else {
+            return Ok(None);
+        };
+        match value.to_str().and_then(Parallelism::parse) {
+            Some(parallelism) => Ok(Some(parallelism)),
+            None => Err(format!(
+                "invalid GENPIP_PARALLELISM {value:?} (use serial, auto or a worker count)"
+            )),
+        }
     }
 
-    /// [`Parallelism::from_env`] with a fallback.
+    /// [`Parallelism::from_env`] with a fallback, for tests and examples.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`Parallelism::from_env`]'s error when the variable is
+    /// malformed.
     pub fn from_env_or(default: Parallelism) -> Parallelism {
-        Parallelism::from_env().unwrap_or(default)
+        Parallelism::from_env()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or(default)
     }
 }
 
@@ -313,18 +324,16 @@ mod tests {
     }
 
     #[test]
-    fn a_set_but_malformed_parallelism_variable_panics_naming_it() {
+    fn a_set_but_malformed_parallelism_variable_is_an_error_naming_it() {
         use std::ffi::OsStr;
-        assert_eq!(Parallelism::from_env_value(None), None);
+        assert_eq!(Parallelism::from_env_value(None), Ok(None));
         assert_eq!(
             Parallelism::from_env_value(Some(OsStr::new("serial"))),
-            Some(Parallelism::Serial)
+            Ok(Some(Parallelism::Serial))
         );
         for bad in ["four", "0", ""] {
-            let message =
-                std::panic::catch_unwind(|| Parallelism::from_env_value(Some(OsStr::new(bad))))
-                    .expect_err("a malformed value must not read as unset");
-            let message = message.downcast_ref::<String>().expect("formatted panic");
+            let message = Parallelism::from_env_value(Some(OsStr::new(bad)))
+                .expect_err("a malformed value must not read as unset");
             assert!(
                 message.contains(&format!("invalid GENPIP_PARALLELISM {bad:?}")),
                 "{message}"

@@ -329,15 +329,9 @@ impl PendingAttach {
     /// session finishes (or its control is dropped) without answering, this
     /// resolves to [`SessionError::SessionClosed`]. Never call from inside
     /// a sink (see [`SessionControl`]); if no session ever runs with this
-    /// control, `wait` blocks indefinitely — prefer
-    /// [`PendingAttach::try_result`] when that is possible.
+    /// control, `wait` blocks indefinitely.
     pub fn wait(self) -> Result<(), SessionError> {
         self.rx.recv().unwrap_or(Err(SessionError::SessionClosed))
-    }
-
-    /// The response if it has arrived, without blocking.
-    pub fn try_result(&self) -> Option<Result<(), SessionError>> {
-        self.rx.try_recv().ok()
     }
 }
 

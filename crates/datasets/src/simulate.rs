@@ -201,24 +201,6 @@ impl SimulatedDataset {
     pub fn total_samples(&self) -> usize {
         self.reads.iter().map(|r| r.signal.samples.len()).sum()
     }
-
-    /// The ground-truth fraction of contaminant reads.
-    pub fn contaminant_fraction_truth(&self) -> f64 {
-        self.reads
-            .iter()
-            .filter(|r| r.origin == ReadOrigin::Contaminant)
-            .count() as f64
-            / self.reads.len().max(1) as f64
-    }
-
-    /// The ground-truth fraction of low-quality reads.
-    pub fn low_quality_fraction_truth(&self) -> f64 {
-        self.reads
-            .iter()
-            .filter(|r| r.is_low_quality_truth())
-            .count() as f64
-            / self.reads.len().max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -256,8 +238,11 @@ mod tests {
     fn population_fractions_are_close_to_profile() {
         let p = DatasetProfile::ecoli().scaled(0.5);
         let d = SimulatedDataset::generate(&p);
-        let cont = d.contaminant_fraction_truth();
-        let lq = d.low_quality_fraction_truth();
+        let share = |is: fn(&SimulatedRead) -> bool| {
+            d.reads.iter().filter(|r| is(r)).count() as f64 / d.reads.len() as f64
+        };
+        let cont = share(|r| r.origin == ReadOrigin::Contaminant);
+        let lq = share(SimulatedRead::is_low_quality_truth);
         assert!(
             (cont - p.contaminant_fraction).abs() < 0.05,
             "contaminant {cont}"

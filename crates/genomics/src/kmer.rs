@@ -8,15 +8,16 @@ use std::fmt;
 ///
 /// The earliest base occupies the *most significant* position so that the
 /// integer ordering of k-mers equals their lexicographic ordering — the
-/// property minimizer selection relies on ([`crate::Kmer::canonical`],
-/// `genpip-mapping`'s sketching).
+/// property `genpip-mapping`'s sketching relies on when it picks the
+/// smaller of a k-mer and its reverse complement.
 ///
 /// # Example
 ///
 /// ```
-/// use genpip_genomics::{Base, Kmer};
+/// use genpip_genomics::{Base, DnaSeq, Kmer};
 ///
-/// let k = Kmer::from_bases(&[Base::A, Base::C, Base::G]);
+/// let seq: DnaSeq = "TACG".parse().unwrap();
+/// let k = Kmer::from_seq(&seq, 1, 3);
 /// assert_eq!(k.to_string(), "ACG");
 /// assert_eq!(k.roll(Base::T).to_string(), "CGT");
 /// ```
@@ -29,28 +30,6 @@ pub struct Kmer {
 impl Kmer {
     /// Maximum supported k.
     pub const MAX_K: usize = 32;
-
-    /// Builds a k-mer from a slice of bases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bases.len()` is 0 or exceeds [`Kmer::MAX_K`].
-    pub fn from_bases(bases: &[Base]) -> Kmer {
-        assert!(
-            !bases.is_empty() && bases.len() <= Kmer::MAX_K,
-            "k must be in 1..={}, got {}",
-            Kmer::MAX_K,
-            bases.len()
-        );
-        let mut bits = 0u64;
-        for &b in bases {
-            bits = (bits << 2) | b.code() as u64;
-        }
-        Kmer {
-            bits,
-            k: bases.len() as u8,
-        }
-    }
 
     /// Builds a k-mer from the first `k` bases at `offset` in `seq`.
     ///
@@ -70,23 +49,6 @@ impl Kmer {
             bits = (bits << 2) | seq.get(offset + i).code() as u64;
         }
         Kmer { bits, k: k as u8 }
-    }
-
-    /// Builds a k-mer directly from packed bits. Bits above `2k` are masked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is 0 or exceeds [`Kmer::MAX_K`].
-    pub fn from_bits(bits: u64, k: usize) -> Kmer {
-        assert!(
-            (1..=Kmer::MAX_K).contains(&k),
-            "k must be in 1..={}",
-            Kmer::MAX_K
-        );
-        Kmer {
-            bits: bits & mask(k),
-            k: k as u8,
-        }
     }
 
     /// The k-mer length.
@@ -130,18 +92,6 @@ impl Kmer {
             bits = (bits << 2) | self.base(self.k() - 1 - i).complement().code() as u64;
         }
         Kmer { bits, k: self.k }
-    }
-
-    /// The lexicographically smaller of this k-mer and its reverse
-    /// complement, so that both strands sketch identically (the standard
-    /// "canonical k-mer" convention minimap2 uses).
-    pub fn canonical(&self) -> Kmer {
-        let rc = self.reverse_complement();
-        if rc.bits < self.bits {
-            rc
-        } else {
-            *self
-        }
     }
 }
 
@@ -230,7 +180,7 @@ mod tests {
 
     #[test]
     fn from_bases_and_display() {
-        let k = Kmer::from_bases(&[Base::G, Base::A, Base::T]);
+        let k = Kmer::from_seq(&seq("CGATC"), 1, 3);
         assert_eq!(k.to_string(), "GAT");
         assert_eq!(k.k(), 3);
     }
@@ -266,24 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_picks_smaller_strand() {
-        let k = Kmer::from_seq(&seq("TTT"), 0, 3);
-        assert_eq!(k.canonical().to_string(), "AAA");
-        let k = Kmer::from_seq(&seq("AAA"), 0, 3);
-        assert_eq!(k.canonical().to_string(), "AAA");
-    }
-
-    #[test]
-    fn canonical_same_for_both_strands() {
-        let s = seq("ACGGTAGCTA");
-        let rc = s.reverse_complement();
-        let fwd = Kmer::from_seq(&s, 2, 5).canonical();
-        // Window [2,7) on the forward strand is window [len-7, len-2) on rc.
-        let rev = Kmer::from_seq(&rc, s.len() - 7, 5).canonical();
-        assert_eq!(fwd, rev);
-    }
-
-    #[test]
     fn kmer_iter_covers_all_offsets() {
         let s = seq("ACGTACG");
         let kmers: Vec<(usize, Kmer)> = KmerIter::new(&s, 3).collect();
@@ -297,12 +229,6 @@ mod tests {
     fn kmer_iter_short_sequence_is_empty() {
         let s = seq("AC");
         assert_eq!(KmerIter::new(&s, 3).count(), 0);
-    }
-
-    #[test]
-    fn from_bits_masks() {
-        let k = Kmer::from_bits(u64::MAX, 2);
-        assert_eq!(k.to_string(), "TT");
     }
 
     #[test]

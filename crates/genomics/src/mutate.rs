@@ -84,11 +84,6 @@ impl ErrorModel {
         }
     }
 
-    /// Total error rate (sum of the three class rates).
-    pub fn total_rate(&self) -> f64 {
-        self.substitution + self.insertion + self.deletion
-    }
-
     /// Applies the model to `truth`, returning the observed sequence and the
     /// edit script (in true-sequence coordinates, ascending).
     pub fn apply(&self, truth: &DnaSeq, rng: &mut SeededRng) -> (DnaSeq, Vec<MutationOp>) {
@@ -233,6 +228,6 @@ mod tests {
     #[test]
     fn total_rate_sums_classes() {
         let m = ErrorModel::with_total_rate(0.12);
-        assert!((m.total_rate() - 0.12).abs() < 1e-12);
+        assert!((m.substitution + m.insertion + m.deletion - 0.12).abs() < 1e-12);
     }
 }

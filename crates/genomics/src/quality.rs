@@ -88,13 +88,13 @@ pub fn sum_quality(quals: &[Phred]) -> f64 {
 /// # Example
 ///
 /// ```
-/// use genpip_genomics::quality::{average_quality, AqsAccumulator, Phred};
+/// use genpip_genomics::quality::{average_quality, sum_quality, AqsAccumulator, Phred};
 ///
 /// let chunk1 = vec![Phred(8.0), Phred(10.0)];
 /// let chunk2 = vec![Phred(12.0)];
 /// let mut acc = AqsAccumulator::new();
-/// acc.add_chunk(&chunk1);
-/// acc.add_chunk(&chunk2);
+/// acc.add_chunk_sum(sum_quality(&chunk1), chunk1.len());
+/// acc.add_chunk_sum(sum_quality(&chunk2), chunk2.len());
 /// let whole: Vec<Phred> = chunk1.into_iter().chain(chunk2).collect();
 /// assert_eq!(acc.average(), average_quality(&whole));
 /// ```
@@ -110,15 +110,9 @@ impl AqsAccumulator {
         AqsAccumulator::default()
     }
 
-    /// Merges one basecalled chunk's per-base qualities (Equation 3's
-    /// running sum).
-    pub fn add_chunk(&mut self, quals: &[Phred]) {
-        self.sum += sum_quality(quals);
-        self.count += quals.len();
-    }
-
-    /// Merges a precomputed chunk sum, as the PIM-CQS unit delivers it
-    /// (the hardware computes SQS in-memory and ships only the scalar).
+    /// Merges one chunk's quality sum `sqs` over `bases` bases (Equation
+    /// 3's running sum), as the PIM-CQS unit delivers it: the hardware
+    /// computes SQS in-memory and ships only the scalar.
     pub fn add_chunk_sum(&mut self, sqs: f64, bases: usize) {
         self.sum += sqs;
         self.count += bases;
@@ -207,7 +201,7 @@ mod tests {
         for chunk_size in [1, 7, 25, 100, 300] {
             let mut acc = AqsAccumulator::new();
             for chunk in quals.chunks(chunk_size) {
-                acc.add_chunk(chunk);
+                acc.add_chunk_sum(sum_quality(chunk), chunk.len());
             }
             assert!(
                 (acc.average() - whole).abs() < 1e-12,
@@ -215,16 +209,6 @@ mod tests {
             );
             assert_eq!(acc.bases(), quals.len());
         }
-    }
-
-    #[test]
-    fn add_chunk_sum_matches_add_chunk() {
-        let quals: Vec<Phred> = vec![Phred(3.0), Phred(9.0), Phred(12.0)];
-        let mut a = AqsAccumulator::new();
-        a.add_chunk(&quals);
-        let mut b = AqsAccumulator::new();
-        b.add_chunk_sum(sum_quality(&quals), quals.len());
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -7,10 +7,11 @@ use std::str::FromStr;
 /// A DNA sequence stored with four bases per byte.
 ///
 /// The packed layout matters for this reproduction beyond memory footprint:
-/// GenPIP's data-movement accounting (Section 2.3 of the paper) is driven by
-/// the number of *bytes* of basecalled output that must travel between the
-/// basecalling and read-mapping machines, so the sequence type exposes
-/// [`DnaSeq::packed_bytes`] alongside its base-level API.
+/// GenPIP's data-movement accounting (Section 2.3 of the paper) charges
+/// `len.div_ceil(4)` bytes for a read's bases when basecalled output travels
+/// between the basecalling and read-mapping machines
+/// (`ReadRun::called_bytes` in `genpip-core`). [`DnaSeq::packed_bytes`] is
+/// how the tests hold the type to that figure.
 ///
 /// # Example
 ///
@@ -55,9 +56,8 @@ impl DnaSeq {
         self.len == 0
     }
 
-    /// Number of bytes the packed representation occupies. This is the unit
-    /// GenPIP's data-movement model charges when basecalled reads are shipped
-    /// between pipeline steps.
+    /// Number of bytes the packed representation occupies: `len.div_ceil(4)`,
+    /// the figure GenPIP's data-movement model charges for a read's bases.
     #[inline]
     pub fn packed_bytes(&self) -> usize {
         self.packed.len()

@@ -64,20 +64,13 @@ pub struct SeedBatch {
     pub hits: usize,
 }
 
-/// Seeds a batch of query minimizers against the index.
+/// Seeds a batch of query minimizers against the index into `batch`,
+/// clearing it first — the anchor vectors keep their capacity, so a reused
+/// batch seeds without allocating in steady state.
 ///
 /// `qpos_offset` is added to every minimizer position — GenPIP's chunk-based
 /// pipeline sketches each basecalled chunk locally and offsets by the bases
 /// already emitted for the read.
-pub fn seed_batch(index: &ReferenceIndex, mins: &[Minimizer], qpos_offset: RefPos) -> SeedBatch {
-    let mut batch = SeedBatch::default();
-    seed_batch_into(index, mins, qpos_offset, &mut batch);
-    batch
-}
-
-/// Seeds a batch of query minimizers against the index into `batch`,
-/// clearing it first — the anchor vectors keep their capacity, so a reused
-/// batch seeds without allocating in steady state.
 pub fn seed_batch_into(
     index: &ReferenceIndex,
     mins: &[Minimizer],
@@ -131,6 +124,13 @@ mod tests {
 
     fn index(g: &Genome) -> ReferenceIndex {
         ReferenceIndex::build(g, K, W)
+    }
+
+    /// [`seed_batch_into`] on a fresh batch.
+    fn seed_batch(index: &ReferenceIndex, mins: &[Minimizer], qpos_offset: RefPos) -> SeedBatch {
+        let mut batch = SeedBatch::default();
+        seed_batch_into(index, mins, qpos_offset, &mut batch);
+        batch
     }
 
     #[test]
@@ -256,5 +256,10 @@ mod tests {
         let batch = seed_batch(&idx, &mins, 0);
         assert_eq!(batch.queries, mins.len());
         assert_eq!(batch.hits, batch.forward.len() + batch.reverse.len());
+        // A reused batch is cleared first: seeding into one that holds
+        // another query's anchors gives the fresh batch's result.
+        let mut reused = seed_batch(&idx, &minimizers(&query.reverse_complement(), K, W), 7);
+        seed_batch_into(&idx, &mins, 0, &mut reused);
+        assert_eq!(reused, batch);
     }
 }

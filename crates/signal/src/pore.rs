@@ -182,7 +182,6 @@ fn mix(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genpip_genomics::Base;
 
     #[test]
     fn deterministic_for_seed() {
@@ -218,7 +217,7 @@ mod tests {
     #[test]
     fn level_accepts_matching_kmer() {
         let m = PoreModel::synthetic(3, 7);
-        let kmer = Kmer::from_bases(&[Base::A, Base::C, Base::G]);
+        let kmer = Kmer::from_seq(&"ACG".parse().unwrap(), 0, 3);
         assert_eq!(m.level(kmer), m.level_bits(kmer.bits()));
     }
 
@@ -226,7 +225,7 @@ mod tests {
     #[should_panic(expected = "does not match")]
     fn level_rejects_wrong_k() {
         let m = PoreModel::synthetic(3, 7);
-        let kmer = Kmer::from_bases(&[Base::A, Base::C]);
+        let kmer = Kmer::from_seq(&"AC".parse().unwrap(), 0, 2);
         let _ = m.level(kmer);
     }
 

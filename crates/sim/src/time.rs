@@ -16,11 +16,6 @@ impl SimTime {
     /// Zero time.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Builds from picoseconds.
-    pub const fn from_ps(ps: u64) -> SimTime {
-        SimTime(ps)
-    }
-
     /// Builds from (fractional) nanoseconds, rounding to picoseconds.
     ///
     /// # Panics
@@ -34,24 +29,9 @@ impl SimTime {
         SimTime((ns * 1e3).round() as u64)
     }
 
-    /// Builds from microseconds.
-    pub fn from_us(us: f64) -> SimTime {
-        SimTime::from_ns(us * 1e3)
-    }
-
-    /// Builds from milliseconds.
-    pub fn from_ms(ms: f64) -> SimTime {
-        SimTime::from_ns(ms * 1e6)
-    }
-
     /// Builds from seconds.
     pub fn from_secs(s: f64) -> SimTime {
         SimTime::from_ns(s * 1e9)
-    }
-
-    /// Raw picoseconds.
-    pub const fn as_ps(self) -> u64 {
-        self.0
     }
 
     /// Value in nanoseconds.
@@ -136,10 +116,10 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        assert_eq!(SimTime::from_ns(1.0).as_ps(), 1_000);
-        assert_eq!(SimTime::from_us(1.0), SimTime::from_ns(1_000.0));
-        assert_eq!(SimTime::from_ms(1.0), SimTime::from_us(1_000.0));
-        assert_eq!(SimTime::from_secs(1.0), SimTime::from_ms(1_000.0));
+        assert_eq!(SimTime::from_ns(1.0), SimTime(1_000));
+        assert_eq!(SimTime::from_ns(0.0004), SimTime::ZERO, "rounds to ps");
+        assert_eq!(SimTime::from_secs(1.0), SimTime::from_ns(1e9));
+        assert!((SimTime::from_ns(2.5).as_ns() - 2.5).abs() < 1e-12);
         assert!((SimTime::from_secs(2.5).as_secs() - 2.5).abs() < 1e-12);
     }
 
@@ -164,10 +144,10 @@ mod tests {
 
     #[test]
     fn display_picks_sensible_units() {
-        assert_eq!(SimTime::from_ps(500).to_string(), "500 ps");
+        assert_eq!(SimTime(500).to_string(), "500 ps");
         assert_eq!(SimTime::from_ns(1.5).to_string(), "1.500 ns");
-        assert_eq!(SimTime::from_us(2.0).to_string(), "2.000 µs");
-        assert_eq!(SimTime::from_ms(3.0).to_string(), "3.000 ms");
+        assert_eq!(SimTime::from_ns(2e3).to_string(), "2.000 µs");
+        assert_eq!(SimTime::from_ns(3e6).to_string(), "3.000 ms");
         assert_eq!(SimTime::from_secs(4.0).to_string(), "4.000 s");
     }
 

@@ -888,13 +888,7 @@ fn parallelism_from(parsed: &Parsed) -> Result<Parallelism, String> {
     if let Some(s) = opt(parsed, "threads") {
         return Parallelism::parse(s).ok_or_else(|| format!("invalid --threads {s:?}"));
     }
-    match std::env::var_os("GENPIP_PARALLELISM") {
-        None => Ok(Parallelism::Auto),
-        Some(s) => s
-            .to_str()
-            .and_then(Parallelism::parse)
-            .ok_or_else(|| format!("invalid GENPIP_PARALLELISM {s:?}")),
-    }
+    Ok(Parallelism::from_env()?.unwrap_or(Parallelism::Auto))
 }
 
 fn inject_rate_from(parsed: &Parsed) -> Result<f64, String> {

@@ -23,7 +23,7 @@ fn profile() -> DatasetProfile {
 
 fn parallelism_sweep() -> Vec<Parallelism> {
     let mut sweep = vec![Parallelism::Serial, Parallelism::Threads(3)];
-    if let Some(from_env) = Parallelism::from_env() {
+    if let Some(from_env) = Parallelism::from_env().unwrap() {
         if !sweep.contains(&from_env) {
             sweep.push(from_env);
         }

@@ -39,7 +39,7 @@ fn half_copy_panel(d: &SimulatedDataset) -> Arc<Genome> {
 
 fn parallelism_sweep() -> Vec<Parallelism> {
     let mut sweep = vec![Parallelism::Serial, Parallelism::Threads(4)];
-    if let Some(from_env) = Parallelism::from_env() {
+    if let Some(from_env) = Parallelism::from_env().unwrap() {
         if !sweep.contains(&from_env) {
             sweep.push(from_env);
         }

@@ -35,7 +35,7 @@ fn profiles() -> (DatasetProfile, DatasetProfile) {
 
 fn parallelism_sweep() -> Vec<Parallelism> {
     let mut sweep = vec![Parallelism::Serial, Parallelism::Threads(4)];
-    if let Some(from_env) = Parallelism::from_env() {
+    if let Some(from_env) = Parallelism::from_env().unwrap() {
         if !sweep.contains(&from_env) {
             sweep.push(from_env);
         }
