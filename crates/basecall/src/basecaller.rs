@@ -178,13 +178,6 @@ pub struct BasecalledRead {
     pub stats: ChunkStats,
 }
 
-impl BasecalledRead {
-    /// Whole-read average quality score.
-    pub fn average_quality(&self) -> f64 {
-        genpip_genomics::average_quality(&self.quals)
-    }
-}
-
 /// The basecaller: integrity gate + MVM emission + Viterbi decode + quality
 /// scoring, operating one chunk at a time.
 #[derive(Debug, Clone)]
@@ -212,11 +205,6 @@ impl Basecaller {
             model: FixedPointModel::new(pore, Transitions::from_mean_dwell(mean_dwell)),
             calibration: QualityCalibration::default_r9(),
         }
-    }
-
-    /// The pore model in use.
-    pub fn pore_model(&self) -> &PoreModel {
-        &self.pore
     }
 
     /// The emission model (e.g. for programming the PIM crossbar).
@@ -445,7 +433,7 @@ mod differential;
 mod tests {
     use super::*;
     use crate::metrics::identity;
-    use genpip_genomics::GenomeBuilder;
+    use genpip_genomics::{average_quality, GenomeBuilder};
     use genpip_signal::SignalSynthesizer;
 
     fn setup() -> (SignalSynthesizer, Basecaller) {
@@ -490,16 +478,9 @@ mod tests {
         let clean = caller.call_read(&synth.synthesize(&t, 1.0, 4).samples, 2400);
         let noisy = caller.call_read(&synth.synthesize(&t, 3.0, 4).samples, 2400);
         assert!(identity(&clean.seq, &t) > identity(&noisy.seq, &t));
-        assert!(
-            clean.average_quality() > 9.0,
-            "clean AQS {}",
-            clean.average_quality()
-        );
-        assert!(
-            noisy.average_quality() < 7.0,
-            "noisy AQS {}",
-            noisy.average_quality()
-        );
+        let (clean_aqs, noisy_aqs) = (average_quality(&clean.quals), average_quality(&noisy.quals));
+        assert!(clean_aqs > 9.0, "clean AQS {clean_aqs}");
+        assert!(noisy_aqs < 7.0, "noisy AQS {noisy_aqs}");
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //! every stored or intermediate score ≥ −(max(k, 2) · (E + M) + M + 1)
 //! ```
 //!
-//! which [`FixedPointModel::bound`] reports and `S` is chosen to keep within
+//! which `S` is chosen to keep within
 //! `i16::MAX`: 20 089 at `k = 3`, `S = 64` and the synthetic dwell.
 //! `viterbi/differential.rs` measures the deepest value on hostile inputs
 //! (samples at ±1e6, levels 1e6 apart, `event_std` 1e-6, dwells of 1 + 1e-9
@@ -156,8 +156,6 @@ pub struct FixedPointModel {
     log_advance: i16,
     /// Start score of the states a stitched start cannot reach.
     floor: i16,
-    /// The proved magnitude no score goes below.
-    bound: i32,
 }
 
 impl FixedPointModel {
@@ -185,14 +183,11 @@ impl FixedPointModel {
         let nats = |v: f32| f64::from(v).clamp(-Self::TRANSITION_CAP_NATS, 0.0);
         let (stay, advance) = (nats(transitions.log_stay), nats(transitions.log_advance));
         let quantise = |scale: i32, v: f64| (f64::from(scale) * v).round() as i32;
-        let bound = |scale: i32| {
-            let e = quantise(scale, Self::FLOOR_NATS);
-            let m = -quantise(scale, stay).min(quantise(scale, advance));
-            k.max(2) as i32 * (e + m) + m + 1
-        };
         let scale = (1..=Self::MAX_SCALE)
             .rev()
-            .find(|&s| bound(s) <= i32::from(i16::MAX))
+            .find(|&s| {
+                Self::bound_at(k, s, quantise(s, stay), quantise(s, advance)) <= i32::from(i16::MAX)
+            })
             .expect("S = 1 keeps the bound for every capped transition");
 
         let sigma = f64::from(pore.event_std());
@@ -231,8 +226,16 @@ impl FixedPointModel {
             log_stay: log_stay as i16,
             log_advance: log_advance as i16,
             floor: floor as i16,
-            bound: bound(scale),
         }
+    }
+
+    /// The proved bound at scale `S` for `k`-mers and quantised transitions
+    /// (module docs): `max(k, 2)(E + M) + M + 1`, `M` the larger transition
+    /// magnitude.
+    fn bound_at(k: usize, scale: i32, log_stay: i32, log_advance: i32) -> i32 {
+        let e = (f64::from(scale) * Self::FLOOR_NATS).round() as i32;
+        let m = -log_stay.min(log_advance);
+        k.max(2) as i32 * (e + m) + m + 1
     }
 
     /// Number of states.
@@ -245,24 +248,6 @@ impl FixedPointModel {
     #[inline]
     pub fn scale(&self) -> i32 {
         self.scale
-    }
-
-    /// The proved bound: no stored or intermediate score of a decode goes
-    /// below `−bound()`, and `bound() ≤ i16::MAX`.
-    pub fn bound(&self) -> i32 {
-        self.bound
-    }
-
-    /// Quantised log P(stay), `≤ 0`.
-    #[inline]
-    pub fn log_stay(&self) -> i16 {
-        self.log_stay
-    }
-
-    /// Quantised log P(advance to one successor), `≤ 0`.
-    #[inline]
-    pub fn log_advance(&self) -> i16 {
-        self.log_advance
     }
 
     /// The emission-table bin of sample `x`: the nearest end bin outside the
@@ -695,6 +680,16 @@ mod avx2;
 mod differential;
 
 #[cfg(test)]
+impl FixedPointModel {
+    /// The proved bound of this model: no stored or intermediate score of a
+    /// decode goes below `−bound()`, and `bound() ≤ i16::MAX`.
+    fn bound(&self) -> i32 {
+        let k = self.states.trailing_zeros() as usize / 2;
+        Self::bound_at(k, self.scale, self.log_stay.into(), self.log_advance.into())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use genpip_signal::PoreModel;
@@ -857,10 +852,10 @@ mod tests {
                 best = best.max(score);
                 continue;
             }
-            stack.push((t + 1, s, score + i64::from(model.log_stay()) + e(t, s)));
+            stack.push((t + 1, s, score + i64::from(model.log_stay) + e(t, s)));
             for b in 0..4usize {
                 let s2 = ((s << 2) | b) & (n_states - 1);
-                stack.push((t + 1, s2, score + i64::from(model.log_advance()) + e(t, s2)));
+                stack.push((t + 1, s2, score + i64::from(model.log_advance) + e(t, s2)));
             }
         }
         assert_eq!(stats.score, best as f64 / f64::from(model.scale()));
@@ -956,7 +951,7 @@ mod tests {
         assert!((1.0 / model.bins_per_pa - 0.25).abs() < 1e-6);
         assert_eq!(
             model.floor,
-            -(e - model.log_stay().min(model.log_advance()) as i32 + 1) as i16
+            -(e - model.log_stay.min(model.log_advance) as i32 + 1) as i16
         );
     }
 
@@ -1052,6 +1047,6 @@ mod tests {
         };
         let model = FixedPointModel::new(&pore, silly);
         assert!(model.bound() <= i32::from(i16::MAX));
-        assert_eq!(model.log_advance(), 0);
+        assert_eq!(model.log_advance, 0);
     }
 }

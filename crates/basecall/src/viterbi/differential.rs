@@ -74,7 +74,7 @@ fn oracle_decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u1
     }
     let k_shift = (n_states.trailing_zeros() - 2) as usize;
     let n_groups = n_states >> 2;
-    let (ls, la) = (i64::from(model.log_stay()), i64::from(model.log_advance()));
+    let (ls, la) = (i64::from(model.log_stay), i64::from(model.log_advance));
     let emit = |t: usize, s: usize| i64::from(model.emissions(samples[t])[s]);
 
     let mut prev: Vec<i64> = (0..n_states).map(|s| emit(0, s)).collect();
@@ -463,7 +463,7 @@ fn a_homopolymer_carry_that_advances_into_itself_agrees() {
     // carry `s0` — its own successor — advanced into it at sample 0.
     let pore = PoreModel::synthetic(3, 7);
     let mut h = Harness::with_dwell(pore.clone(), 1.1);
-    assert!(h.model.log_advance() > h.model.log_stay());
+    assert!(h.model.log_advance > h.model.log_stay);
     let mut advanced_into_itself = 0;
     for s0 in [0u16, 0b01_0101, 0b10_1010, 0b11_1111] {
         let level = pore.level_bits(u64::from(s0));
@@ -689,7 +689,7 @@ fn one_row_from_any_tie_heavy_score_row_agrees_through_both_bodies() {
     let n_states = h.states();
     let n_groups = n_states / 4;
     let floor = i16::try_from(-h.model.bound() / 2).expect("bound fits i16");
-    let (ls, la) = (h.model.log_stay(), h.model.log_advance());
+    let (ls, la) = (h.model.log_stay, h.model.log_advance);
     let margin = ls - la;
     let values = [floor, floor + 1, -300, -1 - margin, -margin, -1, 0];
     let mut rng = seeded(0xbad5eed);

@@ -7,8 +7,8 @@
 //! is *configured*, not called: you register named sources, attach
 //! per-source sinks, pick a [`Flow`] and a [`Schedule`], and run. A source
 //! registered on the builder *is* an attach made before the run: it enters
-//! through the same door as a [`SessionControl::attach`] (same checks, same
-//! in-order marker, same per-source record), only synchronously, so its
+//! through the same door as a [`SessionControl::attach_with`] (same checks,
+//! same in-order marker, same per-source record), only synchronously, so its
 //! refusal is [`Session::run`]'s `Err`. GenPIP's
 //! end-to-end gain comes from tight integration at **chunk granularity**
 //! (paper §3). That dataflow — every chunk seeds and chains as soon as it
@@ -155,8 +155,8 @@ impl Flow {
 ///
 /// Four verbs:
 ///
-/// * [`SessionControl::attach`] (or [`SessionControl::attach_with`] and an
-///   [`AttachSpec`] for a config override, sink or weight) adds a
+/// * [`SessionControl::attach_with`] (an [`AttachSpec`] carries any
+///   config override, sink or weight) adds a
 ///   named source to the *running* session. It goes through the one
 ///   admission a builder source goes through (see [`Session::source`]) — a
 ///   typed [`SessionError`] comes back through the returned
@@ -250,7 +250,7 @@ struct SourceRecord {
 type AttachedSink = Box<dyn FnMut(StreamEvent) + Send>;
 
 /// A source on its way into a session, through either door — a builder
-/// `source*` call or a [`SessionControl::attach`].
+/// `source*` call or a [`SessionControl::attach_with`].
 struct Admission<'a> {
     id: SourceId,
     source: Box<dyn ReadSource + Send + 'a>,
@@ -317,7 +317,7 @@ impl AttachSpec {
     }
 }
 
-/// The pending response to a [`SessionControl::attach`]. The session
+/// The pending response to a [`SessionControl::attach_with`]. The session
 /// validates the source at its next poll point and answers here.
 #[derive(Debug)]
 pub struct PendingAttach {
@@ -407,21 +407,11 @@ impl SessionControl {
         self.state.draining.load(Ordering::SeqCst)
     }
 
-    /// Attaches a new source under `id`, processed with the session-wide
-    /// config — [`Session::source`], live. Returns immediately; the typed
-    /// verdict arrives through the [`PendingAttach`]. May be called before
-    /// the run starts (applied at the session's first poll, after the
-    /// builder's sources).
-    pub fn attach(
-        &self,
-        id: impl Into<SourceId>,
-        source: impl ReadSource + Send + 'static,
-    ) -> PendingAttach {
-        self.attach_with(id, source, AttachSpec::new())
-    }
-
-    /// Attaches a new source with a full [`AttachSpec`] (config override,
-    /// sink, priority weight).
+    /// Attaches a new source under `id` with an [`AttachSpec`] (config
+    /// override, sink, priority weight) — [`Session::source`], live. Returns
+    /// immediately; the typed verdict arrives through the [`PendingAttach`].
+    /// May be called before the run starts (applied at the session's first
+    /// poll, after the builder's sources).
     pub fn attach_with(
         &self,
         id: impl Into<SourceId>,
@@ -781,14 +771,6 @@ pub struct SessionReport {
     pub latency: LatencyStats,
 }
 
-impl SessionReport {
-    /// The report of the source registered under `id`, if any.
-    pub fn source(&self, id: impl Into<SourceId>) -> Option<&SourceReport> {
-        let id = id.into();
-        self.sources.iter().find(|s| s.id == id)
-    }
-}
-
 /// One source's share of a [`SessionCheckpoint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceCheckpoint {
@@ -905,7 +887,7 @@ impl<'a> Session<'a> {
     ///
     /// Registering is attaching before the run: at [`Session::run`] every
     /// builder source, in registration order, passes the admission a
-    /// [`SessionControl::attach`] passes (unique id,
+    /// [`SessionControl::attach_with`] passes (unique id,
     /// [`StreamOptions::max_sources`], priority weight, config against the
     /// source's reference and chemistry) and the first refusal is `run`'s
     /// `Err`, before any read is pulled.
@@ -1046,7 +1028,7 @@ impl<'a> Session<'a> {
     /// [`Session::run`] with an external [`SessionControl`]: clone the
     /// handle before calling and any thread (or any sink) can drive the
     /// running session — [`SessionControl::drain`] it, snapshot
-    /// [`SessionControl::stats`], [`SessionControl::attach`] new sources,
+    /// [`SessionControl::stats`], [`SessionControl::attach_with`] new sources,
     /// or [`SessionControl::detach`] existing ones. Commands enqueued
     /// before the run starts are applied at the session's first poll, after
     /// the builder's sources (in particular, a pre-run `drain` makes the
@@ -2300,7 +2282,11 @@ mod tests {
                 assert_eq!(stats.live, !cut.complete);
                 assert_eq!(stats.sources[0].outcomes, cut.sources[0].outcomes);
                 if sink_cuts.borrow().is_empty() {
-                    let pending = reentrant.attach("a", StreamingSimulator::new(&twin));
+                    let pending = reentrant.attach_with(
+                        "a",
+                        StreamingSimulator::new(&twin),
+                        AttachSpec::new(),
+                    );
                     *sink_refused.borrow_mut() = Some(pending);
                 }
                 sink_cuts.borrow_mut().push(cut.clone());
@@ -2596,10 +2582,8 @@ mod tests {
         assert_eq!(report.totals, batch.totals());
         assert_eq!(report.sources.len(), 1);
         assert_eq!(report.sources[0].summary.totals, batch.totals());
-        assert_eq!(
-            report.source("only").expect("registered").summary.outcomes,
-            report.outcomes
-        );
+        assert_eq!(report.sources[0].id.as_str(), "only");
+        assert_eq!(report.sources[0].summary.outcomes, report.outcomes);
         assert!(report.max_in_flight <= report.in_flight_limit);
     }
 

@@ -97,7 +97,11 @@ impl SystemsMatrix {
     /// of the same cell; `metric` maps an evaluation to the raw quantity
     /// (time or energy), and normalization is `cpu / system` so bigger is
     /// better.
-    fn normalized(&self, kind: SystemKind, metric: impl Fn(&SystemEvaluation) -> f64) -> Vec<f64> {
+    pub(crate) fn normalized(
+        &self,
+        kind: SystemKind,
+        metric: impl Fn(&SystemEvaluation) -> f64,
+    ) -> Vec<f64> {
         self.cells
             .iter()
             .map(|cell| metric(cell.eval(SystemKind::Cpu)) / metric(cell.eval(kind)))
@@ -124,11 +128,6 @@ impl SystemsMatrix {
             t.push_row(kind.name(), row);
         }
         t
-    }
-
-    /// GMEAN of the normalized metric for one system.
-    pub fn gmean(&self, kind: SystemKind, metric: impl Fn(&SystemEvaluation) -> f64) -> f64 {
-        geometric_mean(&self.normalized(kind, &metric))
     }
 }
 
@@ -173,7 +172,7 @@ mod tests {
         assert_eq!(fig.matrix.cells.len(), 6);
         let metric = |e: &SystemEvaluation| e.time.as_secs();
         // Orderings on the GMEAN (Figure 10's key claims).
-        let g = |k: SystemKind| fig.matrix.gmean(k, metric);
+        let g = |k: SystemKind| geometric_mean(&fig.matrix.normalized(k, metric));
         assert!(g(SystemKind::GenPip) > g(SystemKind::GenPipCpQsr));
         assert!(g(SystemKind::GenPipCpQsr) > g(SystemKind::GenPipCp));
         assert!(g(SystemKind::GenPipCp) > g(SystemKind::Pim));

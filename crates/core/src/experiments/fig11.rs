@@ -56,12 +56,13 @@ impl fmt::Display for Fig11 {
 mod tests {
     use super::*;
     use crate::systems::SystemEvaluation;
+    use genpip_genomics::stats::geometric_mean;
 
     #[test]
     fn energy_orderings_hold() {
         let fig = run(0.05);
         let metric = |e: &SystemEvaluation| e.energy_j();
-        let g = |k: SystemKind| fig.matrix.gmean(k, metric);
+        let g = |k: SystemKind| geometric_mean(&fig.matrix.normalized(k, metric));
         assert!(g(SystemKind::GenPip) > g(SystemKind::GenPipCpQsr));
         assert!(g(SystemKind::GenPipCpQsr) > g(SystemKind::GenPipCp));
         assert!(g(SystemKind::GenPip) > g(SystemKind::Pim));

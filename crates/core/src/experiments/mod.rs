@@ -69,14 +69,6 @@ impl FigureTable {
             values,
         });
     }
-
-    /// Looks up a cell by row label and column index.
-    pub fn value(&self, label: &str, column: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.label == label)
-            .and_then(|r| r.values.get(column).copied().flatten())
-    }
 }
 
 impl fmt::Display for FigureTable {
@@ -119,6 +111,16 @@ pub fn sparkline(values: &[f64], lo: f64, hi: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FigureTable {
+        /// Looks up a cell by row label and column index.
+        pub(crate) fn value(&self, label: &str, column: usize) -> Option<f64> {
+            self.rows
+                .iter()
+                .find(|r| r.label == label)
+                .and_then(|r| r.values.get(column).copied().flatten())
+        }
+    }
 
     #[test]
     fn table_rendering_and_lookup() {

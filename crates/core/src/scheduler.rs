@@ -44,14 +44,13 @@ pub enum Schedule {
 }
 
 impl Schedule {
-    /// Parses a CLI spelling: `"sequential"`/`"seq"`, `"fair"`/
-    /// `"fairshare"`/`"fair-share"`, or `"priority"`. `Priority` takes its
-    /// weights from per-source specs, so it parses to an empty vector —
-    /// callers fill it in. `None` for anything else.
+    /// Parses a CLI spelling: `"sequential"`, `"fair"` or `"priority"`.
+    /// `Priority` takes its weights from per-source specs, so it parses to an
+    /// empty vector — callers fill it in. `None` for anything else.
     pub fn parse(s: &str) -> Option<Schedule> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "sequential" | "seq" => Some(Schedule::Sequential),
-            "fair" | "fairshare" | "fair-share" => Some(Schedule::FairShare),
+            "sequential" => Some(Schedule::Sequential),
+            "fair" => Some(Schedule::FairShare),
             "priority" => Some(Schedule::Priority(Vec::new())),
             _ => None,
         }
@@ -301,15 +300,15 @@ mod tests {
     #[test]
     fn schedule_parses_the_cli_spellings() {
         assert_eq!(Schedule::parse("sequential"), Some(Schedule::Sequential));
-        assert_eq!(Schedule::parse("seq"), Some(Schedule::Sequential));
         assert_eq!(Schedule::parse(" FAIR "), Some(Schedule::FairShare));
-        assert_eq!(Schedule::parse("fair-share"), Some(Schedule::FairShare));
         assert_eq!(
             Schedule::parse("priority"),
             Some(Schedule::Priority(Vec::new()))
         );
-        assert_eq!(Schedule::parse("deadline"), None);
-        assert_eq!(Schedule::parse("bogus"), None);
+        // One spelling per schedule: the undocumented aliases are refused.
+        for refused in ["seq", "fairshare", "fair-share", "deadline", "bogus"] {
+            assert_eq!(Schedule::parse(refused), None, "{refused}");
+        }
     }
 
     #[test]

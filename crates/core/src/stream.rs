@@ -27,7 +27,7 @@ pub struct StreamOptions {
     pub progress_every: usize,
     /// Admission control for live sessions: the most sources that may be
     /// attached (builder-registered plus control-plane
-    /// [`crate::engine::SessionControl::attach`]) and not yet detached at
+    /// [`crate::engine::SessionControl::attach_with`]) and not yet detached at
     /// any one time. A builder that already exceeds the bound is rejected
     /// up front, an attach that would exceed it is refused with
     /// [`crate::engine::SessionError::TooManySources`] — sources whose
@@ -253,11 +253,6 @@ impl<W: io::Write> FastqSink<W> {
         }
     }
 
-    /// Records written so far.
-    pub fn written(&self) -> usize {
-        self.writer.records()
-    }
-
     /// Reads skipped because they carried no assembled bases.
     pub fn skipped(&self) -> usize {
         self.skipped
@@ -270,17 +265,6 @@ impl<W: io::Write> FastqSink<W> {
     /// of pulling reads they can no longer persist.
     pub fn has_error(&self) -> bool {
         self.error.is_some()
-    }
-
-    /// Flushes buffered records to the underlying writer — the
-    /// checkpoint-time operation. (Dropping the sink also flushes,
-    /// best-effort, via [`FastqWriter`]'s drop.)
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the flush.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
     }
 
     /// Flushes, then reports the underlying writer's byte position — what a

@@ -31,9 +31,6 @@ pub enum Base {
 }
 
 impl Base {
-    /// All four bases in code order.
-    pub const ALL: [Base; 4] = [Base::A, Base::C, Base::G, Base::T];
-
     /// Builds a base from its 2-bit code.
     ///
     /// Only the two least-significant bits of `code` are used, so every `u8`
@@ -87,13 +84,6 @@ impl Base {
             Base::G => 'G',
             Base::T => 'T',
         }
-    }
-
-    /// `true` for G or C; used by the synthetic genome generator's GC-bias
-    /// control.
-    #[inline]
-    pub const fn is_gc(self) -> bool {
-        matches!(self, Base::G | Base::C)
     }
 }
 
@@ -151,7 +141,7 @@ mod tests {
 
     #[test]
     fn complement_is_involution() {
-        for b in Base::ALL {
+        for b in [Base::A, Base::C, Base::G, Base::T] {
             assert_eq!(b.complement().complement(), b);
         }
     }
@@ -166,21 +156,13 @@ mod tests {
 
     #[test]
     fn char_round_trip() {
-        for b in Base::ALL {
+        for b in [Base::A, Base::C, Base::G, Base::T] {
             assert_eq!(Base::from_char(b.to_char()), Some(b));
             assert_eq!(Base::try_from(b.to_char()).unwrap(), b);
         }
         assert_eq!(Base::from_char('g'), Some(Base::G));
         assert_eq!(Base::from_char('N'), None);
         assert!(Base::try_from('N').is_err());
-    }
-
-    #[test]
-    fn gc_classification() {
-        assert!(Base::G.is_gc());
-        assert!(Base::C.is_gc());
-        assert!(!Base::A.is_gc());
-        assert!(!Base::T.is_gc());
     }
 
     #[test]

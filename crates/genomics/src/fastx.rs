@@ -179,17 +179,6 @@ impl<W: Write> FastqWriter<W> {
         self.records
     }
 
-    /// Flushes buffered records to the underlying writer without consuming
-    /// it — the checkpoint-time operation: after it returns, every record
-    /// written so far is on disk (modulo OS caching).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the flush.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.writer().flush()
-    }
-
     /// Flushes, then reports the writer's byte position — the offset a
     /// resumed run truncates the output file to before appending.
     ///
@@ -375,8 +364,8 @@ mod tests {
         write_fastq(&mut buf, &reads).unwrap();
         let parsed = read_fastq(buf.as_slice()).unwrap();
         assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed.get(0).unwrap().seq, seq);
-        assert_eq!(parsed.get(0).unwrap().quals, quals);
+        let read = parsed.iter().next().unwrap();
+        assert_eq!((&read.seq, &read.quals), (&seq, &quals));
     }
 
     #[test]

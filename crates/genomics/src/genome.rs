@@ -66,7 +66,7 @@ impl fmt::Display for Genome {
 /// # Example
 ///
 /// ```
-/// use genpip_genomics::GenomeBuilder;
+/// use genpip_genomics::{Base, GenomeBuilder};
 ///
 /// let g = GenomeBuilder::new(50_000)
 ///     .seed(42)
@@ -75,7 +75,7 @@ impl fmt::Display for Genome {
 ///     .name("demo")
 ///     .build();
 /// assert_eq!(g.len(), 50_000);
-/// let gc = g.sequence().gc_fraction();
+/// let gc = g.sequence().iter().filter(|b| matches!(b, Base::G | Base::C)).count() as f64 / g.len() as f64;
 /// assert!((gc - 0.51).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone)]
@@ -131,18 +131,6 @@ impl GenomeBuilder {
             "repeat fraction must be in [0, 0.9]"
         );
         self.repeat_fraction = f;
-        self
-    }
-
-    /// Sets the (min, max) length of individual repeat copies
-    /// (default 300..3000).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min` is 0 or `min > max`.
-    pub fn repeat_len(mut self, min: usize, max: usize) -> GenomeBuilder {
-        assert!(min > 0 && min <= max, "need 0 < min <= max");
-        self.repeat_len = (min, max);
         self
     }
 
@@ -237,7 +225,12 @@ mod tests {
                 .gc_fraction(target)
                 .repeat_fraction(0.0)
                 .build();
-            let gc = g.sequence().gc_fraction();
+            let gc = g
+                .sequence()
+                .iter()
+                .filter(|b| matches!(b, Base::G | Base::C))
+                .count() as f64
+                / g.len() as f64;
             assert!((gc - target).abs() < 0.02, "target {target}, got {gc}");
         }
     }
@@ -256,7 +249,6 @@ mod tests {
         let with = GenomeBuilder::new(30_000)
             .seed(5)
             .repeat_fraction(0.3)
-            .repeat_len(500, 1500)
             .build();
         let without = GenomeBuilder::new(30_000)
             .seed(5)

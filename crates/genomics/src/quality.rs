@@ -20,12 +20,6 @@ use std::fmt;
 pub struct Phred(pub f32);
 
 impl Phred {
-    /// The raw Phred value.
-    #[inline]
-    pub fn value(self) -> f32 {
-        self.0
-    }
-
     /// FASTQ Sanger encoding (`!` = Q0), saturating at `~` (Q93): the score
     /// rounded half away from zero, negative and NaN scores as Q0.
     pub fn to_fastq_char(self) -> char {
@@ -118,11 +112,6 @@ impl AqsAccumulator {
         self.count += bases;
     }
 
-    /// Bases observed so far.
-    pub fn bases(&self) -> usize {
-        self.count
-    }
-
     /// Current average quality (`AQS`); 0 if nothing was added yet.
     pub fn average(&self) -> f64 {
         if self.count == 0 {
@@ -207,7 +196,6 @@ mod tests {
                 (acc.average() - whole).abs() < 1e-12,
                 "chunk size {chunk_size}"
             );
-            assert_eq!(acc.bases(), quals.len());
         }
     }
 

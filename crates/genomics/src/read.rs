@@ -123,11 +123,6 @@ impl ReadSet {
         self.reads.is_empty()
     }
 
-    /// Returns the read at `index`, if any.
-    pub fn get(&self, index: usize) -> Option<&Read> {
-        self.reads.get(index)
-    }
-
     /// Iterates over the reads.
     pub fn iter(&self) -> std::slice::Iter<'_, Read> {
         self.reads.iter()
@@ -223,8 +218,6 @@ mod tests {
         set.push(mk_read(1, "ACGTACGT", 8.0));
         assert_eq!(set.len(), 2);
         assert_eq!(set.total_bases(), 12);
-        assert_eq!(set.get(1).unwrap().id, 1);
-        assert!(set.get(2).is_none());
         let ids: Vec<u32> = set.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![0, 1]);
     }

@@ -91,23 +91,6 @@ impl DnaSeq {
         Base::from_code(byte >> ((index & 3) * 2))
     }
 
-    /// Overwrites the base at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    #[inline]
-    pub fn set(&mut self, index: usize, base: Base) {
-        assert!(
-            index < self.len,
-            "index {index} out of bounds (len {})",
-            self.len
-        );
-        let shift = (index & 3) * 2;
-        let byte = &mut self.packed[index >> 2];
-        *byte = (*byte & !(0b11 << shift)) | (base.code() << shift);
-    }
-
     /// Iterates over the bases.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -151,15 +134,6 @@ impl DnaSeq {
         for b in other.iter() {
             self.push(b);
         }
-    }
-
-    /// Fraction of G/C bases, in `[0, 1]`. Returns 0 for an empty sequence.
-    pub fn gc_fraction(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let gc = self.iter().filter(|b| b.is_gc()).count();
-        gc as f64 / self.len as f64
     }
 
     /// Converts to a plain `Vec<Base>` (unpacked, one byte per base).
@@ -294,15 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn set_overwrites_in_place() {
-        let mut s: DnaSeq = "AAAA".parse().unwrap();
-        s.set(2, Base::T);
-        assert_eq!(s.to_string(), "AATA");
-        s.set(0, Base::G);
-        assert_eq!(s.to_string(), "GATA");
-    }
-
-    #[test]
     fn reverse_complement_known_value() {
         let s: DnaSeq = "AACGT".parse().unwrap();
         assert_eq!(s.reverse_complement().to_string(), "ACGTT");
@@ -334,15 +299,6 @@ mod tests {
     fn get_past_end_panics() {
         let s: DnaSeq = "ACGT".parse().unwrap();
         let _ = s.get(4);
-    }
-
-    #[test]
-    fn gc_fraction_counts() {
-        let s: DnaSeq = "GGCC".parse().unwrap();
-        assert_eq!(s.gc_fraction(), 1.0);
-        let s: DnaSeq = "GATC".parse().unwrap();
-        assert_eq!(s.gc_fraction(), 0.5);
-        assert_eq!(DnaSeq::new().gc_fraction(), 0.0);
     }
 
     #[test]

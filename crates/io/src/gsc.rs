@@ -435,17 +435,6 @@ pub struct GscMeta<'a> {
     pub reference: &'a Genome,
 }
 
-impl<'a> GscMeta<'a> {
-    /// Borrows the context out of any source.
-    pub fn from_source<S: ReadSource + ?Sized>(source: &'a S) -> GscMeta<'a> {
-        GscMeta {
-            pore_model: source.pore_model(),
-            mean_dwell: source.mean_dwell(),
-            reference: source.reference(),
-        }
-    }
-}
-
 /// What a finished [`GscWriter`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GscSummary {
@@ -1034,11 +1023,6 @@ impl GscStatus {
             .as_ref()
             .map(|e| e.to_string())
     }
-
-    /// Takes the typed error out of the slot, if any.
-    pub fn take(&self) -> Option<GscError> {
-        self.0.lock().expect("status poisoned").take()
-    }
 }
 
 /// A [`ReadSource`] over a GSC file: the on-disk twin of
@@ -1302,7 +1286,7 @@ mod tests {
         assert!(!status.is_ok());
         assert!(status.error().expect("error").contains("record"));
         assert!(matches!(
-            status.take(),
+            status.0.lock().unwrap().take(),
             Some(GscError::ChecksumMismatch { .. })
         ));
         std::fs::remove_file(&path).ok();

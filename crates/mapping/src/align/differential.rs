@@ -384,18 +384,17 @@ fn tie_heavy_repeats_agree() {
         let unit = units[rng.random_range(0..units.len())];
         let n = rng.random_range(0..90usize);
         let m = rng.random_range(0..90usize);
-        let mut q = repeat_seq(unit, n);
+        let mut q = repeat_seq(unit, n).to_bases();
         let r = repeat_seq(unit, m);
         // A few point edits so gaps have somewhere to compete with
         // mismatches, without breaking the repeat's ties.
         for _ in 0..rng.random_range(0..4u8) {
             if n > 0 {
-                q.set(
-                    rng.random_range(0..n),
-                    Base::from_code(rng.random_range(0..4u8)),
-                );
+                let at = rng.random_range(0..n);
+                q[at] = Base::from_code(rng.random_range(0..4u8));
             }
         }
+        let q = DnaSeq::from(q.as_slice());
         let center = random_center(&mut rng, n, m);
         let hw = rng.random_range(0..=80usize);
         for p in &PARAMS {

@@ -45,7 +45,6 @@ pub struct RefHit {
 #[derive(Debug, Clone)]
 pub struct ReferenceIndex {
     k: usize,
-    w: usize,
     genome_len: usize,
     base_offset: RefPos,
     table: HashMap<u64, Vec<RefHit>, BuildHasherDefault<KeyHasher>>,
@@ -108,7 +107,6 @@ impl ReferenceIndex {
         }
         ReferenceIndex {
             k,
-            w,
             genome_len: genome.len(),
             base_offset,
             table,
@@ -118,11 +116,6 @@ impl ReferenceIndex {
     /// Minimizer k-mer length.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Minimizer window size.
-    pub fn w(&self) -> usize {
-        self.w
     }
 
     /// First coordinate of the index's position space (0 unless built with
@@ -189,7 +182,7 @@ mod tests {
         assert_eq!(idx.total_entries(), sketch.len());
         assert!(idx.distinct_minimizers() <= sketch.len());
         assert_eq!(idx.coord_end(), 10_000);
-        assert_eq!((idx.k(), idx.w()), (15, 10));
+        assert_eq!(idx.k(), 15);
     }
 
     #[test]

@@ -182,19 +182,6 @@ impl ReferenceSet {
         scratch.mins.len()
     }
 
-    /// Finalizes every reference's chainer pair with a fresh alignment
-    /// workspace.
-    ///
-    /// Convenience wrapper over [`ReferenceSet::finalize_mapping_with`]; hot
-    /// loops should own an [`AlignScratch`] and pass it in.
-    pub fn finalize_mapping(
-        &self,
-        query: &DnaSeq,
-        pairs: &[(IncrementalChainer, IncrementalChainer)],
-    ) -> (Vec<ReferenceMapping>, Option<Mapping>, f64, usize) {
-        self.finalize_mapping_with(query, pairs, &mut AlignScratch::new())
-    }
-
     /// Finalizes every reference's chainer pair against the query and merges
     /// the candidates, running every alignment in `scratch`. Returns the
     /// per-reference results (set order), the merged best hit, the best chain

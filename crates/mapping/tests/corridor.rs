@@ -248,11 +248,16 @@ fn anchor_free_heads_and_tails_align_as_in_the_straight_band() {
             // chain pins nothing there and the longest unpinned stretch sets
             // the half-width.
             let mut end = |at: usize| {
-                let mut end = population.read(&mut rng, at, 600);
-                for i in (0..end.len()).step_by(12) {
-                    end.set(i, Base::from_code((end.get(i).code() + 1) % 4));
-                }
-                end
+                let end = population.read(&mut rng, at, 600);
+                (end.iter().enumerate())
+                    .map(|(i, b)| {
+                        if i % 12 == 0 {
+                            Base::from_code((b.code() + 1) % 4)
+                        } else {
+                            b
+                        }
+                    })
+                    .collect::<DnaSeq>()
             };
             let (head, tail) = (end(start - 600), end(start + len));
             let middle = population.read(&mut rng, start, len);

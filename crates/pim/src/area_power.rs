@@ -61,11 +61,6 @@ impl Table2 {
     pub fn total_area_mm2(&self) -> f64 {
         self.modules.iter().map(ModuleBudget::area_mm2).sum()
     }
-
-    /// Returns a module by name.
-    pub fn module(&self, name: &str) -> Option<&ModuleBudget> {
-        self.modules.iter().find(|m| m.name == name)
-    }
 }
 
 impl fmt::Display for Table2 {
@@ -163,6 +158,13 @@ pub fn genpip_table2() -> Table2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Table2 {
+        /// Returns a module by name.
+        fn module(&self, name: &str) -> Option<&ModuleBudget> {
+            self.modules.iter().find(|m| m.name == name)
+        }
+    }
 
     #[test]
     fn totals_match_the_paper() {

@@ -25,11 +25,6 @@ impl BasecallModule {
         BasecallModule { tech }
     }
 
-    /// Number of tiles composing the pipeline.
-    pub fn tiles(&self) -> usize {
-        self.tech.basecall_tiles
-    }
-
     /// Number of independent chunk streams the module serves (one deep
     /// pipeline ⇒ one stream; scheduling treats the module as one server).
     pub fn streams(&self) -> usize {
@@ -165,7 +160,6 @@ mod tests {
     #[test]
     fn basecall_service_scales_with_samples() {
         let m = BasecallModule::new(tech());
-        assert_eq!(m.tiles(), 168);
         assert_eq!(m.streams(), 1);
         assert_eq!(m.chunk_service(0), genpip_sim::SimTime::ZERO);
         // 2400-sample chunk: (2400×2 + 240 fill) cycles × 100 ns = 504 µs.

@@ -17,19 +17,6 @@ pub struct ChunkSpec {
     pub end: usize,
 }
 
-impl ChunkSpec {
-    /// Number of samples in the chunk.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// `true` if the chunk is empty (never produced by
-    /// [`chunk_boundaries`]).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
 /// Splits `total_samples` into consecutive chunks of `samples_per_chunk`,
 /// with a final partial chunk if the division is inexact.
 ///
@@ -46,7 +33,7 @@ impl ChunkSpec {
 ///
 /// let chunks = chunk_boundaries(2500, 1000);
 /// assert_eq!(chunks.len(), 3);
-/// assert_eq!(chunks[2].len(), 500);
+/// assert_eq!(chunks[2].end - chunks[2].start, 500);
 /// ```
 pub fn chunk_boundaries(total_samples: usize, samples_per_chunk: usize) -> Vec<ChunkSpec> {
     assert!(samples_per_chunk > 0, "chunk size must be positive");
@@ -86,7 +73,7 @@ mod tests {
         assert_eq!(chunks.len(), 3);
         for (i, c) in chunks.iter().enumerate() {
             assert_eq!(c.index, i);
-            assert_eq!(c.len(), 1000);
+            assert_eq!(c.end - c.start, 1000);
         }
     }
 
@@ -94,7 +81,7 @@ mod tests {
     fn partial_tail() {
         let chunks = chunk_boundaries(1001, 1000);
         assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[1].len(), 1);
+        assert_eq!(chunks[1].end - chunks[1].start, 1);
     }
 
     #[test]
@@ -105,7 +92,7 @@ mod tests {
         for w in chunks.windows(2) {
             assert_eq!(w[0].end, w[1].start);
         }
-        assert!(chunks.iter().all(|c| !c.is_empty()));
+        assert!(chunks.iter().all(|c| c.end > c.start));
     }
 
     #[test]
@@ -117,7 +104,7 @@ mod tests {
     fn single_short_chunk() {
         let chunks = chunk_boundaries(10, 100);
         assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].len(), 10);
+        assert_eq!(chunks[0].end - chunks[0].start, 10);
     }
 
     #[test]

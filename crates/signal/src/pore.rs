@@ -1,6 +1,6 @@
 //! The k-mer pore model: expected current level per k-mer.
 
-use genpip_genomics::{DnaSeq, Kmer};
+use genpip_genomics::Kmer;
 use std::fmt;
 
 /// A nanopore current model: for every k-mer, the mean current (pA) observed
@@ -147,14 +147,6 @@ impl PoreModel {
     pub fn event_std(&self) -> f32 {
         self.event_std
     }
-
-    /// The sequence of level means produced by sliding the pore over `seq`
-    /// (one entry per position where a full k-mer fits).
-    pub fn trace(&self, seq: &DnaSeq) -> Vec<f32> {
-        genpip_genomics::KmerIter::new(seq, self.k)
-            .map(|(_, kmer)| self.level(kmer))
-            .collect()
-    }
 }
 
 impl fmt::Debug for PoreModel {
@@ -227,13 +219,6 @@ mod tests {
         let m = PoreModel::synthetic(3, 7);
         let kmer = Kmer::from_seq(&"AC".parse().unwrap(), 0, 2);
         let _ = m.level(kmer);
-    }
-
-    #[test]
-    fn trace_length() {
-        let m = PoreModel::synthetic(3, 7);
-        let seq: DnaSeq = "ACGTACGT".parse().unwrap();
-        assert_eq!(m.trace(&seq).len(), 6);
     }
 
     #[test]

@@ -63,24 +63,6 @@ pub struct ReadSignal {
     pub truth: DnaSeq,
 }
 
-impl ReadSignal {
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` if the signal has no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Raw-signal size in bytes ([`crate::BYTES_PER_SAMPLE`] per sample) —
-    /// the quantity the data-movement model charges for shipping this read.
-    pub fn bytes(&self) -> usize {
-        self.samples.len() * crate::BYTES_PER_SAMPLE
-    }
-}
-
 /// Synthesizes raw signals from true sequences under a [`PoreModel`].
 #[derive(Debug, Clone)]
 pub struct SignalSynthesizer {
@@ -224,7 +206,7 @@ mod tests {
         let truth = random_seq(2_000, 2);
         let sig = s.synthesize(&truth, 1.0, 3);
         let expected = s.expected_samples(truth.len()) as f64;
-        let actual = sig.len() as f64;
+        let actual = sig.samples.len() as f64;
         assert!(
             (actual - expected).abs() / expected < 0.1,
             "expected ~{expected}, got {actual}"
@@ -272,7 +254,7 @@ mod tests {
                 let kmer = genpip_genomics::Kmer::from_seq(&truth, bi as usize, 3);
                 sq += ((x - s.model().level(kmer)) as f64).powi(2);
             }
-            (sq / sig.len() as f64).sqrt()
+            (sq / sig.samples.len() as f64).sqrt()
         };
         let lo = spread(1.0);
         let hi = spread(3.0);
@@ -285,8 +267,7 @@ mod tests {
         let s = synth();
         let truth: DnaSeq = "AC".parse().unwrap();
         let sig = s.synthesize(&truth, 1.0, 1);
-        assert!(sig.is_empty());
-        assert_eq!(sig.bytes(), 0);
+        assert!(sig.samples.is_empty());
     }
 
     #[test]
@@ -343,7 +324,7 @@ mod tests {
             sum / range.len() as f64
         };
         let early = resid(0..2_000);
-        let late = resid(sig.len() - 2_000..sig.len());
+        let late = resid(sig.samples.len() - 2_000..sig.samples.len());
         assert!(late - early > 5.0, "early {early}, late {late}");
     }
 }

@@ -16,7 +16,7 @@ use std::fmt;
 /// meter.add("basecaller", 1.5e-3);
 /// meter.add("seeding", 0.5e-3);
 /// meter.add("basecaller", 0.5e-3);
-/// assert_eq!(meter.component("basecaller"), 2e-3);
+/// assert_eq!(meter.iter().next(), Some(("basecaller", 2e-3)));
 /// assert_eq!(meter.total(), 2.5e-3);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -43,11 +43,6 @@ impl EnergyMeter {
         *self.joules.entry(component.to_string()).or_insert(0.0) += joules;
     }
 
-    /// Energy recorded for one component (0 if never seen).
-    pub fn component(&self, component: &str) -> f64 {
-        self.joules.get(component).copied().unwrap_or(0.0)
-    }
-
     /// Total energy across components.
     pub fn total(&self) -> f64 {
         self.joules.values().sum()
@@ -56,13 +51,6 @@ impl EnergyMeter {
     /// Iterates `(component, joules)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
         self.joules.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Merges another meter into this one.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
     }
 }
 
@@ -86,22 +74,10 @@ mod tests {
         m.add("a", 1.0);
         m.add("b", 2.0);
         m.add("a", 3.0);
-        assert_eq!(m.component("a"), 4.0);
-        assert_eq!(m.component("b"), 2.0);
-        assert_eq!(m.component("missing"), 0.0);
+        assert_eq!(m.joules.get("a"), Some(&4.0));
+        assert_eq!(m.joules.get("b"), Some(&2.0));
+        assert_eq!(m.joules.get("missing"), None);
         assert_eq!(m.total(), 6.0);
-    }
-
-    #[test]
-    fn merge_adds_components() {
-        let mut a = EnergyMeter::new();
-        a.add("x", 1.0);
-        let mut b = EnergyMeter::new();
-        b.add("x", 2.0);
-        b.add("y", 5.0);
-        a.merge(&b);
-        assert_eq!(a.component("x"), 3.0);
-        assert_eq!(a.component("y"), 5.0);
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl StageSpec {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// Server count.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
 }
 
 /// One job (a chunk, or a whole read for read-granularity systems) with its

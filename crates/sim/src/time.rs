@@ -43,11 +43,6 @@ impl SimTime {
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / 1e12
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimTime) -> SimTime {
-        SimTime(self.0.saturating_sub(other.0))
-    }
 }
 
 impl Add for SimTime {
@@ -131,7 +126,6 @@ mod tests {
         assert_eq!(a - b, SimTime::from_ns(6.0));
         assert_eq!(a * 3, SimTime::from_ns(30.0));
         assert_eq!(a / 2, SimTime::from_ns(5.0));
-        assert_eq!(b.saturating_sub(a), SimTime::ZERO);
         let total: SimTime = [a, b, b].into_iter().sum();
         assert_eq!(total, SimTime::from_ns(18.0));
     }

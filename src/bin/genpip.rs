@@ -20,7 +20,7 @@
 //!   datasets are never materialized, and at most `--queue` + workers reads
 //!   are in memory across all sources. A `--script` drives the session
 //!   live: its steps attach and detach sources or drain the session through
-//!   the control plane (`SessionControl::attach`/`detach`/`drain`) once a
+//!   the control plane (`SessionControl::attach_with`/`detach`/`drain`) once a
 //!   given number of reads has been emitted;
 //! * `pack` — export a simulated dataset into an on-disk GSC raw-signal
 //!   container, optionally verifying the round-trip bit-for-bit;
@@ -574,7 +574,7 @@ fn er_from(parsed: &Parsed) -> Result<ErMode, String> {
     match opt(parsed, "er").unwrap_or("full") {
         "full" => Ok(ErMode::Full),
         "qsr" => Ok(ErMode::QsrOnly),
-        "cp" | "off" | "none" => Ok(ErMode::None),
+        "cp" | "off" => Ok(ErMode::None),
         other => Err(format!("unknown --er {other:?}")),
     }
 }

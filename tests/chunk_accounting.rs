@@ -209,7 +209,13 @@ fn per_source_config_overrides_match_their_solo_runs() {
     assert_eq!(reads_a, solo_a, "session config source diverged");
     assert_eq!(reads_b, solo_b, "override config source diverged");
     assert_eq!(
-        report.source("b").expect("b").summary.totals,
+        report
+            .sources
+            .iter()
+            .find(|s| s.id.as_str() == "b")
+            .expect("b")
+            .summary
+            .totals,
         totals(&solo_b)
     );
 }
@@ -243,7 +249,6 @@ fn fastq_sink_writes_every_fully_basecalled_read() {
     }
     let rejected = runs.len() - expected.len();
     assert!(rejected > 0, "dataset should exercise skipping");
-    assert_eq!(sink.written(), expected.len());
     assert_eq!(sink.skipped(), rejected);
     let (written, bytes) = sink.finish().expect("no I/O errors on a Vec");
     assert_eq!(written, expected.len());

@@ -681,7 +681,9 @@ fn experiment_prints_the_named_report_and_refuses_anything_else() {
 /// spelling and its `target=` spec key are errors on every surface, before
 /// any banner, naming what is accepted instead. `Priority` weights are the
 /// supported way to favour a source — and `weight=` counts only there, so
-/// the banner shows weights under `priority` and nowhere else.
+/// the banner shows weights under `priority` and nowhere else. The
+/// undocumented aliases `seq`, `fairshare`, `fair-share` and `--er none` are
+/// refused the same way: one spelling per value.
 #[test]
 fn the_removed_deadline_schedule_and_target_key_are_rejected_everywhere() {
     // The scripts spell the keys on a *live* attach step: those are parsed
@@ -711,6 +713,23 @@ fn the_removed_deadline_schedule_and_target_key_are_rejected_everywhere() {
             &["--schedule", "deadline"],
             "invalid --schedule \"deadline\" (use fair, sequential, or priority)",
         ),
+        // One spelling per value: the undocumented aliases are refused too.
+        (
+            &run,
+            &["--schedule", "seq"],
+            "invalid --schedule \"seq\" (use fair, sequential, or priority)",
+        ),
+        (
+            &run,
+            &["--schedule", "fairshare"],
+            "invalid --schedule \"fairshare\" (use fair, sequential, or priority)",
+        ),
+        (
+            &run,
+            &["--schedule", "fair-share"],
+            "invalid --schedule \"fair-share\" (use fair, sequential, or priority)",
+        ),
+        (&run, &["--er", "none"], "unknown --er \"none\""),
         (&run, &["--source", "profile=ecoli,target=40"], no_target),
         (&run, &["--source", "file=x.gsc,target=40"], no_target),
         (&scripted, &[], no_target),

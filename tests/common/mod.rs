@@ -3,7 +3,8 @@
 //! [`reference_read`] replays a read through either flow the way the paper
 //! describes it (Figure 5a / Figures 5b + 6) — straight-line, serial, and
 //! allocation-happy: a fresh decode workspace per chunk, fresh chainers per
-//! read, a fresh seed batch per chunk and reference. It is written only
+//! read, a fresh seed batch per chunk and reference, a fresh alignment
+//! workspace per read. It is written only
 //! against the layer crates' allocating public APIs and the early-rejection
 //! predicates, and shares nothing with `genpip::core::{pipeline, engine}`
 //! but the result types, so "Session ≡ oracle" is a statement about the
@@ -20,7 +21,7 @@ use genpip::core::{
 };
 use genpip::datasets::{ReadSource, SimulatedDataset, SimulatedRead};
 use genpip::genomics::{DnaSeq, Genome, Phred};
-use genpip::mapping::{IncrementalChainer, MappingCounters, ReferenceSet};
+use genpip::mapping::{AlignScratch, IncrementalChainer, MappingCounters, ReferenceSet};
 use genpip::signal::chunk_boundaries;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -244,7 +245,8 @@ pub fn reference_read(
         run.outcome = ReadOutcome::FilteredQc { aqs };
         return run;
     }
-    let (per_reference, mapping, score, align_cells) = refs.finalize_mapping(&seq, &pairs);
+    let (per_reference, mapping, score, align_cells) =
+        refs.finalize_mapping_with(&seq, &pairs, &mut AlignScratch::new());
     if refs.len() > 1 {
         run.per_reference = per_reference;
     }

@@ -198,7 +198,11 @@ fn detach_drains_the_source_and_finalizes_its_summary() {
             "{parallelism:?}: detach disturbed the surviving source"
         );
         // The report still carries the detached source, same counters.
-        let b_report = report.source("b").expect("detached source reported");
+        let b_report = report
+            .sources
+            .iter()
+            .find(|s| s.id.as_str() == "b")
+            .expect("detached source reported");
         assert_eq!(b_report.summary.outcomes, summary.outcomes);
     }
 }
@@ -235,9 +239,11 @@ fn admission_control_rejects_bad_attaches_with_typed_errors() {
                     emitted += 1;
                     if emitted == 2 {
                         // Same id as a live source.
-                        *duplicate.lock().unwrap() = Some(
-                            control_in_sink.attach("a", StreamingSimulator::new(&pa_for_sink)),
-                        );
+                        *duplicate.lock().unwrap() = Some(control_in_sink.attach_with(
+                            "a",
+                            StreamingSimulator::new(&pa_for_sink),
+                            AttachSpec::new(),
+                        ));
                         // A config the source's chemistry can't satisfy:
                         // QSR gating with zero QSR chunks.
                         let mut zero_qs = GenPipConfig::for_dataset(&pb_for_sink);
@@ -248,10 +254,16 @@ fn admission_control_rejects_bad_attaches_with_typed_errors() {
                             AttachSpec::new().config(zero_qs),
                         ));
                         // Valid second source, then a third over the bound.
-                        control_in_sink.attach("b", StreamingSimulator::new(&pb_for_sink));
-                        *over_limit.lock().unwrap() = Some(
-                            control_in_sink.attach("c", StreamingSimulator::new(&pb_for_sink)),
+                        control_in_sink.attach_with(
+                            "b",
+                            StreamingSimulator::new(&pb_for_sink),
+                            AttachSpec::new(),
                         );
+                        *over_limit.lock().unwrap() = Some(control_in_sink.attach_with(
+                            "c",
+                            StreamingSimulator::new(&pb_for_sink),
+                            AttachSpec::new(),
+                        ));
                         // Detach of a never-registered id.
                         *unknown.lock().unwrap() = Some(control_in_sink.detach("ghost"));
                     }
@@ -279,7 +291,9 @@ fn admission_control_rejects_bad_attaches_with_typed_errors() {
 
     // The session is over: further commands are refused as closed.
     assert_eq!(
-        control.attach("late", StreamingSimulator::new(&pb)).wait(),
+        control
+            .attach_with("late", StreamingSimulator::new(&pb), AttachSpec::new())
+            .wait(),
         Err(SessionError::SessionClosed)
     );
     assert_eq!(

@@ -91,8 +91,16 @@ fn interleaved_sources_are_bit_identical_to_solo_runs() {
                     run_two_source_session(&pa, &pb, &config, er, schedule, &opts);
                 assert_eq!(reads_a, solo_a, "source a diverged: {label}");
                 assert_eq!(reads_b, solo_b, "source b diverged: {label}");
-                let sa = report.source("a").expect("source a reported");
-                let sb = report.source("b").expect("source b reported");
+                let sa = report
+                    .sources
+                    .iter()
+                    .find(|s| s.id.as_str() == "a")
+                    .expect("source a reported");
+                let sb = report
+                    .sources
+                    .iter()
+                    .find(|s| s.id.as_str() == "b")
+                    .expect("source b reported");
                 assert_eq!(sa.summary.totals, totals(&solo_a), "{label}");
                 assert_eq!(sb.summary.totals, totals(&solo_b), "{label}");
                 assert_eq!(

@@ -106,6 +106,8 @@ fn table2_reproduces_exactly() {
     let tab = experiments::tab02::run();
     assert!((tab.budget.total_power_w() - 147.2).abs() < 0.5);
     assert!((tab.budget.total_area_mm2() - 163.8).abs() < 0.5);
-    let rm = tab.budget.module("Read mapping module").unwrap();
+    let rm = (tab.budget.modules.iter())
+        .find(|m| m.name == "Read mapping module")
+        .unwrap();
     assert!(rm.power_w() / tab.budget.total_power_w() > 0.7);
 }

@@ -10,18 +10,19 @@
 #
 # An item is every `pub` fn (free or inherent method), struct, enum, trait,
 # const (free or associated), static and type alias rustdoc documents,
-# hidden ones included. A reader is any occurrence of the item's name, as a
-# whole word, in shipped text:
+# hidden ones included. The compiler decides what reads it: a copy of the
+# tree marks every item `#[deprecated(note = "dead-pub <path>")]`, and
+# `cargo check` runs over the shipped targets — the workspace's libraries,
+# binaries and examples (no `#[cfg(test)]` code), the kernel bench
+# (crates/bench/benches/kernels.rs) and the end-to-end benchmark
+# (benchmarks/). An item is read when a deprecation warning names it at a
+# use outside a `use` statement, so a re-export is not a reader, and two
+# items that share a name are told apart.
 #
-#   * crates/*/src, each file cut at its first column-0 `#[cfg(test)]`, with
-#     the test-only `differential.rs` modules left out;
-#   * src/, the examples (examples/, crates/*/examples), crates/bench and
-#     benchmarks/src.
-#
-# Comment lines, `pub use` re-exports and the line that defines an item of
-# that name do not count. The match is by name, so an item that shares its
-# name with one that is read passes; the check finds items nothing names,
-# not every unread one.
+# It exits 1 on an unread item the allowlist does not name (or on a bad
+# allowlist line, below), and 2 when it cannot tell: rustdoc's format changed, a `cargo check` of the marked copy
+# failed (its errors are printed), or the checks reported no marked use at
+# all.
 #
 # Each allowlist line is `<path> <reason>`: the item's path as this script
 # prints it, then why it stays public although only tests read it. A line
@@ -70,47 +71,79 @@ for lib in crates/*/src/lib.rs; do
         | @tsv' "$json"
 done | sort -u > "$work/items.tsv"
 
-# 2. The shipped text, one `file<TAB>line<TAB>text` per line that can hold a
-#    reader.
-{
-    for f in $(find crates/*/src -name '*.rs' ! -name differential.rs | sort); do
-        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f "\t" FNR "\t" $0 }' "$f"
-    done
-    for f in $(find src examples crates/*/examples crates/bench/benches benchmarks/src \
-        -name '*.rs' | sort); do
-        awk -v f="$f" '{ print f "\t" FNR "\t" $0 }' "$f"
-    done
-} | awk -F'\t' '
-    # A `pub use` runs to its semicolon; a comment line is skipped whole.
-    in_use { if ($3 ~ /;/) in_use = 0; next }
-    $3 ~ /^[ \t]*pub(\([a-z]+\))? use / { if ($3 !~ /;/) in_use = 1; next }
-    $3 ~ /^[ \t]*\/\// { next }
-    { print }' > "$work/text.tsv"
+# 2. A copy of the tree with every listed item marked
+#    `#[deprecated(note = "dead-pub <path>")]` on the line before the one
+#    rustdoc reports, which is the item's `pub` line.
+copy="$work/tree"
+mkdir "$copy"
+tar -c --exclude=target Cargo.toml Cargo.lock src crates examples \
+    benchmarks/Cargo.toml benchmarks/Cargo.lock benchmarks/src | tar -x -C "$copy"
+cut -f3 "$work/items.tsv" | sort -u | while read -r file; do
+    awk -F'\t' -v f="$file" '$3 == f { print $4 "\t" $1 }' "$work/items.tsv" > "$work/marks.tsv"
+    awk -F'\t' -v f="$file" '
+        NR == FNR { mark[$1] = mark[$1] "#[deprecated(note = \"dead-pub " $2 "\")]\n"; next }
+        FNR in mark {
+            if ($0 !~ /(^|[^A-Za-z0-9_])pub([ (]|$)/) {
+                print f ":" FNR ": rustdoc puts a public item here, but the line is not its `pub` line" > "/dev/stderr"
+                exit 2
+            }
+            printf "%s", mark[FNR]
+        }
+        { print }' "$work/marks.tsv" "$file" > "$copy/$file.marked"
+    mv "$copy/$file.marked" "$copy/$file"
+done
 
-# 3. The items no line of that text names, other than a line that defines an
-#    item of the same name.
+# 3. The items the compiler sees read: a deprecation warning that names an
+#    item's note at a primary span outside a `use` statement (`use` or
+#    `pub use` up to its `;`). The checks cover the shipped targets only;
+#    `--benches` would compile each library's `#[cfg(test)]` code, so the
+#    one bench is named. A check's file names are relative to its
+#    workspace's root (`root|args`).
+checks=(
+    "|--workspace --lib --bins --examples"
+    "|-p genpip-bench --bench kernels"
+    "/benchmarks|--manifest-path benchmarks/Cargo.toml --bins"
+)
+for check in "${checks[@]}"; do
+    root=${check%%|*}
+    args=${check#*|}
+    # shellcheck disable=SC2086 # $args is a list of arguments
+    if ! (cd "$copy" && CARGO_TARGET_DIR="$work/target" RUSTFLAGS=--cap-lints=warn \
+        cargo check -q --offline --message-format json $args) \
+        > "$work/messages.json" 2> "$work/cargo.err"; then
+        echo "dead-pub: cargo check $args failed on the marked copy:" >&2
+        jq -r 'select(.reason == "compiler-message" and .message.level == "error")
+            | .message.rendered' "$work/messages.json" >&2
+        cat "$work/cargo.err" >&2
+        exit 2
+    fi
+    jq -r --arg root "$copy$root" '
+        select(.reason == "compiler-message")
+        | .message
+        | (.message | capture(": dead-pub (?<path>[^ ]+)$").path) as $path
+        | .spans[] | select(.is_primary)
+        | [$path,
+           (if (.file_name | startswith("/")) then .file_name
+            else $root + "/" + .file_name end),
+           (.line_start | tostring)]
+        | @tsv' "$work/messages.json" >> "$work/uses.tsv"
+done
+if [ ! -s "$work/uses.tsv" ]; then
+    echo "dead-pub: cargo reported no use of a marked item; has its JSON changed?" >&2
+    exit 2
+fi
+find "$copy" -name '*.rs' -exec awk '
+    FNR == 1 { in_use = 0 }
+    !in_use && /^[ \t]*(pub(\([^)]*\))? )?use / { in_use = 1 }
+    in_use { print FILENAME "\t" FNR; if (/;/) in_use = 0 }' {} + > "$work/use-lines.tsv"
 awk -F'\t' '
-    NR == FNR {
-        want[$2] = 1
-        defines[$3 "\t" $4 "\t" $2] = 1
-        item[NR] = $0
-        next
-    }
-    {
-        line = $3
-        gsub(/[^A-Za-z0-9_]+/, " ", line)
-        n = split(line, words, " ")
-        for (i = 1; i <= n; i++) {
-            w = words[i]
-            if ((w in want) && !(($1 "\t" $2 "\t" w) in defines)) read[w] = 1
-        }
-    }
-    END {
-        for (i = 1; i in item; i++) {
-            split(item[i], f, "\t")
-            if (!(f[2] in read)) print f[1] "\t" f[3] ":" f[4] "\t" f[5]
-        }
-    }' "$work/items.tsv" "$work/text.tsv" | sort > "$work/unread.tsv"
+    NR == FNR { in_use[$1 "\t" $2] = 1; next }
+    !(($2 "\t" $3) in in_use) { print $1 }' "$work/use-lines.tsv" "$work/uses.tsv" \
+    | sort -u > "$work/read.txt"
+awk -F'\t' '
+    NR == FNR { read[$1] = 1; next }
+    !($1 in read) { print $1 "\t" $3 ":" $4 "\t" $5 }' "$work/read.txt" "$work/items.tsv" \
+    | sort > "$work/unread.tsv"
 
 # 4. Hold the unread items to the allowlist.
 status=0
