@@ -4,48 +4,21 @@
 
 use genpip_core::config::GenPipConfig;
 use genpip_core::pipeline::{ErMode, PipelineRun};
-use genpip_core::stream::StreamEvent;
 use genpip_core::systems::costs::SoftwareCosts;
 use genpip_core::systems::hardware::{evaluate_genpip, evaluate_pim_baseline};
 use genpip_core::systems::potential::potential_study;
 use genpip_core::systems::software::{evaluate_software, BasecallDevice, SoftwarePhases};
-use genpip_core::{Flow, Session};
-use genpip_datasets::{DatasetProfile, SimulatedDataset};
+use genpip_core::Flow;
+use genpip_datasets::DatasetProfile;
 use genpip_pim::PimTech;
-use std::sync::Arc;
-
-/// One batch run through the `Session` engine, packaged as the
-/// [`PipelineRun`] the cost models consume.
-fn run_flow(d: &SimulatedDataset, config: &GenPipConfig, flow: Flow) -> PipelineRun {
-    let mut reads = Vec::new();
-    Session::new(config.clone())
-        .flow(flow)
-        .source("calibrate", d.stream())
-        .sink("calibrate", |event| {
-            if let StreamEvent::Read(run) = event {
-                reads.push(run);
-            }
-        })
-        .run()
-        .expect("valid session");
-    PipelineRun {
-        config: Arc::new(config.clone()),
-        er: match flow {
-            Flow::GenPip(er) => er,
-            Flow::Conventional => ErMode::None,
-        },
-        chunked: matches!(flow, Flow::GenPip(_)),
-        reads,
-    }
-}
 
 fn main() {
     let d = DatasetProfile::ecoli().scaled(0.08).generate();
     let config = GenPipConfig::for_dataset(&d.profile);
-    let conv = run_flow(&d, &config, Flow::Conventional);
-    let cp = run_flow(&d, &config, Flow::GenPip(ErMode::None));
-    let qsr = run_flow(&d, &config, Flow::GenPip(ErMode::QsrOnly));
-    let full = run_flow(&d, &config, Flow::GenPip(ErMode::Full));
+    let conv = PipelineRun::collect(&d, &config, Flow::Conventional);
+    let cp = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None));
+    let qsr = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::QsrOnly));
+    let full = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::Full));
     let costs = SoftwareCosts::calibrated();
     let tech = PimTech::paper_32nm();
 

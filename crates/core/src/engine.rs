@@ -17,7 +17,7 @@
 //! schedules whole reads over the pool, one call each.
 //!
 //! ```no_run
-//! use genpip_core::engine::{Flow, Session};
+//! use genpip_core::engine::{AttachSpec, Flow, Session};
 //! use genpip_core::scheduler::Schedule;
 //! use genpip_core::stream::StreamEvent;
 //! use genpip_core::{ErMode, GenPipConfig};
@@ -27,13 +27,13 @@
 //! let human = DatasetProfile::human().scaled(0.05);
 //! let report = Session::new(GenPipConfig::for_dataset(&ecoli))
 //!     .flow(Flow::GenPip(ErMode::Full))
-//!     .schedule(Schedule::Priority(vec![3, 1]))
-//!     .source("ecoli", StreamingSimulator::new(&ecoli))
+//!     .schedule(Schedule::Priority)
+//!     .source_with("ecoli", StreamingSimulator::new(&ecoli), AttachSpec::new().weight(3))
 //!     // The human flowcell runs its own operating point (N_qs, N_cm).
-//!     .source_with_config(
+//!     .source_with(
 //!         "human",
 //!         StreamingSimulator::new(&human),
-//!         GenPipConfig::for_dataset(&human),
+//!         AttachSpec::new().config(GenPipConfig::for_dataset(&human)),
 //!     )
 //!     .sink("ecoli", |event| {
 //!         if let StreamEvent::Read(run) = event {
@@ -100,7 +100,7 @@
 //!   pulled and not yet emitted, no matter how many sources are registered
 //!   ([`SessionReport::max_in_flight`] proves the bound held).
 //! * **Typed validation** — invalid inputs (zero queue, zero workers, no
-//!   sources, duplicate ids, bad priority weights, per-source configs
+//!   sources, duplicate ids, a zero priority weight, per-source configs
 //!   incompatible with their source's reference or chemistry) fail up
 //!   front with a [`SessionError`] instead of deadlocking or panicking
 //!   mid-run — the same error whether the source came from the builder or
@@ -158,7 +158,7 @@ impl Flow {
 /// * [`SessionControl::attach_with`] (an [`AttachSpec`] carries any
 ///   config override, sink or weight) adds a
 ///   named source to the *running* session. It goes through the one
-///   admission a builder source goes through (see [`Session::source`]) — a
+///   admission a builder source goes through (see [`Session::source_with`]) — a
 ///   typed [`SessionError`] comes back through the returned
 ///   [`PendingAttach`] — and admission is bounded by
 ///   [`StreamOptions::max_sources`]. Once
@@ -249,8 +249,8 @@ struct SourceRecord {
 /// the caller's frame).
 type AttachedSink = Box<dyn FnMut(StreamEvent) + Send>;
 
-/// A source on its way into a session, through either door — a builder
-/// `source*` call or a [`SessionControl::attach_with`].
+/// A source on its way into a session, through either door — a
+/// [`Session::source_with`] or a [`SessionControl::attach_with`].
 struct Admission<'a> {
     id: SourceId,
     source: Box<dyn ReadSource + Send + 'a>,
@@ -258,6 +258,24 @@ struct Admission<'a> {
     config: Option<GenPipConfig>,
     /// [`Schedule::Priority`] weight; the other schedules ignore it.
     weight: u32,
+}
+
+impl<'a> Admission<'a> {
+    /// `source` under `id` as `spec` describes it, and the spec's sink —
+    /// the one reading of an [`AttachSpec`], shared by both doors.
+    fn new(
+        id: SourceId,
+        source: Box<dyn ReadSource + Send + 'a>,
+        spec: AttachSpec,
+    ) -> (Admission<'a>, Option<AttachedSink>) {
+        let admission = Admission {
+            id,
+            source,
+            config: spec.config,
+            weight: spec.weight.unwrap_or(1),
+        };
+        (admission, spec.sink)
+    }
 }
 
 /// A control-plane command in flight to the running session.
@@ -276,10 +294,10 @@ struct AttachRequest {
     responder: mpsc::Sender<Result<(), SessionError>>,
 }
 
-/// Everything [`SessionControl::attach_with`] can say about a new source
-/// beyond its id: a per-source config override (what
-/// [`Session::source_with_config`] passes), a sink, and a
-/// [`Schedule::Priority`] weight.
+/// Everything a source brings into a session beyond its id, through either
+/// door — [`Session::source_with`] before the run or
+/// [`SessionControl::attach_with`] during it: a per-source config override,
+/// a sink, and a [`Schedule::Priority`] weight.
 #[derive(Default)]
 pub struct AttachSpec {
     config: Option<GenPipConfig>,
@@ -293,16 +311,22 @@ impl AttachSpec {
         AttachSpec::default()
     }
 
-    /// Per-source config override, validated against the source's reference
-    /// and chemistry ([`SessionError::IncompatibleSourceConfig`]).
+    /// Per-source config override, so different sources can run different
+    /// operating points (`N_qs`, `N_cm`, thresholds, chunk size) in one
+    /// session — e.g. an E. coli flowcell next to a human one. Validated
+    /// against the source's reference and chemistry at admission
+    /// ([`SessionError::IncompatibleSourceConfig`]). Transport-level knobs
+    /// on the override are ignored: `parallelism` (the pool is
+    /// session-wide) comes from the session config.
     pub fn config(mut self, config: GenPipConfig) -> AttachSpec {
         self.config = Some(config);
         self
     }
 
     /// Per-source sink. It runs on the session's emitting thread, so unlike
-    /// builder sinks it must be `Send`; it is installed before the source's
-    /// first read is emitted.
+    /// a [`Session::sink`] it must be `Send`; it is installed before the
+    /// source's first read is emitted. On a builder source a later
+    /// [`Session::sink`] for the same id replaces it.
     pub fn sink(mut self, sink: impl FnMut(StreamEvent) + Send + 'static) -> AttachSpec {
         self.sink = Some(Box::new(sink));
         self
@@ -408,7 +432,7 @@ impl SessionControl {
     }
 
     /// Attaches a new source under `id` with an [`AttachSpec`] (config
-    /// override, sink, priority weight) — [`Session::source`], live. Returns
+    /// override, sink, priority weight) — [`Session::source_with`], live. Returns
     /// immediately; the typed verdict arrives through the [`PendingAttach`].
     /// May be called before the run starts (applied at the session's first
     /// poll, after the builder's sources).
@@ -419,14 +443,10 @@ impl SessionControl {
         spec: AttachSpec,
     ) -> PendingAttach {
         let (tx, rx) = mpsc::channel();
+        let (admission, sink) = Admission::new(id.into(), Box::new(source), spec);
         let request = AttachRequest {
-            admission: Admission {
-                id: id.into(),
-                source: Box::new(source),
-                config: spec.config,
-                weight: spec.weight.unwrap_or(1),
-            },
-            sink: spec.sink,
+            admission,
+            sink,
             responder: tx,
         };
         let mut inner = self.state.lock();
@@ -529,7 +549,7 @@ pub enum SourceConfigIssue {
     NonPositiveDwell,
     /// The mapper's k-mer length exceeds the source's reference, so the
     /// index would be empty and every read unmappable. Only raised for
-    /// explicit [`Session::source_with_config`] overrides — the session
+    /// explicit [`AttachSpec::config`] overrides — the session
     /// config keeps the historical lenient behaviour (empty index ⇒
     /// unmapped reads).
     KmerExceedsReference {
@@ -637,15 +657,9 @@ pub enum SessionError {
     NoSources,
     /// Two sources were registered under the same id.
     DuplicateSource(SourceId),
-    /// A sink was attached to an id with no registered source.
+    /// A [`Session::sink`] named an id no source was registered under
+    /// before it.
     SinkWithoutSource(SourceId),
-    /// `Schedule::Priority` weights don't line up with the sources.
-    PriorityWeightCount {
-        /// Registered sources.
-        sources: usize,
-        /// Provided weights.
-        weights: usize,
-    },
     /// A priority weight of 0 would starve its source forever.
     ZeroPriorityWeight(SourceId),
     /// A source's (session or per-source) config is incompatible with that
@@ -687,10 +701,6 @@ impl fmt::Display for SessionError {
             SessionError::SinkWithoutSource(id) => {
                 write!(f, "sink attached to unknown source id {:?}", id.as_str())
             }
-            SessionError::PriorityWeightCount { sources, weights } => write!(
-                f,
-                "priority schedule has {weights} weight(s) for {sources} source(s)"
-            ),
             SessionError::ZeroPriorityWeight(id) => {
                 write!(
                     f,
@@ -827,9 +837,9 @@ struct SourceSlot<'a> {
 /// sources — the one public execution API.
 ///
 /// Build with [`Session::new`], register sources with [`Session::source`]
-/// (or [`Session::source_with_config`] for per-source operating points, and
-/// optionally per-source sinks with [`Session::sink`]), pick a [`Flow`] and
-/// [`Schedule`], then [`Session::run`]. See the
+/// (or [`Session::source_with`] for a per-source operating point, sink or
+/// priority weight, and optionally per-source sinks with [`Session::sink`]),
+/// pick a [`Flow`] and [`Schedule`], then [`Session::run`]. See the
 /// [module docs](crate::engine) for the execution model and guarantees.
 pub struct Session<'a> {
     config: GenPipConfig,
@@ -837,9 +847,9 @@ pub struct Session<'a> {
     schedule: Schedule,
     options: StreamOptions,
     slots: Vec<SourceSlot<'a>>,
-    /// Sinks attached before their source was registered — matched up at
-    /// [`Session::run`], so builder call order doesn't matter.
-    pending_sinks: Vec<(SourceId, BoxedSink<'a>)>,
+    /// The first [`Session::sink`] id no slot had, refused at
+    /// [`Session::run`].
+    sink_without_source: Option<SourceId>,
     /// Checkpoint cadence and sink, if checkpointing was requested.
     checkpoint: Option<(usize, BoxedCheckpointSink<'a>)>,
 }
@@ -855,7 +865,7 @@ impl<'a> Session<'a> {
             schedule: Schedule::FairShare,
             options: StreamOptions::default(),
             slots: Vec::new(),
-            pending_sinks: Vec::new(),
+            sink_without_source: None,
             checkpoint: None,
         }
     }
@@ -880,10 +890,21 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Registers a source under `id`, processed with the session-wide
-    /// config. Sources are pulled in the order the [`Schedule`] dictates;
-    /// each source's reads are processed against its own reference and pore
-    /// model, and emitted in its own read order.
+    /// Registers a source under `id` with an empty [`AttachSpec`]: the
+    /// session-wide config, no sink, priority weight 1.
+    pub fn source(
+        self,
+        id: impl Into<SourceId>,
+        source: impl ReadSource + Send + 'a,
+    ) -> Session<'a> {
+        self.source_with(id, source, AttachSpec::new())
+    }
+
+    /// Registers a source under `id` with an [`AttachSpec`] (config
+    /// override, sink, priority weight) — [`SessionControl::attach_with`],
+    /// before the run. Sources are pulled in the order the [`Schedule`]
+    /// dictates; each source's reads are processed against its own reference
+    /// and pore model, and emitted in its own read order.
     ///
     /// Registering is attaching before the run: at [`Session::run`] every
     /// builder source, in registration order, passes the admission a
@@ -891,67 +912,41 @@ impl<'a> Session<'a> {
     /// [`StreamOptions::max_sources`], priority weight, config against the
     /// source's reference and chemistry) and the first refusal is `run`'s
     /// `Err`, before any read is pulled.
-    pub fn source(
-        self,
+    pub fn source_with(
+        mut self,
         id: impl Into<SourceId>,
         source: impl ReadSource + Send + 'a,
+        spec: AttachSpec,
     ) -> Session<'a> {
-        self.register(id.into(), Box::new(source), None)
-    }
-
-    fn register(
-        mut self,
-        id: SourceId,
-        source: Box<dyn ReadSource + Send + 'a>,
-        config: Option<GenPipConfig>,
-    ) -> Session<'a> {
-        // The weight is the schedule's, known only at `run`.
-        let admission = Admission {
-            id,
-            source,
-            config,
-            weight: 1,
-        };
+        let (admission, sink) = Admission::new(id.into(), Box::new(source), spec);
         self.slots.push(SourceSlot {
             admission,
-            sink: None,
+            sink: sink.map(|sink| sink as BoxedSink<'a>),
         });
         self
     }
 
-    /// Registers a source under `id` with its **own** [`GenPipConfig`], so
-    /// different sources can run different operating points (`N_qs`,
-    /// `N_cm`, thresholds, chunk size) in one session — e.g. an
-    /// E. coli flowcell next to a human one. Transport-level knobs on the
-    /// override are ignored: `parallelism` (the pool is session-wide) comes
-    /// from the session config. The override is validated against the
-    /// source's reference and chemistry at [`Session::run`]
-    /// ([`SessionError::IncompatibleSourceConfig`]), like every part of
-    /// the admission [`Session::source`] describes.
-    pub fn source_with_config(
-        self,
-        id: impl Into<SourceId>,
-        source: impl ReadSource + Send + 'a,
-        config: GenPipConfig,
-    ) -> Session<'a> {
-        self.register(id.into(), Box::new(source), Some(config))
-    }
-
-    /// Attaches a sink to the source registered under `id`, replacing any
-    /// previous sink for it. The sink receives that source's events only —
-    /// every [`ReadRun`] in the source's read order, plus periodic
-    /// [`ProgressSnapshot`]s of that source's counters. Sinks run on the
-    /// calling thread; a slow sink applies backpressure to the whole
-    /// session. Call order is flexible — a sink may be attached before its
-    /// source is registered; an id that still has no source when
-    /// [`Session::run`] is called fails it with
+    /// Gives the source registered under `id` a sink, replacing any
+    /// previous one (its spec's included). The sink receives that source's
+    /// events only — every [`ReadRun`] in the source's read order, plus
+    /// periodic [`ProgressSnapshot`]s of that source's counters. Sinks run
+    /// on the calling thread, so unlike an [`AttachSpec::sink`] this one
+    /// need not be `Send`; a slow sink applies backpressure to the whole
+    /// session. The source must be registered first: an id no earlier
+    /// `source*` call named fails [`Session::run`] with
     /// [`SessionError::SinkWithoutSource`].
     pub fn sink(
         mut self,
         id: impl Into<SourceId>,
         sink: impl FnMut(StreamEvent) + 'a,
     ) -> Session<'a> {
-        self.pending_sinks.push((id.into(), Box::new(sink)));
+        let id = id.into();
+        match self.slots.iter_mut().find(|s| s.admission.id == id) {
+            Some(slot) => slot.sink = Some(Box::new(sink)),
+            None => {
+                self.sink_without_source.get_or_insert(id);
+            }
+        }
         self
     }
 
@@ -974,18 +969,6 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Moves pending sinks onto their slots (later attachments win), then
-    /// reports the first sink whose source never appeared.
-    fn attach_sinks(&mut self) -> Result<(), SessionError> {
-        for (id, sink) in self.pending_sinks.drain(..) {
-            match self.slots.iter_mut().find(|s| s.admission.id == id) {
-                Some(slot) => slot.sink = Some(sink),
-                None => return Err(SessionError::SinkWithoutSource(id)),
-            }
-        }
-        Ok(())
-    }
-
     /// The session-level checks; everything per source is
     /// [`SessionFeed::admit`]'s.
     fn validate(&self) -> Result<(), SessionError> {
@@ -1001,14 +984,9 @@ impl<'a> Session<'a> {
         if matches!(self.checkpoint, Some((0, _))) {
             return Err(SessionError::ZeroCheckpointInterval);
         }
-        match &self.schedule {
-            Schedule::Priority(weights) if weights.len() != self.slots.len() => {
-                Err(SessionError::PriorityWeightCount {
-                    sources: self.slots.len(),
-                    weights: weights.len(),
-                })
-            }
-            _ => Ok(()),
+        match &self.sink_without_source {
+            Some(id) => Err(SessionError::SinkWithoutSource(id.clone())),
+            None => Ok(()),
         }
     }
 
@@ -1036,33 +1014,24 @@ impl<'a> Session<'a> {
     /// refused at admission fails the run like any [`SessionError`] and
     /// closes the control: commands still queued resolve to
     /// [`SessionError::SessionClosed`].
-    pub fn run_with_control(
-        mut self,
-        control: &SessionControl,
-    ) -> Result<SessionReport, SessionError> {
+    pub fn run_with_control(self, control: &SessionControl) -> Result<SessionReport, SessionError> {
         self.validate()?;
-        self.attach_sinks()?;
         let Session {
             config,
             flow,
             schedule,
             options,
-            mut slots,
+            slots,
             checkpoint,
             ..
         } = self;
-        if let Schedule::Priority(weights) = &schedule {
-            for (slot, &weight) in slots.iter_mut().zip(weights) {
-                slot.admission.weight = weight;
-            }
-        }
         let (admissions, builder_sinks): (Vec<_>, VecDeque<_>) =
             slots.into_iter().map(|s| (s.admission, s.sink)).unzip();
         let workers = config.parallelism.workers().max(1);
         let engine = EngineConfig {
             workers,
             queue_capacity: options.queue_capacity,
-            schedule: &schedule,
+            schedule,
             control,
         };
 
@@ -1074,7 +1043,7 @@ impl<'a> Session<'a> {
             session_config: config,
             uses_qsr: flow.uses_qsr(),
             max_sources: options.max_sources,
-            priority: matches!(schedule, Schedule::Priority(_)),
+            priority: schedule == Schedule::Priority,
         };
         let mut emitter = SessionEmitter {
             lanes: Vec::new(),
@@ -1660,12 +1629,11 @@ enum EmitKind<O> {
 
 /// The engine's scalar knobs, bundled so the closure parameters stay
 /// readable at the call site. Lanes are not among them: every lane arrives
-/// as an [`EngineCommand::AddLane`]; of `schedule` only the policy is read
-/// (a `Priority` lane's weight rides its `AddLane`).
+/// as an [`EngineCommand::AddLane`], a `Priority` lane's weight with it.
 pub(crate) struct EngineConfig<'s> {
     pub(crate) workers: usize,
     pub(crate) queue_capacity: usize,
-    pub(crate) schedule: &'s Schedule,
+    pub(crate) schedule: Schedule,
     pub(crate) control: &'s SessionControl,
 }
 
@@ -2347,37 +2315,48 @@ mod tests {
     }
 
     #[test]
-    fn sink_may_be_attached_before_its_source() {
+    fn a_later_sink_replaces_the_specs_sink() {
+        // A spec's sink is its source's sink until a `Session::sink` for the
+        // same id, given after the source, replaces it.
         let profile = DatasetProfile::ecoli().scaled(0.03);
-        let mut seen = 0usize;
-        let report = Session::new(GenPipConfig::for_dataset(&profile))
-            .sink("late", |event| {
+        let run = |replace: bool| {
+            let spec_reads = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let counter = Arc::clone(&spec_reads);
+            let spec = AttachSpec::new().sink(move |event| {
                 if let StreamEvent::Read(_) = event {
-                    seen += 1;
+                    counter.fetch_add(1, Ordering::Relaxed);
                 }
-            })
-            .source("late", StreamingSimulator::new(&profile))
-            .run()
-            .expect("sink-before-source is a valid order");
-        assert_eq!(seen, profile.n_reads);
-        assert_eq!(report.outcomes.reads_emitted, profile.n_reads);
+            });
+            let mut later_reads = 0usize;
+            let mut session = Session::new(GenPipConfig::for_dataset(&profile)).source_with(
+                "a",
+                StreamingSimulator::new(&profile),
+                spec,
+            );
+            if replace {
+                session = session.sink("a", |event| {
+                    if let StreamEvent::Read(_) = event {
+                        later_reads += 1;
+                    }
+                });
+            }
+            session.run().expect("valid session");
+            (spec_reads.load(Ordering::Relaxed), later_reads)
+        };
+        assert_eq!(run(false), (profile.n_reads, 0));
+        assert_eq!(run(true), (0, profile.n_reads));
     }
 
     #[test]
-    fn priority_weight_mismatches_are_rejected() {
-        let err = tiny_session()
-            .schedule(Schedule::Priority(vec![1, 2]))
-            .run()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SessionError::PriorityWeightCount {
-                sources: 1,
-                weights: 2
-            }
-        );
-        let err = tiny_session()
-            .schedule(Schedule::Priority(vec![0]))
+    fn a_zero_priority_weight_is_rejected() {
+        let profile = DatasetProfile::ecoli().scaled(0.03);
+        let err = Session::new(GenPipConfig::for_dataset(&profile))
+            .schedule(Schedule::Priority)
+            .source_with(
+                "a",
+                StreamingSimulator::new(&profile),
+                AttachSpec::new().weight(0),
+            )
             .run()
             .unwrap_err();
         assert_eq!(err, SessionError::ZeroPriorityWeight("a".into()));
@@ -2391,7 +2370,11 @@ mod tests {
         let mut bad = GenPipConfig::for_dataset(&profile);
         bad.n_qs = 0;
         let err = Session::new(session_config.clone())
-            .source_with_config("b", StreamingSimulator::new(&profile), bad)
+            .source_with(
+                "b",
+                StreamingSimulator::new(&profile),
+                AttachSpec::new().config(bad),
+            )
             .run()
             .unwrap_err();
         assert_eq!(
@@ -2405,7 +2388,11 @@ mod tests {
         let mut bad = GenPipConfig::for_dataset(&profile);
         bad.chunk_bases = 0;
         let err = Session::new(session_config.clone())
-            .source_with_config("b", StreamingSimulator::new(&profile), bad)
+            .source_with(
+                "b",
+                StreamingSimulator::new(&profile),
+                AttachSpec::new().config(bad),
+            )
             .run()
             .unwrap_err();
         assert_eq!(
@@ -2419,7 +2406,11 @@ mod tests {
         let mut bad = GenPipConfig::for_dataset(&profile);
         bad.mapper.k = usize::MAX;
         let err = Session::new(session_config)
-            .source_with_config("b", StreamingSimulator::new(&profile), bad)
+            .source_with(
+                "b",
+                StreamingSimulator::new(&profile),
+                AttachSpec::new().config(bad),
+            )
             .run()
             .unwrap_err();
         assert!(matches!(
@@ -2521,11 +2512,6 @@ mod tests {
             SessionError::NoSources.to_string(),
             SessionError::DuplicateSource("x".into()).to_string(),
             SessionError::SinkWithoutSource("x".into()).to_string(),
-            SessionError::PriorityWeightCount {
-                sources: 2,
-                weights: 1,
-            }
-            .to_string(),
             SessionError::ZeroPriorityWeight("x".into()).to_string(),
             SessionError::IncompatibleSourceConfig {
                 id: "x".into(),
@@ -2635,7 +2621,7 @@ mod tests {
                     EngineConfig {
                         workers: 2,
                         queue_capacity: 1,
-                        schedule: &Schedule::Sequential,
+                        schedule: Schedule::Sequential,
                         control: &control,
                     },
                     || WorkerScratch::new(&ctx),
@@ -2765,7 +2751,7 @@ mod tests {
         let cfg = EngineConfig {
             workers,
             queue_capacity: 4,
-            schedule: &Schedule::Priority(Vec::new()),
+            schedule: Schedule::Priority,
             control: &control,
         };
         let limit = cfg.in_flight_limit();

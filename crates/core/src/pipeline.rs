@@ -289,12 +289,9 @@ pub struct PipelineRun {
     /// The configuration used (shared, not deep-copied, across derived runs
     /// such as [`PipelineRun::filtered`]).
     pub config: Arc<GenPipConfig>,
-    /// Which ER stages were active (`None` marks the conventional flow too;
-    /// see [`PipelineRun::chunked`]).
-    pub er: ErMode,
-    /// `true` if produced by [`Flow::GenPip`] (chunk-granularity seeding
-    /// and chaining), `false` for [`Flow::Conventional`].
-    pub chunked: bool,
+    /// The flow that produced the run: [`Flow::GenPip`] (chunk-granularity
+    /// seeding and chaining, with its ER stages) or [`Flow::Conventional`].
+    pub flow: Flow,
     /// Per-read results, id-ordered.
     pub reads: Vec<ReadRun>,
 }
@@ -400,11 +397,7 @@ impl PipelineRun {
             .unwrap_or_else(|e| panic!("PipelineRun::collect: {e}"));
         PipelineRun {
             config: Arc::new(config.clone()),
-            er: match flow {
-                Flow::GenPip(er) => er,
-                Flow::Conventional => ErMode::None,
-            },
-            chunked: matches!(flow, Flow::GenPip(_)),
+            flow,
             reads,
         }
     }
@@ -424,8 +417,7 @@ impl PipelineRun {
     pub fn filtered(&self, pred: impl Fn(&ReadRun) -> bool) -> PipelineRun {
         PipelineRun {
             config: Arc::clone(&self.config),
-            er: self.er,
-            chunked: self.chunked,
+            flow: self.flow,
             reads: self.reads.iter().filter(|r| pred(r)).cloned().collect(),
         }
     }
@@ -816,7 +808,7 @@ mod tests {
             assert_eq!(r.basecalled_samples(), r.signal_samples);
             assert!(r.full_aqs.is_some());
         }
-        assert!(!run.chunked);
+        assert_eq!(run.flow, Flow::Conventional);
     }
 
     #[test]
@@ -879,7 +871,7 @@ mod tests {
         let config = GenPipConfig::for_dataset(&d.profile);
         let conv = PipelineRun::collect(&d, &config, Flow::Conventional);
         let cp = PipelineRun::collect(&d, &config, Flow::GenPip(ErMode::None));
-        assert!(cp.chunked);
+        assert_eq!(cp.flow, Flow::GenPip(ErMode::None));
         let mut agree = 0usize;
         for (a, b) in conv.reads.iter().zip(&cp.reads) {
             // Chunked sketching loses boundary minimizers, so demand outcome

@@ -17,14 +17,14 @@
 //! emission_interleaving_is_identical_for_every_parallelism`, and its
 //! faulted twin: a contained fault retires in its slot like any result).
 //! Only what the pool's timing decides — when a live attach or detach
-//! lands — can move it. Favouring a source is a [`Schedule::Priority`]
-//! weight.
+//! lands — can move it. Favouring a source is giving it a weight under
+//! [`Schedule::Priority`].
 //!
 //! [`Session`]: crate::engine::Session
 
 /// How a [`crate::engine::Session`] interleaves its registered sources over
 /// the shared worker pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// Drain sources one at a time, in registration order — source 1 pulls
     /// nothing until source 0 is exhausted. What
@@ -34,24 +34,24 @@ pub enum Schedule {
     /// pull per cycle, so N equally long sources finish together.
     FairShare,
     /// Smooth weighted round-robin: over any window of `sum(weights)`
-    /// pulls, source `i` receives `weights[i]` of them, spread as evenly as
-    /// the weights allow (never bursted). Weights align with source
-    /// **registration order** and must all be ≥ 1 — a zero weight would
-    /// starve its source forever, so [`crate::engine::Session::run`] rejects
-    /// it up front. Exhausted sources drop out and their share is
-    /// redistributed.
-    Priority(Vec<u32>),
+    /// pulls, a source of weight `w` receives `w` of them, spread as evenly
+    /// as the weights allow (never bursted). Each source brings its own
+    /// weight in its [`crate::engine::AttachSpec`] (default 1), through
+    /// [`crate::engine::Session::source_with`] or
+    /// [`crate::engine::SessionControl::attach_with`]; a zero weight would
+    /// starve its source forever, so the session's one admission rejects it.
+    /// Exhausted sources drop out and their share is redistributed.
+    Priority,
 }
 
 impl Schedule {
     /// Parses a CLI spelling: `"sequential"`, `"fair"` or `"priority"`.
-    /// `Priority` takes its weights from per-source specs, so it parses to an
-    /// empty vector — callers fill it in. `None` for anything else.
+    /// `None` for anything else.
     pub fn parse(s: &str) -> Option<Schedule> {
         match s.trim().to_ascii_lowercase().as_str() {
             "sequential" => Some(Schedule::Sequential),
             "fair" => Some(Schedule::FairShare),
-            "priority" => Some(Schedule::Priority(Vec::new())),
+            "priority" => Some(Schedule::Priority),
             _ => None,
         }
     }
@@ -103,12 +103,12 @@ enum Kind {
 impl SchedulerState {
     /// The state for `schedule` with no lanes yet: every lane, the builder's
     /// included, joins through [`SchedulerState::add_lane`] carrying its own
-    /// weight, so only the policy's kind is read here.
-    pub(crate) fn new(schedule: &Schedule) -> SchedulerState {
+    /// weight.
+    pub(crate) fn new(schedule: Schedule) -> SchedulerState {
         let kind = match schedule {
             Schedule::Sequential => Kind::Sequential,
             Schedule::FairShare => Kind::FairShare { cursor: 0 },
-            Schedule::Priority(_) => Kind::Priority {
+            Schedule::Priority => Kind::Priority {
                 weights: Vec::new(),
                 credit: Vec::new(),
             },
@@ -190,26 +190,23 @@ impl SchedulerState {
 mod tests {
     use super::*;
 
-    /// `schedule` over `n` lanes, joined the one way lanes join.
-    fn state(schedule: &Schedule, n: usize) -> SchedulerState {
+    /// `schedule` over one lane per weight, joined the one way lanes join.
+    fn state(schedule: Schedule, weights: &[u32]) -> SchedulerState {
         let mut state = SchedulerState::new(schedule);
-        for lane in 0..n {
-            state.add_lane(match schedule {
-                Schedule::Priority(weights) => weights[lane],
-                _ => 1,
-            });
+        for &weight in weights {
+            state.add_lane(weight);
         }
         state
     }
 
-    fn picks(schedule: &Schedule, n: usize, count: usize) -> Vec<usize> {
-        let mut state = state(schedule, n);
+    fn picks(schedule: Schedule, weights: &[u32], count: usize) -> Vec<usize> {
+        let mut state = state(schedule, weights);
         (0..count).map(|_| state.next().expect("active")).collect()
     }
 
     #[test]
     fn sequential_sticks_to_the_first_active_source() {
-        let mut s = state(&Schedule::Sequential, 3);
+        let mut s = state(Schedule::Sequential, &[1; 3]);
         assert_eq!(s.next(), Some(0));
         assert_eq!(s.next(), Some(0));
         s.exhausted(0);
@@ -222,8 +219,11 @@ mod tests {
 
     #[test]
     fn fair_share_round_robins_and_reflows_on_exhaustion() {
-        assert_eq!(picks(&Schedule::FairShare, 3, 7), vec![0, 1, 2, 0, 1, 2, 0]);
-        let mut s = state(&Schedule::FairShare, 3);
+        assert_eq!(
+            picks(Schedule::FairShare, &[1; 3], 7),
+            vec![0, 1, 2, 0, 1, 2, 0]
+        );
+        let mut s = state(Schedule::FairShare, &[1; 3]);
         assert_eq!(s.next(), Some(0));
         s.exhausted(1);
         assert_eq!(s.next(), Some(2));
@@ -239,11 +239,11 @@ mod tests {
         // The classic SWRR check: weights [2, 1] give the period A B A, not
         // the bursty A A B.
         assert_eq!(
-            picks(&Schedule::Priority(vec![2, 1]), 2, 6),
+            picks(Schedule::Priority, &[2, 1], 6),
             vec![0, 1, 0, 0, 1, 0]
         );
         // Proportions hold over any whole number of periods.
-        let seq = picks(&Schedule::Priority(vec![5, 1]), 2, 60);
+        let seq = picks(Schedule::Priority, &[5, 1], 60);
         assert_eq!(seq.iter().filter(|&&p| p == 0).count(), 50);
         assert_eq!(seq.iter().filter(|&&p| p == 1).count(), 10);
     }
@@ -252,9 +252,9 @@ mod tests {
     fn priority_never_starves_a_low_weight_source() {
         // A weight-1 source among heavy peers is picked at least once per
         // sum-of-weights pulls.
-        let weights = vec![7, 1, 9];
+        let weights = [7, 1, 9];
         let period: usize = weights.iter().map(|&w| w as usize).sum();
-        let seq = picks(&Schedule::Priority(weights), 3, 3 * period);
+        let seq = picks(Schedule::Priority, &weights, 3 * period);
         for window in seq.chunks(period) {
             assert!(
                 window.contains(&1),
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn priority_redistributes_shares_of_exhausted_sources() {
-        let mut s = state(&Schedule::Priority(vec![3, 1]), 2);
+        let mut s = state(Schedule::Priority, &[3, 1]);
         s.exhausted(0);
         // Only source 1 remains; it gets every pull.
         assert_eq!(s.next(), Some(1));
@@ -279,7 +279,7 @@ mod tests {
         // Lane 1 is unavailable for a while; its SWRR credit freezes and it
         // resumes its full share once available again — the weight-1 lane is
         // never permanently disadvantaged by a blocked stretch.
-        let mut s = state(&Schedule::Priority(vec![2, 1]), 2);
+        let mut s = state(Schedule::Priority, &[2, 1]);
         assert_eq!(s.next_where(|i| i == 0), Some(0));
         assert_eq!(s.next_where(|i| i == 0), Some(0));
         // Unblocked: the normal A B A period resumes from lane 1's frozen
@@ -291,7 +291,7 @@ mod tests {
         assert_eq!(s.next_where(|_| false), None);
         assert!(!s.all_exhausted());
         // FairShare skips unavailable lanes but keeps the cursor moving.
-        let mut f = state(&Schedule::FairShare, 3);
+        let mut f = state(Schedule::FairShare, &[1; 3]);
         assert_eq!(f.next_where(|i| i != 0), Some(1));
         assert_eq!(f.next_where(|_| true), Some(2));
         assert_eq!(f.next_where(|_| true), Some(0));
@@ -301,10 +301,7 @@ mod tests {
     fn schedule_parses_the_cli_spellings() {
         assert_eq!(Schedule::parse("sequential"), Some(Schedule::Sequential));
         assert_eq!(Schedule::parse(" FAIR "), Some(Schedule::FairShare));
-        assert_eq!(
-            Schedule::parse("priority"),
-            Some(Schedule::Priority(Vec::new()))
-        );
+        assert_eq!(Schedule::parse("priority"), Some(Schedule::Priority));
         // One spelling per schedule: the undocumented aliases are refused.
         for refused in ["seq", "fairshare", "fair-share", "deadline", "bogus"] {
             assert_eq!(Schedule::parse(refused), None, "{refused}");
@@ -314,7 +311,7 @@ mod tests {
     #[test]
     fn lanes_can_be_added_to_a_running_scheduler() {
         // FairShare: a lane added mid-rotation joins the wheel.
-        let mut f = state(&Schedule::FairShare, 2);
+        let mut f = state(Schedule::FairShare, &[1; 2]);
         assert_eq!(f.next(), Some(0));
         f.add_lane(1);
         assert_eq!(f.next(), Some(1));
@@ -322,7 +319,7 @@ mod tests {
         assert_eq!(f.next(), Some(0));
         // Priority: the new lane starts at credit 0 and earns its weighted
         // share smoothly — pinned sequence.
-        let mut p = state(&Schedule::Priority(vec![1]), 1);
+        let mut p = state(Schedule::Priority, &[1]);
         assert_eq!(p.next(), Some(0));
         p.add_lane(2);
         let seq: Vec<usize> = (0..6).map(|_| p.next().expect("active")).collect();

@@ -11,6 +11,7 @@
 //!   transfer latency, free QC, unlimited intermediate memory). Seeding has
 //!   no accelerator in that pairing and runs on the host.
 
+use crate::engine::Flow;
 use crate::pipeline::{PipelineRun, ReadRun};
 use crate::systems::costs::SoftwareCosts;
 use genpip_pim::{BasecallModule, CqsModule, DpModule, PimTech, SeedingModule};
@@ -47,7 +48,7 @@ pub fn evaluate_genpip(
     tech: &PimTech,
 ) -> HardwareEvaluation {
     assert!(
-        run.chunked,
+        matches!(run.flow, Flow::GenPip(_)),
         "GenPIP evaluation needs a chunk-granularity run"
     );
     let basecall = BasecallModule::new(*tech);
@@ -143,7 +144,7 @@ pub fn evaluate_pim_baseline(
     with_transfers: bool,
 ) -> HardwareEvaluation {
     assert!(
-        !run.chunked,
+        run.flow == Flow::Conventional,
         "the PIM baseline consumes the conventional workload"
     );
     let basecall = BasecallModule::new(*tech);

@@ -215,7 +215,9 @@ OPTIONS:
               Sources must be file= containers (file sources are seekable;
               simulated ones are not); FASTQ outputs are truncated to the
               recorded byte position and appended to, so the resumed file
-              is byte-identical to an uninterrupted run
+              is byte-identical to an uninterrupted run. A checkpoint with
+              no FASTQ mark for a source, or a FASTQ file shorter than its
+              mark, is refused before any file is touched
   --schedule  how `run` interleaves its sources over the one worker
               pool: fair (round-robin, default), sequential (drain in
               registration order), priority (weighted by each source's
@@ -778,6 +780,12 @@ struct SourceSetup {
     inject_rate: f64,
 }
 
+/// What a source brings to the session beside its reads and its sink,
+/// registered or attached: its operating point and its priority weight.
+fn attach_spec(spec: &SourceSpec, config: GenPipConfig) -> AttachSpec {
+    AttachSpec::new().config(config).weight(spec.weight)
+}
+
 /// A source opened and ready to register or attach.
 struct OpenedSource {
     source: FaultInjector<Box<dyn ReadSource + Send>>,
@@ -839,20 +847,12 @@ impl SourceSetup {
 }
 
 /// `--schedule` as spelled — read before the source specs, whose `weight=`
-/// key only `priority` admits; its weights come from [`with_weights`].
+/// key only `priority` admits.
 fn schedule_from(parsed: &Parsed) -> Result<Schedule, String> {
     let spelled = opt(parsed, "schedule").unwrap_or("fair");
     Schedule::parse(spelled).ok_or_else(|| {
         format!("invalid --schedule {spelled:?} (use fair, sequential, or priority)")
     })
-}
-
-/// A `priority` schedule weighted by the sources registered at startup.
-fn with_weights(schedule: Schedule, specs: &[SourceSpec]) -> Schedule {
-    match schedule {
-        Schedule::Priority(_) => Schedule::Priority(specs.iter().map(|s| s.weight).collect()),
-        unweighted => unweighted,
-    }
 }
 
 /// The `, weight N` of a source's banner line, under `priority` only.
@@ -1028,10 +1028,7 @@ fn fire(d: &mut ScriptDriver, driver: &Driver, step: ScriptStep) {
                 spec.name, input.desc, input.expected
             );
             let sink = source_sink(&spec.name, d.name_width, input.expected, driver);
-            let attach = AttachSpec::new()
-                .config(input.config)
-                .weight(spec.weight)
-                .sink(sink);
+            let attach = attach_spec(&spec, input.config).sink(sink);
             d.statuses
                 .extend(input.status.map(|status| (spec.name.clone(), status)));
             let handle = d
@@ -1089,22 +1086,49 @@ type FastqOut = RefCell<FastqSink<BufWriter<File>>>;
 /// `path` verbatim, several write `<path>.<name>` each. A resumed run
 /// truncates each file back to its checkpointed (flushed) byte size and
 /// appends, so the final file is byte-identical to an uninterrupted run's.
+/// It refuses, before touching any file, a checkpoint with no FASTQ mark for
+/// a source (its prefix was never written) and a file shorter than its mark
+/// (its prefix is lost).
 fn open_fastq_sinks(
     path: &str,
     specs: &[SourceSpec],
-    resume: Option<&CheckpointFile>,
+    resume: Option<(&str, &CheckpointFile)>,
 ) -> Result<Vec<(String, FastqOut)>, String> {
-    let mut sinks = Vec::with_capacity(specs.len());
+    let mut outputs = Vec::with_capacity(specs.len());
     for spec in specs {
         let path = if specs.len() == 1 {
             path.to_string()
         } else {
             format!("{path}.{}", spec.name)
         };
-        let file = match resume {
+        let mark = match resume {
+            None => None,
+            Some((resume_path, ckpt)) => {
+                let bytes = ckpt.fastq_for(&spec.name).map(|m| m.bytes).ok_or_else(|| {
+                    format!(
+                        "--resume {resume_path}: the checkpoint has no FASTQ mark for \
+                         source {:?} (it was written without --fastq-out)",
+                        spec.name
+                    )
+                })?;
+                let len = std::fs::metadata(&path).map_or(0, |m| m.len());
+                if len < bytes {
+                    return Err(format!(
+                        "--fastq-out {path}: the file is {len} bytes, shorter than the \
+                         {bytes} bytes the checkpoint marks for source {:?}",
+                        spec.name
+                    ));
+                }
+                Some(bytes)
+            }
+        };
+        outputs.push((path, mark));
+    }
+    let mut sinks = Vec::with_capacity(specs.len());
+    for (path, mark) in outputs {
+        let file = match mark {
             None => File::create(&path).map_err(|e| format!("--fastq-out {path}: {e}"))?,
-            Some(ckpt) => {
-                let bytes = ckpt.fastq_for(&spec.name).map(|m| m.bytes).unwrap_or(0);
+            Some(bytes) => {
                 // Keep the file's prefix: resume truncates to the
                 // checkpointed byte position, not to zero.
                 let mut file = OpenOptions::new()
@@ -1142,10 +1166,9 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
     }
     let parallelism = parallelism_from(parsed)?;
     let schedule = schedule_from(parsed)?;
-    let weighted = matches!(schedule, Schedule::Priority(_));
+    let weighted = schedule == Schedule::Priority;
     let fallback_scale = scale_from(parsed, 0.1)?;
     let specs = source_specs_from(parsed, fallback_scale, weighted)?;
-    let schedule = with_weights(schedule, &specs);
     let extra_references = opt_all(parsed, "reference")
         .iter()
         .enumerate()
@@ -1217,7 +1240,7 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
     // --checkpoint fails at once.
     let fastq_sinks = match fastq_out {
         None => Vec::new(),
-        Some(path) => open_fastq_sinks(path, &specs, resume.as_ref())?,
+        Some(path) => open_fastq_sinks(path, &specs, resume_path.zip(resume.as_ref()))?,
     };
     if let Some(path) = &checkpoint_path {
         CheckpointFile::check_writable(path).map_err(|e| format!("--checkpoint {path}: {e}"))?;
@@ -1330,7 +1353,11 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
         let fastq = fastq_sinks.get(i).map(|(_, fastq)| fastq);
         let name = spec.name.clone();
         let control = control.clone();
-        session = session.source_with_config(spec.name.as_str(), input.source, input.config);
+        session = session.source_with(
+            spec.name.as_str(),
+            input.source,
+            attach_spec(spec, input.config),
+        );
         session = session.sink(spec.name.as_str(), move |event| {
             // A FASTQ writer gone sticky-bad drains the session: an
             // unwritable output becomes a graceful wind-down instead of a

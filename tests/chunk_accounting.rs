@@ -12,7 +12,7 @@ mod common;
 
 use common::{keep_reads, reference_run, totals};
 use genpip::core::early_reject::qsr_sample_indices;
-use genpip::core::engine::{Flow, Session};
+use genpip::core::engine::{AttachSpec, Flow, Session};
 use genpip::core::pipeline::{ErMode, PipelineRun, ReadOutcome, ReadRun};
 use genpip::core::scheduler::Schedule;
 use genpip::core::stream::{FastqSink, StreamEvent};
@@ -201,7 +201,11 @@ fn per_source_config_overrides_match_their_solo_runs() {
         .flow(Flow::GenPip(ErMode::Full))
         .schedule(Schedule::FairShare)
         .source("a", StreamingSimulator::new(&pa))
-        .source_with_config("b", StreamingSimulator::new(&pb), config_b.clone())
+        .source_with(
+            "b",
+            StreamingSimulator::new(&pb),
+            AttachSpec::new().config(config_b.clone()),
+        )
         .sink("a", keep_reads(&mut reads_a))
         .sink("b", keep_reads(&mut reads_b))
         .run()

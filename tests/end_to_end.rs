@@ -87,7 +87,7 @@ fn contaminants_never_map_in_any_mode() {
                     !rr.outcome.is_mapped(),
                     "contaminant read {} mapped in {:?} mode",
                     rr.id,
-                    run.er
+                    run.flow
                 );
             }
         }

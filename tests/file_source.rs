@@ -5,7 +5,8 @@
 //! random byte flips are always detected (never a panic), a mid-run drain
 //! still leaves parseable FASTQ behind, and the CLI's checkpoint →
 //! drain → resume cycle reproduces an uninterrupted run's FASTQ
-//! byte-for-byte.
+//! byte-for-byte — and refuses, touching nothing, a resume whose FASTQ
+//! prefix the checkpoint never marked or the file has lost.
 //!
 //! The parallelism sweep includes `GENPIP_PARALLELISM` (when set), which CI
 //! uses to force both threading paths through this suite.
@@ -380,5 +381,114 @@ fn cli_checkpoint_drain_resume_is_byte_identical() {
         !out.status.success(),
         "streaming a corrupted container must exit nonzero"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Packs a container into a fresh directory and runs `genpip run` over it
+/// with `extra` arguments until a scripted drain at read 9, checkpointing to
+/// `run.ckpt`. Returns the directory and the arguments of a resume of that
+/// run (the `run` arguments plus `--resume run.ckpt`), for the caller to
+/// extend.
+fn drained_cli_run(tag: &str, extra: &[String]) -> (PathBuf, Vec<String>) {
+    let dir = temp_path(tag);
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_string();
+    let genpip = |args: &[String]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_genpip"))
+            .args(args)
+            .output()
+            .expect("spawn genpip");
+        assert!(
+            out.status.success(),
+            "genpip {args:?} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let s = |v: &str| v.to_string();
+    genpip(&[
+        s("pack"),
+        s("--profile"),
+        s("ecoli"),
+        s("--scale"),
+        s("0.03"),
+        s("--out"),
+        path("run.gsc"),
+    ]);
+    std::fs::write(dir.join("drain.script"), "at 9 drain\n").expect("write script");
+    let base = [
+        s("run"),
+        s("--source"),
+        format!("file={}", path("run.gsc")),
+        s("--threads"),
+        s("serial"),
+        s("--progress"),
+        s("0"),
+    ];
+    let drained = [&base[..], extra, &[s("--checkpoint"), path("run.ckpt")]].concat();
+    genpip(&[&drained[..], &[s("--script"), path("drain.script")]].concat());
+    let resume = [&drained[..], &[s("--resume"), path("run.ckpt")]].concat();
+    (dir, resume)
+}
+
+/// Runs `genpip` with `args` and asserts the refusal every resume check
+/// gives: exit 1, nothing on stdout (no banner), and `needle` in the error.
+fn assert_refused(args: &[String], needle: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_genpip"))
+        .args(args)
+        .output()
+        .expect("spawn genpip");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?} printed before refusing: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
+/// A checkpoint written without `--fastq-out` holds no FASTQ mark, so a
+/// resume that asks for `--fastq-out` has no delivered prefix to keep. It is
+/// refused before any banner — not run with the file starting at byte 0 —
+/// and an existing file at the path is left as it was.
+#[test]
+fn cli_resume_refuses_a_fastq_output_the_checkpoint_never_marked() {
+    let (dir, resume) = drained_cli_run("unmarked", &[]);
+    let fastq = dir.join("out.fastq");
+    let kept = b"@kept\nACGT\n+\nIIII\n";
+    std::fs::write(&fastq, kept).expect("write fastq");
+    let fastq_arg = fastq.to_str().expect("utf-8 path").to_string();
+    let args = [&resume[..], &["--fastq-out".to_string(), fastq_arg]].concat();
+    assert_refused(&args, "has no FASTQ mark for source");
+    assert_eq!(std::fs::read(&fastq).expect("read fastq"), kept);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A resume truncates each FASTQ back to its checkpointed mark and appends.
+/// A file shorter than its mark has lost part of the delivered prefix: the
+/// resume is refused, naming the path and both sizes, rather than padding
+/// the gap with zero bytes — and the short file is left as it was.
+#[test]
+fn cli_resume_refuses_a_fastq_output_shorter_than_its_mark() {
+    let fastq = temp_path("short").join("part.fastq");
+    let fastq_arg = fastq.to_str().expect("utf-8 path").to_string();
+    let (dir, resume) = drained_cli_run("short", &["--fastq-out".to_string(), fastq_arg]);
+    let marked = std::fs::read(&fastq).expect("read drained fastq");
+    let short = &marked[..marked.len() / 2];
+    std::fs::write(&fastq, short).expect("shorten fastq");
+    let sizes = format!(
+        "is {} bytes, shorter than the {} bytes",
+        short.len(),
+        marked.len()
+    );
+    assert_refused(&resume, &sizes);
+    assert_eq!(std::fs::read(&fastq).expect("read fastq"), short);
+    // A lost file is the same refusal, and is not created.
+    std::fs::remove_file(&fastq).expect("remove fastq");
+    assert_refused(
+        &resume,
+        &format!("is 0 bytes, shorter than the {}", marked.len()),
+    );
+    assert!(!fastq.exists(), "the refused resume created the file");
     std::fs::remove_dir_all(&dir).ok();
 }

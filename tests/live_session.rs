@@ -52,10 +52,10 @@ fn static_two_source(
         .flow(Flow::GenPip(er))
         .schedule(Schedule::FairShare)
         .source("a", StreamingSimulator::new(a))
-        .source_with_config(
+        .source_with(
             "b",
             StreamingSimulator::new(b),
-            GenPipConfig::for_dataset(b),
+            AttachSpec::new().config(GenPipConfig::for_dataset(b)),
         )
         .sink("a", |event| {
             if let StreamEvent::Read(run) = event {
@@ -151,10 +151,10 @@ fn detach_drains_the_source_and_finalizes_its_summary() {
             .flow(Flow::GenPip(ErMode::Full))
             .schedule(Schedule::FairShare)
             .source("a", StreamingSimulator::new(&pa))
-            .source_with_config(
+            .source_with(
                 "b",
                 StreamingSimulator::new(&pb),
-                GenPipConfig::for_dataset(&pb),
+                AttachSpec::new().config(GenPipConfig::for_dataset(&pb)),
             );
         for id in ["a", "b"] {
             let control_in_sink = control.clone();
@@ -311,10 +311,10 @@ fn builder_sessions_respect_the_max_sources_bound() {
             ..StreamOptions::default()
         })
         .source("a", StreamingSimulator::new(&pa))
-        .source_with_config(
+        .source_with(
             "b",
             StreamingSimulator::new(&pb),
-            GenPipConfig::for_dataset(&pb),
+            AttachSpec::new().config(GenPipConfig::for_dataset(&pb)),
         )
         .run()
         .expect_err("two sources over a bound of one");
@@ -393,7 +393,7 @@ fn attach_queued_before_the_run_is_applied_at_startup() {
 
 /// One table, both doors: a source the session must refuse is refused with
 /// the same `SessionError` value whether it is registered on the builder
-/// (`Session::source*`, the error is `run`'s) or attached through the
+/// (`Session::source_with`, the error is `run`'s) or attached through the
 /// control plane (`SessionControl::attach_with`, the error is `wait`'s) —
 /// there is one admission, so there is one answer.
 #[test]
@@ -415,34 +415,41 @@ fn bad_sources_get_the_same_error_through_the_builder_and_through_attach() {
     let twin_panel = GenPipConfig::for_dataset(&pb).with_extra_references(vec![clash]);
     let unbounded = StreamOptions::default().max_sources;
 
-    // (id, config override, priority weight, max_sources, the refusal)
-    let table: Vec<(&str, Option<GenPipConfig>, u32, usize, SessionError)> = vec![
+    // (id, the source's spec, max_sources, the refusal). A spec owns its
+    // sink, so it is not `Clone`: each row spells its spec once, in a
+    // closure, and both doors get the same spelling.
+    type Row<'t> = (&'t str, Box<dyn Fn() -> AttachSpec>, usize, SessionError);
+    let configured = |own: GenPipConfig| -> Box<dyn Fn() -> AttachSpec> {
+        Box::new(move || AttachSpec::new().config(own.clone()))
+    };
+    let table: Vec<Row> = vec![
         (
             "a",
-            None,
-            1,
+            Box::new(AttachSpec::new),
             unbounded,
             SessionError::DuplicateSource("a".into()),
         ),
         (
             "b",
-            None,
-            0,
+            Box::new(|| AttachSpec::new().weight(0)),
             unbounded,
             SessionError::ZeroPriorityWeight("b".into()),
         ),
-        ("b", None, 1, 1, SessionError::TooManySources { limit: 1 }),
         (
             "b",
-            Some(zero_qs),
+            Box::new(AttachSpec::new),
             1,
+            SessionError::TooManySources { limit: 1 },
+        ),
+        (
+            "b",
+            configured(zero_qs),
             unbounded,
             incompatible(SourceConfigIssue::ZeroQsrSamples),
         ),
         (
             "b",
-            Some(long_k),
-            1,
+            configured(long_k),
             unbounded,
             incompatible(SourceConfigIssue::KmerExceedsReference {
                 k: usize::MAX,
@@ -451,18 +458,17 @@ fn bad_sources_get_the_same_error_through_the_builder_and_through_attach() {
         ),
         (
             "b",
-            Some(twin_panel),
-            1,
+            configured(twin_panel),
             unbounded,
             incompatible(SourceConfigIssue::DuplicateReferenceName {
                 name: pb.name.to_string(),
             }),
         ),
     ];
-    for (id, own, weight, max_sources, expected) in table {
-        let session = |weights: Vec<u32>| {
+    for (id, spec, max_sources, expected) in table {
+        let session = || {
             Session::new(config.clone())
-                .schedule(Schedule::Priority(weights))
+                .schedule(Schedule::Priority)
                 .options(StreamOptions {
                     max_sources,
                     ..StreamOptions::default()
@@ -470,24 +476,14 @@ fn bad_sources_get_the_same_error_through_the_builder_and_through_attach() {
                 .source("a", StreamingSimulator::new(&pa))
         };
 
-        let bad = StreamingSimulator::new(&pb);
-        let built = match own.clone() {
-            Some(own) => session(vec![1, weight]).source_with_config(id, bad, own),
-            None => session(vec![1, weight]).source(id, bad),
-        };
-        let from_builder = built.run().expect_err("the builder door refuses it");
+        let from_builder = session()
+            .source_with(id, StreamingSimulator::new(&pb), spec())
+            .run()
+            .expect_err("the builder door refuses it");
 
         let control = SessionControl::new();
-        let spec = AttachSpec::new().weight(weight);
-        let pending = control.attach_with(
-            id,
-            StreamingSimulator::new(&pb),
-            match own {
-                Some(own) => spec.config(own),
-                None => spec,
-            },
-        );
-        session(vec![1])
+        let pending = control.attach_with(id, StreamingSimulator::new(&pb), spec());
+        session()
             .run_with_control(&control)
             .expect("the good source runs");
         let from_attach = pending.wait().expect_err("the attach door refuses it");

@@ -11,7 +11,7 @@
 mod common;
 
 use common::{keep_reads, reference_run, totals};
-use genpip::core::engine::{Flow, Session};
+use genpip::core::engine::{AttachSpec, Flow, Session};
 use genpip::core::pipeline::ErMode;
 use genpip::core::scheduler::Schedule;
 use genpip::core::stream::{StreamEvent, StreamOptions};
@@ -43,8 +43,8 @@ fn parallelism_sweep() -> Vec<Parallelism> {
     sweep
 }
 
-/// Runs a two-source session (lazy sources) and returns the per-source
-/// read collections plus the report.
+/// Runs a two-source session (lazy sources; source `a` of weight 3, `b` of
+/// weight 1) and returns the per-source read collections plus the report.
 fn run_two_source_session(
     a: &DatasetProfile,
     b: &DatasetProfile,
@@ -59,7 +59,7 @@ fn run_two_source_session(
         .flow(Flow::GenPip(er))
         .schedule(schedule)
         .options(*opts)
-        .source("a", StreamingSimulator::new(a))
+        .source_with("a", StreamingSimulator::new(a), AttachSpec::new().weight(3))
         .source("b", StreamingSimulator::new(b))
         .sink("a", keep_reads(&mut reads_a))
         .sink("b", keep_reads(&mut reads_b))
@@ -85,7 +85,7 @@ fn interleaved_sources_are_bit_identical_to_solo_runs() {
         let solo_b = reference_run(&db, &base, Flow::GenPip(er));
         for parallelism in parallelism_sweep() {
             let config = base.clone().with_parallelism(parallelism);
-            for schedule in [Schedule::FairShare, Schedule::Priority(vec![3, 1])] {
+            for schedule in [Schedule::FairShare, Schedule::Priority] {
                 let label = format!("{er:?} / {parallelism:?} / {schedule:?}");
                 let (reads_a, reads_b, report) =
                     run_two_source_session(&pa, &pb, &config, er, schedule, &opts);
@@ -239,11 +239,12 @@ fn in_flight_reads_stay_bounded_across_n_sources() {
     }
 }
 
-/// Runs `profiles` as one session's sources, in order, and returns the
-/// global emission tape: which source each delivered read came from, as the
-/// sinks saw them.
+/// Runs `profiles` as one session's sources, in order, each with its spec
+/// weight from `weights`, and returns the global emission tape: which source
+/// each delivered read came from, as the sinks saw them.
 fn emission_tape(
     profiles: &[DatasetProfile],
+    weights: &[u32],
     schedule: Schedule,
     parallelism: Parallelism,
 ) -> Vec<usize> {
@@ -254,8 +255,9 @@ fn emission_tape(
         .schedule(schedule);
     for (i, profile) in profiles.iter().enumerate() {
         let (id, tape) = (format!("src{i}"), &tape);
+        let spec = AttachSpec::new().weight(weights[i]);
         session = session
-            .source(id.as_str(), StreamingSimulator::new(profile))
+            .source_with(id.as_str(), StreamingSimulator::new(profile), spec)
             .sink(id.as_str(), move |event| {
                 if let StreamEvent::Read(_) = event {
                     tape.borrow_mut().push(i);
@@ -275,18 +277,20 @@ fn emission_tape(
 fn emission_interleaving_is_identical_for_every_parallelism() {
     let profiles = [0.05, 0.02, 0.03].map(|scale| DatasetProfile::ecoli().scaled(scale));
     let reads: usize = profiles.iter().map(|p| p.n_reads).sum();
+    // The weights are the sources' specs'; only `Priority` reads them.
+    let weights = [3, 1, 2];
     for schedule in [
         Schedule::FairShare,
-        Schedule::Priority(vec![3, 1, 2]),
+        Schedule::Priority,
         Schedule::Sequential,
     ] {
         let mut sweep = parallelism_sweep().into_iter();
         let serial = sweep.next().expect("Serial leads the sweep");
-        let serial = emission_tape(&profiles, schedule.clone(), serial);
+        let serial = emission_tape(&profiles, &weights, schedule, serial);
         assert_eq!(serial.len(), reads, "{schedule:?}");
         for parallelism in sweep {
             assert_eq!(
-                emission_tape(&profiles, schedule.clone(), parallelism),
+                emission_tape(&profiles, &weights, schedule, parallelism),
                 serial,
                 "{schedule:?} interleaved differently under {parallelism:?}"
             );
@@ -300,6 +304,7 @@ fn emission_interleaving_is_identical_for_every_parallelism() {
 /// quarantined read.
 fn faulted_emission_tape(
     profiles: &[DatasetProfile],
+    weights: &[u32],
     schedule: Schedule,
     parallelism: Parallelism,
 ) -> Vec<(usize, bool)> {
@@ -317,9 +322,10 @@ fn faulted_emission_tape(
         if i == 1 {
             injector = injector.chunk(2).samples_per_chunk(spc);
         }
+        let spec = AttachSpec::new().weight(weights[i]);
         session =
             session
-                .source(id.as_str(), injector)
+                .source_with(id.as_str(), injector, spec)
                 .sink(id.as_str(), move |event| match event {
                     StreamEvent::Read(_) => tape.borrow_mut().push((i, false)),
                     StreamEvent::Failed { .. } => tape.borrow_mut().push((i, true)),
@@ -338,14 +344,16 @@ fn faulted_emission_tape(
 fn emission_interleaving_is_identical_for_every_parallelism_under_faults() {
     let profiles = [0.05, 0.02, 0.03].map(|scale| DatasetProfile::ecoli().scaled(scale));
     let reads: usize = profiles.iter().map(|p| p.n_reads).sum();
+    // The weights are the sources' specs'; only `Priority` reads them.
+    let weights = [3, 1, 2];
     for schedule in [
         Schedule::FairShare,
-        Schedule::Priority(vec![3, 1, 2]),
+        Schedule::Priority,
         Schedule::Sequential,
     ] {
         let mut sweep = parallelism_sweep().into_iter();
         let serial = sweep.next().expect("Serial leads the sweep");
-        let serial = faulted_emission_tape(&profiles, schedule.clone(), serial);
+        let serial = faulted_emission_tape(&profiles, &weights, schedule, serial);
         assert_eq!(serial.len(), reads, "{schedule:?}");
         for source in 0..profiles.len() {
             assert!(
@@ -355,7 +363,7 @@ fn emission_interleaving_is_identical_for_every_parallelism_under_faults() {
         }
         for parallelism in sweep {
             assert_eq!(
-                faulted_emission_tape(&profiles, schedule.clone(), parallelism),
+                faulted_emission_tape(&profiles, &weights, schedule, parallelism),
                 serial,
                 "{schedule:?} interleaved differently under {parallelism:?}"
             );
@@ -373,7 +381,7 @@ fn priority_schedule_never_starves_low_weight_sources() {
     let n_light = light.n_reads;
     let profiles = [heavy, light];
     for parallelism in parallelism_sweep() {
-        let tape = emission_tape(&profiles, Schedule::Priority(vec![5, 1]), parallelism);
+        let tape = emission_tape(&profiles, &[5, 1], Schedule::Priority, parallelism);
         assert_eq!(
             tape.iter().filter(|&&t| t == 1).count(),
             n_light,
