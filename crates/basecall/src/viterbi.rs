@@ -392,13 +392,15 @@ impl DecodeScratch {
     /// current decode has sized; leaves the last row in `prev`. This is
     /// where the row body is chosen, once per decode: 64 states on a host
     /// with AVX2 run `avx2::bins` and `avx2::rows`; everything else runs
-    /// [`DecodeScratch::dp_rows_portable`].
+    /// [`DecodeScratch::dp_rows_portable`], as does every host when compiled
+    /// with `--cfg genpip_portable` (the test leg that pins the goldens
+    /// through the portable rows).
     ///
     /// Not part of the API: public only so that the kernel bench can time
     /// this stage of [`decode_with`] on its own.
     #[doc(hidden)]
     pub fn dp_rows(&mut self, model: &FixedPointModel, samples: &[f32]) {
-        #[cfg(target_arch = "x86_64")]
+        #[cfg(all(target_arch = "x86_64", not(genpip_portable)))]
         if self.prev.len() == avx2::STATES && std::arch::is_x86_feature_detected!("avx2") {
             let n = samples.len();
             let (bins, records) = (
@@ -674,6 +676,7 @@ fn last_argmax(scores: &[i16]) -> (usize, i16) {
 }
 
 #[cfg(target_arch = "x86_64")]
+#[cfg_attr(genpip_portable, allow(dead_code))]
 mod avx2;
 
 #[cfg(test)]

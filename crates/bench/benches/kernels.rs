@@ -9,8 +9,8 @@
 //! chunks in pipeline order, minimizer extraction, chaining DP (one
 //! diagonal, and two interleaved), the reference index build, the seed path
 //! (sketch, index lookup, chain) on one query, pan-genome mapping against 1
-//! vs 3 named references, banded alignment, one read basecalled and mapped
-//! end to end, one GSC record decoded and one FASTQ record written (the
+//! vs 3 named references, banded alignment (one read, and 16 distinct reads
+//! cold), one read basecalled and mapped end to end, one GSC record decoded and one FASTQ record written (the
 //! replay path's serial I/O), and the pipeline simulator.
 //!
 //! Results are printed as a table and written to `BENCH_kernels.json` at the
@@ -463,6 +463,44 @@ fn main() {
                 mapper
                     .finalize_mapping_with(black_box(&q), &fwd, &rev, &mut align)
                     .2
+            },
+        ));
+
+        // The same step over 16 distinct 3 kb reads on the one warmed
+        // scratch: the one-read row replays the same traceback branches, so
+        // this is where an alignment change is judged (the alignment's
+        // analogue of `basecall/cold64`).
+        let cold: Vec<_> = (0..16)
+            .map(|r| {
+                let truth = genome.sequence().subseq(2_000 + r * 5_900, 3_000);
+                let (q, _) =
+                    genpip_genomics::ErrorModel::with_total_rate(0.04).apply(&truth, &mut rng);
+                let (mut fwd, mut rev) = mapper.new_chainers();
+                let (batch, _) = mapper.sketch_and_seed(&q, 0);
+                fwd.extend(&batch.forward);
+                rev.extend(&batch.reverse);
+                (q, fwd, rev)
+            })
+            .collect();
+        let cells: usize = cold
+            .iter()
+            .map(|(q, fwd, rev)| {
+                let (mapping, _, cells) = mapper.finalize_mapping_with(q, fwd, rev, &mut align);
+                assert!(mapping.is_some(), "every cold bench read must map");
+                cells
+            })
+            .sum();
+        results.push(bench(
+            "align/cold16/finalize_mapping",
+            Some((cells as f64, "cells")),
+            || {
+                cold.iter()
+                    .map(|(q, fwd, rev)| {
+                        mapper
+                            .finalize_mapping_with(black_box(q), fwd, rev, &mut align)
+                            .2
+                    })
+                    .sum::<usize>()
             },
         ));
     }

@@ -8,8 +8,78 @@
 //! cost model.
 //!
 //! Gap cost model: a gap of length `L` costs `gap_open + L · gap_extend`.
+//!
+//! # Rows in `i16` lanes, and the bound that makes them exact
+//!
+//! On x86-64 with AVX2, under a scoring whose gaps cost (`gap_open,
+//! gap_extend ≤ 0`, the mapper's), the DP rows are `i16`, sixteen cells a
+//! block (`avx2::Kernel::row`). A row is stored minus an offset carried in
+//! `i32`: row `i`'s offset `O_i` is the score of row `i − 1`'s first
+//! in-matrix cell (`O_0 = O_1 = 0`). Row `i` is computed in row `i − 1`'s
+//! frame, and that cell's stored value — the offset's step `d_i = O_i −
+//! O_{i−1}` — comes off every value it stores; `fill` adds the last offset
+//! back to the score, so the absolute score has no length limit.
+//!
+//! **The bound.** Write `o = |gap_open|`, `e = |gap_extend|`, `s⁺ =
+//! max(match_score, mismatch)`, and for a band of `W` columns
+//!
+//! ```text
+//! σ = e + max(s⁺, 0)                 per-column slope of a row
+//! c = o + e + |match_score| + |mismatch|    what one step adds
+//! S = o + σ·(W − 1)                  in-row spread
+//! D = 2o + 3σ                        offset step
+//! B(W) = S + 2D + 3c + e·W
+//! ```
+//!
+//! Every value the `i16` row computes from a cell some path reaches lies in
+//! `[−B, B]`, and every value it computes from a `NEG16` pad lies in
+//! `NEG16 ± B`. With `B ≤ 8191` (`MAX_BOUND`) and `NEG16 = −16384` the two
+//! ranges are disjoint and inside `i16`, so no lane saturates and every
+//! comparison comes out as the `i32` row's: the `i16` row computes the same
+//! integers shifted, and the same traceback bits. The proof, for the masked
+//! DP the band defines (every in-band cell of row `i ≥ 1` is reachable: its
+//! row's first cell has its upper neighbour in band, and the rest follow
+//! along the row):
+//!
+//! 1. *In-row spread.* For in-band cells `j < j'` of one row, `H[j'] ≥
+//!    H[j] − o − e(j' − j)` (a gap along the row). And `H[j] ≥ H[j'] − o −
+//!    σ(j' − j)`: the best path to `(i, j')` leaves column `j` for the last
+//!    time at some `(i', j)`; straight down from there to `(i, j)` stays in
+//!    band (the rows that cover a column are consecutive) and costs at most
+//!    `o + e(i − i')`, while the rest of that path, `i − i'` query bases
+//!    against `j' − j` reference bases, scores at most `σ(j' − j) − e(i − i')`
+//!    (each diagonal column gains at most `s⁺` over the two gap columns it
+//!    replaces). So `|H[j] − H[j']| ≤ S` within a row.
+//! 2. *Offset step.* A row's first cell is at most two columns right of the
+//!    previous row's, and in that row's band. It is at least the previous
+//!    row's value above it minus `o + e`, and at most the larger of the
+//!    values above (`− e`) and up-left (`+ s⁺`); with 1, `|d_i| ≤ D`.
+//! 3. *Stored values.* Stored `H` of row `i` is `(H_i[j] − H_i[lo_i]) +
+//!    (H_i[lo_i] − O_i)`, within `S + D =: A` by 1 and 2. Stored `Ix` is at
+//!    most stored `H`, and at least `H_{i−1}[j] − o − e − O_i ≥ −S − o − e`.
+//!    So every stored real value lies in `[−A, A]`.
+//! 4. *One row.* Its real inputs lie in `[−A, A]`. Each candidate adds one
+//!    step (`|·| ≤ c`), so `T ∈ [−A − c, A + c]`; pass B's `w = T − o + e·k`
+//!    (`k < W`) lies in `[−A − 2c, A + c + eW]`, the running maximum `u`
+//!    too, and `Iy = u − e·k ≥ −A − 2c − eW`; the shift moves a stored value
+//!    by at most `D`. All of it lies in `[−B, B]`, as do the slope vectors'
+//!    real lanes (`−o + e·k` and `−e·k`).
+//! 5. *Pads.* The pads, pass B's `v[0]` and the prefix maximum's fill are
+//!    `NEG16`, which maps to the `i32` rows' `NEG`. The only value derived
+//!    from a pad that the fill stores is the `Ix` of a cell with no upper
+//!    neighbour, `NEG16 − e − d` (within `NEG16 ± A`), and the next row
+//!    compares it only with the same cell's opening from `H`, which is real
+//!    and wins. So pad-derived inputs lie in `NEG16 ± A`, and the sums of 4
+//!    keep what the row derives from them in `NEG16 ± B`.
+//!
+//! `fill_dispatch` computes `B` once per alignment: a band whose `B`
+//! exceeds `MAX_BOUND`, or a scoring whose gaps pay, runs the portable
+//! `i32` row and is counted ([`wide_band_fallbacks`]). At the mapper's
+//! corridor — about 70 columns under the default scoring — `B` is about
+//! 500; the `i16` rows take bands up to 1 352 columns.
 
 use genpip_genomics::{Base, DnaSeq};
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
 
@@ -94,17 +164,137 @@ impl Alignment {
 /// enough above `i32::MIN` that penalties add to it without wrapping.
 const NEG: i32 = i32::MIN / 4;
 
+/// [`NEG`] in the `i16` rows: what the row derives from it, within
+/// `± MAX_BOUND` of it, stays below every real value and above `i16::MIN`
+/// (module docs).
+const NEG16: i16 = i16::MIN / 2;
+
+/// The largest spread bound `B` the `i16` rows take (module docs).
+const MAX_BOUND: i64 = -(NEG16 as i64) / 2 - 1;
+
 /// Pad byte around the window's base codes; equals no 2-bit code.
 const PAD: u8 = 0xFF;
 
 /// Cells of one block of the AVX2 row.
-const LANES: usize = 8;
+const LANES: usize = 16;
 
 /// How far past a row's last cell (and its last column) a block of
 /// [`LANES`] cells may read: rows carry this many extra `NEG` cells and the
 /// window this many extra [`PAD`] bytes, so the AVX2 row needs no per-cell
 /// tail logic.
 const SLACK: usize = LANES - 1;
+
+thread_local! {
+    static WIDE_BANDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many alignments on the calling thread ran the portable `i32` row
+/// because their band's spread bound `B` does not fit the `i16` rows, or
+/// their scoring lets gaps pay (module docs). Zero at the mapper's corridor
+/// widths; the count does not depend on the host's vector extensions.
+pub fn wide_band_fallbacks() -> u64 {
+    WIDE_BANDS.with(Cell::get)
+}
+
+/// The spread bound `B(width)` of the module docs under `p`, or `None` for
+/// a scoring whose gaps pay (`gap_open > 0` or `gap_extend > 0`), which the
+/// proof does not cover.
+fn spread_bound(width: usize, p: &AlignmentParams) -> Option<i64> {
+    if p.gap_open > 0 || p.gap_extend > 0 {
+        return None;
+    }
+    let [o, e, s_match, s_mismatch] =
+        [p.gap_open, p.gap_extend, p.match_score, p.mismatch].map(|v| i64::from(v).abs());
+    let width = width as i64;
+    let sigma = e + i64::from(p.match_score.max(p.mismatch).max(0));
+    let c = o + e + s_match + s_mismatch;
+    let spread = o + sigma * (width - 1);
+    let shift = 2 * o + 3 * sigma;
+    Some(spread + 2 * shift + 3 * c + e * width)
+}
+
+/// Whether a band of `width` columns under `p` runs in the `i16` rows.
+fn fits_narrow(width: usize, p: &AlignmentParams) -> bool {
+    spread_bound(width, p).is_some_and(|b| b <= MAX_BOUND)
+}
+
+/// A score lane of the DP rows: the portable row's absolute `i32`s, or the
+/// AVX2 row's `i16`s relative to a per-row offset (module docs).
+trait Score: Copy + Default {
+    /// A cell no path reaches.
+    const NEG: Self;
+
+    /// Row 0's values, `gap_open + gap_extend · j`, which fit either lane.
+    fn from_i32(v: i32) -> Self;
+
+    fn to_i32(self) -> i32;
+
+    /// What the next row takes off every value it stores, given the value of
+    /// this row's first in-matrix cell: nothing for absolute rows.
+    fn shift(first: Self) -> Self;
+}
+
+impl Score for i32 {
+    const NEG: i32 = NEG;
+
+    fn from_i32(v: i32) -> i32 {
+        v
+    }
+
+    fn to_i32(self) -> i32 {
+        self
+    }
+
+    fn shift(_: i32) -> i32 {
+        0
+    }
+}
+
+impl Score for i16 {
+    const NEG: i16 = NEG16;
+
+    fn from_i32(v: i32) -> i16 {
+        v as i16
+    }
+
+    fn to_i32(self) -> i32 {
+        i32::from(self)
+    }
+
+    fn shift(first: i16) -> i16 {
+        first
+    }
+}
+
+/// The rolling DP rows of one lane type: band-relative rows of `1 + width +
+/// 2 + SLACK` cells. Cell `c` of row `i` is column `base[i] + c` and sits at
+/// index `c + 1`. With `step = base[i] - base[i - 1]`, its diagonal
+/// neighbour is the previous row's cell `c + step - 1` and its upper
+/// neighbour cell `c + step`: the pad cell on the left is the diagonal
+/// neighbour of cell 0 after a step of 0, the two on the right are the
+/// neighbours of the last cell after a step of 2, and all three stay `NEG`.
+#[derive(Debug, Clone, Default)]
+struct Rows<T> {
+    h_prev: Vec<T>,
+    h_curr: Vec<T>,
+    ix_prev: Vec<T>,
+    ix_curr: Vec<T>,
+}
+
+impl<T: Score> Rows<T> {
+    /// All four rows `NEG`, sized for a band of `width` columns.
+    fn reset(&mut self, width: usize) {
+        for row in [
+            &mut self.h_prev,
+            &mut self.h_curr,
+            &mut self.ix_prev,
+            &mut self.ix_curr,
+        ] {
+            row.clear();
+            row.resize(width + 3 + SLACK, T::NEG);
+        }
+    }
+}
 
 /// Reusable working memory of the banded-alignment kernel: the unpacked
 /// query and reference window, the window's score profile, the band's table
@@ -121,9 +311,9 @@ const SLACK: usize = LANES - 1;
 /// through its indels (`AlignScratch::align_along`). The straight band of
 /// [`banded_global`] is the table whose every step is 1.
 ///
-/// The window and every row end in `SLACK` (7) spare entries, pad bytes and
-/// `NEG` cells, that no recurrence reads: the AVX2 row computes eight cells
-/// at a time, and its last block of a row reads past the row's end.
+/// The window and every row end in `SLACK` (15) spare entries, pad bytes and
+/// `NEG` cells, that no recurrence reads: the AVX2 row computes sixteen
+/// cells at a time, and its last block of a row reads past the row's end.
 #[derive(Debug, Clone, Default)]
 pub struct AlignScratch {
     /// Query base codes.
@@ -136,22 +326,16 @@ pub struct AlignScratch {
     /// entry `j` of row `b` is the substitution score of column `j` against
     /// query base code `b` — `match_score` where `r[j] == b`, `mismatch`
     /// elsewhere, [`PAD`] included. Built once per alignment.
-    #[cfg(target_arch = "x86_64")]
-    prof: Vec<i32>,
+    #[cfg(all(target_arch = "x86_64", not(genpip_portable)))]
+    prof: Vec<i16>,
     /// Column of each query row's band cell 0, rows `0..=n` (negative left of
     /// the matrix).
     base: Vec<i64>,
-    // Band-relative rows of `1 + width + 2 + SLACK` cells: cell `c` of row
-    // `i` is column `base[i] + c` and sits at index `c + 1`. With `step =
-    // base[i] - base[i - 1]`, its diagonal neighbour is the previous row's
-    // cell `c + step - 1` and its upper neighbour cell `c + step`: the pad
-    // cell on the left is the diagonal neighbour of cell 0 after a step of 0,
-    // the two on the right are the neighbours of the last cell after a step
-    // of 2, and all three stay `NEG`.
-    h_prev: Vec<i32>,
-    h_curr: Vec<i32>,
-    ix_prev: Vec<i32>,
-    ix_curr: Vec<i32>,
+    /// The portable row's absolute rows.
+    wide: Rows<i32>,
+    /// The AVX2 row's offset rows.
+    #[cfg(all(target_arch = "x86_64", not(genpip_portable)))]
+    narrow: Rows<i16>,
     /// The portable pass B's gap-open candidates, slope removed.
     v: Vec<i32>,
     /// The portable pass B's running maximum over `v`.
@@ -193,18 +377,15 @@ impl AlignScratch {
         self.r.len() - 1 - SLACK
     }
 
-    /// Lays down [`AlignScratch::prof`] for `params`.
-    #[cfg(target_arch = "x86_64")]
+    /// Lays down [`AlignScratch::prof`] for `params`, whose two substitution
+    /// scores fit `i16` on every band the AVX2 row takes.
+    #[cfg(all(target_arch = "x86_64", not(genpip_portable)))]
     fn load_profile(&mut self, params: &AlignmentParams) {
+        let (hit, miss) = (params.match_score as i16, params.mismatch as i16);
         self.prof.clear();
         for code in 0..4 {
-            self.prof.extend(self.r.iter().map(|&b| {
-                if b == code {
-                    params.match_score
-                } else {
-                    params.mismatch
-                }
-            }));
+            self.prof
+                .extend(self.r.iter().map(|&b| if b == code { hit } else { miss }));
         }
     }
 
@@ -245,8 +426,8 @@ impl AlignScratch {
 
     fn run(&mut self, params: &AlignmentParams, band: &Band) -> Alignment {
         let mut tb = band.traceback_matrix(self.q.len());
-        let cells = fill_dispatch(self, &mut tb, params, band);
-        self.finish(&tb, band, cells)
+        let (cells, score) = fill_dispatch(self, &mut tb, params, band);
+        self.finish(&tb, band, cells, score)
     }
 
     /// The straight band: widens it to keep (0,0) and (n,m) inside and lays
@@ -273,13 +454,24 @@ impl AlignScratch {
             if to_row <= row || to_row > n {
                 continue;
             }
-            let rows = to_row - row;
-            for i in 1..=rows {
-                let centred = col + (to_col - col) * i / rows - hw;
-                let prev = self.base[self.base.len() - 1];
+            // Row `row + i`'s centre is `col + (to_col - col) * i / rows`
+            // (the quotient truncated), stepped without a division a row.
+            let (rows, cols) = (to_row - row, to_col - col);
+            let (whole, part) = (cols.abs() / rows, cols.abs() % rows);
+            let (mut quotient, mut remainder) = (0, 0);
+            let mut prev = self.base[self.base.len() - 1];
+            for _ in 0..rows {
+                quotient += whole;
+                remainder += part;
+                if remainder >= rows {
+                    remainder -= rows;
+                    quotient += 1;
+                }
+                let centred = col + cols.signum() * quotient - hw;
                 let base = centred.clamp(prev, prev + 2);
                 lag = lag.max((centred - base).abs());
                 self.base.push(base);
+                prev = base;
             }
             (row, col) = (to_row, to_col);
         }
@@ -291,7 +483,8 @@ impl AlignScratch {
         self.size_rows((2 * (hw + lag) + 1) as usize)
     }
 
-    /// Sizes the rows for a band of `width` columns from each of `base` on.
+    /// The band of `width` columns from each of `base` on; sizes the portable
+    /// pass B's rows for it ([`fill`] sizes the DP rows it runs on).
     fn size_rows(&mut self, width: usize) -> Band {
         let band = Band { m: self.m(), width };
         debug_assert!(width >= 3 && self.base.len() == self.q.len() + 1);
@@ -301,26 +494,18 @@ impl AlignScratch {
             .all(|w| (0..=2).contains(&(w[1] - w[0]))));
         let in_row = |i: usize, j: i64| (0..width as i64).contains(&(j - self.base[i]));
         debug_assert!(in_row(0, 0) && in_row(self.q.len(), band.m as i64));
-        for row in [
-            &mut self.h_prev,
-            &mut self.h_curr,
-            &mut self.ix_prev,
-            &mut self.ix_curr,
-            &mut self.v,
-            &mut self.u,
-        ] {
+        for row in [&mut self.v, &mut self.u] {
             row.clear();
             row.resize(width + 3 + SLACK, NEG);
         }
         band
     }
 
-    /// Reads the score off the filled last row and walks the traceback flags
-    /// from `(n, m)` to the origin.
-    fn finish(&mut self, tb: &[u8], band: &Band, cells: usize) -> Alignment {
+    /// Walks the traceback flags from `(n, m)` to the origin; `score` and
+    /// `cells` are [`fill`]'s.
+    fn finish(&mut self, tb: &[u8], band: &Band, cells: usize, score: i32) -> Alignment {
         let (q, r) = (&self.q, &self.r);
         let base = &self.base;
-        let score = self.h_prev[1 + (band.m as i64 - base[q.len()]) as usize];
         let ops = &mut self.ops;
         ops.clear();
         let mut push = |kind: u8| match ops.last_mut() {
@@ -497,37 +682,42 @@ struct Row {
     len: usize,
 }
 
-/// The portable row body: [`pass_a`], then the pass B the scoring allows.
+/// The portable row body: [`pass_a`], then the pass B the scoring allows,
+/// over the absolute rows.
 #[inline(always)]
-fn portable_row(s: &mut AlignScratch, p: &AlignmentParams, row: Row, flags: &mut [u8]) {
-    let Row {
-        i,
-        step,
-        lo,
-        clo,
-        len,
-    } = row;
+#[allow(clippy::too_many_arguments)]
+fn portable_row(
+    p: &AlignmentParams,
+    rows: &mut Rows<i32>,
+    qb: u8,
+    r: &[u8],
+    v: &mut [i32],
+    u: &mut [i32],
+    row: Row,
+    flags: &mut [u8],
+) {
+    let Row { step, clo, len, .. } = row;
     // Cell `c`'s diagonal neighbour sits at index `c + step` of the previous
     // row (its cell `c + step - 1`, behind the left pad).
     let (h_prev, ix_prev) = (
-        &s.h_prev[clo + step..clo + step + len + 1],
-        &s.ix_prev[clo + step..clo + step + len + 1],
+        &rows.h_prev[clo + step..clo + step + len + 1],
+        &rows.ix_prev[clo + step..clo + step + len + 1],
     );
     let (h, ix) = (
-        &mut s.h_curr[1 + clo..1 + clo + len],
-        &mut s.ix_curr[1 + clo..1 + clo + len],
+        &mut rows.h_curr[1 + clo..1 + clo + len],
+        &mut rows.ix_curr[1 + clo..1 + clo + len],
     );
-    let (qb, r) = (s.q[i - 1], &s.r[lo..lo + len]);
-    pass_a(p, qb, r, h_prev, ix_prev, ix, h, &mut s.v, flags);
+    pass_a(p, qb, r, h_prev, ix_prev, ix, h, v, flags);
     if p.gap_open <= 0 {
-        pass_b_running_max(p, &s.v, &mut s.u, h, flags);
+        pass_b_running_max(p, v, u, h, flags);
     } else {
         pass_b_scan(p, h, flags);
     }
 }
 
-/// Fills the DP rows and the traceback matrix with `row_body` computing each
-/// row; returns the cells computed.
+/// Fills `rows` and the traceback matrix with `row_body` computing each row
+/// (from the row's geometry and the shift its stored values take); returns
+/// the cells computed and the score of the terminal cell.
 ///
 /// Each row's recurrence splits into two passes over the band-relative cells
 /// `c`. **Pass A** needs only the previous row — `Ix[c]` from `prev[c + 1]`,
@@ -542,10 +732,10 @@ fn portable_row(s: &mut AlignScratch, p: &AlignmentParams, row: Row, flags: &mut
 /// from `T[c-1]` iff `u[c-1] > v[c]`, i.e. `u[c] > v[c]`. (With `o == 0`
 /// the scan would instead re-open from `H[c-1] = Iy[c-1]`; that is the same
 /// path, so the traceback cannot tell the two apart.) [`portable_row`] runs
-/// the passes one after the other over slices; the AVX2 row (`avx2::row`)
-/// runs both on one block of eight cells at a time, the running maximum as
-/// a prefix maximum in registers — the same integers and the same strict
-/// `>`, so the same bits.
+/// the passes one after the other over slices; the AVX2 row (`Kernel::row`)
+/// runs both on one block of sixteen `i16` cells at a time, the running
+/// maximum as a prefix maximum in registers — the same integers up to the
+/// rows' offsets (module docs) and the same strict `>`, so the same bits.
 ///
 /// The rolling rows are never cleared between rows. A cell the next row reads
 /// is either one this row wrote or one no row ever writes: as `base` only
@@ -553,40 +743,45 @@ fn portable_row(s: &mut AlignScratch, p: &AlignmentParams, row: Row, flags: &mut
 /// advances, so what an earlier row left beyond this row's ends lies beyond
 /// the next row's neighbours too.
 #[inline(always)]
-fn fill(
-    s: &mut AlignScratch,
+fn fill<T: Score>(
+    rows: &mut Rows<T>,
+    base: &[i64],
     tb: &mut [u8],
     p: &AlignmentParams,
     band: &Band,
-    row_body: impl Fn(&mut AlignScratch, &AlignmentParams, Row, &mut [u8]),
-) -> usize {
-    let (n, m, width) = (s.q.len(), band.m, band.width);
+    mut row_body: impl FnMut(&mut Rows<T>, Row, T, &mut [u8]),
+) -> (usize, i32) {
+    let (n, m, width) = (base.len() - 1, band.m, band.width);
+    rows.reset(width);
 
-    // Row 0: leading deletions.
-    let origin = (-s.base[0]) as usize;
-    let hi = (s.base[0] + (width - 1) as i64).min(m as i64) as usize;
-    let row = &mut s.h_prev[1 + origin..];
-    row[0] = 0;
+    // Row 0: leading deletions, stored absolute (`O_0 = 0`).
+    let origin = (-base[0]) as usize;
+    let hi = (base[0] + (width - 1) as i64).min(m as i64) as usize;
+    let row = &mut rows.h_prev[1 + origin..];
+    row[0] = T::from_i32(0);
     tb[origin] = 3;
     for j in 1..=hi {
-        row[j] = p.gap_open + p.gap_extend * j as i32;
+        row[j] = T::from_i32(p.gap_open + p.gap_extend * j as i32);
         // H from Iy, which extends from the second column on.
         tb[origin + j] = if j > 1 { 0b1010 } else { 0b0010 };
     }
     let mut cells = hi;
 
+    // The previous row's first in-matrix cell, and the offset its values
+    // are stored under.
+    let (mut first, mut offset) = (1 + origin, 0i32);
     for i in 1..=n {
-        let base = s.base[i];
-        let step = (base - s.base[i - 1]) as usize;
-        let lo = base.max(0) as usize;
-        let hi = (base + (width - 1) as i64).min(m as i64) as usize;
-        let clo = (lo as i64 - base) as usize;
+        let base_i = base[i];
+        let step = (base_i - base[i - 1]) as usize;
+        let lo = base_i.max(0) as usize;
+        let hi = (base_i + (width - 1) as i64).min(m as i64) as usize;
+        let clo = (lo as i64 - base_i) as usize;
         let len = hi - lo + 1;
         cells += len;
         let flags = &mut tb[i * width + clo..][..len];
+        let shift = T::shift(rows.h_prev[first]);
         row_body(
-            s,
-            p,
+            rows,
             Row {
                 i,
                 step,
@@ -594,34 +789,56 @@ fn fill(
                 clo,
                 len,
             },
+            shift,
             flags,
         );
-        std::mem::swap(&mut s.h_prev, &mut s.h_curr);
-        std::mem::swap(&mut s.ix_prev, &mut s.ix_curr);
+        offset += shift.to_i32();
+        first = 1 + clo;
+        std::mem::swap(&mut rows.h_prev, &mut rows.h_curr);
+        std::mem::swap(&mut rows.ix_prev, &mut rows.ix_curr);
     }
-    cells
+    let score = rows.h_prev[1 + (m as i64 - base[n]) as usize].to_i32() + offset;
+    (cells, score)
+}
+
+/// [`fill`] over the absolute `i32` rows with [`portable_row`], whatever the
+/// host.
+fn fill_portable(
+    s: &mut AlignScratch,
+    tb: &mut [u8],
+    p: &AlignmentParams,
+    band: &Band,
+) -> (usize, i32) {
+    let (q, r, v, u) = (&s.q, &s.r, &mut s.v, &mut s.u);
+    fill(&mut s.wide, &s.base, tb, p, band, |rows, row, _, flags| {
+        let r = &r[row.lo..row.lo + row.len];
+        portable_row(p, rows, q[row.i - 1], r, v, u, row, flags)
+    })
 }
 
 /// [`fill`] with the row body chosen once per alignment, from what the code
-/// observes: on x86-64 with AVX2 and `gap_open <= 0` the AVX2 row over the
-/// window's score profile, everywhere else [`portable_row`].
-fn fill_dispatch(s: &mut AlignScratch, tb: &mut [u8], p: &AlignmentParams, band: &Band) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if p.gap_open <= 0 && std::arch::is_x86_feature_detected!("avx2") {
-        s.load_profile(p);
-        let stride = s.r.len();
-        return fill(s, tb, p, band, |s, p, row, flags| {
-            let qb = usize::from(s.q[row.i - 1]);
-            let prof = &s.prof[qb * stride + row.lo..(qb + 1) * stride];
-            let prev = row.clo + row.step;
-            let (h_prev, ix_prev) = (&s.h_prev[prev..], &s.ix_prev[prev..]);
-            let (h, ix) = (&mut s.h_curr[1 + row.clo..], &mut s.ix_curr[1 + row.clo..]);
-            // SAFETY: this body exists only on a host with AVX2, checked
-            // above.
-            unsafe { avx2::row(p, prof, h_prev, ix_prev, h, ix, flags) }
-        });
+/// observes: on x86-64 with AVX2, when the band's spread bound fits
+/// ([`fits_narrow`]), the AVX2 row over `i16` rows and the window's score
+/// profile; everywhere else [`fill_portable`]. Compiling with `--cfg
+/// genpip_portable` leaves only the portable row, for the test leg that pins
+/// the goldens through it.
+fn fill_dispatch(
+    s: &mut AlignScratch,
+    tb: &mut [u8],
+    p: &AlignmentParams,
+    band: &Band,
+) -> (usize, i32) {
+    let narrow = fits_narrow(band.width, p);
+    if !narrow {
+        WIDE_BANDS.with(|count| count.set(count.get() + 1));
     }
-    fill(s, tb, p, band, portable_row)
+    #[cfg(all(target_arch = "x86_64", not(genpip_portable)))]
+    if narrow && std::arch::is_x86_feature_detected!("avx2") {
+        s.load_profile(p);
+        // SAFETY: the host supports AVX2, checked on the line above.
+        return unsafe { avx2::fill_narrow(s, tb, p, band) };
+    }
+    fill_portable(s, tb, p, band)
 }
 
 /// Aligns `query` against `reference` globally within a diagonal band.
@@ -659,7 +876,7 @@ pub fn banded_global(
     scratch.align(params, band_center, band_halfwidth)
 }
 
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", not(genpip_portable)))]
 mod avx2;
 
 #[cfg(test)]

@@ -29,6 +29,7 @@ use genpip::core::{Flow, GenPipConfig, Parallelism, ReadOutcome};
 use genpip::datasets::DatasetProfile;
 use genpip::genomics::fastx::FastqWriter;
 use genpip::genomics::{Genome, GenomeBuilder};
+use genpip::mapping::align::wide_band_fallbacks;
 use genpip::mapping::paf::{write_paf, PafRecord};
 use genpip::mapping::{MapperParams, ReferenceSet};
 use std::path::PathBuf;
@@ -132,6 +133,37 @@ fn genpip_full_collect_is_golden() {
 #[test]
 fn conventional_collect_is_golden() {
     check_golden("collect_conventional", &golden_text(Flow::Conventional));
+}
+
+/// Every alignment of both profiles at the golden scale, through both
+/// flows, runs in the `i16` rows: no band's spread bound exceeds their limit
+/// (the `genpip_mapping::align` module docs), so none falls back to the
+/// portable `i32` row. The runs are serial, so every alignment is made on
+/// this thread, where the fallbacks are counted; the count is the bound's,
+/// whatever the host's vector extensions.
+#[test]
+fn no_alignment_of_either_profile_leaves_the_i16_rows() {
+    let before = wide_band_fallbacks();
+    let mut mapped = 0;
+    for profile in [DatasetProfile::ecoli(), DatasetProfile::human()] {
+        let profile = profile.scaled(SCALE);
+        let dataset = profile.generate();
+        let config = GenPipConfig::for_dataset(&profile).with_parallelism(Parallelism::Serial);
+        for flow in [Flow::GenPip(ErMode::Full), Flow::Conventional] {
+            let run = PipelineRun::collect(&dataset, &config, flow);
+            mapped += run
+                .reads
+                .iter()
+                .filter(|read| matches!(read.outcome, ReadOutcome::Mapped(_)))
+                .count();
+        }
+    }
+    assert!(mapped > 0, "the golden datasets map reads");
+    assert_eq!(
+        wide_band_fallbacks() - before,
+        0,
+        "alignments that ran the portable i32 row"
+    );
 }
 
 /// One test per paper experiment, named after it: the report followed by
