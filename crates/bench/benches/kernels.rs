@@ -7,7 +7,8 @@
 //! through the portable body, the traceback, the base/quality assembly —
 //! then the chunk call, its decode and its assembly cold, over 64 workload
 //! chunks in pipeline order, minimizer extraction, chaining DP (one
-//! diagonal, and two interleaved), the reference index build, the seed path
+//! diagonal, and two interleaved), the reference index's build, lookups and
+//! drop, the seed path
 //! (sketch, index lookup, chain) on one query, pan-genome mapping against 1
 //! vs 3 named references, banded alignment (one read, and 16 distinct reads
 //! cold), one read basecalled and mapped end to end, one GSC record decoded and one FASTQ record written (the
@@ -24,16 +25,17 @@ use genpip_basecall::viterbi::{
     decode_with, DecodeScratch, DecodeStats, FixedPointModel, Transitions,
 };
 use genpip_basecall::{Basecaller, CallScratch, CarryState, EmissionModel};
-use genpip_bench::micro::{bench, bench_json, Json};
-use genpip_datasets::{DatasetProfile, SimulatedRead};
+use genpip_bench::micro::{bench, bench_consuming, bench_json, Json};
+use genpip_datasets::{DatasetProfile, ReadSource, SimulatedRead, StreamingSimulator};
 use genpip_genomics::fastx::FastqWriter;
 use genpip_genomics::quality::Phred;
 use genpip_genomics::read::ReadOrigin;
 use genpip_genomics::GenomeBuilder;
 use genpip_io::{GscMeta, GscReader, GscWriter};
 use genpip_mapping::{
-    minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, Mapper, MapperParams,
-    MinimizerScratch, ReferenceIndex, ReferenceSet, SeedBatch, SeedScratch,
+    minimizers, minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, Mapper,
+    MapperParams, Minimizer, MinimizerScratch, ReferenceIndex, ReferenceSet, SeedBatch,
+    SeedScratch,
 };
 use genpip_signal::chunk::samples_per_chunk;
 use genpip_signal::{PoreModel, SignalSynthesizer};
@@ -335,21 +337,47 @@ fn main() {
         }
     }
 
-    // --- Index build: the human profile's 1 Mb repeat-rich reference ---
-    // What `setup_s` times on `human_replay_mt`: sketch the reference and
-    // fill the minimizer table (`DatasetProfile::human()`'s genome: 1 Mb,
-    // GC 0.41, 25 % repeats, its seed).
+    // --- Reference index: the human profile's 1 Mb repeat-rich reference ---
+    // Its three costs. The build is what `setup_s` times on
+    // `human_replay_mt`: sketch the reference and fill the minimizer table.
+    // The lookups are the query minimizers of the profile's first 100
+    // reads, in read order, the traffic whose locality the table's layout
+    // must keep. The drop is what every timed pass pays when its session
+    // lets go of the index.
     {
-        let genome = GenomeBuilder::new(1_000_000)
-            .seed(0x4B12878)
-            .gc_fraction(0.41)
-            .repeat_fraction(0.25)
-            .build();
+        let mut source = StreamingSimulator::new(&DatasetProfile::human());
+        let genome = source.reference().clone();
         let params = MapperParams::default();
         results.push(bench(
             "mapping/index_build_1mb",
             Some((genome.len() as f64, "bases")),
             || ReferenceIndex::build(black_box(&genome), params.k, params.w).total_entries(),
+        ));
+
+        let index = ReferenceIndex::build(&genome, params.k, params.w);
+        let queries: Vec<Minimizer> = std::iter::from_fn(|| source.next_read())
+            .take(100)
+            .flat_map(|read| minimizers(&read.signal.truth, params.k, params.w))
+            .collect();
+        results.push(bench(
+            "mapping/index_lookup_1mb",
+            Some((queries.len() as f64, "lookups")),
+            || {
+                // Read every hit, as seeding does: a sum of lengths alone
+                // would never touch the hit array whose layout is at stake.
+                black_box(&queries)
+                    .iter()
+                    .flat_map(|m| index.lookup(m))
+                    .map(|hit| hit.pos)
+                    .sum::<u64>()
+            },
+        ));
+
+        results.push(bench_consuming(
+            "mapping/index_drop_1mb",
+            None,
+            || ReferenceIndex::build(&genome, params.k, params.w),
+            drop,
         ));
     }
 

@@ -97,6 +97,35 @@ pub fn bench<R>(
     }
 }
 
+/// Times `routine` on a fresh `setup()` value: one untimed setup and one
+/// timed call per sample, for work that consumes its input (freeing a
+/// table, say). Reports the median of `SAMPLES` samples after one warm-up.
+pub fn bench_consuming<S, R>(
+    name: &str,
+    elements_per_iter: Option<(f64, &'static str)>,
+    mut setup: impl FnMut() -> S,
+    mut routine: impl FnMut(S) -> R,
+) -> BenchResult {
+    const SAMPLES: usize = 7;
+    black_box(routine(setup()));
+    let mut per_iter: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let input = setup();
+            let start = Instant::now();
+            black_box(routine(input));
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    BenchResult {
+        name: name.to_string(),
+        ns_per_iter: per_iter[per_iter.len() / 2],
+        iters_per_sample: 1,
+        samples: SAMPLES,
+        elements_per_iter,
+    }
+}
+
 /// Minimal JSON value builder for the bench reports (the workspace has no
 /// serde; the reports are flat enough that hand-rolled emission is clearer
 /// than a dependency anyway).

@@ -9,18 +9,18 @@
 //! [`minimizers_into`] makes one pass over the bases. It rolls the forward
 //! k-mer and its reverse complement together, one base each — the new base
 //! enters the forward word at the bottom and its complement enters the
-//! reverse word at the top — so the canonical form costs one compare, not a
-//! per-k-mer reverse complement. Winnowing keeps the window's current pick:
-//! a new k-mer whose hash is `<=` the pick's takes over (the rightmost
-//! minimum wins ties), and only when the pick slides out of the window is
-//! the window rescanned. On random sequence a pick slides out about once per
-//! `w + 1` bases, so the rescans cost about one hash compare per base, and
-//! the one data-dependent branch per base — "is this a new minimum?" — is
-//! rarely taken (the monotone deque this replaced popped on a coin flip).
+//! reverse word at the top — so the canonical form costs one compare and a
+//! select, not a per-k-mer reverse complement or a branch. Winnowing keeps
+//! the window's current pick: a new k-mer whose hash is `<=` the pick's
+//! takes over (the rightmost minimum wins ties), and only when the pick
+//! slides out of the window is the window rescanned. On random sequence a
+//! pick slides out about once per `w + 1` bases, so the rescans cost about
+//! one hash compare per base, and the one data-dependent branch per base —
+//! "is this a new minimum?" — is rarely taken (the monotone deque this
+//! replaced popped on a coin flip).
 
 use crate::RefPos;
 use genpip_genomics::{DnaSeq, Kmer};
-use std::cmp::Ordering;
 
 /// One selected minimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,11 +181,11 @@ pub fn minimizers_into(
             continue;
         };
         // The canonical k-mer is the smaller strand; a palindrome has none.
-        let h = match fwd.cmp(&rev) {
-            Ordering::Less => Some((hash64(fwd), false)),
-            Ordering::Greater => Some((hash64(rev), true)),
-            Ordering::Equal => None,
-        };
+        // Which strand is smaller is a coin flip on real sequence, so it is
+        // a select, not a branch.
+        let reverse = rev < fwd;
+        let hash = hash64(if reverse { rev } else { fwd });
+        let h = (fwd != rev).then_some((hash, reverse));
         hashed.push(h);
         pending |= pick.offer(i, h);
         if pick.some && pick.at + w <= i {

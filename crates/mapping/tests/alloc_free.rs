@@ -2,29 +2,36 @@
 //! its traceback matrix and the CIGAR it returns: a counting global allocator
 //! watches `Mapper::finalize_mapping_with`, whose only other allocations are
 //! the chain traceback's (`IncrementalChainer::best_chain`), counted
-//! separately.
+//! separately. It also holds `ReferenceIndex::build` to a number of
+//! allocations that does not grow with the reference's key count.
 
 use genpip_genomics::rng::seeded;
 use genpip_genomics::{ErrorModel, GenomeBuilder};
-use genpip_mapping::{AlignScratch, Mapper, MapperParams, Strand};
+use genpip_mapping::{AlignScratch, Mapper, MapperParams, ReferenceIndex, Strand};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-// Per-thread flag, as in `crates/basecall/tests/alloc_free.rs`: the libtest
-// harness's main thread allocates at arbitrary moments.
+// Per-thread flag and count, as in `crates/basecall/tests/alloc_free.rs`:
+// the libtest harness's main thread allocates at arbitrary moments, and the
+// harness runs this file's tests at once, so a shared count would charge one
+// test's allocations to the other. (Const-initialized thread-locals never
+// allocate, so touching them inside the allocator is safe.)
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+fn count_one() {
+    if COUNTING.with(Cell::get) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,9 +40,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,11 +49,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (out, ALLOCS.load(Ordering::SeqCst))
+    (out, ALLOCS.with(Cell::get))
 }
 
 #[test]
@@ -100,4 +105,38 @@ fn warmed_alignment_allocates_only_the_traceback_matrix_and_the_cigar() {
             );
         }
     }
+}
+
+#[test]
+fn the_index_build_allocates_as_often_at_1_mb_as_at_100_kb() {
+    // The human profile's reference composition (GC 0.41, 25 % repeats) at
+    // two sizes. The index is one table and one hit array, so the build's
+    // allocator calls — and the frees that drop the index — do not depend
+    // on how many keys the reference has; one heap list per key would add
+    // one per key. (At both sizes the sketch outgrows `minimizers`'
+    // 2 / (w + 1) pre-size once; a sketch that fitted would make one call
+    // fewer.)
+    let params = MapperParams::default();
+    let build = |len: usize| {
+        let genome = GenomeBuilder::new(len)
+            .seed(0x4B12878)
+            .gc_fraction(0.41)
+            .repeat_fraction(0.25)
+            .build();
+        count_allocs(|| ReferenceIndex::build(&genome, params.k, params.w))
+    };
+    let (small, small_allocs) = build(100_000);
+    eprintln!(
+        "DBG {small_allocs} {} {}",
+        build(100_000).1,
+        build(1_000_000).1
+    );
+    let (large, large_allocs) = build(1_000_000);
+    assert!(large.distinct_minimizers() > 9 * small.distinct_minimizers());
+    assert_eq!(
+        small_allocs, large_allocs,
+        "the build's allocations grew with the reference: {} keys took {small_allocs}, {} took {large_allocs}",
+        small.distinct_minimizers(),
+        large.distinct_minimizers()
+    );
 }
