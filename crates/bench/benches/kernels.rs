@@ -6,7 +6,8 @@
 //! path) and its stages on their own — the DP rows as dispatched and
 //! through the portable body, the traceback, the base/quality assembly —
 //! then the chunk call, its decode and its assembly cold, over 64 workload
-//! chunks in pipeline order, minimizer extraction, chaining DP (one
+//! chunks in pipeline order, minimizer extraction (one sequence, and cold
+//! over 64 read chunks and 16 whole reads), chaining DP (one
 //! diagonal, and two interleaved), the reference index's build, lookups and
 //! drop, the seed path
 //! (sketch, index lookup, chain) on one query, pan-genome mapping against 1
@@ -299,6 +300,40 @@ fn main() {
                 out.len()
             },
         ));
+
+        // The same call over distinct sequences, where the one-sequence row
+        // lets the branch predictor learn its path: the 300-base chunks the
+        // GenPIP flow sketches one at a time, the first 64 of the E. coli
+        // profile's reads in pipeline order, and the first 3 kb of its first
+        // 16 reads that long, sketched whole as the conventional flow does.
+        let params = MapperParams::default();
+        let mut source = StreamingSimulator::new(&DatasetProfile::ecoli());
+        let (mut chunks, mut long) = (Vec::new(), Vec::new());
+        while chunks.len() < 64 || long.len() < 16 {
+            let read = source.next_read().expect("the profile streams reads");
+            let read = read.signal.truth;
+            chunks.extend((0..read.len() / 300).map(|c| read.subseq(c * 300, 300)));
+            if read.len() >= 3_000 {
+                long.push(read.subseq(0, 3_000));
+            }
+        }
+        chunks.truncate(64);
+        long.truncate(16);
+        for (name, seqs) in [
+            ("sketch/cold64/chunks_300", &chunks),
+            ("sketch/cold16/reads_3kb", &long),
+        ] {
+            let bases = seqs.iter().map(|s| s.len()).sum::<usize>();
+            results.push(bench(name, Some((bases as f64, "bases")), || {
+                black_box(seqs)
+                    .iter()
+                    .map(|seq| {
+                        minimizers_into(seq, params.k, params.w, &mut scratch, &mut out);
+                        out.len()
+                    })
+                    .sum::<usize>()
+            }));
+        }
     }
 
     // --- Chaining DP ---

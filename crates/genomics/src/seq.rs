@@ -91,6 +91,36 @@ impl DnaSeq {
         Base::from_code(byte >> ((index & 3) * 2))
     }
 
+    /// The 32 bases from `index` on as one word, two bits a base
+    /// ([`Base::code`]), base `index` in the lowest two bits. Positions past
+    /// the end read as `A` (code 0), so a caller can take words across the
+    /// end without a bounds check per base.
+    ///
+    /// ```
+    /// use genpip_genomics::DnaSeq;
+    ///
+    /// let s: DnaSeq = "ACGT".parse()?;
+    /// assert_eq!(s.word_at(1), 0b11_10_01); // C, G, T, then A past the end
+    /// # Ok::<(), genpip_genomics::base::ParseBaseError>(())
+    /// ```
+    #[inline]
+    pub fn word_at(&self, index: usize) -> u64 {
+        // A word spans nine packed bytes at most; read sixteen (fewer at the
+        // end, the rest zero) and shift the first base down. Every unused
+        // slot of the last byte is zero, since `push` is the only writer.
+        let byte = index >> 2;
+        let bytes: [u8; 16] = match self.packed.get(byte..byte + 16) {
+            Some(bytes) => bytes.try_into().expect("sixteen bytes"),
+            None => {
+                let mut bytes = [0u8; 16];
+                let tail = self.packed.get(byte..).unwrap_or_default();
+                bytes[..tail.len()].copy_from_slice(tail);
+                bytes
+            }
+        };
+        (u128::from_le_bytes(bytes) >> ((index & 3) * 2)) as u64
+    }
+
     /// Iterates over the bases.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -249,6 +279,22 @@ mod tests {
         assert_eq!(s.len(), 6);
         for (i, &b) in pattern.iter().enumerate() {
             assert_eq!(s.get(i), b);
+        }
+    }
+
+    #[test]
+    fn word_at_reads_32_bases_and_a_past_the_end() {
+        let s: DnaSeq = "GATTACAACGTTGCA".repeat(7).parse().unwrap();
+        for index in 0..=s.len() + 40 {
+            let word = s.word_at(index);
+            for j in 0..32 {
+                let want = if index + j < s.len() {
+                    u64::from(s.get(index + j).code())
+                } else {
+                    0
+                };
+                assert_eq!((word >> (2 * j)) & 3, want, "index {index} base {j}");
+            }
         }
     }
 

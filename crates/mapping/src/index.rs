@@ -14,10 +14,13 @@
 //! match line selects a run of RAM rows. Nothing is allocated per key, so
 //! building the index and freeing it are each a constant number of
 //! allocator calls, whatever the reference's size. The build makes one hash
-//! pass over the position-ordered sketch, giving each key a dense id the
-//! first time it is seen and counting its hits; a prefix sum over the counts
-//! places each id's run, a fill pass writes the hits, and one walk over the
-//! table turns each id into its range. (The table of one heap `Vec` per key
+//! pass over the sketch as the sketch hands it on, a block at a time in
+//! position order, giving each key a dense id the first time it is seen,
+//! counting its hits and keeping each minimizer's id and site (12 bytes a
+//! minimizer; no list of the minimizers themselves, 24 bytes each, is
+//! held); a prefix sum over the counts places each id's run, a fill pass
+//! writes the hits, and one walk over the table turns each id into its
+//! range. (The table of one heap `Vec` per key
 //! it replaced — 141 813 of them on the human profile's 1 Mb reference —
 //! took 30–43 ms to free there, where this layout takes under a
 //! microsecond; it is kept as the oracle of the test-only
@@ -33,7 +36,9 @@
 //! with the `Vec`-per-key table, and 33–53 ns with runs in the hash table's
 //! own order or sorted by key (three runs of 40 interleaved rounds).
 
-use crate::minimizer::{minimizers, Minimizer};
+use crate::minimizer::{
+    expected_minimizers, sketch_blocks, sketch_capacity, Minimizer, MinimizerScratch,
+};
 use crate::RefPos;
 use genpip_genomics::Genome;
 use std::collections::HashMap;
@@ -127,30 +132,44 @@ impl ReferenceIndex {
     /// `base_offset + position-in-genome`. This is how coordinate spaces
     /// beyond 4 Gbp are exercised without materializing 4 GB of sequence.
     pub fn build_at(genome: &Genome, k: usize, w: usize, base_offset: RefPos) -> ReferenceIndex {
-        let sketch = minimizers(genome.sequence(), k, w);
-        // Ids, run starts and run lengths are all at most the hit count.
-        assert!(
-            u32::try_from(sketch.len()).is_ok(),
-            "an index holds fewer than 2^32 hits, not {}",
-            sketch.len()
+        let seq = genome.sequence();
+        // Every buffer is sized once for the sketch (`sketch_capacity` fits
+        // every workload reference), so the build's allocations do not
+        // depend on the reference. The table needs a slot per distinct key,
+        // fewer than the minimizers: sized for the expected count, it is
+        // never rehashed on a workload reference. Until the last pass each
+        // value's first field is the key's dense id.
+        let capacity = sketch_capacity(seq.len(), k, w);
+        let mut table: HashMap<u64, (u32, u32), _> = HashMap::with_capacity_and_hasher(
+            expected_minimizers(seq.len(), w),
+            BuildHasherDefault::default(),
         );
-        // At most one key per minimizer: sized once, never rehashed. Until
-        // the last pass each value's first field is the key's dense id.
-        let mut table: HashMap<u64, (u32, u32), _> =
-            HashMap::with_capacity_and_hasher(sketch.len(), BuildHasherDefault::default());
-        // The one hash pass: each minimizer's key id, ids numbered in
-        // first-occurrence order, and each id's hit count.
-        let mut ids = Vec::with_capacity(sketch.len());
-        let mut counts: Vec<u32> = Vec::with_capacity(sketch.len());
-        for m in &sketch {
-            let next = u32::try_from(counts.len()).expect("fewer ids than hits");
-            let id = table.entry(m.hash).or_insert((next, 0)).0;
-            if id == next {
-                counts.push(0);
+        // The one hash pass, over the sketch as it comes, a block at a time:
+        // each minimizer's key id, ids numbered in first-occurrence order,
+        // each id's hit count, and each minimizer's site, `pos << 1 |
+        // reverse` (8 bytes a minimizer, where the sketch itself is 24).
+        let mut ids: Vec<u32> = Vec::with_capacity(capacity);
+        let mut sites: Vec<u64> = Vec::with_capacity(capacity);
+        let mut counts: Vec<u32> = Vec::with_capacity(capacity);
+        let mut scratch = MinimizerScratch::default();
+        sketch_blocks(seq, k, w, &mut scratch, &mut |block| {
+            // Ids, run starts and run lengths are all at most the hit count.
+            assert!(
+                u32::try_from(ids.len() + block.len()).is_ok(),
+                "an index holds fewer than 2^32 hits, not {} or more",
+                ids.len() + block.len()
+            );
+            for m in block {
+                let next = u32::try_from(counts.len()).expect("fewer ids than hits");
+                let id = table.entry(m.hash).or_insert((next, 0)).0;
+                if id == next {
+                    counts.push(0);
+                }
+                counts[id as usize] += 1;
+                ids.push(id);
+                sites.push(m.pos << 1 | u64::from(m.reverse));
             }
-            counts[id as usize] += 1;
-            ids.push(id);
-        }
+        });
         // Each id's run starts where the runs of the ids before it end; the
         // fill pass then advances each cursor to its run's end.
         let mut cursor = counts;
@@ -165,13 +184,13 @@ impl ReferenceIndex {
                 pos: 0,
                 reverse: false,
             };
-            sketch.len()
+            ids.len()
         ];
-        for (m, &id) in sketch.iter().zip(&ids) {
+        for (&site, &id) in sites.iter().zip(&ids) {
             let at = &mut cursor[id as usize];
             hits[*at as usize] = RefHit {
-                pos: base_offset + m.pos,
-                reverse: m.reverse,
+                pos: base_offset + (site >> 1),
+                reverse: site & 1 == 1,
             };
             *at += 1;
         }
@@ -236,6 +255,7 @@ mod differential;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::minimizer::minimizers;
     use genpip_genomics::GenomeBuilder;
 
     fn genome(n: usize, seed: u64) -> Genome {

@@ -3,27 +3,42 @@
 //! watches `Mapper::finalize_mapping_with`, whose only other allocations are
 //! the chain traceback's (`IncrementalChainer::best_chain`), counted
 //! separately. It also holds `ReferenceIndex::build` to a number of
-//! allocations that does not grow with the reference's key count.
+//! allocations that does not grow with the reference's key count and to a
+//! peak of live heap bytes that no per-k-mer buffer fits in, and the
+//! sketch's output to one allocation on the workload references.
 
 use genpip_genomics::rng::seeded;
-use genpip_genomics::{ErrorModel, GenomeBuilder};
-use genpip_mapping::{AlignScratch, Mapper, MapperParams, ReferenceIndex, Strand};
+use genpip_genomics::{DnaSeq, ErrorModel, Genome, GenomeBuilder};
+use genpip_mapping::{
+    minimizers, AlignScratch, Mapper, MapperParams, Minimizer, ReferenceIndex, Strand,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-// Per-thread flag and count, as in `crates/basecall/tests/alloc_free.rs`:
+// Per-thread flag and counts, as in `crates/basecall/tests/alloc_free.rs`:
 // the libtest harness's main thread allocates at arbitrary moments, and the
 // harness runs this file's tests at once, so a shared count would charge one
 // test's allocations to the other. (Const-initialized thread-locals never
-// allocate, so touching them inside the allocator is safe.)
+// allocate, so touching them inside the allocator is safe.) Bytes are
+// counted by the sizes asked for, and only while counting: a block freed
+// while counting that was allocated before it would drive the live count
+// below zero, which the measured closures never do.
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Records a call that takes `grow` bytes (negative: gives them back).
+fn count(calls: usize, grow: isize) {
     if COUNTING.with(Cell::get) {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        ALLOCS.with(|n| n.set(n.get() + calls));
+        let live = LIVE.with(|l| {
+            l.set(l.get() + grow);
+            l.get()
+        });
+        PEAK.with(|p| p.set(p.get().max(live)));
     }
 }
 
@@ -31,16 +46,17 @@ struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(1, new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,12 +64,50 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, usize) {
+/// What a closure cost the heap: allocator calls, the bytes it left live,
+/// and the most bytes it held live at once.
+struct Heap {
+    allocs: usize,
+    live: usize,
+    peak: usize,
+}
+
+fn measure<R>(f: impl FnOnce() -> R) -> (R, Heap) {
     ALLOCS.with(|n| n.set(0));
+    LIVE.with(|l| l.set(0));
+    PEAK.with(|p| p.set(0));
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (out, ALLOCS.with(Cell::get))
+    let heap = Heap {
+        allocs: ALLOCS.with(Cell::get),
+        live: usize::try_from(LIVE.with(Cell::get)).expect("no block freed twice"),
+        peak: usize::try_from(PEAK.with(Cell::get)).expect("a peak is never negative"),
+    };
+    (out, heap)
+}
+
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let (out, heap) = measure(f);
+    (out, heap.allocs)
+}
+
+/// The human profile's reference composition (GC 0.41, 25 % repeats) at
+/// `len` bases, and the E. coli profile's (GC 0.508, 5 % repeats).
+fn human(len: usize) -> Genome {
+    GenomeBuilder::new(len)
+        .seed(0x4B12878)
+        .gc_fraction(0.41)
+        .repeat_fraction(0.25)
+        .build()
+}
+
+fn ecoli() -> Genome {
+    GenomeBuilder::new(300_000)
+        .seed(0xEC011)
+        .gc_fraction(0.508)
+        .repeat_fraction(0.05)
+        .build()
 }
 
 #[test]
@@ -109,29 +163,17 @@ fn warmed_alignment_allocates_only_the_traceback_matrix_and_the_cigar() {
 
 #[test]
 fn the_index_build_allocates_as_often_at_1_mb_as_at_100_kb() {
-    // The human profile's reference composition (GC 0.41, 25 % repeats) at
-    // two sizes. The index is one table and one hit array, so the build's
-    // allocator calls — and the frees that drop the index — do not depend
-    // on how many keys the reference has; one heap list per key would add
-    // one per key. (At both sizes the sketch outgrows `minimizers`'
-    // 2 / (w + 1) pre-size once; a sketch that fitted would make one call
-    // fewer.)
+    // The index is one table and one hit array, and the build consumes the
+    // sketch block by block into buffers sized once from the reference's
+    // length, so the build's allocator calls — and the frees that drop the
+    // index — do not depend on how many keys the reference has; one heap
+    // list per key would add one per key, and a buffer that regrew one per
+    // regrowth.
     let params = MapperParams::default();
-    let build = |len: usize| {
-        let genome = GenomeBuilder::new(len)
-            .seed(0x4B12878)
-            .gc_fraction(0.41)
-            .repeat_fraction(0.25)
-            .build();
-        count_allocs(|| ReferenceIndex::build(&genome, params.k, params.w))
-    };
-    let (small, small_allocs) = build(100_000);
-    eprintln!(
-        "DBG {small_allocs} {} {}",
-        build(100_000).1,
-        build(1_000_000).1
-    );
-    let (large, large_allocs) = build(1_000_000);
+    let build =
+        |genome: &Genome| count_allocs(|| ReferenceIndex::build(genome, params.k, params.w));
+    let (small, small_allocs) = build(&human(100_000));
+    let (large, large_allocs) = build(&human(1_000_000));
     assert!(large.distinct_minimizers() > 9 * small.distinct_minimizers());
     assert_eq!(
         small_allocs, large_allocs,
@@ -139,4 +181,53 @@ fn the_index_build_allocates_as_often_at_1_mb_as_at_100_kb() {
         small.distinct_minimizers(),
         large.distinct_minimizers()
     );
+    let (_, ecoli_allocs) = build(&ecoli());
+    assert_eq!(ecoli_allocs, large_allocs, "the E. coli reference");
+}
+
+#[test]
+fn the_index_builds_peak_heap_is_the_index_plus_at_most_the_sketch_and_one_block() {
+    // The build's working memory beside the index it returns is bounded by
+    // the minimizer list (24 bytes a minimizer) and one block of fixed size,
+    // whatever the reference's length: no buffer with a slot per k-mer (a
+    // hash and a strand flag, 16 bytes a base) fits.
+    const BLOCK: usize = 256 << 10;
+    let params = MapperParams::default();
+    let genome = human(1_000_000);
+    let (index, heap) = measure(|| ReferenceIndex::build(&genome, params.k, params.w));
+    let list = index.total_entries() * size_of::<Minimizer>();
+    assert!(
+        heap.peak <= heap.live + list + BLOCK,
+        "the build held {} bytes at its peak: the index is {}, its minimizer list {list}",
+        heap.peak,
+        heap.live
+    );
+    assert!(
+        genome.len() * 16 > list + BLOCK,
+        "a per-k-mer buffer would not fit"
+    );
+}
+
+#[test]
+fn the_sketch_of_a_workload_reference_is_allocated_once() {
+    // `minimizers` sizes its output for the reference up front; a sketch
+    // that outgrew it would regrow it, one allocator call more than a sketch
+    // that fits makes. A 7-base unit repeated sketches to one minimizer in 7
+    // bases, well under any estimate of 2 / (w + 1) a base; the human
+    // profile's 1 Mb reference outgrew that plain estimate by 0.9 %.
+    let params = MapperParams::default();
+    let sketch = |seq: &DnaSeq| {
+        let (mins, allocs) = count_allocs(|| minimizers(seq, params.k, params.w));
+        assert!(!mins.is_empty());
+        allocs
+    };
+    let periodic: DnaSeq = "GATTACA".repeat(10_000).parse().expect("ACGT only");
+    let fits = sketch(&periodic);
+    for (name, genome) in [
+        ("human 100 kb", human(100_000)),
+        ("human 1 Mb", human(1_000_000)),
+        ("E. coli", ecoli()),
+    ] {
+        assert_eq!(sketch(genome.sequence()), fits, "{name}: the output regrew");
+    }
 }

@@ -1,33 +1,40 @@
 #!/bin/sh
-# Mutation sweep over the banded-alignment kernel: applies one-line
-# mutations to crates/mapping/src/align.rs and align/avx2.rs, one at a time,
-# runs each suite against every mutant, and prints which suites kill it.
-# A mutant no suite kills is either equivalent (the code cannot tell) or a
-# hole in the oracles; the table says which suite to keep and which adds
-# nothing.
+# Mutation sweep over two kernels: the banded alignment
+# (crates/mapping/src/align.rs, align/avx2.rs) and the minimizer sketch with
+# the index build it feeds (crates/mapping/src/minimizer.rs,
+# minimizer/avx2.rs, index.rs). It applies one-line mutations, one at a
+# time, runs each of the kernel's suites against every mutant, and prints
+# which suites kill it. A mutant no suite kills is either equivalent (the
+# code cannot tell) or a hole in the oracles; the table says which suite to
+# keep and which adds nothing.
 #
 # It edits the tree it runs in, so run it in a throwaway clone:
 #
-#   git clone . ../genpip-mutants && cd ../genpip-mutants && tools/mutants.sh
+#   git clone . ../genpip-mutants && cd ../genpip-mutants && tools/mutants.sh [align|sketch]
 #
-# Needs a clean checkout of the two kernel files (each mutant is applied
-# with sed and discarded with `git stash`). Prints one line per mutant:
-# its name, then `killed by: <suites>` or `SURVIVED`, or `NOT APPLIED` when
-# its pattern no longer matches the source (a stale table row). Takes about
-# a minute per mutant; it is not run in CI. Exit status 0 unless a mutant
-# failed to apply.
+# With no argument it sweeps both kernels. Needs a clean checkout of the
+# kernel files (each mutant is applied with sed and discarded with
+# `git stash`). Prints one line per mutant: its name, then `killed by:
+# <suites>` or `SURVIVED`, or `NOT APPLIED` when its pattern no longer
+# matches the source (a stale table row). Takes up to a minute per mutant
+# (the lane body's mutants need an AVX2 host); it is not run in CI. Exit
+# status 0 unless a mutant failed to apply.
 
 set -u
 cd "$(git rev-parse --show-toplevel)" || exit 2
 ALIGN=crates/mapping/src/align.rs
 AVX2=crates/mapping/src/align/avx2.rs
-if ! git diff --quiet -- "$ALIGN" "$AVX2"; then
-    echo "mutants.sh: $ALIGN or $AVX2 has local changes; commit or stash them first" >&2
+SKETCH=crates/mapping/src/minimizer.rs
+LANES=crates/mapping/src/minimizer/avx2.rs
+INDEX=crates/mapping/src/index.rs
+if ! git diff --quiet -- "$ALIGN" "$AVX2" "$SKETCH" "$LANES" "$INDEX"; then
+    echo "mutants.sh: a kernel file has local changes; commit or stash them first" >&2
     exit 2
 fi
+KERNELS=${1:-align sketch}
 
 # Suites: a name, then the cargo test arguments (release, as CI runs them).
-SUITES='
+ALIGN_SUITES='
 unit|-p genpip-mapping --lib align::tests
 naive|-p genpip-mapping --lib -- align::differential::noisy align::differential::unrelated align::differential::tie_heavy align::differential::pipeline_sized
 masked|-p genpip-mapping --lib -- align::differential::random_tables align::differential::corridors align::differential::bands_at
@@ -36,9 +43,15 @@ corridor|-p genpip-mapping --test corridor
 golden|--test golden
 accuracy|--test accuracy
 '
+SKETCH_SUITES='
+unit|-p genpip-mapping --lib minimizer::tests
+diff|-p genpip-mapping --lib minimizer::differential
+index|-p genpip-mapping --lib index::
+alloc|-p genpip-mapping --test alloc_free
+'
 
 # Mutants: a name, the file, and a sed expression that changes one line.
-MUTANTS='
+ALIGN_MUTANTS='
 portable Ix tie: ext > open made >=|A|s/((ext > open) as u8)/((ext >= open) as u8)/
 portable H tie: gap > diag made >=|A|s/(gap > diag) as u8;/(gap >= diag) as u8;/
 portable Iy tie: iy > h made >=|A|s/let from_iy = (iy > h\[k\]) as u8;/let from_iy = (iy >= h[k]) as u8;/
@@ -54,32 +67,62 @@ cells increment dropped|A|s/        cells += len;//
 band edge off by one|A|s/let hi = (base_i + (width - 1) as i64)/let hi = (base_i + (width - 2) as i64)/
 offset applied one row late|A|s/let shift = T::shift(rows.h_prev\[first\]);/let shift = T::shift(rows.h_curr[first]);/
 '
+SKETCH_MUTANTS='
+lanes prefix tie: a later equal key loses|L|s/let stays = _mm256_cmpgt_epi64(key, pkey);/let stays = _mm256_or_si256(_mm256_cmpgt_epi64(key, pkey), _mm256_cmpeq_epi64(key, pkey));/
+lanes window tie: the suffix side wins|L|s/let suffix = _mm256_cmpgt_epi64(pkey, skey);/let suffix = _mm256_or_si256(_mm256_cmpgt_epi64(pkey, skey), _mm256_cmpeq_epi64(pkey, skey));/
+lanes suffix tie: an earlier equal key wins|L|s/let takes = _mm256_cmpgt_epi64(nkey, key);/let takes = _mm256_or_si256(_mm256_cmpgt_epi64(nkey, key), _mm256_cmpeq_epi64(nkey, key));/
+lanes canonical strand: the larger word|L|s/let reverse = _mm256_cmpgt_epi64(fwd_u, rev_u);/let reverse = _mm256_cmpgt_epi64(rev_u, fwd_u);/
+lanes canonical strand: rev <= fwd|L|s/let reverse = _mm256_cmpgt_epi64(fwd_u, rev_u);/let reverse = _mm256_or_si256(_mm256_cmpgt_epi64(fwd_u, rev_u), _mm256_cmpeq_epi64(fwd_u, rev_u));/
+lanes strand compare signed|L|s/(_mm256_xor_si256(fwd, sign), _mm256_xor_si256(rev, sign))/(fwd, rev)/
+lanes keys compared signed|L|s/let key = _mm256_xor_si256(_mm256_or_si256(hash64x4(canonical), palindrome), sign);/let key = _mm256_or_si256(hash64x4(canonical), palindrome);/
+lanes palindrome mask dropped|L|s/_mm256_or_si256(hash64x4(canonical), palindrome)/hash64x4(canonical)/
+lanes lane overlap one short|L|s/let steps = lane + w - 1;/let steps = lane + w - 2;/
+lanes seam dedup dropped|L|s/if m.hash != u64::MAX \&\& m.pos != picks.last {/if m.hash != u64::MAX {/
+lanes first window palindrome emitted|L|s/if m.hash != u64::MAX \&\& m.pos != picks.last {/if m.pos != picks.last {/
+lanes repeat of the previous pick not stale|L|s/let repeat = _mm256_or_si256(no_pick, _mm256_cmpeq_epi64(wtag, prev));/let repeat = no_pick;/
+lanes last stale word not aligned|L|s/let shift = _mm_cvtsi64_si128((63 - (last \& 63)) as i64);/let shift = _mm_cvtsi64_si128((62 - (last \& 63)) as i64);/
+lanes max-hash fallback off|L|s/k == Kmer::MAX_K \&\& _mm256_testz_si256/false \&\& _mm256_testz_si256/
+portable takeover tie: a later equal hash loses|M|s/Some((hash, reverse)) if hash <= self.hash => {/Some((hash, reverse)) if hash < self.hash => {/
+portable block compaction drops one too many|M|s/hashed.drain(..block + 1 - w);/hashed.drain(..block + 2 - w);/
+portable dedup dropped|M|s/if i + 1 >= first + w \&\& pick.some \&\& pos != picks.last {/if i + 1 >= first + w \&\& pick.some {/
+index strand dropped from the site|I|s/sites.push(m.pos << 1 | u64::from(m.reverse));/sites.push(m.pos << 1);/
+'
 
 status=0
-while IFS='|' read -r name which expr; do
-    [ -n "$name" ] || continue
-    case $which in A) file=$ALIGN ;; V) file=$AVX2 ;; esac
-    sed -i "$expr" "$file"
-    if git diff --quiet -- "$file"; then
-        echo "$name: NOT APPLIED"
-        status=1
-        continue
-    fi
-    killed=""
-    for suite in $(echo "$SUITES" | cut -d'|' -f1); do
-        args=$(echo "$SUITES" | grep "^$suite|" | cut -d'|' -f2)
-        # shellcheck disable=SC2086
-        if ! cargo test -q --release $args >/dev/null 2>&1; then
-            killed="$killed $suite"
+for kernel in $KERNELS; do
+    case $kernel in
+        align) SUITES=$ALIGN_SUITES MUTANTS=$ALIGN_MUTANTS ;;
+        sketch) SUITES=$SKETCH_SUITES MUTANTS=$SKETCH_MUTANTS ;;
+        *) echo "mutants.sh: unknown kernel $kernel (align or sketch)" >&2; exit 2 ;;
+    esac
+    while IFS='|' read -r name which expr; do
+        [ -n "$name" ] || continue
+        case $which in
+            A) file=$ALIGN ;; V) file=$AVX2 ;;
+            M) file=$SKETCH ;; L) file=$LANES ;; I) file=$INDEX ;;
+        esac
+        sed -i "$expr" "$file"
+        if git diff --quiet -- "$file"; then
+            echo "$name: NOT APPLIED"
+            status=1
+            continue
         fi
-    done
-    git stash push -q -- "$file" && git stash drop -q
-    if [ -n "$killed" ]; then
-        echo "$name: killed by:$killed"
-    else
-        echo "$name: SURVIVED"
-    fi
-done <<EOF
+        killed=""
+        for suite in $(echo "$SUITES" | cut -d'|' -f1); do
+            args=$(echo "$SUITES" | grep "^$suite|" | cut -d'|' -f2)
+            # shellcheck disable=SC2086
+            if ! cargo test -q --release $args >/dev/null 2>&1; then
+                killed="$killed $suite"
+            fi
+        done
+        git stash push -q -- "$file" && git stash drop -q
+        if [ -n "$killed" ]; then
+            echo "$name: killed by:$killed"
+        else
+            echo "$name: SURVIVED"
+        fi
+    done <<EOF
 $MUTANTS
 EOF
+done
 exit $status
