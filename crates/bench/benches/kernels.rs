@@ -34,8 +34,8 @@ use genpip_genomics::read::ReadOrigin;
 use genpip_genomics::GenomeBuilder;
 use genpip_io::{GscMeta, GscReader, GscWriter};
 use genpip_mapping::{
-    minimizers, minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, Mapper,
-    MapperParams, Minimizer, MinimizerScratch, ReferenceIndex, ReferenceSet, SeedBatch,
+    minimizers, minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, MapScratch,
+    Mapper, MapperParams, Minimizer, MinimizerScratch, ReferenceIndex, ReferenceSet, SeedBatch,
     SeedScratch,
 };
 use genpip_signal::chunk::samples_per_chunk;
@@ -454,22 +454,13 @@ fn main() {
                 genomes.extend(decoys.iter().cloned());
             }
             let set = ReferenceSet::build(&genomes, MapperParams::default());
-            let mut scratch = SeedScratch::new();
-            let mut batches = Vec::new();
-            let mut pairs = set.new_chainer_pairs();
-            let mut align = AlignScratch::new();
+            let mut scratch = MapScratch::default();
             results.push(bench(
                 &format!("pan_genome/map_{n_refs}_references"),
                 Some((query.len() as f64, "bases")),
                 || {
-                    set.map_with(
-                        black_box(&query),
-                        &mut scratch,
-                        &mut batches,
-                        &mut pairs,
-                        &mut align,
-                    )
-                    .best_chain_score
+                    set.map_with(black_box(&query), &mut scratch)
+                        .best_chain_score
                 },
             ));
         }

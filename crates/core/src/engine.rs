@@ -1080,7 +1080,7 @@ impl<'a> Session<'a> {
                     if scratch.len() <= lane {
                         scratch.resize_with(lane + 1, || None);
                     }
-                    let slot = scratch[lane].get_or_insert_with(|| WorkerScratch::new(&task.ctx));
+                    let slot = scratch[lane].get_or_insert_with(WorkerScratch::default);
                     Ok(task.run(flow, slot))
                 },
                 |_lane, task: ReadTask, info: FaultInfo| {
@@ -2624,7 +2624,7 @@ mod tests {
                         schedule: Schedule::Sequential,
                         control: &control,
                     },
-                    || WorkerScratch::new(&ctx),
+                    WorkerScratch::default,
                     OneLane {
                         policy: Some(FaultPolicy::Fail),
                         pull: || Some(ReadTask::new(pending.next()?.clone(), Arc::clone(&ctx))),

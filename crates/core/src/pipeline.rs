@@ -52,11 +52,9 @@ use genpip_datasets::{ReadSource, SimulatedDataset, SimulatedRead};
 use genpip_genomics::quality::AqsAccumulator;
 use genpip_genomics::{DnaSeq, Genome, Phred};
 use genpip_mapping::{
-    AlignScratch, IncrementalChainer, Mapping, MappingCounters, ReferenceMapping, ReferenceSet,
-    SeedBatch, SeedScratch,
+    MapScratch, Mapping, MappingCounters, ReferenceMapping, ReferenceSet, SetMappingResult,
 };
 use genpip_signal::{chunk_boundaries, PoreModel};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which early-rejection stages are active on top of CP.
@@ -258,26 +256,19 @@ impl ReadRun {
         full_aqs < ctx.config.theta_qs
     }
 
-    /// Records the final mapping's verdict (`map_counters` already holds the
-    /// alignment's cells).
-    fn mapped(
-        &mut self,
-        ctx: &RunContext,
-        seq: &DnaSeq,
-        per_reference: Vec<ReferenceMapping>,
-        best: Option<Mapping>,
-        best_score: f64,
-    ) {
-        self.align_cells = self.map_counters.align_cells;
+    /// Records the final mapping's verdict, the same step in both flows.
+    fn mapped(&mut self, ctx: &RunContext, seq: &DnaSeq, result: SetMappingResult) {
+        self.map_counters = result.counters;
+        self.align_cells = result.counters.align_cells;
         self.align_query_len = if self.align_cells > 0 { seq.len() } else { 0 };
         if ctx.refs.len() > 1 {
-            self.per_reference = per_reference;
+            self.per_reference = result.per_reference;
         }
-        self.best_chain_score = best_score;
-        self.outcome = match best {
+        self.best_chain_score = result.best_chain_score;
+        self.outcome = match result.best {
             Some(m) => ReadOutcome::Mapped(m),
             None => ReadOutcome::Unmapped {
-                chain_score: best_score,
+                chain_score: result.best_chain_score,
             },
         };
     }
@@ -477,36 +468,14 @@ impl RunContext {
     }
 }
 
-/// Worker-local working memory: every buffer a read needs on its way through
-/// basecalling, sketching, seeding, chaining and alignment. One instance per
-/// worker thread; steady-state processing reuses it without heap allocation.
+/// Worker-local working memory: the decode workspace and the mapping
+/// workspace (sketch and seed buffers, the chainers, the alignment
+/// workspace). One instance per worker and source; steady-state processing
+/// reuses it without heap allocation.
+#[derive(Default)]
 pub(crate) struct WorkerScratch {
     call: CallScratch,
-    seed: SeedScratch,
-    batches: Vec<SeedBatch>,
-    pairs: Vec<(IncrementalChainer, IncrementalChainer)>,
-    align: AlignScratch,
-}
-
-impl WorkerScratch {
-    pub(crate) fn new(ctx: &RunContext) -> WorkerScratch {
-        WorkerScratch {
-            call: CallScratch::new(),
-            seed: SeedScratch::new(),
-            batches: Vec::new(),
-            pairs: ctx.refs.new_chainer_pairs(),
-            align: AlignScratch::new(),
-        }
-    }
-}
-
-/// Best chain score across a set of per-reference chainer pairs — the value
-/// ER-CMR thresholds against in a pan-genome run. With one reference this is
-/// exactly the old `fwd.max(rev)` score (chain scores are never negative).
-fn best_pair_score(pairs: &[(IncrementalChainer, IncrementalChainer)]) -> f64 {
-    pairs.iter().fold(0.0f64, |acc, (fwd, rev)| {
-        acc.max(fwd.best_score()).max(rev.best_score())
-    })
+    map: MapScratch,
 }
 
 /// One read as the engine's task: the read itself, the context of the
@@ -570,26 +539,27 @@ impl ReadTask {
             }
             return run;
         }
-        let mut called: BTreeMap<usize, BasecalledChunk> = BTreeMap::new();
 
         // ER-QSR (Figure 6 ➊➋): the evenly-spaced sample chunks
-        // (Algorithm 1), each basecalled without carried state.
+        // (Algorithm 1), each basecalled without carried state. They are the
+        // only chunks kept past their own step, until the CP pass reaches
+        // them.
+        let mut sampled: Vec<(usize, BasecalledChunk)> = Vec::new();
         if er != ErMode::None {
-            let sample_idx = qsr_sample_indices(total, ctx.config.n_qs);
-            for &idx in &sample_idx {
+            for idx in qsr_sample_indices(total, ctx.config.n_qs) {
                 self.at_chunk = Some(idx);
                 let chunk = ctx
                     .caller
                     .call_chunk_with(chunk_samples(idx), None, &mut scratch.call);
                 run.chunks.push(basecall_work(idx, &chunk));
-                called.insert(idx, chunk);
+                run.called_len += chunk.bases.len();
+                sampled.push((idx, chunk));
             }
-            let sampled: Vec<(f64, usize)> = sample_idx
+            let sqs: Vec<(f64, usize)> = sampled
                 .iter()
-                .map(|idx| (called[idx].sqs, called[idx].quals.len()))
+                .map(|(_, c)| (c.sqs, c.quals.len()))
                 .collect();
-            let decision = qsr_check(&sampled, ctx.config.theta_qs);
-            run.called_len = called.values().map(|c| c.bases.len()).sum();
+            let decision = qsr_check(&sqs, ctx.config.theta_qs);
             if decision.reject {
                 run.outcome = ReadOutcome::RejectedQsr {
                     sampled_aqs: decision.sampled_aqs,
@@ -598,56 +568,41 @@ impl ReadTask {
             }
         }
 
-        // The sequential CP pass: basecall each chunk (or reuse a sampled
-        // one, stitching its successor to its carry), then immediately seed
-        // it and extend the chains — the worker's chainers, reset for this
-        // read.
-        let pairs = &mut scratch.pairs;
-        for (fwd, rev) in pairs.iter_mut() {
-            fwd.reset();
-            rev.reset();
-        }
+        // The sequential CP pass: basecall each chunk (or take the sampled
+        // one, stitching its successor to its carry), then immediately run
+        // the seed-and-chain step on it.
+        let mut sampled = sampled.into_iter().peekable();
+        let mut carry = None;
         let mut seq = DnaSeq::new();
         let mut quals: Vec<Phred> = Vec::new();
         let mut aqs = AqsAccumulator::new();
+        ctx.refs.reset(&mut scratch.map);
         for idx in 0..total {
             self.at_chunk = Some(idx);
-            if !called.contains_key(&idx) {
-                let carry = match idx {
-                    0 => None,
-                    _ => called[&(idx - 1)].carry,
-                };
-                let chunk =
-                    ctx.caller
-                        .call_chunk_with(chunk_samples(idx), carry, &mut scratch.call);
-                run.chunks.push(basecall_work(idx, &chunk));
-                called.insert(idx, chunk);
-            }
-            let chunk = &called[&idx];
-            let minimizers = ctx.refs.sketch_and_seed_into(
-                &chunk.bases,
-                seq.len() as u64,
-                &mut scratch.seed,
-                &mut scratch.batches,
-            );
-            let mut work = ChunkWork {
+            let chunk = match sampled.next_if(|(i, _)| *i == idx) {
+                Some((_, chunk)) => chunk,
+                None => {
+                    let chunk =
+                        ctx.caller
+                            .call_chunk_with(chunk_samples(idx), carry, &mut scratch.call);
+                    run.chunks.push(basecall_work(idx, &chunk));
+                    run.called_len += chunk.bases.len();
+                    chunk
+                }
+            };
+            carry = chunk.carry;
+            let step = ctx
+                .refs
+                .seed_and_chain(&chunk.bases, seq.len() as u64, &mut scratch.map);
+            run.chunks.push(ChunkWork {
                 index: idx,
                 seed_bases: chunk.bases.len(),
-                minimizers,
+                minimizers: step.minimizers,
+                anchors: step.anchors,
+                chain_evals: step.chain_evals,
                 ..Default::default()
-            };
-            for (batch, (fwd, rev)) in scratch.batches.iter().zip(pairs.iter_mut()) {
-                let evals_before = fwd.dp_evaluations() + rev.dp_evaluations();
-                fwd.extend(&batch.forward);
-                rev.extend(&batch.reverse);
-                work.chain_evals += fwd.dp_evaluations() + rev.dp_evaluations() - evals_before;
-                work.anchors += batch.hits;
-                run.map_counters.seed_queries += batch.queries;
-            }
-            run.chunks.push(work);
-            run.map_counters.minimizers += work.minimizers;
-            run.map_counters.anchors += work.anchors;
-            run.map_counters.chain_evals += work.chain_evals;
+            });
+            run.map_counters += step;
             aqs.add_chunk_sum(chunk.sqs, chunk.quals.len());
             if ctx.config.keep_bases {
                 quals.extend_from_slice(&chunk.quals);
@@ -657,9 +612,8 @@ impl ReadTask {
             // ER-CMR (Figure 6 ➍➎): once, after the first `N_cm` chunks,
             // for reads longer than that.
             if er == ErMode::Full && idx + 1 == ctx.config.n_cm && total > ctx.config.n_cm {
-                let score = best_pair_score(pairs);
+                let score = scratch.map.best_chain_score();
                 if cmr_check(score, ctx.config.theta_cm).reject {
-                    run.called_len = called.values().map(|c| c.bases.len()).sum();
                     run.best_chain_score = score;
                     run.outcome = ReadOutcome::RejectedCmr { chain_score: score };
                     return run;
@@ -669,15 +623,12 @@ impl ReadTask {
         self.at_chunk = None;
 
         // Whole-read QC, then the final mapping from the filled chainers.
-        run.best_chain_score = best_pair_score(pairs);
+        run.best_chain_score = scratch.map.best_chain_score();
         if run.fails_qc(ctx, &seq, quals, &aqs) {
             return run;
         }
-        let (per_reference, mapping, best_score, align_cells) =
-            ctx.refs
-                .finalize_mapping_with(&seq, pairs, &mut scratch.align);
-        run.map_counters.align_cells = align_cells;
-        run.mapped(ctx, &seq, per_reference, mapping, best_score);
+        let result = ctx.refs.finish(&seq, &mut scratch.map);
+        run.mapped(ctx, &seq, result);
         run
     }
 
@@ -714,21 +665,8 @@ impl ReadTask {
         if run.fails_qc(ctx, &seq, quals, &aqs) {
             return run;
         }
-        let result = ctx.refs.map_with(
-            &seq,
-            &mut scratch.seed,
-            &mut scratch.batches,
-            &mut scratch.pairs,
-            &mut scratch.align,
-        );
-        run.map_counters = result.counters;
-        run.mapped(
-            ctx,
-            &seq,
-            result.per_reference,
-            result.best,
-            result.best_chain_score,
-        );
+        let result = ctx.refs.map_with(&seq, &mut scratch.map);
+        run.mapped(ctx, &seq, result);
         run
     }
 }
@@ -790,7 +728,7 @@ mod tests {
         ] {
             let shared = PipelineRun::collect(&d, &config, flow);
             for (read, run) in d.reads.iter().zip(&shared.reads) {
-                let mut fresh = WorkerScratch::new(&ctx);
+                let mut fresh = WorkerScratch::default();
                 let alone = ReadTask::new(read.clone(), Arc::clone(&ctx)).run(flow, &mut fresh);
                 assert_eq!(&alone, run, "{flow:?}: read {}", read.id);
             }

@@ -23,7 +23,9 @@
 //!
 //! [`Mapper`] holds one reference's index and the steps over it;
 //! [`ReferenceSet`] composes one `Mapper` per reference into the one
-//! whole-read mapper ([`ReferenceSet::map_with`]) and reports the workload
+//! seed-and-chain step ([`ReferenceSet::seed_and_chain`], over a per-worker
+//! [`MapScratch`]) that both the chunk-based flow and the one whole-read
+//! mapper ([`ReferenceSet::map_with`]) run, and reports the workload
 //! counters (seed queries, anchors, chain DP evaluations, alignment cells)
 //! that drive the hardware cost models in `genpip-pim` and `genpip-core`.
 //!
@@ -66,5 +68,5 @@ pub use chain::{Chain, ChainParams, IncrementalChainer};
 pub use index::{RefHit, ReferenceIndex};
 pub use mapper::{Mapper, MapperParams, Mapping, MappingCounters, SeedScratch};
 pub use minimizer::{minimizers, minimizers_into, Minimizer, MinimizerScratch};
-pub use refset::{ReferenceMapping, ReferenceSet, SetMappingResult};
+pub use refset::{MapScratch, ReferenceMapping, ReferenceSet, SetMappingResult};
 pub use seed::{Anchor, SeedBatch, Strand};

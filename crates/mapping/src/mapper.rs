@@ -4,9 +4,9 @@
 //! the steps a read is mapped with: sketching and seeding
 //! ([`Mapper::sketch_and_seed`]) and finalizing filled chainers into an
 //! alignment ([`Mapper::finalize_mapping`]). [`crate::ReferenceSet`]
-//! composes them into the one whole-read mapper
-//! ([`crate::ReferenceSet::map_with`]) and into the finalize step GenPIP's
-//! chunk-based pipeline ends with.
+//! composes them into the one seed-and-chain step both flows run
+//! ([`crate::ReferenceSet::seed_and_chain`]) and the one whole-read mapper
+//! ([`crate::ReferenceSet::map_with`]).
 
 use crate::align::{AlignScratch, AlignmentParams, CigarOp};
 use crate::chain::{ChainParams, IncrementalChainer};
@@ -80,6 +80,16 @@ pub struct MappingCounters {
     pub chain_evals: usize,
     /// Alignment DP cells.
     pub align_cells: usize,
+}
+
+impl std::ops::AddAssign for MappingCounters {
+    fn add_assign(&mut self, other: MappingCounters) {
+        self.minimizers += other.minimizers;
+        self.seed_queries += other.seed_queries;
+        self.anchors += other.anchors;
+        self.chain_evals += other.chain_evals;
+        self.align_cells += other.align_cells;
+    }
 }
 
 /// A successful mapping.
@@ -447,7 +457,7 @@ mod tests {
             .clone();
         let result = m.map(&alien);
         assert!(result.best.is_none());
-        assert!(result.best_chain_score < m.params().min_chain_score);
+        assert!(result.best_chain_score < m.primary().params().min_chain_score);
     }
 
     #[test]

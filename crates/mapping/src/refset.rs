@@ -3,10 +3,22 @@
 //! A [`ReferenceSet`] holds several named references — each with its own
 //! minimizer index and its own coordinate space — and fans one read across
 //! all of them.
-//! The query is sketched **once** (minimizers depend only on the sequence
-//! and the shared `(k, w)`), seeded against every reference's index, chained
-//! and finalized per reference, and the per-reference candidates are merged
-//! into one best hit by a deterministic rule:
+//!
+//! Both flows map through one seed-and-chain step over one per-worker
+//! [`MapScratch`]: [`ReferenceSet::reset`] starts a read,
+//! [`ReferenceSet::seed_and_chain`] sketches a piece of it **once**
+//! (minimizers depend only on the sequence and the shared `(k, w)`), seeds
+//! the minimizers against every reference's index and extends each
+//! reference's chainer pair, and [`ReferenceSet::finish`] finalizes every
+//! reference and merges the candidates. GenPIP's chunk-based flow runs the
+//! step once per basecalled chunk and thresholds
+//! [`MapScratch::best_chain_score`] for ER-CMR between steps;
+//! [`ReferenceSet::map_with`], the one whole-read mapper (the conventional
+//! flow, `genpip map`), runs it once over the whole read. The step is the
+//! one place that knows the chainer-pair layout and the counting rules.
+//!
+//! The per-reference candidates are merged into one best hit by a
+//! deterministic rule:
 //!
 //! 1. a mapped candidate beats an unmapped reference;
 //! 2. among mapped candidates, higher chain score wins;
@@ -17,10 +29,6 @@
 //! is identical for every parallelism level and evaluation order. Only
 //! multi-reference winners carry a `Some(name)` attribution: a one-reference
 //! set reports its reference's mapping with `ref_name` left `None`.
-//!
-//! [`ReferenceSet::map_with`] is the one whole-read mapper (the conventional
-//! flow, `genpip map`); [`ReferenceSet::finalize_mapping_with`] ends GenPIP's
-//! chunk-based flow. Both compose the steps of one [`Mapper`] per reference.
 
 use crate::align::AlignScratch;
 use crate::chain::IncrementalChainer;
@@ -62,6 +70,34 @@ pub struct SetMappingResult {
     /// Workload counters summed across references (minimizers counted
     /// once — the sketch is shared).
     pub counters: MappingCounters,
+}
+
+/// One worker's workspace for [`ReferenceSet`]'s seed-and-chain step: the
+/// sketch and seed buffers, one (forward, reverse) chainer pair per
+/// reference, the alignment workspace, and the running counters of the read
+/// in progress.
+///
+/// A worker keeps one per set and reuses it read after read, so
+/// steady-state mapping does not allocate. The default scratch is empty;
+/// the first [`ReferenceSet::reset`] sizes it to the set.
+#[derive(Debug, Default)]
+pub struct MapScratch {
+    seed: SeedScratch,
+    batch: SeedBatch,
+    pairs: Vec<(IncrementalChainer, IncrementalChainer)>,
+    align: AlignScratch,
+    counters: MappingCounters,
+}
+
+impl MapScratch {
+    /// Best chain score so far across every reference and strand — what
+    /// ER-CMR thresholds. Chain scores are never negative, so a read with no
+    /// chain scores 0.
+    pub fn best_chain_score(&self) -> f64 {
+        self.pairs.iter().fold(0.0f64, |best, (fwd, rev)| {
+            best.max(fwd.best_score()).max(rev.best_score())
+        })
+    }
 }
 
 /// A set of named references mapped as one pan-genome.
@@ -146,64 +182,87 @@ impl ReferenceSet {
     }
 
     /// The shared mapper configuration.
-    pub fn params(&self) -> &MapperParams {
+    fn params(&self) -> &MapperParams {
         self.primary().params()
     }
 
-    /// Fresh (forward, reverse) chainer pairs, one per reference, for
-    /// incremental chunk-based mapping.
-    pub fn new_chainer_pairs(&self) -> Vec<(IncrementalChainer, IncrementalChainer)> {
-        self.mappers.iter().map(|m| m.new_chainers()).collect()
+    /// Starts a read in `scratch`: one reset (forward, reverse) chainer pair
+    /// per reference and zeroed running counters. The first reset sizes a
+    /// fresh scratch to the set; later ones keep every buffer's capacity.
+    pub fn reset(&self, scratch: &mut MapScratch) {
+        scratch
+            .pairs
+            .resize_with(self.len(), || self.primary().new_chainers());
+        for (fwd, rev) in &mut scratch.pairs {
+            fwd.reset();
+            rev.reset();
+        }
+        scratch.counters = MappingCounters::default();
     }
 
-    /// Sketches `seq` once and seeds the minimizers against **every**
-    /// reference's index, writing reference `i`'s anchors into `batches[i]`
-    /// (the vector is resized to the set's length; batches keep their
-    /// capacity across calls). Returns the number of minimizers extracted.
-    pub fn sketch_and_seed_into(
+    /// The seed-and-chain step: sketches `seq` (a basecalled chunk, or a
+    /// whole read) once, seeds its minimizers against every reference with
+    /// query positions offset by `qpos_offset`, and extends each reference's
+    /// chainer pair. Returns this step's counters — the minimizers of the
+    /// one sketch, and the seed queries, anchors and chain DP evaluations
+    /// summed over the references — and adds them to the read's running
+    /// counters.
+    pub fn seed_and_chain(
         &self,
         seq: &DnaSeq,
         qpos_offset: RefPos,
-        scratch: &mut SeedScratch,
-        batches: &mut Vec<SeedBatch>,
-    ) -> usize {
-        let params = self.params();
-        minimizers_into(
-            seq,
-            params.k,
-            params.w,
-            &mut scratch.sketch,
-            &mut scratch.mins,
+        scratch: &mut MapScratch,
+    ) -> MappingCounters {
+        assert_eq!(
+            scratch.pairs.len(),
+            self.len(),
+            "reset the scratch for this set first"
         );
-        batches.resize_with(self.len(), SeedBatch::default);
-        for (mapper, batch) in self.mappers.iter().zip(batches.iter_mut()) {
-            seed_batch_into(mapper.index(), &scratch.mins, qpos_offset, batch);
+        let params = self.params();
+        let MapScratch {
+            seed,
+            batch,
+            pairs,
+            counters,
+            ..
+        } = scratch;
+        minimizers_into(seq, params.k, params.w, &mut seed.sketch, &mut seed.mins);
+        let mut step = MappingCounters {
+            minimizers: seed.mins.len(),
+            ..MappingCounters::default()
+        };
+        for (mapper, (fwd, rev)) in self.mappers.iter().zip(pairs.iter_mut()) {
+            seed_batch_into(mapper.index(), &seed.mins, qpos_offset, batch);
+            let evals_before = fwd.dp_evaluations() + rev.dp_evaluations();
+            fwd.extend(&batch.forward);
+            rev.extend(&batch.reverse);
+            step.seed_queries += batch.queries;
+            step.anchors += batch.hits;
+            step.chain_evals += fwd.dp_evaluations() + rev.dp_evaluations() - evals_before;
         }
-        scratch.mins.len()
+        *counters += step;
+        step
     }
 
-    /// Finalizes every reference's chainer pair against the query and merges
-    /// the candidates, running every alignment in `scratch`. Returns the
-    /// per-reference results (set order), the merged best hit, the best chain
-    /// score across references, and the total alignment DP cells spent.
-    pub fn finalize_mapping_with(
-        &self,
-        query: &DnaSeq,
-        pairs: &[(IncrementalChainer, IncrementalChainer)],
-        scratch: &mut AlignScratch,
-    ) -> (Vec<ReferenceMapping>, Option<Mapping>, f64, usize) {
+    /// Ends the read: finalizes every reference's chainer pair against
+    /// `query` (the read's whole sequence), running the alignments in the
+    /// scratch, and merges the candidates. The result's counters are the
+    /// read's running counters plus the alignment cells.
+    pub fn finish(&self, query: &DnaSeq, scratch: &mut MapScratch) -> SetMappingResult {
         assert_eq!(
-            pairs.len(),
+            scratch.pairs.len(),
             self.len(),
-            "one chainer pair per reference expected"
+            "reset the scratch for this set first"
         );
         let mut per_reference = Vec::with_capacity(self.len());
         let mut best_chain_score = 0.0f64;
-        let mut total_cells = 0usize;
-        for ((mapper, name), (fwd, rev)) in self.mappers.iter().zip(&self.names).zip(pairs) {
-            let (mapping, score, cells) = mapper.finalize_mapping_with(query, fwd, rev, scratch);
+        let mut counters = scratch.counters;
+        for ((mapper, name), (fwd, rev)) in self.mappers.iter().zip(&self.names).zip(&scratch.pairs)
+        {
+            let (mapping, score, cells) =
+                mapper.finalize_mapping_with(query, fwd, rev, &mut scratch.align);
             best_chain_score = best_chain_score.max(score);
-            total_cells += cells;
+            counters.align_cells += cells;
             per_reference.push(ReferenceMapping {
                 reference: Arc::clone(name),
                 mapping,
@@ -212,7 +271,12 @@ impl ReferenceSet {
             });
         }
         let best = self.merge(&per_reference);
-        (per_reference, best, best_chain_score, total_cells)
+        SetMappingResult {
+            per_reference,
+            best,
+            best_chain_score,
+            counters,
+        }
     }
 
     /// The deterministic best-hit merge (see module docs). Attributes the
@@ -252,58 +316,19 @@ impl ReferenceSet {
     /// Maps a whole read against every reference with a fresh workspace.
     ///
     /// Convenience wrapper over [`ReferenceSet::map_with`]; hot loops should
-    /// own the scratch buffers and chainer pairs and pass them in.
+    /// own a [`MapScratch`] and pass it in.
     pub fn map(&self, query: &DnaSeq) -> SetMappingResult {
-        let mut pairs = self.new_chainer_pairs();
-        self.map_with(
-            query,
-            &mut SeedScratch::new(),
-            &mut Vec::new(),
-            &mut pairs,
-            &mut AlignScratch::new(),
-        )
+        self.map_with(query, &mut MapScratch::default())
     }
 
-    /// Maps a whole read against every reference, reusing caller-owned
-    /// buffers: `scratch`/`batches` for sketching and seeding, one chainer
-    /// pair per reference (reset here) for the DP, and `align` for the
-    /// alignments. Results are identical to [`ReferenceSet::map`]; only
-    /// allocation behaviour differs.
-    pub fn map_with(
-        &self,
-        query: &DnaSeq,
-        scratch: &mut SeedScratch,
-        batches: &mut Vec<SeedBatch>,
-        pairs: &mut [(IncrementalChainer, IncrementalChainer)],
-        align: &mut AlignScratch,
-    ) -> SetMappingResult {
-        assert_eq!(
-            pairs.len(),
-            self.len(),
-            "one chainer pair per reference expected"
-        );
-        let mut counters = MappingCounters {
-            minimizers: self.sketch_and_seed_into(query, 0, scratch, batches),
-            ..MappingCounters::default()
-        };
-        for (batch, (fwd, rev)) in batches.iter().zip(pairs.iter_mut()) {
-            fwd.reset();
-            rev.reset();
-            counters.seed_queries += batch.queries;
-            counters.anchors += batch.hits;
-            fwd.extend(&batch.forward);
-            rev.extend(&batch.reverse);
-            counters.chain_evals += fwd.dp_evaluations() + rev.dp_evaluations();
-        }
-        let (per_reference, best, best_chain_score, align_cells) =
-            self.finalize_mapping_with(query, pairs, align);
-        counters.align_cells = align_cells;
-        SetMappingResult {
-            per_reference,
-            best,
-            best_chain_score,
-            counters,
-        }
+    /// Maps a whole read against every reference in a caller-owned
+    /// workspace: the seed-and-chain step run once over the whole read.
+    /// Results are identical to [`ReferenceSet::map`]; only allocation
+    /// behaviour differs.
+    pub fn map_with(&self, query: &DnaSeq, scratch: &mut MapScratch) -> SetMappingResult {
+        self.reset(scratch);
+        self.seed_and_chain(query, 0, scratch);
+        self.finish(query, scratch)
     }
 }
 
@@ -428,14 +453,65 @@ mod tests {
             named_genome(20_000, 12, "r2"),
         ];
         let set = ReferenceSet::build(&refs, MapperParams::default());
-        let mut scratch = SeedScratch::new();
-        let mut batches = Vec::new();
-        let mut pairs = set.new_chainer_pairs();
-        let mut align = AlignScratch::new();
+        let mut scratch = MapScratch::default();
         for (i, g) in refs.iter().enumerate() {
             let q = g.sequence().subseq(3_000 + i * 1_000, 700);
-            let reused = set.map_with(&q, &mut scratch, &mut batches, &mut pairs, &mut align);
+            let reused = set.map_with(&q, &mut scratch);
             assert_eq!(reused, set.map(&q), "query {i} diverged under reuse");
+        }
+    }
+
+    #[test]
+    fn the_chunked_step_matches_each_references_own_steps() {
+        // GenPIP's use of the step: a warm scratch that has mapped another
+        // read, then one step per 300-base chunk at its offset in the read.
+        // Every chunk's counters, the running best chain score and the
+        // finished result must equal what each reference's `Mapper` steps
+        // give on their own, chunk by chunk.
+        let refs = [
+            named_genome(30_000, 15, "chr_b"),
+            named_genome(30_000, 16, "chr_a"),
+        ];
+        let set = ReferenceSet::build(&refs, MapperParams::default());
+        let mut scratch = MapScratch::default();
+        set.map_with(&refs[1].sequence().subseq(2_000, 900), &mut scratch);
+        let mut rng = seeded(17);
+        let truth = refs[0].sequence().subseq(9_000, 1_300);
+        let (q, _) = ErrorModel::with_total_rate(0.08).apply(&truth, &mut rng);
+        let mut solo: Vec<_> = set.mappers().iter().map(Mapper::new_chainers).collect();
+        set.reset(&mut scratch);
+        for offset in (0..q.len()).step_by(300) {
+            let chunk = q.subseq(offset, 300.min(q.len() - offset));
+            let step = set.seed_and_chain(&chunk, offset as RefPos, &mut scratch);
+            let mut want = MappingCounters::default();
+            for (mapper, (fwd, rev)) in set.mappers().iter().zip(&mut solo) {
+                let (batch, minimizers) = mapper.sketch_and_seed(&chunk, offset as RefPos);
+                let before = fwd.dp_evaluations() + rev.dp_evaluations();
+                fwd.extend(&batch.forward);
+                rev.extend(&batch.reverse);
+                want.minimizers = minimizers;
+                want.seed_queries += batch.queries;
+                want.anchors += batch.hits;
+                want.chain_evals += fwd.dp_evaluations() + rev.dp_evaluations() - before;
+            }
+            assert_eq!(step, want, "chunk at {offset}");
+            let best = solo
+                .iter()
+                .map(|(fwd, rev)| fwd.best_score().max(rev.best_score()))
+                .fold(0.0, f64::max);
+            assert_eq!(scratch.best_chain_score(), best, "chunk at {offset}");
+        }
+        let result = set.finish(&q, &mut scratch);
+        assert_eq!(
+            result.best.as_ref().unwrap().ref_name.as_deref(),
+            Some("chr_b")
+        );
+        for ((per, mapper), (fwd, rev)) in result.per_reference.iter().zip(set.mappers()).zip(&solo)
+        {
+            let (mapping, score, cells) = mapper.finalize_mapping(&q, fwd, rev);
+            assert_eq!(per.mapping, mapping);
+            assert_eq!(per.best_chain_score, score);
+            assert_eq!(per.align_cells, cells);
         }
     }
 

@@ -71,7 +71,7 @@ pub struct SeedBatch {
 /// `qpos_offset` is added to every minimizer position — GenPIP's chunk-based
 /// pipeline sketches each basecalled chunk locally and offsets by the bases
 /// already emitted for the read.
-pub fn seed_batch_into(
+pub(crate) fn seed_batch_into(
     index: &ReferenceIndex,
     mins: &[Minimizer],
     qpos_offset: RefPos,

@@ -4,13 +4,16 @@
 //! the chain traceback's (`IncrementalChainer::best_chain`), counted
 //! separately. It also holds `ReferenceIndex::build` to a number of
 //! allocations that does not grow with the reference's key count and to a
-//! peak of live heap bytes that no per-k-mer buffer fits in, and the
-//! sketch's output to one allocation on the workload references.
+//! peak of live heap bytes that no per-k-mer buffer fits in, the sketch's
+//! output to one allocation on the workload references, and GenPIP's
+//! per-chunk seed-and-chain step to no allocation on a warmed `MapScratch`.
 
+use genpip_datasets::{DatasetProfile, ReadSource, StreamingSimulator};
 use genpip_genomics::rng::seeded;
 use genpip_genomics::{DnaSeq, ErrorModel, Genome, GenomeBuilder};
 use genpip_mapping::{
-    minimizers, AlignScratch, Mapper, MapperParams, Minimizer, ReferenceIndex, Strand,
+    minimizers, AlignScratch, MapScratch, Mapper, MapperParams, Minimizer, RefPos, ReferenceIndex,
+    ReferenceSet, Strand,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -230,4 +233,46 @@ fn the_sketch_of_a_workload_reference_is_allocated_once() {
     ] {
         assert_eq!(sketch(genome.sequence()), fits, "{name}: the output regrew");
     }
+}
+
+#[test]
+fn the_seed_and_chain_step_allocates_nothing_on_a_warmed_scratch() {
+    // GenPIP's per-chunk path over the kernel bench's cold chunks: the first
+    // 64 300-base chunks of the E. coli profile's reads, in pipeline order,
+    // each read started with `reset` and its chunks seeded and chained at
+    // their offsets, against a two-reference set. The first pass sizes every
+    // buffer; the second must not call the allocator at all.
+    let mut source = StreamingSimulator::new(&DatasetProfile::ecoli());
+    let mut reads: Vec<Vec<DnaSeq>> = Vec::new();
+    let mut left = 64;
+    while left > 0 {
+        let read = source.next_read().expect("the profile streams reads");
+        let read = read.signal.truth;
+        let n = (read.len() / 300).min(left);
+        reads.push((0..n).map(|c| read.subseq(c * 300, 300)).collect());
+        left -= n;
+    }
+    let decoy = GenomeBuilder::new(100_000).seed(7).name("decoy").build();
+    let set = ReferenceSet::build(
+        &[source.reference().clone(), decoy],
+        MapperParams::default(),
+    );
+    let pass = |scratch: &mut MapScratch| {
+        let mut anchors = 0;
+        for chunks in &reads {
+            set.reset(scratch);
+            for (c, chunk) in chunks.iter().enumerate() {
+                anchors += set
+                    .seed_and_chain(chunk, (c * 300) as RefPos, scratch)
+                    .anchors;
+            }
+        }
+        anchors
+    };
+    let mut scratch = MapScratch::default();
+    let warm = pass(&mut scratch);
+    let (again, allocs) = count_allocs(|| pass(&mut scratch));
+    assert!(warm > 0, "the chunks must seed");
+    assert_eq!(again, warm);
+    assert_eq!(allocs, 0, "a warmed scratch allocated in the step");
 }

@@ -3,12 +3,14 @@
 //! [`reference_read`] replays a read through either flow the way the paper
 //! describes it (Figure 5a / Figures 5b + 6) — straight-line, serial, and
 //! allocation-happy: a fresh decode workspace per chunk, fresh chainers per
-//! read, a fresh seed batch per chunk and reference, a fresh alignment
-//! workspace per read. It is written only
-//! against the layer crates' allocating public APIs and the early-rejection
-//! predicates, and shares nothing with `genpip::core::{pipeline, engine}`
+//! read, a fresh sketch and seed batch per chunk and reference, a fresh
+//! alignment workspace per reference. It is written only against the layer
+//! crates' allocating public APIs — one [`Mapper`]'s steps per reference,
+//! merged here by `ReferenceSet`'s documented rule — and the
+//! early-rejection predicates, and shares nothing with
+//! `genpip::core::{pipeline, engine}` or `ReferenceSet`'s seed-and-chain step
 //! but the result types, so "Session ≡ oracle" is a statement about the
-//! engine rather than the engine agreeing with itself.
+//! engine and the step rather than either agreeing with itself.
 
 // Each integration suite compiles its own copy and uses a subset.
 #![allow(dead_code)]
@@ -21,7 +23,9 @@ use genpip::core::{
 };
 use genpip::datasets::{ReadSource, SimulatedDataset, SimulatedRead};
 use genpip::genomics::{DnaSeq, Genome, Phred};
-use genpip::mapping::{AlignScratch, IncrementalChainer, MappingCounters, ReferenceSet};
+use genpip::mapping::{
+    IncrementalChainer, Mapper, Mapping, MappingCounters, ReferenceMapping, ReferenceSet,
+};
 use genpip::signal::chunk_boundaries;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -125,22 +129,9 @@ pub fn reference_read(
             if aqs < config.theta_qs {
                 return run;
             }
-            let result = refs.map(&seq);
-            run.map_counters = result.counters;
-            run.best_chain_score = result.best_chain_score;
-            run.align_cells = result.counters.align_cells;
-            if run.align_cells > 0 {
-                run.align_query_len = seq.len();
-            }
-            if refs.len() > 1 {
-                run.per_reference = result.per_reference;
-            }
-            run.outcome = match result.best {
-                Some(m) => ReadOutcome::Mapped(m),
-                None => ReadOutcome::Unmapped {
-                    chain_score: result.best_chain_score,
-                },
-            };
+            let mut pairs = new_pairs(refs);
+            run.map_counters = seed_and_chain(refs, &mut pairs, &seq, 0);
+            finish(&mut run, refs, &pairs, &seq);
             return run;
         }
     };
@@ -180,7 +171,7 @@ pub fn reference_read(
 
     // The sequential pass: basecall (or reuse a sampled chunk), then seed
     // and chain it immediately against every reference.
-    let mut pairs = refs.new_chainer_pairs();
+    let mut pairs = new_pairs(refs);
     for idx in 0..total {
         if !called.contains_key(&idx) {
             let carry = match idx {
@@ -192,26 +183,19 @@ pub fn reference_read(
             called.insert(idx, chunk);
         }
         let chunk = &called[&idx];
-        let offset = seq.len() as u64;
-        let mut work = ChunkWork {
+        let step = seed_and_chain(refs, &mut pairs, &chunk.bases, seq.len() as u64);
+        run.chunks.push(ChunkWork {
             index: idx,
             seed_bases: chunk.bases.len(),
+            minimizers: step.minimizers,
+            anchors: step.anchors,
+            chain_evals: step.chain_evals,
             ..ChunkWork::default()
-        };
-        for (mapper, (fwd, rev)) in refs.mappers().iter().zip(pairs.iter_mut()) {
-            let (batch, minimizers) = mapper.sketch_and_seed(&chunk.bases, offset);
-            let evals_before = fwd.dp_evaluations() + rev.dp_evaluations();
-            fwd.extend(&batch.forward);
-            rev.extend(&batch.reverse);
-            work.minimizers = minimizers; // one sketch, shared by the panel
-            work.anchors += batch.hits;
-            work.chain_evals += fwd.dp_evaluations() + rev.dp_evaluations() - evals_before;
-            run.map_counters.seed_queries += batch.queries;
-        }
-        run.chunks.push(work);
-        run.map_counters.minimizers += work.minimizers;
-        run.map_counters.anchors += work.anchors;
-        run.map_counters.chain_evals += work.chain_evals;
+        });
+        run.map_counters.minimizers += step.minimizers;
+        run.map_counters.seed_queries += step.seed_queries;
+        run.map_counters.anchors += step.anchors;
+        run.map_counters.chain_evals += step.chain_evals;
         sqs_sum += chunk.sqs;
         sqs_bases += chunk.quals.len();
         quals.extend_from_slice(&chunk.quals);
@@ -245,22 +229,97 @@ pub fn reference_read(
         run.outcome = ReadOutcome::FilteredQc { aqs };
         return run;
     }
-    let (per_reference, mapping, score, align_cells) =
-        refs.finalize_mapping_with(&seq, &pairs, &mut AlignScratch::new());
-    if refs.len() > 1 {
-        run.per_reference = per_reference;
+    finish(&mut run, refs, &pairs, &seq);
+    run
+}
+
+/// Fresh (forward, reverse) chainers, one pair per reference.
+fn new_pairs(refs: &ReferenceSet) -> Vec<(IncrementalChainer, IncrementalChainer)> {
+    refs.mappers().iter().map(Mapper::new_chainers).collect()
+}
+
+/// Sketches and seeds `seq` against each reference with that reference's
+/// own allocating [`Mapper::sketch_and_seed`] and extends its chainers.
+/// Returns the work done: the minimizers of one sketch (every reference
+/// sketches the same sequence with the same `(k, w)`), and the lookups,
+/// anchors and chain DP evaluations summed over the references.
+fn seed_and_chain(
+    refs: &ReferenceSet,
+    pairs: &mut [(IncrementalChainer, IncrementalChainer)],
+    seq: &DnaSeq,
+    offset: u64,
+) -> MappingCounters {
+    let mut work = MappingCounters::default();
+    for (mapper, (fwd, rev)) in refs.mappers().iter().zip(pairs.iter_mut()) {
+        let (batch, minimizers) = mapper.sketch_and_seed(seq, offset);
+        let evals_before = fwd.dp_evaluations() + rev.dp_evaluations();
+        fwd.extend(&batch.forward);
+        rev.extend(&batch.reverse);
+        work.minimizers = minimizers;
+        work.seed_queries += batch.queries;
+        work.anchors += batch.hits;
+        work.chain_evals += fwd.dp_evaluations() + rev.dp_evaluations() - evals_before;
     }
+    work
+}
+
+/// The final mapping: each reference's [`Mapper::finalize_mapping`] on its
+/// filled chainers, then the merge, into `run` (whose counters already hold
+/// the seeding and chaining work).
+fn finish(
+    run: &mut ReadRun,
+    refs: &ReferenceSet,
+    pairs: &[(IncrementalChainer, IncrementalChainer)],
+    seq: &DnaSeq,
+) {
+    let mut per_reference = Vec::new();
+    for ((mapper, name), (fwd, rev)) in refs.mappers().iter().zip(refs.names()).zip(pairs) {
+        let (mapping, score, cells) = mapper.finalize_mapping(seq, fwd, rev);
+        per_reference.push(ReferenceMapping {
+            reference: Arc::clone(name),
+            mapping,
+            best_chain_score: score,
+            align_cells: cells,
+        });
+    }
+    let score = per_reference
+        .iter()
+        .fold(0.0, |best: f64, r| best.max(r.best_chain_score));
+    let cells: usize = per_reference.iter().map(|r| r.align_cells).sum();
     run.best_chain_score = score;
-    run.align_cells = align_cells;
-    run.map_counters.align_cells = align_cells;
-    if align_cells > 0 {
+    run.align_cells = cells;
+    run.map_counters.align_cells = cells;
+    if cells > 0 {
         run.align_query_len = seq.len();
     }
-    run.outcome = match mapping {
+    run.outcome = match merge(&per_reference) {
         Some(m) => ReadOutcome::Mapped(m),
         None => ReadOutcome::Unmapped { chain_score: score },
     };
-    run
+    if refs.len() > 1 {
+        run.per_reference = per_reference;
+    }
+}
+
+/// `ReferenceSet`'s documented best-hit rule, written out: a mapped
+/// candidate beats an unmapped reference, then the higher chain score wins,
+/// then the smaller reference name, then the smaller reference start. The
+/// winner names its reference only when there are two or more.
+fn merge(per_reference: &[ReferenceMapping]) -> Option<Mapping> {
+    let (reference, mapping) = per_reference
+        .iter()
+        .filter_map(|r| Some((&r.reference, r.mapping.as_ref()?)))
+        .max_by(|(a_name, a), (b_name, b)| {
+            a.chain_score
+                .total_cmp(&b.chain_score)
+                .then_with(|| b_name.cmp(a_name))
+                .then_with(|| b.ref_start.cmp(&a.ref_start))
+        })?;
+    let mut mapping = mapping.clone();
+    if per_reference.len() > 1 {
+        mapping.ref_name = Some(Arc::clone(reference));
+    }
+    Some(mapping)
 }
 
 fn basecall_work(index: usize, chunk: &BasecalledChunk) -> ChunkWork {

@@ -1,8 +1,10 @@
 #!/bin/sh
-# Mutation sweep over two kernels: the banded alignment
-# (crates/mapping/src/align.rs, align/avx2.rs) and the minimizer sketch with
+# Mutation sweep over three kernels: the banded alignment
+# (crates/mapping/src/align.rs, align/avx2.rs), the minimizer sketch with
 # the index build it feeds (crates/mapping/src/minimizer.rs,
-# minimizer/avx2.rs, index.rs). It applies one-line mutations, one at a
+# minimizer/avx2.rs, index.rs), and the seed-and-chain step both flows map
+# through, with the best-hit merge (crates/mapping/src/refset.rs). It
+# applies one-line mutations, one at a
 # time, runs each of the kernel's suites against every mutant, and prints
 # which suites kill it. A mutant no suite kills is either equivalent (the
 # code cannot tell) or a hole in the oracles; the table says which suite to
@@ -10,9 +12,9 @@
 #
 # It edits the tree it runs in, so run it in a throwaway clone:
 #
-#   git clone . ../genpip-mutants && cd ../genpip-mutants && tools/mutants.sh [align|sketch]
+#   git clone . ../genpip-mutants && cd ../genpip-mutants && tools/mutants.sh [align|sketch|mapstep]
 #
-# With no argument it sweeps both kernels. Needs a clean checkout of the
+# With no argument it sweeps all three. Needs a clean checkout of the
 # kernel files (each mutant is applied with sed and discarded with
 # `git stash`). Prints one line per mutant: its name, then `killed by:
 # <suites>` or `SURVIVED`, or `NOT APPLIED` when its pattern no longer
@@ -27,11 +29,12 @@ AVX2=crates/mapping/src/align/avx2.rs
 SKETCH=crates/mapping/src/minimizer.rs
 LANES=crates/mapping/src/minimizer/avx2.rs
 INDEX=crates/mapping/src/index.rs
-if ! git diff --quiet -- "$ALIGN" "$AVX2" "$SKETCH" "$LANES" "$INDEX"; then
+REFSET=crates/mapping/src/refset.rs
+if ! git diff --quiet -- "$ALIGN" "$AVX2" "$SKETCH" "$LANES" "$INDEX" "$REFSET"; then
     echo "mutants.sh: a kernel file has local changes; commit or stash them first" >&2
     exit 2
 fi
-KERNELS=${1:-align sketch}
+KERNELS=${1:-align sketch mapstep}
 
 # Suites: a name, then the cargo test arguments (release, as CI runs them).
 ALIGN_SUITES='
@@ -48,6 +51,12 @@ unit|-p genpip-mapping --lib minimizer::tests
 diff|-p genpip-mapping --lib minimizer::differential
 index|-p genpip-mapping --lib index::
 alloc|-p genpip-mapping --test alloc_free
+'
+MAPSTEP_SUITES='
+unit|-p genpip-mapping --lib refset::tests
+pan_genome|--test pan_genome
+session|--test session
+chunk_accounting|--test chunk_accounting
 '
 
 # Mutants: a name, the file, and a sed expression that changes one line.
@@ -87,19 +96,28 @@ portable block compaction drops one too many|M|s/hashed.drain(..block + 1 - w);/
 portable dedup dropped|M|s/if i + 1 >= first + w \&\& pick.some \&\& pos != picks.last {/if i + 1 >= first + w \&\& pick.some {/
 index strand dropped from the site|I|s/sites.push(m.pos << 1 | u64::from(m.reverse));/sites.push(m.pos << 1);/
 '
+MAPSTEP_MUTANTS='
+chainer reset skipped|R|s/for (fwd, rev) in \&mut scratch.pairs {/for (fwd, rev) in scratch.pairs.iter_mut().take(0) {/
+qpos_offset dropped|R|s/seed_batch_into(mapper.index(), \&seed.mins, qpos_offset, batch);/seed_batch_into(mapper.index(), \&seed.mins, 0, batch);/
+chain_evals counted cumulatively|R|s/rev.dp_evaluations() - evals_before;/rev.dp_evaluations();/
+only the primary reference seeded|R|s/self.mappers.iter().zip(pairs.iter_mut()) {/self.mappers.iter().zip(pairs.iter_mut()).take(1) {/
+merge name tie-break flipped|R|s/candidate.reference < w.reference/candidate.reference > w.reference/
+'
 
 status=0
 for kernel in $KERNELS; do
     case $kernel in
         align) SUITES=$ALIGN_SUITES MUTANTS=$ALIGN_MUTANTS ;;
         sketch) SUITES=$SKETCH_SUITES MUTANTS=$SKETCH_MUTANTS ;;
-        *) echo "mutants.sh: unknown kernel $kernel (align or sketch)" >&2; exit 2 ;;
+        mapstep) SUITES=$MAPSTEP_SUITES MUTANTS=$MAPSTEP_MUTANTS ;;
+        *) echo "mutants.sh: unknown kernel $kernel (align, sketch or mapstep)" >&2; exit 2 ;;
     esac
     while IFS='|' read -r name which expr; do
         [ -n "$name" ] || continue
         case $which in
             A) file=$ALIGN ;; V) file=$AVX2 ;;
             M) file=$SKETCH ;; L) file=$LANES ;; I) file=$INDEX ;;
+            R) file=$REFSET ;;
         esac
         sed -i "$expr" "$file"
         if git diff --quiet -- "$file"; then
