@@ -29,10 +29,15 @@
 //! and returns at the first verdict. Workers are scoped threads
 //! spawned lazily up to [`GenPipConfig::parallelism`]
 //! ([`crate::Parallelism`]), and results are re-emitted in admission order.
-//! Per-read state (decoder carry, basecalled chunks, incremental
-//! chainers) is local to the call; **worker-local scratch** holds only
-//! stateless buffers (decode, sketch, seed — so the hot path stays
-//! allocation-free in steady state). The
+//! Per-read state (decoder carry, the QSR-sampled chunks, the assembled
+//! read) is local to the call. **Worker-local scratch** holds the decode
+//! workspace and one [`genpip_mapping::MapScratch`]: the sketch, seed and
+//! alignment buffers and the read's chainers, which
+//! [`ReferenceSet::reset`] clears at the start of every read — so the hot
+//! path stays allocation-free in steady state and no read sees another's
+//! chains. Both flows map through [`ReferenceSet`]'s one seed-and-chain
+//! step: GenPIP runs it per chunk, the conventional flow once over the
+//! whole read ([`ReferenceSet::map_with`]). The
 //! shared state ([`Basecaller`], [`ReferenceSet`] with its `Arc`-shared
 //! reference genomes and `Arc`-shared minimizer indexes) is immutable,
 //! therefore one index per reference serves every worker — workers never
@@ -513,7 +518,7 @@ impl ReadTask {
     /// worker. The decoder's [`genpip_basecall::CarryState`] forces chunk
     /// order within a read, so both flows walk the chunks one at a time;
     /// all per-read state is local to the call, and `scratch` lends only
-    /// buffers (and chainers) that are cleared before each read uses them.
+    /// buffers and chainers that are reset before each read uses them.
     pub(crate) fn run(&mut self, flow: Flow, scratch: &mut WorkerScratch) -> ReadRun {
         match flow {
             Flow::GenPip(er) => self.run_genpip(er, scratch),
