@@ -2,32 +2,26 @@
 //! stay removed, each kernel and step keeps one definition, and test-only
 //! oracles stay out of shipped code.
 //!
-//! A rule is a list of patterns, the paths it scans, what it skips and why
-//! it exists. A pattern is literal text except for two spellings: ` *`
-//! matches any run of spaces and `\b` a word boundary. The scan walks the
-//! tree with `std::fs` (skipping `target` directories and this file, which
-//! spells every pattern), so it sees untracked files too. Every rule
-//! carries a fixture: lines each of its patterns must match, so a pattern
-//! that no longer matches what it guards fails here rather than passing
-//! silently.
+//! A rule is a pattern, the paths it scans, what it skips and why it
+//! exists. A pattern is alternatives separated by `|`, each literal text
+//! except for two spellings: ` *` matches any run of spaces and `\b` a word
+//! boundary. The scan walks the tree with `std::fs` (skipping `target` and
+//! hidden directories, and this file, which spells every pattern), so it
+//! sees untracked files too. Every rule carries a fixture that each of its
+//! alternatives must match, so an alternative that can no longer fire fails
+//! here rather than passing silently.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// What a rule's findings must come to.
-#[derive(Clone, Copy, PartialEq)]
-enum Expect {
-    /// No line matches any pattern.
-    None,
-    /// Each pattern matches exactly one line: one definition.
-    One,
-}
-
 struct Rule {
     name: &'static str,
-    patterns: &'static [&'static str],
+    /// Alternatives separated by `|`.
+    pattern: &'static str,
     paths: &'static [&'static str],
-    expect: Expect,
+    /// How many lines each alternative must match: 0, or 1 for a rule of
+    /// one definition.
+    lines_each: usize,
     /// Files skipped, by path suffix.
     skip_files: &'static [&'static str],
     /// A line containing any of these is not a finding.
@@ -43,9 +37,9 @@ struct Rule {
 
 const RULE: Rule = Rule {
     name: "",
-    patterns: &[],
+    pattern: "",
     paths: &[],
-    expect: Expect::None,
+    lines_each: 0,
     skip_files: &[],
     skip_lines: &[],
     allowlist: None,
@@ -57,7 +51,7 @@ const RULE: Rule = Rule {
 const RULES: &[Rule] = &[
     Rule {
         name: "coordinate width: no new bare `as u32` casts",
-        patterns: &["as u32"],
+        pattern: "as u32",
         paths: &["crates/mapping/src", "crates/pim/src"],
         allowlist: Some("tools/u32-cast-allowlist.txt"),
         fixture: "let end = pos as u32;",
@@ -67,32 +61,18 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "no allow(deprecated)",
-        patterns: &["allow(deprecated)"],
+        pattern: "allow(deprecated)",
         paths: &["crates", "src", "tests", "examples"],
         fixture: "#[allow(deprecated)]",
-        reason: "there is one way to run a read and nothing deprecated to call: remove \
-                 the deprecated item or its caller instead of silencing the lint",
+        reason: "nothing deprecated is left to call: remove the item or its caller",
         ..RULE
     },
     Rule {
         name: "names removed on evidence stay removed",
-        patterns: &[
-            "Granularity",
-            "reject_backlog",
-            "ChainStep",
-            "ReadChain",
-            "GenPipPhase",
-            "Schedule::Deadline",
-            "deadline_target",
-            "DeadlineTarget",
-            "type Registry",
-            "struct Registered",
-            "FaultPolicy::Retry",
-            "retry_attempts",
-            "on_retry",
-            "start_tick",
-            "resident_units",
-        ],
+        pattern: "Granularity|reject_backlog|ChainStep|ReadChain|GenPipPhase|\
+                  Schedule::Deadline|deadline_target|DeadlineTarget|type Registry|\
+                  struct Registered|FaultPolicy::Retry|retry_attempts|on_retry|\
+                  start_tick|resident_units",
         paths: &["crates", "src", "tests", "examples"],
         skip_lines: &["max_reject_backlog"],
         fixture: "Granularity reject_backlog ChainStep ReadChain GenPipPhase \
@@ -108,7 +88,7 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "the alignment band has no read-length term",
-        patterns: &["len() */ *20"],
+        pattern: "len() */ *20",
         paths: &["crates/mapping/src/mapper.rs"],
         fixture: "let hw = margin + query.len() / 20;",
         reason: "the band is a corridor along the chain: drift is charged to the \
@@ -117,14 +97,8 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "one session subcommand",
-        patterns: &[
-            "\"stream\"",
-            "\"serve\"",
-            "genpip stream\\b",
-            "genpip serve\\b",
-            "signal-in",
-            "drain-after",
-        ],
+        pattern: "\"stream\"|\"serve\"|genpip stream\\b|genpip serve\\b|signal-in|\
+                  drain-after",
         paths: &["src/bin/genpip.rs"],
         fixture: "\"stream\" \"serve\" genpip stream genpip serve --signal-in --drain-after",
         reason: "run is the one session subcommand; `--source file=` and a script's \
@@ -133,15 +107,8 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "one spelling of a source's settings",
-        patterns: &[
-            "source_with_config",
-            "PriorityWeightCount",
-            "Priority(vec",
-            "Priority(Vec",
-            "pending_sinks",
-            "attach_sinks",
-            "with_weights",
-        ],
+        pattern: "source_with_config|PriorityWeightCount|Priority(vec|Priority(Vec|\
+                  pending_sinks|attach_sinks|with_weights",
         paths: &["crates", "src", "examples", "tests", "README.md"],
         fixture: "source_with_config PriorityWeightCount Priority(vec![1]) Priority(Vec::new()) \
                   pending_sinks attach_sinks with_weights",
@@ -151,21 +118,11 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "one definition of each kernel and step",
-        patterns: &[
-            "fn decode_with",
-            "fn traceback\\b",
-            "fn init_row",
-            "fn minimizers_into",
-            "fn step_score",
-            "fn checksum\\b",
-            "fn banded_global",
-            "fn fill\\b",
-            "fn row\\b",
-            "fn map_with\\b",
-            "fn seed_and_chain\\b",
-        ],
+        pattern: "fn decode_with|fn traceback\\b|fn init_row|fn minimizers_into|\
+                  fn step_score|fn checksum\\b|fn banded_global|fn fill\\b|fn row\\b|\
+                  fn map_with\\b|fn seed_and_chain\\b",
         paths: &["crates/*/src"],
-        expect: Expect::One,
+        lines_each: 1,
         fixture: "fn decode_with( fn traceback( fn init_row( fn minimizers_into( \
                   fn step_score( fn checksum( fn banded_global( fn fill<T>( fn row( \
                   fn map_with( fn seed_and_chain(",
@@ -179,7 +136,7 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "the i32 alignment row stays test-only",
-        patterns: &["_mm256_max_epi32"],
+        pattern: "_mm256_max_epi32",
         paths: &["crates/mapping/src"],
         skip_files: &["differential.rs"],
         fixture: "let h = _mm256_max_epi32(a, b);",
@@ -189,7 +146,7 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "the f32 Viterbi row stays test-only",
-        patterns: &["_mm256_max_ps", "fn f32_decode\\b"],
+        pattern: "_mm256_max_ps|fn f32_decode\\b",
         paths: &["crates/basecall/src"],
         skip_files: &["differential.rs"],
         allow_first_in: Some(("crates/basecall/src/viterbi/avx2.rs", "fn bins(")),
@@ -201,7 +158,7 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "no per-state Viterbi decision records",
-        patterns: &["take_words", "group_choice", "take_x"],
+        pattern: "take_words|group_choice|take_x",
         paths: &["crates/basecall/src"],
         skip_files: &["differential.rs"],
         fixture: "take_words group_choice take_x",
@@ -287,7 +244,7 @@ fn walk(path: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The rule's findings: the patterns a line matches, and the line as
+/// The rule's findings: the alternatives a line matches, and the line as
 /// `path:line: text`.
 fn scan(rule: &Rule) -> Vec<(Vec<usize>, String)> {
     let root = root();
@@ -304,6 +261,7 @@ fn scan(rule: &Rule) -> Vec<(Vec<usize>, String)> {
     for dir in rule.paths.iter().flat_map(|path| expand(path)) {
         walk(&dir, &mut files);
     }
+    let alternatives: Vec<&str> = rule.pattern.split('|').collect();
     let mut findings = Vec::new();
     for file in files {
         let rel = file.strip_prefix(&root).expect("under the root");
@@ -325,8 +283,8 @@ fn scan(rule: &Rule) -> Vec<(Vec<usize>, String)> {
                     }
                 }
             }
-            let hits: Vec<usize> = (0..rule.patterns.len())
-                .filter(|&p| matches(rule.patterns[p], line))
+            let hits: Vec<usize> = (0..alternatives.len())
+                .filter(|&a| matches(alternatives[a], line))
                 .collect();
             if hits.is_empty() || skip_lines.iter().any(|s| line.contains(s.as_str())) {
                 continue;
@@ -347,20 +305,17 @@ fn every_rule_holds_on_the_tree() {
     for rule in RULES {
         let findings = scan(rule);
         let mut broken = Vec::new();
-        for (p, pattern) in rule.patterns.iter().enumerate() {
+        for (p, pattern) in rule.pattern.split('|').enumerate() {
             let lines: Vec<&String> = findings
                 .iter()
                 .filter(|(hits, _)| hits.contains(&p))
                 .map(|(_, line)| line)
                 .collect();
-            let allowed = match rule.expect {
-                Expect::None => 0,
-                Expect::One => 1,
-            };
-            if lines.len() != allowed {
+            if lines.len() != rule.lines_each {
                 broken.push(format!(
-                    "`{pattern}`: {} lines, {allowed} expected",
-                    lines.len()
+                    "`{pattern}`: {} lines, {} expected",
+                    lines.len(),
+                    rule.lines_each
                 ));
                 broken.extend(lines.into_iter().cloned());
             }
@@ -381,7 +336,7 @@ fn every_rule_holds_on_the_tree() {
 fn every_pattern_matches_its_rules_fixture() {
     for rule in RULES {
         assert!(!rule.reason.is_empty(), "{}: no reason", rule.name);
-        for pattern in rule.patterns {
+        for pattern in rule.pattern.split('|') {
             assert!(
                 matches(pattern, rule.fixture),
                 "{}: `{pattern}` does not match its fixture",
