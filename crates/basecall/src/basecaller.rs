@@ -2,23 +2,29 @@
 
 use crate::emission::EmissionModel;
 use crate::quality::QualityCalibration;
-use crate::viterbi::{decode_with, DecodeScratch, DecodeStats, FixedPointModel, Transitions};
+use crate::viterbi::{decode_with, DecodeScratch, FixedPointModel, Transitions};
 use genpip_genomics::{Base, DnaSeq, Phred};
 use genpip_signal::{chunk_boundaries, PoreModel};
 
-/// Reusable per-worker basecalling workspace: the Viterbi scratch and the
-/// assembly's segment buffer. One instance per thread keeps the
-/// steady-state call free of heap allocations but the returned bases and
-/// qualities (see [`crate::viterbi::DecodeScratch`]).
+/// Reusable per-worker basecalling workspace: the Viterbi scratch, the
+/// decode step's base buffer and the quality step's segment buffer. One
+/// instance per thread keeps the steady-state call free of heap allocations
+/// but the returned bases and qualities (see
+/// [`crate::viterbi::DecodeScratch`]).
 ///
 /// **Footprint.** The segment buffer adds 8 bytes per sample of the largest
 /// chunk seen (one `(f32, u32)` slot per sample, the most dwell segments a
-/// chunk can hold) to the decode's records.
+/// chunk can hold) and the base buffer 1 to the decode's records.
 #[derive(Debug, Clone, Default)]
 pub struct CallScratch {
     decode: DecodeScratch,
+    /// Whether the most recent decode step was stitched to a carry.
+    stitched: bool,
+    /// The decode step's base codes: one written at every sample, kept only
+    /// at an advance.
+    codes: Vec<u8>,
     /// Each dwell segment's residual sum and past-the-end sample, written by
-    /// [`Basecaller::assemble_chunk`]'s first loop and read by its second.
+    /// the quality step's first loop and read by its second.
     segments: Vec<(f32, u32)>,
 }
 
@@ -26,6 +32,60 @@ impl CallScratch {
     /// Creates an empty workspace; buffers are sized lazily on first use.
     pub fn new() -> CallScratch {
         CallScratch::default()
+    }
+}
+
+/// One chunk's decoded path as the quality step reads it: every sample's
+/// state and advance flag, and whether the decode was stitched to a carry
+/// (which decides how many bases the first dwell segment emits). Borrowed
+/// from a [`PathBuffer`].
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkPath<'a> {
+    states: &'a [u16],
+    advanced: &'a [bool],
+    stitched: bool,
+}
+
+/// Copies of decoded paths kept for a later quality step
+/// ([`Basecaller::chunk_quality_with`]), in push order: 3 bytes a sample.
+/// Cleared and reused, it allocates only when it holds more samples or
+/// paths than ever before.
+#[derive(Debug, Clone, Default)]
+pub struct PathBuffer {
+    states: Vec<u16>,
+    advanced: Vec<bool>,
+    /// Each path's end in `states` and whether its decode was stitched.
+    paths: Vec<(usize, bool)>,
+}
+
+impl PathBuffer {
+    /// Appends a copy of the path of `scratch`'s most recent decode step.
+    pub fn push(&mut self, scratch: &CallScratch) {
+        self.states.extend_from_slice(scratch.decode.states());
+        self.advanced.extend_from_slice(scratch.decode.advanced());
+        self.paths.push((self.states.len(), scratch.stitched));
+    }
+
+    /// The `i`-th path pushed since the last [`PathBuffer::clear`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `i + 1` paths are held.
+    pub fn get(&self, i: usize) -> ChunkPath<'_> {
+        let start = i.checked_sub(1).map_or(0, |j| self.paths[j].0);
+        let (end, stitched) = self.paths[i];
+        ChunkPath {
+            states: &self.states[start..end],
+            advanced: &self.advanced[start..end],
+            stitched,
+        }
+    }
+
+    /// Forgets every path, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.states.clear();
+        self.advanced.clear();
+        self.paths.clear();
     }
 }
 
@@ -165,6 +225,30 @@ impl BasecalledChunk {
     }
 }
 
+/// The decode step's result ([`Basecaller::decode_chunk_with`]): a chunk's
+/// bases, its carry and its counters. The decoded path stays in the
+/// [`CallScratch`] until its next decode; [`PathBuffer::push`] keeps a copy
+/// for a later quality step.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DecodedChunk {
+    /// Bases decoded from this chunk.
+    pub bases: DnaSeq,
+    /// Decoder state after the last sample, for stitching.
+    pub carry: Option<CarryState>,
+    /// Workload counters.
+    pub stats: ChunkStats,
+}
+
+/// The quality step's result ([`Basecaller::chunk_quality_with`]): one
+/// Phred per base of the decode step's bases, and their sum.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChunkQuality {
+    /// Per-base Phred qualities.
+    pub quals: Vec<Phred>,
+    /// Sum of `quals` — the scalar PIM-CQS ships to the GenPIP controller.
+    pub sqs: f64,
+}
+
 /// A fully basecalled read assembled from its chunks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BasecalledRead {
@@ -222,10 +306,50 @@ impl Basecaller {
     }
 
     /// Basecalls one chunk of raw samples, reusing `scratch` for all decode
-    /// working memory.
+    /// working memory: the decode step
+    /// ([`Basecaller::decode_chunk_with`]) and then the quality step
+    /// ([`Basecaller::chunk_quality_with`]) on the path it left in
+    /// `scratch`.
     ///
     /// `carry` stitches this chunk to the previous one; pass `None` for the
     /// first chunk of a read. Empty input produces an empty chunk.
+    ///
+    /// # Panics
+    ///
+    /// As [`Basecaller::decode_chunk_with`].
+    pub fn call_chunk_with(
+        &self,
+        samples: &[f32],
+        carry: Option<CarryState>,
+        scratch: &mut CallScratch,
+    ) -> BasecalledChunk {
+        let decoded = self.decode_chunk_with(samples, carry, scratch);
+        let path = ChunkPath {
+            states: scratch.decode.states(),
+            advanced: scratch.decode.advanced(),
+            stitched: scratch.stitched,
+        };
+        let quality = self.quality(samples, path, &mut scratch.segments);
+        BasecalledChunk {
+            bases: decoded.bases,
+            quals: quality.quals,
+            sqs: quality.sqs,
+            carry: decoded.carry,
+            stats: decoded.stats,
+        }
+    }
+
+    /// The decode step of [`Basecaller::call_chunk_with`]: the integrity
+    /// gate, the DP rows and the traceback, then the bases of the decoded
+    /// path. The path stays in `scratch` for the quality step, until the
+    /// next decode.
+    ///
+    /// The first dwell segment emits the initial k-mer's k bases on a free
+    /// start, one base on a stitched start that took the boundary advance,
+    /// and nothing when it continues the carried k-mer; every later segment
+    /// emits one base, the last of its state. The later bases are gathered
+    /// at every sample into the next free slot of a buffer that moves on
+    /// only at an advance, so no branch follows the path.
     ///
     /// # Panics
     ///
@@ -239,17 +363,18 @@ impl Basecaller {
     /// For a non-empty chunk, also panics if `carry` is not a state of this
     /// basecaller's model — a carry from a basecaller with another `k` — with
     /// a message naming the state and the model's state count.
-    pub fn call_chunk_with(
+    pub fn decode_chunk_with(
         &self,
         samples: &[f32],
         carry: Option<CarryState>,
         scratch: &mut CallScratch,
-    ) -> BasecalledChunk {
+    ) -> DecodedChunk {
+        scratch.stitched = carry.is_some();
         if samples.is_empty() {
-            return BasecalledChunk {
+            // Empties the path, so that the quality step reads no samples.
+            decode_with(&self.model, samples, None, &mut scratch.decode);
+            return DecodedChunk {
                 bases: DnaSeq::new(),
-                quals: Vec::new(),
-                sqs: 0.0,
                 carry,
                 stats: ChunkStats::default(),
             };
@@ -263,50 +388,96 @@ impl Basecaller {
             carry.map(|c| c.0),
             &mut scratch.decode,
         );
-        self.assemble_chunk(
-            samples,
-            scratch.decode.states(),
-            scratch.decode.advanced(),
-            carry,
-            stats,
-            &mut scratch.segments,
-        )
+        let path = ChunkPath {
+            states: scratch.decode.states(),
+            advanced: scratch.decode.advanced(),
+            stitched: scratch.stitched,
+        };
+        let bases = self.path_bases(path, &mut scratch.codes);
+        DecodedChunk {
+            bases,
+            carry: path.states.last().copied().map(CarryState),
+            stats: ChunkStats {
+                samples: samples.len(),
+                mvm_ops: stats.mvm_ops,
+                viterbi_cells: stats.cells,
+            },
+        }
     }
 
-    /// Turns one non-empty chunk's decoded state path into bases, qualities,
-    /// and the carry — the post-decode half of
-    /// [`Basecaller::call_chunk_with`].
+    /// The bases of a non-empty path (see
+    /// [`Basecaller::decode_chunk_with`]), gathered through `codes`.
+    fn path_bases(&self, path: ChunkPath<'_>, codes: &mut Vec<u8>) -> DnaSeq {
+        let (states, advanced) = (path.states, path.advanced);
+        let n = states.len();
+        codes.resize(n, 0);
+        let mut later = 0;
+        for t in 1..n {
+            codes[later] = (states[t] & 3) as u8;
+            later += usize::from(advanced[t]);
+        }
+        let k = self.pore.k();
+        let head = head_bases(k, path.stitched, advanced[0]);
+        let mut bases = DnaSeq::with_capacity(head + later);
+        for i in k - head..k {
+            bases.push(kmer_base(states[0], k, i));
+        }
+        for &code in &codes[..later] {
+            bases.push(Base::from_code(code));
+        }
+        bases
+    }
+
+    /// The quality step of [`Basecaller::call_chunk_with`], on a path a
+    /// [`PathBuffer`] kept from the decode step of the same `samples`: one
+    /// Phred per base of that step's bases, and their sum. It may run at
+    /// once or after later decodes; either way its result is the same, to
+    /// the bit.
     ///
     /// Two loops. The first walks the samples once with a running `f32`
     /// residual sum, `(x − level)²` of the sample's decoded state, that
     /// restarts at each advance; at every sample it stores the sum so far
-    /// and the sample index at the next free slot of `segments`, and moves
-    /// the slot on only at an advance, so storing each dwell segment's
-    /// `(sum, end)` takes no branch to mispredict on a path the predictor
-    /// has not seen before. The second turns the segments into bases and
-    /// Phreds. Each segment's sum
-    /// is the same sequential additions, in the same order, as summing the
-    /// segment on its own.
-    ///
-    /// Not part of the API: public only so that the kernel bench can time
-    /// this stage on its own.
+    /// and the sample index at the next free slot of a segment buffer, and
+    /// moves the slot on only at an advance. The restart clears the sum's
+    /// bits under a mask made from the advance flag, so nothing in the loop
+    /// branches on the path: `objdump -d` of the release loop shows, besides
+    /// its back edge, only two bounds checks that never fire. Written as a
+    /// select on the flag, the restart compiled to a `jne` around the reset,
+    /// which mispredicts on a path the predictor has not seen. Each
+    /// segment's sum is the same sequential additions, in the same order, as
+    /// summing the segment on its own. The second loop turns each segment
+    /// into a Phred, one `f32::ln` each: about a third of the step on cold
+    /// chunks.
     ///
     /// # Panics
     ///
-    /// Panics if the chunk holds `2^32` samples or more.
-    #[doc(hidden)]
-    pub fn assemble_chunk(
+    /// Panics if `path` is not as long as `samples`, or if the chunk holds
+    /// `2^32` samples or more.
+    pub fn chunk_quality_with(
+        &self,
+        samples: &[f32],
+        path: ChunkPath<'_>,
+        scratch: &mut CallScratch,
+    ) -> ChunkQuality {
+        self.quality(samples, path, &mut scratch.segments)
+    }
+
+    fn quality(
         &self,
         signal: &[f32],
-        dec_states: &[u16],
-        dec_advanced: &[bool],
-        carry: Option<CarryState>,
-        stats: DecodeStats,
+        path: ChunkPath<'_>,
         segments: &mut Vec<(f32, u32)>,
-    ) -> BasecalledChunk {
+    ) -> ChunkQuality {
         let n = signal.len();
+        assert_eq!(path.states.len(), n, "a path decoded from these samples");
+        if n == 0 {
+            return ChunkQuality {
+                quals: Vec::new(),
+                sqs: 0.0,
+            };
+        }
         let end = u32::try_from(n).expect("a chunk holds fewer than 2^32 samples");
-        let (states, advanced) = (&dec_states[..n], &dec_advanced[..n]);
+        let (states, advanced) = (path.states, &path.advanced[..n]);
         let levels = self.pore.levels();
         let residual = |t: usize| {
             let d = signal[t] - levels[usize::from(states[t])];
@@ -322,16 +493,13 @@ impl Basecaller {
         for t in 1..n {
             segments[count] = (sum, t as u32);
             count += usize::from(advanced[t]);
-            sum = if advanced[t] { 0.0 } else { sum } + residual(t);
+            sum = restart_if(advanced[t], sum) + residual(t);
         }
         segments[count] = (sum, end);
         let (&first, rest) = segments[..=count].split_first().expect("a segment");
 
-        // Pass 2. The first segment emits the initial k-mer's k bases on a
-        // free start, one base on a stitched start that took the boundary
-        // advance, and nothing when it continues the carried k-mer; every
-        // later segment emits one base.
-        let k = self.pore.k();
+        // Pass 2: the first segment's Phred for each of its bases, then one
+        // per later segment.
         let assumed_var = {
             let s = self.emission.assumed_std();
             s * s
@@ -340,37 +508,16 @@ impl Basecaller {
             self.calibration
                 .phred_from_residual(sum / (len as f32 * assumed_var))
         };
-        let head = match carry {
-            None => k,
-            Some(_) => usize::from(advanced[0]),
-        };
-        let n_bases = head + rest.len();
-        let mut bases = DnaSeq::with_capacity(n_bases);
-        let mut quals: Vec<Phred> = Vec::with_capacity(n_bases);
-        let q = phred(first.0, first.1);
-        for i in k - head..k {
-            bases.push(kmer_base(states[0], k, i));
-            quals.push(q);
-        }
+        let head = head_bases(self.pore.k(), path.stitched, advanced[0]);
+        let mut quals: Vec<Phred> = Vec::with_capacity(head + rest.len());
+        quals.resize(head, phred(first.0, first.1));
         let mut start = first.1;
         for &(sum, end) in rest {
-            bases.push(kmer_base(states[start as usize], k, k - 1));
             quals.push(phred(sum, end - start));
             start = end;
         }
-
         let sqs = genpip_genomics::quality::sum_quality(&quals);
-        BasecalledChunk {
-            bases,
-            quals,
-            sqs,
-            carry: states.last().copied().map(CarryState).or(carry),
-            stats: ChunkStats {
-                samples: n,
-                mvm_ops: stats.mvm_ops,
-                viterbi_cells: stats.cells,
-            },
-        }
+        ChunkQuality { quals, sqs }
     }
 
     /// Basecalls an entire read by splitting its signal into chunks of
@@ -417,6 +564,43 @@ fn fault_unless(samples: &[f32], ok: impl Fn(f32) -> bool) {
     std::panic::panic_any(SignalFault {
         sample_index: first.expect("the fold found an offender"),
     });
+}
+
+/// Bases the first dwell segment of a `k`-mer path emits: the whole
+/// initial k-mer on a free start, one base on a stitched start that took the
+/// boundary advance at sample 0, none on one that continues the carried
+/// k-mer.
+#[inline]
+fn head_bases(k: usize, stitched: bool, advanced_at_0: bool) -> usize {
+    if stitched {
+        usize::from(advanced_at_0)
+    } else {
+        k
+    }
+}
+
+/// `sum`, or `+0.0` where `advanced`, through a bit mask rather than a
+/// branch, so that the residual pass has nothing on the path to mispredict:
+/// SSE2 `andnps` on x86-64, an integer `and` on other targets and under
+/// `--cfg genpip_portable` (the goldens' portable leg runs it). The pass
+/// adds a residual (`≥ +0.0`, or `+inf`) to the result, so `+0.0 + r` is
+/// `r`, as the branch gave.
+#[inline(always)]
+fn restart_if(advanced: bool, sum: f32) -> f32 {
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2", not(genpip_portable)))]
+    // SAFETY: the intrinsics need SSE and SSE2, which this item is compiled
+    // only with (every x86-64 target enables them).
+    unsafe {
+        use std::arch::x86_64::{
+            _mm_andnot_ps, _mm_castsi128_ps, _mm_cvtsi32_si128, _mm_cvtss_f32, _mm_set_ss,
+        };
+        let mask = _mm_castsi128_ps(_mm_cvtsi32_si128(-i32::from(advanced)));
+        _mm_cvtss_f32(_mm_andnot_ps(mask, _mm_set_ss(sum)))
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2", not(genpip_portable))))]
+    {
+        f32::from_bits(sum.to_bits() & !u32::from(advanced).wrapping_neg())
+    }
 }
 
 /// Base `i` (0 = earliest) of the k-mer packed in `state`.

@@ -51,8 +51,8 @@ pub mod quality;
 pub mod viterbi;
 
 pub use basecaller::{
-    BasecalledChunk, BasecalledRead, Basecaller, CallScratch, CarryState, ChunkJob, LaneDecoder,
-    LaneScratch, SignalFault,
+    BasecalledChunk, BasecalledRead, Basecaller, CallScratch, CarryState, ChunkJob, ChunkPath,
+    ChunkQuality, DecodedChunk, LaneDecoder, LaneScratch, PathBuffer, SignalFault,
 };
 pub use emission::EmissionModel;
 pub use quality::QualityCalibration;

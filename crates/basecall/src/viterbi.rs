@@ -340,11 +340,6 @@ impl DecodeScratch {
         &self.advanced
     }
 
-    /// The state occupying the pore after the last decoded sample.
-    pub fn final_state(&self) -> Option<u16> {
-        self.states.last().copied()
-    }
-
     /// Sizes every buffer for an `n`-sample, `n_states`-state decode.
     /// `resize` reuses existing capacity, so this allocates only when a
     /// larger chunk than ever before arrives. Every buffer is written in full
@@ -362,6 +357,19 @@ impl DecodeScratch {
         self.adv_best_x.resize(n_states, 0);
         self.states.resize(n, 0);
         self.advanced.resize(n, false);
+    }
+
+    /// The first stage of [`decode_with`]: sizes the workspace for
+    /// `samples` and, unless there are none, puts row 0 in `prev`.
+    ///
+    /// Not part of the API: public only so that the kernel bench can time
+    /// the later stages on their own.
+    #[doc(hidden)]
+    pub fn start(&mut self, model: &FixedPointModel, samples: &[f32], init_state: Option<u16>) {
+        self.prepare(samples.len(), model.states());
+        if let Some(&x) = samples.first() {
+            self.init_row(model, x, init_state);
+        }
     }
 
     /// Row 0: the first sample's scores into `prev` (offset 0). Stitched to
@@ -604,11 +612,10 @@ pub fn decode_with(
         );
     }
     let n = samples.len();
-    scratch.prepare(n, n_states);
+    scratch.start(model, samples, init_state);
     if n == 0 {
         return DecodeStats::default();
     }
-    scratch.init_row(model, samples[0], init_state);
     scratch.dp_rows(model, &samples[1..]);
     let score = scratch.traceback(model, init_state);
     DecodeStats {
@@ -732,7 +739,7 @@ mod tests {
         let (stats, out) = decode(&model, &[], None);
         assert!(out.states().is_empty());
         assert_eq!(stats.mvm_ops, 0);
-        assert_eq!(out.final_state(), None);
+        assert_eq!(out.states().last().copied(), None);
     }
 
     #[test]
@@ -787,10 +794,10 @@ mod tests {
         let samples = signal_for(&pore, &states, 8);
         let (first, second) = samples.split_at(samples.len() / 2);
         let (_, a) = decode(&model, first, None);
-        let (_, b) = decode(&model, second, a.final_state());
+        let (_, b) = decode(&model, second, a.states().last().copied());
         // The stitched decode must start where the previous chunk ended (or
         // one advance past it).
-        let boundary_state = a.final_state().unwrap();
+        let boundary_state = a.states().last().copied().unwrap();
         let succs: Vec<u16> = (0..4).map(|c| ((boundary_state << 2) | c) & 63).collect();
         assert!(
             b.states()[0] == boundary_state || succs.contains(&b.states()[0]),
@@ -825,8 +832,11 @@ mod tests {
             assert_eq!(scratch.states(), fresh.states(), "seed {seed}");
             assert_eq!(scratch.advanced(), fresh.advanced(), "seed {seed}");
             assert_eq!(stats, fresh_stats, "seed {seed}");
-            assert_eq!(scratch.final_state(), fresh.final_state());
-            carry = fresh.final_state();
+            assert_eq!(
+                scratch.states().last().copied(),
+                fresh.states().last().copied()
+            );
+            carry = fresh.states().last().copied();
         }
     }
 

@@ -1,12 +1,14 @@
 //! Verifies the acceptance criterion that steady-state chunk decoding with a
-//! reused [`DecodeScratch`] performs **zero heap allocations**, and that a
-//! whole `call_chunk_with` on a reused [`CallScratch`] performs exactly the
-//! two its result needs: a counting global allocator observes the allocator
-//! while equally sized chunks stream through `decode_with` and
-//! `call_chunk_with`.
+//! reused [`DecodeScratch`] performs **zero heap allocations**, that a
+//! whole `call_chunk_with` on a reused [`CallScratch`] — and its decode and
+//! quality steps run apart — performs exactly the two its result needs, and
+//! that a cleared [`PathBuffer`] keeps a second read's paths without one: a
+//! counting global allocator observes the allocator while equally sized
+//! chunks stream through `decode_with`, `call_chunk_with`, the two steps
+//! and the path buffer.
 
 use genpip_basecall::viterbi::{decode_with, DecodeScratch, FixedPointModel, Transitions};
-use genpip_basecall::{Basecaller, CallScratch};
+use genpip_basecall::{Basecaller, CallScratch, PathBuffer};
 use genpip_genomics::GenomeBuilder;
 use genpip_signal::{PoreModel, SignalSynthesizer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -17,8 +19,8 @@ use std::cell::Cell;
 // mpmc parking context at an arbitrary moment — with a process-global flag
 // that race is counted and the test fails spuriously. Only allocations made
 // by the decoding thread itself are the test's concern. The count is
-// per-thread too: the harness runs this file's two tests at once, and a
-// shared count would charge one test's allocations to the other.
+// per-thread too: the harness runs this file's tests at once, and a shared
+// count would charge one test's allocations to the other.
 // (Const-initialized thread-locals never allocate, so touching them inside
 // the allocator is safe.)
 thread_local! {
@@ -72,7 +74,7 @@ fn steady_state_decode_is_allocation_free() {
     let mut scratch = DecodeScratch::new();
     let mut carry = None;
     decode_with(&model, chunks[0], carry, &mut scratch);
-    carry = scratch.final_state();
+    carry = scratch.states().last().copied();
 
     // Steady state: no chunk is larger than the warm-up chunk, so no buffer
     // may grow and no allocation may happen.
@@ -81,7 +83,7 @@ fn steady_state_decode_is_allocation_free() {
     let mut total_score = 0.0;
     for chunk in &chunks[1..] {
         let stats = decode_with(&model, chunk, carry, &mut scratch);
-        carry = scratch.final_state();
+        carry = scratch.states().last().copied();
         total_score += stats.score;
     }
     COUNTING.with(|c| c.set(false));
@@ -134,5 +136,65 @@ fn steady_state_call_allocates_only_its_bases_and_quals() {
         2 * called.len(),
         "steady-state call_chunk_with allocated {allocs} times across {} chunks",
         called.len()
+    );
+}
+
+/// Counts the allocator calls `f` makes on this thread.
+fn allocs_in<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, ALLOCS.with(Cell::get))
+}
+
+#[test]
+fn the_two_steps_allocate_only_their_bases_and_quals_and_kept_paths_nothing() {
+    let pore = PoreModel::synthetic(3, 7);
+    let synth = SignalSynthesizer::new(pore.clone());
+    let caller = Basecaller::new(&pore, synth.mean_dwell());
+    let truth = GenomeBuilder::new(1_500)
+        .seed(13)
+        .build()
+        .sequence()
+        .clone();
+    let sig = synth.synthesize(&truth, 1.2, 5);
+    let chunks: Vec<&[f32]> = sig.samples.chunks(2_400).collect();
+    assert!(chunks.len() >= 4, "need several chunks for a steady state");
+
+    // Two reads' worth of the pipeline's deferral: every chunk decoded and
+    // its path kept, then every kept path's quality step; the buffer is
+    // cleared between the reads. The first read sizes the scratch and the
+    // buffer.
+    let mut scratch = CallScratch::new();
+    let mut kept = PathBuffer::default();
+    let (mut bases, mut quals) = (Vec::new(), Vec::new());
+    let mut read = |kept: &mut PathBuffer, bases: &mut Vec<_>, quals: &mut Vec<_>| {
+        kept.clear();
+        bases.clear();
+        quals.clear();
+        let mut carry = None;
+        for chunk in &chunks {
+            let decoded = caller.decode_chunk_with(chunk, carry, &mut scratch);
+            carry = decoded.carry;
+            kept.push(&scratch);
+            bases.push(decoded.bases);
+        }
+        for (i, chunk) in chunks.iter().enumerate() {
+            quals.push(caller.chunk_quality_with(chunk, kept.get(i), &mut scratch));
+        }
+    };
+    read(&mut kept, &mut bases, &mut quals);
+
+    // Steady state: each step allocates its result's one vector — the bases
+    // and the qualities — and the kept paths nothing at all.
+    let ((), allocs) = allocs_in(|| read(&mut kept, &mut bases, &mut quals));
+    assert!(bases.iter().all(|b| !b.is_empty()));
+    assert_eq!(quals.len(), bases.len());
+    assert_eq!(
+        allocs,
+        bases.len() + quals.len(),
+        "steady-state decode and quality steps allocated {allocs} times across {} chunks",
+        chunks.len()
     );
 }

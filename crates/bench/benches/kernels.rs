@@ -4,9 +4,9 @@
 //! implementations (not the modelled hardware times), one row per kernel:
 //! the MVM emission kernel, Viterbi chunk decoding (allocation-free scratch
 //! path) and its stages on their own — the DP rows as dispatched and
-//! through the portable body, the traceback, the base/quality assembly —
-//! then the chunk call, its decode and its assembly cold, over 64 workload
-//! chunks in pipeline order, minimizer extraction (one sequence, and cold
+//! through the portable body, the traceback, the quality step — then the
+//! chunk call, its decode step, the DP rows, the traceback and the quality
+//! step cold, over 64 workload chunks in pipeline order, minimizer extraction (one sequence, and cold
 //! over 64 read chunks and 16 whole reads), chaining DP (one
 //! diagonal, and two interleaved), the reference index's build, lookups and
 //! drop, the seed path
@@ -22,11 +22,9 @@
 //! `benchmarks/`, and the bit-identities between their variants are pinned
 //! by the root integration suites.
 
-use genpip_basecall::viterbi::{
-    decode_with, DecodeScratch, DecodeStats, FixedPointModel, Transitions,
-};
-use genpip_basecall::{Basecaller, CallScratch, CarryState, EmissionModel};
-use genpip_bench::micro::{bench, bench_consuming, bench_json, Json};
+use genpip_basecall::viterbi::{decode_with, DecodeScratch, FixedPointModel, Transitions};
+use genpip_basecall::{Basecaller, CallScratch, CarryState, EmissionModel, PathBuffer};
+use genpip_bench::micro::{bench, bench_consuming, bench_json, BenchResult, Json};
 use genpip_datasets::{DatasetProfile, ReadSource, SimulatedRead, StreamingSimulator};
 use genpip_genomics::fastx::FastqWriter;
 use genpip_genomics::quality::Phred;
@@ -41,6 +39,7 @@ use genpip_mapping::{
 use genpip_signal::chunk::samples_per_chunk;
 use genpip_signal::{PoreModel, SignalSynthesizer};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// Best SIMD extension the host advertises, recorded next to
 /// `host_threads` in the report so rows can be compared across machines
@@ -69,23 +68,22 @@ fn host_simd() -> &'static str {
     }
 }
 
-/// One chunk as the pipeline basecalls it, and its decoded path.
+/// One chunk as the pipeline basecalls it.
 struct ColdChunk {
     samples: Vec<f32>,
     /// The carry the read's previous chunk leaves (`None` for its first).
-    carry: Option<u16>,
-    states: Vec<u16>,
-    advanced: Vec<bool>,
-    stats: DecodeStats,
+    carry: Option<CarryState>,
 }
 
 /// The first chunks of `DatasetProfile::ecoli()` reads in pipeline order —
 /// each read's chunks in turn, at the pipeline's 300-base chunk size — with
-/// the basecaller and decoder model the pipeline builds for them.
+/// the basecaller and decoder model the pipeline builds for them, and the
+/// chunks' decoded paths as the quality step reads them.
 struct ColdChunks {
     caller: Basecaller,
     model: FixedPointModel,
     chunks: Vec<ColdChunk>,
+    paths: PathBuffer,
 }
 
 impl ColdChunks {
@@ -95,7 +93,7 @@ impl ColdChunks {
         let caller = Basecaller::new(pore, dwell);
         let model = FixedPointModel::new(pore, Transitions::from_mean_dwell(dwell));
         let per_chunk = samples_per_chunk(300, dwell);
-        let mut decode = DecodeScratch::new();
+        let (mut scratch, mut paths) = (CallScratch::new(), PathBuffer::default());
         let mut chunks = Vec::with_capacity(n);
         for read in &dataset.reads {
             let mut carry = None;
@@ -103,15 +101,12 @@ impl ColdChunks {
                 if chunks.len() == n {
                     break;
                 }
-                let stats = decode_with(&model, samples, carry, &mut decode);
                 chunks.push(ColdChunk {
                     samples: samples.to_vec(),
                     carry,
-                    states: decode.states().to_vec(),
-                    advanced: decode.advanced().to_vec(),
-                    stats,
                 });
-                carry = decode.final_state();
+                carry = caller.decode_chunk_with(samples, carry, &mut scratch).carry;
+                paths.push(&scratch);
             }
         }
         assert_eq!(chunks.len(), n, "the profile holds {n} chunks");
@@ -119,11 +114,37 @@ impl ColdChunks {
             caller,
             model,
             chunks,
+            paths,
         }
     }
 
     fn samples(&self) -> usize {
         self.chunks.iter().map(|c| c.samples.len()).sum()
+    }
+
+    /// Times one stage of the decode cold: each round walks the chunks, and
+    /// `stage` runs the stages before its own untimed on each chunk and
+    /// returns the time of its own alone; the row is the median of 15
+    /// rounds after one warm-up. So the records the traceback reads are
+    /// fresh from the rows, as in a call, and no stage has seen its chunk
+    /// since the previous round.
+    fn stage(&self, name: &str, mut stage: impl FnMut(&ColdChunk) -> Duration) -> BenchResult {
+        const ROUNDS: usize = 15;
+        let mut rounds: Vec<f64> = (0..=ROUNDS)
+            .map(|_| {
+                let spent: Duration = self.chunks.iter().map(&mut stage).sum();
+                spent.as_nanos() as f64
+            })
+            .skip(1)
+            .collect();
+        rounds.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        BenchResult {
+            name: name.to_string(),
+            ns_per_iter: rounds[ROUNDS / 2],
+            iters_per_sample: 1,
+            samples: ROUNDS,
+            elements_per_iter: Some((self.samples() as f64, "samples")),
+        }
     }
 }
 
@@ -175,8 +196,8 @@ fn main() {
         ));
 
         // The stages of that chunk, one row each, so that the chunk row
-        // decomposes: the DP rows, the traceback, the base/quality assembly,
-        // and around them the integrity check. The DP rows bin the samples
+        // decomposes: the DP rows, the traceback, the quality step, and
+        // around them the integrity check and the gather of the bases. The DP rows bin the samples
         // in one pass, then read each sample's emissions from the
         // fixed-point model's table and record the row they start from; the
         // dispatched row is the `std::arch` one on a host with AVX2, the
@@ -201,43 +222,39 @@ fn main() {
             Some((n as f64, "samples")),
             || black_box(&mut decode).dp_rows_portable(&model, black_box(rest)),
         ));
-        let stats = decode_with(&model, &sig.samples, None, &mut decode);
+        decode_with(&model, &sig.samples, None, &mut decode);
         results.push(bench(
             &format!("basecall/viterbi_traceback_{n}"),
             Some((n as f64, "samples")),
             || black_box(&mut decode).traceback(&model, None),
         ));
-        // The assembly's two loops: one over the samples (a residual each),
-        // one over the dwell segments (a Phred each, whose `f32::ln` costs
-        // about 5 ns a call on a 2-thread Xeon with AVX-512 — about 0.6 ns a
-        // sample at this chunk's one segment per 8.3 samples).
-        let mut segments = Vec::new();
+        // The quality step's two loops: one over the samples (a residual
+        // each), one over the dwell segments (a Phred each). The Phred loop's
+        // `f32::ln` is most of it: see `basecall/cold64/quality` below.
+        let mut scratch = CallScratch::new();
+        let mut path = PathBuffer::default();
+        caller.decode_chunk_with(&sig.samples, None, &mut scratch);
+        path.push(&scratch);
         results.push(bench(
-            &format!("basecall/assemble_chunk_{n}"),
+            &format!("basecall/quality_{n}"),
             Some((n as f64, "samples")),
             || {
                 caller
-                    .assemble_chunk(
-                        black_box(&sig.samples),
-                        decode.states(),
-                        decode.advanced(),
-                        None,
-                        stats,
-                        &mut segments,
-                    )
-                    .bases
-                    .len()
+                    .chunk_quality_with(black_box(&sig.samples), path.get(0), &mut scratch)
+                    .sqs
             },
         ));
     }
 
     // --- The same chunk call, cold: 64 workload chunks in pipeline order ---
     // The rows above decode one chunk over and over, so the branch
-    // predictor learns its path and the traceback and assembly read
+    // predictor learns its path and the traceback and quality step read
     // faster than on any real chunk. Here one iteration walks the first 64
     // chunks of E. coli profile reads, read by read and chunk by chunk with
     // their carries, so 63 other chunks run between two visits of the same
-    // one: the whole call, its decode and its assembly.
+    // one: the whole call; its decode step and, within that, the DP rows and
+    // the traceback (the rest of the step is the integrity gate and the
+    // gather of the bases); and its quality step on the chunks' kept paths.
     {
         let cold = ColdChunks::ecoli(64);
         let samples = Some((cold.samples() as f64, "samples"));
@@ -245,41 +262,49 @@ fn main() {
         results.push(bench("basecall/cold64/call_chunk", samples, || {
             let mut bases = 0;
             for chunk in &cold.chunks {
-                let carry = chunk.carry.map(CarryState);
                 bases += cold
                     .caller
-                    .call_chunk_with(&chunk.samples, carry, &mut scratch)
+                    .call_chunk_with(&chunk.samples, chunk.carry, &mut scratch)
+                    .bases
+                    .len();
+            }
+            bases
+        }));
+        results.push(bench("basecall/cold64/decode", samples, || {
+            let mut bases = 0;
+            for chunk in &cold.chunks {
+                bases += cold
+                    .caller
+                    .decode_chunk_with(&chunk.samples, chunk.carry, &mut scratch)
                     .bases
                     .len();
             }
             bases
         }));
         let mut decode = DecodeScratch::new();
-        results.push(bench("basecall/cold64/decode", samples, || {
-            let mut score = 0.0;
-            for chunk in &cold.chunks {
-                score += decode_with(&cold.model, &chunk.samples, chunk.carry, &mut decode).score;
-            }
-            score
+        let carry = |chunk: &ColdChunk| chunk.carry.map(|c| c.0);
+        results.push(cold.stage("basecall/cold64/dp_rows", |chunk| {
+            decode.start(&cold.model, &chunk.samples, carry(chunk));
+            let start = Instant::now();
+            decode.dp_rows(&cold.model, &chunk.samples[1..]);
+            start.elapsed()
         }));
-        let mut segments = Vec::new();
-        results.push(bench("basecall/cold64/assemble", samples, || {
-            let mut bases = 0;
-            for chunk in &cold.chunks {
-                bases += cold
+        results.push(cold.stage("basecall/cold64/traceback", |chunk| {
+            decode.start(&cold.model, &chunk.samples, carry(chunk));
+            decode.dp_rows(&cold.model, &chunk.samples[1..]);
+            let start = Instant::now();
+            black_box(decode.traceback(&cold.model, carry(chunk)));
+            start.elapsed()
+        }));
+        results.push(bench("basecall/cold64/quality", samples, || {
+            let mut sqs = 0.0;
+            for (i, chunk) in cold.chunks.iter().enumerate() {
+                sqs += cold
                     .caller
-                    .assemble_chunk(
-                        &chunk.samples,
-                        &chunk.states,
-                        &chunk.advanced,
-                        chunk.carry.map(CarryState),
-                        chunk.stats,
-                        &mut segments,
-                    )
-                    .bases
-                    .len();
+                    .chunk_quality_with(&chunk.samples, cold.paths.get(i), &mut scratch)
+                    .sqs;
             }
-            bases
+            sqs
         }));
     }
 

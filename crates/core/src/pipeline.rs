@@ -46,13 +46,33 @@
 //! `Parallelism` setting and for streaming vs batch execution — asserted
 //! against the independent serial oracle in `tests/common` across all
 //! [`ErMode`]s.
+//!
+//! # Where a chunk's quality is computed
+//!
+//! A chunk call is two steps: [`Basecaller::decode_chunk_with`] gives the
+//! bases and the carry, [`Basecaller::chunk_quality_with`] the per-base
+//! Phreds and their sum (the chunk's SQS). Seeding and chaining read only
+//! the bases; the Phreds and SQS are read by QSR (the sampled chunks'),
+//! by whole-read QC (the AQS over every chunk) and by the FASTQ record.
+//! So the conventional flow, GenPIP without CMR, the QSR-sampled chunks
+//! and every chunk after the CMR check take both steps at once. Under
+//! [`ErMode::Full`] the other chunks up to the CMR check — the first
+//! `N_cm`, or all of a read that has no more — take the decode step only,
+//! and their decoded paths (3 bytes a sample) wait in the worker's
+//! scratch. Their quality steps run once the read is past the check, or
+//! after the last chunk of a read too short to be checked, in chunk order,
+//! so the AQS and the kept Phreds are those the eager order gives, to the
+//! bit. A read CMR rejects therefore computes no Phred for its CP chunks:
+//! on a host-depletion mix (5 % of reads low quality, 92 % of the rest
+//! contaminants) those chunks hold about 62 % of all basecalled samples.
 
 use crate::config::{GenPipConfig, Parallelism};
 use crate::early_reject::{cmr_check, qsr_check, qsr_sample_indices};
 use crate::engine::{Flow, Session};
 use crate::scheduler::Schedule;
 use crate::stream::{StreamEvent, StreamOptions};
-use genpip_basecall::{BasecalledChunk, Basecaller, CallScratch};
+use genpip_basecall::basecaller::ChunkStats;
+use genpip_basecall::{BasecalledChunk, Basecaller, CallScratch, PathBuffer};
 use genpip_datasets::{ReadSource, SimulatedDataset, SimulatedRead};
 use genpip_genomics::quality::AqsAccumulator;
 use genpip_genomics::{DnaSeq, Genome, Phred};
@@ -241,21 +261,15 @@ impl ReadRun {
 
     /// Whole-read quality control, the same step in both flows: records the
     /// assembled read and its AQS. `true` means QC filtered the read.
-    fn fails_qc(
-        &mut self,
-        ctx: &RunContext,
-        seq: &DnaSeq,
-        quals: Vec<Phred>,
-        aqs: &AqsAccumulator,
-    ) -> bool {
-        let full_aqs = aqs.average();
+    fn fails_qc(&mut self, ctx: &RunContext, seq: &DnaSeq, quality: ReadQuality) -> bool {
+        let full_aqs = quality.aqs.average();
         self.called_len = seq.len();
         self.full_aqs = Some(full_aqs);
         self.outcome = ReadOutcome::FilteredQc { aqs: full_aqs };
         if ctx.config.keep_bases {
             self.called = Some(CalledBases {
                 seq: seq.clone(),
-                quals,
+                quals: quality.quals,
             });
         }
         full_aqs < ctx.config.theta_qs
@@ -473,14 +487,42 @@ impl RunContext {
     }
 }
 
-/// Worker-local working memory: the decode workspace and the mapping
+/// Worker-local working memory: the decode workspace, the decoded paths of
+/// the CMR window's chunks waiting for their quality step, and the mapping
 /// workspace (sketch and seed buffers, the chainers, the alignment
 /// workspace). One instance per worker and source; steady-state processing
 /// reuses it without heap allocation.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
     call: CallScratch,
+    /// At most `N_cm` paths, cleared at the start of every read's CP pass.
+    pending: PathBuffer,
     map: MapScratch,
+}
+
+/// A read's quality as its chunks' quality steps arrive, in chunk order:
+/// the AQS accumulator and, under `keep_bases`, the Phreds.
+struct ReadQuality {
+    aqs: AqsAccumulator,
+    quals: Vec<Phred>,
+    keep: bool,
+}
+
+impl ReadQuality {
+    fn new(config: &GenPipConfig) -> ReadQuality {
+        ReadQuality {
+            aqs: AqsAccumulator::new(),
+            quals: Vec::new(),
+            keep: config.keep_bases,
+        }
+    }
+
+    fn add(&mut self, quals: &[Phred], sqs: f64) {
+        self.aqs.add_chunk_sum(sqs, quals.len());
+        if self.keep {
+            self.quals.extend_from_slice(quals);
+        }
+    }
 }
 
 /// One read as the engine's task: the read itself, the context of the
@@ -556,7 +598,8 @@ impl ReadTask {
                 let chunk = ctx
                     .caller
                     .call_chunk_with(chunk_samples(idx), None, &mut scratch.call);
-                run.chunks.push(basecall_work(idx, &chunk));
+                run.chunks
+                    .push(basecall_work(idx, chunk.stats, &chunk.bases));
                 run.called_len += chunk.bases.len();
                 sampled.push((idx, chunk));
             }
@@ -575,44 +618,66 @@ impl ReadTask {
 
         // The sequential CP pass: basecall each chunk (or take the sampled
         // one, stitching its successor to its carry), then immediately run
-        // the seed-and-chain step on it.
-        let mut sampled = sampled.into_iter().peekable();
+        // the seed-and-chain step on it. Under full ER, the chunks up to the
+        // CMR check (all of them, for a read of at most `N_cm` chunks) form
+        // the window: their quality waits for the verdict (see the module
+        // docs), decoded paths in `scratch.pending`, sampled chunks in
+        // `sampled`.
+        let window = match er {
+            ErMode::Full => ctx.config.n_cm.min(total),
+            ErMode::None | ErMode::QsrOnly => 0,
+        };
+        let mut next_sampled = sampled.iter().peekable();
         let mut carry = None;
         let mut seq = DnaSeq::new();
-        let mut quals: Vec<Phred> = Vec::new();
-        let mut aqs = AqsAccumulator::new();
+        let mut quality = ReadQuality::new(&ctx.config);
+        scratch.pending.clear();
         ctx.refs.reset(&mut scratch.map);
         for idx in 0..total {
             self.at_chunk = Some(idx);
-            let chunk = match sampled.next_if(|(i, _)| *i == idx) {
-                Some((_, chunk)) => chunk,
+            let (decoded, eager);
+            let (bases, called) = match next_sampled.next_if(|(i, _)| *i == idx) {
+                Some((_, chunk)) => (&chunk.bases, Some(chunk)),
+                None if idx < window => {
+                    decoded =
+                        ctx.caller
+                            .decode_chunk_with(chunk_samples(idx), carry, &mut scratch.call);
+                    scratch.pending.push(&scratch.call);
+                    run.chunks
+                        .push(basecall_work(idx, decoded.stats, &decoded.bases));
+                    run.called_len += decoded.bases.len();
+                    carry = decoded.carry;
+                    (&decoded.bases, None)
+                }
                 None => {
-                    let chunk =
+                    eager =
                         ctx.caller
                             .call_chunk_with(chunk_samples(idx), carry, &mut scratch.call);
-                    run.chunks.push(basecall_work(idx, &chunk));
-                    run.called_len += chunk.bases.len();
-                    chunk
+                    run.chunks
+                        .push(basecall_work(idx, eager.stats, &eager.bases));
+                    run.called_len += eager.bases.len();
+                    (&eager.bases, Some(&eager))
                 }
             };
-            carry = chunk.carry;
+            if let Some(chunk) = called {
+                carry = chunk.carry;
+                if idx >= window {
+                    quality.add(&chunk.quals, chunk.sqs);
+                }
+            }
             let step = ctx
                 .refs
-                .seed_and_chain(&chunk.bases, seq.len() as u64, &mut scratch.map);
+                .seed_and_chain(bases, seq.len() as u64, &mut scratch.map);
             run.chunks.push(ChunkWork {
                 index: idx,
-                seed_bases: chunk.bases.len(),
+                seed_bases: bases.len(),
                 minimizers: step.minimizers,
                 anchors: step.anchors,
                 chain_evals: step.chain_evals,
                 ..Default::default()
             });
             run.map_counters += step;
-            aqs.add_chunk_sum(chunk.sqs, chunk.quals.len());
-            if ctx.config.keep_bases {
-                quals.extend_from_slice(&chunk.quals);
-            }
-            seq.extend_from_seq(&chunk.bases);
+            seq.extend_from_seq(bases);
 
             // ER-CMR (Figure 6 ➍➎): once, after the first `N_cm` chunks,
             // for reads longer than that.
@@ -624,12 +689,33 @@ impl ReadTask {
                     return run;
                 }
             }
+            // Past the window and any verdict on it: the window's quality,
+            // in chunk order — a sampled chunk's from QSR, every other's
+            // quality step on its kept path.
+            if idx + 1 == window {
+                let mut kept = 0;
+                for idx in 0..window {
+                    self.at_chunk = Some(idx);
+                    match sampled.binary_search_by_key(&idx, |(i, _)| *i) {
+                        Ok(s) => quality.add(&sampled[s].1.quals, sampled[s].1.sqs),
+                        Err(_) => {
+                            let q = ctx.caller.chunk_quality_with(
+                                chunk_samples(idx),
+                                scratch.pending.get(kept),
+                                &mut scratch.call,
+                            );
+                            kept += 1;
+                            quality.add(&q.quals, q.sqs);
+                        }
+                    }
+                }
+            }
         }
         self.at_chunk = None;
 
         // Whole-read QC, then the final mapping from the filled chainers.
         run.best_chain_score = scratch.map.best_chain_score();
-        if run.fails_qc(ctx, &seq, quals, &aqs) {
+        if run.fails_qc(ctx, &seq, quality) {
             return run;
         }
         let result = ctx.refs.finish(&seq, &mut scratch.map);
@@ -648,8 +734,7 @@ impl ReadTask {
         run.chunks.reserve_exact(specs.len());
         let mut carry = None;
         let mut seq = DnaSeq::new();
-        let mut quals: Vec<Phred> = Vec::new();
-        let mut aqs = AqsAccumulator::new();
+        let mut quality = ReadQuality::new(&ctx.config);
         for spec in &specs {
             self.at_chunk = Some(spec.index);
             let chunk = ctx.caller.call_chunk_with(
@@ -658,16 +743,14 @@ impl ReadTask {
                 &mut scratch.call,
             );
             carry = chunk.carry;
-            run.chunks.push(basecall_work(spec.index, &chunk));
-            aqs.add_chunk_sum(chunk.sqs, chunk.quals.len());
-            if ctx.config.keep_bases {
-                quals.extend_from_slice(&chunk.quals);
-            }
+            run.chunks
+                .push(basecall_work(spec.index, chunk.stats, &chunk.bases));
+            quality.add(&chunk.quals, chunk.sqs);
             seq.extend_from_seq(&chunk.bases);
         }
         self.at_chunk = None;
 
-        if run.fails_qc(ctx, &seq, quals, &aqs) {
+        if run.fails_qc(ctx, &seq, quality) {
             return run;
         }
         let result = ctx.refs.map_with(&seq, &mut scratch.map);
@@ -677,12 +760,12 @@ impl ReadTask {
 }
 
 /// The work entry of a freshly basecalled chunk.
-fn basecall_work(index: usize, chunk: &BasecalledChunk) -> ChunkWork {
+fn basecall_work(index: usize, stats: ChunkStats, bases: &DnaSeq) -> ChunkWork {
     ChunkWork {
         index,
-        samples: chunk.stats.samples,
-        mvm_ops: chunk.stats.mvm_ops,
-        bases_called: chunk.bases.len(),
+        samples: stats.samples,
+        mvm_ops: stats.mvm_ops,
+        bases_called: bases.len(),
         ..Default::default()
     }
 }

@@ -70,6 +70,41 @@ fn every_flow_on_both_drivers_is_bit_identical_to_the_oracle() {
     }
 }
 
+/// Under full ER the quality steps of the chunks up to the CMR check wait
+/// for its verdict, and a read of at most `N_cm` chunks runs them after its
+/// last chunk; the oracle computes every quality at once. On the
+/// host-depletion mix of `benchmarks/`'s `contam_genpip_mt` (5 % of reads
+/// low quality, 92 % of the rest contaminants), at both seeds
+/// `tests/accuracy.rs` pins it at, with bases kept, the session must still
+/// emit exactly the oracle's reads — and the mix must hold CMR- and
+/// QSR-rejected reads, and reads of at most `N_cm` chunks that reach QC.
+#[test]
+fn deferred_quality_matches_the_oracle_on_the_contaminant_mix() {
+    for seed in [0, 2] {
+        let mut profile = DatasetProfile::ecoli().scaled(0.1);
+        profile.n_reads = 240;
+        profile.low_quality_fraction = 0.05;
+        profile.contaminant_fraction = 0.92;
+        profile.seed ^= seed;
+        let d = profile.generate();
+        let flow = Flow::GenPip(ErMode::Full);
+        let base = GenPipConfig::for_dataset(&d.profile).with_keep_bases(true);
+        let oracle = reference_run(&d, &base, flow);
+        for parallelism in parallelism_sweep() {
+            let (reads, _) = collect(&d, &base.clone().with_parallelism(parallelism), flow);
+            assert_eq!(reads, oracle, "seed {seed}, {parallelism:?}");
+        }
+        let count = |pred: &dyn Fn(&ReadRun) -> bool| oracle.iter().filter(|r| pred(r)).count();
+        let cmr = count(&|r| matches!(r.outcome, ReadOutcome::RejectedCmr { .. }));
+        let qsr = count(&|r| matches!(r.outcome, ReadOutcome::RejectedQsr { .. }));
+        let short = count(&|r| r.total_chunks <= base.n_cm && r.called.is_some());
+        assert!(
+            cmr > 0 && qsr > 0 && short > 0,
+            "seed {seed}: {cmr} CMR, {qsr} QSR, {short} short"
+        );
+    }
+}
+
 /// A task is a whole read on the pool as on the calling thread, and its
 /// permit is held to emission — an ER verdict stops the read's compute, not
 /// its residency.

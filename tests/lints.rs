@@ -166,6 +166,17 @@ const RULES: &[Rule] = &[
                  decides at the path's state only",
         ..RULE
     },
+    Rule {
+        name: "the residual sum restarts under a mask",
+        pattern: "{ 0.0 } else|fn assemble_chunk\\b",
+        paths: &["crates/basecall/src"],
+        skip_files: &["differential.rs"],
+        fixture: "sum = if advanced[t] { 0.0 } else { sum } + r; fn assemble_chunk(",
+        reason: "a select on the advance flag compiles to a branch that cold chunks \
+                 mispredict; the one-call assembly the decode and quality steps \
+                 replaced is the oracle of basecaller/differential.rs only",
+        ..RULE
+    },
 ];
 
 fn is_word(c: char) -> bool {

@@ -1,9 +1,11 @@
 #!/bin/sh
-# Mutation sweep over three kernels: the banded alignment
+# Mutation sweep over four kernels: the banded alignment
 # (crates/mapping/src/align.rs, align/avx2.rs), the minimizer sketch with
 # the index build it feeds (crates/mapping/src/minimizer.rs,
-# minimizer/avx2.rs, index.rs), and the seed-and-chain step both flows map
-# through, with the best-hit merge (crates/mapping/src/refset.rs). It
+# minimizer/avx2.rs, index.rs), the seed-and-chain step both flows map
+# through, with the best-hit merge (crates/mapping/src/refset.rs), and the
+# chunk call's quality step with its deferral past the CMR verdict
+# (crates/basecall/src/basecaller.rs, crates/core/src/pipeline.rs). It
 # applies one-line mutations, one at a
 # time, runs each of the kernel's suites against every mutant, and prints
 # which suites kill it. A mutant no suite kills is either equivalent (the
@@ -12,9 +14,9 @@
 #
 # It edits the tree it runs in, so run it in a throwaway clone:
 #
-#   git clone . ../genpip-mutants && cd ../genpip-mutants && tools/mutants.sh [align|sketch|mapstep]
+#   git clone . ../genpip-mutants && cd ../genpip-mutants && tools/mutants.sh [align|sketch|mapstep|quality]
 #
-# With no argument it sweeps all three. Needs a clean checkout of the
+# With no argument it sweeps all four. Needs a clean checkout of the
 # kernel files (each mutant is applied with sed and discarded with
 # `git stash`). Prints one line per mutant: its name, then `killed by:
 # <suites>` or `SURVIVED`, or `NOT APPLIED` when its pattern no longer
@@ -30,11 +32,13 @@ SKETCH=crates/mapping/src/minimizer.rs
 LANES=crates/mapping/src/minimizer/avx2.rs
 INDEX=crates/mapping/src/index.rs
 REFSET=crates/mapping/src/refset.rs
-if ! git diff --quiet -- "$ALIGN" "$AVX2" "$SKETCH" "$LANES" "$INDEX" "$REFSET"; then
+CALLER=crates/basecall/src/basecaller.rs
+PIPELINE=crates/core/src/pipeline.rs
+if ! git diff --quiet -- "$ALIGN" "$AVX2" "$SKETCH" "$LANES" "$INDEX" "$REFSET" "$CALLER" "$PIPELINE"; then
     echo "mutants.sh: a kernel file has local changes; commit or stash them first" >&2
     exit 2
 fi
-KERNELS=${1:-align sketch mapstep}
+KERNELS=${1:-align sketch mapstep quality}
 
 # Suites: a name, then the cargo test arguments (release, as CI runs them).
 ALIGN_SUITES='
@@ -55,6 +59,13 @@ alloc|-p genpip-mapping --test alloc_free
 MAPSTEP_SUITES='
 unit|-p genpip-mapping --lib refset::tests
 pan_genome|--test pan_genome
+session|--test session
+chunk_accounting|--test chunk_accounting
+'
+QUALITY_SUITES='
+differential|-p genpip-basecall --lib basecaller::differential
+accuracy|--test accuracy
+golden|--test golden
 session|--test session
 chunk_accounting|--test chunk_accounting
 '
@@ -103,6 +114,17 @@ chain_evals counted cumulatively|R|s/rev.dp_evaluations() - evals_before;/rev.dp
 only the primary reference seeded|R|s/self.mappers.iter().zip(pairs.iter_mut()) {/self.mappers.iter().zip(pairs.iter_mut()).take(1) {/
 merge name tie-break flipped|R|s/candidate.reference < w.reference/candidate.reference > w.reference/
 '
+QUALITY_MUTANTS='
+reset mask inverted|B|s/_mm_cvtsi32_si128(-i32::from(advanced))/_mm_cvtsi32_si128(-i32::from(!advanced))/
+segment slot moved on at a stay|B|s/count += usize::from(advanced\[t\]);/count += usize::from(!advanced[t]);/
+base gathered at a stay|B|s/later += usize::from(advanced\[t\]);/later += usize::from(!advanced[t]);/
+stitched head taken as a free one|B|s/    if stitched {/    if !stitched {/
+deferred sums added after later chunks|P|s/            if idx + 1 == window {/            if idx + 1 == total {/
+flush skipped when total <= N_cm|P|s/            if idx + 1 == window {/            if idx + 1 == window \&\& total > ctx.config.n_cm {/
+quality deferred for a QSR-sampled chunk|P|s/None if idx < window => {/_ if idx < window => {/
+window chunk also added at once|P|s/if idx >= window {/if idx + 1 >= window {/
+pending buffer not cleared between reads|P|s/        scratch.pending.clear();//
+'
 
 status=0
 for kernel in $KERNELS; do
@@ -110,7 +132,8 @@ for kernel in $KERNELS; do
         align) SUITES=$ALIGN_SUITES MUTANTS=$ALIGN_MUTANTS ;;
         sketch) SUITES=$SKETCH_SUITES MUTANTS=$SKETCH_MUTANTS ;;
         mapstep) SUITES=$MAPSTEP_SUITES MUTANTS=$MAPSTEP_MUTANTS ;;
-        *) echo "mutants.sh: unknown kernel $kernel (align, sketch or mapstep)" >&2; exit 2 ;;
+        quality) SUITES=$QUALITY_SUITES MUTANTS=$QUALITY_MUTANTS ;;
+        *) echo "mutants.sh: unknown kernel $kernel (align, sketch, mapstep or quality)" >&2; exit 2 ;;
     esac
     while IFS='|' read -r name which expr; do
         [ -n "$name" ] || continue
@@ -118,6 +141,7 @@ for kernel in $KERNELS; do
             A) file=$ALIGN ;; V) file=$AVX2 ;;
             M) file=$SKETCH ;; L) file=$LANES ;; I) file=$INDEX ;;
             R) file=$REFSET ;;
+            B) file=$CALLER ;; P) file=$PIPELINE ;;
         esac
         sed -i "$expr" "$file"
         if git diff --quiet -- "$file"; then
