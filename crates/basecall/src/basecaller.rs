@@ -14,14 +14,14 @@ use genpip_signal::{chunk_boundaries, PoreModel};
 ///
 /// **Footprint.** The segment buffer adds 8 bytes per sample of the largest
 /// chunk seen (one `(f32, u32)` slot per sample, the most dwell segments a
-/// chunk can hold) and the base buffer 1 to the decode's records.
+/// chunk can hold) to the decode's records, and the base buffer a byte per
+/// base.
 #[derive(Debug, Clone, Default)]
 pub struct CallScratch {
     decode: DecodeScratch,
     /// Whether the most recent decode step was stitched to a carry.
     stitched: bool,
-    /// The decode step's base codes: one written at every sample, kept only
-    /// at an advance.
+    /// The decode step's base codes, in order, for packing.
     codes: Vec<u8>,
     /// Each dwell segment's residual sum and past-the-end sample, written by
     /// the quality step's first loop and read by its second.
@@ -347,9 +347,10 @@ impl Basecaller {
     /// The first dwell segment emits the initial k-mer's k bases on a free
     /// start, one base on a stitched start that took the boundary advance,
     /// and nothing when it continues the carried k-mer; every later segment
-    /// emits one base, the last of its state. The later bases are gathered
-    /// at every sample into the next free slot of a buffer that moves on
-    /// only at an advance, so no branch follows the path.
+    /// emits one base, the last of its state, which the traceback gathers
+    /// as it walks the path (one store a sample, no branch): a pass of its
+    /// own over the path cost about 1 ns a sample, as much as the quality
+    /// step's branch-free restart saved.
     ///
     /// # Panics
     ///
@@ -388,15 +389,10 @@ impl Basecaller {
             carry.map(|c| c.0),
             &mut scratch.decode,
         );
-        let path = ChunkPath {
-            states: scratch.decode.states(),
-            advanced: scratch.decode.advanced(),
-            stitched: scratch.stitched,
-        };
-        let bases = self.path_bases(path, &mut scratch.codes);
+        let bases = self.decoded_bases(&scratch.decode, scratch.stitched, &mut scratch.codes);
         DecodedChunk {
             bases,
-            carry: path.states.last().copied().map(CarryState),
+            carry: scratch.decode.states().last().copied().map(CarryState),
             stats: ChunkStats {
                 samples: samples.len(),
                 mvm_ops: stats.mvm_ops,
@@ -405,27 +401,21 @@ impl Basecaller {
         }
     }
 
-    /// The bases of a non-empty path (see
-    /// [`Basecaller::decode_chunk_with`]), gathered through `codes`.
-    fn path_bases(&self, path: ChunkPath<'_>, codes: &mut Vec<u8>) -> DnaSeq {
-        let (states, advanced) = (path.states, path.advanced);
-        let n = states.len();
-        codes.resize(n, 0);
-        let mut later = 0;
-        for t in 1..n {
-            codes[later] = (states[t] & 3) as u8;
-            later += usize::from(advanced[t]);
-        }
+    /// The bases of the non-empty path the last decode left in `decode`
+    /// (see [`Basecaller::decode_chunk_with`]): the head's from its first
+    /// state, the rest as the traceback gathered them, packed through
+    /// `codes`.
+    fn decoded_bases(&self, decode: &DecodeScratch, stitched: bool, codes: &mut Vec<u8>) -> DnaSeq {
+        let first = decode.states()[0];
         let k = self.pore.k();
-        let head = head_bases(k, path.stitched, advanced[0]);
-        let mut bases = DnaSeq::with_capacity(head + later);
-        for i in k - head..k {
-            bases.push(kmer_base(states[0], k, i));
-        }
-        for &code in &codes[..later] {
-            bases.push(Base::from_code(code));
-        }
-        bases
+        let head = head_bases(k, stitched, decode.advanced()[0]);
+        // Room for the most bases a path this long can call, so the buffer
+        // grows only with the longest chunk, as the decode's do.
+        codes.clear();
+        codes.reserve(k + decode.states().len());
+        codes.extend((k - head..k).map(|i| kmer_base(first, k, i).code()));
+        codes.extend_from_slice(decode.advance_codes());
+        DnaSeq::from_codes(codes)
     }
 
     /// The quality step of [`Basecaller::call_chunk_with`], on a path a

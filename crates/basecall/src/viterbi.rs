@@ -293,7 +293,8 @@ pub struct DecodeStats {
 ///
 /// **Footprint.** The records dominate: `2.5 · n_states` bytes per sample
 /// (the stored row and its `n_states / 4` group maxima, 160 bytes at `k = 3`)
-/// against 2 bytes of bin, 2 of state and 1 of advance flag. A 2 477-sample
+/// against 2 bytes of bin, 2 of state, 1 of advance flag and 1 of base
+/// code. A 2 477-sample
 /// chunk at `k = 3` holds about 400 KB; at `k = 6`, the largest `k` a GSC
 /// header may carry, a record is 10 KB and the chunk about 25 MB.
 #[derive(Debug, Clone, Default)]
@@ -317,6 +318,12 @@ pub struct DecodeScratch {
     adv_best_x: Vec<i16>,
     states: Vec<u16>,
     advanced: Vec<bool>,
+    /// The traceback's base codes: the last base of the state at every
+    /// sample `t ≥ 1`, written from the top down into a slot that moves
+    /// down only at an advance, so `codes[first_code..]` is the base each
+    /// advance enters, in sample order.
+    codes: Vec<u8>,
+    first_code: usize,
 }
 
 /// `i16` per record: a score row plus one maximum per predecessor group.
@@ -340,6 +347,14 @@ impl DecodeScratch {
         &self.advanced
     }
 
+    /// The 2-bit code of the last base of the state each advance after
+    /// sample 0 enters, in sample order, of the most recent
+    /// [`decode_with`] call: the bases the path calls after its first
+    /// k-mer.
+    pub fn advance_codes(&self) -> &[u8] {
+        &self.codes[self.first_code..]
+    }
+
     /// Sizes every buffer for an `n`-sample, `n_states`-state decode.
     /// `resize` reuses existing capacity, so this allocates only when a
     /// larger chunk than ever before arrives. Every buffer is written in full
@@ -357,6 +372,8 @@ impl DecodeScratch {
         self.adv_best_x.resize(n_states, 0);
         self.states.resize(n, 0);
         self.advanced.resize(n, false);
+        self.codes.resize(n, 0);
+        self.first_code = n;
     }
 
     /// The first stage of [`decode_with`]: sizes the workspace for
@@ -472,11 +489,17 @@ impl DecodeScratch {
         let (n, len) = (self.states.len(), record_len(n_states));
         let records = self.records[..(n - 1) * len].chunks_exact(len);
         let path = self.states[1..].iter_mut().zip(&mut self.advanced[1..]);
+        // The base codes take one store a sample and no branch: every
+        // sample writes its state's last base at `slot`, and an advance
+        // keeps it by moving the slot down.
+        let mut slot = n - 1;
         for ((out, advanced), record) in path.zip(records).rev() {
             let (row, best) = record.split_at(n_states);
             let group = state >> 2;
             *out = state as u16;
             *advanced = i32::from(best[group]) - i32::from(row[state]) > margin;
+            self.codes[slot] = (state & 3) as u8;
+            slot -= usize::from(*advanced);
             if *advanced {
                 let ties = (0..4).fold(0u32, |ties, c| {
                     ties | u32::from(row[group + c * n_groups] == best[group]) << c
@@ -486,6 +509,7 @@ impl DecodeScratch {
             }
         }
         self.states[0] = state as u16;
+        self.first_code = slot + 1;
         // Sample 0 advanced only on a stitched start whose path took the
         // boundary advance; states[0] then already holds the advanced-into
         // state, which is what callers emit from.
@@ -832,6 +856,13 @@ mod tests {
             assert_eq!(scratch.states(), fresh.states(), "seed {seed}");
             assert_eq!(scratch.advanced(), fresh.advanced(), "seed {seed}");
             assert_eq!(stats, fresh_stats, "seed {seed}");
+            // The traceback's base codes: each advance's state's last base.
+            let entered: Vec<u8> = (1..samples.len())
+                .filter(|&t| scratch.advanced()[t])
+                .map(|t| (scratch.states()[t] & 3) as u8)
+                .collect();
+            assert_eq!(scratch.advance_codes(), entered, "seed {seed}");
+            assert_eq!(fresh.advance_codes(), entered, "seed {seed}");
             assert_eq!(
                 scratch.states().last().copied(),
                 fresh.states().last().copied()

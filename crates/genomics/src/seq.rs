@@ -44,6 +44,24 @@ impl DnaSeq {
         }
     }
 
+    /// The sequence of the bases whose 2-bit codes are `codes`, in order
+    /// (only the low two bits of each byte count, as in
+    /// [`Base::from_code`]), packed four to a byte at once.
+    pub fn from_codes(codes: &[u8]) -> DnaSeq {
+        let packed = codes
+            .chunks(4)
+            .map(|four| {
+                four.iter()
+                    .rev()
+                    .fold(0, |byte, &code| byte << 2 | code & 3)
+            })
+            .collect();
+        DnaSeq {
+            packed,
+            len: codes.len(),
+        }
+    }
+
     /// Number of bases in the sequence.
     #[inline]
     pub fn len(&self) -> usize {
@@ -268,6 +286,18 @@ impl ExactSizeIterator for Iter<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_codes_is_pushing_each_base() {
+        // Every length across two byte boundaries, with high bits set.
+        let codes: Vec<u8> = (0..10u8).map(|i| i.wrapping_mul(0x9D) | 0xF0).collect();
+        for n in 0..=codes.len() {
+            let pushed: DnaSeq = codes[..n].iter().map(|&c| Base::from_code(c)).collect();
+            let packed = DnaSeq::from_codes(&codes[..n]);
+            assert_eq!(packed, pushed, "{n} codes");
+            assert_eq!(packed.packed_bytes(), n.div_ceil(4));
+        }
+    }
 
     #[test]
     fn push_get_round_trip() {

@@ -121,7 +121,7 @@ base gathered at a stay|B|s/later += usize::from(advanced\[t\]);/later += usize:
 stitched head taken as a free one|B|s/    if stitched {/    if !stitched {/
 deferred sums added after later chunks|P|s/            if idx + 1 == window {/            if idx + 1 == total {/
 flush skipped when total <= N_cm|P|s/            if idx + 1 == window {/            if idx + 1 == window \&\& total > ctx.config.n_cm {/
-quality deferred for a QSR-sampled chunk|P|s/None if idx < window => {/_ if idx < window => {/
+quality deferred for a QSR-sampled chunk|P|s/match next_sampled.next_if(|(i, _)| \*i == idx) {/match next_sampled.next_if(|(i, _)| *i == idx \&\& idx >= window) {/
 window chunk also added at once|P|s/if idx >= window {/if idx + 1 >= window {/
 pending buffer not cleared between reads|P|s/        scratch.pending.clear();//
 '
