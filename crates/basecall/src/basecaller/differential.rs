@@ -1,24 +1,25 @@
 //! Differential suite for the chunk call's two steps.
 //!
 //! [`Basecaller::call_chunk_with`] is a decode step (the DP rows, the
-//! traceback, the bases of the path) and a quality step (a residual pass
-//! whose sum restarts under a bit mask at each advance, then a Phred per
-//! dwell segment), and the quality step may run long after its decode, on a
-//! path a [`PathBuffer`] kept. The one-call assembly they replaced — one
-//! walk over the samples storing each segment's sum and end with a branch
-//! at the restart, then bases and Phreds together per segment — is kept
-//! here verbatim as the oracle, [`assemble_chunk`]: every segment's sum is
-//! the same sequential `f32` additions in the same order, so the steps must
-//! agree with it on the whole [`BasecalledChunk`] — the bases, every
-//! `Phred` and the `sqs` to the bit, the carry and the counters — run at
-//! once or deferred past later decodes. The cases: workload chunks of the
-//! E. coli and human profiles and of a mix half of whose reads are low
-//! quality, in pipeline order with their carries; the noise range the
-//! datasets draw from (0.8–3×) with free and stitched starts, with and
-//! without the boundary advance at sample 0; 1- and 2-sample chunks, chunks
-//! of one segment, a chunk whose only advance is its last sample; samples
-//! at the integrity gate, whose segment sums overflow to `+inf` and land on
-//! `q_floor`; and arbitrary k-mer walks.
+//! traceback, which also gathers the bases of the path) and a quality step
+//! (a residual pass whose sum restarts under a bit mask at each advance,
+//! then a Phred per dwell segment), and the quality step may run long after
+//! its decode, on a path a [`PathBuffer`] kept. The one-call assembly they
+//! replaced — one walk over the samples storing each segment's sum and end
+//! with a branch at the restart, then bases and Phreds together per segment
+//! — is kept here verbatim as the oracle, [`assemble_chunk`]: every
+//! segment's sum is the same sequential `f32` additions in the same order,
+//! so the steps must agree with it on the whole [`BasecalledChunk`] — the
+//! bases, every `Phred` and the `sqs` to the bit, the carry and the
+//! counters — run at once or deferred past later decodes. The decoded
+//! cases: workload chunks of the E. coli and human profiles and of a mix
+//! half of whose reads are low quality, in pipeline order with their
+//! carries; the noise range the datasets draw from (0.8–3×) with free and
+//! stitched starts, with and without the boundary advance at sample 0; 1-
+//! and 2-sample chunks; samples at the integrity gate, whose segment sums
+//! overflow to `+inf` and land on `q_floor`. The quality step alone, on
+//! hand-made paths: chunks of one segment, a chunk whose only advance is
+//! its last sample, and arbitrary k-mer walks.
 
 use super::*;
 use crate::viterbi::DecodeStats;

@@ -540,9 +540,9 @@ pub(crate) struct ReadTask {
     /// effective config — handed over at the pull, so a worker looks
     /// nothing up per read.
     pub(crate) ctx: Arc<RunContext>,
-    /// The chunk whose basecall or seed work is running — what a fault is
-    /// reported against ([`crate::stream::ReadFault::chunk`]); `None`
-    /// outside the chunk loops.
+    /// The chunk whose basecall, seed or deferred quality work is running —
+    /// what a fault is reported against ([`crate::stream::ReadFault::chunk`]);
+    /// `None` outside the chunk loops.
     pub(crate) at_chunk: Option<usize>,
 }
 

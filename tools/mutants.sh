@@ -4,8 +4,9 @@
 # the index build it feeds (crates/mapping/src/minimizer.rs,
 # minimizer/avx2.rs, index.rs), the seed-and-chain step both flows map
 # through, with the best-hit merge (crates/mapping/src/refset.rs), and the
-# chunk call's quality step with its deferral past the CMR verdict
-# (crates/basecall/src/basecaller.rs, crates/core/src/pipeline.rs). It
+# chunk call's two steps with the quality step's deferral past the CMR
+# verdict (crates/basecall/src/basecaller.rs, the traceback's base gather
+# in crates/basecall/src/viterbi.rs, crates/core/src/pipeline.rs). It
 # applies one-line mutations, one at a
 # time, runs each of the kernel's suites against every mutant, and prints
 # which suites kill it. A mutant no suite kills is either equivalent (the
@@ -33,8 +34,10 @@ LANES=crates/mapping/src/minimizer/avx2.rs
 INDEX=crates/mapping/src/index.rs
 REFSET=crates/mapping/src/refset.rs
 CALLER=crates/basecall/src/basecaller.rs
+DECODE=crates/basecall/src/viterbi.rs
 PIPELINE=crates/core/src/pipeline.rs
-if ! git diff --quiet -- "$ALIGN" "$AVX2" "$SKETCH" "$LANES" "$INDEX" "$REFSET" "$CALLER" "$PIPELINE"; then
+if ! git diff --quiet -- "$ALIGN" "$AVX2" "$SKETCH" "$LANES" "$INDEX" "$REFSET" "$CALLER" \
+    "$DECODE" "$PIPELINE"; then
     echo "mutants.sh: a kernel file has local changes; commit or stash them first" >&2
     exit 2
 fi
@@ -117,7 +120,8 @@ merge name tie-break flipped|R|s/candidate.reference < w.reference/candidate.ref
 QUALITY_MUTANTS='
 reset mask inverted|B|s/_mm_cvtsi32_si128(-i32::from(advanced))/_mm_cvtsi32_si128(-i32::from(!advanced))/
 segment slot moved on at a stay|B|s/count += usize::from(advanced\[t\]);/count += usize::from(!advanced[t]);/
-base gathered at a stay|B|s/later += usize::from(advanced\[t\]);/later += usize::from(!advanced[t]);/
+base gathered at a stay|D|s/slot -= usize::from(\*advanced);/slot -= usize::from(!*advanced);/
+base code taken from the middle of the k-mer|D|s/self.codes\[slot\] = (state \& 3) as u8;/self.codes[slot] = (state >> 2 \& 3) as u8;/
 stitched head taken as a free one|B|s/    if stitched {/    if !stitched {/
 deferred sums added after later chunks|P|s/            if idx + 1 == window {/            if idx + 1 == total {/
 flush skipped when total <= N_cm|P|s/            if idx + 1 == window {/            if idx + 1 == window \&\& total > ctx.config.n_cm {/
@@ -141,7 +145,7 @@ for kernel in $KERNELS; do
             A) file=$ALIGN ;; V) file=$AVX2 ;;
             M) file=$SKETCH ;; L) file=$LANES ;; I) file=$INDEX ;;
             R) file=$REFSET ;;
-            B) file=$CALLER ;; P) file=$PIPELINE ;;
+            B) file=$CALLER ;; D) file=$DECODE ;; P) file=$PIPELINE ;;
         esac
         sed -i "$expr" "$file"
         if git diff --quiet -- "$file"; then
