@@ -365,7 +365,7 @@ fn assert_path(
 }
 
 #[test]
-fn one_segment_and_last_sample_advance_paths_agree() {
+fn one_sample_and_advance_free_chunks_agree() {
     let caller = caller();
     let mut scratch = CallScratch::new();
     scratch.segments = vec![(f32::NAN, u32::MAX); 7];

@@ -259,6 +259,18 @@ impl ReadRun {
         }
     }
 
+    /// Records a freshly basecalled chunk: its work entry and its bases.
+    fn basecalled(&mut self, index: usize, stats: ChunkStats, bases: &DnaSeq) {
+        self.chunks.push(ChunkWork {
+            index,
+            samples: stats.samples,
+            mvm_ops: stats.mvm_ops,
+            bases_called: bases.len(),
+            ..Default::default()
+        });
+        self.called_len += bases.len();
+    }
+
     /// Whole-read quality control, the same step in both flows: records the
     /// assembled read and its AQS. `true` means QC filtered the read.
     fn fails_qc(&mut self, ctx: &RunContext, seq: &DnaSeq, quality: ReadQuality) -> bool {
@@ -598,9 +610,7 @@ impl ReadTask {
                 let chunk = ctx
                     .caller
                     .call_chunk_with(chunk_samples(idx), None, &mut scratch.call);
-                run.chunks
-                    .push(basecall_work(idx, chunk.stats, &chunk.bases));
-                run.called_len += chunk.bases.len();
+                run.basecalled(idx, chunk.stats, &chunk.bases);
                 sampled.push((idx, chunk));
             }
             let sqs: Vec<(f64, usize)> = sampled
@@ -643,9 +653,7 @@ impl ReadTask {
                         ctx.caller
                             .decode_chunk_with(chunk_samples(idx), carry, &mut scratch.call);
                     scratch.pending.push(&scratch.call);
-                    run.chunks
-                        .push(basecall_work(idx, decoded.stats, &decoded.bases));
-                    run.called_len += decoded.bases.len();
+                    run.basecalled(idx, decoded.stats, &decoded.bases);
                     carry = decoded.carry;
                     (&decoded.bases, None)
                 }
@@ -653,9 +661,7 @@ impl ReadTask {
                     eager =
                         ctx.caller
                             .call_chunk_with(chunk_samples(idx), carry, &mut scratch.call);
-                    run.chunks
-                        .push(basecall_work(idx, eager.stats, &eager.bases));
-                    run.called_len += eager.bases.len();
+                    run.basecalled(idx, eager.stats, &eager.bases);
                     (&eager.bases, Some(&eager))
                 }
             };
@@ -743,8 +749,7 @@ impl ReadTask {
                 &mut scratch.call,
             );
             carry = chunk.carry;
-            run.chunks
-                .push(basecall_work(spec.index, chunk.stats, &chunk.bases));
+            run.basecalled(spec.index, chunk.stats, &chunk.bases);
             quality.add(&chunk.quals, chunk.sqs);
             seq.extend_from_seq(&chunk.bases);
         }
@@ -756,17 +761,6 @@ impl ReadTask {
         let result = ctx.refs.map_with(&seq, &mut scratch.map);
         run.mapped(ctx, &seq, result);
         run
-    }
-}
-
-/// The work entry of a freshly basecalled chunk.
-fn basecall_work(index: usize, stats: ChunkStats, bases: &DnaSeq) -> ChunkWork {
-    ChunkWork {
-        index,
-        samples: stats.samples,
-        mvm_ops: stats.mvm_ops,
-        bases_called: bases.len(),
-        ..Default::default()
     }
 }
 
