@@ -3,26 +3,22 @@
 use crate::emission::EmissionModel;
 use crate::quality::QualityCalibration;
 use crate::viterbi::{decode_with, DecodeScratch, FixedPointModel, Transitions};
-use genpip_genomics::{Base, DnaSeq, Phred};
+use genpip_genomics::{DnaSeq, Phred};
 use genpip_signal::{chunk_boundaries, PoreModel};
 
-/// Reusable per-worker basecalling workspace: the Viterbi scratch, the
-/// decode step's base buffer and the quality step's segment buffer. One
-/// instance per thread keeps the steady-state call free of heap allocations
-/// but the returned bases and qualities (see
-/// [`crate::viterbi::DecodeScratch`]).
+/// Reusable per-worker basecalling workspace: the Viterbi scratch and the
+/// quality step's segment buffer. One instance per thread keeps the
+/// steady-state call free of heap allocations but the returned bases and
+/// qualities (see [`crate::viterbi::DecodeScratch`]).
 ///
 /// **Footprint.** The segment buffer adds 8 bytes per sample of the largest
 /// chunk seen (one `(f32, u32)` slot per sample, the most dwell segments a
-/// chunk can hold) to the decode's records, and the base buffer a byte per
-/// base.
+/// chunk can hold) to the decode's records.
 #[derive(Debug, Clone, Default)]
 pub struct CallScratch {
     decode: DecodeScratch,
     /// Whether the most recent decode step was stitched to a carry.
     stitched: bool,
-    /// The decode step's base codes, in order, for packing.
-    codes: Vec<u8>,
     /// Each dwell segment's residual sum and past-the-end sample, written by
     /// the quality step's first loop and read by its second.
     segments: Vec<(f32, u32)>,
@@ -389,7 +385,12 @@ impl Basecaller {
             carry.map(|c| c.0),
             &mut scratch.decode,
         );
-        let bases = self.decoded_bases(&scratch.decode, scratch.stitched, &mut scratch.codes);
+        let head = head_bases(
+            self.pore.k(),
+            scratch.stitched,
+            scratch.decode.advanced()[0],
+        );
+        let bases = DnaSeq::from_codes(scratch.decode.base_codes(head));
         DecodedChunk {
             bases,
             carry: scratch.decode.states().last().copied().map(CarryState),
@@ -399,23 +400,6 @@ impl Basecaller {
                 viterbi_cells: stats.cells,
             },
         }
-    }
-
-    /// The bases of the non-empty path the last decode left in `decode`
-    /// (see [`Basecaller::decode_chunk_with`]): the head's from its first
-    /// state, the rest as the traceback gathered them, packed through
-    /// `codes`.
-    fn decoded_bases(&self, decode: &DecodeScratch, stitched: bool, codes: &mut Vec<u8>) -> DnaSeq {
-        let first = decode.states()[0];
-        let k = self.pore.k();
-        let head = head_bases(k, stitched, decode.advanced()[0]);
-        // Room for the most bases a path this long can call, so the buffer
-        // grows only with the longest chunk, as the decode's do.
-        codes.clear();
-        codes.reserve(k + decode.states().len());
-        codes.extend((k - head..k).map(|i| kmer_base(first, k, i).code()));
-        codes.extend_from_slice(decode.advance_codes());
-        DnaSeq::from_codes(codes)
     }
 
     /// The quality step of [`Basecaller::call_chunk_with`], on a path a
@@ -575,6 +559,14 @@ fn head_bases(k: usize, stitched: bool, advanced_at_0: bool) -> usize {
 /// `--cfg genpip_portable` (the goldens' portable leg runs it). The pass
 /// adds a residual (`≥ +0.0`, or `+inf`) to the result, so `+0.0 + r` is
 /// `r`, as the branch gave.
+///
+/// The integer spelling alone does not stay branch-free on x86-64: LLVM
+/// folds an `and` with a mask made from a `bool` back into a select and
+/// emits it as `test`/`je` around an `xorps`, the branch this replaced
+/// (`objdump -d` of the release quality loop). There the quality step read
+/// 3.8–5.3 ns a sample against 2.6–3.6 with the intrinsic, which the fold
+/// cannot see through (six alternating rounds, each the least of 40 walks
+/// over 64 cold E. coli chunks, 2-vCPU Sapphire Rapids VM).
 #[inline(always)]
 fn restart_if(advanced: bool, sum: f32) -> f32 {
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2", not(genpip_portable)))]
@@ -591,13 +583,6 @@ fn restart_if(advanced: bool, sum: f32) -> f32 {
     {
         f32::from_bits(sum.to_bits() & !u32::from(advanced).wrapping_neg())
     }
-}
-
-/// Base `i` (0 = earliest) of the k-mer packed in `state`.
-#[inline]
-fn kmer_base(state: u16, k: usize, i: usize) -> Base {
-    let shift = 2 * (k - 1 - i);
-    Base::from_code((state >> shift) as u8)
 }
 
 #[cfg(test)]

@@ -16,10 +16,13 @@
 //! half of whose reads are low quality, in pipeline order with their
 //! carries; the noise range the datasets draw from (0.8–3×) with free and
 //! stitched starts, with and without the boundary advance at sample 0; 1-
-//! and 2-sample chunks; samples at the integrity gate, whose segment sums
-//! overflow to `+inf` and land on `q_floor`. The quality step alone, on
-//! hand-made paths: chunks of one segment, a chunk whose only advance is
-//! its last sample, and arbitrary k-mer walks.
+//! and 2-sample chunks; signal that holds one level, alone or stepping to
+//! a successor's level at its last sample, which decodes to one segment or
+//! to a path whose only advance is its last sample; samples at the
+//! integrity gate, whose segment sums overflow to `+inf` and land on
+//! `q_floor`. The quality step alone, on hand-made paths: chunks of one
+//! segment, a chunk whose only advance is its last sample, and arbitrary
+//! k-mer walks.
 
 use super::*;
 use crate::viterbi::DecodeStats;
@@ -107,6 +110,12 @@ fn assemble_chunk(
             viterbi_cells: stats.cells,
         },
     }
+}
+
+/// Base `i` (0 = earliest) of the k-mer packed in `state`.
+fn kmer_base(state: u16, k: usize, i: usize) -> genpip_genomics::Base {
+    let shift = 2 * (k - 1 - i);
+    genpip_genomics::Base::from_code((state >> shift) as u8)
 }
 
 fn caller() -> Basecaller {
@@ -333,8 +342,8 @@ fn tiny_chunks_and_samples_at_the_integrity_gate_agree() {
 
 /// The quality step on a hand-made path, through reused dirty buffers,
 /// against the oracle: every `Phred` and the `sqs` to the bit. (Bases come
-/// from the traceback, so only a real decode gives them; the workload,
-/// noise-range and tiny-chunk tests compare those.) Returns the Phreds.
+/// from the traceback, so only a real decode gives them; the decoded tests
+/// compare those.) Returns the Phreds.
 fn assert_path(
     caller: &Basecaller,
     scratch: &mut CallScratch,
@@ -467,4 +476,54 @@ fn arbitrary_kmer_walks_agree() {
             &what,
         );
     }
+}
+
+#[test]
+fn one_segment_and_last_sample_advance_decodes_agree() {
+    // Signal that holds one state's level, alone or with its last sample at
+    // the level of the successor furthest from it: decodes of one segment
+    // and decodes whose only advance is the last sample, free and stitched
+    // in the carried k-mer, compared on every field, bases included.
+    let caller = caller();
+    let level = |s: u16| caller.pore.level_bits(u64::from(s));
+    let mut signals = Vec::new();
+    for s in 0..64u16 {
+        let next = (0..4u16)
+            .map(|c| (s << 2 | c) & 63)
+            .max_by(|&a, &b| {
+                (level(a) - level(s))
+                    .abs()
+                    .total_cmp(&(level(b) - level(s)).abs())
+            })
+            .expect("four successors");
+        for n in [2usize, 3, 12, 50] {
+            let held: Vec<f32> = (0..n)
+                .map(|i| level(s) + (i % 3) as f32 * 0.2 - 0.2)
+                .collect();
+            let mut stepped = held.clone();
+            stepped[n - 1] = level(next);
+            signals.extend([(held, s), (stepped, s)]);
+        }
+    }
+    let mut chunks: Vec<(&[f32], Option<CarryState>)> = Vec::new();
+    for (samples, s) in &signals {
+        chunks.extend([(&samples[..], None), (&samples[..], Some(CarryState(*s)))]);
+    }
+    assert_steps_agree(&caller, &chunks, 2, "held level");
+
+    // Both shapes are among the decodes, free and stitched.
+    let mut decode = DecodeScratch::new();
+    let mut shapes = [[0usize; 2]; 2];
+    for &(samples, carry) in &chunks {
+        decode_with(&caller.model, samples, carry.map(|c| c.0), &mut decode);
+        let n = samples.len();
+        let advances: Vec<usize> = (1..n).filter(|&t| decode.advanced()[t]).collect();
+        let shape = match advances[..] {
+            [] => 0,
+            [t] if t == n - 1 => 1,
+            _ => continue,
+        };
+        shapes[shape][usize::from(carry.is_some())] += 1;
+    }
+    assert!(shapes.iter().flatten().all(|&c| c > 0), "{shapes:?}");
 }

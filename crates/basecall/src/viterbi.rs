@@ -321,7 +321,9 @@ pub struct DecodeScratch {
     /// The traceback's base codes: the last base of the state at every
     /// sample `t ≥ 1`, written from the top down into a slot that moves
     /// down only at an advance, so `codes[first_code..]` is the base each
-    /// advance enters, in sample order.
+    /// advance enters, in sample order. The `k` slots below the lowest
+    /// `first_code` can reach are left for the first state's bases
+    /// ([`DecodeScratch::base_codes`]).
     codes: Vec<u8>,
     first_code: usize,
 }
@@ -347,12 +349,22 @@ impl DecodeScratch {
         &self.advanced
     }
 
-    /// The 2-bit code of the last base of the state each advance after
-    /// sample 0 enters, in sample order, of the most recent
-    /// [`decode_with`] call: the bases the path calls after its first
-    /// k-mer.
-    pub fn advance_codes(&self) -> &[u8] {
-        &self.codes[self.first_code..]
+    /// The 2-bit codes of the bases the path of the most recent non-empty
+    /// [`decode_with`] call calls, in order: the last `head` bases of its
+    /// first state, then the last base of the state each advance after
+    /// sample 0 enters. The traceback wrote the latter; this writes the
+    /// head in front of them, so the codes are one slice with no copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the path is empty or `head` exceeds the model's `k`.
+    pub fn base_codes(&mut self, head: usize) -> &[u8] {
+        let first = self.states[0];
+        let start = self.first_code - head;
+        for (j, code) in self.codes[start..self.first_code].iter_mut().enumerate() {
+            *code = (first >> (2 * (head - 1 - j))) as u8 & 3;
+        }
+        &self.codes[start..]
     }
 
     /// Sizes every buffer for an `n`-sample, `n_states`-state decode.
@@ -372,8 +384,10 @@ impl DecodeScratch {
         self.adv_best_x.resize(n_states, 0);
         self.states.resize(n, 0);
         self.advanced.resize(n, false);
-        self.codes.resize(n, 0);
-        self.first_code = n;
+        // `n_states` is `4^k`: room for the first state's `k` bases.
+        let k = n_states.trailing_zeros() as usize / 2;
+        self.codes.resize(n + k, 0);
+        self.first_code = n + k;
     }
 
     /// The first stage of [`decode_with`]: sizes the workspace for
@@ -492,7 +506,7 @@ impl DecodeScratch {
         // The base codes take one store a sample and no branch: every
         // sample writes its state's last base at `slot`, and an advance
         // keeps it by moving the slot down.
-        let mut slot = n - 1;
+        let mut slot = self.codes.len() - 1;
         for ((out, advanced), record) in path.zip(records).rev() {
             let (row, best) = record.split_at(n_states);
             let group = state >> 2;
@@ -851,18 +865,27 @@ mod tests {
             for (i, x) in samples.iter_mut().enumerate() {
                 *x += ((i * 2654435761) % 97) as f32 * 0.01 - 0.48;
             }
-            let (fresh_stats, fresh) = decode(&model, &samples, carry);
+            let (fresh_stats, mut fresh) = decode(&model, &samples, carry);
             let stats = decode_with(&model, &samples, carry, &mut scratch);
             assert_eq!(scratch.states(), fresh.states(), "seed {seed}");
             assert_eq!(scratch.advanced(), fresh.advanced(), "seed {seed}");
             assert_eq!(stats, fresh_stats, "seed {seed}");
-            // The traceback's base codes: each advance's state's last base.
+            // The base codes: the first state's last `head` bases, then
+            // each advance's state's last base.
             let entered: Vec<u8> = (1..samples.len())
                 .filter(|&t| scratch.advanced()[t])
                 .map(|t| (scratch.states()[t] & 3) as u8)
                 .collect();
-            assert_eq!(scratch.advance_codes(), entered, "seed {seed}");
-            assert_eq!(fresh.advance_codes(), entered, "seed {seed}");
+            let first = scratch.states()[0];
+            for head in 0..=3 {
+                let want: Vec<u8> = (0..head)
+                    .rev()
+                    .map(|j| (first >> (2 * j)) as u8 & 3)
+                    .chain(entered.iter().copied())
+                    .collect();
+                assert_eq!(scratch.base_codes(head), want, "seed {seed}, head {head}");
+                assert_eq!(fresh.base_codes(head), want, "seed {seed}, head {head}");
+            }
             assert_eq!(
                 scratch.states().last().copied(),
                 fresh.states().last().copied()

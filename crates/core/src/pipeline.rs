@@ -51,20 +51,21 @@
 //!
 //! A chunk call is two steps: [`Basecaller::decode_chunk_with`] gives the
 //! bases and the carry, [`Basecaller::chunk_quality_with`] the per-base
-//! Phreds and their sum (the chunk's SQS). Seeding and chaining read only
-//! the bases; the Phreds and SQS are read by QSR (the sampled chunks'),
-//! by whole-read QC (the AQS over every chunk) and by the FASTQ record.
-//! So the conventional flow, GenPIP without CMR, the QSR-sampled chunks
-//! and every chunk after the CMR check take both steps at once. Under
-//! [`ErMode::Full`] the other chunks up to the CMR check — the first
-//! `N_cm`, or all of a read that has no more — take the decode step only,
-//! and their decoded paths (3 bytes a sample) wait in the worker's
-//! scratch. Their quality steps run once the read is past the check, or
-//! after the last chunk of a read too short to be checked, in chunk order,
-//! so the AQS and the kept Phreds are those the eager order gives, to the
-//! bit. A read CMR rejects therefore computes no Phred for its CP chunks:
-//! on a host-depletion mix (5 % of reads low quality, 92 % of the rest
+//! Phreds and their sum (the chunk's SQS). Seeding, chaining and CMR read
+//! only the bases; the Phreds and SQS are read by QSR (the sampled
+//! chunks'), by whole-read QC (the AQS over every chunk) and by the FASTQ
+//! record. So the QSR-sampled chunks and the conventional flow take both
+//! steps at once, and GenPIP's CP pass takes the decode step only, keeping
+//! each decoded path (3 bytes a sample) in the worker's scratch. Once the
+//! pass is over — past the CMR check, if the read has one — the quality
+//! steps run in chunk order, the sampled chunks contributing QSR's, so the
+//! AQS and the kept Phreds are those the eager order gives, to the bit. A
+//! read CMR rejects therefore computes no Phred for its CP chunks: on a
+//! host-depletion mix (5 % of reads low quality, 92 % of the rest
 //! contaminants) those chunks hold about 62 % of all basecalled samples.
+//! Running every surviving chunk's quality step after the pass, rather
+//! than only the first `N_cm` chunks' with the rest at once, measured
+//! within noise of the latter end to end and needs no window.
 
 use crate::config::{GenPipConfig, Parallelism};
 use crate::early_reject::{cmr_check, qsr_check, qsr_sample_indices};
@@ -500,14 +501,15 @@ impl RunContext {
 }
 
 /// Worker-local working memory: the decode workspace, the decoded paths of
-/// the CMR window's chunks waiting for their quality step, and the mapping
+/// the read's CP chunks waiting for their quality step, and the mapping
 /// workspace (sketch and seed buffers, the chainers, the alignment
 /// workspace). One instance per worker and source; steady-state processing
 /// reuses it without heap allocation.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
     call: CallScratch,
-    /// At most `N_cm` paths, cleared at the start of every read's CP pass.
+    /// One path per chunk the CP pass decoded (3 bytes a sample), cleared
+    /// at the start of every read's CP pass.
     pending: PathBuffer,
     map: MapScratch,
 }
@@ -582,8 +584,8 @@ impl ReadTask {
 
     /// GenPIP's chunk-based pipeline with early rejection (Figure 5b /
     /// Figure 6): QSR samples, then per chunk basecall + seed + chain with
-    /// the CMR check after `N_cm` chunks, then whole-read QC and the final
-    /// mapping. Every verdict is a `return`, so a rejected read's remaining
+    /// the CMR check after `N_cm` chunks, then the CP chunks' quality
+    /// steps, whole-read QC and the final mapping. Every verdict is a `return`, so a rejected read's remaining
     /// chunks are never touched.
     fn run_genpip(&mut self, er: ErMode, scratch: &mut WorkerScratch) -> ReadRun {
         let ctx: &RunContext = &self.ctx;
@@ -626,51 +628,33 @@ impl ReadTask {
             }
         }
 
-        // The sequential CP pass: basecall each chunk (or take the sampled
-        // one, stitching its successor to its carry), then immediately run
-        // the seed-and-chain step on it. Under full ER, the chunks up to the
-        // CMR check (all of them, for a read of at most `N_cm` chunks) form
-        // the window: their quality waits for the verdict (see the module
-        // docs), decoded paths in `scratch.pending`, sampled chunks in
-        // `sampled`.
-        let window = match er {
-            ErMode::Full => ctx.config.n_cm.min(total),
-            ErMode::None | ErMode::QsrOnly => 0,
-        };
+        // The sequential CP pass: decode each chunk (or take the sampled
+        // one, stitching its successor to its carry), keep its decoded path
+        // in `scratch.pending`, then immediately run the seed-and-chain step
+        // on its bases. Quality waits for the verdicts (see the module docs).
         let mut next_sampled = sampled.iter().peekable();
         let mut carry = None;
         let mut seq = DnaSeq::new();
-        let mut quality = ReadQuality::new(&ctx.config);
         scratch.pending.clear();
         ctx.refs.reset(&mut scratch.map);
         for idx in 0..total {
             self.at_chunk = Some(idx);
-            let (decoded, eager);
-            let (bases, called) = match next_sampled.next_if(|(i, _)| *i == idx) {
-                Some((_, chunk)) => (&chunk.bases, Some(chunk)),
-                None if idx < window => {
+            let decoded;
+            let bases = match next_sampled.next_if(|(i, _)| *i == idx) {
+                Some((_, chunk)) => {
+                    carry = chunk.carry;
+                    &chunk.bases
+                }
+                None => {
                     decoded =
                         ctx.caller
                             .decode_chunk_with(chunk_samples(idx), carry, &mut scratch.call);
                     scratch.pending.push(&scratch.call);
                     run.basecalled(idx, decoded.stats, &decoded.bases);
                     carry = decoded.carry;
-                    (&decoded.bases, None)
-                }
-                None => {
-                    eager =
-                        ctx.caller
-                            .call_chunk_with(chunk_samples(idx), carry, &mut scratch.call);
-                    run.basecalled(idx, eager.stats, &eager.bases);
-                    (&eager.bases, Some(&eager))
+                    &decoded.bases
                 }
             };
-            if let Some(chunk) = called {
-                carry = chunk.carry;
-                if idx >= window {
-                    quality.add(&chunk.quals, chunk.sqs);
-                }
-            }
             let step = ctx
                 .refs
                 .seed_and_chain(bases, seq.len() as u64, &mut scratch.map);
@@ -695,25 +679,26 @@ impl ReadTask {
                     return run;
                 }
             }
-            // Past the window and any verdict on it: the window's quality,
-            // in chunk order — a sampled chunk's from QSR, every other's
-            // quality step on its kept path.
-            if idx + 1 == window {
-                let mut kept = 0;
-                for idx in 0..window {
-                    self.at_chunk = Some(idx);
-                    match sampled.binary_search_by_key(&idx, |(i, _)| *i) {
-                        Ok(s) => quality.add(&sampled[s].1.quals, sampled[s].1.sqs),
-                        Err(_) => {
-                            let q = ctx.caller.chunk_quality_with(
-                                chunk_samples(idx),
-                                scratch.pending.get(kept),
-                                &mut scratch.call,
-                            );
-                            kept += 1;
-                            quality.add(&q.quals, q.sqs);
-                        }
-                    }
+        }
+
+        // Past every verdict before QC: the read's quality, in chunk order —
+        // a sampled chunk's from QSR, every other's quality step on its kept
+        // path.
+        let mut quality = ReadQuality::new(&ctx.config);
+        let mut next_sampled = sampled.iter().peekable();
+        let mut kept = 0;
+        for idx in 0..total {
+            self.at_chunk = Some(idx);
+            match next_sampled.next_if(|(i, _)| *i == idx) {
+                Some((_, chunk)) => quality.add(&chunk.quals, chunk.sqs),
+                None => {
+                    let q = ctx.caller.chunk_quality_with(
+                        chunk_samples(idx),
+                        scratch.pending.get(kept),
+                        &mut scratch.call,
+                    );
+                    kept += 1;
+                    quality.add(&q.quals, q.sqs);
                 }
             }
         }

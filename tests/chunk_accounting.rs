@@ -70,9 +70,9 @@ fn every_flow_on_both_drivers_is_bit_identical_to_the_oracle() {
     }
 }
 
-/// Under full ER the quality steps of the chunks up to the CMR check wait
-/// for its verdict, and a read of at most `N_cm` chunks runs them after its
-/// last chunk; the oracle computes every quality at once. On the
+/// GenPIP's CP pass runs the quality steps of its chunks only after the
+/// pass, past the CMR check of a read longer than `N_cm` chunks; the oracle
+/// computes every quality at once. On the
 /// host-depletion mix of `benchmarks/`'s `contam_genpip_mt` (5 % of reads
 /// low quality, 92 % of the rest contaminants), at both seeds
 /// `tests/accuracy.rs` pins it at, with bases kept, the session must still

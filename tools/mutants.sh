@@ -4,8 +4,8 @@
 # the index build it feeds (crates/mapping/src/minimizer.rs,
 # minimizer/avx2.rs, index.rs), the seed-and-chain step both flows map
 # through, with the best-hit merge (crates/mapping/src/refset.rs), and the
-# chunk call's two steps with the quality step's deferral past the CMR
-# verdict (crates/basecall/src/basecaller.rs, the traceback's base gather
+# chunk call's two steps with the quality step's deferral past the CP
+# pass (crates/basecall/src/basecaller.rs, the traceback's base gather
 # in crates/basecall/src/viterbi.rs, crates/core/src/pipeline.rs). It
 # applies one-line mutations, one at a
 # time, runs each of the kernel's suites against every mutant, and prints
@@ -122,11 +122,12 @@ reset mask inverted|B|s/_mm_cvtsi32_si128(-i32::from(advanced))/_mm_cvtsi32_si12
 segment slot moved on at a stay|B|s/count += usize::from(advanced\[t\]);/count += usize::from(!advanced[t]);/
 base gathered at a stay|D|s/slot -= usize::from(\*advanced);/slot -= usize::from(!*advanced);/
 base code taken from the middle of the k-mer|D|s/self.codes\[slot\] = (state \& 3) as u8;/self.codes[slot] = (state >> 2 \& 3) as u8;/
+head bases in reverse order|D|s/\*code = (first >> (2 \* (head - 1 - j))) as u8 \& 3;/*code = (first >> (2 * j)) as u8 \& 3;/
 stitched head taken as a free one|B|s/    if stitched {/    if !stitched {/
-deferred sums added after later chunks|P|s/            if idx + 1 == window {/            if idx + 1 == total {/
-flush skipped when total <= N_cm|P|s/            if idx + 1 == window {/            if idx + 1 == window \&\& total > ctx.config.n_cm {/
-quality deferred for a QSR-sampled chunk|P|s/match next_sampled.next_if(|(i, _)| \*i == idx) {/match next_sampled.next_if(|(i, _)| *i == idx \&\& idx >= window) {/
-window chunk also added at once|P|s/if idx >= window {/if idx + 1 >= window {/
+sampled chunk quality added one chunk late|P|s/^            match next_sampled.next_if(|(i, _)| \*i == idx) {/            match next_sampled.next_if(|(i, _)| *i + 1 == idx) {/
+quality skipped when total <= N_cm|P|/Past every verdict/,$s/for idx in 0..total {/for idx in 0..total * usize::from(total > ctx.config.n_cm) {/
+quality deferred for a QSR-sampled chunk|P|s/let bases = match next_sampled.next_if(|(i, _)| \*i == idx) {/let bases = match next_sampled.next_if(|(i, _)| *i == idx \&\& false) {/
+kept path not moved on|P|s/                    kept += 1;//
 pending buffer not cleared between reads|P|s/        scratch.pending.clear();//
 '
 
