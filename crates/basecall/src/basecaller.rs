@@ -7,13 +7,15 @@ use genpip_genomics::{DnaSeq, Phred};
 use genpip_signal::{chunk_boundaries, PoreModel};
 
 /// Reusable per-worker basecalling workspace: the Viterbi scratch and the
-/// quality step's segment buffer. One instance per thread keeps the
-/// steady-state call free of heap allocations but the returned bases and
-/// qualities (see [`crate::viterbi::DecodeScratch`]).
+/// quality step's segment and Phred buffers. One instance per thread keeps
+/// the steady-state call free of heap allocations but the returned bases
+/// and, from [`Basecaller::call_chunk_with`], qualities (see
+/// [`crate::viterbi::DecodeScratch`]).
 ///
 /// **Footprint.** The segment buffer adds 8 bytes per sample of the largest
 /// chunk seen (one `(f32, u32)` slot per sample, the most dwell segments a
-/// chunk can hold) to the decode's records.
+/// chunk can hold) to the decode's records, and the Phred buffer one byte
+/// per base of the longest chunk seen.
 #[derive(Debug, Clone, Default)]
 pub struct CallScratch {
     decode: DecodeScratch,
@@ -22,6 +24,8 @@ pub struct CallScratch {
     /// Each dwell segment's residual sum and past-the-end sample, written by
     /// the quality step's first loop and read by its second.
     segments: Vec<(f32, u32)>,
+    /// The most recent quality step's Phreds, which its result borrows.
+    quals: Vec<Phred>,
 }
 
 impl CallScratch {
@@ -236,11 +240,12 @@ pub struct DecodedChunk {
 }
 
 /// The quality step's result ([`Basecaller::chunk_quality_with`]): one
-/// Phred per base of the decode step's bases, and their sum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChunkQuality {
+/// Phred per base of the decode step's bases, borrowed from the
+/// [`CallScratch`] until its next quality step, and their sum.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChunkQuality<'a> {
     /// Per-base Phred qualities.
-    pub quals: Vec<Phred>,
+    pub quals: &'a [Phred],
     /// Sum of `quals` — the scalar PIM-CQS ships to the GenPIP controller.
     pub sqs: f64,
 }
@@ -325,10 +330,10 @@ impl Basecaller {
             advanced: scratch.decode.advanced(),
             stitched: scratch.stitched,
         };
-        let quality = self.quality(samples, path, &mut scratch.segments);
+        let quality = self.quality(samples, path, &mut scratch.segments, &mut scratch.quals);
         BasecalledChunk {
             bases: decoded.bases,
-            quals: quality.quals,
+            quals: quality.quals.to_vec(),
             sqs: quality.sqs,
             carry: decoded.carry,
             stats: decoded.stats,
@@ -421,34 +426,34 @@ impl Basecaller {
     /// segment's sum is the same sequential additions, in the same order, as
     /// summing the segment on its own. The second loop turns each segment
     /// into a Phred, one `f32::ln` each: about a third of the step on cold
-    /// chunks.
+    /// chunks. The Phreds go to a buffer `scratch` keeps, so the step
+    /// allocates nothing once the buffer has held the longest chunk's bases.
     ///
     /// # Panics
     ///
     /// Panics if `path` is not as long as `samples`, or if the chunk holds
     /// `2^32` samples or more.
-    pub fn chunk_quality_with(
+    pub fn chunk_quality_with<'a>(
         &self,
         samples: &[f32],
         path: ChunkPath<'_>,
-        scratch: &mut CallScratch,
-    ) -> ChunkQuality {
-        self.quality(samples, path, &mut scratch.segments)
+        scratch: &'a mut CallScratch,
+    ) -> ChunkQuality<'a> {
+        self.quality(samples, path, &mut scratch.segments, &mut scratch.quals)
     }
 
-    fn quality(
+    fn quality<'a>(
         &self,
         signal: &[f32],
         path: ChunkPath<'_>,
         segments: &mut Vec<(f32, u32)>,
-    ) -> ChunkQuality {
+        quals: &'a mut Vec<Phred>,
+    ) -> ChunkQuality<'a> {
         let n = signal.len();
         assert_eq!(path.states.len(), n, "a path decoded from these samples");
+        quals.clear();
         if n == 0 {
-            return ChunkQuality {
-                quals: Vec::new(),
-                sqs: 0.0,
-            };
+            return ChunkQuality { quals, sqs: 0.0 };
         }
         let end = u32::try_from(n).expect("a chunk holds fewer than 2^32 samples");
         let (states, advanced) = (path.states, &path.advanced[..n]);
@@ -483,14 +488,13 @@ impl Basecaller {
                 .phred_from_residual(sum / (len as f32 * assumed_var))
         };
         let head = head_bases(self.pore.k(), path.stitched, advanced[0]);
-        let mut quals: Vec<Phred> = Vec::with_capacity(head + rest.len());
         quals.resize(head, phred(first.0, first.1));
         let mut start = first.1;
         for &(sum, end) in rest {
             quals.push(phred(sum, end - start));
             start = end;
         }
-        let sqs = genpip_genomics::quality::sum_quality(&quals);
+        let sqs = genpip_genomics::quality::sum_quality(quals);
         ChunkQuality { quals, sqs }
     }
 

@@ -137,7 +137,7 @@ fn assert_bits(got: &BasecalledChunk, want: &BasecalledChunk, what: &str) {
 fn joined(decoded: &DecodedChunk, quality: ChunkQuality) -> BasecalledChunk {
     BasecalledChunk {
         bases: decoded.bases.clone(),
-        quals: quality.quals,
+        quals: quality.quals.to_vec(),
         sqs: quality.sqs,
         carry: decoded.carry,
         stats: decoded.stats,
@@ -368,9 +368,9 @@ fn assert_path(
     };
     let got = caller.chunk_quality_with(signal, path, scratch);
     let bits = |quals: &[Phred]| quals.iter().map(|q| q.0.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&got.quals), bits(&want.quals), "{what}: quals");
+    assert_eq!(bits(got.quals), bits(&want.quals), "{what}: quals");
     assert_eq!(got.sqs.to_bits(), want.sqs.to_bits(), "{what}: sqs");
-    got.quals
+    got.quals.to_vec()
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Verifies the acceptance criterion that steady-state chunk decoding with a
 //! reused [`DecodeScratch`] performs **zero heap allocations**, that a
-//! whole `call_chunk_with` on a reused [`CallScratch`] — and its decode and
-//! quality steps run apart — performs exactly the two its result needs, and
-//! that a cleared [`PathBuffer`] keeps a second read's paths without one: a
-//! counting global allocator observes the allocator while equally sized
-//! chunks stream through `decode_with`, `call_chunk_with`, the two steps
-//! and the path buffer.
+//! whole `call_chunk_with` on a reused [`CallScratch`] performs exactly the
+//! two its result needs, that its decode and quality steps run apart
+//! allocate only the decode step's bases (the quality step's Phreds are
+//! borrowed from the scratch), and that a cleared [`PathBuffer`] keeps a
+//! second read's paths without one: a counting global allocator observes
+//! the allocator while equally sized chunks stream through `decode_with`,
+//! `call_chunk_with`, the two steps and the path buffer.
 
 use genpip_basecall::viterbi::{decode_with, DecodeScratch, FixedPointModel, Transitions};
 use genpip_basecall::{Basecaller, CallScratch, PathBuffer};
@@ -181,19 +182,22 @@ fn the_two_steps_allocate_only_their_bases_and_quals_and_kept_paths_nothing() {
             bases.push(decoded.bases);
         }
         for (i, chunk) in chunks.iter().enumerate() {
-            quals.push(caller.chunk_quality_with(chunk, kept.get(i), &mut scratch));
+            let quality = caller.chunk_quality_with(chunk, kept.get(i), &mut scratch);
+            quals.push((quality.sqs, quality.quals.len()));
         }
     };
     read(&mut kept, &mut bases, &mut quals);
 
-    // Steady state: each step allocates its result's one vector — the bases
-    // and the qualities — and the kept paths nothing at all.
+    // Steady state: the decode step allocates its result's one vector, the
+    // bases; the quality step writes its Phreds into the scratch and
+    // allocates nothing, and nor do the kept paths.
     let ((), allocs) = allocs_in(|| read(&mut kept, &mut bases, &mut quals));
     assert!(bases.iter().all(|b| !b.is_empty()));
     assert_eq!(quals.len(), bases.len());
+    assert!(quals.iter().zip(&bases).all(|(q, b)| q.1 == b.len()));
     assert_eq!(
         allocs,
-        bases.len() + quals.len(),
+        bases.len(),
         "steady-state decode and quality steps allocated {allocs} times across {} chunks",
         chunks.len()
     );

@@ -39,6 +39,7 @@ use genpip_mapping::{
 use genpip_signal::chunk::samples_per_chunk;
 use genpip_signal::{PoreModel, SignalSynthesizer};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Best SIMD extension the host advertises, recorded next to
@@ -338,7 +339,7 @@ fn main() {
         let (mut chunks, mut long) = (Vec::new(), Vec::new());
         while chunks.len() < 64 || long.len() < 16 {
             let read = source.next_read().expect("the profile streams reads");
-            let read = read.signal.truth;
+            let read = &read.signal.truth;
             chunks.extend((0..read.len() / 300).map(|c| read.subseq(c * 300, 300)));
             if read.len() >= 3_000 {
                 long.push(read.subseq(0, 3_000));
@@ -624,14 +625,15 @@ fn main() {
     // On `human_replay_mt` the dispatcher pulls every read out of a GSC
     // container (read the record, checksum it, decode it) and the emitter
     // writes every survivor to FASTQ. One human-length record (1 950 bases,
-    // ~16 k samples) decoded from the page cache, so the row is the
-    // container's cost and not the disk's; one 2 kb record formatted into a
-    // buffered writer that discards it. Elements are bytes of the record.
+    // 15 347 samples, 61 913 bytes) decoded from the page cache, so the row
+    // is the container's cost and not the disk's; one 2 kb record formatted
+    // into a buffered writer that discards it. Elements are bytes of the
+    // record.
     {
         let truth = GenomeBuilder::new(1_950).seed(7).build().sequence().clone();
         let read = SimulatedRead {
             id: 0,
-            signal: synth.synthesize(&truth, 1.0, 8),
+            signal: Arc::new(synth.synthesize(&truth, 1.0, 8)),
             origin: ReadOrigin::Contaminant,
             noise_sigma: 1.0,
         };

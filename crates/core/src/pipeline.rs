@@ -405,9 +405,9 @@ impl PipelineRun {
             .flow(flow)
             .schedule(Schedule::Sequential)
             .options(StreamOptions {
-                // The dataset is already resident, so a roomy queue costs
-                // only the in-flight clones and keeps workers from ever
-                // starving.
+                // The dataset is already resident and a pulled read shares
+                // its signal, so a roomy queue costs only the in-flight
+                // handles and keeps workers from ever starving.
                 queue_capacity: 4 * workers,
                 ..StreamOptions::default()
             })
@@ -699,7 +699,7 @@ impl ReadTask {
                         &mut scratch.call,
                     );
                     kept += 1;
-                    quality.add(&q.quals, q.sqs);
+                    quality.add(q.quals, q.sqs);
                 }
             }
         }

@@ -26,6 +26,7 @@ use crate::source::ReadSource;
 use genpip_genomics::rng::{derive, Rng, SeededRng};
 use genpip_genomics::Genome;
 use genpip_signal::PoreModel;
+use std::sync::Arc;
 
 /// A [`ReadSource`] adapter that corrupts a deterministic fraction of the
 /// reads flowing through it and records which ids it hit.
@@ -75,18 +76,18 @@ impl<S: ReadSource> FaultInjector<S> {
         &self.injected
     }
 
+    /// Corrupts `read`'s samples through `Arc::make_mut`: a signal shared
+    /// with the source (a resident dataset's read) is copied first, so the
+    /// source's own read is never touched.
     fn corrupt(&mut self, read: &mut SimulatedRead) {
+        let samples = &mut Arc::make_mut(&mut read.signal).samples;
         match self.chunk {
-            None => {
-                for s in &mut read.signal.samples {
-                    *s = f32::NAN;
-                }
-            }
+            None => samples.fill(f32::NAN),
             Some(chunk) => {
                 let offset = chunk
                     .saturating_mul(self.samples_per_chunk)
-                    .min(read.signal.samples.len().saturating_sub(1));
-                if let Some(s) = read.signal.samples.get_mut(offset) {
+                    .min(samples.len().saturating_sub(1));
+                if let Some(s) = samples.get_mut(offset) {
                     *s = f32::NAN;
                 }
             }
@@ -129,6 +130,7 @@ impl<S: ReadSource> ReadSource for FaultInjector<S> {
 mod tests {
     use super::*;
     use crate::profile::DatasetProfile;
+    use crate::simulate::SimulatedDataset;
     use crate::source::StreamingSimulator;
 
     fn tiny() -> DatasetProfile {
@@ -200,5 +202,30 @@ mod tests {
             .collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0], 100.min(read.signal.samples.len() - 1));
+    }
+
+    #[test]
+    fn injecting_over_a_resident_dataset_leaves_its_reads_untouched() {
+        let dataset = SimulatedDataset::generate(&tiny());
+        let bits = |r: &SimulatedRead| -> Vec<u32> {
+            r.signal.samples.iter().map(|s| s.to_bits()).collect()
+        };
+        let before: Vec<Vec<u32>> = dataset.reads.iter().map(bits).collect();
+        // Every read corrupted, whole-signal and at one chunk.
+        let mut whole = FaultInjector::new(dataset.stream(), 1.0, 5);
+        let mut one = FaultInjector::new(dataset.stream(), 1.0, 5)
+            .chunk(1)
+            .samples_per_chunk(100);
+        for resident in &dataset.reads {
+            for corrupted in [whole.next_read(), one.next_read()] {
+                let corrupted = corrupted.expect("one read per resident read");
+                assert_eq!(corrupted.id, resident.id);
+                assert!(corrupted.signal.samples.iter().any(|s| s.is_nan()));
+                assert!(!Arc::ptr_eq(&corrupted.signal, &resident.signal));
+            }
+        }
+        assert_eq!(whole.injected_ids().len(), dataset.reads.len());
+        let after: Vec<Vec<u32>> = dataset.reads.iter().map(bits).collect();
+        assert_eq!(after, before, "the dataset's reads are bit-equal");
     }
 }

@@ -5,14 +5,21 @@ use genpip_genomics::rng::Rng;
 use genpip_genomics::rng::{self, SeededRng};
 use genpip_genomics::{DnaSeq, ErrorModel, Genome, GenomeBuilder, ReadOrigin};
 use genpip_signal::{NoiseProfile, PoreModel, ReadSignal, SignalSynthesizer};
+use std::sync::Arc;
 
 /// One simulated read: its raw signal plus everything the oracle needs.
+///
+/// Cloning a read clones a handle onto its signal, not the samples, so a
+/// [`crate::ReadSource`] over resident reads hands each one over without
+/// copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulatedRead {
     /// Read id (position in the dataset).
     pub id: u32,
-    /// The raw signal (with embedded true sequence).
-    pub signal: ReadSignal,
+    /// The raw signal (with embedded true sequence), shared by every clone
+    /// of the read and never mutated in place: a change to the samples goes
+    /// through `Arc::make_mut`, which copies a shared signal first.
+    pub signal: Arc<ReadSignal>,
     /// Where the read came from.
     pub origin: ReadOrigin,
     /// The base noise multiplier the signal was drawn with (ground truth for
@@ -162,7 +169,7 @@ impl ReadFactory {
         );
         Some(SimulatedRead {
             id,
-            signal,
+            signal: Arc::new(signal),
             origin,
             noise_sigma,
         })

@@ -163,7 +163,8 @@ impl<S: ReadSource + ?Sized> ReadSource for Box<S> {
 }
 
 /// A [`ReadSource`] view over a materialized [`SimulatedDataset`]: yields
-/// clones of the dataset's reads in id order.
+/// clones of the dataset's reads in id order, each sharing its signal with
+/// the dataset (no sample is copied).
 pub struct DatasetStream<'a> {
     dataset: &'a SimulatedDataset,
     next: usize,

@@ -1,6 +1,6 @@
 //! The GenPIP Signal Container (GSC): an indexed on-disk raw-signal format.
 //!
-//! # Layout (version 2, all integers little-endian)
+//! # Layout (version 3, all integers little-endian)
 //!
 //! ```text
 //! header   magic "GENPIPSC" · version u32 · flags u32
@@ -10,7 +10,7 @@
 //! records  read count ×:
 //!          id u32 · noise sigma f64 · origin (tag u8 [+ start u64 + len u64 + rev u8])
 //!          truth (u64 bases + 2-bit packed) · sample count u64
-//!          samples f32 × n · base index u32 × n · record checksum u64
+//!          samples f32 × n · record checksum u64
 //! trailer  record offsets u64 × read count · table checksum u64
 //!          table position u64 · read count u64 · magic "GSCINDEX"
 //! ```
@@ -28,14 +28,24 @@
 //! step — of the lane, of the fold — is a bijection of the state, so a
 //! change confined to one word or one tail byte always changes the digest.
 //!
+//! # Versions
+//!
+//! Only version 3 is read; any other is [`GscError::UnsupportedVersion`].
+//! Version 1 checksummed byte by byte. Version 2 had today's checksum, but
+//! each of its records followed the samples with a per-sample base index
+//! (`u32` × n, half the record) that no stage, oracle or metric read;
+//! version 3 drops it. The reader refuses a v2 file at its header, by
+//! version, rather than at its first record's checksum.
+//!
 //! The header embeds the full chemistry (pore model, mean dwell) and the
 //! mapping reference, so a `.gsc` file is self-describing: a
 //! [`GscReadSource`] over it satisfies every `ReadSource` obligation without
 //! out-of-band state. Records carry the complete [`SimulatedRead`] —
-//! including ground-truth annotation (true sequence, per-sample base index,
-//! origin, noise draw), the moral equivalent of FAST5 analysis groups — so
-//! streaming from disk is **bit-identical** to streaming from memory and the
-//! downstream evaluation oracle keeps working.
+//! including ground-truth annotation (true sequence, origin, noise draw),
+//! the moral equivalent of FAST5 analysis groups — so streaming from disk is
+//! **bit-identical** to streaming from memory and the downstream evaluation
+//! oracle keeps working. A record is its fixed fields, the 2-bit truth and
+//! 4 bytes a sample.
 //!
 //! The fixed-size tail makes the offset table discoverable from the end of
 //! the file, and the table makes read *k* an O(1) seek — the primitive
@@ -60,9 +70,11 @@ use std::sync::{Arc, Mutex};
 pub const MAGIC: &[u8; 8] = b"GENPIPSC";
 /// Trailing index magic.
 pub const TRAILER_MAGIC: &[u8; 8] = b"GSCINDEX";
-/// The one supported container version (2: the word-parallel checksum;
-/// version 1 files, checksummed byte by byte, are refused).
-pub const VERSION: u32 = 2;
+/// The one supported container version (3: the word-parallel checksum and
+/// records of samples only). Version 1 files, checksummed byte by byte, and
+/// version 2 files, whose records carry a per-sample base index after the
+/// samples, are refused.
+pub const VERSION: u32 = 3;
 /// Bytes in the fixed tail: table checksum, table position, read count,
 /// trailer magic.
 const TAIL_BYTES: u64 = 32;
@@ -82,7 +94,8 @@ pub enum GscError {
         /// Which magic failed: `"header"` or `"trailer"`.
         section: &'static str,
     },
-    /// The container version is newer than this reader understands.
+    /// The container version is not the one this reader understands
+    /// ([`VERSION`]).
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
@@ -318,9 +331,6 @@ fn encode_record(out: &mut Vec<u8>, read: &SimulatedRead) {
     put_u64(out, read.signal.samples.len() as u64);
     for &s in &read.signal.samples {
         put_f32(out, s);
-    }
-    for &b in &read.signal.base_index {
-        put_u32(out, b);
     }
 }
 
@@ -978,20 +988,11 @@ fn decode_record<R: Read>(take: &mut Take<'_, R>) -> Result<(SimulatedRead, u64,
         .chunks_exact(4)
         .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
         .collect();
-    let base_index = take
-        .bytes(sample_bytes, "record base index")?
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-        .collect();
     let hashed_len = take.raw.len();
     let stored = take.u64("record checksum")?;
     let read = SimulatedRead {
         id,
-        signal: ReadSignal {
-            samples,
-            base_index,
-            truth,
-        },
+        signal: Arc::new(ReadSignal { samples, truth }),
         origin,
         noise_sigma,
     };
@@ -1370,7 +1371,7 @@ mod tests {
             let truth = reference.sequence().subseq(3 + id as usize, 6);
             let read = SimulatedRead {
                 id,
-                signal: synth.synthesize(&truth, 1.0, u64::from(id)),
+                signal: Arc::new(synth.synthesize(&truth, 1.0, u64::from(id))),
                 origin,
                 noise_sigma: 1.0,
             };
@@ -1467,19 +1468,63 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn a_version_1_container_is_refused() {
-        let path = temp_path("v1");
+    /// A small container patched to `version` is refused at open, by name.
+    fn assert_version_refused(version: u32) {
+        let path = temp_path(&format!("v{version}"));
         pack_small(&path);
         let mut bytes = std::fs::read(&path).expect("read");
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, &bytes).expect("write");
-        let err = GscReader::open(&path).expect_err("version 1 is refused");
+        let err = GscReader::open(&path).expect_err("refused");
         assert!(
-            matches!(err, GscError::UnsupportedVersion { found: 1 }),
+            matches!(err, GscError::UnsupportedVersion { found } if found == version),
             "unexpected: {err}"
         );
-        assert!(err.to_string().contains("version 1"), "{err}");
+        assert!(
+            err.to_string()
+                .contains(&format!("unsupported GSC version {version}")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_version_1_container_is_refused() {
+        assert_version_refused(1);
+    }
+
+    #[test]
+    fn a_version_2_container_is_refused() {
+        assert_version_refused(2);
+    }
+
+    #[test]
+    fn a_record_is_its_fixed_fields_its_truth_and_four_bytes_a_sample() {
+        let path = pack_tiny("record-len");
+        let mut reader = GscReader::open(&path).expect("open");
+        let ends: Vec<u64> = reader.offsets()[1..]
+            .iter()
+            .copied()
+            .chain([reader.data_bytes()])
+            .collect();
+        for (i, end) in ends.into_iter().enumerate() {
+            let read = reader.read_at(i).expect("decode");
+            let origin = match read.origin {
+                ReadOrigin::Reference { .. } => 1 + 8 + 8 + 1,
+                ReadOrigin::Contaminant => 1,
+            };
+            // id · noise sigma · origin · truth (count + 2-bit packed) ·
+            // sample count · samples · record checksum.
+            let expected = 4
+                + 8
+                + origin
+                + 8
+                + read.signal.truth.len().div_ceil(4)
+                + 8
+                + 4 * read.signal.samples.len()
+                + 8;
+            assert_eq!(end - reader.offsets()[i], expected as u64, "record {i}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -247,7 +247,7 @@ fn the_seed_and_chain_step_allocates_nothing_on_a_warmed_scratch() {
     let mut left = 64;
     while left > 0 {
         let read = source.next_read().expect("the profile streams reads");
-        let read = read.signal.truth;
+        let read = &read.signal.truth;
         let n = (read.len() / 300).min(left);
         reads.push((0..n).map(|c| read.subseq(c * 300, 300)).collect());
         left -= n;

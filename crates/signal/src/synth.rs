@@ -50,15 +50,18 @@ impl Default for NoiseProfile {
     }
 }
 
-/// A synthesized raw read signal plus simulation ground truth.
+/// A synthesized raw read signal plus simulation ground truth: 4 bytes a
+/// sample and the 2-bit truth, nothing else per sample.
+///
+/// A dataset holds each read's signal behind an `Arc` and hands out clones of
+/// the handle, never of the samples (`genpip_datasets::SimulatedRead`): a
+/// signal is written once, by the synthesizer or a container's decoder, and
+/// never mutated in place afterwards. What must change a read's samples (a
+/// fault injector) writes through `Arc::make_mut`, which copies first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReadSignal {
     /// Current samples in pA.
     pub samples: Vec<f32>,
-    /// For each sample, the index of the k-mer (equivalently, of the k-mer's
-    /// first base) occupying the pore — ground truth for basecaller
-    /// diagnostics.
-    pub base_index: Vec<u32>,
     /// The true sequence that generated the signal.
     pub truth: DnaSeq,
 }
@@ -113,18 +116,44 @@ impl SignalSynthesizer {
         profile: &NoiseProfile,
         seed: u64,
     ) -> ReadSignal {
+        self.synthesize_each(truth, profile, seed, |_| {})
+    }
+
+    /// [`SignalSynthesizer::synthesize_with_profile`] plus, for each sample,
+    /// the index of the k-mer (equivalently, of the k-mer's first base)
+    /// occupying the pore: the ground truth the synthesizer's own tests
+    /// check the signal against, from the same loop the shipped path runs.
+    #[cfg(test)]
+    fn synthesize_indexed(
+        &self,
+        truth: &DnaSeq,
+        profile: &NoiseProfile,
+        seed: u64,
+    ) -> (ReadSignal, Vec<u32>) {
+        let mut index = Vec::new();
+        let signal = self.synthesize_each(truth, profile, seed, |i| index.push(i));
+        (signal, index)
+    }
+
+    /// The one synthesis loop: `on_sample` sees the k-mer index of each
+    /// sample as it is pushed (the shipped path passes a no-op).
+    fn synthesize_each(
+        &self,
+        truth: &DnaSeq,
+        profile: &NoiseProfile,
+        seed: u64,
+        mut on_sample: impl FnMut(u32),
+    ) -> ReadSignal {
         let k = self.model.k();
         if truth.len() < k {
             return ReadSignal {
                 samples: Vec::new(),
-                base_index: Vec::new(),
                 truth: truth.clone(),
             };
         }
         let n_kmers = truth.len() - k + 1;
         let mut rng = rng::derive(seed, 0x7369676e616c); // "signal"
         let mut samples = Vec::with_capacity(self.expected_samples(truth.len()));
-        let mut base_index = Vec::with_capacity(samples.capacity());
 
         // AR(1) state for the log-noise wander.
         let rho = (-1.0 / profile.wander_corr_bases.max(1.0)).exp();
@@ -149,7 +178,7 @@ impl SignalSynthesizer {
                 let drift = profile.drift_per_kilosample * samples.len() as f64 / 1000.0;
                 let x = rng::normal(&mut rng, level + drift, sigma);
                 samples.push(x as f32);
-                base_index.push(i as u32);
+                on_sample(i as u32);
             }
             if profile.sigma_wander > 0.0 {
                 wander = rho * wander + rng::normal(&mut rng, 0.0, innovation);
@@ -157,7 +186,6 @@ impl SignalSynthesizer {
         }
         ReadSignal {
             samples,
-            base_index,
             truth: truth.clone(),
         }
     }
@@ -174,10 +202,30 @@ fn dwell_samples(rng: &mut SeededRng, p_advance: f64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genpip_genomics::GenomeBuilder;
+    use genpip_genomics::rng::{seeded, Rng};
+    use genpip_genomics::{Base, GenomeBuilder};
 
     fn synth() -> SignalSynthesizer {
         SignalSynthesizer::new(PoreModel::synthetic(3, 7))
+    }
+
+    /// [`SignalSynthesizer::synthesize`] with each sample's k-mer index.
+    fn indexed(
+        s: &SignalSynthesizer,
+        truth: &DnaSeq,
+        sigma: f64,
+        seed: u64,
+    ) -> (ReadSignal, Vec<u32>) {
+        s.synthesize_indexed(truth, &NoiseProfile::constant(sigma), seed)
+    }
+
+    /// `index` is one k-mer index a sample, starts at the first k-mer, ends
+    /// at the last, and steps by 0 or 1.
+    fn assert_covers_kmers(sig: &ReadSignal, index: &[u32], k: usize) {
+        assert_eq!(sig.samples.len(), index.len());
+        assert!(index.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1));
+        assert_eq!(index[0], 0);
+        assert_eq!(*index.last().unwrap() as usize, sig.truth.len() - k);
     }
 
     fn random_seq(n: usize, seed: u64) -> DnaSeq {
@@ -204,39 +252,51 @@ mod tests {
     fn signal_length_tracks_dwell() {
         let s = synth();
         let truth = random_seq(2_000, 2);
-        let sig = s.synthesize(&truth, 1.0, 3);
+        let (sig, index) = indexed(&s, &truth, 1.0, 3);
+        assert_eq!(
+            sig,
+            s.synthesize(&truth, 1.0, 3),
+            "the traced loop is the shipped one"
+        );
         let expected = s.expected_samples(truth.len()) as f64;
         let actual = sig.samples.len() as f64;
         assert!(
             (actual - expected).abs() / expected < 0.1,
             "expected ~{expected}, got {actual}"
         );
-        assert_eq!(sig.samples.len(), sig.base_index.len());
+        assert_eq!(sig.samples.len(), index.len());
     }
 
     #[test]
     fn base_index_is_monotone_and_covers_kmers() {
         let s = synth();
         let truth = random_seq(300, 4);
-        let sig = s.synthesize(&truth, 1.0, 5);
-        assert!(sig
-            .base_index
-            .windows(2)
-            .all(|w| w[1] == w[0] || w[1] == w[0] + 1));
-        assert_eq!(sig.base_index[0], 0);
-        assert_eq!(
-            *sig.base_index.last().unwrap() as usize,
-            truth.len() - s.model().k()
-        );
+        let (sig, index) = indexed(&s, &truth, 1.0, 5);
+        assert_covers_kmers(&sig, &index, s.model().k());
+        // Any sequence of at least k bases at any sigma: the 64 random
+        // cases of `tests/properties.rs::synthesis_sample_count_matches_truth_index`,
+        // drawn from the same seeds.
+        for case in 0..64u64 {
+            let mut rng = seeded(0x57 ^ case);
+            let len = rng.random_range(3..400usize);
+            let seq: DnaSeq = (0..len)
+                .map(|_| Base::from_code(rng.random_range(0..4u8)))
+                .collect();
+            let sigma = rng.random_range(0.1f64..3.0);
+            let (sig, index) = indexed(&s, &seq, sigma, case);
+            assert_eq!(sig, s.synthesize(&seq, sigma, case), "case {case}");
+            assert_covers_kmers(&sig, &index, 3);
+        }
     }
 
     #[test]
     fn low_noise_signal_tracks_levels() {
         let s = synth();
         let truth = random_seq(500, 6);
-        let sig = s.synthesize(&truth, 0.05, 7);
+        let (sig, index) = indexed(&s, &truth, 0.05, 7);
+        assert_eq!(sig.samples.len(), index.len());
         // With nearly no noise every sample sits close to its k-mer's level.
-        for (x, &bi) in sig.samples.iter().zip(&sig.base_index) {
+        for (x, &bi) in sig.samples.iter().zip(&index) {
             let kmer = genpip_genomics::Kmer::from_seq(&truth, bi as usize, 3);
             let level = s.model().level(kmer);
             assert!((x - level).abs() < 1.0, "sample {x} vs level {level}");
@@ -248,9 +308,10 @@ mod tests {
         let s = synth();
         let truth = random_seq(2_000, 8);
         let spread = |sigma: f64| {
-            let sig = s.synthesize(&truth, sigma, 9);
+            let (sig, index) = indexed(&s, &truth, sigma, 9);
+            assert_eq!(sig.samples.len(), index.len());
             let mut sq = 0.0f64;
-            for (x, &bi) in sig.samples.iter().zip(&sig.base_index) {
+            for (x, &bi) in sig.samples.iter().zip(&index) {
                 let kmer = genpip_genomics::Kmer::from_seq(&truth, bi as usize, 3);
                 sq += ((x - s.model().level(kmer)) as f64).powi(2);
             }
@@ -280,7 +341,8 @@ mod tests {
             wander_corr_bases: 300.0,
             drift_per_kilosample: 0.0,
         };
-        let sig = s.synthesize_with_profile(&truth, &profile, 11);
+        let (sig, index) = s.synthesize_indexed(&truth, &profile, 11);
+        assert_eq!(sig, s.synthesize_with_profile(&truth, &profile, 11));
         // Estimate local noise in windows; the ratio of max to min window
         // noise should be clearly > 1 when wander is on.
         let window = 2_000;
@@ -292,7 +354,7 @@ mod tests {
             let start = noises.len() * window;
             let mut sq = 0.0f64;
             for (j, x) in w.iter().enumerate() {
-                let bi = sig.base_index[start + j] as usize;
+                let bi = index[start + j] as usize;
                 let kmer = genpip_genomics::Kmer::from_seq(&truth, bi, 3);
                 sq += ((x - s.model().level(kmer)) as f64).powi(2);
             }
@@ -313,12 +375,12 @@ mod tests {
             wander_corr_bases: 1.0,
             drift_per_kilosample: 1.0,
         };
-        let sig = s.synthesize_with_profile(&truth, &profile, 13);
+        let (sig, index) = s.synthesize_indexed(&truth, &profile, 13);
         // Average residual (sample - level) grows along the read.
         let resid = |range: std::ops::Range<usize>| {
             let mut sum = 0.0f64;
             for i in range.clone() {
-                let kmer = genpip_genomics::Kmer::from_seq(&truth, sig.base_index[i] as usize, 3);
+                let kmer = genpip_genomics::Kmer::from_seq(&truth, index[i] as usize, 3);
                 sum += (sig.samples[i] - s.model().level(kmer)) as f64;
             }
             sum / range.len() as f64

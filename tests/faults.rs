@@ -13,6 +13,7 @@ use genpip::core::pipeline::ErMode;
 use genpip::core::stream::{FastqSink, StreamEvent};
 use genpip::core::{FaultKind, FaultPolicy, GenPipConfig, Parallelism, ReadRun, SessionReport};
 use genpip::datasets::{DatasetProfile, FaultInjector, ReadSource, StreamingSimulator};
+use std::sync::Arc;
 
 const INJECT_RATE: f64 = 0.15;
 const SEED: u64 = 2026;
@@ -132,7 +133,7 @@ impl<S: ReadSource> ReadSource for Flatten<S> {
     fn next_read(&mut self) -> Option<genpip::datasets::SimulatedRead> {
         let mut read = self.inner.next_read()?;
         if let Some(&(_, value)) = self.reads.iter().find(|(id, _)| *id == read.id) {
-            read.signal.samples.fill(value);
+            Arc::make_mut(&mut read.signal).samples.fill(value);
         }
         Some(read)
     }
