@@ -309,8 +309,8 @@ impl Basecaller {
     /// Basecalls one chunk of raw samples, reusing `scratch` for all decode
     /// working memory: the decode step
     /// ([`Basecaller::decode_chunk_with`]) and then the quality step
-    /// ([`Basecaller::chunk_quality_with`]) on the path it left in
-    /// `scratch`.
+    /// ([`Basecaller::decoded_quality_with`]) on the path it left in
+    /// `scratch`, whose Phreds it copies into the result.
     ///
     /// `carry` stitches this chunk to the previous one; pass `None` for the
     /// first chunk of a read. Empty input produces an empty chunk.
@@ -325,12 +325,7 @@ impl Basecaller {
         scratch: &mut CallScratch,
     ) -> BasecalledChunk {
         let decoded = self.decode_chunk_with(samples, carry, scratch);
-        let path = ChunkPath {
-            states: scratch.decode.states(),
-            advanced: scratch.decode.advanced(),
-            stitched: scratch.stitched,
-        };
-        let quality = self.quality(samples, path, &mut scratch.segments, &mut scratch.quals);
+        let quality = self.decoded_quality_with(samples, scratch);
         BasecalledChunk {
             bases: decoded.bases,
             quals: quality.quals.to_vec(),
@@ -439,6 +434,26 @@ impl Basecaller {
         path: ChunkPath<'_>,
         scratch: &'a mut CallScratch,
     ) -> ChunkQuality<'a> {
+        self.quality(samples, path, &mut scratch.segments, &mut scratch.quals)
+    }
+
+    /// [`Basecaller::chunk_quality_with`] on the path of `scratch`'s most
+    /// recent decode step, of the same `samples`: the quality step run at
+    /// once, reading the path where the decode left it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Basecaller::chunk_quality_with`].
+    pub fn decoded_quality_with<'a>(
+        &self,
+        samples: &[f32],
+        scratch: &'a mut CallScratch,
+    ) -> ChunkQuality<'a> {
+        let path = ChunkPath {
+            states: scratch.decode.states(),
+            advanced: scratch.decode.advanced(),
+            stitched: scratch.stitched,
+        };
         self.quality(samples, path, &mut scratch.segments, &mut scratch.quals)
     }
 

@@ -39,34 +39,55 @@
 //! # The row and its `i16` bound
 //!
 //! A row is `i16`: the absolute score `V_t` minus an offset `O_t`, and the
-//! offset is the maximum of the row **two** back, `O_t = max V_{t−2}`
-//! (`O_0 = O_1 = 0`). That maximum is taken over pass 1's per-group bests —
-//! which cover every state — while row `t − 1` is computed, and enters row
-//! `t` folded into the two transition constants: it is subtracted one row
-//! late, off the row-to-row dependency chain.
+//! offset is **group 0's maximum** of the row **two** back: `O_t = m_{t−2}`,
+//! where `m_j = max_c V_j[c · n/4]` is the best of the four advance
+//! predecessors of group 0 (`n` states; `O_0 = O_1 = 0`). Pass 1 computes
+//! `m_{t−1}` as the first of its group maxima while row `t − 1` is
+//! computed, so the offset costs one broadcast of one lane a row, not a
+//! reduction over the row; it enters row `t` folded into the two transition
+//! constants, subtracted one row late, off the row-to-row dependency chain.
 //!
 //! **No value saturates.** Let `E = C·S`, `M` the larger transition
-//! magnitude, and `k = log4(states)`. Every transition and emission is
-//! `≤ 0`, so `max V_t` never rises and every stored value is `≤ 0`. From
-//! the best state of row `t − k`, `k` advances reach any state, so
-//! `V_t ≥ max V_{t−k} − k(E + M)`, and since `O_t = max V_{t−2} ≤ max V_{t−k}`
-//! for `k ≥ 2` the stored row is `≥ −k(E + M)` (at `k = 1` the lag costs one
-//! more step, `−2(E + M)`). Before row `k` every state can still stay from
-//! row 0, whose values are emissions (`≥ −E`) or — on a stitched start — a
-//! transition plus an emission, with the states the previous chunk's final
-//! state cannot reach in one step at the finite floor `−(E + M + 1)` (below
-//! every reachable start, never `i16::MIN`). A pass-2 candidate adds one
-//! transition before its emission. Together:
+//! magnitude, `k = log4(n)`, and `X_t = max V_t`. Every transition and
+//! emission is `≤ 0`, so `X_t` never rises.
+//!
+//! *From below.* From the best state of row `t − k`, `k` advances reach any
+//! state, so `V_t ≥ X_{t−k} − k(E + M)`, and since `O_t = m_{t−2} ≤ X_{t−2}
+//! ≤ X_{t−k}` for `k ≥ 2` the stored row is `≥ −k(E + M)` (at `k = 1` the
+//! lag costs one more step, `−2(E + M)`). Before row `k` every state can
+//! still stay from row 0, whose values are emissions (`≥ −E`) or — on a
+//! stitched start — a transition plus an emission, with the states the
+//! previous chunk's final state cannot reach in one step at the finite
+//! floor `−(E + M + 1)` (below every reachable start, never `i16::MIN`). A
+//! pass-2 candidate adds one transition before its emission. Together:
 //!
 //! ```text
 //! every stored or intermediate score ≥ −(max(k, 2) · (E + M) + M + 1)
 //! ```
 //!
-//! which `S` is chosen to keep within
-//! `i16::MAX`: 20 089 at `k = 3`, `S = 64` and the synthetic dwell.
-//! `viterbi/differential.rs` measures the deepest value on hostile inputs
-//! (samples at ±1e6, levels 1e6 apart, `event_std` 1e-6, dwells of 1 + 1e-9
-//! and 1e12) and holds it above the bound.
+//! *From above.* The offset is one group's best, not the row's, so a stored
+//! value can be positive: `V_t ≤ X_t ≤ X_{t−2}`, so by at most `D_{t−2}`,
+//! `D_j = X_j − m_j`. Group 0's predecessors are the states whose low
+//! `2(k − 1)` bits are zero, which `k − 1` advances entering `A` reach from
+//! any state, so `m_j ≥ X_{j−k+1} − (k − 1)(E + M) ≥ X_j − (k − 1)(E + M)`;
+//! before row `k − 1` a stay from row 0 gives `m_j ≥ −(E + M + 1) − j(E +
+//! M)` against `X_j ≤ 0`. A pass-2 candidate of row `t` is at most `X_{t−1}
+//! − O_t ≤ D_{t−2}` too. Together:
+//!
+//! ```text
+//! every stored or intermediate score ≤ (k − 1) · (E + M) + 1
+//! ```
+//!
+//! (at `k = 1` group 0's predecessors are every state, and nothing is
+//! positive). The step `O_t − O_{t−1}` then lies in `[−(k(E + M) + 1),
+//! (k − 1)(E + M) + 1]`, so the transition constants it is folded into stay
+//! inside the lower bound's magnitude as well; and the upper bound is below
+//! that magnitude, so `S` is chosen on the lower one alone, to keep it
+//! within `i16::MAX`: 20 089 below and 13 245 above at `k = 3`, `S = 64`
+//! and the synthetic dwell. `viterbi/differential.rs` measures the deepest
+//! and the highest value on hostile inputs (samples at ±1e6, levels 1e6
+//! apart, `event_std` 1e-6, dwells of 1 + 1e-9 and 1e12) and holds them
+//! inside both bounds.
 //!
 //! # Hot-path organization
 //!
@@ -104,6 +125,15 @@
 //! with no branch at all puts the record loads on the dependency chain from
 //! one sample to the next, which measured slower on workload chunks.
 //!
+//! **One walk, two layouts.** The walk is one body, generic over how it
+//! reads the records (`Records`). At 64 states — the only size the
+//! pipeline runs — the records are fixed-size arrays of 80 `i16` with 16
+//! groups, so every index into a record is a constant offset plus a masked
+//! state and compiles without a bounds check. Every other state count walks
+//! the same body over runtime-length records. (A software prefetch of the
+//! record 16 samples ahead measured slower: the walk reads, in reverse, the
+//! records the rows have just written.)
+//!
 //! Sample 0 of a stitched decode follows `init_row`'s arithmetic: it
 //! advanced iff its state is a successor of the carried state `s0` and
 //! either differs from `s0` or `log_advance > log_stay`. A path that starts
@@ -129,9 +159,10 @@
 //!   `i16` scores in four `__m256i` for the whole chunk, quarter `c` being
 //!   vector `c`, so pass 1 is three `max`es, the record five stores, and the
 //!   ×4 expansion a permute plus a `pshufb` per vector. The renormalisation
-//!   lag stays in registers: the step a broadcast `i16` vector, the row
-//!   maximum a broadcast `max`, the offset a running `i64` sum of the steps
-//!   — the same integers as the portable row's `Lag`, so the same offsets.
+//!   lag stays in registers: the step a broadcast `i16` vector, group 0's
+//!   maximum a broadcast of lane 0 of pass 1's bests, the offset a running
+//!   `i64` sum of the steps — the same integers as the portable row's `Lag`,
+//!   so the same offsets.
 //!
 //! The `f32` decode this model replaced lives on, test-only, in
 //! `viterbi/differential.rs` as the accuracy reference.
@@ -329,9 +360,14 @@ pub struct DecodeScratch {
 }
 
 /// `i16` per record: a score row plus one maximum per predecessor group.
-fn record_len(n_states: usize) -> usize {
+const fn record_len(n_states: usize) -> usize {
     n_states + n_states / 4
 }
+
+/// The state count of the synthetic chemistry's 3-mers, the only size the
+/// pipeline decodes: the AVX2 row and the fixed-size walk are written for
+/// it.
+const K3_STATES: usize = 64;
 
 impl DecodeScratch {
     /// Creates an empty workspace; buffers are sized lazily on first use.
@@ -440,11 +476,11 @@ impl DecodeScratch {
     #[doc(hidden)]
     pub fn dp_rows(&mut self, model: &FixedPointModel, samples: &[f32]) {
         #[cfg(all(target_arch = "x86_64", not(genpip_portable)))]
-        if self.prev.len() == avx2::STATES && std::arch::is_x86_feature_detected!("avx2") {
+        if self.prev.len() == K3_STATES && std::arch::is_x86_feature_detected!("avx2") {
             let n = samples.len();
             let (bins, records) = (
                 &mut self.bins[..n],
-                &mut self.records[..n * record_len(avx2::STATES)],
+                &mut self.records[..n * record_len(K3_STATES)],
             );
             // SAFETY: the host supports AVX2, checked on the line above.
             self.offset = unsafe {
@@ -497,33 +533,21 @@ impl DecodeScratch {
     pub fn traceback(&mut self, model: &FixedPointModel, init_state: Option<u16>) -> i64 {
         let n_states = model.states();
         let n_groups = n_states / 4;
-        // Advancing wins iff it beats staying by more than this.
-        let margin = i32::from(model.log_stay) - i32::from(model.log_advance);
-        let (mut state, score) = last_argmax(&self.prev);
-        let (n, len) = (self.states.len(), record_len(n_states));
-        let records = self.records[..(n - 1) * len].chunks_exact(len);
-        let path = self.states[1..].iter_mut().zip(&mut self.advanced[1..]);
-        // The base codes take one store a sample and no branch: every
-        // sample writes its state's last base at `slot`, and an advance
-        // keeps it by moving the slot down.
-        let mut slot = self.codes.len() - 1;
-        for ((out, advanced), record) in path.zip(records).rev() {
-            let (row, best) = record.split_at(n_states);
-            let group = state >> 2;
-            *out = state as u16;
-            *advanced = i32::from(best[group]) - i32::from(row[state]) > margin;
-            self.codes[slot] = (state & 3) as u8;
-            slot -= usize::from(*advanced);
-            if *advanced {
-                let ties = (0..4).fold(0u32, |ties, c| {
-                    ties | u32::from(row[group + c * n_groups] == best[group]) << c
-                });
-                assert!(ties != 0, "a group's maximum is one of its four entries");
-                state = group + ties.trailing_zeros() as usize * n_groups;
-            }
-        }
-        self.states[0] = state as u16;
-        self.first_code = slot + 1;
+        let (last, score) = last_argmax(&self.prev);
+        let records = &self.records[..(self.states.len() - 1) * record_len(n_states)];
+        let path = (
+            &mut self.states[..],
+            &mut self.advanced[..],
+            &mut self.codes[..],
+        );
+        let (state, first_code) = if n_states == K3_STATES {
+            let (fixed, rest) = records.as_chunks::<{ record_len(K3_STATES) }>();
+            debug_assert!(rest.is_empty());
+            walk(fixed, model, last, path)
+        } else {
+            walk(&AnyRecords { records, n_states }, model, last, path)
+        };
+        self.first_code = first_code;
         // Sample 0 advanced only on a stitched start whose path took the
         // boundary advance; states[0] then already holds the advanced-into
         // state, which is what callers emit from.
@@ -535,23 +559,130 @@ impl DecodeScratch {
     }
 }
 
+/// The buffers the walk writes: a decode's states, advance flags and base
+/// codes.
+type Path<'a> = (&'a mut [u16], &'a mut [bool], &'a mut [u8]);
+
+/// The records of one decode as the walk reads them: record `i` belongs
+/// to sample `i + 1` and holds stored row `i`, then its `states() / 4`
+/// group maxima.
+trait Records {
+    /// The state count `n`: a record is `n + n / 4` `i16`.
+    fn states(&self) -> usize;
+
+    /// The number of records.
+    fn len(&self) -> usize;
+
+    /// Record `i`.
+    fn record(&self, i: usize) -> &[i16];
+}
+
+/// The 64-state layout: the record length and the group count are
+/// constants, so the compiler sees every masked index in range.
+impl Records for [[i16; record_len(K3_STATES)]] {
+    #[inline(always)]
+    fn states(&self) -> usize {
+        K3_STATES
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        <[_]>::len(self)
+    }
+
+    #[inline(always)]
+    fn record(&self, i: usize) -> &[i16] {
+        &self[i]
+    }
+}
+
+/// Every other state count: records of `record_len(n_states)` `i16`.
+struct AnyRecords<'a> {
+    records: &'a [i16],
+    n_states: usize,
+}
+
+impl Records for AnyRecords<'_> {
+    fn states(&self) -> usize {
+        self.n_states
+    }
+
+    fn len(&self) -> usize {
+        self.records.len() / record_len(self.n_states)
+    }
+
+    fn record(&self, i: usize) -> &[i16] {
+        let len = record_len(self.n_states);
+        &self.records[i * len..][..len]
+    }
+}
+
+/// The walk of [`DecodeScratch::traceback`], one body for both record
+/// layouts: from `last`, the state of the path's last sample, back through
+/// the records to sample 0, deciding stay or advance and the predecessor at
+/// the path's state only (see the module docs). Writes every sample's state
+/// and advance flag but sample 0's flag, and the base codes below the end
+/// of `codes`; returns the state of sample 0 and the first code's index.
+#[inline(always)]
+fn walk<R: Records + ?Sized>(
+    records: &R,
+    model: &FixedPointModel,
+    last: usize,
+    (states, advanced, codes): Path<'_>,
+) -> (usize, usize) {
+    let n_states = records.states();
+    let (n_groups, mask) = (n_states / 4, n_states - 1);
+    // Advancing wins iff it beats staying by more than this.
+    let margin = i32::from(model.log_stay) - i32::from(model.log_advance);
+    let mut state = last;
+    let n = records.len();
+    let (states, advanced) = (&mut states[..=n], &mut advanced[..=n]);
+    // The base codes take one store a sample and no branch: every sample
+    // writes its state's last base at `slot`, and an advance keeps it by
+    // moving the slot down.
+    let mut slot = codes.len() - 1;
+    for i in (0..n).rev() {
+        let record = records.record(i);
+        // Every state is below `n_states`, so the mask changes nothing; it
+        // shows the compiler that the fixed layout's indices are in range.
+        let s = state & mask;
+        let group = s >> 2;
+        let best = record[n_states + group];
+        let advance = i32::from(best) - i32::from(record[s]) > margin;
+        states[i + 1] = s as u16;
+        advanced[i + 1] = advance;
+        codes[slot] = (s & 3) as u8;
+        slot -= usize::from(advance);
+        if advance {
+            let ties = (0..4).fold(0u32, |ties, c| {
+                ties | u32::from(record[group + c * n_groups] == best) << c
+            });
+            assert!(ties != 0, "a group's maximum is one of its four entries");
+            state = group + ties.trailing_zeros() as usize * n_groups;
+        }
+    }
+    states[0] = state as u16;
+    (state, slot + 1)
+}
+
 /// The one-row-late renormalisation both row bodies share: row `t` is
-/// stored minus `O_t = max V_{t−2}`, and the step `O_t − O_{t−1}` (in
-/// `[−(E + M + 1), 0]`) is folded into the row's two transition constants.
+/// stored minus `O_t = m_{t−2}`, group 0's maximum of row `t − 2`, and the
+/// step `O_t − O_{t−1}` (in `[−(k(E + M) + 1), (k − 1)(E + M) + 1]`, module
+/// docs) is folded into the row's two transition constants.
 #[derive(Debug, Clone, Copy)]
 struct Lag {
     /// `O_{t−2}`.
     back: i64,
     /// `O_{t−1}`: the offset of the previous row.
     prev: i64,
-    /// `max` of the stored row `t − 2`.
+    /// Group 0's maximum of the stored row `t − 2`.
     back_max: i16,
 }
 
 impl Lag {
     /// Before the first row of a call: the row in `prev` is row 0 of the
     /// lag, at `offset`, and so is the (fictitious) row before it, whose
-    /// maximum is taken as 0 — no score is above 0.
+    /// group 0 maximum is taken as 0, so that both rows keep the offset.
     fn start(offset: i64) -> Lag {
         Lag {
             back: offset,
@@ -574,7 +705,8 @@ impl Lag {
         (model.log_stay - step, model.log_advance - step)
     }
 
-    /// Moves to the next row, given the maximum of the stored previous row.
+    /// Moves to the next row, given group 0's maximum of the stored
+    /// previous row.
     #[inline(always)]
     fn push(&mut self, prev_max: i16) {
         let next = self.next();
@@ -683,8 +815,8 @@ fn portable_row(
     row.copy_from_slice(prev);
 
     // Pass 1: prev[low | (c << k_shift)] is element `low` of quarter `c`.
-    // Every state is in some group, so the groups' bests also give the
-    // row's maximum, which the lag subtracts from the row after next.
+    // Group 0's best is the offset the lag subtracts from the row after
+    // next.
     let (q0, rest) = prev.split_at(n_groups);
     let (q1, rest) = rest.split_at(n_groups);
     let (q2, q3) = rest.split_at(n_groups);
@@ -692,7 +824,7 @@ fn portable_row(
     for low in 0..n_groups {
         best[low] = q0[low].max(q1[low]).max(q2[low]).max(q3[low]);
     }
-    lag.push(best.iter().copied().fold(i16::MIN, i16::max));
+    lag.push(best[0]);
     let (best_x, _) = adv_best_x.as_chunks_mut::<4>();
     for (best_x, &best) in best_x[..n_groups].iter_mut().zip(&*best) {
         *best_x = [best + adv_tr; 4];
@@ -729,11 +861,21 @@ mod differential;
 
 #[cfg(test)]
 impl FixedPointModel {
-    /// The proved bound of this model: no stored or intermediate score of a
-    /// decode goes below `−bound()`, and `bound() ≤ i16::MAX`.
+    /// The proved bound of this model from below: no stored or intermediate
+    /// score of a decode goes below `−bound()`, and `bound() ≤ i16::MAX`.
     fn bound(&self) -> i32 {
         let k = self.states.trailing_zeros() as usize / 2;
         Self::bound_at(k, self.scale, self.log_stay.into(), self.log_advance.into())
+    }
+
+    /// The proved bound from above (module docs): `(k − 1)(E + M) + 1`, no
+    /// stored or intermediate score of a decode goes above it, and it is
+    /// below [`FixedPointModel::bound`].
+    fn ceiling(&self) -> i32 {
+        let k = self.states.trailing_zeros() as i32 / 2;
+        let e = (f64::from(self.scale) * Self::FLOOR_NATS).round() as i32;
+        let m = -i32::from(self.log_stay.min(self.log_advance));
+        (k - 1) * (e + m) + 1
     }
 }
 
@@ -999,6 +1141,7 @@ mod tests {
         let (pore, model) = setup();
         assert_eq!(model.scale(), FixedPointModel::MAX_SCALE);
         assert!(model.bound() <= i32::from(i16::MAX));
+        assert_eq!((model.bound(), model.ceiling()), (20_089, 13_245));
         let e = i32::from(FixedPointModel::FLOOR_NATS as i16) * model.scale();
         assert_eq!(model.table.len(), FixedPointModel::BINS * model.states());
         for row in model.table.chunks_exact(model.states()) {
@@ -1101,6 +1244,7 @@ mod tests {
         for dwell in [1.0 + 1e-9, 8.0, 1e12, f64::MAX] {
             let model = FixedPointModel::new(&pore, Transitions::from_mean_dwell(dwell));
             assert!(model.bound() <= i32::from(i16::MAX), "dwell {dwell}");
+            assert!(model.ceiling() < model.bound(), "dwell {dwell}");
             assert!((1..=FixedPointModel::MAX_SCALE).contains(&model.scale()));
         }
         // k = 6 cannot keep S = 64 (6 · 6 400 alone is past i16).

@@ -9,11 +9,9 @@
 //! access needs, so [`bins`] and [`rows`] cut their slices into such arrays
 //! and contain no pointer arithmetic.
 
-use super::FixedPointModel;
+use super::{FixedPointModel, K3_STATES as STATES};
 use std::arch::x86_64::*;
 
-/// The one state-space size this row is written for (`k = 3`).
-pub(super) const STATES: usize = 64;
 /// `i16` lanes of a `__m256i`: the 16 states of a quarter, or the 16 group
 /// maxima of a row.
 const LANES: usize = 16;
@@ -77,25 +75,14 @@ pub(super) fn bins(model: &FixedPointModel, samples: &[f32], bins: &mut [u16]) {
     }
 }
 
-/// The greatest of the sixteen lanes, in every lane.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn broadcast_max(v: __m256i) -> __m256i {
-    let v = _mm256_max_epi16(v, _mm256_permute2x128_si256::<0x01>(v, v));
-    let v = _mm256_max_epi16(v, _mm256_shuffle_epi32::<0b01_00_11_10>(v));
-    let v = _mm256_max_epi16(v, _mm256_shuffle_epi32::<0b10_11_00_01>(v));
-    // Every dword now holds the same two words; rotate them past each other.
-    let swapped = _mm256_or_si256(_mm256_srli_epi32::<16>(v), _mm256_slli_epi32::<16>(v));
-    _mm256_max_epi16(v, swapped)
-}
-
 /// One DP row per sample, from the score row in `prev` (left holding the
 /// last one) at `offset`: `bins[i]` is sample `i`'s emission-table bin, and
 /// `records[80 i..][..80]` receives its record — the row it started from,
 /// then that row's sixteen group maxima. Returns the offset of the last row.
 ///
 /// The renormalisation lag of the portable row's `Lag` lives in registers:
-/// the step `O_t − O_{t−1} = max_{t−2} − (O_{t−1} − O_{t−2})`, with both
+/// the step `O_t − O_{t−1} = m_{t−2} − (O_{t−1} − O_{t−2})`, `m_{t−2}` group
+/// 0's maximum of stored row `t − 2` (lane 0 of its pass-1 bests), with both
 /// terms broadcast `i16` vectors (the first row of a call has step 0 and the
 /// fictitious row before its first a maximum of 0, as `Lag::start` says), and
 /// the offset the running `i64` sum of the steps — the same integers, so the
@@ -136,8 +123,8 @@ pub(super) fn rows(
     for c in 0..QUARTERS {
         v[c] = load(&prev[c]);
     }
-    // `O_{t−1} − O_{t−2}` and the maximum of stored row `t − 2`, in every
-    // lane.
+    // `O_{t−1} − O_{t−2}` and group 0's maximum of stored row `t − 2`, in
+    // every lane.
     let (mut step, mut back_max) = (_mm256_setzero_si256(), _mm256_setzero_si256());
     let mut offset = offset;
     for (&bin, record) in bins.iter().zip(records) {
@@ -147,8 +134,8 @@ pub(super) fn rows(
         let adv_tr = _mm256_sub_epi16(log_advance, step);
 
         // The record: the row, then pass 1's bests. Group `g`'s
-        // predecessors are lane `g` of the four vectors; the bests cover
-        // every state, so their maximum is the row's, for the lag.
+        // predecessors are lane `g` of the four vectors; lane 0, group 0's
+        // best, is the lag's next offset.
         let mut best = v[0];
         for c in 1..QUARTERS {
             best = _mm256_max_epi16(v[c], best);
@@ -157,7 +144,7 @@ pub(super) fn rows(
             store(&mut record[c], v[c]);
         }
         store(&mut record[QUARTERS], best);
-        back_max = broadcast_max(best);
+        back_max = _mm256_broadcastw_epi16(_mm256_castsi256_si128(best));
 
         // Pass 2.
         let adv_best = _mm256_add_epi16(best, adv_tr);

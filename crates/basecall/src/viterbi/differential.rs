@@ -9,16 +9,19 @@
 //! maximum the oracle's, and every decision the traceback takes along the
 //! path is the oracle's backpointer. The two bodies agree with each other
 //! record for record and on the last stored row and its offset, also on a
-//! scratch that earlier decodes of other lengths and sizes left dirty. The
-//! oracle also measures the deepest score the renormalised `i16` row would
-//! hold, which must stay above the model's proved bound — on hostile models
-//! and samples too.
+//! scratch that earlier decodes of other lengths and sizes left dirty. At
+//! 64 states the traceback walks the fixed-size record layout; the same walk
+//! over runtime-length records must take every decision it took. The
+//! oracle also measures the deepest and the highest score the renormalised
+//! `i16` row would hold, which must stay inside the model's proved bounds —
+//! on hostile models and samples too.
 //!
 //! *Accuracy:* the `f32` decode the model replaced is kept here as the
 //! reference the quantised decode is measured against.
 
 use super::{
-    decode_with, last_argmax, record_len, DecodeScratch, DecodeStats, FixedPointModel, Transitions,
+    decode_with, last_argmax, record_len, walk, AnyRecords, DecodeScratch, DecodeStats,
+    FixedPointModel, Transitions, K3_STATES,
 };
 use crate::emission::EmissionModel;
 use genpip_genomics::rng::{seeded, Rng};
@@ -27,9 +30,9 @@ use genpip_signal::{PoreModel, SignalSynthesizer};
 
 /// What the `i64` oracle hands back besides its stats and path: every
 /// absolute score row, the backpointer matrix (one byte per sample and
-/// state: 0 for stay, else the group choice) and the deepest score, relative
-/// to the renormalisation offset `O_t = max V_{t−2}`, of any stored or pass-2
-/// candidate value.
+/// state: 0 for stay, else the group choice) and the deepest and the highest
+/// score, relative to the renormalisation offset `O_t = m_{t−2}`, of any
+/// stored or pass-2 candidate value.
 struct Oracle {
     stats: DecodeStats,
     states: Vec<u16>,
@@ -38,6 +41,13 @@ struct Oracle {
     rows: Vec<i64>,
     backptr: Vec<u8>,
     deepest: i64,
+    highest: i64,
+}
+
+/// `m_j`: the best of group 0's four advance predecessors in `row`, states
+/// `0`, `n/4`, `n/2` and `3n/4`.
+fn group_0_max(row: &[i64]) -> i64 {
+    (0..4).map(|c| row[c * row.len() / 4]).max().expect("four")
 }
 
 impl Oracle {
@@ -47,8 +57,7 @@ impl Oracle {
         if t < 2 {
             0
         } else {
-            let row = &self.rows[(t - 2) * n_states..][..n_states];
-            *row.iter().max().expect("states")
+            group_0_max(&self.rows[(t - 2) * n_states..][..n_states])
         }
     }
 }
@@ -70,6 +79,7 @@ fn oracle_decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u1
             rows: Vec::new(),
             backptr,
             deepest: 0,
+            highest: 0,
         };
     }
     let k_shift = (n_states.trailing_zeros() - 2) as usize;
@@ -93,10 +103,12 @@ fn oracle_decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u1
     }
     let mut rows = Vec::with_capacity(n * n_states);
     rows.extend_from_slice(&prev);
-    // Row maxima, for the offsets the shipped row would have subtracted.
-    let mut maxima = vec![*prev.iter().max().expect("states")];
+    // Group 0's maxima, for the offsets the shipped row would have
+    // subtracted.
+    let mut maxima = vec![group_0_max(&prev)];
     let offset = |maxima: &[i64], t: usize| if t < 2 { 0 } else { maxima[t - 2] };
     let mut deepest = *prev.iter().min().expect("states");
+    let mut highest = *prev.iter().max().expect("states");
     let mut curr = vec![0i64; n_states];
     let mut adv_best = vec![0i64; n_groups];
     let mut adv_choice = vec![0u8; n_groups];
@@ -120,6 +132,7 @@ fn oracle_decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u1
             let stay = prev[s] + ls;
             let adv = adv_best[s >> 2];
             deepest = deepest.min(stay.min(adv) - o);
+            highest = highest.max(stay.max(adv) - o);
             if adv > stay {
                 curr[s] = adv + emit(t, s);
                 bp[s] = adv_choice[s >> 2];
@@ -128,10 +141,11 @@ fn oracle_decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u1
                 bp[s] = 0;
             }
             deepest = deepest.min(curr[s] - o);
+            highest = highest.max(curr[s] - o);
         }
         std::mem::swap(&mut prev, &mut curr);
         rows.extend_from_slice(&prev);
-        maxima.push(*prev.iter().max().expect("states"));
+        maxima.push(group_0_max(&prev));
     }
 
     let (mut state, score) = prev
@@ -164,6 +178,7 @@ fn oracle_decode(model: &FixedPointModel, samples: &[f32], init_state: Option<u1
         rows,
         backptr,
         deepest,
+        highest,
     }
 }
 
@@ -259,6 +274,8 @@ struct Harness {
     decodes: usize,
     /// The deepest relative score any decode reached.
     deepest: i64,
+    /// The highest relative score any decode reached.
+    highest: i64,
 }
 
 impl Harness {
@@ -280,6 +297,7 @@ impl Harness {
             portable: DecodeScratch::new(),
             decodes: 0,
             deepest: 0,
+            highest: i64::MIN,
         }
     }
 
@@ -311,7 +329,14 @@ impl Harness {
             oracle.deepest,
             model.bound()
         );
+        assert!(
+            oracle.highest <= i64::from(model.ceiling()),
+            "highest score {} above the bound {}, {what}",
+            oracle.highest,
+            model.ceiling()
+        );
         self.deepest = self.deepest.min(oracle.deepest);
+        self.highest = self.highest.max(oracle.highest);
         let got = decode_with(model, samples, init_state, &mut self.dispatched);
         let portable = portable_decode_with(model, samples, init_state, &mut self.portable);
         for (got, scratch, body) in [
@@ -322,6 +347,9 @@ impl Harness {
             assert_eq!(scratch.states(), oracle.states, "{body} states, {what}");
             assert_eq!(scratch.advanced(), oracle.advanced, "{body} flags, {what}");
             assert_records_are_the_oracles(model, scratch, &oracle, &format!("{body}, {what}"));
+            if model.states() == K3_STATES {
+                assert_the_runtime_layout_walks_alike(model, scratch, &format!("{body}, {what}"));
+            }
         }
         self.assert_bodies_agree(samples.len(), &what);
         self.decodes += 1;
@@ -418,6 +446,50 @@ fn assert_records_are_the_oracles(
     }
     let at_zero = oracle.backptr[usize::from(states[0])] != 0;
     assert_eq!(advanced[0], at_zero, "decision at sample 0, {what}");
+}
+
+/// The walk's runtime-length instance over the records a 64-state decode
+/// left in `scratch`, which its traceback walked through the fixed-size
+/// instance: the same state and flag at every sample past the first, the
+/// same first state, and the same base codes from the same index.
+fn assert_the_runtime_layout_walks_alike(
+    model: &FixedPointModel,
+    scratch: &DecodeScratch,
+    what: &str,
+) {
+    let n = scratch.states.len();
+    if n == 0 {
+        return;
+    }
+    let n_states = model.states();
+    let records = AnyRecords {
+        records: &scratch.records[..(n - 1) * record_len(n_states)],
+        n_states,
+    };
+    let (mut states, mut advanced) = (vec![0; n], vec![false; n]);
+    let mut codes = vec![0; scratch.codes.len()];
+    let path = (&mut states[..], &mut advanced[..], &mut codes[..]);
+    let (first, first_code) = walk(&records, model, last_argmax(&scratch.prev).0, path);
+    assert_eq!(states, scratch.states, "runtime-layout states, {what}");
+    assert_eq!(
+        usize::from(states[0]),
+        first,
+        "runtime-layout first state, {what}"
+    );
+    assert_eq!(
+        advanced[1..],
+        scratch.advanced[1..],
+        "runtime-layout flags, {what}"
+    );
+    assert_eq!(
+        first_code, scratch.first_code,
+        "runtime-layout first code, {what}"
+    );
+    assert_eq!(
+        codes[first_code..],
+        scratch.codes[first_code..],
+        "runtime-layout base codes, {what}"
+    );
 }
 
 #[test]
@@ -626,11 +698,11 @@ fn hostile_models_and_samples_stay_inside_the_bound() {
     // stay and the advance transitions at their largest), samples at ±1e6
     // beside ordinary ones, every stitched start, and one pair of scratches
     // driven across k = 3 → 4 → 1 → 5. Both bodies must equal the oracle
-    // record for record, and the deepest relative score must stay above the
-    // model's proved bound (`assert_same`).
+    // record for record, and the deepest and the highest relative score must
+    // stay inside the model's proved bounds (`assert_same`).
     let mut rng = seeded(0x4057);
     let mut scratches = (DecodeScratch::new(), DecodeScratch::new());
-    let mut deepest = 0i64;
+    let (mut deepest, mut highest) = (0i64, i64::MIN);
     for k in [3usize, 4, 1, 5] {
         let n = 1usize << (2 * k);
         let spread: Vec<f32> = (0..n).map(|s| s as f32 * 1e6).collect();
@@ -666,13 +738,17 @@ fn hostile_models_and_samples_stay_inside_the_bound() {
                     }
                 }
                 deepest = deepest.min(h.deepest);
+                highest = highest.max(h.highest);
                 scratches = (h.dispatched, h.portable);
             }
         }
     }
     assert!(deepest >= -i64::from(i16::MAX), "deepest {deepest}");
-    // The inputs do reach deep: a bound nothing approaches would not test it.
+    assert!(highest <= i64::from(i16::MAX), "highest {highest}");
+    // The inputs do reach deep and high: a bound nothing approaches would
+    // not test it.
     assert!(deepest < -5_000, "deepest {deepest}");
+    assert!(highest > 5_000, "highest {highest}");
 }
 
 #[test]

@@ -3,10 +3,13 @@
 //! whole `call_chunk_with` on a reused [`CallScratch`] performs exactly the
 //! two its result needs, that its decode and quality steps run apart
 //! allocate only the decode step's bases (the quality step's Phreds are
-//! borrowed from the scratch), and that a cleared [`PathBuffer`] keeps a
-//! second read's paths without one: a counting global allocator observes
-//! the allocator while equally sized chunks stream through `decode_with`,
-//! `call_chunk_with`, the two steps and the path buffer.
+//! borrowed from the scratch), that a warmed conventional read — each
+//! chunk's decode step, then its quality step on the path the decode left —
+//! allocates one block a chunk, its bases, and that a cleared
+//! [`PathBuffer`] keeps a second read's paths without one: a counting
+//! global allocator observes the allocator while equally sized chunks
+//! stream through `decode_with`, `call_chunk_with`, the two steps and the
+//! path buffer.
 
 use genpip_basecall::viterbi::{decode_with, DecodeScratch, FixedPointModel, Transitions};
 use genpip_basecall::{Basecaller, CallScratch, PathBuffer};
@@ -199,6 +202,52 @@ fn the_two_steps_allocate_only_their_bases_and_quals_and_kept_paths_nothing() {
         allocs,
         bases.len(),
         "steady-state decode and quality steps allocated {allocs} times across {} chunks",
+        chunks.len()
+    );
+}
+
+#[test]
+fn a_warmed_conventional_read_allocates_one_block_a_chunk_its_bases() {
+    let pore = PoreModel::synthetic(3, 7);
+    let synth = SignalSynthesizer::new(pore.clone());
+    let caller = Basecaller::new(&pore, synth.mean_dwell());
+    let truth = GenomeBuilder::new(1_500)
+        .seed(14)
+        .build()
+        .sequence()
+        .clone();
+    let sig = synth.synthesize(&truth, 1.2, 6);
+    let chunks: Vec<&[f32]> = sig.samples.chunks(2_400).collect();
+    assert!(chunks.len() >= 4, "need several chunks for a steady state");
+
+    // The conventional flow's chunk loop: every chunk decoded, stitched to
+    // its predecessor, and its quality step run at once on the path the
+    // decode left; the read keeps the bases and the Phreds' sum and count.
+    // The first read sizes the scratch.
+    let mut scratch = CallScratch::new();
+    let mut bases = Vec::with_capacity(chunks.len());
+    let mut read = |bases: &mut Vec<_>| {
+        bases.clear();
+        let (mut sqs, mut quals, mut carry) = (0.0, 0, None);
+        for chunk in &chunks {
+            let decoded = caller.decode_chunk_with(chunk, carry, &mut scratch);
+            carry = decoded.carry;
+            let quality = caller.decoded_quality_with(chunk, &mut scratch);
+            (sqs, quals) = (sqs + quality.sqs, quals + quality.quals.len());
+            bases.push(decoded.bases);
+        }
+        (sqs, quals)
+    };
+    read(&mut bases);
+
+    // Steady state: one block a chunk, its bases — no Phred vector.
+    let ((sqs, quals), allocs) = allocs_in(|| read(&mut bases));
+    assert!(sqs > 0.0);
+    assert_eq!(quals, bases.iter().map(|b| b.len()).sum::<usize>());
+    assert_eq!(
+        allocs,
+        chunks.len(),
+        "a warmed conventional read allocated {allocs} times across {} chunks",
         chunks.len()
     );
 }

@@ -6,7 +6,8 @@
 //! path) and its stages on their own — the DP rows as dispatched and
 //! through the portable body, the traceback, the quality step — then the
 //! chunk call, its decode step, the DP rows, the traceback and the quality
-//! step cold, over 64 workload chunks in pipeline order, minimizer extraction (one sequence, and cold
+//! step cold, over 64 workload chunks in pipeline order, a read's bases
+//! appended chunk by chunk, minimizer extraction (one sequence, and cold
 //! over 64 read chunks and 16 whole reads), chaining DP (one
 //! diagonal, and two interleaved), the reference index's build, lookups and
 //! drop, the seed path
@@ -29,7 +30,7 @@ use genpip_datasets::{DatasetProfile, ReadSource, SimulatedRead, StreamingSimula
 use genpip_genomics::fastx::FastqWriter;
 use genpip_genomics::quality::Phred;
 use genpip_genomics::read::ReadOrigin;
-use genpip_genomics::GenomeBuilder;
+use genpip_genomics::{DnaSeq, GenomeBuilder};
 use genpip_io::{GscMeta, GscReader, GscWriter};
 use genpip_mapping::{
     minimizers, minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, MapScratch,
@@ -309,6 +310,36 @@ fn main() {
             }
             sqs
         }));
+    }
+
+    // --- Read assembly: a read's bases appended chunk by chunk ---
+    // As the CP pass and the conventional flow build a read: a new sequence
+    // grown by ten decoded chunks of about 300 bases. Their lengths run
+    // 296–305, as decoded chunks' vary, so appends start at every offset
+    // within a packed byte.
+    {
+        let chunks: Vec<DnaSeq> = (0..10u64)
+            .map(|i| {
+                let len = 296 + i as usize;
+                GenomeBuilder::new(len)
+                    .seed(30 + i)
+                    .build()
+                    .sequence()
+                    .clone()
+            })
+            .collect();
+        let bases = chunks.iter().map(DnaSeq::len).sum::<usize>();
+        results.push(bench(
+            "genomics/extend_from_seq_10x300",
+            Some((bases as f64, "bases")),
+            || {
+                let mut seq = DnaSeq::new();
+                for chunk in black_box(&chunks) {
+                    seq.extend_from_seq(chunk);
+                }
+                seq.len()
+            },
+        ));
     }
 
     // --- Minimizer sketching, scratch-reuse path ---
@@ -600,7 +631,7 @@ fn main() {
             "end_to_end/basecall_and_map_3kb",
             Some((truth.len() as f64, "bases")),
             || {
-                let mut seq = genpip_genomics::DnaSeq::new();
+                let mut seq = DnaSeq::new();
                 let mut carry = None;
                 for spec in genpip_signal::chunk_boundaries(sig.samples.len(), 2_400) {
                     let chunk = caller.call_chunk_with(

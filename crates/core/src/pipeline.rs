@@ -55,7 +55,9 @@
 //! only the bases; the Phreds and SQS are read by QSR (the sampled
 //! chunks'), by whole-read QC (the AQS over every chunk) and by the FASTQ
 //! record. So the QSR-sampled chunks and the conventional flow take both
-//! steps at once, and GenPIP's CP pass takes the decode step only, keeping
+//! steps at once — the quality step on the path where the decode left it
+//! ([`Basecaller::decoded_quality_with`]), keeping a copy of the Phreds only
+//! under `keep_bases` — and GenPIP's CP pass takes the decode step only, keeping
 //! each decoded path (3 bytes a sample) in the worker's scratch. Once the
 //! pass is over — past the CMR check, if the read has one — the quality
 //! steps run in chunk order, the sampled chunks contributing QSR's, so the
@@ -74,7 +76,7 @@ use crate::engine::{Flow, Session};
 use crate::scheduler::Schedule;
 use crate::stream::{StreamEvent, StreamOptions};
 use genpip_basecall::basecaller::ChunkStats;
-use genpip_basecall::{BasecalledChunk, Basecaller, CallScratch, PathBuffer};
+use genpip_basecall::{Basecaller, CallScratch, DecodedChunk, PathBuffer};
 use genpip_datasets::{ReadSource, SimulatedDataset, SimulatedRead};
 use genpip_genomics::quality::AqsAccumulator;
 use genpip_genomics::{DnaSeq, Genome, Phred};
@@ -532,12 +534,23 @@ impl ReadQuality {
         }
     }
 
-    fn add(&mut self, quals: &[Phred], sqs: f64) {
-        self.aqs.add_chunk_sum(sqs, quals.len());
+    /// A chunk of `bases` bases whose Phreds sum to `sqs`; `quals`, its
+    /// Phreds, are read only under `keep_bases`.
+    fn add(&mut self, sqs: f64, bases: usize, quals: &[Phred]) {
+        self.aqs.add_chunk_sum(sqs, bases);
         if self.keep {
             self.quals.extend_from_slice(quals);
         }
     }
+}
+
+/// A QSR-sampled chunk, kept until the CP pass reaches it: its decode step's
+/// result and its quality step's sum, and the Phreds under `keep_bases`
+/// only.
+struct SampledChunk {
+    decoded: DecodedChunk,
+    sqs: f64,
+    quals: Vec<Phred>,
 }
 
 /// One read as the engine's task: the read itself, the context of the
@@ -603,22 +616,35 @@ impl ReadTask {
         }
 
         // ER-QSR (Figure 6 ➊➋): the evenly-spaced sample chunks
-        // (Algorithm 1), each basecalled without carried state. They are the
-        // only chunks kept past their own step, until the CP pass reaches
-        // them.
-        let mut sampled: Vec<(usize, BasecalledChunk)> = Vec::new();
+        // (Algorithm 1), each decoded without carried state and its quality
+        // taken at once. They are the only chunks kept past their own step,
+        // until the CP pass reaches them.
+        let mut sampled: Vec<(usize, SampledChunk)> = Vec::new();
         if er != ErMode::None {
             for idx in qsr_sample_indices(total, ctx.config.n_qs) {
                 self.at_chunk = Some(idx);
-                let chunk = ctx
+                let decoded =
+                    ctx.caller
+                        .decode_chunk_with(chunk_samples(idx), None, &mut scratch.call);
+                run.basecalled(idx, decoded.stats, &decoded.bases);
+                let q = ctx
                     .caller
-                    .call_chunk_with(chunk_samples(idx), None, &mut scratch.call);
-                run.basecalled(idx, chunk.stats, &chunk.bases);
+                    .decoded_quality_with(chunk_samples(idx), &mut scratch.call);
+                let quals = if ctx.config.keep_bases {
+                    q.quals.to_vec()
+                } else {
+                    Vec::new()
+                };
+                let chunk = SampledChunk {
+                    decoded,
+                    sqs: q.sqs,
+                    quals,
+                };
                 sampled.push((idx, chunk));
             }
             let sqs: Vec<(f64, usize)> = sampled
                 .iter()
-                .map(|(_, c)| (c.sqs, c.quals.len()))
+                .map(|(_, c)| (c.sqs, c.decoded.bases.len()))
                 .collect();
             let decision = qsr_check(&sqs, ctx.config.theta_qs);
             if decision.reject {
@@ -643,8 +669,8 @@ impl ReadTask {
             let decoded;
             let bases = match next_sampled.next_if(|(i, _)| *i == idx) {
                 Some((_, chunk)) => {
-                    carry = chunk.carry;
-                    &chunk.bases
+                    carry = chunk.decoded.carry;
+                    &chunk.decoded.bases
                 }
                 None => {
                     decoded =
@@ -691,7 +717,7 @@ impl ReadTask {
         for idx in 0..total {
             self.at_chunk = Some(idx);
             match next_sampled.next_if(|(i, _)| *i == idx) {
-                Some((_, chunk)) => quality.add(&chunk.quals, chunk.sqs),
+                Some((_, chunk)) => quality.add(chunk.sqs, chunk.decoded.bases.len(), &chunk.quals),
                 None => {
                     let q = ctx.caller.chunk_quality_with(
                         chunk_samples(idx),
@@ -699,7 +725,7 @@ impl ReadTask {
                         &mut scratch.call,
                     );
                     kept += 1;
-                    quality.add(q.quals, q.sqs);
+                    quality.add(q.sqs, q.quals.len(), q.quals);
                 }
             }
         }
@@ -729,15 +755,17 @@ impl ReadTask {
         let mut quality = ReadQuality::new(&ctx.config);
         for spec in &specs {
             self.at_chunk = Some(spec.index);
-            let chunk = ctx.caller.call_chunk_with(
-                &samples[spec.start..spec.end],
-                carry,
-                &mut scratch.call,
-            );
-            carry = chunk.carry;
-            run.basecalled(spec.index, chunk.stats, &chunk.bases);
-            quality.add(&chunk.quals, chunk.sqs);
-            seq.extend_from_seq(&chunk.bases);
+            let chunk_samples = &samples[spec.start..spec.end];
+            let decoded = ctx
+                .caller
+                .decode_chunk_with(chunk_samples, carry, &mut scratch.call);
+            carry = decoded.carry;
+            run.basecalled(spec.index, decoded.stats, &decoded.bases);
+            let q = ctx
+                .caller
+                .decoded_quality_with(chunk_samples, &mut scratch.call);
+            quality.add(q.sqs, q.quals.len(), q.quals);
+            seq.extend_from_seq(&decoded.bases);
         }
         self.at_chunk = None;
 

@@ -6,6 +6,12 @@ use std::str::FromStr;
 
 /// A DNA sequence stored with four bases per byte.
 ///
+/// Base `i` occupies bits `2(i % 4)` and up of byte `i / 4`. **The bits of
+/// the last byte past the last base are always zero**: the derived
+/// `PartialEq` and `Hash` compare the bytes, and [`DnaSeq::word_at`] and
+/// [`DnaSeq::extend_from_seq`] read them as `A`s or shift them into place.
+/// Every constructor keeps it — [`DnaSeq::from_packed`] by masking them.
+///
 /// The packed layout matters for this reproduction beyond memory footprint:
 /// GenPIP's data-movement accounting (Section 2.3 of the paper) charges
 /// `len.div_ceil(4)` bytes for a read's bases when basecalled output travels
@@ -60,6 +66,25 @@ impl DnaSeq {
             packed,
             len: codes.len(),
         }
+    }
+
+    /// The sequence of the first `len` bases of `packed`, in this type's
+    /// layout (base `i` in bits `2(i % 4)` of byte `i / 4`). Bits of the
+    /// last byte past base `len − 1` are ignored: they are cleared, so
+    /// whatever they held, equal bases give equal sequences.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packed` is shorter than `len.div_ceil(4)` bytes.
+    pub fn from_packed(packed: &[u8], len: usize) -> DnaSeq {
+        let mut packed = packed[..len.div_ceil(4)].to_vec();
+        if let Some(last) = packed.last_mut() {
+            let used = len & 3;
+            if used != 0 {
+                *last &= (1 << (2 * used)) - 1;
+            }
+        }
+        DnaSeq { packed, len }
     }
 
     /// Number of bases in the sequence.
@@ -125,7 +150,7 @@ impl DnaSeq {
     pub fn word_at(&self, index: usize) -> u64 {
         // A word spans nine packed bytes at most; read sixteen (fewer at the
         // end, the rest zero) and shift the first base down. Every unused
-        // slot of the last byte is zero, since `push` is the only writer.
+        // slot of the last byte is zero (the type's invariant).
         let byte = index >> 2;
         let bytes: [u8; 16] = match self.packed.get(byte..byte + 16) {
             Some(bytes) => bytes.try_into().expect("sixteen bytes"),
@@ -177,11 +202,27 @@ impl DnaSeq {
         out
     }
 
-    /// Appends every base of `other`.
+    /// Appends every base of `other`, a packed byte at a time: copied
+    /// whole when this sequence's length is a multiple of 4, otherwise each
+    /// of `other`'s bytes split across two, its low bits into the free high
+    /// bits of the byte before and its high bits into the next.
     pub fn extend_from_seq(&mut self, other: &DnaSeq) {
-        for b in other.iter() {
-            self.push(b);
+        let shift = 2 * (self.len & 3);
+        if shift == 0 {
+            self.packed.extend_from_slice(&other.packed);
+        } else {
+            let mut carry = self.packed.pop().expect("a partly filled last byte");
+            self.packed.reserve(other.packed.len() + 1);
+            self.packed.extend(other.packed.iter().map(|&byte| {
+                let merged = carry | byte << shift;
+                carry = byte >> (8 - shift);
+                merged
+            }));
+            self.packed.push(carry);
         }
+        self.len += other.len;
+        // The last carry is `other`'s zero unused bits when it holds no base.
+        self.packed.truncate(self.len.div_ceil(4));
     }
 
     /// Converts to a plain `Vec<Base>` (unpacked, one byte per base).
@@ -384,6 +425,52 @@ mod tests {
         assert_eq!(s.iter().count(), 7);
         let collected: DnaSeq = s.iter().collect();
         assert_eq!(collected, s);
+    }
+
+    /// `n` bases of a pattern that differs from byte to byte.
+    fn pattern(n: usize, seed: usize) -> DnaSeq {
+        (0..n)
+            .map(|i| Base::from_code(((i * 7 + seed * 3 + i / 5) % 4) as u8))
+            .collect()
+    }
+
+    #[test]
+    fn extend_from_seq_is_pushing_each_base_for_every_pair_of_lengths() {
+        // Every pair of lengths 0..=13: each residue mod 4 on either side,
+        // the empty sequence on either side, and whole bytes between.
+        for a in 0..=13 {
+            for b in 0..=13 {
+                let (head, tail) = (pattern(a, 1), pattern(b, 2));
+                let mut pushed = head.clone();
+                for base in tail.iter() {
+                    pushed.push(base);
+                }
+                let mut extended = head.clone();
+                extended.extend_from_seq(&tail);
+                assert_eq!(extended, pushed, "{a} + {b} bases");
+                assert_eq!(extended.packed_bytes(), (a + b).div_ceil(4));
+                // The unused bits stay zero, so a later append still works.
+                extended.extend_from_seq(&tail);
+                for base in tail.iter() {
+                    pushed.push(base);
+                }
+                assert_eq!(extended, pushed, "{a} + {b} + {b} bases");
+            }
+        }
+    }
+
+    #[test]
+    fn from_packed_clears_the_bits_past_the_last_base() {
+        for len in 0..=13 {
+            let seq = pattern(len, 3);
+            let mut junk = seq.packed.clone();
+            if let Some(last) = junk.last_mut() {
+                *last |= !(((1u16 << (2 * ((len - 1) % 4 + 1))) - 1) as u8);
+            }
+            junk.extend([0xAB, 0xCD]);
+            assert_eq!(DnaSeq::from_packed(&junk, len), seq, "{len} bases");
+            assert_eq!(DnaSeq::from_packed(&seq.packed, len), seq, "{len} bases");
+        }
     }
 
     #[test]

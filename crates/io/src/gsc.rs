@@ -58,7 +58,7 @@
 
 use genpip_datasets::{ReadSource, SimulatedRead};
 use genpip_genomics::read::ReadOrigin;
-use genpip_genomics::{Base, DnaSeq, Genome};
+use genpip_genomics::{DnaSeq, Genome};
 use genpip_signal::{PoreModel, ReadSignal};
 use std::fmt;
 use std::fs::File;
@@ -409,18 +409,14 @@ impl<'a, R: Read> Take<'a, R> {
         ))
     }
 
-    /// Reads a length-prefixed 2-bit packed sequence.
+    /// Reads a length-prefixed 2-bit packed sequence. The bytes are
+    /// `DnaSeq`'s own layout, taken whole; bits of the last byte past the
+    /// last base are ignored.
     fn seq(&mut self, what: &'static str) -> Result<DnaSeq, GscError> {
         let count = self.u64(what)?;
-        let packed = count.div_ceil(4);
-        let bytes_start = self.span(packed, what)?.start;
+        let span = self.span(count.div_ceil(4), what)?;
         let count = usize::try_from(count).map_err(|_| GscError::Truncated { what })?;
-        let mut seq = DnaSeq::with_capacity(count);
-        for i in 0..count {
-            let code = self.raw[bytes_start + i / 4] >> ((i & 3) * 2);
-            seq.push(Base::from_code(code));
-        }
-        Ok(seq)
+        Ok(DnaSeq::from_packed(&self.raw[span], count))
     }
 }
 
@@ -1350,9 +1346,14 @@ mod tests {
     /// A container small enough to flip every bit of: a k = 1 pore model, a
     /// 40-base reference, and two short reads, one of each origin kind.
     fn pack_small(path: &Path) {
+        pack_small_with_reference(path, 40);
+    }
+
+    /// [`pack_small`] over a reference of `bases` bases.
+    fn pack_small_with_reference(path: &Path, bases: usize) {
         let model = PoreModel::synthetic(1, 3);
         let synth = SignalSynthesizer::new(model.clone());
-        let reference = GenomeBuilder::new(40).seed(5).name("small").build();
+        let reference = GenomeBuilder::new(bases).seed(5).name("small").build();
         let meta = GscMeta {
             pore_model: &model,
             mean_dwell: synth.mean_dwell(),
@@ -1405,6 +1406,59 @@ mod tests {
             }
         }
         std::fs::remove_file(&corrupt_path).ok();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn junk_in_the_unused_bits_of_a_last_packed_byte_decodes_as_before() {
+        // The reference (41 bases) and both truths (6 bases) end inside a
+        // byte. Every unused bit of those last bytes set, and the checksums
+        // resealed as a writer would: the reference and every read decode
+        // equal to the pristine container's.
+        let path = temp_path("junk-bits");
+        pack_small_with_reference(&path, 41);
+        let mut pristine = GscReader::open(&path).expect("pristine opens");
+        let mut bytes = std::fs::read(&path).expect("read");
+        let unused = |bases: usize| !((1u8 << (2 * (bases % 4))) - 1);
+        let header_len = pristine.header_bytes() as usize;
+        // The reference's last byte, then the read count and the checksum.
+        bytes[header_len - 17] |= unused(41);
+        let digest = checksum(&bytes[..header_len - 8]);
+        bytes[header_len - 8..header_len].copy_from_slice(&digest.to_le_bytes());
+        let ends: Vec<u64> = pristine.offsets()[1..]
+            .iter()
+            .copied()
+            .chain([pristine.data_bytes()])
+            .collect();
+        for (i, end) in ends.into_iter().enumerate() {
+            let (start, end) = (pristine.offsets()[i] as usize, end as usize);
+            let read = pristine.read_at(i).expect("pristine decodes");
+            let origin = match read.origin {
+                ReadOrigin::Reference { .. } => 1 + 8 + 8 + 1,
+                ReadOrigin::Contaminant => 1,
+            };
+            // id · noise sigma · origin · truth count, then the truth.
+            let truth = start + 4 + 8 + origin + 8;
+            let bases = read.signal.truth.len();
+            assert_ne!(bases % 4, 0, "the truth ends inside a byte");
+            bytes[truth + bases.div_ceil(4) - 1] |= unused(bases);
+            let digest = checksum(&bytes[start..end - 8]);
+            bytes[end - 8..end].copy_from_slice(&digest.to_le_bytes());
+        }
+        let junk_path = temp_path("junk-bits-set");
+        std::fs::write(&junk_path, &bytes).expect("write");
+        let mut junk = GscReader::open(&junk_path).expect("resealed container opens");
+        assert_eq!(junk.reference(), pristine.reference());
+        assert_eq!(junk.read_count(), pristine.read_count());
+        for i in 0..pristine.read_count() {
+            let read = junk.read_at(i).expect("resealed record decodes");
+            assert_eq!(
+                read,
+                pristine.read_at(i).expect("pristine decodes"),
+                "read {i}"
+            );
+        }
+        std::fs::remove_file(&junk_path).ok();
         std::fs::remove_file(&path).ok();
     }
 

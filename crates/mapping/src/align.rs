@@ -78,7 +78,7 @@
 //! corridor — about 70 columns under the default scoring — `B` is about
 //! 500; the `i16` rows take bands up to 1 352 columns.
 
-use genpip_genomics::{Base, DnaSeq};
+use genpip_genomics::DnaSeq;
 use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
@@ -344,6 +344,28 @@ pub struct AlignScratch {
     ops: Vec<(u8, u32)>,
 }
 
+/// Appends the 2-bit codes of the bases of `seq` in `range` to `out`, 32
+/// at a time from [`DnaSeq::word_at`] words.
+///
+/// # Panics
+///
+/// Panics if `range` reaches past the end of `seq`.
+fn push_codes(out: &mut Vec<u8>, seq: &DnaSeq, range: Range<usize>) {
+    assert!(
+        range.end <= seq.len(),
+        "bases {range:?} of a {}-base sequence",
+        seq.len()
+    );
+    let start = out.len();
+    out.resize(start + range.len(), 0);
+    for (codes, at) in out[start..].chunks_mut(32).zip(range.step_by(32)) {
+        let word = seq.word_at(at);
+        for (j, code) in codes.iter_mut().enumerate() {
+            *code = (word >> (2 * j)) as u8 & 3;
+        }
+    }
+}
+
 impl AlignScratch {
     /// Creates an empty workspace; buffers are sized lazily on first use.
     pub fn new() -> AlignScratch {
@@ -352,6 +374,10 @@ impl AlignScratch {
 
     /// Unpacks the two sequences to align: `query`, and the `window` of
     /// `reference`, reverse complemented when `reverse` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` reaches past the end of `reference`.
     pub(crate) fn load(
         &mut self,
         query: &DnaSeq,
@@ -360,14 +386,16 @@ impl AlignScratch {
         reverse: bool,
     ) {
         self.q.clear();
-        self.q.extend(query.iter().map(Base::code));
+        push_codes(&mut self.q, query, 0..query.len());
         self.r.clear();
         self.r.push(PAD);
-        let codes = window.map(|i| reference.get(i).code());
+        push_codes(&mut self.r, reference, window);
         if reverse {
-            self.r.extend(codes.rev().map(|code| 3 - code));
-        } else {
-            self.r.extend(codes);
+            let codes = &mut self.r[1..];
+            codes.reverse();
+            for code in codes {
+                *code = 3 - *code;
+            }
         }
         self.r.extend([PAD; SLACK]);
     }

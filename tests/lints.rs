@@ -118,15 +118,16 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "one definition of each kernel and step",
-        pattern: "fn decode_with|fn traceback\\b|fn init_row|fn minimizers_into|\
+        pattern: "fn decode_with|fn traceback\\b|fn walk\\b|fn init_row|fn minimizers_into|\
                   fn step_score|fn checksum\\b|fn banded_global|fn fill\\b|fn row\\b|\
                   fn map_with\\b|fn seed_and_chain\\b",
         paths: &["crates/*/src"],
         lines_each: 1,
-        fixture: "fn decode_with( fn traceback( fn init_row( fn minimizers_into( \
+        fixture: "fn decode_with( fn traceback( fn walk<R>( fn init_row( fn minimizers_into( \
                   fn step_score( fn checksum( fn banded_global( fn fill<T>( fn row( \
                   fn map_with( fn seed_and_chain(",
-        reason: "the Viterbi decode has one record layout; the mapping front end one \
+        reason: "the Viterbi decode has one record layout and one traceback walk, generic \
+                 over how it reads the records; the mapping front end one \
                  sketch entry and one chain step; GSC one checksum; the alignment one \
                  kernel, row loop and AVX2 row; and both flows map \
                  through ReferenceSet's one seed-and-chain step, run whole-read by the \

@@ -1,12 +1,14 @@
 #!/bin/sh
-# Mutation sweep over four kernels: the banded alignment
+# Mutation sweep over five kernels: the banded alignment
 # (crates/mapping/src/align.rs, align/avx2.rs), the minimizer sketch with
 # the index build it feeds (crates/mapping/src/minimizer.rs,
 # minimizer/avx2.rs, index.rs), the seed-and-chain step both flows map
 # through, with the best-hit merge (crates/mapping/src/refset.rs), and the
 # chunk call's two steps with the quality step's deferral past the CP
 # pass (crates/basecall/src/basecaller.rs, the traceback's base gather
-# in crates/basecall/src/viterbi.rs, crates/core/src/pipeline.rs). It
+# in crates/basecall/src/viterbi.rs, crates/core/src/pipeline.rs), and the
+# Viterbi decode itself: the traceback's walk and the AVX2 row's
+# renormalisation (crates/basecall/src/viterbi.rs, viterbi/avx2.rs). It
 # applies one-line mutations, one at a
 # time, runs each of the kernel's suites against every mutant, and prints
 # which suites kill it. A mutant no suite kills is either equivalent (the
@@ -15,9 +17,9 @@
 #
 # It edits the tree it runs in, so run it in a throwaway clone:
 #
-#   git clone . ../genpip-mutants && cd ../genpip-mutants && tools/mutants.sh [align|sketch|mapstep|quality]
+#   git clone . ../genpip-mutants && cd ../genpip-mutants && tools/mutants.sh [align|sketch|mapstep|quality|decode]
 #
-# With no argument it sweeps all four. Needs a clean checkout of the
+# With no argument it sweeps all five. Needs a clean checkout of the
 # kernel files (each mutant is applied with sed and discarded with
 # `git stash`). Prints one line per mutant: its name, then `killed by:
 # <suites>` or `SURVIVED`, or `NOT APPLIED` when its pattern no longer
@@ -35,13 +37,14 @@ INDEX=crates/mapping/src/index.rs
 REFSET=crates/mapping/src/refset.rs
 CALLER=crates/basecall/src/basecaller.rs
 DECODE=crates/basecall/src/viterbi.rs
+ROWS=crates/basecall/src/viterbi/avx2.rs
 PIPELINE=crates/core/src/pipeline.rs
 if ! git diff --quiet -- "$ALIGN" "$AVX2" "$SKETCH" "$LANES" "$INDEX" "$REFSET" "$CALLER" \
-    "$DECODE" "$PIPELINE"; then
+    "$DECODE" "$ROWS" "$PIPELINE"; then
     echo "mutants.sh: a kernel file has local changes; commit or stash them first" >&2
     exit 2
 fi
-KERNELS=${1:-align sketch mapstep quality}
+KERNELS=${1:-align sketch mapstep quality decode}
 
 # Suites: a name, then the cargo test arguments (release, as CI runs them).
 ALIGN_SUITES='
@@ -71,6 +74,13 @@ accuracy|--test accuracy
 golden|--test golden
 session|--test session
 chunk_accounting|--test chunk_accounting
+'
+DECODE_SUITES='
+unit|-p genpip-basecall --lib viterbi::tests
+differential|-p genpip-basecall --lib viterbi::differential
+caller|-p genpip-basecall --lib basecaller::differential
+accuracy|--test accuracy
+golden|--test golden
 '
 
 # Mutants: a name, the file, and a sed expression that changes one line.
@@ -130,6 +140,12 @@ quality deferred for a QSR-sampled chunk|P|s/let bases = match next_sampled.next
 kept path not moved on|P|s/                    kept += 1;//
 pending buffer not cleared between reads|P|s/        scratch.pending.clear();//
 '
+DECODE_MUTANTS='
+advance test: strict > made >=|D|s/let advance = i32::from(best) - i32::from(record\[s\]) > margin;/let advance = i32::from(best) - i32::from(record[s]) >= margin;/
+tie mask picks the highest quarter|D|s/state = group + ties.trailing_zeros() as usize \* n_groups;/state = group + (31 - ties.leading_zeros()) as usize * n_groups;/
+renormalisation step applied a row early|X|s/step = _mm256_sub_epi16(back_max, step);/step = _mm256_sub_epi16(_mm256_broadcastw_epi16(_mm256_castsi256_si128(_mm256_max_epi16(_mm256_max_epi16(v[0], v[1]), _mm256_max_epi16(v[2], v[3])))), step);/
+group index written as >> 1|D|s/let group = s >> 2;/let group = s >> 1;/
+'
 
 status=0
 for kernel in $KERNELS; do
@@ -138,7 +154,8 @@ for kernel in $KERNELS; do
         sketch) SUITES=$SKETCH_SUITES MUTANTS=$SKETCH_MUTANTS ;;
         mapstep) SUITES=$MAPSTEP_SUITES MUTANTS=$MAPSTEP_MUTANTS ;;
         quality) SUITES=$QUALITY_SUITES MUTANTS=$QUALITY_MUTANTS ;;
-        *) echo "mutants.sh: unknown kernel $kernel (align, sketch, mapstep or quality)" >&2; exit 2 ;;
+        decode) SUITES=$DECODE_SUITES MUTANTS=$DECODE_MUTANTS ;;
+        *) echo "mutants.sh: unknown kernel $kernel (align, sketch, mapstep, quality or decode)" >&2; exit 2 ;;
     esac
     while IFS='|' read -r name which expr; do
         [ -n "$name" ] || continue
@@ -146,7 +163,7 @@ for kernel in $KERNELS; do
             A) file=$ALIGN ;; V) file=$AVX2 ;;
             M) file=$SKETCH ;; L) file=$LANES ;; I) file=$INDEX ;;
             R) file=$REFSET ;;
-            B) file=$CALLER ;; D) file=$DECODE ;; P) file=$PIPELINE ;;
+            B) file=$CALLER ;; D) file=$DECODE ;; X) file=$ROWS ;; P) file=$PIPELINE ;;
         esac
         sed -i "$expr" "$file"
         if git diff --quiet -- "$file"; then
